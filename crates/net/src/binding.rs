@@ -32,7 +32,6 @@
 //! the set can coordinate, so the client keeps operating as long as one
 //! replica is reachable.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -47,7 +46,7 @@ use quorumstore::types::{OpId, ReadKind, Version, Versioned};
 use quorumstore::StoreOp;
 use simnet::NodeId;
 
-use crate::pump::{recv_step, Deadlines, Step};
+use crate::pump::{recv_step, Deadlines, IdMap, Step};
 use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
 use crate::transport::{spawn_reader, Outbound, Transport};
 
@@ -157,7 +156,7 @@ pub(crate) fn encode_submit(
 /// the op instead: fabricating an absent view would tell the caller
 /// "the key does not exist" with strong confidence the binding never
 /// actually obtained (the PR 3 *CC bug class, on a different path).
-fn finish(pending: &mut HashMap<u64, PendingOp>, seq: u64, data: Option<Versioned>) {
+fn finish(pending: &mut IdMap<PendingOp>, seq: u64, data: Option<Versioned>) {
     let Some(p) = pending.remove(&seq) else {
         return;
     };
@@ -171,7 +170,7 @@ fn finish(pending: &mut HashMap<u64, PendingOp>, seq: u64, data: Option<Versione
 
 /// Routes one server reply into the pending-op table: the reply-matching
 /// half of the client state machine, shared by both transports.
-pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64, msg: Msg) {
+pub(crate) fn handle_reply(pending: &mut IdMap<PendingOp>, client_id: u64, msg: Msg) {
     let own = |op: OpId| op.client == NodeId(client_id as usize);
     match msg {
         Msg::ReadReply {
@@ -191,19 +190,14 @@ pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64
         Msg::ReadConfirm { op, version } if own(op) => {
             // *CC: confirm only against the preliminary we actually
             // hold — never fabricate a strong view from nothing.
-            let confirmed = pending
-                .get(&op.seq)
-                .and_then(|p| p.prelim.clone())
-                .filter(|prelim| prelim.version == version);
-            match confirmed {
-                Some(prelim) => finish(pending, op.seq, Some(prelim)),
-                None => {
-                    if let Some(p) = pending.remove(&op.seq) {
-                        p.upcall.fail(Error::Unavailable(
-                            "read confirmation without matching preliminary view".into(),
-                        ));
-                    }
-                }
+            let Some(p) = pending.remove(&op.seq) else {
+                return;
+            };
+            match p.prelim.filter(|prelim| prelim.version == version) {
+                Some(prelim) => p.upcall.deliver(prelim, p.close_level),
+                None => p.upcall.fail(Error::Unavailable(
+                    "read confirmation without matching preliminary view".into(),
+                )),
             }
         }
         Msg::WriteReply { op } if own(op) => finish(pending, op.seq, None),
@@ -218,7 +212,7 @@ pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64
 }
 
 /// Fails every pending operation with `err`.
-pub(crate) fn fail_all_pending(pending: &mut HashMap<u64, PendingOp>, err: impl Fn() -> Error) {
+pub(crate) fn fail_all_pending(pending: &mut IdMap<PendingOp>, err: impl Fn() -> Error) {
     for (_, p) in pending.drain() {
         p.upcall.fail(err());
     }
@@ -300,7 +294,7 @@ impl TcpBinding {
             gen: 0,
             addr_idx: 0,
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             deadlines: Deadlines::new(),
             coordinator: Arc::clone(&coordinator),
             retry_after: None,
@@ -406,7 +400,7 @@ struct ClientLoop {
     gen: u64,
     addr_idx: usize,
     next_seq: u64,
-    pending: HashMap<u64, PendingOp>,
+    pending: IdMap<PendingOp>,
     deadlines: Deadlines<u64>,
     coordinator: Arc<Mutex<SocketAddr>>,
     /// After a dial round finds no replica reachable, don't dial again

@@ -71,13 +71,21 @@ impl std::error::Error for FrameError {}
 /// clearing it first. The result is ready for a single `write_all`.
 pub fn encode_frame<T: Wire>(msg: &T, scratch: &mut Vec<u8>) {
     scratch.clear();
+    append_frame(msg, scratch);
+}
+
+/// Encodes `msg` as one complete frame onto the tail of `buf`, leaving
+/// what `buf` already holds in place — how the reactor writes a message
+/// straight into a connection's outbound buffer.
+pub(crate) fn append_frame<T: Wire>(msg: &T, buf: &mut Vec<u8>) {
+    let start = buf.len();
     // Reserve the length slot, then encode in place. The version byte is
     // the oldest version that understands *this* message, not the newest
     // this build speaks — see the module docs.
-    scratch.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
-    msg.encode(scratch);
-    let len = (scratch.len() - 4) as u32;
-    scratch[..4].copy_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
+    msg.encode(buf);
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes `msg` as one frame into `scratch` (cleared first) and writes

@@ -27,7 +27,8 @@
 //! - [`transport`] / [`reactor`] — the blocking per-connection
 //!   writer/reader thread pairs, and the default hand-rolled epoll
 //!   reactor (edge-triggered loops, per-connection state machines,
-//!   vectored writes with backpressure). No async runtime either way.
+//!   append-in-place write buffers with backpressure). No async runtime
+//!   either way.
 //! - [`server`] / [`binding`] / [`spec_binding`] — the replica
 //!   ([`ReplicaServer`], hosting the quorum store and the
 //!   `specstore`-backed update/causal/strong levels) and the client

@@ -24,7 +24,7 @@ use quorumstore::storage::LocalStore;
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
 
-use crate::pump::Deadlines;
+use crate::pump::{Deadlines, IdMap};
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
 
 /// Where a replica's outbound messages go. The core never sees sockets;
@@ -77,8 +77,8 @@ pub(crate) struct ReplicaCore {
     /// quorum arithmetic must not shrink when a link flaps.
     n_peers: usize,
     store: LocalStore,
-    reads: HashMap<u64, ReadSt>,
-    writes: HashMap<u64, WriteSt>,
+    reads: IdMap<ReadSt>,
+    writes: IdMap<WriteSt>,
     /// Monotone source of internal op ids.
     next_internal: u64,
     /// Operation deadlines, soonest first.
@@ -94,8 +94,8 @@ impl ReplicaCore {
             op_timeout,
             n_peers,
             store: LocalStore::new(),
-            reads: HashMap::new(),
-            writes: HashMap::new(),
+            reads: IdMap::default(),
+            writes: IdMap::default(),
             next_internal: 0,
             deadlines: Deadlines::new(),
             spec: SpecCore::new(id, n_peers + 1),

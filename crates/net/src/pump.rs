@@ -1,5 +1,6 @@
-//! Shared event-loop plumbing: a deadline heap plus the
-//! wait-for-event-or-next-deadline receive step.
+//! Shared event-loop plumbing: a deadline heap, the
+//! wait-for-event-or-next-deadline receive step, and the map type for
+//! tables keyed by self-minted integer ids.
 //!
 //! Both protocol loops in this crate (the replica server's and the
 //! client binding's) are the same shape — an mpsc event channel, a heap
@@ -8,9 +9,41 @@
 //! logic cannot drift between the two.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Instant;
+
+/// A map keyed by ids this process minted itself — connection ids,
+/// internal op ids, client sequence numbers — which the loops cross
+/// several times per frame. Such keys are sequential and nobody outside
+/// chooses them, so one multiply spreads them and SipHash's flood
+/// resistance buys nothing. Tables keyed by what a peer sends (the
+/// store's keys) keep the default hasher.
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// Fibonacci hashing of one `u64`; see [`IdMap`].
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed; keep other input correct anyway.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits and tags by the high ones;
+        // the product's entropy sits in the high half.
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// A min-heap of `(deadline, key)` pairs with lazy discarding of keys
 /// whose operation already finished.

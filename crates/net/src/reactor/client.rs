@@ -15,7 +15,6 @@
 //! serving its other bindings), so ops submitted during the dial are
 //! queued and sent on success instead of blocking the caller.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +30,7 @@ use quorumstore::types::{ReadKind, Versioned};
 use quorumstore::StoreOp;
 
 use crate::binding::{encode_submit, fail_all_pending, handle_reply, PendingOp, TcpConfig};
-use crate::pump::Deadlines;
+use crate::pump::{Deadlines, IdMap};
 use crate::wire::Reader;
 
 use super::conn::CloseReason;
@@ -98,7 +97,7 @@ impl ClientReactor {
             let handler = ClientHandler {
                 loop_idx: i,
                 dial_tx: dial_tx.clone(),
-                bindings: HashMap::new(),
+                bindings: IdMap::default(),
                 deadlines: Deadlines::new(),
             };
             let (inj, _join) = spawn_loop(
@@ -276,7 +275,7 @@ fn dialer_loop(rx: Receiver<DialReq>, loops: Vec<Injector<ClientEv>>) {
 struct BState {
     cfg: TcpConfig,
     coordinator: Arc<Mutex<SocketAddr>>,
-    pending: HashMap<u64, PendingOp>,
+    pending: IdMap<PendingOp>,
     next_seq: u64,
     /// The loop-local connection id of the live coordinator link.
     conn: Option<u64>,
@@ -303,7 +302,7 @@ struct ClientHandler {
     dial_tx: Sender<DialReq>,
     /// Keyed by binding id — which is also the tag of every connection
     /// this loop owns, so frames route to their binding via the tag.
-    bindings: HashMap<u64, BState>,
+    bindings: IdMap<BState>,
     /// All bindings' op deadlines, keyed `(binding, seq)`.
     deadlines: Deadlines<(u64, u64)>,
 }
@@ -422,7 +421,7 @@ impl Handler for ClientHandler {
                     BState {
                         cfg,
                         coordinator,
-                        pending: HashMap::new(),
+                        pending: IdMap::default(),
                         next_seq: 0,
                         conn,
                         addr_idx,

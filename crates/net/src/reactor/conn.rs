@@ -1,25 +1,29 @@
-//! Per-connection state machine: reusable read buffer with in-place
-//! frame extraction, and a bounded write queue flushed with vectored
-//! writes.
+//! Per-connection state machine: one reusable read buffer with
+//! in-place frame extraction, and one bounded, contiguous write buffer
+//! that frames are encoded straight onto.
 //!
 //! The reactor's read path is zero-copy with respect to framing: bytes
 //! land in the connection's buffer straight off the socket, complete
 //! frames are *sliced* out of that buffer for decoding (the `Wire`
 //! codec reads from a borrowed `&[u8]`), and only the undecoded tail of
 //! a partial frame ever survives to the next readiness event — moved to
-//! the front of the buffer rather than reallocated. The blocking
-//! transport, by contrast, copies every frame into a per-frame scratch
-//! vector via `read_exact`.
+//! the front of the buffer rather than reallocated. The buffer keeps
+//! its grown length between events and the received bytes are tracked
+//! by a separate filled length, so the spare room handed to `read` is
+//! zeroed once, when the buffer grows, not before every call. The
+//! blocking transport, by contrast, copies every frame into a per-frame
+//! scratch vector via `read_exact`.
 //!
-//! The write path is the backpressure boundary. Frames enqueue as
-//! pre-encoded byte vectors and drain with `write_vectored` (one
-//! syscall for many small frames — the batched-write half of the
-//! reactor's throughput win). A peer that stops reading makes the queue
-//! grow; past [`Conn::write_cap`] the connection is closed rather than
+//! The write path is the backpressure boundary. A message is encoded
+//! once, onto the tail of the connection's write buffer (a frame bound
+//! for several peers is encoded once and its bytes copied onto each
+//! tail); a flush is a plain `write` from the first unwritten byte, so
+//! every frame produced in one loop iteration leaves in one syscall. A
+//! peer that stops reading makes the unwritten part grow; past
+//! [`Conn::write_cap`] bytes the connection is closed rather than
 //! letting one slow consumer hold the loop's memory hostage.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 use crate::frame::MAX_FRAME;
@@ -30,8 +34,10 @@ use crate::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
 /// connection counts while still draining a burst in few syscalls.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
-/// How many queued frames one `write_vectored` call covers.
-const WRITE_BATCH: usize = 32;
+/// A buffer that grew past this for one burst or one giant frame gives
+/// the memory back once it is idle, so ten thousand connections do not
+/// each pin their worst moment.
+const SHRINK_ABOVE: usize = 4 * READ_CHUNK;
 
 /// Why a connection is being torn down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,8 +49,8 @@ pub(crate) enum CloseReason {
     /// The peer sent bytes that cannot be a frame (bad length, bad
     /// version, or a body the handler failed to decode).
     Garbage,
-    /// The write queue exceeded its cap: the peer reads too slowly for
-    /// the traffic addressed to it.
+    /// The unwritten bytes exceeded the cap: the peer reads too slowly
+    /// for the traffic addressed to it.
     Backpressure,
     /// The local handler asked for the close.
     Requested,
@@ -106,18 +112,19 @@ pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Handler-defined meaning (peer index, client tag, binding id…).
     pub(crate) tag: u64,
-    /// Received-but-unparsed bytes. `read_pos` marks how much of the
-    /// front has already been consumed as complete frames.
+    /// Receive buffer. Its *length* is the room `read` may fill (all of
+    /// it initialised); `read_filled` is how much of the front holds
+    /// received, not yet dispatched bytes.
     read_buf: Vec<u8>,
-    read_pos: usize,
-    /// Pre-encoded frames awaiting the socket, plus how many bytes of
-    /// the front frame have already been written.
-    write_q: VecDeque<Vec<u8>>,
+    read_filled: usize,
+    /// Encoded frames awaiting the socket, back to back; the bytes
+    /// before `write_head` have already been written.
+    write_buf: Vec<u8>,
     write_head: usize,
-    /// Total unwritten bytes across the queue.
-    queued: usize,
-    /// Cap on `queued`; exceeding it closes the connection.
+    /// Cap on the unwritten bytes; exceeding it closes the connection.
     write_cap: usize,
+    /// Already on the loop's flush list for this iteration.
+    pub(crate) dirty: bool,
     /// Close scheduled; drop new traffic, skip further parsing.
     pub(crate) closing: bool,
 }
@@ -136,11 +143,11 @@ impl Conn {
             stream,
             tag,
             read_buf: Vec::new(),
-            read_pos: 0,
-            write_q: VecDeque::new(),
+            read_filled: 0,
+            write_buf: Vec::new(),
             write_head: 0,
-            queued: 0,
             write_cap,
+            dirty: false,
             closing: false,
         }
     }
@@ -149,138 +156,120 @@ impl Conn {
     /// the whole edge or never hear about those bytes again).
     pub(crate) fn drain_read(&mut self) -> ReadStep {
         loop {
-            let filled = self.read_buf.len();
-            self.read_buf.resize(filled + READ_CHUNK, 0);
-            let Some(spare) = self.read_buf.get_mut(filled..) else {
-                self.read_buf.truncate(filled);
+            if self.read_buf.len() < self.read_filled + READ_CHUNK {
+                self.read_buf.resize(self.read_filled + READ_CHUNK, 0);
+            }
+            let Some(spare) = self.read_buf.get_mut(self.read_filled..) else {
                 return ReadStep::Closed(CloseReason::Io);
             };
+            let room = spare.len();
             match self.stream.read(spare) {
-                Ok(0) => {
-                    self.read_buf.truncate(filled);
-                    return ReadStep::Closed(CloseReason::Eof);
-                }
+                Ok(0) => return ReadStep::Closed(CloseReason::Eof),
                 Ok(n) => {
-                    self.read_buf.truncate(filled + n);
-                    if n < READ_CHUNK {
+                    self.read_filled += n;
+                    if n < room {
                         // Short read: the socket buffer is empty now;
                         // a further read would only cost a syscall.
                         return ReadStep::Progress;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.read_buf.truncate(filled);
-                    return ReadStep::Progress;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.read_buf.truncate(filled);
-                }
-                Err(_) => {
-                    self.read_buf.truncate(filled);
-                    return ReadStep::Closed(CloseReason::Io);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStep::Progress,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadStep::Closed(CloseReason::Io),
             }
         }
     }
 
-    /// Takes the read buffer for borrow-free frame dispatch; pair with
-    /// [`Conn::restore_read_buf`].
+    /// Takes the read buffer and its filled length for borrow-free
+    /// frame dispatch; pair with [`Conn::restore_read_buf`].
     pub(crate) fn take_read_buf(&mut self) -> (Vec<u8>, usize) {
-        (std::mem::take(&mut self.read_buf), self.read_pos)
+        (
+            std::mem::take(&mut self.read_buf),
+            std::mem::take(&mut self.read_filled),
+        )
     }
 
-    /// Puts the (possibly further-consumed) read buffer back, moving a
+    /// Puts the read buffer back with `buf[..pos]` consumed, moving a
     /// partial tail frame to the front so the buffer never grows
     /// without bound across many parse rounds.
-    pub(crate) fn restore_read_buf(&mut self, mut buf: Vec<u8>, pos: usize) {
-        if pos >= buf.len() {
-            buf.clear();
-            self.read_pos = 0;
-        } else if pos > 0 {
-            buf.copy_within(pos.., 0);
-            buf.truncate(buf.len() - pos);
-            self.read_pos = 0;
-        } else {
-            self.read_pos = 0;
+    pub(crate) fn restore_read_buf(&mut self, mut buf: Vec<u8>, filled: usize, pos: usize) {
+        let tail = filled.saturating_sub(pos);
+        if tail > 0 && pos > 0 {
+            buf.copy_within(pos..filled, 0);
         }
         // A one-off giant frame should not pin its allocation forever.
-        if buf.capacity() > 4 * READ_CHUNK && buf.len() < READ_CHUNK {
+        if buf.len() > SHRINK_ABOVE && tail < READ_CHUNK {
+            buf.truncate(READ_CHUNK);
             buf.shrink_to(READ_CHUNK);
         }
         self.read_buf = buf;
+        self.read_filled = tail;
     }
 
-    /// Enqueues one pre-encoded frame. Returns `false` when the write
-    /// cap is exceeded — the caller must close the connection.
-    pub(crate) fn enqueue(&mut self, frame: Vec<u8>) -> bool {
+    /// Lets `put` append one encoded frame to the tail of the write
+    /// buffer. Returns `false` when that takes the unwritten bytes past
+    /// the cap — the caller must close the connection.
+    pub(crate) fn enqueue(&mut self, put: impl FnOnce(&mut Vec<u8>)) -> bool {
         if self.closing {
             return true; // dropped silently, like a dead peer
         }
-        self.queued += frame.len();
-        self.write_q.push_back(frame);
-        self.queued <= self.write_cap
+        put(&mut self.write_buf);
+        self.unwritten() <= self.write_cap
+    }
+
+    /// Bytes awaiting the socket.
+    fn unwritten(&self) -> usize {
+        self.write_buf.len() - self.write_head
     }
 
     /// Whether any bytes await the socket.
     pub(crate) fn has_pending_writes(&self) -> bool {
-        self.queued > 0
+        self.unwritten() > 0
     }
 
-    /// Flushes queued frames with vectored writes until the queue is
-    /// empty or the socket pushes back. `Ok(true)` means fully drained.
+    /// Writes from the first unwritten byte until the buffer is drained
+    /// or the socket pushes back. `Ok(true)` means fully drained.
     pub(crate) fn flush(&mut self) -> io::Result<bool> {
-        while !self.write_q.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(WRITE_BATCH.min(self.write_q.len()));
-            for (i, frame) in self.write_q.iter().take(WRITE_BATCH).enumerate() {
-                let from = if i == 0 { self.write_head } else { 0 };
-                let Some(rest) = frame.get(from..) else {
-                    continue;
-                };
-                if !rest.is_empty() {
-                    slices.push(IoSlice::new(rest));
-                }
-            }
-            if slices.is_empty() {
-                self.write_q.clear();
-                self.write_head = 0;
-                self.queued = 0;
-                break;
-            }
-            match self.stream.write_vectored(&slices) {
+        while let Some(rest) = self
+            .write_buf
+            .get(self.write_head..)
+            .filter(|rest| !rest.is_empty())
+        {
+            match self.stream.write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.advance(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Ok(n) => self.write_head += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Frames keep arriving behind a slow reader: drop
+                    // the written prefix once it outweighs what is left.
+                    // The buffer then stays under twice the unwritten
+                    // bytes, and the bytes moved never exceed the bytes
+                    // written since the last move.
+                    if self.write_head >= self.unwritten() {
+                        self.write_buf.drain(..self.write_head);
+                        self.write_head = 0;
+                    }
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(true)
-    }
-
-    /// Accounts `n` written bytes across the queue front.
-    fn advance(&mut self, mut n: usize) {
-        self.queued = self.queued.saturating_sub(n);
-        while n > 0 {
-            let Some(front) = self.write_q.front() else {
-                break;
-            };
-            let remaining = front.len().saturating_sub(self.write_head);
-            if n >= remaining {
-                n -= remaining;
-                self.write_q.pop_front();
-                self.write_head = 0;
-            } else {
-                self.write_head += n;
-                n = 0;
-            }
+        self.write_buf.clear();
+        self.write_head = 0;
+        if self.write_buf.capacity() > SHRINK_ABOVE {
+            self.write_buf.shrink_to(READ_CHUNK);
         }
+        Ok(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{append_frame, encode_frame, read_frame};
+    use crate::wire::Reader;
+    use quorumstore::types::Value;
+    use std::net::TcpListener;
 
     fn frame_bytes(body: &[u8]) -> Vec<u8> {
         let mut f = Vec::new();
@@ -289,6 +278,167 @@ mod tests {
         f.push(WIRE_VERSION);
         f.extend_from_slice(body);
         f
+    }
+
+    /// A nonblocking [`Conn`] and the blocking far end of its socket.
+    fn conn_pair(write_cap: usize) -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (near, _) = listener.accept().unwrap();
+        near.set_nonblocking(true).unwrap();
+        near.set_nodelay(true).unwrap();
+        far.set_nodelay(true).unwrap();
+        (Conn::new(near, 0, write_cap), far)
+    }
+
+    /// The `i`-th 64 KiB test payload: every id names its frame and its
+    /// place in it, so a byte resumed at the wrong offset cannot decode
+    /// to the expected list.
+    fn payload(i: u64) -> Value {
+        Value::Ids((0..8192).map(|j| (i << 32) | j).collect())
+    }
+
+    #[test]
+    fn flush_interrupted_by_would_block_resumes_at_the_right_byte() {
+        const BURST: u64 = 256; // 16 MiB: more than loopback will buffer
+        const TOTAL: u64 = BURST + 64;
+        let (mut conn, mut far) = conn_pair(usize::MAX);
+        for i in 0..BURST {
+            assert!(conn.enqueue(|buf| append_frame(&payload(i), buf)));
+        }
+        assert!(
+            !conn.flush().unwrap(),
+            "16 MiB fit the socket buffers; the test needs a bigger burst"
+        );
+        assert!(conn.has_pending_writes());
+
+        // Drain from the far end one frame at a time, appending further
+        // frames behind the partially written one and flushing again, so
+        // the head offset, the prefix compaction and the append path all
+        // meet a buffer that is mid-frame.
+        let mut scratch = Vec::new();
+        let mut enqueued = BURST;
+        for i in 0..TOTAL {
+            let got: Value = read_frame(&mut far, &mut scratch).unwrap().unwrap();
+            assert_eq!(got, payload(i), "frame {i} out of order or corrupt");
+            if enqueued < TOTAL {
+                assert!(conn.enqueue(|buf| append_frame(&payload(enqueued), buf)));
+                enqueued += 1;
+            }
+            conn.flush().unwrap();
+        }
+        assert!(conn.flush().unwrap());
+        assert!(!conn.has_pending_writes());
+        assert!(
+            conn.write_buf.capacity() <= SHRINK_ABOVE,
+            "a drained burst buffer must give its {} bytes back",
+            conn.write_buf.capacity()
+        );
+    }
+
+    #[test]
+    fn write_cap_counts_unwritten_bytes_across_appended_frames() {
+        let frame = frame_bytes(&[7; 395]); // 400 bytes on the wire
+        let copy = |buf: &mut Vec<u8>| buf.extend_from_slice(&frame);
+        let (mut conn, _far) = conn_pair(1000);
+        assert!(conn.enqueue(copy));
+        assert!(conn.enqueue(copy));
+        assert!(
+            !conn.enqueue(copy),
+            "1200 unwritten bytes must exceed a cap of 1000"
+        );
+
+        // Written bytes stop counting: the same three frames fit once a
+        // flush has moved the first two into the socket.
+        let (mut conn, _far) = conn_pair(1000);
+        assert!(conn.enqueue(copy));
+        assert!(conn.enqueue(copy));
+        assert!(conn.flush().unwrap());
+        assert!(conn.enqueue(copy));
+        assert!(conn.enqueue(copy));
+    }
+
+    /// Runs one dispatch round the way the event loop does: take the
+    /// buffer, slice complete frames off its front, put the rest back.
+    fn dispatch(conn: &mut Conn, bodies: &mut Vec<Vec<u8>>) {
+        let (buf, filled) = conn.take_read_buf();
+        let mut pos = 0;
+        while let Extract::Frame {
+            body_start,
+            body_end,
+        } = extract_frame(&buf[..filled], pos)
+        {
+            bodies.push(buf[body_start..body_end].to_vec());
+            pos = body_end;
+        }
+        conn.restore_read_buf(buf, filled, pos);
+    }
+
+    #[test]
+    fn partial_frame_survives_many_small_reads() {
+        use std::io::Write as _;
+        let ids = Value::Ids((0..5120).map(|j| j * 0x0101_0101_0101 + 1).collect());
+        let mut wire = frame_bytes(b"first"); // consumed early, so the tail moves
+        let mut big = Vec::new();
+        encode_frame(&ids, &mut big); // 40 KiB + header
+        wire.extend_from_slice(&big);
+
+        let (mut conn, mut far) = conn_pair(0);
+        let mut bodies = Vec::new();
+        let mut sent = 0;
+        let mut step = 0;
+        while sent < wire.len() {
+            // A few bytes at a time, never the same few.
+            let n = (1 + step % 13).min(wire.len() - sent);
+            far.write_all(&wire[sent..sent + n]).unwrap();
+            sent += n;
+            step += 1;
+            assert!(matches!(conn.drain_read(), ReadStep::Progress));
+            dispatch(&mut conn, &mut bodies);
+        }
+        // Loopback may still hold the last few bytes; closing the far end
+        // bounds the wait.
+        drop(far);
+        while matches!(conn.drain_read(), ReadStep::Progress) {
+            dispatch(&mut conn, &mut bodies);
+            std::thread::yield_now();
+        }
+        dispatch(&mut conn, &mut bodies);
+
+        assert_eq!(bodies.len(), 2, "both frames complete exactly once");
+        assert_eq!(bodies[0], b"first");
+        assert_eq!(Reader::new(&bodies[1]).finish::<Value>(), Ok(ids));
+        assert_eq!(conn.read_filled, 0, "nothing left over");
+    }
+
+    #[test]
+    fn read_buffer_keeps_its_length_and_gives_back_a_giant_one() {
+        use std::io::Write as _;
+        let (mut conn, mut far) = conn_pair(0);
+        let mut bodies = Vec::new();
+
+        far.write_all(&frame_bytes(b"ping")).unwrap();
+        while bodies.is_empty() {
+            assert!(matches!(conn.drain_read(), ReadStep::Progress));
+            dispatch(&mut conn, &mut bodies);
+        }
+        assert_eq!(
+            conn.read_buf.len(),
+            READ_CHUNK,
+            "the grown length is kept, so the next read zeroes nothing"
+        );
+
+        // A 1 MiB frame grows the buffer; once dispatched it shrinks back.
+        let giant = frame_bytes(&vec![9; 1 << 20]);
+        let writer = std::thread::spawn(move || far.write_all(&giant).map(|()| far));
+        while bodies.len() < 2 {
+            assert!(matches!(conn.drain_read(), ReadStep::Progress));
+            dispatch(&mut conn, &mut bodies);
+        }
+        let _far = writer.join().unwrap().unwrap();
+        assert_eq!(bodies[1].len(), 1 << 20);
+        assert_eq!(conn.read_buf.len(), READ_CHUNK);
+        assert!(conn.read_buf.capacity() <= SHRINK_ABOVE);
     }
 
     #[test]

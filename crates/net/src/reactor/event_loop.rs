@@ -2,10 +2,13 @@
 //! connections.
 //!
 //! A loop owns its connections exclusively — read buffers, write
-//! queues, and the protocol handler all live on the loop thread, so no
+//! buffers, and the protocol handler all live on the loop thread, so no
 //! connection state is ever locked or shared. Other threads talk to a
 //! loop only through its [`Injector`]: a mutex-protected command queue
 //! paired with an `eventfd` that kicks the loop out of `epoll_wait`.
+//! Wake-ups coalesce: a flag shared with the injectors records that the
+//! eventfd has been written and not yet consumed, so a burst of
+//! commands costs one `write` and one `read`, not one pair each.
 //!
 //! Each loop iteration:
 //!
@@ -16,25 +19,26 @@
 //!    handler ([`Handler::on_frame`]) for zero-copy decode;
 //! 3. drains injected commands (adopt a connection, enqueue bytes,
 //!    handler events, shutdown);
-//! 4. flushes every connection the iteration touched with vectored
-//!    writes — frames produced while handling a burst coalesce into few
-//!    syscalls;
+//! 4. flushes every connection the iteration touched — frames
+//!    produced while handling a burst sit back to back in the
+//!    connection's write buffer and leave in one `write`;
 //! 5. fires the handler's deadline hook if it expired.
 //!
 //! Closes are deferred to the end of the iteration so the handler never
 //! observes a half-removed connection.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::frame::encode_frame;
+use crate::frame::append_frame;
+use crate::pump::IdMap;
 use crate::wire::Wire;
 
 use super::conn::{extract_frame, CloseReason, Conn, Extract, ReadStep};
@@ -47,7 +51,7 @@ use super::sys::{
 const TOKEN_WAKE: u64 = u64::MAX;
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
-/// Default cap on one connection's queued unwritten bytes.
+/// Default cap on one connection's unwritten bytes.
 pub(crate) const DEFAULT_WRITE_CAP: usize = 4 * 1024 * 1024;
 
 /// What the loop does on behalf of other threads.
@@ -95,27 +99,41 @@ pub(crate) trait Handler: Send + 'static {
     fn next_deadline(&mut self) -> Option<Instant>;
 }
 
+/// What a loop shares with its injectors.
+struct Shared<Ev> {
+    queue: Mutex<VecDeque<Cmd<Ev>>>,
+    wake: WakeFd,
+    /// The eventfd has been written and the loop has not consumed it
+    /// yet. Set by whichever sender finds it clear (that sender writes
+    /// the fd); cleared by the loop after it reads the fd and *before*
+    /// it drains the queue, so a command pushed after the clear finds
+    /// the flag down and wakes the loop again, and one pushed before it
+    /// is seen by that drain. `SeqCst` on both sides: the argument is
+    /// about the order of the flag against the queue's mutex.
+    wake_pending: AtomicBool,
+}
+
 /// Cross-thread handle into one loop. Cloneable and cheap; sends are
-/// lock-push-wake.
+/// lock-push-wake, the wake skipped when one is already pending.
 pub(crate) struct Injector<Ev> {
-    queue: Arc<Mutex<VecDeque<Cmd<Ev>>>>,
-    wake: Arc<WakeFd>,
+    shared: Arc<Shared<Ev>>,
 }
 
 impl<Ev> Clone for Injector<Ev> {
     fn clone(&self) -> Self {
         Injector {
-            queue: Arc::clone(&self.queue),
-            wake: Arc::clone(&self.wake),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
 
 impl<Ev> Injector<Ev> {
-    /// Enqueues `cmd` and wakes the loop.
+    /// Enqueues `cmd` and makes sure the loop will wake to see it.
     pub(crate) fn send(&self, cmd: Cmd<Ev>) {
-        self.queue.lock().push_back(cmd);
-        self.wake.wake();
+        self.shared.queue.lock().push_back(cmd);
+        if !self.shared.wake_pending.swap(true, Ordering::SeqCst) {
+            self.shared.wake.wake();
+        }
     }
 }
 
@@ -123,14 +141,13 @@ impl<Ev> Injector<Ev> {
 /// hooks. Split from the handler itself so hooks can mutate both.
 pub(crate) struct Ctl {
     poller: Poller,
-    conns: HashMap<u64, Conn>,
+    conns: IdMap<Conn>,
     next_conn: u64,
-    /// Connections with bytes enqueued this iteration, flushed together.
+    /// Connections with bytes enqueued this iteration, flushed
+    /// together; `Conn::dirty` keeps each on the list once.
     dirty: Vec<u64>,
     /// Closes scheduled this iteration: (conn, reason, notify-handler).
     closing: Vec<(u64, CloseReason, bool)>,
-    /// Frame-encode scratch reused across sends.
-    scratch: Vec<u8>,
     write_cap: usize,
     shutdown: bool,
 }
@@ -154,29 +171,34 @@ impl Ctl {
         Some(id)
     }
 
-    /// Encodes `msg` as a frame and enqueues it on `conn`. Unknown or
-    /// closing connections drop the message — the semantics of an
-    /// unreachable peer, exactly like the blocking transport.
+    /// Encodes `msg` as a frame straight onto `conn`'s write buffer.
+    /// Unknown or closing connections drop the message — the semantics
+    /// of an unreachable peer, exactly like the blocking transport.
     pub(crate) fn send<T: Wire>(&mut self, conn: u64, msg: &T) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_frame(msg, &mut scratch);
-        self.send_frame(conn, &scratch);
-        self.scratch = scratch;
+        self.enqueue(conn, |buf| append_frame(msg, buf));
     }
 
-    /// Enqueues pre-encoded frame bytes on `conn`.
+    /// Copies pre-encoded frame bytes onto `conn`'s write buffer.
     pub(crate) fn send_frame(&mut self, conn: u64, frame: &[u8]) {
+        self.enqueue(conn, |buf| buf.extend_from_slice(frame));
+    }
+
+    /// Appends one frame to `conn`'s write buffer, then sheds the
+    /// connection if that took it past its write cap or puts it on the
+    /// flush list.
+    fn enqueue(&mut self, conn: u64, put: impl FnOnce(&mut Vec<u8>)) {
         let Some(c) = self.conns.get_mut(&conn) else {
             return;
         };
         if c.closing {
             return;
         }
-        if !c.enqueue(frame.to_vec()) {
+        if !c.enqueue(put) {
             self.close_with(conn, CloseReason::Backpressure, true);
             return;
         }
-        if !self.dirty.contains(&conn) {
+        if !c.dirty {
+            c.dirty = true;
             self.dirty.push(conn);
         }
     }
@@ -215,24 +237,26 @@ pub(crate) fn spawn_loop<H: Handler>(
     write_cap: usize,
 ) -> io::Result<(Injector<H::Ev>, std::thread::JoinHandle<()>)> {
     let poller = Poller::new()?;
-    let wake = Arc::new(WakeFd::new()?);
+    let wake = WakeFd::new()?;
     poller.add(wake.raw(), TOKEN_WAKE, EPOLLIN)?;
     if let Some(l) = &listener {
         l.set_nonblocking(true)?;
         poller.add(l.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLET)?;
     }
-    let queue: Arc<Mutex<VecDeque<Cmd<H::Ev>>>> = Arc::new(Mutex::new(VecDeque::new()));
+    let shared = Arc::new(Shared {
+        queue: Mutex::new(VecDeque::new()),
+        wake,
+        wake_pending: AtomicBool::new(false),
+    });
     let injector = Injector {
-        queue: Arc::clone(&queue),
-        wake: Arc::clone(&wake),
+        shared: Arc::clone(&shared),
     };
     let ctl = Ctl {
         poller,
-        conns: HashMap::new(),
+        conns: IdMap::default(),
         next_conn: 0,
         dirty: Vec::new(),
         closing: Vec::new(),
-        scratch: Vec::new(),
         write_cap,
         shutdown: false,
     };
@@ -240,8 +264,7 @@ pub(crate) fn spawn_loop<H: Handler>(
         ctl,
         handler,
         listener,
-        wake,
-        queue,
+        shared,
         events: Vec::new(),
     };
     let join = std::thread::Builder::new()
@@ -254,8 +277,7 @@ struct Loop<H: Handler> {
     ctl: Ctl,
     handler: H,
     listener: Option<TcpListener>,
-    wake: Arc<WakeFd>,
-    queue: Arc<Mutex<VecDeque<Cmd<H::Ev>>>>,
+    shared: Arc<Shared<H::Ev>>,
     events: Vec<EpollEvent>,
 }
 
@@ -279,7 +301,9 @@ impl<H: Handler> Loop<H> {
                 let (token, bits) = (ev.data, ev.events);
                 match token {
                     TOKEN_WAKE => {
-                        self.wake.drain();
+                        // Order matters: see `Shared::wake_pending`.
+                        self.shared.wake.drain();
+                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                         self.drain_cmds();
                     }
                     TOKEN_LISTENER => self.accept_burst(),
@@ -308,7 +332,7 @@ impl<H: Handler> Loop<H> {
 
     fn drain_cmds(&mut self) {
         loop {
-            let Some(cmd) = self.queue.lock().pop_front() else {
+            let Some(cmd) = self.shared.queue.lock().pop_front() else {
                 break;
             };
             match cmd {
@@ -377,9 +401,11 @@ impl<H: Handler> Loop<H> {
         let Some(c) = self.ctl.conns.get_mut(&conn) else {
             return;
         };
-        let (buf, mut pos) = c.take_read_buf();
+        let (buf, filled) = c.take_read_buf();
+        let received = buf.get(..filled).unwrap_or(&buf);
+        let mut pos = 0;
         loop {
-            match extract_frame(&buf, pos) {
+            match extract_frame(received, pos) {
                 Extract::NeedMore => break,
                 Extract::Bad => {
                     self.ctl.close_with(conn, CloseReason::Garbage, true);
@@ -389,7 +415,7 @@ impl<H: Handler> Loop<H> {
                     body_start,
                     body_end,
                 } => {
-                    if let Some(body) = buf.get(body_start..body_end) {
+                    if let Some(body) = received.get(body_start..body_end) {
                         self.handler.on_frame(&mut self.ctl, conn, body);
                     }
                     pos = body_end;
@@ -401,7 +427,7 @@ impl<H: Handler> Loop<H> {
             }
         }
         if let Some(c) = self.ctl.conns.get_mut(&conn) {
-            c.restore_read_buf(buf, pos);
+            c.restore_read_buf(buf, filled, pos);
         }
     }
 
@@ -420,6 +446,9 @@ impl<H: Handler> Loop<H> {
     fn flush_dirty(&mut self) {
         let mut dirty = std::mem::take(&mut self.ctl.dirty);
         for conn in dirty.drain(..) {
+            if let Some(c) = self.ctl.conns.get_mut(&conn) {
+                c.dirty = false;
+            }
             self.flush_one(conn);
         }
         self.ctl.dirty = dirty;
@@ -455,5 +484,133 @@ impl<H: Handler> Loop<H> {
             }
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{self, Sender};
+    use std::sync::Barrier;
+
+    /// Counts injected events and reports every close it hears about.
+    struct Probe {
+        events: Arc<AtomicUsize>,
+        closes: Sender<CloseReason>,
+    }
+
+    impl Handler for Probe {
+        type Ev = ();
+
+        fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
+        fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
+        fn on_frame(&mut self, _ctl: &mut Ctl, _conn: u64, _body: &[u8]) {}
+        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, reason: CloseReason) {
+            let _ = self.closes.send(reason);
+        }
+        fn on_event(&mut self, _ctl: &mut Ctl, _ev: ()) {
+            self.events.fetch_add(1, Ordering::SeqCst);
+        }
+        fn on_tick(&mut self, _ctl: &mut Ctl) {}
+        fn next_deadline(&mut self) -> Option<Instant> {
+            None
+        }
+    }
+
+    fn spawn_probe(
+        write_cap: usize,
+    ) -> (
+        Injector<()>,
+        Arc<AtomicUsize>,
+        mpsc::Receiver<CloseReason>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let events = Arc::new(AtomicUsize::new(0));
+        let (closes, closed) = mpsc::channel();
+        let probe = Probe {
+            events: Arc::clone(&events),
+            closes,
+        };
+        let (inj, join) = spawn_loop("icg-test-loop", probe, None, write_cap).unwrap();
+        (inj, events, closed, join)
+    }
+
+    /// Spins until the loop has handled `want` events; a command left
+    /// in the queue with the loop parked never gets there.
+    fn await_events(events: &AtomicUsize, want: usize) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while events.load(Ordering::SeqCst) < want {
+            assert!(
+                Instant::now() < deadline,
+                "loop parked with {} of {want} commands delivered",
+                events.load(Ordering::SeqCst)
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn coalesced_wakes_strand_no_command() {
+        const THREADS: usize = 4;
+        const SENDS: usize = 6;
+        const ROUNDS: usize = 3000;
+        let (inj, events, _closed, join) = spawn_probe(DEFAULT_WRITE_CAP);
+        // Short bursts, many times over: the command at risk is the one
+        // pushed while the loop finishes a drain, and every round ends
+        // with one. Senders start each round together; the round is over
+        // only when the loop has handled all of it, so a command left
+        // behind with the flag still up has nobody to rescue it.
+        let start = Barrier::new(THREADS + 1);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        start.wait();
+                        for _ in 0..SENDS {
+                            inj.send(Cmd::Ev(()));
+                        }
+                    }
+                });
+            }
+            for round in 1..=ROUNDS {
+                start.wait();
+                await_events(&events, round * THREADS * SENDS);
+            }
+        });
+        assert_eq!(events.load(Ordering::SeqCst), ROUNDS * THREADS * SENDS);
+        inj.send(Cmd::Shutdown);
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn unwritten_bytes_past_the_cap_shed_with_backpressure() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_far_never_reads, _) = listener.accept().unwrap();
+
+        let (inj, _events, closed, join) = spawn_probe(64 * 1024);
+        inj.send(Cmd::Adopt {
+            stream: near,
+            tag: 0,
+        });
+        // 16 MiB at a peer that reads nothing: the socket buffers take
+        // what they take, the rest piles up unwritten until it passes
+        // the 64 KiB cap. Adopted connections get ids from zero.
+        let mut frame = Vec::new();
+        crate::frame::encode_frame(&crate::wire::NetMsg::Hello { client: 1 }, &mut frame);
+        let frame = frame.repeat(1024);
+        for _ in 0..(16 << 20) / frame.len() {
+            inj.send(Cmd::Send {
+                conn: 0,
+                frame: frame.clone(),
+            });
+        }
+        let reason = closed
+            .recv_timeout(Duration::from_secs(20))
+            .expect("connection was never shed");
+        assert_eq!(reason, CloseReason::Backpressure);
+        inj.send(Cmd::Shutdown);
+        join.join().unwrap();
     }
 }

@@ -11,11 +11,12 @@
 //!   `Poller`/`WakeFd` wrappers.
 //! - `conn` — the per-connection state machine: an edge-triggered
 //!   drain-to-`WouldBlock` read path whose buffer the `Wire` codec
-//!   decodes from zero-copy, and a capped write queue flushed with
-//!   vectored writes.
+//!   decodes from zero-copy (its spare room zeroed once, not per
+//!   read), and one capped, contiguous write buffer that frames are
+//!   encoded onto and that a plain `write` flushes.
 //! - `event_loop` — the loop itself: readiness dispatch, a
-//!   cross-thread command `Injector`, and the `Handler` trait protocols
-//!   implement to live on a loop.
+//!   cross-thread command `Injector` whose wake-ups coalesce, and the
+//!   `Handler` trait protocols implement to live on a loop.
 //! - [`backoff`] — bounded exponential backoff with deterministic
 //!   jitter for the dialer threads that feed loops reconnections.
 //! - `server` / [`client`] — `ReplicaServer` and `TcpBinding` ported

@@ -202,12 +202,13 @@ struct MainHandler {
     peer_down: Vec<Sender<()>>,
     /// Accept round-robin cursor across all loops.
     rr: usize,
-    /// Frame-encode scratch for cross-loop sends.
+    /// Frame-encode scratch for peer fan-out.
     scratch: Vec<u8>,
 }
 
-/// The protocol core's window onto the reactor: loop-0 sends go through
-/// `ctl`, cross-loop sends are encoded once and injected.
+/// The protocol core's window onto the reactor: loop-0 sends are
+/// encoded onto the connection by `ctl`, cross-loop sends are encoded
+/// here and the bytes handed to the owning loop.
 struct ReactorNet<'a> {
     ctl: &'a mut Ctl,
     remotes: &'a [Injector<()>],
@@ -221,16 +222,17 @@ impl Egress for ReactorNet<'_> {
         if loop_idx == 0 {
             self.ctl.send(key, msg);
         } else if let Some(inj) = self.remotes.get(loop_idx - 1) {
-            encode_frame(msg, self.scratch);
+            let mut frame = Vec::new();
+            encode_frame(msg, &mut frame);
             inj.send(Cmd::Send {
                 conn: key & CONN_MASK,
-                frame: self.scratch.clone(),
+                frame,
             });
         }
     }
 
     fn to_peers(&mut self, msg: &NetMsg) {
-        // Encode once, enqueue the same bytes on every live link.
+        // Encode once, copy the same bytes onto every live link.
         encode_frame(msg, self.scratch);
         for conn in self.peer_conns.iter().flatten() {
             self.ctl.send_frame(*conn, self.scratch);

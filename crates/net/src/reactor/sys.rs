@@ -176,12 +176,13 @@ impl WakeFd {
     }
 
     /// Consumes the pending wake-ups so the fd goes quiet until the
-    /// next [`WakeFd::wake`].
+    /// next [`WakeFd::wake`]. One read returns and resets the whole
+    /// counter; a wake that lands after it leaves the counter nonzero,
+    /// and the poller, which watches this fd level-triggered, reports
+    /// it again — so there is nothing to loop for.
     pub(crate) fn drain(&self) {
         let mut buf = [0u8; 8];
-        // One read returns-and-resets the whole counter; loop anyway in
-        // case a wake lands between the read and the return.
-        while (&self.file).read(&mut buf).is_ok() {}
+        let _ = (&self.file).read(&mut buf);
     }
 }
 
@@ -214,7 +215,21 @@ mod tests {
         let n = poller
             .wait(&mut events, Some(Duration::from_millis(5)))
             .unwrap();
-        assert_eq!(n, 0, "drained eventfd must go quiet");
+        assert_eq!(n, 0, "one drain must leave the eventfd quiet");
+
+        // What lets `drain` be a single read: the fd is watched
+        // level-triggered, so a wake nobody has consumed yet — one that
+        // raced the drain, say — is reported again by the next wait.
+        wake.wake();
+        for _ in 0..2 {
+            let n = poller.wait(&mut events, None).unwrap();
+            assert_eq!(n, 1, "an unconsumed wake must be re-reported");
+        }
+        wake.drain();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(5)))
+            .unwrap();
+        assert_eq!(n, 0);
     }
 
     #[test]

@@ -160,6 +160,18 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Consumes `n` consecutive little-endian `u64`s. The byte range is
+    /// bounds-checked once, before anything is allocated, so a large
+    /// count on a short buffer is [`WireError::Truncated`], not an
+    /// attempted allocation; callers bound `n` itself first.
+    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
+    }
+
     /// Decodes one `T` and then requires the buffer to be fully consumed.
     pub fn finish<T: Wire>(mut self) -> Result<T, WireError> {
         let v = T::decode(&mut self)?;
@@ -202,6 +214,17 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `vals` as consecutive little-endian words. One resize and a
+/// fixed-stride fill: no per-element capacity check, and on a
+/// little-endian target the loop compiles to a block copy.
+fn put_u64s(buf: &mut Vec<u8>, vals: &[u64]) {
+    let start = buf.len();
+    buf.resize(start + vals.len() * 8, 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(8).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 impl Wire for Key {
@@ -261,9 +284,7 @@ impl Wire for Value {
                 );
                 buf.push(1);
                 put_u32(buf, ids.len() as u32);
-                for id in ids {
-                    put_u64(buf, *id);
-                }
+                put_u64s(buf, ids);
             }
             Value::Delta {
                 field_len,
@@ -287,16 +308,7 @@ impl Wire for Value {
                         len: u64::from(n),
                     });
                 }
-                // Guard the allocation against a large length prefix on a
-                // short buffer: validate remaining bytes before reserving.
-                if r.remaining() < n as usize * 8 {
-                    return Err(WireError::Truncated);
-                }
-                let mut ids = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    ids.push(r.u64()?);
-                }
-                Ok(Value::Ids(ids))
+                Ok(Value::Ids(r.u64s(n as usize)?))
             }
             2 => Ok(Value::Delta {
                 field_len: r.u32()?,
@@ -876,9 +888,7 @@ impl Wire for NetMsg {
                 put_u64(buf, *seq);
                 put_u64(buf, *ts);
                 put_u32(buf, vc.len() as u32);
-                for v in vc {
-                    put_u64(buf, *v);
-                }
+                put_u64s(buf, vc);
                 op.encode(buf);
             }
             NetMsg::SpecAck {
@@ -958,13 +968,7 @@ impl Wire for NetMsg {
                         len: u64::from(n),
                     });
                 }
-                if r.remaining() < n as usize * 8 {
-                    return Err(WireError::Truncated);
-                }
-                let mut vc = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    vc.push(r.u64()?);
-                }
+                let vc = r.u64s(n as usize)?;
                 let op = SpecOp::decode(r)?;
                 Ok(NetMsg::SpecGossip {
                     origin,

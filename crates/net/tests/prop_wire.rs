@@ -13,6 +13,7 @@ use correctables::spec::{CtrOp, RegOp};
 use icg_net::wire::{from_bytes, to_bytes, MAX_IDS};
 use icg_net::wire::{MAX_LEVELS, MAX_REPLICAS};
 use icg_net::{LevelInfo, NetMsg, Reader, SpecOp, Wire, WireError};
+use icg_net::{MIN_WIRE_VERSION, WIRE_VERSION};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use quorumstore::StoreOp;
@@ -194,6 +195,84 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     ]
 }
 
+/// The `Value::Ids` encoding as the codec produced it before the bulk
+/// fill: tag, `u32` count, then one little-endian `u64` appended per id.
+/// Kept as the reference the bulk encoder must match byte for byte.
+fn reference_ids_bytes(ids: &[u64]) -> Vec<u8> {
+    let mut buf = vec![1u8];
+    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    for id in ids {
+        buf.extend_from_slice(&id.to_le_bytes());
+    }
+    buf
+}
+
+/// Golden bytes for the three list sizes the issue names: empty, one
+/// element, and the benchmark's 128-id (1 KiB) record.
+#[test]
+fn bulk_ids_encoding_matches_the_per_element_reference() {
+    assert_eq!(to_bytes(&Value::Ids(vec![])), [1, 0, 0, 0, 0]);
+    assert_eq!(
+        to_bytes(&Value::Ids(vec![0x0102_0304_0506_0708])),
+        [1, 1, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1]
+    );
+    let ids128: Vec<u64> = (0..128u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let bytes = to_bytes(&Value::Ids(ids128.clone()));
+    assert_eq!(bytes.len(), 5 + 128 * 8);
+    assert_eq!(bytes, reference_ids_bytes(&ids128));
+    assert_eq!(from_bytes::<Value>(&bytes), Ok(Value::Ids(ids128)));
+}
+
+/// The encoder appends: whatever the buffer already holds (a frame
+/// header, earlier frames of a connection's write buffer) stays put.
+#[test]
+fn bulk_ids_encoding_appends_after_existing_bytes() {
+    let ids = vec![3u64, 5, 8];
+    let mut buf = vec![0xEE; 7];
+    Value::Ids(ids.clone()).encode(&mut buf);
+    assert_eq!(&buf[..7], &[0xEE; 7]);
+    assert_eq!(&buf[7..], &reference_ids_bytes(&ids)[..]);
+}
+
+/// Id bytes cut anywhere — mid-word included, so the tail is not a
+/// multiple of eight — are `Truncated`, and the count is judged before
+/// the body: `MAX_IDS + 1` is `TooLarge` and a maximal count on an empty
+/// body is `Truncated`, neither reserving a byte for the list.
+#[test]
+fn ids_decode_rejects_truncated_bodies_and_oversized_counts() {
+    let bytes = reference_ids_bytes(&(0..128u64).collect::<Vec<_>>());
+    for cut in 5..bytes.len() {
+        assert_eq!(
+            from_bytes::<Value>(&bytes[..cut]),
+            Err(WireError::Truncated),
+            "cut at {cut}"
+        );
+    }
+    let mut over = vec![1u8];
+    over.extend_from_slice(&(MAX_IDS + 1).to_le_bytes());
+    over.extend_from_slice(&[0; 64]);
+    assert_eq!(
+        from_bytes::<Value>(&over),
+        Err(WireError::TooLarge {
+            what: "Value::Ids",
+            len: u64::from(MAX_IDS) + 1
+        })
+    );
+    let mut max = vec![1u8];
+    max.extend_from_slice(&MAX_IDS.to_le_bytes());
+    assert_eq!(from_bytes::<Value>(&max), Err(WireError::Truncated));
+}
+
+/// The bulk codec is an implementation change only; the versions a
+/// frame may carry are part of the format and did not move.
+#[test]
+fn wire_versions_are_unchanged() {
+    assert_eq!(WIRE_VERSION, 2);
+    assert_eq!(MIN_WIRE_VERSION, 1);
+}
+
 /// Round-trip + truncation + garbage-tag, for one encodable value.
 fn codec_contract<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> Result<(), TestCaseError> {
     let bytes = to_bytes(v);
@@ -266,6 +345,15 @@ proptest! {
         let _ = from_bytes::<Msg>(&bytes);
         let _ = from_bytes::<StoreOp>(&bytes);
         let _ = from_bytes::<Versioned>(&bytes);
+    }
+
+    /// Random id lists: the bulk encoding equals the per-element
+    /// reference, and decodes back to the list.
+    #[test]
+    fn bulk_ids_encoding_matches_reference(ids in proptest::collection::vec(0u64..u64::MAX, 0..300)) {
+        let bytes = to_bytes(&Value::Ids(ids.clone()));
+        prop_assert_eq!(&bytes, &reference_ids_bytes(&ids));
+        prop_assert_eq!(from_bytes::<Value>(&bytes), Ok(Value::Ids(ids)));
     }
 
     /// Length prefixes beyond MAX_IDS are rejected before allocating.

@@ -1,7 +1,8 @@
 //! Integration tests for the epoll reactor transport (PR 8 tentpole):
-//! partial frames across readiness events, write-queue backpressure,
-//! connection churn, peer death mid-frame, multi-loop forwarding, and
-//! the blocking engine staying selectable. Everything here runs over
+//! partial frames across readiness events, partial writes resumed
+//! mid-frame, write-buffer backpressure, connection churn, peer death
+//! mid-frame, multi-loop forwarding, and the blocking engine staying
+//! selectable. Everything here runs over
 //! real loopback sockets against real `ReplicaServer`s.
 
 use std::io::{Read, Write};
@@ -105,6 +106,117 @@ fn partial_frames_across_readiness_events() {
             assert_eq!(data.value, Value::Opaque(64));
         }
         other => panic!("want ReadReply, got {other:?}"),
+    }
+    shutdown(replicas);
+}
+
+/// A 40 KiB `Value::Ids` write dribbled a few bytes per segment: the
+/// partial frame sits in the connection's read buffer across hundreds
+/// of readiness events, each of which reads into the spare room behind
+/// it. Nothing that prepares that room may touch the bytes already
+/// received — the record read back must be the record sent.
+#[test]
+fn large_ids_frame_dribbled_in_small_writes_round_trips() {
+    let replicas = cluster(1);
+    let mut sock = TcpStream::connect(replicas[0].addr()).expect("connect");
+    sock.set_nodelay(true).expect("nodelay");
+
+    let ids = Value::Ids((0..5120u64).map(|i| i * 0x0101_0101_0101 + 1).collect());
+    let write = frame_bytes(&Msg::ClientWrite {
+        op: op(RAW_CLIENT + 3, 1),
+        key: Key::plain(16),
+        value: ids.clone(),
+        w: 1,
+    });
+    assert!(write.len() > 40 * 1024);
+    for (i, chunk) in write.chunks(61).enumerate() {
+        sock.write_all(chunk).expect("dribble");
+        if i % 64 == 0 {
+            // Let the reactor catch up, so the frame really does arrive
+            // over many edges instead of pooling in the socket buffer.
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let mut scratch = Vec::new();
+    let reply = read_frame::<Msg>(&mut sock, &mut scratch)
+        .expect("read reply")
+        .expect("reply frame");
+    assert_eq!(
+        reply,
+        Msg::WriteReply {
+            op: op(RAW_CLIENT + 3, 1)
+        }
+    );
+
+    sock.write_all(&frame_bytes(&Msg::ClientRead {
+        op: op(RAW_CLIENT + 3, 2),
+        key: Key::plain(16),
+        kind: ReadKind::Single { r: 1 },
+    }))
+    .expect("read back");
+    match read_frame::<Msg>(&mut sock, &mut scratch)
+        .expect("read reply")
+        .expect("reply frame")
+    {
+        Msg::ReadReply { data, .. } => assert_eq!(data.value, ids),
+        other => panic!("want ReadReply, got {other:?}"),
+    }
+    shutdown(replicas);
+}
+
+/// Replies far larger than a socket buffer, pipelined under the write
+/// cap: the server's flush stops mid-frame on `WouldBlock` over and
+/// over and has to resume at the byte it stopped on, with later replies
+/// already appended behind. Every reply must decode, whole and in
+/// request order.
+#[test]
+fn pipelined_large_replies_resume_after_partial_writes() {
+    let replicas = cluster(1);
+    let mut sock = TcpStream::connect(replicas[0].addr()).expect("connect");
+
+    // A 256 KiB record; a window of 8 keeps at most 2 MiB unwritten,
+    // under the 4 MiB cap, while 32 reads move 8 MiB in total — and a
+    // fresh loopback socket takes a small fraction of one such frame
+    // per `write`.
+    let big = Value::Ids((0..32 * 1024u64).collect());
+    sock.write_all(&frame_bytes(&Msg::ClientWrite {
+        op: op(RAW_CLIENT + 4, 0),
+        key: Key::plain(17),
+        value: big.clone(),
+        w: 1,
+    }))
+    .expect("write big");
+    let mut scratch = Vec::new();
+    read_frame::<Msg>(&mut sock, &mut scratch)
+        .expect("ack")
+        .expect("ack frame");
+
+    const READS: u64 = 32;
+    const WINDOW: u64 = 8;
+    let read = |seq: u64| {
+        frame_bytes(&Msg::ClientRead {
+            op: op(RAW_CLIENT + 4, seq),
+            key: Key::plain(17),
+            kind: ReadKind::Single { r: 1 },
+        })
+    };
+    for seq in 1..=WINDOW {
+        sock.write_all(&read(seq)).expect("pipelined read");
+    }
+    for seq in 1..=READS {
+        match read_frame::<Msg>(&mut sock, &mut scratch)
+            .expect("reply decodes")
+            .expect("reply frame")
+        {
+            Msg::ReadReply { op: o, data, .. } => {
+                assert_eq!(o, op(RAW_CLIENT + 4, seq), "replies out of order");
+                assert_eq!(data.value, big, "reply {seq} corrupt");
+            }
+            other => panic!("want ReadReply, got {other:?}"),
+        }
+        if seq + WINDOW <= READS {
+            sock.write_all(&read(seq + WINDOW)).expect("pipelined read");
+        }
     }
     shutdown(replicas);
 }
