@@ -3,10 +3,11 @@
 //! checker replay.
 //!
 //! A [`SeqSpec`] is a deterministic state machine. The update-consistency
-//! and causal bindings replay one through [`SeqSpec::apply`] to turn a
-//! totally-ordered (or causally-ordered) update log into views; the
-//! oracle's checker searches for an order of the observed operations in
-//! which the same replay reproduces every observed return value.
+//! and causal bindings replay one through [`SeqSpec::apply_mut`] to turn
+//! a totally-ordered (or causally-ordered) update log into views; the
+//! oracle's checker searches, through [`SeqSpec::apply`], for an order of
+//! the observed operations in which the same replay reproduces every
+//! observed return value.
 //! Specs model exactly what the bindings promise — a last-value
 //! register map (quorum store), a counter map (the in-memory shard
 //! backend), a sequenced FIFO queue (the ZooKeeper-model queue), and a
@@ -23,8 +24,9 @@ pub trait SeqSpec {
     type Op: Clone + Debug;
     /// Return type; compared against observed returns.
     type Ret: Clone + PartialEq + Debug;
-    /// State type.
-    type State: Clone + Eq + Hash;
+    /// State type. `Send` because replicas keep replayed states (the
+    /// spec store's checkpoints) and are themselves moved across threads.
+    type State: Clone + Eq + Hash + Send;
 
     /// The initial state (preloaded / seeded data).
     fn initial(&self) -> Self::State;
@@ -32,6 +34,25 @@ pub trait SeqSpec {
     /// Applies `op` to `state`, yielding the next state and the return
     /// value a sequential execution would observe.
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Ret);
+
+    /// [`SeqSpec::apply`] in place: advances `state` by `op` and returns
+    /// the same value. Log replay steps through this, so a spec whose
+    /// state is more than a few words should override it to mutate
+    /// rather than rebuild (and may then express `apply` as
+    /// [`apply_cloned`], keeping one definition of its semantics).
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Ret {
+        let (next, ret) = self.apply(state, op);
+        *state = next;
+        ret
+    }
+}
+
+/// `apply` for specs that define [`SeqSpec::apply_mut`]: one clone of
+/// the state, then the in-place step.
+pub fn apply_cloned<S: SeqSpec>(spec: &S, state: &S::State, op: &S::Op) -> (S::State, S::Ret) {
+    let mut next = state.clone();
+    let ret = spec.apply_mut(&mut next, op);
+    (next, ret)
 }
 
 /// Operations of the register-map specs.
@@ -62,12 +83,15 @@ impl SeqSpec for RegisterSpec {
     }
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Ret) {
+        apply_cloned(self, state, op)
+    }
+
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Ret {
         match op {
-            RegOp::Read(k) => (state.clone(), state.get(k).copied().unwrap_or(0)),
+            RegOp::Read(k) => state.get(k).copied().unwrap_or(0),
             RegOp::Write(k, v) => {
-                let mut s = state.clone();
-                s.insert(*k, *v);
-                (s, *v)
+                state.insert(*k, *v);
+                *v
             }
         }
     }
@@ -99,19 +123,20 @@ impl SeqSpec for CounterSpec {
     }
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Ret) {
+        apply_cloned(self, state, op)
+    }
+
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Ret {
         match op {
-            CtrOp::Get(k) => (state.clone(), state.get(k).copied().unwrap_or(0)),
+            CtrOp::Get(k) => state.get(k).copied().unwrap_or(0),
             CtrOp::Put(k, v) => {
-                let mut s = state.clone();
-                s.insert(*k, *v);
-                (s, *v)
+                state.insert(*k, *v);
+                *v
             }
             CtrOp::Add(k, d) => {
-                let mut s = state.clone();
-                let e = s.entry(*k).or_insert(0);
+                let e = state.entry(*k).or_insert(0);
                 *e = e.wrapping_add(*d);
-                let v = *e;
-                (s, v)
+                *e
             }
         }
     }
@@ -167,24 +192,24 @@ impl SeqSpec for QueueSpec {
     }
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Ret) {
-        let mut s = state.clone();
+        apply_cloned(self, state, op)
+    }
+
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Ret {
         match op {
             QOp::Enqueue => {
-                let seq = s.next_seq;
-                s.next_seq += 1;
-                s.items.push_back(seq);
-                (
-                    s,
-                    QRet {
-                        name: Some(seq),
-                        remaining: seq,
-                    },
-                )
+                let seq = state.next_seq;
+                state.next_seq += 1;
+                state.items.push_back(seq);
+                QRet {
+                    name: Some(seq),
+                    remaining: seq,
+                }
             }
             QOp::Dequeue => {
-                let name = s.items.pop_front();
-                let remaining = s.items.len() as u64;
-                (s, QRet { name, remaining })
+                let name = state.items.pop_front();
+                let remaining = state.items.len() as u64;
+                QRet { name, remaining }
             }
         }
     }
@@ -217,13 +242,16 @@ impl SeqSpec for KvStoreSpec {
     }
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Ret) {
+        apply_cloned(self, state, op)
+    }
+
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Ret {
         match op {
-            KvsOp::Get(k) => (state.clone(), state.get(k).cloned()),
+            KvsOp::Get(k) => state.get(k).cloned(),
             KvsOp::Put(k, items) => {
                 let rev = state.get(k).map(|(r, _)| r + 1).unwrap_or(1);
-                let mut s = state.clone();
-                s.insert(k.clone(), (rev, items.clone()));
-                (s, Some((rev, items.clone())))
+                state.insert(k.clone(), (rev, items.clone()));
+                Some((rev, items.clone()))
             }
         }
     }

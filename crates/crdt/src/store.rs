@@ -24,7 +24,7 @@
 //! the update (anti-entropy quiescence for this op), re-evaluated
 //! against the by-then-converged state.
 //!
-//! [`SimCrdtStore::ec2_broken`] swaps in the [`BrokenCrdt`] counters —
+//! [`SimCrdtStore::ec2_broken`] swaps in the [`crate::BrokenCrdt`] counters —
 //! the negative fixture whose non-commutative effects the oracle's SEC
 //! checker must reject.
 

@@ -14,15 +14,16 @@
 //! LWW adoption) with the one divergence that peer reads fan out to
 //! *all* peers and complete at the first `R-1` responses.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use correctables::spec::{CounterSpec, RegisterSpec, SeqSpec};
+use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
 use correctables::ConsistencyLevel;
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::storage::LocalStore;
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
+use specstore::{OrderKey, ReplayLog, Update, UpdateId, VectorClock};
 
 use crate::pump::{Deadlines, IdMap};
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
@@ -132,11 +133,13 @@ impl ReplicaCore {
                 op,
             } => self.spec.on_gossip(
                 net,
-                SpecUpdate {
+                Update {
+                    id: UpdateId {
+                        origin: origin as usize,
+                        seq,
+                    },
                     ts,
-                    origin,
-                    seq,
-                    vc,
+                    vc: VectorClock(vc),
                     op,
                 },
             ),
@@ -437,17 +440,46 @@ impl ReplicaCore {
 
 /// One replicated spec-store update: the unit of the gossip protocol
 /// and of the agreed `(ts, origin, seq)` total order.
-pub(crate) struct SpecUpdate {
-    ts: u64,
-    origin: u32,
-    seq: u64,
-    vc: Vec<u64>,
-    op: SpecOp,
+type SpecUpdate = Update<SpecOp>;
+
+/// The object the TCP spec store serves: a register map and a counter
+/// map side by side, each [`SpecOp`] stepping the one it names.
+struct RegCtrSpec {
+    reg: RegisterSpec,
+    ctr: CounterSpec,
 }
 
-impl SpecUpdate {
-    fn order_key(&self) -> (u64, u32, u64) {
-        (self.ts, self.origin, self.seq)
+impl SeqSpec for RegCtrSpec {
+    type Op = SpecOp;
+    type Ret = u64;
+    type State = (
+        <RegisterSpec as SeqSpec>::State,
+        <CounterSpec as SeqSpec>::State,
+    );
+
+    fn initial(&self) -> Self::State {
+        (self.reg.initial(), self.ctr.initial())
+    }
+
+    fn apply(&self, state: &Self::State, op: &SpecOp) -> (Self::State, u64) {
+        apply_cloned(self, state, op)
+    }
+
+    fn apply_mut(&self, state: &mut Self::State, op: &SpecOp) -> u64 {
+        match op {
+            SpecOp::Reg(op) => self.reg.apply_mut(&mut state.0, op),
+            SpecOp::Ctr(op) => self.ctr.apply_mut(&mut state.1, op),
+        }
+    }
+}
+
+fn gossip_of(u: &SpecUpdate) -> NetMsg {
+    NetMsg::SpecGossip {
+        origin: u.id.origin as u32,
+        seq: u.id.seq,
+        ts: u.ts,
+        vc: u.vc.0.clone(),
+        op: u.op.clone(),
     }
 }
 
@@ -465,7 +497,7 @@ struct SpecPending {
     conn: u64,
     client: u64,
     client_seq: u64,
-    key: (u64, u32, u64),
+    key: OrderKey,
     wants: SpecWants,
     /// Per-replica causal-delivery acks (own entry pre-set).
     acked: Vec<bool>,
@@ -523,14 +555,13 @@ pub(crate) struct SpecCore {
     next_seq: u64,
     /// Deliveries per origin; own entry counts own submissions.
     vc: Vec<u64>,
-    /// Causally delivered updates, sorted by `(ts, origin, seq)`.
-    log: Vec<SpecUpdate>,
+    /// Causally delivered updates, sorted by `(ts, origin, seq)`, and
+    /// the views replayed from them.
+    log: ReplayLog<RegCtrSpec>,
     /// Received but not yet causally deliverable.
     buffer: Vec<SpecUpdate>,
     /// Own updates awaiting views or acks, by own seq.
     pending: HashMap<u64, SpecPending>,
-    reg: RegisterSpec,
-    ctr: CounterSpec,
 }
 
 impl SpecCore {
@@ -541,11 +572,12 @@ impl SpecCore {
             lamport: 0,
             next_seq: 0,
             vc: vec![0; n],
-            log: Vec::new(),
+            log: ReplayLog::new(RegCtrSpec {
+                reg: RegisterSpec::default(),
+                ctr: CounterSpec,
+            }),
             buffer: Vec::new(),
             pending: HashMap::new(),
-            reg: RegisterSpec::default(),
-            ctr: CounterSpec,
         }
     }
 
@@ -591,53 +623,6 @@ impl SpecCore {
         (w.weak || w.update || w.causal || w.strong).then_some(w)
     }
 
-    /// Applies one op to the running two-spec state, returning the
-    /// op's value.
-    fn apply(
-        &self,
-        regs: &mut BTreeMap<u64, u64>,
-        ctrs: &mut BTreeMap<u64, u64>,
-        op: &SpecOp,
-    ) -> u64 {
-        match op {
-            SpecOp::Reg(op) => {
-                let (next, ret) = self.reg.apply(regs, op);
-                *regs = next;
-                ret
-            }
-            SpecOp::Ctr(op) => {
-                let (next, ret) = self.ctr.apply(ctrs, op);
-                *ctrs = next;
-                ret
-            }
-        }
-    }
-
-    /// Replays the log in the agreed order and returns the value of the
-    /// update at `key` (or, with `key` absent from the log, of `extra`
-    /// applied on top — the weak pre-stamp view).
-    fn replay(&self, key: (u64, u32, u64), extra: Option<&SpecOp>) -> u64 {
-        let mut regs = BTreeMap::new();
-        let mut ctrs = BTreeMap::new();
-        for u in &self.log {
-            let ret = self.apply(&mut regs, &mut ctrs, &u.op);
-            if u.order_key() == key {
-                return ret;
-            }
-        }
-        match extra {
-            Some(op) => self.apply(&mut regs, &mut ctrs, op),
-            None => 0,
-        }
-    }
-
-    fn insert_sorted(&mut self, u: SpecUpdate) {
-        let at = self
-            .log
-            .partition_point(|have| have.order_key() < u.order_key());
-        self.log.insert(at, u);
-    }
-
     fn reply(
         &self,
         net: &mut impl Egress,
@@ -680,12 +665,12 @@ impl SpecCore {
             );
             return;
         };
-        // Weak: the op on top of the local replay, before any ordering.
+        // Weak: the op on top of the local log, before any ordering.
         // Even when weak is the *only* requested level the update still
         // enters the replicated log below — only the client's view is
         // weak, never the store's state.
         if w.weak {
-            let val = self.replay((u64::MAX, u32::MAX, u64::MAX), Some(&op));
+            let val = self.log.ret_on_top(&op);
             let closing = !(w.update || w.causal || w.strong);
             net.to_client(
                 conn,
@@ -707,21 +692,17 @@ impl SpecCore {
             *slot = seq;
         }
         let u = SpecUpdate {
+            id: UpdateId {
+                origin: self.id as usize,
+                seq,
+            },
             ts: self.lamport,
-            origin: self.id,
-            seq,
-            vc: self.vc.clone(),
+            vc: VectorClock(self.vc.clone()),
             op,
         };
-        let key = u.order_key();
-        net.to_peers(&NetMsg::SpecGossip {
-            origin: u.origin,
-            seq: u.seq,
-            ts: u.ts,
-            vc: u.vc.clone(),
-            op: u.op.clone(),
-        });
-        self.insert_sorted(u);
+        let key = u.key();
+        net.to_peers(&gossip_of(&u));
+        self.log.insert(u);
 
         let mut acked = vec![false; self.n];
         let mut acker_seq = vec![0; self.n];
@@ -743,7 +724,7 @@ impl SpecCore {
             strong_sent: false,
         };
         if w.update {
-            let val = self.replay(key, None);
+            let val = self.log.ret_of(key).unwrap_or(0);
             let closing = !(w.causal || w.strong);
             self.reply(net, &p, ConsistencyLevel::UPDATE, val, closing);
         }
@@ -758,21 +739,18 @@ impl SpecCore {
     /// One gossiped update from a peer: re-ack retransmissions of
     /// already-delivered updates, buffer the rest, deliver causally.
     fn on_gossip(&mut self, net: &mut impl Egress, u: SpecUpdate) {
-        if u.origin as usize >= self.n || u.origin == self.id || u.vc.len() != self.n {
+        let origin = u.id.origin;
+        if origin >= self.n || origin == self.id as usize || u.vc.len() != self.n {
             return;
         }
-        let delivered = self.vc.get(u.origin as usize).copied().unwrap_or(0);
-        if u.seq <= delivered {
+        let delivered = self.vc.get(origin).copied().unwrap_or(0);
+        if u.id.seq <= delivered {
             // A retransmission of something we already delivered — the
             // origin is missing our ack; repeat the cumulative one.
-            self.ack(net, u.origin, delivered);
+            self.ack(net, origin as u32, delivered);
             return;
         }
-        if self
-            .buffer
-            .iter()
-            .any(|b| b.origin == u.origin && b.seq == u.seq)
-        {
+        if self.buffer.iter().any(|b| b.id == u.id) {
             return;
         }
         self.lamport = self.lamport.max(u.ts);
@@ -800,9 +778,9 @@ impl SpecCore {
     fn deliver_causal(&mut self, net: &mut impl Egress) {
         loop {
             let next = self.buffer.iter().position(|u| {
-                u.vc.iter().enumerate().all(|(j, &c)| {
+                u.vc.0.iter().enumerate().all(|(j, &c)| {
                     let have = self.vc.get(j).copied().unwrap_or(0);
-                    if j == u.origin as usize {
+                    if j == u.id.origin {
                         c == have + 1
                     } else {
                         c <= have
@@ -811,12 +789,12 @@ impl SpecCore {
             });
             let Some(at) = next else { break };
             let u = self.buffer.swap_remove(at);
-            if let Some(slot) = self.vc.get_mut(u.origin as usize) {
-                *slot = u.seq;
+            let UpdateId { origin, seq } = u.id;
+            if let Some(slot) = self.vc.get_mut(origin) {
+                *slot = seq;
             }
-            let (origin, seq) = (u.origin, u.seq);
-            self.insert_sorted(u);
-            self.ack(net, origin, seq);
+            self.log.insert(u);
+            self.ack(net, origin as u32, seq);
         }
         self.settle(net);
     }
@@ -867,7 +845,7 @@ impl SpecCore {
             let wants = p.wants;
 
             if wants.causal && !p.causal_sent && causal_ready {
-                let val = self.replay(key, None);
+                let val = self.log.ret_of(key).unwrap_or(0);
                 let closing = !wants.strong;
                 if let Some(p) = self.pending.get_mut(&seq) {
                     p.causal_sent = true;
@@ -883,7 +861,7 @@ impl SpecCore {
                     .map(|p| p.strong_sent)
                     .unwrap_or(true);
                 if !strong_sent {
-                    let val = self.replay(key, None);
+                    let val = self.log.ret_of(key).unwrap_or(0);
                     if let Some(p) = self.pending.get_mut(&seq) {
                         p.strong_sent = true;
                     }
@@ -913,18 +891,10 @@ impl SpecCore {
     ///   other origin — an ack sent while our own outbound link was
     ///   still down was lost, and the origin's strong views wait on it.
     fn retransmit(&mut self, net: &mut impl Egress) {
-        let keys: Vec<(u64, u32, u64)> = self.pending.values().map(|p| p.key).collect();
-        for key in keys {
-            let Some(u) = self.log.iter().find(|u| u.order_key() == key) else {
-                continue;
-            };
-            net.to_peers(&NetMsg::SpecGossip {
-                origin: u.origin,
-                seq: u.seq,
-                ts: u.ts,
-                vc: u.vc.clone(),
-                op: u.op.clone(),
-            });
+        for p in self.pending.values() {
+            if let Some(u) = self.log.get(p.key) {
+                net.to_peers(&gossip_of(u));
+            }
         }
         for (j, &delivered) in self.vc.clone().iter().enumerate() {
             if j != self.id as usize && delivered > 0 {

@@ -17,7 +17,8 @@
 //!   `strong`) for any spec'd object.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -59,10 +60,12 @@ struct Gateway<S: SeqSpec> {
     rr: usize,
     queue: OpQueue<S>,
     next_seq: u64,
-    pending: HashMap<OpId, GwPending<S>>,
+    pending: BTreeMap<OpId, GwPending<S>>,
     client_timeout: Option<SimDuration>,
-    timer_ops: HashMap<u64, OpId>,
+    timer_ops: BTreeMap<u64, OpId>,
     next_timer: u64,
+    /// Mirror of the virtual time (ns) at which the gateway last ran.
+    clock: Arc<AtomicU64>,
 }
 
 impl<S> Gateway<S>
@@ -106,6 +109,7 @@ where
     S::Ret: Send,
 {
     fn on_message(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, _from: NodeId, msg: SpecMsg<S>) {
+        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
         match msg {
             SpecMsg::Immediate { op, views, closing } => {
                 if let Some(p) = self.pending.get(&op) {
@@ -136,6 +140,7 @@ where
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, timer: Timer) {
+        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
         if timer.0 == KICK {
             self.drain(ctx);
         } else if let Some(op) = self.timer_ops.remove(&timer.0) {
@@ -164,6 +169,7 @@ pub struct SimSpecStore<S: SeqSpec> {
     state: Arc<Mutex<NState<S>>>,
     queue: OpQueue<S>,
     spec: S,
+    clock: Arc<AtomicU64>,
 }
 
 impl<S: SeqSpec + Clone> Clone for SimSpecStore<S> {
@@ -172,6 +178,7 @@ impl<S: SeqSpec + Clone> Clone for SimSpecStore<S> {
             state: Arc::clone(&self.state),
             queue: Arc::clone(&self.queue),
             spec: self.spec.clone(),
+            clock: Arc::clone(&self.clock),
         }
     }
 }
@@ -222,6 +229,7 @@ where
                 .set_peers(replicas.clone());
         }
         let queue: OpQueue<S> = Arc::new(Mutex::new(VecDeque::new()));
+        let clock = Arc::new(AtomicU64::new(0));
         let gateway = engine.add_node(
             client_site_id,
             Box::new(Gateway::<S> {
@@ -229,10 +237,11 @@ where
                 rr: 0,
                 queue: Arc::clone(&queue),
                 next_seq: 0,
-                pending: HashMap::new(),
+                pending: BTreeMap::new(),
                 client_timeout: None,
-                timer_ops: HashMap::new(),
+                timer_ops: BTreeMap::new(),
                 next_timer: 0,
+                clock: Arc::clone(&clock),
             }),
         );
         SimSpecStore {
@@ -243,6 +252,7 @@ where
             })),
             queue,
             spec,
+            clock,
         }
     }
 
@@ -272,6 +282,12 @@ where
                 ConsistencyLevel::STRONG,
             ]),
         })
+    }
+
+    /// A handle mirroring the current virtual time (nanoseconds), for
+    /// stamping recorded histories (`History::with_clock`).
+    pub fn clock(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.clock)
     }
 
     /// Installs a fault plan.

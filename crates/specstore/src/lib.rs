@@ -26,6 +26,10 @@
 //!
 //! Internals:
 //!
+//! - [`replay::ReplayLog`] — the `(ts, origin, seq)`-ordered update log
+//!   and the views replayed from it, from prefix-state checkpoints
+//!   rather than from the initial state; shared with the TCP replica
+//!   (`icg-net`);
 //! - [`replica::SpecReplica`] — the per-replica protocol node: lamport
 //!   log, CBCAST buffer, ack/stability tracking, anti-entropy
 //!   retransmission;
@@ -35,7 +39,10 @@
 //!   [`binding::CausalSpec`] Correctables bindings.
 
 pub mod binding;
+pub mod replay;
 pub mod replica;
 
 pub use binding::{CausalSpec, SimSpecStore, SpecBinding, UpdateBinding};
-pub use replica::{SpecReplica, Update, UpdateId};
+pub use causalstore::VectorClock;
+pub use replay::{OrderKey, ReplayLog, Update, UpdateId};
+pub use replica::SpecReplica;

@@ -6,9 +6,9 @@
 //! the peers, which merge it into the same totally-ordered log. Three
 //! orthogonal mechanisms produce the three non-weak levels:
 //!
-//! - the **lamport log** — kept sorted by `(ts, origin, seq)`; replaying
-//!   it through the spec realizes update consistency's single eventual
-//!   linearization;
+//! - the **lamport log** — a [`ReplayLog`] kept sorted by `(ts, origin,
+//!   seq)`; replaying it through the spec realizes update consistency's
+//!   single eventual linearization;
 //! - the **CBCAST buffer** — updates carry vector clocks and are
 //!   causally delivered in dependency order (reusing `causalstore`'s
 //!   [`VectorClock`] delivery rule); the causally delivered prefix,
@@ -27,43 +27,15 @@
 //! and re-acks retransmissions of updates it has already delivered.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use causalstore::VectorClock;
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
 use simnet::{Ctx, NodeId, SimDuration, Timer, Wire};
 
-/// Identity of one update: which replica accepted it, and where it sits
-/// in that replica's local submission order (1-based).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct UpdateId {
-    /// Index of the origin replica.
-    pub origin: usize,
-    /// 1-based position in the origin's local submission order.
-    pub seq: u64,
-}
-
-/// One update as it travels between replicas.
-#[derive(Clone, Debug)]
-pub struct Update<Op> {
-    /// Origin replica and per-origin sequence number.
-    pub id: UpdateId,
-    /// Lamport timestamp; `(ts, origin, seq)` is the total order.
-    pub ts: u64,
-    /// Vector clock at the origin when the update was accepted (its own
-    /// entry already bumped) — the CBCAST causal stamp.
-    pub vc: VectorClock,
-    /// The operation itself.
-    pub op: Op,
-}
-
-impl<Op> Update<Op> {
-    /// The total-order key.
-    fn key(&self) -> (u64, usize, u64) {
-        (self.ts, self.id.origin, self.id.seq)
-    }
-}
+use crate::replay::{OrderKey, ReplayLog};
+pub use crate::replay::{Update, UpdateId};
 
 /// Which levels one submission wants served.
 #[derive(Clone, Copy, Debug, Default)]
@@ -94,7 +66,7 @@ impl Wants {
 }
 
 /// Client-operation identity at the gateway (its own sequence space).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u64);
 
 /// Protocol messages of the spec store.
@@ -173,6 +145,8 @@ impl<S: SeqSpec> Wire for SpecMsg<S> {
 
 /// Ack/stability bookkeeping for one locally accepted update.
 struct OwnUpdate {
+    /// Where the update sits in the log.
+    key: OrderKey,
     /// The client op to answer, if this update came through the binding
     /// (anti-entropy applies to every update regardless).
     client: Option<(OpId, NodeId, Wants)>,
@@ -193,7 +167,6 @@ impl OwnUpdate {
 
 /// One replica of the spec store.
 pub struct SpecReplica<S: SeqSpec> {
-    spec: S,
     /// This replica's index.
     id: usize,
     /// Replica count.
@@ -207,17 +180,15 @@ pub struct SpecReplica<S: SeqSpec> {
     next_seq: u64,
     /// Causally delivered count per origin (CBCAST state).
     vc: VectorClock,
-    /// The update log. Sorted by `(ts, origin, seq)` — unless
-    /// `arrival_order` is set, which keeps raw arrival order: the
-    /// deliberately buggy fixture the update-consistency checker must
-    /// catch.
-    log: Vec<Update<S::Op>>,
+    /// Every update received or accepted here, in `(ts, origin, seq)`
+    /// order, and the views replayed from it.
+    log: ReplayLog<S>,
     /// Updates received but not yet causally deliverable.
     buffer: Vec<Update<S::Op>>,
-    /// Ack state of every update accepted here, by seq.
-    own: HashMap<u64, OwnUpdate>,
-    /// Apply updates in arrival order instead of the lamport order.
-    arrival_order: bool,
+    /// Ack state of every update accepted here, by seq. Ordered: the
+    /// replies and retransmissions sent while walking it draw simulated
+    /// latencies in that order.
+    own: BTreeMap<u64, OwnUpdate>,
     /// Anti-entropy period.
     retransmit_every: SimDuration,
     /// Generation token of the live retransmit timer. The engine drops
@@ -237,17 +208,15 @@ where
     /// A replica with index `id` out of `n`.
     pub fn new(spec: S, id: usize, n: usize) -> Self {
         SpecReplica {
-            spec,
             id,
             n,
             peers: Vec::new(),
             lamport: 0,
             next_seq: 0,
             vc: VectorClock::zero(n),
-            log: Vec::new(),
+            log: ReplayLog::new(spec),
             buffer: Vec::new(),
-            own: HashMap::new(),
-            arrival_order: false,
+            own: BTreeMap::new(),
             retransmit_every: SimDuration::from_millis(200),
             timer_gen: 0,
         }
@@ -256,7 +225,7 @@ where
     /// Switches this replica to the buggy arrival-order log (the
     /// negative fixture for the update-consistency checker).
     pub fn set_arrival_order(&mut self, buggy: bool) {
-        self.arrival_order = buggy;
+        self.log.set_arrival_order(buggy);
     }
 
     /// Registers the node ids of all replicas (index-aligned).
@@ -267,55 +236,12 @@ where
 
     /// The log as applied by this replica, in its current order.
     pub fn applied_log(&self) -> Vec<UpdateId> {
-        self.log.iter().map(|u| u.id).collect()
+        self.log.entries().iter().map(|u| u.id).collect()
     }
 
     /// Whether every peer has acknowledged every update accepted here.
     pub fn fully_acked(&self) -> bool {
         self.own.values().all(|o| o.fully_acked(self.id))
-    }
-
-    fn insert(&mut self, update: Update<S::Op>) {
-        if self.arrival_order {
-            self.log.push(update);
-            return;
-        }
-        let key = update.key();
-        let pos = self
-            .log
-            .binary_search_by(|u| u.key().cmp(&key))
-            .unwrap_err();
-        self.log.insert(pos, update);
-    }
-
-    /// Replays the log through the spec and returns the return value of
-    /// update `id`. With `causal_only`, restricts the replay to the
-    /// causally delivered prefix (log order is consistent with
-    /// causality, so this is a valid causal serialization).
-    fn replay_ret(&self, id: UpdateId, causal_only: bool) -> Option<S::Ret> {
-        let mut state = self.spec.initial();
-        let mut found = None;
-        for u in &self.log {
-            if causal_only && u.id.seq > self.vc.0[u.id.origin] {
-                continue;
-            }
-            let (next, ret) = self.spec.apply(&state, &u.op);
-            state = next;
-            if u.id == id {
-                found = Some(ret);
-            }
-        }
-        found
-    }
-
-    /// The current fully-merged state with `op` applied on top — the
-    /// weak view: local, wait-free, no ordering promise.
-    fn weak_ret(&self, op: &S::Op) -> S::Ret {
-        let mut state = self.spec.initial();
-        for u in &self.log {
-            state = self.spec.apply(&state, &u.op).0;
-        }
-        self.spec.apply(&state, op).1
     }
 
     /// Arms a fresh retransmit-timer generation if any own update still
@@ -338,7 +264,7 @@ where
         wants: Wants,
     ) {
         // Weak view: computed against the pre-accept state.
-        let weak = wants.weak.then(|| self.weak_ret(&client_op));
+        let weak = wants.weak.then(|| self.log.ret_on_top(&client_op));
         // Stamp and log the update.
         self.lamport += 1;
         self.next_seq += 1;
@@ -363,10 +289,12 @@ where
                 );
             }
         }
-        self.insert(update);
+        let key = update.key();
+        self.log.insert(update);
         self.own.insert(
             id.seq,
             OwnUpdate {
+                key,
                 client: Some((op, from, wants)),
                 acks: vec![None; self.n],
                 causal_sent: false,
@@ -379,7 +307,7 @@ where
             views.push((ConsistencyLevel::WEAK, ret));
         }
         if wants.update {
-            let ret = self.replay_ret(id, false).expect("own update is logged");
+            let ret = self.log.ret_of(key).expect("own update is logged");
             views.push((ConsistencyLevel::UPDATE, ret));
         }
         let closing = !wants.causal && !wants.strong;
@@ -416,81 +344,58 @@ where
     }
 
     /// Fires causal/strong replies for own updates whose conditions now
-    /// hold.
+    /// hold, and retires the ones that are served and fully acked.
     fn settle_pending(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>) {
-        let mut replies: Vec<(NodeId, SpecMsg<S>)> = Vec::new();
-        let mut done: Vec<u64> = Vec::new();
         let me = self.id;
-        let seqs: Vec<u64> = self.own.keys().copied().collect();
-        for seq in seqs {
-            let id = UpdateId { origin: me, seq };
-            let entry = self.own.get(&seq).expect("listed");
-            let acked = entry.fully_acked(me) || self.n == 1;
-            let any_ack = self.n == 1 || entry.acks.iter().any(|a| a.is_some());
-            // Stable: all peers acked, and each peer's reported
-            // submissions are causally delivered here — nothing with a
-            // smaller timestamp is still in flight.
-            let stable = acked
-                && entry
+        let solo = self.n == 1;
+        self.own.retain(|_, e| {
+            let acked = e.fully_acked(me);
+            if let Some((op, gw, wants)) = e.client {
+                let any_ack = solo || e.acks.iter().any(|a| a.is_some());
+                // Stable: all peers acked, and each peer's reported
+                // submissions are causally delivered here — nothing with a
+                // smaller timestamp is still in flight.
+                let stable = e
                     .acks
                     .iter()
                     .enumerate()
                     .all(|(i, a)| i == me || a.is_some_and(|s| self.vc.0[i] >= s));
-            let (causal_due, strong_due, client) = {
-                let e = self.own.get(&seq).expect("listed");
-                let Some((op, gw, wants)) = e.client else {
-                    if e.fully_acked(me) {
-                        done.push(seq);
-                    }
-                    continue;
-                };
-                (
-                    wants.causal && !e.causal_sent && any_ack,
-                    wants.strong && !e.strong_sent && stable,
-                    (op, gw, wants),
-                )
-            };
-            let (op, gw, wants) = client;
-            if causal_due {
-                let ret = self.replay_ret(id, true).expect("own update is delivered");
-                replies.push((
-                    gw,
-                    SpecMsg::Later {
-                        op,
-                        level: ConsistencyLevel::CAUSAL,
-                        ret,
-                        closing: !wants.strong,
-                    },
-                ));
-                self.own.get_mut(&seq).expect("listed").causal_sent = true;
+                if wants.causal && !e.causal_sent && any_ack {
+                    let ret = self
+                        .log
+                        .causal_ret_of(e.key, &self.vc)
+                        .expect("own update is delivered");
+                    ctx.send(
+                        gw,
+                        SpecMsg::Later {
+                            op,
+                            level: ConsistencyLevel::CAUSAL,
+                            ret,
+                            closing: !wants.strong,
+                        },
+                    );
+                    e.causal_sent = true;
+                }
+                if wants.strong && !e.strong_sent && stable {
+                    let ret = self.log.ret_of(e.key).expect("own update is logged");
+                    ctx.send(
+                        gw,
+                        SpecMsg::Later {
+                            op,
+                            level: ConsistencyLevel::STRONG,
+                            ret,
+                            closing: true,
+                        },
+                    );
+                    e.strong_sent = true;
+                }
+                let served = (!wants.causal || e.causal_sent) && (!wants.strong || e.strong_sent);
+                if served && acked {
+                    e.client = None;
+                }
             }
-            if strong_due {
-                let ret = self.replay_ret(id, false).expect("own update is logged");
-                replies.push((
-                    gw,
-                    SpecMsg::Later {
-                        op,
-                        level: ConsistencyLevel::STRONG,
-                        ret,
-                        closing: true,
-                    },
-                ));
-                self.own.get_mut(&seq).expect("listed").strong_sent = true;
-            }
-            let e = self.own.get_mut(&seq).expect("listed");
-            let served = (!e.client.expect("set above").2.causal || e.causal_sent)
-                && (!e.client.expect("set above").2.strong || e.strong_sent);
-            if served && e.fully_acked(me) {
-                e.client = None;
-                done.push(seq);
-            }
-        }
-        for seq in done {
-            self.own.remove(&seq);
-        }
-        for (to, msg) in replies {
-            ctx.send(to, msg);
-        }
+            e.client.is_some() || !acked
+        });
     }
 }
 
@@ -528,7 +433,7 @@ where
                 }
                 self.lamport = self.lamport.max(update.ts) + 1;
                 self.buffer.push(update.clone());
-                self.insert(update);
+                self.log.insert(update);
                 self.deliver_causal(ctx);
                 self.settle_pending(ctx);
                 self.arm_timer(ctx);
@@ -560,31 +465,16 @@ where
         }
         // Anti-entropy: re-broadcast own updates that some peer has not
         // acked yet (covers lost gossip and lost acks alike).
-        let unacked: Vec<(u64, Vec<usize>)> = self
-            .own
-            .iter()
-            .filter_map(|(seq, e)| {
-                let missing: Vec<usize> = (0..self.n)
-                    .filter(|&i| i != self.id && e.acks[i].is_none())
-                    .collect();
-                (!missing.is_empty()).then_some((*seq, missing))
-            })
-            .collect();
-        for (seq, missing) in &unacked {
-            if let Some(u) = self
-                .log
-                .iter()
-                .find(|u| u.id.origin == self.id && u.id.seq == *seq)
-            {
-                let u = u.clone();
-                for &i in missing {
-                    ctx.send(self.peers[i], SpecMsg::Gossip { update: u.clone() });
-                }
+        for e in self.own.values() {
+            let Some(update) = self.log.get(e.key) else {
+                continue;
+            };
+            for i in (0..self.n).filter(|&i| i != self.id && e.acks[i].is_none()) {
+                let update = update.clone();
+                ctx.send(self.peers[i], SpecMsg::Gossip { update });
             }
         }
-        if !unacked.is_empty() {
-            self.arm_timer(ctx);
-        }
+        self.arm_timer(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -20,7 +20,7 @@ out="${1:-BENCH_PR4.json}"
 # their working directory, not the workspace root.
 lines="$(pwd)/target/bench_lines.jsonl"
 
-suites=(micro_correctable micro_simnet micro_shard micro_crdt micro_wire)
+suites=(micro_correctable micro_simnet micro_shard micro_crdt micro_wire micro_spec)
 
 rm -f "$lines"
 mkdir -p target
