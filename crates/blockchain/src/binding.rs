@@ -8,14 +8,12 @@
 //! application wanting *many* preliminary views for user feedback, since
 //! finality takes tens of (virtual) minutes.
 
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
-use simnet::{Ctx, Engine, Node, NodeId, SimDuration, SimTime, Timer, Topology};
+use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
+use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimDuration, SimHost, SimTime, Timer};
 
 use crate::chain::TxId;
 use crate::network::{Miner, Msg};
@@ -44,14 +42,8 @@ pub struct TxStatus {
     pub confirmations: u64,
 }
 
-struct Queued {
-    tx: TxId,
-    upcall: Upcall<TxStatus>,
-}
-
-type OpQueue = Arc<Mutex<VecDeque<Queued>>>;
-
 struct WatchPending {
+    tx: TxId,
     upcall: Upcall<TxStatus>,
     submitted: SimTime,
     confirmed_at: Vec<(u64, f64)>,
@@ -68,83 +60,74 @@ pub struct TxTimeline {
 
 type Timelines = Arc<Mutex<Vec<TxTimeline>>>;
 
-const KICK: u64 = u64::MAX - 1;
-
+/// The wallet's client protocol: submit the transaction to one miner,
+/// then turn that miner's confirmation notices into views until the
+/// final depth closes the watch.
 struct Wallet {
     node: NodeId,
-    queue: OpQueue,
     timelines: Timelines,
-    pending: HashMap<TxId, WatchPending>,
 }
 
-impl Wallet {
-    fn drain(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            self.pending.insert(
-                q.tx,
-                WatchPending {
-                    upcall: q.upcall,
-                    submitted: ctx.now(),
-                    confirmed_at: Vec::new(),
-                },
-            );
-            ctx.send(self.node, Msg::SubmitTx { tx: q.tx });
+impl GatewayProto for Wallet {
+    type Msg = Msg;
+    type Queued = (TxId, Upcall<TxStatus>);
+    type Pending = WatchPending;
+
+    fn start(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _op: u64,
+        (tx, upcall): Self::Queued,
+    ) -> Option<WatchPending> {
+        ctx.send(self.node, Msg::SubmitTx { tx });
+        Some(WatchPending {
+            tx,
+            upcall,
+            submitted: ctx.now(),
+            confirmed_at: Vec::new(),
+        })
+    }
+
+    fn on_reply(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        pending: &mut PendingOps<WatchPending>,
+        msg: Msg,
+    ) {
+        let Msg::Confirmation { tx, depth } = msg else {
+            return;
+        };
+        // Notices carry the transaction, not the op id: find the watch.
+        let Some((op, p)) = pending.iter_mut().find(|(_, p)| p.tx == tx) else {
+            return;
+        };
+        let ms = ctx.now().since(p.submitted).as_millis_f64();
+        p.confirmed_at.push((depth, ms));
+        p.upcall.deliver(
+            TxStatus {
+                tx,
+                confirmations: depth,
+            },
+            conf_level(depth),
+        );
+        if depth >= FINAL_DEPTH {
+            let p = pending.remove(op).expect("present");
+            self.timelines.lock().push(TxTimeline {
+                tx,
+                confirmations_ms: p.confirmed_at,
+            });
         }
     }
-}
 
-impl Node<Msg> for Wallet {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
-        if let Msg::Confirmation { tx, depth } = msg {
-            let mut done = false;
-            if let Some(p) = self.pending.get_mut(&tx) {
-                let ms = ctx.now().since(p.submitted).as_millis_f64();
-                p.confirmed_at.push((depth, ms));
-                p.upcall.deliver(
-                    TxStatus {
-                        tx,
-                        confirmations: depth,
-                    },
-                    conf_level(depth),
-                );
-                done = depth >= FINAL_DEPTH;
-            }
-            if done {
-                let p = self.pending.remove(&tx).expect("present");
-                self.timelines.lock().push(TxTimeline {
-                    tx,
-                    confirmations_ms: p.confirmed_at,
-                });
-            }
-        }
-        self.drain(ctx);
+    fn expire(&mut self, p: WatchPending) {
+        p.upcall.fail(Error::Timeout);
     }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        if timer.0 == KICK {
-            self.drain(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct ChainState {
-    engine: Engine<Msg>,
-    wallet: NodeId,
-    miners: Vec<NodeId>,
 }
 
 /// A simulated blockchain network with a wallet binding.
 #[derive(Clone)]
 pub struct SimChain {
-    state: Arc<Mutex<ChainState>>,
-    queue: OpQueue,
+    host: SimHost<Wallet>,
     timelines: Timelines,
 }
 
@@ -156,48 +139,26 @@ impl SimChain {
     ///
     /// Panics if the site name is unknown.
     pub fn ec2(block_interval: SimDuration, client_site: &str, seed: u64) -> SimChain {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let client_site_id = topo.site_named(client_site).expect("known site");
-        let mut engine = Engine::new(topo, seed);
-        let sites = ["FRK", "IRL", "VRG"];
-        let per_miner = block_interval * sites.len() as u64;
-        let miners: Vec<NodeId> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = engine.topology().site_named(s).expect("site");
-                engine.add_node(site, Box::new(Miner::new(i as u32, per_miner)))
-            })
-            .collect();
+        // Three miners, one per paper site, share the *global* interval.
+        let per_miner = block_interval * 3;
+        let (mut engine, miners) = Engine::ec2(seed, |i| Box::new(Miner::new(i as u32, per_miner)));
+        let client_site_id = engine
+            .topology()
+            .site_named(client_site)
+            .expect("known site");
         for (i, id) in miners.iter().enumerate() {
-            let peers: Vec<NodeId> = miners
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| *p)
-                .collect();
+            let peers = NodeId::peers_of(&miners, i);
             engine.node_as::<Miner>(*id).set_peers(peers);
             // Kick off mining.
             engine.schedule_timer(*id, SimDuration::ZERO, Timer(u64::MAX));
         }
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let timelines: Timelines = Arc::new(Mutex::new(Vec::new()));
-        let wallet = engine.add_node(
-            client_site_id,
-            Box::new(Wallet {
-                node: miners[0],
-                queue: Arc::clone(&queue),
-                timelines: Arc::clone(&timelines),
-                pending: HashMap::new(),
-            }),
-        );
+        let timelines = Timelines::default();
+        let wallet = Wallet {
+            node: miners[0],
+            timelines: Arc::clone(&timelines),
+        };
         SimChain {
-            state: Arc::new(Mutex::new(ChainState {
-                engine,
-                wallet,
-                miners,
-            })),
-            queue,
+            host: SimHost::new(engine, miners, client_site_id, wallet),
             timelines,
         }
     }
@@ -212,12 +173,7 @@ impl SimChain {
     /// Runs the network for `d` of virtual time (mining never goes idle,
     /// so the blockchain is driven by explicit time budgets).
     pub fn run_for(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let kick = st.wallet;
-        st.engine
-            .schedule_timer(kick, SimDuration::ZERO, Timer(KICK));
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
+        self.host.step(d);
     }
 
     /// Confirmation timelines of finalized transactions.
@@ -227,19 +183,13 @@ impl SimChain {
 
     /// Total reorganizations observed across all miners.
     pub fn total_reorgs(&self) -> u64 {
-        let mut st = self.state.lock();
-        let miners = st.miners.clone();
-        miners
-            .into_iter()
-            .map(|m| st.engine.node_as::<Miner>(m).chain.reorgs)
-            .sum()
+        let reorgs = self.host.each_replica(|m: &mut Miner| m.chain.reorgs);
+        reorgs.into_iter().sum()
     }
 
     /// The main-chain height at the wallet's node.
     pub fn height(&self) -> u64 {
-        let mut st = self.state.lock();
-        let m = st.miners[0];
-        st.engine.node_as::<Miner>(m).chain.height()
+        self.host.each_replica(|m: &mut Miner| m.chain.height())[0]
     }
 }
 
@@ -258,7 +208,7 @@ impl Binding for ChainBinding {
     }
 
     fn submit(&self, tx: TxId, _levels: &[ConsistencyLevel], upcall: Upcall<TxStatus>) {
-        self.chain.queue.lock().push_back(Queued { tx, upcall });
+        self.chain.host.enqueue((tx, upcall));
     }
 }
 

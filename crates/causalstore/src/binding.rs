@@ -8,14 +8,16 @@
 //! `invoke_weak`/`invoke_strong` subsume the manual cache handling the
 //! paper criticizes in Reddit's code (Listings 1–2).
 
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use correctables::{Binding, ConsistencyLevel, Error, KeyedOp, LevelSet, ObjectId, Upcall};
-use simnet::{Ctx, Engine, Faults, Node, NodeId, SimDuration, SimTime, SiteId, Timer, Topology};
+use simnet::{
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimDuration, SimHost, SimTime, Topology,
+};
 
 use crate::store::{CausalReplica, Item, Msg, OpId};
 
@@ -36,13 +38,13 @@ impl KeyedOp for CacheOp {
     }
 }
 
-struct Queued {
+/// One submission: the operation, its upcall, the levels it wants.
+pub struct Queued {
     op: CacheOp,
     upcall: Upcall<Option<Item>>,
     levels: Vec<ConsistencyLevel>,
 }
 
-type OpQueue = Arc<Mutex<VecDeque<Queued>>>;
 type Cache = Arc<Mutex<HashMap<String, Item>>>;
 
 /// Timing of one completed operation, per level, in virtual milliseconds.
@@ -54,9 +56,8 @@ pub struct LevelTiming {
 
 type Timings = Arc<Mutex<Vec<LevelTiming>>>;
 
-const KICK: u64 = u64::MAX - 1;
-
-struct GwPending {
+/// What the gateway keeps per outstanding operation.
+pub struct GwPending {
     upcall: Upcall<Option<Item>>,
     key: String,
     want_causal: bool,
@@ -66,128 +67,17 @@ struct GwPending {
     items_written: Option<Vec<u64>>,
 }
 
-struct Gateway {
+/// The cached store's client protocol: the cache answers at once,
+/// causal reads go to the nearest backup, strong reads and writes to
+/// the primary; every reply refreshes the cache.
+pub struct CacheClient {
     backup: NodeId,
     primary: NodeId,
     cache: Cache,
-    queue: OpQueue,
     timings: Timings,
-    next_seq: u64,
-    pending: HashMap<OpId, GwPending>,
-    /// Client-side deadline per operation; `None` waits forever (the
-    /// fault-free default).
-    client_timeout: Option<SimDuration>,
-    timer_ops: HashMap<u64, OpId>,
-    next_timer: u64,
 }
 
-impl Gateway {
-    fn arm_client_timeout(&mut self, ctx: &mut Ctx<'_, Msg>, op: OpId) {
-        if let Some(d) = self.client_timeout {
-            let token = self.next_timer;
-            self.next_timer += 1;
-            self.timer_ops.insert(token, op);
-            ctx.set_timer(d, Timer(token));
-        }
-    }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let op = OpId {
-                client: ctx.id(),
-                seq: self.next_seq,
-            };
-            self.next_seq += 1;
-            let has = |l: ConsistencyLevel| q.levels.contains(&l);
-            match q.op {
-                CacheOp::Get(key) => {
-                    let mut timing = LevelTiming::default();
-                    if has(ConsistencyLevel::CACHE) {
-                        let hit = self.cache.lock().get(&key).cloned();
-                        timing.views.push(("cache", 0.0));
-                        q.upcall.deliver(hit, ConsistencyLevel::CACHE);
-                    }
-                    let want_causal = has(ConsistencyLevel::CAUSAL);
-                    let want_strong = has(ConsistencyLevel::STRONG);
-                    if !want_causal && !want_strong {
-                        self.timings.lock().push(timing);
-                        continue;
-                    }
-                    if want_causal {
-                        ctx.send(
-                            self.backup,
-                            Msg::Read {
-                                op,
-                                key: key.clone(),
-                            },
-                        );
-                    }
-                    if want_strong {
-                        ctx.send(
-                            self.primary,
-                            Msg::Read {
-                                op,
-                                key: key.clone(),
-                            },
-                        );
-                    }
-                    self.pending.insert(
-                        op,
-                        GwPending {
-                            upcall: q.upcall,
-                            key,
-                            want_causal,
-                            want_strong,
-                            start: ctx.now(),
-                            timing,
-                            items_written: None,
-                        },
-                    );
-                    self.arm_client_timeout(ctx, op);
-                }
-                CacheOp::Put(key, items) => {
-                    // Write-through: the cache adopts the value at once
-                    // (revision settles when the ack arrives).
-                    {
-                        let mut c = self.cache.lock();
-                        let rev = c.get(&key).map(|i| i.rev + 1).unwrap_or(1);
-                        c.insert(
-                            key.clone(),
-                            Item {
-                                rev,
-                                items: items.clone(),
-                            },
-                        );
-                    }
-                    ctx.send(
-                        self.primary,
-                        Msg::Write {
-                            op,
-                            key: key.clone(),
-                            items: items.clone(),
-                        },
-                    );
-                    self.pending.insert(
-                        op,
-                        GwPending {
-                            upcall: q.upcall,
-                            key,
-                            want_causal: false,
-                            want_strong: true,
-                            start: ctx.now(),
-                            timing: LevelTiming::default(),
-                            items_written: Some(items),
-                        },
-                    );
-                    self.arm_client_timeout(ctx, op);
-                }
-            }
-        }
-    }
-
+impl CacheClient {
     fn refresh_cache(&self, key: &str, data: &Option<Item>) {
         if let Some(item) = data {
             let mut c = self.cache.lock();
@@ -199,15 +89,95 @@ impl Gateway {
     }
 }
 
-impl Node<Msg> for Gateway {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+impl GatewayProto for CacheClient {
+    type Msg = Msg;
+    type Queued = Queued;
+    type Pending = GwPending;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: Queued) -> Option<GwPending> {
+        let op = OpId {
+            client: ctx.id(),
+            seq,
+        };
+        let has = |l: ConsistencyLevel| q.levels.contains(&l);
+        match q.op {
+            CacheOp::Get(key) => {
+                let mut timing = LevelTiming::default();
+                if has(ConsistencyLevel::CACHE) {
+                    let hit = self.cache.lock().get(&key).cloned();
+                    timing.views.push(("cache", 0.0));
+                    q.upcall.deliver(hit, ConsistencyLevel::CACHE);
+                }
+                let want_causal = has(ConsistencyLevel::CAUSAL);
+                let want_strong = has(ConsistencyLevel::STRONG);
+                if !want_causal && !want_strong {
+                    self.timings.lock().push(timing);
+                    return None;
+                }
+                for (wanted, replica) in [(want_causal, self.backup), (want_strong, self.primary)] {
+                    if wanted {
+                        ctx.send(
+                            replica,
+                            Msg::Read {
+                                op,
+                                key: key.clone(),
+                            },
+                        );
+                    }
+                }
+                Some(GwPending {
+                    upcall: q.upcall,
+                    key,
+                    want_causal,
+                    want_strong,
+                    start: ctx.now(),
+                    timing,
+                    items_written: None,
+                })
+            }
+            CacheOp::Put(key, items) => {
+                // Write-through: the cache adopts the value at once
+                // (revision settles when the ack arrives).
+                {
+                    let mut c = self.cache.lock();
+                    let rev = c.get(&key).map(|i| i.rev + 1).unwrap_or(1);
+                    c.insert(
+                        key.clone(),
+                        Item {
+                            rev,
+                            items: items.clone(),
+                        },
+                    );
+                }
+                ctx.send(
+                    self.primary,
+                    Msg::Write {
+                        op,
+                        key: key.clone(),
+                        items: items.clone(),
+                    },
+                );
+                Some(GwPending {
+                    upcall: q.upcall,
+                    key,
+                    want_causal: false,
+                    want_strong: true,
+                    start: ctx.now(),
+                    timing: LevelTiming::default(),
+                    items_written: Some(items),
+                })
+            }
+        }
+    }
+
+    fn on_reply(&mut self, ctx: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
         match msg {
             Msg::ReadResp {
                 op,
                 data,
                 from_primary,
             } => {
-                let action = self.pending.get_mut(&op).map(|p| {
+                let action = pending.get_mut(op.seq).map(|p| {
                     let ms = ctx.now().since(p.start).as_millis_f64();
                     if from_primary {
                         p.want_strong = false;
@@ -231,13 +201,13 @@ impl Node<Msg> for Gateway {
                     self.refresh_cache(&key, &data);
                     up.deliver(data, level);
                     if finished {
-                        let p = self.pending.remove(&op).expect("present");
+                        let p = pending.remove(op.seq).expect("present");
                         self.timings.lock().push(p.timing);
                     }
                 }
             }
             Msg::WriteAck { op, rev } => {
-                if let Some(mut p) = self.pending.remove(&op) {
+                if let Some(mut p) = pending.remove(op.seq) {
                     let ms = ctx.now().since(p.start).as_millis_f64();
                     p.timing.views.push(("strong", ms));
                     let items = p.items_written.take().unwrap_or_default();
@@ -256,41 +226,33 @@ impl Node<Msg> for Gateway {
             }
             _ => {}
         }
-        self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            // A reply was lost: fail the operation. Views already
-            // delivered (cache, causal) stand; the close is exceptional.
-            if let Some(p) = self.pending.remove(&op) {
-                self.timings.lock().push(p.timing);
-                p.upcall.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
+    /// A reply was lost: fail the operation. Views already delivered
+    /// (cache, causal) stand; the close is exceptional.
+    fn expire(&mut self, p: GwPending) {
+        self.timings.lock().push(p.timing);
+        p.upcall.fail(Error::Timeout);
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct NState {
-    engine: Engine<Msg>,
-    gateway: NodeId,
-    replicas: Vec<NodeId>,
 }
 
 /// A simulated cached causal store (primary + backups + client cache).
+/// Faults, client deadlines, `settle`/`advance` and the clock mirror
+/// come from the [`SimHost`] it dereferences to.
 #[derive(Clone)]
 pub struct SimCausal {
-    state: Arc<Mutex<NState>>,
-    queue: OpQueue,
+    host: SimHost<CacheClient>,
+    primary: NodeId,
     timings: Timings,
     cache: Cache,
+}
+
+impl Deref for SimCausal {
+    type Target = SimHost<CacheClient>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimCausal {
@@ -302,29 +264,20 @@ impl SimCausal {
     ///
     /// Panics if a site name is unknown.
     pub fn ec2(primary_site: &str, client_site: &str, seed: u64) -> SimCausal {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = ["FRK", "IRL", "VRG"];
-        let primary_idx = sites
-            .iter()
-            .position(|s| *s == primary_site)
-            .expect("known primary site");
-        let client_site_id = topo.site_named(client_site).expect("known client site");
-        let mut engine = Engine::new(topo, seed);
-        let replicas: Vec<NodeId> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = engine.topology().site_named(s).expect("site");
-                engine.add_node(site, Box::new(CausalReplica::new(i, 3, i == primary_idx)))
-            })
-            .collect();
+        // Replica `i` lives at `SiteId(i)`.
+        let primary_idx = Topology::ec2_frk_irl_vrg()
+            .site_named(primary_site)
+            .expect("known primary site")
+            .0;
+        let (mut engine, replicas) = Engine::ec2(seed, |i| {
+            Box::new(CausalReplica::new(i, 3, i == primary_idx))
+        });
+        let client_site_id = engine
+            .topology()
+            .site_named(client_site)
+            .expect("known client site");
         for (i, id) in replicas.iter().enumerate() {
-            let peers: Vec<NodeId> = replicas
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| *p)
-                .collect();
+            let peers = NodeId::peers_of(&replicas, i);
             let node = engine.node_as::<CausalReplica>(*id);
             node.set_peers(peers);
             node.set_primary_node(replicas[primary_idx]);
@@ -341,31 +294,18 @@ impl SimCausal {
             })
             .map(|(_, id)| *id)
             .expect("at least one backup");
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let timings: Timings = Arc::new(Mutex::new(Vec::new()));
-        let cache: Cache = Arc::new(Mutex::new(HashMap::new()));
-        let gateway = engine.add_node(
-            client_site_id,
-            Box::new(Gateway {
-                backup,
-                primary: replicas[primary_idx],
-                cache: Arc::clone(&cache),
-                queue: Arc::clone(&queue),
-                timings: Arc::clone(&timings),
-                next_seq: 0,
-                pending: HashMap::new(),
-                client_timeout: None,
-                timer_ops: HashMap::new(),
-                next_timer: 0,
-            }),
-        );
+        let timings = Timings::default();
+        let cache = Cache::default();
+        let primary = replicas[primary_idx];
+        let proto = CacheClient {
+            backup,
+            primary,
+            cache: Arc::clone(&cache),
+            timings: Arc::clone(&timings),
+        };
         SimCausal {
-            state: Arc::new(Mutex::new(NState {
-                engine,
-                gateway,
-                replicas,
-            })),
-            queue,
+            host: SimHost::new(engine, replicas, client_site_id, proto),
+            primary,
             timings,
             cache,
         }
@@ -380,124 +320,31 @@ impl SimCausal {
 
     /// Seeds a key on every replica and in the cache.
     pub fn seed(&self, key: &str, rev: u64, items: Vec<u64>) {
-        let mut st = self.state.lock();
-        let item = Item { rev, items };
-        for id in st.replicas.clone() {
-            st.engine
-                .node_as::<CausalReplica>(id)
-                .seed(key, item.clone());
-        }
-        self.cache.lock().insert(key.to_string(), item);
+        self.seed_remote_only(key, rev, items.clone());
+        self.cache
+            .lock()
+            .insert(key.to_string(), Item { rev, items });
     }
 
     /// Seeds a key only on the replicas (cold cache).
     pub fn seed_remote_only(&self, key: &str, rev: u64, items: Vec<u64>) {
-        let mut st = self.state.lock();
         let item = Item { rev, items };
-        for id in st.replicas.clone() {
-            st.engine
-                .node_as::<CausalReplica>(id)
-                .seed(key, item.clone());
-        }
+        self.each_replica(|r: &mut CausalReplica| r.seed(key, item.clone()));
     }
 
     /// Writes directly at the primary, bypassing the client (models other
     /// users publishing news); backups receive it causally.
     pub fn publish(&self, key: &str, items: Vec<u64>) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        // Find the primary by probing each replica's role flag.
-        let primary = {
-            let replicas = st.replicas.clone();
-            let mut found = replicas[0];
-            for id in replicas {
-                if st.engine.node_as::<CausalReplica>(id).is_primary {
-                    found = id;
-                    break;
-                }
-            }
-            found
-        };
-        st.engine.schedule_message(
-            gw,
-            primary,
-            SimDuration::ZERO,
-            Msg::Write {
-                op: OpId {
-                    client: gw,
-                    seq: u64::MAX,
-                },
-                key: key.to_string(),
-                items,
+        let gw = self.gateway_id();
+        let write = Msg::Write {
+            op: OpId {
+                client: gw,
+                seq: u64::MAX,
             },
-        );
-    }
-
-    /// Installs a fault plan on the underlying simulation. Combine with
-    /// [`SimCausal::set_client_timeout`] so lost replies fail operations
-    /// instead of leaving them open forever.
-    pub fn set_faults(&self, faults: Faults) {
-        self.state.lock().engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline for every subsequently submitted
-    /// operation (fails with `Error::Timeout` when it passes without the
-    /// final view).
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.engine.node_as::<Gateway>(gw).client_timeout = Some(d);
-    }
-
-    /// The replica node ids (FRK/IRL/VRG order).
-    pub fn replica_ids(&self) -> Vec<NodeId> {
-        self.state.lock().replicas.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<SiteId> {
-        let st = self.state.lock();
-        (0..st.engine.topology().len()).map(SiteId).collect()
-    }
-
-    /// Drives the simulation until all submitted operations resolve —
-    /// including failing by client timeout when faults lost their
-    /// replies.
-    ///
-    /// Runs in bounded virtual-time slices rather than to full quiescence:
-    /// the backups' anti-entropy retry timer keeps the event queue busy
-    /// while a causal gap persists (e.g. under an active partition), so
-    /// "no events left" is not a usable stop condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations fail to resolve within a very large horizon
-    /// (faults active without a client timeout, or a protocol bug).
-    pub fn settle(&self) {
-        let mut st = self.state.lock();
-        let slice = SimDuration::from_millis(5);
-        for _ in 0..2_000_000 {
-            let gw = st.gateway;
-            st.engine.schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            let limit = st.engine.now() + slice;
-            st.engine.run_until(limit);
-            let pending_empty = st.engine.node_as::<Gateway>(gw).pending.is_empty();
-            if pending_empty && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!(
-            "causal-store operations cannot settle (lost replies without a \
-             client timeout? see SimCausal::set_client_timeout)"
-        );
-    }
-
-    /// Runs the simulation for `d` without submitting anything (lets
-    /// causal propagation progress).
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
+            key: key.to_string(),
+            items,
+        };
+        self.with_engine(|e| e.schedule_message(gw, self.primary, SimDuration::ZERO, write));
     }
 
     /// Timings of completed operations.
@@ -530,7 +377,7 @@ impl Binding for CausalBinding {
     }
 
     fn submit(&self, op: CacheOp, levels: &[ConsistencyLevel], upcall: Upcall<Option<Item>>) {
-        self.store.queue.lock().push_back(Queued {
+        self.store.enqueue(Queued {
             op,
             upcall,
             levels: levels.to_vec(),

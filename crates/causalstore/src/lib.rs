@@ -22,4 +22,4 @@ pub mod vc;
 
 pub use binding::{CacheOp, CausalBinding, LevelTiming, SimCausal};
 pub use store::{CausalReplica, Item, Msg, OpId};
-pub use vc::{Causality, VectorClock};
+pub use vc::{CausalInbox, Causality, Offer, VectorClock};

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use simnet::{Ctx, Node, NodeId, SimDuration, Timer, Wire};
 
-use crate::vc::VectorClock;
+use crate::vc::{CausalInbox, Offer, VectorClock};
 
 /// Timer token of the anti-entropy retry (re-armed only while updates
 /// are buffered behind a causal gap).
@@ -30,14 +30,12 @@ const SYNC_RETRY_EVERY: SimDuration = SimDuration::from_millis(200);
 /// periodic timer.)
 const READ_SYNC_EVERY: SimDuration = SimDuration::from_millis(500);
 
-/// One causally premature update parked until its dependencies arrive
+/// One update as it waits in the inbox until its dependencies arrive
 /// (or a state transfer covers it).
 struct BufferedUpdate {
-    sender: usize,
     from: NodeId,
     key: String,
     item: Item,
-    stamp: VectorClock,
 }
 
 /// A stored value: a revision counter plus a list of item ids (the news
@@ -167,10 +165,9 @@ pub struct CausalReplica {
     /// iterating it, and message payloads must not depend on a
     /// per-process hasher seed or (seed, schedule) replay diverges.
     pub data: BTreeMap<String, Item>,
-    /// This replica's causal clock.
-    pub clock: VectorClock,
-    /// Updates waiting for their causal dependencies.
-    buffered: Vec<BufferedUpdate>,
+    /// This replica's causal clock, and the updates waiting for their
+    /// causal dependencies.
+    inbox: CausalInbox<BufferedUpdate>,
     /// Whether the anti-entropy retry timer is currently armed.
     sync_armed: bool,
     /// The primary's node id, once wired; enables read-triggered sync.
@@ -191,8 +188,7 @@ impl CausalReplica {
             is_primary,
             peers: Vec::new(),
             data: BTreeMap::new(),
-            clock: VectorClock::zero(n),
-            buffered: Vec::new(),
+            inbox: CausalInbox::new(n),
             sync_armed: false,
             primary_node: None,
             last_read_sync: None,
@@ -218,36 +214,22 @@ impl CausalReplica {
         self.data.insert(key.to_string(), item);
     }
 
+    /// This replica's causal clock.
+    pub fn clock(&self) -> &VectorClock {
+        self.inbox.delivered()
+    }
+
     fn apply_buffered(&mut self) {
-        // A state transfer may have covered buffered updates entirely
-        // (their stamp no longer exceeds the clock): purge those first or
-        // they would sit — undeliverable — in the buffer forever.
-        let clock = self.clock.clone();
-        self.buffered
-            .retain(|b| b.stamp.0[b.sender] > clock.0[b.sender]);
-        loop {
-            let Some(pos) = self
-                .buffered
-                .iter()
-                .position(|b| self.clock.deliverable(&b.stamp, b.sender))
-            else {
-                return;
-            };
-            let b = self.buffered.swap_remove(pos);
-            self.apply_update(&b.key, b.item, &b.stamp);
+        while let Some((_, _, b)) = self.inbox.pop_ready(|_| true) {
+            self.adopt(b.key, b.item);
         }
     }
 
-    fn apply_update(&mut self, key: &str, item: Item, stamp: &VectorClock) {
-        let fresher = self
-            .data
-            .get(key)
-            .map(|cur| item.rev > cur.rev)
-            .unwrap_or(true);
-        if fresher {
-            self.data.insert(key.to_string(), item);
+    /// Keeps `item` if it is fresher than what is stored under `key`.
+    fn adopt(&mut self, key: String, item: Item) {
+        if self.data.get(&key).is_none_or(|cur| item.rev > cur.rev) {
+            self.data.insert(key, item);
         }
-        self.clock.merge(stamp);
     }
 }
 
@@ -286,8 +268,8 @@ impl Node<Msg> for CausalReplica {
                 debug_assert!(self.is_primary, "writes must go to the primary");
                 let rev = self.data.get(&key).map(|d| d.rev + 1).unwrap_or(1);
                 let item = Item { rev, items };
-                self.clock.bump(self.index);
-                let stamp = self.clock.clone();
+                self.inbox.bump(self.index);
+                let stamp = self.clock().clone();
                 self.data.insert(key.clone(), item.clone());
                 for p in self.peers.clone() {
                     ctx.send(
@@ -308,29 +290,27 @@ impl Node<Msg> for CausalReplica {
                 data,
                 stamp,
             } => {
-                if self.clock.deliverable(&stamp, sender) {
-                    self.apply_update(&key, data, &stamp);
-                    self.apply_buffered();
-                } else if stamp.0[sender] > self.clock.0[sender] {
-                    // A gap: at least one earlier update from this sender
-                    // never arrived (lost, or still in flight). Buffer,
-                    // and ask the sender for a state transfer; retry on a
-                    // timer until the gap closes (the request itself may
-                    // be lost too).
-                    self.buffered.push(BufferedUpdate {
-                        sender,
-                        from,
-                        key,
-                        item: data,
-                        stamp,
-                    });
+                let parked = self.inbox.len();
+                let update = BufferedUpdate {
+                    from,
+                    key,
+                    item: data,
+                };
+                if self.inbox.offer(sender, stamp, update) == Offer::AlreadyDelivered {
+                    return; // an old duplicate already covered by the clock
+                }
+                self.apply_buffered();
+                if self.inbox.len() > parked {
+                    // Still parked — a gap: at least one earlier update
+                    // never arrived (lost, or still in flight). Ask the
+                    // sender for a state transfer; retry on a timer until
+                    // the gap closes (the request itself may be lost too).
                     ctx.send(from, Msg::SyncReq);
                     if !self.sync_armed {
                         self.sync_armed = true;
                         ctx.set_timer(SYNC_RETRY_EVERY, SYNC_RETRY);
                     }
                 }
-                // Else: an old duplicate already covered by the clock.
             }
             Msg::SyncReq => {
                 self.syncs_served += 1;
@@ -342,25 +322,19 @@ impl Node<Msg> for CausalReplica {
                             .iter()
                             .map(|(k, v)| (k.clone(), v.clone()))
                             .collect(),
-                        clock: self.clock.clone(),
+                        clock: self.clock().clone(),
                     },
                 );
             }
             Msg::SyncResp { state, clock } => {
                 // Adopt a causally closed snapshot: fresher items plus the
-                // responder's clock, then drain whatever the buffer still
-                // holds beyond the snapshot.
+                // responder's clock (which also purges the buffered updates
+                // the snapshot covers), then drain whatever the buffer
+                // still holds beyond the snapshot.
                 for (key, item) in state {
-                    let fresher = self
-                        .data
-                        .get(&key)
-                        .map(|cur| item.rev > cur.rev)
-                        .unwrap_or(true);
-                    if fresher {
-                        self.data.insert(key, item);
-                    }
+                    self.adopt(key, item);
                 }
-                self.clock.merge(&clock);
+                self.inbox.merge_delivered(&clock);
                 self.apply_buffered();
             }
             Msg::ReadResp { .. } | Msg::WriteAck { .. } => {
@@ -374,7 +348,7 @@ impl Node<Msg> for CausalReplica {
             return;
         }
         self.sync_armed = false;
-        if let Some(first) = self.buffered.first() {
+        if let Some(first) = self.inbox.first() {
             ctx.send(first.from, Msg::SyncReq);
             self.sync_armed = true;
             ctx.set_timer(SYNC_RETRY_EVERY, SYNC_RETRY);
@@ -482,8 +456,8 @@ mod tests {
             assert_eq!(r.data.get("k1").unwrap().items, vec![19]);
             assert_eq!(r.data.get("k0").unwrap().items, vec![18]);
             assert_eq!(r.data.get("k2").unwrap().items, vec![17]);
-            assert_eq!(r.clock.0[0], 20);
-            assert!(r.buffered.is_empty(), "nothing left buffered");
+            assert_eq!(r.clock().0[0], 20);
+            assert!(r.inbox.is_empty(), "nothing left buffered");
         }
     }
 
@@ -519,7 +493,7 @@ mod tests {
         assert!(served > 0, "no state transfer happened");
         let backup = eng.node_as::<CausalReplica>(ids[2]);
         assert_eq!(backup.data.get("k").map(|d| d.rev), Some(2));
-        assert!(backup.buffered.is_empty());
+        assert!(backup.inbox.is_empty());
     }
 
     #[test]

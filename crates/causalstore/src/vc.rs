@@ -1,4 +1,5 @@
-//! Vector clocks for causal consistency.
+//! Vector clocks for causal consistency, and the causal-broadcast inbox
+//! (CBCAST buffer and delivery loop) every replica type shares.
 
 use std::cmp::Ordering;
 
@@ -87,6 +88,115 @@ impl VectorClock {
     }
 }
 
+/// What [`CausalInbox::offer`] did with an item.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Offer {
+    /// Its origin entry is at or below what was already delivered: a
+    /// retransmission whose sender is missing our ack. Not buffered.
+    AlreadyDelivered,
+    /// The same `(origin, seq)` is already waiting. Not buffered again.
+    Duplicate,
+    /// Buffered; [`CausalInbox::pop_ready`] yields it once its causal
+    /// past has been delivered.
+    Buffered,
+}
+
+/// The receiving half of a causal broadcast: the delivery vector plus
+/// the items that arrived ahead of their causal past.
+///
+/// An item stamped `stamp` by `origin` is its origin's
+/// `stamp[origin]`-th; it becomes deliverable under
+/// [`VectorClock::deliverable`]. The protocol around it — what an item
+/// is, what delivering means, how receipt is acknowledged — stays with
+/// the replica.
+pub struct CausalInbox<T> {
+    delivered: VectorClock,
+    buffer: Vec<(usize, VectorClock, T)>,
+}
+
+impl<T> CausalInbox<T> {
+    /// An empty inbox at a replica of an `n`-replica group.
+    pub fn new(n: usize) -> Self {
+        CausalInbox {
+            delivered: VectorClock::zero(n),
+            buffer: Vec::new(),
+        }
+    }
+
+    /// Items delivered (or locally originated) per origin.
+    pub fn delivered(&self) -> &VectorClock {
+        &self.delivered
+    }
+
+    /// Counts one local event of replica `i` (an item it originates is
+    /// delivered to itself at once); the new vector is its stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn bump(&mut self, i: usize) {
+        self.delivered.bump(i);
+    }
+
+    /// Takes in one received item. `stamp` must have one entry per
+    /// replica and `origin` must index it (validate wire input first).
+    pub fn offer(&mut self, origin: usize, stamp: VectorClock, item: T) -> Offer {
+        let seq = stamp.0[origin];
+        if seq <= self.delivered.0[origin] {
+            Offer::AlreadyDelivered
+        } else if self
+            .buffer
+            .iter()
+            .any(|(o, s, _)| *o == origin && s.0[origin] == seq)
+        {
+            Offer::Duplicate
+        } else {
+            self.buffer.push((origin, stamp, item));
+            Offer::Buffered
+        }
+    }
+
+    /// Delivers the first buffered item (in arrival order, as perturbed
+    /// by earlier removals) that is causally deliverable and passes
+    /// `extra_ready`, advancing the delivery vector. Call until `None`.
+    pub fn pop_ready(
+        &mut self,
+        mut extra_ready: impl FnMut(&T) -> bool,
+    ) -> Option<(usize, VectorClock, T)> {
+        let pos = self.buffer.iter().position(|(origin, stamp, item)| {
+            self.delivered.deliverable(stamp, *origin) && extra_ready(item)
+        })?;
+        let ready = self.buffer.swap_remove(pos);
+        self.delivered.bump(ready.0);
+        Some(ready)
+    }
+
+    /// Adopts a state transfer's clock: merges it into the delivery
+    /// vector and drops every buffered item it covers (those would
+    /// otherwise sit in the buffer, undeliverable, forever).
+    pub fn merge_delivered(&mut self, clock: &VectorClock) {
+        self.delivered.merge(clock);
+        let delivered = &self.delivered;
+        self.buffer
+            .retain(|(origin, stamp, _)| stamp.0[*origin] > delivered.0[*origin]);
+    }
+
+    /// Number of buffered items.
+    pub fn len(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// Whether nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.buffer.is_empty()
+    }
+
+    /// The item at the head of the buffer, if any.
+    pub fn first(&self) -> Option<&T> {
+        self.buffer.first().map(|(_, _, item)| item)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,5 +240,26 @@ mod tests {
         // Depends on an unseen update from replica 1.
         let dep = VectorClock(vec![3, 1]);
         assert!(!local.deliverable(&dep, 0));
+    }
+
+    #[test]
+    fn extra_predicate_holds_back_only_what_it_rejects() {
+        let mut inbox = CausalInbox::new(2);
+        assert_eq!(
+            inbox.offer(0, VectorClock(vec![1, 0]), "a"),
+            Offer::Buffered
+        );
+        assert_eq!(
+            inbox.offer(1, VectorClock(vec![0, 1]), "b"),
+            Offer::Buffered
+        );
+        // "a" is causally deliverable and first in line, but not ready:
+        // "b" overtakes it, and "a" follows once the predicate allows.
+        assert_eq!(inbox.pop_ready(|item| *item != "a").map(|r| r.2), Some("b"));
+        assert_eq!(inbox.pop_ready(|item| *item != "a"), None);
+        assert_eq!(inbox.first(), Some(&"a"));
+        assert_eq!(inbox.pop_ready(|_| true).map(|r| r.2), Some("a"));
+        assert_eq!(inbox.delivered(), &VectorClock(vec![1, 1]));
+        assert!(inbox.is_empty());
     }
 }

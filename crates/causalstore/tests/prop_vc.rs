@@ -1,8 +1,54 @@
-//! Property-based tests of vector clocks and causal delivery.
+//! Property-based tests of vector clocks and of the causal inbox — the
+//! one CBCAST buffer/deliver loop under the causal store, the spec store
+//! (simulated and TCP) and the op-based CRDT store.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use causalstore::{Causality, VectorClock};
+use causalstore::{CausalInbox, Causality, Offer, VectorClock};
+
+/// Origins `0..ORIGINS` emit; the receiving inbox belongs to a further
+/// replica that emits nothing.
+const ORIGINS: usize = 3;
+const N: usize = ORIGINS + 1;
+
+/// A causally stamped multi-origin stream. Each step, `origin` first
+/// learns of an already emitted item picked by `learn` — it merges that
+/// item's stamp, so its knowledge stays causally closed — and then emits
+/// its next item, stamped with what it now knows.
+fn stream(steps: &[(usize, u64)]) -> Vec<(usize, VectorClock)> {
+    let mut known = vec![VectorClock::zero(N); ORIGINS];
+    let mut items: Vec<(usize, VectorClock)> = Vec::new();
+    for &(origin, learn) in steps {
+        if !items.is_empty() && learn % 3 != 0 {
+            let (_, stamp) = &items[learn as usize % items.len()];
+            known[origin].merge(stamp);
+        }
+        known[origin].bump(origin);
+        items.push((origin, known[origin].clone()));
+    }
+    items
+}
+
+/// `0..len` shuffled by `picks` (Fisher–Yates), then with every `dups`
+/// entry re-inserting an already listed index at an arbitrary position:
+/// duplicates of buffered items and retransmissions of delivered ones.
+fn arrival_order(len: usize, picks: &[u64], dups: &[(u64, u64)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        order.swap(i, (picks[i % picks.len()] % (i as u64 + 1)) as usize);
+    }
+    for &(which, at) in dups {
+        let again = order[which as usize % order.len()];
+        order.insert(at as usize % (order.len() + 1), again);
+    }
+    order
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    proptest::collection::vec((0..ORIGINS, any::<u64>()), 1..40)
+}
 
 fn arb_clock(n: usize) -> impl Strategy<Value = VectorClock> {
     proptest::collection::vec(0u64..20, n).prop_map(VectorClock)
@@ -61,22 +107,80 @@ proptest! {
         }
     }
 
-    /// A sender's updates are deliverable exactly in sequence order at any
-    /// receiver that has all their dependencies.
+    /// Any arrival order of a causally stamped multi-origin stream, with
+    /// duplicates and retransmissions mixed in, delivers each item
+    /// exactly once, gap-free per origin, and never before an item it
+    /// causally depends on. `offer` answers `AlreadyDelivered` iff the
+    /// item's seq is at or below the delivered count of its origin, and
+    /// `Duplicate` iff the same item is already waiting.
     #[test]
-    fn delivery_is_gap_free(deliveries in 1u64..30) {
-        let mut local = VectorClock::zero(2);
-        for k in 1..=deliveries {
-            // The k-th update from replica 0 with no other dependencies.
-            let stamp = VectorClock(vec![k, 0]);
-            if k == local.0[0] + 1 {
-                prop_assert!(local.deliverable(&stamp, 0));
-                local.merge(&stamp);
+    fn inbox_delivers_exactly_once_in_causal_order(
+        steps in arb_steps(),
+        picks in proptest::collection::vec(any::<u64>(), 1..40),
+        dups in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..12),
+    ) {
+        let items = stream(&steps);
+        let mut inbox: CausalInbox<usize> = CausalInbox::new(N);
+        // The model: how many items of each origin were delivered, and
+        // which are waiting.
+        let mut count = [0u64; N];
+        let mut waiting: BTreeSet<(usize, u64)> = BTreeSet::new();
+        for idx in arrival_order(items.len(), &picks, &dups) {
+            let (origin, stamp) = &items[idx];
+            let seq = stamp.0[*origin];
+            let expect = if seq <= count[*origin] {
+                Offer::AlreadyDelivered
+            } else if !waiting.insert((*origin, seq)) {
+                Offer::Duplicate
+            } else {
+                Offer::Buffered
+            };
+            prop_assert_eq!(inbox.offer(*origin, stamp.clone(), idx), expect);
+            while let Some((o, s, item)) = inbox.pop_ready(|_| true) {
+                prop_assert_eq!(&items[item], &(o, s.clone()));
+                prop_assert!(waiting.remove(&(o, s.0[o])), "delivered twice");
+                for (j, have) in count.iter().enumerate() {
+                    let need = if j == o { s.0[j] - 1 } else { s.0[j] };
+                    if j == o {
+                        prop_assert_eq!(*have, need, "origin {} delivered out of sequence", o);
+                    } else {
+                        prop_assert!(*have >= need, "delivered before a dependency from {}", j);
+                    }
+                }
+                count[o] += 1;
             }
+            prop_assert_eq!(&inbox.delivered().0[..], &count[..]);
         }
-        prop_assert_eq!(local.0[0], deliveries);
-        // A gapped update is never deliverable.
-        let gap = VectorClock(vec![deliveries + 2, 0]);
-        prop_assert!(!local.deliverable(&gap, 0));
+        // Everything arrived at least once, so everything was delivered.
+        prop_assert!(inbox.is_empty() && waiting.is_empty());
+        for (origin, emitted) in count.iter().enumerate().take(ORIGINS) {
+            let total = steps.iter().filter(|(o, _)| *o == origin).count() as u64;
+            prop_assert_eq!(*emitted, total);
+        }
+    }
+
+    /// After a state transfer (`merge_delivered`) exactly the items the
+    /// adopted clock does not cover remain buffered, and what is later
+    /// delivered lies beyond it.
+    #[test]
+    fn merge_delivered_purges_what_it_covers(
+        steps in arb_steps(),
+        picks in proptest::collection::vec(any::<u64>(), 1..40),
+        clock in proptest::collection::vec(0u64..8, N),
+    ) {
+        let items = stream(&steps);
+        let mut inbox: CausalInbox<usize> = CausalInbox::new(N);
+        for idx in arrival_order(items.len(), &picks, &[]) {
+            let (origin, stamp) = &items[idx];
+            prop_assert_eq!(inbox.offer(*origin, stamp.clone(), idx), Offer::Buffered);
+        }
+        let clock = VectorClock(clock);
+        inbox.merge_delivered(&clock);
+        let beyond = items.iter().filter(|(o, s)| s.0[*o] > clock.0[*o]).count();
+        prop_assert_eq!(inbox.len(), beyond);
+        prop_assert_eq!(inbox.delivered(), &clock);
+        while let Some((o, s, _)) = inbox.pop_ready(|_| true) {
+            prop_assert!(s.0[o] > clock.0[o], "delivered an item the transfer covered");
+        }
     }
 }

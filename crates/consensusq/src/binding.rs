@@ -12,17 +12,16 @@
 //! `invoke(dequeue)` therefore yields the quick local prediction followed
 //! by the atomically popped element — exactly what Listing 5's ticket
 //! seller consumes. As with the quorum-store binding, `submit` enqueues
-//! work and [`SimQueue::settle`] drives the simulation; nested submissions
+//! work and [`SimHost::settle`] drives the simulation; nested submissions
 //! from callbacks are picked up at the correct virtual instant.
 
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Faults, Node, NodeId, SimDuration, SimTime, SiteId, Timer, Topology};
+use simnet::{Ctx, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
 
 use crate::cluster::ZkCluster;
 use crate::messages::Msg;
@@ -70,16 +69,16 @@ impl QueueView {
     }
 }
 
-struct Queued {
+/// One submission: the operation, its upcall, the levels it wants.
+pub struct Queued {
     op: QueueOp,
     upcall: Upcall<QueueView>,
     weak: bool,
     strong: bool,
 }
 
-type OpQueue = Arc<Mutex<VecDeque<Queued>>>;
-
-struct GwPending {
+/// What the gateway keeps per outstanding operation.
+pub struct GwPending {
     upcall: Upcall<QueueView>,
     start: SimTime,
     prelim_at: Option<SimTime>,
@@ -96,108 +95,67 @@ pub struct QueueTiming {
 
 type Timings = Arc<Mutex<Vec<QueueTiming>>>;
 
-const KICK: u64 = u64::MAX - 1;
-
-struct Gateway {
+/// The queue's client protocol: every operation goes to the one server
+/// the client is connected to — a local peek for weak-only requests, a
+/// Zab-coordinated transaction (with an optional local prediction)
+/// otherwise.
+pub struct QueueClient {
     server: NodeId,
     parent: String,
-    queue: OpQueue,
     timings: Timings,
-    next_seq: u64,
-    pending: HashMap<OpId, GwPending>,
-    /// Client-side deadline per operation; `None` waits forever (the
-    /// fault-free default). Fault-injected runs set it so lost replies
-    /// fail the Correctable instead of wedging `settle`.
-    client_timeout: Option<SimDuration>,
-    timer_ops: HashMap<u64, OpId>,
-    next_timer: u64,
 }
 
-impl Gateway {
-    fn arm_client_timeout(&mut self, ctx: &mut Ctx<'_, Msg>, op: OpId) {
-        if let Some(d) = self.client_timeout {
-            let token = self.next_timer;
-            self.next_timer += 1;
-            self.timer_ops.insert(token, op);
-            ctx.set_timer(d, Timer(token));
-        }
-    }
+impl GatewayProto for QueueClient {
+    type Msg = Msg;
+    type Queued = Queued;
+    type Pending = GwPending;
 
-    fn drain(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let op = OpId {
-                client: ctx.id(),
-                seq: self.next_seq,
-            };
-            self.next_seq += 1;
+    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: Queued) -> Option<GwPending> {
+        let op = OpId {
+            client: ctx.id(),
+            seq,
+        };
+        let parent = self.parent.clone();
+        let msg = if !q.strong {
+            // Weak-only: a pure local peek, no coordination at all.
+            Msg::Read {
+                op,
+                cmd: ReadCmd::GetHead { parent },
+            }
+        } else {
             let txn = match q.op {
                 QueueOp::Enqueue { data_len } => Txn::CreateSeq {
-                    parent: self.parent.clone(),
+                    parent,
                     prefix: "qn-".to_string(),
                     data_len,
                 },
-                QueueOp::Dequeue => Txn::PopMin {
-                    parent: self.parent.clone(),
-                },
+                QueueOp::Dequeue => Txn::PopMin { parent },
             };
-            if !q.strong {
-                // Weak-only: a pure local peek, no coordination at all.
-                let cmd = match q.op {
-                    QueueOp::Enqueue { .. } => ReadCmd::GetHead {
-                        parent: self.parent.clone(),
-                    },
-                    QueueOp::Dequeue => ReadCmd::GetHead {
-                        parent: self.parent.clone(),
-                    },
-                };
-                self.pending.insert(
-                    op,
-                    GwPending {
-                        upcall: q.upcall,
-                        start: ctx.now(),
-                        prelim_at: None,
-                    },
-                );
-                self.arm_client_timeout(ctx, op);
-                ctx.send(self.server, Msg::Read { op, cmd });
-                continue;
-            }
-            self.pending.insert(
+            Msg::Submit {
                 op,
-                GwPending {
-                    upcall: q.upcall,
-                    start: ctx.now(),
-                    prelim_at: None,
-                },
-            );
-            self.arm_client_timeout(ctx, op);
-            ctx.send(
-                self.server,
-                Msg::Submit {
-                    op,
-                    txn,
-                    prelim: q.weak,
-                },
-            );
-        }
+                txn,
+                prelim: q.weak,
+            }
+        };
+        ctx.send(self.server, msg);
+        Some(GwPending {
+            upcall: q.upcall,
+            start: ctx.now(),
+            prelim_at: None,
+        })
     }
-}
 
-impl Node<Msg> for Gateway {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+    fn on_reply(&mut self, ctx: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
         match msg {
             Msg::PrelimResp { op, result } => {
-                if let Some(p) = self.pending.get_mut(&op) {
+                if let Some(p) = pending.get_mut(op.seq) {
                     p.prelim_at = Some(ctx.now());
                     let up = p.upcall.clone();
                     up.deliver(QueueView::from_txn(&result), ConsistencyLevel::WEAK);
                 }
             }
             Msg::FinalResp { op, result } => {
-                if let Some(p) = self.pending.remove(&op) {
+                if let Some(p) = pending.remove(op.seq) {
                     self.timings.lock().push(QueueTiming {
                         prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
                         final_ms: ctx.now().since(p.start).as_millis_f64(),
@@ -207,7 +165,7 @@ impl Node<Msg> for Gateway {
                 }
             }
             Msg::ReadResp { op, result } => {
-                if let Some(p) = self.pending.remove(&op) {
+                if let Some(p) = pending.remove(op.seq) {
                     let view = match result {
                         ReadResult::Head { name, count } => QueueView {
                             name,
@@ -230,36 +188,28 @@ impl Node<Msg> for Gateway {
             }
             _ => {}
         }
-        self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            if let Some(p) = self.pending.remove(&op) {
-                p.upcall.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
+    fn expire(&mut self, p: GwPending) {
+        p.upcall.fail(Error::Timeout);
     }
 }
 
-struct QState {
-    cluster: ZkCluster,
-    gateway: NodeId,
-}
-
-/// A simulated replicated queue with a Correctables binding.
+/// A simulated replicated queue with a Correctables binding. Faults,
+/// client deadlines, `settle`/`advance` and the clock mirror come from
+/// the [`SimHost`] it dereferences to.
 #[derive(Clone)]
 pub struct SimQueue {
-    state: Arc<Mutex<QState>>,
-    queue: OpQueue,
+    host: SimHost<QueueClient>,
     timings: Timings,
+}
+
+impl Deref for SimQueue {
+    type Target = SimHost<QueueClient>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimQueue {
@@ -288,27 +238,15 @@ impl SimQueue {
             .position(|s| *s == connect_site)
             .expect("known connect site");
         let client_site_id = topo.site_named(client_site).expect("known client site");
-        let mut cluster = ZkCluster::build(topo, &sites, leader_idx, cfg, seed);
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let timings: Timings = Arc::new(Mutex::new(Vec::new()));
-        let server = cluster.servers[connect_idx];
-        let gateway = cluster.engine.add_node(
-            client_site_id,
-            Box::new(Gateway {
-                server,
-                parent: "/q".to_string(),
-                queue: Arc::clone(&queue),
-                timings: Arc::clone(&timings),
-                next_seq: 0,
-                pending: HashMap::new(),
-                client_timeout: None,
-                timer_ops: HashMap::new(),
-                next_timer: 0,
-            }),
-        );
+        let cluster = ZkCluster::build(topo, &sites, leader_idx, cfg, seed);
+        let timings = Timings::default();
+        let proto = QueueClient {
+            server: cluster.servers[connect_idx],
+            parent: "/q".to_string(),
+            timings: Arc::clone(&timings),
+        };
         SimQueue {
-            state: Arc::new(Mutex::new(QState { cluster, gateway })),
-            queue,
+            host: SimHost::new(cluster.engine, cluster.servers, client_site_id, proto),
             timings,
         }
     }
@@ -320,71 +258,12 @@ impl SimQueue {
 
     /// Pre-fills the queue on every server (converged state).
     pub fn prefill(&self, n: u64, data_len: u32) {
-        self.state.lock().cluster.prefill_queue("/q", n, data_len);
-    }
-
-    /// Installs a fault plan on the underlying simulation. Combine with
-    /// [`SimQueue::set_client_timeout`] so lost replies fail operations
-    /// instead of leaving them open forever.
-    pub fn set_faults(&self, faults: Faults) {
-        self.state.lock().cluster.engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline for every subsequently submitted
-    /// operation (fails with `Error::Timeout` when it passes without a
-    /// final response).
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.cluster.engine.node_as::<Gateway>(gw).client_timeout = Some(d);
+        self.with_engine(|e| ZkCluster::prefill_into(e, &self.server_ids(), "/q", n, data_len));
     }
 
     /// The server node ids, in FRK/IRL/VRG (site-list) order.
     pub fn server_ids(&self) -> Vec<NodeId> {
-        self.state.lock().cluster.servers.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<SiteId> {
-        let st = self.state.lock();
-        (0..st.cluster.engine.topology().len())
-            .map(SiteId)
-            .collect()
-    }
-
-    /// Runs the simulation for `d` without submitting anything (lets
-    /// replication and commit propagation progress).
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.cluster.engine.now() + d;
-        st.cluster.engine.run_until(until);
-    }
-
-    /// Drives the simulation until all submitted operations resolve —
-    /// including failing by client timeout when faults lost their
-    /// replies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations can never resolve (faults active without a
-    /// client timeout), instead of looping forever.
-    pub fn settle(&self) {
-        let mut st = self.state.lock();
-        for _ in 0..1_000 {
-            let gw = st.gateway;
-            st.cluster
-                .engine
-                .schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            st.cluster.engine.run_until_idle(50_000_000);
-            let pending_empty = st.cluster.engine.node_as::<Gateway>(gw).pending.is_empty();
-            if pending_empty && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!(
-            "queue operations cannot settle (lost replies without a client \
-             timeout? see SimQueue::set_client_timeout)"
-        );
+        self.replica_ids()
     }
 
     /// Timings of completed operations.
@@ -410,7 +289,7 @@ impl Binding for QueueBinding {
     fn submit(&self, op: QueueOp, levels: &[ConsistencyLevel], upcall: Upcall<QueueView>) {
         let weak = levels.contains(&ConsistencyLevel::WEAK);
         let strong = levels.contains(&ConsistencyLevel::STRONG);
-        self.q.queue.lock().push_back(Queued {
+        self.q.enqueue(Queued {
             op,
             upcall,
             weak,

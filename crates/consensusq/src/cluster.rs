@@ -49,12 +49,7 @@ impl ZkCluster {
             .collect();
         let leader = servers[leader_idx];
         for (i, id) in servers.iter().enumerate() {
-            let peers: Vec<NodeId> = servers
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| *p)
-                .collect();
+            let peers = NodeId::peers_of(&servers, i);
             engine.node_as::<Server>(*id).set_membership(leader, peers);
         }
         ZkCluster {
@@ -69,8 +64,20 @@ impl ZkCluster {
     /// transactions directly to every server's tree (a converged state,
     /// as if enqueued before the experiment).
     pub fn prefill_queue(&mut self, parent: &str, n: u64, data_len: u32) {
-        for s in self.servers.clone() {
-            let server = self.engine.node_as::<Server>(s);
+        Self::prefill_into(&mut self.engine, &self.servers, parent, n, data_len);
+    }
+
+    /// [`ZkCluster::prefill_queue`] for a deployment whose engine has
+    /// moved out of the `ZkCluster` (into a `SimHost`).
+    pub fn prefill_into(
+        engine: &mut Engine<Msg>,
+        servers: &[NodeId],
+        parent: &str,
+        n: u64,
+        data_len: u32,
+    ) {
+        for s in servers {
+            let server = engine.node_as::<Server>(*s);
             for _ in 0..n {
                 server.tree.apply(&Txn::CreateSeq {
                     parent: parent.to_string(),

@@ -20,12 +20,13 @@ use std::hash::Hash;
 /// A sequential specification: deterministic `apply` over a hashable
 /// state (hashability feeds the checker's memoization).
 pub trait SeqSpec {
-    /// Operation type.
-    type Op: Clone + Debug;
+    /// Operation type. `Send`, like the other two: operations and
+    /// returns travel in simulated messages and replicas keep replayed
+    /// states, and all of that is moved across threads.
+    type Op: Clone + Debug + Send;
     /// Return type; compared against observed returns.
-    type Ret: Clone + PartialEq + Debug;
-    /// State type. `Send` because replicas keep replayed states (the
-    /// spec store's checkpoints) and are themselves moved across threads.
+    type Ret: Clone + PartialEq + Debug + Send;
+    /// State type (the spec store's checkpoints).
     type State: Clone + Eq + Hash + Send;
 
     /// The initial state (preloaded / seeded data).

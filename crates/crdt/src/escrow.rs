@@ -22,13 +22,14 @@
 //! invariant over merged final states in every explorer run.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::ops::Deref;
 
-use parking_lot::Mutex;
-
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, Faults, Node, NodeId, SimDuration, SiteId, Timer, Topology, Wire};
+use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
+use simnet::{
+    Ctx, Engine, Node, NodeId, Reply, RetryTimer, RoundRobin, SimDuration, SimHost, SubmitWire,
+    Timer, Wire,
+};
 
 use crate::store::{OpId, Wants};
 
@@ -245,6 +246,41 @@ impl Wire for EscrowMsg {
     }
 }
 
+impl SubmitWire for EscrowMsg {
+    type Op = EscrowOp;
+    type Wants = Wants;
+    type Val = Sale;
+
+    fn submit(op: u64, client_op: EscrowOp, wants: Wants) -> Self {
+        EscrowMsg::Submit {
+            op: OpId(op),
+            client_op,
+            wants,
+        }
+    }
+
+    fn into_reply(self) -> Option<Reply<Sale>> {
+        match self {
+            EscrowMsg::Immediate { op, views, closing } => Some(Reply {
+                op: op.0,
+                views,
+                closing,
+            }),
+            EscrowMsg::Later {
+                op,
+                level,
+                val,
+                closing,
+            } => Some(Reply {
+                op: op.0,
+                views: vec![(level, val)],
+                closing,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// A transfer round in flight at the asker.
 struct Round {
     op: OpId,
@@ -278,8 +314,8 @@ pub struct EscrowReplica {
     next_nonce: u64,
     rounds: BTreeMap<u64, Round>,
     pending_strong: Vec<PendingStrong>,
-    retransmit_every: SimDuration,
-    timer_gen: u64,
+    /// Anti-entropy timer, re-armed on every message receipt.
+    retransmit: RetryTimer,
 }
 
 impl EscrowReplica {
@@ -296,8 +332,7 @@ impl EscrowReplica {
             next_nonce: 0,
             rounds: BTreeMap::new(),
             pending_strong: Vec::new(),
-            retransmit_every: SimDuration::from_millis(200),
-            timer_gen: 0,
+            retransmit: RetryTimer::new(SimDuration::from_millis(200)),
         }
     }
 
@@ -314,10 +349,7 @@ impl EscrowReplica {
 
     fn arm_timer(&mut self, ctx: &mut Ctx<'_, EscrowMsg>) {
         let lagging = (0..self.n).any(|j| j != self.id && !self.peer_state[j].covers(&self.state));
-        if lagging && self.n > 1 {
-            self.timer_gen += 1;
-            ctx.set_timer(self.retransmit_every, Timer(self.timer_gen));
-        }
+        self.retransmit.arm(ctx, lagging && self.n > 1);
     }
 
     fn sync_peers(&mut self, ctx: &mut Ctx<'_, EscrowMsg>, only_lagging: bool) {
@@ -587,7 +619,7 @@ impl Node<EscrowMsg> for EscrowReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, EscrowMsg>, timer: Timer) {
-        if timer.0 != self.timer_gen {
+        if !self.retransmit.is_live(timer) {
             return; // superseded generation
         }
         self.sync_peers(ctx, true);
@@ -600,125 +632,25 @@ impl Node<EscrowMsg> for EscrowReplica {
 }
 
 // ---------------------------------------------------------------------
-// Gateway + deployment
+// Deployment
 // ---------------------------------------------------------------------
 
-struct Queued {
-    op: EscrowOp,
-    wants: Wants,
-    upcall: Upcall<Sale>,
-}
-
-type OpQueue = Arc<Mutex<VecDeque<Queued>>>;
-
-const KICK: u64 = u64::MAX - 1;
-
-struct Gateway {
-    replicas: Vec<NodeId>,
-    rr: usize,
-    /// When set, all submissions originate at this replica (the one
-    /// colocated with the client site) instead of round-robining —
-    /// the measurement setup for weak-vs-strong latency.
-    local_origin: Option<usize>,
-    queue: OpQueue,
-    next_seq: u64,
-    pending: BTreeMap<OpId, Upcall<Sale>>,
-    client_timeout: Option<SimDuration>,
-    timer_ops: BTreeMap<u64, OpId>,
-    next_timer: u64,
-}
-
-impl Gateway {
-    fn drain(&mut self, ctx: &mut Ctx<'_, EscrowMsg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let op = OpId(self.next_seq);
-            self.next_seq += 1;
-            let idx = self.local_origin.unwrap_or_else(|| {
-                let i = self.rr % self.replicas.len();
-                self.rr += 1;
-                i
-            });
-            ctx.send(
-                self.replicas[idx],
-                EscrowMsg::Submit {
-                    op,
-                    client_op: q.op,
-                    wants: q.wants,
-                },
-            );
-            self.pending.insert(op, q.upcall);
-            if let Some(d) = self.client_timeout {
-                let token = self.next_timer;
-                self.next_timer += 1;
-                self.timer_ops.insert(token, op);
-                ctx.set_timer(d, Timer(token));
-            }
-        }
-    }
-}
-
-impl Node<EscrowMsg> for Gateway {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, EscrowMsg>, _from: NodeId, msg: EscrowMsg) {
-        match msg {
-            EscrowMsg::Immediate { op, views, closing } => {
-                if let Some(u) = self.pending.get(&op) {
-                    for (level, val) in views {
-                        u.deliver(val, level);
-                    }
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            EscrowMsg::Later {
-                op,
-                level,
-                val,
-                closing,
-            } => {
-                if let Some(u) = self.pending.get(&op) {
-                    u.deliver(val, level);
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            _ => debug_assert!(false, "protocol messages are addressed to replicas"),
-        }
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, EscrowMsg>, timer: Timer) {
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            if let Some(u) = self.pending.remove(&op) {
-                u.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct NState {
-    engine: Engine<EscrowMsg>,
-    gateway: NodeId,
-    replicas: Vec<NodeId>,
+/// A simulated escrow ticket store: three replicas plus a gateway.
+/// Faults, client deadlines, `settle`/`advance`/`step`, `now` and the
+/// clock mirror come from the [`SimHost`] it dereferences to.
+#[derive(Clone)]
+pub struct SimEscrow {
+    host: SimHost<RoundRobin<EscrowMsg>>,
+    /// Index of the replica colocated with the client site.
     client_replica: usize,
 }
 
-/// A simulated escrow ticket store: three replicas plus a gateway.
-#[derive(Clone)]
-pub struct SimEscrow {
-    state: Arc<Mutex<NState>>,
-    queue: OpQueue,
+impl Deref for SimEscrow {
+    type Target = SimHost<RoundRobin<EscrowMsg>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimEscrow {
@@ -731,51 +663,24 @@ impl SimEscrow {
     /// Panics if `client_site` is unknown or `allocs` is not one
     /// segment per site.
     pub fn ec2(allocs: Vec<u64>, client_site: &str, seed: u64, strong_only: bool) -> Self {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = ["FRK", "IRL", "VRG"];
-        assert_eq!(allocs.len(), sites.len(), "one segment per site");
-        let client_site_id = topo.site_named(client_site).expect("known client site");
-        let client_replica = sites.iter().position(|s| *s == client_site).unwrap_or(0);
-        let mut engine = Engine::new(topo, seed);
-        let replicas: Vec<NodeId> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = engine.topology().site_named(s).expect("site");
-                engine.add_node(
-                    site,
-                    Box::new(EscrowReplica::new(i, allocs.clone(), strong_only)),
-                )
-            })
-            .collect();
+        let (mut engine, replicas) = Engine::ec2(seed, |i| {
+            Box::new(EscrowReplica::new(i, allocs.clone(), strong_only))
+        });
+        assert_eq!(allocs.len(), replicas.len(), "one segment per site");
         for id in &replicas {
             engine
                 .node_as::<EscrowReplica>(*id)
                 .set_peers(replicas.clone());
         }
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let gateway = engine.add_node(
-            client_site_id,
-            Box::new(Gateway {
-                replicas: replicas.clone(),
-                rr: 0,
-                local_origin: None,
-                queue: Arc::clone(&queue),
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                client_timeout: None,
-                timer_ops: BTreeMap::new(),
-                next_timer: 0,
-            }),
-        );
+        // Replica `i` lives at `SiteId(i)`.
+        let client = engine
+            .topology()
+            .site_named(client_site)
+            .expect("known client site");
+        let proto = RoundRobin::new(replicas.clone());
         SimEscrow {
-            state: Arc::new(Mutex::new(NState {
-                engine,
-                gateway,
-                replicas,
-                client_replica,
-            })),
-            queue,
+            host: SimHost::new(engine, replicas, client, proto),
+            client_replica: client.0,
         }
     }
 
@@ -790,93 +695,12 @@ impl SimEscrow {
     /// site (instead of round-robin) — the latency-measurement setup:
     /// weak views then never cross a WAN link.
     pub fn set_local_origin(&self, on: bool) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        let idx = st.client_replica;
-        st.engine.node_as::<Gateway>(gw).local_origin = on.then_some(idx);
-    }
-
-    /// Installs a fault plan.
-    pub fn set_faults(&self, faults: Faults) {
-        self.state.lock().engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline per operation.
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.engine.node_as::<Gateway>(gw).client_timeout = Some(d);
-    }
-
-    /// The replica node ids (FRK/IRL/VRG order).
-    pub fn replica_ids(&self) -> Vec<NodeId> {
-        self.state.lock().replicas.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<SiteId> {
-        let st = self.state.lock();
-        (0..st.engine.topology().len()).map(SiteId).collect()
+        self.with_proto(|p| p.pinned = on.then_some(self.client_replica));
     }
 
     /// Every replica's current ledger (input to `check_escrow`).
     pub fn states(&self) -> Vec<EscrowState> {
-        let mut st = self.state.lock();
-        let ids = st.replicas.clone();
-        ids.into_iter()
-            .map(|id| st.engine.node_as::<EscrowReplica>(id).state())
-            .collect()
-    }
-
-    /// Current virtual time (for latency measurements).
-    pub fn now(&self) -> simnet::SimTime {
-        self.state.lock().engine.now()
-    }
-
-    /// Drives the simulation until every submitted operation resolves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations cannot resolve within a very large horizon.
-    pub fn settle(&self) {
-        let slice = SimDuration::from_millis(5);
-        for _ in 0..2_000_000 {
-            let mut st = self.state.lock();
-            let gw = st.gateway;
-            st.engine.schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            let limit = st.engine.now() + slice;
-            st.engine.run_until(limit);
-            let pending_empty = st.engine.node_as::<Gateway>(gw).pending.is_empty();
-            if pending_empty && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!(
-            "escrow operations cannot settle (lost replies without a \
-             client timeout? see SimEscrow::set_client_timeout)"
-        );
-    }
-
-    /// Runs the simulation for `d` without submitting anything.
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
-    }
-
-    /// Kicks the gateway once, then runs the simulation for `d`.
-    ///
-    /// Freshly submitted operations only enter the network when the
-    /// gateway drains its queue on a kick, which [`Self::settle`] does
-    /// internally; `step` exposes one such slice so callers can measure
-    /// how much virtual time passes before an individual operation
-    /// resolves, instead of settling all the way to quiescence.
-    pub fn step(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.engine.schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
+        self.each_replica(|r: &mut EscrowReplica| r.state())
     }
 }
 
@@ -901,9 +725,6 @@ impl Binding for EscrowBinding {
             weak: levels.contains(&ConsistencyLevel::WEAK),
             strong: levels.contains(&ConsistencyLevel::STRONG),
         };
-        self.store
-            .queue
-            .lock()
-            .push_back(Queued { op, wants, upcall });
+        self.store.enqueue((op, wants, upcall));
     }
 }

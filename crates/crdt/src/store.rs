@@ -8,9 +8,8 @@
 //!
 //! - **op-shipping** ([`Repl::Op`], CmRDT): the origin prepares an
 //!   effect, applies it locally, and broadcasts it; receivers buffer and
-//!   causally deliver (CBCAST, reusing `causalstore`'s [`VectorClock`]
-//!   rule), gated additionally on the CRDT's own [`Crdt::ready`]
-//!   precondition. Anti-entropy retransmits a replica's own effects to
+//!   causally deliver (CBCAST, `causalstore`'s [`CausalInbox`]), gated
+//!   additionally on the CRDT's own [`Crdt::ready`] precondition. Anti-entropy retransmits a replica's own effects to
 //!   any peer whose acknowledged delivery vector has gaps.
 //! - **state-shipping** ([`Repl::State`], CvRDT): the origin applies
 //!   locally and broadcasts its full state; receivers [`Crdt::merge`].
@@ -29,14 +28,15 @@
 //! checker must reject.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::ops::Deref;
 
-use parking_lot::Mutex;
-
-use causalstore::VectorClock;
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, Faults, Node, NodeId, SimDuration, SiteId, Timer, Topology, Wire};
+use causalstore::{CausalInbox, Offer, VectorClock};
+use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
+use simnet::{
+    Ctx, Engine, Node, NodeId, Reply, RetryTimer, RoundRobin, SimDuration, SimHost, SubmitWire,
+    Timer, Wire,
+};
 
 use crate::object::{CrdtEffect, CrdtOp, CrdtState, CrdtVal};
 use crate::types::Crdt;
@@ -168,6 +168,41 @@ impl Wire for CrdtMsg {
     }
 }
 
+impl SubmitWire for CrdtMsg {
+    type Op = CrdtOp;
+    type Wants = Wants;
+    type Val = CrdtVal;
+
+    fn submit(op: u64, client_op: CrdtOp, wants: Wants) -> Self {
+        CrdtMsg::Submit {
+            op: OpId(op),
+            client_op,
+            wants,
+        }
+    }
+
+    fn into_reply(self) -> Option<Reply<CrdtVal>> {
+        match self {
+            CrdtMsg::Immediate { op, views, closing } => Some(Reply {
+                op: op.0,
+                views,
+                closing,
+            }),
+            CrdtMsg::Later {
+                op,
+                level,
+                val,
+                closing,
+            } => Some(Reply {
+                op: op.0,
+                views: vec![(level, val)],
+                closing,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// Strong-close bookkeeping for one locally accepted update.
 struct OwnOp {
     /// The client to answer once quiescent (`None` after serving).
@@ -186,16 +221,15 @@ pub struct CrdtReplica {
     mode: Repl,
     /// The composite CRDT state.
     state: CrdtState,
-    /// Incorporated-updates vector: `seen.0[i]` = how many of replica
-    /// `i`'s updates are reflected in `state`. In op mode this is the
-    /// CBCAST delivery vector; in state mode it rides the merges.
-    seen: VectorClock,
+    /// The incorporated-updates vector (`delivered().0[i]` = how many
+    /// of replica `i`'s updates are reflected in `state`) and, in op
+    /// mode, the effects received but not yet deliverable. In state
+    /// mode nothing is ever buffered and the vector rides the merges.
+    inbox: CausalInbox<SecEntry>,
     /// Lamport clock.
     lamport: u64,
     /// Own submission count.
     next_seq: u64,
-    /// Op mode: effects received but not yet deliverable.
-    buffer: Vec<SecEntry>,
     /// Applied updates, in local application order — the SEC log.
     log: Vec<SecEntry>,
     /// Strong-close state per own seq.
@@ -205,11 +239,8 @@ pub struct CrdtReplica {
     reads: Vec<(u64, OpId, NodeId, CrdtOp)>,
     /// Last acknowledged `seen` vector of each peer.
     peer_seen: Vec<VectorClock>,
-    /// Anti-entropy period.
-    retransmit_every: SimDuration,
-    /// Generation token of the live retransmit timer (stale fires are
-    /// ignored; every message receipt arms a fresh generation).
-    timer_gen: u64,
+    /// Anti-entropy timer, re-armed on every message receipt.
+    retransmit: RetryTimer,
 }
 
 impl CrdtReplica {
@@ -225,16 +256,14 @@ impl CrdtReplica {
             } else {
                 CrdtState::new()
             },
-            seen: VectorClock::zero(n),
+            inbox: CausalInbox::new(n),
             lamport: 0,
             next_seq: 0,
-            buffer: Vec::new(),
             log: Vec::new(),
             own: BTreeMap::new(),
             reads: Vec::new(),
             peer_seen: vec![VectorClock::zero(n); n],
-            retransmit_every: SimDuration::from_millis(200),
-            timer_gen: 0,
+            retransmit: RetryTimer::new(SimDuration::from_millis(200)),
         }
     }
 
@@ -264,13 +293,28 @@ impl CrdtReplica {
         (0..self.n).all(|j| j == self.id || self.covered(j, self.next_seq))
     }
 
-    /// Arms a fresh retransmit-timer generation while some peer lags.
-    /// Safe to call on every message: the newest generation supersedes
-    /// all pending ones.
+    /// Keeps the retransmit timer running while some peer lags.
     fn arm_timer(&mut self, ctx: &mut Ctx<'_, CrdtMsg>) {
-        if !self.all_covered() && self.n > 1 {
-            self.timer_gen += 1;
-            ctx.set_timer(self.retransmit_every, Timer(self.timer_gen));
+        let lagging = !self.all_covered() && self.n > 1;
+        self.retransmit.arm(ctx, lagging);
+    }
+
+    fn seen(&self) -> &VectorClock {
+        self.inbox.delivered()
+    }
+
+    /// Tells `peer` (or everyone else) what is incorporated here.
+    fn ack(&self, ctx: &mut Ctx<'_, CrdtMsg>, only: Option<usize>) {
+        for (i, peer) in self.peers.iter().enumerate() {
+            if i != self.id && only.is_none_or(|o| o == i) {
+                ctx.send(
+                    *peer,
+                    CrdtMsg::Ack {
+                        from: self.id,
+                        seen: self.seen().clone(),
+                    },
+                );
+            }
         }
     }
 
@@ -284,7 +328,7 @@ impl CrdtReplica {
                 CrdtMsg::SyncState {
                     from: self.id,
                     state: self.state.clone(),
-                    seen: self.seen.clone(),
+                    seen: self.seen().clone(),
                 },
             );
         }
@@ -331,12 +375,12 @@ impl CrdtReplica {
         };
         let effect = self.state.prepare(&client_op, ctx_eff);
         self.state.effect(&effect);
-        self.seen.bump(self.id);
+        self.inbox.bump(self.id);
         let entry = SecEntry {
             origin: self.id,
             seq: self.next_seq,
             ts: self.lamport,
-            vc: self.seen.clone(),
+            vc: self.seen().clone(),
             effect,
         };
         self.log.push(entry.clone());
@@ -380,29 +424,14 @@ impl CrdtReplica {
     /// dependencies and CRDT precondition are satisfied, then acks the
     /// new incorporated frontier to all peers.
     fn deliver_buffered(&mut self, ctx: &mut Ctx<'_, CrdtMsg>) {
-        let before = self.seen.clone();
-        while let Some(pos) = self
-            .buffer
-            .iter()
-            .position(|e| self.seen.deliverable(&e.vc, e.origin) && self.state.ready(&e.effect))
-        {
-            let e = self.buffer.swap_remove(pos);
-            self.seen.bump(e.origin);
+        let mut delivered = false;
+        while let Some((_, _, e)) = self.inbox.pop_ready(|e| self.state.ready(&e.effect)) {
             self.state.effect(&e.effect);
             self.log.push(e);
+            delivered = true;
         }
-        if self.seen != before {
-            for (i, peer) in self.peers.clone().into_iter().enumerate() {
-                if i != self.id {
-                    ctx.send(
-                        peer,
-                        CrdtMsg::Ack {
-                            from: self.id,
-                            seen: self.seen.clone(),
-                        },
-                    );
-                }
-            }
+        if delivered {
+            self.ack(ctx, None);
         }
     }
 
@@ -475,23 +504,14 @@ impl Node<CrdtMsg> for CrdtReplica {
             } => self.accept(ctx, from, op, client_op, wants),
             CrdtMsg::Effect { entry } => {
                 debug_assert_eq!(self.mode, Repl::Op, "effects only ship in op mode");
-                if entry.seq <= self.seen.0[entry.origin] {
-                    // Retransmission of something already incorporated:
-                    // the origin must have lost our ack — re-ack.
-                    ctx.send(
-                        self.peers[entry.origin],
-                        CrdtMsg::Ack {
-                            from: self.id,
-                            seen: self.seen.clone(),
-                        },
-                    );
-                    return;
+                let (origin, ts) = (entry.origin, entry.ts);
+                match self.inbox.offer(origin, entry.vc.clone(), entry) {
+                    // The origin must have lost our ack — re-ack.
+                    Offer::AlreadyDelivered => return self.ack(ctx, Some(origin)),
+                    Offer::Duplicate => return,
+                    Offer::Buffered => {}
                 }
-                if self.buffer.iter().any(|e| e.id() == entry.id()) {
-                    return; // buffered duplicate
-                }
-                self.lamport = self.lamport.max(entry.ts) + 1;
-                self.buffer.push(entry);
+                self.lamport = self.lamport.max(ts) + 1;
                 self.deliver_buffered(ctx);
                 self.settle_pending(ctx);
                 self.arm_timer(ctx);
@@ -503,17 +523,11 @@ impl Node<CrdtMsg> for CrdtReplica {
             } => {
                 debug_assert_eq!(self.mode, Repl::State, "states only ship in state mode");
                 self.state.merge(&state);
-                self.seen.merge(&seen);
+                self.inbox.merge_delivered(&seen);
                 // The sender has what it sent; what we just merged is
                 // also a lower bound on what an ack from us will report.
                 self.peer_seen[i].merge(&seen);
-                ctx.send(
-                    self.peers[i],
-                    CrdtMsg::Ack {
-                        from: self.id,
-                        seen: self.seen.clone(),
-                    },
-                );
+                self.ack(ctx, Some(i));
                 self.settle_pending(ctx);
                 self.arm_timer(ctx);
             }
@@ -529,7 +543,7 @@ impl Node<CrdtMsg> for CrdtReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, CrdtMsg>, timer: Timer) {
-        if timer.0 != self.timer_gen {
+        if !self.retransmit.is_live(timer) {
             return; // superseded generation
         }
         match self.mode {
@@ -565,122 +579,24 @@ impl Node<CrdtMsg> for CrdtReplica {
 }
 
 // ---------------------------------------------------------------------
-// Gateway + deployment
+// Deployment
 // ---------------------------------------------------------------------
 
-struct Queued {
-    op: CrdtOp,
-    wants: Wants,
-    upcall: Upcall<CrdtVal>,
-}
-
-type OpQueue = Arc<Mutex<VecDeque<Queued>>>;
-
-const KICK: u64 = u64::MAX - 1;
-
-struct Gateway {
-    replicas: Vec<NodeId>,
-    /// Round-robin cursor — each submission originates at the next
-    /// replica, modeling independent client processes.
-    rr: usize,
-    queue: OpQueue,
-    next_seq: u64,
-    pending: BTreeMap<OpId, Upcall<CrdtVal>>,
-    client_timeout: Option<SimDuration>,
-    timer_ops: BTreeMap<u64, OpId>,
-    next_timer: u64,
-}
-
-impl Gateway {
-    fn drain(&mut self, ctx: &mut Ctx<'_, CrdtMsg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let op = OpId(self.next_seq);
-            self.next_seq += 1;
-            let target = self.replicas[self.rr % self.replicas.len()];
-            self.rr += 1;
-            ctx.send(
-                target,
-                CrdtMsg::Submit {
-                    op,
-                    client_op: q.op,
-                    wants: q.wants,
-                },
-            );
-            self.pending.insert(op, q.upcall);
-            if let Some(d) = self.client_timeout {
-                let token = self.next_timer;
-                self.next_timer += 1;
-                self.timer_ops.insert(token, op);
-                ctx.set_timer(d, Timer(token));
-            }
-        }
-    }
-}
-
-impl Node<CrdtMsg> for Gateway {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, CrdtMsg>, _from: NodeId, msg: CrdtMsg) {
-        match msg {
-            CrdtMsg::Immediate { op, views, closing } => {
-                if let Some(u) = self.pending.get(&op) {
-                    for (level, val) in views {
-                        u.deliver(val, level);
-                    }
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            CrdtMsg::Later {
-                op,
-                level,
-                val,
-                closing,
-            } => {
-                if let Some(u) = self.pending.get(&op) {
-                    u.deliver(val, level);
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            _ => debug_assert!(false, "protocol messages are addressed to replicas"),
-        }
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, CrdtMsg>, timer: Timer) {
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            // A reply was lost to faults: fail the close. Views already
-            // delivered stand (the paper's exceptional close).
-            if let Some(u) = self.pending.remove(&op) {
-                u.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct NState {
-    engine: Engine<CrdtMsg>,
-    gateway: NodeId,
-    replicas: Vec<NodeId>,
-}
-
 /// A simulated CRDT store: three replicas plus a client gateway.
+/// Faults, client deadlines, `settle`/`advance` and the clock mirror
+/// come from the [`SimHost`] it dereferences to.
 #[derive(Clone)]
 pub struct SimCrdtStore {
-    state: Arc<Mutex<NState>>,
-    queue: OpQueue,
+    host: SimHost<RoundRobin<CrdtMsg>>,
     broken: bool,
+}
+
+impl Deref for SimCrdtStore {
+    type Target = SimHost<RoundRobin<CrdtMsg>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimCrdtStore {
@@ -709,45 +625,20 @@ impl SimCrdtStore {
     }
 
     fn build(client_site: &str, seed: u64, mode: Repl, broken: bool) -> Self {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = ["FRK", "IRL", "VRG"];
-        let client_site_id = topo.site_named(client_site).expect("known client site");
-        let mut engine = Engine::new(topo, seed);
-        let n = sites.len();
-        let replicas: Vec<NodeId> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = engine.topology().site_named(s).expect("site");
-                engine.add_node(site, Box::new(CrdtReplica::new(i, n, mode, broken)))
-            })
-            .collect();
+        let (mut engine, replicas) =
+            Engine::ec2(seed, |i| Box::new(CrdtReplica::new(i, 3, mode, broken)));
         for id in &replicas {
             engine
                 .node_as::<CrdtReplica>(*id)
                 .set_peers(replicas.clone());
         }
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let gateway = engine.add_node(
-            client_site_id,
-            Box::new(Gateway {
-                replicas: replicas.clone(),
-                rr: 0,
-                queue: Arc::clone(&queue),
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                client_timeout: None,
-                timer_ops: BTreeMap::new(),
-                next_timer: 0,
-            }),
-        );
+        let client = engine
+            .topology()
+            .site_named(client_site)
+            .expect("known client site");
+        let proto = RoundRobin::new(replicas.clone());
         SimCrdtStore {
-            state: Arc::new(Mutex::new(NState {
-                engine,
-                gateway,
-                replicas,
-            })),
-            queue,
+            host: SimHost::new(engine, replicas, client, proto),
             broken,
         }
     }
@@ -768,85 +659,16 @@ impl SimCrdtStore {
         }
     }
 
-    /// Installs a fault plan.
-    pub fn set_faults(&self, faults: Faults) {
-        self.state.lock().engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline per operation (fails the close with
-    /// `Error::Timeout`; already delivered views stand).
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.engine.node_as::<Gateway>(gw).client_timeout = Some(d);
-    }
-
-    /// The replica node ids (FRK/IRL/VRG order).
-    pub fn replica_ids(&self) -> Vec<NodeId> {
-        self.state.lock().replicas.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<SiteId> {
-        let st = self.state.lock();
-        (0..st.engine.topology().len()).map(SiteId).collect()
-    }
-
     /// Every replica's SEC log, in its local application order — the
     /// input to the oracle's SEC checker (op mode; state mode logs only
     /// contain each replica's own updates).
     pub fn sec_logs(&self) -> Vec<Vec<SecEntry>> {
-        let mut st = self.state.lock();
-        let ids = st.replicas.clone();
-        ids.into_iter()
-            .map(|id| st.engine.node_as::<CrdtReplica>(id).sec_log())
-            .collect()
+        self.each_replica(|r: &mut CrdtReplica| r.sec_log())
     }
 
     /// Every replica's current composite state.
     pub fn states(&self) -> Vec<CrdtState> {
-        let mut st = self.state.lock();
-        let ids = st.replicas.clone();
-        ids.into_iter()
-            .map(|id| st.engine.node_as::<CrdtReplica>(id).state())
-            .collect()
-    }
-
-    /// Drives the simulation until every submitted operation resolves.
-    ///
-    /// Runs in bounded virtual-time slices: the replicas' anti-entropy
-    /// timers keep the event queue busy while gossip is lost, so "no
-    /// events left" is not a usable stop condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations cannot resolve within a very large horizon
-    /// (faults active without a client timeout, or a protocol bug).
-    pub fn settle(&self) {
-        let slice = SimDuration::from_millis(5);
-        for _ in 0..2_000_000 {
-            let mut st = self.state.lock();
-            let gw = st.gateway;
-            st.engine.schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            let limit = st.engine.now() + slice;
-            st.engine.run_until(limit);
-            let pending_empty = st.engine.node_as::<Gateway>(gw).pending.is_empty();
-            if pending_empty && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!(
-            "crdt-store operations cannot settle (lost replies without a \
-             client timeout? see SimCrdtStore::set_client_timeout)"
-        );
-    }
-
-    /// Runs the simulation for `d` without submitting anything (lets
-    /// anti-entropy progress).
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
+        self.each_replica(|r: &mut CrdtReplica| r.state())
     }
 }
 
@@ -871,9 +693,6 @@ impl Binding for CrdtBinding {
             weak: levels.contains(&ConsistencyLevel::WEAK),
             strong: levels.contains(&ConsistencyLevel::STRONG),
         };
-        self.store
-            .queue
-            .lock()
-            .push_back(Queued { op, wants, upcall });
+        self.store.enqueue((op, wants, upcall));
     }
 }

@@ -23,7 +23,7 @@ use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::storage::LocalStore;
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
-use specstore::{OrderKey, ReplayLog, Update, UpdateId, VectorClock};
+use specstore::{CausalInbox, Offer, OrderKey, ReplayLog, Update, UpdateId, VectorClock};
 
 use crate::pump::{Deadlines, IdMap};
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
@@ -553,13 +553,12 @@ pub(crate) struct SpecCore {
     lamport: u64,
     /// Own submissions so far (1-based seq of the next own update).
     next_seq: u64,
-    /// Deliveries per origin; own entry counts own submissions.
-    vc: Vec<u64>,
+    /// Deliveries per origin (own entry counts own submissions), and
+    /// the updates received but not yet causally deliverable.
+    inbox: CausalInbox<SpecUpdate>,
     /// Causally delivered updates, sorted by `(ts, origin, seq)`, and
     /// the views replayed from them.
     log: ReplayLog<RegCtrSpec>,
-    /// Received but not yet causally deliverable.
-    buffer: Vec<SpecUpdate>,
     /// Own updates awaiting views or acks, by own seq.
     pending: HashMap<u64, SpecPending>,
 }
@@ -571,12 +570,11 @@ impl SpecCore {
             n,
             lamport: 0,
             next_seq: 0,
-            vc: vec![0; n],
+            inbox: CausalInbox::new(n),
             log: ReplayLog::new(RegCtrSpec {
                 reg: RegisterSpec::default(),
                 ctr: CounterSpec,
             }),
-            buffer: Vec::new(),
             pending: HashMap::new(),
         }
     }
@@ -688,8 +686,8 @@ impl SpecCore {
         self.lamport += 1;
         self.next_seq += 1;
         let seq = self.next_seq;
-        if let Some(slot) = self.vc.get_mut(self.id as usize) {
-            *slot = seq;
+        if (self.id as usize) < self.n {
+            self.inbox.bump(self.id as usize);
         }
         let u = SpecUpdate {
             id: UpdateId {
@@ -697,7 +695,7 @@ impl SpecCore {
                 seq,
             },
             ts: self.lamport,
-            vc: VectorClock(self.vc.clone()),
+            vc: self.inbox.delivered().clone(),
             op,
         };
         let key = u.key();
@@ -739,23 +737,35 @@ impl SpecCore {
     /// One gossiped update from a peer: re-ack retransmissions of
     /// already-delivered updates, buffer the rest, deliver causally.
     fn on_gossip(&mut self, net: &mut impl Egress, u: SpecUpdate) {
-        let origin = u.id.origin;
-        if origin >= self.n || origin == self.id as usize || u.vc.len() != self.n {
+        let UpdateId { origin, seq } = u.id;
+        // The wire boundary: the inbox indexes stamps by origin, so only
+        // well-formed stamps (one entry per replica, the origin's entry
+        // being the update's own seq) from a real peer get that far.
+        if origin >= self.n
+            || origin == self.id as usize
+            || u.vc.len() != self.n
+            || u.vc.0.get(origin) != Some(&seq)
+        {
             return;
         }
-        let delivered = self.vc.get(origin).copied().unwrap_or(0);
-        if u.id.seq <= delivered {
-            // A retransmission of something we already delivered — the
-            // origin is missing our ack; repeat the cumulative one.
-            self.ack(net, origin as u32, delivered);
-            return;
+        let ts = u.ts;
+        match self.inbox.offer(origin, u.vc.clone(), u) {
+            Offer::AlreadyDelivered => {
+                // A retransmission of something we already delivered — the
+                // origin is missing our ack; repeat the cumulative one.
+                self.ack(net, origin as u32, self.delivered(origin));
+            }
+            Offer::Duplicate => {}
+            Offer::Buffered => {
+                self.lamport = self.lamport.max(ts);
+                self.deliver_causal(net);
+            }
         }
-        if self.buffer.iter().any(|b| b.id == u.id) {
-            return;
-        }
-        self.lamport = self.lamport.max(u.ts);
-        self.buffer.push(u);
-        self.deliver_causal(net);
+    }
+
+    /// How many of `origin`'s updates have been delivered here.
+    fn delivered(&self, origin: usize) -> u64 {
+        self.inbox.delivered().0.get(origin).copied().unwrap_or(0)
     }
 
     /// Broadcasts a *cumulative* delivery ack: "I have delivered every
@@ -772,27 +782,11 @@ impl SpecCore {
         });
     }
 
-    /// CBCAST delivery: an update is deliverable once its causal past
-    /// is — its origin entry is exactly our next expected, every other
-    /// entry is no newer than what we delivered.
+    /// CBCAST delivery: logs and acks every buffered update whose causal
+    /// past has been delivered.
     fn deliver_causal(&mut self, net: &mut impl Egress) {
-        loop {
-            let next = self.buffer.iter().position(|u| {
-                u.vc.0.iter().enumerate().all(|(j, &c)| {
-                    let have = self.vc.get(j).copied().unwrap_or(0);
-                    if j == u.id.origin {
-                        c == have + 1
-                    } else {
-                        c <= have
-                    }
-                })
-            });
-            let Some(at) = next else { break };
-            let u = self.buffer.swap_remove(at);
-            let UpdateId { origin, seq } = u.id;
-            if let Some(slot) = self.vc.get_mut(origin) {
-                *slot = seq;
-            }
+        while let Some((origin, _, u)) = self.inbox.pop_ready(|_| true) {
+            let seq = u.id.seq;
             self.log.insert(u);
             self.ack(net, origin as u32, seq);
         }
@@ -840,7 +834,7 @@ impl SpecCore {
                 && p.acker_seq
                     .iter()
                     .enumerate()
-                    .all(|(i, &s)| self.vc.get(i).copied().unwrap_or(0) >= s);
+                    .all(|(i, &s)| self.delivered(i) >= s);
             let key = p.key;
             let wants = p.wants;
 
@@ -896,7 +890,7 @@ impl SpecCore {
                 net.to_peers(&gossip_of(u));
             }
         }
-        for (j, &delivered) in self.vc.clone().iter().enumerate() {
+        for (j, &delivered) in self.inbox.delivered().0.iter().enumerate() {
             if j != self.id as usize && delivered > 0 {
                 self.ack(net, j as u32, delivered);
             }

@@ -19,15 +19,16 @@
 use std::fmt;
 
 use correctables::record::{History, HistoryEvent, Invocation, RecordingBinding};
+use correctables::spec::SeqSpec;
 use correctables::{Client, ConsistencyLevel, KeyedOp};
-use simnet::{DetRng, Faults, NodeId, SchedulePlan, SimDuration, SiteId};
+use simnet::{DetRng, Faults, GatewayProto, NodeId, SchedulePlan, SimDuration, SimHost, SiteId};
 
 use causalstore::{CacheOp, Item, SimCausal};
 use consensusq::{seq_of, QueueOp, QueueView, ServerConfig, SimQueue};
 use icg_crdt::{CrdtOp, CrdtVal, EscrowOp, Sale, SimCrdtStore, SimEscrow};
 use icg_shard::{KvOp, ShardedBinding};
 use quorumstore::{Key, QuorumBinding, ReplicaConfig, SimStore, StoreOp, Value, Versioned};
-use specstore::SimSpecStore;
+use specstore::{SimSpecStore, SpecBinding};
 
 use crate::buggy::LaggyMem;
 use crate::checkers::{
@@ -338,6 +339,113 @@ fn structural_violations<Op: fmt::Debug, T: PartialEq + fmt::Debug>(
 }
 
 // ---------------------------------------------------------------------
+// The skeleton every stack shares
+// ---------------------------------------------------------------------
+
+/// The faulty phase of a simulated stack: checks the fault targets, arms
+/// the client deadline and the schedule, issues `ops` workload
+/// operations in bursts of up to `max_batch` (settling, then idling up
+/// to 120 ms, after each burst), heals, and lets every in-flight effect
+/// and timeout drain. What follows — the quiescent tail — differs per
+/// stack; `issue` submits one workload operation.
+fn faulty_phase<P: GatewayProto>(
+    host: &SimHost<P>,
+    seed: u64,
+    schedule: &Faults,
+    cfg: &ExplorerConfig,
+    ops: usize,
+    max_batch: u64,
+    mut issue: impl FnMut(&mut DetRng),
+) {
+    assert_fault_targets(host.site_ids(), host.replica_ids());
+    host.set_client_timeout(ms(cfg.client_timeout_ms));
+    host.set_faults(schedule.clone());
+    let mut wl = workload_rng(seed);
+    let mut issued = 0usize;
+    while issued < ops {
+        let batch = 1 + wl.below(max_batch);
+        for _ in 0..batch {
+            issue(&mut wl);
+            issued += 1;
+        }
+        host.settle();
+        host.advance(ms(wl.range(1, 120)));
+    }
+    host.set_faults(Faults::none());
+    host.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
+}
+
+/// The end of every run: the structural checks over the recorded
+/// history plus the stack's own `semantic` check, which returns how many
+/// entries it inspected and what it found.
+fn report<Op, T>(
+    history: &History<Op, T>,
+    tail_mark: u64,
+    semantic: impl FnOnce(&[Invocation<Op, T>]) -> (usize, Vec<String>),
+) -> (RunSummary, Vec<String>)
+where
+    Op: Clone + fmt::Debug,
+    T: Clone + PartialEq + fmt::Debug,
+{
+    let invs = history.snapshot();
+    let mut violations = structural_violations(&invs, tail_mark);
+    let (checked, found) = semantic(&invs);
+    violations.extend(found);
+    (
+        RunSummary {
+            invocations: invs.len(),
+            crashed: crashed_count(&invs),
+            lin_entries: checked,
+        },
+        violations,
+    )
+}
+
+/// The strong order of a history, in the spec's own vocabulary: strong
+/// closes are done entries; a crashed (timed-out) operation that
+/// `mutates` may still have landed and stays as maybe-applied; crashed
+/// reads and weaker closes don't partake.
+fn lin_entries<Op, T, SOp, SRet>(
+    invs: &[Invocation<Op, T>],
+    spec_op: impl Fn(&Op) -> SOp,
+    spec_ret: impl Fn(&T) -> SRet,
+    mutates: impl Fn(&Op) -> bool,
+) -> Vec<LinEntry<SOp, SRet>> {
+    let mut out = Vec::new();
+    for inv in invs {
+        match inv.closing_event() {
+            Some(HistoryEvent::View { level, value, .. })
+                if level.at_least(ConsistencyLevel::STRONG) =>
+            {
+                out.push(LinEntry::done(
+                    inv.id,
+                    spec_op(&inv.op),
+                    spec_ret(value),
+                    inv.submitted,
+                    inv.closed_at(),
+                ));
+            }
+            Some(HistoryEvent::Failed { .. }) if mutates(&inv.op) => {
+                out.push(LinEntry::crashed(inv.id, spec_op(&inv.op), inv.submitted));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+fn lin_check<S: SeqSpec>(spec: &S, entries: Vec<LinEntry<S::Op, S::Ret>>) -> (usize, Vec<String>) {
+    let found = check_linearizable(spec, &entries).err();
+    (
+        entries.len(),
+        found
+            .map(|v| format!("linearizability: {v}"))
+            .into_iter()
+            .collect(),
+    )
+}
+
+// ---------------------------------------------------------------------
 // Quorum store
 // ---------------------------------------------------------------------
 
@@ -348,39 +456,30 @@ fn opaque(v: &Value) -> u64 {
     }
 }
 
+/// A timed-out write may still have landed; a timed-out read has no
+/// effect and drops out entirely.
 fn store_lin_entries(invs: &[Invocation<StoreOp, Versioned>]) -> Vec<LinEntry<RegOp, u64>> {
-    let strong = ConsistencyLevel::STRONG;
-    let mut out = Vec::new();
-    for inv in invs {
-        let op = match &inv.op {
+    lin_entries(
+        invs,
+        |op| match op {
             StoreOp::Read(k) => RegOp::Read(k.id),
             StoreOp::Write(k, v) => RegOp::Write(k.id, opaque(v)),
-        };
-        match inv.closing_event() {
-            Some(HistoryEvent::View { level, value, .. }) if level.at_least(strong) => {
-                out.push(LinEntry::done(
-                    inv.id,
-                    op,
-                    opaque(&value.value),
-                    inv.submitted,
-                    inv.closed_at(),
-                ));
-            }
-            Some(HistoryEvent::Failed { .. }) => {
-                // A timed-out write may still have landed; a timed-out
-                // read has no effect and drops out entirely.
-                if matches!(inv.op, StoreOp::Write(..)) {
-                    out.push(LinEntry::crashed(inv.id, op, inv.submitted));
-                }
-            }
-            _ => {} // weak-only closes don't partake in the strong order
-        }
-    }
-    out
+        },
+        |v| opaque(&v.value),
+        |op| matches!(op, StoreOp::Write(..)),
+    )
 }
 
 fn store_init_value(key: u64) -> u32 {
     100 + key as u32
+}
+
+fn store_spec(keys: u64) -> RegisterSpec {
+    RegisterSpec {
+        initial: (0..keys)
+            .map(|k| (k, u64::from(store_init_value(k))))
+            .collect(),
+    }
 }
 
 fn run_store(
@@ -394,51 +493,36 @@ fn run_store(
         ..ReplicaConfig::default()
     };
     let store = SimStore::ec2(rc, 2, confirm, "IRL", 0, seed);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
     store.preload((0..cfg.keys).map(|k| (Key::plain(k), Value::Opaque(store_init_value(k)))));
-    store.set_client_timeout(ms(cfg.client_timeout_ms));
-    store.set_faults(schedule.clone());
-
     let history: History<StoreOp, Versioned> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
     let mut next_val: u32 = 10_000;
-    let mut issued = 0usize;
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch);
-        for _ in 0..batch {
-            let k = Key::plain(wl.below(cfg.keys));
-            match wl.below(10) {
-                0..=3 => {
-                    let v = Value::Opaque(next_val);
-                    next_val += 1;
-                    if wl.chance(0.5) {
-                        client.invoke_strong(StoreOp::Write(k, v));
-                    } else {
-                        client.invoke(StoreOp::Write(k, v));
-                    }
-                }
-                4..=7 => {
-                    client.invoke(StoreOp::Read(k));
-                }
-                8 => {
-                    client.invoke_strong(StoreOp::Read(k));
-                }
-                _ => {
-                    client.invoke_weak(StoreOp::Read(k));
+    faulty_phase(&store, seed, schedule, cfg, cfg.ops, cfg.max_batch, |wl| {
+        let k = Key::plain(wl.below(cfg.keys));
+        match wl.below(10) {
+            0..=3 => {
+                let v = Value::Opaque(next_val);
+                next_val += 1;
+                if wl.chance(0.5) {
+                    client.invoke_strong(StoreOp::Write(k, v));
+                } else {
+                    client.invoke(StoreOp::Write(k, v));
                 }
             }
-            issued += 1;
+            4..=7 => {
+                client.invoke(StoreOp::Read(k));
+            }
+            8 => {
+                client.invoke_strong(StoreOp::Read(k));
+            }
+            _ => {
+                client.invoke_weak(StoreOp::Read(k));
+            }
         }
-        store.settle();
-        store.advance(ms(wl.range(1, 120)));
-    }
+    });
 
-    // Heal, drain every in-flight effect and timeout, then take the
-    // quiescent tail: a strong refresh round, then the checked reads.
-    store.set_faults(Faults::none());
-    store.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
+    // The quiescent tail: a strong refresh round, then the checked reads.
     for k in 0..cfg.keys {
         client.invoke_strong(StoreOp::Read(Key::plain(k)));
     }
@@ -450,100 +534,38 @@ fn run_store(
     }
     store.settle();
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let spec = RegisterSpec {
-        initial: (0..cfg.keys)
-            .map(|k| (k, u64::from(store_init_value(k))))
-            .collect(),
-    };
-    let entries = store_lin_entries(&invs);
-    if let Err(v) = check_linearizable(&spec, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
-        },
-        violations,
-    )
+    report(&history, tail_mark, |invs| {
+        lin_check(&store_spec(cfg.keys), store_lin_entries(invs))
+    })
 }
 
 // ---------------------------------------------------------------------
 // Replicated queue
 // ---------------------------------------------------------------------
 
-fn queue_lin_entries(invs: &[Invocation<QueueOp, QueueView>]) -> Vec<LinEntry<QOp, QRet>> {
-    let strong = ConsistencyLevel::STRONG;
-    let mut out = Vec::new();
-    for inv in invs {
-        let op = match inv.op {
-            QueueOp::Enqueue { .. } => QOp::Enqueue,
-            QueueOp::Dequeue => QOp::Dequeue,
-        };
-        match inv.closing_event() {
-            Some(HistoryEvent::View { level, value, .. }) if level.at_least(strong) => {
-                let ret = QRet {
-                    name: value.name.as_deref().and_then(seq_of),
-                    remaining: value.remaining,
-                };
-                out.push(LinEntry::done(
-                    inv.id,
-                    op,
-                    ret,
-                    inv.submitted,
-                    inv.closed_at(),
-                ));
-            }
-            Some(HistoryEvent::Failed { .. }) => {
-                // Both queue ops mutate; a timeout leaves them in
-                // maybe-applied limbo.
-                out.push(LinEntry::crashed(inv.id, op, inv.submitted));
-            }
-            _ => {} // weak-only dequeues are pure peeks
-        }
-    }
-    out
-}
-
 fn run_queue(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
     let q = SimQueue::ec2(ServerConfig::default(), "IRL", "IRL", "FRK", seed);
-    assert_fault_targets(q.site_ids(), q.server_ids());
     let prefill = cfg.keys;
     q.prefill(prefill, 20);
-    q.set_client_timeout(ms(cfg.client_timeout_ms));
-    q.set_faults(schedule.clone());
-
-    let history: History<QueueOp, QueueView> = History::new();
+    let history: History<QueueOp, QueueView> = History::with_clock(q.clock());
     let client = Client::new(RecordingBinding::new(q.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
-    let mut issued = 0usize;
     // Zab coordination is heavier than a quorum read; halve the load.
-    while issued < cfg.ops / 2 {
-        let batch = 1 + wl.below(cfg.max_batch.min(3));
-        for _ in 0..batch {
-            match wl.below(10) {
-                0..=4 => {
-                    client.invoke(QueueOp::Enqueue { data_len: 20 });
-                }
-                5..=8 => {
-                    client.invoke(QueueOp::Dequeue);
-                }
-                _ => {
-                    client.invoke_weak(QueueOp::Dequeue);
-                }
+    let (ops, max_batch) = (cfg.ops / 2, cfg.max_batch.min(3));
+    faulty_phase(&q, seed, schedule, cfg, ops, max_batch, |wl| {
+        match wl.below(10) {
+            0..=4 => {
+                client.invoke(QueueOp::Enqueue { data_len: 20 });
             }
-            issued += 1;
+            5..=8 => {
+                client.invoke(QueueOp::Dequeue);
+            }
+            _ => {
+                client.invoke_weak(QueueOp::Dequeue);
+            }
         }
-        q.settle();
-        q.advance(ms(wl.range(1, 120)));
-    }
+    });
 
-    q.set_faults(Faults::none());
-    q.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
     let tail_mark = history.mark();
     // Sequential tail with propagation gaps so the connected follower's
     // local simulation (the preliminary) reflects a settled state.
@@ -557,112 +579,63 @@ fn run_queue(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary,
         q.advance(ms(300));
     }
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let entries = queue_lin_entries(&invs);
-    if let Err(v) = check_linearizable(&QueueSpec { prefill }, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
-        },
-        violations,
-    )
+    report(&history, tail_mark, |invs| {
+        // Both queue ops mutate (a timeout leaves them in maybe-applied
+        // limbo); weak-only dequeues are pure peeks.
+        let entries = lin_entries(
+            invs,
+            |op| match op {
+                QueueOp::Enqueue { .. } => QOp::Enqueue,
+                QueueOp::Dequeue => QOp::Dequeue,
+            },
+            |v| QRet {
+                name: v.name.as_deref().and_then(seq_of),
+                remaining: v.remaining,
+            },
+            |_| true,
+        );
+        lin_check(&QueueSpec { prefill }, entries)
+    })
 }
 
 // ---------------------------------------------------------------------
 // Cached causal store
 // ---------------------------------------------------------------------
 
-/// The `(rev, items)` pair the causal spec reasons over.
-type RevItems = Option<(u64, Vec<u64>)>;
-
-fn item_pair(v: &Option<Item>) -> RevItems {
-    v.as_ref().map(|i| (i.rev, i.items.clone()))
-}
-
-fn causal_lin_entries(
-    invs: &[Invocation<CacheOp, Option<Item>>],
-) -> Vec<LinEntry<KvsOp, RevItems>> {
-    let strong = ConsistencyLevel::STRONG;
-    let mut out = Vec::new();
-    for inv in invs {
-        let op = match &inv.op {
-            CacheOp::Get(k) => KvsOp::Get(k.clone()),
-            CacheOp::Put(k, items) => KvsOp::Put(k.clone(), items.clone()),
-        };
-        match inv.closing_event() {
-            Some(HistoryEvent::View { level, value, .. }) if level.at_least(strong) => {
-                out.push(LinEntry::done(
-                    inv.id,
-                    op,
-                    item_pair(value),
-                    inv.submitted,
-                    inv.closed_at(),
-                ));
-            }
-            Some(HistoryEvent::Failed { .. }) => {
-                if matches!(inv.op, CacheOp::Put(..)) {
-                    out.push(LinEntry::crashed(inv.id, op, inv.submitted));
-                }
-            }
-            _ => {} // cache-level closes are local peeks
-        }
-    }
-    out
-}
-
 fn run_causal(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
     let s = SimCausal::ec2("VRG", "IRL", seed);
-    assert_fault_targets(s.site_ids(), s.replica_ids());
     let keys: Vec<String> = (0..cfg.keys).map(|k| format!("k{k}")).collect();
     for (i, k) in keys.iter().enumerate() {
         s.seed(k, 1, vec![i as u64]);
     }
-    s.set_client_timeout(ms(cfg.client_timeout_ms));
-    s.set_faults(schedule.clone());
-
-    let history: History<CacheOp, Option<Item>> = History::new();
+    let history: History<CacheOp, Option<Item>> = History::with_clock(s.clock());
     let client = Client::new(RecordingBinding::new(s.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
     let mut next_item: u64 = 10_000;
-    let mut issued = 0usize;
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch);
-        for _ in 0..batch {
-            let k = keys[wl.below(cfg.keys) as usize].clone();
-            match wl.below(10) {
-                0..=2 => {
-                    let items = vec![next_item];
-                    next_item += 1;
-                    client.invoke_strong(CacheOp::Put(k, items));
-                }
-                3..=8 => {
-                    client.invoke(CacheOp::Get(k));
-                }
-                _ => {
-                    client.invoke_weak(CacheOp::Get(k));
-                }
+    let mut fresh_items = || {
+        next_item += 1;
+        vec![next_item - 1]
+    };
+    faulty_phase(&s, seed, schedule, cfg, cfg.ops, cfg.max_batch, |wl| {
+        let k = keys[wl.below(cfg.keys) as usize].clone();
+        match wl.below(10) {
+            0..=2 => {
+                client.invoke_strong(CacheOp::Put(k, fresh_items()));
             }
-            issued += 1;
+            3..=8 => {
+                client.invoke(CacheOp::Get(k));
+            }
+            _ => {
+                client.invoke_weak(CacheOp::Get(k));
+            }
         }
-        s.settle();
-        s.advance(ms(wl.range(1, 120)));
-    }
+    });
 
-    s.set_faults(Faults::none());
-    s.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
     // One fresh write per key: triggers the backups' gap detection (and
     // thus anti-entropy) and settles the cache revision, so the checked
     // tail reads compare three genuinely converged levels.
     for k in &keys {
-        let items = vec![next_item];
-        next_item += 1;
-        client.invoke_strong(CacheOp::Put(k.clone(), items));
+        client.invoke_strong(CacheOp::Put(k.clone(), fresh_items()));
         s.settle();
         s.advance(ms(600));
     }
@@ -672,27 +645,27 @@ fn run_causal(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary
         s.settle();
     }
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let spec = KvStoreSpec {
-        initial: keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), (1, vec![i as u64])))
-            .collect(),
-    };
-    let entries = causal_lin_entries(&invs);
-    if let Err(v) = check_linearizable(&spec, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
-        },
-        violations,
-    )
+    report(&history, tail_mark, |invs| {
+        let spec = KvStoreSpec {
+            initial: keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.clone(), (1, vec![i as u64])))
+                .collect(),
+        };
+        // Cache-level closes are local peeks; a crashed put may have
+        // landed.
+        let entries = lin_entries(
+            invs,
+            |op| match op {
+                CacheOp::Get(k) => KvsOp::Get(k.clone()),
+                CacheOp::Put(k, items) => KvsOp::Put(k.clone(), items.clone()),
+            },
+            |v| v.as_ref().map(|i| (i.rev, i.items.clone())),
+            |op| matches!(op, CacheOp::Put(..)),
+        );
+        lin_check(&spec, entries)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -716,6 +689,8 @@ fn settle_fleet(binding: &ShardedBinding<QuorumBinding>, stores: &[SimStore]) {
     }
 }
 
+/// The one stack that is several deployments at once, so it drives its
+/// own faulty phase: every step of the shared skeleton, per shard.
 fn run_sharded(
     seed: u64,
     schedule: &Faults,
@@ -754,6 +729,7 @@ fn run_sharded(
         stores[idx].preload([(key, Value::Opaque(store_init_value(k)))]);
     }
 
+    // Each shard has its own clock, so the merged history is unstamped.
     let history: History<StoreOp, Versioned> = History::new();
     let client = Client::new(RecordingBinding::new(router.clone(), history.clone()));
 
@@ -799,107 +775,54 @@ fn run_sharded(
     }
     settle_fleet(&router, &stores);
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let spec = RegisterSpec {
-        initial: (0..keys)
-            .map(|k| (k, u64::from(store_init_value(k))))
-            .collect(),
-    };
-    let entries = store_lin_entries(&invs);
-    if let Err(v) = check_linearizable(&spec, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
-        },
-        violations,
-    )
+    report(&history, tail_mark, |invs| {
+        lin_check(&store_spec(keys), store_lin_entries(invs))
+    })
 }
-
-// ---------------------------------------------------------------------
-// Buggy in-memory binding (negative fixture)
-// ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
 // Spec-generic four-level store
 // ---------------------------------------------------------------------
 
-/// Strong closes of a spec store partake in the strong order with the
-/// spec's own op type — no translation layer, the binding *is* the
-/// spec. Crashed writes are maybe-applied; crashed reads drop out.
-fn spec_lin_entries<Op: Clone + fmt::Debug>(
-    invs: &[Invocation<Op, u64>],
-    is_read: impl Fn(&Op) -> bool,
-) -> Vec<LinEntry<Op, u64>> {
-    let strong = ConsistencyLevel::STRONG;
-    let mut out = Vec::new();
-    for inv in invs {
-        match inv.closing_event() {
-            Some(HistoryEvent::View { level, value, .. }) if level.at_least(strong) => {
-                out.push(LinEntry::done(
-                    inv.id,
-                    inv.op.clone(),
-                    *value,
-                    inv.submitted,
-                    inv.closed_at(),
-                ));
-            }
-            Some(HistoryEvent::Failed { .. }) if !is_read(&inv.op) => {
-                out.push(LinEntry::crashed(inv.id, inv.op.clone(), inv.submitted));
-            }
-            _ => {}
-        }
-    }
-    out
+fn update_consistency_violations<S>(store: &SimSpecStore<S>) -> Vec<String>
+where
+    S: SeqSpec + Clone + Send + 'static,
+{
+    check_update_consistency(&store.applied_logs())
+        .into_iter()
+        .map(|v| format!("update-consistency: {v}"))
+        .collect()
 }
 
-fn run_spec_register(
+/// One spec-store run over `spec`. Strong closes partake in the strong
+/// order with the spec's own op type — no translation layer, the
+/// binding *is* the spec. Crashed writes are maybe-applied; crashed
+/// reads drop out. `issue` submits one workload operation on key `k`;
+/// `read(k)` is the tail's read of key `k`.
+fn run_spec<S>(
+    spec: S,
     seed: u64,
     schedule: &Faults,
     cfg: &ExplorerConfig,
-) -> (RunSummary, Vec<String>) {
-    let store = SimSpecStore::ec2(RegisterSpec::default(), "IRL", seed);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-    store.set_client_timeout(ms(cfg.client_timeout_ms));
-    store.set_faults(schedule.clone());
-
-    let history: History<RegOp, u64> = History::new();
+    mut issue: impl FnMut(&Client<RecordingBinding<SpecBinding<S>>>, &mut DetRng, u64),
+    read: fn(u64) -> S::Op,
+    is_read: fn(&S::Op) -> bool,
+) -> (RunSummary, Vec<String>)
+where
+    S: SeqSpec<Ret = u64> + Clone + Send + 'static,
+{
+    let store = SimSpecStore::ec2(spec.clone(), "IRL", seed);
+    let history: History<S::Op, u64> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
-    let mut next: u64 = 10_000;
-    let mut issued = 0usize;
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch);
-        for _ in 0..batch {
-            let k = wl.below(cfg.keys);
-            match wl.below(10) {
-                0..=3 => {
-                    client.invoke(RegOp::Write(k, next));
-                    next += 1;
-                }
-                4..=8 => {
-                    client.invoke(RegOp::Read(k));
-                }
-                _ => {
-                    client.invoke_weak(RegOp::Read(k));
-                }
-            }
-            issued += 1;
-        }
-        store.settle();
-        store.advance(ms(wl.range(1, 120)));
-    }
+    faulty_phase(&store, seed, schedule, cfg, cfg.ops, cfg.max_batch, |wl| {
+        let k = wl.below(cfg.keys);
+        issue(&client, wl, k);
+    });
 
-    store.set_faults(Faults::none());
-    store.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
     let tail_mark = history.mark();
     for k in 0..cfg.keys {
-        client.invoke(RegOp::Read(k));
+        client.invoke(read(k));
         store.settle();
     }
     // Let trailing acks and anti-entropy finish before sampling the
@@ -907,24 +830,40 @@ fn run_spec_register(
     // quiescence*, not mid-gossip.
     store.advance(ms(2_000));
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    violations.extend(
-        check_update_consistency(&store.applied_logs())
-            .into_iter()
-            .map(|v| format!("update-consistency: {v}")),
-    );
-    let entries = spec_lin_entries(&invs, |op| matches!(op, RegOp::Read(_)));
-    if let Err(v) = check_linearizable(&RegisterSpec::default(), &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
+    report(&history, tail_mark, |invs| {
+        let mut found = update_consistency_violations(&store);
+        let entries = lin_entries(invs, S::Op::clone, |v| *v, |op| !is_read(op));
+        let (checked, lin) = lin_check(&spec, entries);
+        found.extend(lin);
+        (checked, found)
+    })
+}
+
+fn run_spec_register(
+    seed: u64,
+    schedule: &Faults,
+    cfg: &ExplorerConfig,
+) -> (RunSummary, Vec<String>) {
+    let mut next: u64 = 10_000;
+    run_spec(
+        RegisterSpec::default(),
+        seed,
+        schedule,
+        cfg,
+        |client, wl, k| match wl.below(10) {
+            0..=3 => {
+                client.invoke(RegOp::Write(k, next));
+                next += 1;
+            }
+            4..=8 => {
+                client.invoke(RegOp::Read(k));
+            }
+            _ => {
+                client.invoke_weak(RegOp::Read(k));
+            }
         },
-        violations,
+        RegOp::Read,
+        |op| matches!(op, RegOp::Read(_)),
     )
 }
 
@@ -933,64 +872,24 @@ fn run_spec_counter(
     schedule: &Faults,
     cfg: &ExplorerConfig,
 ) -> (RunSummary, Vec<String>) {
-    let store = SimSpecStore::ec2(CounterSpec, "IRL", seed);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-    store.set_client_timeout(ms(cfg.client_timeout_ms));
-    store.set_faults(schedule.clone());
-
-    let history: History<CtrOp, u64> = History::new();
-    let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
-
-    let mut wl = workload_rng(seed);
-    let mut issued = 0usize;
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch);
-        for _ in 0..batch {
-            let k = wl.below(cfg.keys);
-            match wl.below(10) {
-                0..=3 => {
-                    client.invoke(CtrOp::Add(k, 1 + wl.below(9)));
-                }
-                4..=8 => {
-                    client.invoke(CtrOp::Get(k));
-                }
-                _ => {
-                    client.invoke_weak(CtrOp::Get(k));
-                }
+    run_spec(
+        CounterSpec,
+        seed,
+        schedule,
+        cfg,
+        |client, wl, k| match wl.below(10) {
+            0..=3 => {
+                client.invoke(CtrOp::Add(k, 1 + wl.below(9)));
             }
-            issued += 1;
-        }
-        store.settle();
-        store.advance(ms(wl.range(1, 120)));
-    }
-
-    store.set_faults(Faults::none());
-    store.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
-    let tail_mark = history.mark();
-    for k in 0..cfg.keys {
-        client.invoke(CtrOp::Get(k));
-        store.settle();
-    }
-    store.advance(ms(2_000));
-
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    violations.extend(
-        check_update_consistency(&store.applied_logs())
-            .into_iter()
-            .map(|v| format!("update-consistency: {v}")),
-    );
-    let entries = spec_lin_entries(&invs, |op| matches!(op, CtrOp::Get(_)));
-    if let Err(v) = check_linearizable(&CounterSpec, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: entries.len(),
+            4..=8 => {
+                client.invoke(CtrOp::Get(k));
+            }
+            _ => {
+                client.invoke_weak(CtrOp::Get(k));
+            }
         },
-        violations,
+        CtrOp::Get,
+        |op| matches!(op, CtrOp::Get(_)),
     )
 }
 
@@ -1034,50 +933,36 @@ fn run_crdt(
     } else {
         SimCrdtStore::ec2("IRL", seed)
     };
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-    store.set_client_timeout(ms(cfg.client_timeout_ms));
-    store.set_faults(schedule.clone());
-
-    let history: History<CrdtOp, CrdtVal> = History::new();
+    let history: History<CrdtOp, CrdtVal> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
-    let mut issued = 0usize;
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch);
-        for _ in 0..batch {
-            let k = wl.below(cfg.keys);
-            match wl.below(10) {
-                0..=2 => {
-                    client.invoke(CrdtOp::CtrAdd(k, (1 + wl.below(9)) as i64));
-                }
-                3 => {
-                    client.invoke(CrdtOp::SetAdd(k, wl.below(8)));
-                }
-                4 => {
-                    client.invoke(CrdtOp::SetRemove(k, wl.below(8)));
-                }
-                5 => {
-                    client.invoke(CrdtOp::MapPut(k, wl.below(4), wl.below(1_000)));
-                }
-                6..=7 => {
-                    client.invoke(CrdtOp::CtrGet(k));
-                }
-                8 => {
-                    client.invoke_weak(CrdtOp::SetContains(k, wl.below(8)));
-                }
-                _ => {
-                    client.invoke_weak(CrdtOp::MapGet(k, wl.below(4)));
-                }
+    faulty_phase(&store, seed, schedule, cfg, cfg.ops, cfg.max_batch, |wl| {
+        let k = wl.below(cfg.keys);
+        match wl.below(10) {
+            0..=2 => {
+                client.invoke(CrdtOp::CtrAdd(k, (1 + wl.below(9)) as i64));
             }
-            issued += 1;
+            3 => {
+                client.invoke(CrdtOp::SetAdd(k, wl.below(8)));
+            }
+            4 => {
+                client.invoke(CrdtOp::SetRemove(k, wl.below(8)));
+            }
+            5 => {
+                client.invoke(CrdtOp::MapPut(k, wl.below(4), wl.below(1_000)));
+            }
+            6..=7 => {
+                client.invoke(CrdtOp::CtrGet(k));
+            }
+            8 => {
+                client.invoke_weak(CrdtOp::SetContains(k, wl.below(8)));
+            }
+            _ => {
+                client.invoke_weak(CrdtOp::MapGet(k, wl.below(4)));
+            }
         }
-        store.settle();
-        store.advance(ms(wl.range(1, 120)));
-    }
+    });
 
-    store.set_faults(Faults::none());
-    store.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
     let tail_mark = history.mark();
     for k in 0..cfg.keys {
         client.invoke(CrdtOp::CtrGet(k));
@@ -1088,18 +973,7 @@ fn run_crdt(
     // quiescence, not mid-gossip.
     store.advance(ms(2_000));
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let (replayed, sec) = sec_violations(&store, state_based);
-    violations.extend(sec);
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: replayed,
-        },
-        violations,
-    )
+    report(&history, tail_mark, |_| sec_violations(&store, state_based))
 }
 
 fn run_tickets_escrow(
@@ -1114,38 +988,31 @@ fn run_tickets_escrow(
     let a = stock / 2;
     let b = stock / 4;
     let store = SimEscrow::ec2(vec![a, b, stock - a - b], "IRL", seed, false);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-    store.set_client_timeout(ms(cfg.client_timeout_ms));
-    store.set_faults(schedule.clone());
-
-    let history: History<EscrowOp, Sale> = History::new();
+    let history: History<EscrowOp, Sale> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
 
-    let mut wl = workload_rng(seed);
-    let mut issued = 0usize;
     // Transfer rounds are heavier than quorum reads; cap the bursts.
-    while issued < cfg.ops {
-        let batch = 1 + wl.below(cfg.max_batch.min(3));
-        for _ in 0..batch {
-            match wl.below(10) {
-                0..=6 => {
-                    client.invoke(EscrowOp::Buy);
-                }
-                7..=8 => {
-                    client.invoke_weak(EscrowOp::Avail);
-                }
-                _ => {
-                    client.invoke_strong(EscrowOp::Avail);
-                }
+    let max_batch = cfg.max_batch.min(3);
+    faulty_phase(
+        &store,
+        seed,
+        schedule,
+        cfg,
+        cfg.ops,
+        max_batch,
+        |wl| match wl.below(10) {
+            0..=6 => {
+                client.invoke(EscrowOp::Buy);
             }
-            issued += 1;
-        }
-        store.settle();
-        store.advance(ms(wl.range(1, 120)));
-    }
+            7..=8 => {
+                client.invoke_weak(EscrowOp::Avail);
+            }
+            _ => {
+                client.invoke_strong(EscrowOp::Avail);
+            }
+        },
+    );
 
-    store.set_faults(Faults::none());
-    store.advance(ms(cfg.plan.horizon_ms + cfg.client_timeout_ms + 1_000));
     let tail_mark = history.mark();
     // A weak Avail reads the *local segment* by design, so the quiescent
     // tail closes strong-only: the escrow convergence guarantee is over
@@ -1154,54 +1021,71 @@ fn run_tickets_escrow(
     store.settle();
     store.advance(ms(2_000));
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let states = store.states();
-    violations.extend(
-        check_escrow(&states)
+    report(&history, tail_mark, |invs| {
+        let states = store.states();
+        let mut found: Vec<String> = check_escrow(&states)
             .into_iter()
-            .map(|v| format!("escrow: {v}")),
-    );
-    // Cross-check ledgers against the client's view: every sale the
-    // client saw confirmed must be recorded in the merged ledger.
-    let confirmed = invs
-        .iter()
-        .filter(|i| {
-            matches!(i.op, EscrowOp::Buy)
-                && matches!(i.final_view(), Some((Sale::Confirmed { .. }, _)))
-        })
-        .count();
-    if let Some(first) = states.first() {
-        let mut merged = first.clone();
-        for s in &states[1..] {
-            merged.merge(s);
+            .map(|v| format!("escrow: {v}"))
+            .collect();
+        // Cross-check ledgers against the client's view: every sale the
+        // client saw confirmed must be recorded in the merged ledger.
+        let confirmed = invs
+            .iter()
+            .filter(|i| {
+                matches!(i.op, EscrowOp::Buy)
+                    && matches!(i.final_view(), Some((Sale::Confirmed { .. }, _)))
+            })
+            .count();
+        if let Some(first) = states.first() {
+            let mut merged = first.clone();
+            for s in &states[1..] {
+                merged.merge(s);
+            }
+            if (merged.total_sold() as usize) < confirmed {
+                found.push(format!(
+                    "escrow: client saw {confirmed} confirmed sales but the merged ledger \
+                     records only {}",
+                    merged.total_sold()
+                ));
+            }
         }
-        if (merged.total_sold() as usize) < confirmed {
-            violations.push(format!(
-                "escrow: client saw {confirmed} confirmed sales but the merged ledger \
-                 records only {}",
-                merged.total_sold()
-            ));
+        // Strong closes (sales and global Avail reads) entered the
+        // semantic check; the post-heal tail Avail guarantees at least
+        // one even when a hostile schedule times out every workload buy.
+        let strong_closed = invs
+            .iter()
+            .filter(|i| {
+                i.final_view()
+                    .is_some_and(|(_, level)| level.at_least(ConsistencyLevel::STRONG))
+            })
+            .count();
+        (strong_closed, found)
+    })
+}
+
+// ---------------------------------------------------------------------
+// Negative fixtures
+// ---------------------------------------------------------------------
+
+/// The burst workload of the two fault-free negative fixtures: `ops`
+/// submissions with a settle after about every fourth, so the
+/// round-robin origins genuinely race, then quiescence.
+fn racing_bursts<P: GatewayProto>(
+    host: &SimHost<P>,
+    seed: u64,
+    cfg: &ExplorerConfig,
+    mut issue: impl FnMut(u64, u64),
+) {
+    assert_fault_targets(host.site_ids(), host.replica_ids());
+    let mut wl = workload_rng(seed);
+    for i in 0..cfg.ops as u64 {
+        issue(i, wl.below(cfg.keys));
+        if wl.below(4) == 0 {
+            host.settle();
         }
     }
-    // Strong closes (sales and global Avail reads) entered the semantic
-    // check; the post-heal tail Avail guarantees at least one even when
-    // a hostile schedule times out every workload buy.
-    let strong_closed = invs
-        .iter()
-        .filter(|i| {
-            i.final_view()
-                .is_some_and(|(_, level)| level.at_least(ConsistencyLevel::STRONG))
-        })
-        .count();
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: strong_closed,
-        },
-        violations,
-    )
+    host.settle();
+    host.advance(ms(5_000));
 }
 
 /// Like the other negative fixtures, the broken CRDT runs without
@@ -1211,35 +1095,12 @@ fn run_tickets_escrow(
 /// shipped totals distinct, so the divergence shows in the values.
 fn run_broken_crdt(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
     let store = SimCrdtStore::ec2_broken("IRL", seed);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-
-    let history: History<CrdtOp, CrdtVal> = History::new();
+    let history: History<CrdtOp, CrdtVal> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
-
-    let mut wl = workload_rng(seed);
-    for i in 0..cfg.ops {
-        let k = wl.below(cfg.keys);
+    racing_bursts(&store, seed, cfg, |i, k| {
         client.invoke_weak(CrdtOp::CtrAdd(k, 1 + i as i64));
-        if wl.below(4) == 0 {
-            store.settle();
-        }
-    }
-    store.settle();
-    store.advance(ms(5_000));
-
-    let tail_mark = history.mark();
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let (replayed, sec) = sec_violations(&store, false);
-    violations.extend(sec);
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: replayed,
-        },
-        violations,
-    )
+    });
+    report(&history, history.mark(), |_| sec_violations(&store, false))
 }
 
 /// The arrival-order fixture runs without faults: even on a clean
@@ -1249,44 +1110,17 @@ fn run_broken_crdt(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>)
 /// signal behind timeouts.)
 fn run_buggy_spec(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
     let store = SimSpecStore::ec2_buggy(RegisterSpec::default(), "IRL", seed);
-    assert_fault_targets(store.site_ids(), store.replica_ids());
-
-    let history: History<RegOp, u64> = History::new();
+    let history: History<RegOp, u64> = History::with_clock(store.clock());
     let client = Client::new(RecordingBinding::new(
         store.update_binding(),
         history.clone(),
     ));
-
-    let mut wl = workload_rng(seed);
-    for next in 10_000..10_000 + cfg.ops as u64 {
-        // Submit in bursts without settling in between: the round-robin
-        // origins then genuinely race, which is what makes arrival
-        // orders differ across replicas.
-        let k = wl.below(cfg.keys);
-        client.invoke(RegOp::Write(k, next));
-        if wl.below(4) == 0 {
-            store.settle();
-        }
-    }
-    store.settle();
-    store.advance(ms(5_000));
-
-    let tail_mark = history.mark();
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    violations.extend(
-        check_update_consistency(&store.applied_logs())
-            .into_iter()
-            .map(|v| format!("update-consistency: {v}")),
-    );
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: crashed_count(&invs),
-            lin_entries: 0,
-        },
-        violations,
-    )
+    racing_bursts(&store, seed, cfg, |i, k| {
+        client.invoke(RegOp::Write(k, 10_000 + i));
+    });
+    report(&history, history.mark(), |_| {
+        (0, update_consistency_violations(&store))
+    })
 }
 
 fn run_buggy(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
@@ -1317,36 +1151,17 @@ fn run_buggy(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
         client.invoke(KvOp::Get(k));
     }
 
-    let invs = history.snapshot();
-    let mut violations = structural_violations(&invs, tail_mark);
-    let mut entries = Vec::new();
-    for inv in &invs {
-        let op = match inv.op {
-            KvOp::Get(k) => CtrOp::Get(k),
-            KvOp::Put(k, v) => CtrOp::Put(k, v),
-            KvOp::Add(k, d) => CtrOp::Add(k, d),
-        };
-        if let Some((value, level)) = inv.final_view() {
-            if level.at_least(ConsistencyLevel::STRONG) {
-                entries.push(LinEntry::done(
-                    inv.id,
-                    op,
-                    *value,
-                    inv.submitted,
-                    inv.closed_at(),
-                ));
-            }
-        }
-    }
-    if let Err(v) = check_linearizable(&CounterSpec, &entries) {
-        violations.push(format!("linearizability: {v}"));
-    }
-    (
-        RunSummary {
-            invocations: invs.len(),
-            crashed: 0,
-            lin_entries: entries.len(),
-        },
-        violations,
-    )
+    report(&history, tail_mark, |invs| {
+        let entries = lin_entries(
+            invs,
+            |op| match *op {
+                KvOp::Get(k) => CtrOp::Get(k),
+                KvOp::Put(k, v) => CtrOp::Put(k, v),
+                KvOp::Add(k, d) => CtrOp::Add(k, d),
+            },
+            |v| *v,
+            |_| false,
+        );
+        lin_check(&CounterSpec, entries)
+    })
 }

@@ -10,21 +10,22 @@
 //!   view (CC), with the confirmation optimization if enabled (*CC).
 //!
 //! Because the simulator is single-threaded, `submit` only *enqueues*
-//! operations; [`SimStore::settle`] drives the engine until every
+//! operations; [`SimHost::settle`] drives the engine until every
 //! outstanding Correctable resolves. Operations issued from inside
 //! callbacks (speculative prefetches!) are picked up by the gateway at the
 //! very simulation instant the callback runs, so chained latencies are
 //! measured exactly as a real asynchronous client would experience them.
+//! That shell — queue, kick, client deadline, `settle` — is
+//! [`simnet::SimHost`]'s; this file only says what a quorum-store client
+//! sends and how it reads the replies ([`QuorumClient`]).
 
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use correctables::{Binding, ConsistencyLevel, Error, KeyedOp, LevelSet, ObjectId, Upcall};
-use simnet::{Ctx, Node, NodeId, SimDuration, SimTime, Timer, Topology};
+use simnet::{Ctx, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
 
 use crate::cluster::Cluster;
 use crate::messages::{Msg, Phase};
@@ -63,17 +64,18 @@ pub struct OpTiming {
     pub is_read: bool,
 }
 
-struct QueuedOp {
+/// One submission: the operation, its upcall, and how to read.
+pub struct QueuedOp {
     op: StoreOp,
     upcall: Upcall<Versioned>,
     kind: ReadKind,
     close_level: ConsistencyLevel,
 }
 
-type OpQueue = Arc<Mutex<VecDeque<QueuedOp>>>;
 type Timings = Arc<Mutex<Vec<OpTiming>>>;
 
-struct GwPending {
+/// What the gateway keeps per outstanding operation.
+pub struct GwPending {
     upcall: Upcall<Versioned>,
     close_level: ConsistencyLevel,
     start: SimTime,
@@ -83,91 +85,23 @@ struct GwPending {
     written: Option<Versioned>,
 }
 
-/// The in-simulation client node that executes queued operations.
-pub struct Gateway {
+/// The quorum store's client protocol: every operation goes to one
+/// coordinator replica, which answers with a preliminary and/or final
+/// reply (or a confirmation of the preliminary, under *CC).
+pub struct QuorumClient {
     coordinator: NodeId,
-    queue: OpQueue,
     timings: Timings,
-    /// Virtual now (nanoseconds), mirrored for callback-side reading.
-    clock: Arc<AtomicU64>,
-    next_seq: u64,
-    pending: HashMap<OpId, GwPending>,
-    /// Client-side deadline per operation. `None` (the default) preserves
-    /// the original wait-forever behaviour; fault-injected runs set it so
-    /// a lost reply fails the Correctable instead of wedging `settle`.
-    client_timeout: Option<SimDuration>,
-    timer_ops: HashMap<u64, OpId>,
-    next_timer: u64,
 }
 
-const KICK: u64 = u64::MAX - 1;
-
-impl Gateway {
-    fn arm_client_timeout(&mut self, ctx: &mut Ctx<'_, Msg>, op: OpId) {
-        if let Some(d) = self.client_timeout {
-            let token = self.next_timer;
-            self.next_timer += 1;
-            self.timer_ops.insert(token, op);
-            ctx.set_timer(d, Timer(token));
-        }
-    }
-
-    fn drain(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let id = OpId {
-                client: ctx.id(),
-                seq: self.next_seq,
-            };
-            self.next_seq += 1;
-            let (msg, is_read, written) = match q.op {
-                StoreOp::Read(key) => (
-                    Msg::ClientRead {
-                        op: id,
-                        key,
-                        kind: q.kind,
-                    },
-                    true,
-                    None,
-                ),
-                StoreOp::Write(key, value) => {
-                    let written = Versioned {
-                        value: value.clone(),
-                        version: crate::types::Version::ZERO,
-                    };
-                    (
-                        Msg::ClientWrite {
-                            op: id,
-                            key,
-                            value,
-                            w: 1,
-                        },
-                        false,
-                        Some(written),
-                    )
-                }
-            };
-            self.pending.insert(
-                id,
-                GwPending {
-                    upcall: q.upcall,
-                    close_level: q.close_level,
-                    start: ctx.now(),
-                    prelim: None,
-                    prelim_at: None,
-                    is_read,
-                    written,
-                },
-            );
-            self.arm_client_timeout(ctx, id);
-            ctx.send(self.coordinator, msg);
-        }
-    }
-
-    fn finish(&mut self, ctx: &Ctx<'_, Msg>, id: OpId, data: Option<Versioned>) {
-        let Some(p) = self.pending.remove(&id) else {
+impl QuorumClient {
+    fn finish(
+        &self,
+        ctx: &Ctx<'_, Msg>,
+        pending: &mut PendingOps<GwPending>,
+        id: OpId,
+        data: Option<Versioned>,
+    ) {
+        let Some(p) = pending.remove(id.seq) else {
             return;
         };
         let now = ctx.now();
@@ -184,16 +118,63 @@ impl Gateway {
     }
 }
 
-impl Node<Msg> for Gateway {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
-        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
+impl GatewayProto for QuorumClient {
+    type Msg = Msg;
+    type Queued = QueuedOp;
+    type Pending = GwPending;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: QueuedOp) -> Option<GwPending> {
+        let id = OpId {
+            client: ctx.id(),
+            seq,
+        };
+        let (msg, is_read, written) = match q.op {
+            StoreOp::Read(key) => (
+                Msg::ClientRead {
+                    op: id,
+                    key,
+                    kind: q.kind,
+                },
+                true,
+                None,
+            ),
+            StoreOp::Write(key, value) => {
+                let written = Versioned {
+                    value: value.clone(),
+                    version: crate::types::Version::ZERO,
+                };
+                (
+                    Msg::ClientWrite {
+                        op: id,
+                        key,
+                        value,
+                        w: 1,
+                    },
+                    false,
+                    Some(written),
+                )
+            }
+        };
+        ctx.send(self.coordinator, msg);
+        Some(GwPending {
+            upcall: q.upcall,
+            close_level: q.close_level,
+            start: ctx.now(),
+            prelim: None,
+            prelim_at: None,
+            is_read,
+            written,
+        })
+    }
+
+    fn on_reply(&mut self, ctx: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
         match msg {
             Msg::ReadReply {
                 op,
                 phase: Phase::Preliminary,
                 data,
             } => {
-                if let Some(p) = self.pending.get_mut(&op) {
+                if let Some(p) = pending.get_mut(op.seq) {
                     p.prelim = Some(data.clone());
                     p.prelim_at = Some(ctx.now());
                     let up = p.upcall.clone();
@@ -201,7 +182,7 @@ impl Node<Msg> for Gateway {
                 }
             }
             Msg::ReadReply { op, data, .. } => {
-                self.finish(ctx, op, Some(data));
+                self.finish(ctx, pending, op, Some(data));
             }
             Msg::ReadConfirm { op, version } => {
                 // *CC: the final view equals the preliminary. Confirm only
@@ -209,15 +190,14 @@ impl Node<Msg> for Gateway {
                 // in transit (or somehow mismatches), promoting a missing
                 // record to a strong view would fabricate a wrong result —
                 // fail the operation instead and let the client retry.
-                let confirmed = self
-                    .pending
-                    .get(&op)
+                let confirmed = pending
+                    .get(op.seq)
                     .and_then(|p| p.prelim.clone())
                     .filter(|prelim| prelim.version == version);
                 match confirmed {
-                    Some(prelim) => self.finish(ctx, op, Some(prelim)),
+                    Some(prelim) => self.finish(ctx, pending, op, Some(prelim)),
                     None => {
-                        if let Some(p) = self.pending.remove(&op) {
+                        if let Some(p) = pending.remove(op.seq) {
                             p.upcall.fail(Error::Unavailable(
                                 "read confirmation without matching preliminary view".into(),
                             ));
@@ -226,53 +206,41 @@ impl Node<Msg> for Gateway {
                 }
             }
             Msg::WriteReply { op } => {
-                self.finish(ctx, op, None);
+                self.finish(ctx, pending, op, None);
             }
             Msg::OpFailed { op, .. } => {
-                if let Some(p) = self.pending.remove(&op) {
+                if let Some(p) = pending.remove(op.seq) {
                     p.upcall.fail(Error::Timeout);
                 }
             }
             _ => {}
         }
-        // Callbacks above may have enqueued nested operations; pick them up
-        // at this exact simulation instant.
-        self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            // Client-side deadline: a reply was lost (downtime, partition,
-            // drop) — fail the Correctable so callers observe the outage.
-            if let Some(p) = self.pending.remove(&op) {
-                p.upcall.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
+    /// A reply was lost (downtime, partition, drop) — fail the
+    /// Correctable so callers observe the outage.
+    fn expire(&mut self, p: GwPending) {
+        p.upcall.fail(Error::Timeout);
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct SimState {
-    cluster: Cluster,
-    gateway: NodeId,
 }
 
 /// A simulated quorum store with a synchronously driveable binding.
+/// Faults, client deadlines, `settle`/`advance` and the clock mirror
+/// come from the [`SimHost`] it dereferences to.
 #[derive(Clone)]
 pub struct SimStore {
-    state: Arc<Mutex<SimState>>,
-    queue: OpQueue,
+    host: SimHost<QuorumClient>,
     timings: Timings,
-    clock: Arc<AtomicU64>,
     r_strong: u8,
     confirm: bool,
+}
+
+impl Deref for SimStore {
+    type Target = SimHost<QuorumClient>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimStore {
@@ -322,77 +290,23 @@ impl SimStore {
         seed: u64,
     ) -> SimStore {
         let site = topology.site_named(client_site).expect("known site");
-        let mut cluster = Cluster::build(topology, replica_sites, cfg, seed);
-        let queue: OpQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let timings: Timings = Arc::new(Mutex::new(Vec::new()));
-        let clock = Arc::new(AtomicU64::new(0));
-        let coordinator = cluster.replicas[coordinator_idx];
-        let gateway = cluster.engine.add_node(
-            site,
-            Box::new(Gateway {
-                coordinator,
-                queue: Arc::clone(&queue),
-                timings: Arc::clone(&timings),
-                clock: Arc::clone(&clock),
-                next_seq: 0,
-                pending: HashMap::new(),
-                client_timeout: None,
-                timer_ops: HashMap::new(),
-                next_timer: 0,
-            }),
-        );
+        let cluster = Cluster::build(topology, replica_sites, cfg, seed);
+        let timings = Timings::default();
+        let proto = QuorumClient {
+            coordinator: cluster.replicas[coordinator_idx],
+            timings: Arc::clone(&timings),
+        };
         SimStore {
-            state: Arc::new(Mutex::new(SimState { cluster, gateway })),
-            queue,
+            host: SimHost::new(cluster.engine, cluster.replicas, site, proto),
             timings,
-            clock,
             r_strong,
             confirm,
         }
     }
 
-    /// A handle mirroring the current virtual time (nanoseconds), readable
-    /// from inside Correctable callbacks while the simulation runs.
-    pub fn clock(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.clock)
-    }
-
-    /// Installs a fault plan on the underlying simulation (message drops,
-    /// downtime windows, site partitions). Combine with
-    /// [`SimStore::set_client_timeout`] so lost replies fail operations
-    /// instead of wedging [`SimStore::settle`].
-    pub fn set_faults(&self, faults: simnet::Faults) {
-        self.state.lock().cluster.engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline for every subsequently submitted
-    /// operation: if neither a final reply nor a coordinator failure
-    /// arrives within `d` of virtual time, the operation fails with
-    /// [`Error::Timeout`].
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.cluster.engine.node_as::<Gateway>(gw).client_timeout = Some(d);
-    }
-
-    /// The replica node ids, in FRK/IRL/VRG (site-list) order — fault
-    /// schedules target these.
-    pub fn replica_ids(&self) -> Vec<NodeId> {
-        self.state.lock().cluster.replicas.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<simnet::SiteId> {
-        let st = self.state.lock();
-        (0..st.cluster.engine.topology().len())
-            .map(simnet::SiteId)
-            .collect()
-    }
-
     /// Total bytes that crossed the gateway's client link so far.
     pub fn gateway_link_bytes(&self) -> u64 {
-        let st = self.state.lock();
-        st.cluster.engine.bandwidth().link_bytes(st.gateway)
+        self.with_engine(|e| e.bandwidth().link_bytes(self.gateway_id()))
     }
 
     /// The Correctables binding over this store.
@@ -407,36 +321,7 @@ impl SimStore {
     where
         I: IntoIterator<Item = (Key, Value)>,
     {
-        self.state.lock().cluster.preload(records);
-    }
-
-    /// Drives the simulation until every submitted operation (including
-    /// operations issued from inside callbacks) has resolved.
-    ///
-    /// Runs in bounded virtual-time slices rather than to full quiescence,
-    /// so coordinator op-timeout timers (armed several seconds out) do not
-    /// drag the virtual clock forward once all work is done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations fail to resolve within a very large horizon
-    /// (indicating a protocol bug).
-    pub fn settle(&self) {
-        let mut st = self.state.lock();
-        let slice = SimDuration::from_millis(5);
-        for _ in 0..2_000_000 {
-            let gw = st.gateway;
-            st.cluster
-                .engine
-                .schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            let limit = st.cluster.engine.now() + slice;
-            st.cluster.engine.run_until(limit);
-            let gateway_idle = st.cluster.engine.node_as::<Gateway>(gw).pending.is_empty();
-            if gateway_idle && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!("operations failed to settle within the simulation horizon");
+        self.with_engine(|e| Cluster::preload_into(e, &self.replica_ids(), records));
     }
 
     /// Timings of all completed operations so far.
@@ -446,14 +331,7 @@ impl SimStore {
 
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> f64 {
-        self.state.lock().cluster.engine.now().as_millis_f64()
-    }
-
-    /// Advances virtual time without any work (models client think time).
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.cluster.engine.now() + d;
-        st.cluster.engine.run_until(until);
+        self.now().as_millis_f64()
     }
 }
 
@@ -485,7 +363,7 @@ impl Binding for QuorumBinding {
             (true, false) => ReadKind::Single { r: 1 },
         };
         let close_level = upcall.strongest();
-        self.store.queue.lock().push_back(QueuedOp {
+        self.store.enqueue(QueuedOp {
             op,
             upcall,
             kind,

@@ -43,12 +43,7 @@ impl Cluster {
             .map(|s| engine.add_node(*s, Box::new(Replica::new(cfg))))
             .collect();
         for (i, id) in replicas.iter().enumerate() {
-            let peers: Vec<NodeId> = replicas
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| *p)
-                .collect();
+            let peers = NodeId::peers_of(&replicas, i);
             engine.node_as::<Replica>(*id).set_peers(peers);
         }
         Cluster {
@@ -64,6 +59,15 @@ impl Cluster {
     where
         I: IntoIterator<Item = (Key, Value)>,
     {
+        Self::preload_into(&mut self.engine, &self.replicas, records);
+    }
+
+    /// [`Cluster::preload`] for a deployment whose engine has moved out
+    /// of the `Cluster` (into a `SimHost`).
+    pub fn preload_into<I>(engine: &mut Engine<Msg>, replicas: &[NodeId], records: I)
+    where
+        I: IntoIterator<Item = (Key, Value)>,
+    {
         let seeded: Vec<(Key, Versioned)> = records
             .into_iter()
             .map(|(k, v)| {
@@ -76,8 +80,8 @@ impl Cluster {
                 )
             })
             .collect();
-        for r in &self.replicas {
-            let replica = self.engine.node_as::<Replica>(*r);
+        for r in replicas {
+            let replica = engine.node_as::<Replica>(*r);
             for (k, v) in &seeded {
                 replica.store.apply(*k, v.clone());
             }

@@ -27,6 +27,15 @@ use crate::topology::{SiteId, Topology};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
+impl NodeId {
+    /// All of `nodes` but the `i`-th: the peers of replica `i`.
+    pub fn peers_of(nodes: &[NodeId], i: usize) -> Vec<NodeId> {
+        let mut peers = nodes.to_vec();
+        peers.remove(i);
+        peers
+    }
+}
+
 /// An opaque timer token; nodes choose the values and interpret them in
 /// [`Node::on_timer`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -208,6 +217,41 @@ impl<'a, M: Wire> Ctx<'a, M> {
     }
 }
 
+/// A node's periodic retry (anti-entropy) timer, armed in generations.
+///
+/// The engine drops timer fires for a node that is down when they come
+/// due, so a plain "armed" flag would wedge shut after downtime. Instead
+/// every [`RetryTimer::arm`] starts a fresh generation that supersedes
+/// all pending ones — safe to call on every message receipt — and
+/// `on_timer` acts only on the generation that [`RetryTimer::is_live`].
+pub struct RetryTimer {
+    every: SimDuration,
+    generation: u64,
+}
+
+impl RetryTimer {
+    /// A timer with period `every`, not armed.
+    pub fn new(every: SimDuration) -> Self {
+        RetryTimer {
+            every,
+            generation: 0,
+        }
+    }
+
+    /// Arms a fresh generation if there is `work` left to retry.
+    pub fn arm<M: Wire>(&mut self, ctx: &mut Ctx<'_, M>, work: bool) {
+        if work {
+            self.generation += 1;
+            ctx.set_timer(self.every, Timer(self.generation));
+        }
+    }
+
+    /// Whether `timer` is the newest generation (not superseded).
+    pub fn is_live(&self, timer: Timer) -> bool {
+        timer.0 == self.generation
+    }
+}
+
 /// A deterministic discrete-event simulation.
 pub struct Engine<M> {
     core: Core<M>,
@@ -235,6 +279,22 @@ impl<M: Wire + 'static> Engine<M> {
             },
             nodes: Vec::with_capacity(16),
         }
+    }
+
+    /// The paper's deployment: an engine over
+    /// [`Topology::ec2_frk_irl_vrg`] with one replica per site, in site
+    /// (FRK/IRL/VRG) order — `replica(i)` builds the one at `SiteId(i)`.
+    /// Returns the engine and the replicas' node ids, which are the
+    /// first ones it hands out.
+    pub fn ec2(
+        seed: u64,
+        mut replica: impl FnMut(usize) -> Box<dyn Node<M>>,
+    ) -> (Self, Vec<NodeId>) {
+        let mut engine = Engine::new(Topology::ec2_frk_irl_vrg(), seed);
+        let replicas = (0..engine.topology().len())
+            .map(|i| engine.add_node(SiteId(i), replica(i)))
+            .collect();
+        (engine, replicas)
     }
 
     /// Installs a fault plan.

@@ -50,14 +50,16 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod faults;
+pub mod gateway;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod topology;
 
 pub use bandwidth::{BandwidthMeter, Traffic, Wire};
-pub use engine::{Ctx, Engine, Node, NodeId, Timer};
+pub use engine::{Ctx, Engine, Node, NodeId, RetryTimer, Timer};
 pub use faults::{Downtime, Faults, Partition, SchedulePlan};
+pub use gateway::{GatewayProto, PendingOps, Reply, RoundRobin, SimGateway, SimHost, SubmitWire};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -16,18 +16,13 @@
 //! - [`CausalSpec`] — the `causalstore`-shaped slice (`weak`, `causal`,
 //!   `strong`) for any spec'd object.
 
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::ops::Deref;
 
 use correctables::spec::SeqSpec;
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, Faults, Node, NodeId, SimDuration, SiteId, Timer, Topology};
+use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
+use simnet::{Engine, RoundRobin, SimHost};
 
-use crate::replica::{OpId, SpecMsg, SpecReplica, UpdateId, Wants};
+use crate::replica::{SpecMsg, SpecReplica, UpdateId, Wants};
 
 /// The four-level lattice slice of the full binding.
 fn full_levels() -> LevelSet {
@@ -39,156 +34,23 @@ fn full_levels() -> LevelSet {
     ])
 }
 
-struct Queued<S: SeqSpec> {
-    op: S::Op,
-    wants: Wants,
-    upcall: Upcall<S::Ret>,
-}
-
-type OpQueue<S> = Arc<Mutex<VecDeque<Queued<S>>>>;
-
-const KICK: u64 = u64::MAX - 1;
-
-struct GwPending<S: SeqSpec> {
-    upcall: Upcall<S::Ret>,
-}
-
-struct Gateway<S: SeqSpec> {
-    replicas: Vec<NodeId>,
-    /// Round-robin cursor over the replicas — each submission originates
-    /// at the next replica, modeling independent client processes.
-    rr: usize,
-    queue: OpQueue<S>,
-    next_seq: u64,
-    pending: BTreeMap<OpId, GwPending<S>>,
-    client_timeout: Option<SimDuration>,
-    timer_ops: BTreeMap<u64, OpId>,
-    next_timer: u64,
-    /// Mirror of the virtual time (ns) at which the gateway last ran.
-    clock: Arc<AtomicU64>,
-}
-
-impl<S> Gateway<S>
-where
-    S: SeqSpec + Send + 'static,
-    S::Op: Send,
-    S::Ret: Send,
-{
-    fn drain(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>) {
-        loop {
-            let Some(q) = self.queue.lock().pop_front() else {
-                return;
-            };
-            let op = OpId(self.next_seq);
-            self.next_seq += 1;
-            let target = self.replicas[self.rr % self.replicas.len()];
-            self.rr += 1;
-            ctx.send(
-                target,
-                SpecMsg::Submit {
-                    op,
-                    client_op: q.op,
-                    wants: q.wants,
-                },
-            );
-            self.pending.insert(op, GwPending { upcall: q.upcall });
-            if let Some(d) = self.client_timeout {
-                let token = self.next_timer;
-                self.next_timer += 1;
-                self.timer_ops.insert(token, op);
-                ctx.set_timer(d, Timer(token));
-            }
-        }
-    }
-}
-
-impl<S> Node<SpecMsg<S>> for Gateway<S>
-where
-    S: SeqSpec + Send + 'static,
-    S::Op: Send,
-    S::Ret: Send,
-{
-    fn on_message(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, _from: NodeId, msg: SpecMsg<S>) {
-        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
-        match msg {
-            SpecMsg::Immediate { op, views, closing } => {
-                if let Some(p) = self.pending.get(&op) {
-                    for (level, ret) in views {
-                        p.upcall.deliver(ret, level);
-                    }
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            SpecMsg::Later {
-                op,
-                level,
-                ret,
-                closing,
-            } => {
-                if let Some(p) = self.pending.get(&op) {
-                    p.upcall.deliver(ret, level);
-                    if closing {
-                        self.pending.remove(&op);
-                    }
-                }
-            }
-            _ => debug_assert!(false, "protocol messages are addressed to replicas"),
-        }
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, timer: Timer) {
-        self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
-        if timer.0 == KICK {
-            self.drain(ctx);
-        } else if let Some(op) = self.timer_ops.remove(&timer.0) {
-            // A view was lost to faults: fail the close. Views already
-            // delivered stand (the paper's exceptional close).
-            if let Some(p) = self.pending.remove(&op) {
-                p.upcall.fail(Error::Timeout);
-            }
-            self.drain(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-struct NState<S: SeqSpec> {
-    engine: Engine<SpecMsg<S>>,
-    gateway: NodeId,
-    replicas: Vec<NodeId>,
-}
-
 /// A simulated spec store: three replicas plus a client gateway.
-pub struct SimSpecStore<S: SeqSpec> {
-    state: Arc<Mutex<NState<S>>>,
-    queue: OpQueue<S>,
-    spec: S,
-    clock: Arc<AtomicU64>,
+/// Faults, client deadlines, `settle`/`advance` and the clock mirror
+/// come from the [`SimHost`] it dereferences to.
+#[derive(Clone)]
+pub struct SimSpecStore<S: SeqSpec + 'static> {
+    host: SimHost<RoundRobin<SpecMsg<S>>>,
 }
 
-impl<S: SeqSpec + Clone> Clone for SimSpecStore<S> {
-    fn clone(&self) -> Self {
-        SimSpecStore {
-            state: Arc::clone(&self.state),
-            queue: Arc::clone(&self.queue),
-            spec: self.spec.clone(),
-            clock: Arc::clone(&self.clock),
-        }
+impl<S: SeqSpec + 'static> Deref for SimSpecStore<S> {
+    type Target = SimHost<RoundRobin<SpecMsg<S>>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
     }
 }
 
-impl<S> SimSpecStore<S>
-where
-    S: SeqSpec + Clone + Send + 'static,
-    S::Op: Send,
-    S::Ret: Send,
-{
+impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
     /// Builds the deployment: one replica per paper site, gateway at
     /// `client_site`, all driven by `seed`.
     ///
@@ -208,51 +70,23 @@ where
     }
 
     fn build(spec: S, client_site: &str, seed: u64, buggy: bool) -> Self {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = ["FRK", "IRL", "VRG"];
-        let client_site_id = topo.site_named(client_site).expect("known client site");
-        let mut engine = Engine::new(topo, seed);
-        let n = sites.len();
-        let replicas: Vec<NodeId> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let site = engine.topology().site_named(s).expect("site");
-                let mut r = SpecReplica::new(spec.clone(), i, n);
-                r.set_arrival_order(buggy);
-                engine.add_node(site, Box::new(r))
-            })
-            .collect();
+        let (mut engine, replicas) = Engine::ec2(seed, |i| {
+            let mut r = SpecReplica::new(spec.clone(), i, 3);
+            r.set_arrival_order(buggy);
+            Box::new(r)
+        });
         for id in &replicas {
             engine
                 .node_as::<SpecReplica<S>>(*id)
                 .set_peers(replicas.clone());
         }
-        let queue: OpQueue<S> = Arc::new(Mutex::new(VecDeque::new()));
-        let clock = Arc::new(AtomicU64::new(0));
-        let gateway = engine.add_node(
-            client_site_id,
-            Box::new(Gateway::<S> {
-                replicas: replicas.clone(),
-                rr: 0,
-                queue: Arc::clone(&queue),
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                client_timeout: None,
-                timer_ops: BTreeMap::new(),
-                next_timer: 0,
-                clock: Arc::clone(&clock),
-            }),
-        );
+        let client = engine
+            .topology()
+            .site_named(client_site)
+            .expect("known client site");
+        let proto = RoundRobin::new(replicas.clone());
         SimSpecStore {
-            state: Arc::new(Mutex::new(NState {
-                engine,
-                gateway,
-                replicas,
-            })),
-            queue,
-            spec,
-            clock,
+            host: SimHost::new(engine, replicas, client, proto),
         }
     }
 
@@ -284,106 +118,21 @@ where
         })
     }
 
-    /// A handle mirroring the current virtual time (nanoseconds), for
-    /// stamping recorded histories (`History::with_clock`).
-    pub fn clock(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.clock)
-    }
-
-    /// Installs a fault plan.
-    pub fn set_faults(&self, faults: Faults) {
-        self.state.lock().engine.set_faults(faults);
-    }
-
-    /// Sets a client-side deadline per operation (fails the close with
-    /// `Error::Timeout`; already delivered views stand).
-    pub fn set_client_timeout(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let gw = st.gateway;
-        st.engine.node_as::<Gateway<S>>(gw).client_timeout = Some(d);
-    }
-
-    /// The replica node ids (FRK/IRL/VRG order).
-    pub fn replica_ids(&self) -> Vec<NodeId> {
-        self.state.lock().replicas.clone()
-    }
-
-    /// All site ids of the deployment's topology.
-    pub fn site_ids(&self) -> Vec<SiteId> {
-        let st = self.state.lock();
-        (0..st.engine.topology().len()).map(SiteId).collect()
-    }
-
     /// Every replica's applied update log, in its current order — the
     /// input to the oracle's update-consistency checker.
     pub fn applied_logs(&self) -> Vec<Vec<UpdateId>> {
-        let mut st = self.state.lock();
-        let ids = st.replicas.clone();
-        ids.into_iter()
-            .map(|id| st.engine.node_as::<SpecReplica<S>>(id).applied_log())
-            .collect()
-    }
-
-    /// Drives the simulation until every submitted operation resolves.
-    ///
-    /// Runs in bounded virtual-time slices: the replicas'
-    /// anti-entropy timers keep the event queue busy while gossip is
-    /// lost (e.g. under an active partition), so "no events left" is
-    /// not a usable stop condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operations cannot resolve within a very large horizon
-    /// (faults active without a client timeout, or a protocol bug).
-    pub fn settle(&self) {
-        let mut st = self.state.lock();
-        let slice = SimDuration::from_millis(5);
-        for _ in 0..2_000_000 {
-            let gw = st.gateway;
-            st.engine.schedule_timer(gw, SimDuration::ZERO, Timer(KICK));
-            let limit = st.engine.now() + slice;
-            st.engine.run_until(limit);
-            let pending_empty = st.engine.node_as::<Gateway<S>>(gw).pending.is_empty();
-            if pending_empty && self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        panic!(
-            "spec-store operations cannot settle (lost replies without a \
-             client timeout? see SimSpecStore::set_client_timeout)"
-        );
-    }
-
-    /// Runs the simulation for `d` without submitting anything (lets
-    /// gossip and anti-entropy progress).
-    pub fn advance(&self, d: SimDuration) {
-        let mut st = self.state.lock();
-        let until = st.engine.now() + d;
-        st.engine.run_until(until);
+        self.each_replica(|r: &mut SpecReplica<S>| r.applied_log())
     }
 }
 
 /// The full four-level `Binding` over a [`SimSpecStore`].
-pub struct SpecBinding<S: SeqSpec> {
+#[derive(Clone)]
+pub struct SpecBinding<S: SeqSpec + 'static> {
     store: SimSpecStore<S>,
     levels: LevelSet,
 }
 
-impl<S: SeqSpec + Clone> Clone for SpecBinding<S> {
-    fn clone(&self) -> Self {
-        SpecBinding {
-            store: self.store.clone(),
-            levels: self.levels.clone(),
-        }
-    }
-}
-
-impl<S> Binding for SpecBinding<S>
-where
-    S: SeqSpec + Clone + Send + 'static,
-    S::Op: Send + 'static,
-    S::Ret: Send + 'static,
-{
+impl<S: SeqSpec + Clone + Send + 'static> Binding for SpecBinding<S> {
     type Op = S::Op;
     type Val = S::Ret;
 
@@ -398,28 +147,15 @@ where
             causal: levels.contains(&ConsistencyLevel::CAUSAL),
             strong: levels.contains(&ConsistencyLevel::STRONG),
         };
-        self.store
-            .queue
-            .lock()
-            .push_back(Queued { op, wants, upcall });
+        self.store.enqueue((op, wants, upcall));
     }
 }
 
 /// The wait-free slice of a [`SimSpecStore`]: weak and update only.
-pub struct UpdateBinding<S: SeqSpec>(SpecBinding<S>);
+#[derive(Clone)]
+pub struct UpdateBinding<S: SeqSpec + 'static>(SpecBinding<S>);
 
-impl<S: SeqSpec + Clone> Clone for UpdateBinding<S> {
-    fn clone(&self) -> Self {
-        UpdateBinding(self.0.clone())
-    }
-}
-
-impl<S> Binding for UpdateBinding<S>
-where
-    S: SeqSpec + Clone + Send + 'static,
-    S::Op: Send + 'static,
-    S::Ret: Send + 'static,
-{
+impl<S: SeqSpec + Clone + Send + 'static> Binding for UpdateBinding<S> {
     type Op = S::Op;
     type Val = S::Ret;
 
@@ -434,20 +170,10 @@ where
 
 /// The causal slice of a [`SimSpecStore`] — `causalstore`'s shape
 /// (weak/causal/strong) for any spec'd object.
-pub struct CausalSpec<S: SeqSpec>(SpecBinding<S>);
+#[derive(Clone)]
+pub struct CausalSpec<S: SeqSpec + 'static>(SpecBinding<S>);
 
-impl<S: SeqSpec + Clone> Clone for CausalSpec<S> {
-    fn clone(&self) -> Self {
-        CausalSpec(self.0.clone())
-    }
-}
-
-impl<S> Binding for CausalSpec<S>
-where
-    S: SeqSpec + Clone + Send + 'static,
-    S::Op: Send + 'static,
-    S::Ret: Send + 'static,
-{
+impl<S: SeqSpec + Clone + Send + 'static> Binding for CausalSpec<S> {
     type Op = S::Op;
     type Val = S::Ret;
 
@@ -465,6 +191,7 @@ mod tests {
     use super::*;
     use correctables::spec::{CounterSpec, CtrOp, RegOp, RegisterSpec};
     use correctables::{Client, State};
+    use simnet::SimDuration;
 
     #[test]
     fn register_refines_through_all_four_levels() {

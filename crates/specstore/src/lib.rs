@@ -43,6 +43,6 @@ pub mod replay;
 pub mod replica;
 
 pub use binding::{CausalSpec, SimSpecStore, SpecBinding, UpdateBinding};
-pub use causalstore::VectorClock;
+pub use causalstore::{CausalInbox, Offer, VectorClock};
 pub use replay::{OrderKey, ReplayLog, Update, UpdateId};
 pub use replica::SpecReplica;

@@ -10,8 +10,8 @@
 //!   seq)`; replaying it through the spec realizes update consistency's
 //!   single eventual linearization;
 //! - the **CBCAST buffer** — updates carry vector clocks and are
-//!   causally delivered in dependency order (reusing `causalstore`'s
-//!   [`VectorClock`] delivery rule); the causally delivered prefix,
+//!   causally delivered in dependency order (`causalstore`'s
+//!   [`CausalInbox`]); the causally delivered prefix,
 //!   replayed in log order (an order consistent with causality), backs
 //!   the causal views;
 //! - **ack stability** — each peer acknowledges an update when it
@@ -29,10 +29,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use causalstore::VectorClock;
+use causalstore::{CausalInbox, Offer};
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
-use simnet::{Ctx, NodeId, SimDuration, Timer, Wire};
+use simnet::{Ctx, NodeId, Reply, RetryTimer, SimDuration, SubmitWire, Timer, Wire};
 
 use crate::replay::{OrderKey, ReplayLog};
 pub use crate::replay::{Update, UpdateId};
@@ -143,6 +143,41 @@ impl<S: SeqSpec> Wire for SpecMsg<S> {
     }
 }
 
+impl<S: SeqSpec + 'static> SubmitWire for SpecMsg<S> {
+    type Op = S::Op;
+    type Wants = Wants;
+    type Val = S::Ret;
+
+    fn submit(op: u64, client_op: S::Op, wants: Wants) -> Self {
+        SpecMsg::Submit {
+            op: OpId(op),
+            client_op,
+            wants,
+        }
+    }
+
+    fn into_reply(self) -> Option<Reply<S::Ret>> {
+        match self {
+            SpecMsg::Immediate { op, views, closing } => Some(Reply {
+                op: op.0,
+                views,
+                closing,
+            }),
+            SpecMsg::Later {
+                op,
+                level,
+                ret,
+                closing,
+            } => Some(Reply {
+                op: op.0,
+                views: vec![(level, ret)],
+                closing,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// Ack/stability bookkeeping for one locally accepted update.
 struct OwnUpdate {
     /// Where the update sits in the log.
@@ -178,33 +213,21 @@ pub struct SpecReplica<S: SeqSpec> {
     lamport: u64,
     /// Own submission count (the next update gets `seq = next_seq + 1`).
     next_seq: u64,
-    /// Causally delivered count per origin (CBCAST state).
-    vc: VectorClock,
+    /// CBCAST state: the causally delivered count per origin, and the
+    /// ids of updates received (and logged) but not yet deliverable.
+    inbox: CausalInbox<UpdateId>,
     /// Every update received or accepted here, in `(ts, origin, seq)`
     /// order, and the views replayed from it.
     log: ReplayLog<S>,
-    /// Updates received but not yet causally deliverable.
-    buffer: Vec<Update<S::Op>>,
     /// Ack state of every update accepted here, by seq. Ordered: the
     /// replies and retransmissions sent while walking it draw simulated
     /// latencies in that order.
     own: BTreeMap<u64, OwnUpdate>,
-    /// Anti-entropy period.
-    retransmit_every: SimDuration,
-    /// Generation token of the live retransmit timer. The engine drops
-    /// timer fires for a node that is down when they come due, so a
-    /// plain "armed" flag would wedge shut after downtime; instead every
-    /// message receipt arms a fresh generation (invalidating the old
-    /// one) and [`SpecReplica::on_timer`] ignores stale generations.
-    timer_gen: u64,
+    /// Anti-entropy timer, re-armed on every message receipt.
+    retransmit: RetryTimer,
 }
 
-impl<S> SpecReplica<S>
-where
-    S: SeqSpec + Send + 'static,
-    S::Op: Send,
-    S::Ret: Send,
-{
+impl<S: SeqSpec + Send + 'static> SpecReplica<S> {
     /// A replica with index `id` out of `n`.
     pub fn new(spec: S, id: usize, n: usize) -> Self {
         SpecReplica {
@@ -213,12 +236,10 @@ where
             peers: Vec::new(),
             lamport: 0,
             next_seq: 0,
-            vc: VectorClock::zero(n),
+            inbox: CausalInbox::new(n),
             log: ReplayLog::new(spec),
-            buffer: Vec::new(),
             own: BTreeMap::new(),
-            retransmit_every: SimDuration::from_millis(200),
-            timer_gen: 0,
+            retransmit: RetryTimer::new(SimDuration::from_millis(200)),
         }
     }
 
@@ -244,15 +265,11 @@ where
         self.own.values().all(|o| o.fully_acked(self.id))
     }
 
-    /// Arms a fresh retransmit-timer generation if any own update still
-    /// lacks acks. Safe to call on every message: the newest generation
-    /// supersedes all pending ones.
+    /// Keeps the retransmit timer running while any own update still
+    /// lacks acks.
     fn arm_timer(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>) {
         let unacked = self.own.values().any(|e| !e.fully_acked(self.id));
-        if unacked && self.n > 1 {
-            self.timer_gen += 1;
-            ctx.set_timer(self.retransmit_every, Timer(self.timer_gen));
-        }
+        self.retransmit.arm(ctx, unacked && self.n > 1);
     }
 
     fn accept(
@@ -268,7 +285,7 @@ where
         // Stamp and log the update.
         self.lamport += 1;
         self.next_seq += 1;
-        self.vc.bump(self.id);
+        self.inbox.bump(self.id);
         let id = UpdateId {
             origin: self.id,
             seq: self.next_seq,
@@ -276,7 +293,7 @@ where
         let update = Update {
             id,
             ts: self.lamport,
-            vc: self.vc.clone(),
+            vc: self.inbox.delivered().clone(),
             op: client_op,
         };
         for (i, peer) in self.peers.clone().into_iter().enumerate() {
@@ -322,25 +339,20 @@ where
     /// Drains the CBCAST buffer, delivering (and acking) every update
     /// whose causal dependencies are satisfied.
     fn deliver_causal(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>) {
-        loop {
-            let Some(pos) = self
-                .buffer
-                .iter()
-                .position(|u| self.vc.deliverable(&u.vc, u.id.origin))
-            else {
-                return;
-            };
-            let u = self.buffer.swap_remove(pos);
-            self.vc.bump(u.id.origin);
-            ctx.send(
-                self.peers[u.id.origin],
-                SpecMsg::Ack {
-                    of: u.id,
-                    acker: self.id,
-                    acker_seq: self.next_seq,
-                },
-            );
+        while let Some((origin, _, of)) = self.inbox.pop_ready(|_| true) {
+            self.ack(ctx, origin, of);
         }
+    }
+
+    fn ack(&self, ctx: &mut Ctx<'_, SpecMsg<S>>, origin: usize, of: UpdateId) {
+        ctx.send(
+            self.peers[origin],
+            SpecMsg::Ack {
+                of,
+                acker: self.id,
+                acker_seq: self.next_seq,
+            },
+        );
     }
 
     /// Fires causal/strong replies for own updates whose conditions now
@@ -348,6 +360,7 @@ where
     fn settle_pending(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>) {
         let me = self.id;
         let solo = self.n == 1;
+        let vc = self.inbox.delivered();
         self.own.retain(|_, e| {
             let acked = e.fully_acked(me);
             if let Some((op, gw, wants)) = e.client {
@@ -359,11 +372,11 @@ where
                     .acks
                     .iter()
                     .enumerate()
-                    .all(|(i, a)| i == me || a.is_some_and(|s| self.vc.0[i] >= s));
+                    .all(|(i, a)| i == me || a.is_some_and(|s| vc.0[i] >= s));
                 if wants.causal && !e.causal_sent && any_ack {
                     let ret = self
                         .log
-                        .causal_ret_of(e.key, &self.vc)
+                        .causal_ret_of(e.key, vc)
                         .expect("own update is delivered");
                     ctx.send(
                         gw,
@@ -399,12 +412,7 @@ where
     }
 }
 
-impl<S> simnet::Node<SpecMsg<S>> for SpecReplica<S>
-where
-    S: SeqSpec + Send + 'static,
-    S::Op: Send,
-    S::Ret: Send,
-{
+impl<S: SeqSpec + Send + 'static> simnet::Node<SpecMsg<S>> for SpecReplica<S> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, from: NodeId, msg: SpecMsg<S>) {
         match msg {
             SpecMsg::Submit {
@@ -414,25 +422,13 @@ where
             } => self.accept(ctx, from, op, client_op, wants),
             SpecMsg::Gossip { update } => {
                 let origin = update.id.origin;
-                let seq = update.id.seq;
-                if seq <= self.vc.0[origin] {
-                    // Retransmission of something already delivered: the
-                    // origin must have lost our ack — re-ack.
-                    ctx.send(
-                        self.peers[origin],
-                        SpecMsg::Ack {
-                            of: update.id,
-                            acker: self.id,
-                            acker_seq: self.next_seq,
-                        },
-                    );
-                    return;
-                }
-                if self.buffer.iter().any(|u| u.id == update.id) {
-                    return; // buffered duplicate
+                match self.inbox.offer(origin, update.vc.clone(), update.id) {
+                    // The origin must have lost our ack — re-ack.
+                    Offer::AlreadyDelivered => return self.ack(ctx, origin, update.id),
+                    Offer::Duplicate => return,
+                    Offer::Buffered => {}
                 }
                 self.lamport = self.lamport.max(update.ts) + 1;
-                self.buffer.push(update.clone());
                 self.log.insert(update);
                 self.deliver_causal(ctx);
                 self.settle_pending(ctx);
@@ -460,7 +456,7 @@ where
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SpecMsg<S>>, timer: Timer) {
-        if timer.0 != self.timer_gen {
+        if !self.retransmit.is_live(timer) {
             return; // superseded generation
         }
         // Anti-entropy: re-broadcast own updates that some peer has not

@@ -15,6 +15,7 @@
 //! - [`quorumstore`] — Correctable Cassandra (CC, *CC);
 //! - [`consensusq`] — Correctable ZooKeeper (CZK) and replicated queues;
 //! - [`causalstore`] — causal replication with a client cache;
+//! - [`specstore`] — the spec-generic weak/update/causal/strong store;
 //! - [`crdt`] — coordination-free CRDT bindings (GCounter/PN, OR-Set,
 //!   LWW-Map), SEC-checkable replication, escrow-segmented tickets;
 //! - [`shard`] — the sharded multi-object routing layer;
@@ -45,4 +46,5 @@ pub use icg_oracle as oracle;
 pub use icg_shard as shard;
 pub use quorumstore;
 pub use simnet;
+pub use specstore;
 pub use ycsb;

@@ -114,6 +114,7 @@ fn facade_reexports_every_workspace_crate() {
     let _key = icg::quorumstore::Key::plain(0);
     let _op = icg::consensusq::QueueOp::Dequeue;
     let _cache_op = icg::causalstore::CacheOp::Get("k".into());
+    let _update = icg::specstore::UpdateId { origin: 0, seq: 1 };
     let _workload = icg::ycsb::Workload::a(icg::ycsb::Distribution::Uniform, 10);
     let _depth = icg::blockchain::FINAL_DEPTH;
     let _ads = icg::apps::AdsDataset::small();
