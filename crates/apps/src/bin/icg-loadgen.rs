@@ -12,7 +12,7 @@
 //! **Open loop** (`--open-loop`): `--connections` bindings multiplexed
 //! over the reactor's event loops, with operations issued at a fixed
 //! aggregate `--rate` for `--duration-secs` regardless of completions —
-//! the connection-scaling workload the epoll transport exists for.
+//! the connection-scaling workload the epoll reactor exists for.
 //! Completions are recorded by callback; nothing blocks the issuers.
 //!
 //! ```text
@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use icg_apps::cli::{die, Flags};
-use icg_net::{SpecOp, SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding, Transport};
+use icg_net::{SpecOp, SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding};
 
 use correctables::spec::RegOp;
 use correctables::{Client, ConsistencyLevel, LevelSelection};
@@ -74,7 +74,6 @@ const KNOWN: &[&str] = &[
     "seed",
     "no-preload",
     "allow-failures",
-    "transport",
     "open-loop",
     "connections",
     "rate",
@@ -87,7 +86,7 @@ const KNOWN: &[&str] = &[
 const USAGE: &str = "icg-loadgen --replicas ADDR,ADDR,... [--clients 4] [--ops 2000]
     [--keys 1000] [--write-ratio 0.1] [--mode icg|weak|strong] [--confirm]
     [--r 2] [--value-bytes 128] [--timeout-ms 2000] [--seed 42]
-    [--no-preload] [--allow-failures N] [--transport reactor|blocking]
+    [--no-preload] [--allow-failures N]
     [--open-loop --connections 1000 --rate 5000 --duration-secs 10]
     [--levels weak,update,causal,strong]
     [--bench-json FILE] [--bench-name NAME]
@@ -214,13 +213,6 @@ fn main() {
         "strong" => Mode::Strong,
         other => die(&format!("--mode must be icg|weak|strong, got '{other}'")),
     };
-    let transport = match flags.get_or("transport", "reactor").as_str() {
-        "reactor" => Transport::Reactor,
-        "blocking" => Transport::Blocking,
-        other => die(&format!(
-            "--transport must be reactor|blocking, got '{other}'"
-        )),
-    };
     let open_loop = flags.has("open-loop");
     let bench_json = flags.get_or("bench-json", "");
     // --levels NAMES selects the spec-store workload; each name must
@@ -258,7 +250,6 @@ fn main() {
         cfg.r_strong = r_strong;
         cfg.confirm = confirm;
         cfg.op_timeout = timeout;
-        cfg.transport = transport;
         // A freshly booted cluster may still be binding: retry the
         // initial dial for a few seconds before giving up, so scripts
         // can start replicas and loadgen back-to-back.

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use correctables::ConsistencyLevel;
 use icg_apps::cli::{die, Flags};
-use icg_net::{ReplicaServer, ServerConfig, Transport};
+use icg_net::{ReplicaServer, ServerConfig};
 
 const KNOWN: &[&str] = &[
     "id",
@@ -35,7 +35,6 @@ const KNOWN: &[&str] = &[
     "op-timeout-ms",
     "peer-retry-ms",
     "peer-retry-cap-ms",
-    "transport",
     "loops",
     "levels",
     "help",
@@ -43,12 +42,11 @@ const KNOWN: &[&str] = &[
 
 const USAGE: &str = "icg-replicad --id N --listen ADDR [--peers ADDR,ADDR,...]
     [--op-timeout-ms 5000] [--peer-retry-ms 200] [--peer-retry-cap-ms 5000]
-    [--transport reactor|blocking] [--loops 1] [--levels name:rank,...]
+    [--loops 1] [--levels name:rank,...]
 
 Hosts one quorum-store replica over TCP. --id must be unique across the
 replica set (it is the write-version tiebreak). --peers lists the OTHER
-replicas; omit it for a single-replica deployment. --transport selects
-the I/O engine (default: the epoll reactor); --loops spreads reactor
+replicas; omit it for a single-replica deployment. --loops spreads
 client traffic over that many event loops. --levels registers extra
 consistency levels (beyond the builtin weak<update<causal<strong) into
 the lattice; the handshake advertises them to every client.";
@@ -91,19 +89,11 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("--levels: cannot register '{spec}': {e}")));
     }
 
-    let transport = match flags.get_or("transport", "reactor").as_str() {
-        "reactor" => Transport::Reactor,
-        "blocking" => Transport::Blocking,
-        other => die(&format!(
-            "--transport must be reactor|blocking, got '{other}'"
-        )),
-    };
     let cfg = ServerConfig {
         id,
         op_timeout: Duration::from_millis(flags.get_u64("op-timeout-ms", 5000)),
         peer_retry: Duration::from_millis(flags.get_u64("peer-retry-ms", 200)),
         peer_retry_cap: Duration::from_millis(flags.get_u64("peer-retry-cap-ms", 5000)),
-        transport,
         loops: flags.get_u64("loops", 1).max(1) as usize,
     };
     let server = ReplicaServer::bind(&listen, cfg)

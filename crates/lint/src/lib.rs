@@ -6,7 +6,7 @@
 //! | pass | invariant |
 //! |---|---|
 //! | `determinism` | sim-reachable crates take time/randomness only from the engine; no unordered-map iteration |
-//! | `panic_path` | net event-loop and transport files never panic — fail soft instead |
+//! | `panic_path` | net event-loop and binding files never panic — fail soft instead |
 //! | `lock_discipline` | no lock-order inversions; no guard held across a blocking call |
 //! | `unsafe_audit` | every `unsafe` carries an adjacent `// SAFETY:` argument |
 //! | `wire` | every wire-enum variant is encoded, decoded, and property-tested |

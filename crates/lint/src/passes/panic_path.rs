@@ -1,12 +1,12 @@
 //! Panic-path pass: no `unwrap`/`expect`, panicking macros, or `[...]`
-//! indexing in the files that run the net event loops and transport
+//! indexing in the files that run on the net event-loop and dialer
 //! threads.
 //!
 //! `ReplicaServer`'s loop thread owns all protocol state; a panic there
 //! silently kills the replica while its listener keeps accepting — the
 //! worst failure mode, because clients see timeouts instead of
 //! connection refusals and failover never triggers. The same goes for
-//! the client loop and the per-connection reader/writer threads. These
+//! the client loops, which every binding of a process shares. These
 //! files must fail soft: `Option`/`Result` plumbing, `get()` instead of
 //! indexing, messages dropped instead of asserted.
 //!
@@ -99,7 +99,7 @@ fn check_file(sf: &SourceFile, out: &mut Vec<Finding>) {
                             detail: fn_name.clone(),
                             message: format!(
                                 "`.{}()` in `{}`: a panic here kills an event-loop or \
-                                 transport thread; plumb the error instead",
+                                 dialer thread; plumb the error instead",
                                 m.text, fn_name
                             ),
                         },
@@ -123,7 +123,7 @@ fn check_file(sf: &SourceFile, out: &mut Vec<Finding>) {
                     kind: "panic-macro",
                     detail: format!("{}! in {}", t.text, fn_name),
                     message: format!(
-                        "`{}!` in `{}`: event-loop and transport threads must fail soft, \
+                        "`{}!` in `{}`: event-loop and dialer threads must fail soft, \
                          not panic",
                         t.text, fn_name
                     ),

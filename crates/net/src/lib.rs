@@ -2,9 +2,9 @@
 //!
 //! Everything else in this workspace exercises the Correctables stack
 //! in-process on the deterministic simulator. This crate is the
-//! deployment layer: a hand-rolled binary wire codec, a blocking-TCP
-//! transport built from plain threads, a quorum-store replica server,
-//! and a client-side [`Binding`](correctables::Binding) — so the *same*
+//! deployment layer: a hand-rolled binary wire codec, a dependency-free
+//! epoll reactor, a quorum-store replica server, and a client-side
+//! [`Binding`](correctables::Binding) — so the *same*
 //! `Client`/`Correctable` code that runs against `simnet` serves real
 //! traffic across machines.
 //!
@@ -24,11 +24,11 @@
 //!   (per-message minimum via [`Wire::min_wire_version`]; readers
 //!   accept [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]) and a hard size
 //!   cap against corrupt length prefixes.
-//! - [`transport`] / [`reactor`] — the blocking per-connection
-//!   writer/reader thread pairs, and the default hand-rolled epoll
-//!   reactor (edge-triggered loops, per-connection state machines,
-//!   append-in-place write buffers with backpressure). No async runtime
-//!   either way.
+//! - [`reactor`] — the one I/O engine: a hand-rolled epoll reactor
+//!   (edge-triggered loops, per-connection state machines,
+//!   append-in-place write buffers with backpressure) that every
+//!   server and client socket of this crate lives on. No async
+//!   runtime, no thread per connection.
 //! - [`server`] / [`binding`] / [`spec_binding`] — the replica
 //!   ([`ReplicaServer`], hosting the quorum store and the
 //!   `specstore`-backed update/causal/strong levels) and the client
@@ -73,7 +73,6 @@ mod pump;
 pub mod reactor;
 pub mod server;
 pub mod spec_binding;
-pub mod transport;
 pub mod wire;
 
 pub use binding::{TcpBinding, TcpConfig};
@@ -81,7 +80,6 @@ pub use frame::{FrameError, MAX_FRAME};
 pub use reactor::ClientReactor;
 pub use server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use spec_binding::{SpecTcpConfig, TcpSpecBinding};
-pub use transport::{Outbound, Transport};
 pub use wire::{
     LevelInfo, NetMsg, Reader, SpecOp, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
 };

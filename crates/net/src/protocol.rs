@@ -1,13 +1,12 @@
-//! The quorum-store replica protocol, independent of any transport.
+//! The quorum-store replica protocol, independent of any I/O.
 //!
 //! [`ReplicaCore`] is the replica's entire protocol brain: the storage
 //! map, the pending read/write tables, internal op-id minting, and the
 //! operation-deadline heap. It never touches a socket — every outbound
-//! message goes through the [`Egress`] trait, which the blocking
-//! transport implements over [`crate::transport::Outbound`] handles and
-//! the reactor implements over its event-loop connection table. Both
-//! transports therefore run byte-for-byte the same protocol; a
-//! semantics bug cannot exist in one and not the other.
+//! message goes through the [`Egress`] trait, which the reactor
+//! implements over its event-loop connection table and this module's
+//! tests implement over a `Vec`, so the protocol is checked message by
+//! message with no socket in sight.
 //!
 //! The protocol itself is documented in [`crate::server`]: simulated
 //! [`quorumstore::Replica`] semantics (preliminary flush, confirmation,
@@ -29,7 +28,7 @@ use crate::pump::{Deadlines, IdMap};
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
 
 /// Where a replica's outbound messages go. The core never sees sockets;
-/// each transport maps these two calls onto its own connection plumbing.
+/// its host maps these two calls onto its own connection plumbing.
 pub(crate) trait Egress {
     /// Sends `msg` on client connection `conn`. A connection that no
     /// longer exists drops the message silently (the client is gone;
@@ -67,8 +66,8 @@ struct WriteSt {
     acks_left: u8,
 }
 
-/// Transport-agnostic replica protocol state. One instance per replica,
-/// owned by exactly one event-loop thread (blocking or reactor).
+/// I/O-agnostic replica protocol state. One instance per replica,
+/// owned by exactly one event-loop thread.
 pub(crate) struct ReplicaCore {
     /// This replica's id (LWW writer tiebreak + internal op-id client).
     id: u32,
@@ -162,7 +161,7 @@ impl ReplicaCore {
         self.spec.retransmit(net);
     }
 
-    /// The soonest live operation deadline, for the transport's wait.
+    /// The soonest live operation deadline, for the event loop's wait.
     pub(crate) fn next_deadline(&mut self) -> Option<Instant> {
         let reads = &self.reads;
         let writes = &self.writes;
@@ -895,5 +894,194 @@ impl SpecCore {
                 self.ack(net, j as u32, delivered);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CONN: u64 = 7;
+
+    fn key() -> Key {
+        Key::plain(1)
+    }
+
+    /// Where a message went.
+    #[derive(Debug, PartialEq)]
+    enum Sent {
+        Client(u64, NetMsg),
+        Peers(NetMsg),
+    }
+
+    /// An [`Egress`] that records instead of sending.
+    #[derive(Default)]
+    struct Recorder(Vec<Sent>);
+
+    impl Egress for Recorder {
+        fn to_client(&mut self, conn: u64, msg: &NetMsg) {
+            self.0.push(Sent::Client(conn, msg.clone()));
+        }
+
+        fn to_peers(&mut self, msg: &NetMsg) {
+            self.0.push(Sent::Peers(msg.clone()));
+        }
+    }
+
+    impl Recorder {
+        /// Everything sent since the last call.
+        fn take(&mut self) -> Vec<Sent> {
+            std::mem::take(&mut self.0)
+        }
+    }
+
+    fn replica(op_timeout: Duration) -> ReplicaCore {
+        ReplicaCore::new(0, op_timeout, 2)
+    }
+
+    fn client_op(seq: u64) -> OpId {
+        OpId {
+            client: NodeId(900),
+            seq,
+        }
+    }
+
+    fn to_client(msg: Msg) -> Sent {
+        Sent::Client(CONN, NetMsg::Store(msg))
+    }
+
+    fn record(ts: u64) -> Versioned {
+        Versioned {
+            value: Value::Opaque(8),
+            version: Version { ts, writer: 1 },
+        }
+    }
+
+    /// Issues an ICG read of `key()` and returns the op id of the
+    /// `PeerRead` it fanned out, checking the two messages on the way.
+    fn start_icg_read(core: &mut ReplicaCore, net: &mut Recorder, confirm: bool) -> OpId {
+        let read = Msg::ClientRead {
+            op: client_op(1),
+            key: key(),
+            kind: ReadKind::Icg { r: 2, confirm },
+        };
+        core.on_net(net, CONN, NetMsg::Store(read));
+        let sent = net.take();
+        let [prelim, Sent::Peers(NetMsg::Store(Msg::PeerRead {
+            op: peer_op,
+            key: asked,
+        }))] = sent.as_slice()
+        else {
+            panic!("want one preliminary reply and one peer fan-out, got {sent:?}");
+        };
+        assert_eq!(*asked, key());
+        assert_eq!(
+            *prelim,
+            to_client(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Preliminary,
+                data: Versioned::absent(),
+            })
+        );
+        *peer_op
+    }
+
+    fn peer_resp(core: &mut ReplicaCore, net: &mut Recorder, op: OpId, data: Versioned) {
+        core.on_net(net, 99, NetMsg::Store(Msg::PeerReadResp { op, data }));
+    }
+
+    #[test]
+    fn icg_read_flushes_fans_out_and_closes_at_the_first_peer_response() {
+        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
+        let peer_op = start_icg_read(&mut core, &mut net, false);
+
+        peer_resp(&mut core, &mut net, peer_op, Versioned::absent());
+        assert_eq!(
+            net.take(),
+            [to_client(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Final,
+                data: Versioned::absent(),
+            })]
+        );
+        // R = 2 was met by the first response; the second peer's is late.
+        peer_resp(&mut core, &mut net, peer_op, record(5));
+        assert_eq!(net.take(), []);
+        assert_eq!(core.next_deadline(), None);
+    }
+
+    #[test]
+    fn confirm_answers_read_confirm_on_equal_version_and_final_on_newer() {
+        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
+        let peer_op = start_icg_read(&mut core, &mut net, true);
+        peer_resp(&mut core, &mut net, peer_op, Versioned::absent());
+        assert_eq!(
+            net.take(),
+            [to_client(Msg::ReadConfirm {
+                op: client_op(1),
+                version: Version::ZERO,
+            })]
+        );
+
+        // A replica whose peer holds something newer than the flush.
+        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
+        let peer_op = start_icg_read(&mut core, &mut net, true);
+        peer_resp(&mut core, &mut net, peer_op, record(5));
+        assert_eq!(
+            net.take(),
+            [to_client(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Final,
+                data: record(5),
+            })]
+        );
+    }
+
+    #[test]
+    fn expired_read_fails_once_and_drops_the_late_response() {
+        let (mut core, mut net) = (replica(Duration::ZERO), Recorder::default());
+        let peer_op = start_icg_read(&mut core, &mut net, false);
+        assert!(core.next_deadline().is_some());
+
+        core.fire_expired(&mut net);
+        assert_eq!(
+            net.take(),
+            [to_client(Msg::OpFailed {
+                op: client_op(1),
+                reason: FailReason::Timeout,
+            })]
+        );
+        core.fire_expired(&mut net);
+        peer_resp(&mut core, &mut net, peer_op, record(5));
+        assert_eq!(net.take(), []);
+    }
+
+    #[test]
+    fn client_bound_messages_arriving_at_a_server_emit_nothing() {
+        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
+        let stray = [
+            NetMsg::HelloAck {
+                version: WIRE_VERSION,
+                levels: Vec::new(),
+            },
+            NetMsg::SpecReply {
+                client: 1,
+                seq: 1,
+                level: ConsistencyLevel::STRONG.wire_id(),
+                val: 1,
+                closing: true,
+            },
+            NetMsg::SpecFailed { client: 1, seq: 1 },
+            NetMsg::Store(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Final,
+                data: record(5),
+            }),
+        ];
+        for msg in stray {
+            core.on_net(&mut net, CONN, msg);
+        }
+        assert_eq!(net.take(), []);
+        assert_eq!(core.next_deadline(), None);
     }
 }

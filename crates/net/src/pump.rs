@@ -1,17 +1,15 @@
-//! Shared event-loop plumbing: a deadline heap, the
-//! wait-for-event-or-next-deadline receive step, and the map type for
+//! Shared event-loop plumbing: a deadline heap and the map type for
 //! tables keyed by self-minted integer ids.
 //!
-//! Both protocol loops in this crate (the replica server's and the
-//! client binding's) are the same shape — an mpsc event channel, a heap
-//! of operation deadlines, and a "handle whichever comes first" pump.
-//! This module owns that shape once so the lazy-discard and expiry
-//! logic cannot drift between the two.
+//! Both protocol handlers in this crate (the replica server's and the
+//! client bindings') keep a heap of operation deadlines next to the
+//! table of operations those deadlines belong to. This module owns the
+//! heap once so the lazy-discard and expiry logic cannot drift between
+//! the two.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Instant;
 
 /// A map keyed by ids this process minted itself — connection ids,
@@ -63,12 +61,6 @@ impl<K: Ord + Copy> Deadlines<K> {
         self.heap.push(Reverse((at, key)));
     }
 
-    /// Drops every armed deadline (used when all pending ops are failed
-    /// wholesale).
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// The soonest deadline whose key is still `alive`, discarding dead
     /// entries encountered on the way (ops that completed before their
     /// deadline fired).
@@ -93,36 +85,5 @@ impl<K: Ord + Copy> Deadlines<K> {
             self.heap.pop();
             expire(key);
         }
-    }
-}
-
-/// Outcome of one pump step.
-pub(crate) enum Step<E> {
-    /// An event arrived.
-    Event(E),
-    /// The given deadline passed with no event.
-    Expired,
-    /// Every sender hung up; the loop should exit.
-    Closed,
-}
-
-/// Waits for the next event or until `deadline`, whichever comes first.
-pub(crate) fn recv_step<E>(rx: &Receiver<E>, deadline: Option<Instant>) -> Step<E> {
-    match deadline {
-        Some(at) => {
-            let now = Instant::now();
-            if at <= now {
-                return Step::Expired;
-            }
-            match rx.recv_timeout(at - now) {
-                Ok(e) => Step::Event(e),
-                Err(RecvTimeoutError::Timeout) => Step::Expired,
-                Err(RecvTimeoutError::Disconnected) => Step::Closed,
-            }
-        }
-        None => match rx.recv() {
-            Ok(e) => Step::Event(e),
-            Err(_) => Step::Closed,
-        },
     }
 }

@@ -1,17 +1,18 @@
 //! Client bindings multiplexed onto shared reactor loops.
 //!
-//! Where the blocking engine spends a loop thread plus a reader/writer
-//! thread pair *per binding*, the reactor hosts thousands of bindings
-//! on one [`ClientReactor`]: a fixed set of event loops (bindings are
-//! assigned round-robin at creation) plus one dialer thread for the
-//! reconnects that must block. Each binding's state — its pending-op
-//! table, its connection, its failover cursor — lives on its loop
-//! thread; the [`crate::TcpBinding`] handle only injects commands.
+//! A [`ClientReactor`] hosts thousands of bindings on a fixed set of
+//! event loops (bindings are assigned round-robin at creation) plus one
+//! dialer thread for the reconnects that must block — a binding costs a
+//! socket, never a thread. Each binding's state — its pending-op table,
+//! its connection, its failover cursor — lives on its loop thread; the
+//! [`crate::TcpBinding`] and [`crate::TcpSpecBinding`] handles only
+//! inject commands. The two kinds share a loop's binding table,
+//! connection tags and deadline heap; the spec binding's state machine
+//! itself is in [`crate::spec_binding`].
 //!
-//! Failover matches the blocking engine observably: a dead coordinator
-//! fails every in-flight op `Unavailable`, and the next submission
-//! triggers a dial of the next address. The one mechanical difference
-//! is that the reactor dials *asynchronously* (the loop must keep
+//! Failover of a quorum binding: a dead coordinator fails every
+//! in-flight op `Unavailable`, and the next submission triggers a dial
+//! of the next address. The loop dials *asynchronously* (it must keep
 //! serving its other bindings), so ops submitted during the dial are
 //! queued and sent on success instead of blocking the caller.
 
@@ -31,7 +32,8 @@ use quorumstore::StoreOp;
 
 use crate::binding::{encode_submit, fail_all_pending, handle_reply, PendingOp, TcpConfig};
 use crate::pump::{Deadlines, IdMap};
-use crate::wire::Reader;
+use crate::spec_binding::SpecState;
+use crate::wire::{Reader, SpecOp};
 
 use super::conn::CloseReason;
 use super::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_CAP};
@@ -64,6 +66,36 @@ pub(crate) enum ClientEv {
     DialFailed { binding: u64 },
     /// The binding's last handle is gone (or `shutdown` was called).
     Deregister { binding: u64 },
+    /// A freshly created spec binding arrives with its stream, the
+    /// handshake already done on it. The state is boxed so this rare
+    /// event does not set the size of every queued command (nor the
+    /// rarer kind of binding the size of every table slot).
+    RegisterSpec {
+        binding: u64,
+        state: Box<SpecState>,
+        stream: TcpStream,
+    },
+    /// One operation submitted through a spec binding; `wants` holds
+    /// the requested levels under this process's wire ids.
+    SubmitSpec {
+        binding: u64,
+        op: SpecOp,
+        wants: Vec<u8>,
+        upcall: Upcall<u64>,
+    },
+}
+
+impl ClientEv {
+    /// Fails the caller waiting on this event, if it is a submission:
+    /// its loop has exited and will never serve it.
+    pub(crate) fn fail_unserved(self) {
+        let err = Error::Unavailable("client reactor shut down".into());
+        match self {
+            ClientEv::Submit { upcall, .. } => upcall.fail(err),
+            ClientEv::SubmitSpec { upcall, .. } => upcall.fail(err),
+            _ => {}
+        }
+    }
 }
 
 /// One async reconnect job for the dialer thread.
@@ -120,9 +152,10 @@ impl ClientReactor {
         })
     }
 
-    /// The shared process-wide reactor, created on first use with one
-    /// loop per core (capped at four — client work is parse-and-match,
-    /// not compute).
+    /// The shared process-wide reactor behind [`crate::TcpBinding::connect`]
+    /// and [`crate::TcpSpecBinding::connect`], created on first use
+    /// with one loop per core (capped at four — client work is
+    /// parse-and-match, not compute).
     pub(crate) fn global() -> io::Result<&'static ClientReactor> {
         static GLOBAL: OnceLock<io::Result<ClientReactor>> = OnceLock::new();
         GLOBAL
@@ -135,6 +168,42 @@ impl ClientReactor {
             })
             .as_ref()
             .map_err(|e| io::Error::new(e.kind(), e.to_string()))
+    }
+
+    /// Mints a binding id, picks its loop round-robin and delivers the
+    /// registration event `ev_of(id)` there. Fails if that loop has
+    /// exited — the binding could never be served.
+    fn enroll(&self, ev_of: impl FnOnce(u64) -> ClientEv) -> io::Result<ReactorBinding> {
+        let binding = self.next_binding.fetch_add(1, Ordering::Relaxed);
+        let loop_idx = (binding as usize) % self.loops.len().max(1);
+        let Some(inj) = self.loops.get(loop_idx) else {
+            return Err(io::Error::other("client reactor has no loops"));
+        };
+        if inj.try_send(Cmd::Ev(ev_of(binding))).is_err() {
+            return Err(io::Error::other("client reactor loop has exited"));
+        }
+        Ok(ReactorBinding {
+            binding,
+            inj: inj.clone(),
+            _deregister_on_last_drop: Arc::new(DeregisterGuard {
+                binding,
+                inj: inj.clone(),
+            }),
+        })
+    }
+
+    /// Registers a spec binding whose `stream` already carried the
+    /// handshake.
+    pub(crate) fn register_spec(
+        &self,
+        state: SpecState,
+        stream: TcpStream,
+    ) -> io::Result<ReactorBinding> {
+        self.enroll(|binding| ClientEv::RegisterSpec {
+            binding,
+            state: Box::new(state),
+            stream,
+        })
     }
 
     /// Dials the first reachable replica (the constructor's synchronous
@@ -157,38 +226,22 @@ impl ClientReactor {
                 "no replica in the list accepted a connection",
             ));
         };
-        let binding = self.next_binding.fetch_add(1, Ordering::Relaxed);
-        let loop_idx = (binding as usize) % self.loops.len().max(1);
-        let Some(inj) = self.loops.get(loop_idx) else {
-            return Err(io::Error::other("client reactor has no loops"));
-        };
         let coordinator = Arc::new(Mutex::new(addr));
-        let r_strong = cfg.r_strong;
-        let confirm = cfg.confirm;
-        inj.send(Cmd::Ev(ClientEv::Register {
+        let rb = self.enroll(|binding| ClientEv::Register {
             binding,
             cfg,
             stream,
             addr_idx,
             coordinator: Arc::clone(&coordinator),
-        }));
-        let rb = ReactorBinding {
-            binding,
-            r_strong,
-            confirm,
-            inj: inj.clone(),
-            _deregister_on_last_drop: Arc::new(DeregisterGuard {
-                binding,
-                inj: inj.clone(),
-            }),
-        };
+        })?;
         Ok((coordinator, rb))
     }
 }
 
 impl Drop for ClientReactor {
-    /// Stops the loops. Bindings still alive afterwards fail all
-    /// subsequent operations (their loop no longer drains commands).
+    /// Stops the loops. Each fails its bindings' in-flight operations
+    /// `Unavailable` on the way out, and bindings still alive afterwards
+    /// fail every later operation the same way.
     fn drop(&mut self) {
         for inj in &self.loops {
             inj.send(Cmd::Shutdown);
@@ -196,13 +249,12 @@ impl Drop for ClientReactor {
     }
 }
 
-/// The binding half living inside [`crate::TcpBinding`]: an injector
-/// plus the binding's id on its loop.
+/// The binding half living inside [`crate::TcpBinding`] and
+/// [`crate::TcpSpecBinding`]: an injector plus the binding's id on its
+/// loop.
 #[derive(Clone)]
 pub(crate) struct ReactorBinding {
     binding: u64,
-    pub(crate) r_strong: u8,
-    pub(crate) confirm: bool,
     inj: Injector<ClientEv>,
     _deregister_on_last_drop: Arc<DeregisterGuard>,
 }
@@ -212,8 +264,12 @@ impl ReactorBinding {
         self.binding
     }
 
+    /// Hands a submission to the binding's loop, or fails it right here
+    /// if that loop has exited.
     pub(crate) fn submit(&self, ev: ClientEv) {
-        self.inj.send(Cmd::Ev(ev));
+        if let Err(Cmd::Ev(ev)) = self.inj.try_send(Cmd::Ev(ev)) {
+            ev.fail_unserved();
+        }
     }
 
     pub(crate) fn shutdown(&self) {
@@ -223,7 +279,7 @@ impl ReactorBinding {
     }
 }
 
-/// Deregisters the binding when the last [`crate::TcpBinding`] clone is
+/// Deregisters the binding when the last clone of its handle is
 /// dropped, failing its pending ops and closing its socket.
 struct DeregisterGuard {
     binding: u64,
@@ -296,13 +352,60 @@ impl BState {
     }
 }
 
+/// One entry of a loop's binding table.
+enum Slot {
+    /// A [`crate::TcpBinding`]: the quorum store, with failover.
+    Quorum(BState),
+    /// A [`crate::TcpSpecBinding`]: the spec store, one connection.
+    Spec(Box<SpecState>),
+}
+
+impl Slot {
+    fn fail_all(&mut self, err: impl Fn() -> Error) {
+        match self {
+            Slot::Quorum(st) => st.fail_all(err),
+            Slot::Spec(sp) => sp.fail_all(err),
+        }
+    }
+
+    fn conn(&self) -> Option<u64> {
+        match self {
+            Slot::Quorum(st) => st.conn,
+            Slot::Spec(sp) => sp.conn,
+        }
+    }
+
+    fn is_pending(&self, seq: u64) -> bool {
+        match self {
+            Slot::Quorum(st) => st.pending.contains_key(&seq),
+            Slot::Spec(sp) => sp.pending.contains_key(&seq),
+        }
+    }
+
+    /// Fails op `seq` with `Timeout` if it is still pending.
+    fn expire(&mut self, seq: u64) {
+        match self {
+            Slot::Quorum(st) => {
+                if let Some(p) = st.pending.remove(&seq) {
+                    p.upcall.fail(Error::Timeout);
+                }
+            }
+            Slot::Spec(sp) => {
+                if let Some(upcall) = sp.pending.remove(&seq) {
+                    upcall.fail(Error::Timeout);
+                }
+            }
+        }
+    }
+}
+
 /// One client event loop: many bindings, one deadline heap.
 struct ClientHandler {
     loop_idx: usize,
     dial_tx: Sender<DialReq>,
     /// Keyed by binding id — which is also the tag of every connection
     /// this loop owns, so frames route to their binding via the tag.
-    bindings: IdMap<BState>,
+    bindings: IdMap<Slot>,
     /// All bindings' op deadlines, keyed `(binding, seq)`.
     deadlines: Deadlines<(u64, u64)>,
 }
@@ -317,7 +420,7 @@ impl ClientHandler {
         upcall: Upcall<Versioned>,
         close_level: ConsistencyLevel,
     ) {
-        let Some(st) = self.bindings.get_mut(&binding) else {
+        let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
             upcall.fail(Error::Unavailable("client connection closed".into()));
             return;
         };
@@ -380,8 +483,10 @@ impl Handler for ClientHandler {
         let Some(binding) = ctl.tag_of(conn) else {
             return;
         };
-        let Some(st) = self.bindings.get_mut(&binding) else {
-            return;
+        let st = match self.bindings.get_mut(&binding) {
+            Some(Slot::Quorum(st)) => st,
+            Some(Slot::Spec(sp)) => return sp.on_frame(ctl, conn, body),
+            None => return,
         };
         match Reader::new(body).finish::<Msg>() {
             Ok(msg) => handle_reply(&mut st.pending, st.cfg.client_id, msg),
@@ -393,8 +498,10 @@ impl Handler for ClientHandler {
     }
 
     fn on_close(&mut self, _ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
-        let Some(st) = self.bindings.get_mut(&tag) else {
-            return;
+        let st = match self.bindings.get_mut(&tag) {
+            Some(Slot::Quorum(st)) => st,
+            Some(Slot::Spec(sp)) => return sp.on_close(conn),
+            None => return,
         };
         if st.conn != Some(conn) {
             return; // stale close of an already-replaced connection
@@ -418,7 +525,7 @@ impl Handler for ClientHandler {
                 let conn = ctl.adopt(stream, binding);
                 self.bindings.insert(
                     binding,
-                    BState {
+                    Slot::Quorum(BState {
                         cfg,
                         coordinator,
                         pending: IdMap::default(),
@@ -428,7 +535,7 @@ impl Handler for ClientHandler {
                         dialing: false,
                         retry_after: None,
                         unsent: Vec::new(),
-                    },
+                    }),
                 );
             }
             ClientEv::Submit {
@@ -443,7 +550,7 @@ impl Handler for ClientHandler {
                 stream,
                 addr_idx,
             } => {
-                let Some(st) = self.bindings.get_mut(&binding) else {
+                let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
                     return; // deregistered while the dial was in flight
                 };
                 st.dialing = false;
@@ -465,7 +572,7 @@ impl Handler for ClientHandler {
                 }
             }
             ClientEv::DialFailed { binding } => {
-                let Some(st) = self.bindings.get_mut(&binding) else {
+                let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
                     return;
                 };
                 st.dialing = false;
@@ -475,12 +582,34 @@ impl Handler for ClientHandler {
                 st.fail_all(|| Error::Unavailable("no replica reachable".into()));
             }
             ClientEv::Deregister { binding } => {
-                let Some(mut st) = self.bindings.remove(&binding) else {
+                let Some(mut slot) = self.bindings.remove(&binding) else {
                     return;
                 };
-                st.fail_all(|| Error::Unavailable("client shut down".into()));
-                if let Some(conn) = st.conn {
+                slot.fail_all(|| Error::Unavailable("client shut down".into()));
+                if let Some(conn) = slot.conn() {
                     ctl.close(conn);
+                }
+            }
+            ClientEv::RegisterSpec {
+                binding,
+                mut state,
+                stream,
+            } => {
+                state.conn = ctl.adopt(stream, binding);
+                self.bindings.insert(binding, Slot::Spec(state));
+            }
+            ClientEv::SubmitSpec {
+                binding,
+                op,
+                wants,
+                upcall,
+            } => {
+                let Some(Slot::Spec(sp)) = self.bindings.get_mut(&binding) else {
+                    upcall.fail(Error::Unavailable("spec client shut down".into()));
+                    return;
+                };
+                if let Some((at, seq)) = sp.submit(ctl, op, &wants, upcall) {
+                    self.deadlines.arm(at, (binding, seq));
                 }
             }
         }
@@ -490,10 +619,8 @@ impl Handler for ClientHandler {
         let bindings = &mut self.bindings;
         self.deadlines
             .fire_expired(Instant::now(), |(binding, seq)| {
-                if let Some(st) = bindings.get_mut(&binding) {
-                    if let Some(p) = st.pending.remove(&seq) {
-                        p.upcall.fail(Error::Timeout);
-                    }
+                if let Some(slot) = bindings.get_mut(&binding) {
+                    slot.expire(seq);
                 }
             });
     }
@@ -503,7 +630,13 @@ impl Handler for ClientHandler {
         self.deadlines.next_live(|&(binding, seq)| {
             bindings
                 .get(&binding)
-                .is_some_and(|st| st.pending.contains_key(&seq))
+                .is_some_and(|slot| slot.is_pending(seq))
         })
+    }
+
+    fn on_shutdown(&mut self) {
+        for (_, mut slot) in self.bindings.drain() {
+            slot.fail_all(|| Error::Unavailable("client reactor shut down".into()));
+        }
     }
 }

@@ -10,9 +10,7 @@
 //! the front of the buffer rather than reallocated. The buffer keeps
 //! its grown length between events and the received bytes are tracked
 //! by a separate filled length, so the spare room handed to `read` is
-//! zeroed once, when the buffer grows, not before every call. The
-//! blocking transport, by contrast, copies every frame into a per-frame
-//! scratch vector via `read_exact`.
+//! zeroed once, when the buffer grows, not before every call.
 //!
 //! The write path is the backpressure boundary. A message is encoded
 //! once, onto the tail of the connection's write buffer (a frame bound

@@ -6,6 +6,8 @@
 //! connection state is ever locked or shared. Other threads talk to a
 //! loop only through its [`Injector`]: a mutex-protected command queue
 //! paired with an `eventfd` that kicks the loop out of `epoll_wait`.
+//! A loop that exits closes its queue, so a command sent afterwards
+//! comes back to its sender instead of sitting undrained forever.
 //! Wake-ups coalesce: a flag shared with the injectors records that the
 //! eventfd has been written and not yet consumed, so a burst of
 //! commands costs one `write` and one `read`, not one pair each.
@@ -97,11 +99,23 @@ pub(crate) trait Handler: Send + 'static {
 
     /// The soonest instant at which [`Handler::on_tick`] must run.
     fn next_deadline(&mut self) -> Option<Instant>;
+
+    /// The loop is exiting and no hook runs after this one: whatever
+    /// still waits on this loop must be failed now.
+    fn on_shutdown(&mut self) {}
+}
+
+/// A loop's command queue. `closed` is set, under the queue's lock, by
+/// the exiting loop: every command is either drained by the loop or
+/// refused to its sender, never stranded.
+struct Queue<Ev> {
+    cmds: VecDeque<Cmd<Ev>>,
+    closed: bool,
 }
 
 /// What a loop shares with its injectors.
 struct Shared<Ev> {
-    queue: Mutex<VecDeque<Cmd<Ev>>>,
+    queue: Mutex<Queue<Ev>>,
     wake: WakeFd,
     /// The eventfd has been written and the loop has not consumed it
     /// yet. Set by whichever sender finds it clear (that sender writes
@@ -128,12 +142,27 @@ impl<Ev> Clone for Injector<Ev> {
 }
 
 impl<Ev> Injector<Ev> {
-    /// Enqueues `cmd` and makes sure the loop will wake to see it.
+    /// Enqueues `cmd` and makes sure the loop will wake to see it. A
+    /// loop that has exited drops the command — to its peers the loop's
+    /// owner is gone, and nothing in `cmd` waits on an answer.
     pub(crate) fn send(&self, cmd: Cmd<Ev>) {
-        self.shared.queue.lock().push_back(cmd);
+        let _ = self.try_send(cmd);
+    }
+
+    /// [`Injector::send`] for commands somebody waits on: a loop that
+    /// has exited hands `cmd` back so the caller can fail it.
+    pub(crate) fn try_send(&self, cmd: Cmd<Ev>) -> Result<(), Cmd<Ev>> {
+        {
+            let mut queue = self.shared.queue.lock();
+            if queue.closed {
+                return Err(cmd);
+            }
+            queue.cmds.push_back(cmd);
+        }
         if !self.shared.wake_pending.swap(true, Ordering::SeqCst) {
             self.shared.wake.wake();
         }
+        Ok(())
     }
 }
 
@@ -173,7 +202,7 @@ impl Ctl {
 
     /// Encodes `msg` as a frame straight onto `conn`'s write buffer.
     /// Unknown or closing connections drop the message — the semantics
-    /// of an unreachable peer, exactly like the blocking transport.
+    /// of an unreachable peer.
     pub(crate) fn send<T: Wire>(&mut self, conn: u64, msg: &T) {
         self.enqueue(conn, |buf| append_frame(msg, buf));
     }
@@ -244,7 +273,10 @@ pub(crate) fn spawn_loop<H: Handler>(
         poller.add(l.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLET)?;
     }
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue {
+            cmds: VecDeque::new(),
+            closed: false,
+        }),
         wake,
         wake_pending: AtomicBool::new(false),
     });
@@ -322,9 +354,24 @@ impl<H: Handler> Loop<H> {
                 }
             }
         }
-        // Shutdown: drop every connection outright (in-flight frames are
-        // lost — to the peers this is a crash, which is what the
-        // failover machinery is tested against).
+        // Close the queue, then hand the handler what was still on it
+        // (an event may carry something a caller waits on) and let it
+        // fail everything pending: from here on senders get their
+        // commands back.
+        let leftover = {
+            let mut queue = self.shared.queue.lock();
+            queue.closed = true;
+            std::mem::take(&mut queue.cmds)
+        };
+        for cmd in leftover {
+            if let Cmd::Ev(ev) = cmd {
+                self.handler.on_event(&mut self.ctl, ev);
+            }
+        }
+        self.handler.on_shutdown();
+        // Drop every connection outright (in-flight frames are lost —
+        // to the peers this is a crash, which is what the failover
+        // machinery is tested against).
         for (_, c) in self.ctl.conns.drain() {
             self.ctl.poller.del(c.stream.as_raw_fd());
         }
@@ -332,7 +379,7 @@ impl<H: Handler> Loop<H> {
 
     fn drain_cmds(&mut self) {
         loop {
-            let Some(cmd) = self.shared.queue.lock().pop_front() else {
+            let Some(cmd) = self.shared.queue.lock().cmds.pop_front() else {
                 break;
             };
             match cmd {

@@ -1,10 +1,10 @@
-//! icg-net v2: a dependency-free `epoll` reactor.
+//! icg-net's one I/O engine: a dependency-free `epoll` reactor.
 //!
-//! The blocking transport ([`crate::transport`]) spends two OS threads
-//! per socket; at production connection counts that is a wall — 10k
-//! clients would mean 20k threads on each replica. This module replaces
-//! it with a small number of event-loop threads, each owning an `epoll`
-//! instance and a set of connections outright:
+//! A thread pair per socket is a wall at production connection counts —
+//! 10k clients would mean 20k threads on each replica. Every socket of
+//! this crate instead lives on one of a small number of event-loop
+//! threads, each owning an `epoll` instance and a set of connections
+//! outright:
 //!
 //! - `sys` — the raw `epoll`/`eventfd` syscalls (hand-declared FFI;
 //!   the workspace builds offline, so no `libc` crate) behind safe
@@ -19,12 +19,10 @@
 //!   `Handler` trait protocols implement to live on a loop.
 //! - [`backoff`] — bounded exponential backoff with deterministic
 //!   jitter for the dialer threads that feed loops reconnections.
-//! - `server` / [`client`] — `ReplicaServer` and `TcpBinding` ported
-//!   onto the loops, behind the exact same public API and semantics as
-//!   their blocking counterparts.
-//!
-//! The blocking transport remains selectable (`Transport::Blocking`)
-//! for one release; the reactor is the default.
+//! - `server` / [`client`] — what `ReplicaServer`, `TcpBinding` and
+//!   `TcpSpecBinding` run on the loops: the replica's protocol and
+//!   forwarding handlers, and the client handler with its binding
+//!   table.
 
 pub mod backoff;
 pub mod client;

@@ -16,8 +16,9 @@
 //! core never knows the difference — its [`Egress`] routes by key.
 //!
 //! Peer links are dialed by one auxiliary thread per peer (connecting
-//! is the one operation that blocks), with the same jittered
-//! exponential backoff as the blocking engine; an established stream is
+//! is the one operation that blocks), with jittered exponential
+//! backoff so a downed replica costs its peers a couple of wakeups per
+//! cap-interval instead of a spinning core; an established stream is
 //! handed to loop 0 and the dialer parks until the loop reports the
 //! link down.
 
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use crate::frame::encode_frame;
 use crate::protocol::{Egress, ReplicaCore};
-use crate::server::{HandleInner, ReplicaHandle, ServerConfig};
+use crate::server::{ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::{Backoff, Sleeper, ThreadSleeper};
@@ -57,7 +58,7 @@ pub(crate) enum ServerEv {
     Remote { key: u64, msg: NetMsg },
 }
 
-/// Starts a replica on the reactor engine.
+/// Starts a replica.
 pub(crate) fn start(
     listener: TcpListener,
     cfg: ServerConfig,
@@ -133,20 +134,15 @@ pub(crate) fn start(
             .expect("spawn dialer thread");
     }
 
-    let stop_flag = Arc::clone(&stop);
-    let shutdown_inj = main_inj.clone();
-    let shutdown_remotes = remotes;
     ReplicaHandle {
         addr,
-        inner: HandleInner::Reactor {
-            stop: stop_flag,
-            shutdown: Box::new(move || {
-                shutdown_inj.send(Cmd::Shutdown);
-                for r in &shutdown_remotes {
-                    r.send(Cmd::Shutdown);
-                }
-            }),
-        },
+        shutdown: Box::new(move || {
+            stop.store(true, Ordering::Release);
+            main_inj.send(Cmd::Shutdown);
+            for r in &remotes {
+                r.send(Cmd::Shutdown);
+            }
+        }),
     }
 }
 
@@ -155,9 +151,9 @@ pub(crate) fn start(
 type MainSlot = Arc<PlMutex<Option<Injector<ServerEv>>>>;
 use parking_lot::Mutex as PlMutex;
 
-/// One peer dialer on the reactor engine: connect (blocking, with
-/// backoff), hand the stream to the protocol loop, park until the loop
-/// signals the link down, repeat.
+/// One peer dialer: connect (blocking, with backoff), hand the stream
+/// to the protocol loop, park until the loop signals the link down,
+/// repeat.
 fn dial_peer_loop(
     cfg: ServerConfig,
     peer_idx: usize,
@@ -380,8 +376,7 @@ impl Handler for ForwardHandler {
 
     fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {
         // Replies routed to a gone connection drop silently in
-        // `Ctl::send_frame`, exactly like the blocking engine's
-        // missing-`Outbound` case; nothing to tell the protocol loop.
+        // `Ctl::send_frame`; nothing to tell the protocol loop.
     }
 
     fn on_event(&mut self, _ctl: &mut Ctl, _ev: ()) {}

@@ -13,26 +13,14 @@
 //! is what keeps an `R = 2` read available when one of three replicas is
 //! down — the whole point of running a quorum system on sockets.
 //!
-//! The protocol state machine itself lives in `crate::protocol` and is
-//! shared verbatim between the two I/O engines this module can serve it
-//! with ([`Transport`]): the epoll reactor (default; see
-//! [`crate::reactor`]) and the legacy blocking engine, where protocol
-//! state lives on a single event-loop thread fed by the
-//! reader/writer thread pairs of [`crate::transport`].
+//! The protocol state machine itself lives in `crate::protocol`; the
+//! epoll reactor ([`crate::reactor`]) serves it. This module is the
+//! public surface: configuration, bind-then-start, the running
+//! replica's handle.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
-
-use crate::protocol::{Egress, ReplicaCore};
-use crate::pump::{recv_step, Step};
-use crate::reactor::backoff::{Backoff, Sleeper, ThreadSleeper};
-use crate::transport::{spawn_reader, Outbound, Transport};
-use crate::wire::NetMsg;
 
 /// Tuning knobs of a TCP replica.
 #[derive(Clone, Copy, Debug)]
@@ -49,11 +37,9 @@ pub struct ServerConfig {
     pub peer_retry: Duration,
     /// Ceiling on the peer-reconnect backoff.
     pub peer_retry_cap: Duration,
-    /// Which I/O engine serves the sockets.
-    pub transport: Transport,
-    /// Reactor event loops for client traffic (ignored by the blocking
-    /// engine). One loop suffices below ~10k connections per replica;
-    /// more loops spread the epoll and parse work across cores.
+    /// Reactor event loops for client traffic. One loop suffices below
+    /// ~10k connections per replica; more loops spread the epoll and
+    /// parse work across cores.
     pub loops: usize,
 }
 
@@ -64,25 +50,9 @@ impl Default for ServerConfig {
             op_timeout: Duration::from_secs(5),
             peer_retry: Duration::from_millis(200),
             peer_retry_cap: Duration::from_secs(5),
-            transport: Transport::default(),
             loops: 1,
         }
     }
-}
-
-pub(crate) enum Event {
-    /// A connection was accepted or dialed; register its outbound half.
-    Opened { conn: u64, out: Outbound },
-    /// A message arrived on connection `conn`.
-    Inbound { conn: u64, msg: NetMsg },
-    /// Connection `conn` closed (either direction, any reason).
-    Closed { conn: u64 },
-    /// The dialer (re)established the connection to peer `peer`.
-    PeerUp { peer: usize, out: Outbound },
-    /// The connection to peer `peer` was lost.
-    PeerDown { peer: usize },
-    /// Stop serving: close every socket and exit the event loop.
-    Shutdown,
 }
 
 /// A bound-but-not-yet-serving replica. Binding first and starting
@@ -111,192 +81,9 @@ impl ReplicaServer {
             .expect("bound socket has an addr")
     }
 
-    /// Starts serving on the configured [`Transport`]. `peers` lists the
-    /// *other* replicas.
+    /// Starts serving. `peers` lists the *other* replicas.
     pub fn start(self, peers: Vec<SocketAddr>) -> ReplicaHandle {
-        match self.cfg.transport {
-            Transport::Reactor => crate::reactor::server::start(self.listener, self.cfg, peers),
-            Transport::Blocking => self.start_blocking(peers),
-        }
-    }
-
-    /// The blocking engine: an accept thread, one dialer per peer, and
-    /// the event-loop thread, with a reader/writer thread pair per
-    /// socket.
-    fn start_blocking(self, peers: Vec<SocketAddr>) -> ReplicaHandle {
-        let addr = self.local_addr();
-        let (tx, rx) = mpsc::channel::<Event>();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Accept thread: blocks on accept(), handing each connection a
-        // reader/writer pair wired into the event loop.
-        {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            // lint: allow(panic_path) — startup, nothing is serving yet
-            let listener = self.listener.try_clone().expect("clone listener");
-            let id = self.cfg.id;
-            std::thread::Builder::new()
-                .name(format!("icg-replicad-{id}-accept"))
-                .spawn(move || {
-                    let mut next_conn: u64 = 0;
-                    while let Ok((stream, _)) = listener.accept() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let conn = next_conn;
-                        next_conn += 1;
-                        register_conn(stream, conn, &tx, &format!("r{id}c{conn}"));
-                    }
-                })
-                // lint: allow(panic_path) — startup, nothing is serving yet
-                .expect("spawn accept thread");
-        }
-
-        // Peer dialers: one thread per peer keeping the outbound replica
-        // link alive, with jittered exponential backoff between attempts
-        // so a downed replica costs its peers a couple of wakeups per
-        // cap-interval instead of a spinning core.
-        for (peer_idx, peer_addr) in peers.iter().copied().enumerate() {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let cfg = self.cfg;
-            std::thread::Builder::new()
-                .name(format!("icg-replicad-{}-dial-{peer_idx}", cfg.id))
-                .spawn(move || dial_peer_loop(cfg, peer_idx, peer_addr, tx, stop, &ThreadSleeper))
-                // lint: allow(panic_path) — startup, nothing is serving yet
-                .expect("spawn dialer thread");
-        }
-
-        // The event loop: all protocol state lives here.
-        {
-            let cfg = self.cfg;
-            let n_peers = peers.len();
-            let id = cfg.id;
-            std::thread::Builder::new()
-                .name(format!("icg-replicad-{id}-loop"))
-                .spawn(move || ReplicaLoop::new(cfg, n_peers).run(rx))
-                // lint: allow(panic_path) — startup, nothing is serving yet
-                .expect("spawn event loop");
-        }
-
-        ReplicaHandle {
-            addr,
-            inner: HandleInner::Blocking {
-                tx,
-                stop,
-                listener: self.listener,
-            },
-        }
-    }
-}
-
-/// One peer dialer: keeps the outbound link to `peer_addr` alive,
-/// backing off exponentially (with jitter) while the peer is down and
-/// resetting the schedule on every successful connection.
-fn dial_peer_loop(
-    cfg: ServerConfig,
-    peer_idx: usize,
-    peer_addr: SocketAddr,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
-    sleeper: &impl Sleeper,
-) {
-    // Seeded per (replica, peer) so a whole cluster restarting against
-    // one dead node spreads its retry times instead of thundering.
-    let seed = ((cfg.id as u64) << 32) ^ peer_idx as u64;
-    let mut backoff = Backoff::new(cfg.peer_retry, cfg.peer_retry_cap, seed);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match TcpStream::connect_timeout(&peer_addr, Duration::from_millis(500)) {
-            Ok(s) => s,
-            Err(_) => {
-                sleeper.sleep(backoff.next_delay());
-                continue;
-            }
-        };
-        let label = format!("r{}p{peer_idx}", cfg.id);
-        let Ok(write_half) = stream.try_clone() else {
-            sleeper.sleep(backoff.next_delay());
-            continue;
-        };
-        let Ok(out) = Outbound::spawn(write_half, &label) else {
-            sleeper.sleep(backoff.next_delay());
-            continue;
-        };
-        if tx
-            .send(Event::PeerUp {
-                peer: peer_idx,
-                out: out.clone(),
-            })
-            .is_err()
-        {
-            return;
-        }
-        // Feed peer responses into the same event loop (conn id
-        // u64::MAX - peer: peer links never collide with accepted
-        // conns, which count up).
-        let (down_tx, down_rx) = mpsc::channel::<()>();
-        let inbound = tx.clone();
-        let closer = tx.clone();
-        let spawned = spawn_reader::<NetMsg, _, _>(
-            stream,
-            &label,
-            move |msg| {
-                let _ = inbound.send(Event::Inbound {
-                    conn: u64::MAX - peer_idx as u64,
-                    msg,
-                });
-            },
-            move |_reason| {
-                let _ = closer.send(Event::PeerDown { peer: peer_idx });
-                let _ = down_tx.send(());
-            },
-        );
-        if spawned.is_err() {
-            // No reader: treat the link as dead and retry.
-            let _ = tx.send(Event::PeerDown { peer: peer_idx });
-            sleeper.sleep(backoff.next_delay());
-            continue;
-        }
-        // The link is up: the next outage restarts the schedule from
-        // the base delay.
-        backoff.reset();
-        // Block until the link dies, then retry.
-        let _ = down_rx.recv();
-    }
-}
-
-/// Registers an accepted (or dialed) client connection: writer thread,
-/// reader thread, `Opened`/`Inbound`/`Closed` events.
-fn register_conn(stream: TcpStream, conn: u64, tx: &Sender<Event>, label: &str) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let Ok(out) = Outbound::spawn(stream, label) else {
-        return;
-    };
-    if tx.send(Event::Opened { conn, out }).is_err() {
-        return;
-    }
-    let inbound = tx.clone();
-    let closer = tx.clone();
-    let spawned = spawn_reader::<NetMsg, _, _>(
-        read_half,
-        label,
-        move |msg| {
-            let _ = inbound.send(Event::Inbound { conn, msg });
-        },
-        move |_reason| {
-            let _ = closer.send(Event::Closed { conn });
-        },
-    );
-    if spawned.is_err() {
-        // No reader thread: the on_close closure was dropped unrun, so
-        // report the close ourselves.
-        let _ = tx.send(Event::Closed { conn });
+        crate::reactor::server::start(self.listener, self.cfg, peers)
     }
 }
 
@@ -305,19 +92,8 @@ fn register_conn(stream: TcpStream, conn: u64, tx: &Sender<Event>, label: &str) 
 /// crash switch).
 pub struct ReplicaHandle {
     pub(crate) addr: SocketAddr,
-    pub(crate) inner: HandleInner,
-}
-
-pub(crate) enum HandleInner {
-    Blocking {
-        tx: Sender<Event>,
-        stop: Arc<AtomicBool>,
-        listener: TcpListener,
-    },
-    Reactor {
-        stop: Arc<AtomicBool>,
-        shutdown: Box<dyn Fn() + Send + Sync>,
-    },
+    /// Stops the peer dialers and shuts every event loop down.
+    pub(crate) shutdown: Box<dyn Fn() + Send + Sync>,
 }
 
 impl ReplicaHandle {
@@ -327,110 +103,12 @@ impl ReplicaHandle {
     }
 
     /// Stops the replica abruptly: the listener stops accepting, every
-    /// open connection is closed, the event loop exits. In-flight
+    /// open connection is closed, the event loops exit. In-flight
     /// operations are lost without replies — to a client this is
     /// indistinguishable from a crash, which is exactly what the
     /// failover tests need it to be.
     pub fn shutdown(&self) {
-        match &self.inner {
-            HandleInner::Blocking { tx, stop, listener } => {
-                stop.store(true, Ordering::Release);
-                let _ = tx.send(Event::Shutdown);
-                // Unblock the accept loop with a throwaway connection; it
-                // checks the stop flag right after accept returns.
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-                // Closing our listener clone is not enough on all platforms
-                // while the accept thread holds its own clone, but the flag
-                // + wakeup pair guarantees the thread exits either way.
-                let _ = listener.set_nonblocking(true);
-            }
-            HandleInner::Reactor { stop, shutdown } => {
-                stop.store(true, Ordering::Release);
-                shutdown();
-            }
-        }
-    }
-}
-
-/// The blocking engine's event loop: the shared [`ReplicaCore`] plus the
-/// [`Outbound`]-handle connection table it sends through.
-struct ReplicaLoop {
-    core: ReplicaCore,
-    net: BlockingNet,
-}
-
-/// The blocking engine's view of the network: an [`Egress`] over
-/// per-connection writer-thread handles.
-struct BlockingNet {
-    conns: HashMap<u64, Outbound>,
-    peer_links: Vec<Option<Outbound>>,
-}
-
-impl Egress for BlockingNet {
-    fn to_client(&mut self, conn: u64, msg: &NetMsg) {
-        if let Some(out) = self.conns.get(&conn) {
-            out.send(msg);
-        }
-    }
-
-    fn to_peers(&mut self, msg: &NetMsg) {
-        for link in self.peer_links.iter().flatten() {
-            link.send(msg);
-        }
-    }
-}
-
-impl ReplicaLoop {
-    fn new(cfg: ServerConfig, n_peers: usize) -> ReplicaLoop {
-        ReplicaLoop {
-            core: ReplicaCore::new(cfg.id, cfg.op_timeout, n_peers),
-            net: BlockingNet {
-                conns: HashMap::new(),
-                peer_links: vec![None; n_peers],
-            },
-        }
-    }
-
-    fn run(mut self, rx: Receiver<Event>) {
-        loop {
-            // Wait for the next event or the next op deadline, whichever
-            // comes first.
-            let event = match recv_step(&rx, self.core.next_deadline()) {
-                Step::Event(e) => e,
-                Step::Expired => {
-                    self.core.fire_expired(&mut self.net);
-                    continue;
-                }
-                Step::Closed => break,
-            };
-            match event {
-                Event::Opened { conn, out } => {
-                    self.net.conns.insert(conn, out);
-                }
-                Event::Inbound { conn, msg } => self.core.on_net(&mut self.net, conn, msg),
-                Event::Closed { conn } => {
-                    self.net.conns.remove(&conn);
-                }
-                Event::PeerUp { peer, out } => {
-                    if let Some(slot) = self.net.peer_links.get_mut(peer) {
-                        *slot = Some(out);
-                    }
-                    self.core.on_peer_up(&mut self.net);
-                }
-                Event::PeerDown { peer } => {
-                    if let Some(slot) = self.net.peer_links.get_mut(peer) {
-                        *slot = None;
-                    }
-                }
-                Event::Shutdown => break,
-            }
-        }
-        for (_, out) in self.net.conns.drain() {
-            out.kill();
-        }
-        for link in self.net.peer_links.iter().flatten() {
-            link.kill();
-        }
+        (self.shutdown)();
     }
 }
 

@@ -31,20 +31,27 @@
 //! replica the client connected to, and a lost connection fails the
 //! in-flight operations with [`Error::Unavailable`] and the binding
 //! stays down (reconnect by constructing a new binding).
+//!
+//! Like [`crate::TcpBinding`] it lives on the process-wide
+//! [`ClientReactor`]: the handshake runs on the freshly dialed blocking
+//! stream, then the stream is handed to one of the reactor's event
+//! loops, where `SpecState` — this binding's pending table and
+//! directory — sits next to the quorum bindings' state. A spec binding
+//! costs one socket and no thread.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 
 use crate::frame::{read_frame, write_frame};
-use crate::pump::{recv_step, Deadlines, Step};
-use crate::transport::{spawn_reader, Outbound};
-use crate::wire::{LevelInfo, NetMsg, SpecOp};
+use crate::pump::IdMap;
+use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
+use crate::reactor::conn::CloseReason;
+use crate::reactor::event_loop::Ctl;
+use crate::wire::{LevelInfo, NetMsg, Reader, SpecOp};
 
 /// Configuration of a [`TcpSpecBinding`].
 #[derive(Clone, Copy, Debug)]
@@ -109,68 +116,39 @@ impl Directory {
     }
 }
 
-enum Event {
-    Submit {
-        op: SpecOp,
-        wants: Vec<u8>,
-        upcall: Upcall<u64>,
-    },
-    Reply(NetMsg),
-    Disconnected,
-    Shutdown,
-}
-
-/// Stops the client loop when the last binding clone is dropped (the
-/// loop hands `Sender<Event>` clones to the reader thread, so channel
-/// disconnection alone would never fire).
-struct DropGuard {
-    tx: Sender<Event>,
-}
-
-impl Drop for DropGuard {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Event::Shutdown);
-    }
-}
-
 /// A [`Binding`] for the replicated spec store: `Op` = [`SpecOp`],
 /// `Val` = `u64`, four incremental levels per invocation. Cloning
 /// shares the connection and the op-id space.
 #[derive(Clone)]
 pub struct TcpSpecBinding {
-    tx: Sender<Event>,
     levels: LevelSet,
     server_levels: Vec<ConsistencyLevel>,
     server_version: u8,
-    _shutdown_on_last_drop: Arc<DropGuard>,
+    rb: ReactorBinding,
 }
 
 impl TcpSpecBinding {
     /// Dials `cfg.addr`, performs the level-directory handshake, and
-    /// starts the client loop.
+    /// registers the connection with the process-wide
+    /// [`ClientReactor`].
     ///
     /// Fails if the replica is unreachable, closes mid-handshake, or
     /// answers the `Hello` with anything but a `HelloAck`.
     pub fn connect(cfg: SpecTcpConfig) -> io::Result<TcpSpecBinding> {
         let stream = TcpStream::connect_timeout(&cfg.addr, cfg.connect_timeout)?;
-        // Handshake synchronously, before any reader thread exists: one
-        // Hello out, one HelloAck back. The read timeout covers a peer
-        // that accepts but never answers (e.g. a version-1 server that
-        // dropped the Hello frame as garbage and closed).
+        // Handshake synchronously, before any event loop sees the
+        // stream: one Hello out, one HelloAck back. The read timeout
+        // covers a peer that accepts but never answers (e.g. a
+        // version-1 server that dropped the Hello frame as garbage and
+        // closed). `read_frame` takes exactly one frame off the socket,
+        // so whatever follows is still there for the loop.
         stream.set_read_timeout(Some(cfg.connect_timeout))?;
-        let mut read_half = stream.try_clone()?;
         let mut scratch = Vec::new();
-        {
-            let mut write_half = stream.try_clone()?;
-            write_frame(
-                &mut write_half,
-                &NetMsg::Hello {
-                    client: cfg.client_id,
-                },
-                &mut scratch,
-            )?;
-        }
-        let ack = read_frame::<NetMsg>(&mut read_half, &mut scratch)
+        let hello = NetMsg::Hello {
+            client: cfg.client_id,
+        };
+        write_frame(&mut &stream, &hello, &mut scratch)?;
+        let ack = read_frame::<NetMsg>(&mut &stream, &mut scratch)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let Some(NetMsg::HelloAck { version, levels }) = ack else {
             return Err(io::Error::new(
@@ -181,35 +159,15 @@ impl TcpSpecBinding {
         stream.set_read_timeout(None)?;
         let dir = Directory::build(&levels);
         let server_levels = dir.levels.clone();
-
-        let (tx, rx) = mpsc::channel::<Event>();
-        let label = format!("spec{}", cfg.client_id);
-        let out = Outbound::spawn(stream, &label)?;
-        let reply_tx = tx.clone();
-        let close_tx = tx.clone();
-        spawn_reader::<NetMsg, _, _>(
-            read_half,
-            &label,
-            move |msg| {
-                let _ = reply_tx.send(Event::Reply(msg));
-            },
-            move |_reason| {
-                let _ = close_tx.send(Event::Disconnected);
-            },
-        )?;
-        let state = SpecLoop {
+        let state = SpecState {
             cfg,
-            conn: out,
             dir,
             next_seq: 0,
-            pending: HashMap::new(),
-            deadlines: Deadlines::new(),
+            pending: IdMap::default(),
+            conn: None,
         };
-        std::thread::Builder::new()
-            .name(format!("icg-spec-client-{}", cfg.client_id))
-            .spawn(move || state.run(rx))?;
+        let rb = ClientReactor::global()?.register_spec(state, stream)?;
         Ok(TcpSpecBinding {
-            tx: tx.clone(),
             levels: LevelSet::of(&[
                 ConsistencyLevel::WEAK,
                 ConsistencyLevel::UPDATE,
@@ -218,7 +176,7 @@ impl TcpSpecBinding {
             ]),
             server_levels,
             server_version: version,
-            _shutdown_on_last_drop: Arc::new(DropGuard { tx }),
+            rb,
         })
     }
 
@@ -238,7 +196,7 @@ impl TcpSpecBinding {
     /// fail with [`Error::Unavailable`]. Idempotent; dropping the last
     /// clone has the same effect.
     pub fn shutdown(&self) {
-        let _ = self.tx.send(Event::Shutdown);
+        self.rb.shutdown();
     }
 }
 
@@ -252,113 +210,94 @@ impl Binding for TcpSpecBinding {
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
         // Requested levels travel under the *local* ids here; the loop
-        // translates to server ids (it owns the directory). A loop
-        // that's gone means shutdown raced the submit.
-        let wants: Vec<u8> = levels.iter().map(|l| l.wire_id()).collect();
-        if self
-            .tx
-            .send(Event::Submit {
-                op,
-                wants,
-                upcall: upcall.clone(),
-            })
-            .is_err()
-        {
-            upcall.fail(Error::Unavailable("spec client shut down".into()));
-        }
-    }
-}
-
-/// One in-flight spec operation.
-struct PendingSpec {
-    upcall: Upcall<u64>,
-}
-
-struct SpecLoop {
-    cfg: SpecTcpConfig,
-    conn: Outbound,
-    dir: Directory,
-    next_seq: u64,
-    pending: HashMap<u64, PendingSpec>,
-    deadlines: Deadlines<u64>,
-}
-
-impl SpecLoop {
-    fn run(mut self, rx: Receiver<Event>) {
-        loop {
-            let pending = &self.pending;
-            let next = self.deadlines.next_live(|seq| pending.contains_key(seq));
-            let event = match recv_step(&rx, next) {
-                Step::Event(e) => e,
-                Step::Expired => {
-                    self.fire_expired();
-                    continue;
-                }
-                Step::Closed => break,
-            };
-            match event {
-                Event::Submit { op, wants, upcall } => self.submit(op, &wants, upcall),
-                Event::Reply(msg) => self.handle_reply(msg),
-                Event::Disconnected => {
-                    self.fail_all(|| Error::Unavailable("spec connection lost".into()));
-                }
-                Event::Shutdown => break,
-            }
-        }
-        self.conn.kill();
-        self.fail_all(|| Error::Unavailable("spec client shut down".into()));
-    }
-
-    fn fire_expired(&mut self) {
-        let pending = &mut self.pending;
-        self.deadlines.fire_expired(Instant::now(), |seq| {
-            if let Some(p) = pending.remove(&seq) {
-                p.upcall.fail(Error::Timeout);
-            }
+        // translates to server ids (it owns the directory).
+        self.rb.submit(ClientEv::SubmitSpec {
+            binding: self.rb.id(),
+            op,
+            wants: levels.iter().map(|l| l.wire_id()).collect(),
+            upcall,
         });
     }
+}
 
-    fn fail_all(&mut self, err: impl Fn() -> Error) {
-        for (_, p) in self.pending.drain() {
-            p.upcall.fail(err());
+/// A spec binding's state on its loop thread: the entry
+/// `reactor::client` keeps for it in the loop's binding table.
+pub(crate) struct SpecState {
+    cfg: SpecTcpConfig,
+    dir: Directory,
+    next_seq: u64,
+    /// In-flight operations by seq.
+    pub(crate) pending: IdMap<Upcall<u64>>,
+    /// The loop-local id of the connection; `None` once it is lost —
+    /// the binding stays down.
+    pub(crate) conn: Option<u64>,
+}
+
+impl SpecState {
+    pub(crate) fn fail_all(&mut self, err: impl Fn() -> Error) {
+        for (_, upcall) in self.pending.drain() {
+            upcall.fail(err());
         }
-        self.deadlines.clear();
     }
 
-    fn submit(&mut self, op: SpecOp, local_wants: &[u8], upcall: Upcall<u64>) {
+    /// The connection is gone, and the replies of everything in flight
+    /// with it.
+    pub(crate) fn on_close(&mut self, conn: u64) {
+        if self.conn == Some(conn) {
+            self.conn = None;
+            self.fail_all(|| Error::Unavailable("spec connection lost".into()));
+        }
+    }
+
+    /// Sends one submission; returns the deadline to arm for its seq,
+    /// or `None` if it failed on the spot.
+    pub(crate) fn submit(
+        &mut self,
+        ctl: &mut Ctl,
+        op: SpecOp,
+        local_wants: &[u8],
+        upcall: Upcall<u64>,
+    ) -> Option<(Instant, u64)> {
         // Translate requested levels to the server's numbering. A level
         // with no directory entry cannot be requested honestly — fail
         // rather than silently downgrade the guarantee.
         let mut wants = Vec::with_capacity(local_wants.len());
-        for &local in local_wants {
-            let Some(&server) = self.dir.to_server.get(&local) else {
+        for local in local_wants {
+            let Some(&server) = self.dir.to_server.get(local) else {
                 upcall.fail(Error::Unavailable(
                     "server does not advertise a requested level".into(),
                 ));
-                return;
+                return None;
             };
             wants.push(server);
         }
-        if self.conn.is_dead() {
+        let Some(conn) = self.conn else {
             upcall.fail(Error::Unavailable("spec connection lost".into()));
-            return;
-        }
+            return None;
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        let msg = NetMsg::SpecSubmit {
-            client: self.cfg.client_id,
-            seq,
-            op,
-            wants,
-        };
-        self.pending.insert(seq, PendingSpec { upcall });
-        self.deadlines
-            .arm(Instant::now() + self.cfg.op_timeout, seq);
-        if !self.conn.send(&msg) {
-            if let Some(p) = self.pending.remove(&seq) {
-                p.upcall
-                    .fail(Error::Unavailable("spec connection lost".into()));
-            }
+        self.pending.insert(seq, upcall);
+        ctl.send(
+            conn,
+            &NetMsg::SpecSubmit {
+                client: self.cfg.client_id,
+                seq,
+                op,
+                wants,
+            },
+        );
+        Some((Instant::now() + self.cfg.op_timeout, seq))
+    }
+
+    /// One frame body off the binding's connection.
+    pub(crate) fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
+        match Reader::new(body).finish::<NetMsg>() {
+            Ok(msg) => self.handle_reply(msg),
+            // An unparseable reply means the stream is corrupt: kill the
+            // connection (`on_close` fails the pending ops) — never
+            // guess at what the reply might have been.
+            Err(_) => ctl.close_with(conn, CloseReason::Garbage, true),
         }
     }
 
@@ -377,16 +316,16 @@ impl SpecLoop {
                 let Some(&local) = self.dir.from_server.get(&level) else {
                     return;
                 };
-                if let Some(p) = self.pending.get(&seq) {
-                    p.upcall.deliver(val, local);
+                if let Some(upcall) = self.pending.get(&seq) {
+                    upcall.deliver(val, local);
                 }
                 if closing {
                     self.pending.remove(&seq);
                 }
             }
             NetMsg::SpecFailed { client, seq } if client == self.cfg.client_id => {
-                if let Some(p) = self.pending.remove(&seq) {
-                    p.upcall.fail(Error::Unavailable(
+                if let Some(upcall) = self.pending.remove(&seq) {
+                    upcall.fail(Error::Unavailable(
                         "server refused the submission (unknown or unserved level)".into(),
                     ));
                 }

@@ -10,9 +10,7 @@
 //! a view.
 //!
 //! These tests stand up a *fake coordinator* on a raw `TcpListener`
-//! so they can reply with exactly the wrong bytes, and run each
-//! scenario against both transports — the reply-matching state machine
-//! is shared, and both engines must stay fail-closed.
+//! so they can reply with exactly the wrong bytes.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -20,15 +18,12 @@ use std::time::Duration;
 
 use correctables::{Client, Error};
 use icg_net::frame::{encode_frame, read_frame};
-use icg_net::{TcpBinding, TcpConfig, Transport, WIRE_VERSION};
+use icg_net::{TcpBinding, TcpConfig, WIRE_VERSION};
 use quorumstore::{Key, Msg, OpId, StoreOp, Value};
 use simnet::NodeId;
 
-const TRANSPORTS: [Transport; 2] = [Transport::Reactor, Transport::Blocking];
-
-fn config(addr: SocketAddr, client_id: u64, transport: Transport) -> TcpConfig {
+fn config(addr: SocketAddr, client_id: u64) -> TcpConfig {
     let mut cfg = TcpConfig::new(vec![addr], client_id);
-    cfg.transport = transport;
     cfg.op_timeout = Duration::from_millis(500);
     cfg
 }
@@ -69,21 +64,18 @@ fn misrouted_final_reply_fails_unavailable_never_fabricates_absent() {
         Msg::ClientRead { op, .. } => Some(Msg::WriteReply { op: *op }),
         _ => None,
     });
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let binding =
-            TcpBinding::connect(config(addr, 7000 + i as u64, transport)).expect("connect");
-        let client = Client::new(binding.clone());
-        let read = client.invoke_strong(StoreOp::Read(Key::plain(1)));
-        match read.wait_final(Duration::from_secs(5)) {
-            Err(Error::Unavailable(_)) => {}
-            other => panic!("{transport:?}: want Unavailable, got {other:?}"),
-        }
-        assert!(
-            read.preliminary_views().is_empty(),
-            "{transport:?}: no view of any kind may surface from a garbled final"
-        );
-        binding.shutdown();
+    let binding = TcpBinding::connect(config(addr, 7000)).expect("connect");
+    let client = Client::new(binding.clone());
+    let read = client.invoke_strong(StoreOp::Read(Key::plain(1)));
+    match read.wait_final(Duration::from_secs(5)) {
+        Err(Error::Unavailable(_)) => {}
+        other => panic!("want Unavailable, got {other:?}"),
     }
+    assert!(
+        read.preliminary_views().is_empty(),
+        "no view of any kind may surface from a garbled final"
+    );
+    binding.shutdown();
 }
 
 /// A reply frame whose body is garbage (undecodable). The client must
@@ -111,17 +103,14 @@ fn garbage_reply_body_fails_the_op_closed() {
             });
         }
     });
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let binding =
-            TcpBinding::connect(config(addr, 7100 + i as u64, transport)).expect("connect");
-        let client = Client::new(binding.clone());
-        let read = client.invoke_strong(StoreOp::Read(Key::plain(2)));
-        match read.wait_final(Duration::from_secs(5)) {
-            Err(Error::Unavailable(_)) | Err(Error::Timeout) => {}
-            other => panic!("{transport:?}: want Unavailable/Timeout, got {other:?}"),
-        }
-        binding.shutdown();
+    let binding = TcpBinding::connect(config(addr, 7100)).expect("connect");
+    let client = Client::new(binding.clone());
+    let read = client.invoke_strong(StoreOp::Read(Key::plain(2)));
+    match read.wait_final(Duration::from_secs(5)) {
+        Err(Error::Unavailable(_)) | Err(Error::Timeout) => {}
+        other => panic!("want Unavailable/Timeout, got {other:?}"),
     }
+    binding.shutdown();
 }
 
 /// A coordinator that swallows strong replies entirely. The op must
@@ -130,17 +119,14 @@ fn garbage_reply_body_fails_the_op_closed() {
 #[test]
 fn lost_strong_reply_times_out_instead_of_closing_absent() {
     let addr = fake_coordinator(|_| None);
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let binding =
-            TcpBinding::connect(config(addr, 7200 + i as u64, transport)).expect("connect");
-        let client = Client::new(binding.clone());
-        let read = client.invoke_strong(StoreOp::Read(Key::plain(3)));
-        match read.wait_final(Duration::from_secs(5)) {
-            Err(Error::Timeout) => {}
-            other => panic!("{transport:?}: want Timeout, got {other:?}"),
-        }
-        binding.shutdown();
+    let binding = TcpBinding::connect(config(addr, 7200)).expect("connect");
+    let client = Client::new(binding.clone());
+    let read = client.invoke_strong(StoreOp::Read(Key::plain(3)));
+    match read.wait_final(Duration::from_secs(5)) {
+        Err(Error::Timeout) => {}
+        other => panic!("want Timeout, got {other:?}"),
     }
+    binding.shutdown();
 }
 
 /// The legitimate fallback still works: a write whose `WriteReply`
@@ -152,17 +138,14 @@ fn write_reply_still_closes_with_the_written_record() {
         Msg::ClientWrite { op, .. } => Some(Msg::WriteReply { op: *op }),
         _ => None,
     });
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let binding =
-            TcpBinding::connect(config(addr, 7300 + i as u64, transport)).expect("connect");
-        let client = Client::new(binding.clone());
-        let write = client.invoke_strong(StoreOp::Write(Key::plain(4), Value::Opaque(16)));
-        let view = write
-            .wait_final(Duration::from_secs(5))
-            .expect("write closes");
-        assert_eq!(view.value.value, Value::Opaque(16));
-        binding.shutdown();
-    }
+    let binding = TcpBinding::connect(config(addr, 7300)).expect("connect");
+    let client = Client::new(binding.clone());
+    let write = client.invoke_strong(StoreOp::Write(Key::plain(4), Value::Opaque(16)));
+    let view = write
+        .wait_final(Duration::from_secs(5))
+        .expect("write closes");
+    assert_eq!(view.value.value, Value::Opaque(16));
+    binding.shutdown();
 }
 
 /// Sanity: the fake-coordinator plumbing itself round-trips — a raw

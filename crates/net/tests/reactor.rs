@@ -1,19 +1,19 @@
-//! Integration tests for the epoll reactor transport (PR 8 tentpole):
-//! partial frames across readiness events, partial writes resumed
-//! mid-frame, write-buffer backpressure, connection churn, peer death
-//! mid-frame, multi-loop forwarding, and the blocking engine staying
-//! selectable. Everything here runs over
-//! real loopback sockets against real `ReplicaServer`s.
+//! Integration tests for the epoll reactor (PR 8 tentpole): partial
+//! frames across readiness events, partial writes resumed mid-frame,
+//! write-buffer backpressure, connection churn, peer death mid-frame,
+//! multi-loop forwarding, and a client reactor that is dropped under
+//! its bindings. Everything here runs over real loopback sockets
+//! against real `ReplicaServer`s.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use correctables::Client;
+use correctables::{Client, Error};
 use icg_net::frame::{encode_frame, read_frame};
 use icg_net::{
-    spawn_local_cluster, ReplicaHandle, ServerConfig, TcpBinding, TcpConfig, Transport,
+    spawn_local_cluster, ClientReactor, ReplicaHandle, ServerConfig, TcpBinding, TcpConfig,
     WIRE_VERSION,
 };
 use quorumstore::types::ReadKind;
@@ -465,31 +465,41 @@ fn multi_loop_forwarding_round_trips() {
     shutdown(replicas);
 }
 
-/// The blocking engine stays selectable end to end: a cluster and a
-/// binding both pinned to `Transport::Blocking` still round-trip.
+/// A client reactor dropped under a live binding: the op in flight and
+/// every op submitted afterwards fail `Unavailable` — the loop that
+/// would have served (or timed out) either is gone, and a Correctable
+/// must never be left open on a queue nobody drains.
 #[test]
-fn blocking_transport_remains_selectable() {
-    let replicas = spawn_local_cluster(3, |id| ServerConfig {
-        id,
-        op_timeout: Duration::from_secs(2),
-        transport: Transport::Blocking,
-        ..ServerConfig::default()
+fn dropped_reactor_fails_in_flight_and_later_ops_unavailable() {
+    // A coordinator that accepts and reads but never answers.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let silent = listener.local_addr().expect("addr");
+    thread::spawn(move || {
+        let mut conns = Vec::new();
+        for conn in listener.incoming() {
+            conns.extend(conn); // hold every socket open, read nothing
+        }
     });
-    let mut cfg = config(&replicas, 1700);
-    cfg.transport = Transport::Blocking;
-    let binding = TcpBinding::connect(cfg).expect("connect");
+
+    let reactor = ClientReactor::new(1).expect("dedicated reactor");
+    let mut cfg = TcpConfig::new(vec![silent], 1900);
+    cfg.op_timeout = Duration::from_secs(60);
+    let binding = TcpBinding::connect_on(cfg, &reactor).expect("connect");
     let client = Client::new(binding.clone());
-    client
-        .invoke_strong(StoreOp::Write(Key::plain(15), Value::Opaque(24)))
-        .wait_final(Duration::from_secs(5))
-        .expect("write");
-    let view = client
-        .invoke_strong(StoreOp::Read(Key::plain(15)))
-        .wait_final(Duration::from_secs(5))
-        .expect("read");
-    assert_eq!(view.value.value, Value::Opaque(24));
-    binding.shutdown();
-    shutdown(replicas);
+
+    let in_flight = client.invoke_strong(StoreOp::Read(Key::plain(20)));
+    assert!(
+        in_flight.wait_final(Duration::from_millis(200)).is_err(),
+        "nobody answers; the op must still be pending"
+    );
+    drop(reactor);
+    let later = client.invoke_strong(StoreOp::Read(Key::plain(21)));
+    for (what, c) in [("in-flight", &in_flight), ("later", &later)] {
+        match c.wait_final(Duration::from_secs(5)) {
+            Err(Error::Unavailable(_)) => {}
+            other => panic!("{what} op: want Unavailable, got {other:?}"),
+        }
+    }
 }
 
 /// A reactor binding pointed at dead addresses fails fast with a

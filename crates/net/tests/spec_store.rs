@@ -1,25 +1,28 @@
 //! End-to-end tests of the version-2 spec store: the full incremental
 //! refinement *weak → update → causal → strong* on a single
-//! Correctable, against a real 3-replica TCP cluster, on both I/O
-//! engines — plus the level-directory handshake, custom-level
-//! round-tripping, and version-1/version-2 coexistence on one port.
+//! Correctable, against a real 3-replica TCP cluster — plus the
+//! level-directory handshake, custom-level round-tripping,
+//! version-1/version-2 coexistence on one port, and the binding's
+//! failure contract (lost replica, garbled reply, silent server, last
+//! clone dropped) against fake servers on raw sockets.
 
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::thread;
 use std::time::Duration;
 
 use correctables::spec::{CtrOp, RegOp};
 use correctables::{Client, ConsistencyLevel, Error};
+use icg_net::frame::{read_frame, write_frame};
 use icg_net::{
-    spawn_local_cluster, ReplicaHandle, ServerConfig, SpecOp, SpecTcpConfig, TcpBinding, TcpConfig,
-    TcpSpecBinding, Transport,
+    spawn_local_cluster, LevelInfo, NetMsg, ReplicaHandle, ReplicaServer, ServerConfig, SpecOp,
+    SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding, WIRE_VERSION,
 };
 use quorumstore::{Key, StoreOp, Value};
 
-const TRANSPORTS: [Transport; 2] = [Transport::Reactor, Transport::Blocking];
-
-fn cluster(transport: Transport) -> Vec<ReplicaHandle> {
+fn cluster() -> Vec<ReplicaHandle> {
     spawn_local_cluster(3, |id| ServerConfig {
         id,
-        transport,
         ..ServerConfig::default()
     })
 }
@@ -45,47 +48,45 @@ fn level_trace(c: &correctables::Correctable<u64>) -> Vec<&'static str> {
 }
 
 /// The acceptance scenario: one invocation refines through all four
-/// levels on Register *and* Counter, on both transports.
+/// levels on Register *and* Counter.
 #[test]
 fn refinement_runs_weak_update_causal_strong_on_register_and_counter() {
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let replicas = cluster(transport);
-        let binding = connect(&replicas, 9000 + i as u64);
-        let client = Client::new(binding.clone());
+    let replicas = cluster();
+    let binding = connect(&replicas, 9000);
+    let client = Client::new(binding.clone());
 
-        // Register: a write refines through all four levels, every view
-        // agreeing on the written value (no concurrent writers).
-        let write = client.invoke(SpecOp::Reg(RegOp::Write(1, 42)));
-        assert_eq!(
-            level_trace(&write),
-            ["weak", "update", "causal", "strong"],
-            "{transport:?}: register write must refine through all four levels"
-        );
-        for v in write.preliminary_views() {
-            assert_eq!(v.value, 42, "{transport:?}: register view diverged");
-        }
+    // Register: a write refines through all four levels, every view
+    // agreeing on the written value (no concurrent writers).
+    let write = client.invoke(SpecOp::Reg(RegOp::Write(1, 42)));
+    assert_eq!(
+        level_trace(&write),
+        ["weak", "update", "causal", "strong"],
+        "register write must refine through all four levels"
+    );
+    for v in write.preliminary_views() {
+        assert_eq!(v.value, 42, "register view diverged");
+    }
 
-        // A read through the same refinement sees the settled write.
-        let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
-        assert_eq!(level_trace(&read), ["weak", "update", "causal", "strong"]);
-        let fin = read.final_view().expect("closed above");
-        assert_eq!(fin.value, 42, "{transport:?}: strong register read");
+    // A read through the same refinement sees the settled write.
+    let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
+    assert_eq!(level_trace(&read), ["weak", "update", "causal", "strong"]);
+    let fin = read.final_view().expect("closed above");
+    assert_eq!(fin.value, 42, "strong register read");
 
-        // Counter: same refinement, arithmetic semantics.
-        let add = client.invoke(SpecOp::Ctr(CtrOp::Add(5, 7)));
-        assert_eq!(
-            level_trace(&add),
-            ["weak", "update", "causal", "strong"],
-            "{transport:?}: counter add must refine through all four levels"
-        );
-        let get = client.invoke(SpecOp::Ctr(CtrOp::Get(5)));
-        assert_eq!(level_trace(&get), ["weak", "update", "causal", "strong"]);
-        assert_eq!(get.final_view().expect("closed above").value, 7);
+    // Counter: same refinement, arithmetic semantics.
+    let add = client.invoke(SpecOp::Ctr(CtrOp::Add(5, 7)));
+    assert_eq!(
+        level_trace(&add),
+        ["weak", "update", "causal", "strong"],
+        "counter add must refine through all four levels"
+    );
+    let get = client.invoke(SpecOp::Ctr(CtrOp::Get(5)));
+    assert_eq!(level_trace(&get), ["weak", "update", "causal", "strong"]);
+    assert_eq!(get.final_view().expect("closed above").value, 7);
 
-        binding.shutdown();
-        for r in &replicas {
-            r.shutdown();
-        }
+    binding.shutdown();
+    for r in &replicas {
+        r.shutdown();
     }
 }
 
@@ -94,7 +95,7 @@ fn refinement_runs_weak_update_causal_strong_on_register_and_counter() {
 /// update-only submission closes at Update without acks.
 #[test]
 fn single_level_submissions_close_at_that_level() {
-    let replicas = cluster(Transport::Reactor);
+    let replicas = cluster();
     let binding = connect(&replicas, 9100);
     let client = Client::new(binding.clone());
 
@@ -123,7 +124,7 @@ fn single_level_submissions_close_at_that_level() {
 /// order before the next submission starts.
 #[test]
 fn sequential_strong_counter_increments_are_exact() {
-    let replicas = cluster(Transport::Reactor);
+    let replicas = cluster();
     let binding = connect(&replicas, 9200);
     let client = Client::new(binding.clone());
     for expect in 1..=5u64 {
@@ -147,12 +148,8 @@ fn sequential_strong_counter_increments_are_exact() {
 /// crash.
 #[test]
 fn custom_level_rides_the_handshake_directory() {
-    use icg_net::frame::{read_frame, write_frame};
-    use icg_net::NetMsg;
-    use std::net::TcpStream;
-
     let audit = ConsistencyLevel::register("audit-spec-net", 30).expect("register a fifth level");
-    let replicas = cluster(Transport::Reactor);
+    let replicas = cluster();
     let binding = connect(&replicas, 9300);
     assert!(
         binding.server_levels().contains(&audit),
@@ -206,34 +203,183 @@ fn custom_level_rides_the_handshake_directory() {
 /// cluster, neither disturbing the other.
 #[test]
 fn v1_store_client_and_v2_spec_client_share_a_cluster() {
-    for (i, transport) in TRANSPORTS.into_iter().enumerate() {
-        let replicas = cluster(transport);
-        let addrs = replicas.iter().map(|r| r.addr()).collect();
+    let replicas = cluster();
+    let addrs = replicas.iter().map(|r| r.addr()).collect();
 
-        let mut store_cfg = TcpConfig::new(addrs, 9400 + i as u64);
-        store_cfg.transport = transport;
-        let store = TcpBinding::connect(store_cfg).expect("connect v1 store binding");
-        let spec = connect(&replicas, 9500 + i as u64);
+    let store = TcpBinding::connect(TcpConfig::new(addrs, 9400)).expect("connect v1 store binding");
+    let spec = connect(&replicas, 9500);
 
-        let store_client = Client::new(store.clone());
-        let spec_client = Client::new(spec.clone());
+    let store_client = Client::new(store.clone());
+    let spec_client = Client::new(spec.clone());
 
-        let w = store_client.invoke_strong(StoreOp::Write(Key::plain(9), Value::Opaque(1)));
-        w.wait_final(Duration::from_secs(5)).expect("v1 write");
-        let s = spec_client.invoke(SpecOp::Reg(RegOp::Write(9, 2)));
-        s.wait_final(Duration::from_secs(10)).expect("v2 write");
-        let r = store_client.invoke_strong(StoreOp::Read(Key::plain(9)));
-        let view = r.wait_final(Duration::from_secs(5)).expect("v1 read");
-        assert_eq!(
-            view.value.value,
-            Value::Opaque(1),
-            "{transport:?}: the stores are distinct — the spec write must not leak"
-        );
+    let w = store_client.invoke_strong(StoreOp::Write(Key::plain(9), Value::Opaque(1)));
+    w.wait_final(Duration::from_secs(5)).expect("v1 write");
+    let s = spec_client.invoke(SpecOp::Reg(RegOp::Write(9, 2)));
+    s.wait_final(Duration::from_secs(10)).expect("v2 write");
+    let r = store_client.invoke_strong(StoreOp::Read(Key::plain(9)));
+    let view = r.wait_final(Duration::from_secs(5)).expect("v1 read");
+    assert_eq!(
+        view.value.value,
+        Value::Opaque(1),
+        "the stores are distinct — the spec write must not leak"
+    );
 
-        store.shutdown();
-        spec.shutdown();
-        for rep in &replicas {
-            rep.shutdown();
-        }
+    store.shutdown();
+    spec.shutdown();
+    for rep in &replicas {
+        rep.shutdown();
     }
+}
+
+/// What a fake spec server does with each submission after it has
+/// answered the handshake.
+#[derive(Clone, Copy)]
+enum AfterHello {
+    /// Read submissions and never answer.
+    Silent,
+    /// Answer every submission with a well-framed undecodable body.
+    Garbage,
+}
+
+/// A fake spec server on a raw listener: answers each connection's
+/// `Hello` with a `HelloAck` carrying this process's level directory,
+/// then treats submissions per `mode`. Reports on the returned channel
+/// when a connection's read side ends (EOF or reset).
+fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake spec server");
+    let addr = listener.local_addr().expect("local addr");
+    let (closed_tx, closed_rx) = mpsc::channel();
+    thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut stream) = conn else { continue };
+            let closed_tx = closed_tx.clone();
+            thread::spawn(move || {
+                let mut scratch = Vec::new();
+                let hello = read_frame::<NetMsg>(&mut stream, &mut scratch);
+                assert!(matches!(hello, Ok(Some(NetMsg::Hello { .. }))));
+                let levels = ConsistencyLevel::all_registered()
+                    .into_iter()
+                    .map(|l| LevelInfo {
+                        id: l.wire_id(),
+                        rank: l.rank(),
+                        name: l.name().to_string(),
+                    })
+                    .collect();
+                let ack = NetMsg::HelloAck {
+                    version: WIRE_VERSION,
+                    levels,
+                };
+                write_frame(&mut stream, &ack, &mut scratch).expect("hello ack");
+                while let Ok(Some(_)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {
+                    if let AfterHello::Garbage = mode {
+                        let body = [0xFFu8; 8];
+                        let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
+                        frame.push(WIRE_VERSION);
+                        frame.extend_from_slice(&body);
+                        if std::io::Write::write_all(&mut stream, &frame).is_err() {
+                            break;
+                        }
+                    }
+                }
+                let _ = closed_tx.send(());
+            });
+        }
+    });
+    (addr, closed_rx)
+}
+
+/// A replica that dies with a strong spec op in flight: the op's views
+/// died with the socket, so it fails `Unavailable` — well before the
+/// client-side deadline, and never by fabricating a strong view.
+#[test]
+fn replica_shutdown_fails_the_in_flight_strong_op_unavailable() {
+    // One replica whose only peer is a dead port: a strong view needs
+    // the peer's ack and so stays pending for as long as we like.
+    let dead_peer: SocketAddr = {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        l.local_addr().expect("addr")
+    };
+    let replica = ReplicaServer::bind("127.0.0.1:0", ServerConfig::default())
+        .expect("bind replica")
+        .start(vec![dead_peer]);
+    let mut cfg = SpecTcpConfig::new(replica.addr(), 9600);
+    cfg.op_timeout = Duration::from_secs(30);
+    let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
+    let client = Client::new(binding.clone());
+
+    let add = client.invoke_at(SpecOp::Ctr(CtrOp::Add(1, 1)), ConsistencyLevel::STRONG);
+    assert!(
+        add.wait_final(Duration::from_millis(300)).is_err(),
+        "a strong view without the peer's ack must stay pending"
+    );
+    replica.shutdown();
+    match add.wait_final(Duration::from_secs(10)) {
+        Err(Error::Unavailable(_)) => {}
+        other => panic!("want Unavailable, got {other:?}"),
+    }
+    assert!(add.preliminary_views().is_empty());
+    binding.shutdown();
+}
+
+/// A `SpecReply` frame whose body is garbage: the op fails
+/// `Unavailable` and no view of any level surfaces — the binding never
+/// guesses at what the reply might have been.
+#[test]
+fn garbage_spec_reply_fails_unavailable_and_delivers_no_view() {
+    let (addr, _closed) = fake_spec_server(AfterHello::Garbage);
+    let mut cfg = SpecTcpConfig::new(addr, 9601);
+    cfg.op_timeout = Duration::from_secs(30);
+    let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
+    let client = Client::new(binding.clone());
+
+    let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
+    match read.wait_final(Duration::from_secs(10)) {
+        Err(Error::Unavailable(_)) => {}
+        other => panic!("want Unavailable, got {other:?}"),
+    }
+    assert!(read.preliminary_views().is_empty());
+    binding.shutdown();
+}
+
+/// A server that completes the handshake and then goes silent: the op
+/// fails `Timeout` at the client-side `op_timeout`, not before and not
+/// never.
+#[test]
+fn silent_server_after_hello_times_out_at_op_timeout() {
+    let (addr, _closed) = fake_spec_server(AfterHello::Silent);
+    let mut cfg = SpecTcpConfig::new(addr, 9602);
+    cfg.op_timeout = Duration::from_millis(400);
+    let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
+    let client = Client::new(binding.clone());
+
+    let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
+    assert!(
+        read.wait_final(Duration::from_millis(100)).is_err(),
+        "nothing may close the op before its deadline"
+    );
+    match read.wait_final(Duration::from_secs(10)) {
+        Err(Error::Timeout) => {}
+        other => panic!("want Timeout, got {other:?}"),
+    }
+    assert!(read.preliminary_views().is_empty());
+    binding.shutdown();
+}
+
+/// Dropping the last binding clone — without calling `shutdown` —
+/// closes the socket: the server sees its read side end.
+#[test]
+fn dropping_the_last_clone_closes_the_socket() {
+    let (addr, closed) = fake_spec_server(AfterHello::Silent);
+    let binding =
+        TcpSpecBinding::connect(SpecTcpConfig::new(addr, 9603)).expect("connect spec binding");
+    let clone = binding.clone();
+    drop(binding);
+    assert!(
+        closed.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a live clone must keep the connection open"
+    );
+    drop(clone);
+    closed
+        .recv_timeout(Duration::from_secs(5))
+        .expect("server never saw the connection close");
 }

@@ -4,13 +4,11 @@
 # one-command proof that the deployment layer serves real traffic —
 # CI's net-smoke step runs it with --quick.
 #
-# Usage: scripts/cluster_demo.sh [--quick] [--kill] [--transport reactor|blocking]
+# Usage: scripts/cluster_demo.sh [--quick] [--kill]
 #   --quick      abbreviated run (CI): fewer clients/ops, skips the ICG
 #                latency-comparison pass
 #   --kill       crash one replica mid-demo and run a second loadgen pass
 #                against the surviving quorum (R=2 of 3 stays available)
-#   --transport  I/O engine for both replicas and clients (default: the
-#                epoll reactor)
 #
 # Ports: by default three free ports are probed from a randomized base,
 # and boot is retried on a fresh base if another process steals one in
@@ -22,25 +20,14 @@ cd "$(dirname "$0")/.."
 
 QUICK=0
 KILL=0
-TRANSPORT=reactor
 while [ $# -gt 0 ]; do
     case "$1" in
         --quick) QUICK=1 ;;
         --kill) KILL=1 ;;
-        --transport)
-            shift
-            [ $# -gt 0 ] || { echo "--transport needs a value" >&2; exit 2; }
-            TRANSPORT="$1"
-            ;;
         *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
     shift
 done
-case "$TRANSPORT" in
-    reactor|blocking) ;;
-    *) echo "--transport must be reactor|blocking, got '$TRANSPORT'" >&2; exit 2 ;;
-esac
-
 if [ "$QUICK" = 1 ]; then
     CLIENTS=2 OPS=300 KEYS=200
 else
@@ -92,10 +79,10 @@ boot_cluster() {
     P0="127.0.0.1:$BASE_PORT"
     P1="127.0.0.1:$((BASE_PORT + 1))"
     P2="127.0.0.1:$((BASE_PORT + 2))"
-    echo "=== booting 3 replicas on $P0 $P1 $P2 (transport: $TRANSPORT) ==="
-    "$REPLICAD" --id 0 --listen "$P0" --peers "$P1,$P2" --transport "$TRANSPORT" & pids+=($!)
-    "$REPLICAD" --id 1 --listen "$P1" --peers "$P0,$P2" --transport "$TRANSPORT" & pids+=($!)
-    "$REPLICAD" --id 2 --listen "$P2" --peers "$P0,$P1" --transport "$TRANSPORT" & pids+=($!)
+    echo "=== booting 3 replicas on $P0 $P1 $P2 ==="
+    "$REPLICAD" --id 0 --listen "$P0" --peers "$P1,$P2" & pids+=($!)
+    "$REPLICAD" --id 1 --listen "$P1" --peers "$P0,$P2" & pids+=($!)
+    "$REPLICAD" --id 2 --listen "$P2" --peers "$P0,$P1" & pids+=($!)
     for i in $(seq 0 49); do
         alive=1
         for pid in "${pids[@]}"; do
@@ -137,18 +124,18 @@ if [ "$booted" = 0 ]; then
 fi
 
 echo "=== closed-loop ICG load ($CLIENTS clients x $OPS ops, zipfian over $KEYS keys) ==="
-"$LOADGEN" --replicas "$P0,$P1,$P2" --transport "$TRANSPORT" \
+"$LOADGEN" --replicas "$P0,$P1,$P2" \
     --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1
 
 if [ "$QUICK" = 0 ]; then
     echo "=== same load, confirmation optimization (*CC) on ==="
-    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload --transport "$TRANSPORT" \
+    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload \
         --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1 --confirm
 
     echo "=== single-level baselines (weak-only, strong-only reads) ==="
-    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload --transport "$TRANSPORT" \
+    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload \
         --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1 --mode weak
-    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload --transport "$TRANSPORT" \
+    "$LOADGEN" --replicas "$P0,$P1,$P2" --no-preload \
         --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1 --mode strong
 fi
 
@@ -158,7 +145,7 @@ if [ "$KILL" = 1 ]; then
     # Clients may lose in-flight replies when connections die; allow a
     # handful of failures, require the rest to complete at R=2 of the
     # two survivors.
-    "$LOADGEN" --replicas "$P0,$P1" --no-preload --transport "$TRANSPORT" \
+    "$LOADGEN" --replicas "$P0,$P1" --no-preload \
         --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1 \
         --allow-failures 10
 fi

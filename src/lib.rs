@@ -19,8 +19,8 @@
 //! - [`crdt`] — coordination-free CRDT bindings (GCounter/PN, OR-Set,
 //!   LWW-Map), SEC-checkable replication, escrow-segmented tickets;
 //! - [`shard`] — the sharded multi-object routing layer;
-//! - [`net`] — the TCP wire codec, transport, replica server, and
-//!   client binding serving the quorum store over real sockets;
+//! - [`net`] — the TCP wire codec, epoll reactor, replica server, and
+//!   client bindings serving the quorum and spec stores over real sockets;
 //! - [`oracle`] — the history-recording consistency oracle
 //!   and seeded fault-schedule explorer;
 //! - [`ycsb`] — workload generators;
