@@ -10,10 +10,12 @@
 //!
 //! The protocol itself is documented in [`crate::server`]: simulated
 //! [`quorumstore::Replica`] semantics (preliminary flush, confirmation,
-//! LWW adoption) with the one divergence that peer reads fan out to
-//! *all* peers and complete at the first `R-1` responses.
+//! LWW adoption), peer reads included — a quorum read asks exactly the
+//! `R-1` peers it needs, and asks further peers only on evidence that
+//! one of those will not answer (see [`ReplicaCore::on_peer_down`],
+//! [`ReplicaCore::on_peer_up`] and [`ReplicaCore::fire_expired`]).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
@@ -28,7 +30,7 @@ use crate::pump::{Deadlines, IdMap};
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
 
 /// Where a replica's outbound messages go. The core never sees sockets;
-/// its host maps these two calls onto its own connection plumbing.
+/// its host maps these three calls onto its own connection plumbing.
 pub(crate) trait Egress {
     /// Sends `msg` on client connection `conn`. A connection that no
     /// longer exists drops the message silently (the client is gone;
@@ -37,6 +39,11 @@ pub(crate) trait Egress {
 
     /// Sends `msg` down every currently-live peer link.
     fn to_peers(&mut self, msg: &NetMsg);
+
+    /// Sends `msg` down the link to peer `peer` (its index in the
+    /// configured peer list). `false` means that link is down and
+    /// nothing was sent.
+    fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool;
 
     /// Convenience: wraps a version-1 store message for `to_client`.
     fn store_to_client(&mut self, conn: u64, msg: Msg) {
@@ -49,6 +56,16 @@ pub(crate) trait Egress {
     }
 }
 
+/// One bit per peer index. Peer sets are `u64` masks: the wire bounds a
+/// replica set at [`crate::wire::MAX_REPLICAS`] = 64, and a peer past
+/// that (no bit) is simply never asked to serve a read.
+fn bit(peer: usize) -> u64 {
+    u32::try_from(peer)
+        .ok()
+        .and_then(|p| 1u64.checked_shl(p))
+        .unwrap_or(0)
+}
+
 struct ReadSt {
     client_conn: u64,
     client_op: OpId,
@@ -58,6 +75,62 @@ struct ReadSt {
     responses: u8,
     needed: u8,
     prelim: Option<Version>,
+    /// Peers holding a `PeerRead` of this op on a link that is still up.
+    asked: u64,
+    /// The subset of `asked` whose answer has been counted.
+    answered: u64,
+    /// The deadline already fired once and widened the fan-out; the
+    /// next firing fails the op.
+    hedged: bool,
+}
+
+impl ReadSt {
+    /// How many more peers must be asked before the answers still
+    /// expected can complete the quorum.
+    fn short_by(&self) -> u32 {
+        let missing = u32::from(self.needed.saturating_sub(self.responses));
+        missing.saturating_sub((self.asked & !self.answered).count_ones())
+    }
+}
+
+/// What the core knows about its peer links, and the order in which
+/// reads ask them.
+struct PeerLinks {
+    /// Configured peers — *configured*, not currently live: quorum
+    /// arithmetic must not shrink when a link flaps.
+    n: usize,
+    /// Links currently up.
+    up: u64,
+    /// Peers that left a read waiting until its hedge point and have
+    /// not been heard from since: asked after everyone else.
+    suspect: u64,
+    /// Where the next choice starts, so consecutive reads spread over
+    /// the peers.
+    next: usize,
+}
+
+impl PeerLinks {
+    /// Sends the `PeerRead` of `op` to up to `want` live peers `st` has
+    /// not asked yet — trusted peers first, in rotation order, suspects
+    /// after — and records who was asked.
+    fn ask(&mut self, net: &mut impl Egress, op: OpId, st: &mut ReadSt, want: u32) {
+        let msg = NetMsg::Store(Msg::PeerRead { op, key: st.key });
+        let mut left = want;
+        let start = self.next;
+        for tier in [self.up & !self.suspect, self.up & self.suspect] {
+            for i in 0..self.n {
+                if left == 0 {
+                    return;
+                }
+                let peer = (start + i) % self.n;
+                if tier & !st.asked & bit(peer) != 0 && net.to_peer(peer, &msg) {
+                    st.asked |= bit(peer);
+                    left -= 1;
+                    self.next = peer + 1;
+                }
+            }
+        }
+    }
 }
 
 struct WriteSt {
@@ -71,11 +144,11 @@ struct WriteSt {
 pub(crate) struct ReplicaCore {
     /// This replica's id (LWW writer tiebreak + internal op-id client).
     id: u32,
-    /// Deadline for gathering quorums before failing an op.
+    /// Deadline for gathering quorums before failing an op. A read
+    /// still pending a quarter of the way there asks every peer it has
+    /// not asked yet (the hedge point).
     op_timeout: Duration,
-    /// Number of configured peers — *configured*, not currently live:
-    /// quorum arithmetic must not shrink when a link flaps.
-    n_peers: usize,
+    links: PeerLinks,
     store: LocalStore,
     reads: IdMap<ReadSt>,
     writes: IdMap<WriteSt>,
@@ -92,7 +165,12 @@ impl ReplicaCore {
         ReplicaCore {
             id,
             op_timeout,
-            n_peers,
+            links: PeerLinks {
+                n: n_peers,
+                up: 0,
+                suspect: 0,
+                next: 0,
+            },
             store: LocalStore::new(),
             reads: IdMap::default(),
             writes: IdMap::default(),
@@ -105,9 +183,22 @@ impl ReplicaCore {
     /// Dispatches one inbound envelope from connection `conn` — the
     /// version-1 store subset into [`ReplicaCore::on_msg`], the
     /// version-2 handshake and spec-store messages into [`SpecCore`].
-    pub(crate) fn on_net(&mut self, net: &mut impl Egress, conn: u64, msg: NetMsg) {
+    /// `from_peer` is the peer index when `conn` is this replica's own
+    /// link to a peer (where that peer's answers arrive), `None` for
+    /// every accepted connection.
+    pub(crate) fn on_net(
+        &mut self,
+        net: &mut impl Egress,
+        conn: u64,
+        from_peer: Option<usize>,
+        msg: NetMsg,
+    ) {
+        if let Some(peer) = from_peer {
+            // Whatever it said, it is answering again.
+            self.links.suspect &= !bit(peer);
+        }
         match msg {
-            NetMsg::Store(m) => self.on_msg(net, conn, m),
+            NetMsg::Store(m) => self.on_msg(net, conn, from_peer, m),
             NetMsg::Hello { .. } => {
                 let levels = self.spec.level_directory();
                 net.to_client(
@@ -155,10 +246,46 @@ impl ReplicaCore {
         }
     }
 
-    /// A peer link (re)connected: give the spec store a chance to
-    /// retransmit updates the peer may have missed while down.
-    pub(crate) fn on_peer_up(&mut self, net: &mut impl Egress) {
+    /// The link to `peer` (re)connected. Every pending read that could
+    /// not find enough live peers to ask — one that arrived before the
+    /// mesh was up, or lost the peers it asked — asks the newcomer; the
+    /// spec store retransmits what the peer may have missed while down.
+    pub(crate) fn on_peer_up(&mut self, net: &mut impl Egress, peer: usize) {
+        self.links.up |= bit(peer);
+        self.links.suspect &= !bit(peer);
+        let short = self.reads.iter().filter(|(_, st)| st.short_by() > 0);
+        self.top_up(net, short.map(|(internal, _)| *internal).collect());
         self.spec.retransmit(net);
+    }
+
+    /// The link to `peer` closed, and the requests on it died with it:
+    /// every pending read still waiting for that peer's answer asks one
+    /// live peer it has not asked yet (if there is none, the next
+    /// [`ReplicaCore::on_peer_up`] finds the read short).
+    pub(crate) fn on_peer_down(&mut self, net: &mut impl Egress, peer: usize) {
+        let lost = bit(peer);
+        self.links.up &= !lost;
+        let mut orphaned = Vec::new();
+        for (internal, st) in self.reads.iter_mut() {
+            if st.asked & !st.answered & lost != 0 {
+                st.asked &= !lost;
+                orphaned.push(*internal);
+            }
+        }
+        self.top_up(net, orphaned);
+    }
+
+    /// Has each of the pending reads `internals` ask as many more live
+    /// peers as it is short by, oldest read first.
+    fn top_up(&mut self, net: &mut impl Egress, mut internals: Vec<u64>) {
+        internals.sort_unstable();
+        for internal in internals {
+            let op = self.peer_op(internal);
+            if let Some(st) = self.reads.get_mut(&internal) {
+                let want = st.short_by();
+                self.links.ask(net, op, st, want);
+            }
+        }
     }
 
     /// The soonest live operation deadline, for the event loop's wait.
@@ -169,30 +296,47 @@ impl ReplicaCore {
             .next_live(|internal| reads.contains_key(internal) || writes.contains_key(internal))
     }
 
-    /// Fails every operation whose deadline has passed.
-    pub(crate) fn fire_expired(&mut self, net: &mut impl Egress) {
-        let mut failed = Vec::new();
-        let reads = &mut self.reads;
-        let writes = &mut self.writes;
-        self.deadlines.fire_expired(Instant::now(), |internal| {
-            let hit = reads
+    /// Handles every operation deadline at or before `now`. A read's
+    /// deadline fires twice: first at its hedge point, a quarter of
+    /// `op_timeout` in — the peers it asked are taking too long, so it
+    /// asks every live peer it has not asked yet, the silent ones go to
+    /// the back of the asking order, and the same deadline is re-armed
+    /// for the remainder — then at the full timeout, where it fails
+    /// like a write does at its only firing.
+    pub(crate) fn fire_expired(&mut self, net: &mut impl Egress, now: Instant) {
+        let mut due = Vec::new();
+        self.deadlines
+            .fire_expired(now, |internal| due.push(internal));
+        for internal in due {
+            let op = self.peer_op(internal);
+            if let Some(st) = self.reads.get_mut(&internal) {
+                if !st.hedged {
+                    st.hedged = true;
+                    self.links.suspect |= st.asked & !st.answered;
+                    self.links.ask(net, op, st, u32::MAX);
+                    self.deadlines
+                        .arm(now + (self.op_timeout - self.op_timeout / 4), internal);
+                    continue;
+                }
+            }
+            let hit = self
+                .reads
                 .remove(&internal)
                 .map(|st| (st.client_conn, st.client_op))
                 .or_else(|| {
-                    writes
+                    self.writes
                         .remove(&internal)
                         .map(|st| (st.client_conn, st.client_op))
                 });
-            failed.extend(hit);
-        });
-        for (conn, op) in failed {
-            net.store_to_client(
-                conn,
-                Msg::OpFailed {
-                    op,
-                    reason: FailReason::Timeout,
-                },
-            );
+            if let Some((conn, op)) = hit {
+                net.store_to_client(
+                    conn,
+                    Msg::OpFailed {
+                        op,
+                        reason: FailReason::Timeout,
+                    },
+                );
+            }
         }
     }
 
@@ -210,25 +354,28 @@ impl ReplicaCore {
     fn mint_internal(&mut self) -> (u64, OpId) {
         let internal = self.next_internal;
         self.next_internal += 1;
-        // Peer traffic op ids: this replica's id in the client slot, the
-        // internal counter in the sequence slot. Unique per coordinator,
-        // and coordinators' ids are unique per deployment.
-        (
-            internal,
-            OpId {
-                client: NodeId(self.id as usize),
-                seq: internal,
-            },
-        )
+        (internal, self.peer_op(internal))
     }
 
-    fn arm(&mut self, internal: u64) {
-        self.deadlines
-            .arm(Instant::now() + self.op_timeout, internal);
+    /// Peer traffic op ids: this replica's id in the client slot, the
+    /// internal counter in the sequence slot. Unique per coordinator,
+    /// and coordinators' ids are unique per deployment.
+    fn peer_op(&self, internal: u64) -> OpId {
+        OpId {
+            client: NodeId(self.id as usize),
+            seq: internal,
+        }
     }
 
-    /// Dispatches one inbound message from connection `conn`.
-    pub(crate) fn on_msg(&mut self, net: &mut impl Egress, conn: u64, msg: Msg) {
+    /// Dispatches one inbound message from connection `conn` (see
+    /// [`ReplicaCore::on_net`] for `from_peer`).
+    pub(crate) fn on_msg(
+        &mut self,
+        net: &mut impl Egress,
+        conn: u64,
+        from_peer: Option<usize>,
+        msg: Msg,
+    ) {
         match msg {
             Msg::ClientRead { op, key, kind } => self.client_read(net, conn, op, key, kind),
             Msg::ClientWrite { op, key, value, w } => {
@@ -238,7 +385,11 @@ impl ReplicaCore {
                 let data = self.store.get(key);
                 net.store_to_client(conn, Msg::PeerReadResp { op, data });
             }
-            Msg::PeerReadResp { op, data } => self.peer_read_resp(net, op, data),
+            Msg::PeerReadResp { op, data } => {
+                if let Some(peer) = from_peer {
+                    self.peer_read_resp(net, peer, op, data);
+                }
+            }
             Msg::PeerWrite { key, data, ack_op } => {
                 self.store.apply(key, data);
                 if let Some(op) = ack_op {
@@ -264,7 +415,7 @@ impl ReplicaCore {
         kind: ReadKind,
     ) {
         let local = self.store.get(key);
-        let n_replicas = (self.n_peers + 1) as u8;
+        let n_replicas = (self.links.n + 1) as u8;
         let needed = kind.quorum().clamp(1, n_replicas);
 
         let mut prelim = None;
@@ -287,26 +438,27 @@ impl ReplicaCore {
         }
 
         let (internal, peer_op) = self.mint_internal();
-        // Fan out to every peer and complete at the first R-1 responses —
-        // availability under a dead replica (see the module docs). Even
-        // when too few links are currently live to ever reach the
-        // quorum, the op stays pending: a peer may come back within the
-        // timeout, and the deadline converts it into OpFailed otherwise.
-        net.store_to_peers(Msg::PeerRead { op: peer_op, key });
-        self.reads.insert(
-            internal,
-            ReadSt {
-                client_conn: conn,
-                client_op,
-                kind,
-                key,
-                best: local,
-                responses: 1,
-                needed,
-                prelim,
-            },
-        );
-        self.arm(internal);
+        let mut st = ReadSt {
+            client_conn: conn,
+            client_op,
+            kind,
+            key,
+            best: local,
+            responses: 1,
+            needed,
+            prelim,
+            asked: 0,
+            answered: 0,
+            hedged: false,
+        };
+        // Ask exactly the R-1 peers the quorum needs. With too few links
+        // up the op stays pending all the same: the next link to come up
+        // is asked then, and the deadline fails the op otherwise.
+        let want = st.short_by();
+        self.links.ask(net, peer_op, &mut st, want);
+        self.reads.insert(internal, st);
+        self.deadlines
+            .arm(Instant::now() + self.op_timeout / 4, internal);
     }
 
     fn reply_read_final(
@@ -339,7 +491,13 @@ impl ReplicaCore {
         net.store_to_client(conn, msg);
     }
 
-    fn peer_read_resp(&mut self, net: &mut impl Egress, peer_op: OpId, data: Versioned) {
+    fn peer_read_resp(
+        &mut self,
+        net: &mut impl Egress,
+        peer: usize,
+        peer_op: OpId,
+        data: Versioned,
+    ) {
         // Only answers to our own requests are meaningful.
         if peer_op.client != NodeId(self.id as usize) {
             return;
@@ -348,6 +506,12 @@ impl ReplicaCore {
         let Some(st) = self.reads.get_mut(&internal) else {
             return; // late response after completion or timeout
         };
+        // One answer per peer asked: a duplicate, or an answer nobody
+        // asked this peer for, must not stand in for a quorum member.
+        if st.asked & !st.answered & bit(peer) == 0 {
+            return;
+        }
+        st.answered |= bit(peer);
         st.responses += 1;
         if data.version > st.best.version {
             st.best = data;
@@ -388,7 +552,7 @@ impl ReplicaCore {
             version: self.now_version(),
         };
         self.store.apply(key, data.clone());
-        let acks_needed = w.saturating_sub(1).min(self.n_peers as u8);
+        let acks_needed = w.saturating_sub(1).min(self.links.n as u8);
         if acks_needed == 0 {
             // W = 1 (the paper's setting): acknowledge immediately,
             // propagate in the background.
@@ -414,7 +578,8 @@ impl ReplicaCore {
                 acks_left: acks_needed,
             },
         );
-        self.arm(internal);
+        self.deadlines
+            .arm(Instant::now() + self.op_timeout, internal);
     }
 
     fn peer_write_ack(&mut self, net: &mut impl Egress, peer_op: OpId) {
@@ -558,8 +723,9 @@ pub(crate) struct SpecCore {
     /// Causally delivered updates, sorted by `(ts, origin, seq)`, and
     /// the views replayed from them.
     log: ReplayLog<RegCtrSpec>,
-    /// Own updates awaiting views or acks, by own seq.
-    pending: HashMap<u64, SpecPending>,
+    /// Own updates awaiting views or acks, by own seq — ordered, so
+    /// replies that one ack releases leave in submission order.
+    pending: BTreeMap<u64, SpecPending>,
 }
 
 impl SpecCore {
@@ -574,7 +740,7 @@ impl SpecCore {
                 reg: RegisterSpec::default(),
                 ctr: CounterSpec,
             }),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
         }
     }
 
@@ -798,10 +964,7 @@ impl SpecCore {
         if origin != self.id || acker as usize >= self.n {
             return;
         }
-        for (own_seq, p) in self.pending.iter_mut() {
-            if *own_seq > seq {
-                continue;
-            }
+        for p in self.pending.range_mut(..=seq).map(|(_, p)| p) {
             if let Some(slot) = p.acked.get_mut(acker as usize) {
                 *slot = true;
             }
@@ -902,6 +1065,13 @@ mod tests {
     use super::*;
 
     const CONN: u64 = 7;
+    /// The peer-facing op id of the `n`-th quorum op replica 0 mints.
+    const fn minted(n: u64) -> OpId {
+        OpId {
+            client: NodeId(0),
+            seq: n,
+        }
+    }
 
     fn key() -> Key {
         Key::plain(1)
@@ -912,31 +1082,63 @@ mod tests {
     enum Sent {
         Client(u64, NetMsg),
         Peers(NetMsg),
+        Peer(usize, NetMsg),
     }
 
     /// An [`Egress`] that records instead of sending.
     #[derive(Default)]
-    struct Recorder(Vec<Sent>);
+    struct Recorder {
+        sent: Vec<Sent>,
+        /// Peers whose link this host cannot send on.
+        dead: u64,
+    }
 
     impl Egress for Recorder {
         fn to_client(&mut self, conn: u64, msg: &NetMsg) {
-            self.0.push(Sent::Client(conn, msg.clone()));
+            self.sent.push(Sent::Client(conn, msg.clone()));
         }
 
         fn to_peers(&mut self, msg: &NetMsg) {
-            self.0.push(Sent::Peers(msg.clone()));
+            self.sent.push(Sent::Peers(msg.clone()));
+        }
+
+        fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool {
+            if self.dead & bit(peer) != 0 {
+                return false;
+            }
+            self.sent.push(Sent::Peer(peer, msg.clone()));
+            true
         }
     }
 
     impl Recorder {
         /// Everything sent since the last call.
         fn take(&mut self) -> Vec<Sent> {
-            std::mem::take(&mut self.0)
+            std::mem::take(&mut self.sent)
         }
     }
 
-    fn replica(op_timeout: Duration) -> ReplicaCore {
-        ReplicaCore::new(0, op_timeout, 2)
+    const ICG: ReadKind = ReadKind::Icg {
+        r: 2,
+        confirm: false,
+    };
+
+    /// Replica 0 of 3 with no peer link up yet.
+    fn unmeshed(op_timeout: Duration) -> (ReplicaCore, Recorder) {
+        (ReplicaCore::new(0, op_timeout, 2), Recorder::default())
+    }
+
+    /// Replica 0 of 3 with both peer links up.
+    fn replica(op_timeout: Duration) -> (ReplicaCore, Recorder) {
+        let (mut core, mut net) = unmeshed(op_timeout);
+        core.on_peer_up(&mut net, 0);
+        core.on_peer_up(&mut net, 1);
+        assert_eq!(
+            net.take(),
+            [],
+            "an idle core has nothing to tell a new link"
+        );
+        (core, net)
     }
 
     fn client_op(seq: u64) -> OpId {
@@ -950,6 +1152,18 @@ mod tests {
         Sent::Client(CONN, NetMsg::Store(msg))
     }
 
+    fn peer_read(peer: usize, op: OpId) -> Sent {
+        Sent::Peer(peer, NetMsg::Store(Msg::PeerRead { op, key: key() }))
+    }
+
+    fn final_reply(seq: u64, data: Versioned) -> Sent {
+        to_client(Msg::ReadReply {
+            op: client_op(seq),
+            phase: Phase::Final,
+            data,
+        })
+    }
+
     fn record(ts: u64) -> Versioned {
         Versioned {
             value: Value::Opaque(8),
@@ -957,66 +1171,109 @@ mod tests {
         }
     }
 
-    /// Issues an ICG read of `key()` and returns the op id of the
-    /// `PeerRead` it fanned out, checking the two messages on the way.
-    fn start_icg_read(core: &mut ReplicaCore, net: &mut Recorder, confirm: bool) -> OpId {
+    /// Submits client read `seq` of `key()` and returns what it emitted.
+    fn read(core: &mut ReplicaCore, net: &mut Recorder, seq: u64, kind: ReadKind) -> Vec<Sent> {
         let read = Msg::ClientRead {
-            op: client_op(1),
+            op: client_op(seq),
             key: key(),
-            kind: ReadKind::Icg { r: 2, confirm },
+            kind,
         };
-        core.on_net(net, CONN, NetMsg::Store(read));
-        let sent = net.take();
-        let [prelim, Sent::Peers(NetMsg::Store(Msg::PeerRead {
-            op: peer_op,
-            key: asked,
-        }))] = sent.as_slice()
-        else {
-            panic!("want one preliminary reply and one peer fan-out, got {sent:?}");
+        core.on_net(net, CONN, None, NetMsg::Store(read));
+        net.take()
+    }
+
+    /// Submits ICG read `seq` as the core's `n`-th quorum op, checks it
+    /// emitted the preliminary flush and exactly one `PeerRead`, and
+    /// returns the peer that was asked.
+    fn start_icg_read(core: &mut ReplicaCore, net: &mut Recorder, seq: u64, n: u64) -> usize {
+        let sent = read(core, net, seq, ICG);
+        let [prelim, Sent::Peer(peer, asked)] = sent.as_slice() else {
+            panic!("want one preliminary reply and one peer asked, got {sent:?}");
         };
-        assert_eq!(*asked, key());
+        assert_eq!(
+            *asked,
+            NetMsg::Store(Msg::PeerRead {
+                op: minted(n),
+                key: key()
+            })
+        );
         assert_eq!(
             *prelim,
             to_client(Msg::ReadReply {
-                op: client_op(1),
+                op: client_op(seq),
                 phase: Phase::Preliminary,
                 data: Versioned::absent(),
             })
         );
-        *peer_op
+        *peer
     }
 
-    fn peer_resp(core: &mut ReplicaCore, net: &mut Recorder, op: OpId, data: Versioned) {
-        core.on_net(net, 99, NetMsg::Store(Msg::PeerReadResp { op, data }));
+    /// A `PeerReadResp` arriving on this replica's link to `peer`.
+    fn peer_resp(
+        core: &mut ReplicaCore,
+        net: &mut Recorder,
+        peer: usize,
+        op: OpId,
+        data: Versioned,
+    ) -> Vec<Sent> {
+        let resp = Msg::PeerReadResp { op, data };
+        core.on_net(net, 99, Some(peer), NetMsg::Store(resp));
+        net.take()
     }
 
+    /// The fault-free message budget: client request in, preliminary and
+    /// one `PeerRead` out, that peer's answer in, final out — 5 frames.
     #[test]
-    fn icg_read_flushes_fans_out_and_closes_at_the_first_peer_response() {
-        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
-        let peer_op = start_icg_read(&mut core, &mut net, false);
+    fn icg_read_flushes_asks_one_peer_and_closes_at_its_response() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        let asked = start_icg_read(&mut core, &mut net, 1, 0);
 
-        peer_resp(&mut core, &mut net, peer_op, Versioned::absent());
         assert_eq!(
-            net.take(),
-            [to_client(Msg::ReadReply {
-                op: client_op(1),
-                phase: Phase::Final,
-                data: Versioned::absent(),
-            })]
+            peer_resp(&mut core, &mut net, asked, minted(0), Versioned::absent()),
+            [final_reply(1, Versioned::absent())]
         );
-        // R = 2 was met by the first response; the second peer's is late.
-        peer_resp(&mut core, &mut net, peer_op, record(5));
-        assert_eq!(net.take(), []);
         assert_eq!(core.next_deadline(), None);
     }
 
     #[test]
-    fn confirm_answers_read_confirm_on_equal_version_and_final_on_newer() {
-        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
-        let peer_op = start_icg_read(&mut core, &mut net, true);
-        peer_resp(&mut core, &mut net, peer_op, Versioned::absent());
+    fn consecutive_reads_spread_evenly_over_the_peers() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        let mut asked = [0u32; 2];
+        for n in 0..64 {
+            let peer = start_icg_read(&mut core, &mut net, n, n);
+            asked[peer] += 1;
+            peer_resp(&mut core, &mut net, peer, minted(n), Versioned::absent());
+        }
+        assert_eq!(asked, [32, 32]);
+    }
+
+    #[test]
+    fn a_quorum_of_three_asks_both_peers_at_once_and_waits_for_both() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        let sent = read(&mut core, &mut net, 1, ReadKind::Single { r: 3 });
+        assert_eq!(sent, [peer_read(0, minted(0)), peer_read(1, minted(0))]);
+
+        assert_eq!(peer_resp(&mut core, &mut net, 1, minted(0), record(5)), []);
         assert_eq!(
-            net.take(),
+            peer_resp(&mut core, &mut net, 0, minted(0), Versioned::absent()),
+            [to_client(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Single,
+                data: record(5),
+            })]
+        );
+    }
+
+    #[test]
+    fn confirm_answers_read_confirm_on_equal_version_and_final_on_newer() {
+        let confirming = ReadKind::Icg {
+            r: 2,
+            confirm: true,
+        };
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        read(&mut core, &mut net, 1, confirming);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), Versioned::absent()),
             [to_client(Msg::ReadConfirm {
                 op: client_op(1),
                 version: Version::ZERO,
@@ -1024,26 +1281,94 @@ mod tests {
         );
 
         // A replica whose peer holds something newer than the flush.
-        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
-        let peer_op = start_icg_read(&mut core, &mut net, true);
-        peer_resp(&mut core, &mut net, peer_op, record(5));
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        read(&mut core, &mut net, 1, confirming);
         assert_eq!(
-            net.take(),
-            [to_client(Msg::ReadReply {
-                op: client_op(1),
-                phase: Phase::Final,
-                data: record(5),
-            })]
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [final_reply(1, record(5))]
+        );
+    }
+
+    /// The late-mesh regression: a quorum read that arrives before any
+    /// peer link is up used to be fanned out to nobody and time out.
+    #[test]
+    fn read_before_the_mesh_is_up_asks_the_first_link_to_come_up() {
+        let (mut core, mut net) = unmeshed(Duration::from_secs(5));
+        let sent = read(&mut core, &mut net, 1, ICG);
+        assert!(
+            matches!(sent.as_slice(), [Sent::Client(CONN, _)]),
+            "only the preliminary can leave, got {sent:?}"
+        );
+
+        core.on_peer_up(&mut net, 0);
+        assert_eq!(net.take(), [peer_read(0, minted(0))]);
+        // The read has whom it needs: a second link changes nothing.
+        core.on_peer_up(&mut net, 1);
+        assert_eq!(net.take(), []);
+
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [final_reply(1, record(5))]
         );
     }
 
     #[test]
-    fn expired_read_fails_once_and_drops_the_late_response() {
-        let (mut core, mut net) = (replica(Duration::ZERO), Recorder::default());
-        let peer_op = start_icg_read(&mut core, &mut net, false);
-        assert!(core.next_deadline().is_some());
+    fn losing_the_asked_peer_reasks_the_other_once_losing_another_does_nothing() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        let asked = start_icg_read(&mut core, &mut net, 1, 0);
+        let other = 1 - asked;
 
-        core.fire_expired(&mut net);
+        core.on_peer_down(&mut net, asked);
+        assert_eq!(net.take(), [peer_read(other, minted(0))]);
+        // Nobody is left to ask; the read waits for a link or its deadline.
+        core.on_peer_down(&mut net, other);
+        assert_eq!(net.take(), []);
+        core.on_peer_up(&mut net, other);
+        assert_eq!(net.take(), [peer_read(other, minted(0))]);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, other, minted(0), Versioned::absent()),
+            [final_reply(1, Versioned::absent())]
+        );
+
+        // A read that never asked the lost peer is not disturbed by it.
+        let asked = start_icg_read(&mut core, &mut net, 2, 1);
+        assert_eq!(asked, other, "the only live peer");
+        core.on_peer_up(&mut net, 1 - other);
+        core.on_peer_down(&mut net, 1 - other);
+        assert_eq!(net.take(), []);
+    }
+
+    #[test]
+    fn a_link_the_host_cannot_send_on_is_not_counted_as_asked() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        net.dead = bit(0);
+        assert_eq!(start_icg_read(&mut core, &mut net, 1, 0), 1);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [],
+            "peer 0 was never asked"
+        );
+    }
+
+    /// One deadline entry, two firings: the hedge point widens the
+    /// fan-out and fails nothing, the full timeout fails the op once.
+    #[test]
+    fn hedge_point_asks_the_rest_and_the_full_timeout_fails_once() {
+        let timeout = Duration::from_millis(400);
+        let (mut core, mut net) = replica(timeout);
+        let before = Instant::now();
+        let asked = start_icg_read(&mut core, &mut net, 1, 0);
+        let after = Instant::now();
+
+        core.fire_expired(&mut net, before + timeout / 4 - Duration::from_millis(1));
+        assert_eq!(net.take(), [], "not yet a quarter of the way");
+        let hedge = after + timeout / 4;
+        core.fire_expired(&mut net, hedge);
+        assert_eq!(net.take(), [peer_read(1 - asked, minted(0))]);
+
+        core.fire_expired(&mut net, hedge + Duration::from_millis(299));
+        assert_eq!(net.take(), [], "the remainder has not passed");
+        core.fire_expired(&mut net, hedge + Duration::from_millis(300));
         assert_eq!(
             net.take(),
             [to_client(Msg::OpFailed {
@@ -1051,14 +1376,108 @@ mod tests {
                 reason: FailReason::Timeout,
             })]
         );
-        core.fire_expired(&mut net);
-        peer_resp(&mut core, &mut net, peer_op, record(5));
+        core.fire_expired(&mut net, hedge + timeout);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, asked, minted(0), record(5)),
+            [],
+            "a response after the failure is dropped"
+        );
+        assert_eq!(core.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_peer_that_forced_a_hedge_is_asked_last_until_it_answers_again() {
+        let (mut core, mut net) = replica(Duration::ZERO);
+        let silent = start_icg_read(&mut core, &mut net, 1, 0);
+        let other = 1 - silent;
+        core.fire_expired(&mut net, Instant::now());
+        assert_eq!(net.take(), [peer_read(other, minted(0))]);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, other, minted(0), Versioned::absent()),
+            [final_reply(1, Versioned::absent())]
+        );
+
+        // Rotation alone would alternate; suspicion keeps reads off it.
+        for n in 1..5 {
+            assert_eq!(start_icg_read(&mut core, &mut net, 1 + n, n), other);
+            peer_resp(&mut core, &mut net, other, minted(n), Versioned::absent());
+        }
+        // It is still asked when the quorum needs everyone.
+        let sent = read(&mut core, &mut net, 9, ReadKind::Single { r: 3 });
+        assert_eq!(
+            sent,
+            [peer_read(other, minted(5)), peer_read(silent, minted(5))]
+        );
+
+        // Its late answer to the first read counts for nothing there,
+        // but it is an answer: the peer is first choice again.
+        assert_eq!(
+            peer_resp(&mut core, &mut net, silent, minted(0), record(5)),
+            []
+        );
+        let mut asked = [0u32; 2];
+        for n in 6..10 {
+            let peer = start_icg_read(&mut core, &mut net, 10 + n, n);
+            asked[peer] += 1;
+            peer_resp(&mut core, &mut net, peer, minted(n), Versioned::absent());
+        }
+        assert_eq!(asked, [2, 2]);
+    }
+
+    #[test]
+    fn duplicate_late_and_unsolicited_responses_never_count_toward_the_quorum() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        read(&mut core, &mut net, 1, ReadKind::Single { r: 3 });
+        let foreign = OpId {
+            client: NodeId(1),
+            seq: 0,
+        };
+        // Another coordinator's op id, an op this core never minted, a
+        // response on a client connection: all dropped.
+        assert_eq!(peer_resp(&mut core, &mut net, 0, foreign, record(9)), []);
+        assert_eq!(peer_resp(&mut core, &mut net, 0, minted(77), record(9)), []);
+        let stray = Msg::PeerReadResp {
+            op: minted(0),
+            data: record(9),
+        };
+        core.on_net(&mut net, CONN, None, NetMsg::Store(stray));
         assert_eq!(net.take(), []);
+        // A peer index the core was never configured with.
+        assert_eq!(peer_resp(&mut core, &mut net, 64, minted(0), record(9)), []);
+
+        // Peer 0 answers twice: one response, not the quorum of three.
+        assert_eq!(peer_resp(&mut core, &mut net, 0, minted(0), record(5)), []);
+        assert_eq!(peer_resp(&mut core, &mut net, 0, minted(0), record(6)), []);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 1, minted(0), Versioned::absent()),
+            [to_client(Msg::ReadReply {
+                op: client_op(1),
+                phase: Phase::Single,
+                data: record(5),
+            })]
+        );
+
+        // R = 2 asks one peer; the other's unsolicited answer is not it.
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        let asked = start_icg_read(&mut core, &mut net, 2, 0);
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 1 - asked, minted(0), record(9)),
+            []
+        );
+        assert_eq!(
+            peer_resp(&mut core, &mut net, asked, minted(0), record(5)),
+            [final_reply(2, record(5))]
+        );
+        // ...and a late duplicate of the real one finds nothing pending.
+        assert_eq!(
+            peer_resp(&mut core, &mut net, asked, minted(0), record(5)),
+            []
+        );
     }
 
     #[test]
     fn client_bound_messages_arriving_at_a_server_emit_nothing() {
-        let (mut core, mut net) = (replica(Duration::from_secs(5)), Recorder::default());
+        let (mut core, mut net) = replica(Duration::from_secs(5));
         let stray = [
             NetMsg::HelloAck {
                 version: WIRE_VERSION,
@@ -1079,9 +1498,48 @@ mod tests {
             }),
         ];
         for msg in stray {
-            core.on_net(&mut net, CONN, msg);
+            core.on_net(&mut net, CONN, None, msg);
         }
         assert_eq!(net.take(), []);
         assert_eq!(core.next_deadline(), None);
+    }
+
+    /// Two own updates released by one cumulative ack answer their
+    /// clients in submission order — every run, not in whatever order a
+    /// hash seed puts the pending table in.
+    #[test]
+    fn spec_replies_released_by_one_ack_leave_in_submit_order() {
+        use correctables::spec::CtrOp;
+
+        for _ in 0..20 {
+            let (mut core, mut net) = replica(Duration::from_secs(5));
+            for seq in 1..=2 {
+                let submit = NetMsg::SpecSubmit {
+                    client: 42,
+                    seq,
+                    op: SpecOp::Ctr(CtrOp::Add(3, 1)),
+                    wants: vec![ConsistencyLevel::CAUSAL.wire_id()],
+                };
+                core.on_net(&mut net, CONN, None, submit);
+            }
+            assert!(net.take().iter().all(|s| matches!(s, Sent::Peers(_))));
+
+            let ack = NetMsg::SpecAck {
+                origin: 0,
+                seq: 2,
+                acker: 1,
+                acker_seq: 0,
+            };
+            core.on_net(&mut net, 99, None, ack);
+            let order: Vec<u64> = net
+                .take()
+                .iter()
+                .map(|s| match s {
+                    Sent::Client(CONN, NetMsg::SpecReply { seq, .. }) => *seq,
+                    other => panic!("want only replies to the client, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(order, [1, 2]);
+        }
     }
 }

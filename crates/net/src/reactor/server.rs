@@ -20,7 +20,9 @@
 //! backoff so a downed replica costs its peers a couple of wakeups per
 //! cap-interval instead of a spinning core; an established stream is
 //! handed to loop 0 and the dialer parks until the loop reports the
-//! link down.
+//! link down. The core hears of both events with the peer's index
+//! (`on_peer_up`, `on_peer_down`): which pending reads ask whom is its
+//! decision, not the reactor's.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,6 +236,14 @@ impl Egress for ReactorNet<'_> {
             self.ctl.send_frame(*conn, self.scratch);
         }
     }
+
+    fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool {
+        let Some(conn) = self.peer_conns.get(peer).copied().flatten() else {
+            return false;
+        };
+        self.ctl.send(conn, msg);
+        true
+    }
 }
 
 impl MainHandler {
@@ -272,14 +282,19 @@ impl Handler for MainHandler {
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
         match Reader::new(body).finish::<NetMsg>() {
             Ok(msg) => {
+                // Peer links are tagged with the peer's index.
+                let from_peer = ctl
+                    .tag_of(conn)
+                    .and_then(|tag| tag.checked_sub(TAG_PEER_BASE))
+                    .map(|peer| peer as usize);
                 let (mut net, core) = MainHandler::net(ctl, self);
-                core.on_net(&mut net, key_of(0, conn), msg);
+                core.on_net(&mut net, key_of(0, conn), from_peer, msg);
             }
             Err(_) => ctl.close_with(conn, CloseReason::Garbage, true),
         }
     }
 
-    fn on_close(&mut self, _ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
+    fn on_close(&mut self, ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
         if tag >= TAG_PEER_BASE {
             let peer = (tag - TAG_PEER_BASE) as usize;
             // Only the *current* link counts: a stale close from a link
@@ -292,6 +307,8 @@ impl Handler for MainHandler {
                 if let Some(tx) = self.peer_down.get(peer) {
                     let _ = tx.send(());
                 }
+                let (mut net, core) = MainHandler::net(ctl, self);
+                core.on_peer_down(&mut net, peer);
             }
         }
     }
@@ -302,15 +319,21 @@ impl Handler for MainHandler {
                 let tag = TAG_PEER_BASE + peer as u64;
                 match ctl.adopt(stream, tag) {
                     Some(conn) => {
-                        // A link the dialer replaced is closed quietly.
-                        if let Some(old) = self.peer_conns.get(peer).copied().flatten() {
+                        // A link the dialer replaced is closed quietly;
+                        // what the core had asked on it is lost all the
+                        // same.
+                        let old = self.peer_conns.get(peer).copied().flatten();
+                        if let Some(old) = old {
                             ctl.close(old);
                         }
                         if let Some(slot) = self.peer_conns.get_mut(peer) {
                             *slot = Some(conn);
                         }
                         let (mut net, core) = MainHandler::net(ctl, self);
-                        core.on_peer_up(&mut net);
+                        if old.is_some() {
+                            core.on_peer_down(&mut net, peer);
+                        }
+                        core.on_peer_up(&mut net, peer);
                     }
                     None => {
                         // Registration failed: tell the dialer to retry.
@@ -321,15 +344,16 @@ impl Handler for MainHandler {
                 }
             }
             ServerEv::Remote { key, msg } => {
+                // Forwarding loops carry client connections only.
                 let (mut net, core) = MainHandler::net(ctl, self);
-                core.on_net(&mut net, key, msg);
+                core.on_net(&mut net, key, None, msg);
             }
         }
     }
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
         let (mut net, core) = MainHandler::net(ctl, self);
-        core.fire_expired(&mut net);
+        core.fire_expired(&mut net, Instant::now());
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {

@@ -6,12 +6,15 @@
 //! behaviour — but over the wire codec of this crate, so an unmodified
 //! Correctables client drives it through [`crate::TcpBinding`].
 //!
-//! One deliberate divergence from the simulated replica: the simulator
-//! sends peer reads to exactly the `R-1` nearest peers (it knows the
-//! topology), while this server fans the peer read out to **all** peers
-//! and completes at the first `R-1` responses. Over a real network that
-//! is what keeps an `R = 2` read available when one of three replicas is
-//! down — the whole point of running a quorum system on sockets.
+//! Peer reads included: like the simulated coordinator, this server
+//! sends a quorum read to exactly the `R-1` peers it needs (the
+//! simulator picks the nearest; here consecutive reads rotate over the
+//! links that are up). What keeps an `R = 2` read available when one of
+//! three replicas is down — the whole point of running a quorum system
+//! on sockets — is that the read asks a further peer as soon as there
+//! is evidence one it asked will not answer: that peer's link closes, a
+//! link the read was missing comes up, or a quarter of
+//! [`ServerConfig::op_timeout`] passes in silence (DESIGN.md §10).
 //!
 //! The protocol state machine itself lives in `crate::protocol`; the
 //! epoll reactor ([`crate::reactor`]) serves it. This module is the
@@ -30,7 +33,8 @@ pub struct ServerConfig {
     /// unique across the replica set.
     pub id: u32,
     /// Deadline for gathering quorums before failing an operation back
-    /// to the client.
+    /// to the client. A quorum read still waiting a quarter of the way
+    /// in stops trusting the peers it asked and asks the rest.
     pub op_timeout: Duration,
     /// Base delay between reconnection attempts to an unreachable peer;
     /// doubles per consecutive failure up to [`ServerConfig::peer_retry_cap`].

@@ -2,19 +2,22 @@
 //! frames across readiness events, partial writes resumed mid-frame,
 //! write-buffer backpressure, connection churn, peer death mid-frame,
 //! multi-loop forwarding, and a client reactor that is dropped under
-//! its bindings. Everything here runs over real loopback sockets
-//! against real `ReplicaServer`s.
+//! its bindings — plus what a quorum read that asks only `R-1` peers
+//! owes its clients when a peer link is late, silent, or dies.
+//! Everything here runs over real loopback sockets against real
+//! `ReplicaServer`s.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use correctables::{Client, Error};
 use icg_net::frame::{encode_frame, read_frame};
 use icg_net::{
-    spawn_local_cluster, ClientReactor, ReplicaHandle, ServerConfig, TcpBinding, TcpConfig,
-    WIRE_VERSION,
+    spawn_local_cluster, ClientReactor, ReplicaHandle, ReplicaServer, ServerConfig, TcpBinding,
+    TcpConfig, WIRE_VERSION,
 };
 use quorumstore::types::ReadKind;
 use quorumstore::{Key, Msg, OpId, Phase, StoreOp, Value};
@@ -49,6 +52,20 @@ fn frame_bytes(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame(msg, &mut out);
     out
+}
+
+/// Starts a listener that accepts every connection, holds it open and
+/// never reads or answers: a stopped process, as its peers see it.
+fn tarpit() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind tarpit");
+    let addr = listener.local_addr().expect("addr");
+    thread::spawn(move || {
+        let mut held = Vec::new();
+        for conn in listener.incoming() {
+            held.extend(conn);
+        }
+    });
+    addr
 }
 
 fn shutdown(replicas: Vec<ReplicaHandle>) {
@@ -465,21 +482,198 @@ fn multi_loop_forwarding_round_trips() {
     shutdown(replicas);
 }
 
+/// A replica config for the availability tests below: quick redials, so
+/// a link comes up within ~100 ms of its peer starting to listen.
+fn quick_redial(id: u32, op_timeout: Duration) -> ServerConfig {
+    ServerConfig {
+        id,
+        op_timeout,
+        peer_retry: Duration::from_millis(20),
+        peer_retry_cap: Duration::from_millis(100),
+        ..ServerConfig::default()
+    }
+}
+
+/// A loopback address nothing listens on and nothing will be handed:
+/// below the ephemeral range every other bind in this suite draws
+/// from, so it stays refused until this test binds it itself.
+fn refused_addr(salt: u16) -> SocketAddr {
+    let base = 20_000 + (std::process::id() % 2_000) as u16 * 2 + salt;
+    (base..base + 8_000)
+        .step_by(2)
+        .map(|port| SocketAddr::from(([127, 0, 0, 1], port)))
+        .find(|addr| TcpListener::bind(addr).is_ok())
+        .expect("a free port below the ephemeral range")
+}
+
+/// The late-mesh regression. A strong read reaches a coordinator whose
+/// peers are not listening yet, so no peer link is up and nobody can be
+/// asked. The read must complete when the links arrive — it used to be
+/// fanned out to nobody, never again, and fail `Timeout`.
+#[test]
+fn read_before_the_peer_mesh_is_up_completes_when_the_links_arrive() {
+    let op_timeout = Duration::from_secs(4);
+    let peers = [refused_addr(0), refused_addr(1)];
+    let first = ReplicaServer::bind("127.0.0.1:0", quick_redial(0, op_timeout))
+        .expect("bind")
+        .start(peers.to_vec());
+
+    let mut cfg = TcpConfig::new(vec![first.addr()], 1700);
+    cfg.op_timeout = 2 * op_timeout;
+    let binding = TcpBinding::connect(cfg).expect("connect");
+    let client = Client::new(binding.clone());
+    let submitted = Instant::now();
+    let read = client.invoke_strong(StoreOp::Read(Key::plain(30)));
+    assert!(
+        read.wait_final(Duration::from_millis(200)).is_err(),
+        "no peer is reachable; the quorum read must still be pending"
+    );
+
+    let mut replicas = vec![first];
+    for (i, addr) in peers.iter().enumerate() {
+        let others = vec![replicas[0].addr(), peers[1 - i]];
+        let server = ReplicaServer::bind(&addr.to_string(), quick_redial(1 + i as u32, op_timeout))
+            .expect("bind the peer's port");
+        replicas.push(server.start(others));
+    }
+    read.wait_final(op_timeout)
+        .expect("the read asks the first link that comes up");
+    assert!(
+        submitted.elapsed() < op_timeout / 2,
+        "completed at {:?}: by a link coming up, not by luck at the deadline",
+        submitted.elapsed()
+    );
+    binding.shutdown();
+    shutdown(replicas);
+}
+
+/// A peer that accepts connections and never answers (SIGSTOP, a
+/// blackholing middlebox) stands in for replica 2 of 3. The coordinator
+/// cannot tell from the link that anything is wrong, so the first read
+/// that asks it waits out the hedge point (a quarter of `op_timeout`)
+/// before asking the other peer — and after that the silent peer is
+/// asked last, so no later read pays for it.
+#[test]
+fn tarpit_peer_delays_one_read_by_the_hedge_and_fails_none() {
+    let op_timeout = Duration::from_secs(2);
+    let tarpit_addr = tarpit();
+
+    let servers: Vec<ReplicaServer> = (0..2)
+        .map(|id| ReplicaServer::bind("127.0.0.1:0", quick_redial(id, op_timeout)).expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
+    let replicas: Vec<ReplicaHandle> = servers
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.start(vec![addrs[1 - i], tarpit_addr]))
+        .collect();
+
+    let binding = TcpBinding::connect(TcpConfig::new(vec![addrs[0]], 1701)).expect("connect");
+    let client = Client::new(binding.clone());
+    client
+        .invoke_strong(StoreOp::Write(Key::plain(31), Value::Opaque(8)))
+        .wait_final(Duration::from_secs(5))
+        .expect("write");
+    // Both links up before the clock starts: a read that found only the
+    // live peer would never meet the tarpit.
+    thread::sleep(Duration::from_millis(300));
+
+    let mut slow = Vec::new();
+    let mut slowest_other = Duration::ZERO;
+    for i in 0..50 {
+        let started = Instant::now();
+        let view = client
+            .invoke_strong(StoreOp::Read(Key::plain(31)))
+            .wait_final(Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("read {i} failed: {e:?}"));
+        assert_eq!(view.value.value, Value::Opaque(8));
+        if started.elapsed() >= Duration::from_millis(50) {
+            slow.push((i, started.elapsed()));
+        } else {
+            slowest_other = slowest_other.max(started.elapsed());
+        }
+    }
+    println!("tarpit: delayed reads {slow:?}, slowest of the rest {slowest_other:?}");
+    match slow.as_slice() {
+        [(i, took)] => {
+            assert!(*i < 2, "rotation reaches the tarpit within two reads");
+            assert!(
+                *took >= op_timeout / 4 && *took < op_timeout / 2,
+                "the read that met the tarpit took {took:?}, want one hedge delay"
+            );
+        }
+        other => panic!("want exactly one read delayed by the silent peer, got {other:?}"),
+    }
+    binding.shutdown();
+    shutdown(replicas);
+}
+
+/// A non-coordinator replica killed under a stream of strong reads: the
+/// coordinator sees the link close and re-asks the surviving peer at
+/// once, so no read fails and none waits for the hedge timer — neither
+/// the ones in flight at the kill nor the ones submitted after it.
+#[test]
+fn killed_peer_fails_no_read_and_delays_none() {
+    let op_timeout = Duration::from_secs(8);
+    let replicas = spawn_local_cluster(3, |id| quick_redial(id, op_timeout));
+    let mut cfg = config(&replicas[..1], 1702);
+    cfg.op_timeout = op_timeout;
+    let binding = TcpBinding::connect(cfg).expect("connect");
+    let client = Client::new(binding.clone());
+    client
+        .invoke_strong(StoreOp::Write(Key::plain(32), Value::Opaque(8)))
+        .wait_final(Duration::from_secs(5))
+        .expect("write");
+
+    let killed = AtomicBool::new(false);
+    let (before, after) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let slowest = thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut slowest = Duration::ZERO;
+            while after.load(Ordering::SeqCst) < 200 {
+                let was_killed = killed.load(Ordering::SeqCst);
+                let started = Instant::now();
+                client
+                    .invoke_strong(StoreOp::Read(Key::plain(32)))
+                    .wait_final(op_timeout)
+                    .expect("no read may fail while two of three replicas live");
+                slowest = slowest.max(started.elapsed());
+                let count = if was_killed { &after } else { &before };
+                count.fetch_add(1, Ordering::SeqCst);
+            }
+            slowest
+        });
+        // Kill under load, not before it: reads are in flight to both
+        // peers in turn when replica 2 goes.
+        while before.load(Ordering::SeqCst) < 200 {
+            thread::yield_now();
+        }
+        replicas[2].shutdown();
+        killed.store(true, Ordering::SeqCst);
+        reader.join().expect("reader")
+    });
+    println!(
+        "kill: {} reads before, {} after, slowest {slowest:?}",
+        before.load(Ordering::SeqCst),
+        after.load(Ordering::SeqCst)
+    );
+    assert!(
+        slowest < op_timeout / 8,
+        "slowest read took {slowest:?}; the hedge point is {:?}",
+        op_timeout / 4
+    );
+    binding.shutdown();
+    shutdown(replicas);
+}
+
 /// A client reactor dropped under a live binding: the op in flight and
 /// every op submitted afterwards fail `Unavailable` — the loop that
 /// would have served (or timed out) either is gone, and a Correctable
 /// must never be left open on a queue nobody drains.
 #[test]
 fn dropped_reactor_fails_in_flight_and_later_ops_unavailable() {
-    // A coordinator that accepts and reads but never answers.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let silent = listener.local_addr().expect("addr");
-    thread::spawn(move || {
-        let mut conns = Vec::new();
-        for conn in listener.incoming() {
-            conns.extend(conn); // hold every socket open, read nothing
-        }
-    });
+    // A coordinator that accepts and never answers.
+    let silent = tarpit();
 
     let reactor = ClientReactor::new(1).expect("dedicated reactor");
     let mut cfg = TcpConfig::new(vec![silent], 1900);
@@ -508,7 +702,7 @@ fn dropped_reactor_fails_in_flight_and_later_ops_unavailable() {
 fn reactor_binding_fails_fast_on_dead_replicas() {
     // Bind-then-drop to get a port nobody is listening on.
     let dead: SocketAddr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
         l.local_addr().expect("addr")
     };
     let mut cfg = TcpConfig::new(vec![dead], 1800);

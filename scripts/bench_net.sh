@@ -58,12 +58,6 @@ echo "=== booting 3 replicas on $P0 $P1 $P2 ==="
 "$REPLICAD" --id 1 --listen "$P1" --peers "$P0,$P2" & pids+=($!)
 "$REPLICAD" --id 2 --listen "$P2" --peers "$P0,$P1" & pids+=($!)
 
-# Let the peer mesh form. Replicas boot one after another, so the first
-# dial of a peer that is not listening yet fails and is retried 100-300
-# ms later; a quorum read that arrives before that has no link to fan
-# out on, times out, and loadgen's non-zero exit would abort this script.
-sleep 1
-
 rm -f "$lines"
 mkdir -p target
 
