@@ -40,11 +40,10 @@ use parking_lot::Mutex;
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 use quorumstore::messages::{Msg, Phase};
-use quorumstore::types::{OpId, ReadKind, Version, Versioned};
-use quorumstore::StoreOp;
+use quorumstore::types::{OpId, ReadKind, Versioned};
+use quorumstore::{IdMap, StoreOp};
 use simnet::NodeId;
 
-use crate::pump::IdMap;
 use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
 
 /// Configuration of a [`TcpBinding`].
@@ -93,38 +92,6 @@ pub(crate) struct PendingOp {
     pub(crate) close_level: ConsistencyLevel,
     pub(crate) prelim: Option<Versioned>,
     pub(crate) written: Option<Versioned>,
-}
-
-/// Builds the wire message for a submitted operation, plus the locally
-/// written record a write's final view falls back to.
-pub(crate) fn encode_submit(
-    client_id: u64,
-    seq: u64,
-    op: StoreOp,
-    kind: ReadKind,
-) -> (Msg, Option<Versioned>) {
-    let id = OpId {
-        client: NodeId(client_id as usize),
-        seq,
-    };
-    match op {
-        StoreOp::Read(key) => (Msg::ClientRead { op: id, key, kind }, None),
-        StoreOp::Write(key, value) => {
-            let written = Versioned {
-                value: value.clone(),
-                version: Version::ZERO,
-            };
-            (
-                Msg::ClientWrite {
-                    op: id,
-                    key,
-                    value,
-                    w: 1,
-                },
-                Some(written),
-            )
-        }
-    }
 }
 
 /// Closes invocation `seq` with `data` (or, absent data, the held

@@ -28,10 +28,10 @@ use parking_lot::Mutex;
 use correctables::{ConsistencyLevel, Error, Upcall};
 use quorumstore::messages::Msg;
 use quorumstore::types::{ReadKind, Versioned};
-use quorumstore::StoreOp;
+use quorumstore::{encode_submit, Deadlines, IdMap, StoreOp};
+use simnet::NodeId;
 
-use crate::binding::{encode_submit, fail_all_pending, handle_reply, PendingOp, TcpConfig};
-use crate::pump::{Deadlines, IdMap};
+use crate::binding::{fail_all_pending, handle_reply, PendingOp, TcpConfig};
 use crate::spec_binding::SpecState;
 use crate::wire::{Reader, SpecOp};
 
@@ -130,7 +130,7 @@ impl ClientReactor {
                 loop_idx: i,
                 dial_tx: dial_tx.clone(),
                 bindings: IdMap::default(),
-                deadlines: Deadlines::new(),
+                deadlines: Deadlines::default(),
             };
             let (inj, _join) = spawn_loop(
                 &format!("icg-client-loop{i}"),
@@ -407,7 +407,7 @@ struct ClientHandler {
     /// this loop owns, so frames route to their binding via the tag.
     bindings: IdMap<Slot>,
     /// All bindings' op deadlines, keyed `(binding, seq)`.
-    deadlines: Deadlines<(u64, u64)>,
+    deadlines: Deadlines<Instant, (u64, u64)>,
 }
 
 impl ClientHandler {
@@ -450,7 +450,8 @@ impl ClientHandler {
         }
         let seq = st.next_seq;
         st.next_seq += 1;
-        let (msg, written) = encode_submit(st.cfg.client_id, seq, op, kind);
+        let client = NodeId(st.cfg.client_id as usize);
+        let (msg, written) = encode_submit(client, seq, op, kind);
         st.pending.insert(
             seq,
             PendingOp {

@@ -38,9 +38,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use quorumstore::IdMap;
 
 use crate::frame::append_frame;
-use crate::pump::IdMap;
 use crate::wire::Wire;
 
 use super::conn::{extract_frame, CloseReason, Conn, Extract, ReadStep};

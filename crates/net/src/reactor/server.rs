@@ -1,8 +1,9 @@
 //! The quorum-store replica served by the epoll reactor.
 //!
 //! Topology: `cfg.loops` event loops. Loop 0 is the *protocol loop* —
-//! it owns the listener, the peer links, the shared
-//! [`ReplicaCore`], and its share of the client connections. Loops
+//! it owns the listener, the peer links, the protocol cores
+//! ([`ReplicaCore`] for the quorum store, [`SpecCore`] beside it), and
+//! its share of the client connections. Loops
 //! `1..N` are *forwarding loops*: they own the remaining client
 //! connections, decode inbound frames on their own thread, and inject
 //! the decoded messages into loop 0; replies travel back as
@@ -13,7 +14,7 @@
 //!
 //! Connections are addressed by a 64-bit key: the owning loop's index
 //! in the top 16 bits, the loop-local connection id in the low 48. The
-//! core never knows the difference — its [`Egress`] routes by key.
+//! cores never know the difference — their egress routes by key.
 //!
 //! Peer links are dialed by one auxiliary thread per peer (connecting
 //! is the one operation that blocks), with jittered exponential
@@ -28,10 +29,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+use quorumstore::{Egress, Msg, ReplicaCore};
 
 use crate::frame::encode_frame;
-use crate::protocol::{Egress, ReplicaCore};
+use crate::protocol::{NetEgress, SpecCore};
 use crate::server::{ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
@@ -101,7 +104,10 @@ pub(crate) fn start(
         (0..peers.len()).map(|_| mpsc::channel::<()>()).unzip();
 
     let handler = MainHandler {
-        core: ReplicaCore::new(cfg.id, cfg.op_timeout, peers.len()),
+        // Equal distances: reads rotate over the links that are up.
+        core: ReplicaCore::new(cfg.id, cfg.op_timeout, vec![0; peers.len()]),
+        spec: SpecCore::new(cfg.id, peers.len() + 1),
+        epoch: Instant::now(),
         remotes: remotes.clone(),
         peer_conns: vec![None; peers.len()],
         peer_down: down_txs,
@@ -189,9 +195,13 @@ fn dial_peer_loop(
     }
 }
 
-/// Loop 0: the listener, the peer links, and the protocol core.
+/// Loop 0: the listener, the peer links, and the protocol cores.
 struct MainHandler {
     core: ReplicaCore,
+    /// The update/causal/strong spec store riding the same connections.
+    spec: SpecCore,
+    /// What the quorum core's deadline clock counts from.
+    epoch: Instant,
     /// Injectors of loops `1..N`, indexed by `loop_idx - 1`.
     remotes: Vec<Injector<()>>,
     /// Loop-0 conn id of each live peer link.
@@ -204,7 +214,7 @@ struct MainHandler {
     scratch: Vec<u8>,
 }
 
-/// The protocol core's window onto the reactor: loop-0 sends are
+/// The protocol cores' window onto the reactor: loop-0 sends are
 /// encoded onto the connection by `ctl`, cross-loop sends are encoded
 /// here and the bytes handed to the owning loop.
 struct ReactorNet<'a> {
@@ -212,9 +222,42 @@ struct ReactorNet<'a> {
     remotes: &'a [Injector<()>],
     peer_conns: &'a [Option<u64>],
     scratch: &'a mut Vec<u8>,
+    epoch: Instant,
 }
 
+/// The quorum core speaks bare store messages; on the wire each is a
+/// [`NetMsg::Store`] frame, wrapped by move.
 impl Egress for ReactorNet<'_> {
+    fn to_client(&mut self, key: u64, msg: Msg) {
+        NetEgress::to_client(self, key, &NetMsg::Store(msg));
+    }
+
+    fn to_peers(&mut self, msg: Msg) {
+        NetEgress::to_peers(self, &NetMsg::Store(msg));
+    }
+
+    fn to_peer(&mut self, peer: usize, msg: Msg) -> bool {
+        let Some(conn) = self.peer_conns.get(peer).copied().flatten() else {
+            return false;
+        };
+        self.ctl.send(conn, &NetMsg::Store(msg));
+        true
+    }
+
+    /// Monotonic nanoseconds since the replica started.
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Wall-clock nanoseconds since the Unix epoch, so coordinators in
+    /// different processes stamp comparably.
+    fn stamp(&self) -> u64 {
+        let wall = SystemTime::now().duration_since(UNIX_EPOCH);
+        wall.map_or(0, |d| d.as_nanos() as u64)
+    }
+}
+
+impl NetEgress for ReactorNet<'_> {
     fn to_client(&mut self, key: u64, msg: &NetMsg) {
         let loop_idx = (key >> LOOP_SHIFT) as usize;
         if loop_idx == 0 {
@@ -236,27 +279,37 @@ impl Egress for ReactorNet<'_> {
             self.ctl.send_frame(*conn, self.scratch);
         }
     }
-
-    fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool {
-        let Some(conn) = self.peer_conns.get(peer).copied().flatten() else {
-            return false;
-        };
-        self.ctl.send(conn, msg);
-        true
-    }
 }
 
 impl MainHandler {
-    fn net<'a>(ctl: &'a mut Ctl, this: &'a mut Self) -> (ReactorNet<'a>, &'a mut ReplicaCore) {
+    fn net<'a>(
+        ctl: &'a mut Ctl,
+        this: &'a mut Self,
+    ) -> (ReactorNet<'a>, &'a mut ReplicaCore, &'a mut SpecCore) {
         (
             ReactorNet {
                 ctl,
                 remotes: &this.remotes,
                 peer_conns: &this.peer_conns,
                 scratch: &mut this.scratch,
+                epoch: this.epoch,
             },
             &mut this.core,
+            &mut this.spec,
         )
+    }
+
+    /// Routes one decoded envelope from connection `key`: store frames
+    /// to the quorum core, everything else to the spec store.
+    /// `from_peer` is the peer index when `key` is this replica's own
+    /// link to a peer (where that peer's answers arrive), `None` for
+    /// every accepted connection.
+    fn dispatch(&mut self, ctl: &mut Ctl, key: u64, from_peer: Option<usize>, msg: NetMsg) {
+        let (mut net, core, spec) = MainHandler::net(ctl, self);
+        match msg {
+            NetMsg::Store(m) => core.on_msg(&mut net, key, from_peer, m),
+            other => spec.on_net(&mut net, key, other),
+        }
     }
 }
 
@@ -287,8 +340,7 @@ impl Handler for MainHandler {
                     .tag_of(conn)
                     .and_then(|tag| tag.checked_sub(TAG_PEER_BASE))
                     .map(|peer| peer as usize);
-                let (mut net, core) = MainHandler::net(ctl, self);
-                core.on_net(&mut net, key_of(0, conn), from_peer, msg);
+                self.dispatch(ctl, key_of(0, conn), from_peer, msg);
             }
             Err(_) => ctl.close_with(conn, CloseReason::Garbage, true),
         }
@@ -307,7 +359,7 @@ impl Handler for MainHandler {
                 if let Some(tx) = self.peer_down.get(peer) {
                     let _ = tx.send(());
                 }
-                let (mut net, core) = MainHandler::net(ctl, self);
+                let (mut net, core, _) = MainHandler::net(ctl, self);
                 core.on_peer_down(&mut net, peer);
             }
         }
@@ -329,11 +381,13 @@ impl Handler for MainHandler {
                         if let Some(slot) = self.peer_conns.get_mut(peer) {
                             *slot = Some(conn);
                         }
-                        let (mut net, core) = MainHandler::net(ctl, self);
+                        let (mut net, core, spec) = MainHandler::net(ctl, self);
                         if old.is_some() {
                             core.on_peer_down(&mut net, peer);
                         }
                         core.on_peer_up(&mut net, peer);
+                        // What the peer may have missed while down.
+                        spec.retransmit(&mut net);
                     }
                     None => {
                         // Registration failed: tell the dialer to retry.
@@ -345,19 +399,19 @@ impl Handler for MainHandler {
             }
             ServerEv::Remote { key, msg } => {
                 // Forwarding loops carry client connections only.
-                let (mut net, core) = MainHandler::net(ctl, self);
-                core.on_net(&mut net, key, None, msg);
+                self.dispatch(ctl, key, None, msg);
             }
         }
     }
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
-        let (mut net, core) = MainHandler::net(ctl, self);
-        core.fire_expired(&mut net, Instant::now());
+        let (mut net, core, _) = MainHandler::net(ctl, self);
+        core.fire_expired(&mut net);
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {
-        self.core.next_deadline()
+        let due = self.core.next_deadline()?;
+        Some(self.epoch + Duration::from_nanos(due))
     }
 }
 

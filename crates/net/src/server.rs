@@ -1,23 +1,25 @@
 //! A quorum-store replica served over real TCP sockets.
 //!
-//! [`ReplicaServer`] speaks exactly the protocol of the simulated
-//! [`quorumstore::Replica`] — the same [`quorumstore::Msg`] set, the same
-//! coordinator roles, the same preliminary-flush and confirmation
-//! behaviour — but over the wire codec of this crate, so an unmodified
-//! Correctables client drives it through [`crate::TcpBinding`].
+//! [`ReplicaServer`] serves [`quorumstore::ReplicaCore`] — the very
+//! state machine the simulator hosts, not a port of it: the same
+//! [`quorumstore::Msg`] set, the same coordinator roles, the same
+//! preliminary-flush and confirmation behaviour — over the wire codec of
+//! this crate, so an unmodified Correctables client drives it through
+//! [`crate::TcpBinding`].
 //!
-//! Peer reads included: like the simulated coordinator, this server
-//! sends a quorum read to exactly the `R-1` peers it needs (the
-//! simulator picks the nearest; here consecutive reads rotate over the
-//! links that are up). What keeps an `R = 2` read available when one of
-//! three replicas is down — the whole point of running a quorum system
-//! on sockets — is that the read asks a further peer as soon as there
-//! is evidence one it asked will not answer: that peer's link closes, a
-//! link the read was missing comes up, or a quarter of
-//! [`ServerConfig::op_timeout`] passes in silence (DESIGN.md §10).
+//! Peer reads included: a quorum read goes to exactly the `R-1` peers it
+//! needs. This host tells the core nothing about how far its peers are,
+//! so consecutive reads rotate over the links that are up (the simulator
+//! passes its topology and gets the nearest). What keeps an `R = 2` read
+//! available when one of three replicas is down — the whole point of
+//! running a quorum system on sockets — is that the read asks a further
+//! peer as soon as there is evidence one it asked will not answer: that
+//! peer's link closes, a link the read was missing comes up, or a
+//! quarter of [`ServerConfig::op_timeout`] passes in silence (DESIGN.md
+//! §3).
 //!
-//! The protocol state machine itself lives in `crate::protocol`; the
-//! epoll reactor ([`crate::reactor`]) serves it. This module is the
+//! The epoll reactor ([`crate::reactor`]) is the core's host here: it
+//! supplies the links, both clocks and the egress. This module is the
 //! public surface: configuration, bind-then-start, the running
 //! replica's handle.
 

@@ -45,9 +45,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
+use quorumstore::IdMap;
 
 use crate::frame::{read_frame, write_frame};
-use crate::pump::IdMap;
 use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
 use crate::reactor::conn::CloseReason;
 use crate::reactor::event_loop::Ctl;

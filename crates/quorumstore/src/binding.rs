@@ -28,9 +28,9 @@ use correctables::{Binding, ConsistencyLevel, Error, KeyedOp, LevelSet, ObjectId
 use simnet::{Ctx, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
 
 use crate::cluster::Cluster;
+use crate::host::ReplicaConfig;
 use crate::messages::{Msg, Phase};
-use crate::replica::ReplicaConfig;
-use crate::types::{Key, OpId, ReadKind, Value, Versioned};
+use crate::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 
 /// Operations accepted by the binding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,6 +50,37 @@ impl KeyedOp for StoreOp {
         // Spread the namespace across all bits so (ns, id) pairs rarely
         // collide; the ring re-hashes this anyway.
         ObjectId(key.id ^ u64::from(key.ns).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+}
+
+/// Builds the message that submits `op` as operation `seq` of `client`,
+/// plus the locally written record a write's final view falls back to.
+/// Every client of the store — the simulated gateway here, `icg-net`'s
+/// TCP binding — submits through this.
+pub fn encode_submit(
+    client: NodeId,
+    seq: u64,
+    op: StoreOp,
+    kind: ReadKind,
+) -> (Msg, Option<Versioned>) {
+    let id = OpId { client, seq };
+    match op {
+        StoreOp::Read(key) => (Msg::ClientRead { op: id, key, kind }, None),
+        StoreOp::Write(key, value) => {
+            let written = Versioned {
+                value: value.clone(),
+                version: Version::ZERO,
+            };
+            (
+                Msg::ClientWrite {
+                    op: id,
+                    key,
+                    value,
+                    w: 1,
+                },
+                Some(written),
+            )
+        }
     }
 }
 
@@ -124,37 +155,7 @@ impl GatewayProto for QuorumClient {
     type Pending = GwPending;
 
     fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: QueuedOp) -> Option<GwPending> {
-        let id = OpId {
-            client: ctx.id(),
-            seq,
-        };
-        let (msg, is_read, written) = match q.op {
-            StoreOp::Read(key) => (
-                Msg::ClientRead {
-                    op: id,
-                    key,
-                    kind: q.kind,
-                },
-                true,
-                None,
-            ),
-            StoreOp::Write(key, value) => {
-                let written = Versioned {
-                    value: value.clone(),
-                    version: crate::types::Version::ZERO,
-                };
-                (
-                    Msg::ClientWrite {
-                        op: id,
-                        key,
-                        value,
-                        w: 1,
-                    },
-                    false,
-                    Some(written),
-                )
-            }
-        };
+        let (msg, written) = encode_submit(ctx.id(), seq, q.op, q.kind);
         ctx.send(self.coordinator, msg);
         Some(GwPending {
             upcall: q.upcall,
@@ -162,7 +163,7 @@ impl GatewayProto for QuorumClient {
             start: ctx.now(),
             prelim: None,
             prelim_at: None,
-            is_read,
+            is_read: written.is_none(),
             written,
         })
     }

@@ -3,8 +3,8 @@
 use simnet::{Engine, NodeId, SimDuration, SimTime, SiteId, Timer, Topology};
 
 use crate::client::{WorkloadClient, KICKOFF};
+use crate::host::{ReplicaConfig, SimReplica};
 use crate::messages::Msg;
-use crate::replica::{Replica, ReplicaConfig};
 use crate::types::{Key, Value, Version, Versioned};
 
 /// A quorum-store deployment under simulation.
@@ -38,13 +38,18 @@ impl Cluster {
             })
             .collect();
         let mut engine = Engine::new(topology, seed);
-        let replicas: Vec<NodeId> = sites
-            .iter()
-            .map(|s| engine.add_node(*s, Box::new(Replica::new(cfg))))
-            .collect();
-        for (i, id) in replicas.iter().enumerate() {
+        // A fresh engine hands out node ids from zero, so each replica
+        // can be built knowing its peers.
+        let replicas: Vec<NodeId> = (0..sites.len()).map(NodeId).collect();
+        for (i, site) in sites.iter().enumerate() {
             let peers = NodeId::peers_of(&replicas, i);
-            engine.node_as::<Replica>(*id).set_peers(peers);
+            let distance = peers
+                .iter()
+                .map(|p| engine.topology().base_one_way(*site, sites[p.0]))
+                .collect();
+            let replica = SimReplica::new(cfg, replicas[i], peers, distance);
+            let id = engine.add_node(*site, Box::new(replica));
+            assert_eq!(id, replicas[i], "replicas are the engine's first nodes");
         }
         Cluster {
             engine,
@@ -81,9 +86,9 @@ impl Cluster {
             })
             .collect();
         for r in replicas {
-            let replica = engine.node_as::<Replica>(*r);
+            let store = engine.node_as::<SimReplica>(*r).store();
             for (k, v) in &seeded {
-                replica.store.apply(*k, v.clone());
+                store.apply(*k, v.clone());
             }
         }
     }
@@ -139,9 +144,9 @@ mod tests {
         let (mut cluster, _) = paper_cluster(ReplicaConfig::default(), 1);
         cluster.preload((0..10).map(|i| (Key::plain(i), Value::Opaque(100))));
         for r in cluster.replicas.clone() {
-            let rep = cluster.engine.node_as::<Replica>(r);
-            assert_eq!(rep.store.len(), 10);
-            assert_eq!(rep.store.get(Key::plain(3)).version.ts, 1);
+            let store = cluster.engine.node_as::<SimReplica>(r).store();
+            assert_eq!(store.len(), 10);
+            assert_eq!(store.get(Key::plain(3)).version.ts, 1);
         }
     }
 

@@ -1,28 +1,29 @@
 //! Shared event-loop plumbing: a deadline heap and the map type for
 //! tables keyed by self-minted integer ids.
 //!
-//! Both protocol handlers in this crate (the replica server's and the
-//! client bindings') keep a heap of operation deadlines next to the
-//! table of operations those deadlines belong to. This module owns the
-//! heap once so the lazy-discard and expiry logic cannot drift between
-//! the two.
+//! Every protocol handler of the served path (the replica core here,
+//! the client bindings' loop in `icg-net`) keeps a heap of operation
+//! deadlines next to the table of operations those deadlines belong
+//! to. This module owns the heap once so the lazy-discard and expiry
+//! logic cannot drift between them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::time::Instant;
 
 /// A map keyed by ids this process minted itself — connection ids,
 /// internal op ids, client sequence numbers — which the loops cross
 /// several times per frame. Such keys are sequential and nobody outside
 /// chooses them, so one multiply spreads them and SipHash's flood
 /// resistance buys nothing. Tables keyed by what a peer sends (the
-/// store's keys) keep the default hasher.
-pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// store's keys) keep the default hasher. The hasher is fixed, so
+/// iteration order is a function of the keys alone — but not an order
+/// anything should depend on: sort before acting on a walk.
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// Fibonacci hashing of one `u64`; see [`IdMap`].
 #[derive(Default)]
-pub(crate) struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -44,27 +45,31 @@ impl Hasher for IdHasher {
 }
 
 /// A min-heap of `(deadline, key)` pairs with lazy discarding of keys
-/// whose operation already finished.
-pub(crate) struct Deadlines<K: Ord + Copy> {
-    heap: BinaryHeap<Reverse<(Instant, K)>>,
+/// whose operation already finished. `T` is the owner's notion of time:
+/// `Instant` on a client loop, host-supplied nanoseconds in the replica
+/// core.
+pub struct Deadlines<T: Ord + Copy, K: Ord + Copy> {
+    heap: BinaryHeap<Reverse<(T, K)>>,
 }
 
-impl<K: Ord + Copy> Deadlines<K> {
-    pub(crate) fn new() -> Self {
+impl<T: Ord + Copy, K: Ord + Copy> Default for Deadlines<T, K> {
+    fn default() -> Self {
         Deadlines {
             heap: BinaryHeap::new(),
         }
     }
+}
 
+impl<T: Ord + Copy, K: Ord + Copy> Deadlines<T, K> {
     /// Arms a deadline for `key`.
-    pub(crate) fn arm(&mut self, at: Instant, key: K) {
+    pub fn arm(&mut self, at: T, key: K) {
         self.heap.push(Reverse((at, key)));
     }
 
     /// The soonest deadline whose key is still `alive`, discarding dead
     /// entries encountered on the way (ops that completed before their
     /// deadline fired).
-    pub(crate) fn next_live(&mut self, alive: impl Fn(&K) -> bool) -> Option<Instant> {
+    pub fn next_live(&mut self, alive: impl Fn(&K) -> bool) -> Option<T> {
         while let Some(Reverse((at, key))) = self.heap.peek().copied() {
             if alive(&key) {
                 return Some(at);
@@ -77,7 +82,7 @@ impl<K: Ord + Copy> Deadlines<K> {
     /// Pops every deadline at or before `now`, feeding each key to
     /// `expire` (dead keys included — the callback's remove handles
     /// both).
-    pub(crate) fn fire_expired(&mut self, now: Instant, mut expire: impl FnMut(K)) {
+    pub fn fire_expired(&mut self, now: T, mut expire: impl FnMut(K)) {
         while let Some(Reverse((at, key))) = self.heap.peek().copied() {
             if at > now {
                 break;

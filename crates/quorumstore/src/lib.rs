@@ -2,7 +2,10 @@
 //!
 //! The paper evaluates Correctables on a modified Apache Cassandra
 //! ("Correctable Cassandra", CC). This crate rebuilds the relevant
-//! mechanics from scratch on the deterministic simulator:
+//! mechanics from scratch. The protocol is written once, free of any
+//! I/O ([`protocol::ReplicaCore`]); the deterministic simulator hosts it
+//! here ([`host::SimReplica`]) and `icg-net`'s reactor serves the same
+//! code over TCP.
 //!
 //! - **Replication**: every key on every replica (RF = 3 over the paper's
 //!   FRK/IRL/VRG EC2 sites), last-writer-wins versions.
@@ -14,7 +17,9 @@
 //!   coordinator cost.
 //! - ***CC**: a final view equal to the preliminary is replaced by a tiny
 //!   confirmation message, cutting the bandwidth overhead of ICG.
-//! - **Read repair** (optional) and **operation timeouts** for fault runs.
+//! - **Fault handling**: a quorum read adopts the winning version at its
+//!   coordinator, asks further peers when the ones it asked stay silent
+//!   for a quarter of the operation timeout, and fails at the timeout.
 //!
 //! Drive it either with the closed-loop YCSB clients
 //! ([`client::WorkloadClient`], used by the Figure 5–8 harnesses) or
@@ -24,17 +29,21 @@
 pub mod binding;
 pub mod client;
 pub mod cluster;
+pub mod deadlines;
+pub mod host;
 pub mod messages;
 #[cfg(test)]
 mod proptests;
-pub mod replica;
+pub mod protocol;
 pub mod storage;
 pub mod types;
 
-pub use binding::{OpTiming, QuorumBinding, SimStore, StoreOp};
+pub use binding::{encode_submit, OpTiming, QuorumBinding, SimStore, StoreOp};
 pub use client::{ClientMetrics, SystemConfig, WorkloadClient, KICKOFF};
 pub use cluster::Cluster;
+pub use deadlines::{Deadlines, IdMap};
+pub use host::{ReplicaConfig, SimReplica};
 pub use messages::{FailReason, Msg, Phase, FRAME_BYTES};
-pub use replica::{Replica, ReplicaConfig};
+pub use protocol::{Egress, ReplicaCore};
 pub use storage::LocalStore;
 pub use types::{Key, OpId, ReadKind, Value, Version, Versioned};

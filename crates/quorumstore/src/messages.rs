@@ -69,8 +69,8 @@ pub enum Msg {
         /// The peer's stored record.
         data: Versioned,
     },
-    /// Replicate a write to a peer (quorum write, async propagation, or
-    /// read repair). `ack_op` requests an acknowledgment.
+    /// Replicate a write to a peer (quorum write or async propagation).
+    /// `ack_op` requests an acknowledgment.
     PeerWrite {
         /// Key being replicated.
         key: Key,

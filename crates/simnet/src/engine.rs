@@ -201,16 +201,6 @@ impl<'a, M: Wire> Ctx<'a, M> {
         );
     }
 
-    /// The site a node lives at.
-    pub fn site_of(&self, node: NodeId) -> SiteId {
-        self.core.meta[node.0].site
-    }
-
-    /// The topology, e.g. for proximity-ordering replica lists.
-    pub fn topology(&self) -> &Topology {
-        &self.core.topology
-    }
-
     /// Deterministic randomness for protocol decisions.
     pub fn rng(&mut self) -> &mut DetRng {
         &mut self.core.rng

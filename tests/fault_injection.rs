@@ -8,8 +8,10 @@
 //! fault coverage beyond these fixed scenarios lives in
 //! `tests/oracle_fleet.rs`.
 
-use icg::quorumstore::{Cluster, Key, ReplicaConfig, SystemConfig, Value, WorkloadClient};
-use icg::simnet::{EuUsSites, Faults, SimDuration, SimTime, Topology};
+use icg::quorumstore::{
+    Cluster, Key, Msg, OpId, ReplicaConfig, SystemConfig, Value, WorkloadClient,
+};
+use icg::simnet::{EuUsSites, Faults, Histogram, SimDuration, SimTime, Topology};
 use icg::ycsb::{Distribution, Workload};
 
 fn cfg_fast_timeout() -> ReplicaConfig {
@@ -191,4 +193,86 @@ fn random_message_loss_degrades_throughput_but_not_correctness() {
     );
     assert!(m.failed > 0, "5% loss must surface some timeouts");
     assert!(cluster.engine.dropped_messages() > 0);
+}
+
+/// The widening rule in virtual time — the deterministic twin of
+/// `icg-net`'s `tarpit_peer_delays_one_read_by_the_hedge_and_fails_none`.
+/// FRK coordinates and is cut from IRL, its nearest peer, for the first
+/// 4 s. On a jitter-free copy of the EC2 topology, with one closed-loop
+/// reader at FRK, every latency is exact.
+#[test]
+fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new(0.0, 0.0);
+    let frk = topo.add_site("FRK", ms(2));
+    let irl = topo.add_site("IRL", ms(2));
+    let vrg = topo.add_site("VRG", ms(2));
+    topo.set_rtt(frk, irl, ms(20));
+    topo.set_rtt(irl, vrg, ms(83));
+    topo.set_rtt(frk, vrg, ms(90));
+    let cfg = cfg_fast_timeout();
+    let mut cluster = Cluster::build(topo, &["FRK", "IRL", "VRG"], cfg, 16);
+    cluster.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
+    cluster
+        .engine
+        .set_faults(Faults::none().with_partition(frk, irl, at(0), at(4_000)));
+    let workload = Workload::c(Distribution::Zipfian, 32);
+    let client = WorkloadClient::new(
+        cluster.replicas[0],
+        SystemConfig::baseline(2),
+        &workload,
+        1,
+        7,
+        at(0),
+        at(8_000),
+    );
+    let id = cluster.add_client(frk, client);
+
+    // What one quorum read costs through a peer `rtt` away: the client's
+    // intra-site round trip, the coordinator's and the peer's CPU, and
+    // the peer round trip.
+    let via = |rtt: u64| ms(2) + cfg.read_service + ms(rtt) + cfg.peer_read_service;
+    // Runs to `until_ms` and hands back the read latencies of the phase.
+    let phase = |cluster: &mut Cluster, until_ms: u64| -> Histogram {
+        cluster.engine.run_until(at(until_ms));
+        let m = &mut cluster.engine.node_as::<WorkloadClient>(id).metrics;
+        assert_eq!(m.failed, 0, "no read may fail while VRG answers");
+        std::mem::take(&mut m.final_latency)
+    };
+
+    // Under the cut. The first read asks IRL, hears nothing for a
+    // quarter of `op_timeout`, and completes through VRG; IRL is a
+    // suspect from then on, so no later read waits for a hedge again —
+    // a second hedged read would not fit into the closed loop's 4 s.
+    let hedged = via(90) + cfg.op_timeout / 4;
+    let cut = phase(&mut cluster, 4_000);
+    assert_eq!((cut.min(), cut.max()), (via(90), hedged));
+    let direct = (ms(4_000) - hedged).as_nanos() / via(90).as_nanos();
+    assert_eq!(cut.count() as u64, 1 + direct);
+
+    // Healed — but nothing makes IRL speak to FRK in a read-only run, so
+    // it stays at the back of the order and reads keep going the long
+    // way round. Slower than necessary, never wrong.
+    let healed = phase(&mut cluster, 6_000);
+    assert_eq!((healed.min(), healed.max()), (via(90), via(90)));
+
+    // One write coordinated by IRL: its `PeerWrite` is a message from
+    // IRL, FRK has heard from it, and IRL is first choice again.
+    let write = Msg::ClientWrite {
+        op: OpId {
+            client: id,
+            seq: u64::MAX - 1,
+        },
+        key: Key::plain(0),
+        value: Value::Opaque(7),
+        w: 1,
+    };
+    let irl_replica = cluster.replicas[1];
+    cluster
+        .engine
+        .schedule_message(id, irl_replica, SimDuration::ZERO, write);
+    // Let the write land and the read in flight finish before measuring.
+    phase(&mut cluster, 6_200);
+    let back = phase(&mut cluster, 8_000);
+    assert_eq!((back.min(), back.max()), (via(20), via(20)));
 }
