@@ -10,7 +10,10 @@
 //!
 //! Internals:
 //!
-//! - [`vc::VectorClock`] — causal stamps with the CBCAST delivery rule;
+//! - [`vc::VectorClock`] — causal stamps with the CBCAST delivery rule,
+//!   [`vc::CausalInbox`] and [`vc::AckFrontier`] — the receiving and
+//!   sending halves of a causal broadcast, shared with `specstore`,
+//!   `crdt` and `icg-net`;
 //! - [`store::CausalReplica`] — primary-backup replicas that buffer
 //!   out-of-order updates until their causal dependencies arrive;
 //! - [`binding::SimCausal`] — the deployment plus write-through cache
@@ -22,4 +25,4 @@ pub mod vc;
 
 pub use binding::{CacheOp, CausalBinding, LevelTiming, SimCausal};
 pub use store::{CausalReplica, Item, Msg, OpId};
-pub use vc::{CausalInbox, Causality, Offer, VectorClock};
+pub use vc::{AckFrontier, CausalInbox, Causality, Offer, VectorClock};

@@ -1,5 +1,6 @@
-//! Vector clocks for causal consistency, and the causal-broadcast inbox
-//! (CBCAST buffer and delivery loop) every replica type shares.
+//! Vector clocks for causal consistency, and the two halves of a causal
+//! broadcast every replica type shares: the inbox (CBCAST buffer and
+//! delivery loop) and the cumulative ack frontier (stability tracker).
 
 use std::cmp::Ordering;
 
@@ -194,6 +195,85 @@ impl<T> CausalInbox<T> {
     /// The item at the head of the buffer, if any.
     pub fn first(&self) -> Option<&T> {
         self.buffer.first().map(|(_, _, item)| item)
+    }
+}
+
+/// The sending half of a causal broadcast: how far each peer has
+/// acknowledged this replica's own items — the stability tracker.
+///
+/// Per peer it keeps two numbers that only grow: the highest own
+/// sequence number the peer has *cumulatively* acknowledged delivering,
+/// and the largest count of the peer's own submissions it has reported
+/// alongside an ack. Own item `s` is *fully acked* once every peer's
+/// frontier has reached it, and *stable* once it is fully acked and
+/// everything the peers reported having submitted has been delivered
+/// here: nothing ordered before it can still arrive.
+pub struct AckFrontier {
+    me: usize,
+    /// Per replica `(acked, reported)`; this replica's own entry is unused.
+    peers: Vec<(u64, u64)>,
+}
+
+impl AckFrontier {
+    /// The frontier of replica `me` in a group of `n`, nothing acked.
+    pub fn new(me: usize, n: usize) -> Self {
+        AckFrontier {
+            me,
+            peers: vec![(0, 0); n],
+        }
+    }
+
+    /// `peer` has delivered this replica's items through `seq`, and had
+    /// itself submitted `reported` items by then. Acks are cumulative,
+    /// so late, reordered and repeated ones are harmless; one naming an
+    /// unknown peer (or this replica) is ignored.
+    pub fn ack(&mut self, peer: usize, seq: u64, reported: u64) {
+        if peer == self.me {
+            return;
+        }
+        if let Some((acked, rep)) = self.peers.get_mut(peer) {
+            *acked = (*acked).max(seq);
+            *rep = (*rep).max(reported);
+        }
+    }
+
+    fn others(&self) -> impl Iterator<Item = (usize, (u64, u64))> + '_ {
+        let me = self.me;
+        self.peers
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(move |(j, _)| *j != me)
+    }
+
+    /// The highest own sequence number `peer` has acknowledged.
+    pub fn acked_by(&self, peer: usize) -> u64 {
+        self.peers.get(peer).map_or(0, |(acked, _)| *acked)
+    }
+
+    /// The highest own sequence number *every* peer has acknowledged
+    /// (everything, for a replica without peers).
+    pub fn min(&self) -> u64 {
+        self.others().map(|(_, (a, _))| a).min().unwrap_or(u64::MAX)
+    }
+
+    /// The highest own sequence number *some* peer has acknowledged
+    /// (everything, for a replica without peers).
+    pub fn max(&self) -> u64 {
+        self.others().map(|(_, (a, _))| a).max().unwrap_or(u64::MAX)
+    }
+
+    /// Whether every submission the peers have reported is among the
+    /// items `delivered` counts.
+    pub fn caught_up(&self, delivered: &VectorClock) -> bool {
+        self.others()
+            .all(|(j, (_, reported))| delivered.0.get(j).is_some_and(|d| *d >= reported))
+    }
+
+    /// Whether own item `seq` is stable at a replica that has delivered
+    /// `delivered`.
+    pub fn stable(&self, seq: u64, delivered: &VectorClock) -> bool {
+        seq <= self.min() && self.caught_up(delivered)
     }
 }
 

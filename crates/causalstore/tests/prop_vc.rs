@@ -1,12 +1,13 @@
-//! Property-based tests of vector clocks and of the causal inbox — the
-//! one CBCAST buffer/deliver loop under the causal store, the spec store
-//! (simulated and TCP) and the op-based CRDT store.
+//! Property-based tests of vector clocks, of the causal inbox — the one
+//! CBCAST buffer/deliver loop under the causal store, the spec store
+//! (simulated and TCP) and the op-based CRDT store — and of the ack
+//! frontier, the stability tracker of the latter two.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use causalstore::{CausalInbox, Causality, Offer, VectorClock};
+use causalstore::{AckFrontier, CausalInbox, Causality, Offer, VectorClock};
 
 /// Origins `0..ORIGINS` emit; the receiving inbox belongs to a further
 /// replica that emits nothing.
@@ -183,4 +184,73 @@ proptest! {
             prop_assert!(s.0[o] > clock.0[o], "delivered an item the transfer covered");
         }
     }
+
+    /// The frontier of replica 0 under any order of any acks, repeated
+    /// ones and ones naming itself or nobody included: each peer's entry
+    /// is the largest seq it ever acked (so nothing an ack does is undone
+    /// by a later, older one), `min` and `max` bracket every peer's, and
+    /// the order the acks arrived in does not show.
+    #[test]
+    fn ack_frontier_is_monotone_and_order_blind(
+        acks in proptest::collection::vec((0..N + 2, 0u64..30, 0u64..10), 0..40),
+        picks in proptest::collection::vec(any::<u64>(), 1..40),
+        dups in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..12),
+    ) {
+        let mut frontier = AckFrontier::new(0, N);
+        let mut best = [0u64; N];
+        for &(peer, seq, reported) in &acks {
+            frontier.ack(peer, seq, reported);
+            if (1..N).contains(&peer) {
+                best[peer] = best[peer].max(seq);
+            }
+            for (peer, best) in best.iter().enumerate().skip(1) {
+                prop_assert_eq!(frontier.acked_by(peer), *best);
+                prop_assert!(frontier.min() <= *best && *best <= frontier.max());
+            }
+            prop_assert_eq!(frontier.acked_by(0), 0, "a replica does not ack itself");
+        }
+        let mut shuffled = AckFrontier::new(0, N);
+        if !acks.is_empty() {
+            for idx in arrival_order(acks.len(), &picks, &dups) {
+                let (peer, seq, reported) = acks[idx];
+                shuffled.ack(peer, seq, reported);
+            }
+        }
+        let everything = VectorClock(vec![u64::MAX; N]);
+        for probe in 0..31 {
+            prop_assert_eq!(shuffled.stable(probe, &everything), frontier.stable(probe, &everything));
+        }
+        prop_assert_eq!((shuffled.min(), shuffled.max()), (frontier.min(), frontier.max()));
+    }
+
+    /// Stable means fully acked *and* caught up: every peer has acked
+    /// the item, and every submission a peer ever reported is delivered.
+    #[test]
+    fn stable_implies_fully_acked_and_caught_up(
+        acks in proptest::collection::vec((1..N, 0u64..12, 0u64..6), 0..24),
+        delivered in proptest::collection::vec(0u64..6, N),
+        seq in 1u64..12,
+    ) {
+        let mut frontier = AckFrontier::new(0, N);
+        let mut reported = [0u64; N];
+        for &(peer, acked, rep) in &acks {
+            frontier.ack(peer, acked, rep);
+            reported[peer] = reported[peer].max(rep);
+        }
+        let delivered = VectorClock(delivered);
+        let fully_acked = (1..N).all(|peer| frontier.acked_by(peer) >= seq);
+        let caught_up = (1..N).all(|peer| delivered.0[peer] >= reported[peer]);
+        prop_assert_eq!(frontier.stable(seq, &delivered), fully_acked && caught_up);
+        prop_assert_eq!(fully_acked, seq <= frontier.min());
+        prop_assert_eq!(caught_up, frontier.caught_up(&delivered));
+    }
+}
+
+/// Without peers there is nobody to wait for: everything is acked by
+/// all (and by some) of them, and stable.
+#[test]
+fn a_lone_replica_s_frontier_covers_everything() {
+    let frontier = AckFrontier::new(0, 1);
+    assert_eq!((frontier.min(), frontier.max()), (u64::MAX, u64::MAX));
+    assert!(frontier.stable(7, &VectorClock::zero(1)));
 }

@@ -31,7 +31,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
-use causalstore::{CausalInbox, Offer, VectorClock};
+use causalstore::{AckFrontier, CausalInbox, Offer, VectorClock};
 use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
 use simnet::{
     Ctx, Engine, Node, NodeId, Reply, RetryTimer, RoundRobin, SimDuration, SimHost, SubmitWire,
@@ -237,8 +237,9 @@ pub struct CrdtReplica {
     /// Strong reads parked on the write frontier they observed:
     /// `(frontier_seq, client op, gateway, op)`.
     reads: Vec<(u64, OpId, NodeId, CrdtOp)>,
-    /// Last acknowledged `seen` vector of each peer.
-    peer_seen: Vec<VectorClock>,
+    /// How many of this replica's updates each peer has acknowledged
+    /// incorporating.
+    frontier: AckFrontier,
     /// Anti-entropy timer, re-armed on every message receipt.
     retransmit: RetryTimer,
 }
@@ -262,7 +263,7 @@ impl CrdtReplica {
             log: Vec::new(),
             own: BTreeMap::new(),
             reads: Vec::new(),
-            peer_seen: vec![VectorClock::zero(n); n],
+            frontier: AckFrontier::new(id, n),
             retransmit: RetryTimer::new(SimDuration::from_millis(200)),
         }
     }
@@ -283,14 +284,21 @@ impl CrdtReplica {
         self.state.clone()
     }
 
-    /// Whether every peer has acknowledged incorporating every update
-    /// accepted here.
+    /// Whether `peer` has acknowledged incorporating this replica's
+    /// updates through `seq`.
     fn covered(&self, peer: usize, seq: u64) -> bool {
-        self.peer_seen[peer].0[self.id] >= seq
+        self.frontier.acked_by(peer) >= seq
     }
 
+    /// Whether every peer has acknowledged incorporating every update
+    /// accepted here.
     fn all_covered(&self) -> bool {
-        (0..self.n).all(|j| j == self.id || self.covered(j, self.next_seq))
+        self.next_seq <= self.frontier.min()
+    }
+
+    /// Records what an `Ack` or `SyncState` of `peer` says it has seen.
+    fn note_seen(&mut self, peer: usize, seen: &VectorClock) {
+        self.frontier.ack(peer, seen.0[self.id], seen.0[peer]);
     }
 
     /// Keeps the retransmit timer running while some peer lags.
@@ -440,13 +448,13 @@ impl CrdtReplica {
     fn settle_pending(&mut self, ctx: &mut Ctx<'_, CrdtMsg>) {
         let mut replies: Vec<(NodeId, CrdtMsg)> = Vec::new();
         let mut done: Vec<u64> = Vec::new();
-        let me = self.id;
+        // Quiescent for seq: every peer has incorporated all our updates
+        // through seq (and for reads, seq is the write frontier at
+        // submission — all prior writes are stable).
+        let quiescent_through = self.frontier.min();
         let seqs: Vec<u64> = self.own.keys().copied().collect();
         for seq in seqs {
-            // Quiescent for seq: every peer has incorporated all our
-            // updates through seq (and for reads, seq is the write
-            // frontier at submission — all prior writes are stable).
-            let quiescent = self.n == 1 || (0..self.n).all(|j| j == me || self.covered(j, seq));
+            let quiescent = seq <= quiescent_through;
             let e = self.own.get_mut(&seq).expect("listed");
             if let Some((op, gw, client_op)) = e.client {
                 if quiescent {
@@ -471,9 +479,7 @@ impl CrdtReplica {
         }
         let mut still_parked = Vec::new();
         for (frontier, op, gw, client_op) in std::mem::take(&mut self.reads) {
-            let quiescent =
-                self.n == 1 || (0..self.n).all(|j| j == me || self.covered(j, frontier));
-            if quiescent {
+            if frontier <= quiescent_through {
                 replies.push((
                     gw,
                     CrdtMsg::Later {
@@ -526,13 +532,13 @@ impl Node<CrdtMsg> for CrdtReplica {
                 self.inbox.merge_delivered(&seen);
                 // The sender has what it sent; what we just merged is
                 // also a lower bound on what an ack from us will report.
-                self.peer_seen[i].merge(&seen);
+                self.note_seen(i, &seen);
                 self.ack(ctx, Some(i));
                 self.settle_pending(ctx);
                 self.arm_timer(ctx);
             }
             CrdtMsg::Ack { from: i, seen } => {
-                self.peer_seen[i].merge(&seen);
+                self.note_seen(i, &seen);
                 self.settle_pending(ctx);
                 self.arm_timer(ctx);
             }
@@ -554,7 +560,7 @@ impl Node<CrdtMsg> for CrdtReplica {
                     if j == self.id || self.covered(j, self.next_seq) {
                         continue;
                     }
-                    let floor = self.peer_seen[j].0[self.id];
+                    let floor = self.frontier.acked_by(j);
                     for e in &self.log {
                         if e.origin == self.id && e.seq > floor {
                             ctx.send(self.peers[j], CrdtMsg::Effect { entry: e.clone() });

@@ -30,10 +30,10 @@
 //!   server and client socket of this crate lives on. No async
 //!   runtime, no thread per connection.
 //! - [`server`] / [`binding`] / [`spec_binding`] — the replica
-//!   ([`ReplicaServer`], hosting `quorumstore::ReplicaCore` — the
-//!   same protocol code the simulator runs, not a second
-//!   implementation — and the `specstore`-backed
-//!   update/causal/strong levels) and the client
+//!   ([`ReplicaServer`], hosting `quorumstore::ReplicaCore` and, for
+//!   the update/causal/strong levels, `specstore::SpecCore` — the
+//!   same protocol code the simulator runs, not second
+//!   implementations) and the client
 //!   bindings ([`TcpBinding`] for the quorum store, [`TcpSpecBinding`]
 //!   for spec objects at any registered consistency level). Both
 //!   implement `Binding`, so incremental consistency — preliminary

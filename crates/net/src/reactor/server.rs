@@ -2,8 +2,9 @@
 //!
 //! Topology: `cfg.loops` event loops. Loop 0 is the *protocol loop* —
 //! it owns the listener, the peer links, the protocol cores
-//! ([`ReplicaCore`] for the quorum store, [`SpecCore`] beside it), and
-//! its share of the client connections. Loops
+//! ([`ReplicaCore`] for the quorum store, [`SpecCore`] for the spec
+//! store beside it — both hosted here, written elsewhere), and its
+//! share of the client connections. Loops
 //! `1..N` are *forwarding loops*: they own the remaining client
 //! connections, decode inbound frames on their own thread, and inject
 //! the decoded messages into loop 0; replies travel back as
@@ -21,9 +22,11 @@
 //! backoff so a downed replica costs its peers a couple of wakeups per
 //! cap-interval instead of a spinning core; an established stream is
 //! handed to loop 0 and the dialer parks until the loop reports the
-//! link down. The core hears of both events with the peer's index
-//! (`on_peer_up`, `on_peer_down`): which pending reads ask whom is its
-//! decision, not the reactor's.
+//! link down. The quorum core hears of both events with the peer's
+//! index (`on_peer_up`, `on_peer_down`): which pending reads ask whom
+//! is its decision, not the reactor's. The spec core hears of a link
+//! coming up and gossips again what that peer may have missed; both
+//! cores' deadlines share the loop's one timer.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +37,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use quorumstore::{Egress, Msg, ReplicaCore};
 
 use crate::frame::encode_frame;
-use crate::protocol::{NetEgress, SpecCore};
+use specstore::SpecCore;
+
+use crate::protocol::{self, NetEgress, RegCtrSpec, SpecStore, Wired};
 use crate::server::{ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
@@ -106,7 +111,7 @@ pub(crate) fn start(
     let handler = MainHandler {
         // Equal distances: reads rotate over the links that are up.
         core: ReplicaCore::new(cfg.id, cfg.op_timeout, vec![0; peers.len()]),
-        spec: SpecCore::new(cfg.id, peers.len() + 1),
+        spec: SpecCore::new(RegCtrSpec::default(), cfg.id as usize, peers.len() + 1),
         epoch: Instant::now(),
         remotes: remotes.clone(),
         peer_conns: vec![None; peers.len()],
@@ -199,8 +204,8 @@ fn dial_peer_loop(
 struct MainHandler {
     core: ReplicaCore,
     /// The update/causal/strong spec store riding the same connections.
-    spec: SpecCore,
-    /// What the quorum core's deadline clock counts from.
+    spec: SpecStore,
+    /// What the cores' deadline clock counts from.
     epoch: Instant,
     /// Injectors of loops `1..N`, indexed by `loop_idx - 1`.
     remotes: Vec<Injector<()>>,
@@ -279,13 +284,17 @@ impl NetEgress for ReactorNet<'_> {
             self.ctl.send_frame(*conn, self.scratch);
         }
     }
+
+    fn now(&self) -> u64 {
+        Egress::now(self)
+    }
 }
 
 impl MainHandler {
     fn net<'a>(
         ctl: &'a mut Ctl,
         this: &'a mut Self,
-    ) -> (ReactorNet<'a>, &'a mut ReplicaCore, &'a mut SpecCore) {
+    ) -> (ReactorNet<'a>, &'a mut ReplicaCore, &'a mut SpecStore) {
         (
             ReactorNet {
                 ctl,
@@ -302,13 +311,13 @@ impl MainHandler {
     /// Routes one decoded envelope from connection `key`: store frames
     /// to the quorum core, everything else to the spec store.
     /// `from_peer` is the peer index when `key` is this replica's own
-    /// link to a peer (where that peer's answers arrive), `None` for
-    /// every accepted connection.
+    /// link to a peer (where that peer's answers and acks arrive),
+    /// `None` for every accepted connection.
     fn dispatch(&mut self, ctl: &mut Ctl, key: u64, from_peer: Option<usize>, msg: NetMsg) {
         let (mut net, core, spec) = MainHandler::net(ctl, self);
         match msg {
             NetMsg::Store(m) => core.on_msg(&mut net, key, from_peer, m),
-            other => spec.on_net(&mut net, key, other),
+            other => protocol::on_net(spec, &mut net, key, from_peer, other),
         }
     }
 }
@@ -386,8 +395,7 @@ impl Handler for MainHandler {
                             core.on_peer_down(&mut net, peer);
                         }
                         core.on_peer_up(&mut net, peer);
-                        // What the peer may have missed while down.
-                        spec.retransmit(&mut net);
+                        spec.on_peer_up(&mut Wired(&mut net));
                     }
                     None => {
                         // Registration failed: tell the dialer to retry.
@@ -405,12 +413,14 @@ impl Handler for MainHandler {
     }
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
-        let (mut net, core, _) = MainHandler::net(ctl, self);
+        let (mut net, core, spec) = MainHandler::net(ctl, self);
         core.fire_expired(&mut net);
+        spec.fire_expired(&mut Wired(&mut net));
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {
-        let due = self.core.next_deadline()?;
+        let dues = [self.core.next_deadline(), self.spec.next_deadline()];
+        let due = dues.into_iter().flatten().min()?;
         Some(self.epoch + Duration::from_nanos(due))
     }
 }

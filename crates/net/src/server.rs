@@ -18,8 +18,12 @@
 //! quarter of [`ServerConfig::op_timeout`] passes in silence (DESIGN.md
 //! §3).
 //!
-//! The epoll reactor ([`crate::reactor`]) is the core's host here: it
-//! supplies the links, both clocks and the egress. This module is the
+//! Beside it the same replica serves the spec store,
+//! `specstore::SpecCore` — again the state machine the simulator hosts —
+//! to [`crate::TcpSpecBinding`] on the same connections.
+//!
+//! The epoll reactor ([`crate::reactor`]) is the cores' host here: it
+//! supplies the links, the clocks and the egress. This module is the
 //! public surface: configuration, bind-then-start, the running
 //! replica's handle.
 

@@ -1,10 +1,10 @@
 //! The spec-store client: a [`Binding`] over the version-2 wire.
 //!
 //! [`TcpSpecBinding`] drives the replicated sequential-spec store that
-//! rides the replica servers' connections (see `SpecCore` in the
-//! protocol module): `Register` and `Counter` operations with the full
-//! incremental refinement *weak → update → causal → strong* on a single
-//! Correctable.
+//! rides the replica servers' connections (`specstore::SpecCore`, which
+//! the protocol module puts on the wire): `Register` and `Counter`
+//! operations with the full incremental refinement *weak → update →
+//! causal → strong* on a single Correctable.
 //!
 //! ## The level-directory handshake
 //!

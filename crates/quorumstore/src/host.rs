@@ -1,8 +1,9 @@
 //! The simulated replica: a `simnet` node that hosts [`ReplicaCore`].
 //!
 //! No protocol lives here. The node hands every message to the core
-//! and supplies what a host owes it ([`Egress`]): sends become
-//! [`Ctx::send`], the one clock is the simulator's virtual time, a
+//! and supplies what a host owes it ([`Egress`]) through the bridge it
+//! shares with the spec store's node ([`CoreHost`]): sends become
+//! `Ctx::send`, the one clock is the simulator's virtual time, a
 //! connection is the sender's node id, and the core's soonest deadline
 //! is kept armed as an engine timer. What is the simulator's own is the
 //! CPU model — the per-message service times of [`ReplicaConfig`],
@@ -19,7 +20,7 @@
 use std::any::Any;
 use std::time::Duration;
 
-use simnet::{Ctx, Node, NodeId, SimDuration, Timer};
+use simnet::{CoreHost, Ctx, Node, NodeId, SimDuration, SimNet, Timer};
 
 use crate::messages::Msg;
 use crate::protocol::{Egress, ReplicaCore};
@@ -59,24 +60,12 @@ impl Default for ReplicaConfig {
 pub struct SimReplica {
     core: ReplicaCore,
     cfg: ReplicaConfig,
-    /// All other replicas of the (single, fully replicated) keyspace,
-    /// in the order the core indexes them.
-    peers: Vec<NodeId>,
-    /// Whether the core has been told its links are up.
-    linked: bool,
-    /// When the engine timer set for the core's deadlines is due: the
-    /// earliest one, if several are pending. In the past it is spent —
-    /// fired, or dropped by the engine because this node was down.
-    armed: Option<u64>,
+    /// Links and the deadline timer; its peers are all other replicas
+    /// of the (single, fully replicated) keyspace.
+    host: CoreHost,
 }
 
-/// The core's window onto the simulator during one handler call.
-struct SimNet<'a, 'e> {
-    ctx: &'a mut Ctx<'e, Msg>,
-    peers: &'a [NodeId],
-}
-
-impl Egress for SimNet<'_, '_> {
+impl Egress for SimNet<'_, '_, Msg> {
     fn to_client(&mut self, conn: u64, msg: Msg) {
         self.ctx.send(NodeId(conn as usize), msg);
     }
@@ -112,9 +101,7 @@ impl SimReplica {
         SimReplica {
             core: ReplicaCore::new(id.0 as u32, op_timeout, distance),
             cfg,
-            peers,
-            linked: false,
-            armed: None,
+            host: CoreHost::new(peers),
         }
     }
 
@@ -122,45 +109,22 @@ impl SimReplica {
     pub fn store(&mut self) -> &mut LocalStore {
         self.core.store_mut()
     }
-
-    /// Makes sure an engine timer is pending for the core's soonest
-    /// deadline. Called after every handler, because an armed timer
-    /// that came due while this node was down never fired.
-    fn rearm(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(due) = self.core.next_deadline() else {
-            return;
-        };
-        let now = ctx.now().as_nanos();
-        if self.armed.is_none_or(|at| at <= now || due < at) {
-            ctx.set_timer(SimDuration::from_nanos(due.saturating_sub(now)), Timer(0));
-            self.armed = Some(due);
-        }
-    }
 }
 
 impl Node<Msg> for SimReplica {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
-        let mut net = SimNet {
-            ctx,
-            peers: &self.peers,
-        };
-        if !std::mem::replace(&mut self.linked, true) {
-            for peer in 0..self.peers.len() {
-                self.core.on_peer_up(&mut net, peer);
-            }
+        let (up, from_peer) = (self.host.first_contact(), self.host.peer_index(from));
+        let mut net = self.host.net(ctx);
+        for peer in up {
+            self.core.on_peer_up(&mut net, peer);
         }
-        let from_peer = self.peers.iter().position(|p| *p == from);
         self.core.on_msg(&mut net, from.0 as u64, from_peer, msg);
-        self.rearm(ctx);
+        self.host.rearm(ctx, self.core.next_deadline());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _timer: Timer) {
-        let mut net = SimNet {
-            ctx,
-            peers: &self.peers,
-        };
-        self.core.fire_expired(&mut net);
-        self.rearm(ctx);
+        self.core.fire_expired(&mut self.host.net(ctx));
+        self.host.rearm(ctx, self.core.next_deadline());
     }
 
     fn service_cost(&self, msg: &Msg) -> SimDuration {

@@ -51,6 +51,7 @@ pub mod bandwidth;
 pub mod engine;
 pub mod faults;
 pub mod gateway;
+pub mod host;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -60,6 +61,7 @@ pub use bandwidth::{BandwidthMeter, Traffic, Wire};
 pub use engine::{Ctx, Engine, Node, NodeId, RetryTimer, Timer};
 pub use faults::{Downtime, Faults, Partition, SchedulePlan};
 pub use gateway::{GatewayProto, PendingOps, Reply, RoundRobin, SimGateway, SimHost, SubmitWire};
+pub use host::{CoreHost, SimNet};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

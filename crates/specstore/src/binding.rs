@@ -1,28 +1,32 @@
 //! The simulated deployment and its Correctables bindings.
 //!
-//! [`SimSpecStore`] places three [`SpecReplica`]s on the paper's EC2
-//! sites (FRK/IRL/VRG) plus a client gateway, and round-robins
-//! submissions across the replicas — each replica is one "process" in
-//! update consistency's sense, so the explorer exercises genuinely
-//! concurrent multi-origin histories.
+//! [`SimSpecStore`] places three replicas — [`SpecHost`] nodes, each
+//! running a [`SpecCore`] — on the paper's EC2 sites (FRK/IRL/VRG) plus
+//! a client gateway, and round-robins submissions across the replicas —
+//! each replica is one "process" in update consistency's sense, so the
+//! explorer exercises genuinely concurrent multi-origin histories.
 //!
-//! Three bindings expose the same deployment at different slices of the
+//! One [`SpecBinding`] exposes the deployment at three slices of the
 //! lattice:
 //!
-//! - [`SpecBinding`] — the full `weak → update → causal → strong`
-//!   refinement;
-//! - [`UpdateBinding`] — the wait-free slice (`weak`, `update`): every
-//!   view returns without waiting for any other replica;
-//! - [`CausalSpec`] — the `causalstore`-shaped slice (`weak`, `causal`,
-//!   `strong`) for any spec'd object.
+//! - [`SimSpecStore::binding`] — the full `weak → update → causal →
+//!   strong` refinement;
+//! - [`SimSpecStore::update_binding`] ([`UpdateBinding`]) — the
+//!   wait-free slice (`weak`, `update`): every view returns without
+//!   waiting for any other replica;
+//! - [`SimSpecStore::causal_binding`] ([`CausalSpec`]) — the
+//!   `causalstore`-shaped slice (`weak`, `causal`, `strong`) for any
+//!   spec'd object.
 
 use std::ops::Deref;
 
 use correctables::spec::SeqSpec;
 use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
-use simnet::{Engine, RoundRobin, SimHost};
+use simnet::{CoreHost, Engine, NodeId, RoundRobin, SimHost};
 
-use crate::replica::{SpecMsg, SpecReplica, UpdateId, Wants};
+use crate::core::SpecCore;
+use crate::host::SpecHost;
+use crate::replica::{SpecMsg, UpdateId, Wants};
 
 /// The four-level lattice slice of the full binding.
 fn full_levels() -> LevelSet {
@@ -70,16 +74,16 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
     }
 
     fn build(spec: S, client_site: &str, seed: u64, buggy: bool) -> Self {
-        let (mut engine, replicas) = Engine::ec2(seed, |i| {
-            let mut r = SpecReplica::new(spec.clone(), i, 3);
-            r.set_arrival_order(buggy);
-            Box::new(r)
+        // The replicas are the engine's first three nodes, so each can
+        // be built knowing its peers.
+        let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let (engine, replicas) = Engine::ec2(seed, |i| {
+            let mut core = SpecCore::new(spec.clone(), i, ids.len());
+            core.set_arrival_order(buggy);
+            let host = CoreHost::new(NodeId::peers_of(&ids, i));
+            Box::new(SpecHost { core, host })
         });
-        for id in &replicas {
-            engine
-                .node_as::<SpecReplica<S>>(*id)
-                .set_peers(replicas.clone());
-        }
+        assert_eq!(replicas, ids, "replicas are the engine's first nodes");
         let client = engine
             .topology()
             .site_named(client_site)
@@ -100,32 +104,39 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
 
     /// The wait-free slice: weak and update views only.
     pub fn update_binding(&self) -> UpdateBinding<S> {
-        UpdateBinding(SpecBinding {
+        SpecBinding {
             store: self.clone(),
             levels: LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::UPDATE]),
-        })
+        }
     }
 
     /// The `causalstore`-shaped slice: weak, causal, and strong views.
     pub fn causal_binding(&self) -> CausalSpec<S> {
-        CausalSpec(SpecBinding {
+        SpecBinding {
             store: self.clone(),
             levels: LevelSet::of(&[
                 ConsistencyLevel::WEAK,
                 ConsistencyLevel::CAUSAL,
                 ConsistencyLevel::STRONG,
             ]),
-        })
+        }
     }
 
     /// Every replica's applied update log, in its current order — the
     /// input to the oracle's update-consistency checker.
     pub fn applied_logs(&self) -> Vec<Vec<UpdateId>> {
-        self.each_replica(|r: &mut SpecReplica<S>| r.applied_log())
+        self.each_replica(|r: &mut SpecHost<S>| r.core.applied_log())
+    }
+
+    /// Per replica, whether every peer has acknowledged every update it
+    /// accepted — nothing is left for it to retransmit.
+    pub fn fully_acked(&self) -> Vec<bool> {
+        self.each_replica(|r: &mut SpecHost<S>| r.core.fully_acked())
     }
 }
 
-/// The full four-level `Binding` over a [`SimSpecStore`].
+/// A `Binding` over a [`SimSpecStore`], serving the slice of the four
+/// levels its constructor chose.
 #[derive(Clone)]
 pub struct SpecBinding<S: SeqSpec + 'static> {
     store: SimSpecStore<S>,
@@ -152,39 +163,11 @@ impl<S: SeqSpec + Clone + Send + 'static> Binding for SpecBinding<S> {
 }
 
 /// The wait-free slice of a [`SimSpecStore`]: weak and update only.
-#[derive(Clone)]
-pub struct UpdateBinding<S: SeqSpec + 'static>(SpecBinding<S>);
-
-impl<S: SeqSpec + Clone + Send + 'static> Binding for UpdateBinding<S> {
-    type Op = S::Op;
-    type Val = S::Ret;
-
-    fn consistency_levels(&self) -> LevelSet {
-        self.0.levels.clone()
-    }
-
-    fn submit(&self, op: S::Op, levels: &[ConsistencyLevel], upcall: Upcall<S::Ret>) {
-        self.0.submit(op, levels, upcall);
-    }
-}
+pub type UpdateBinding<S> = SpecBinding<S>;
 
 /// The causal slice of a [`SimSpecStore`] — `causalstore`'s shape
 /// (weak/causal/strong) for any spec'd object.
-#[derive(Clone)]
-pub struct CausalSpec<S: SeqSpec + 'static>(SpecBinding<S>);
-
-impl<S: SeqSpec + Clone + Send + 'static> Binding for CausalSpec<S> {
-    type Op = S::Op;
-    type Val = S::Ret;
-
-    fn consistency_levels(&self) -> LevelSet {
-        self.0.levels.clone()
-    }
-
-    fn submit(&self, op: S::Op, levels: &[ConsistencyLevel], upcall: Upcall<S::Ret>) {
-        self.0.submit(op, levels, upcall);
-    }
-}
+pub type CausalSpec<S> = SpecBinding<S>;
 
 #[cfg(test)]
 mod tests {

@@ -28,21 +28,28 @@
 //!
 //! - [`replay::ReplayLog`] — the `(ts, origin, seq)`-ordered update log
 //!   and the views replayed from it, from prefix-state checkpoints
-//!   rather than from the initial state; shared with the TCP replica
-//!   (`icg-net`);
-//! - [`replica::SpecReplica`] — the per-replica protocol node: lamport
-//!   log, CBCAST buffer, ack/stability tracking, anti-entropy
-//!   retransmission;
+//!   rather than from the initial state;
+//! - [`core::SpecCore`] — the per-replica protocol, sans-IO and generic
+//!   over the spec: Lamport log, causal inbox, cumulative ack frontier
+//!   (stability), retransmission deadline. The one implementation: the
+//!   simulator hosts it ([`host::SpecHost`]) and `icg-net`'s reactor
+//!   serves it over TCP, so what the explorer explores is what the
+//!   sockets serve; its message-by-message tests live beside it
+//!   (`cargo test -p specstore core::`);
+//! - [`replica`] — the messages it speaks ([`replica::SpecMsg`]);
 //! - [`binding::SimSpecStore`] — the simulated deployment (three
 //!   replicas on the paper's EC2 sites plus a client gateway) and its
-//!   [`binding::SpecBinding`] / [`binding::UpdateBinding`] /
-//!   [`binding::CausalSpec`] Correctables bindings.
+//!   [`binding::SpecBinding`], whose [`binding::UpdateBinding`] and
+//!   [`binding::CausalSpec`] slices are the same type with fewer levels.
 
 pub mod binding;
+pub mod core;
+pub mod host;
 pub mod replay;
 pub mod replica;
 
+pub use crate::core::{Egress, SpecCore};
 pub use binding::{CausalSpec, SimSpecStore, SpecBinding, UpdateBinding};
 pub use causalstore::{CausalInbox, Offer, VectorClock};
 pub use replay::{OrderKey, ReplayLog, Update, UpdateId};
-pub use replica::SpecReplica;
+pub use replica::{OpId, SpecMsg, Wants};

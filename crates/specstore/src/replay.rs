@@ -19,12 +19,10 @@
 //! - [`ReplayLog::ret_on_top`] (weak) is one step once the tip has
 //!   caught up with the tail, and every entry is stepped onto the tip
 //!   once, whichever view gets there first;
-//! - [`ReplayLog::ret_of`] (update, strong) is one step at or above the
-//!   tip and at most `STRIDE` steps below it;
-//! - [`ReplayLog::causal_ret_of`] costs the same below the first entry
-//!   that is not causally delivered yet. From that entry on the causal
-//!   state differs from the kept (unfiltered) states, so the view
-//!   replays the delivered entries between it and the target.
+//! - [`ReplayLog::ret_of`] (update, causal, strong — the log holds
+//!   exactly the causally delivered updates, so the three differ only
+//!   in when they are read) is one step at or above the tip and at most
+//!   `STRIDE` steps below it.
 //!
 //! The log itself only grows; compacting its stable prefix is not done
 //! here.
@@ -68,12 +66,6 @@ impl<Op> Update<Op> {
     pub fn key(&self) -> OrderKey {
         (self.ts, self.id.origin, self.id.seq)
     }
-
-    /// Whether a replica whose delivery clock reads `vc` has causally
-    /// delivered this update.
-    fn delivered_under(&self, vc: &VectorClock) -> bool {
-        vc.0.get(self.id.origin).is_some_and(|&d| self.id.seq <= d)
-    }
 }
 
 /// An update log ordered by [`OrderKey`], with the replay views of the
@@ -91,9 +83,6 @@ pub struct ReplayLog<S: SeqSpec> {
     /// The state after the first `tip_len` entries.
     tip: S::State,
     tip_len: usize,
-    /// Every entry below this position was causally delivered under the
-    /// last clock [`ReplayLog::causal_ret_of`] saw.
-    delivered_below: usize,
 }
 
 impl<S: SeqSpec> ReplayLog<S> {
@@ -106,7 +95,6 @@ impl<S: SeqSpec> ReplayLog<S> {
             arrival_order: false,
             checkpoints: Vec::new(),
             tip_len: 0,
-            delivered_below: 0,
         }
     }
 
@@ -140,7 +128,6 @@ impl<S: SeqSpec> ReplayLog<S> {
             self.checkpoints.truncate(at / STRIDE);
             (self.tip, self.tip_len) = self.checkpoint_at_or_below(at);
         }
-        self.delivered_below = self.delivered_below.min(at);
     }
 
     /// The value of `op` applied on top of the whole log — the weak
@@ -151,41 +138,12 @@ impl<S: SeqSpec> ReplayLog<S> {
     }
 
     /// The value of the update with order key `key` at its place in the
-    /// log as it stands — the update view, and the strong view once
-    /// that place is stable. `None` if no such update is logged.
+    /// log as it stands — the update view, the causal view once a peer
+    /// has the update too, and the strong view once that place is
+    /// stable. `None` if no such update is logged.
     pub fn ret_of(&mut self, key: OrderKey) -> Option<S::Ret> {
         let at = self.position(key)?;
         self.ret_at(at)
-    }
-
-    /// As [`ReplayLog::ret_of`], over only the entries a replica whose
-    /// delivery clock reads `vc` has causally delivered (log order is
-    /// consistent with causality, so that is a causal serialization).
-    /// `None` if the update itself is not among them.
-    ///
-    /// `vc` must not go backwards from one call to the next; a
-    /// replica's delivery clock never does.
-    pub fn causal_ret_of(&mut self, key: OrderKey, vc: &VectorClock) -> Option<S::Ret> {
-        while self
-            .entries
-            .get(self.delivered_below)
-            .is_some_and(|u| u.delivered_under(vc))
-        {
-            self.delivered_below += 1;
-        }
-        let at = self.position(key)?;
-        let from = self.delivered_below;
-        if at < from {
-            return self.ret_at(at);
-        }
-        let mut state = self.prefix_state(from);
-        let target = self.entries.get(at).filter(|u| u.delivered_under(vc))?;
-        for u in self.entries.iter().take(at).skip(from) {
-            if u.delivered_under(vc) {
-                self.spec.apply_mut(&mut state, &u.op);
-            }
-        }
-        Some(self.spec.apply_mut(&mut state, &target.op))
     }
 
     fn position(&self, key: OrderKey) -> Option<usize> {

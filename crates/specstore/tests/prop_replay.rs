@@ -43,15 +43,11 @@ impl<S: SeqSpec> Naive<S> {
         self.spec.apply(&state, op).1
     }
 
-    /// The value of update `key`; with a clock, over the delivered
-    /// entries only.
-    fn ret_of(&self, key: OrderKey, vc: Option<&VectorClock>) -> Option<S::Ret> {
+    /// The value of update `key`.
+    fn ret_of(&self, key: OrderKey) -> Option<S::Ret> {
         let mut state = self.spec.initial();
         let mut found = None;
         for u in &self.log {
-            if vc.is_some_and(|vc| u.id.seq > vc.0[u.id.origin]) {
-                continue;
-            }
             let (next, ret) = self.spec.apply(&state, &u.op);
             state = next;
             if u.key() == key {
@@ -63,8 +59,8 @@ impl<S: SeqSpec> Naive<S> {
 }
 
 /// Drives a `ReplayLog` and the reference through the same interleaving
-/// of inserts (mostly near the tail, sometimes anywhere), clock
-/// advances and views, decoded from `words`.
+/// of inserts (mostly near the tail, sometimes anywhere) and views,
+/// decoded from `words`.
 fn check_against_naive<S: SeqSpec + Clone>(
     spec: S,
     decode: impl Fn(u64) -> S::Op,
@@ -78,7 +74,6 @@ fn check_against_naive<S: SeqSpec + Clone>(
         log: Vec::new(),
     };
     let mut seqs = [0u64; ORIGINS];
-    let mut vc = VectorClock::zero(ORIGINS);
     let mut clock = 0u64;
     for &w in words {
         let arg = w >> 8;
@@ -111,21 +106,13 @@ fn check_against_naive<S: SeqSpec + Clone>(
                 naive.insert(update.clone(), arrival_order);
                 log.insert(update);
             }
-            4 => {
+            4..=5 => {
                 let op = decode(arg);
                 prop_assert_eq!(log.ret_on_top(&op), naive.ret_on_top(&op));
             }
-            5 => {
-                let key = pick(&naive.log);
-                prop_assert_eq!(log.ret_of(key), naive.ret_of(key, None));
-            }
-            6 => {
-                let origin = (arg % ORIGINS as u64) as usize;
-                vc.0[origin] = (vc.0[origin] + (arg >> 2) % 4).min(seqs[origin] + 1);
-            }
             _ => {
                 let key = pick(&naive.log);
-                prop_assert_eq!(log.causal_ret_of(key, &vc), naive.ret_of(key, Some(&vc)));
+                prop_assert_eq!(log.ret_of(key), naive.ret_of(key));
             }
         }
     }
@@ -265,7 +252,6 @@ fn a_view_costs_a_stride_not_the_log() {
     for n in [100u64, 10_000] {
         let spec = SumSpec::default();
         let mut log = ReplayLog::new(spec.clone());
-        let everything = VectorClock(vec![n + 1]);
 
         // Appends execute nothing; the first view steps each entry onto
         // the tip once.
@@ -282,12 +268,6 @@ fn a_view_costs_a_stride_not_the_log() {
             let (cost, ret) = steps(&spec, || log.ret_of(nth(i).key()));
             assert_eq!(ret, Some(i * (i + 1) / 2));
             assert!(cost <= STRIDE + 1, "view of entry {i} of {n}: {cost} steps");
-            let (cost, ret) = steps(&spec, || log.causal_ret_of(nth(i).key(), &everything));
-            assert_eq!(ret, Some(i * (i + 1) / 2));
-            assert!(
-                cost <= STRIDE + 1,
-                "causal view of entry {i} of {n}: {cost} steps"
-            );
         }
 
         // An append and its own update view: one step.
@@ -327,34 +307,4 @@ fn a_late_insert_costs_its_distance_from_the_tail() {
         let (cost, _) = steps(&spec, || log.ret_on_top(&0));
         assert_eq!(cost, 1);
     }
-}
-
-#[test]
-fn a_causal_view_above_an_undelivered_entry_skips_it() {
-    let spec = SumSpec::default();
-    let mut log = ReplayLog::new(spec.clone());
-    let n = 1_000u64;
-    (1..=n).for_each(|i| log.insert(nth(i)));
-    // An update of origin 1 sorts 10 entries from the tail and is not
-    // delivered yet: the causal view of the tail leaves it out, the
-    // update view does not.
-    let foreign = Update {
-        id: UpdateId { origin: 1, seq: 1 },
-        ts: 10 * (n - 10) + 5,
-        vc: VectorClock::zero(2),
-        op: 1_000_000,
-    };
-    log.insert(foreign);
-    let mut vc = VectorClock(vec![n, 0]);
-    log.ret_on_top(&0);
-    let total = n * (n + 1) / 2;
-    let (cost, ret) = steps(&spec, || log.causal_ret_of(nth(n).key(), &vc));
-    assert_eq!(ret, Some(total));
-    assert!(cost <= 10 + STRIDE + 1, "{cost} steps");
-    assert_eq!(log.ret_of(nth(n).key()), Some(total + 1_000_000));
-    // Once it is delivered the two agree again, at checkpoint cost.
-    vc.0[1] = 1;
-    let (cost, ret) = steps(&spec, || log.causal_ret_of(nth(n).key(), &vc));
-    assert_eq!(ret, Some(total + 1_000_000));
-    assert!(cost <= STRIDE + 1, "{cost} steps");
 }

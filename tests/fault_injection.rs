@@ -1,6 +1,7 @@
 //! Failure-mode integration tests: partitions, downtime, and message loss
-//! against the quorum store (the paper evaluates fault-free, but a
-//! credible substrate must degrade cleanly).
+//! against the quorum store, and a partition against the spec store
+//! (the paper evaluates fault-free, but a credible substrate must
+//! degrade cleanly).
 //!
 //! Flakiness audit: every duration here is **virtual** (`SimTime` /
 //! `SimDuration` on the deterministic engine) — no wall-clock sleeps or
@@ -8,10 +9,13 @@
 //! fault coverage beyond these fixed scenarios lives in
 //! `tests/oracle_fleet.rs`.
 
+use icg::correctables::spec::{CounterSpec, CtrOp};
+use icg::correctables::Client;
 use icg::quorumstore::{
     Cluster, Key, Msg, OpId, ReplicaConfig, SystemConfig, Value, WorkloadClient,
 };
-use icg::simnet::{EuUsSites, Faults, Histogram, SimDuration, SimTime, Topology};
+use icg::simnet::{EuUsSites, Faults, Histogram, SimDuration, SimTime, SiteId, Topology};
+use icg::specstore::SimSpecStore;
 use icg::ycsb::{Distribution, Workload};
 
 fn cfg_fast_timeout() -> ReplicaConfig {
@@ -275,4 +279,43 @@ fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
     phase(&mut cluster, 6_200);
     let back = phase(&mut cluster, 8_000);
     assert_eq!((back.min(), back.max()), (via(20), via(20)));
+}
+
+/// The spec core's retransmission rule at exact virtual times. simnet
+/// reports no link events, so nothing tells FRK that its link to VRG is
+/// back: the update it gossiped into the cut reaches VRG because FRK
+/// gossips it again every 200 ms for as long as VRG has not
+/// acknowledged it — and stops once it has.
+#[test]
+fn spec_update_lost_in_a_cut_is_regossiped_on_silence() {
+    let store = SimSpecStore::ec2(CounterSpec, "FRK", 23);
+    let (frk, vrg) = (SiteId(0), SiteId(2));
+    store.set_faults(Faults::none().with_partition(frk, vrg, at(0), at(1_000)));
+    let run_until = |ms: u64| store.advance(at(ms) - store.now());
+
+    // The gateway's first submission goes to replica 0, in FRK. Nothing
+    // follows it: no later traffic can carry the update across.
+    let add = Client::new(store.binding()).invoke_weak(CtrOp::Add(1, 5));
+    store.settle();
+    assert_eq!(add.final_view().map(|v| v.value), Some(5));
+
+    // Just before the heal IRL has the update and VRG does not: the
+    // first gossip and the retransmissions at 200, 400, 600 and 800 ms
+    // all went into the cut.
+    run_until(999);
+    let logs = store.applied_logs();
+    assert_eq!((logs[0].len(), logs[1].len(), logs[2].len()), (1, 1, 0));
+    assert_eq!(store.fully_acked(), [false, true, true]);
+
+    // The retransmission due just after 1 000 ms gets through: one
+    // FRK→VRG one-way (~42 ms) later VRG has the update, another one
+    // later FRK has its ack.
+    run_until(1_250);
+    let logs = store.applied_logs();
+    assert_eq!(logs[2], logs[0], "VRG caught up by 1.25 s");
+    assert_eq!(store.fully_acked(), [true; 3]);
+
+    // And the deadline, fired once more with nothing left to send, has
+    // disarmed: the engine is idle.
+    assert_eq!(store.with_engine(|e| e.run_until_idle(16)), 0);
 }

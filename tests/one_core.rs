@@ -1,27 +1,37 @@
-//! One quorum core, two hosts, one history.
+//! One core, two hosts, one history — for each of the two stores whose
+//! protocol is a sans-IO core.
 //!
-//! `quorumstore::ReplicaCore` runs under the simulator (`SimStore`) and
-//! behind real sockets (`icg-net`'s reactor). This test keeps the oracle
-//! attached across that boundary: the same seeded, sequential script of
-//! writes and ICG reads goes through both hosts under
-//! [`RecordingBinding`], and the two recorded histories must agree op
-//! for op on everything but time — which levels were delivered, with
-//! which value, and which view closed — and each must pass the
-//! monotonicity and convergence checkers.
+//! `quorumstore::ReplicaCore` and `specstore::SpecCore` run under the
+//! simulator (`SimStore`, `SimSpecStore`) and behind real sockets
+//! (`icg-net`'s reactor). These tests keep the oracle attached across
+//! that boundary: the same seeded, sequential script goes through both
+//! hosts under [`RecordingBinding`], and the two recorded histories must
+//! agree op for op on everything but time — which levels were
+//! delivered, with which value, and which view closed — and each must
+//! pass the oracle's checkers.
 //!
-//! The script is sequential and every operation goes through one
-//! coordinator, so nothing it observes depends on how fast background
-//! replication is: the coordinator always holds the newest version.
+//! Both scripts are sequential, so nothing they observe depends on how
+//! fast replication is. The quorum script goes through one coordinator,
+//! which always holds the newest version. The spec script alternates
+//! between two of the three replicas, but invokes every operation at
+//! all four levels and waits for it to close: a closed strong view means
+//! every replica has delivered the update, so the next origin starts
+//! from the same log.
 
 use std::time::{Duration, Instant};
 
+use icg::correctables::spec::{CounterSpec, CtrOp};
 use icg::correctables::{
     Binding, Client, Correctable, History, HistoryEvent, Invocation, RecordingBinding,
 };
-use icg::net::{spawn_local_cluster, ServerConfig, TcpBinding, TcpConfig};
+use icg::net::{
+    spawn_local_cluster, ReplicaHandle, ServerConfig, SpecOp, SpecTcpConfig, TcpBinding, TcpConfig,
+    TcpSpecBinding,
+};
 use icg::oracle::{check_convergence, check_monotonicity};
 use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp, Value, Versioned};
 use icg::simnet::{DetRng, SimDuration};
+use icg::specstore::SimSpecStore;
 
 const OPS: u64 = 200;
 const KEYS: u64 = 6;
@@ -83,9 +93,14 @@ where
     mark
 }
 
-/// An invocation without its clock: the operation, the levels asked
-/// for, and every view as `level=value` (`!` marks the one that closed).
-fn timeless(invocations: &[Invocation<StoreOp, Versioned>]) -> Vec<String> {
+/// An invocation without its clock: the operation (as `op` shows it),
+/// the levels asked for, and every view as `level=value` (as `val`
+/// shows it; `!` marks the one that closed).
+fn timeless<Op, T>(
+    invocations: &[Invocation<Op, T>],
+    op: impl Fn(&Op) -> String,
+    val: impl Fn(&T) -> String,
+) -> Vec<String> {
     invocations
         .iter()
         .map(|inv| {
@@ -98,15 +113,11 @@ fn timeless(invocations: &[Invocation<StoreOp, Versioned>]) -> Vec<String> {
                         value,
                         closing,
                         ..
-                    } => format!(
-                        "{level}={:?}{}",
-                        value.value,
-                        if *closing { "!" } else { "" }
-                    ),
+                    } => format!("{level}={}{}", val(value), if *closing { "!" } else { "" }),
                     HistoryEvent::Failed { error, .. } => format!("failed({error:?})"),
                 })
                 .collect();
-            format!("{:?} {:?} -> {}", inv.op, inv.levels, events.join(", "))
+            format!("{} {:?} -> {}", op(&inv.op), inv.levels, events.join(", "))
         })
         .collect()
 }
@@ -132,14 +143,36 @@ fn simulated(confirm: bool, seed: u64) -> Vec<String> {
     );
     let snapshot = history.snapshot();
     check("simnet", &snapshot, mark);
-    timeless(&snapshot)
+    timeless(
+        &snapshot,
+        |op| format!("{op:?}"),
+        |v| format!("{:?}", v.value),
+    )
+}
+
+fn cluster() -> Vec<ReplicaHandle> {
+    spawn_local_cluster(3, |id| ServerConfig {
+        id,
+        ..ServerConfig::default()
+    })
+}
+
+/// The history once every invocation in it has its closing event: the
+/// recorder appends a closing view just after the waiter wakes.
+fn settled<Op: Clone, T: Clone>(history: &History<Op, T>) -> Vec<Invocation<Op, T>> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let snapshot = history.snapshot();
+        if snapshot.iter().all(|i| i.closing_event().is_some()) {
+            return snapshot;
+        }
+        assert!(Instant::now() < deadline, "history never settled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn served(confirm: bool, seed: u64) -> Vec<String> {
-    let replicas = spawn_local_cluster(3, |id| ServerConfig {
-        id,
-        ..ServerConfig::default()
-    });
+    let replicas = cluster();
     let mut cfg = TcpConfig::new(replicas.iter().map(|r| r.addr()).collect(), 1_000);
     cfg.confirm = confirm;
     let tcp = TcpBinding::connect(cfg).expect("connect");
@@ -152,22 +185,17 @@ fn served(confirm: bool, seed: u64) -> Vec<String> {
         |c| drop(c.wait_final(Duration::from_secs(5)).expect("op closes")),
         || std::thread::sleep(Duration::from_millis(150)),
     );
-    // The recorder appends a closing view just after the waiter wakes.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let snapshot = loop {
-        let snapshot = history.snapshot();
-        if snapshot.iter().all(|i| i.closing_event().is_some()) {
-            break snapshot;
-        }
-        assert!(Instant::now() < deadline, "history never settled");
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let snapshot = settled(&history);
     tcp.shutdown();
     for r in &replicas {
         r.shutdown();
     }
     check("tcp", &snapshot, mark);
-    timeless(&snapshot)
+    timeless(
+        &snapshot,
+        |op| format!("{op:?}"),
+        |v| format!("{:?}", v.value),
+    )
 }
 
 #[test]
@@ -179,4 +207,88 @@ fn simulated_and_served_histories_agree_op_for_op() {
         }
         assert_eq!(sim.len(), tcp.len());
     }
+}
+
+const SPEC_OPS: u64 = 150;
+/// The replicas the spec script submits to, in turn: FRK and IRL. Not
+/// VRG — its two peers are equally far away, so their acks reach it
+/// within a few milliseconds of each other, and the causal and strong
+/// views they release can overtake one another on a simulated link (the
+/// late one is then dropped by the gateway), which no TCP connection
+/// does.
+const SPEC_ORIGINS: usize = 2;
+
+/// The spec script: adds and gets over a few counters.
+fn spec_script(seed: u64) -> Vec<CtrOp> {
+    let mut rng = DetRng::seed_from_u64(seed);
+    (0..SPEC_OPS)
+        .map(|_| {
+            let key = rng.below(4);
+            match rng.below(2) {
+                0 => CtrOp::Add(key, 1 + rng.below(9)),
+                _ => CtrOp::Get(key),
+            }
+        })
+        .collect()
+}
+
+fn spec_check<Op: std::fmt::Debug>(host: &str, invocations: &[Invocation<Op, u64>]) {
+    assert_eq!(invocations.len() as u64, SPEC_OPS, "{host}");
+    let mono = check_monotonicity(invocations, true);
+    assert!(mono.is_empty(), "{host}: monotonicity violations: {mono:?}");
+}
+
+fn spec_simulated(seed: u64) -> Vec<String> {
+    let store = SimSpecStore::ec2(CounterSpec, "IRL", seed);
+    let history = History::with_clock(store.clock());
+    let client = Client::new(RecordingBinding::new(store.binding(), history.clone()));
+    for (i, op) in spec_script(seed).into_iter().enumerate() {
+        store.with_proto(|gateway| gateway.pinned = Some(i % SPEC_ORIGINS));
+        client.invoke(op);
+        store.settle();
+    }
+    let snapshot = history.snapshot();
+    spec_check("simnet", &snapshot);
+    timeless(&snapshot, |op| format!("{op:?}"), u64::to_string)
+}
+
+fn spec_served(seed: u64) -> Vec<String> {
+    let replicas = cluster();
+    let history = History::new();
+    let bindings: Vec<TcpSpecBinding> = (0..SPEC_ORIGINS)
+        .map(|i| {
+            TcpSpecBinding::connect(SpecTcpConfig::new(replicas[i].addr(), 100 + i as u64))
+                .expect("connect")
+        })
+        .collect();
+    let clients: Vec<_> = bindings
+        .iter()
+        .map(|b| Client::new(RecordingBinding::new(b.clone(), history.clone())))
+        .collect();
+    for (i, op) in spec_script(seed).into_iter().enumerate() {
+        let c = clients[i % SPEC_ORIGINS].invoke(SpecOp::Ctr(op));
+        c.wait_final(Duration::from_secs(5)).expect("op closes");
+    }
+    let snapshot = settled(&history);
+    for b in &bindings {
+        b.shutdown();
+    }
+    for r in &replicas {
+        r.shutdown();
+    }
+    spec_check("tcp", &snapshot);
+    let op = |op: &SpecOp| match op {
+        SpecOp::Ctr(op) => format!("{op:?}"),
+        other => format!("{other:?}"),
+    };
+    timeless(&snapshot, op, u64::to_string)
+}
+
+#[test]
+fn simulated_and_served_spec_histories_agree_op_for_op() {
+    let (sim, tcp) = (spec_simulated(17), spec_served(17));
+    for (i, (s, t)) in sim.iter().zip(&tcp).enumerate() {
+        assert_eq!(s, t, "op {i} differs (simnet vs tcp)");
+    }
+    assert_eq!(sim.len(), tcp.len());
 }
