@@ -37,7 +37,7 @@ pub mod twissandra;
 
 pub use ads::AdSystem;
 pub use dataset::{AdsDataset, TwissandraDataset};
-pub use driver::{LoadDriver, LoadStats, MeasuredOp};
+pub use driver::{start_ycsb_users, view_stats, LoadDriver, LoadStats, MeasuredOp, ViewStats};
 pub use news::{NewsReader, Refresh, LATEST};
 pub use sharded::{run_sharded_ycsb, ShardedYcsbConfig, ShardedYcsbStats};
 pub use tickets::{EscrowOffice, Purchase, TicketOffice};

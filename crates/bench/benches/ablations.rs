@@ -12,8 +12,9 @@
 //!    with a confirmation; its benefit depends on how small the
 //!    confirmation actually is relative to the record.
 
-use icg_bench::{f1, f2, pct, quick, ring::run_ring, ring::RingSpec, Table};
-use quorumstore::{ReplicaConfig, SystemConfig};
+use icg_bench::ring::{run_ring, RingSpec, System};
+use icg_bench::{f1, f2, pct, quick, Table};
+use quorumstore::ReplicaConfig;
 use simnet::SimDuration;
 use ycsb::{Distribution, Workload};
 
@@ -42,7 +43,7 @@ fn main() {
     );
     for loss in [0.0f64, 0.10] {
         let out = run_ring(&RingSpec {
-            sys: SystemConfig::correctable(2),
+            sys: System::Cc(2),
             workload: Workload::b(Distribution::Latest, 1_000).with_sizes(1_000, 100),
             threads_per_client: 40,
             warmup,
@@ -53,9 +54,9 @@ fn main() {
         });
         t1.row(vec![
             pct(loss),
-            pct(out.divergence()),
+            pct(out.all.divergence()),
             f2(out.kb_per_op()),
-            f1(out.completed() as f64 / window.as_secs_f64()),
+            f1(out.all.completed() as f64 / window.as_secs_f64()),
         ]);
     }
     t1.print();
@@ -73,7 +74,7 @@ fn main() {
             ..ReplicaConfig::default()
         };
         let out = run_ring(&RingSpec {
-            sys: SystemConfig::correctable(2),
+            sys: System::Cc(2),
             workload: Workload::c(Distribution::ScrambledZipfian, 10_000).with_sizes(1_000, 100),
             threads_per_client: 96,
             warmup,
@@ -82,7 +83,7 @@ fn main() {
             cfg,
             drop_probability: 0.0,
         });
-        let tput = out.completed() as f64 / window.as_secs_f64();
+        let tput = out.all.completed() as f64 / window.as_secs_f64();
         let base = *baseline_tput.get_or_insert(tput);
         t2.row(vec![extra_us.to_string(), f1(tput), pct(tput / base - 1.0)]);
     }
@@ -95,7 +96,7 @@ fn main() {
         &["record_bytes", "CC2_kB_op", "*CC2_kB_op", "saving"],
     );
     for record in [100usize, 400, 1_000, 4_000] {
-        let run_one = |sys: SystemConfig| {
+        let run_one = |sys: System| {
             run_ring(&RingSpec {
                 sys,
                 workload: Workload::b(Distribution::ScrambledZipfian, 1_000)
@@ -108,8 +109,8 @@ fn main() {
                 drop_probability: 0.0,
             })
         };
-        let cc = run_one(SystemConfig::correctable(2));
-        let opt = run_one(SystemConfig::correctable_optimized(2));
+        let cc = run_one(System::Cc(2));
+        let opt = run_one(System::CcOpt(2));
         t3.row(vec![
             record.to_string(),
             f2(cc.kb_per_op()),

@@ -13,9 +13,10 @@
 //! (−40%) for a ~6% throughput drop; divergence below 1% in both case
 //! studies.
 //!
-//! Unlike Figures 5–8 (protocol-level drivers), this harness runs the
-//! *application code* — `Client::invoke` + `speculate_async` — inside the
-//! simulation via the closed-loop [`LoadDriver`].
+//! Figures 5–8 drive the same library with bare YCSB reads and writes;
+//! this harness runs the *application code* — `Client::invoke` +
+//! `speculate_async` — inside the simulation via the closed-loop
+//! [`LoadDriver`].
 
 use std::sync::Arc;
 

@@ -11,9 +11,10 @@
 //! CC2 final − preliminary gap ≈ 20 ms (FRK gathers IRL); CC3 gap up to
 //! ~140 ms at the 99th percentile (FRK must reach VRG).
 
+use icg_bench::ring::{run_clients, RingSpec, System};
 use icg_bench::{f2, quick, Table};
-use quorumstore::{Cluster, ReplicaConfig, SystemConfig, WorkloadClient};
-use simnet::{EuUsSites, SimDuration, Topology};
+use quorumstore::ReplicaConfig;
+use simnet::SimDuration;
 use ycsb::{Distribution, Workload};
 
 struct RunOut {
@@ -21,23 +22,20 @@ struct RunOut {
     fin: (f64, f64),
 }
 
-fn run(sys: SystemConfig, seed: u64, seconds: u64) -> RunOut {
-    let topo = Topology::ec2_frk_irl_vrg();
-    let sites = EuUsSites::resolve(&topo);
-    let mut cluster = Cluster::build(topo, &["FRK", "IRL", "VRG"], ReplicaConfig::default(), seed);
-    let workload = Workload::c(Distribution::Zipfian, 1_000).with_sizes(100, 100);
-    cluster
-        .preload((0..1_000).map(|i| (quorumstore::Key::plain(i), quorumstore::Value::Opaque(100))));
-    let warmup = SimDuration::from_secs(1);
-    let window = SimDuration::from_secs(seconds);
-    let (from, until) = Cluster::window(warmup, window);
-    let frk = cluster.replicas[0];
-    // One sequential requester: single-request latency, no queueing.
-    let client = WorkloadClient::new(frk, sys, &workload, 1, seed ^ 0xABCD, from, until);
-    cluster.add_client(sites.irl, client);
-    cluster.run_measured(warmup, window);
-    let id = cluster.clients[0];
-    let m = &mut cluster.engine.node_as::<WorkloadClient>(id).metrics;
+fn run(sys: System, seed: u64, seconds: u64) -> RunOut {
+    let spec = RingSpec {
+        sys,
+        workload: Workload::c(Distribution::Zipfian, 1_000).with_sizes(100, 100),
+        // One sequential requester: single-request latency, no queueing.
+        threads_per_client: 1,
+        warmup: SimDuration::from_secs(1),
+        window: SimDuration::from_secs(seconds),
+        seed,
+        cfg: ReplicaConfig::default(),
+        drop_probability: 0.0,
+    };
+    let mut out = run_clients(&spec, &[("IRL", 0, seed ^ 0xABCD)]);
+    let m = &mut out.clients[0];
     let fin = (
         m.final_latency.mean().as_millis_f64(),
         m.final_latency.p99().as_millis_f64(),
@@ -57,29 +55,26 @@ fn main() {
         "Figure 5: single-request read latency (client IRL, coordinator FRK)",
         &["system", "view", "avg_ms", "p99_ms"],
     );
-    let systems: Vec<(SystemConfig, &str)> = vec![
-        (SystemConfig::baseline(1), "C1"),
-        (SystemConfig::baseline(2), "C2"),
-        (SystemConfig::baseline(3), "C3"),
-        (SystemConfig::correctable(2), "CC2"),
-        (SystemConfig::correctable(3), "CC3"),
+    let systems = [
+        System::C(1),
+        System::C(2),
+        System::C(3),
+        System::Cc(2),
+        System::Cc(3),
     ];
-    for (i, (sys, label)) in systems.into_iter().enumerate() {
+    let mut outs = Vec::new();
+    for (i, sys) in systems.into_iter().enumerate() {
         let out = run(sys, 42 + i as u64, seconds);
         if let Some((avg, p99)) = out.prelim {
-            table.row(vec![
-                label.to_string(),
-                "preliminary".into(),
-                f2(avg),
-                f2(p99),
-            ]);
+            table.row(vec![sys.label(), "preliminary".into(), f2(avg), f2(p99)]);
         }
         table.row(vec![
-            label.to_string(),
+            sys.label(),
             "final".into(),
             f2(out.fin.0),
             f2(out.fin.1),
         ]);
+        outs.push(out);
     }
     table.print();
     table.write_csv("fig5_single_request");
@@ -87,4 +82,14 @@ fn main() {
         "\nExpected shape (paper): prelim ~= C1 ~= 20ms; CC2 final ~= C2 ~= 40ms \
          (gap = FRK-IRL RTT); CC3 final ~= C3 with a much larger gap (FRK-VRG)."
     );
+    // The paper's claim: a preliminary costs what a weak read costs, and
+    // asking for it does not slow the final view down.
+    let within_5pct = |a: f64, b: f64| (a / b - 1.0).abs() < 0.05;
+    let (c1, c2) = (outs[0].fin.0, outs[1].fin.0);
+    for cc in &outs[3..] {
+        let prelim = cc.prelim.expect("CC reads have a preliminary").0;
+        assert!(within_5pct(prelim, c1), "preliminary {prelim} vs C1 {c1}");
+    }
+    let cc2 = outs[3].fin.0;
+    assert!(within_5pct(cc2, c2), "CC2 final {cc2} vs C2 {c2}");
 }

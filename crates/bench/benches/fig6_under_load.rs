@@ -10,8 +10,9 @@
 //! the same (slightly reduced, ~6%) throughput — the cost of preliminary
 //! flushing at the coordinator.
 
-use icg_bench::{f1, f2, quick, ring::run_ring, ring::RingSpec, Table};
-use quorumstore::{ReplicaConfig, SystemConfig};
+use icg_bench::ring::{run_ring, RingSpec, System};
+use icg_bench::{f1, f2, quick, Table};
+use quorumstore::ReplicaConfig;
 use simnet::SimDuration;
 use ycsb::{Distribution, Workload};
 
@@ -28,11 +29,7 @@ fn main() {
         ("B", Workload::b),
         ("C", Workload::c),
     ];
-    let systems: Vec<(SystemConfig, &str)> = vec![
-        (SystemConfig::baseline(1), "C1"),
-        (SystemConfig::baseline(2), "C2"),
-        (SystemConfig::correctable(2), "CC2"),
-    ];
+    let systems = [System::C(1), System::C(2), System::Cc(2)];
 
     let mut table = Table::new(
         "Figure 6: latency vs throughput (IRL client; series per system)",
@@ -48,7 +45,9 @@ fn main() {
     );
 
     for (wl_name, wl_fn) in &workloads {
-        for (sys, sys_name) in &systems {
+        // Throughput per load point, per system (C1, C2, CC2).
+        let mut tput = vec![Vec::new(); systems.len()];
+        for (sys, tput) in systems.iter().zip(&mut tput) {
             for (i, threads) in thread_steps.iter().enumerate() {
                 let workload = wl_fn(Distribution::ScrambledZipfian, 10_000).with_sizes(1_000, 100);
                 let spec = RingSpec {
@@ -62,6 +61,7 @@ fn main() {
                     drop_probability: 0.0,
                 };
                 let out = run_ring(&spec);
+                tput.push(out.irl_throughput());
                 let mut m = out.clients[0].clone();
                 let prelim = if m.prelim_latency.is_empty() {
                     "-".to_string()
@@ -70,7 +70,7 @@ fn main() {
                 };
                 table.row(vec![
                     wl_name.to_string(),
-                    sys_name.to_string(),
+                    sys.label(),
                     threads.to_string(),
                     f1(out.irl_throughput()),
                     f2(m.final_latency.mean().as_millis_f64()),
@@ -78,6 +78,14 @@ fn main() {
                     prelim,
                 ]);
             }
+        }
+        // The paper's claim: flushing preliminaries costs a little
+        // throughput (~6 %), never a lot.
+        for ((c2, cc2), threads) in tput[1].iter().zip(&tput[2]).zip(&thread_steps) {
+            assert!(
+                *cc2 >= 0.90 * c2,
+                "{wl_name}-{threads}: CC2 {cc2} ops/s vs C2 {c2}"
+            );
         }
     }
     table.print();

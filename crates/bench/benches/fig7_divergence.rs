@@ -9,8 +9,9 @@
 //! under Latest reaches ~25%, Zipfian stays much lower, and workload B
 //! (5% writes) stays in the low single digits.
 
-use icg_bench::{pct, quick, ring::run_ring, ring::RingSpec, Table};
-use quorumstore::{ReplicaConfig, SystemConfig};
+use icg_bench::ring::{run_ring, RingSpec, System};
+use icg_bench::{pct, quick, Table};
+use quorumstore::ReplicaConfig;
 use simnet::SimDuration;
 use ycsb::{Distribution, Workload};
 
@@ -45,12 +46,15 @@ fn main() {
         ("B", 0.95, Distribution::Latest, "Latest"),
         ("B", 0.95, Distribution::ScrambledZipfian, "Zipfian"),
     ];
+    // Divergence per load point, per series.
+    let mut series = Vec::new();
     for (wl_name, read_prop, dist, dist_name) in &cases {
+        let mut divergence = Vec::new();
         for (i, total) in totals.iter().enumerate() {
             let mut workload = Workload::a(*dist, 1_000).with_sizes(1_000, 100);
             workload.read_proportion = *read_prop;
             let spec = RingSpec {
-                sys: SystemConfig::correctable(2),
+                sys: System::Cc(2),
                 workload,
                 threads_per_client: total / 3,
                 warmup: SimDuration::from_secs(warmup_s),
@@ -60,14 +64,24 @@ fn main() {
                 drop_probability: 0.0,
             };
             let out = run_ring(&spec);
+            divergence.push(out.all.divergence());
             table.row(vec![
                 wl_name.to_string(),
                 dist_name.to_string(),
                 total.to_string(),
-                pct(out.divergence()),
+                pct(out.all.divergence()),
             ]);
         }
+        assert!(
+            divergence.windows(2).all(|w| w[0] < w[1]),
+            "{wl_name}-{dist_name}: divergence must grow with load, got {divergence:?}"
+        );
+        series.push(divergence);
     }
+    // The paper's claim: the write-heavy, recency-skewed workload at full
+    // load diverges most; the read-mostly one at light load hardly at all.
+    let (a_latest, b_zipfian) = (&series[0], &series[3]);
+    assert!(a_latest[totals.len() - 1] > b_zipfian[0]);
     table.print();
     table.write_csv("fig7_divergence");
     println!(

@@ -151,22 +151,64 @@ mod tests {
 }
 
 /// Shared deployment runner for the Cassandra-side experiments
-/// (Figures 6, 7, and 8): the paper's three-region setup with one client
-/// per region, each connected to a remote coordinator.
+/// (Figures 5–8 and the ablations): the paper's three-region setup, its
+/// YCSB clients driving the store through the Correctables library, and
+/// every number read off the recorded histories afterwards.
 pub mod ring {
-    use quorumstore::{
-        ClientMetrics, Cluster, Key, ReplicaConfig, SystemConfig, Value, WorkloadClient,
-    };
-    use simnet::{EuUsSites, Faults, SimDuration, Topology};
+    use correctables::{ConsistencyLevel, LevelSelection};
+    use icg_apps::{start_ycsb_users, view_stats, ViewStats};
+    use icg_oracle::check_monotonicity;
+    use quorumstore::{Key, ReplicaConfig, SimStore, Value};
+    use simnet::{Faults, SimDuration};
     use ycsb::Workload;
+
+    /// The system under test, in the paper's notation.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum System {
+        /// Baseline Cassandra reading at quorum `R`: C1, C2, C3.
+        C(u8),
+        /// Correctable Cassandra, preliminary then final at quorum `R`:
+        /// CC2, CC3.
+        Cc(u8),
+        /// CC with the confirmation optimization: *CC2.
+        CcOpt(u8),
+    }
+
+    impl System {
+        /// Display label (C1, CC2, *CC2, …).
+        pub fn label(self) -> String {
+            match self {
+                System::C(r) => format!("C{r}"),
+                System::Cc(r) => format!("CC{r}"),
+                System::CcOpt(r) => format!("*CC{r}"),
+            }
+        }
+
+        /// How to build the store (`r_strong`, `confirm`) and which
+        /// levels its clients invoke at: C1 is `invoke_weak`, C2/C3
+        /// `invoke_strong`, the Correctable variants `invoke`.
+        fn setup(self) -> (u8, bool, LevelSelection) {
+            match self {
+                System::C(1) => (1, false, LevelSelection::only(&[ConsistencyLevel::WEAK])),
+                System::C(r) => (r, false, LevelSelection::only(&[ConsistencyLevel::STRONG])),
+                System::Cc(r) => (r, false, LevelSelection::All),
+                System::CcOpt(r) => (r, true, LevelSelection::All),
+            }
+        }
+    }
+
+    /// What every client does when neither a reply nor a coordinator
+    /// failure arrives (the request itself was lost): give up on the
+    /// operation and move on.
+    const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
     /// One trial's configuration.
     pub struct RingSpec {
         /// System under test (C1/C2/CC2/*CC2…).
-        pub sys: SystemConfig,
+        pub sys: System,
         /// YCSB workload.
         pub workload: Workload,
-        /// Virtual client threads per region client.
+        /// Closed-loop users per region client.
         pub threads_per_client: u32,
         /// Warm-up before measurement starts.
         pub warmup: SimDuration,
@@ -182,8 +224,11 @@ pub mod ring {
 
     /// One trial's results.
     pub struct RingOut {
-        /// Per-client metrics, in order IRL, FRK, VRG.
-        pub clients: Vec<ClientMetrics>,
+        /// Per-client view statistics over the window, in client order
+        /// (IRL, FRK, VRG for [`run_ring`]).
+        pub clients: Vec<ViewStats>,
+        /// The same over all clients' invocations together.
+        pub all: ViewStats,
         /// Bytes crossing all client links during the window.
         pub client_link_bytes: u64,
         /// The measurement window.
@@ -191,25 +236,9 @@ pub mod ring {
     }
 
     impl RingOut {
-        /// Aggregate operations completed in the window.
-        pub fn completed(&self) -> u64 {
-            self.clients.iter().map(|c| c.completed()).sum()
-        }
-
-        /// Aggregate divergence across all clients' ICG reads.
-        pub fn divergence(&self) -> f64 {
-            let icg: u64 = self.clients.iter().map(|c| c.icg_reads).sum();
-            let div: u64 = self.clients.iter().map(|c| c.divergent).sum();
-            if icg == 0 {
-                0.0
-            } else {
-                div as f64 / icg as f64
-            }
-        }
-
         /// Client-link bandwidth per completed operation, in kB.
         pub fn kb_per_op(&self) -> f64 {
-            let ops = self.completed();
+            let ops = self.all.completed();
             if ops == 0 {
                 0.0
             } else {
@@ -224,54 +253,93 @@ pub mod ring {
         }
     }
 
-    /// Runs one trial: replicas FRK/IRL/VRG; clients IRL→FRK, FRK→VRG,
-    /// VRG→IRL (each to a remote coordinator, as in §6.2.1).
+    /// Runs one trial with a client in every region: replicas
+    /// FRK/IRL/VRG; clients IRL→FRK, FRK→VRG, VRG→IRL (each to a remote
+    /// coordinator, as in §6.2.1).
     pub fn run_ring(spec: &RingSpec) -> RingOut {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = EuUsSites::resolve(&topo);
-        let mut cluster = Cluster::build(topo, &["FRK", "IRL", "VRG"], spec.cfg, spec.seed);
+        let seed = |i: u64| spec.seed.wrapping_add(i * 7919);
+        run_clients(
+            spec,
+            &[
+                ("IRL", 0, seed(0)),
+                ("FRK", 2, seed(1)),
+                ("VRG", 1, seed(2)),
+            ],
+        )
+    }
+
+    /// Runs one trial with the given clients — `(site, coordinator's
+    /// replica index, YCSB seed)` — each a `Client` over its own gateway
+    /// of one simulated deployment, recording into its own history.
+    ///
+    /// # Panics
+    ///
+    /// In `ICG_QUICK` mode, if a recorded history violates view
+    /// monotonicity.
+    pub fn run_clients(spec: &RingSpec, clients: &[(&str, usize, u64)]) -> RingOut {
+        let (r_strong, confirm, levels) = spec.sys.setup();
+        let mut stores: Vec<SimStore> = Vec::new();
+        for &(site, coordinator, _) in clients {
+            let store = match stores.first() {
+                None => SimStore::ec2(spec.cfg, r_strong, confirm, site, coordinator, spec.seed),
+                Some(first) => first.client_at(site, coordinator),
+            };
+            store.set_client_timeout(CLIENT_TIMEOUT);
+            stores.push(store);
+        }
+        let deployment = &stores[0];
         if spec.drop_probability > 0.0 {
-            cluster
-                .engine
-                .set_faults(Faults::none().with_drop_probability(spec.drop_probability));
+            deployment.set_faults(Faults::none().with_drop_probability(spec.drop_probability));
         }
-        let records = spec.workload.record_count;
         let len = spec.workload.value_size as u32;
-        cluster.preload((0..records).map(|i| (Key::plain(i), Value::Opaque(len))));
-        let (from, until) = Cluster::window(spec.warmup, spec.window);
-        // Client placements: (client site, coordinator replica index).
-        let placements = [
-            (sites.irl, 0usize), // IRL client → FRK coordinator
-            (sites.frk, 2),      // FRK client → VRG coordinator
-            (sites.vrg, 1),      // VRG client → IRL coordinator
-        ];
-        for (i, (site, coord)) in placements.iter().enumerate() {
-            let client = WorkloadClient::new(
-                cluster.replicas[*coord],
-                spec.sys,
-                &spec.workload,
-                spec.threads_per_client,
-                spec.seed.wrapping_add(i as u64 * 7919),
-                from,
-                until,
-            );
-            cluster.add_client(*site, client);
-        }
-        cluster.run_measured(spec.warmup, spec.window);
-        let mut link_bytes = 0;
-        for id in cluster.clients.clone() {
-            link_bytes += cluster.engine.bandwidth().link_bytes(id);
-        }
-        let clients: Vec<ClientMetrics> = cluster
-            .clients
-            .clone()
-            .into_iter()
-            .map(|id| cluster.engine.node_as::<WorkloadClient>(id).metrics.clone())
+        deployment
+            .preload((0..spec.workload.record_count).map(|i| (Key::plain(i), Value::Opaque(len))));
+
+        // Each client's users enter the network at t = 0, in client
+        // order.
+        let histories: Vec<_> = stores
+            .iter()
+            .zip(clients)
+            .map(|(store, &(_, _, ycsb_seed))| {
+                let users = spec.threads_per_client;
+                start_ycsb_users(store, &spec.workload, &levels, users, ycsb_seed)
+            })
             .collect();
+        // Operations still in flight when the window ends stay open:
+        // settling them would run past it.
+        deployment.advance(spec.warmup);
+        deployment.with_engine(|e| e.bandwidth_mut().reset());
+        deployment.advance(spec.window);
+
+        let (from, until) = (spec.warmup, spec.warmup + spec.window);
+        let snapshots: Vec<_> = histories.iter().map(|h| h.snapshot()).collect();
+        if crate::quick() {
+            for (snapshot, (site, ..)) in snapshots.iter().zip(clients) {
+                let violations = check_monotonicity(snapshot, false);
+                assert!(violations.is_empty(), "{site} client: {violations:?}");
+            }
+        }
         RingOut {
-            clients,
-            client_link_bytes: link_bytes,
+            clients: snapshots
+                .iter()
+                .map(|s| view_stats(s, from, until))
+                .collect(),
+            all: view_stats(snapshots.iter().flatten(), from, until),
+            client_link_bytes: stores.iter().map(|s| s.gateway_link_bytes()).sum(),
             window: spec.window,
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn system_labels_match_paper_notation() {
+            assert_eq!(System::C(1).label(), "C1");
+            assert_eq!(System::C(3).label(), "C3");
+            assert_eq!(System::Cc(2).label(), "CC2");
+            assert_eq!(System::CcOpt(2).label(), "*CC2");
         }
     }
 }

@@ -1,13 +1,12 @@
 //! The client half: a [`Binding`] over TCP.
 //!
-//! [`TcpBinding`] plays the role the in-simulation `Gateway` plays for
+//! [`TcpBinding`] plays the role the in-simulation gateway plays for
 //! `quorumstore::SimStore`: it owns the connection to a coordinator
-//! replica, assigns op ids, matches replies back to pending invocations,
-//! and routes each reply into the right [`Upcall`] transition —
-//! preliminary flush → `Weak` view, final/single reply → closing view,
-//! confirmation → promote the held preliminary (failing the op if the
-//! preliminary never arrived, the same fabrication guard the simulated
-//! gateway grew in PR 3).
+//! replica, assigns op ids and matches replies back to pending
+//! invocations. What a reply *means* — preliminary flush → `Weak` view,
+//! final/single reply → closing view, confirmation → promote the held
+//! preliminary or fail — is [`quorumstore::client`]'s, the one client
+//! protocol both hosts run.
 //!
 //! Because it implements [`Binding`], an unmodified
 //! [`Client`](correctables::Client) — and everything layered on clients:
@@ -17,14 +16,13 @@
 //! A binding is a handle onto the epoll reactor: thousands of them
 //! share the event loops of a process-wide [`ClientReactor`], where
 //! each binding's connection and pending-op table live
-//! ([`crate::reactor::client`]). This module holds the handle and the
-//! reply-matching state machine (`handle_reply`) the loops run.
+//! ([`crate::reactor::client`]). This module holds the handle.
 //!
 //! ## Failover
 //!
 //! The binding takes the full replica address list. When the connection
 //! to the current coordinator dies, every in-flight operation fails with
-//! [`Error::Unavailable`] (their replies are gone with the socket — the
+//! [`correctables::Error::Unavailable`] (their replies are gone with the socket — the
 //! paper's model is failure-aware, not failure-masking), and the next
 //! submission dials the next address in the list. Operations submitted
 //! after the reconnect run against the new coordinator; any replica of
@@ -38,11 +36,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use quorumstore::messages::{Msg, Phase};
-use quorumstore::types::{OpId, ReadKind, Versioned};
-use quorumstore::{IdMap, StoreOp};
-use simnet::NodeId;
+use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
+use quorumstore::types::Versioned;
+use quorumstore::{read_kind, StoreOp};
 
 use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
 
@@ -64,7 +60,7 @@ pub struct TcpConfig {
     /// full record.
     pub confirm: bool,
     /// Client-side deadline per operation; a lost reply fails the
-    /// Correctable with [`Error::Timeout`] instead of wedging it open.
+    /// Correctable with [`correctables::Error::Timeout`] instead of wedging it open.
     pub op_timeout: Duration,
     /// Per-address dial timeout during connect and failover.
     pub connect_timeout: Duration,
@@ -82,84 +78,6 @@ impl TcpConfig {
             op_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(1),
         }
-    }
-}
-
-/// One in-flight operation awaiting its reply, with the views already
-/// received that a final reply may fall back to.
-pub(crate) struct PendingOp {
-    pub(crate) upcall: Upcall<Versioned>,
-    pub(crate) close_level: ConsistencyLevel,
-    pub(crate) prelim: Option<Versioned>,
-    pub(crate) written: Option<Versioned>,
-}
-
-/// Closes invocation `seq` with `data` (or, absent data, the held
-/// preliminary for reads / the written record for writes) — the same
-/// resolution order as the simulated gateway. A final reply with *no*
-/// view to deliver — no data, no preliminary, no written record — fails
-/// the op instead: fabricating an absent view would tell the caller
-/// "the key does not exist" with strong confidence the binding never
-/// actually obtained (the PR 3 *CC bug class, on a different path).
-fn finish(pending: &mut IdMap<PendingOp>, seq: u64, data: Option<Versioned>) {
-    let Some(p) = pending.remove(&seq) else {
-        return;
-    };
-    match data.or(p.prelim).or(p.written) {
-        Some(value) => p.upcall.deliver(value, p.close_level),
-        None => p.upcall.fail(Error::Unavailable(
-            "final reply carried no view and none was held".into(),
-        )),
-    }
-}
-
-/// Routes one server reply into the pending-op table: the reply-matching
-/// half of the client state machine.
-pub(crate) fn handle_reply(pending: &mut IdMap<PendingOp>, client_id: u64, msg: Msg) {
-    let own = |op: OpId| op.client == NodeId(client_id as usize);
-    match msg {
-        Msg::ReadReply {
-            op,
-            phase: Phase::Preliminary,
-            data,
-        } if own(op) => {
-            if let Some(p) = pending.get_mut(&op.seq) {
-                p.prelim = Some(data.clone());
-                let up = p.upcall.clone();
-                up.deliver(data, ConsistencyLevel::WEAK);
-            }
-        }
-        Msg::ReadReply { op, data, .. } if own(op) => {
-            finish(pending, op.seq, Some(data));
-        }
-        Msg::ReadConfirm { op, version } if own(op) => {
-            // *CC: confirm only against the preliminary we actually
-            // hold — never fabricate a strong view from nothing.
-            let Some(p) = pending.remove(&op.seq) else {
-                return;
-            };
-            match p.prelim.filter(|prelim| prelim.version == version) {
-                Some(prelim) => p.upcall.deliver(prelim, p.close_level),
-                None => p.upcall.fail(Error::Unavailable(
-                    "read confirmation without matching preliminary view".into(),
-                )),
-            }
-        }
-        Msg::WriteReply { op } if own(op) => finish(pending, op.seq, None),
-        Msg::OpFailed { op, .. } if own(op) => {
-            if let Some(p) = pending.remove(&op.seq) {
-                p.upcall.fail(Error::Timeout);
-            }
-        }
-        // Anything else: not ours, or not client-bound. Drop.
-        _ => {}
-    }
-}
-
-/// Fails every pending operation with `err`.
-pub(crate) fn fail_all_pending(pending: &mut IdMap<PendingOp>, err: impl Fn() -> Error) {
-    for (_, p) in pending.drain() {
-        p.upcall.fail(err());
     }
 }
 
@@ -206,7 +124,7 @@ impl TcpBinding {
     }
 
     /// Disconnects and stops serving this binding. Pending operations
-    /// fail with [`Error::Unavailable`]. Idempotent; dropping the last
+    /// fail with [`correctables::Error::Unavailable`]. Idempotent; dropping the last
     /// clone has the same effect.
     pub fn shutdown(&self) {
         self.rb.shutdown();
@@ -222,26 +140,12 @@ impl Binding for TcpBinding {
     }
 
     fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
-        // The same level→ReadKind mapping as the simulated QuorumBinding:
-        // both ends requested → server-side ICG read; strong only → one
-        // quorum read; weak only → one R=1 read.
-        let weak = levels.contains(&ConsistencyLevel::WEAK);
-        let strong = levels.contains(&ConsistencyLevel::STRONG);
-        let kind = match (weak, strong) {
-            (true, true) => ReadKind::Icg {
-                r: self.r_strong,
-                confirm: self.confirm,
-            },
-            (false, _) => ReadKind::Single { r: self.r_strong },
-            (true, false) => ReadKind::Single { r: 1 },
-        };
-        let close_level = upcall.strongest();
+        let kind = read_kind(levels, self.r_strong, self.confirm);
         self.rb.submit(ClientEv::Submit {
             binding: self.rb.id(),
             op,
             kind,
             upcall,
-            close_level,
         });
     }
 }

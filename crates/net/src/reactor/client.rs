@@ -25,13 +25,14 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use correctables::{ConsistencyLevel, Error, Upcall};
+use correctables::{Error, Upcall};
+use quorumstore::client::on_reply;
 use quorumstore::messages::Msg;
 use quorumstore::types::{ReadKind, Versioned};
-use quorumstore::{encode_submit, Deadlines, IdMap, StoreOp};
+use quorumstore::{encode_submit, ClientOp, Deadlines, IdMap, StoreOp};
 use simnet::NodeId;
 
-use crate::binding::{fail_all_pending, handle_reply, PendingOp, TcpConfig};
+use crate::binding::TcpConfig;
 use crate::spec_binding::SpecState;
 use crate::wire::{Reader, SpecOp};
 
@@ -54,7 +55,6 @@ pub(crate) enum ClientEv {
         op: StoreOp,
         kind: ReadKind,
         upcall: Upcall<Versioned>,
-        close_level: ConsistencyLevel,
     },
     /// The dialer re-established a connection for `binding`.
     DialOk {
@@ -331,7 +331,7 @@ fn dialer_loop(rx: Receiver<DialReq>, loops: Vec<Injector<ClientEv>>) {
 struct BState {
     cfg: TcpConfig,
     coordinator: Arc<Mutex<SocketAddr>>,
-    pending: IdMap<PendingOp>,
+    pending: IdMap<ClientOp>,
     next_seq: u64,
     /// The loop-local connection id of the live coordinator link.
     conn: Option<u64>,
@@ -347,7 +347,9 @@ struct BState {
 
 impl BState {
     fn fail_all(&mut self, err: impl Fn() -> Error) {
-        fail_all_pending(&mut self.pending, err);
+        for (_, p) in self.pending.drain() {
+            p.fail(err());
+        }
         self.unsent.clear();
     }
 }
@@ -387,7 +389,7 @@ impl Slot {
         match self {
             Slot::Quorum(st) => {
                 if let Some(p) = st.pending.remove(&seq) {
-                    p.upcall.fail(Error::Timeout);
+                    p.fail(Error::Timeout);
                 }
             }
             Slot::Spec(sp) => {
@@ -418,7 +420,6 @@ impl ClientHandler {
         op: StoreOp,
         kind: ReadKind,
         upcall: Upcall<Versioned>,
-        close_level: ConsistencyLevel,
     ) {
         let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
             upcall.fail(Error::Unavailable("client connection closed".into()));
@@ -451,16 +452,8 @@ impl ClientHandler {
         let seq = st.next_seq;
         st.next_seq += 1;
         let client = NodeId(st.cfg.client_id as usize);
-        let (msg, written) = encode_submit(client, seq, op, kind);
-        st.pending.insert(
-            seq,
-            PendingOp {
-                upcall,
-                close_level,
-                prelim: None,
-                written,
-            },
-        );
+        let (msg, entry) = encode_submit(client, seq, op, kind, upcall);
+        st.pending.insert(seq, entry);
         self.deadlines
             .arm(Instant::now() + st.cfg.op_timeout, (binding, seq));
         match st.conn {
@@ -490,7 +483,15 @@ impl Handler for ClientHandler {
             None => return,
         };
         match Reader::new(body).finish::<Msg>() {
-            Ok(msg) => handle_reply(&mut st.pending, st.cfg.client_id, msg),
+            Ok(msg) => {
+                let me = NodeId(st.cfg.client_id as usize);
+                let pending = &mut st.pending;
+                if let Some((seq, step)) = on_reply(me, msg, |seq| pending.get_mut(&seq)) {
+                    if step.finished() {
+                        pending.remove(&seq);
+                    }
+                }
+            }
             // An unparseable reply means the stream is corrupt: kill the
             // connection (on_close fails the binding's pending ops) —
             // never guess at what the reply might have been.
@@ -544,8 +545,7 @@ impl Handler for ClientHandler {
                 op,
                 kind,
                 upcall,
-                close_level,
-            } => self.submit(ctl, binding, op, kind, upcall, close_level),
+            } => self.submit(ctl, binding, op, kind, upcall),
             ClientEv::DialOk {
                 binding,
                 stream,

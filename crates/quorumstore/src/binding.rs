@@ -24,65 +24,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use correctables::{Binding, ConsistencyLevel, Error, KeyedOp, LevelSet, ObjectId, Upcall};
-use simnet::{Ctx, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
+use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
+use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
 
-use crate::cluster::Cluster;
-use crate::host::ReplicaConfig;
-use crate::messages::{Msg, Phase};
-use crate::types::{Key, OpId, ReadKind, Value, Version, Versioned};
-
-/// Operations accepted by the binding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StoreOp {
-    /// Read a key.
-    Read(Key),
-    /// Write a key (always `W = 1`, as in the paper's evaluation).
-    Write(Key, Value),
-}
-
-impl KeyedOp for StoreOp {
-    fn object_id(&self) -> ObjectId {
-        let key = match self {
-            StoreOp::Read(k) => k,
-            StoreOp::Write(k, _) => k,
-        };
-        // Spread the namespace across all bits so (ns, id) pairs rarely
-        // collide; the ring re-hashes this anyway.
-        ObjectId(key.id ^ u64::from(key.ns).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-}
-
-/// Builds the message that submits `op` as operation `seq` of `client`,
-/// plus the locally written record a write's final view falls back to.
-/// Every client of the store — the simulated gateway here, `icg-net`'s
-/// TCP binding — submits through this.
-pub fn encode_submit(
-    client: NodeId,
-    seq: u64,
-    op: StoreOp,
-    kind: ReadKind,
-) -> (Msg, Option<Versioned>) {
-    let id = OpId { client, seq };
-    match op {
-        StoreOp::Read(key) => (Msg::ClientRead { op: id, key, kind }, None),
-        StoreOp::Write(key, value) => {
-            let written = Versioned {
-                value: value.clone(),
-                version: Version::ZERO,
-            };
-            (
-                Msg::ClientWrite {
-                    op: id,
-                    key,
-                    value,
-                    w: 1,
-                },
-                Some(written),
-            )
-        }
-    }
-}
+use crate::client::{encode_submit, on_reply, read_kind, ClientOp, Step, StoreOp};
+use crate::host::{ReplicaConfig, SimReplica};
+use crate::messages::Msg;
+use crate::types::{Key, ReadKind, Value, Version, Versioned};
 
 /// Timing of one completed gateway operation, in virtual milliseconds.
 #[derive(Clone, Copy, Debug)]
@@ -95,133 +43,87 @@ pub struct OpTiming {
     pub is_read: bool,
 }
 
-/// One submission: the operation, its upcall, and how to read.
-pub struct QueuedOp {
-    op: StoreOp,
-    upcall: Upcall<Versioned>,
-    kind: ReadKind,
-    close_level: ConsistencyLevel,
-}
-
 type Timings = Arc<Mutex<Vec<OpTiming>>>;
 
-/// What the gateway keeps per outstanding operation.
+/// What the gateway keeps per outstanding operation: the client core's
+/// entry, and when things happened.
 pub struct GwPending {
-    upcall: Upcall<Versioned>,
-    close_level: ConsistencyLevel,
+    op: ClientOp,
     start: SimTime,
-    prelim: Option<Versioned>,
     prelim_at: Option<SimTime>,
     is_read: bool,
-    written: Option<Versioned>,
 }
 
-/// The quorum store's client protocol: every operation goes to one
-/// coordinator replica, which answers with a preliminary and/or final
-/// reply (or a confirmation of the preliminary, under *CC).
+/// The simulated host of the quorum store's client protocol
+/// ([`crate::client`]): every operation goes to one coordinator
+/// replica, and every closed one leaves an [`OpTiming`].
 pub struct QuorumClient {
     coordinator: NodeId,
     timings: Timings,
 }
 
 impl QuorumClient {
-    fn finish(
-        &self,
-        ctx: &Ctx<'_, Msg>,
-        pending: &mut PendingOps<GwPending>,
-        id: OpId,
-        data: Option<Versioned>,
-    ) {
-        let Some(p) = pending.remove(id.seq) else {
-            return;
+    fn new(coordinator: NodeId) -> (QuorumClient, Timings) {
+        let timings = Timings::default();
+        let proto = QuorumClient {
+            coordinator,
+            timings: Arc::clone(&timings),
         };
-        let now = ctx.now();
-        self.timings.lock().push(OpTiming {
-            prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
-            final_ms: now.since(p.start).as_millis_f64(),
-            is_read: p.is_read,
-        });
-        let value = data
-            .or(p.prelim)
-            .or(p.written)
-            .unwrap_or_else(Versioned::absent);
-        p.upcall.deliver(value, p.close_level);
+        (proto, timings)
     }
 }
 
 impl GatewayProto for QuorumClient {
     type Msg = Msg;
-    type Queued = QueuedOp;
+    /// One submission: the operation, how to read, and its upcall.
+    type Queued = (StoreOp, ReadKind, Upcall<Versioned>);
     type Pending = GwPending;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: QueuedOp) -> Option<GwPending> {
-        let (msg, written) = encode_submit(ctx.id(), seq, q.op, q.kind);
+    fn start(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        seq: u64,
+        (op, kind, upcall): Self::Queued,
+    ) -> Option<GwPending> {
+        let is_read = matches!(op, StoreOp::Read(_));
+        let (msg, op) = encode_submit(ctx.id(), seq, op, kind, upcall);
         ctx.send(self.coordinator, msg);
         Some(GwPending {
-            upcall: q.upcall,
-            close_level: q.close_level,
+            op,
             start: ctx.now(),
-            prelim: None,
             prelim_at: None,
-            is_read: written.is_none(),
-            written,
+            is_read,
         })
     }
 
     fn on_reply(&mut self, ctx: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
-        match msg {
-            Msg::ReadReply {
-                op,
-                phase: Phase::Preliminary,
-                data,
-            } => {
-                if let Some(p) = pending.get_mut(op.seq) {
-                    p.prelim = Some(data.clone());
-                    p.prelim_at = Some(ctx.now());
-                    let up = p.upcall.clone();
-                    up.deliver(data, ConsistencyLevel::WEAK);
-                }
+        let held = on_reply(ctx.id(), msg, |seq| pending.get_mut(seq).map(|p| &mut p.op));
+        let Some((seq, step)) = held else {
+            return;
+        };
+        let now = ctx.now();
+        if step == Step::Preliminary {
+            if let Some(p) = pending.get_mut(seq) {
+                p.prelim_at = Some(now);
             }
-            Msg::ReadReply { op, data, .. } => {
-                self.finish(ctx, pending, op, Some(data));
-            }
-            Msg::ReadConfirm { op, version } => {
-                // *CC: the final view equals the preliminary. Confirm only
-                // against the preliminary we actually hold: if it was lost
-                // in transit (or somehow mismatches), promoting a missing
-                // record to a strong view would fabricate a wrong result —
-                // fail the operation instead and let the client retry.
-                let confirmed = pending
-                    .get(op.seq)
-                    .and_then(|p| p.prelim.clone())
-                    .filter(|prelim| prelim.version == version);
-                match confirmed {
-                    Some(prelim) => self.finish(ctx, pending, op, Some(prelim)),
-                    None => {
-                        if let Some(p) = pending.remove(op.seq) {
-                            p.upcall.fail(Error::Unavailable(
-                                "read confirmation without matching preliminary view".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-            Msg::WriteReply { op } => {
-                self.finish(ctx, pending, op, None);
-            }
-            Msg::OpFailed { op, .. } => {
-                if let Some(p) = pending.remove(op.seq) {
-                    p.upcall.fail(Error::Timeout);
-                }
-            }
-            _ => {}
+            return;
+        }
+        let Some(p) = pending.remove(seq) else {
+            return;
+        };
+        if step == Step::Closed {
+            self.timings.lock().push(OpTiming {
+                prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
+                final_ms: now.since(p.start).as_millis_f64(),
+                is_read: p.is_read,
+            });
         }
     }
 
     /// A reply was lost (downtime, partition, drop) — fail the
     /// Correctable so callers observe the outage.
     fn expire(&mut self, p: GwPending) {
-        p.upcall.fail(Error::Timeout);
+        p.op.fail(Error::Timeout);
     }
 }
 
@@ -290,18 +192,51 @@ impl SimStore {
         coordinator_idx: usize,
         seed: u64,
     ) -> SimStore {
-        let site = topology.site_named(client_site).expect("known site");
-        let cluster = Cluster::build(topology, replica_sites, cfg, seed);
-        let timings = Timings::default();
-        let proto = QuorumClient {
-            coordinator: cluster.replicas[coordinator_idx],
-            timings: Arc::clone(&timings),
+        let site_named = |name: &str| {
+            let site = topology.site_named(name);
+            site.unwrap_or_else(|| panic!("unknown site {name}"))
         };
+        let client_site = site_named(client_site);
+        let sites: Vec<_> = replica_sites.iter().map(|n| site_named(n)).collect();
+        let mut engine = Engine::new(topology, seed);
+        // A fresh engine hands out node ids from zero, so each replica
+        // can be built knowing its peers.
+        let replicas: Vec<NodeId> = (0..sites.len()).map(NodeId).collect();
+        for (i, site) in sites.iter().enumerate() {
+            let peers = NodeId::peers_of(&replicas, i);
+            let distance = peers
+                .iter()
+                .map(|p| engine.topology().base_one_way(*site, sites[p.0]))
+                .collect();
+            let replica = SimReplica::new(cfg, replicas[i], peers, distance);
+            let id = engine.add_node(*site, Box::new(replica));
+            assert_eq!(id, replicas[i], "replicas are the engine's first nodes");
+        }
+        let (proto, timings) = QuorumClient::new(replicas[coordinator_idx]);
         SimStore {
-            host: SimHost::new(cluster.engine, cluster.replicas, site, proto),
+            host: SimHost::new(engine, replicas, client_site, proto),
             timings,
             r_strong,
             confirm,
+        }
+    }
+
+    /// One more client of the same deployment: a gateway at
+    /// `client_site` connected to `coordinator_idx`, with its own op
+    /// ids, client deadline, clock, `settle` and [`SimStore::timings`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site name is unknown or `coordinator_idx` is out of
+    /// range.
+    pub fn client_at(&self, client_site: &str, coordinator_idx: usize) -> SimStore {
+        let site = self.with_engine(|e| e.topology().site_named(client_site));
+        let (proto, timings) = QuorumClient::new(self.replica_ids()[coordinator_idx]);
+        SimStore {
+            host: self.host.add_gateway(site.expect("known site"), proto),
+            timings,
+            r_strong: self.r_strong,
+            confirm: self.confirm,
         }
     }
 
@@ -317,12 +252,22 @@ impl SimStore {
         }
     }
 
-    /// Seeds records on every replica (converged dataset).
+    /// Seeds every replica with the same records (version 1), modelling a
+    /// converged preloaded dataset as YCSB's load phase produces.
     pub fn preload<I>(&self, records: I)
     where
         I: IntoIterator<Item = (Key, Value)>,
     {
-        self.with_engine(|e| Cluster::preload_into(e, &self.replica_ids(), records));
+        let version = Version { ts: 1, writer: 0 };
+        let seeded: Vec<(Key, Versioned)> = records
+            .into_iter()
+            .map(|(k, value)| (k, Versioned { value, version }))
+            .collect();
+        self.each_replica(|r: &mut SimReplica| {
+            for (k, v) in &seeded {
+                r.store().apply(*k, v.clone());
+            }
+        });
     }
 
     /// Timings of all completed operations so far.
@@ -351,25 +296,8 @@ impl Binding for QuorumBinding {
     }
 
     fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
-        let weak = levels.contains(&ConsistencyLevel::WEAK);
-        let strong = levels.contains(&ConsistencyLevel::STRONG);
-        let kind = match (weak, strong) {
-            (true, true) => ReadKind::Icg {
-                r: self.store.r_strong,
-                confirm: self.store.confirm,
-            },
-            (false, _) => ReadKind::Single {
-                r: self.store.r_strong,
-            },
-            (true, false) => ReadKind::Single { r: 1 },
-        };
-        let close_level = upcall.strongest();
-        self.store.enqueue(QueuedOp {
-            op,
-            upcall,
-            kind,
-            close_level,
-        });
+        let kind = read_kind(levels, self.store.r_strong, self.store.confirm);
+        self.store.enqueue((op, kind, upcall));
     }
 }
 
@@ -383,6 +311,16 @@ mod tests {
         let s = SimStore::ec2(ReplicaConfig::default(), 2, confirm, "IRL", 0, 42);
         s.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
         s
+    }
+
+    #[test]
+    fn preload_seeds_each_of_the_three_replicas() {
+        let s = store(false);
+        assert_eq!(s.replica_ids().len(), 3);
+        let seeded = s.each_replica(|r: &mut SimReplica| {
+            (r.store().len(), r.store().get(Key::plain(3)).version.ts)
+        });
+        assert_eq!(seeded, [(32, 1); 3]);
     }
 
     #[test]
@@ -470,5 +408,45 @@ mod tests {
         // read (~40ms): total ~60ms, well before prelim+final+strong (~80).
         let ts = s.timings();
         assert_eq!(ts.len(), 2, "outer read + nested read");
+    }
+
+    #[test]
+    fn stray_write_ack_fails_a_read_instead_of_fabricating_absent() {
+        let s = store(false);
+        s.set_client_timeout(simnet::SimDuration::from_secs(1));
+        let client = Client::new(s.binding());
+        let c = client.invoke_strong(StoreOp::Read(Key::plain(1)));
+        // A confused (or hostile) coordinator acknowledges the read as
+        // if it were a write; it lands before the real reply.
+        let (gw, frk) = (s.gateway_id(), s.replica_ids()[0]);
+        let ack = Msg::WriteReply {
+            op: crate::types::OpId { client: gw, seq: 0 },
+        };
+        let soon = simnet::SimDuration::from_millis(1);
+        s.with_engine(|e| e.schedule_message(frk, gw, soon, ack));
+        s.settle();
+        // Not "the key does not exist", at STRONG.
+        assert!(c.final_view().is_none());
+        assert!(matches!(c.error(), Some(Error::Unavailable(_))));
+        assert!(s.timings().is_empty(), "a failed op leaves no timing");
+    }
+
+    #[test]
+    fn two_clients_of_one_deployment_keep_their_own_books() {
+        let irl = store(false);
+        irl.set_client_timeout(simnet::SimDuration::from_secs(1));
+        let frk = irl.client_at("FRK", 2);
+        let near = Client::new(irl.binding()).invoke(StoreOp::Read(Key::plain(1)));
+        let far = Client::new(frk.binding()).invoke_weak(StoreOp::Read(Key::plain(2)));
+        // Settling one client drives the shared engine but kicks only
+        // that client's gateway.
+        irl.settle();
+        assert_eq!((near.state(), far.state()), (State::Final, State::Updating));
+        frk.settle();
+        assert_eq!(far.state(), State::Final);
+        // Both ops are seq 0 of their client: neither closed the other's.
+        assert_eq!((irl.timings().len(), frk.timings().len()), (1, 1));
+        assert!(irl.timings()[0].prelim_ms.is_some() && frk.timings()[0].prelim_ms.is_none());
+        assert!(frk.gateway_link_bytes() > 0 && irl.gateway_id() != frk.gateway_id());
     }
 }

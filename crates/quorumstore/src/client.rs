@@ -1,336 +1,416 @@
-//! Closed-loop YCSB client driver for the quorum store.
+//! The client half of the quorum protocol, free of any I/O.
 //!
-//! A [`WorkloadClient`] models one YCSB process with `threads` virtual
-//! client threads: each thread keeps exactly one operation outstanding and
-//! issues the next as soon as the previous completes. Latency, divergence
-//! (preliminary ≠ final), and completion counts are recorded inside a
-//! configurable measurement window, mirroring the paper's practice of
-//! running 60-second trials and eliding the first and last 15 seconds.
+//! A client of the store — the simulated gateway ([`crate::binding`]),
+//! `icg-net`'s TCP binding — sends one [`Msg::ClientRead`] or
+//! [`Msg::ClientWrite`] per operation to a coordinator replica and reads
+//! the answers into the operation's [`Upcall`]. What is the same for
+//! every such client lives here, once, the way the replica half lives in
+//! [`crate::protocol::ReplicaCore`]:
+//!
+//! - which read to ask for, given the levels requested ([`read_kind`]);
+//! - the submit message and what to keep while the operation is in
+//!   flight ([`encode_submit`] → [`ClientOp`]);
+//! - the reply state machine ([`on_reply`]): a preliminary is held and
+//!   delivered at `WEAK`; a final or single reply closes with its
+//!   record; a `*CC` confirmation closes with the *held* preliminary iff
+//!   the versions match; a write acknowledgment closes with the record
+//!   written; a coordinator failure closes with `Timeout`. A closing
+//!   reply that leaves nothing to deliver fails `Unavailable` — a view,
+//!   once delivered, was really observed at that level, so none is ever
+//!   made up. Replies addressed to another client's operation are
+//!   ignored.
+//!
+//! The host owns the table of open operations (the gateway a window over
+//! its op ids, the reactor loop an [`crate::IdMap`]), mints sequence
+//! numbers, arms the client deadline and moves the bytes; it hands
+//! [`on_reply`] a lookup and removes the entry when told the operation
+//! finished.
 
-use std::any::Any;
-use std::collections::HashMap;
-
-use simnet::{Ctx, Histogram, Node, NodeId, SimTime, Timer};
-use ycsb::{Generator, Op, Workload};
+use correctables::{ConsistencyLevel, Error, KeyedOp, ObjectId, Upcall};
+use simnet::NodeId;
 
 use crate::messages::{Msg, Phase};
-use crate::types::{Key, OpId, ReadKind, Value, Version};
+use crate::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 
-/// Timer token that kicks off the client's virtual threads.
-pub const KICKOFF: u64 = u64::MAX;
-
-/// Client-side per-operation deadline: if neither a reply nor a
-/// coordinator failure arrives (e.g. the request itself was lost), the
-/// virtual thread gives up and moves on.
-pub const CLIENT_OP_TIMEOUT_MS: u64 = 2_000;
-
-/// Which system variant the client exercises (paper notation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SystemConfig {
-    /// Read execution mode: `C1`/`C2`/`C3` use [`ReadKind::Single`],
-    /// `CC2`/`CC3` use [`ReadKind::Icg`] (with `confirm` for `*CC`).
-    pub read_kind: ReadKind,
-    /// Write quorum size (the paper uses `W = 1` throughout).
-    pub write_w: u8,
+/// Operations a client can submit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StoreOp {
+    /// Read a key.
+    Read(Key),
+    /// Write a key (always `W = 1`, as in the paper's evaluation).
+    Write(Key, Value),
 }
 
-impl SystemConfig {
-    /// Baseline Cassandra with read quorum `r`.
-    pub fn baseline(r: u8) -> Self {
-        SystemConfig {
-            read_kind: ReadKind::Single { r },
-            write_w: 1,
-        }
-    }
-
-    /// Correctable Cassandra with final read quorum `r`.
-    pub fn correctable(r: u8) -> Self {
-        SystemConfig {
-            read_kind: ReadKind::Icg { r, confirm: false },
-            write_w: 1,
-        }
-    }
-
-    /// *CC: Correctable Cassandra with the confirmation optimization.
-    pub fn correctable_optimized(r: u8) -> Self {
-        SystemConfig {
-            read_kind: ReadKind::Icg { r, confirm: true },
-            write_w: 1,
-        }
-    }
-
-    /// Display label in the paper's notation (C1, CC2, *CC2, …).
-    pub fn label(&self) -> String {
-        match self.read_kind {
-            ReadKind::Single { r } => format!("C{r}"),
-            ReadKind::Icg { r, confirm: false } => format!("CC{r}"),
-            ReadKind::Icg { r, confirm: true } => format!("*CC{r}"),
-        }
+impl KeyedOp for StoreOp {
+    fn object_id(&self) -> ObjectId {
+        let key = match self {
+            StoreOp::Read(k) => k,
+            StoreOp::Write(k, _) => k,
+        };
+        // Spread the namespace across all bits so (ns, id) pairs rarely
+        // collide; the ring re-hashes this anyway.
+        ObjectId(key.id ^ u64::from(key.ns).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
-/// Everything a client measures.
-#[derive(Clone, Debug, Default)]
-pub struct ClientMetrics {
-    /// Latency of preliminary views (ICG reads only).
-    pub prelim_latency: Histogram,
-    /// Latency of the final (or only) read reply.
-    pub final_latency: Histogram,
-    /// Latency of write acknowledgments.
-    pub write_latency: Histogram,
-    /// Reads completed inside the measurement window.
-    pub reads: u64,
-    /// Writes completed inside the measurement window.
-    pub writes: u64,
-    /// ICG reads whose preliminary version differed from the final.
-    pub divergent: u64,
-    /// ICG reads measured for divergence.
-    pub icg_reads: u64,
-    /// Operations that failed (timeouts under fault injection).
-    pub failed: u64,
-    /// Operations completed regardless of the window (progress check).
-    pub total_completed: u64,
+/// How to read, given the levels an invocation asked for: both ends →
+/// one server-side ICG read (preliminary flush, then the quorum view);
+/// strong only → one quorum read; weak only → one `R = 1` read.
+pub fn read_kind(levels: &[ConsistencyLevel], r_strong: u8, confirm: bool) -> ReadKind {
+    let weak = levels.contains(&ConsistencyLevel::WEAK);
+    let strong = levels.contains(&ConsistencyLevel::STRONG);
+    match (weak, strong) {
+        (true, true) => ReadKind::Icg {
+            r: r_strong,
+            confirm,
+        },
+        (false, _) => ReadKind::Single { r: r_strong },
+        (true, false) => ReadKind::Single { r: 1 },
+    }
 }
 
-impl ClientMetrics {
-    /// Operations (reads + writes) completed inside the window.
-    pub fn completed(&self) -> u64 {
-        self.reads + self.writes
-    }
+/// One operation in flight: where its views go and what a closing reply
+/// may fall back to.
+pub struct ClientOp {
+    upcall: Upcall<Versioned>,
+    close_level: ConsistencyLevel,
+    /// The preliminary view, held for a `*CC` confirmation to promote.
+    prelim: Option<Versioned>,
+    /// The record a write submitted: its acknowledgment carries none.
+    written: Option<Versioned>,
+}
 
-    /// Fraction of ICG reads that diverged.
-    pub fn divergence(&self) -> f64 {
-        if self.icg_reads == 0 {
-            0.0
+impl ClientOp {
+    /// Closes the operation exceptionally (client deadline, lost
+    /// connection). Views already delivered stand.
+    pub fn fail(self, err: Error) {
+        self.upcall.fail(err);
+    }
+}
+
+/// Builds the message that submits `op` as operation `seq` of `client`,
+/// and the entry to keep until [`on_reply`] says the operation finished.
+/// Nothing else in the tree sends a client request.
+pub fn encode_submit(
+    client: NodeId,
+    seq: u64,
+    op: StoreOp,
+    kind: ReadKind,
+    upcall: Upcall<Versioned>,
+) -> (Msg, ClientOp) {
+    let id = OpId { client, seq };
+    let (msg, written) = match op {
+        StoreOp::Read(key) => (Msg::ClientRead { op: id, key, kind }, None),
+        StoreOp::Write(key, value) => {
+            let written = Versioned {
+                value: value.clone(),
+                version: Version::ZERO,
+            };
+            let msg = Msg::ClientWrite {
+                op: id,
+                key,
+                value,
+                w: 1,
+            };
+            (msg, Some(written))
+        }
+    };
+    let entry = ClientOp {
+        close_level: upcall.strongest(),
+        upcall,
+        prelim: None,
+        written,
+    };
+    (msg, entry)
+}
+
+/// What one reply did to the operation it answers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Step {
+    /// A preliminary view was delivered and is held; the operation
+    /// stays open.
+    Preliminary,
+    /// The operation closed with a view.
+    Closed,
+    /// The operation closed with an error.
+    Failed,
+}
+
+impl Step {
+    /// Whether the host should drop the operation's entry.
+    pub fn finished(self) -> bool {
+        self != Step::Preliminary
+    }
+}
+
+/// Routes one message a coordinator sent to `client` into the operation
+/// it answers, found through `entry` (sequence number → open entry).
+/// Returns that sequence number and what happened, or `None` if the
+/// message answers nothing open here: another client's operation, one
+/// that already finished, or not a reply at all.
+pub fn on_reply<'t>(
+    client: NodeId,
+    msg: Msg,
+    entry: impl FnOnce(u64) -> Option<&'t mut ClientOp>,
+) -> Option<(u64, Step)> {
+    let own = |op: OpId| {
+        let p = if op.client == client {
+            entry(op.seq)
         } else {
-            self.divergent as f64 / self.icg_reads as f64
-        }
-    }
-}
-
-struct PendingOp {
-    thread: u32,
-    start: SimTime,
-    prelim: Option<(SimTime, Version)>,
-    is_read: bool,
-}
-
-/// A closed-loop YCSB client node.
-pub struct WorkloadClient {
-    coordinator: NodeId,
-    sys: SystemConfig,
-    record_len: u32,
-    gens: Vec<Generator>,
-    next_seq: u64,
-    pending: HashMap<OpId, PendingOp>,
-    measure_from: SimTime,
-    measure_until: SimTime,
-    /// Collected measurements (readable after the run via `node_as`).
-    pub metrics: ClientMetrics,
-}
-
-impl WorkloadClient {
-    /// Creates a client with `threads` virtual threads driving `workload`
-    /// against `coordinator`, measuring inside `[measure_from, measure_until)`.
-    pub fn new(
-        coordinator: NodeId,
-        sys: SystemConfig,
-        workload: &Workload,
-        threads: u32,
-        seed: u64,
-        measure_from: SimTime,
-        measure_until: SimTime,
-    ) -> Self {
-        let gens = (0..threads)
-            .map(|t| workload.generator(seed.wrapping_mul(0x9E37_79B9).wrapping_add(t as u64)))
-            .collect();
-        WorkloadClient {
-            coordinator,
-            sys,
-            record_len: workload.value_size as u32,
-            gens,
-            next_seq: 0,
-            pending: HashMap::new(),
-            measure_from,
-            measure_until,
-            metrics: ClientMetrics::default(),
-        }
-    }
-
-    fn in_window(&self, t: SimTime) -> bool {
-        self.measure_from <= t && t < self.measure_until
-    }
-
-    fn issue_next(&mut self, ctx: &mut Ctx<'_, Msg>, thread: u32) {
-        let op = self.gens[thread as usize].next_op();
-        let id = OpId {
-            client: ctx.id(),
-            seq: self.next_seq,
+            None
         };
-        self.next_seq += 1;
-        // Client-side deadline guards against lost requests/replies.
-        ctx.set_timer(
-            simnet::SimDuration::from_millis(CLIENT_OP_TIMEOUT_MS),
-            Timer(id.seq),
-        );
-        let (msg, is_read) = match op {
-            Op::Read(k) => (
-                Msg::ClientRead {
-                    op: id,
-                    key: Key::plain(k),
-                    kind: self.sys.read_kind,
-                },
-                true,
-            ),
-            Op::Update { key, len } => (
-                Msg::ClientWrite {
-                    op: id,
-                    key: Key::plain(key),
-                    value: Value::Delta {
-                        field_len: len as u32,
-                        record_len: self.record_len,
-                    },
-                    w: self.sys.write_w,
-                },
-                false,
-            ),
-        };
-        self.pending.insert(
-            id,
-            PendingOp {
-                thread,
-                start: ctx.now(),
-                prelim: None,
-                is_read,
-            },
-        );
-        ctx.send(self.coordinator, msg);
-    }
-
-    fn complete(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        id: OpId,
-        final_version: Option<Version>,
-        failed: bool,
-    ) {
-        let Some(p) = self.pending.remove(&id) else {
-            return;
-        };
-        let now = ctx.now();
-        self.metrics.total_completed += 1;
-        if self.in_window(now) {
-            if failed {
-                self.metrics.failed += 1;
-            } else if p.is_read {
-                self.metrics.reads += 1;
-                self.metrics.final_latency.record(now.since(p.start));
-                if let Some((pt, pv)) = p.prelim {
-                    self.metrics.prelim_latency.record(pt.since(p.start));
-                    self.metrics.icg_reads += 1;
-                    if Some(pv) != final_version {
-                        self.metrics.divergent += 1;
-                    }
-                }
-            } else {
-                self.metrics.writes += 1;
-                self.metrics.write_latency.record(now.since(p.start));
-            }
+        p.map(|p| (op.seq, p))
+    };
+    // Closes with `view`, or fails if the reply left none to deliver.
+    let close = |p: &mut ClientOp, view: Option<Versioned>, missing: &str| match view {
+        Some(v) => {
+            p.upcall.deliver(v, p.close_level);
+            Step::Closed
         }
-        self.issue_next(ctx, p.thread);
-    }
-}
-
-impl Node<Msg> for WorkloadClient {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
-        match msg {
-            Msg::ReadReply {
-                op,
-                phase: Phase::Preliminary,
-                data,
-            } => {
-                if let Some(p) = self.pending.get_mut(&op) {
-                    p.prelim = Some((ctx.now(), data.version));
-                }
-            }
-            Msg::ReadReply {
-                op,
-                phase: Phase::Final,
-                data,
-            }
-            | Msg::ReadReply {
-                op,
-                phase: Phase::Single,
-                data,
-            } => {
-                self.complete(ctx, op, Some(data.version), false);
-            }
-            Msg::ReadConfirm { op, version } => {
-                // The final view equals the preliminary one by definition;
-                // fall back to the confirmed version if the preliminary
-                // reply was lost (the workload client only tracks staleness
-                // statistics, so the version itself is all it needs).
-                let pv = self
-                    .pending
-                    .get(&op)
-                    .and_then(|p| p.prelim.map(|(_, v)| v))
-                    .or(Some(version));
-                self.complete(ctx, op, pv, false);
-            }
-            Msg::WriteReply { op } => {
-                self.complete(ctx, op, None, false);
-            }
-            Msg::OpFailed { op, .. } => {
-                self.complete(ctx, op, None, true);
-            }
-            _ => {}
+        None => {
+            p.upcall.fail(Error::Unavailable(missing.into()));
+            Step::Failed
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        if timer.0 == KICKOFF {
-            for t in 0..self.gens.len() as u32 {
-                self.issue_next(ctx, t);
-            }
-            return;
+    };
+    match msg {
+        Msg::ReadReply {
+            op,
+            phase: Phase::Preliminary,
+            data,
+        } => {
+            let (seq, p) = own(op)?;
+            p.prelim = Some(data.clone());
+            p.upcall.deliver(data, ConsistencyLevel::WEAK);
+            Some((seq, Step::Preliminary))
         }
-        // A per-operation deadline fired; give up if still outstanding.
-        let id = OpId {
-            client: ctx.id(),
-            seq: timer.0,
-        };
-        if self.pending.contains_key(&id) {
-            self.complete(ctx, id, None, true);
+        Msg::ReadReply { op, data, .. } => {
+            let (seq, p) = own(op)?;
+            p.upcall.deliver(data, p.close_level);
+            Some((seq, Step::Closed))
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
+        Msg::ReadConfirm { op, version } => {
+            // *CC: the final view equals the preliminary. Confirm only
+            // against the preliminary actually held: if it was lost in
+            // transit, promoting nothing to a strong view would
+            // fabricate a result.
+            let (seq, p) = own(op)?;
+            let held = p.prelim.take().filter(|held| held.version == version);
+            let missing = "read confirmation without matching preliminary view";
+            Some((seq, close(p, held, missing)))
+        }
+        Msg::WriteReply { op } => {
+            let (seq, p) = own(op)?;
+            let written = p.written.take();
+            let missing = "write acknowledgment for an operation that wrote nothing";
+            Some((seq, close(p, written, missing)))
+        }
+        Msg::OpFailed { op, .. } => {
+            let (seq, p) = own(op)?;
+            p.upcall.fail(Error::Timeout);
+            Some((seq, Step::Failed))
+        }
+        // Replica-to-replica traffic and client requests answer nothing.
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadlines::IdMap;
+    use correctables::{Correctable, State};
 
-    #[test]
-    fn system_labels_match_paper_notation() {
-        assert_eq!(SystemConfig::baseline(1).label(), "C1");
-        assert_eq!(SystemConfig::baseline(3).label(), "C3");
-        assert_eq!(SystemConfig::correctable(2).label(), "CC2");
-        assert_eq!(SystemConfig::correctable_optimized(2).label(), "*CC2");
+    const ME: NodeId = NodeId(7);
+    const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
+    const STRONG: ConsistencyLevel = ConsistencyLevel::STRONG;
+
+    fn record(v: u32, ts: u64) -> Versioned {
+        Versioned {
+            value: Value::Opaque(v),
+            version: Version { ts, writer: 1 },
+        }
+    }
+
+    /// A host reduced to its table: lookup → core → remove if finished.
+    #[derive(Default)]
+    struct Table(IdMap<ClientOp>);
+
+    impl Table {
+        fn submit(
+            &mut self,
+            seq: u64,
+            op: StoreOp,
+            levels: &[ConsistencyLevel],
+        ) -> Correctable<Versioned> {
+            let (c, handle) = Correctable::pending();
+            let upcall = Upcall::for_levels(handle, levels);
+            let (_msg, entry) = encode_submit(ME, seq, op, read_kind(levels, 2, true), upcall);
+            self.0.insert(seq, entry);
+            c
+        }
+
+        fn feed(&mut self, msg: Msg) -> Option<Step> {
+            let (seq, step) = on_reply(ME, msg, |seq| self.0.get_mut(&seq))?;
+            if step.finished() {
+                self.0.remove(&seq);
+            }
+            Some(step)
+        }
+    }
+
+    fn op(seq: u64) -> OpId {
+        OpId { client: ME, seq }
+    }
+
+    fn reply(seq: u64, phase: Phase, data: Versioned) -> Msg {
+        Msg::ReadReply {
+            op: op(seq),
+            phase,
+            data,
+        }
+    }
+
+    fn unavailable(c: &Correctable<Versioned>) -> bool {
+        c.state() == State::Error && matches!(c.error(), Some(Error::Unavailable(_)))
     }
 
     #[test]
-    fn metrics_divergence_math() {
-        let m = ClientMetrics {
-            divergent: 25,
-            icg_reads: 100,
-            ..Default::default()
+    fn levels_choose_the_read() {
+        assert_eq!(
+            read_kind(&[WEAK, STRONG], 3, true),
+            ReadKind::Icg {
+                r: 3,
+                confirm: true
+            }
+        );
+        assert_eq!(read_kind(&[STRONG], 3, true), ReadKind::Single { r: 3 });
+        assert_eq!(read_kind(&[WEAK], 3, true), ReadKind::Single { r: 1 });
+    }
+
+    #[test]
+    fn submit_is_the_client_request() {
+        let (_c, handle) = Correctable::pending();
+        let kind = ReadKind::Single { r: 2 };
+        let write = StoreOp::Write(Key::plain(4), Value::Opaque(9));
+        let (msg, _entry) = encode_submit(ME, 5, write, kind, Upcall::new(handle, STRONG));
+        assert_eq!(
+            msg,
+            Msg::ClientWrite {
+                op: op(5),
+                key: Key::plain(4),
+                value: Value::Opaque(9),
+                w: 1
+            }
+        );
+    }
+
+    #[test]
+    fn icg_read_delivers_weak_then_closes_strong() {
+        let mut t = Table::default();
+        let c = t.submit(0, StoreOp::Read(Key::plain(1)), &[WEAK, STRONG]);
+        assert_eq!(
+            t.feed(reply(0, Phase::Preliminary, record(1, 1))),
+            Some(Step::Preliminary)
+        );
+        assert_eq!(c.state(), State::Updating);
+        assert_eq!(c.preliminary_views()[0].level, WEAK);
+        assert_eq!(
+            t.feed(reply(0, Phase::Final, record(2, 2))),
+            Some(Step::Closed)
+        );
+        let v = c.final_view().expect("closed");
+        assert_eq!((v.level, v.value), (STRONG, record(2, 2)));
+        assert!(t.0.is_empty());
+    }
+
+    #[test]
+    fn confirmation_closes_with_the_held_record() {
+        let mut t = Table::default();
+        let c = t.submit(0, StoreOp::Read(Key::plain(1)), &[WEAK, STRONG]);
+        t.feed(reply(0, Phase::Preliminary, record(5, 3)));
+        let confirm = Msg::ReadConfirm {
+            op: op(0),
+            version: record(5, 3).version,
         };
-        assert!((m.divergence() - 0.25).abs() < 1e-9);
-        let empty = ClientMetrics::default();
-        assert_eq!(empty.divergence(), 0.0);
-        assert_eq!(empty.completed(), 0);
+        assert_eq!(t.feed(confirm), Some(Step::Closed));
+        let v = c.final_view().expect("closed");
+        assert_eq!((v.level, v.value), (STRONG, record(5, 3)));
+    }
+
+    #[test]
+    fn confirmation_without_a_matching_preliminary_fails_unavailable() {
+        let mut t = Table::default();
+        // The preliminary was lost in transit.
+        let lost = t.submit(0, StoreOp::Read(Key::plain(1)), &[WEAK, STRONG]);
+        // The preliminary held is of another version.
+        let stale = t.submit(1, StoreOp::Read(Key::plain(1)), &[WEAK, STRONG]);
+        t.feed(reply(1, Phase::Preliminary, record(5, 3)));
+        for seq in [0, 1] {
+            let confirm = Msg::ReadConfirm {
+                op: op(seq),
+                version: record(5, 4).version,
+            };
+            assert_eq!(t.feed(confirm), Some(Step::Failed));
+        }
+        assert!(unavailable(&lost) && unavailable(&stale));
+        assert!(t.0.is_empty());
+    }
+
+    #[test]
+    fn write_ack_for_a_read_that_holds_nothing_fails_unavailable() {
+        let mut t = Table::default();
+        let read = t.submit(0, StoreOp::Read(Key::plain(1)), &[STRONG]);
+        assert_eq!(t.feed(Msg::WriteReply { op: op(0) }), Some(Step::Failed));
+        // Not "the key does not exist", at STRONG.
+        assert!(unavailable(&read));
+        let write = t.submit(
+            1,
+            StoreOp::Write(Key::plain(1), Value::Opaque(8)),
+            &[STRONG],
+        );
+        assert_eq!(t.feed(Msg::WriteReply { op: op(1) }), Some(Step::Closed));
+        assert_eq!(
+            write.final_view().expect("closed").value.value,
+            Value::Opaque(8)
+        );
+    }
+
+    #[test]
+    fn another_clients_reply_is_ignored_and_the_entry_stays() {
+        let mut t = Table::default();
+        let c = t.submit(0, StoreOp::Read(Key::plain(1)), &[STRONG]);
+        let theirs = Msg::ReadReply {
+            op: OpId {
+                client: NodeId(8),
+                seq: 0,
+            },
+            phase: Phase::Single,
+            data: record(1, 1),
+        };
+        assert_eq!(t.feed(theirs), None);
+        assert_eq!((c.state(), t.0.len()), (State::Updating, 1));
+        // Nor does a request or peer traffic answer anything.
+        let peer = Msg::PeerWriteAck { op: op(0) };
+        assert_eq!(t.feed(peer), None);
+        assert_eq!(t.0.len(), 1);
+    }
+
+    #[test]
+    fn coordinator_failure_is_a_timeout_and_a_second_close_is_a_no_op() {
+        let mut t = Table::default();
+        let failed = t.submit(0, StoreOp::Read(Key::plain(1)), &[STRONG]);
+        let fail = Msg::OpFailed {
+            op: op(0),
+            reason: crate::messages::FailReason::Timeout,
+        };
+        assert_eq!(t.feed(fail), Some(Step::Failed));
+        assert!(matches!(failed.error(), Some(Error::Timeout)));
+        let closed = t.submit(1, StoreOp::Read(Key::plain(1)), &[STRONG]);
+        assert_eq!(
+            t.feed(reply(1, Phase::Single, record(1, 1))),
+            Some(Step::Closed)
+        );
+        assert_eq!(t.feed(reply(1, Phase::Single, record(2, 2))), None);
+        assert_eq!(closed.final_view().expect("closed").value, record(1, 1));
     }
 }

@@ -21,14 +21,16 @@
 //!   coordinator, asks further peers when the ones it asked stay silent
 //!   for a quarter of the operation timeout, and fails at the timeout.
 //!
-//! Drive it either with the closed-loop YCSB clients
-//! ([`client::WorkloadClient`], used by the Figure 5–8 harnesses) or
-//! through the Correctables [`binding::SimStore`] binding (used by the
-//! examples and the case studies).
+//! There is one way to talk to it: a `correctables::Client` over a
+//! binding. Under simulation that is [`binding::SimStore`] — a
+//! deployment may have several clients ([`binding::SimStore::client_at`]),
+//! which is how the Figure 5–8 harnesses run the paper's one YCSB client
+//! per region — and over TCP `icg-net`'s `TcpBinding`. Both are hosts of
+//! the one client protocol in [`client`], as both replicas are hosts of
+//! [`protocol::ReplicaCore`].
 
 pub mod binding;
 pub mod client;
-pub mod cluster;
 pub mod deadlines;
 pub mod host;
 pub mod messages;
@@ -38,9 +40,8 @@ pub mod protocol;
 pub mod storage;
 pub mod types;
 
-pub use binding::{encode_submit, OpTiming, QuorumBinding, SimStore, StoreOp};
-pub use client::{ClientMetrics, SystemConfig, WorkloadClient, KICKOFF};
-pub use cluster::Cluster;
+pub use binding::{OpTiming, QuorumBinding, SimStore};
+pub use client::{encode_submit, read_kind, ClientOp, StoreOp};
 pub use deadlines::{Deadlines, IdMap};
 pub use host::{ReplicaConfig, SimReplica};
 pub use messages::{FailReason, Msg, Phase, FRAME_BYTES};

@@ -1,5 +1,6 @@
-//! The simulated deployment shell: one client gateway node and one
-//! host handle under every simulated store.
+//! The simulated deployment shell: a client gateway node and a host
+//! handle under every simulated store (one of each per client — most
+//! deployments have one, see [`SimHost::add_gateway`]).
 //!
 //! The simulator is single-threaded, so a binding's `submit` can only
 //! *enqueue* an operation; something inside the simulation has to pick
@@ -256,14 +257,43 @@ impl<P: GatewayProto> SimHost<P> {
     /// Takes over `engine`, whose `replicas` are already wired, and adds
     /// the client gateway at `client_site` speaking `proto`.
     pub fn new(
-        mut engine: Engine<P::Msg>,
+        engine: Engine<P::Msg>,
         replicas: Vec<NodeId>,
+        client_site: SiteId,
+        proto: P,
+    ) -> Self {
+        Self::attach(
+            Arc::new(Mutex::new(engine)),
+            replicas.into(),
+            client_site,
+            proto,
+        )
+    }
+
+    /// Adds one more client to the deployment: a further gateway node at
+    /// `client_site` speaking `proto`, behind a handle of its own. The
+    /// handles share the engine and the replicas; queue, op ids, client
+    /// deadline, clock mirror and `settle` ("until *this* client's
+    /// operations closed") are per client. Only [`SimHost::settle`] and
+    /// [`SimHost::step`] kick a gateway, and only their own.
+    pub fn add_gateway(&self, client_site: SiteId, proto: P) -> Self {
+        Self::attach(
+            Arc::clone(&self.engine),
+            Arc::clone(&self.replicas),
+            client_site,
+            proto,
+        )
+    }
+
+    fn attach(
+        engine: Arc<Mutex<Engine<P::Msg>>>,
+        replicas: Arc<[NodeId]>,
         client_site: SiteId,
         proto: P,
     ) -> Self {
         let queue: Queue<P::Queued> = Arc::default();
         let clock = Arc::new(AtomicU64::new(0));
-        let gateway = engine.add_node(
+        let gateway = engine.lock().add_node(
             client_site,
             Box::new(SimGateway {
                 proto,
@@ -275,9 +305,9 @@ impl<P: GatewayProto> SimHost<P> {
             }),
         );
         SimHost {
-            engine: Arc::new(Mutex::new(engine)),
+            engine,
             gateway,
-            replicas: replicas.into(),
+            replicas,
             queue,
             clock,
         }
@@ -736,5 +766,58 @@ mod tests {
         assert_eq!(tables(&host), (0, 1));
         host.step(SimDuration::from_millis(25));
         assert_eq!(second.state(), State::Final);
+    }
+
+    #[test]
+    fn two_gateways_share_the_engine_and_nothing_else() {
+        let ms = SimDuration::from_millis;
+        let (a, client_a) = toy();
+        let echo = a.replica_ids()[0];
+        let b = a.add_gateway(a.site_ids()[0], ToyProto { echo });
+        let client_b = Client::new(ToyBinding(b.clone()));
+        let clock_ms = |h: &SimHost<ToyProto>| h.clock().load(Ordering::Relaxed) / 1_000_000;
+
+        // Both clients' first op is their op 0, in flight at once, B's
+        // 10 ms behind A's. Settling A runs the shared engine only until
+        // A's own op closed; A's pong closed nothing of B's.
+        let (x, y) = (client_a.invoke_weak(()), client_b.invoke_weak(()));
+        a.step(ms(10));
+        b.step(SimDuration::ZERO);
+        a.settle();
+        assert_eq!((x.state(), y.state()), (State::Final, State::Updating));
+        b.settle();
+        assert_eq!(
+            (y.state(), clock_ms(&a), clock_ms(&b)),
+            (State::Final, 20, 30)
+        );
+
+        // Each client's completion submits to the *other* client. A
+        // submission waits in that client's queue until its own settle
+        // (or step) kicks its gateway: nobody else's reply drains it.
+        let second = Arc::new(Mutex::new(None));
+        let third = Arc::new(Mutex::new(None));
+        let first = client_a.invoke_weak(());
+        {
+            let (second, third) = (second.clone(), third.clone());
+            let (to_a, to_b) = (ToyBinding(a.clone()), ToyBinding(b.clone()));
+            first.on_final(move |_| {
+                let on_b = Client::new(to_b).invoke_weak(());
+                on_b.on_final(move |_| *third.lock() = Some(Client::new(to_a).invoke_weak(())));
+                *second.lock() = Some(on_b);
+            });
+        }
+        a.settle();
+        assert_eq!((tables(&a), tables(&b)), ((0, 0), (0, 1)));
+        b.settle();
+        assert_eq!((tables(&a), tables(&b)), ((0, 1), (0, 0)));
+        a.settle();
+        assert_eq!((tables(&a), tables(&b)), ((0, 0), (0, 0)));
+        let value = |c: &Arc<Mutex<Option<correctables::Correctable<u64>>>>| {
+            let c = c.lock().take().expect("callback ran");
+            c.final_view().map(|v| v.value)
+        };
+        // Op ids are per gateway: A's ops 1 and 2, B's op 1.
+        assert_eq!(first.final_view().map(|v| v.value), Some(1));
+        assert_eq!((value(&second), value(&third)), (Some(1), Some(2)));
     }
 }

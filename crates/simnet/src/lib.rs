@@ -65,4 +65,4 @@ pub use host::{CoreHost, SimNet};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};
-pub use topology::{EuUsSites, SiteId, Topology};
+pub use topology::{SiteId, Topology};

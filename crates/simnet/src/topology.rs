@@ -147,41 +147,30 @@ impl Topology {
     }
 }
 
-/// Convenience handles for the sites of [`Topology::ec2_frk_irl_vrg`].
-#[derive(Clone, Copy, Debug)]
-pub struct EuUsSites {
-    /// Frankfurt.
-    pub frk: SiteId,
-    /// Ireland.
-    pub irl: SiteId,
-    /// N. Virginia.
-    pub vrg: SiteId,
-}
-
-impl EuUsSites {
-    /// Resolves the three canonical sites from a topology built by
-    /// [`Topology::ec2_frk_irl_vrg`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology does not contain the expected site names.
-    pub fn resolve(t: &Topology) -> Self {
-        EuUsSites {
-            frk: t.site_named("FRK").expect("FRK site"),
-            irl: t.site_named("IRL").expect("IRL site"),
-            vrg: t.site_named("VRG").expect("VRG site"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The sites of [`Topology::ec2_frk_irl_vrg`].
+    struct Sites {
+        frk: SiteId,
+        irl: SiteId,
+        vrg: SiteId,
+    }
+
+    fn sites(t: &Topology) -> Sites {
+        let named = |n| t.site_named(n).expect("paper site");
+        Sites {
+            frk: named("FRK"),
+            irl: named("IRL"),
+            vrg: named("VRG"),
+        }
+    }
+
     #[test]
     fn paper_rtts_are_encoded() {
         let t = Topology::ec2_frk_irl_vrg();
-        let s = EuUsSites::resolve(&t);
+        let s = sites(&t);
         assert_eq!(t.base_rtt(s.irl, s.frk), SimDuration::from_millis(20));
         assert_eq!(t.base_rtt(s.irl, s.vrg), SimDuration::from_millis(83));
         assert_eq!(t.base_rtt(s.frk, s.frk), SimDuration::from_millis(2));
@@ -190,14 +179,14 @@ mod tests {
     #[test]
     fn symmetric_latency() {
         let t = Topology::ec2_frk_irl_vrg();
-        let s = EuUsSites::resolve(&t);
+        let s = sites(&t);
         assert_eq!(t.base_one_way(s.frk, s.vrg), t.base_one_way(s.vrg, s.frk));
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let t = Topology::ec2_frk_irl_vrg();
-        let s = EuUsSites::resolve(&t);
+        let s = sites(&t);
         let mut r1 = DetRng::seed_from_u64(5);
         let mut r2 = DetRng::seed_from_u64(5);
         for _ in 0..32 {

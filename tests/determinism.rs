@@ -4,7 +4,9 @@
 //!
 //! One table, six stores, one scenario: FRK↔VRG is cut while a first
 //! batch (with a client deadline, so the cut shows as timeouts) runs,
-//! then healed under four more rounds and a tail of reads. Each store is
+//! then healed under four more rounds and a tail of reads. (A seventh
+//! row runs three clients on one quorum store, closed-loop, under the
+//! same cut: the multi-client shell.) Each store is
 //! run twice in one process and must record the same [`History`] event
 //! for event; each run is then reduced to three digests that are pinned
 //! below:
@@ -25,14 +27,16 @@
 
 use std::fmt::Debug;
 
+use icg::apps::start_ycsb_users;
 use icg::causalstore::{CacheOp, SimCausal};
 use icg::consensusq::{QueueOp, ServerConfig, SimQueue};
 use icg::correctables::spec::{CounterSpec, CtrOp};
-use icg::correctables::{Binding, Client, History, HistoryEvent, RecordingBinding};
+use icg::correctables::{Binding, Client, History, HistoryEvent, LevelSelection, RecordingBinding};
 use icg::crdt::{CrdtOp, EscrowOp, SimCrdtStore, SimEscrow};
 use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp, Value};
 use icg::simnet::{Faults, SimDuration, SimTime, SiteId};
 use icg::specstore::SimSpecStore;
+use icg::ycsb::{Distribution, Workload};
 
 /// What one run leaves behind, as printable lines.
 #[derive(PartialEq, Debug)]
@@ -195,6 +199,45 @@ fn run_store(seed: u64) -> Run {
     )
 }
 
+/// Three clients on one deployment — the figure harnesses' CC2 ring:
+/// IRL→FRK, FRK→VRG, VRG→IRL, ten closed-loop YCSB-A users each — for
+/// 2 s under the cut. Their three histories, in client order, are the
+/// run; each is stamped by its own gateway's clock.
+fn run_ring(seed: u64) -> Run {
+    let irl = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, seed);
+    irl.preload((0..64).map(|k| (Key::plain(k), Value::Opaque(100))));
+    irl.set_faults(cut_frk_vrg());
+    let clients = [
+        irl.clone(),
+        irl.client_at("FRK", 2),
+        irl.client_at("VRG", 1),
+    ];
+    let workload = Workload::a(Distribution::Zipfian, 64);
+    let histories: Vec<_> = clients
+        .iter()
+        .zip(0..)
+        .map(|(c, i)| {
+            c.set_client_timeout(ms(400));
+            start_ycsb_users(c, &workload, &LevelSelection::All, 10, seed + i)
+        })
+        .collect();
+    irl.advance(ms(2_000));
+    let lines = |stamped| {
+        histories
+            .iter()
+            .flat_map(|h| history_lines(h, stamped))
+            .collect()
+    };
+    Run {
+        values: lines(false),
+        stamped: lines(true),
+        extras: clients
+            .iter()
+            .map(|c| format!("{} ops, {} B", c.timings().len(), c.gateway_link_bytes()))
+            .collect(),
+    }
+}
+
 fn run_causal(seed: u64) -> Run {
     let s = SimCausal::ec2("VRG", "IRL", seed);
     for k in 0..4u64 {
@@ -313,7 +356,7 @@ enum Pin {
 }
 use Pin::{Own, Parent};
 
-/// One row per store: the runner and its `[values, stamped, extras]`
+/// One row per scenario: the runner and its `[values, stamped, extras]`
 /// digests at seed 11.
 struct Row {
     name: &'static str,
@@ -330,6 +373,11 @@ const SEED: u64 = 11;
 const TABLE: &[Row] = &[
     Row { name: "quorumstore", run: run_store, cut_times_out: false,
           pins: [Parent(0xace5_9ac2_96d2_bec7), Parent(0x23ca_02f6_6cba_6bad), Parent(0x9a36_99b6_812a_7738)] },
+    // The multi-client shell (`SimHost::add_gateway`), new with this
+    // row. The FRK client's coordinator is across the cut, so its own
+    // deadline is all that ever closes its operations.
+    Row { name: "quorumstore-ring", run: run_ring, cut_times_out: true,
+          pins: [Own(0x1172_90cf_30d1_db44), Own(0x587c_ee11_6211_8783), Own(0xdce7_8de3_3547_00e9)] },
     Row { name: "causalstore", run: run_causal, cut_times_out: false,
           pins: [Parent(0x6a51_a0da_6a83_bdf0), Own(0x19a8_ea5d_a13d_3ad7), Parent(0xcbf2_6c68_543c_08fc)] },
     // `SimQueue::settle` used to run the engine until idle; it now runs

@@ -9,12 +9,11 @@
 //! fault coverage beyond these fixed scenarios lives in
 //! `tests/oracle_fleet.rs`.
 
+use icg::apps::{start_ycsb_users, view_stats, ViewStats};
 use icg::correctables::spec::{CounterSpec, CtrOp};
-use icg::correctables::Client;
-use icg::quorumstore::{
-    Cluster, Key, Msg, OpId, ReplicaConfig, SystemConfig, Value, WorkloadClient,
-};
-use icg::simnet::{EuUsSites, Faults, Histogram, SimDuration, SimTime, SiteId, Topology};
+use icg::correctables::{Client, ConsistencyLevel, History, LevelSelection};
+use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp, Value, Versioned};
+use icg::simnet::{Faults, Histogram, SimDuration, SimTime, SiteId, Topology};
 use icg::specstore::SimSpecStore;
 use icg::ycsb::{Distribution, Workload};
 
@@ -29,36 +28,65 @@ fn at(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-fn build(seed: u64) -> (Cluster, EuUsSites) {
-    let topo = Topology::ec2_frk_irl_vrg();
-    let sites = EuUsSites::resolve(&topo);
-    let mut cluster = Cluster::build(topo, &["FRK", "IRL", "VRG"], cfg_fast_timeout(), seed);
-    cluster.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
-    (cluster, sites)
+/// The sites of the paper's deployment, in the order its topology
+/// lists them.
+const FRK: SiteId = SiteId(0);
+const IRL: SiteId = SiteId(1);
+const VRG: SiteId = SiteId(2);
+
+/// The paper's deployment with read quorum `r_strong`, its first client
+/// at `client_site` coordinated by FRK.
+fn build(r_strong: u8, client_site: &str, seed: u64) -> SimStore {
+    let store = SimStore::ec2(cfg_fast_timeout(), r_strong, false, client_site, 0, seed);
+    store.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
+    store
+}
+
+fn weak() -> LevelSelection {
+    LevelSelection::only(&[ConsistencyLevel::WEAK])
+}
+
+fn strong() -> LevelSelection {
+    LevelSelection::only(&[ConsistencyLevel::STRONG])
+}
+
+type StoreHistory = History<StoreOp, Versioned>;
+
+/// Starts `users` closed-loop YCSB users on `store`'s client, which
+/// gives up on an operation after 2 s, and returns what they see.
+fn start_users(
+    store: &SimStore,
+    workload: &Workload,
+    levels: LevelSelection,
+    users: u32,
+    seed: u64,
+) -> StoreHistory {
+    store.set_client_timeout(SimDuration::from_secs(2));
+    start_ycsb_users(store, workload, &levels, users, seed)
+}
+
+fn run_until(store: &SimStore, ms: u64) {
+    store.advance(at(ms) - store.now());
+}
+
+/// What `history` shows for the operations closed in `[from, until)` ms.
+fn stats(history: &StoreHistory, from_ms: u64, until_ms: u64) -> ViewStats {
+    let ms = SimDuration::from_millis;
+    view_stats(&history.snapshot(), ms(from_ms), ms(until_ms))
 }
 
 #[test]
 fn quorum_reads_fail_cleanly_when_peers_are_partitioned() {
-    let (mut cluster, sites) = build(11);
+    let store = build(2, "FRK", 11);
     // FRK cannot reach either peer: R=2 reads cannot gather a quorum.
     let faults = Faults::none()
-        .with_partition(sites.frk, sites.irl, at(0), at(10_000))
-        .with_partition(sites.frk, sites.vrg, at(0), at(10_000));
-    cluster.engine.set_faults(faults);
+        .with_partition(FRK, IRL, at(0), at(10_000))
+        .with_partition(FRK, VRG, at(0), at(10_000));
+    store.set_faults(faults);
     let workload = Workload::c(Distribution::Zipfian, 32);
-    let client = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::baseline(2),
-        &workload,
-        2,
-        7,
-        at(0),
-        at(8_000),
-    );
-    cluster.add_client(sites.frk, client);
-    cluster.engine.run_until(at(8_000));
-    let id = cluster.clients[0];
-    let m = &cluster.engine.node_as::<WorkloadClient>(id).metrics;
+    let history = start_users(&store, &workload, strong(), 2, 7);
+    run_until(&store, 8_000);
+    let m = stats(&history, 0, 8_000);
     assert_eq!(m.reads, 0, "no quorum read may succeed under the partition");
     assert!(
         m.failed >= 2,
@@ -69,25 +97,15 @@ fn quorum_reads_fail_cleanly_when_peers_are_partitioned() {
 
 #[test]
 fn weak_reads_survive_the_same_partition() {
-    let (mut cluster, sites) = build(12);
+    let store = build(2, "FRK", 12);
     let faults = Faults::none()
-        .with_partition(sites.frk, sites.irl, at(0), at(10_000))
-        .with_partition(sites.frk, sites.vrg, at(0), at(10_000));
-    cluster.engine.set_faults(faults);
+        .with_partition(FRK, IRL, at(0), at(10_000))
+        .with_partition(FRK, VRG, at(0), at(10_000));
+    store.set_faults(faults);
     let workload = Workload::c(Distribution::Zipfian, 32);
-    let client = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::baseline(1),
-        &workload,
-        2,
-        7,
-        at(0),
-        at(8_000),
-    );
-    cluster.add_client(sites.frk, client);
-    cluster.engine.run_until(at(8_000));
-    let id = cluster.clients[0];
-    let m = &cluster.engine.node_as::<WorkloadClient>(id).metrics;
+    let history = start_users(&store, &workload, weak(), 2, 7);
+    run_until(&store, 8_000);
+    let m = stats(&history, 0, 8_000);
     // R=1 reads only involve the coordinator: availability under partition
     // is exactly the weak-consistency selling point.
     assert!(
@@ -100,25 +118,16 @@ fn weak_reads_survive_the_same_partition() {
 
 #[test]
 fn operations_recover_after_partition_heals() {
-    let (mut cluster, sites) = build(13);
+    let store = build(2, "FRK", 13);
     let faults = Faults::none()
-        .with_partition(sites.frk, sites.irl, at(0), at(2_000))
-        .with_partition(sites.frk, sites.vrg, at(0), at(2_000));
-    cluster.engine.set_faults(faults);
+        .with_partition(FRK, IRL, at(0), at(2_000))
+        .with_partition(FRK, VRG, at(0), at(2_000));
+    store.set_faults(faults);
     let workload = Workload::c(Distribution::Zipfian, 32);
-    let client = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::correctable(2),
-        &workload,
-        2,
-        7,
-        at(2_500), // measure only after healing
-        at(8_000),
-    );
-    cluster.add_client(sites.frk, client);
-    cluster.engine.run_until(at(8_000));
-    let id = cluster.clients[0];
-    let m = &cluster.engine.node_as::<WorkloadClient>(id).metrics;
+    let history = start_users(&store, &workload, LevelSelection::All, 2, 7);
+    run_until(&store, 8_000);
+    // Measure only after healing.
+    let m = stats(&history, 2_500, 8_000);
     assert!(
         m.reads > 50,
         "ICG reads must flow again after the partition heals, got {}",
@@ -128,42 +137,20 @@ fn operations_recover_after_partition_heals() {
 
 #[test]
 fn replica_downtime_fails_quorums_but_not_weak_reads() {
-    let (mut cluster, sites) = build(14);
+    let strong_client = build(3, "IRL", 14);
     // Both non-coordinator replicas down for the whole run.
+    let replicas = strong_client.replica_ids();
     let faults = Faults::none()
-        .with_downtime(cluster.replicas[1], at(0), at(20_000))
-        .with_downtime(cluster.replicas[2], at(0), at(20_000));
-    cluster.engine.set_faults(faults);
+        .with_downtime(replicas[1], at(0), at(20_000))
+        .with_downtime(replicas[2], at(0), at(20_000));
+    strong_client.set_faults(faults);
     let workload = Workload::c(Distribution::Zipfian, 32);
-    let strong = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::baseline(3),
-        &workload,
-        1,
-        3,
-        at(0),
-        at(6_000),
-    );
-    cluster.add_client(sites.irl, strong);
-    let weak = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::baseline(1),
-        &workload,
-        1,
-        4,
-        at(0),
-        at(6_000),
-    );
-    cluster.add_client(sites.irl, weak);
-    cluster.engine.run_until(at(6_000));
-    let strong_id = cluster.clients[0];
-    let weak_id = cluster.clients[1];
-    let ms = cluster
-        .engine
-        .node_as::<WorkloadClient>(strong_id)
-        .metrics
-        .clone();
-    let mw = &cluster.engine.node_as::<WorkloadClient>(weak_id).metrics;
+    let weak_client = strong_client.client_at("IRL", 0);
+    let strong_history = start_users(&strong_client, &workload, strong(), 1, 3);
+    let weak_history = start_users(&weak_client, &workload, weak(), 1, 4);
+    run_until(&strong_client, 6_000);
+    let ms = stats(&strong_history, 0, 6_000);
+    let mw = stats(&weak_history, 0, 6_000);
     assert_eq!(ms.reads, 0);
     assert!(ms.failed > 0);
     assert!(mw.reads > 50);
@@ -171,24 +158,12 @@ fn replica_downtime_fails_quorums_but_not_weak_reads() {
 
 #[test]
 fn random_message_loss_degrades_throughput_but_not_correctness() {
-    let (mut cluster, sites) = build(15);
-    cluster
-        .engine
-        .set_faults(Faults::none().with_drop_probability(0.05));
+    let store = build(2, "IRL", 15);
+    store.set_faults(Faults::none().with_drop_probability(0.05));
     let workload = Workload::a(Distribution::Zipfian, 32);
-    let client = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::correctable(2),
-        &workload,
-        4,
-        9,
-        at(0),
-        at(10_000),
-    );
-    cluster.add_client(sites.irl, client);
-    cluster.engine.run_until(at(12_000));
-    let id = cluster.clients[0];
-    let m = &cluster.engine.node_as::<WorkloadClient>(id).metrics;
+    let history = start_users(&store, &workload, LevelSelection::All, 4, 9);
+    run_until(&store, 12_000);
+    let m = stats(&history, 0, 10_000);
     // Some operations time out, the rest complete; nothing hangs forever.
     assert!(
         m.completed() > 100,
@@ -196,7 +171,7 @@ fn random_message_loss_degrades_throughput_but_not_correctness() {
         m.completed()
     );
     assert!(m.failed > 0, "5% loss must surface some timeouts");
-    assert!(cluster.engine.dropped_messages() > 0);
+    assert!(store.with_engine(|e| e.dropped_messages()) > 0);
 }
 
 /// The widening rule in virtual time — the deterministic twin of
@@ -215,33 +190,23 @@ fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
     topo.set_rtt(irl, vrg, ms(83));
     topo.set_rtt(frk, vrg, ms(90));
     let cfg = cfg_fast_timeout();
-    let mut cluster = Cluster::build(topo, &["FRK", "IRL", "VRG"], cfg, 16);
-    cluster.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
-    cluster
-        .engine
-        .set_faults(Faults::none().with_partition(frk, irl, at(0), at(4_000)));
+    let store = SimStore::custom(topo, &["FRK", "IRL", "VRG"], cfg, 2, false, "FRK", 0, 16);
+    store.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
+    store.set_faults(Faults::none().with_partition(frk, irl, at(0), at(4_000)));
     let workload = Workload::c(Distribution::Zipfian, 32);
-    let client = WorkloadClient::new(
-        cluster.replicas[0],
-        SystemConfig::baseline(2),
-        &workload,
-        1,
-        7,
-        at(0),
-        at(8_000),
-    );
-    let id = cluster.add_client(frk, client);
+    let history = start_users(&store, &workload, strong(), 1, 7);
 
     // What one quorum read costs through a peer `rtt` away: the client's
     // intra-site round trip, the coordinator's and the peer's CPU, and
     // the peer round trip.
     let via = |rtt: u64| ms(2) + cfg.read_service + ms(rtt) + cfg.peer_read_service;
-    // Runs to `until_ms` and hands back the read latencies of the phase.
-    let phase = |cluster: &mut Cluster, until_ms: u64| -> Histogram {
-        cluster.engine.run_until(at(until_ms));
-        let m = &mut cluster.engine.node_as::<WorkloadClient>(id).metrics;
+    // Runs to `until_ms` and hands back the latencies of the reads
+    // closed since `from_ms`, where the previous phase ended.
+    let phase = |from_ms: u64, until_ms: u64| -> Histogram {
+        run_until(&store, until_ms);
+        let m = stats(&history, from_ms, until_ms);
         assert_eq!(m.failed, 0, "no read may fail while VRG answers");
-        std::mem::take(&mut m.final_latency)
+        m.final_latency
     };
 
     // Under the cut. The first read asks IRL, hears nothing for a
@@ -249,7 +214,7 @@ fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
     // suspect from then on, so no later read waits for a hedge again —
     // a second hedged read would not fit into the closed loop's 4 s.
     let hedged = via(90) + cfg.op_timeout / 4;
-    let cut = phase(&mut cluster, 4_000);
+    let cut = phase(0, 4_000);
     assert_eq!((cut.min(), cut.max()), (via(90), hedged));
     let direct = (ms(4_000) - hedged).as_nanos() / via(90).as_nanos();
     assert_eq!(cut.count() as u64, 1 + direct);
@@ -257,27 +222,19 @@ fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
     // Healed — but nothing makes IRL speak to FRK in a read-only run, so
     // it stays at the back of the order and reads keep going the long
     // way round. Slower than necessary, never wrong.
-    let healed = phase(&mut cluster, 6_000);
+    let healed = phase(4_000, 6_000);
     assert_eq!((healed.min(), healed.max()), (via(90), via(90)));
 
-    // One write coordinated by IRL: its `PeerWrite` is a message from
-    // IRL, FRK has heard from it, and IRL is first choice again.
-    let write = Msg::ClientWrite {
-        op: OpId {
-            client: id,
-            seq: u64::MAX - 1,
-        },
-        key: Key::plain(0),
-        value: Value::Opaque(7),
-        w: 1,
-    };
-    let irl_replica = cluster.replicas[1];
-    cluster
-        .engine
-        .schedule_message(id, irl_replica, SimDuration::ZERO, write);
+    // One write coordinated by IRL, from a second client: its
+    // `PeerWrite` is a message from IRL, FRK has heard from it, and IRL
+    // is first choice again.
+    let writer = store.client_at("FRK", 1);
+    let write = StoreOp::Write(Key::plain(0), Value::Opaque(7));
+    let _ack = Client::new(writer.binding()).invoke_weak(write);
+    writer.step(SimDuration::ZERO);
     // Let the write land and the read in flight finish before measuring.
-    phase(&mut cluster, 6_200);
-    let back = phase(&mut cluster, 8_000);
+    phase(6_000, 6_200);
+    let back = phase(6_200, 8_000);
     assert_eq!((back.min(), back.max()), (via(20), via(20)));
 }
 
@@ -289,8 +246,7 @@ fn coordinator_cut_from_its_nearest_peer_reads_through_the_other() {
 #[test]
 fn spec_update_lost_in_a_cut_is_regossiped_on_silence() {
     let store = SimSpecStore::ec2(CounterSpec, "FRK", 23);
-    let (frk, vrg) = (SiteId(0), SiteId(2));
-    store.set_faults(Faults::none().with_partition(frk, vrg, at(0), at(1_000)));
+    store.set_faults(Faults::none().with_partition(FRK, VRG, at(0), at(1_000)));
     let run_until = |ms: u64| store.advance(at(ms) - store.now());
 
     // The gateway's first submission goes to replica 0, in FRK. Nothing
