@@ -242,20 +242,50 @@ impl ViewStats {
     }
 }
 
-/// Folds a recorded history into [`ViewStats`], counting an invocation
+/// One invocation that closed with a view inside a measurement window.
+pub struct ClosedView<'a, Op, T> {
+    /// The invocation.
+    pub inv: &'a Invocation<Op, T>,
+    /// Its closing view's value.
+    pub last: &'a T,
+    /// Submission → closing view.
+    pub latency: SimDuration,
+    /// Its preliminary — the first `WEAK` view that did not close it —
+    /// and submission → that view.
+    pub prelim: Option<(&'a T, SimDuration)>,
+}
+
+/// How a history's invocations closed, whatever the store: the half of
+/// every fold that knows about windows and closing events and nothing
+/// about operations or values.
+pub struct Closings<'a, Op, T> {
+    /// Invocations closed with a view inside the window, in history
+    /// order.
+    pub views: Vec<ClosedView<'a, Op, T>>,
+    /// Invocations that closed with an error inside the window.
+    pub failed: u64,
+    /// Invocations closed at any time, either way (progress check).
+    pub total: u64,
+}
+
+/// Sorts a recorded history by how its invocations closed, counting one
 /// iff its closing event is stamped inside `[from, until)` of the
 /// history's clock. Invocations still open are not counted at all.
-pub fn view_stats<'a>(
-    history: impl IntoIterator<Item = &'a Invocation<StoreOp, Versioned>>,
+pub fn closings<'a, Op, T>(
+    history: impl IntoIterator<Item = &'a Invocation<Op, T>>,
     from: SimDuration,
     until: SimDuration,
-) -> ViewStats {
-    let mut stats = ViewStats::default();
+) -> Closings<'a, Op, T> {
+    let mut out = Closings {
+        views: Vec::new(),
+        failed: 0,
+        total: 0,
+    };
     for inv in history {
         let Some(closing) = inv.closing_event() else {
             continue;
         };
-        stats.total += 1;
+        out.total += 1;
         let (closed_at, last) = match closing {
             HistoryEvent::View {
                 at_nanos, value, ..
@@ -265,18 +295,11 @@ pub fn view_stats<'a>(
         if closed_at < from.as_nanos() || closed_at >= until.as_nanos() {
             continue;
         }
-        let since_submit = |at: u64| SimDuration::from_nanos(at.saturating_sub(inv.at_nanos));
         let Some(last) = last else {
-            stats.failed += 1;
+            out.failed += 1;
             continue;
         };
-        if matches!(inv.op, StoreOp::Write(..)) {
-            stats.writes += 1;
-            stats.write_latency.record(since_submit(closed_at));
-            continue;
-        }
-        stats.reads += 1;
-        stats.final_latency.record(since_submit(closed_at));
+        let since_submit = |at: u64| SimDuration::from_nanos(at.saturating_sub(inv.at_nanos));
         let prelim = inv.events.iter().find_map(|e| match e {
             HistoryEvent::View {
                 at_nanos,
@@ -284,13 +307,44 @@ pub fn view_stats<'a>(
                 value,
                 closing: false,
                 ..
-            } => Some((*at_nanos, value)),
+            } => Some((value, since_submit(*at_nanos))),
             _ => None,
         });
-        if let Some((at, first)) = prelim {
+        out.views.push(ClosedView {
+            inv,
+            last,
+            latency: since_submit(closed_at),
+            prelim,
+        });
+    }
+    out
+}
+
+/// Folds a recorded quorum-store history into [`ViewStats`] over the
+/// window `[from, until)` (see [`closings`]).
+pub fn view_stats<'a>(
+    history: impl IntoIterator<Item = &'a Invocation<StoreOp, Versioned>>,
+    from: SimDuration,
+    until: SimDuration,
+) -> ViewStats {
+    let closed = closings(history, from, until);
+    let mut stats = ViewStats {
+        failed: closed.failed,
+        total: closed.total,
+        ..ViewStats::default()
+    };
+    for c in closed.views {
+        if matches!(c.inv.op, StoreOp::Write(..)) {
+            stats.writes += 1;
+            stats.write_latency.record(c.latency);
+            continue;
+        }
+        stats.reads += 1;
+        stats.final_latency.record(c.latency);
+        if let Some((first, at)) = c.prelim {
             stats.icg_reads += 1;
-            stats.prelim_latency.record(since_submit(at));
-            if first.version != last.version {
+            stats.prelim_latency.record(at);
+            if first.version != c.last.version {
                 stats.divergent += 1;
             }
         }

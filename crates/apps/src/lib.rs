@@ -9,7 +9,8 @@
 //!   with speculative tweet prefetch;
 //! - [`tickets`] — the ticket seller (Listing 5): dynamic selection
 //!   between preliminary and final dequeue results around a stock
-//!   threshold;
+//!   threshold; beside it the two ZooKeeper dequeue recipes it is
+//!   measured against, and the closed retailer loop that runs all three;
 //! - [`news`] — the smartphone news reader (Listing 6): progressive
 //!   display over cache / causal / strong views.
 //!
@@ -37,8 +38,14 @@ pub mod twissandra;
 
 pub use ads::AdSystem;
 pub use dataset::{AdsDataset, TwissandraDataset};
-pub use driver::{start_ycsb_users, view_stats, LoadDriver, LoadStats, MeasuredOp, ViewStats};
+pub use driver::{
+    closings, start_ycsb_users, view_stats, ClosedView, Closings, LoadDriver, LoadStats,
+    MeasuredOp, ViewStats,
+};
 pub use news::{NewsReader, Refresh, LATEST};
 pub use sharded::{run_sharded_ycsb, ShardedYcsbConfig, ShardedYcsbStats};
-pub use tickets::{EscrowOffice, Purchase, TicketOffice};
+pub use tickets::{
+    audit_sales, open_retailers, purchase_by_recipe, sell_out, EscrowOffice, Purchase, Receipt,
+    Recipe, Retailer, SaleAudit, TicketOffice,
+};
 pub use twissandra::Twissandra;

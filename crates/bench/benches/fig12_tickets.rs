@@ -9,51 +9,73 @@
 //! tickets, which pay the full strong-consistency latency; on average only
 //! the last ~2 tickets (max 6) are "revoked" (the final view popped a
 //! different element than predicted).
+//!
+//! The CZK retailers run the paper's own listing,
+//! `TicketOffice::purchase_ticket`; the ZK ones the vanilla dequeue
+//! recipe; both under the same closed retailer loop
+//! (`icg_apps::tickets`). Latencies are the loop's receipts; what the
+//! atomic dequeues behind the fast path turned out to be is audited from
+//! the histories the retailers' clients recorded.
 
-use consensusq::{DequeueClient, DequeueMode, PurchaseRecord, ServerConfig, ZkCluster};
-use icg_bench::{f2, quick, Table};
-use simnet::{SimDuration, Topology};
+use std::sync::Arc;
+
+use consensusq::{ServerConfig, SimQueue};
+use correctables::Correctable;
+use icg_apps::tickets::RecordingClient;
+use icg_apps::{
+    audit_sales, open_retailers, purchase_by_recipe, sell_out, Purchase, Receipt, Recipe,
+    SaleAudit, TicketOffice,
+};
+use icg_bench::{check_history, f2, quick, Table};
+use simnet::SimDuration;
 
 /// Pause between customers at one retailer: purchases pipeline behind the
 /// atomic dequeue (the paper's fast path "completes in the background"),
 /// bounding how many confirmations can be in flight near sell-out.
 const THINK: SimDuration = SimDuration::from_millis(15);
 
-fn run(mode: DequeueMode, stock: u64, retailers: usize, seed: u64) -> Vec<PurchaseRecord> {
-    let mut cluster = ZkCluster::build(
-        Topology::ec2_frk_irl_vrg(),
-        &["FRK", "IRL", "VRG"],
-        1, // leader in IRL
-        ServerConfig::default(),
-        seed,
-    );
-    cluster.prefill_queue("/q", stock, 20);
-    for _ in 0..retailers {
-        let server = cluster.servers[0];
-        let client = DequeueClient::new(server, mode, "/q").with_think_time(THINK);
-        cluster.add_client("FRK", Box::new(client));
+/// Stock level below which a CZK purchase waits for the final view.
+const THRESHOLD: u64 = 20;
+
+/// Sells `stock` tickets through four retailers colocated with the FRK
+/// follower (leader in IRL). Returns the receipts in global selling
+/// order and the audit of the dequeues behind them.
+fn run<P>(
+    stock: u64,
+    seed: u64,
+    seller: impl Fn(&SimQueue, Arc<RecordingClient>) -> P,
+) -> (Vec<Receipt>, SaleAudit)
+where
+    P: Fn() -> Correctable<Purchase> + Send + Sync + 'static,
+{
+    let q = SimQueue::ec2(ServerConfig::default(), "IRL", "FRK", "FRK", seed);
+    q.prefill(stock, 20);
+    let retailers = open_retailers(&q, "FRK", 4, THINK, seller);
+    sell_out(&retailers);
+
+    let histories: Vec<_> = retailers.iter().map(|r| r.history().snapshot()).collect();
+    for history in &histories {
+        check_history(history, "retailer");
     }
-    cluster.engine.run_until_idle(500_000_000);
-    let mut all: Vec<PurchaseRecord> = Vec::new();
-    for id in cluster.clients.clone() {
-        let c = cluster.engine.node_as::<DequeueClient>(id);
-        all.extend(c.purchases.iter().cloned());
-    }
-    // Global selling order.
-    all.sort_by_key(|p| p.confirmed_at);
-    all
+    let mut all: Vec<Receipt> = retailers.iter().flat_map(|r| r.receipts()).collect();
+    all.sort_by_key(|r| r.confirmed_at);
+    (all, audit_sales(histories.iter().flatten(), THRESHOLD))
 }
 
-fn mean_latency(records: &[PurchaseRecord]) -> f64 {
-    if records.is_empty() {
+fn mean_latency(receipts: &[Receipt]) -> f64 {
+    if receipts.is_empty() {
         return 0.0;
     }
-    records.iter().map(|p| p.latency_ms).sum::<f64>() / records.len() as f64
+    receipts
+        .iter()
+        .map(|r| r.latency.as_millis_f64())
+        .sum::<f64>()
+        / receipts.len() as f64
 }
 
 fn main() {
     let stock: u64 = if quick() { 200 } else { 500 };
-    let threshold = 20usize;
+    let threshold = THRESHOLD as usize;
     let runs: u64 = if quick() { 2 } else { 5 };
 
     let mut table = Table::new(
@@ -71,36 +93,35 @@ fn main() {
 
     let mut series: Vec<(u64, f64, f64)> = Vec::new(); // (ticket#, czk, zk)
     for run_idx in 0..runs {
-        let czk = run(
-            DequeueMode::CzkAtomic {
-                threshold: threshold as u64,
-            },
-            stock,
-            4,
-            500 + run_idx,
-        );
-        let zk = run(DequeueMode::ZkRecipe, stock, 4, 600 + run_idx);
-        let sold = czk.iter().filter(|p| !p.revoked).count();
-        let early = &czk[..sold.saturating_sub(threshold)];
-        let late = &czk[sold.saturating_sub(threshold)..];
+        let (czk, audit) = run(stock, 500 + run_idx, |q, client| {
+            let mut office = TicketOffice::with_client(q.clone(), client);
+            office.threshold = THRESHOLD;
+            move || office.purchase_ticket()
+        });
+        let (zk, _) = run(stock, 600 + run_idx, |_, client| {
+            move || purchase_by_recipe(&client, Recipe::Zk)
+        });
+        // Every ticket is sold exactly once, whichever system sells it.
+        assert_eq!(audit.tickets.len() as u64, stock, "CZK run {run_idx}");
+        assert_eq!(zk.len() as u64, stock, "ZK run {run_idx}");
+        let sold = czk.len() - audit.revoked as usize;
+        let (early, late) = czk.split_at(sold.saturating_sub(threshold));
+        let via_prelim = |rs: &[Receipt]| rs.iter().filter(|r| r.via_prelim).count();
         table.row(vec![
             "CZK".into(),
             format!("run{} first {}", run_idx, early.len()),
             early.len().to_string(),
             f2(mean_latency(early)),
-            early.iter().filter(|p| p.used_prelim).count().to_string(),
-            czk.iter().filter(|p| p.revoked).count().to_string(),
-            czk.iter()
-                .filter(|p| p.prediction_changed)
-                .count()
-                .to_string(),
+            via_prelim(early).to_string(),
+            audit.revoked.to_string(),
+            audit.prediction_changed.to_string(),
         ]);
         table.row(vec![
             "CZK".into(),
             format!("run{} last {}", run_idx, late.len()),
             late.len().to_string(),
             f2(mean_latency(late)),
-            late.iter().filter(|p| p.used_prelim).count().to_string(),
+            via_prelim(late).to_string(),
             "-".into(),
             "-".into(),
         ]);
@@ -113,10 +134,20 @@ fn main() {
             "0".into(),
             "-".into(),
         ]);
+        // The paper's shape: the fast path is an order of magnitude
+        // below ZK, only the last tickets pay for atomicity, and at most
+        // a handful of confirmations are taken back.
+        let (first, last, zk_mean) = (mean_latency(early), mean_latency(late), mean_latency(&zk));
+        assert!(
+            first < 0.1 * zk_mean,
+            "CZK first {first} ms vs ZK {zk_mean} ms"
+        );
+        assert!(last > first, "CZK last {last} ms vs first {first} ms");
+        assert!(audit.revoked <= 6, "{} purchases revoked", audit.revoked);
         if run_idx == 0 {
-            for (i, p) in czk.iter().enumerate() {
-                let z = zk.get(i).map(|p| p.latency_ms).unwrap_or(0.0);
-                series.push((i as u64 + 1, p.latency_ms, z));
+            for (i, r) in czk.iter().enumerate() {
+                let z = zk.get(i).map_or(0.0, |r| r.latency.as_millis_f64());
+                series.push((i as u64 + 1, r.latency.as_millis_f64(), z));
             }
         }
     }

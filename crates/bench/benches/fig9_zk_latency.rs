@@ -13,10 +13,19 @@
 //! (2 ms / 20 ms / 83 ms depending on placement); the most striking gap is
 //! configuration 3 (local follower, distant leader). The text also reports
 //! the enqueue bandwidth growing from ~270 B/op (ZK) to ~400 B/op (CZK).
+//!
+//! The client is the Correctables library: one closed loop of
+//! `invoke_strong(enqueue)` (ZK) or `invoke(enqueue)` (CZK) on a
+//! `Client` over the queue binding, every latency read off the history
+//! it recorded.
 
-use consensusq::{EnqueueClient, ServerConfig, ZkCluster};
-use icg_bench::{f1, f2, quick, Table};
-use simnet::Topology;
+use std::sync::Arc;
+
+use consensusq::{QueueBinding, QueueOp, ServerConfig, SimQueue};
+use correctables::{Client, History, RecordingBinding};
+use icg_apps::closings;
+use icg_bench::{check_history, f1, f2, quick, Table};
+use simnet::{Histogram, SimDuration};
 
 struct Cfg {
     name: &'static str,
@@ -24,35 +33,49 @@ struct Cfg {
     leader: &'static str,
 }
 
+/// `left` enqueues one at a time: the next leaves when the last closed.
+fn enqueue_in_turn(client: Arc<Client<RecordingBinding<QueueBinding>>>, icg: bool, left: u64) {
+    if left == 0 {
+        return;
+    }
+    let op = QueueOp::Enqueue { data_len: 20 };
+    let c = if icg {
+        client.invoke(op)
+    } else {
+        client.invoke_strong(op)
+    };
+    c.on_final(move |_| enqueue_in_turn(client, icg, left - 1));
+}
+
 fn run(cfg: &Cfg, icg: bool, ops: u64, seed: u64) -> (Option<(f64, f64)>, (f64, f64), f64) {
-    let sites = ["FRK", "IRL", "VRG"];
-    let leader_idx = sites.iter().position(|s| *s == cfg.leader).expect("site");
-    let connect_idx = sites.iter().position(|s| *s == cfg.connect).expect("site");
-    let mut cluster = ZkCluster::build(
-        Topology::ec2_frk_irl_vrg(),
-        &sites,
-        leader_idx,
+    let q = SimQueue::ec2(
         ServerConfig::default(),
+        cfg.leader,
+        "IRL",
+        cfg.connect,
         seed,
     );
-    let server = cluster.servers[connect_idx];
-    let client = EnqueueClient::new(server, icg, "/q", ops, 20);
-    let id = cluster.add_client("IRL", Box::new(client));
-    cluster.engine.run_until_idle(50_000_000);
-    let bytes = cluster.engine.bandwidth().link_bytes(id);
-    let c = cluster.engine.node_as::<EnqueueClient>(id);
-    assert_eq!(c.completed, ops, "all enqueues must complete");
-    let fin = (
-        c.final_latency.mean().as_millis_f64(),
-        c.final_latency.p99().as_millis_f64(),
-    );
-    let prelim = (!c.prelim_latency.is_empty()).then(|| {
-        (
-            c.prelim_latency.mean().as_millis_f64(),
-            c.prelim_latency.p99().as_millis_f64(),
-        )
-    });
-    (prelim, fin, bytes as f64 / ops as f64)
+    let history = History::with_clock(q.clock());
+    let recording = RecordingBinding::new(q.binding(), history.clone());
+    enqueue_in_turn(Arc::new(Client::new(recording)), icg, ops);
+    q.settle();
+
+    let history = history.snapshot();
+    check_history(&history, cfg.name);
+    let whole_run = SimDuration::from_nanos(u64::MAX);
+    let closed = closings(&history, SimDuration::ZERO, whole_run);
+    assert_eq!(closed.views.len() as u64, ops, "all enqueues must complete");
+    let (mut prelim, mut fin) = (Histogram::new(), Histogram::new());
+    for c in &closed.views {
+        fin.record(c.latency);
+        if let Some((_, at)) = c.prelim {
+            prelim.record(at);
+        }
+    }
+    let avg_p99 = |h: &mut Histogram| (h.mean().as_millis_f64(), h.p99().as_millis_f64());
+    let prelim = (!prelim.is_empty()).then(|| avg_p99(&mut prelim));
+    let bytes = q.gateway_link_bytes();
+    (prelim, avg_p99(&mut fin), bytes as f64 / ops as f64)
 }
 
 fn main() {

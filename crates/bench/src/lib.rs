@@ -5,15 +5,30 @@
 //! the series to stdout and writing CSV files under
 //! `target/paper_results/`. Set `ICG_QUICK=1` to run abbreviated sweeps.
 
-use std::fmt::Write as _;
+use std::fmt::{Debug, Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
+
+use correctables::Invocation;
 
 /// Whether abbreviated sweeps were requested (`ICG_QUICK=1`).
 pub fn quick() -> bool {
     std::env::var("ICG_QUICK")
         .map(|v| v != "0")
         .unwrap_or(false)
+}
+
+/// In `ICG_QUICK` mode, runs the oracle's view-monotonicity check over
+/// one client's recorded history.
+///
+/// # Panics
+///
+/// Panics, naming `whose` history it was, on a violation.
+pub fn check_history<Op: Debug, T: Debug>(history: &[Invocation<Op, T>], whose: impl Display) {
+    if quick() {
+        let violations = icg_oracle::check_monotonicity(history, false);
+        assert!(violations.is_empty(), "{whose}: {violations:?}");
+    }
 }
 
 /// The directory experiment CSVs are written to
@@ -157,7 +172,6 @@ mod tests {
 pub mod ring {
     use correctables::{ConsistencyLevel, LevelSelection};
     use icg_apps::{start_ycsb_users, view_stats, ViewStats};
-    use icg_oracle::check_monotonicity;
     use quorumstore::{Key, ReplicaConfig, SimStore, Value};
     use simnet::{Faults, SimDuration};
     use ycsb::Workload;
@@ -313,11 +327,8 @@ pub mod ring {
 
         let (from, until) = (spec.warmup, spec.warmup + spec.window);
         let snapshots: Vec<_> = histories.iter().map(|h| h.snapshot()).collect();
-        if crate::quick() {
-            for (snapshot, (site, ..)) in snapshots.iter().zip(clients) {
-                let violations = check_monotonicity(snapshot, false);
-                assert!(violations.is_empty(), "{site} client: {violations:?}");
-            }
+        for (snapshot, (site, ..)) in snapshots.iter().zip(clients) {
+            crate::check_history(snapshot, format_args!("{site} client"));
         }
         RingOut {
             clients: snapshots

@@ -14,57 +14,104 @@
 //! seller consumes. As with the quorum-store binding, `submit` enqueues
 //! work and [`SimHost::settle`] drives the simulation; nested submissions
 //! from callbacks are picked up at the correct virtual instant.
+//!
+//! Beside the queue's two operations the binding carries the two
+//! ZooKeeper API calls a client-side dequeue *recipe* is composed of:
+//! [`QueueOp::List`] (`getChildren`, a local read — `Weak` only) and
+//! [`QueueOp::Remove`] (`delete`, through Zab). The recipes themselves
+//! are application code (`icg_apps::tickets`).
 
+use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
+use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimHost, SimTime};
 
-use crate::cluster::ZkCluster;
 use crate::messages::Msg;
-use crate::server::ServerConfig;
-use crate::types::{OpId, ReadCmd, ReadResult, Txn, TxnResult};
+use crate::server::{Server, ServerConfig};
+use crate::tree::join_path;
+use crate::types::{seq_of, OpId, ReadCmd, ReadResult, Txn, TxnResult};
+
+/// The one queue every client of a deployment works on.
+const QUEUE: &str = "/q";
+const PREFIX: &str = "qn-";
 
 /// Queue operations accepted by the binding.
 #[derive(Clone, Debug)]
 pub enum QueueOp {
-    /// Append an element of the given payload size.
+    /// Append an element of the given payload size. Served at `Strong`,
+    /// with the predicted name at `Weak` when both are asked for.
     Enqueue {
         /// Payload size in bytes.
         data_len: u32,
     },
-    /// Remove the head element.
+    /// Remove the head element. Asked for `Weak` alone it is a peek at
+    /// the connected server's head: nothing is removed.
     Dequeue,
+    /// Read every element's name from the connected server (ZooKeeper's
+    /// `getChildren`). A local read: `Weak` only.
+    List,
+    /// Delete the named element (ZooKeeper's `delete`). The view names
+    /// it iff *this* operation deleted it; `None` means another client
+    /// got there first — a result, not an error. Not served at `Weak`
+    /// alone.
+    Remove {
+        /// The element, as [`QueueOp::List`] or a peek named it.
+        name: String,
+    },
 }
 
 /// The application-visible result of a queue operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct QueueView {
-    /// The element's name (created or dequeued); `None` = empty queue.
+    /// The element's name (created, dequeued, removed, or the head of a
+    /// list); `None` = empty queue, or a lost removal race.
     pub name: Option<String>,
-    /// Elements remaining after the operation (dequeues only; the
+    /// Elements remaining after the operation (dequeues and lists; the
     /// element's queue position for enqueues).
     pub remaining: u64,
+    /// Every element's name, in queue order ([`QueueOp::List`] only).
+    pub children: Vec<String>,
+}
+
+/// `children` is printed only where it says something, so every other
+/// operation's views render as they did before lists existed
+/// (`tests/determinism.rs` hashes this rendering).
+impl fmt::Debug for QueueView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("QueueView");
+        out.field("name", &self.name)
+            .field("remaining", &self.remaining);
+        if !self.children.is_empty() {
+            out.field("children", &self.children);
+        }
+        out.finish()
+    }
 }
 
 impl QueueView {
-    fn from_txn(result: &TxnResult) -> QueueView {
+    fn of(name: Option<String>, remaining: u64) -> QueueView {
+        QueueView {
+            name,
+            remaining,
+            children: Vec::new(),
+        }
+    }
+
+    /// `removing` is the element a [`QueueOp::Remove`] named: a
+    /// `Deleted` result does not carry it.
+    fn from_txn(result: TxnResult, removing: &Option<String>) -> QueueView {
         match result {
-            TxnResult::Created { name } => QueueView {
-                name: Some(name.clone()),
-                remaining: crate::types::seq_of(name).unwrap_or(0),
-            },
-            TxnResult::Popped { name, remaining } => QueueView {
-                name: name.clone(),
-                remaining: *remaining,
-            },
-            TxnResult::Deleted | TxnResult::Err(_) => QueueView {
-                name: None,
-                remaining: 0,
-            },
+            TxnResult::Created { name } => {
+                let position = seq_of(&name).unwrap_or(0);
+                QueueView::of(Some(name), position)
+            }
+            TxnResult::Popped { name, remaining } => QueueView::of(name, remaining),
+            TxnResult::Deleted => QueueView::of(removing.clone(), 0),
+            TxnResult::Err(_) => QueueView::of(None, 0),
         }
     }
 }
@@ -82,6 +129,8 @@ pub struct GwPending {
     upcall: Upcall<QueueView>,
     start: SimTime,
     prelim_at: Option<SimTime>,
+    /// The element a [`QueueOp::Remove`] is deleting.
+    removing: Option<String>,
 }
 
 /// Timing of one completed gateway operation, in virtual milliseconds.
@@ -96,13 +145,23 @@ pub struct QueueTiming {
 type Timings = Arc<Mutex<Vec<QueueTiming>>>;
 
 /// The queue's client protocol: every operation goes to the one server
-/// the client is connected to — a local peek for weak-only requests, a
+/// the client is connected to — a local read for a peek or a list, a
 /// Zab-coordinated transaction (with an optional local prediction)
 /// otherwise.
 pub struct QueueClient {
     server: NodeId,
-    parent: String,
     timings: Timings,
+}
+
+impl QueueClient {
+    fn connected_to(server: NodeId) -> (QueueClient, Timings) {
+        let timings = Timings::default();
+        let proto = QueueClient {
+            server,
+            timings: Arc::clone(&timings),
+        };
+        (proto, timings)
+    }
 }
 
 impl GatewayProto for QueueClient {
@@ -115,26 +174,40 @@ impl GatewayProto for QueueClient {
             client: ctx.id(),
             seq,
         };
-        let parent = self.parent.clone();
-        let msg = if !q.strong {
-            // Weak-only: a pure local peek, no coordination at all.
-            Msg::Read {
-                op,
-                cmd: ReadCmd::GetHead { parent },
+        let parent = QUEUE.to_string();
+        let read = |cmd| Msg::Read { op, cmd };
+        let submit = |txn| Msg::Submit {
+            op,
+            txn,
+            prelim: q.weak,
+        };
+        let mut removing = None;
+        let msg = match (q.op, q.strong) {
+            // Weak-only: a pure local read, no coordination at all.
+            (QueueOp::Dequeue, false) => read(ReadCmd::GetHead { parent }),
+            (QueueOp::List, false) => read(ReadCmd::GetChildren { parent }),
+            (QueueOp::Enqueue { data_len }, true) => submit(Txn::CreateSeq {
+                parent,
+                prefix: PREFIX.to_string(),
+                data_len,
+            }),
+            (QueueOp::Dequeue, true) => submit(Txn::PopMin { parent }),
+            (QueueOp::Remove { name }, true) => {
+                let path = join_path(&parent, &name);
+                removing = Some(name);
+                submit(Txn::Delete { path })
             }
-        } else {
-            let txn = match q.op {
-                QueueOp::Enqueue { data_len } => Txn::CreateSeq {
-                    parent,
-                    prefix: "qn-".to_string(),
-                    data_len,
-                },
-                QueueOp::Dequeue => Txn::PopMin { parent },
-            };
-            Msg::Submit {
-                op,
-                txn,
-                prelim: q.weak,
+            // A transaction has no weak-only form and a local read no
+            // strong one: fail rather than answer with some other
+            // operation's view.
+            (QueueOp::List, true) | (QueueOp::Enqueue { .. } | QueueOp::Remove { .. }, false) => {
+                let missing = if q.strong {
+                    ConsistencyLevel::STRONG
+                } else {
+                    ConsistencyLevel::WEAK
+                };
+                q.upcall.fail(Error::UnsupportedLevel(missing));
+                return None;
             }
         };
         ctx.send(self.server, msg);
@@ -142,6 +215,7 @@ impl GatewayProto for QueueClient {
             upcall: q.upcall,
             start: ctx.now(),
             prelim_at: None,
+            removing,
         })
     }
 
@@ -150,8 +224,8 @@ impl GatewayProto for QueueClient {
             Msg::PrelimResp { op, result } => {
                 if let Some(p) = pending.get_mut(op.seq) {
                     p.prelim_at = Some(ctx.now());
-                    let up = p.upcall.clone();
-                    up.deliver(QueueView::from_txn(&result), ConsistencyLevel::WEAK);
+                    let view = QueueView::from_txn(result, &p.removing);
+                    p.upcall.clone().deliver(view, ConsistencyLevel::WEAK);
                 }
             }
             Msg::FinalResp { op, result } => {
@@ -160,24 +234,21 @@ impl GatewayProto for QueueClient {
                         prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
                         final_ms: ctx.now().since(p.start).as_millis_f64(),
                     });
-                    p.upcall
-                        .deliver(QueueView::from_txn(&result), ConsistencyLevel::STRONG);
+                    let view = QueueView::from_txn(result, &p.removing);
+                    p.upcall.deliver(view, ConsistencyLevel::STRONG);
                 }
             }
             Msg::ReadResp { op, result } => {
                 if let Some(p) = pending.remove(op.seq) {
                     let view = match result {
-                        ReadResult::Head { name, count } => QueueView {
-                            name,
-                            remaining: count.saturating_sub(1),
-                        },
-                        ReadResult::Children(names) => {
-                            let count = names.len() as u64;
-                            QueueView {
-                                name: names.into_iter().next(),
-                                remaining: count.saturating_sub(1),
-                            }
+                        ReadResult::Head { name, count } => {
+                            QueueView::of(name, count.saturating_sub(1))
                         }
+                        ReadResult::Children(children) => QueueView {
+                            name: children.first().cloned(),
+                            remaining: (children.len() as u64).saturating_sub(1),
+                            children,
+                        },
                     };
                     self.timings.lock().push(QueueTiming {
                         prelim_ms: None,
@@ -213,9 +284,9 @@ impl Deref for SimQueue {
 }
 
 impl SimQueue {
-    /// Builds the paper's FRK/IRL/VRG ensemble with the leader at
-    /// `leader_site` and the client gateway at `client_site`, connected to
-    /// the server at `connect_site`.
+    /// Builds the paper's FRK/IRL/VRG ensemble — one server per site,
+    /// the (static) leader at `leader_site` — and a client gateway at
+    /// `client_site`, connected to the server at `connect_site`.
     ///
     /// # Panics
     ///
@@ -227,26 +298,34 @@ impl SimQueue {
         connect_site: &str,
         seed: u64,
     ) -> SimQueue {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites = ["FRK", "IRL", "VRG"];
-        let leader_idx = sites
-            .iter()
-            .position(|s| *s == leader_site)
-            .expect("known leader site");
-        let connect_idx = sites
-            .iter()
-            .position(|s| *s == connect_site)
-            .expect("known connect site");
-        let client_site_id = topo.site_named(client_site).expect("known client site");
-        let cluster = ZkCluster::build(topo, &sites, leader_idx, cfg, seed);
-        let timings = Timings::default();
-        let proto = QueueClient {
-            server: cluster.servers[connect_idx],
-            parent: "/q".to_string(),
-            timings: Arc::clone(&timings),
-        };
+        let (mut engine, servers) = Engine::ec2(seed, |_| Box::new(Server::new(cfg)));
+        let site = |name: &str| engine.topology().site_named(name).expect("known site");
+        let (leader, client, connect) = (site(leader_site), site(client_site), site(connect_site));
+        for (i, id) in servers.iter().enumerate() {
+            let peers = NodeId::peers_of(&servers, i);
+            engine
+                .node_as::<Server>(*id)
+                .set_membership(servers[leader.0], peers);
+        }
+        let (proto, timings) = QueueClient::connected_to(servers[connect.0]);
         SimQueue {
-            host: SimHost::new(cluster.engine, cluster.servers, client_site_id, proto),
+            host: SimHost::new(engine, servers, client, proto),
+            timings,
+        }
+    }
+
+    /// One more client of this deployment: a gateway of its own at
+    /// `client_site`, connected to the server at `connect_site`, behind
+    /// a handle of its own (queue, op ids, clock, `settle`, `timings`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site name is unknown.
+    pub fn client_at(&self, client_site: &str, connect_site: &str) -> SimQueue {
+        let site = |name| self.with_engine(|e| e.topology().site_named(name).expect("known site"));
+        let (proto, timings) = QueueClient::connected_to(self.replica_ids()[site(connect_site).0]);
+        SimQueue {
+            host: self.host.add_gateway(site(client_site), proto),
             timings,
         }
     }
@@ -256,14 +335,30 @@ impl SimQueue {
         QueueBinding { q: self.clone() }
     }
 
-    /// Pre-fills the queue on every server (converged state).
+    /// Pre-fills the queue with `n` elements by applying the same
+    /// enqueues directly to every server's tree (a converged state, as
+    /// if enqueued before the experiment).
     pub fn prefill(&self, n: u64, data_len: u32) {
-        self.with_engine(|e| ZkCluster::prefill_into(e, &self.server_ids(), "/q", n, data_len));
+        let enqueue = Txn::CreateSeq {
+            parent: QUEUE.to_string(),
+            prefix: PREFIX.to_string(),
+            data_len,
+        };
+        self.each_replica(|server: &mut Server| {
+            for _ in 0..n {
+                server.tree.apply(&enqueue);
+            }
+        });
     }
 
-    /// The server node ids, in FRK/IRL/VRG (site-list) order.
-    pub fn server_ids(&self) -> Vec<NodeId> {
-        self.replica_ids()
+    /// Elements in the queue at each server, in site-list order.
+    pub fn lengths(&self) -> Vec<u64> {
+        self.each_replica(|server: &mut Server| server.tree.child_count(QUEUE))
+    }
+
+    /// Total bytes that crossed this client's link so far.
+    pub fn gateway_link_bytes(&self) -> u64 {
+        self.with_engine(|e| e.bandwidth().link_bytes(self.gateway_id()))
     }
 
     /// Timings of completed operations.
@@ -302,6 +397,144 @@ impl Binding for QueueBinding {
 mod tests {
     use super::*;
     use correctables::{Client, State};
+    use simnet::SimDuration;
+
+    /// Leader in IRL; the client, at `client_site`, talks to the FRK
+    /// follower.
+    fn paper_queue(client_site: &str, seed: u64) -> SimQueue {
+        SimQueue::ec2(ServerConfig::default(), "IRL", client_site, "FRK", seed)
+    }
+
+    /// `left` enqueues one at a time: the next leaves when the last
+    /// closed.
+    fn enqueue_in_turn(client: Arc<Client<QueueBinding>>, icg: bool, left: u64) {
+        if left == 0 {
+            return;
+        }
+        let op = QueueOp::Enqueue { data_len: 20 };
+        let c = if icg {
+            client.invoke(op)
+        } else {
+            client.invoke_strong(op)
+        };
+        c.on_final(move |_| enqueue_in_turn(client, icg, left - 1));
+    }
+
+    fn mean(xs: impl Iterator<Item = f64>) -> f64 {
+        let xs: Vec<f64> = xs.collect();
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    #[test]
+    fn enqueues_replicate_to_all_servers() {
+        let q = paper_queue("IRL", 3);
+        enqueue_in_turn(Arc::new(Client::new(q.binding())), false, 5);
+        q.settle();
+        // The client has its answers; let the last commit reach VRG.
+        q.advance(SimDuration::from_millis(500));
+        assert_eq!(q.lengths(), [5, 5, 5], "replica diverged");
+        let applied = q.each_replica(|s: &mut Server| s.applied_count);
+        assert_eq!(applied, [5, 5, 5]);
+        let timings = q.timings();
+        assert_eq!(timings.len(), 5);
+        // Client in IRL via FRK follower with leader in IRL: the paper's
+        // first configuration. Final latency ≈ 55–75 ms.
+        let mean = mean(timings.iter().map(|t| t.final_ms));
+        assert!((45.0..85.0).contains(&mean), "ZK enqueue mean {mean}ms");
+    }
+
+    #[test]
+    fn czk_preliminary_beats_final_by_coordination_time() {
+        let q = paper_queue("IRL", 4);
+        enqueue_in_turn(Arc::new(Client::new(q.binding())), true, 10);
+        q.settle();
+        let timings = q.timings();
+        let prelim = mean(timings.iter().map(|t| t.prelim_ms.expect("CZK enqueue")));
+        let fin = mean(timings.iter().map(|t| t.final_ms));
+        // Preliminary ≈ client–server RTT (20 ms); final much later.
+        assert!((18.0..26.0).contains(&prelim), "prelim {prelim}ms");
+        assert!(fin > prelim + 20.0, "no gap: prelim {prelim} final {fin}");
+    }
+
+    #[test]
+    fn concurrent_enqueuers_get_unique_names() {
+        let frk = paper_queue("FRK", 5);
+        let clients = [
+            frk.clone(),
+            frk.client_at("IRL", "FRK"),
+            frk.client_at("VRG", "FRK"),
+        ];
+        for c in &clients {
+            enqueue_in_turn(Arc::new(Client::new(c.binding())), false, 20);
+            c.step(SimDuration::ZERO);
+        }
+        for c in &clients {
+            c.settle();
+            assert_eq!(c.timings().len(), 20);
+        }
+        assert_eq!(frk.lengths()[0], 60);
+    }
+
+    #[test]
+    fn an_op_asked_for_a_level_it_does_not_have_fails_instead_of_peeking() {
+        let q = queue_with(3);
+        let client = Client::new(q.binding());
+        let head = || "qn-0000000000".to_string();
+        let weak_enqueue = client.invoke_weak(QueueOp::Enqueue { data_len: 20 });
+        let weak_remove = client.invoke_weak(QueueOp::Remove { name: head() });
+        let strong_list = client.invoke_strong(QueueOp::List);
+        let icg_list = client.invoke(QueueOp::List);
+        q.settle();
+        let weak = Some(Error::UnsupportedLevel(ConsistencyLevel::WEAK));
+        let strong = Some(Error::UnsupportedLevel(ConsistencyLevel::STRONG));
+        assert_eq!(
+            (weak_enqueue.state(), weak_enqueue.error()),
+            (State::Error, weak.clone())
+        );
+        assert_eq!(
+            (weak_remove.error(), strong_list.error()),
+            (weak, strong.clone())
+        );
+        assert_eq!(icg_list.error(), strong);
+        // Nothing was sent, so nothing was enqueued or removed.
+        assert_eq!((q.lengths(), q.gateway_link_bytes()), (vec![3, 3, 3], 0));
+    }
+
+    #[test]
+    fn list_names_every_element_and_remove_reports_who_won() {
+        let q = queue_with(3);
+        let client = Client::new(q.binding());
+        let listed = client.invoke_weak(QueueOp::List);
+        q.settle();
+        let view = listed.final_view().unwrap();
+        assert_eq!(view.level, ConsistencyLevel::WEAK);
+        assert_eq!(view.value.children.len(), 3);
+        assert_eq!(
+            (view.value.name.as_ref(), view.value.remaining),
+            (view.value.children.first(), 2)
+        );
+        // Two removals of the head race; Zab orders them, one wins.
+        let name = view.value.children[0].clone();
+        let first = client.invoke_strong(QueueOp::Remove { name: name.clone() });
+        let second = client.invoke(QueueOp::Remove { name: name.clone() });
+        q.settle();
+        assert_eq!(first.final_view().unwrap().value.name, Some(name.clone()));
+        // The loser's prediction, made before the winner committed, was
+        // wrong; its final view says so.
+        assert_eq!(second.preliminary_views()[0].value.name, Some(name));
+        assert_eq!(second.final_view().unwrap().value.name, None);
+        q.advance(SimDuration::from_millis(500));
+        assert_eq!(q.lengths(), [2, 2, 2]);
+    }
+
+    #[test]
+    fn a_non_list_view_renders_as_it_did_before_lists() {
+        let view = QueueView::of(Some("qn-0000000001".into()), 4);
+        assert_eq!(
+            format!("{view:?}"),
+            r#"QueueView { name: Some("qn-0000000001"), remaining: 4 }"#
+        );
+    }
 
     fn queue_with(n: u64) -> SimQueue {
         // Client in IRL connected to the FRK follower, leader in IRL.

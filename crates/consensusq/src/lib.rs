@@ -12,30 +12,31 @@
 //! - **Znode tree** ([`tree::ZnodeTree`]): persistent znodes with
 //!   per-parent ordered children and sequential-creation counters — enough
 //!   to express ZooKeeper's queue recipe.
-//! - **Queue recipe** ([`clients`]): vanilla dequeue reads the *whole*
-//!   child list and races on deleting the head (message size grows with
-//!   queue length — Figure 10); the CZK recipe reads a constant-size head;
-//!   CZK's `invoke(dequeue)` adds the fast path — the connected server
-//!   *simulates* the operation on local state and leaks the prediction as
-//!   a preliminary view before Zab coordination (§5.2).
-//! - **Binding** ([`binding::SimQueue`]): the Correctables binding used by
-//!   the ticket-selling application (Listing 5).
+//! - **Binding** ([`binding::SimQueue`]): the Correctables binding, and
+//!   the one client of the service — every message a client sends is
+//!   produced by `QueueClient::start`. CZK's `invoke(dequeue)` is the
+//!   fast path: the connected server *simulates* the operation on local
+//!   state and leaks the prediction as a preliminary view before Zab
+//!   coordination (§5.2); the ticket seller (Listing 5) consumes it.
+//! - **Queue recipes** are not here: as in ZooKeeper, a recipe is
+//!   client-side composition of API calls, i.e. application code
+//!   (`icg_apps::tickets`). The binding offers the two calls they are
+//!   made of: [`QueueOp::List`] — vanilla dequeue reads the *whole*
+//!   child list and races on deleting the head, so its messages grow
+//!   with the queue (Figure 10), where the CZK recipe peeks at a
+//!   constant-size head — and [`QueueOp::Remove`].
 //!
 //! A single Zab epoch is simulated (static leader); the paper's
 //! evaluation never fails the leader, and leader re-election is out of
 //! reproduced scope (see DESIGN.md §6).
 
 pub mod binding;
-pub mod clients;
-pub mod cluster;
 pub mod messages;
 pub mod server;
 pub mod tree;
 pub mod types;
 
 pub use binding::{QueueBinding, QueueOp, QueueTiming, QueueView, SimQueue};
-pub use clients::{DequeueClient, DequeueMode, EnqueueClient, PurchaseRecord, KICKOFF};
-pub use cluster::ZkCluster;
 pub use messages::{Msg, FRAME_BYTES};
 pub use server::{Server, ServerConfig};
 pub use tree::{join_path, Znode, ZnodeTree};

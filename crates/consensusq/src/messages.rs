@@ -20,7 +20,6 @@ fn txn_size(txn: &Txn) -> usize {
             prefix,
             data_len,
         } => parent.len() + prefix.len() + *data_len as usize,
-        Txn::Create { path, data_len } => path.len() + *data_len as usize,
         Txn::Delete { path } => path.len(),
         Txn::PopMin { parent } => parent.len(),
     }

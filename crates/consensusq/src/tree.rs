@@ -45,14 +45,6 @@ impl ZnodeTree {
                 self.insert(parent, &name, *data_len);
                 TxnResult::Created { name }
             }
-            Txn::Create { path, data_len } => {
-                if self.nodes.contains_key(path) {
-                    return TxnResult::Err(ZkError::NodeExists);
-                }
-                let (parent, name) = split_path(path);
-                self.insert(&parent, &name, *data_len);
-                TxnResult::Created { name }
-            }
             Txn::Delete { path } => {
                 if self.nodes.remove(path).is_none() {
                     return TxnResult::Err(ZkError::NoNode);
@@ -87,15 +79,6 @@ impl ZnodeTree {
                 let ctr = self.seq_counters.get(parent).copied().unwrap_or(0);
                 TxnResult::Created {
                     name: format!("{prefix}{ctr:010}"),
-                }
-            }
-            Txn::Create { path, .. } => {
-                if self.nodes.contains_key(path) {
-                    TxnResult::Err(ZkError::NodeExists)
-                } else {
-                    TxnResult::Created {
-                        name: split_path(path).1,
-                    }
                 }
             }
             Txn::Delete { path } => {
@@ -273,25 +256,6 @@ mod tests {
             data_len: 1,
         });
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn create_explicit_and_conflict() {
-        let mut t = ZnodeTree::new();
-        assert_eq!(
-            t.apply(&Txn::Create {
-                path: "/a".into(),
-                data_len: 5
-            }),
-            TxnResult::Created { name: "a".into() }
-        );
-        assert_eq!(
-            t.apply(&Txn::Create {
-                path: "/a".into(),
-                data_len: 5
-            }),
-            TxnResult::Err(ZkError::NodeExists)
-        );
     }
 
     #[test]

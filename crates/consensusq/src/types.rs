@@ -29,13 +29,6 @@ pub enum Txn {
         /// Payload size in bytes (content is opaque to the service).
         data_len: u32,
     },
-    /// Create a znode at an explicit path (fails if it exists).
-    Create {
-        /// Full path.
-        path: String,
-        /// Payload size in bytes.
-        data_len: u32,
-    },
     /// Delete a znode (fails with [`ZkError::NoNode`] if missing) — the
     /// client-driven dequeue's removal step.
     Delete {
@@ -55,8 +48,6 @@ pub enum Txn {
 pub enum ZkError {
     /// The target znode does not exist (e.g. lost a dequeue race).
     NoNode,
-    /// The target znode already exists.
-    NodeExists,
 }
 
 /// The outcome of a transaction, identical on every replica.

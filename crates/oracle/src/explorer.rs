@@ -587,6 +587,11 @@ fn run_queue(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary,
             |op| match op {
                 QueueOp::Enqueue { .. } => QOp::Enqueue,
                 QueueOp::Dequeue => QOp::Dequeue,
+                // The recipes' primitives; the workload above issues
+                // neither and `QueueSpec` has no operation for them.
+                QueueOp::List | QueueOp::Remove { .. } => {
+                    unreachable!("not part of the explored workload")
+                }
             },
             |v| QRet {
                 name: v.name.as_deref().and_then(seq_of),

@@ -21,7 +21,10 @@
 //!   finds nothing and no side table outlives the operation;
 //! - the **virtual-clock mirror** ([`SimHost::clock`]), readable from
 //!   callbacks while the engine runs, e.g. by
-//!   `correctables::History::with_clock`.
+//!   `correctables::History::with_clock`;
+//! - **wake-ups** ([`SimHost::after`]): application code that runs on
+//!   the client after a delay of virtual time — a retailer's think time
+//!   between two customers.
 //!
 //! A store supplies a [`GatewayProto`]: how a queued submission becomes
 //! sends, how a reply becomes upcall deliveries, how a deadline fails
@@ -44,8 +47,8 @@ use crate::faults::Faults;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::SiteId;
 
-/// Timer token of the queue-drain kick. Deadline tokens are op ids,
-/// which count up from zero and never get here.
+/// Timer token of the queue-drain kick. Deadline and wake-up tokens are
+/// op ids, which count up from zero and never get here.
 const KICK: u64 = u64::MAX - 1;
 
 /// Virtual time [`SimHost::settle`] runs between two checks for
@@ -174,7 +177,22 @@ pub trait GatewayProto: Send + 'static {
     fn expire(&mut self, entry: Self::Pending);
 }
 
-type Queue<Q> = Arc<Mutex<VecDeque<Q>>>;
+type Wake = Box<dyn FnOnce() + Send>;
+
+/// What a client's handles have left for its gateway's next drain, under
+/// one lock: submissions, and wake-ups to arm.
+struct Inbox<Q> {
+    ops: VecDeque<Q>,
+    wakes: Vec<(SimDuration, Wake)>,
+}
+
+impl<Q> Inbox<Q> {
+    fn is_empty(&self) -> bool {
+        self.ops.is_empty() && self.wakes.is_empty()
+    }
+}
+
+type Queue<Q> = Arc<Mutex<Inbox<Q>>>;
 
 /// The in-simulation client node (see the module docs).
 pub struct SimGateway<P: GatewayProto> {
@@ -183,6 +201,8 @@ pub struct SimGateway<P: GatewayProto> {
     clock: Arc<AtomicU64>,
     next_op: u64,
     pending: PendingOps<P::Pending>,
+    /// Armed wake-ups, by the op id minted for their timer token.
+    wakes: PendingOps<Wake>,
     /// `None` (the default) waits forever; fault-injected runs set it
     /// so a lost reply fails the operation instead of wedging `settle`.
     client_timeout: Option<SimDuration>,
@@ -191,11 +211,22 @@ pub struct SimGateway<P: GatewayProto> {
 impl<P: GatewayProto> SimGateway<P> {
     fn drain(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
         loop {
-            let Some(queued) = self.queue.lock().pop_front() else {
+            let mut inbox = self.queue.lock();
+            let Some(queued) = inbox.ops.pop_front() else {
+                if !inbox.wakes.is_empty() {
+                    let wakes = std::mem::take(&mut inbox.wakes);
+                    drop(inbox);
+                    for (delay, wake) in wakes {
+                        let token = self.mint();
+                        self.wakes.insert(token, wake);
+                        ctx.set_timer(delay, Timer(token));
+                    }
+                }
                 return;
             };
-            let op = self.next_op;
-            self.next_op += 1;
+            // `start` may run callbacks, which may enqueue.
+            drop(inbox);
+            let op = self.mint();
             if let Some(entry) = self.proto.start(ctx, op, queued) {
                 self.pending.insert(op, entry);
                 if let Some(d) = self.client_timeout {
@@ -203,6 +234,15 @@ impl<P: GatewayProto> SimGateway<P> {
                 }
             }
         }
+    }
+
+    fn mint(&mut self) -> u64 {
+        self.next_op += 1;
+        self.next_op - 1
+    }
+
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.wakes.is_empty() && self.queue.lock().is_empty()
     }
 }
 
@@ -218,7 +258,9 @@ impl<P: GatewayProto> Node<P::Msg> for SimGateway<P> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, P::Msg>, timer: Timer) {
         self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
         if timer.0 != KICK {
-            if let Some(entry) = self.pending.remove(timer.0) {
+            if let Some(wake) = self.wakes.remove(timer.0) {
+                wake();
+            } else if let Some(entry) = self.pending.remove(timer.0) {
                 self.proto.expire(entry);
             }
         }
@@ -291,7 +333,10 @@ impl<P: GatewayProto> SimHost<P> {
         client_site: SiteId,
         proto: P,
     ) -> Self {
-        let queue: Queue<P::Queued> = Arc::default();
+        let queue: Queue<P::Queued> = Arc::new(Mutex::new(Inbox {
+            ops: VecDeque::new(),
+            wakes: Vec::new(),
+        }));
         let clock = Arc::new(AtomicU64::new(0));
         let gateway = engine.lock().add_node(
             client_site,
@@ -301,6 +346,7 @@ impl<P: GatewayProto> SimHost<P> {
                 clock: Arc::clone(&clock),
                 next_op: 0,
                 pending: PendingOps::new(),
+                wakes: PendingOps::new(),
                 client_timeout: None,
             }),
         );
@@ -316,7 +362,18 @@ impl<P: GatewayProto> SimHost<P> {
     /// Queues one submission for the gateway's next drain (what a
     /// binding's `submit` does).
     pub fn enqueue(&self, queued: P::Queued) {
-        self.queue.lock().push_back(queued);
+        self.queue.lock().ops.push_back(queued);
+    }
+
+    /// Runs `f` on this client's gateway `delay` of virtual time from
+    /// now — client think time. Callable from inside a callback, so like
+    /// [`SimHost::enqueue`] it only leaves `f` for the gateway's next
+    /// drain to arm (from a callback that is this very instant); when
+    /// it fires, the clock mirror shows the wake-up's instant and what
+    /// `f` submits is drained there. [`SimHost::settle`] counts a
+    /// pending wake-up as outstanding work.
+    pub fn after(&self, delay: SimDuration, f: impl FnOnce() + Send + 'static) {
+        self.queue.lock().wakes.push((delay, Box::new(f)));
     }
 
     /// A handle mirroring the virtual time (nanoseconds) at which the
@@ -365,7 +422,8 @@ impl<P: GatewayProto> SimHost<P> {
 
     /// Drives the simulation until every submitted operation (including
     /// operations issued from inside callbacks) has closed — by a final
-    /// view or, when faults lost it, by the client deadline.
+    /// view or, when faults lost it, by the client deadline — and every
+    /// wake-up has fired.
     ///
     /// # Panics
     ///
@@ -377,8 +435,7 @@ impl<P: GatewayProto> SimHost<P> {
         for _ in 0..2_000_000 {
             engine.schedule_timer(self.gateway, SimDuration::ZERO, Timer(KICK));
             engine.run_for(SETTLE_SLICE);
-            let gateway = engine.node_as::<SimGateway<P>>(self.gateway);
-            if gateway.pending.is_empty() && self.queue.lock().is_empty() {
+            if engine.node_as::<SimGateway<P>>(self.gateway).idle() {
                 return;
             }
         }
@@ -635,7 +692,7 @@ mod tests {
     fn tables(host: &SimHost<ToyProto>) -> (usize, usize) {
         (
             host.with_gateway(|gw| gw.pending.len()),
-            host.queue.lock().len(),
+            host.queue.lock().ops.len(),
         )
     }
 
@@ -766,6 +823,37 @@ mod tests {
         assert_eq!(tables(&host), (0, 1));
         host.step(SimDuration::from_millis(25));
         assert_eq!(second.state(), State::Final);
+    }
+
+    #[test]
+    fn wake_up_from_a_callback_fires_after_exactly_its_delay() {
+        let ms = SimDuration::from_millis;
+        let (a, client_a) = toy();
+        let echo = a.replica_ids()[0];
+        let b = a.add_gateway(a.site_ids()[0], ToyProto { echo });
+        let clock_ms = |h: &SimHost<ToyProto>| h.clock().load(Ordering::Relaxed) / 1_000_000;
+        let woke_at = Arc::new(AtomicU64::new(0));
+        {
+            let (host, clock, woke_at) = (a.clone(), a.clock(), woke_at.clone());
+            client_a.invoke_weak(()).on_final(move |_| {
+                host.after(ms(15), move || {
+                    woke_at.store(clock.load(Ordering::Relaxed), Ordering::Relaxed);
+                });
+            });
+        }
+        // B's op is back at 20 ms like A's; B neither waits for A's
+        // wake-up nor runs it.
+        let y = Client::new(ToyBinding(b.clone())).invoke_weak(());
+        a.step(SimDuration::ZERO);
+        b.settle();
+        assert_eq!((y.state(), clock_ms(&b)), (State::Final, 20));
+        assert_eq!(woke_at.load(Ordering::Relaxed), 0);
+        // A's tables are empty but its wake-up is not due: `settle`
+        // runs on to it. The pong arrived at 20 ms, so it fires at 35.
+        assert_eq!(tables(&a), (0, 0));
+        a.settle();
+        assert_eq!(woke_at.load(Ordering::Relaxed), 35_000_000);
+        assert_eq!((clock_ms(&a), clock_ms(&b)), (35, 20));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! batch (with a client deadline, so the cut shows as timeouts) runs,
 //! then healed under four more rounds and a tail of reads. (A seventh
 //! row runs three clients on one quorum store, closed-loop, under the
-//! same cut: the multi-client shell.) Each store is
+//! same cut: the multi-client shell; an eighth four ticket retailers on
+//! one queue, thinking between customers: the shell's wake-ups.) Each
+//! store is
 //! run twice in one process and must record the same [`History`] event
 //! for event; each run is then reduced to three digests that are pinned
 //! below:
@@ -27,7 +29,7 @@
 
 use std::fmt::Debug;
 
-use icg::apps::start_ycsb_users;
+use icg::apps::{open_retailers, start_ycsb_users, TicketOffice};
 use icg::causalstore::{CacheOp, SimCausal};
 use icg::consensusq::{QueueOp, ServerConfig, SimQueue};
 use icg::correctables::spec::{CounterSpec, CtrOp};
@@ -280,6 +282,52 @@ fn run_queue(seed: u64) -> Run {
     )
 }
 
+/// Four [`TicketOffice`] retailers on one deployment, 15 ms of think
+/// time between customers, for 2 s under the cut, leader in FRK. Two
+/// sit with the IRL follower and sell the stock out; two sit with the
+/// VRG follower, which the cut severs from the leader: its state never
+/// moves, so they keep confirming on preliminaries whose atomic dequeues
+/// all run into the client deadline.
+fn run_retailers(seed: u64) -> Run {
+    let irl = SimQueue::ec2(ServerConfig::default(), "FRK", "IRL", "IRL", seed);
+    irl.prefill(40, 20);
+    irl.set_faults(cut_frk_vrg());
+    let office = |q: &SimQueue, client| {
+        q.set_client_timeout(ms(400));
+        let office = TicketOffice::with_client(q.clone(), client);
+        move || office.purchase_ticket()
+    };
+    let mut retailers = open_retailers(&irl, "IRL", 2, ms(15), office);
+    let vrg = irl.client_at("VRG", "VRG");
+    retailers.extend(open_retailers(&vrg, "VRG", 2, ms(15), office));
+    for r in &retailers {
+        r.queue().step(SimDuration::ZERO);
+    }
+    irl.advance(ms(2_000));
+    let lines = |stamped| {
+        retailers
+            .iter()
+            .flat_map(|r| history_lines(r.history(), stamped))
+            .collect()
+    };
+    Run {
+        values: lines(false),
+        stamped: lines(true),
+        extras: retailers
+            .iter()
+            .map(|r| {
+                let (receipts, q) = (r.receipts(), r.queue());
+                let bytes = q.gateway_link_bytes();
+                format!(
+                    "{} sold, last {:?}, {bytes} B",
+                    receipts.len(),
+                    receipts.last()
+                )
+            })
+            .collect(),
+    }
+}
+
 fn run_spec(seed: u64) -> Run {
     let s = SimSpecStore::ec2(CounterSpec, "IRL", seed);
     scenario(
@@ -387,6 +435,11 @@ const TABLE: &[Row] = &[
     // messages — one of the 40 gateway timings moves (20.80 → 20.96 ms).
     Row { name: "consensusq", run: run_queue, cut_times_out: false,
           pins: [Parent(0xe591_f329_9424_2d56), Own(0xeaf5_a1fe_c0a9_f45c), Own(0x12b6_b5d6_cf35_09c9)] },
+    // Several queue clients (`SimQueue::client_at`) and the shell's
+    // wake-ups (`SimHost::after`, the retailers' think time), new with
+    // this row.
+    Row { name: "consensusq-retailers", run: run_retailers, cut_times_out: true,
+          pins: [Own(0x2c24_a6aa_146b_5231), Own(0x93e7_fbb8_c398_daca), Own(0x9972_27b0_03ae_abb4)] },
     // The simulated replica now hosts `specstore::SpecCore`, the core
     // the TCP replicas serve, and sends what that sends: acks are
     // cumulative, retransmission is one deadline 200 ms after the first
