@@ -18,6 +18,23 @@
 //! each binding's connection and pending-op table live
 //! ([`crate::reactor::client`]). This module holds the handle.
 //!
+//! ## Direct submit
+//!
+//! The preliminary view is only as fast as the path from `invoke` to
+//! the socket. When nothing else is in flight on the binding's link,
+//! [`TcpBinding`]'s `submit` encodes the request and writes it to the
+//! coordinator socket on the calling thread, and tells the loop about
+//! the operation without waking it: the reply wakes it, which is the
+//! first moment it has anything to do. When something *is* in flight
+//! the submission is queued for the loop as ever — replies are about to
+//! wake it anyway, and it batches what it finds into one `write`, where
+//! direct writes would make one TCP send per operation. Which path an
+//! operation takes is decided by what the binding observes of its own
+//! link — that count, and the loop's verdict on whether the link's last
+//! busy spell was a burst — never by anything configured. What is
+//! shared to make this possible, and the orderings that keep it safe,
+//! are [`crate::reactor::client`]'s to explain.
+//!
 //! ## Failover
 //!
 //! The binding takes the full replica address list. When the connection
@@ -31,16 +48,17 @@
 
 use std::io;
 use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-use parking_lot::Mutex;
+use std::time::{Duration, Instant};
 
 use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
 use quorumstore::types::Versioned;
-use quorumstore::{read_kind, StoreOp};
+use quorumstore::{encode_submit, read_kind, StoreOp};
+use simnet::NodeId;
 
-use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
+use crate::frame::append_frame;
+use crate::reactor::client::{ClientEv, ClientReactor, Lane, ReactorBinding};
 
 /// Configuration of a [`TcpBinding`].
 #[derive(Clone, Debug)]
@@ -87,9 +105,10 @@ impl TcpConfig {
 pub struct TcpBinding {
     r_strong: u8,
     confirm: bool,
-    /// The address of the coordinator currently (or most recently)
-    /// connected, for observability.
-    coordinator: Arc<Mutex<SocketAddr>>,
+    client: NodeId,
+    op_timeout: Duration,
+    /// What this handle shares with the binding's loop.
+    lane: Arc<Lane>,
     rb: ReactorBinding,
 }
 
@@ -109,10 +128,13 @@ impl TcpBinding {
         // lint: allow(panic_path) — constructor API-misuse check, pre-serving
         assert!(!cfg.replicas.is_empty(), "need at least one replica");
         let (r_strong, confirm) = (cfg.r_strong, cfg.confirm);
-        reactor.register(cfg).map(|(coordinator, rb)| TcpBinding {
+        let (client, op_timeout) = (NodeId(cfg.client_id as usize), cfg.op_timeout);
+        reactor.register(cfg).map(|(lane, rb)| TcpBinding {
             r_strong,
             confirm,
-            coordinator,
+            client,
+            op_timeout,
+            lane,
             rb,
         })
     }
@@ -120,7 +142,7 @@ impl TcpBinding {
     /// The replica this binding is currently coordinated by (the most
     /// recently dialed address after failover).
     pub fn coordinator(&self) -> SocketAddr {
-        *self.coordinator.lock()
+        *self.lane.coordinator.lock()
     }
 
     /// Disconnects and stops serving this binding. Pending operations
@@ -141,11 +163,390 @@ impl Binding for TcpBinding {
 
     fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
         let kind = read_kind(levels, self.r_strong, self.confirm);
+        let lane = &self.lane;
+        // Raised here, lowered by the loop when the operation leaves its
+        // pending table. Zero with the last spell's head left alone: the
+        // loop has nothing to do for this link until a reply arrives.
+        let idle = lane.in_flight.fetch_add(1, Ordering::SeqCst) == 0
+            && !lane.bursty.load(Ordering::Relaxed);
+        if let Some(mut link) = idle.then(|| lane.half.lock_idle()).flatten() {
+            let seq = lane.next_seq.fetch_add(1, Ordering::Relaxed);
+            let (msg, entry) = encode_submit(self.client, seq, op, kind, upcall);
+            append_frame(&msg, link.frame());
+            // Entry before frame: the reply cannot reach the loop ahead
+            // of the entry it answers.
+            let written = ClientEv::Written {
+                binding: self.rb.id(),
+                seq,
+                deadline: Instant::now() + self.op_timeout,
+                op: Box::new(entry),
+            };
+            if self.rb.submit_quiet(written) {
+                #[cfg(test)]
+                lane.paths.direct.fetch_add(1, Ordering::Relaxed);
+                link.write();
+            }
+            return;
+        }
+        #[cfg(test)]
+        lane.paths.queued.fetch_add(1, Ordering::Relaxed);
         self.rb.submit(ClientEv::Submit {
             binding: self.rb.id(),
             op,
             kind,
             upcall,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Which path a submission took is not observable from outside the
+    //! crate (deliberately: nothing selects it), so the tests that prove
+    //! it by count live here, beside the counters only they compile in.
+
+    use super::*;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{self, Receiver, Sender};
+    use std::thread;
+
+    use correctables::{Client, Correctable, Error};
+    use quorumstore::{Key, Msg, Value};
+
+    use crate::frame::{encode_frame, read_frame};
+    use crate::{spawn_local_cluster, ServerConfig};
+
+    type Kv = Client<TcpBinding>;
+
+    fn paths(b: &TcpBinding) -> (u64, u64, u64) {
+        let p = &b.lane.paths;
+        let read = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
+        (read(&p.direct), read(&p.queued), read(&p.orphaned))
+    }
+
+    /// Keeps `left` ICG reads going on `client`, each issued from inside
+    /// the previous one's `on_final` — on the client loop's thread.
+    fn chain(client: Arc<Kv>, left: Arc<AtomicUsize>, done: Sender<Result<(), Error>>) {
+        let took_one = left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if took_one.is_err() {
+            let _ = done.send(Ok(()));
+            return;
+        }
+        let read = client.invoke(StoreOp::Read(Key::plain(7)));
+        let failed = done.clone();
+        read.on_error(move |e| {
+            let _ = failed.send(Err(e.clone()));
+        });
+        read.on_final(move |_| chain(client, left, done));
+    }
+
+    #[test]
+    fn a_depth_one_loop_writes_its_own_frames_and_a_deep_one_never_does() {
+        const OPS: usize = 10_000;
+        let replicas = spawn_local_cluster(3, |id| ServerConfig {
+            id,
+            ..ServerConfig::default()
+        });
+        let reactor = ClientReactor::new(1).expect("reactor");
+        let cfg = TcpConfig::new(replicas.iter().map(|r| r.addr()).collect(), 4000);
+        let binding = TcpBinding::connect_on(cfg, &reactor).expect("connect");
+        let client = Arc::new(Client::new(binding.clone()));
+        let wait = Duration::from_secs(10);
+        client
+            .invoke_strong(StoreOp::Write(Key::plain(7), Value::Opaque(8)))
+            .wait_final(wait)
+            .expect("seed write");
+
+        // Depth 1, the caller woken by the final view submits the next.
+        let (direct0, queued0, _) = paths(&binding);
+        let wakes0 = binding.rb.loop_wakes();
+        for _ in 0..OPS {
+            let read = client.invoke(StoreOp::Read(Key::plain(7)));
+            read.wait_final(wait).expect("icg read");
+        }
+        // Depth 1, the next read issued from inside `on_final`.
+        let (done_tx, done) = mpsc::channel();
+        chain(
+            Arc::clone(&client),
+            Arc::new(AtomicUsize::new(OPS)),
+            done_tx,
+        );
+        done.recv_timeout(Duration::from_secs(60))
+            .expect("chain finished")
+            .expect("chained read");
+        let (direct1, queued1, _) = paths(&binding);
+        let (direct, queued) = (direct1 - direct0, queued1 - queued0);
+        assert_eq!(direct + queued, 2 * OPS as u64);
+        assert!(
+            queued * 100 <= 2 * OPS as u64,
+            "{queued} of {} depth-1 reads took the queued path",
+            2 * OPS
+        );
+        // Only a queued submission writes the eventfd: the loop heard of
+        // the other {direct} from their replies.
+        let wakes = binding.rb.loop_wakes() - wakes0;
+        assert!(
+            wakes <= queued,
+            "{wakes} eventfd writes for {queued} queued submissions"
+        );
+
+        // Depth 16: sixteen chains at once. Replies are about to wake
+        // the loop anyway; it batches what it finds.
+        let (done_tx, done) = mpsc::channel();
+        let left = Arc::new(AtomicUsize::new(OPS));
+        for _ in 0..16 {
+            chain(Arc::clone(&client), Arc::clone(&left), done_tx.clone());
+        }
+        for _ in 0..16 {
+            done.recv_timeout(Duration::from_secs(60))
+                .expect("chains finished")
+                .expect("chained read");
+        }
+        let (direct2, queued2, _) = paths(&binding);
+        let direct = direct2 - direct1;
+        assert!(queued2 - queued1 + direct >= OPS as u64);
+        assert!(
+            direct * 100 < OPS as u64,
+            "{direct} of {OPS} depth-16 reads were written directly"
+        );
+        binding.shutdown();
+        for r in &replicas {
+            r.shutdown();
+        }
+    }
+
+    /// The benchmark's preload in miniature: sixteen writes submitted
+    /// back to back, all awaited, again. Each burst finds the link idle;
+    /// a direct write at its head would split the one `write` the loop
+    /// makes of the burst. The loop sees the head get company before
+    /// its first reply and says so on the lane — and takes it back when
+    /// the caller turns to one operation at a time.
+    #[test]
+    fn a_lock_step_burst_writer_is_not_split_and_a_lone_one_goes_direct_again() {
+        const BURSTS: u64 = 200;
+        const LONE: u64 = 1000;
+        let replicas = spawn_local_cluster(3, |id| ServerConfig {
+            id,
+            ..ServerConfig::default()
+        });
+        let reactor = ClientReactor::new(1).expect("reactor");
+        let cfg = TcpConfig::new(replicas.iter().map(|r| r.addr()).collect(), 4200);
+        let binding = TcpBinding::connect_on(cfg, &reactor).expect("connect");
+        let client = Client::new(binding.clone());
+        let wait = Duration::from_secs(10);
+        let burst = |round: u64| {
+            let ops: Vec<_> = (0..16)
+                .map(|k| client.invoke_strong(write(round * 16 + k)))
+                .collect();
+            for op in ops {
+                op.wait_final(wait).expect("burst write");
+            }
+        };
+
+        burst(0);
+        let (direct0, ..) = paths(&binding);
+        (1..=BURSTS).for_each(burst);
+        let (direct1, ..) = paths(&binding);
+        let direct = direct1 - direct0;
+        assert!(
+            direct * 100 < BURSTS * 16,
+            "{direct} of {} lock-step writes were written directly",
+            BURSTS * 16
+        );
+
+        // The first lone operation is queued, closes alone, and clears
+        // the way for the rest.
+        for key in 0..LONE {
+            client
+                .invoke_strong(write(key))
+                .wait_final(wait)
+                .expect("lone write");
+        }
+        let (direct2, ..) = paths(&binding);
+        let queued = LONE - (direct2 - direct1);
+        assert!(
+            queued * 100 <= LONE,
+            "{queued} of {LONE} lone writes took the queued path"
+        );
+        binding.shutdown();
+        for r in &replicas {
+            r.shutdown();
+        }
+    }
+
+    /// What a [`Scripted`] coordinator does next.
+    enum Script {
+        /// Acknowledge the oldest write not yet acknowledged (waiting
+        /// for it to arrive if need be).
+        Reply,
+        /// Close the connection being served. The next one is served
+        /// the same way.
+        Kill,
+    }
+
+    #[derive(Default)]
+    struct Served {
+        stream: Option<TcpStream>,
+        unanswered: std::collections::VecDeque<quorumstore::OpId>,
+    }
+
+    /// A fake coordinator that reads requests and does nothing else
+    /// until told: each call returns once the step has happened, so a
+    /// test orders the coordinator's side of a race by calling, not by
+    /// sleeping.
+    struct Scripted {
+        addr: SocketAddr,
+        script: Sender<Script>,
+        done: Receiver<()>,
+    }
+
+    impl Scripted {
+        fn start() -> Scripted {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let served: Arc<(std::sync::Mutex<Served>, std::sync::Condvar)> = Arc::default();
+            let (script, steps) = mpsc::channel();
+            let (done_tx, done) = mpsc::channel();
+            {
+                let served = Arc::clone(&served);
+                thread::spawn(move || {
+                    let mut out = Vec::new();
+                    for step in steps {
+                        let (lock, arrived) = &*served;
+                        let mut s = lock.lock().unwrap();
+                        match step {
+                            Script::Reply => {
+                                while s.unanswered.is_empty() {
+                                    s = arrived.wait(s).unwrap();
+                                }
+                                let op = s.unanswered.pop_front().unwrap();
+                                encode_frame(&Msg::WriteReply { op }, &mut out);
+                                let mut stream = s.stream.as_ref().expect("a live connection");
+                                stream.write_all(&out).expect("reply written");
+                            }
+                            Script::Kill => {
+                                let stream = s.stream.take().expect("a live connection");
+                                let _ = stream.shutdown(std::net::Shutdown::Both);
+                                s.unanswered.clear();
+                            }
+                        }
+                        let _ = done_tx.send(());
+                    }
+                });
+            }
+            thread::spawn(move || {
+                for conn in listener.incoming() {
+                    let Ok(mut stream) = conn else { continue };
+                    served.0.lock().unwrap().stream = stream.try_clone().ok();
+                    let served = Arc::clone(&served);
+                    thread::spawn(move || {
+                        let mut scratch = Vec::new();
+                        while let Ok(Some(msg)) = read_frame::<Msg>(&mut stream, &mut scratch) {
+                            if let Msg::ClientWrite { op, .. } = msg {
+                                served.0.lock().unwrap().unanswered.push_back(op);
+                                served.1.notify_all();
+                            }
+                        }
+                    });
+                }
+            });
+            Scripted { addr, script, done }
+        }
+
+        fn step(&self, step: Script) {
+            self.script.send(step).expect("coordinator alive");
+            self.done
+                .recv_timeout(Duration::from_secs(10))
+                .expect("coordinator step");
+        }
+    }
+
+    fn write(key: u64) -> StoreOp {
+        StoreOp::Write(Key::plain(key), Value::Opaque(8))
+    }
+
+    /// The race the loop's drain-before-park exists for, forced rather
+    /// than hoped for. Binding A's coordinator closes while the loop is
+    /// busy in a callback of binding B; the loop's next wait returns
+    /// A's close and then a reply for B, and B's callback submits on A.
+    /// By then the loop has read A's socket and scheduled the close but
+    /// not yet run it: the link is idle and still published, so the
+    /// frame is written onto the dead socket and the entry pushed
+    /// quietly, with no reply ever to announce it. The loop withdraws
+    /// the link, and finds the entry before it parks: it must fail
+    /// `Unavailable` there and then, not wait out a 5 s deadline.
+    #[test]
+    fn an_entry_whose_link_died_under_it_fails_unavailable_at_once() {
+        const CYCLES: usize = 200;
+        let wait = Duration::from_secs(10);
+        let (coord_a, coord_b) = (Scripted::start(), Scripted::start());
+        let reactor = ClientReactor::new(1).expect("one loop for both bindings");
+        let connect = |coord: &Scripted, id| {
+            let mut cfg = TcpConfig::new(vec![coord.addr], id);
+            cfg.op_timeout = Duration::from_secs(5);
+            TcpBinding::connect_on(cfg, &reactor).expect("connect")
+        };
+        let (a, b) = (connect(&coord_a, 4100), connect(&coord_b, 4101));
+        let (client_a, client_b) = (Arc::new(Client::new(a.clone())), Client::new(b.clone()));
+
+        let mut unavailable = 0;
+        for cycle in 0..CYCLES as u64 {
+            // A's link is up (redialed if the last cycle killed it) and
+            // idle.
+            let warm_up = client_a.invoke_strong(write(cycle));
+            coord_a.step(Script::Reply);
+            warm_up.wait_final(wait).expect("a: warm-up");
+
+            // Stall the loop inside a callback of B.
+            let (entered_tx, entered) = mpsc::channel();
+            let (gate_tx, gate) = mpsc::channel::<()>();
+            client_b.invoke_strong(write(cycle)).on_final(move |_| {
+                let _ = entered_tx.send(());
+                let _ = gate.recv_timeout(Duration::from_secs(10));
+            });
+            coord_b.step(Script::Reply);
+            entered.recv_timeout(wait).expect("b: loop stalled");
+
+            // Meanwhile: A's coordinator closes, and then B gets a reply
+            // whose callback will submit on A. The loop's next wait
+            // returns both, in that order.
+            let (a_op_tx, a_op) = mpsc::channel::<Correctable<Versioned>>();
+            let submit_on_a = Arc::clone(&client_a);
+            client_b.invoke_strong(write(cycle)).on_final(move |_| {
+                let _ = a_op_tx.send(submit_on_a.invoke_strong(write(cycle)));
+            });
+            coord_a.step(Script::Kill);
+            coord_b.step(Script::Reply);
+            gate_tx.send(()).expect("release the loop");
+
+            // Had the loop run A's close before B's callback after all,
+            // the submission was queued behind a redial and waits for an
+            // answer; if not, it must fail — promptly, and as what it is.
+            let submitted = Instant::now();
+            let op = a_op
+                .recv_timeout(wait)
+                .expect("a: submitted from b's callback");
+            match op.wait_final(Duration::from_millis(500)) {
+                Err(Error::Unavailable(_)) => unavailable += 1,
+                Err(Error::Timeout) if !op.is_closed() => {
+                    coord_a.step(Script::Reply);
+                    op.wait_final(wait).expect("a: served after the redial");
+                }
+                other => panic!(
+                    "cycle {cycle}: {other:?} {:?} after the submit",
+                    submitted.elapsed()
+                ),
+            }
+        }
+        let (_, _, orphaned) = paths(&a);
+        assert!(
+            orphaned >= 1,
+            "{CYCLES} kills and no entry ever reached the loop after its link's close \
+             ({unavailable} ops failed Unavailable)"
+        );
+        a.shutdown();
+        b.shutdown();
     }
 }

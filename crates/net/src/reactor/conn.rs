@@ -20,9 +20,21 @@
 //! peer that stops reading makes the unwritten part grow; past
 //! [`Conn::write_cap`] bytes the connection is closed rather than
 //! letting one slow consumer hold the loop's memory hostage.
+//!
+//! One kind of connection has a second writer: a quorum binding's
+//! coordinator link, whose [`WriteHalf`] lets the submitting thread put
+//! a frame on an idle socket itself (`DESIGN.md` §12, "Direct submit").
+//! Its one lock serialises whole frames — a direct write, or the loop's
+//! flush — and a frame the socket cut short leaves its tail in the half,
+//! where the loop's next flush sends it ahead of anything else. Every
+//! other connection has no half and takes no lock.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::frame::MAX_FRAME;
 use crate::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
@@ -105,9 +117,116 @@ pub(crate) fn extract_frame(buf: &[u8], pos: usize) -> Extract {
     }
 }
 
+/// The write side of a quorum binding's coordinator link, shared by the
+/// binding's handles and its loop. It outlives any one connection: the
+/// loop publishes each new link's socket here and withdraws it when the
+/// link dies.
+#[derive(Default)]
+pub(crate) struct WriteHalf {
+    state: Mutex<HalfState>,
+    /// Bytes are owed to the socket: the loop's buffer after a flush the
+    /// socket cut short, or the tail of a direct frame. Written only
+    /// under `state`'s lock; the loop reads it without, to skip the lock
+    /// on a readiness event that leaves it nothing to flush. `SeqCst`:
+    /// a direct writer raises it *before* its last attempt on a full
+    /// socket, so the writability edge that follows a refusal finds it
+    /// up.
+    owed: AtomicBool,
+}
+
+#[derive(Default)]
+struct HalfState {
+    /// The live link's socket; `None` between links.
+    stream: Option<Arc<TcpStream>>,
+    /// The frame a direct writer is sending (kept for its capacity).
+    frame: Vec<u8>,
+    /// What the socket refused of it: goes out before any other byte.
+    spill: Vec<u8>,
+}
+
+impl WriteHalf {
+    /// Under the lock — no direct writer is mid-frame — makes `stream`
+    /// the socket direct writers write, or takes it away from them.
+    fn set(&self, stream: Option<Arc<TcpStream>>) {
+        let mut st = self.state.lock();
+        st.stream = stream;
+        st.spill.clear();
+        self.owed.store(false, Ordering::SeqCst);
+    }
+
+    /// Takes the socket away from direct writers: the last reference
+    /// outside the loop's [`Conn`] is gone, so dropping that closes the
+    /// socket.
+    pub(crate) fn withdraw(&self) {
+        self.set(None);
+    }
+
+    /// Locks the half for one direct frame, if a socket is published and
+    /// nothing is owed to it (bytes written now would land mid-frame).
+    pub(crate) fn lock_idle(&self) -> Option<DirectWrite<'_>> {
+        let st = self.state.lock();
+        let idle = st.stream.is_some() && !self.owed.load(Ordering::SeqCst);
+        idle.then_some(DirectWrite { half: self, st })
+    }
+}
+
+/// The locked [`WriteHalf`] of an idle link: encode one frame onto
+/// [`DirectWrite::frame`], then [`DirectWrite::write`] it.
+pub(crate) struct DirectWrite<'a> {
+    half: &'a WriteHalf,
+    st: MutexGuard<'a, HalfState>,
+}
+
+impl DirectWrite<'_> {
+    /// The (emptied) buffer to encode the frame onto.
+    pub(crate) fn frame(&mut self) -> &mut Vec<u8> {
+        self.st.frame.clear();
+        &mut self.st.frame
+    }
+
+    /// Writes the frame. What a full socket refuses stays in the half
+    /// for the loop, which the socket's next writability edge wakes. A
+    /// dead socket is shut down, so that its loop — which has this
+    /// frame's entry already — hears of it and fails the operation
+    /// `Unavailable`.
+    pub(crate) fn write(mut self) {
+        let owed = &self.half.owed;
+        let HalfState {
+            stream,
+            frame,
+            spill,
+        } = &mut *self.st;
+        let Some(stream) = stream.as_deref() else {
+            return;
+        };
+        let mut rest = frame.as_slice();
+        while !rest.is_empty() {
+            // lint: allow(lock_discipline) — the socket is O_NONBLOCK; the lock is what keeps frames whole
+            match (&*stream).write(rest) {
+                Ok(n) if n > 0 => rest = rest.get(n..).unwrap_or_default(),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Full. Once more with the flag up (see `owed`); if
+                // that is refused too, the tail is the loop's.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if owed.swap(true, Ordering::SeqCst) {
+                        return spill.extend_from_slice(rest);
+                    }
+                }
+                _ => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+            }
+        }
+        if owed.load(Ordering::SeqCst) {
+            owed.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
 /// One registered connection owned by exactly one event loop.
 pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
+    pub(crate) stream: Arc<TcpStream>,
     /// Handler-defined meaning (peer index, client tag, binding id…).
     pub(crate) tag: u64,
     /// Receive buffer. Its *length* is the room `read` may fill (all of
@@ -125,6 +244,9 @@ pub(crate) struct Conn {
     pub(crate) dirty: bool,
     /// Close scheduled; drop new traffic, skip further parsing.
     pub(crate) closing: bool,
+    /// Set on a link whose binding's handles may write it too: flushes
+    /// go under this half's lock.
+    shared: Option<Arc<WriteHalf>>,
 }
 
 /// Read-side outcome of draining a readiness edge.
@@ -138,7 +260,7 @@ pub(crate) enum ReadStep {
 impl Conn {
     pub(crate) fn new(stream: TcpStream, tag: u64, write_cap: usize) -> Conn {
         Conn {
-            stream,
+            stream: Arc::new(stream),
             tag,
             read_buf: Vec::new(),
             read_filled: 0,
@@ -147,7 +269,15 @@ impl Conn {
             write_cap,
             dirty: false,
             closing: false,
+            shared: None,
         }
+    }
+
+    /// Publishes this connection's socket on `half` and puts its flushes
+    /// under `half`'s lock.
+    pub(crate) fn share_writes(&mut self, half: &Arc<WriteHalf>) {
+        half.set(Some(Arc::clone(&self.stream)));
+        self.shared = Some(Arc::clone(half));
     }
 
     /// Reads until `WouldBlock` (the edge-triggered contract: consume
@@ -161,7 +291,7 @@ impl Conn {
                 return ReadStep::Closed(CloseReason::Io);
             };
             let room = spare.len();
-            match self.stream.read(spare) {
+            match (&*self.stream).read(spare) {
                 Ok(0) => return ReadStep::Closed(CloseReason::Eof),
                 Ok(n) => {
                     self.read_filled += n;
@@ -220,20 +350,43 @@ impl Conn {
         self.write_buf.len() - self.write_head
     }
 
-    /// Whether any bytes await the socket.
+    /// Whether any bytes await the socket — the spilled tail of a
+    /// direct frame included.
     pub(crate) fn has_pending_writes(&self) -> bool {
         self.unwritten() > 0
+            || (self.shared.as_ref()).is_some_and(|half| half.owed.load(Ordering::SeqCst))
     }
 
     /// Writes from the first unwritten byte until the buffer is drained
-    /// or the socket pushes back. `Ok(true)` means fully drained.
+    /// or the socket pushes back. `Ok(true)` means fully drained. On a
+    /// shared link this happens under the half's lock, a spilled tail
+    /// first.
     pub(crate) fn flush(&mut self) -> io::Result<bool> {
+        let Some(half) = self.shared.take() else {
+            return self.flush_buf();
+        };
+        let drained = {
+            let mut st = half.state.lock();
+            if !st.spill.is_empty() {
+                let at = self.write_head..self.write_head;
+                self.write_buf.splice(at, st.spill.drain(..));
+            }
+            // lint: allow(lock_discipline) — the socket is O_NONBLOCK; the lock is what keeps frames whole
+            let drained = self.flush_buf();
+            half.owed.store(self.unwritten() > 0, Ordering::SeqCst);
+            drained
+        };
+        self.shared = Some(half);
+        drained
+    }
+
+    fn flush_buf(&mut self) -> io::Result<bool> {
         while let Some(rest) = self
             .write_buf
             .get(self.write_head..)
             .filter(|rest| !rest.is_empty())
         {
-            match self.stream.write(rest) {
+            match (&*self.stream).write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.write_head += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -332,6 +485,50 @@ mod tests {
             "a drained burst buffer must give its {} bytes back",
             conn.write_buf.capacity()
         );
+    }
+
+    #[test]
+    fn direct_frame_cut_short_goes_out_whole_and_first() {
+        let (mut conn, mut far) = conn_pair(usize::MAX);
+        let half = Arc::new(WriteHalf::default());
+        conn.share_writes(&half);
+
+        // Direct frames at a peer that reads nothing, until the socket
+        // refuses the tail of one: the half keeps it and turns further
+        // direct writers away.
+        let mut direct = 0;
+        while let Some(mut link) = half.lock_idle() {
+            append_frame(&payload(direct), link.frame());
+            link.write();
+            direct += 1;
+            assert!(direct < 1024, "64 MiB fit the socket buffers");
+        }
+        assert!(conn.has_pending_writes(), "the spilled tail is the loop's");
+
+        // The loop's own frames queue behind that tail, not inside it.
+        let total = direct + 2;
+        for i in direct..total {
+            assert!(conn.enqueue(|buf| append_frame(&payload(i), buf)));
+        }
+        let reader = std::thread::spawn(move || {
+            let mut scratch = Vec::new();
+            for i in 0..total {
+                let got: Value = read_frame(&mut far, &mut scratch).unwrap().unwrap();
+                assert_eq!(got, payload(i), "frame {i} out of order or corrupt");
+            }
+        });
+        while !conn.flush().unwrap() {
+            std::thread::yield_now();
+        }
+        reader.join().unwrap();
+        assert!(!conn.has_pending_writes());
+        assert!(half.lock_idle().is_some(), "a drained link is idle again");
+
+        // A withdrawn half holds no socket: direct writers are turned
+        // away, and the loop's `Conn` is the last owner.
+        half.withdraw();
+        assert!(half.lock_idle().is_none());
+        assert_eq!(Arc::strong_count(&conn.stream), 1);
     }
 
     #[test]

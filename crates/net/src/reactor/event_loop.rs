@@ -3,24 +3,36 @@
 //!
 //! A loop owns its connections exclusively — read buffers, write
 //! buffers, and the protocol handler all live on the loop thread, so no
-//! connection state is ever locked or shared. Other threads talk to a
-//! loop only through its [`Injector`]: a mutex-protected command queue
-//! paired with an `eventfd` that kicks the loop out of `epoll_wait`.
-//! A loop that exits closes its queue, so a command sent afterwards
-//! comes back to its sender instead of sitting undrained forever.
-//! Wake-ups coalesce: a flag shared with the injectors records that the
-//! eventfd has been written and not yet consumed, so a burst of
+//! connection state is locked or shared (the one exception, a quorum
+//! binding's [`WriteHalf`], is `conn.rs`'s to explain). Other threads
+//! talk to a loop only through its [`Injector`]: a mutex-protected
+//! command queue paired with an `eventfd` that kicks the loop out of
+//! `epoll_wait`. A loop that exits closes its queue, so a command sent
+//! afterwards comes back to its sender instead of sitting undrained
+//! forever. Wake-ups coalesce: a flag shared with the injectors records
+//! that the eventfd has been written and not yet consumed, so a burst of
 //! commands costs one `write` and one `read`, not one pair each.
+//!
+//! A command can also be pushed *quietly* — queued, a second flag
+//! raised, no eventfd — when the loop is certain to run anyway before
+//! the command matters: it was pushed from the loop's own thread, or its
+//! pusher is about to write a frame whose reply will wake the loop
+//! ([`Injector::try_send_quiet`]). The loop never parks while that flag
+//! is up, and looks at it again each time it has read a socket, before
+//! it dispatches what it read.
 //!
 //! Each loop iteration:
 //!
-//! 1. asks the handler for its next deadline and waits for readiness
+//! 1. runs the commands pushed quietly since it last looked;
+//! 2. asks the handler for its next deadline and waits for readiness
 //!    (or that deadline, whichever is sooner);
-//! 2. drains readable connections edge-to-exhaustion, slicing complete
-//!    frames out of the connection buffers and handing each body to the
-//!    handler ([`Handler::on_frame`]) for zero-copy decode;
-//! 3. drains injected commands (adopt a connection, enqueue bytes,
-//!    handler events, shutdown);
+//! 3. drains readable connections edge-to-exhaustion — running quiet
+//!    commands first, so that one pushed while the loop slept comes
+//!    before the frame that answers it — slicing complete frames out of
+//!    the connection buffers and handing each body to the handler
+//!    ([`Handler::on_frame`]) for zero-copy decode, and, if the eventfd
+//!    fired, drains injected commands (adopt a connection, enqueue
+//!    bytes, handler events, shutdown);
 //! 4. flushes every connection the iteration touched — frames
 //!    produced while handling a burst sit back to back in the
 //!    connection's write buffer and leave in one `write`;
@@ -29,6 +41,7 @@
 //! Closes are deferred to the end of the iteration so the handler never
 //! observes a half-removed connection.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -43,7 +56,7 @@ use quorumstore::IdMap;
 use crate::frame::append_frame;
 use crate::wire::Wire;
 
-use super::conn::{extract_frame, CloseReason, Conn, Extract, ReadStep};
+use super::conn::{extract_frame, CloseReason, Conn, Extract, ReadStep, WriteHalf};
 use super::sys::{
     EpollEvent, Poller, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -125,10 +138,25 @@ struct Shared<Ev> {
     /// is seen by that drain. `SeqCst` on both sides: the argument is
     /// about the order of the flag against the queue's mutex.
     wake_pending: AtomicBool,
+    /// Commands were pushed without a wake-up and the loop has not
+    /// looked since. Raised after the push, lowered by the loop before
+    /// it drains — the same order as `wake_pending`, for the same
+    /// reason.
+    quiet_pending: AtomicBool,
+    /// Eventfd writes so far, for tests that prove a path made none.
+    #[cfg(test)]
+    wakes: std::sync::atomic::AtomicU64,
+}
+
+thread_local! {
+    /// The address of the [`Shared`] whose loop runs on this thread;
+    /// zero on every other thread.
+    static LOOP_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Cross-thread handle into one loop. Cloneable and cheap; sends are
-/// lock-push-wake, the wake skipped when one is already pending.
+/// lock-push-wake, the wake skipped when one is already pending or not
+/// needed.
 pub(crate) struct Injector<Ev> {
     shared: Arc<Shared<Ev>>,
 }
@@ -152,17 +180,43 @@ impl<Ev> Injector<Ev> {
     /// [`Injector::send`] for commands somebody waits on: a loop that
     /// has exited hands `cmd` back so the caller can fail it.
     pub(crate) fn try_send(&self, cmd: Cmd<Ev>) -> Result<(), Cmd<Ev>> {
-        {
-            let mut queue = self.shared.queue.lock();
-            if queue.closed {
-                return Err(cmd);
-            }
-            queue.cmds.push_back(cmd);
+        // A loop is not parked while its own thread runs a hook.
+        let on_loop = LOOP_HERE.get() == Arc::as_ptr(&self.shared) as usize;
+        if on_loop {
+            return self.try_send_quiet(cmd);
         }
+        self.push(cmd)?;
         if !self.shared.wake_pending.swap(true, Ordering::SeqCst) {
+            #[cfg(test)]
+            self.shared.wakes.fetch_add(1, Ordering::Relaxed);
             self.shared.wake.wake();
         }
         Ok(())
+    }
+
+    /// [`Injector::try_send`] without the wake-up, for a caller that
+    /// knows the loop will run before `cmd` matters: the loop sees
+    /// `cmd` before it next parks, and before it dispatches any byte it
+    /// reads from a socket after this call returns.
+    pub(crate) fn try_send_quiet(&self, cmd: Cmd<Ev>) -> Result<(), Cmd<Ev>> {
+        self.push(cmd)?;
+        self.shared.quiet_pending.store(true, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn push(&self, cmd: Cmd<Ev>) -> Result<(), Cmd<Ev>> {
+        let mut queue = self.shared.queue.lock();
+        if queue.closed {
+            return Err(cmd);
+        }
+        queue.cmds.push_back(cmd);
+        Ok(())
+    }
+
+    /// Eventfd writes made through this loop's injectors so far.
+    #[cfg(test)]
+    pub(crate) fn wakes(&self) -> u64 {
+        self.shared.wakes.load(Ordering::Relaxed)
     }
 }
 
@@ -197,6 +251,20 @@ impl Ctl {
         self.next_conn += 1;
         self.conns
             .insert(id, Conn::new(stream, tag, self.write_cap));
+        Some(id)
+    }
+
+    /// [`Ctl::adopt`] for a link its binding's handles write too: the
+    /// socket is published on `half`, and this loop flushes the
+    /// connection under `half`'s lock.
+    pub(crate) fn adopt_shared(
+        &mut self,
+        stream: TcpStream,
+        tag: u64,
+        half: &Arc<WriteHalf>,
+    ) -> Option<u64> {
+        let id = self.adopt(stream, tag)?;
+        self.conns.get_mut(&id)?.share_writes(half);
         Some(id)
     }
 
@@ -279,6 +347,9 @@ pub(crate) fn spawn_loop<H: Handler>(
         }),
         wake,
         wake_pending: AtomicBool::new(false),
+        quiet_pending: AtomicBool::new(false),
+        #[cfg(test)]
+        wakes: std::sync::atomic::AtomicU64::new(0),
     });
     let injector = Injector {
         shared: Arc::clone(&shared),
@@ -315,11 +386,27 @@ struct Loop<H: Handler> {
 
 impl<H: Handler> Loop<H> {
     fn run(&mut self) {
+        LOOP_HERE.set(Arc::as_ptr(&self.shared) as usize);
         while !self.ctl.shutdown {
-            let timeout = self.handler.next_deadline().map(|at| {
-                at.checked_duration_since(Instant::now())
-                    .unwrap_or(Duration::ZERO)
-            });
+            // Never park on a quiet push: what a hook of the last
+            // iteration injected runs, and is flushed, here.
+            if self.take_quiet() {
+                self.drain_cmds();
+                self.settle();
+                if self.ctl.shutdown {
+                    break;
+                }
+            }
+            // A hook of that drain may have pushed again: poll the
+            // sockets before going back to the queue, but do not park.
+            let timeout = if self.shared.quiet_pending.load(Ordering::SeqCst) {
+                Some(Duration::ZERO)
+            } else {
+                self.handler.next_deadline().map(|at| {
+                    at.checked_duration_since(Instant::now())
+                        .unwrap_or(Duration::ZERO)
+                })
+            };
             let mut events = std::mem::take(&mut self.events);
             if self.ctl.poller.wait(&mut events, timeout).is_err() {
                 // EBADF and friends mean the poller itself is broken;
@@ -327,6 +414,9 @@ impl<H: Handler> Loop<H> {
                 break;
             }
             for i in 0..events.len() {
+                if self.ctl.shutdown {
+                    break;
+                }
                 let Some(ev) = events.get(i) else {
                     break;
                 };
@@ -340,9 +430,6 @@ impl<H: Handler> Loop<H> {
                     }
                     TOKEN_LISTENER => self.accept_burst(),
                     conn => self.conn_ready(conn, bits),
-                }
-                if self.ctl.shutdown {
-                    break;
                 }
             }
             self.events = events;
@@ -375,6 +462,15 @@ impl<H: Handler> Loop<H> {
         for (_, c) in self.ctl.conns.drain() {
             self.ctl.poller.del(c.stream.as_raw_fd());
         }
+    }
+
+    /// Whether commands were pushed quietly since the last look; the
+    /// caller drains the queue next. A plain load on the common path:
+    /// server loops run this once an iteration and once a read, and
+    /// never find it up.
+    fn take_quiet(&self) -> bool {
+        let quiet = &self.shared.quiet_pending;
+        quiet.load(Ordering::SeqCst) && quiet.swap(false, Ordering::SeqCst)
     }
 
     fn drain_cmds(&mut self) {
@@ -428,6 +524,11 @@ impl<H: Handler> Loop<H> {
                 Some(c) if !c.closing => c.drain_read(),
                 _ => return,
             };
+            // Queue before frames: whoever pushed a command quietly and
+            // then wrote the request these bytes answer, pushed first.
+            if self.take_quiet() {
+                self.drain_cmds();
+            }
             self.dispatch_frames(conn);
             match step {
                 ReadStep::Progress if !hup => {}
@@ -626,6 +727,63 @@ mod tests {
             }
         });
         assert_eq!(events.load(Ordering::SeqCst), ROUNDS * THREADS * SENDS);
+        inj.send(Cmd::Shutdown);
+        join.join().unwrap();
+    }
+
+    /// Counts the events it runs; a `true` makes it inject two `false`s
+    /// into its own loop from inside the hook, the way a callback of a
+    /// preliminary view issues the dependent reads.
+    struct Relay {
+        own: Arc<std::sync::OnceLock<Injector<bool>>>,
+        ran: Arc<AtomicUsize>,
+    }
+
+    impl Handler for Relay {
+        type Ev = bool;
+
+        fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
+        fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
+        fn on_frame(&mut self, _ctl: &mut Ctl, _conn: u64, _body: &[u8]) {}
+        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {}
+        fn on_event(&mut self, _ctl: &mut Ctl, relay: bool) {
+            if relay {
+                let own = self.own.get().expect("set before the first send");
+                own.send(Cmd::Ev(false));
+                own.send(Cmd::Ev(false));
+            }
+            self.ran.fetch_add(1, Ordering::SeqCst);
+        }
+        fn on_tick(&mut self, _ctl: &mut Ctl) {}
+        fn next_deadline(&mut self) -> Option<Instant> {
+            None
+        }
+    }
+
+    #[test]
+    fn sends_from_the_loop_thread_run_before_it_parks_without_a_wake() {
+        const ROUNDS: usize = 1000;
+        let own = Arc::new(std::sync::OnceLock::new());
+        let ran = Arc::new(AtomicUsize::new(0));
+        let relay = Relay {
+            own: Arc::clone(&own),
+            ran: Arc::clone(&ran),
+        };
+        let (inj, join) = spawn_loop("icg-test-loop", relay, None, DEFAULT_WRITE_CAP).unwrap();
+        assert!(own.set(inj.clone()).is_ok());
+        // One round: the loop is parked (nothing deadlines it), one
+        // command from here wakes it, its hook injects two more. Nobody
+        // wakes the loop for those: they run because it does not park
+        // on them — and every eventfd write is one of this thread's.
+        for round in 1..=ROUNDS {
+            inj.send(Cmd::Ev(true));
+            await_events(&ran, round * 3);
+        }
+        assert!(
+            inj.wakes() <= ROUNDS as u64,
+            "{} eventfd writes for {ROUNDS} cross-thread sends",
+            inj.wakes()
+        );
         inj.send(Cmd::Shutdown);
         join.join().unwrap();
     }

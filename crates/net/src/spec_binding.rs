@@ -249,27 +249,28 @@ impl SpecState {
         }
     }
 
-    /// Sends one submission; returns the deadline to arm for its seq,
+    /// Sends one submission, `wants` holding the requested levels under
+    /// this process's wire ids; returns the deadline to arm for its seq,
     /// or `None` if it failed on the spot.
     pub(crate) fn submit(
         &mut self,
         ctl: &mut Ctl,
         op: SpecOp,
-        local_wants: &[u8],
+        mut wants: Vec<u8>,
         upcall: Upcall<u64>,
     ) -> Option<(Instant, u64)> {
-        // Translate requested levels to the server's numbering. A level
-        // with no directory entry cannot be requested honestly — fail
-        // rather than silently downgrade the guarantee.
-        let mut wants = Vec::with_capacity(local_wants.len());
-        for local in local_wants {
-            let Some(&server) = self.dir.to_server.get(local) else {
+        // Translate requested levels to the server's numbering, in the
+        // vector the wire message will own. A level with no directory
+        // entry cannot be requested honestly — fail rather than silently
+        // downgrade the guarantee.
+        for want in &mut wants {
+            let Some(&server) = self.dir.to_server.get(want) else {
                 upcall.fail(Error::Unavailable(
                     "server does not advertise a requested level".into(),
                 ));
                 return None;
             };
-            wants.push(server);
+            *want = server;
         }
         let Some(conn) = self.conn else {
             upcall.fail(Error::Unavailable("spec connection lost".into()));

@@ -143,6 +143,23 @@ impl Step {
     }
 }
 
+/// Whether `msg`, if it answers an open operation, finishes it: every
+/// reply but a preliminary view does. A host that must know *before*
+/// the closing view is delivered (the reactor loop lowers its in-flight
+/// count first) asks here and lends [`on_reply`] the entry already out
+/// of its table. The answer is [`Step::finished`]'s of the step that
+/// follows — the tests below hold the two together, one reply at a time.
+pub fn closes_op(msg: &Msg) -> bool {
+    let preliminary = matches!(
+        msg,
+        Msg::ReadReply {
+            phase: Phase::Preliminary,
+            ..
+        }
+    );
+    !preliminary
+}
+
 /// Routes one message a coordinator sent to `client` into the operation
 /// it answers, found through `entry` (sequence number → open entry).
 /// Returns that sequence number and what happened, or `None` if the
@@ -250,7 +267,9 @@ mod tests {
         }
 
         fn feed(&mut self, msg: Msg) -> Option<Step> {
+            let closes = closes_op(&msg);
             let (seq, step) = on_reply(ME, msg, |seq| self.0.get_mut(&seq))?;
+            assert_eq!(closes, step.finished(), "closes_op against {step:?}");
             if step.finished() {
                 self.0.remove(&seq);
             }
@@ -373,6 +392,41 @@ mod tests {
             write.final_view().expect("closed").value.value,
             Value::Opaque(8)
         );
+    }
+
+    /// [`closes_op`] answers before dispatch what [`Step::finished`]
+    /// answers after (every [`Table::feed`] above checks it too): here,
+    /// once per reply a coordinator can send.
+    #[test]
+    fn closes_op_foretells_finished_for_every_reply() {
+        let held = record(5, 3);
+        let replies = [
+            reply(0, Phase::Preliminary, held.clone()),
+            reply(0, Phase::Final, held.clone()),
+            reply(0, Phase::Single, held.clone()),
+            Msg::ReadConfirm {
+                op: op(0),
+                version: held.version,
+            },
+            Msg::ReadConfirm {
+                op: op(0),
+                version: record(5, 4).version,
+            },
+            Msg::WriteReply { op: op(0) },
+            Msg::OpFailed {
+                op: op(0),
+                reason: crate::messages::FailReason::Timeout,
+            },
+        ];
+        for msg in replies {
+            let mut t = Table::default();
+            let _read = t.submit(0, StoreOp::Read(Key::plain(1)), &[WEAK, STRONG]);
+            t.feed(reply(0, Phase::Preliminary, held.clone()));
+            let foretold = closes_op(&msg);
+            let step = t.feed(msg.clone()).expect("answers operation 0");
+            assert_eq!(foretold, step.finished(), "{msg:?}");
+            assert_eq!(t.0.is_empty(), foretold, "{msg:?}");
+        }
     }
 
     #[test]
