@@ -1,10 +1,13 @@
 //! Criterion microbenchmarks of the simulation substrate: raw event
-//! throughput of the engine and the cost of workload generation — these
-//! bound how fast the paper-figure harnesses can run.
+//! throughput of the engine, the cost of driving a deployment round by
+//! round, and the cost of workload generation — these bound how fast the
+//! paper-figure harnesses can run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use correctables::Client;
+use quorumstore::{Key, ReplicaConfig, SimStore, StoreOp};
 use simnet::{Ctx, Engine, Node, NodeId, SimDuration, Topology, Wire};
 use ycsb::{Distribution, Workload};
 
@@ -61,6 +64,27 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// The shape of the step-wise harnesses (explorer, determinism goldens,
+/// `sim_cbcast_mix`): submit, `settle`, think. A strong read from IRL
+/// spans some eight settle slices in which only the replicas' messages
+/// happen, so what this row times besides them is what `settle` does
+/// per slice.
+fn bench_settle(c: &mut Criterion) {
+    c.bench_function("simnet/settle-sparse-1k-rounds", |b| {
+        b.iter(|| {
+            let store = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 1);
+            let client = Client::new(store.binding());
+            for round in 0..1_000u64 {
+                let read = client.invoke_strong(StoreOp::Read(Key::plain(round % 16)));
+                store.settle();
+                black_box(read.final_view());
+                store.advance(SimDuration::from_millis(1 + round * 7 % 40));
+            }
+            black_box(store.now())
+        })
+    });
+}
+
 fn bench_ycsb(c: &mut Criterion) {
     c.bench_function("ycsb/zipfian-draw", |b| {
         let w = Workload::a(Distribution::Zipfian, 10_000);
@@ -79,5 +103,5 @@ fn bench_ycsb(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_engine, bench_ycsb);
+criterion_group!(benches, bench_engine, bench_settle, bench_ycsb);
 criterion_main!(benches);

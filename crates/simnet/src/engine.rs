@@ -246,6 +246,9 @@ impl RetryTimer {
 pub struct Engine<M> {
     core: Core<M>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
+    /// [`Engine::node_as`] calls so far.
+    #[cfg(test)]
+    pub(crate) downcasts: u64,
 }
 
 impl<M: Wire + 'static> Engine<M> {
@@ -268,6 +271,8 @@ impl<M: Wire + 'static> Engine<M> {
                 dropped_messages: 0,
             },
             nodes: Vec::with_capacity(16),
+            #[cfg(test)]
+            downcasts: 0,
         }
     }
 
@@ -367,6 +372,10 @@ impl<M: Wire + 'static> Engine<M> {
     ///
     /// Panics if the node is not of type `T`.
     pub fn node_as<T: 'static>(&mut self, id: NodeId) -> &mut T {
+        #[cfg(test)]
+        {
+            self.downcasts += 1;
+        }
         self.node_mut(id)
             .as_any()
             .downcast_mut::<T>()
@@ -388,6 +397,24 @@ impl<M: Wire + 'static> Engine<M> {
         }
         self.core.now = self.core.now.max(limit);
         processed
+    }
+
+    /// Runs the events due by `limit` for as long as `more()` holds,
+    /// asking before each one. Unlike [`Engine::run_until`] it leaves the
+    /// clock at the last event it ran: the caller reads off [`Engine::now`]
+    /// the instant of the event that turned `more` false.
+    pub fn run_while(&mut self, limit: SimTime, mut more: impl FnMut() -> bool) {
+        while more() && self.next_event_at().is_some_and(|at| at <= limit) {
+            let ev = self.core.heap.pop().expect("peeked event exists");
+            self.core.now = ev.at();
+            self.dispatch(ev);
+        }
+    }
+
+    /// When the earliest scheduled event is due; `None` with nothing
+    /// scheduled.
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.core.heap.peek().map(Ev::at)
     }
 
     /// Runs for `d` of virtual time from the current instant.

@@ -8,11 +8,20 @@
 //! upcall. That something is the [`SimGateway`] node. It owns everything
 //! that is the same for every store:
 //!
-//! - the **op queue** and the **kick**: [`SimHost::settle`] (and
-//!   [`SimHost::step`]) schedule a zero-delay kick timer, the gateway
-//!   drains the queue when it fires — and again after every reply, so
-//!   an operation submitted from inside a callback (a speculative
-//!   prefetch) enters the network at the very instant the callback ran;
+//! - the **op queue** and the **kick**: the gateway drains the queue
+//!   after every reply and timer of its own, so an operation submitted
+//!   from inside a callback (a speculative prefetch) enters the network
+//!   at the very instant the callback ran. A submission from anywhere
+//!   else — the harness between two `settle`s, another client's callback
+//!   — waits for a *kick*: a zero-delay timer that [`SimHost::settle`]
+//!   and [`SimHost::step`] schedule when they find the queue non-empty.
+//!   `settle` looks when it is called and, once somebody else has queued
+//!   something, at the next point of its 5 ms grid; a kick that would
+//!   find nothing to drain is not scheduled at all;
+//! - the **work flag**: whether anything is pending, armed or queued,
+//!   in an atomic shared with the [`SimHost`], so `settle` runs the
+//!   engine straight to the event after which nothing is, instead of
+//!   stopping every 5 ms to downcast the node and ask;
 //! - **op ids** (one `u64` per drained submission) and the **pending
 //!   table** keyed by them;
 //! - the **per-op client deadline**: with [`SimHost::set_client_timeout`]
@@ -35,7 +44,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use correctables::{ConsistencyLevel, Error, Upcall};
@@ -51,12 +60,32 @@ use crate::topology::SiteId;
 /// op ids, which count up from zero and never get here.
 const KICK: u64 = u64::MAX - 1;
 
-/// Virtual time [`SimHost::settle`] runs between two checks for
-/// completion. Bounded slices rather than "until idle": coordinator
-/// timeouts armed seconds out must not drag the clock forward once all
-/// work is done, and anti-entropy timers keep the event queue busy for
-/// as long as gossip is being lost.
+/// The grid [`SimHost::settle`] returns on, counted from the instant it
+/// was called: it runs to the end of the slice in which the gateway went
+/// idle and no further — coordinator timeouts armed seconds out must not
+/// drag the clock forward once all work is done, and anti-entropy timers
+/// keep the event queue busy for as long as gossip is being lost. A
+/// submission somebody else left on the inbox is drained at the next
+/// grid point.
 const SETTLE_SLICE: SimDuration = SimDuration::from_millis(5);
+
+/// Virtual time after which [`SimHost::settle`] gives up on a deployment
+/// that stays busy without closing anything.
+const SETTLE_HORIZON: SimDuration = SimDuration::from_secs(10_000);
+
+/// What a gateway has open, published in a flag it shares with its
+/// [`SimHost`] as it shares the clock mirror, so `settle` need not stop
+/// the engine to ask. Every store happens under the inbox lock (which is
+/// what orders it; the flag itself publishes nothing): the gateway's as
+/// its drain finds the inbox empty, the handle's as it fills it.
+///
+/// Nothing pending, nothing armed, nothing queued.
+const IDLE: u8 = 0;
+/// Operations or wake-ups open and the inbox empty: only an event that
+/// is already scheduled can change anything.
+const WAITING: u8 = 1;
+/// The inbox holds something for the next drain.
+const QUEUED: u8 = 2;
 
 /// The operations a gateway has in flight, by op id.
 ///
@@ -186,12 +215,6 @@ struct Inbox<Q> {
     wakes: Vec<(SimDuration, Wake)>,
 }
 
-impl<Q> Inbox<Q> {
-    fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.wakes.is_empty()
-    }
-}
-
 type Queue<Q> = Arc<Mutex<Inbox<Q>>>;
 
 /// The in-simulation client node (see the module docs).
@@ -199,6 +222,7 @@ pub struct SimGateway<P: GatewayProto> {
     proto: P,
     queue: Queue<P::Queued>,
     clock: Arc<AtomicU64>,
+    work: Arc<AtomicU8>,
     next_op: u64,
     pending: PendingOps<P::Pending>,
     /// Armed wake-ups, by the op id minted for their timer token.
@@ -206,6 +230,9 @@ pub struct SimGateway<P: GatewayProto> {
     /// `None` (the default) waits forever; fault-injected runs set it
     /// so a lost reply fails the operation instead of wedging `settle`.
     client_timeout: Option<SimDuration>,
+    /// Timer events this gateway has handled: kicks, wake-ups, deadlines.
+    #[cfg(test)]
+    timer_fires: u64,
 }
 
 impl<P: GatewayProto> SimGateway<P> {
@@ -213,14 +240,15 @@ impl<P: GatewayProto> SimGateway<P> {
         loop {
             let mut inbox = self.queue.lock();
             let Some(queued) = inbox.ops.pop_front() else {
-                if !inbox.wakes.is_empty() {
-                    let wakes = std::mem::take(&mut inbox.wakes);
-                    drop(inbox);
-                    for (delay, wake) in wakes {
-                        let token = self.mint();
-                        self.wakes.insert(token, wake);
-                        ctx.set_timer(delay, Timer(token));
-                    }
+                let wakes = std::mem::take(&mut inbox.wakes);
+                let idle = self.pending.is_empty() && self.wakes.is_empty() && wakes.is_empty();
+                self.work
+                    .store(if idle { IDLE } else { WAITING }, Ordering::Relaxed);
+                drop(inbox);
+                for (delay, wake) in wakes {
+                    let token = self.mint();
+                    self.wakes.insert(token, wake);
+                    ctx.set_timer(delay, Timer(token));
                 }
                 return;
             };
@@ -240,10 +268,6 @@ impl<P: GatewayProto> SimGateway<P> {
         self.next_op += 1;
         self.next_op - 1
     }
-
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.wakes.is_empty() && self.queue.lock().is_empty()
-    }
 }
 
 impl<P: GatewayProto> Node<P::Msg> for SimGateway<P> {
@@ -256,6 +280,10 @@ impl<P: GatewayProto> Node<P::Msg> for SimGateway<P> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, P::Msg>, timer: Timer) {
+        #[cfg(test)]
+        {
+            self.timer_fires += 1;
+        }
         self.clock.store(ctx.now().as_nanos(), Ordering::Relaxed);
         if timer.0 != KICK {
             if let Some(wake) = self.wakes.remove(timer.0) {
@@ -281,6 +309,7 @@ pub struct SimHost<P: GatewayProto> {
     replicas: Arc<[NodeId]>,
     queue: Queue<P::Queued>,
     clock: Arc<AtomicU64>,
+    work: Arc<AtomicU8>,
 }
 
 impl<P: GatewayProto> Clone for SimHost<P> {
@@ -291,6 +320,7 @@ impl<P: GatewayProto> Clone for SimHost<P> {
             replicas: Arc::clone(&self.replicas),
             queue: Arc::clone(&self.queue),
             clock: Arc::clone(&self.clock),
+            work: Arc::clone(&self.work),
         }
     }
 }
@@ -338,16 +368,20 @@ impl<P: GatewayProto> SimHost<P> {
             wakes: Vec::new(),
         }));
         let clock = Arc::new(AtomicU64::new(0));
+        let work = Arc::new(AtomicU8::new(IDLE));
         let gateway = engine.lock().add_node(
             client_site,
             Box::new(SimGateway {
                 proto,
                 queue: Arc::clone(&queue),
                 clock: Arc::clone(&clock),
+                work: Arc::clone(&work),
                 next_op: 0,
                 pending: PendingOps::new(),
                 wakes: PendingOps::new(),
                 client_timeout: None,
+                #[cfg(test)]
+                timer_fires: 0,
             }),
         );
         SimHost {
@@ -356,13 +390,16 @@ impl<P: GatewayProto> SimHost<P> {
             replicas,
             queue,
             clock,
+            work,
         }
     }
 
     /// Queues one submission for the gateway's next drain (what a
     /// binding's `submit` does).
     pub fn enqueue(&self, queued: P::Queued) {
-        self.queue.lock().ops.push_back(queued);
+        let mut inbox = self.queue.lock();
+        inbox.ops.push_back(queued);
+        self.work.store(QUEUED, Ordering::Relaxed);
     }
 
     /// Runs `f` on this client's gateway `delay` of virtual time from
@@ -373,7 +410,9 @@ impl<P: GatewayProto> SimHost<P> {
     /// `f` submits is drained there. [`SimHost::settle`] counts a
     /// pending wake-up as outstanding work.
     pub fn after(&self, delay: SimDuration, f: impl FnOnce() + Send + 'static) {
-        self.queue.lock().wakes.push((delay, Box::new(f)));
+        let mut inbox = self.queue.lock();
+        inbox.wakes.push((delay, Box::new(f)));
+        self.work.store(QUEUED, Ordering::Relaxed);
     }
 
     /// A handle mirroring the virtual time (nanoseconds) at which the
@@ -423,25 +462,45 @@ impl<P: GatewayProto> SimHost<P> {
     /// Drives the simulation until every submitted operation (including
     /// operations issued from inside callbacks) has closed — by a final
     /// view or, when faults lost it, by the client deadline — and every
-    /// wake-up has fired.
+    /// wake-up has fired, then on to the end of the 5 ms slice, counted
+    /// from the call, in which that happened.
     ///
     /// # Panics
     ///
-    /// Panics if operations cannot close within a very large horizon:
-    /// replies lost to faults without a client timeout, or a protocol
-    /// bug.
+    /// Panics if operations cannot close: at once when nothing is
+    /// scheduled that could close them (replies lost to faults without a
+    /// client timeout, or a protocol bug), after a very large horizon of
+    /// virtual time when the deployment stays busy regardless.
     pub fn settle(&self) {
+        let work = || self.work.load(Ordering::Relaxed);
         let mut engine = self.engine.lock();
-        for _ in 0..2_000_000 {
-            engine.schedule_timer(self.gateway, SimDuration::ZERO, Timer(KICK));
-            engine.run_for(SETTLE_SLICE);
-            if engine.node_as::<SimGateway<P>>(self.gateway).idle() {
+        // A grid point: everything due by it has run.
+        let mut at = engine.now();
+        let horizon = at + SETTLE_HORIZON;
+        while at < horizon {
+            self.kick(&mut engine);
+            // A gateway that only waits has nothing to do at a grid
+            // point: run straight to the event that ends the wait.
+            engine.run_while(horizon, || work() == WAITING);
+            if work() == WAITING {
+                break;
+            }
+            // Finish the slice that event fell in (the kick's own, if it
+            // was the kick that left nothing open).
+            let into = engine.now().since(at).as_nanos();
+            at += SETTLE_SLICE * into.div_ceil(SETTLE_SLICE.as_nanos()).max(1);
+            engine.run_until(at);
+            if work() == IDLE {
                 return;
             }
         }
         panic!(
-            "operations cannot settle (lost replies without a client timeout? \
-             see SimHost::set_client_timeout)"
+            "operations cannot settle, {} (lost replies without a client timeout? \
+             see SimHost::set_client_timeout)",
+            match engine.next_event_at() {
+                None => "nothing is scheduled that could close them",
+                Some(_) => "the deployment stayed busy to the horizon",
+            }
         );
     }
 
@@ -451,14 +510,24 @@ impl<P: GatewayProto> SimHost<P> {
         self.engine.lock().run_for(d);
     }
 
-    /// Kicks the gateway once, then runs the simulation for `d`: one
-    /// slice of [`SimHost::settle`], for callers that measure how much
-    /// virtual time passes before an individual operation closes, or
-    /// whose deployment never goes idle.
+    /// Kicks the gateway once, then runs the simulation for `d`: for
+    /// callers that measure how much virtual time passes before an
+    /// individual operation closes, or whose deployment never goes idle.
     pub fn step(&self, d: SimDuration) {
         let mut engine = self.engine.lock();
-        engine.schedule_timer(self.gateway, SimDuration::ZERO, Timer(KICK));
+        self.kick(&mut engine);
         engine.run_for(d);
+    }
+
+    /// The kick: has the gateway drain its inbox at this instant, after
+    /// everything else due at it. An empty inbox leaves a kick nothing to
+    /// do but show this instant on the clock mirror, which takes no event.
+    fn kick(&self, engine: &mut Engine<P::Msg>) {
+        if self.work.load(Ordering::Relaxed) == QUEUED {
+            engine.schedule_timer(self.gateway, SimDuration::ZERO, Timer(KICK));
+        } else {
+            self.clock.store(engine.now().as_nanos(), Ordering::Relaxed);
+        }
     }
 
     /// Direct access to the engine (seeding replicas, reading counters).
@@ -592,6 +661,7 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
     use crate::topology::Topology;
     use correctables::{Binding, Client, LevelSet, State};
 
@@ -678,15 +748,73 @@ mod tests {
 
     /// Gateway and echo node 10 ms apart (one way), no jitter.
     fn toy() -> (SimHost<ToyProto>, Client<ToyBinding>) {
-        let mut topo = Topology::new(0.0, 0.0);
+        toy_over(SimDuration::from_millis(20), 0.0, 1)
+    }
+
+    /// Gateway at site A, echo node at site B, `rtt` apart with `wobble`
+    /// of jitter; 1 ms one way within a site.
+    fn toy_over(
+        rtt: SimDuration,
+        wobble: f64,
+        seed: u64,
+    ) -> (SimHost<ToyProto>, Client<ToyBinding>) {
+        let mut topo = Topology::new(wobble, 0.0);
         let a = topo.add_site("A", SimDuration::from_millis(2));
         let b = topo.add_site("B", SimDuration::from_millis(2));
-        topo.set_rtt(a, b, SimDuration::from_millis(20));
-        let mut engine = Engine::new(topo, 1);
+        topo.set_rtt(a, b, rtt);
+        let mut engine = Engine::new(topo, seed);
         let echo = engine.add_node(b, Box::new(Echo));
         let host = SimHost::new(engine, vec![echo], a, ToyProto { echo });
         let client = Client::new(ToyBinding(host.clone()));
         (host, client)
+    }
+
+    /// `settle` and `step` as they were while `settle` polled: a kick
+    /// event whatever the inbox holds, and between two slices a look into
+    /// the gateway to ask whether it is idle. The reference the event-
+    /// driven loop is held to, instant for instant.
+    fn settle_sliced(host: &SimHost<ToyProto>) {
+        let mut engine = host.engine.lock();
+        for _ in 0..100_000 {
+            engine.schedule_timer(host.gateway, SimDuration::ZERO, Timer(KICK));
+            engine.run_for(SETTLE_SLICE);
+            let gw = engine.node_as::<SimGateway<ToyProto>>(host.gateway);
+            let inbox = gw.queue.lock();
+            if gw.pending.is_empty()
+                && gw.wakes.is_empty()
+                && inbox.ops.is_empty()
+                && inbox.wakes.is_empty()
+            {
+                return;
+            }
+        }
+        panic!("the sliced reference ran out of slices");
+    }
+
+    fn step_sliced(host: &SimHost<ToyProto>, d: SimDuration) {
+        let mut engine = host.engine.lock();
+        engine.schedule_timer(host.gateway, SimDuration::ZERO, Timer(KICK));
+        engine.run_for(d);
+    }
+
+    /// One of the two loops.
+    #[derive(Clone, Copy)]
+    struct Drive {
+        settle: fn(&SimHost<ToyProto>),
+        step: fn(&SimHost<ToyProto>, SimDuration),
+    }
+
+    const EVENT_DRIVEN: Drive = Drive {
+        settle: SimHost::settle,
+        step: SimHost::step,
+    };
+    const SLICED: Drive = Drive {
+        settle: settle_sliced,
+        step: step_sliced,
+    };
+
+    fn timer_fires(host: &SimHost<ToyProto>) -> u64 {
+        host.with_gateway(|gw| gw.timer_fires)
     }
 
     fn tables(host: &SimHost<ToyProto>) -> (usize, usize) {
@@ -796,13 +924,51 @@ mod tests {
         assert_eq!(tables(&host), (0, 0));
     }
 
+    fn settle_panic(host: &SimHost<ToyProto>) -> String {
+        let settle = std::panic::AssertUnwindSafe(|| host.settle());
+        let panic = std::panic::catch_unwind(settle).expect_err("settle returned");
+        *panic.downcast::<String>().expect("a formatted panic")
+    }
+
     #[test]
-    #[should_panic(expected = "lost replies without a client timeout")]
     fn lost_reply_without_a_deadline_panics_instead_of_spinning() {
         let (host, client) = toy();
         lose_everything_from_echo(&host);
         let _lost = client.invoke_weak(());
-        host.settle();
+        let msg = settle_panic(&host);
+        assert!(msg.contains("nothing is scheduled"), "{msg}");
+        assert!(msg.contains("lost replies without a client timeout"));
+        // The ping was lost as the kick sent it, which left the event
+        // queue empty: the clock stands at the end of the kick's slice,
+        // not 10 000 s on.
+        assert_eq!(host.now(), SimTime::ZERO + SETTLE_SLICE);
+        assert_eq!(timer_fires(&host), 1);
+    }
+
+    #[test]
+    fn lost_reply_in_a_deployment_that_stays_busy_panics_at_the_horizon() {
+        /// Anti-entropy that never goes quiet: a timer every second.
+        struct Ticker;
+        impl Node<Toy> for Ticker {
+            fn on_message(&mut self, _: &mut Ctx<'_, Toy>, _: NodeId, _: Toy) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Toy>, timer: Timer) {
+                ctx.set_timer(SimDuration::from_secs(1), timer);
+            }
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (host, client) = toy();
+        lose_everything_from_echo(&host);
+        host.with_engine(|e| {
+            let ticker = e.add_node(SiteId(0), Box::new(Ticker));
+            e.schedule_timer(ticker, SimDuration::ZERO, Timer(0));
+        });
+        let _lost = client.invoke_weak(());
+        let msg = settle_panic(&host);
+        assert!(msg.contains("stayed busy to the horizon"), "{msg}");
+        assert_eq!(host.now(), SimTime::ZERO + SETTLE_HORIZON);
+        assert_eq!(timer_fires(&host), 1);
     }
 
     #[test]
@@ -907,5 +1073,206 @@ mod tests {
         // Op ids are per gateway: A's ops 1 and 2, B's op 1.
         assert_eq!(first.final_view().map(|v| v.value), Some(1));
         assert_eq!((value(&second), value(&third)), (Some(1), Some(2)));
+    }
+
+    #[test]
+    fn a_settled_op_costs_one_kick_not_one_per_slice() {
+        let ms = SimDuration::from_millis;
+        // The toy's round trip, a strong quorum read's and the causal
+        // store's strong view: one op, settle, think — the shape of the
+        // round-by-round harnesses.
+        for (rtt, per_op_sliced) in [(20, 4), (40, 8), (86, 18)] {
+            let fires = |drive: Drive| {
+                let (host, client) = toy_over(ms(rtt), 0.0, 1);
+                let mut downcasts = 0;
+                for round in 0..50 {
+                    let op = client.invoke_weak(());
+                    let before = host.engine.lock().downcasts;
+                    (drive.settle)(&host);
+                    downcasts += host.engine.lock().downcasts - before;
+                    assert_eq!(op.state(), State::Final);
+                    host.advance(ms(1 + round % 40));
+                }
+                (timer_fires(&host), downcasts)
+            };
+            // A kick per slice the op spans and a look into the gateway
+            // after each; now the one kick that drains the submission.
+            assert_eq!(fires(SLICED), (50 * per_op_sliced, 50 * per_op_sliced));
+            assert_eq!(fires(EVENT_DRIVEN), (50, 0), "rtt {rtt} ms");
+        }
+    }
+
+    #[test]
+    fn submission_from_another_client_is_drained_at_the_next_grid_point() {
+        let ms = SimDuration::from_millis;
+        let run = |drive: Drive| {
+            let (a, _) = toy();
+            let echo = a.replica_ids()[0];
+            let b = a.add_gateway(a.site_ids()[0], ToyProto { echo });
+            let closed_at = Arc::new(AtomicU64::new(0));
+            // B's op leaves at 0 and is back at 20 ms, when its upcall
+            // submits to A. A settles from 2 ms on — grid points 2, 7,
+            // … 22 — and is kept busy by a wake-up until 52 ms.
+            {
+                let (to_a, clock, closed_at) = (a.clone(), a.clock(), closed_at.clone());
+                let first = Client::new(ToyBinding(b.clone())).invoke_weak(());
+                first.on_final(move |_| {
+                    let second = Client::new(ToyBinding(to_a)).invoke_weak(());
+                    second.on_final(move |_| {
+                        closed_at.store(clock.load(Ordering::Relaxed), Ordering::Relaxed)
+                    });
+                });
+            }
+            (drive.step)(&b, ms(2));
+            a.after(ms(50), || {});
+            (drive.settle)(&a);
+            let at_return = (a.now(), a.clock().load(Ordering::Relaxed));
+            assert_eq!(at_return, (SimTime::ZERO + ms(52), 52_000_000));
+            (closed_at.load(Ordering::Relaxed), timer_fires(&a))
+        };
+        // Nobody's reply drains A's inbox at 20 ms and A's next kick is
+        // at 22: the ping leaves then and is back 20 ms later. Of the ten
+        // slices' kicks two had something to drain; the third fire is the
+        // wake-up.
+        assert_eq!(run(SLICED), (42_000_000, 11));
+        assert_eq!(run(EVENT_DRIVEN), (42_000_000, 3));
+    }
+
+    /// One thing a toy client does — submit an operation or arm a
+    /// wake-up, on either client — and what follows when that closes or
+    /// fires, from inside the upcall.
+    #[derive(Clone, Debug)]
+    struct Act {
+        id: u32,
+        on: usize,
+        /// `Some`: a wake-up this far out; `None`: an operation.
+        wake_ms: Option<u64>,
+        then: Vec<Act>,
+    }
+
+    fn acts(rng: &mut DetRng, depth: u64, next_id: &mut u32) -> Vec<Act> {
+        let n = match depth {
+            0 => 1 + rng.below(3),
+            _ => rng.below(4 - depth),
+        };
+        (0..n)
+            .map(|_| {
+                *next_id += 1;
+                Act {
+                    id: *next_id,
+                    on: rng.below(2) as usize,
+                    wake_ms: rng
+                        .chance(0.3)
+                        .then(|| [0, 0, 1, 5, 12, 40][rng.below(6) as usize]),
+                    then: acts(rng, depth + 1, next_id),
+                }
+            })
+            .collect()
+    }
+
+    struct World {
+        hosts: [SimHost<ToyProto>; 2],
+        /// `(act, how it ended, its client's clock mirror then)` in the
+        /// order the upcalls ran.
+        log: Mutex<Vec<(u32, &'static str, u64)>>,
+    }
+
+    fn perform(world: &Arc<World>, act: &Act) {
+        let host = &world.hosts[act.on];
+        let (w, me) = (Arc::clone(world), act.clone());
+        let done = move |how| {
+            let at = w.hosts[me.on].clock.load(Ordering::Relaxed);
+            w.log.lock().push((me.id, how, at));
+            me.then.iter().for_each(|next| perform(&w, next));
+        };
+        match act.wake_ms {
+            Some(delay) => host.after(SimDuration::from_millis(delay), move || done("woke")),
+            None => {
+                let failed = done.clone();
+                Client::new(ToyBinding(host.clone()))
+                    .invoke_weak(())
+                    .on_final(move |_| done("final"))
+                    .on_error(move |_| failed("failed"));
+            }
+        }
+    }
+
+    /// What a loop can move: the upcall log, and after every `settle` the
+    /// instant it returned at with both clock mirrors.
+    type Played = (Vec<(u32, &'static str, u64)>, Vec<(SimTime, u64, u64)>);
+
+    /// Plays the script `seed` stands for under one of the two loops.
+    fn play(seed: u64, drive: Drive) -> Played {
+        let ms = SimDuration::from_millis;
+        let mut rng = DetRng::seed_from_u64(seed);
+        // 1 µs to 120 ms one way (a topology has no zero-latency link).
+        let rtt = SimDuration::from_micros(2 + 2 * rng.below(120_000));
+        let (a, _) = toy_over(rtt, 0.05, seed);
+        let echo = a.replica_ids()[0];
+        // The second client sits with the first or with the echo node.
+        let b = a.add_gateway(a.site_ids()[rng.below(2) as usize], ToyProto { echo });
+        if rng.chance(0.5) {
+            let deadline = ms(30 + rng.below(400));
+            a.set_client_timeout(deadline);
+            b.set_client_timeout(deadline);
+            // Without the deadline a dropped message wedges the run.
+            if rng.chance(0.5) {
+                a.set_faults(Faults::none().with_drop_probability(0.2));
+            }
+        }
+        let world = Arc::new(World {
+            hosts: [a, b],
+            log: Mutex::new(Vec::new()),
+        });
+        let mut returns = Vec::new();
+        let mut settle = |host: &SimHost<ToyProto>| {
+            (drive.settle)(host);
+            let [a, b] = &world.hosts;
+            let mirror = |h: &SimHost<ToyProto>| h.clock.load(Ordering::Relaxed);
+            returns.push((host.now(), mirror(a), mirror(b)));
+        };
+        let mut next_id = 0;
+        for _ in 0..1 + rng.below(4) {
+            for act in acts(&mut rng, 0, &mut next_id) {
+                perform(&world, &act);
+            }
+            // A client whose operations enter the network without its
+            // settling has its upcalls run by the other client's settle.
+            for host in &world.hosts {
+                if rng.chance(0.4) {
+                    (drive.step)(host, ms(rng.below(8)));
+                }
+            }
+            for _ in 0..rng.below(3) {
+                settle(&world.hosts[rng.below(2) as usize]);
+            }
+            world.hosts[0].advance(ms(rng.below(41)));
+        }
+        // Follow-ups hop between the clients at most three times.
+        for _ in 0..3 {
+            world.hosts.iter().for_each(&mut settle);
+        }
+        for host in &world.hosts {
+            assert_eq!(tables(host), (0, 0), "script {seed} closed everything");
+        }
+        let log = std::mem::take(&mut *world.log.lock());
+        (log, returns)
+    }
+
+    proptest::proptest! {
+        /// 96 cases of three scripts each.
+        #[test]
+        fn event_driven_settle_is_the_sliced_loop_instant_for_instant(
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 3),
+        ) {
+            for seed in seeds {
+                proptest::prop_assert_eq!(
+                    play(seed, EVENT_DRIVEN),
+                    play(seed, SLICED),
+                    "script {}",
+                    seed
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,10 @@
 # run, ICG_WARMUP_MS / ICG_MEASURE_MS for explicit periods. The CI
 # perf-gate job uses ICG_MEASURE_MS=800 as a stability/wall-time
 # compromise, then compares the output against the committed baseline via
-# `perf_gate compare`.
+# `perf_gate compare` (BENCH_PR4.json for the headline rows; the rows later
+# PRs added are compared against the file of the PR that added them:
+# micro_spec/spec/weak-view-10000 against BENCH_PR13.json,
+# micro_simnet/simnet/settle-sparse-1k-rounds against BENCH_PR24.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
