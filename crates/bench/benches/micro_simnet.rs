@@ -64,6 +64,66 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// A 104-byte message — `quorumstore::Msg`'s size — relayed hop by hop;
+/// `body` holds the parcel's number.
+struct Parcel {
+    hops: u64,
+    body: [u64; 12],
+}
+impl Wire for Parcel {
+    fn wire_size(&self) -> usize {
+        104
+    }
+}
+
+/// Forwards each parcel to its two peers in turn until its hops run out,
+/// spending 30 µs of host CPU on each.
+struct Relay {
+    peers: Vec<NodeId>,
+}
+
+impl Node<Parcel> for Relay {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Parcel>, _from: NodeId, mut msg: Parcel) {
+        if msg.hops > 0 {
+            msg.hops -= 1;
+            let to = self.peers[((msg.hops + msg.body[0]) % 2) as usize];
+            ctx.send(to, msg);
+        }
+    }
+    fn service_cost(&self, _msg: &Parcel) -> SimDuration {
+        SimDuration::from_micros(30)
+    }
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The engine under the traffic `sim_ads_speculation` gives it: three
+/// EC2 replicas, a service cost on every message (so each hop is an
+/// `Arrive` and an `Exec`), and 100 parcels in flight at once — some 100
+/// events pending — for about 10 000 events.
+fn bench_fanout(c: &mut Criterion) {
+    c.bench_function("simnet/fanout-100-in-flight", |b| {
+        b.iter(|| {
+            let (mut eng, replicas) = Engine::ec2(1, |_| {
+                Box::new(Relay { peers: Vec::new() }) as Box<dyn Node<Parcel>>
+            });
+            for (i, &r) in replicas.iter().enumerate() {
+                eng.node_as::<Relay>(r).peers = NodeId::peers_of(&replicas, i);
+            }
+            for p in 0..100u64 {
+                let (from, to) = (replicas[p as usize % 3], replicas[(p as usize + 1) % 3]);
+                let parcel = Parcel {
+                    hops: 49,
+                    body: [p; 12],
+                };
+                eng.schedule_message(from, to, SimDuration::from_micros(p * 500), parcel);
+            }
+            black_box(eng.run_until_idle(100_000))
+        })
+    });
+}
+
 /// The shape of the step-wise harnesses (explorer, determinism goldens,
 /// `sim_cbcast_mix`): submit, `settle`, think. A strong read from IRL
 /// spans some eight settle slices in which only the replicas' messages
@@ -103,5 +163,11 @@ fn bench_ycsb(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_engine, bench_settle, bench_ycsb);
+criterion_group!(
+    benches,
+    bench_engine,
+    bench_fanout,
+    bench_settle,
+    bench_ycsb
+);
 criterion_main!(benches);

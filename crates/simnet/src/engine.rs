@@ -68,6 +68,7 @@ pub trait Node<M>: Send + 'static {
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Kind<M> {
     /// Message reached the destination NIC; next it queues for service.
     Arrive { from: NodeId, to: NodeId, msg: M },
@@ -77,40 +78,48 @@ enum Kind<M> {
     Fire { node: NodeId, timer: Timer },
 }
 
-/// A scheduled event. The heap key packs `(time, insertion sequence)` into
-/// one `u128` — `time` in the high 64 bits, the tie-breaking sequence
-/// number in the low 64 — so heap sift comparisons are a single integer
-/// compare instead of a lexicographic pair compare.
-struct Ev<M> {
+/// A scheduled event's heap entry: 32 bytes whatever `M` is. The key packs
+/// `(time, insertion sequence)` into one `u128` — `time` in the high 64
+/// bits, the tie-breaking sequence number in the low 64 — so a sift
+/// comparison is a single integer compare; the event itself waits in
+/// `Core::slots[slot]`, so a sift moves the entry and never the message.
+struct Ev {
     key: u128,
-    kind: Kind<M>,
+    slot: u32,
 }
 
 fn ev_key(at: SimTime, seq: u64) -> u128 {
     (u128::from(at.as_nanos()) << 64) | u128::from(seq)
 }
 
-impl<M> Ev<M> {
-    fn at(&self) -> SimTime {
-        SimTime::from_nanos((self.key >> 64) as u64)
-    }
+fn key_at(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
-impl<M> PartialEq for Ev<M> {
+impl PartialEq for Ev {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<M> Eq for Ev<M> {}
-impl<M> PartialOrd for Ev<M> {
+impl Eq for Ev {}
+impl PartialOrd for Ev {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Ev<M> {
+impl Ord for Ev {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         other.key.cmp(&self.key)
+    }
+}
+
+/// The slot a pending event takes when none is free: the next index of a
+/// table holding `len` slots. Panics rather than wrap the entry's `u32`.
+fn fresh_slot(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(slot) if slot < u32::MAX => slot,
+        _ => panic!("more than u32::MAX simulation events pending"),
     }
 }
 
@@ -124,7 +133,10 @@ struct NodeMeta {
 struct Core<M> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Ev<M>>,
+    heap: BinaryHeap<Ev>,
+    /// Pending events by slot; `None` where `free` lists the slot.
+    slots: Vec<Option<Kind<M>>>,
+    free: Vec<u32>,
     meta: Vec<NodeMeta>,
     topology: Topology,
     rng: DetRng,
@@ -136,16 +148,51 @@ struct Core<M> {
     dropped_messages: u64,
 }
 
-impl<M: Wire> Core<M> {
+impl<M> Core<M> {
+    /// Queues `kind` at `at`, after everything already queued for `at`.
+    ///
+    /// Inlined into its five callers, which build `kind` in place: left
+    /// out of line, each event was built on the caller's stack and copied
+    /// into its slot, +15–34 % per event on a ping-pong (EXPERIMENTS.md,
+    /// "Event heap entries").
+    #[inline(always)]
     fn push(&mut self, at: SimTime, kind: Kind<M>) {
         let seq = self.seq;
         self.seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = fresh_slot(self.slots.len());
+                self.slots.push(Some(kind));
+                slot
+            }
+        };
         self.heap.push(Ev {
             key: ev_key(at, seq),
-            kind,
+            slot,
         });
     }
 
+    /// Takes the earliest event off the queue.
+    fn pop(&mut self) -> Option<(SimTime, Kind<M>)> {
+        let ev = self.heap.pop()?;
+        let kind = self.slots[ev.slot as usize]
+            .take()
+            .expect("a queued entry's slot holds its event");
+        self.free.push(ev.slot);
+        Some((key_at(ev.key), kind))
+    }
+
+    /// When the earliest queued event is due.
+    fn peek_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|ev| key_at(ev.key))
+    }
+}
+
+impl<M: Wire> Core<M> {
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
         let from_site = self.meta[from.0].site;
         let to_site = self.meta[to.0].site;
@@ -254,14 +301,18 @@ pub struct Engine<M> {
 impl<M: Wire + 'static> Engine<M> {
     /// Creates an engine over `topology`, seeded with `seed`.
     ///
-    /// The event heap is pre-sized so steady-state simulations reach their
-    /// working set without rehashing growth in the hot loop.
+    /// The event heap, its slot table and the free list are pre-sized for
+    /// 1024 pending events (`sim_ads_speculation` peaks near 300), so a run
+    /// reaches its working set without reallocating and copying them in
+    /// the hot loop.
     pub fn new(topology: Topology, seed: u64) -> Self {
         Engine {
             core: Core {
                 now: SimTime::ZERO,
                 seq: 0,
                 heap: BinaryHeap::with_capacity(1024),
+                slots: Vec::with_capacity(1024),
+                free: Vec::with_capacity(1024),
                 meta: Vec::with_capacity(16),
                 topology,
                 rng: DetRng::seed_from_u64(seed),
@@ -386,13 +437,9 @@ impl<M: Wire + 'static> Engine<M> {
     /// `limit`. Returns the number of events processed.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(ev) = self.core.heap.peek() {
-            if ev.at() > limit {
-                break;
-            }
-            let ev = self.core.heap.pop().expect("peeked event exists");
-            self.core.now = ev.at();
-            self.dispatch(ev);
+        while self.core.peek_at().is_some_and(|at| at <= limit) {
+            let (at, kind) = self.core.pop().expect("peeked event exists");
+            self.dispatch(at, kind);
             processed += 1;
         }
         self.core.now = self.core.now.max(limit);
@@ -404,17 +451,16 @@ impl<M: Wire + 'static> Engine<M> {
     /// clock at the last event it ran: the caller reads off [`Engine::now`]
     /// the instant of the event that turned `more` false.
     pub fn run_while(&mut self, limit: SimTime, mut more: impl FnMut() -> bool) {
-        while more() && self.next_event_at().is_some_and(|at| at <= limit) {
-            let ev = self.core.heap.pop().expect("peeked event exists");
-            self.core.now = ev.at();
-            self.dispatch(ev);
+        while more() && self.core.peek_at().is_some_and(|at| at <= limit) {
+            let (at, kind) = self.core.pop().expect("peeked event exists");
+            self.dispatch(at, kind);
         }
     }
 
     /// When the earliest scheduled event is due; `None` with nothing
     /// scheduled.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.core.heap.peek().map(Ev::at)
+        self.core.peek_at()
     }
 
     /// Runs for `d` of virtual time from the current instant.
@@ -431,9 +477,8 @@ impl<M: Wire + 'static> Engine<M> {
     /// livelock (e.g. two nodes ping-ponging forever).
     pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
         let mut processed = 0;
-        while let Some(ev) = self.core.heap.pop() {
-            self.core.now = ev.at();
-            self.dispatch(ev);
+        while let Some((at, kind)) = self.core.pop() {
+            self.dispatch(at, kind);
             processed += 1;
             assert!(
                 processed <= max_events,
@@ -456,9 +501,10 @@ impl<M: Wire + 'static> Engine<M> {
         self.nodes[to.0] = Some(node);
     }
 
-    fn dispatch(&mut self, ev: Ev<M>) {
-        let at = ev.at();
-        match ev.kind {
+    /// Runs the event popped for `at`, with the clock moved to `at`.
+    fn dispatch(&mut self, at: SimTime, kind: Kind<M>) {
+        self.core.now = at;
+        match kind {
             Kind::Arrive { from, to, msg } => {
                 // A message for a down node is silently lost at the NIC.
                 if !self.core.fault_free && self.core.faults.node_down(to, at) {
@@ -481,7 +527,7 @@ impl<M: Wire + 'static> Engine<M> {
                 // another event ties on the timestamp, fall back to the
                 // queue to keep the execution order bit-identical to the
                 // two-phase schedule.
-                if done == at && self.core.heap.peek().is_none_or(|next| next.at() > at) {
+                if done == at && self.core.peek_at().is_none_or(|next| next > at) {
                     self.exec(from, to, msg);
                 } else {
                     self.core.push(done, Kind::Exec { from, to, msg });
@@ -513,7 +559,7 @@ mod tests {
     use super::*;
 
     /// A trivial message carrying a counter.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Ping(u32);
 
     impl Wire for Ping {
@@ -715,5 +761,181 @@ mod tests {
         eng.node_as::<Echo>(nb).bounces = u32::MAX;
         eng.schedule_message(na, nb, SimDuration::ZERO, Ping(0));
         eng.run_until_idle(50);
+    }
+
+    /// The queue before PR 25, kept as the reference: every entry carries
+    /// its whole event, so the heap sifts messages.
+    struct InlineEv<M> {
+        key: u128,
+        kind: Kind<M>,
+    }
+
+    impl<M> PartialEq for InlineEv<M> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl<M> Eq for InlineEv<M> {}
+    impl<M> PartialOrd for InlineEv<M> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<M> Ord for InlineEv<M> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.key.cmp(&self.key)
+        }
+    }
+
+    struct InlineQueue<M> {
+        seq: u64,
+        heap: BinaryHeap<InlineEv<M>>,
+    }
+
+    impl<M> InlineQueue<M> {
+        fn push(&mut self, at: SimTime, kind: Kind<M>) {
+            let key = ev_key(at, self.seq);
+            self.seq += 1;
+            self.heap.push(InlineEv { key, kind });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Kind<M>)> {
+            self.heap.pop().map(|ev| (key_at(ev.key), ev.kind))
+        }
+    }
+
+    type PopLog = Vec<(SimTime, Kind<Ping>)>;
+
+    /// One random interleaving of pushes and pops, run through the slot
+    /// queue and the inline reference: one to four bursts, each filling
+    /// the queue toward 0–500 pending events and then emptying it. Every
+    /// pushed event carries its push index, which is its sequence number,
+    /// so equal pop logs mean equal `(time, seq, kind)` sequences. Returns
+    /// both logs, the most events ever pending and the slot table's length.
+    fn interleave(seed: u64) -> (PopLog, PopLog, usize, usize) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut core = Engine::<Ping>::new(Topology::single_site(), 0).core;
+        let mut reference = InlineQueue {
+            seq: 0,
+            heap: BinaryHeap::new(),
+        };
+        let (mut log, mut reference_log) = (Vec::new(), Vec::new());
+        let (mut now, mut pushed, mut peak) = (SimTime::ZERO, 0u32, 0);
+        for _ in 0..rng.range(1, 5) {
+            let target = rng.below(501) as usize;
+            for filling in [true, false] {
+                let push_chance = if filling { 0.75 } else { 0.2 };
+                let more = |pending: usize| {
+                    if filling {
+                        pending < target
+                    } else {
+                        pending > 0
+                    }
+                };
+                while more(core.heap.len()) {
+                    if rng.chance(push_chance) {
+                        // Times from now on; a third at `now` itself and a
+                        // third on a 1 ms grid, so instants are shared.
+                        let at = now
+                            + match rng.below(3) {
+                                0 => SimDuration::ZERO,
+                                1 => SimDuration::from_millis(rng.below(5)),
+                                _ => SimDuration::from_nanos(rng.below(50_000_000)),
+                            };
+                        let (from, to) =
+                            (NodeId(rng.below(3) as usize), NodeId(rng.below(3) as usize));
+                        let variant = rng.below(3);
+                        let kind = || match variant {
+                            0 => Kind::Arrive {
+                                from,
+                                to,
+                                msg: Ping(pushed),
+                            },
+                            1 => Kind::Exec {
+                                from,
+                                to,
+                                msg: Ping(pushed),
+                            },
+                            _ => Kind::Fire {
+                                node: from,
+                                timer: Timer(u64::from(pushed)),
+                            },
+                        };
+                        core.push(at, kind());
+                        reference.push(at, kind());
+                        pushed += 1;
+                        peak = peak.max(core.heap.len());
+                    } else if let Some(ev) = core.pop() {
+                        now = ev.0;
+                        log.push(ev);
+                        reference_log.extend(reference.pop());
+                    }
+                }
+            }
+        }
+        assert_eq!(core.peek_at(), None);
+        (log, reference_log, peak, core.slots.len())
+    }
+
+    proptest::proptest! {
+        /// 96 cases of three interleavings each.
+        #[test]
+        fn slot_queue_pops_what_the_inline_heap_pops(
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 3),
+        ) {
+            for seed in seeds {
+                let (log, reference_log, peak, slots) = interleave(seed);
+                let differs = log.iter().zip(&reference_log).position(|(a, b)| a != b);
+                proptest::prop_assert!(
+                    log == reference_log,
+                    "interleaving {}: pop {:?} of {} differs",
+                    seed,
+                    differs,
+                    log.len()
+                );
+                proptest::prop_assert_eq!(slots, peak, "interleaving {}", seed);
+            }
+        }
+    }
+
+    #[test]
+    fn interleavings_reach_five_hundred_pending_and_share_instants() {
+        let (mut peaks, mut ties) = (0, 0);
+        for seed in 0..32 {
+            let (log, _, peak, _) = interleave(seed);
+            peaks = peaks.max(peak);
+            ties += log.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        }
+        assert!(peaks >= 450, "largest queue {peaks}");
+        assert!(ties > 1_000, "{ties} same-instant pops");
+    }
+
+    #[test]
+    fn slot_table_is_as_long_as_the_most_events_ever_pending() {
+        let mut core = Engine::<Ping>::new(Topology::single_site(), 0).core;
+        let mut rng = DetRng::seed_from_u64(25);
+        for i in 0..1_000_000u32 {
+            if core.heap.len() == 16 || rng.chance(0.3) {
+                core.pop();
+            }
+            let at = core.now + SimDuration::from_micros(rng.below(100));
+            core.push(
+                at,
+                Kind::Fire {
+                    node: NodeId(0),
+                    timer: Timer(u64::from(i)),
+                },
+            );
+        }
+        while core.pop().is_some() {}
+        assert_eq!(core.slots.len(), 16);
+        assert_eq!(core.free.len(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX simulation events pending")]
+    fn a_slot_index_past_u32_panics_instead_of_wrapping() {
+        assert_eq!(fresh_slot(u32::MAX as usize - 1), u32::MAX - 1);
+        fresh_slot(u32::MAX as usize);
     }
 }
