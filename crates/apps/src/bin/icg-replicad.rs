@@ -35,21 +35,19 @@ const KNOWN: &[&str] = &[
     "op-timeout-ms",
     "peer-retry-ms",
     "peer-retry-cap-ms",
-    "loops",
     "levels",
     "help",
 ];
 
 const USAGE: &str = "icg-replicad --id N --listen ADDR [--peers ADDR,ADDR,...]
     [--op-timeout-ms 5000] [--peer-retry-ms 200] [--peer-retry-cap-ms 5000]
-    [--loops 1] [--levels name:rank,...]
+    [--levels name:rank,...]
 
 Hosts one quorum-store replica over TCP. --id must be unique across the
 replica set (it is the write-version tiebreak). --peers lists the OTHER
-replicas; omit it for a single-replica deployment. --loops spreads
-client traffic over that many event loops. --levels registers extra
-consistency levels (beyond the builtin weak<update<causal<strong) into
-the lattice; the handshake advertises them to every client.";
+replicas; omit it for a single-replica deployment. --levels registers
+extra consistency levels (beyond the builtin weak<update<causal<strong)
+into the lattice; the handshake advertises them to every client.";
 
 fn main() {
     let flags = match Flags::parse(std::env::args().skip(1), KNOWN) {
@@ -94,7 +92,6 @@ fn main() {
         op_timeout: Duration::from_millis(flags.get_u64("op-timeout-ms", 5000)),
         peer_retry: Duration::from_millis(flags.get_u64("peer-retry-ms", 200)),
         peer_retry_cap: Duration::from_millis(flags.get_u64("peer-retry-cap-ms", 5000)),
-        loops: flags.get_u64("loops", 1).max(1) as usize,
     };
     let server = ReplicaServer::bind(&listen, cfg)
         .unwrap_or_else(|e| die(&format!("cannot bind {listen}: {e}")));

@@ -29,8 +29,8 @@
 //!   append-in-place write buffers with backpressure) that every
 //!   server and client socket of this crate lives on. No async
 //!   runtime, no thread per connection.
-//! - [`server`] / [`binding`] / [`spec_binding`] — the replica
-//!   ([`ReplicaServer`], hosting `quorumstore::ReplicaCore` and, for
+//! - [`ReplicaServer`] / [`binding`] / [`spec_binding`] — the replica
+//!   (one event loop hosting `quorumstore::ReplicaCore` and, for
 //!   the update/causal/strong levels, `specstore::SpecCore` — the
 //!   same protocol code the simulator runs, not second
 //!   implementations) and the client
@@ -72,14 +72,13 @@ pub mod binding;
 pub mod frame;
 mod protocol;
 pub mod reactor;
-pub mod server;
 pub mod spec_binding;
 pub mod wire;
 
 pub use binding::{TcpBinding, TcpConfig};
 pub use frame::{FrameError, MAX_FRAME};
+pub use reactor::server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use reactor::ClientReactor;
-pub use server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use spec_binding::{SpecTcpConfig, TcpSpecBinding};
 pub use wire::{
     LevelInfo, NetMsg, Reader, SpecOp, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION,

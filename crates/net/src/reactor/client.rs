@@ -677,8 +677,6 @@ impl ClientHandler {
 impl Handler for ClientHandler {
     type Ev = ClientEv;
 
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
-
     fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {
         // Client loops have no listener.
     }

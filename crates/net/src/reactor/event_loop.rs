@@ -31,8 +31,7 @@
 //!    before the frame that answers it — slicing complete frames out of
 //!    the connection buffers and handing each body to the handler
 //!    ([`Handler::on_frame`]) for zero-copy decode, and, if the eventfd
-//!    fired, drains injected commands (adopt a connection, enqueue
-//!    bytes, handler events, shutdown);
+//!    fired, drains injected commands (handler events, shutdown);
 //! 4. flushes every connection the iteration touched — frames
 //!    produced while handling a burst sit back to back in the
 //!    connection's write buffer and leave in one `write`;
@@ -71,11 +70,6 @@ pub(crate) const DEFAULT_WRITE_CAP: usize = 4 * 1024 * 1024;
 
 /// What the loop does on behalf of other threads.
 pub(crate) enum Cmd<Ev> {
-    /// Register an established stream with this loop; the handler hears
-    /// [`Handler::on_open`] with the given tag.
-    Adopt { stream: TcpStream, tag: u64 },
-    /// Enqueue pre-encoded frame bytes on a connection this loop owns.
-    Send { conn: u64, frame: Vec<u8> },
     /// A handler-defined event.
     Ev(Ev),
     /// Exit the loop, closing every connection.
@@ -87,10 +81,6 @@ pub(crate) enum Cmd<Ev> {
 pub(crate) trait Handler: Send + 'static {
     /// Cross-thread event type delivered through the [`Injector`].
     type Ev: Send + 'static;
-
-    /// A connection was adopted (locally via [`Ctl::adopt`] or through
-    /// [`Cmd::Adopt`]).
-    fn on_open(&mut self, ctl: &mut Ctl, conn: u64, tag: u64);
 
     /// The loop's listener accepted `stream`. Only called on loops
     /// spawned with a listener.
@@ -236,9 +226,9 @@ pub(crate) struct Ctl {
 }
 
 impl Ctl {
-    /// Registers an established stream with this loop and reports it
-    /// via the returned id (the handler's `on_open` also fires, after
-    /// the current hook returns). `None` if registration failed.
+    /// Registers an established stream with this loop and returns the
+    /// connection's id; no handler hook fires for it. `None` if
+    /// registration failed.
     pub(crate) fn adopt(&mut self, stream: TcpStream, tag: u64) -> Option<u64> {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return None;
@@ -479,15 +469,6 @@ impl<H: Handler> Loop<H> {
                 break;
             };
             match cmd {
-                Cmd::Adopt { stream, tag } => {
-                    if let Some(id) = self.ctl.adopt(stream, tag) {
-                        self.handler.on_open(&mut self.ctl, id, tag);
-                        // A freshly adopted connection may already have
-                        // readable bytes; ET only reports future edges.
-                        self.conn_ready(id, EPOLLIN);
-                    }
-                }
-                Cmd::Send { conn, frame } => self.ctl.send_frame(conn, &frame),
                 Cmd::Ev(ev) => self.handler.on_event(&mut self.ctl, ev),
                 Cmd::Shutdown => {
                     self.ctl.shutdown = true;
@@ -642,21 +623,17 @@ mod tests {
     use std::sync::mpsc::{self, Sender};
     use std::sync::Barrier;
 
-    /// Counts injected events and reports every close it hears about.
+    /// Counts injected events.
     struct Probe {
         events: Arc<AtomicUsize>,
-        closes: Sender<CloseReason>,
     }
 
     impl Handler for Probe {
         type Ev = ();
 
-        fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
         fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
         fn on_frame(&mut self, _ctl: &mut Ctl, _conn: u64, _body: &[u8]) {}
-        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, reason: CloseReason) {
-            let _ = self.closes.send(reason);
-        }
+        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {}
         fn on_event(&mut self, _ctl: &mut Ctl, _ev: ()) {
             self.events.fetch_add(1, Ordering::SeqCst);
         }
@@ -664,24 +641,6 @@ mod tests {
         fn next_deadline(&mut self) -> Option<Instant> {
             None
         }
-    }
-
-    fn spawn_probe(
-        write_cap: usize,
-    ) -> (
-        Injector<()>,
-        Arc<AtomicUsize>,
-        mpsc::Receiver<CloseReason>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let events = Arc::new(AtomicUsize::new(0));
-        let (closes, closed) = mpsc::channel();
-        let probe = Probe {
-            events: Arc::clone(&events),
-            closes,
-        };
-        let (inj, join) = spawn_loop("icg-test-loop", probe, None, write_cap).unwrap();
-        (inj, events, closed, join)
     }
 
     /// Spins until the loop has handled `want` events; a command left
@@ -703,7 +662,11 @@ mod tests {
         const THREADS: usize = 4;
         const SENDS: usize = 6;
         const ROUNDS: usize = 3000;
-        let (inj, events, _closed, join) = spawn_probe(DEFAULT_WRITE_CAP);
+        let events = Arc::new(AtomicUsize::new(0));
+        let probe = Probe {
+            events: Arc::clone(&events),
+        };
+        let (inj, join) = spawn_loop("icg-test-loop", probe, None, DEFAULT_WRITE_CAP).unwrap();
         // Short bursts, many times over: the command at risk is the one
         // pushed while the loop finishes a drain, and every round ends
         // with one. Senders start each round together; the round is over
@@ -742,7 +705,6 @@ mod tests {
     impl Handler for Relay {
         type Ev = bool;
 
-        fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
         fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
         fn on_frame(&mut self, _ctl: &mut Ctl, _conn: u64, _body: &[u8]) {}
         fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {}
@@ -788,29 +750,46 @@ mod tests {
         join.join().unwrap();
     }
 
+    /// Adopts every stream it is handed and piles 16 MiB onto it, then
+    /// reports every close it hears about.
+    struct Hose {
+        closes: Sender<CloseReason>,
+    }
+
+    impl Handler for Hose {
+        type Ev = TcpStream;
+
+        fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
+        fn on_frame(&mut self, _ctl: &mut Ctl, _conn: u64, _body: &[u8]) {}
+        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, reason: CloseReason) {
+            let _ = self.closes.send(reason);
+        }
+        fn on_event(&mut self, ctl: &mut Ctl, stream: TcpStream) {
+            let conn = ctl.adopt(stream, 0).expect("adopt");
+            let mut frame = Vec::new();
+            crate::frame::encode_frame(&crate::wire::NetMsg::Hello { client: 1 }, &mut frame);
+            let frame = frame.repeat(1024);
+            for _ in 0..(16 << 20) / frame.len() {
+                ctl.send_frame(conn, &frame);
+            }
+        }
+        fn on_tick(&mut self, _ctl: &mut Ctl) {}
+        fn next_deadline(&mut self) -> Option<Instant> {
+            None
+        }
+    }
+
     #[test]
     fn unwritten_bytes_past_the_cap_shed_with_backpressure() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (_far_never_reads, _) = listener.accept().unwrap();
 
-        let (inj, _events, closed, join) = spawn_probe(64 * 1024);
-        inj.send(Cmd::Adopt {
-            stream: near,
-            tag: 0,
-        });
-        // 16 MiB at a peer that reads nothing: the socket buffers take
-        // what they take, the rest piles up unwritten until it passes
-        // the 64 KiB cap. Adopted connections get ids from zero.
-        let mut frame = Vec::new();
-        crate::frame::encode_frame(&crate::wire::NetMsg::Hello { client: 1 }, &mut frame);
-        let frame = frame.repeat(1024);
-        for _ in 0..(16 << 20) / frame.len() {
-            inj.send(Cmd::Send {
-                conn: 0,
-                frame: frame.clone(),
-            });
-        }
+        // 16 MiB for a peer that reads nothing, enqueued within one hook:
+        // it piles up unwritten until it passes the 64 KiB cap.
+        let (closes, closed) = mpsc::channel();
+        let (inj, join) = spawn_loop("icg-test-loop", Hose { closes }, None, 64 * 1024).unwrap();
+        inj.send(Cmd::Ev(near));
         let reason = closed
             .recv_timeout(Duration::from_secs(20))
             .expect("connection was never shed");

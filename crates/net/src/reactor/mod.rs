@@ -19,10 +19,10 @@
 //!   `Handler` trait protocols implement to live on a loop.
 //! - [`backoff`] — bounded exponential backoff with deterministic
 //!   jitter for the dialer threads that feed loops reconnections.
-//! - `server` / [`client`] — what `ReplicaServer`, `TcpBinding` and
-//!   `TcpSpecBinding` run on the loops: the replica's protocol and
-//!   forwarding handlers, and the client handler with its binding
-//!   table.
+//! - `server` / [`client`] — what runs on the loops: the whole replica
+//!   (`ReplicaServer`, its one protocol loop and its peer dialers), and
+//!   the client handler with its binding table behind `TcpBinding` and
+//!   `TcpSpecBinding`.
 
 pub mod backoff;
 pub mod client;

@@ -1,33 +1,45 @@
-//! The quorum-store replica served by the epoll reactor.
+//! A quorum-store replica served over real TCP sockets.
 //!
-//! Topology: `cfg.loops` event loops. Loop 0 is the *protocol loop* —
-//! it owns the listener, the peer links, the protocol cores
-//! ([`ReplicaCore`] for the quorum store, [`SpecCore`] for the spec
-//! store beside it — both hosted here, written elsewhere), and its
-//! share of the client connections. Loops
-//! `1..N` are *forwarding loops*: they own the remaining client
-//! connections, decode inbound frames on their own thread, and inject
-//! the decoded messages into loop 0; replies travel back as
-//! pre-encoded frames through the forwarding loop's injector. Accepted
-//! connections round-robin across all loops, so with `loops = 1`
-//! (the default) everything runs on one thread with zero cross-loop
-//! hops.
+//! [`ReplicaServer`] serves [`quorumstore::ReplicaCore`] — the very
+//! state machine the simulator hosts, not a port of it: the same
+//! [`quorumstore::Msg`] set, the same coordinator roles, the same
+//! preliminary-flush and confirmation behaviour — over the wire codec of
+//! this crate, so an unmodified Correctables client drives it through
+//! [`crate::TcpBinding`].
 //!
-//! Connections are addressed by a 64-bit key: the owning loop's index
-//! in the top 16 bits, the loop-local connection id in the low 48. The
-//! cores never know the difference — their egress routes by key.
+//! Peer reads included: a quorum read goes to exactly the `R-1` peers it
+//! needs. This host tells the core nothing about how far its peers are,
+//! so consecutive reads rotate over the links that are up (the simulator
+//! passes its topology and gets the nearest). What keeps an `R = 2` read
+//! available when one of three replicas is down — the whole point of
+//! running a quorum system on sockets — is that the read asks a further
+//! peer as soon as there is evidence one it asked will not answer: that
+//! peer's link closes, a link the read was missing comes up, or a
+//! quarter of [`ServerConfig::op_timeout`] passes in silence (DESIGN.md
+//! §3).
+//!
+//! Beside it the same replica serves the spec store,
+//! [`SpecCore`] — again the state machine the simulator hosts — to
+//! [`crate::TcpSpecBinding`] on the same connections.
+//!
+//! Topology: one event loop, the *protocol loop*. It owns the listener,
+//! the peer links, every client connection and both protocol cores
+//! ([`ReplicaCore`] for the quorum store, [`SpecCore`] beside it — both
+//! hosted here, written elsewhere). A connection's loop id is the key
+//! the cores address it by.
 //!
 //! Peer links are dialed by one auxiliary thread per peer (connecting
 //! is the one operation that blocks), with jittered exponential
 //! backoff so a downed replica costs its peers a couple of wakeups per
 //! cap-interval instead of a spinning core; an established stream is
-//! handed to loop 0 and the dialer parks until the loop reports the
+//! handed to the loop and the dialer parks until the loop reports the
 //! link down. The quorum core hears of both events with the peer's
 //! index (`on_peer_up`, `on_peer_down`): which pending reads ask whom
 //! is its decision, not the reactor's. The spec core hears of a link
 //! coming up and gossips again what that peer may have missed; both
 //! cores' deadlines share the loop's one timer.
 
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -35,148 +47,192 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use quorumstore::{Egress, Msg, ReplicaCore};
-
-use crate::frame::encode_frame;
 use specstore::SpecCore;
 
+use crate::frame::encode_frame;
 use crate::protocol::{self, NetEgress, RegCtrSpec, SpecStore, Wired};
-use crate::server::{ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::{Backoff, Sleeper, ThreadSleeper};
 use super::conn::CloseReason;
 use super::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_CAP};
 
-/// Loop index lives in the key's top bits, local conn id in the rest.
-const LOOP_SHIFT: u32 = 48;
-const CONN_MASK: u64 = (1 << LOOP_SHIFT) - 1;
+/// Tuning knobs of a TCP replica.
+#[derive(Clone, Copy, Debug)]
+pub struct ServerConfig {
+    /// This replica's id: the writer tiebreak in LWW versions and the
+    /// client half of the op ids it mints for peer traffic. Must be
+    /// unique across the replica set.
+    pub id: u32,
+    /// Deadline for gathering quorums before failing an operation back
+    /// to the client. A quorum read still waiting a quarter of the way
+    /// in stops trusting the peers it asked and asks the rest.
+    pub op_timeout: Duration,
+    /// Base delay between reconnection attempts to an unreachable peer;
+    /// doubles per consecutive failure up to [`ServerConfig::peer_retry_cap`].
+    pub peer_retry: Duration,
+    /// Ceiling on the peer-reconnect backoff.
+    pub peer_retry_cap: Duration,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            id: 0,
+            op_timeout: Duration::from_secs(5),
+            peer_retry: Duration::from_millis(200),
+            peer_retry_cap: Duration::from_secs(5),
+        }
+    }
+}
+
+/// A bound-but-not-yet-serving replica. Binding first and starting
+/// second lets a deployment bind every listener (learning the ephemeral
+/// ports), then start each replica with the full peer address list.
+pub struct ReplicaServer {
+    listener: TcpListener,
+    cfg: ServerConfig,
+}
+
+impl ReplicaServer {
+    /// Binds the listening socket. `127.0.0.1:0` picks an ephemeral port;
+    /// read it back with [`ReplicaServer::local_addr`].
+    pub fn bind(addr: &str, cfg: ServerConfig) -> io::Result<ReplicaServer> {
+        Ok(ReplicaServer {
+            listener: TcpListener::bind(addr)?,
+            cfg,
+        })
+    }
+
+    /// The address the replica is listening on.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener
+            .local_addr()
+            // lint: allow(panic_path) — setup API, called before serving starts
+            .expect("bound socket has an addr")
+    }
+
+    /// Starts serving. `peers` lists the *other* replicas.
+    pub fn start(self, peers: Vec<SocketAddr>) -> ReplicaHandle {
+        let addr = self.local_addr();
+        let cfg = self.cfg;
+        let id = cfg.id;
+        let (down_txs, down_rxs): (Vec<Sender<()>>, Vec<Receiver<()>>) =
+            (0..peers.len()).map(|_| mpsc::channel::<()>()).unzip();
+
+        let handler = ReplicaHandler {
+            // Equal distances: reads rotate over the links that are up.
+            core: ReplicaCore::new(id, cfg.op_timeout, vec![0; peers.len()]),
+            spec: SpecCore::new(RegCtrSpec::default(), id as usize, peers.len() + 1),
+            epoch: Instant::now(),
+            peer_conns: vec![None; peers.len()],
+            peer_down: down_txs,
+            scratch: Vec::new(),
+        };
+        let (inj, _join) = spawn_loop(
+            &format!("icg-reactor-{id}-main"),
+            handler,
+            Some(self.listener),
+            DEFAULT_WRITE_CAP,
+        )
+        // lint: allow(panic_path) — startup, nothing is serving yet
+        .expect("spawn protocol loop");
+
+        // Peer dialers: one thread per peer, parked while its link is up.
+        let stop = Arc::new(AtomicBool::new(false));
+        for ((peer, peer_addr), down_rx) in peers.into_iter().enumerate().zip(down_rxs) {
+            let inj = inj.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name(format!("icg-reactor-{id}-dial-{peer}"))
+                .spawn(move || {
+                    dial_peer_loop(cfg, peer, peer_addr, inj, down_rx, stop, &ThreadSleeper)
+                })
+                // lint: allow(panic_path) — startup, nothing is serving yet
+                .expect("spawn dialer thread");
+        }
+
+        ReplicaHandle { addr, stop, inj }
+    }
+}
+
+/// A running replica. Dropping the handle does **not** stop the server;
+/// call [`ReplicaHandle::shutdown`] (the failover tests use it as the
+/// crash switch).
+pub struct ReplicaHandle {
+    addr: SocketAddr,
+    /// Tells the peer dialers to stop redialing.
+    stop: Arc<AtomicBool>,
+    inj: Injector<PeerUp>,
+}
+
+impl ReplicaHandle {
+    /// The address this replica serves on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the replica abruptly: the listener stops accepting, every
+    /// open connection is closed, the event loop exits. In-flight
+    /// operations are lost without replies — to a client this is
+    /// indistinguishable from a crash, which is exactly what the
+    /// failover tests need it to be.
+    pub fn shutdown(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.inj.send(Cmd::Shutdown);
+    }
+}
+
+/// Binds and starts a full replica set on loopback ephemeral ports:
+/// binds all listeners first (so every replica learns every address),
+/// then starts each one with the other replicas as peers. Returns the
+/// handles in id order.
+pub fn spawn_local_cluster(n: usize, cfg_of: impl Fn(u32) -> ServerConfig) -> Vec<ReplicaHandle> {
+    let servers: Vec<ReplicaServer> = (0..n)
+        // lint: allow(panic_path) — cluster bootstrap helper, pre-serving
+        .map(|i| ReplicaServer::bind("127.0.0.1:0", cfg_of(i as u32)).expect("bind loopback"))
+        .collect();
+    let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
+    servers
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let peers: Vec<SocketAddr> = addrs
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, a)| *a)
+                .collect();
+            s.start(peers)
+        })
+        .collect()
+}
 
 /// Connection tag for client connections.
 const TAG_CLIENT: u64 = 0;
 /// Peer link tags: `TAG_PEER_BASE + peer_idx`.
 const TAG_PEER_BASE: u64 = 1;
 
-fn key_of(loop_idx: usize, conn: u64) -> u64 {
-    ((loop_idx as u64) << LOOP_SHIFT) | (conn & CONN_MASK)
+/// What a dialer hands the protocol loop: it (re)established the stream
+/// to peer `peer`.
+pub(crate) struct PeerUp {
+    peer: usize,
+    stream: TcpStream,
 }
-
-/// Events other threads inject into the protocol loop.
-pub(crate) enum ServerEv {
-    /// A dialer (re)established the stream to peer `peer`.
-    PeerUp { peer: usize, stream: TcpStream },
-    /// A forwarding loop decoded `msg` on connection `key`.
-    Remote { key: u64, msg: NetMsg },
-}
-
-/// Starts a replica.
-pub(crate) fn start(
-    listener: TcpListener,
-    cfg: ServerConfig,
-    peers: Vec<SocketAddr>,
-) -> ReplicaHandle {
-    let addr = listener
-        .local_addr()
-        // lint: allow(panic_path) — startup, nothing is serving yet
-        .expect("bound socket has an addr");
-    let n_loops = cfg.loops.max(1);
-    let id = cfg.id;
-
-    // Forwarding loops first (the protocol loop needs their injectors).
-    // Each gets a shared slot for the protocol loop's injector, filled
-    // once that loop exists; frames arriving in the gap are parked by
-    // the kernel in the socket buffers, not lost.
-    let mut remotes: Vec<Injector<()>> = Vec::new();
-    let mut main_slots: Vec<MainSlot> = Vec::new();
-    for i in 1..n_loops {
-        let slot: MainSlot = Arc::new(PlMutex::new(None));
-        let fh = ForwardHandler {
-            idx: i,
-            main: Arc::clone(&slot),
-        };
-        let (inj, _join) = spawn_loop(
-            &format!("icg-reactor-{id}-fwd{i}"),
-            fh,
-            None,
-            DEFAULT_WRITE_CAP,
-        )
-        // lint: allow(panic_path) — startup, nothing is serving yet
-        .expect("spawn forwarding loop");
-        remotes.push(inj);
-        main_slots.push(slot);
-    }
-
-    let (down_txs, down_rxs): (Vec<Sender<()>>, Vec<Receiver<()>>) =
-        (0..peers.len()).map(|_| mpsc::channel::<()>()).unzip();
-
-    let handler = MainHandler {
-        // Equal distances: reads rotate over the links that are up.
-        core: ReplicaCore::new(cfg.id, cfg.op_timeout, vec![0; peers.len()]),
-        spec: SpecCore::new(RegCtrSpec::default(), cfg.id as usize, peers.len() + 1),
-        epoch: Instant::now(),
-        remotes: remotes.clone(),
-        peer_conns: vec![None; peers.len()],
-        peer_down: down_txs,
-        rr: 0,
-        scratch: Vec::new(),
-    };
-    let (main_inj, _join) = spawn_loop(
-        &format!("icg-reactor-{id}-main"),
-        handler,
-        Some(listener),
-        DEFAULT_WRITE_CAP,
-    )
-    // lint: allow(panic_path) — startup, nothing is serving yet
-    .expect("spawn protocol loop");
-
-    // Hand the protocol loop's injector to every forwarding handler.
-    for slot in &main_slots {
-        *slot.lock() = Some(main_inj.clone());
-    }
-
-    // Peer dialers: one thread per peer, parked while its link is up.
-    let stop = Arc::new(AtomicBool::new(false));
-    for ((peer_idx, peer_addr), down_rx) in peers.iter().copied().enumerate().zip(down_rxs) {
-        let inj = main_inj.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("icg-reactor-{id}-dial-{peer_idx}"))
-            .spawn(move || {
-                dial_peer_loop(cfg, peer_idx, peer_addr, inj, down_rx, stop, &ThreadSleeper)
-            })
-            // lint: allow(panic_path) — startup, nothing is serving yet
-            .expect("spawn dialer thread");
-    }
-
-    ReplicaHandle {
-        addr,
-        shutdown: Box::new(move || {
-            stop.store(true, Ordering::Release);
-            main_inj.send(Cmd::Shutdown);
-            for r in &remotes {
-                r.send(Cmd::Shutdown);
-            }
-        }),
-    }
-}
-
-/// A forwarding handler's view of the protocol loop's injector, which
-/// does not exist until after the forwarding loops are spawned.
-type MainSlot = Arc<PlMutex<Option<Injector<ServerEv>>>>;
-use parking_lot::Mutex as PlMutex;
 
 /// One peer dialer: connect (blocking, with backoff), hand the stream
 /// to the protocol loop, park until the loop signals the link down,
 /// repeat.
 fn dial_peer_loop(
     cfg: ServerConfig,
-    peer_idx: usize,
+    peer: usize,
     peer_addr: SocketAddr,
-    inj: Injector<ServerEv>,
+    inj: Injector<PeerUp>,
     down_rx: Receiver<()>,
     stop: Arc<AtomicBool>,
     sleeper: &impl Sleeper,
 ) {
-    let seed = ((cfg.id as u64) << 32) ^ (peer_idx as u64) ^ 0x5EED;
+    let seed = ((cfg.id as u64) << 32) ^ (peer as u64) ^ 0x5EED;
     let mut backoff = Backoff::new(cfg.peer_retry, cfg.peer_retry_cap, seed);
     loop {
         if stop.load(Ordering::Acquire) {
@@ -185,10 +241,7 @@ fn dial_peer_loop(
         match TcpStream::connect_timeout(&peer_addr, Duration::from_millis(500)) {
             Ok(stream) => {
                 backoff.reset();
-                inj.send(Cmd::Ev(ServerEv::PeerUp {
-                    peer: peer_idx,
-                    stream,
-                }));
+                inj.send(Cmd::Ev(PeerUp { peer, stream }));
                 // Park until the loop reports the link down (an Err means
                 // the loop itself is gone — exit).
                 if down_rx.recv().is_err() {
@@ -200,31 +253,26 @@ fn dial_peer_loop(
     }
 }
 
-/// Loop 0: the listener, the peer links, and the protocol cores.
-struct MainHandler {
+/// The protocol loop: the listener, the peer links, the client
+/// connections and the protocol cores.
+struct ReplicaHandler {
     core: ReplicaCore,
     /// The update/causal/strong spec store riding the same connections.
     spec: SpecStore,
     /// What the cores' deadline clock counts from.
     epoch: Instant,
-    /// Injectors of loops `1..N`, indexed by `loop_idx - 1`.
-    remotes: Vec<Injector<()>>,
-    /// Loop-0 conn id of each live peer link.
+    /// Conn id of each live peer link.
     peer_conns: Vec<Option<u64>>,
     /// Signals the matching dialer to re-dial when its link dies.
     peer_down: Vec<Sender<()>>,
-    /// Accept round-robin cursor across all loops.
-    rr: usize,
     /// Frame-encode scratch for peer fan-out.
     scratch: Vec<u8>,
 }
 
-/// The protocol cores' window onto the reactor: loop-0 sends are
-/// encoded onto the connection by `ctl`, cross-loop sends are encoded
-/// here and the bytes handed to the owning loop.
+/// The protocol cores' window onto the reactor: every send is encoded
+/// onto its connection by `ctl`.
 struct ReactorNet<'a> {
     ctl: &'a mut Ctl,
-    remotes: &'a [Injector<()>],
     peer_conns: &'a [Option<u64>],
     scratch: &'a mut Vec<u8>,
     epoch: Instant,
@@ -263,18 +311,8 @@ impl Egress for ReactorNet<'_> {
 }
 
 impl NetEgress for ReactorNet<'_> {
-    fn to_client(&mut self, key: u64, msg: &NetMsg) {
-        let loop_idx = (key >> LOOP_SHIFT) as usize;
-        if loop_idx == 0 {
-            self.ctl.send(key, msg);
-        } else if let Some(inj) = self.remotes.get(loop_idx - 1) {
-            let mut frame = Vec::new();
-            encode_frame(msg, &mut frame);
-            inj.send(Cmd::Send {
-                conn: key & CONN_MASK,
-                frame,
-            });
-        }
+    fn to_client(&mut self, conn: u64, msg: &NetMsg) {
+        self.ctl.send(conn, msg);
     }
 
     fn to_peers(&mut self, msg: &NetMsg) {
@@ -290,7 +328,7 @@ impl NetEgress for ReactorNet<'_> {
     }
 }
 
-impl MainHandler {
+impl ReplicaHandler {
     fn net<'a>(
         ctl: &'a mut Ctl,
         this: &'a mut Self,
@@ -298,7 +336,6 @@ impl MainHandler {
         (
             ReactorNet {
                 ctl,
-                remotes: &this.remotes,
                 peer_conns: &this.peer_conns,
                 scratch: &mut this.scratch,
                 epoch: this.epoch,
@@ -307,51 +344,32 @@ impl MainHandler {
             &mut this.spec,
         )
     }
-
-    /// Routes one decoded envelope from connection `key`: store frames
-    /// to the quorum core, everything else to the spec store.
-    /// `from_peer` is the peer index when `key` is this replica's own
-    /// link to a peer (where that peer's answers and acks arrive),
-    /// `None` for every accepted connection.
-    fn dispatch(&mut self, ctl: &mut Ctl, key: u64, from_peer: Option<usize>, msg: NetMsg) {
-        let (mut net, core, spec) = MainHandler::net(ctl, self);
-        match msg {
-            NetMsg::Store(m) => core.on_msg(&mut net, key, from_peer, m),
-            other => protocol::on_net(spec, &mut net, key, from_peer, other),
-        }
-    }
 }
 
-impl Handler for MainHandler {
-    type Ev = ServerEv;
-
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
+impl Handler for ReplicaHandler {
+    type Ev = PeerUp;
 
     fn on_accept(&mut self, ctl: &mut Ctl, stream: TcpStream) {
-        let n = self.remotes.len() + 1;
-        let target = self.rr % n;
-        self.rr = self.rr.wrapping_add(1);
-        if target == 0 {
-            ctl.adopt(stream, TAG_CLIENT);
-        } else if let Some(inj) = self.remotes.get(target - 1) {
-            inj.send(Cmd::Adopt {
-                stream,
-                tag: TAG_CLIENT,
-            });
-        }
+        ctl.adopt(stream, TAG_CLIENT);
     }
 
+    /// Routes one decoded envelope: store frames to the quorum core,
+    /// everything else to the spec store. On this replica's own link to
+    /// a peer (where that peer's answers and acks arrive) the cores are
+    /// told the peer's index; every accepted connection is a client.
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
-        match Reader::new(body).finish::<NetMsg>() {
-            Ok(msg) => {
-                // Peer links are tagged with the peer's index.
-                let from_peer = ctl
-                    .tag_of(conn)
-                    .and_then(|tag| tag.checked_sub(TAG_PEER_BASE))
-                    .map(|peer| peer as usize);
-                self.dispatch(ctl, key_of(0, conn), from_peer, msg);
-            }
-            Err(_) => ctl.close_with(conn, CloseReason::Garbage, true),
+        let Ok(msg) = Reader::new(body).finish::<NetMsg>() else {
+            return ctl.close_with(conn, CloseReason::Garbage, true);
+        };
+        // Peer links are tagged with the peer's index.
+        let from_peer = ctl
+            .tag_of(conn)
+            .and_then(|tag| tag.checked_sub(TAG_PEER_BASE))
+            .map(|peer| peer as usize);
+        let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
+        match msg {
+            NetMsg::Store(m) => core.on_msg(&mut net, conn, from_peer, m),
+            other => protocol::on_net(spec, &mut net, conn, from_peer, other),
         }
     }
 
@@ -368,52 +386,40 @@ impl Handler for MainHandler {
                 if let Some(tx) = self.peer_down.get(peer) {
                     let _ = tx.send(());
                 }
-                let (mut net, core, _) = MainHandler::net(ctl, self);
+                let (mut net, core, _) = ReplicaHandler::net(ctl, self);
                 core.on_peer_down(&mut net, peer);
             }
         }
     }
 
-    fn on_event(&mut self, ctl: &mut Ctl, ev: ServerEv) {
-        match ev {
-            ServerEv::PeerUp { peer, stream } => {
-                let tag = TAG_PEER_BASE + peer as u64;
-                match ctl.adopt(stream, tag) {
-                    Some(conn) => {
-                        // A link the dialer replaced is closed quietly;
-                        // what the core had asked on it is lost all the
-                        // same.
-                        let old = self.peer_conns.get(peer).copied().flatten();
-                        if let Some(old) = old {
-                            ctl.close(old);
-                        }
-                        if let Some(slot) = self.peer_conns.get_mut(peer) {
-                            *slot = Some(conn);
-                        }
-                        let (mut net, core, spec) = MainHandler::net(ctl, self);
-                        if old.is_some() {
-                            core.on_peer_down(&mut net, peer);
-                        }
-                        core.on_peer_up(&mut net, peer);
-                        spec.on_peer_up(&mut Wired(&mut net));
-                    }
-                    None => {
-                        // Registration failed: tell the dialer to retry.
-                        if let Some(tx) = self.peer_down.get(peer) {
-                            let _ = tx.send(());
-                        }
-                    }
-                }
+    fn on_event(&mut self, ctl: &mut Ctl, PeerUp { peer, stream }: PeerUp) {
+        let tag = TAG_PEER_BASE + peer as u64;
+        let Some(conn) = ctl.adopt(stream, tag) else {
+            // Registration failed: tell the dialer to retry.
+            if let Some(tx) = self.peer_down.get(peer) {
+                let _ = tx.send(());
             }
-            ServerEv::Remote { key, msg } => {
-                // Forwarding loops carry client connections only.
-                self.dispatch(ctl, key, None, msg);
-            }
+            return;
+        };
+        // A link the dialer replaced is closed quietly; what the core
+        // had asked on it is lost all the same.
+        let old = self.peer_conns.get(peer).copied().flatten();
+        if let Some(old) = old {
+            ctl.close(old);
         }
+        if let Some(slot) = self.peer_conns.get_mut(peer) {
+            *slot = Some(conn);
+        }
+        let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
+        if old.is_some() {
+            core.on_peer_down(&mut net, peer);
+        }
+        core.on_peer_up(&mut net, peer);
+        spec.on_peer_up(&mut Wired(&mut net));
     }
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
-        let (mut net, core, spec) = MainHandler::net(ctl, self);
+        let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
         core.fire_expired(&mut net);
         spec.fire_expired(&mut Wired(&mut net));
     }
@@ -422,56 +428,5 @@ impl Handler for MainHandler {
         let dues = [self.core.next_deadline(), self.spec.next_deadline()];
         let due = dues.into_iter().flatten().min()?;
         Some(self.epoch + Duration::from_nanos(due))
-    }
-}
-
-/// Loops 1..N: decode inbound frames off this loop's connections and
-/// inject the messages into the protocol loop; outbound frames arrive
-/// pre-encoded via [`Cmd::Send`].
-struct ForwardHandler {
-    idx: usize,
-    main: MainSlot,
-}
-
-impl Handler for ForwardHandler {
-    type Ev = ();
-
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
-
-    fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {
-        // Forwarding loops have no listener.
-    }
-
-    fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
-        match Reader::new(body).finish::<NetMsg>() {
-            Ok(msg) => {
-                // Clone the injector out of the slot so the slot lock is
-                // not held across the send (which takes the queue lock
-                // and writes the wake fd).
-                let slot = self.main.lock();
-                let main = slot.clone();
-                drop(slot);
-                if let Some(main) = main {
-                    main.send(Cmd::Ev(ServerEv::Remote {
-                        key: key_of(self.idx, conn),
-                        msg,
-                    }));
-                }
-            }
-            Err(_) => ctl.close_with(conn, CloseReason::Garbage, false),
-        }
-    }
-
-    fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {
-        // Replies routed to a gone connection drop silently in
-        // `Ctl::send_frame`; nothing to tell the protocol loop.
-    }
-
-    fn on_event(&mut self, _ctl: &mut Ctl, _ev: ()) {}
-
-    fn on_tick(&mut self, _ctl: &mut Ctl) {}
-
-    fn next_deadline(&mut self) -> Option<Instant> {
-        None
     }
 }

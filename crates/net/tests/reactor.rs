@@ -1,8 +1,8 @@
 //! Integration tests for the epoll reactor (PR 8 tentpole): partial
 //! frames across readiness events, partial writes resumed mid-frame,
 //! write-buffer backpressure, connection churn, peer death mid-frame,
-//! multi-loop forwarding, and a client reactor that is dropped under
-//! its bindings — plus what a quorum read that asks only `R-1` peers
+//! concurrent clients on a fresh cluster, and a client reactor dropped
+//! under its bindings — plus what a quorum read that asks only `R-1` peers
 //! owes its clients when a peer link is late, silent, or dies.
 //! Everything here runs over real loopback sockets against real
 //! `ReplicaServer`s.
@@ -441,18 +441,13 @@ fn connection_churn_leaves_the_server_healthy() {
     shutdown(replicas);
 }
 
-/// `loops > 1`: client connections round-robin across event loops and
-/// the forwarding loops relay decoded frames to the protocol loop.
-/// Several clients running full write/strong-read cycles must see
-/// exactly their own data back.
+/// Several clients, each on its own thread and connection, running full
+/// write/strong-read cycles against a freshly booted cluster must see
+/// exactly their own data back. Their first operations can reach a
+/// coordinator before its peer mesh is up.
 #[test]
-fn multi_loop_forwarding_round_trips() {
-    let replicas = spawn_local_cluster(3, |id| ServerConfig {
-        id,
-        op_timeout: Duration::from_secs(2),
-        loops: 2,
-        ..ServerConfig::default()
-    });
+fn concurrent_clients_round_trip() {
+    let replicas = cluster(3);
 
     let handles: Vec<_> = (0..4u64)
         .map(|c| {
@@ -490,7 +485,6 @@ fn quick_redial(id: u32, op_timeout: Duration) -> ServerConfig {
         op_timeout,
         peer_retry: Duration::from_millis(20),
         peer_retry_cap: Duration::from_millis(100),
-        ..ServerConfig::default()
     }
 }
 
