@@ -115,11 +115,7 @@ impl AdSystem {
                 let ids = profile.value.ids().unwrap_or(&[]).to_vec();
                 let fetches: Vec<Correctable<Versioned>> = ids
                     .iter()
-                    .map(|id| {
-                        client
-                            .invoke_strong(StoreOp::Read(ad_key(*id)))
-                            .map(|v| v.clone())
-                    })
+                    .map(|id| client.invoke_strong(StoreOp::Read(ad_key(*id))))
                     .collect();
                 Correctable::join_all(fetches)
             },

@@ -64,11 +64,7 @@ impl Twissandra {
                 let page: Vec<u64> = ids.iter().rev().take(20).copied().collect();
                 let fetches: Vec<Correctable<Versioned>> = page
                     .iter()
-                    .map(|id| {
-                        client
-                            .invoke_strong(StoreOp::Read(tweet_key(*id)))
-                            .map(|v| v.clone())
-                    })
+                    .map(|id| client.invoke_strong(StoreOp::Read(tweet_key(*id))))
                     .collect();
                 Correctable::join_all(fetches)
             },

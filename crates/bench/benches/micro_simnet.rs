@@ -1,12 +1,14 @@
 //! Criterion microbenchmarks of the simulation substrate: raw event
 //! throughput of the engine, the cost of driving a deployment round by
-//! round, and the cost of workload generation — these bound how fast the
-//! paper-figure harnesses can run.
+//! round, the Correctables an application fans out over it, and the cost
+//! of workload generation — these bound how fast the paper-figure
+//! harnesses can run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use correctables::Client;
+use icg_apps::{AdSystem, AdsDataset};
 use quorumstore::{Key, ReplicaConfig, SimStore, StoreOp};
 use simnet::{Ctx, Engine, Node, NodeId, SimDuration, Topology, Wire};
 use ycsb::{Distribution, Workload};
@@ -145,6 +147,25 @@ fn bench_settle(c: &mut Criterion) {
     });
 }
 
+/// Listing 4 over the EC2 deployment: one ICG ad fetch, then `settle`.
+/// The fetch fans out into one strong read per referenced ad (1–40, 20
+/// on average) joined by `join_all`, so the Correctables a fan-out read
+/// allocates and registers are a large share of this row: an identity
+/// `.map` back around each read reads 25–30 % slower.
+fn bench_ads_fetch(c: &mut Criterion) {
+    c.bench_function("apps/ads-fetch-icg", |b| {
+        let store = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 1);
+        let sys = AdSystem::new(store, AdsDataset::small(), 42);
+        let mut uid = 0u64;
+        b.iter(|| {
+            uid = (uid + 1) % sys.dataset().profiles;
+            let fetch = sys.fetch_ads_by_user_id(uid, true);
+            sys.store().settle();
+            black_box(fetch.is_closed())
+        })
+    });
+}
+
 fn bench_ycsb(c: &mut Criterion) {
     c.bench_function("ycsb/zipfian-draw", |b| {
         let w = Workload::a(Distribution::Zipfian, 10_000);
@@ -168,6 +189,7 @@ criterion_group!(
     bench_engine,
     bench_fanout,
     bench_settle,
+    bench_ads_fetch,
     bench_ycsb
 );
 criterion_main!(benches);

@@ -41,15 +41,14 @@ impl<T: Clone + Send + 'static> Correctable<T> {
             let mapped = (f_u.lock())(&v.value);
             let _ = h_u.update(mapped, v.level);
         });
-        let h_f = handle.clone();
-        let f_f = Arc::clone(&f);
-        self.on_final(move |v: &View<T>| {
-            let mapped = (f_f.lock())(&v.value);
-            let _ = h_f.close(mapped, v.level);
-        });
-        let h_e = handle;
-        self.on_error(move |e: &Error| {
-            let _ = h_e.fail(e.clone());
+        self.on_close(move |outcome| match outcome {
+            Ok(v) => {
+                let mapped = (f.lock())(&v.value);
+                let _ = handle.close(mapped, v.level);
+            }
+            Err(e) => {
+                let _ = handle.fail(e.clone());
+            }
         });
         out
     }
@@ -63,25 +62,23 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         F: FnOnce(&View<T>) -> Correctable<U> + Send + 'static,
     {
         let (out, handle) = Correctable::<U>::pending();
-        let h_f = handle.clone();
-        self.on_final(move |v: &View<T>| {
-            let next = f(v);
-            let h_u = h_f.clone();
-            next.on_update(move |u: &View<U>| {
-                let _ = h_u.update(u.value.clone(), u.level);
-            });
-            let h_c = h_f.clone();
-            next.on_final(move |u: &View<U>| {
-                let _ = h_c.close(u.value.clone(), u.level);
-            });
-            let h_e = h_f.clone();
-            next.on_error(move |e: &Error| {
-                let _ = h_e.fail(e.clone());
-            });
-        });
-        let h_e = handle;
-        self.on_error(move |e: &Error| {
-            let _ = h_e.fail(e.clone());
+        self.on_close(move |outcome| match outcome {
+            Ok(v) => {
+                let next = f(v);
+                let h_u = handle.clone();
+                next.on_update(move |u: &View<U>| {
+                    let _ = h_u.update(u.value.clone(), u.level);
+                });
+                next.on_close(move |outcome| {
+                    let _ = match outcome {
+                        Ok(u) => handle.close(u.value.clone(), u.level),
+                        Err(e) => handle.fail(e.clone()),
+                    };
+                });
+            }
+            Err(e) => {
+                let _ = handle.fail(e.clone());
+            }
         });
         out
     }
@@ -137,7 +134,14 @@ impl<T: Clone + Send + 'static> Correctable<T> {
             // An input that closed between the probe above and this
             // registration fires the callback immediately (replay), so no
             // completion is lost.
-            items[i].on_final(move |v: &View<T>| {
+            items[i].on_close(move |outcome| {
+                let v = match outcome {
+                    Ok(v) => v,
+                    Err(e) => {
+                        let _ = h.fail(e.clone());
+                        return;
+                    }
+                };
                 let done = {
                     let mut g = st.lock();
                     if g.slots[i].is_none() {
@@ -153,10 +157,6 @@ impl<T: Clone + Send + 'static> Correctable<T> {
                 if let Some((values, level)) = done {
                     let _ = h.close(values, level);
                 }
-            });
-            let h_e = handle.clone();
-            items[i].on_error(move |e: &Error| {
-                let _ = h_e.fail(e.clone());
             });
         }
         out
@@ -174,16 +174,17 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         let errors = Arc::new(Mutex::new(0usize));
         for item in &items {
             let h = handle.clone();
-            item.on_final(move |v: &View<T>| {
-                let _ = h.close(v.value.clone(), v.level);
-            });
-            let h_e = handle.clone();
             let errs = Arc::clone(&errors);
-            item.on_error(move |e: &Error| {
-                let mut g = errs.lock();
-                *g += 1;
-                if *g == n {
-                    let _ = h_e.fail(e.clone());
+            item.on_close(move |outcome| match outcome {
+                Ok(v) => {
+                    let _ = h.close(v.value.clone(), v.level);
+                }
+                Err(e) => {
+                    let mut g = errs.lock();
+                    *g += 1;
+                    if *g == n {
+                        let _ = h.fail(e.clone());
+                    }
                 }
             });
         }
@@ -270,6 +271,24 @@ mod tests {
         let j = Correctable::join_all(vec![a, b]);
         ha.fail(Error::Timeout).unwrap();
         assert_eq!(j.state(), State::Error);
+    }
+
+    #[test]
+    fn join_all_fails_once_and_later_closes_are_no_ops() {
+        let pairs: Vec<_> = (0..4).map(|_| Correctable::<i32>::pending()).collect();
+        let j = Correctable::join_all(pairs.iter().map(|(c, _)| c.clone()).collect());
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let o = Arc::clone(&outcomes);
+        j.on_close(move |r| {
+            o.lock()
+                .push(r.map(|v| v.value.clone()).map_err(Error::clone))
+        });
+        pairs[1].1.fail(Error::Timeout).unwrap();
+        pairs[0].1.close(1, STRONG).unwrap();
+        pairs[3].1.fail(Error::Aborted).unwrap();
+        pairs[2].1.close(3, STRONG).unwrap();
+        assert_eq!(*outcomes.lock(), vec![Err(Error::Timeout)]);
+        assert_eq!(j.error(), Some(Error::Timeout));
     }
 
     #[test]

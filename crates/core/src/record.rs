@@ -269,9 +269,10 @@ impl<Op: Send + 'static, T: Clone + Send + 'static> History<Op, T> {
         let h = self.clone();
         c.on_update(move |v| h.view(id, v.level, v.value.clone(), false));
         let h = self.clone();
-        c.on_final(move |v| h.view(id, v.level, v.value.clone(), true));
-        let h = self.clone();
-        c.on_error(move |e| h.failed(id, e.clone()));
+        c.on_close(move |outcome| match outcome {
+            Ok(v) => h.view(id, v.level, v.value.clone(), true),
+            Err(e) => h.failed(id, e.clone()),
+        });
         id
     }
 }

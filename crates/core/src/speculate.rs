@@ -96,28 +96,9 @@ impl<T: Clone + PartialEq + Send + 'static> Correctable<T> {
 
         let st_u = Arc::clone(&state);
         self.on_update(move |v: &View<T>| on_view(&st_u, v, false));
-        let st_f = Arc::clone(&state);
-        self.on_final(move |v: &View<T>| on_view(&st_f, v, true));
-        let st_e = Arc::clone(&state);
-        self.on_error(move |e: &Error| {
-            let (out, aborted) = {
-                let mut g = st_e.lock();
-                if g.closed {
-                    return;
-                }
-                g.closed = true;
-                let aborted = if g.cur_done.is_none() {
-                    g.cur_input.take()
-                } else {
-                    None
-                };
-                (g.out.clone(), aborted)
-            };
-            // Undo in-flight speculative work before surfacing the error.
-            if let Some(input) = aborted {
-                run_abort(&st_e, &input);
-            }
-            let _ = out.fail(e.clone());
+        self.on_close(move |outcome| match outcome {
+            Ok(v) => on_view(&state, v, true),
+            Err(e) => on_error(&state, e),
         });
         out
     }
@@ -145,6 +126,31 @@ impl<T: Clone + PartialEq + Send + 'static> Correctable<T> {
     {
         self.speculate_impl(Spec::Sync(Box::new(spec)), Box::new(abort))
     }
+}
+
+/// Fails the output with the underlying operation's error, after undoing
+/// in-flight speculative work.
+fn on_error<T, U>(state: &Arc<Mutex<SpecState<T, U>>>, e: &Error)
+where
+    U: Clone + Send + 'static,
+{
+    let (out, aborted) = {
+        let mut g = state.lock();
+        if g.closed {
+            return;
+        }
+        g.closed = true;
+        let aborted = if g.cur_done.is_none() {
+            g.cur_input.take()
+        } else {
+            None
+        };
+        (g.out.clone(), aborted)
+    };
+    if let Some(input) = aborted {
+        run_abort(state, &input);
+    }
+    let _ = out.fail(e.clone());
 }
 
 /// Runs the user abort function with the state lock released, so it may
@@ -281,37 +287,33 @@ where
                         g.spec = Spec::Async(f);
                     }
                     let st_done = Arc::clone(state);
-                    result.on_final(move |u: &View<U>| {
+                    result.on_close(move |outcome| {
                         let act = {
                             let mut g = st_done.lock();
                             if g.closed || g.epoch != epoch {
-                                None
-                            } else {
-                                g.cur_done = Some(u.clone());
-                                match g.final_view.clone() {
-                                    Some(fv) if g.cur_input.as_ref() == Some(&fv.value) => {
-                                        g.closed = true;
-                                        Some((g.out.clone(), u.clone(), fv.level))
+                                return;
+                            }
+                            match outcome {
+                                Ok(u) => {
+                                    g.cur_done = Some(u.clone());
+                                    match g.final_view.clone() {
+                                        Some(fv) if g.cur_input.as_ref() == Some(&fv.value) => {
+                                            g.closed = true;
+                                            Ok((g.out.clone(), u.clone(), fv.level))
+                                        }
+                                        _ => return,
                                     }
-                                    _ => None,
+                                }
+                                Err(e) => {
+                                    g.closed = true;
+                                    Err((g.out.clone(), e.clone()))
                                 }
                             }
                         };
-                        if let Some((out, done, level)) = act {
-                            let _ = out.close(done.value, level);
-                        }
-                    });
-                    let st_err = Arc::clone(state);
-                    result.on_error(move |e: &Error| {
-                        let out = {
-                            let mut g = st_err.lock();
-                            if g.closed || g.epoch != epoch {
-                                return;
-                            }
-                            g.closed = true;
-                            g.out.clone()
+                        let _ = match act {
+                            Ok((out, done, level)) => out.close(done.value, level),
+                            Err((out, e)) => out.fail(e),
                         };
-                        let _ = out.fail(e.clone());
                     });
                 }
             }

@@ -209,8 +209,8 @@ files = ["crates/net/src/reactor/backoff.rs"]
 
 [panic_path]
 files = [
-    "crates/net/src/server.rs",
-    "crates/net/src/pump.rs",
+    "crates/net/src/reactor/server.rs",
+    "crates/net/src/reactor/conn.rs",
 ]
 
 [wire]
@@ -227,6 +227,14 @@ enums = ["Msg"]
         assert_eq!(cfg.panic_path_files.len(), 2);
         assert_eq!(cfg.wire_codec, "crates/net/src/wire.rs");
         assert_eq!(cfg.wire_enums, vec!["Msg"]);
+        // The fixture names real files, so deleting one of them fails here.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = (cfg.determinism_files.iter())
+            .chain(&cfg.panic_path_files)
+            .chain([&cfg.wire_codec]);
+        for f in files {
+            assert!(root.join(f).is_file(), "{f} does not exist");
+        }
     }
 
     #[test]

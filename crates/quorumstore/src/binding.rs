@@ -396,9 +396,7 @@ mod tests {
         // Speculatively chase a pointer: read key 1, then read key 2.
         let out = client.invoke(StoreOp::Read(Key::plain(1))).speculate_async(
             move |_v: &Versioned| {
-                Client::new(binding.clone())
-                    .invoke_strong(StoreOp::Read(Key::plain(2)))
-                    .map(|v| v.clone())
+                Client::new(binding.clone()).invoke_strong(StoreOp::Read(Key::plain(2)))
             },
             |_| {},
         );

@@ -14,7 +14,8 @@
 # PRs added are compared against the file of the PR that added them:
 # micro_spec/spec/weak-view-10000 against BENCH_PR13.json,
 # micro_simnet/simnet/settle-sparse-1k-rounds against BENCH_PR24.json,
-# micro_simnet/simnet/fanout-100-in-flight against BENCH_PR25.json).
+# micro_simnet/simnet/fanout-100-in-flight against BENCH_PR25.json,
+# micro_simnet/apps/ads-fetch-icg against BENCH_PR27.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -108,9 +108,7 @@ fn speculation_chain_combines_prefetch_with_confirmation() {
                 let fetches: Vec<Correctable<_>> = targets
                     .iter()
                     .map(|t| {
-                        Client::new(binding.clone())
-                            .invoke_strong(StoreOp::Read(Key::plain(*t)))
-                            .map(|v| v.clone())
+                        Client::new(binding.clone()).invoke_strong(StoreOp::Read(Key::plain(*t)))
                     })
                     .collect();
                 Correctable::join_all(fetches)
