@@ -15,10 +15,8 @@
 //!   display over cache / causal / strong views.
 //!
 //! [`driver`] provides the closed-loop load machinery that runs these
-//! applications under YCSB-style load for the Figure 11 harness,
-//! [`sharded`] drives YCSB workloads through the `icg-shard` routing
-//! layer on real threads, and [`dataset`] generates the paper-scale
-//! synthetic datasets.
+//! applications under YCSB-style load for the Figure 11 harness, and
+//! [`dataset`] generates the paper-scale synthetic datasets.
 //!
 //! The crate also ships the deployment binaries (`src/bin/`):
 //! `icg-replicad` hosts one TCP quorum-store replica, `icg-loadgen`
@@ -32,7 +30,6 @@ pub mod cli;
 pub mod dataset;
 pub mod driver;
 pub mod news;
-pub mod sharded;
 pub mod tickets;
 pub mod twissandra;
 
@@ -43,7 +40,6 @@ pub use driver::{
     MeasuredOp, ViewStats,
 };
 pub use news::{NewsReader, Refresh, LATEST};
-pub use sharded::{run_sharded_ycsb, ShardedYcsbConfig, ShardedYcsbStats};
 pub use tickets::{
     audit_sales, open_retailers, purchase_by_recipe, sell_out, EscrowOffice, Purchase, Receipt,
     Recipe, Retailer, SaleAudit, TicketOffice,

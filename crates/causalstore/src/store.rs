@@ -10,13 +10,9 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use simnet::{Ctx, Node, NodeId, SimDuration, Timer, Wire};
+use simnet::{Ctx, Node, NodeId, Retry, SimDuration, Timer, Wire};
 
 use crate::vc::{CausalInbox, Offer, VectorClock};
-
-/// Timer token of the anti-entropy retry (re-armed only while updates
-/// are buffered behind a causal gap).
-const SYNC_RETRY: Timer = Timer(u64::MAX - 2);
 
 /// How often a gapped backup re-requests a state transfer (the first
 /// request goes out immediately when the gap is detected).
@@ -168,8 +164,9 @@ pub struct CausalReplica {
     /// This replica's causal clock, and the updates waiting for their
     /// causal dependencies.
     inbox: CausalInbox<BufferedUpdate>,
-    /// Whether the anti-entropy retry timer is currently armed.
-    sync_armed: bool,
+    /// The state-transfer retry, armed while updates are buffered
+    /// behind a causal gap.
+    sync_retry: Retry,
     /// The primary's node id, once wired; enables read-triggered sync.
     primary_node: Option<NodeId>,
     /// When this backup last probed the primary from its read path.
@@ -189,7 +186,7 @@ impl CausalReplica {
             peers: Vec::new(),
             data: BTreeMap::new(),
             inbox: CausalInbox::new(n),
-            sync_armed: false,
+            sync_retry: Retry::new(SYNC_RETRY_EVERY),
             primary_node: None,
             last_read_sync: None,
             syncs_served: 0,
@@ -305,10 +302,11 @@ impl Node<Msg> for CausalReplica {
                     // never arrived (lost, or still in flight). Ask the
                     // sender for a state transfer; retry on a timer until
                     // the gap closes (the request itself may be lost too).
+                    // A retry whose timer came due while this node was
+                    // down is spent, and is armed afresh here.
                     ctx.send(from, Msg::SyncReq);
-                    if !self.sync_armed {
-                        self.sync_armed = true;
-                        ctx.set_timer(SYNC_RETRY_EVERY, SYNC_RETRY);
+                    if !self.sync_retry.is_armed(ctx) {
+                        self.sync_retry.arm(ctx, true);
                     }
                 }
             }
@@ -343,15 +341,13 @@ impl Node<Msg> for CausalReplica {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: Timer) {
-        if timer != SYNC_RETRY {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _timer: Timer) {
+        if !self.sync_retry.fire(ctx) {
             return;
         }
-        self.sync_armed = false;
         if let Some(first) = self.inbox.first() {
             ctx.send(first.from, Msg::SyncReq);
-            self.sync_armed = true;
-            ctx.set_timer(SYNC_RETRY_EVERY, SYNC_RETRY);
+            self.sync_retry.arm(ctx, true);
         }
     }
 
@@ -544,6 +540,71 @@ mod tests {
         eng.run_until_idle(10_000);
         let backup = eng.node_as::<CausalReplica>(ids[2]);
         assert_eq!(backup.data.get("k").map(|d| d.rev), Some(1));
+    }
+
+    /// The retry of a backup that is down at its retry instant is not
+    /// wedged: the engine dropped that timer, and the next gap arms a
+    /// fresh one. FRK is the backup, VRG the primary, no jitter (the FRK
+    /// ↔ VRG link is 45 ms one way). The FRK–VRG cut loses the first
+    /// write's `Repl`; the second's arrives inside the next cut, so its
+    /// `SyncReq` is lost, and FRK is down across the retry at 255 ms.
+    /// A third `Repl` arrives in a third cut, its `SyncReq` lost too.
+    /// Then the cut heals and nothing more is written: only the retry
+    /// can close the gap. With a flag that only a fired timer cleared,
+    /// it never did.
+    #[test]
+    fn a_retry_dropped_while_down_does_not_wedge_the_gap() {
+        use simnet::{Faults, SimTime};
+        let t = |ms| SimTime::ZERO + D::from_millis(ms);
+        let mut topo = Topology::new(0.0, 0.0);
+        let sites: Vec<_> = ["FRK", "IRL", "VRG"]
+            .iter()
+            .map(|name| topo.add_site(name, D::from_millis(2)))
+            .collect();
+        topo.set_rtt(sites[0], sites[1], D::from_millis(20));
+        topo.set_rtt(sites[1], sites[2], D::from_millis(83));
+        topo.set_rtt(sites[0], sites[2], D::from_millis(90));
+        let mut eng = Engine::new(topo, 9);
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| eng.add_node(sites[i], Box::new(CausalReplica::new(i, 3, i == 2))))
+            .collect();
+        for (i, id) in ids.iter().enumerate() {
+            let node = eng.node_as::<CausalReplica>(*id);
+            node.set_peers(NodeId::peers_of(&ids, i));
+            node.set_primary_node(ids[2]);
+        }
+        let sink = eng.add_node(sites[2], Box::new(Sink));
+        let (frk, vrg) = (sites[0], sites[2]);
+        eng.set_faults(
+            Faults::none()
+                .with_partition(frk, vrg, t(0), t(5))
+                .with_partition(frk, vrg, t(20), t(265))
+                .with_partition(frk, vrg, t(270), t(1_000))
+                .with_downtime(ids[0], t(250), t(262)),
+        );
+        // Writes at 0, 10 and 266 ms: `Repl`s leave at +0.2 ms.
+        for (seq, at) in [(0u64, 0u64), (1, 10), (2, 266)] {
+            eng.schedule_message(
+                sink,
+                ids[2],
+                D::from_millis(at),
+                Msg::Write {
+                    op: OpId { client: sink, seq },
+                    key: "k".into(),
+                    items: vec![seq],
+                },
+            );
+        }
+        eng.run_until(t(999));
+        let backup = eng.node_as::<CausalReplica>(ids[0]);
+        assert!(
+            !backup.data.contains_key("k") && backup.inbox.len() == 2,
+            "precondition: both later writes parked behind the lost first"
+        );
+        eng.run_until_idle(10_000);
+        let backup = eng.node_as::<CausalReplica>(ids[0]);
+        assert_eq!(backup.data.get("k").map(|d| d.rev), Some(3));
+        assert!(backup.inbox.is_empty());
     }
 
     #[test]

@@ -75,5 +75,4 @@ pub use correctable::{Correctable, Handle, State};
 pub use error::{ClosedError, Error};
 pub use level::{ConsistencyLevel, LevelError, LevelSelection, LevelSet};
 pub use record::{History, HistoryEvent, Invocation, RecordingBinding};
-pub use speculate::SpeculationStats;
 pub use view::View;

@@ -53,15 +53,6 @@ struct SpecState<T, U> {
     closed: bool,
 }
 
-/// Statistics about speculation outcomes, exposed for tests and harnesses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpeculationStats {
-    /// Speculations whose input was confirmed by the final view.
-    pub confirmed: u64,
-    /// Speculations aborted because a newer view diverged.
-    pub misspeculated: u64,
-}
-
 impl<T: Clone + PartialEq + Send + 'static> Correctable<T> {
     /// Applies an asynchronous speculation function to every distinct view
     /// and returns a Correctable of the speculation result.

@@ -15,7 +15,7 @@
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
 use correctables::ConsistencyLevel;
-use specstore::{Egress, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
+use specstore::{ClientMsg, Egress, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
 
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
 
@@ -97,9 +97,8 @@ impl<N: NetEgress> Egress<CoreMsg> for Wired<'_, N> {
     }
 }
 
-/// Hands `send` the frames that carry `msg`: one per view for the
-/// wait-free batch (the last one closing, if the batch is), one for
-/// everything else.
+/// Hands `send` the frames that carry `msg`: one per view (the last one
+/// closing, if the batch is), one for everything else.
 fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
     let reply =
         |(client, seq): ClientOp, level: ConsistencyLevel, val, closing| NetMsg::SpecReply {
@@ -110,18 +109,12 @@ fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
             closing,
         };
     match msg {
-        SpecMsg::Immediate { op, views, closing } => {
+        SpecMsg::Client(ClientMsg::Views { op, views, closing }) => {
             let last = views.len().saturating_sub(1);
             for (i, (level, val)) in views.into_iter().enumerate() {
                 send(&reply(op, level, val, closing && i == last));
             }
         }
-        SpecMsg::Later {
-            op,
-            level,
-            ret,
-            closing,
-        } => send(&reply(op, level, ret, closing)),
         SpecMsg::Gossip { update } => send(&NetMsg::SpecGossip {
             origin: update.id.origin as u32,
             seq: update.id.seq,
@@ -140,7 +133,7 @@ fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
             acker_seq,
         }),
         // Client-bound only; the core never sends one.
-        SpecMsg::Submit { .. } => {}
+        SpecMsg::Client(ClientMsg::Submit { .. }) => {}
     }
 }
 
@@ -170,11 +163,11 @@ pub(crate) fn on_net(
             op,
             wants,
         } => match resolve_wants(&wants) {
-            Some(wants) => SpecMsg::Submit {
+            Some(wants) => SpecMsg::Client(ClientMsg::Submit {
                 op: (client, seq),
                 client_op: op,
                 wants,
-            },
+            }),
             None => return net.to_client(conn, &NetMsg::SpecFailed { client, seq }),
         },
         NetMsg::SpecGossip {
@@ -237,22 +230,17 @@ fn level_directory() -> Vec<LevelInfo> {
 /// cannot honestly serve — the caller replies `SpecFailed` rather than
 /// delivering a weaker guarantee under a stronger name.
 fn resolve_wants(wants: &[u8]) -> Option<Wants> {
-    let mut w = Wants::default();
-    for &id in wants {
-        let level = ConsistencyLevel::from_wire_id(id)?;
-        if level == ConsistencyLevel::WEAK {
-            w.weak = true;
-        } else if level == ConsistencyLevel::UPDATE {
-            w.update = true;
-        } else if level == ConsistencyLevel::CAUSAL {
-            w.causal = true;
-        } else if level == ConsistencyLevel::STRONG {
-            w.strong = true;
-        } else {
-            return None;
-        }
-    }
-    (w.weak || w.update || w.causal || w.strong).then_some(w)
+    let served = [
+        ConsistencyLevel::WEAK,
+        ConsistencyLevel::UPDATE,
+        ConsistencyLevel::CAUSAL,
+        ConsistencyLevel::STRONG,
+    ];
+    let levels = wants
+        .iter()
+        .map(|&id| ConsistencyLevel::from_wire_id(id).filter(|l| served.contains(l)))
+        .collect::<Option<Vec<_>>>()?;
+    (!levels.is_empty()).then(|| Wants::of(&levels))
 }
 
 #[cfg(test)]

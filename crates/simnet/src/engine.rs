@@ -254,41 +254,6 @@ impl<'a, M: Wire> Ctx<'a, M> {
     }
 }
 
-/// A node's periodic retry (anti-entropy) timer, armed in generations.
-///
-/// The engine drops timer fires for a node that is down when they come
-/// due, so a plain "armed" flag would wedge shut after downtime. Instead
-/// every [`RetryTimer::arm`] starts a fresh generation that supersedes
-/// all pending ones — safe to call on every message receipt — and
-/// `on_timer` acts only on the generation that [`RetryTimer::is_live`].
-pub struct RetryTimer {
-    every: SimDuration,
-    generation: u64,
-}
-
-impl RetryTimer {
-    /// A timer with period `every`, not armed.
-    pub fn new(every: SimDuration) -> Self {
-        RetryTimer {
-            every,
-            generation: 0,
-        }
-    }
-
-    /// Arms a fresh generation if there is `work` left to retry.
-    pub fn arm<M: Wire>(&mut self, ctx: &mut Ctx<'_, M>, work: bool) {
-        if work {
-            self.generation += 1;
-            ctx.set_timer(self.every, Timer(self.generation));
-        }
-    }
-
-    /// Whether `timer` is the newest generation (not superseded).
-    pub fn is_live(&self, timer: Timer) -> bool {
-        timer.0 == self.generation
-    }
-}
-
 /// A deterministic discrete-event simulation.
 pub struct Engine<M> {
     core: Core<M>,

@@ -37,9 +37,12 @@
 //!
 //! A store supplies a [`GatewayProto`]: how a queued submission becomes
 //! sends, how a reply becomes upcall deliveries, how a deadline fails
-//! the upcall. Stores whose replicas all accept submissions and answer
-//! with immediate/later view messages share one such protocol,
-//! [`RoundRobin`].
+//! the upcall. The stores whose replicas all accept submissions (spec,
+//! CRDT, escrow) share their whole client half: one envelope,
+//! [`ClientMsg`] (a submission with its [`Wants`], or views in level
+//! order), embedded in each store's message enum; one protocol,
+//! [`RoundRobin`]; and one binding, [`RoundRobinBinding`], which differs
+//! per store only in the levels it advertises.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -47,7 +50,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use correctables::{ConsistencyLevel, Error, Upcall};
+use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 use parking_lot::Mutex;
 
 use crate::bandwidth::Wire;
@@ -557,35 +560,110 @@ impl<P: GatewayProto> SimHost<P> {
 }
 
 // ---------------------------------------------------------------------
-// The round-robin submit / immediate / later protocol
+// The round-robin client half: one envelope, one binding
 // ---------------------------------------------------------------------
 
-/// One replica → gateway view message, decoded.
-pub struct Reply<V> {
-    /// The op id the gateway minted for the submission.
-    pub op: u64,
-    /// `(level, value)` in delivery order.
-    pub views: Vec<(ConsistencyLevel, V)>,
-    /// Whether the strongest requested level is among `views`.
-    pub closing: bool,
+/// Which levels one submission wants served, of the four a round-robin
+/// store can serve; a store leaves the levels it does not offer unset.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Wants {
+    /// Deliver a weak view.
+    pub weak: bool,
+    /// Deliver an update-consistency view.
+    pub update: bool,
+    /// Deliver a causal view.
+    pub causal: bool,
+    /// Deliver a strong view.
+    pub strong: bool,
 }
 
-/// What a message enum offers the shared [`RoundRobin`] gateway: a
-/// submit message it can build and view messages it can take apart.
+impl Wants {
+    /// The flags of the requested `levels`.
+    pub fn of(levels: &[ConsistencyLevel]) -> Wants {
+        let has = |level| levels.contains(&level);
+        Wants {
+            weak: has(ConsistencyLevel::WEAK),
+            update: has(ConsistencyLevel::UPDATE),
+            causal: has(ConsistencyLevel::CAUSAL),
+            strong: has(ConsistencyLevel::STRONG),
+        }
+    }
+}
+
+/// What a client and a replica of a round-robin store say to each
+/// other; each store's message enum embeds it. `T` is the client's name
+/// for its operation — the gateway's op id under simnet.
+#[derive(Clone, Debug)]
+pub enum ClientMsg<T, O, V> {
+    /// Client → replica: accept `client_op` as operation `op`.
+    Submit {
+        /// The client's name for the operation.
+        op: T,
+        /// The operation.
+        client_op: O,
+        /// Levels to serve.
+        wants: Wants,
+    },
+    /// Replica → client: views of `op`, in level order.
+    Views {
+        /// The client's name for the operation.
+        op: T,
+        /// `(level, value)` in delivery order.
+        views: Vec<(ConsistencyLevel, V)>,
+        /// Whether the strongest requested level is among `views`.
+        closing: bool,
+    },
+}
+
+impl<T, O, V> ClientMsg<T, O, V> {
+    /// One view of `op`.
+    pub fn view(op: T, level: ConsistencyLevel, val: V, closing: bool) -> Self {
+        ClientMsg::Views {
+            op,
+            views: vec![(level, val)],
+            closing,
+        }
+    }
+
+    /// The wait-free views of a submission, closing it unless `wants`
+    /// owes a view that needs the peers (causal or strong); `None` when
+    /// there is nothing to say yet.
+    pub fn at_once(op: T, views: Vec<(ConsistencyLevel, V)>, wants: Wants) -> Option<Self> {
+        let closing = !wants.causal && !wants.strong;
+        (closing || !views.is_empty()).then_some(ClientMsg::Views { op, views, closing })
+    }
+}
+
+impl<T, O, V> Wire for ClientMsg<T, O, V> {
+    fn wire_size(&self) -> usize {
+        match self {
+            ClientMsg::Submit { .. } => 32,
+            ClientMsg::Views { views, .. } => 16 + 16 * views.len(),
+        }
+    }
+
+    fn category(&self) -> &'static str {
+        match self {
+            ClientMsg::Submit { .. } => "submit",
+            ClientMsg::Views { .. } => "reply",
+        }
+    }
+}
+
+/// A message enum that embeds [`ClientMsg`]: what [`RoundRobin`] needs
+/// of it.
 pub trait SubmitWire: Wire + Send + Sized + 'static {
     /// The client operation.
     type Op: Send + 'static;
-    /// Which levels a submission wants served.
-    type Wants: Send + 'static;
     /// The view value.
     type Val: Clone + Send + 'static;
 
-    /// Gateway → replica: accept `client_op` as submission `op`.
-    fn submit(op: u64, client_op: Self::Op, wants: Self::Wants) -> Self;
+    /// Wraps the client half, as the gateway names operations (op ids).
+    fn client(msg: ClientMsg<u64, Self::Op, Self::Val>) -> Self;
 
-    /// Replica → gateway: the views this message carries; `None` for
-    /// replica-to-replica traffic.
-    fn into_reply(self) -> Option<Reply<Self::Val>>;
+    /// The client half this message carries; `None` for replica-to-
+    /// replica traffic.
+    fn into_client(self) -> Option<ClientMsg<u64, Self::Op, Self::Val>>;
 }
 
 /// The gateway protocol of stores where *every* replica accepts
@@ -615,7 +693,7 @@ impl<M: SubmitWire> RoundRobin<M> {
 
 impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
     type Msg = M;
-    type Queued = (M::Op, M::Wants, Upcall<M::Val>);
+    type Queued = (M::Op, Wants, Upcall<M::Val>);
     type Pending = Upcall<M::Val>;
 
     fn start(
@@ -629,7 +707,12 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
             self.rr += 1;
             next
         });
-        ctx.send(self.replicas[idx], M::submit(op, client_op, wants));
+        let submit = ClientMsg::Submit {
+            op,
+            client_op,
+            wants,
+        };
+        ctx.send(self.replicas[idx], M::client(submit));
         Some(upcall)
     }
 
@@ -639,16 +722,16 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
         pending: &mut PendingOps<Upcall<M::Val>>,
         msg: M,
     ) {
-        let Some(reply) = msg.into_reply() else {
+        let Some(ClientMsg::Views { op, views, closing }) = msg.into_client() else {
             debug_assert!(false, "protocol messages are addressed to replicas");
             return;
         };
-        if let Some(upcall) = pending.get(reply.op) {
-            for (level, val) in reply.views {
+        if let Some(upcall) = pending.get(op) {
+            for (level, val) in views {
                 upcall.deliver(val, level);
             }
-            if reply.closing {
-                pending.remove(reply.op);
+            if closing {
+                pending.remove(op);
             }
         }
     }
@@ -658,12 +741,51 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
     }
 }
 
+/// The Correctables binding of a round-robin store: a submission asks
+/// for the [`Wants`] of its levels, of the `levels` the store serves.
+pub struct RoundRobinBinding<M: SubmitWire> {
+    host: SimHost<RoundRobin<M>>,
+    levels: LevelSet,
+}
+
+impl<M: SubmitWire> RoundRobinBinding<M> {
+    /// A binding over `host` advertising `levels`.
+    pub fn new(host: SimHost<RoundRobin<M>>, levels: &[ConsistencyLevel]) -> Self {
+        RoundRobinBinding {
+            host,
+            levels: LevelSet::of(levels),
+        }
+    }
+}
+
+impl<M: SubmitWire> Clone for RoundRobinBinding<M> {
+    fn clone(&self) -> Self {
+        RoundRobinBinding {
+            host: self.host.clone(),
+            levels: self.levels.clone(),
+        }
+    }
+}
+
+impl<M: SubmitWire> Binding for RoundRobinBinding<M> {
+    type Op = M::Op;
+    type Val = M::Val;
+
+    fn consistency_levels(&self) -> LevelSet {
+        self.levels.clone()
+    }
+
+    fn submit(&self, op: M::Op, levels: &[ConsistencyLevel], upcall: Upcall<M::Val>) {
+        self.host.enqueue((op, Wants::of(levels), upcall));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::DetRng;
     use crate::topology::Topology;
-    use correctables::{Binding, Client, LevelSet, State};
+    use correctables::{Client, State};
 
     /// Toy protocol: the gateway sends `Ping(op)` to the one echo node,
     /// which answers `Pong(op)`; the pong closes the operation at WEAK.
@@ -854,6 +976,62 @@ mod tests {
         assert!(pending.is_empty() && pending.slots.is_empty());
         pending.insert(9, 90);
         assert_eq!((pending.base, pending.get(9)), (9, Some(&90)));
+    }
+
+    /// What the spec, CRDT and escrow stores each charged for their own
+    /// `Submit`, `Immediate` and `Later` variants: the bandwidth model
+    /// does not move with the envelope.
+    #[test]
+    fn client_envelope_costs_what_the_per_store_variants_cost() {
+        type Msg = ClientMsg<u64, (), u64>;
+        let submit: Msg = ClientMsg::Submit {
+            op: 1,
+            client_op: (),
+            wants: Wants::of(&[ConsistencyLevel::WEAK]),
+        };
+        assert_eq!((submit.wire_size(), submit.category()), (32, "submit"));
+        // One view is what a `Later` was.
+        let later: Msg = ClientMsg::view(1, ConsistencyLevel::STRONG, 7, true);
+        assert_eq!((later.wire_size(), later.category()), (32, "reply"));
+        for n in 0..5 {
+            let views = vec![(ConsistencyLevel::WEAK, 7); n];
+            let reply: Msg = ClientMsg::Views {
+                op: 1,
+                views,
+                closing: n > 0,
+            };
+            assert_eq!(
+                (reply.wire_size(), reply.category()),
+                (16 + 16 * n, "reply")
+            );
+        }
+    }
+
+    #[test]
+    fn wants_are_the_requested_levels_and_decide_what_is_said_at_once() {
+        let weak_strong = Wants::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::STRONG]);
+        let expected = Wants {
+            weak: true,
+            strong: true,
+            ..Wants::default()
+        };
+        assert_eq!(weak_strong, expected);
+        let weak = vec![(ConsistencyLevel::WEAK, 3)];
+        // Views owed later: the wait-free ones do not close, and with
+        // none there is nothing to send yet.
+        let at_once = |views, wants| ClientMsg::<u64, (), u64>::at_once(9, views, wants);
+        let Some(ClientMsg::Views { closing, .. }) = at_once(weak.clone(), weak_strong) else {
+            panic!("the weak view goes out at once");
+        };
+        assert!(!closing);
+        assert!(at_once(Vec::new(), weak_strong).is_none());
+        // Nothing owed later: the wait-free views close.
+        let update = Wants::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::UPDATE]);
+        assert!(update.update && !update.causal && !update.strong);
+        let Some(ClientMsg::Views { closing, views, .. }) = at_once(weak, update) else {
+            panic!("the weak view goes out at once");
+        };
+        assert!(closing && views.len() == 1);
     }
 
     #[test]

@@ -58,10 +58,13 @@ pub mod time;
 pub mod topology;
 
 pub use bandwidth::{BandwidthMeter, Traffic, Wire};
-pub use engine::{Ctx, Engine, Node, NodeId, RetryTimer, Timer};
+pub use engine::{Ctx, Engine, Node, NodeId, Timer};
 pub use faults::{Downtime, Faults, Partition, SchedulePlan};
-pub use gateway::{GatewayProto, PendingOps, Reply, RoundRobin, SimGateway, SimHost, SubmitWire};
-pub use host::{CoreHost, SimNet};
+pub use gateway::{
+    ClientMsg, GatewayProto, PendingOps, RoundRobin, RoundRobinBinding, SimGateway, SimHost,
+    SubmitWire, Wants,
+};
+pub use host::{CoreHost, Retry, SimNet};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

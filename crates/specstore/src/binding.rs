@@ -6,8 +6,9 @@
 //! each replica is one "process" in update consistency's sense, so the
 //! explorer exercises genuinely concurrent multi-origin histories.
 //!
-//! One [`SpecBinding`] exposes the deployment at three slices of the
-//! lattice:
+//! The client half is the one every round-robin store shares
+//! (`simnet::RoundRobin` and its binding); a [`SpecBinding`] is that
+//! binding over this deployment, at one of three slices of the lattice:
 //!
 //! - [`SimSpecStore::binding`] — the full `weak → update → causal →
 //!   strong` refinement;
@@ -21,22 +22,12 @@
 use std::ops::Deref;
 
 use correctables::spec::SeqSpec;
-use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
-use simnet::{CoreHost, Engine, NodeId, RoundRobin, SimHost};
+use correctables::ConsistencyLevel;
+use simnet::{CoreHost, Engine, NodeId, RoundRobin, RoundRobinBinding, SimHost};
 
 use crate::core::SpecCore;
 use crate::host::SpecHost;
-use crate::replica::{SpecMsg, UpdateId, Wants};
-
-/// The four-level lattice slice of the full binding.
-fn full_levels() -> LevelSet {
-    LevelSet::of(&[
-        ConsistencyLevel::WEAK,
-        ConsistencyLevel::UPDATE,
-        ConsistencyLevel::CAUSAL,
-        ConsistencyLevel::STRONG,
-    ])
-}
+use crate::replica::{SpecMsg, UpdateId};
 
 /// A simulated spec store: three replicas plus a client gateway.
 /// Faults, client deadlines, `settle`/`advance` and the clock mirror
@@ -96,30 +87,30 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
 
     /// The full four-level binding.
     pub fn binding(&self) -> SpecBinding<S> {
-        SpecBinding {
-            store: self.clone(),
-            levels: full_levels(),
-        }
+        self.slice(&[
+            ConsistencyLevel::WEAK,
+            ConsistencyLevel::UPDATE,
+            ConsistencyLevel::CAUSAL,
+            ConsistencyLevel::STRONG,
+        ])
     }
 
     /// The wait-free slice: weak and update views only.
     pub fn update_binding(&self) -> UpdateBinding<S> {
-        SpecBinding {
-            store: self.clone(),
-            levels: LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::UPDATE]),
-        }
+        self.slice(&[ConsistencyLevel::WEAK, ConsistencyLevel::UPDATE])
     }
 
     /// The `causalstore`-shaped slice: weak, causal, and strong views.
     pub fn causal_binding(&self) -> CausalSpec<S> {
-        SpecBinding {
-            store: self.clone(),
-            levels: LevelSet::of(&[
-                ConsistencyLevel::WEAK,
-                ConsistencyLevel::CAUSAL,
-                ConsistencyLevel::STRONG,
-            ]),
-        }
+        self.slice(&[
+            ConsistencyLevel::WEAK,
+            ConsistencyLevel::CAUSAL,
+            ConsistencyLevel::STRONG,
+        ])
+    }
+
+    fn slice(&self, levels: &[ConsistencyLevel]) -> SpecBinding<S> {
+        RoundRobinBinding::new(self.host.clone(), levels)
     }
 
     /// Every replica's applied update log, in its current order — the
@@ -137,30 +128,7 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
 
 /// A `Binding` over a [`SimSpecStore`], serving the slice of the four
 /// levels its constructor chose.
-#[derive(Clone)]
-pub struct SpecBinding<S: SeqSpec + 'static> {
-    store: SimSpecStore<S>,
-    levels: LevelSet,
-}
-
-impl<S: SeqSpec + Clone + Send + 'static> Binding for SpecBinding<S> {
-    type Op = S::Op;
-    type Val = S::Ret;
-
-    fn consistency_levels(&self) -> LevelSet {
-        self.levels.clone()
-    }
-
-    fn submit(&self, op: S::Op, levels: &[ConsistencyLevel], upcall: Upcall<S::Ret>) {
-        let wants = Wants {
-            weak: levels.contains(&ConsistencyLevel::WEAK),
-            update: levels.contains(&ConsistencyLevel::UPDATE),
-            causal: levels.contains(&ConsistencyLevel::CAUSAL),
-            strong: levels.contains(&ConsistencyLevel::STRONG),
-        };
-        self.store.enqueue((op, wants, upcall));
-    }
-}
+pub type SpecBinding<S> = RoundRobinBinding<SpecMsg<S>>;
 
 /// The wait-free slice of a [`SimSpecStore`]: weak and update only.
 pub type UpdateBinding<S> = SpecBinding<S>;

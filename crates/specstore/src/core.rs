@@ -47,8 +47,10 @@ use causalstore::{AckFrontier, CausalInbox, Offer};
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
 
+use simnet::{ClientMsg, Wants};
+
 use crate::replay::{OrderKey, ReplayLog, Update, UpdateId};
-use crate::replica::{OpId, SpecMsg, Wants};
+use crate::replica::SpecMsg;
 
 /// How long an own update waits for every peer's ack before it is
 /// gossiped again, in nanoseconds.
@@ -86,7 +88,7 @@ struct Own<T> {
 ///
 /// Replica ids double as vector-clock indexes, so a deployment's ids
 /// are `0..n`; gossip from an origin outside that range is dropped.
-pub struct SpecCore<S: SeqSpec, T = OpId> {
+pub struct SpecCore<S: SeqSpec, T = u64> {
     id: usize,
     n: usize,
     lamport: u64,
@@ -163,11 +165,11 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         msg: SpecMsg<S, T>,
     ) {
         match msg {
-            SpecMsg::Submit {
+            SpecMsg::Client(ClientMsg::Submit {
                 op,
                 client_op,
                 wants,
-            } => self.submit(net, conn, op, client_op, wants),
+            }) => self.submit(net, conn, op, client_op, wants),
             SpecMsg::Gossip { update } => self.on_gossip(net, conn, update),
             // An ack answers gossip down the connection it arrived on,
             // so a genuine one comes in on a link this replica dialed.
@@ -185,7 +187,7 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
             // Misrouted acks, and client-bound views that have no
             // business arriving at a replica: a confused or hostile
             // sender must not crash it.
-            SpecMsg::Ack { .. } | SpecMsg::Immediate { .. } | SpecMsg::Later { .. } => {}
+            SpecMsg::Ack { .. } | SpecMsg::Client(ClientMsg::Views { .. }) => {}
         }
     }
 
@@ -267,9 +269,8 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
                     .map(|ret| (ConsistencyLevel::UPDATE, ret)),
             );
         }
-        let closing = !wants.causal && !wants.strong;
-        if !views.is_empty() || closing {
-            net.to_client(conn, SpecMsg::Immediate { op, views, closing });
+        if let Some(msg) = ClientMsg::at_once(op, views, wants) {
+            net.to_client(conn, SpecMsg::Client(msg));
         }
         // Tracked until fully acked even when its client is served: a
         // peer that missed the gossip is healed only by retransmission,
@@ -358,16 +359,8 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         let log = &mut self.log;
         let mut reply = |own: &Own<T>, level, closing| {
             if let Some(ret) = log.ret_of(own.key) {
-                let (op, conn) = (own.op, own.conn);
-                net.to_client(
-                    conn,
-                    SpecMsg::Later {
-                        op,
-                        level,
-                        ret,
-                        closing,
-                    },
-                );
+                let view = ClientMsg::view(own.op, level, ret, closing);
+                net.to_client(own.conn, SpecMsg::Client(view));
             }
         };
         self.own.retain(|&seq, own| {
@@ -444,18 +437,12 @@ mod tests {
         fn lines(&mut self) -> Vec<String> {
             let bang = |closing: &bool| if *closing { "!" } else { "" };
             let brief = |msg: &Msg| match msg {
-                SpecMsg::Submit { op, .. } => format!("submit {op}"),
-                SpecMsg::Immediate { op, views, closing } => {
+                SpecMsg::Client(ClientMsg::Submit { op, .. }) => format!("submit {op}"),
+                SpecMsg::Client(ClientMsg::Views { op, views, closing }) => {
                     let views: Vec<String> =
                         views.iter().map(|(l, r)| format!("{l}={r}")).collect();
                     format!("op {op} {}{}", views.join(" "), bang(closing))
                 }
-                SpecMsg::Later {
-                    op,
-                    level,
-                    ret,
-                    closing,
-                } => format!("op {op} {level}={ret}{}", bang(closing)),
                 SpecMsg::Gossip { update } => {
                     format!(
                         "gossip {}:{}@{}",
@@ -485,11 +472,11 @@ mod tests {
 
     /// A client's `Add(3, 1)` as its operation `op`.
     fn submit(op: u64, wants: Wants) -> Msg {
-        SpecMsg::Submit {
+        SpecMsg::Client(ClientMsg::Submit {
             op,
             client_op: CtrOp::Add(3, 1),
             wants,
-        }
+        })
     }
 
     /// Replica `origin`'s `seq`-th update, an `Add(3, 1)` stamped `vc`.
@@ -569,7 +556,7 @@ mod tests {
                 .take()
                 .iter()
                 .map(|s| match s {
-                    Sent::Client(CLIENT, SpecMsg::Later { op, .. }) => *op,
+                    Sent::Client(CLIENT, SpecMsg::Client(ClientMsg::Views { op, .. })) => *op,
                     other => panic!("want only replies to the client, got {other:?}"),
                 })
                 .collect();
@@ -695,12 +682,7 @@ mod tests {
             acker: 2,
             acker_seq: 0,
         };
-        let stray_view = SpecMsg::Later {
-            op: 1,
-            level: ConsistencyLevel::STRONG,
-            ret: 1,
-            closing: true,
-        };
+        let stray_view = SpecMsg::Client(ClientMsg::view(1, ConsistencyLevel::STRONG, 1, true));
         let bad = [
             gossip(3, 1, 1, &[0, 0, 0]), // origin out of range
             gossip(usize::MAX, 1, 1, &[0, 0, 0]),

@@ -36,11 +36,14 @@
 //!   serves it over TCP, so what the explorer explores is what the
 //!   sockets serve; its message-by-message tests live beside it
 //!   (`cargo test -p specstore core::`);
-//! - [`replica`] — the messages it speaks ([`replica::SpecMsg`]);
+//! - [`replica`] — the messages it speaks ([`replica::SpecMsg`]), whose
+//!   client half is the envelope every round-robin store shares
+//!   (`simnet::ClientMsg`);
 //! - [`binding::SimSpecStore`] — the simulated deployment (three
 //!   replicas on the paper's EC2 sites plus a client gateway) and its
-//!   [`binding::SpecBinding`], whose [`binding::UpdateBinding`] and
-//!   [`binding::CausalSpec`] slices are the same type with fewer levels.
+//!   [`binding::SpecBinding`]: the round-robin stores' one binding
+//!   (`simnet::RoundRobinBinding`), of which [`binding::UpdateBinding`]
+//!   and [`binding::CausalSpec`] are slices with fewer levels.
 
 pub mod binding;
 pub mod core;
@@ -52,4 +55,5 @@ pub use crate::core::{Egress, SpecCore};
 pub use binding::{CausalSpec, SimSpecStore, SpecBinding, UpdateBinding};
 pub use causalstore::{CausalInbox, Offer, VectorClock};
 pub use replay::{OrderKey, ReplayLog, Update, UpdateId};
-pub use replica::{OpId, SpecMsg, Wants};
+pub use replica::SpecMsg;
+pub use simnet::{ClientMsg, Wants};

@@ -1,72 +1,27 @@
 //! The messages of the spec store.
 //!
 //! Every client operation is an *update* in the sense of Perrin,
-//! Mostéfaoui & Jard: a replica accepts it ([`SpecMsg::Submit`]), stamps
-//! it, answers the wait-free views at once ([`SpecMsg::Immediate`]) and
-//! gossips it to its peers ([`SpecMsg::Gossip`]); each peer acknowledges
-//! causal delivery ([`SpecMsg::Ack`]), and the views that needed those
-//! acks follow ([`SpecMsg::Later`]). The protocol that speaks them is
-//! [`crate::core::SpecCore`]; the simulator carries them as they are,
-//! `icg-net` as `NetMsg::Spec*` frames.
+//! Mostéfaoui & Jard: a replica accepts it (a [`ClientMsg::Submit`]),
+//! stamps it, answers the wait-free views at once and gossips it to its
+//! peers ([`SpecMsg::Gossip`]); each peer acknowledges causal delivery
+//! ([`SpecMsg::Ack`]), and the views that needed those acks follow, one
+//! [`ClientMsg::Views`] each. The client half is the envelope every
+//! round-robin store shares ([`SpecMsg::Client`]). The protocol that
+//! speaks them is [`crate::core::SpecCore`]; the simulator carries them
+//! as they are, `icg-net` as `NetMsg::Spec*` frames.
 
 use correctables::spec::SeqSpec;
-use correctables::ConsistencyLevel;
-use simnet::{Reply, SubmitWire, Wire};
+use simnet::{ClientMsg, SubmitWire, Wire};
 
 pub use crate::replay::{Update, UpdateId};
 
-/// Which levels one submission wants served.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Wants {
-    /// Deliver a weak view.
-    pub weak: bool,
-    /// Deliver an update-consistency view.
-    pub update: bool,
-    /// Deliver a causal view.
-    pub causal: bool,
-    /// Deliver a strong view.
-    pub strong: bool,
-}
-
-/// Client-operation identity at the gateway (its own sequence space).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpId(pub u64);
-
 /// Protocol messages of the spec store. `T` is the submitting client's
-/// name for its operation, echoed in every view: the gateway's [`OpId`]
+/// name for its operation, echoed in every view: the gateway's op id
 /// under simnet, `(client, seq)` over TCP.
 #[derive(Clone, Debug)]
-pub enum SpecMsg<S: SeqSpec, T = OpId> {
-    /// Gateway → replica: accept `op` as a new update.
-    Submit {
-        /// Client operation id (scoped to the gateway).
-        op: T,
-        /// The operation.
-        client_op: S::Op,
-        /// Levels to serve.
-        wants: Wants,
-    },
-    /// Replica → gateway: the wait-free views (weak and/or update),
-    /// emitted synchronously at accept time.
-    Immediate {
-        /// Client operation id.
-        op: T,
-        /// `(level, return value)` in level order.
-        views: Vec<(ConsistencyLevel, S::Ret)>,
-        /// Whether the strongest requested level is among `views`.
-        closing: bool,
-    },
-    /// Replica → gateway: a causal or strong view that needed peer acks.
-    Later {
-        /// Client operation id.
-        op: T,
-        /// The level of this view.
-        level: ConsistencyLevel,
-        /// The replayed return value.
-        ret: S::Ret,
-        /// Whether this is the strongest requested level.
-        closing: bool,
-    },
+pub enum SpecMsg<S: SeqSpec, T = u64> {
+    /// Client ↔ replica: a submission, or views of one.
+    Client(ClientMsg<T, S::Op, S::Ret>),
     /// Replica → replica: one update (also used for retransmission).
     Gossip {
         /// The update.
@@ -92,9 +47,7 @@ impl<S: SeqSpec> Wire for SpecMsg<S> {
         // A coarse model: fixed framing plus the causal stamp; op bodies
         // are spec-dependent and modeled as one machine word.
         match self {
-            SpecMsg::Submit { .. } => 32,
-            SpecMsg::Immediate { views, .. } => 16 + 16 * views.len(),
-            SpecMsg::Later { .. } => 32,
+            SpecMsg::Client(msg) => msg.wire_size(),
             SpecMsg::Gossip { update } => 40 + 8 * update.vc.len(),
             SpecMsg::Ack { .. } => 32,
         }
@@ -102,8 +55,7 @@ impl<S: SeqSpec> Wire for SpecMsg<S> {
 
     fn category(&self) -> &'static str {
         match self {
-            SpecMsg::Submit { .. } => "submit",
-            SpecMsg::Immediate { .. } | SpecMsg::Later { .. } => "reply",
+            SpecMsg::Client(msg) => msg.category(),
             SpecMsg::Gossip { .. } => "gossip",
             SpecMsg::Ack { .. } => "ack",
         }
@@ -112,34 +64,15 @@ impl<S: SeqSpec> Wire for SpecMsg<S> {
 
 impl<S: SeqSpec + 'static> SubmitWire for SpecMsg<S> {
     type Op = S::Op;
-    type Wants = Wants;
     type Val = S::Ret;
 
-    fn submit(op: u64, client_op: S::Op, wants: Wants) -> Self {
-        SpecMsg::Submit {
-            op: OpId(op),
-            client_op,
-            wants,
-        }
+    fn client(msg: ClientMsg<u64, S::Op, S::Ret>) -> Self {
+        SpecMsg::Client(msg)
     }
 
-    fn into_reply(self) -> Option<Reply<S::Ret>> {
+    fn into_client(self) -> Option<ClientMsg<u64, S::Op, S::Ret>> {
         match self {
-            SpecMsg::Immediate { op, views, closing } => Some(Reply {
-                op: op.0,
-                views,
-                closing,
-            }),
-            SpecMsg::Later {
-                op,
-                level,
-                ret,
-                closing,
-            } => Some(Reply {
-                op: op.0,
-                views: vec![(level, ret)],
-                closing,
-            }),
+            SpecMsg::Client(msg) => Some(msg),
             _ => None,
         }
     }
