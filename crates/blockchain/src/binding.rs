@@ -8,12 +8,11 @@
 //! application wanting *many* preliminary views for user feedback, since
 //! finality takes tens of (virtual) minutes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimDuration, SimHost, SimTime, Timer};
+use correctables::{ConsistencyLevel, Error, Upcall};
+use simnet::{
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimDuration, SimHost, SimTime,
+    Submission, Timer,
+};
 
 use crate::chain::TxId;
 use crate::network::{Miner, Msg};
@@ -26,6 +25,7 @@ pub const FINAL_DEPTH: u64 = 6;
 /// lazily in the process-wide level lattice (idempotent — the same
 /// name/rank pair always yields the same level), ranked between CACHE
 /// and WEAK: even six confirmations are probabilistic, not a quorum.
+/// Depth `d` is ranked `d`.
 pub fn conf_level(depth: u64) -> ConsistencyLevel {
     const NAMES: [&str; 6] = ["conf-1", "conf-2", "conf-3", "conf-4", "conf-5", "conf-6"];
     let d = depth.clamp(1, FINAL_DEPTH);
@@ -42,9 +42,12 @@ pub struct TxStatus {
     pub confirmations: u64,
 }
 
-struct WatchPending {
+/// What the wallet keeps per watched transaction.
+pub struct WatchPending {
     tx: TxId,
     upcall: Upcall<TxStatus>,
+    /// The strongest requested depth: the notice that closes the watch.
+    close_at: u64,
     submitted: SimTime,
     confirmed_at: Vec<(u64, f64)>,
 }
@@ -58,31 +61,37 @@ pub struct TxTimeline {
     pub confirmations_ms: Vec<(u64, f64)>,
 }
 
-type Timelines = Arc<Mutex<Vec<TxTimeline>>>;
-
 /// The wallet's client protocol: submit the transaction to one miner,
 /// then turn that miner's confirmation notices into views until the
-/// final depth closes the watch.
-struct Wallet {
+/// strongest requested depth closes the watch, which leaves a
+/// [`TxTimeline`].
+pub struct Wallet {
     node: NodeId,
-    timelines: Timelines,
+    timelines: Vec<TxTimeline>,
 }
 
 impl GatewayProto for Wallet {
     type Msg = Msg;
-    type Queued = (TxId, Upcall<TxStatus>);
+    type Op = TxId;
+    type Val = TxStatus;
     type Pending = WatchPending;
 
     fn start(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         _op: u64,
-        (tx, upcall): Self::Queued,
+        sub: Submission<TxId, TxStatus>,
     ) -> Option<WatchPending> {
+        let tx = sub.op;
         ctx.send(self.node, Msg::SubmitTx { tx });
+        let strongest = sub
+            .levels
+            .strongest()
+            .map_or(FINAL_DEPTH as u8, |l| l.rank());
         Some(WatchPending {
             tx,
-            upcall,
+            upcall: sub.upcall,
+            close_at: u64::from(strongest),
             submitted: ctx.now(),
             confirmed_at: Vec::new(),
         })
@@ -110,9 +119,9 @@ impl GatewayProto for Wallet {
             },
             conf_level(depth),
         );
-        if depth >= FINAL_DEPTH {
+        if depth >= p.close_at {
             let p = pending.remove(op).expect("present");
-            self.timelines.lock().push(TxTimeline {
+            self.timelines.push(TxTimeline {
                 tx,
                 confirmations_ms: p.confirmed_at,
             });
@@ -128,7 +137,6 @@ impl GatewayProto for Wallet {
 #[derive(Clone)]
 pub struct SimChain {
     host: SimHost<Wallet>,
-    timelines: Timelines,
 }
 
 impl SimChain {
@@ -152,22 +160,19 @@ impl SimChain {
             // Kick off mining.
             engine.schedule_timer(*id, SimDuration::ZERO, Timer(u64::MAX));
         }
-        let timelines = Timelines::default();
         let wallet = Wallet {
             node: miners[0],
-            timelines: Arc::clone(&timelines),
+            timelines: Vec::new(),
         };
         SimChain {
             host: SimHost::new(engine, miners, client_site_id, wallet),
-            timelines,
         }
     }
 
     /// The Correctables binding (six confirmation levels).
     pub fn binding(&self) -> ChainBinding {
-        ChainBinding {
-            chain: self.clone(),
-        }
+        let levels: Vec<_> = (1..=FINAL_DEPTH).map(conf_level).collect();
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// Runs the network for `d` of virtual time (mining never goes idle,
@@ -176,9 +181,10 @@ impl SimChain {
         self.host.step(d);
     }
 
-    /// Confirmation timelines of finalized transactions.
+    /// Confirmation timelines of closed watches. Must not be called from
+    /// inside a callback: the engine is locked while it runs.
     pub fn timelines(&self) -> Vec<TxTimeline> {
-        self.timelines.lock().clone()
+        self.host.with_proto(|w| w.timelines.clone())
     }
 
     /// Total reorganizations observed across all miners.
@@ -193,24 +199,8 @@ impl SimChain {
     }
 }
 
-/// `Binding` implementation over [`SimChain`].
-#[derive(Clone)]
-pub struct ChainBinding {
-    chain: SimChain,
-}
-
-impl Binding for ChainBinding {
-    type Op = TxId;
-    type Val = TxStatus;
-
-    fn consistency_levels(&self) -> LevelSet {
-        (1..=FINAL_DEPTH).map(conf_level).collect()
-    }
-
-    fn submit(&self, tx: TxId, _levels: &[ConsistencyLevel], upcall: Upcall<TxStatus>) {
-        self.chain.host.enqueue((tx, upcall));
-    }
-}
+/// The six-confirmation-level `Binding` over a [`SimChain`].
+pub type ChainBinding = SimBinding<Wallet>;
 
 #[cfg(test)]
 mod tests {
@@ -274,5 +264,19 @@ mod tests {
         // Later confirmations take longer.
         let times: Vec<f64> = t[0].confirmations_ms.iter().map(|(_, ms)| *ms).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_watch_closes_at_the_strongest_requested_depth() {
+        let chain = network(11);
+        let client = Client::new(chain.binding());
+        let c = client.invoke_at(7, conf_level(2));
+        chain.run_for(SimDuration::from_secs(3600));
+        assert_eq!(c.final_view().map(|v| v.value.confirmations), Some(2));
+        // The watch, and with it the gateway entry, closed with the
+        // Correctable: its timeline ends at depth 2, not 6.
+        let t = chain.timelines();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t[0].confirmations_ms.last().map(|(d, _)| *d), Some(2));
     }
 }

@@ -10,13 +10,11 @@
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use correctables::{Binding, ConsistencyLevel, Error, KeyedOp, LevelSet, ObjectId, Upcall};
+use correctables::{ConsistencyLevel, Error, KeyedOp, ObjectId, Upcall};
 use simnet::{
-    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimDuration, SimHost, SimTime, Topology,
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimDuration, SimHost, SimTime,
+    Submission, Topology,
 };
 
 use crate::store::{CausalReplica, Item, Msg, OpId};
@@ -38,23 +36,12 @@ impl KeyedOp for CacheOp {
     }
 }
 
-/// One submission: the operation, its upcall, the levels it wants.
-pub struct Queued {
-    op: CacheOp,
-    upcall: Upcall<Option<Item>>,
-    levels: Vec<ConsistencyLevel>,
-}
-
-type Cache = Arc<Mutex<HashMap<String, Item>>>;
-
 /// Timing of one completed operation, per level, in virtual milliseconds.
 #[derive(Clone, Debug, Default)]
 pub struct LevelTiming {
     /// (level name, milliseconds after submission) per delivered view.
     pub views: Vec<(&'static str, f64)>,
 }
-
-type Timings = Arc<Mutex<Vec<LevelTiming>>>;
 
 /// What the gateway keeps per outstanding operation.
 pub struct GwPending {
@@ -69,21 +56,21 @@ pub struct GwPending {
 
 /// The cached store's client protocol: the cache answers at once,
 /// causal reads go to the nearest backup, strong reads and writes to
-/// the primary; every reply refreshes the cache.
+/// the primary; every reply refreshes the cache. The client keeps the
+/// cache and a [`LevelTiming`] per closed operation.
 pub struct CacheClient {
     backup: NodeId,
     primary: NodeId,
-    cache: Cache,
-    timings: Timings,
+    cache: HashMap<String, Item>,
+    timings: Vec<LevelTiming>,
 }
 
 impl CacheClient {
-    fn refresh_cache(&self, key: &str, data: &Option<Item>) {
+    fn refresh_cache(&mut self, key: &str, data: &Option<Item>) {
         if let Some(item) = data {
-            let mut c = self.cache.lock();
-            let fresher = c.get(key).map(|cur| item.rev > cur.rev).unwrap_or(true);
-            if fresher {
-                c.insert(key.to_string(), item.clone());
+            let fresher = self.cache.get(key).map(|cur| item.rev > cur.rev);
+            if fresher.unwrap_or(true) {
+                self.cache.insert(key.to_string(), item.clone());
             }
         }
     }
@@ -91,27 +78,33 @@ impl CacheClient {
 
 impl GatewayProto for CacheClient {
     type Msg = Msg;
-    type Queued = Queued;
+    type Op = CacheOp;
+    type Val = Option<Item>;
     type Pending = GwPending;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: Queued) -> Option<GwPending> {
+    fn start(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        seq: u64,
+        q: Submission<CacheOp, Option<Item>>,
+    ) -> Option<GwPending> {
         let op = OpId {
             client: ctx.id(),
             seq,
         };
-        let has = |l: ConsistencyLevel| q.levels.contains(&l);
+        let has = |l| q.levels.contains(l);
         match q.op {
             CacheOp::Get(key) => {
                 let mut timing = LevelTiming::default();
                 if has(ConsistencyLevel::CACHE) {
-                    let hit = self.cache.lock().get(&key).cloned();
+                    let hit = self.cache.get(&key).cloned();
                     timing.views.push(("cache", 0.0));
                     q.upcall.deliver(hit, ConsistencyLevel::CACHE);
                 }
                 let want_causal = has(ConsistencyLevel::CAUSAL);
                 let want_strong = has(ConsistencyLevel::STRONG);
                 if !want_causal && !want_strong {
-                    self.timings.lock().push(timing);
+                    self.timings.push(timing);
                     return None;
                 }
                 for (wanted, replica) in [(want_causal, self.backup), (want_strong, self.primary)] {
@@ -138,17 +131,12 @@ impl GatewayProto for CacheClient {
             CacheOp::Put(key, items) => {
                 // Write-through: the cache adopts the value at once
                 // (revision settles when the ack arrives).
-                {
-                    let mut c = self.cache.lock();
-                    let rev = c.get(&key).map(|i| i.rev + 1).unwrap_or(1);
-                    c.insert(
-                        key.clone(),
-                        Item {
-                            rev,
-                            items: items.clone(),
-                        },
-                    );
-                }
+                let rev = self.cache.get(&key).map(|i| i.rev + 1).unwrap_or(1);
+                let item = Item {
+                    rev,
+                    items: items.clone(),
+                };
+                self.cache.insert(key.clone(), item);
                 ctx.send(
                     self.primary,
                     Msg::Write {
@@ -177,51 +165,35 @@ impl GatewayProto for CacheClient {
                 data,
                 from_primary,
             } => {
-                let action = pending.get_mut(op.seq).map(|p| {
-                    let ms = ctx.now().since(p.start).as_millis_f64();
-                    if from_primary {
-                        p.want_strong = false;
-                        p.timing.views.push(("strong", ms));
-                    } else {
-                        p.want_causal = false;
-                        p.timing.views.push(("causal", ms));
-                    }
-                    (
-                        p.key.clone(),
-                        p.upcall.clone(),
-                        !p.want_strong && !p.want_causal,
-                    )
-                });
-                if let Some((key, up, finished)) = action {
-                    let level = if from_primary {
-                        ConsistencyLevel::STRONG
-                    } else {
-                        ConsistencyLevel::CAUSAL
-                    };
-                    self.refresh_cache(&key, &data);
-                    up.deliver(data, level);
-                    if finished {
-                        let p = pending.remove(op.seq).expect("present");
-                        self.timings.lock().push(p.timing);
-                    }
+                let Some(p) = pending.get_mut(op.seq) else {
+                    return;
+                };
+                let level = if from_primary {
+                    p.want_strong = false;
+                    ConsistencyLevel::STRONG
+                } else {
+                    p.want_causal = false;
+                    ConsistencyLevel::CAUSAL
+                };
+                let ms = ctx.now().since(p.start).as_millis_f64();
+                p.timing.views.push((level.name(), ms));
+                self.refresh_cache(&p.key, &data);
+                p.upcall.deliver(data, level);
+                if !p.want_strong && !p.want_causal {
+                    let p = pending.remove(op.seq).expect("present");
+                    self.timings.push(p.timing);
                 }
             }
             Msg::WriteAck { op, rev } => {
                 if let Some(mut p) = pending.remove(op.seq) {
                     let ms = ctx.now().since(p.start).as_millis_f64();
                     p.timing.views.push(("strong", ms));
-                    let items = p.items_written.take().unwrap_or_default();
                     // Settle the cache revision to the primary's.
-                    self.cache.lock().insert(
-                        p.key.clone(),
-                        Item {
-                            rev,
-                            items: items.clone(),
-                        },
-                    );
-                    p.upcall
-                        .deliver(Some(Item { rev, items }), ConsistencyLevel::STRONG);
-                    self.timings.lock().push(p.timing);
+                    let items = p.items_written.unwrap_or_default();
+                    let item = Item { rev, items };
+                    self.cache.insert(p.key, item.clone());
+                    p.upcall.deliver(Some(item), ConsistencyLevel::STRONG);
+                    self.timings.push(p.timing);
                 }
             }
             _ => {}
@@ -231,7 +203,7 @@ impl GatewayProto for CacheClient {
     /// A reply was lost: fail the operation. Views already delivered
     /// (cache, causal) stand; the close is exceptional.
     fn expire(&mut self, p: GwPending) {
-        self.timings.lock().push(p.timing);
+        self.timings.push(p.timing);
         p.upcall.fail(Error::Timeout);
     }
 }
@@ -243,8 +215,6 @@ impl GatewayProto for CacheClient {
 pub struct SimCausal {
     host: SimHost<CacheClient>,
     primary: NodeId,
-    timings: Timings,
-    cache: Cache,
 }
 
 impl Deref for SimCausal {
@@ -294,36 +264,34 @@ impl SimCausal {
             })
             .map(|(_, id)| *id)
             .expect("at least one backup");
-        let timings = Timings::default();
-        let cache = Cache::default();
         let primary = replicas[primary_idx];
         let proto = CacheClient {
             backup,
             primary,
-            cache: Arc::clone(&cache),
-            timings: Arc::clone(&timings),
+            cache: HashMap::new(),
+            timings: Vec::new(),
         };
         SimCausal {
             host: SimHost::new(engine, replicas, client_site_id, proto),
             primary,
-            timings,
-            cache,
         }
     }
 
     /// The Correctables binding.
     pub fn binding(&self) -> CausalBinding {
-        CausalBinding {
-            store: self.clone(),
-        }
+        let levels = [
+            ConsistencyLevel::CACHE,
+            ConsistencyLevel::CAUSAL,
+            ConsistencyLevel::STRONG,
+        ];
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// Seeds a key on every replica and in the cache.
     pub fn seed(&self, key: &str, rev: u64, items: Vec<u64>) {
         self.seed_remote_only(key, rev, items.clone());
-        self.cache
-            .lock()
-            .insert(key.to_string(), Item { rev, items });
+        let item = Item { rev, items };
+        self.with_proto(|p| p.cache.insert(key.to_string(), item));
     }
 
     /// Seeds a key only on the replicas (cold cache).
@@ -347,43 +315,21 @@ impl SimCausal {
         self.with_engine(|e| e.schedule_message(gw, self.primary, SimDuration::ZERO, write));
     }
 
-    /// Timings of completed operations.
+    /// Timings of completed operations. Must not be called from inside
+    /// a callback: the engine is locked while it runs.
     pub fn timings(&self) -> Vec<LevelTiming> {
-        self.timings.lock().clone()
+        self.with_proto(|p| p.timings.clone())
     }
 
-    /// Direct cache inspection (tests).
+    /// Direct cache inspection (tests). Must not be called from inside
+    /// a callback, as [`SimCausal::timings`].
     pub fn cached(&self, key: &str) -> Option<Item> {
-        self.cache.lock().get(key).cloned()
+        self.with_proto(|p| p.cache.get(key).cloned())
     }
 }
 
-/// `Binding` implementation over [`SimCausal`].
-#[derive(Clone)]
-pub struct CausalBinding {
-    store: SimCausal,
-}
-
-impl Binding for CausalBinding {
-    type Op = CacheOp;
-    type Val = Option<Item>;
-
-    fn consistency_levels(&self) -> LevelSet {
-        LevelSet::of(&[
-            ConsistencyLevel::CACHE,
-            ConsistencyLevel::CAUSAL,
-            ConsistencyLevel::STRONG,
-        ])
-    }
-
-    fn submit(&self, op: CacheOp, levels: &[ConsistencyLevel], upcall: Upcall<Option<Item>>) {
-        self.store.enqueue(Queued {
-            op,
-            upcall,
-            levels: levels.to_vec(),
-        });
-    }
-}
+/// The three-level (cache/causal/strong) `Binding` over a [`SimCausal`].
+pub type CausalBinding = SimBinding<CacheClient>;
 
 #[cfg(test)]
 mod tests {

@@ -23,12 +23,11 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimHost, SimTime};
+use correctables::{ConsistencyLevel, Error, Upcall};
+use simnet::{
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, SimTime, Submission,
+};
 
 use crate::messages::Msg;
 use crate::server::{Server, ServerConfig};
@@ -116,14 +115,6 @@ impl QueueView {
     }
 }
 
-/// One submission: the operation, its upcall, the levels it wants.
-pub struct Queued {
-    op: QueueOp,
-    upcall: Upcall<QueueView>,
-    weak: bool,
-    strong: bool,
-}
-
 /// What the gateway keeps per outstanding operation.
 pub struct GwPending {
     upcall: Upcall<QueueView>,
@@ -142,47 +133,51 @@ pub struct QueueTiming {
     pub final_ms: f64,
 }
 
-type Timings = Arc<Mutex<Vec<QueueTiming>>>;
-
 /// The queue's client protocol: every operation goes to the one server
 /// the client is connected to — a local read for a peek or a list, a
 /// Zab-coordinated transaction (with an optional local prediction)
-/// otherwise.
+/// otherwise. Every closed operation leaves a [`QueueTiming`].
 pub struct QueueClient {
     server: NodeId,
-    timings: Timings,
+    timings: Vec<QueueTiming>,
 }
 
 impl QueueClient {
-    fn connected_to(server: NodeId) -> (QueueClient, Timings) {
-        let timings = Timings::default();
-        let proto = QueueClient {
+    fn connected_to(server: NodeId) -> QueueClient {
+        QueueClient {
             server,
-            timings: Arc::clone(&timings),
-        };
-        (proto, timings)
+            timings: Vec::new(),
+        }
     }
 }
 
 impl GatewayProto for QueueClient {
     type Msg = Msg;
-    type Queued = Queued;
+    type Op = QueueOp;
+    type Val = QueueView;
     type Pending = GwPending;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, q: Queued) -> Option<GwPending> {
+    fn start(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        seq: u64,
+        q: Submission<QueueOp, QueueView>,
+    ) -> Option<GwPending> {
         let op = OpId {
             client: ctx.id(),
             seq,
         };
+        let weak = q.levels.contains(ConsistencyLevel::WEAK);
+        let strong = q.levels.contains(ConsistencyLevel::STRONG);
         let parent = QUEUE.to_string();
         let read = |cmd| Msg::Read { op, cmd };
         let submit = |txn| Msg::Submit {
             op,
             txn,
-            prelim: q.weak,
+            prelim: weak,
         };
         let mut removing = None;
-        let msg = match (q.op, q.strong) {
+        let msg = match (q.op, strong) {
             // Weak-only: a pure local read, no coordination at all.
             (QueueOp::Dequeue, false) => read(ReadCmd::GetHead { parent }),
             (QueueOp::List, false) => read(ReadCmd::GetChildren { parent }),
@@ -201,7 +196,7 @@ impl GatewayProto for QueueClient {
             // strong one: fail rather than answer with some other
             // operation's view.
             (QueueOp::List, true) | (QueueOp::Enqueue { .. } | QueueOp::Remove { .. }, false) => {
-                let missing = if q.strong {
+                let missing = if strong {
                     ConsistencyLevel::STRONG
                 } else {
                     ConsistencyLevel::WEAK
@@ -230,7 +225,7 @@ impl GatewayProto for QueueClient {
             }
             Msg::FinalResp { op, result } => {
                 if let Some(p) = pending.remove(op.seq) {
-                    self.timings.lock().push(QueueTiming {
+                    self.timings.push(QueueTiming {
                         prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
                         final_ms: ctx.now().since(p.start).as_millis_f64(),
                     });
@@ -250,7 +245,7 @@ impl GatewayProto for QueueClient {
                             children,
                         },
                     };
-                    self.timings.lock().push(QueueTiming {
+                    self.timings.push(QueueTiming {
                         prelim_ms: None,
                         final_ms: ctx.now().since(p.start).as_millis_f64(),
                     });
@@ -272,7 +267,6 @@ impl GatewayProto for QueueClient {
 #[derive(Clone)]
 pub struct SimQueue {
     host: SimHost<QueueClient>,
-    timings: Timings,
 }
 
 impl Deref for SimQueue {
@@ -307,10 +301,9 @@ impl SimQueue {
                 .node_as::<Server>(*id)
                 .set_membership(servers[leader.0], peers);
         }
-        let (proto, timings) = QueueClient::connected_to(servers[connect.0]);
+        let proto = QueueClient::connected_to(servers[connect.0]);
         SimQueue {
             host: SimHost::new(engine, servers, client, proto),
-            timings,
         }
     }
 
@@ -323,16 +316,16 @@ impl SimQueue {
     /// Panics if a site name is unknown.
     pub fn client_at(&self, client_site: &str, connect_site: &str) -> SimQueue {
         let site = |name| self.with_engine(|e| e.topology().site_named(name).expect("known site"));
-        let (proto, timings) = QueueClient::connected_to(self.replica_ids()[site(connect_site).0]);
+        let proto = QueueClient::connected_to(self.replica_ids()[site(connect_site).0]);
         SimQueue {
             host: self.host.add_gateway(site(client_site), proto),
-            timings,
         }
     }
 
     /// The Correctables binding.
     pub fn binding(&self) -> QueueBinding {
-        QueueBinding { q: self.clone() }
+        let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// Pre-fills the queue with `n` elements by applying the same
@@ -356,48 +349,22 @@ impl SimQueue {
         self.each_replica(|server: &mut Server| server.tree.child_count(QUEUE))
     }
 
-    /// Total bytes that crossed this client's link so far.
-    pub fn gateway_link_bytes(&self) -> u64 {
-        self.with_engine(|e| e.bandwidth().link_bytes(self.gateway_id()))
-    }
-
-    /// Timings of completed operations.
+    /// Timings of completed operations. Must not be called from inside
+    /// a callback: the engine is locked while it runs.
     pub fn timings(&self) -> Vec<QueueTiming> {
-        self.timings.lock().clone()
+        self.with_proto(|p| p.timings.clone())
     }
 }
 
-/// `Binding` implementation over [`SimQueue`].
-#[derive(Clone)]
-pub struct QueueBinding {
-    q: SimQueue,
-}
-
-impl Binding for QueueBinding {
-    type Op = QueueOp;
-    type Val = QueueView;
-
-    fn consistency_levels(&self) -> LevelSet {
-        LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::STRONG])
-    }
-
-    fn submit(&self, op: QueueOp, levels: &[ConsistencyLevel], upcall: Upcall<QueueView>) {
-        let weak = levels.contains(&ConsistencyLevel::WEAK);
-        let strong = levels.contains(&ConsistencyLevel::STRONG);
-        self.q.enqueue(Queued {
-            op,
-            upcall,
-            weak,
-            strong,
-        });
-    }
-}
+/// The weak/strong `Binding` over a [`SimQueue`].
+pub type QueueBinding = SimBinding<QueueClient>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use correctables::{Client, State};
     use simnet::SimDuration;
+    use std::sync::Arc;
 
     /// Leader in IRL; the client, at `client_site`, talks to the FRK
     /// follower.

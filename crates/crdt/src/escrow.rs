@@ -31,8 +31,8 @@ use std::ops::Deref;
 
 use correctables::ConsistencyLevel;
 use simnet::{
-    ClientMsg, Ctx, Engine, Node, NodeId, Retry, RoundRobin, RoundRobinBinding, SimDuration,
-    SimHost, SubmitWire, Timer, Wants, Wire,
+    ClientMsg, Ctx, Engine, Node, NodeId, Retry, RoundRobin, SimBinding, SimDuration, SimHost,
+    SubmitWire, Timer, Wants, Wire,
 };
 
 /// The escrow ledger: a join-semilattice of single-writer counters.
@@ -602,7 +602,7 @@ impl SimEscrow {
     /// The two-level (weak/strong) binding.
     pub fn binding(&self) -> EscrowBinding {
         let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
-        RoundRobinBinding::new(self.host.clone(), &levels)
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// Pins all submissions to the replica colocated with the client
@@ -621,7 +621,7 @@ impl SimEscrow {
 /// The two-level (weak/strong) `Binding` over a [`SimEscrow`]: weak
 /// buys are coordination-free segment sales, strong views wait for
 /// sold-stability (fast path) or a transfer round (slow path).
-pub type EscrowBinding = RoundRobinBinding<EscrowMsg>;
+pub type EscrowBinding = SimBinding<RoundRobin<EscrowMsg>>;
 
 #[cfg(test)]
 mod tests {

@@ -19,8 +19,8 @@
 //!   replicating [`CrdtState`] by op-shipping (CBCAST causal delivery)
 //!   or state-shipping (full-state merge), with [`CrdtBinding`] serving
 //!   weak locally pre-merge and strong at anti-entropy quiescence (the
-//!   binding, like [`EscrowBinding`], is the round-robin stores' one
-//!   `simnet::RoundRobinBinding`);
+//!   binding, like [`EscrowBinding`], is every simulated store's one
+//!   `simnet::SimBinding`, over the round-robin gateway);
 //!   [`local`] is the synchronous single-process variant with a
 //!   freshness-lagged weak view for shard-router tests;
 //! - [`escrow`] — segmented invariant confluence: [`SimEscrow`] sells
@@ -64,8 +64,8 @@ mod reference {
 
     use correctables::{Client, ConsistencyLevel, History, RecordingBinding};
     use simnet::{
-        Ctx, Faults, Node, NodeId, Retry, RoundRobin, RoundRobinBinding, SimDuration, SimHost,
-        SimTime, SiteId, SubmitWire, Timer, Wire,
+        Ctx, Faults, Node, NodeId, Retry, RoundRobin, SimBinding, SimDuration, SimHost, SimTime,
+        SiteId, SubmitWire, Timer, Wire,
     };
 
     /// A replica that retries through a [`Retry`].
@@ -174,7 +174,7 @@ mod reference {
         let ms = SimDuration::from_millis;
         let history = History::with_clock(host.clock());
         let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
-        let binding = RoundRobinBinding::new(host.clone(), &levels);
+        let binding = SimBinding::new(host.clone(), &levels);
         let client = Client::new(RecordingBinding::new(binding, history.clone()));
         let forever = SimTime::ZERO + SimDuration::from_secs(1 << 30);
         let cut = Faults::none().with_partition(SiteId(0), SiteId(2), SimTime::ZERO, forever);

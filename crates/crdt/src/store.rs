@@ -28,7 +28,7 @@
 //! some peer lags: one engine timer per retry, not one per message. The
 //! client half — the submit/views envelope, the round-robin gateway and
 //! [`CrdtBinding`] — is the one the spec and escrow stores share
-//! (`simnet::RoundRobinBinding`).
+//! (`simnet::RoundRobin` under `simnet::SimBinding`).
 //!
 //! [`SimCrdtStore::ec2_broken`] swaps in the [`crate::BrokenCrdt`] counters —
 //! the negative fixture whose non-commutative effects the oracle's SEC
@@ -41,8 +41,8 @@ use std::ops::Deref;
 use causalstore::{AckFrontier, CausalInbox, Offer, VectorClock};
 use correctables::ConsistencyLevel;
 use simnet::{
-    ClientMsg, Ctx, Engine, Node, NodeId, Retry, RoundRobin, RoundRobinBinding, SimDuration,
-    SimHost, SubmitWire, Timer, Wants, Wire,
+    ClientMsg, Ctx, Engine, Node, NodeId, Retry, RoundRobin, SimBinding, SimDuration, SimHost,
+    SubmitWire, Timer, Wants, Wire,
 };
 
 use crate::object::{CrdtEffect, CrdtOp, CrdtState, CrdtVal};
@@ -589,7 +589,7 @@ impl SimCrdtStore {
     /// The two-level (weak/strong) binding.
     pub fn binding(&self) -> CrdtBinding {
         let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
-        RoundRobinBinding::new(self.host.clone(), &levels)
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// The state every replica starts from (SEC replay origin).
@@ -617,7 +617,7 @@ impl SimCrdtStore {
 /// The two-level (weak/strong) `Binding` over a [`SimCrdtStore`]:
 /// weak views are coordination-free local reads, strong views close at
 /// anti-entropy quiescence.
-pub type CrdtBinding = RoundRobinBinding<CrdtMsg>;
+pub type CrdtBinding = SimBinding<RoundRobin<CrdtMsg>>;
 
 #[cfg(test)]
 mod tests {

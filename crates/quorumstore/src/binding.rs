@@ -1,7 +1,7 @@
 //! The Correctables binding for the quorum store (the paper's "CC binding").
 //!
 //! [`SimStore`] wraps a simulated cluster plus a **gateway** client node and
-//! exposes a [`Binding`] whose levels are `Weak` (R = 1) and `Strong`
+//! exposes a [`QuorumBinding`] whose levels are `Weak` (R = 1) and `Strong`
 //! (R = `r_strong`):
 //!
 //! - `invoke_weak`  → a single `R = 1` read (baseline C1);
@@ -15,22 +15,22 @@
 //! callbacks (speculative prefetches!) are picked up by the gateway at the
 //! very simulation instant the callback runs, so chained latencies are
 //! measured exactly as a real asynchronous client would experience them.
-//! That shell — queue, kick, client deadline, `settle` — is
-//! [`simnet::SimHost`]'s; this file only says what a quorum-store client
-//! sends and how it reads the replies ([`QuorumClient`]).
+//! That shell — queue, kick, client deadline, `settle`, the binding
+//! itself — is [`simnet`]'s; this file only says what a quorum-store
+//! client sends and how it reads the replies ([`QuorumClient`]).
 
 use std::ops::Deref;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimHost, SimTime, Topology};
+use correctables::{ConsistencyLevel, Error};
+use simnet::{
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, SimTime, Submission,
+    Topology,
+};
 
 use crate::client::{encode_submit, on_reply, read_kind, ClientOp, Step, StoreOp};
 use crate::host::{ReplicaConfig, SimReplica};
 use crate::messages::Msg;
-use crate::types::{Key, ReadKind, Value, Version, Versioned};
+use crate::types::{Key, Value, Version, Versioned};
 
 /// Timing of one completed gateway operation, in virtual milliseconds.
 #[derive(Clone, Copy, Debug)]
@@ -43,8 +43,6 @@ pub struct OpTiming {
     pub is_read: bool,
 }
 
-type Timings = Arc<Mutex<Vec<OpTiming>>>;
-
 /// What the gateway keeps per outstanding operation: the client core's
 /// entry, and when things happened.
 pub struct GwPending {
@@ -56,37 +54,30 @@ pub struct GwPending {
 
 /// The simulated host of the quorum store's client protocol
 /// ([`crate::client`]): every operation goes to one coordinator
-/// replica, and every closed one leaves an [`OpTiming`].
+/// replica, reads at the quorum the requested levels name, and every
+/// closed one leaves an [`OpTiming`].
 pub struct QuorumClient {
     coordinator: NodeId,
-    timings: Timings,
-}
-
-impl QuorumClient {
-    fn new(coordinator: NodeId) -> (QuorumClient, Timings) {
-        let timings = Timings::default();
-        let proto = QuorumClient {
-            coordinator,
-            timings: Arc::clone(&timings),
-        };
-        (proto, timings)
-    }
+    r_strong: u8,
+    confirm: bool,
+    timings: Vec<OpTiming>,
 }
 
 impl GatewayProto for QuorumClient {
     type Msg = Msg;
-    /// One submission: the operation, how to read, and its upcall.
-    type Queued = (StoreOp, ReadKind, Upcall<Versioned>);
+    type Op = StoreOp;
+    type Val = Versioned;
     type Pending = GwPending;
 
     fn start(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         seq: u64,
-        (op, kind, upcall): Self::Queued,
+        sub: Submission<StoreOp, Versioned>,
     ) -> Option<GwPending> {
-        let is_read = matches!(op, StoreOp::Read(_));
-        let (msg, op) = encode_submit(ctx.id(), seq, op, kind, upcall);
+        let is_read = matches!(sub.op, StoreOp::Read(_));
+        let kind = read_kind(sub.levels.as_slice(), self.r_strong, self.confirm);
+        let (msg, op) = encode_submit(ctx.id(), seq, sub.op, kind, sub.upcall);
         ctx.send(self.coordinator, msg);
         Some(GwPending {
             op,
@@ -112,7 +103,7 @@ impl GatewayProto for QuorumClient {
             return;
         };
         if step == Step::Closed {
-            self.timings.lock().push(OpTiming {
+            self.timings.push(OpTiming {
                 prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
                 final_ms: now.since(p.start).as_millis_f64(),
                 is_read: p.is_read,
@@ -133,9 +124,6 @@ impl GatewayProto for QuorumClient {
 #[derive(Clone)]
 pub struct SimStore {
     host: SimHost<QuorumClient>,
-    timings: Timings,
-    r_strong: u8,
-    confirm: bool,
 }
 
 impl Deref for SimStore {
@@ -212,12 +200,14 @@ impl SimStore {
             let id = engine.add_node(*site, Box::new(replica));
             assert_eq!(id, replicas[i], "replicas are the engine's first nodes");
         }
-        let (proto, timings) = QuorumClient::new(replicas[coordinator_idx]);
-        SimStore {
-            host: SimHost::new(engine, replicas, client_site, proto),
-            timings,
+        let proto = QuorumClient {
+            coordinator: replicas[coordinator_idx],
             r_strong,
             confirm,
+            timings: Vec::new(),
+        };
+        SimStore {
+            host: SimHost::new(engine, replicas, client_site, proto),
         }
     }
 
@@ -231,25 +221,21 @@ impl SimStore {
     /// range.
     pub fn client_at(&self, client_site: &str, coordinator_idx: usize) -> SimStore {
         let site = self.with_engine(|e| e.topology().site_named(client_site));
-        let (proto, timings) = QuorumClient::new(self.replica_ids()[coordinator_idx]);
+        let coordinator = self.replica_ids()[coordinator_idx];
+        let proto = self.with_proto(|p| QuorumClient {
+            coordinator,
+            timings: Vec::new(),
+            ..*p
+        });
         SimStore {
             host: self.host.add_gateway(site.expect("known site"), proto),
-            timings,
-            r_strong: self.r_strong,
-            confirm: self.confirm,
         }
-    }
-
-    /// Total bytes that crossed the gateway's client link so far.
-    pub fn gateway_link_bytes(&self) -> u64 {
-        self.with_engine(|e| e.bandwidth().link_bytes(self.gateway_id()))
     }
 
     /// The Correctables binding over this store.
     pub fn binding(&self) -> QuorumBinding {
-        QuorumBinding {
-            store: self.clone(),
-        }
+        let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
+        SimBinding::new(self.host.clone(), &levels)
     }
 
     /// Seeds every replica with the same records (version 1), modelling a
@@ -270,9 +256,10 @@ impl SimStore {
         });
     }
 
-    /// Timings of all completed operations so far.
+    /// Timings of all completed operations so far. Must not be called
+    /// from inside a callback: the engine is locked while it runs.
     pub fn timings(&self) -> Vec<OpTiming> {
-        self.timings.lock().clone()
+        self.with_proto(|p| p.timings.clone())
     }
 
     /// Current virtual time in milliseconds.
@@ -281,25 +268,8 @@ impl SimStore {
     }
 }
 
-/// `Binding` implementation over [`SimStore`].
-#[derive(Clone)]
-pub struct QuorumBinding {
-    store: SimStore,
-}
-
-impl Binding for QuorumBinding {
-    type Op = StoreOp;
-    type Val = Versioned;
-
-    fn consistency_levels(&self) -> LevelSet {
-        LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::STRONG])
-    }
-
-    fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
-        let kind = read_kind(levels, self.store.r_strong, self.store.confirm);
-        self.store.enqueue((op, kind, upcall));
-    }
-}
+/// The weak/strong `Binding` over a [`SimStore`].
+pub type QuorumBinding = SimBinding<QuorumClient>;
 
 #[cfg(test)]
 mod tests {

@@ -35,14 +35,18 @@
 //!   the client after a delay of virtual time — a retailer's think time
 //!   between two customers.
 //!
-//! A store supplies a [`GatewayProto`]: how a queued submission becomes
+//! A store's client half is nothing but its [`GatewayProto`]: how a
+//! [`Submission`] (operation, requested [`LevelSet`], upcall) becomes
 //! sends, how a reply becomes upcall deliveries, how a deadline fails
-//! the upcall. The stores whose replicas all accept submissions (spec,
-//! CRDT, escrow) share their whole client half: one envelope,
-//! [`ClientMsg`] (a submission with its [`Wants`], or views in level
-//! order), embedded in each store's message enum; one protocol,
-//! [`RoundRobin`]; and one binding, [`RoundRobinBinding`], which differs
-//! per store only in the levels it advertises.
+//! the upcall. The proto decodes the levels itself in `start`, and keeps
+//! whatever the store records per client (timings, a cache) as plain
+//! fields, read through [`SimHost::with_proto`]. Every store has the
+//! same binding, [`SimBinding`], which differs per store only in the
+//! levels it advertises. The stores whose replicas all accept
+//! submissions (spec, CRDT, escrow) also share their proto: one
+//! envelope, [`ClientMsg`] (a submission with its [`Wants`], or views in
+//! level order), embedded in each store's message enum, and one
+//! protocol, [`RoundRobin`].
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -174,25 +178,39 @@ impl<E> PendingOps<E> {
     }
 }
 
+/// One submission as a binding hands it to its gateway: the operation,
+/// the levels requested of it (inline up to six, so no allocation on a
+/// submit), and the upcall its views go to.
+pub struct Submission<O, V> {
+    /// The operation.
+    pub op: O,
+    /// The requested levels, weakest first.
+    pub levels: LevelSet,
+    /// Where the operation's views go.
+    pub upcall: Upcall<V>,
+}
+
 /// The store-specific client half of a simulated deployment.
 pub trait GatewayProto: Send + 'static {
     /// The deployment's message type.
     type Msg: Wire + Send + 'static;
-    /// One submission as the binding enqueues it (operation, levels,
-    /// upcall).
-    type Queued: Send + 'static;
+    /// The client operation.
+    type Op: Send + 'static;
+    /// The view value.
+    type Val: Clone + Send + 'static;
     /// What the gateway keeps per operation until it closes (at least
     /// the upcall).
     type Pending: Send + 'static;
 
-    /// Turns submission number `op` into sends. Returns the entry to
-    /// keep while replies are outstanding, or `None` if the operation
-    /// was answered on the spot.
+    /// Turns submission number `op` into sends, decoding from its levels
+    /// what the store needs to know. Returns the entry to keep while
+    /// replies are outstanding, or `None` if the operation was answered
+    /// on the spot.
     fn start(
         &mut self,
         ctx: &mut Ctx<'_, Self::Msg>,
         op: u64,
-        queued: Self::Queued,
+        sub: Submission<Self::Op, Self::Val>,
     ) -> Option<Self::Pending>;
 
     /// Turns one message addressed to the gateway into upcall
@@ -213,17 +231,17 @@ type Wake = Box<dyn FnOnce() + Send>;
 
 /// What a client's handles have left for its gateway's next drain, under
 /// one lock: submissions, and wake-ups to arm.
-struct Inbox<Q> {
-    ops: VecDeque<Q>,
+struct Inbox<P: GatewayProto> {
+    ops: VecDeque<Submission<P::Op, P::Val>>,
     wakes: Vec<(SimDuration, Wake)>,
 }
 
-type Queue<Q> = Arc<Mutex<Inbox<Q>>>;
+type Queue<P> = Arc<Mutex<Inbox<P>>>;
 
 /// The in-simulation client node (see the module docs).
 pub struct SimGateway<P: GatewayProto> {
     proto: P,
-    queue: Queue<P::Queued>,
+    queue: Queue<P>,
     clock: Arc<AtomicU64>,
     work: Arc<AtomicU8>,
     next_op: u64,
@@ -242,7 +260,7 @@ impl<P: GatewayProto> SimGateway<P> {
     fn drain(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
         loop {
             let mut inbox = self.queue.lock();
-            let Some(queued) = inbox.ops.pop_front() else {
+            let Some(sub) = inbox.ops.pop_front() else {
                 let wakes = std::mem::take(&mut inbox.wakes);
                 let idle = self.pending.is_empty() && self.wakes.is_empty() && wakes.is_empty();
                 self.work
@@ -258,7 +276,7 @@ impl<P: GatewayProto> SimGateway<P> {
             // `start` may run callbacks, which may enqueue.
             drop(inbox);
             let op = self.mint();
-            if let Some(entry) = self.proto.start(ctx, op, queued) {
+            if let Some(entry) = self.proto.start(ctx, op, sub) {
                 self.pending.insert(op, entry);
                 if let Some(d) = self.client_timeout {
                     ctx.set_timer(d, Timer(op));
@@ -310,7 +328,7 @@ pub struct SimHost<P: GatewayProto> {
     engine: Arc<Mutex<Engine<P::Msg>>>,
     gateway: NodeId,
     replicas: Arc<[NodeId]>,
-    queue: Queue<P::Queued>,
+    queue: Queue<P>,
     clock: Arc<AtomicU64>,
     work: Arc<AtomicU8>,
 }
@@ -366,7 +384,7 @@ impl<P: GatewayProto> SimHost<P> {
         client_site: SiteId,
         proto: P,
     ) -> Self {
-        let queue: Queue<P::Queued> = Arc::new(Mutex::new(Inbox {
+        let queue: Queue<P> = Arc::new(Mutex::new(Inbox {
             ops: VecDeque::new(),
             wakes: Vec::new(),
         }));
@@ -397,11 +415,11 @@ impl<P: GatewayProto> SimHost<P> {
         }
     }
 
-    /// Queues one submission for the gateway's next drain (what a
-    /// binding's `submit` does).
-    pub fn enqueue(&self, queued: P::Queued) {
+    /// Queues one submission for the gateway's next drain (what
+    /// [`SimBinding::submit`] does).
+    fn enqueue(&self, sub: Submission<P::Op, P::Val>) {
         let mut inbox = self.queue.lock();
-        inbox.ops.push_back(queued);
+        inbox.ops.push_back(sub);
         self.work.store(QUEUED, Ordering::Relaxed);
     }
 
@@ -455,6 +473,11 @@ impl<P: GatewayProto> SimHost<P> {
     /// The gateway's node id.
     pub fn gateway_id(&self) -> NodeId {
         self.gateway
+    }
+
+    /// Total bytes that crossed this client's link so far.
+    pub fn gateway_link_bytes(&self) -> u64 {
+        self.engine.lock().bandwidth().link_bytes(self.gateway)
     }
 
     /// Current virtual time.
@@ -549,7 +572,9 @@ impl<P: GatewayProto> SimHost<P> {
             .collect()
     }
 
-    /// Direct access to the gateway's protocol state.
+    /// Direct access to the gateway's protocol state — where a store
+    /// keeps its per-client records. Must not be called from inside a
+    /// callback: the engine is locked while it runs.
     pub fn with_proto<R>(&self, f: impl FnOnce(&mut P) -> R) -> R {
         self.with_gateway(|gw| f(&mut gw.proto))
     }
@@ -560,7 +585,7 @@ impl<P: GatewayProto> SimHost<P> {
 }
 
 // ---------------------------------------------------------------------
-// The round-robin client half: one envelope, one binding
+// The round-robin client half: one envelope, one protocol
 // ---------------------------------------------------------------------
 
 /// Which levels one submission wants served, of the four a round-robin
@@ -693,14 +718,15 @@ impl<M: SubmitWire> RoundRobin<M> {
 
 impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
     type Msg = M;
-    type Queued = (M::Op, Wants, Upcall<M::Val>);
+    type Op = M::Op;
+    type Val = M::Val;
     type Pending = Upcall<M::Val>;
 
     fn start(
         &mut self,
         ctx: &mut Ctx<'_, M>,
         op: u64,
-        (client_op, wants, upcall): Self::Queued,
+        sub: Submission<M::Op, M::Val>,
     ) -> Option<Upcall<M::Val>> {
         let idx = self.pinned.unwrap_or_else(|| {
             let next = self.rr % self.replicas.len();
@@ -709,11 +735,11 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
         });
         let submit = ClientMsg::Submit {
             op,
-            client_op,
-            wants,
+            client_op: sub.op,
+            wants: Wants::of(sub.levels.as_slice()),
         };
         ctx.send(self.replicas[idx], M::client(submit));
-        Some(upcall)
+        Some(sub.upcall)
     }
 
     fn on_reply(
@@ -741,42 +767,51 @@ impl<M: SubmitWire> GatewayProto for RoundRobin<M> {
     }
 }
 
-/// The Correctables binding of a round-robin store: a submission asks
-/// for the [`Wants`] of its levels, of the `levels` the store serves.
-pub struct RoundRobinBinding<M: SubmitWire> {
-    host: SimHost<RoundRobin<M>>,
+// ---------------------------------------------------------------------
+// The one binding
+// ---------------------------------------------------------------------
+
+/// The Correctables binding of every simulated store: it advertises the
+/// `levels` the store serves and hands each submission, levels and all,
+/// to the gateway speaking `P`, whose `start` decodes what it needs.
+pub struct SimBinding<P: GatewayProto> {
+    host: SimHost<P>,
     levels: LevelSet,
 }
 
-impl<M: SubmitWire> RoundRobinBinding<M> {
+impl<P: GatewayProto> SimBinding<P> {
     /// A binding over `host` advertising `levels`.
-    pub fn new(host: SimHost<RoundRobin<M>>, levels: &[ConsistencyLevel]) -> Self {
-        RoundRobinBinding {
+    pub fn new(host: SimHost<P>, levels: &[ConsistencyLevel]) -> Self {
+        SimBinding {
             host,
             levels: LevelSet::of(levels),
         }
     }
 }
 
-impl<M: SubmitWire> Clone for RoundRobinBinding<M> {
+impl<P: GatewayProto> Clone for SimBinding<P> {
     fn clone(&self) -> Self {
-        RoundRobinBinding {
+        SimBinding {
             host: self.host.clone(),
             levels: self.levels.clone(),
         }
     }
 }
 
-impl<M: SubmitWire> Binding for RoundRobinBinding<M> {
-    type Op = M::Op;
-    type Val = M::Val;
+impl<P: GatewayProto> Binding for SimBinding<P> {
+    type Op = P::Op;
+    type Val = P::Val;
 
     fn consistency_levels(&self) -> LevelSet {
         self.levels.clone()
     }
 
-    fn submit(&self, op: M::Op, levels: &[ConsistencyLevel], upcall: Upcall<M::Val>) {
-        self.host.enqueue((op, Wants::of(levels), upcall));
+    fn submit(&self, op: P::Op, levels: &[ConsistencyLevel], upcall: Upcall<P::Val>) {
+        self.host.enqueue(Submission {
+            op,
+            levels: LevelSet::of(levels),
+            upcall,
+        });
     }
 }
 
@@ -821,17 +856,18 @@ mod tests {
 
     impl GatewayProto for ToyProto {
         type Msg = Toy;
-        type Queued = Upcall<u64>;
+        type Op = ();
+        type Val = u64;
         type Pending = Upcall<u64>;
 
         fn start(
             &mut self,
             ctx: &mut Ctx<'_, Toy>,
             op: u64,
-            up: Upcall<u64>,
+            sub: Submission<(), u64>,
         ) -> Option<Upcall<u64>> {
             ctx.send(self.echo, Toy::Ping(op));
-            Some(up)
+            Some(sub.upcall)
         }
 
         fn on_reply(
@@ -852,20 +888,11 @@ mod tests {
         }
     }
 
-    #[derive(Clone)]
-    struct ToyBinding(SimHost<ToyProto>);
+    type ToyBinding = SimBinding<ToyProto>;
 
-    impl Binding for ToyBinding {
-        type Op = ();
-        type Val = u64;
-
-        fn consistency_levels(&self) -> LevelSet {
-            LevelSet::of(&[ConsistencyLevel::WEAK])
-        }
-
-        fn submit(&self, _op: (), _levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
-            self.0.enqueue(upcall);
-        }
+    /// The toy's binding: WEAK only.
+    fn bind(host: &SimHost<ToyProto>) -> ToyBinding {
+        SimBinding::new(host.clone(), &[ConsistencyLevel::WEAK])
     }
 
     /// Gateway and echo node 10 ms apart (one way), no jitter.
@@ -887,7 +914,7 @@ mod tests {
         let mut engine = Engine::new(topo, seed);
         let echo = engine.add_node(b, Box::new(Echo));
         let host = SimHost::new(engine, vec![echo], a, ToyProto { echo });
-        let client = Client::new(ToyBinding(host.clone()));
+        let client = Client::new(bind(&host));
         (host, client)
     }
 
@@ -1042,7 +1069,7 @@ mod tests {
         let inner = Arc::new(Mutex::new(None));
         let outer = client.invoke_weak(());
         {
-            let binding = ToyBinding(host.clone());
+            let binding = bind(&host);
             let (clock, inner, nested_at) = (clock.clone(), inner.clone(), nested_at.clone());
             outer.on_final(move |_| {
                 nested_at.store(clock.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -1187,7 +1214,7 @@ mod tests {
         }
         // B's op is back at 20 ms like A's; B neither waits for A's
         // wake-up nor runs it.
-        let y = Client::new(ToyBinding(b.clone())).invoke_weak(());
+        let y = Client::new(bind(&b)).invoke_weak(());
         a.step(SimDuration::ZERO);
         b.settle();
         assert_eq!((y.state(), clock_ms(&b)), (State::Final, 20));
@@ -1206,7 +1233,7 @@ mod tests {
         let (a, client_a) = toy();
         let echo = a.replica_ids()[0];
         let b = a.add_gateway(a.site_ids()[0], ToyProto { echo });
-        let client_b = Client::new(ToyBinding(b.clone()));
+        let client_b = Client::new(bind(&b));
         let clock_ms = |h: &SimHost<ToyProto>| h.clock().load(Ordering::Relaxed) / 1_000_000;
 
         // Both clients' first op is their op 0, in flight at once, B's
@@ -1231,7 +1258,7 @@ mod tests {
         let first = client_a.invoke_weak(());
         {
             let (second, third) = (second.clone(), third.clone());
-            let (to_a, to_b) = (ToyBinding(a.clone()), ToyBinding(b.clone()));
+            let (to_a, to_b) = (bind(&a), bind(&b));
             first.on_final(move |_| {
                 let on_b = Client::new(to_b).invoke_weak(());
                 on_b.on_final(move |_| *third.lock() = Some(Client::new(to_a).invoke_weak(())));
@@ -1293,9 +1320,9 @@ mod tests {
             // … 22 — and is kept busy by a wake-up until 52 ms.
             {
                 let (to_a, clock, closed_at) = (a.clone(), a.clock(), closed_at.clone());
-                let first = Client::new(ToyBinding(b.clone())).invoke_weak(());
+                let first = Client::new(bind(&b)).invoke_weak(());
                 first.on_final(move |_| {
-                    let second = Client::new(ToyBinding(to_a)).invoke_weak(());
+                    let second = Client::new(bind(&to_a)).invoke_weak(());
                     second.on_final(move |_| {
                         closed_at.store(clock.load(Ordering::Relaxed), Ordering::Relaxed)
                     });
@@ -1367,7 +1394,7 @@ mod tests {
             Some(delay) => host.after(SimDuration::from_millis(delay), move || done("woke")),
             None => {
                 let failed = done.clone();
-                Client::new(ToyBinding(host.clone()))
+                Client::new(bind(host))
                     .invoke_weak(())
                     .on_final(move |_| done("final"))
                     .on_error(move |_| failed("failed"));

@@ -61,7 +61,7 @@ pub use bandwidth::{BandwidthMeter, Traffic, Wire};
 pub use engine::{Ctx, Engine, Node, NodeId, Timer};
 pub use faults::{Downtime, Faults, Partition, SchedulePlan};
 pub use gateway::{
-    ClientMsg, GatewayProto, PendingOps, RoundRobin, RoundRobinBinding, SimGateway, SimHost,
+    ClientMsg, GatewayProto, PendingOps, RoundRobin, SimBinding, SimGateway, SimHost, Submission,
     SubmitWire, Wants,
 };
 pub use host::{CoreHost, Retry, SimNet};

@@ -23,7 +23,7 @@ use std::ops::Deref;
 
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
-use simnet::{CoreHost, Engine, NodeId, RoundRobin, RoundRobinBinding, SimHost};
+use simnet::{CoreHost, Engine, NodeId, RoundRobin, SimBinding, SimHost};
 
 use crate::core::SpecCore;
 use crate::host::SpecHost;
@@ -110,7 +110,7 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
     }
 
     fn slice(&self, levels: &[ConsistencyLevel]) -> SpecBinding<S> {
-        RoundRobinBinding::new(self.host.clone(), levels)
+        SimBinding::new(self.host.clone(), levels)
     }
 
     /// Every replica's applied update log, in its current order — the
@@ -128,7 +128,7 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
 
 /// A `Binding` over a [`SimSpecStore`], serving the slice of the four
 /// levels its constructor chose.
-pub type SpecBinding<S> = RoundRobinBinding<SpecMsg<S>>;
+pub type SpecBinding<S> = SimBinding<RoundRobin<SpecMsg<S>>>;
 
 /// The wait-free slice of a [`SimSpecStore`]: weak and update only.
 pub type UpdateBinding<S> = SpecBinding<S>;

@@ -41,9 +41,10 @@
 //!   (`simnet::ClientMsg`);
 //! - [`binding::SimSpecStore`] — the simulated deployment (three
 //!   replicas on the paper's EC2 sites plus a client gateway) and its
-//!   [`binding::SpecBinding`]: the round-robin stores' one binding
-//!   (`simnet::RoundRobinBinding`), of which [`binding::UpdateBinding`]
-//!   and [`binding::CausalSpec`] are slices with fewer levels.
+//!   [`binding::SpecBinding`]: every simulated store's one binding
+//!   (`simnet::SimBinding`) over the round-robin gateway, of which
+//!   [`binding::UpdateBinding`] and [`binding::CausalSpec`] are slices
+//!   with fewer levels.
 
 pub mod binding;
 pub mod core;

@@ -7,10 +7,101 @@
 //! deterministic engine); the latency assertions compare virtual
 //! timestamps and are reproducible bit-for-bit per seed.
 
+use std::fmt::Debug;
+
 use icg::blockchain::{conf_level, SimChain, FINAL_DEPTH};
 use icg::causalstore::{CacheOp, SimCausal};
-use icg::correctables::{Client, ConsistencyLevel, LevelSelection, State};
+use icg::consensusq::{QueueOp, ServerConfig, SimQueue};
+use icg::correctables::spec::{RegOp, RegisterSpec};
+use icg::correctables::{Binding, Client, ConsistencyLevel, LevelSelection, State};
+use icg::crdt::{CrdtOp, EscrowOp, SimCrdtStore, SimEscrow};
+use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp};
 use icg::simnet::SimDuration;
+use icg::specstore::SimSpecStore;
+
+const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
+const STRONG: ConsistencyLevel = ConsistencyLevel::STRONG;
+
+/// `binding` advertises exactly `levels`, and `invoke_weak` and
+/// `invoke_strong` of `op` each close, once `drive` has run, with one
+/// view at the weakest and the strongest of them and no preliminary.
+fn assert_level_contract<B: Binding>(
+    store: &str,
+    binding: B,
+    levels: &[ConsistencyLevel],
+    op: impl Fn() -> B::Op,
+    drive: impl FnOnce(),
+) where
+    B::Val: Debug,
+{
+    assert_eq!(binding.consistency_levels().as_slice(), levels, "{store}");
+    let client = Client::new(binding);
+    let weak = client.invoke_weak(op());
+    let strong = client.invoke_strong(op());
+    drive();
+    for (c, level) in [(weak, levels[0]), (strong, levels[levels.len() - 1])] {
+        assert_eq!(c.state(), State::Final, "{store} at {level}");
+        assert!(c.preliminary_views().is_empty(), "{store} at {level}");
+        assert_eq!(c.final_view().map(|v| v.level), Some(level), "{store}");
+    }
+}
+
+/// What each simulated store's binding advertises, and that a
+/// single-level invoke is served at that level alone: the levels a
+/// submission asks for reach its gateway intact.
+#[test]
+fn every_simulated_store_serves_one_view_at_a_single_requested_level() {
+    let quorum = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 1);
+    let read = || StoreOp::Read(Key::plain(1));
+    assert_level_contract("quorum", quorum.binding(), &[WEAK, STRONG], read, || {
+        quorum.settle()
+    });
+
+    let causal = SimCausal::ec2("VRG", "IRL", 2);
+    causal.seed("k", 1, vec![1]);
+    let levels = [ConsistencyLevel::CACHE, ConsistencyLevel::CAUSAL, STRONG];
+    let get = || CacheOp::Get("k".into());
+    assert_level_contract("causal", causal.binding(), &levels, get, || causal.settle());
+
+    let queue = SimQueue::ec2(ServerConfig::default(), "IRL", "IRL", "FRK", 3);
+    queue.prefill(2, 20);
+    let dequeue = || QueueOp::Dequeue;
+    assert_level_contract("queue", queue.binding(), &[WEAK, STRONG], dequeue, || {
+        queue.settle()
+    });
+
+    let chain = SimChain::ec2(SimDuration::from_secs(20), "IRL", 4);
+    let depths: Vec<_> = (1..=FINAL_DEPTH).map(conf_level).collect();
+    assert_level_contract(
+        "chain",
+        chain.binding(),
+        &depths,
+        || 99,
+        || chain.run_for(SimDuration::from_secs(3600)),
+    );
+
+    let spec = SimSpecStore::ec2(RegisterSpec::default(), "IRL", 5);
+    let levels = [
+        WEAK,
+        ConsistencyLevel::UPDATE,
+        ConsistencyLevel::CAUSAL,
+        STRONG,
+    ];
+    let reg_read = || RegOp::Read(1);
+    assert_level_contract("spec", spec.binding(), &levels, reg_read, || spec.settle());
+
+    let crdt = SimCrdtStore::ec2("IRL", 6);
+    let ctr_get = || CrdtOp::CtrGet(0);
+    assert_level_contract("crdt", crdt.binding(), &[WEAK, STRONG], ctr_get, || {
+        crdt.settle()
+    });
+
+    let escrow = SimEscrow::ec2(vec![10, 10, 10], "IRL", 7, false);
+    let avail = || EscrowOp::Avail;
+    assert_level_contract("escrow", escrow.binding(), &[WEAK, STRONG], avail, || {
+        escrow.settle()
+    });
+}
 
 #[test]
 fn six_confirmation_views_arrive_in_strictly_increasing_strength() {
