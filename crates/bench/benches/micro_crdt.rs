@@ -7,15 +7,22 @@
 //! 3. OR-Set prepare+effect round trip (tag allocation + observed-set
 //!    bookkeeping, the most allocation-heavy of the shipped types);
 //! 4. the escrow fast path — one coordination-free sale against the
-//!    local segment, the operation the tickets app rides.
+//!    local segment, the operation the tickets app rides;
+//! 5. op-based anti-entropy — one due retry of a replica whose SEC log
+//!    is long and whose un-acked own suffix is short (what a lagging
+//!    peer costs it: the suffix, not the log).
 //!
 //! Batch benches process [`EFFECTS_PER_ITER`] effects per iteration, so
 //! per-effect cost is `mean / EFFECTS_PER_ITER`.
 
+use std::any::Any;
+
+use causalstore::VectorClock;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use simnet::{ClientMsg, Ctx, Engine, Node, NodeId, SimDuration, Timer, Wants};
 
 use icg_crdt::types::{Crdt, EffectCtx, OrSet, SetOp};
-use icg_crdt::{CrdtEffect, CrdtOp, CrdtState, EscrowState};
+use icg_crdt::{CrdtEffect, CrdtMsg, CrdtOp, CrdtReplica, CrdtState, EscrowState, Repl, SecEntry};
 
 const REPLICAS: usize = 3;
 const GROW_OPS: usize = 200;
@@ -182,11 +189,85 @@ fn bench_escrow_sell(c: &mut Criterion) {
     });
 }
 
+/// A peer that takes whatever it is sent and never answers, so the
+/// replica under test never hears its own updates acknowledged.
+struct Silent;
+
+impl Node<CrdtMsg> for Silent {
+    fn on_message(&mut self, _: &mut Ctx<'_, CrdtMsg>, _: NodeId, _: CrdtMsg) {}
+
+    fn on_timer(&mut self, _: &mut Ctx<'_, CrdtMsg>, _: Timer) {}
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const FOREIGN_EFFECTS: u64 = 5_000;
+const OWN_UNACKED: u64 = 4;
+
+fn bench_anti_entropy_retry(c: &mut Criterion) {
+    // The FRK replica of the EC2 deployment with two silent peers: it
+    // delivers 5 000 effects from IRL's, then accepts four writes of its
+    // own that neither peer acknowledges. One iteration runs the engine
+    // for one retry period: the retry fires once and re-sends the four
+    // to both peers (the previous iteration's re-sends arrive in it).
+    let (mut engine, ids) = Engine::ec2(1, |i| -> Box<dyn Node<CrdtMsg>> {
+        match i {
+            0 => Box::new(CrdtReplica::new(0, 3, Repl::Op, false)),
+            _ => Box::new(Silent),
+        }
+    });
+    engine.node_as::<CrdtReplica>(ids[0]).set_peers(ids.clone());
+    let mut origin = CrdtState::new();
+    let mut w = 31u64;
+    for seq in 1..=FOREIGN_EFFECTS {
+        w = mix(w);
+        let ctx = EffectCtx {
+            replica: 1,
+            seq,
+            lamport: seq,
+        };
+        let effect = origin.prepare(&decode(w), ctx);
+        origin.effect(&effect);
+        let entry = SecEntry {
+            origin: 1,
+            seq,
+            ts: seq,
+            vc: VectorClock(vec![0, seq, 0]),
+            effect,
+        };
+        engine.schedule_message(ids[1], ids[0], SimDuration::ZERO, CrdtMsg::Effect { entry });
+    }
+    let wants = Wants::of(&[
+        correctables::ConsistencyLevel::WEAK,
+        correctables::ConsistencyLevel::STRONG,
+    ]);
+    for op in 0..OWN_UNACKED {
+        let submit = ClientMsg::Submit {
+            op,
+            client_op: CrdtOp::CtrAdd(op, 1),
+            wants,
+        };
+        engine.schedule_message(ids[1], ids[0], SimDuration::ZERO, CrdtMsg::Client(submit));
+    }
+    engine.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        engine.node_as::<CrdtReplica>(ids[0]).sec_log().len() as u64,
+        FOREIGN_EFFECTS + OWN_UNACKED,
+        "every effect delivered, every write accepted"
+    );
+    c.bench_function("crdt/anti-entropy-retry-5k-log", |bch| {
+        bch.iter(|| black_box(engine.run_for(SimDuration::from_millis(200))))
+    });
+}
+
 criterion_group!(
     benches,
     bench_state_merge,
     bench_effect_apply,
     bench_orset_roundtrip,
-    bench_escrow_sell
+    bench_escrow_sell,
+    bench_anti_entropy_retry
 );
 criterion_main!(benches);

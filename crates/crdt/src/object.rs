@@ -145,6 +145,15 @@ impl CrdtState {
     }
 }
 
+/// Calls `f` on the object at `k`, or on a fresh one if there is none —
+/// without cloning the object to read it.
+fn at<T: Default, R>(objects: &BTreeMap<u64, T>, k: &u64, f: impl FnOnce(&T) -> R) -> R {
+    match objects.get(k) {
+        Some(object) => f(object),
+        None => f(&T::default()),
+    }
+}
+
 impl Crdt for CrdtState {
     type Op = CrdtOp;
     type Effect = CrdtEffect;
@@ -152,32 +161,29 @@ impl Crdt for CrdtState {
     fn prepare(&self, op: &CrdtOp, ctx: EffectCtx) -> CrdtEffect {
         match op {
             CrdtOp::CtrAdd(k, delta) if self.broken => {
-                let ctr = self.broken_ctrs.get(k).copied().unwrap_or_default();
-                CrdtEffect::BrokenCtr(*k, ctr.prepare(delta, ctx))
+                CrdtEffect::BrokenCtr(*k, at(&self.broken_ctrs, k, |c| c.prepare(delta, ctx)))
             }
             CrdtOp::CtrAdd(k, delta) => {
-                let ctr = self.counters.get(k).cloned().unwrap_or_default();
-                CrdtEffect::Ctr(*k, ctr.prepare(delta, ctx))
+                CrdtEffect::Ctr(*k, at(&self.counters, k, |c| c.prepare(delta, ctx)))
             }
             CrdtOp::SetAdd(k, e) => {
-                let set = self.sets.get(k).cloned().unwrap_or_default();
-                CrdtEffect::Set(*k, set.prepare(&SetOp::Add(*e), ctx))
+                CrdtEffect::Set(*k, at(&self.sets, k, |s| s.prepare(&SetOp::Add(*e), ctx)))
             }
-            CrdtOp::SetRemove(k, e) => {
-                let set = self.sets.get(k).cloned().unwrap_or_default();
-                CrdtEffect::Set(*k, set.prepare(&SetOp::Remove(*e), ctx))
-            }
-            CrdtOp::MapPut(k, f, v) => {
-                let map = self.maps.get(k).cloned().unwrap_or_default();
-                CrdtEffect::Map(*k, map.prepare(&MapOp::Put(*f, *v), ctx))
-            }
+            CrdtOp::SetRemove(k, e) => CrdtEffect::Set(
+                *k,
+                at(&self.sets, k, |s| s.prepare(&SetOp::Remove(*e), ctx)),
+            ),
+            CrdtOp::MapPut(k, f, v) => CrdtEffect::Map(
+                *k,
+                at(&self.maps, k, |m| m.prepare(&MapOp::Put(*f, *v), ctx)),
+            ),
             CrdtOp::CtrGet(_) | CrdtOp::SetContains(_, _) | CrdtOp::MapGet(_, _) => CrdtEffect::Nop,
         }
     }
 
     fn ready(&self, effect: &CrdtEffect) -> bool {
         match effect {
-            CrdtEffect::Set(k, e) => self.sets.get(k).cloned().unwrap_or_default().ready(e),
+            CrdtEffect::Set(k, e) => at(&self.sets, k, |s| s.ready(e)),
             _ => true,
         }
     }

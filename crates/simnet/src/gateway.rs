@@ -425,7 +425,7 @@ impl<P: GatewayProto> SimHost<P> {
 
     /// Runs `f` on this client's gateway `delay` of virtual time from
     /// now — client think time. Callable from inside a callback, so like
-    /// [`SimHost::enqueue`] it only leaves `f` for the gateway's next
+    /// a submission it only leaves `f` for the gateway's next
     /// drain to arm (from a callback that is this very instant); when
     /// it fires, the clock mirror shows the wake-up's instant and what
     /// `f` submits is drained there. [`SimHost::settle`] counts a
