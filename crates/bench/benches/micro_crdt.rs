@@ -10,14 +10,17 @@
 //!    local segment, the operation the tickets app rides;
 //! 5. op-based anti-entropy — one due retry of a replica whose SEC log
 //!    is long and whose un-acked own suffix is short (what a lagging
-//!    peer costs it: the suffix, not the log).
+//!    peer costs it: the suffix, not the log);
+//! 6. the causal store's state transfer — one `SyncReq` → `SyncResp`
+//!    round trip between converged replicas (the snapshot shares the
+//!    primary's map; a copy of it costs two allocations per key).
 //!
 //! Batch benches process [`EFFECTS_PER_ITER`] effects per iteration, so
 //! per-effect cost is `mean / EFFECTS_PER_ITER`.
 
 use std::any::Any;
 
-use causalstore::VectorClock;
+use causalstore::{CausalReplica, Item, Msg, VectorClock};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simnet::{ClientMsg, Ctx, Engine, Node, NodeId, SimDuration, Timer, Wants};
 
@@ -234,7 +237,7 @@ fn bench_anti_entropy_retry(c: &mut Criterion) {
             origin: 1,
             seq,
             ts: seq,
-            vc: VectorClock(vec![0, seq, 0]),
+            vc: VectorClock::from(vec![0, seq, 0]),
             effect,
         };
         engine.schedule_message(ids[1], ids[0], SimDuration::ZERO, CrdtMsg::Effect { entry });
@@ -262,12 +265,43 @@ fn bench_anti_entropy_retry(c: &mut Criterion) {
     });
 }
 
+const STATE_KEYS: u64 = 32;
+
+fn bench_state_transfer(c: &mut Criterion) {
+    // The causal store on the EC2 sites, primary in FRK, every replica
+    // seeded with the same 32 keys. One iteration: the IRL backup asks
+    // the primary for a state transfer and adopts the answer (nothing
+    // in it is fresher).
+    let (mut engine, ids) = Engine::ec2(1, |i| Box::new(CausalReplica::new(i, 3, i == 0)));
+    for (i, id) in ids.iter().enumerate() {
+        let replica = engine.node_as::<CausalReplica>(*id);
+        replica.set_peers(NodeId::peers_of(&ids, i));
+        replica.set_primary_node(ids[0]);
+        for k in 0..STATE_KEYS {
+            let item = Item {
+                rev: 1,
+                items: vec![k, k + 1],
+            };
+            replica.seed(&format!("k{k}"), item);
+        }
+    }
+    let (primary, backup) = (ids[0], ids[1]);
+    c.bench_function("causal/state-transfer-32-keys", |bch| {
+        bch.iter(|| {
+            engine.schedule_message(backup, primary, SimDuration::ZERO, Msg::SyncReq);
+            black_box(engine.run_until_idle(16))
+        })
+    });
+    assert!(engine.node_as::<CausalReplica>(primary).syncs_served > 0);
+}
+
 criterion_group!(
     benches,
     bench_state_merge,
     bench_effect_apply,
     bench_orset_roundtrip,
     bench_escrow_sell,
-    bench_anti_entropy_retry
+    bench_anti_entropy_retry,
+    bench_state_transfer
 );
 criterion_main!(benches);

@@ -6,9 +6,17 @@
 //! backups through a causal broadcast (CBCAST-style buffering on vector
 //! clocks), so backups are causally consistent but may lag — they serve
 //! the `Causal` level.
+//!
+//! A state transfer ([`Msg::SyncResp`]) shares the primary's map instead
+//! of copying it: the replica's data sits behind an [`Arc`] that each
+//! snapshot clones, and a write made while a snapshot is still in
+//! flight copies the map once before it changes it (copy on write). A
+//! backup that adopts a snapshot clones only the entries fresher than
+//! its own.
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use simnet::{Ctx, Node, NodeId, Retry, SimDuration, Timer, Wire};
 
@@ -107,8 +115,9 @@ pub enum Msg {
     SyncReq,
     /// Reply to [`Msg::SyncReq`]: a causally closed state snapshot.
     SyncResp {
-        /// Every key's current item at the responder.
-        state: Vec<(String, Item)>,
+        /// Every key's item at the responder when it answered: its map,
+        /// shared, which its later writes copy before changing.
+        state: Arc<BTreeMap<String, Item>>,
         /// The responder's clock at snapshot time.
         clock: VectorClock,
     },
@@ -157,10 +166,12 @@ pub struct CausalReplica {
     /// Whether this replica is the primary (serializes writes).
     pub is_primary: bool,
     peers: Vec<NodeId>,
-    /// Local state. Ordered map: `SyncResp` snapshots are built by
-    /// iterating it, and message payloads must not depend on a
-    /// per-process hasher seed or (seed, schedule) replay diverges.
-    pub data: BTreeMap<String, Item>,
+    /// Local state, shared with the `SyncResp` snapshots still in
+    /// flight; write it through [`Arc::make_mut`]. Ordered map: a
+    /// snapshot is read by iterating it, and message payloads must not
+    /// depend on a per-process hasher seed or (seed, schedule) replay
+    /// diverges.
+    pub data: Arc<BTreeMap<String, Item>>,
     /// This replica's causal clock, and the updates waiting for their
     /// causal dependencies.
     inbox: CausalInbox<BufferedUpdate>,
@@ -184,7 +195,7 @@ impl CausalReplica {
             index,
             is_primary,
             peers: Vec::new(),
-            data: BTreeMap::new(),
+            data: Arc::default(),
             inbox: CausalInbox::new(n),
             sync_retry: Retry::new(SYNC_RETRY_EVERY),
             primary_node: None,
@@ -208,7 +219,7 @@ impl CausalReplica {
 
     /// Seeds a key directly (converged test/bootstrap state).
     pub fn seed(&mut self, key: &str, item: Item) {
-        self.data.insert(key.to_string(), item);
+        Arc::make_mut(&mut self.data).insert(key.to_string(), item);
     }
 
     /// This replica's causal clock.
@@ -222,11 +233,30 @@ impl CausalReplica {
         }
     }
 
+    /// Whether `item` is fresher than what is stored under `key`.
+    fn is_fresher(&self, key: &str, item: &Item) -> bool {
+        self.data.get(key).is_none_or(|cur| item.rev > cur.rev)
+    }
+
     /// Keeps `item` if it is fresher than what is stored under `key`.
     fn adopt(&mut self, key: String, item: Item) {
-        if self.data.get(&key).is_none_or(|cur| item.rev > cur.rev) {
-            self.data.insert(key, item);
+        if self.is_fresher(&key, &item) {
+            Arc::make_mut(&mut self.data).insert(key, item);
         }
+    }
+
+    /// Adopts a causally closed snapshot: copies of its fresher items,
+    /// plus the responder's clock (which also purges the buffered
+    /// updates the snapshot covers), then drains whatever the buffer
+    /// still holds beyond the snapshot.
+    fn adopt_snapshot(&mut self, state: &BTreeMap<String, Item>, clock: &VectorClock) {
+        for (key, item) in state {
+            if self.is_fresher(key, item) {
+                Arc::make_mut(&mut self.data).insert(key.clone(), item.clone());
+            }
+        }
+        self.inbox.merge_delivered(clock);
+        self.apply_buffered();
     }
 }
 
@@ -267,8 +297,8 @@ impl Node<Msg> for CausalReplica {
                 let item = Item { rev, items };
                 self.inbox.bump(self.index);
                 let stamp = self.clock().clone();
-                self.data.insert(key.clone(), item.clone());
-                for p in self.peers.clone() {
+                Arc::make_mut(&mut self.data).insert(key.clone(), item.clone());
+                for &p in &self.peers {
                     ctx.send(
                         p,
                         Msg::Repl {
@@ -315,26 +345,12 @@ impl Node<Msg> for CausalReplica {
                 ctx.send(
                     from,
                     Msg::SyncResp {
-                        state: self
-                            .data
-                            .iter()
-                            .map(|(k, v)| (k.clone(), v.clone()))
-                            .collect(),
+                        state: Arc::clone(&self.data),
                         clock: self.clock().clone(),
                     },
                 );
             }
-            Msg::SyncResp { state, clock } => {
-                // Adopt a causally closed snapshot: fresher items plus the
-                // responder's clock (which also purges the buffered updates
-                // the snapshot covers), then drain whatever the buffer
-                // still holds beyond the snapshot.
-                for (key, item) in state {
-                    self.adopt(key, item);
-                }
-                self.inbox.merge_delivered(&clock);
-                self.apply_buffered();
-            }
+            Msg::SyncResp { state, clock } => self.adopt_snapshot(&state, &clock),
             Msg::ReadResp { .. } | Msg::WriteAck { .. } => {
                 debug_assert!(false, "replica received a client-bound message");
             }
@@ -452,7 +468,7 @@ mod tests {
             assert_eq!(r.data.get("k1").unwrap().items, vec![19]);
             assert_eq!(r.data.get("k0").unwrap().items, vec![18]);
             assert_eq!(r.data.get("k2").unwrap().items, vec![17]);
-            assert_eq!(r.clock().0[0], 20);
+            assert_eq!(r.clock()[0], 20);
             assert!(r.inbox.is_empty(), "nothing left buffered");
         }
     }
@@ -630,5 +646,158 @@ mod tests {
         assert!(!eng.node_as::<CausalReplica>(ids[2]).data.contains_key("k"));
         eng.run_until_idle(1_000);
         assert!(eng.node_as::<CausalReplica>(ids[2]).data.contains_key("k"));
+    }
+
+    /// A node that asks for state transfers and reads, and keeps what
+    /// comes back.
+    #[derive(Default)]
+    struct Probe {
+        snapshots: Vec<Arc<BTreeMap<String, Item>>>,
+        reads: Vec<Option<Item>>,
+    }
+
+    impl Node<Msg> for Probe {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+            match msg {
+                Msg::SyncResp { state, .. } => self.snapshots.push(state),
+                Msg::ReadResp { data, .. } => self.reads.push(data),
+                _ => {}
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A snapshot shares the primary's map until the primary writes: the
+    /// `SyncResp` answered before a write is still in flight, 41.5 ms
+    /// to VRG, when the write lands, and it delivers the pre-write
+    /// revision while the primary serves the post-write one.
+    #[test]
+    fn a_snapshot_taken_before_a_write_delivers_the_pre_write_rev() {
+        let (mut eng, ids, sink) = build();
+        let vrg = eng.site_of(ids[2]);
+        let probe = eng.add_node(vrg, Box::<Probe>::default());
+        let rev = |rev| Item {
+            rev,
+            items: vec![rev],
+        };
+        eng.node_as::<CausalReplica>(ids[0]).seed("k", rev(1));
+        eng.schedule_message(probe, ids[0], D::ZERO, Msg::SyncReq);
+        let write = Msg::Write {
+            op: OpId {
+                client: sink,
+                seq: 0,
+            },
+            key: "k".into(),
+            items: vec![2],
+        };
+        eng.schedule_message(sink, ids[0], D::from_millis(1), write);
+        let read = Msg::Read {
+            op: OpId {
+                client: probe,
+                seq: 1,
+            },
+            key: "k".into(),
+        };
+        eng.schedule_message(probe, ids[0], D::from_millis(2), read);
+        eng.run_until(simnet::SimTime::ZERO + D::from_millis(20));
+        assert!(
+            eng.node_as::<Probe>(probe).snapshots.is_empty(),
+            "precondition: the snapshot is still in flight"
+        );
+        assert_eq!(eng.node_as::<CausalReplica>(ids[0]).data["k"], rev(2));
+        eng.run_until_idle(1_000);
+        let primary = Arc::clone(&eng.node_as::<CausalReplica>(ids[0]).data);
+        let probe = eng.node_as::<Probe>(probe);
+        assert_eq!(probe.snapshots.len(), 1);
+        assert_eq!(probe.snapshots[0]["k"], rev(1));
+        assert_eq!(probe.reads, vec![Some(rev(2))]);
+        assert!(!Arc::ptr_eq(&probe.snapshots[0], &primary));
+        assert_eq!(primary["k"], rev(2));
+    }
+
+    /// The snapshot a `SyncResp` carried before it shared the map: a
+    /// copy of every entry.
+    fn copied(data: &BTreeMap<String, Item>) -> Vec<(String, Item)> {
+        data.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    /// How a backup adopted that copy, and then its buffered updates.
+    fn adopt_copied(r: &mut CausalReplica, state: Vec<(String, Item)>, clock: &VectorClock) {
+        let adopt = |data: &mut BTreeMap<String, Item>, key: String, item: Item| {
+            if data.get(&key).is_none_or(|cur| item.rev > cur.rev) {
+                data.insert(key, item);
+            }
+        };
+        let mut data = (*r.data).clone();
+        for (key, item) in state {
+            adopt(&mut data, key, item);
+        }
+        r.inbox.merge_delivered(clock);
+        while let Some((_, _, b)) = r.inbox.pop_ready(|_| true) {
+            adopt(&mut data, b.key, b.item);
+        }
+        r.data = Arc::new(data);
+    }
+
+    /// A replica entry as `(key, rev)`; the key is one of eight.
+    fn entries() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u64)>> {
+        proptest::collection::vec((0u8..8, 1u64..10), 0..8)
+    }
+
+    /// The map of `entries`, each item's payload marked with `whose`
+    /// (so a backup's item and a snapshot's of the same rev differ).
+    fn map_of(entries: &[(u8, u64)], whose: u64) -> BTreeMap<String, Item> {
+        entries
+            .iter()
+            .map(|&(k, rev)| {
+                let item = Item {
+                    rev,
+                    items: vec![whose, rev],
+                };
+                (format!("k{k}"), item)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Adopting a random state transfer from the shared map leaves a
+        /// backup — holding random items, a random clock and updates
+        /// parked behind a gap — with the data and clock that adopting
+        /// the per-key copy left, and leaves the snapshot untouched.
+        #[test]
+        fn adopting_the_shared_snapshot_is_adopting_the_copy(
+            primary in entries(),
+            backup in entries(),
+            snapshot_clock in proptest::collection::vec(0u64..6, 3),
+            backup_clock in proptest::collection::vec(0u64..6, 3),
+            parked in proptest::collection::vec((1u64..10, 0u8..8, 1u64..10), 0..6),
+        ) {
+            let snapshot = Arc::new(map_of(&primary, 0));
+            let clock = VectorClock::from(snapshot_clock);
+            let backup_at = || {
+                let mut r = CausalReplica::new(1, 3, false);
+                r.data = Arc::new(map_of(&backup, 1));
+                r.inbox.merge_delivered(&VectorClock::from(backup_clock.clone()));
+                for &(seq, k, rev) in &parked {
+                    let update = BufferedUpdate {
+                        from: NodeId(0),
+                        key: format!("k{k}"),
+                        item: Item { rev, items: vec![seq] },
+                    };
+                    r.inbox.offer(0, VectorClock::from(vec![seq, 0, 0]), update);
+                }
+                r
+            };
+            let mut shared = backup_at();
+            shared.adopt_snapshot(&snapshot, &clock);
+            let mut reference = backup_at();
+            adopt_copied(&mut reference, copied(&snapshot), &clock);
+            proptest::prop_assert_eq!(&shared.data, &reference.data);
+            proptest::prop_assert_eq!(shared.clock(), reference.clock());
+            proptest::prop_assert_eq!(shared.inbox.len(), reference.inbox.len());
+            proptest::prop_assert_eq!(&*snapshot, &map_of(&primary, 0));
+        }
     }
 }

@@ -3,10 +3,75 @@
 //! delivery loop) and the cumulative ack frontier (stability tracker).
 
 use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
-/// A fixed-width vector clock (one entry per replica).
-#[derive(Clone, PartialEq, Eq, Debug, Hash)]
-pub struct VectorClock(pub Vec<u64>);
+/// How many entries a clock keeps inline before it spills to the heap.
+/// Every simulated deployment has three replicas.
+const INLINE: usize = 4;
+
+/// A fixed-width vector clock (one entry per replica), read as a slice.
+///
+/// A clock of up to four entries lives inline, so copying one into a
+/// message or a log entry does not allocate; a wider one spills to the
+/// heap. Equality, hashing and `Debug` see only the entries: they are
+/// what the derives over a `Vec<u64>` gave, `VectorClock([1, 0, 2])`.
+#[derive(Clone)]
+pub struct VectorClock(Entries);
+
+#[derive(Clone)]
+enum Entries {
+    /// `buf[..len]`; the rest stays zero.
+    Inline { len: u8, buf: [u64; INLINE] },
+    /// More than [`INLINE`] entries.
+    Spilled(Vec<u64>),
+}
+
+impl From<Vec<u64>> for VectorClock {
+    fn from(entries: Vec<u64>) -> Self {
+        if entries.len() > INLINE {
+            return VectorClock(Entries::Spilled(entries));
+        }
+        let mut buf = [0; INLINE];
+        buf[..entries.len()].copy_from_slice(&entries);
+        VectorClock(Entries::Inline {
+            len: entries.len() as u8,
+            buf,
+        })
+    }
+}
+
+impl Deref for VectorClock {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            Entries::Inline { len, buf } => &buf[..usize::from(*len)],
+            Entries::Spilled(v) => v,
+        }
+    }
+}
+
+impl PartialEq for VectorClock {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for VectorClock {}
+
+impl Hash for VectorClock {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for VectorClock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("VectorClock").field(&&**self).finish()
+    }
+}
 
 /// The causal relationship between two clocks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -24,17 +89,14 @@ pub enum Causality {
 impl VectorClock {
     /// The zero clock for `n` replicas.
     pub fn zero(n: usize) -> Self {
-        VectorClock(vec![0; n])
+        VectorClock::from(vec![0; n])
     }
 
-    /// Number of replica entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the clock has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    fn entries_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Entries::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Entries::Spilled(v) => v,
+        }
     }
 
     /// Increments the entry of replica `i`.
@@ -43,23 +105,23 @@ impl VectorClock {
     ///
     /// Panics if `i` is out of range.
     pub fn bump(&mut self, i: usize) {
-        self.0[i] += 1;
+        self.entries_mut()[i] += 1;
     }
 
     /// Pointwise maximum.
     pub fn merge(&mut self, other: &VectorClock) {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        debug_assert_eq!(self.len(), other.len());
+        for (a, b) in self.entries_mut().iter_mut().zip(other.iter()) {
             *a = (*a).max(*b);
         }
     }
 
     /// Compares two clocks causally.
     pub fn compare(&self, other: &VectorClock) -> Causality {
-        debug_assert_eq!(self.0.len(), other.0.len());
+        debug_assert_eq!(self.len(), other.len());
         let mut less = false;
         let mut greater = false;
-        for (a, b) in self.0.iter().zip(&other.0) {
+        for (a, b) in self.iter().zip(other.iter()) {
             match a.cmp(b) {
                 Ordering::Less => less = true,
                 Ordering::Greater => greater = true,
@@ -78,12 +140,11 @@ impl VectorClock {
     /// causally deliverable message at a replica whose clock is `self`
     /// (the CBCAST delivery condition).
     pub fn deliverable(&self, update: &VectorClock, sender: usize) -> bool {
-        debug_assert_eq!(self.0.len(), update.0.len());
-        update.0[sender] == self.0[sender] + 1
+        debug_assert_eq!(self.len(), update.len());
+        update[sender] == self[sender] + 1
             && self
-                .0
                 .iter()
-                .zip(&update.0)
+                .zip(update.iter())
                 .enumerate()
                 .all(|(i, (mine, theirs))| i == sender || theirs <= mine)
     }
@@ -142,13 +203,13 @@ impl<T> CausalInbox<T> {
     /// Takes in one received item. `stamp` must have one entry per
     /// replica and `origin` must index it (validate wire input first).
     pub fn offer(&mut self, origin: usize, stamp: VectorClock, item: T) -> Offer {
-        let seq = stamp.0[origin];
-        if seq <= self.delivered.0[origin] {
+        let seq = stamp[origin];
+        if seq <= self.delivered[origin] {
             Offer::AlreadyDelivered
         } else if self
             .buffer
             .iter()
-            .any(|(o, s, _)| *o == origin && s.0[origin] == seq)
+            .any(|(o, s, _)| *o == origin && s[origin] == seq)
         {
             Offer::Duplicate
         } else {
@@ -179,7 +240,7 @@ impl<T> CausalInbox<T> {
         self.delivered.merge(clock);
         let delivered = &self.delivered;
         self.buffer
-            .retain(|(origin, stamp, _)| stamp.0[*origin] > delivered.0[*origin]);
+            .retain(|(origin, stamp, _)| stamp[*origin] > delivered[*origin]);
     }
 
     /// Number of buffered items.
@@ -267,7 +328,7 @@ impl AckFrontier {
     /// items `delivered` counts.
     pub fn caught_up(&self, delivered: &VectorClock) -> bool {
         self.others()
-            .all(|(j, (_, reported))| delivered.0.get(j).is_some_and(|d| *d >= reported))
+            .all(|(j, (_, reported))| delivered.get(j).is_some_and(|d| *d >= reported))
     }
 
     /// Whether own item `seq` is stable at a replica that has delivered
@@ -302,23 +363,23 @@ mod tests {
 
     #[test]
     fn merge_is_pointwise_max() {
-        let mut a = VectorClock(vec![3, 0, 5]);
-        a.merge(&VectorClock(vec![1, 7, 5]));
-        assert_eq!(a, VectorClock(vec![3, 7, 5]));
+        let mut a = VectorClock::from(vec![3, 0, 5]);
+        a.merge(&VectorClock::from(vec![1, 7, 5]));
+        assert_eq!(a, VectorClock::from(vec![3, 7, 5]));
     }
 
     #[test]
     fn delivery_condition() {
         // Replica state: has seen 2 updates from replica 0, none from 1.
-        let local = VectorClock(vec![2, 0]);
+        let local = VectorClock::from(vec![2, 0]);
         // The third update from replica 0, depending on nothing else.
-        let ok = VectorClock(vec![3, 0]);
+        let ok = VectorClock::from(vec![3, 0]);
         assert!(local.deliverable(&ok, 0));
         // A gap: the fourth update cannot be delivered yet.
-        let gap = VectorClock(vec![4, 0]);
+        let gap = VectorClock::from(vec![4, 0]);
         assert!(!local.deliverable(&gap, 0));
         // Depends on an unseen update from replica 1.
-        let dep = VectorClock(vec![3, 1]);
+        let dep = VectorClock::from(vec![3, 1]);
         assert!(!local.deliverable(&dep, 0));
     }
 
@@ -326,11 +387,11 @@ mod tests {
     fn extra_predicate_holds_back_only_what_it_rejects() {
         let mut inbox = CausalInbox::new(2);
         assert_eq!(
-            inbox.offer(0, VectorClock(vec![1, 0]), "a"),
+            inbox.offer(0, VectorClock::from(vec![1, 0]), "a"),
             Offer::Buffered
         );
         assert_eq!(
-            inbox.offer(1, VectorClock(vec![0, 1]), "b"),
+            inbox.offer(1, VectorClock::from(vec![0, 1]), "b"),
             Offer::Buffered
         );
         // "a" is causally deliverable and first in line, but not ready:
@@ -339,7 +400,42 @@ mod tests {
         assert_eq!(inbox.pop_ready(|item| *item != "a"), None);
         assert_eq!(inbox.first(), Some(&"a"));
         assert_eq!(inbox.pop_ready(|_| true).map(|r| r.2), Some("a"));
-        assert_eq!(inbox.delivered(), &VectorClock(vec![1, 1]));
+        assert_eq!(inbox.delivered(), &VectorClock::from(vec![1, 1]));
         assert!(inbox.is_empty());
+    }
+
+    /// The clock as it was: a derived newtype over a `Vec`.
+    mod derived {
+        #[derive(Debug, Hash)]
+        pub struct VectorClock(pub Vec<u64>);
+    }
+
+    /// Inline or spilled, a clock prints and hashes what the derives
+    /// over a `Vec` did (the determinism digests hash logs that carry
+    /// clocks), and equality sees only the entries.
+    #[test]
+    fn inline_and_spilled_clocks_print_and_hash_as_the_derived_vec_clock() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        for n in 0..=2 * INLINE {
+            let entries: Vec<u64> = (0..n as u64).map(|i| i * 7 % 5).collect();
+            let old = derived::VectorClock(entries.clone());
+            let mut new = VectorClock::from(entries.clone());
+            assert_eq!(format!("{new:?}"), format!("{old:?}"), "n = {n}");
+            assert_eq!(format!("{new:#?}"), format!("{old:#?}"), "n = {n}");
+            assert_eq!(hash(&|s| new.hash(s)), hash(&|s| old.hash(s)), "n = {n}");
+            assert_eq!(&*new, &entries[..]);
+            let mut zero = VectorClock::zero(n);
+            zero.merge(&new);
+            assert_eq!(zero, new, "n = {n}");
+            if n > 0 {
+                new.bump(n - 1);
+                assert_ne!(new, VectorClock::from(entries), "n = {n}");
+            }
+        }
     }
 }

@@ -27,7 +27,8 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::ops::Deref;
+use std::fmt;
+use std::ops::{Deref, Range};
 
 use correctables::ConsistencyLevel;
 use simnet::{
@@ -36,67 +37,91 @@ use simnet::{
 };
 
 /// The escrow ledger: a join-semilattice of single-writer counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// One buffer laid out `initial | sold | granted`: the `n` fixed
+/// per-replica segment sizes, the tickets each replica has sold, then
+/// the `n × n` grant matrix row by row — `granted[i][j]`, the total
+/// replica `i` has granted to `j`, is cell `2n + i·n + j`. `sold[i]`
+/// and grant row `i` are written only by replica `i`, and only grow.
+/// Copying a ledger into a message is one allocation; `Debug` prints
+/// the three parts as separate fields, `granted` as rows.
+#[derive(Clone, PartialEq, Eq)]
 pub struct EscrowState {
-    /// Fixed per-replica segment sizes.
-    initial: Vec<u64>,
-    /// Tickets sold by each replica (single-writer, monotone).
-    sold: Vec<u64>,
-    /// `granted[i][j]`: total tickets replica `i` has granted to `j`
-    /// (row `i` single-writer at `i`, monotone).
-    granted: Vec<Vec<u64>>,
+    n: usize,
+    cells: Vec<u64>,
 }
 
 impl EscrowState {
     /// A fresh ledger with the given segment allocation.
     pub fn new(initial: Vec<u64>) -> EscrowState {
         let n = initial.len();
-        EscrowState {
-            initial,
-            sold: vec![0; n],
-            granted: vec![vec![0; n]; n],
-        }
+        let mut cells = initial;
+        cells.resize(2 * n + n * n, 0);
+        EscrowState { n, cells }
     }
 
     /// Replica count.
     pub fn n(&self) -> usize {
-        self.initial.len()
+        self.n
+    }
+
+    fn initial(&self) -> &[u64] {
+        &self.cells[..self.n]
+    }
+
+    fn sold(&self) -> &[u64] {
+        &self.cells[self.n..2 * self.n]
+    }
+
+    fn sold_mut(&mut self) -> &mut [u64] {
+        &mut self.cells[self.n..2 * self.n]
+    }
+
+    /// The cells of grant row `i`, `granted[i][..]`.
+    fn row(&self, i: usize) -> Range<usize> {
+        let at = 2 * self.n + i * self.n;
+        at..at + self.n
+    }
+
+    /// The monotone counters: `sold`, then `granted`.
+    fn counters(&self) -> &[u64] {
+        &self.cells[self.n..]
     }
 
     /// Replica `i`'s current allocation: its segment plus incoming
     /// grants minus outgoing grants.
     pub fn alloc(&self, i: usize) -> u64 {
-        let incoming: u64 = (0..self.n()).map(|j| self.granted[j][i]).sum();
-        let outgoing: u64 = self.granted[i].iter().sum();
-        self.initial[i]
+        let incoming: u64 = (0..self.n).map(|j| self.cells[self.row(j)][i]).sum();
+        let outgoing: u64 = self.cells[self.row(i)].iter().sum();
+        self.initial()[i]
             .saturating_add(incoming)
             .saturating_sub(outgoing)
     }
 
     /// Replica `i`'s unsold remainder (a lower bound under merge lag).
     pub fn remaining(&self, i: usize) -> u64 {
-        self.alloc(i).saturating_sub(self.sold[i])
+        self.alloc(i).saturating_sub(self.sold()[i])
     }
 
     /// Total stock.
     pub fn total_initial(&self) -> u64 {
-        self.initial.iter().sum()
+        self.initial().iter().sum()
     }
 
     /// Total sold across all replicas (in this state's view).
     pub fn total_sold(&self) -> u64 {
-        self.sold.iter().sum()
+        self.sold().iter().sum()
     }
 
     /// Replica `i`'s sold count.
     pub fn sold_of(&self, i: usize) -> u64 {
-        self.sold[i]
+        self.sold()[i]
     }
 
     /// Sells one ticket from `i`'s segment if it has remainder.
     pub fn sell(&mut self, i: usize) -> bool {
         if self.remaining(i) > 0 {
-            self.sold[i] += 1;
+            self.sold_mut()[i] += 1;
             true
         } else {
             false
@@ -107,28 +132,40 @@ impl EscrowState {
     /// returns what was actually granted.
     pub fn grant(&mut self, from: usize, to: usize, amount: u64) -> u64 {
         let amt = amount.min(self.remaining(from));
-        self.granted[from][to] += amt;
+        let row = self.row(from);
+        self.cells[row][to] += amt;
         amt
     }
 
     /// Join: pointwise max of all monotone counters. Exact for every
     /// single-writer row, which is what makes local sells safe.
     pub fn merge(&mut self, other: &EscrowState) {
-        debug_assert_eq!(self.initial, other.initial, "segment layouts differ");
-        for i in 0..self.n() {
-            self.sold[i] = self.sold[i].max(other.sold[i]);
-            for j in 0..self.n() {
-                self.granted[i][j] = self.granted[i][j].max(other.granted[i][j]);
-            }
+        debug_assert_eq!(self.initial(), other.initial(), "segment layouts differ");
+        let n = self.n;
+        for (a, b) in self.cells[n..].iter_mut().zip(other.counters()) {
+            *a = (*a).max(*b);
         }
     }
 
     /// Whether this state dominates `other` (merge would be a no-op).
     pub fn covers(&self, other: &EscrowState) -> bool {
-        (0..self.n()).all(|i| {
-            self.sold[i] >= other.sold[i]
-                && (0..self.n()).all(|j| self.granted[i][j] >= other.granted[i][j])
-        })
+        self.counters()
+            .iter()
+            .zip(other.counters())
+            .all(|(a, b)| a >= b)
+    }
+}
+
+/// Prints what `#[derive(Debug)]` printed when the ledger was three
+/// nested vectors (the determinism digests hash it).
+impl fmt::Debug for EscrowState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<&[u64]> = self.cells[2 * self.n..].chunks(self.n.max(1)).collect();
+        f.debug_struct("EscrowState")
+            .field("initial", &self.initial())
+            .field("sold", &self.sold())
+            .field("granted", &rows)
+            .finish()
     }
 }
 
@@ -307,8 +344,8 @@ impl EscrowReplica {
         self.retransmit.arm(ctx, lagging && self.n > 1);
     }
 
-    fn sync_peers(&mut self, ctx: &mut Ctx<'_, EscrowMsg>, only_lagging: bool) {
-        for (j, peer) in self.peers.clone().into_iter().enumerate() {
+    fn sync_peers(&self, ctx: &mut Ctx<'_, EscrowMsg>, only_lagging: bool) {
+        for (j, &peer) in self.peers.iter().enumerate() {
             if j == self.id || (only_lagging && self.peer_state[j].covers(&self.state)) {
                 continue;
             }
@@ -345,7 +382,7 @@ impl EscrowReplica {
                 replies: 0,
             },
         );
-        for (j, peer) in self.peers.clone().into_iter().enumerate() {
+        for (j, &peer) in self.peers.iter().enumerate() {
             if j != self.id {
                 ctx.send(
                     peer,
@@ -659,6 +696,139 @@ mod tests {
         for seed in [1, 7, 11] {
             let what = format!("seed {seed}");
             assert_same_retries(&what, run(seed, false), run(seed, true));
+        }
+    }
+
+    /// The ledger before it was one buffer: three nested vectors, the
+    /// reference the flat layout is held to.
+    mod nested {
+        #[derive(Clone, Debug)]
+        pub struct EscrowState {
+            initial: Vec<u64>,
+            sold: Vec<u64>,
+            granted: Vec<Vec<u64>>,
+        }
+
+        impl EscrowState {
+            pub fn new(initial: Vec<u64>) -> EscrowState {
+                let n = initial.len();
+                EscrowState {
+                    initial,
+                    sold: vec![0; n],
+                    granted: vec![vec![0; n]; n],
+                }
+            }
+
+            fn n(&self) -> usize {
+                self.initial.len()
+            }
+
+            fn alloc(&self, i: usize) -> u64 {
+                let incoming: u64 = (0..self.n()).map(|j| self.granted[j][i]).sum();
+                let outgoing: u64 = self.granted[i].iter().sum();
+                self.initial[i]
+                    .saturating_add(incoming)
+                    .saturating_sub(outgoing)
+            }
+
+            pub fn remaining(&self, i: usize) -> u64 {
+                self.alloc(i).saturating_sub(self.sold[i])
+            }
+
+            pub fn total_sold(&self) -> u64 {
+                self.sold.iter().sum()
+            }
+
+            pub fn sell(&mut self, i: usize) -> bool {
+                if self.remaining(i) > 0 {
+                    self.sold[i] += 1;
+                    true
+                } else {
+                    false
+                }
+            }
+
+            pub fn grant(&mut self, from: usize, to: usize, amount: u64) -> u64 {
+                let amt = amount.min(self.remaining(from));
+                self.granted[from][to] += amt;
+                amt
+            }
+
+            pub fn merge(&mut self, other: &EscrowState) {
+                for i in 0..self.n() {
+                    self.sold[i] = self.sold[i].max(other.sold[i]);
+                    for j in 0..self.n() {
+                        self.granted[i][j] = self.granted[i][j].max(other.granted[i][j]);
+                    }
+                }
+            }
+
+            pub fn covers(&self, other: &EscrowState) -> bool {
+                (0..self.n()).all(|i| {
+                    self.sold[i] >= other.sold[i]
+                        && (0..self.n()).all(|j| self.granted[i][j] >= other.granted[i][j])
+                })
+            }
+        }
+    }
+
+    /// Replicas' ledgers the differential test keeps side by side.
+    const COPIES: usize = 3;
+
+    proptest::proptest! {
+        /// Random sells, grants and merges among three copies of a
+        /// ledger of one to five segments, applied to the flat ledger
+        /// and to the nested reference: every answer, every `remaining`,
+        /// `covers` and `total_sold`, and the `Debug` string (plain and
+        /// pretty) are the same after each step.
+        #[test]
+        fn the_flat_ledger_answers_what_the_nested_ledger_answered(
+            n in 1usize..=5,
+            initial in proptest::collection::vec(0u64..12, 5),
+            ops in proptest::collection::vec(
+                (0u8..3, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>(), 0u64..8),
+                0..60,
+            ),
+        ) {
+            let initial = initial[..n].to_vec();
+            let mut flat = vec![EscrowState::new(initial.clone()); COPIES];
+            let mut nested = vec![nested::EscrowState::new(initial); COPIES];
+            for (step, &(kind, a, b, amount)) in ops.iter().enumerate() {
+                let (c, i, j) = (a % COPIES, a % n, b % n);
+                match kind {
+                    0 => proptest::prop_assert_eq!(flat[c].sell(i), nested[c].sell(i), "step {}", step),
+                    1 => proptest::prop_assert_eq!(
+                        flat[c].grant(i, j, amount),
+                        nested[c].grant(i, j, amount),
+                        "step {}",
+                        step
+                    ),
+                    _ => {
+                        let d = b % COPIES;
+                        let (other, other_nested) = (flat[d].clone(), nested[d].clone());
+                        flat[c].merge(&other);
+                        nested[c].merge(&other_nested);
+                    }
+                }
+                for c in 0..COPIES {
+                    proptest::prop_assert_eq!(format!("{:?}", flat[c]), format!("{:?}", nested[c]));
+                    proptest::prop_assert_eq!(format!("{:#?}", flat[c]), format!("{:#?}", nested[c]));
+                    proptest::prop_assert_eq!(flat[c].total_sold(), nested[c].total_sold());
+                    for i in 0..n {
+                        proptest::prop_assert_eq!(flat[c].remaining(i), nested[c].remaining(i));
+                    }
+                    for d in 0..COPIES {
+                        proptest::prop_assert_eq!(
+                            flat[c].covers(&flat[d]),
+                            nested[c].covers(&nested[d]),
+                            "step {}: {} covers {}",
+                            step,
+                            c,
+                            d
+                        );
+                    }
+                }
+            }
         }
     }
 }

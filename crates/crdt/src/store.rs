@@ -123,7 +123,7 @@ impl Wire for CrdtMsg {
             CrdtMsg::Client(msg) => msg.wire_size(),
             CrdtMsg::Effect { entry } => 48 + 8 * entry.vc.len(),
             CrdtMsg::SyncState { seen, .. } => {
-                16 + 8 * seen.len() + 8 * seen.0.iter().sum::<u64>() as usize
+                16 + 8 * seen.len() + 8 * seen.iter().sum::<u64>() as usize
             }
             CrdtMsg::Ack { seen, .. } => 16 + 8 * seen.len(),
         }
@@ -175,7 +175,7 @@ pub struct CrdtReplica {
     mode: Repl,
     /// The composite CRDT state.
     state: CrdtState,
-    /// The incorporated-updates vector (`delivered().0[i]` = how many
+    /// The incorporated-updates vector (`delivered()[i]` = how many
     /// of replica `i`'s updates are reflected in `state`) and, in op
     /// mode, the effects received but not yet deliverable. In state
     /// mode nothing is ever buffered and the vector rides the merges.
@@ -255,7 +255,7 @@ impl CrdtReplica {
 
     /// Records what an `Ack` or `SyncState` of `peer` says it has seen.
     fn note_seen(&mut self, peer: usize, seen: &VectorClock) {
-        self.frontier.ack(peer, seen.0[self.id], seen.0[peer]);
+        self.frontier.ack(peer, seen[self.id], seen[peer]);
     }
 
     /// Keeps the retransmit timer running while some peer lags.
@@ -283,8 +283,8 @@ impl CrdtReplica {
         }
     }
 
-    fn broadcast_state(&mut self, ctx: &mut Ctx<'_, CrdtMsg>, only: Option<usize>) {
-        for (i, peer) in self.peers.clone().into_iter().enumerate() {
+    fn broadcast_state(&self, ctx: &mut Ctx<'_, CrdtMsg>, only: Option<usize>) {
+        for (i, &peer) in self.peers.iter().enumerate() {
             if i == self.id || only.is_some_and(|o| o != i) {
                 continue;
             }
@@ -363,7 +363,7 @@ impl CrdtReplica {
         self.log.push(entry.clone());
         match self.mode {
             Repl::Op => {
-                for (i, peer) in self.peers.clone().into_iter().enumerate() {
+                for (i, &peer) in self.peers.iter().enumerate() {
                     if i != self.id {
                         ctx.send(
                             peer,

@@ -119,7 +119,7 @@ fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
             origin: update.id.origin as u32,
             seq: update.id.seq,
             ts: update.ts,
-            vc: update.vc.0,
+            vc: update.vc.to_vec(),
             op: update.op,
         }),
         SpecMsg::Ack {
@@ -183,7 +183,7 @@ pub(crate) fn on_net(
                     seq,
                 },
                 ts,
-                vc: VectorClock(vc),
+                vc: VectorClock::from(vc),
                 op,
             },
         },

@@ -305,7 +305,7 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         if origin >= self.n
             || origin == self.id
             || update.vc.len() != self.n
-            || update.vc.0.get(origin) != Some(&seq)
+            || update.vc.get(origin) != Some(&seq)
         {
             return;
         }
@@ -316,7 +316,7 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         match self.inbox.offer(origin, update.vc.clone(), update) {
             // Delivered before: the origin is missing our ack.
             Offer::AlreadyDelivered => {
-                let delivered = self.inbox.delivered().0.get(origin);
+                let delivered = self.inbox.delivered().get(origin);
                 self.ack(net, origin, delivered.copied().unwrap_or(0));
             }
             Offer::Duplicate => {}
@@ -485,7 +485,7 @@ mod tests {
             update: Update {
                 id: UpdateId { origin, seq },
                 ts,
-                vc: VectorClock(vc.to_vec()),
+                vc: VectorClock::from(vc.to_vec()),
                 op: CtrOp::Add(3, 1),
             },
         }

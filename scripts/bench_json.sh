@@ -16,7 +16,9 @@
 # micro_simnet/simnet/settle-sparse-1k-rounds against BENCH_PR24.json,
 # micro_simnet/simnet/fanout-100-in-flight against BENCH_PR25.json,
 # micro_simnet/apps/ads-fetch-icg against BENCH_PR27.json,
-# micro_crdt/crdt/anti-entropy-retry-5k-log against BENCH_PR30.json).
+# micro_crdt/crdt/anti-entropy-retry-5k-log and micro_crdt/crdt/escrow-merge
+# against BENCH_PR30.json, micro_crdt/causal/state-transfer-32-keys
+# against BENCH_PR31.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
