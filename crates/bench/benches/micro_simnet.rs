@@ -166,6 +166,25 @@ fn bench_ads_fetch(c: &mut Criterion) {
     });
 }
 
+/// The set-up `sim_ads_speculation` times per leg: the EC2 deployment
+/// built and its three replicas seeded with the benchmark's 5 000
+/// profiles and 10 000 ads. Seeding is most of it: with replica tables
+/// that grow by doubling and writes that look a key up before they
+/// insert it, this row reads about 1.5 times as slow.
+fn bench_ads_setup(c: &mut Criterion) {
+    c.bench_function("apps/ads-setup-15k", |b| {
+        b.iter(|| {
+            let store = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 1);
+            let dataset = AdsDataset {
+                profiles: 5_000,
+                ads: 10_000,
+                ad_bytes: 200,
+            };
+            black_box(AdSystem::new(store, dataset, 42))
+        })
+    });
+}
+
 fn bench_ycsb(c: &mut Criterion) {
     c.bench_function("ycsb/zipfian-draw", |b| {
         let w = Workload::a(Distribution::Zipfian, 10_000);
@@ -190,6 +209,7 @@ criterion_group!(
     bench_fanout,
     bench_settle,
     bench_ads_fetch,
+    bench_ads_setup,
     bench_ycsb
 );
 criterion_main!(benches);

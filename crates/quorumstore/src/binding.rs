@@ -239,19 +239,34 @@ impl SimStore {
     }
 
     /// Seeds every replica with the same records (version 1), modelling a
-    /// converged preloaded dataset as YCSB's load phase produces.
+    /// converged preloaded dataset as YCSB's load phase produces. A
+    /// replica already holding a newer version of a key keeps it.
+    ///
+    /// Each replica's table is sized for the records before they go in,
+    /// so seeding never rehashes; every replica but the last gets
+    /// clones, and the last gets the records themselves.
     pub fn preload<I>(&self, records: I)
     where
         I: IntoIterator<Item = (Key, Value)>,
     {
         let version = Version { ts: 1, writer: 0 };
-        let seeded: Vec<(Key, Versioned)> = records
+        let mut seeded: Vec<(Key, Versioned)> = records
             .into_iter()
             .map(|(k, value)| (k, Versioned { value, version }))
             .collect();
+        let mut left = self.replica_ids().len();
         self.each_replica(|r: &mut SimReplica| {
-            for (k, v) in &seeded {
-                r.store().apply(*k, v.clone());
+            let store = r.store();
+            store.reserve(seeded.len());
+            left -= 1;
+            if left > 0 {
+                for (k, v) in &seeded {
+                    store.apply(*k, v.clone());
+                }
+            } else {
+                for (k, v) in seeded.drain(..) {
+                    store.apply(k, v);
+                }
             }
         });
     }
@@ -291,6 +306,42 @@ mod tests {
             (r.store().len(), r.store().get(Key::plain(3)).version.ts)
         });
         assert_eq!(seeded, [(32, 1); 3]);
+    }
+
+    /// The last replica is seeded by move, the others by clone: all three
+    /// end with the same table, a key given twice included.
+    #[test]
+    fn the_replica_seeded_by_move_equals_the_ones_seeded_by_clone() {
+        let s = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 42);
+        let ids = |i: u64| Value::Ids((0..i % 40).collect());
+        let records = (0..500).map(|i| (Key { ns: 1, id: i % 450 }, ids(i)));
+        s.preload(records);
+        let tables = s.each_replica(|r: &mut SimReplica| r.store().clone());
+        assert_eq!(tables[0].len(), 450);
+        assert_eq!(tables[0].get(Key { ns: 1, id: 7 }).value, ids(7));
+        assert!(tables[1] == tables[0] && tables[2] == tables[0]);
+    }
+
+    /// Preloading is last-writer-wins like any write: a replica already
+    /// holding a newer version of a key keeps it, whether it is seeded
+    /// by clone or by move.
+    #[test]
+    fn preload_keeps_a_newer_version_a_replica_already_holds() {
+        let s = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 42);
+        let newer = Versioned {
+            value: Value::Opaque(7),
+            version: Version { ts: 2, writer: 1 },
+        };
+        s.each_replica(|r: &mut SimReplica| r.store().apply(Key::plain(3), newer.clone()));
+        s.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(100))));
+        let held = s.each_replica(|r: &mut SimReplica| {
+            (
+                r.store().len(),
+                r.store().get(Key::plain(3)),
+                r.store().get(Key::plain(4)).version.ts,
+            )
+        });
+        assert_eq!(held, vec![(32, newer, 1); 3]);
     }
 
     #[test]

@@ -52,9 +52,9 @@ proptest! {
         let mut s = LocalStore::new();
         let mut highs: std::collections::HashMap<Key, Version> = Default::default();
         for (k, v) in &writes {
-            let before = s.version_of(*k);
+            let before = s.get(*k).version;
             s.apply(*k, v.clone());
-            let after = s.version_of(*k);
+            let after = s.get(*k).version;
             prop_assert!(after >= before);
             let h = highs.entry(*k).or_insert(Version::ZERO);
             *h = (*h).max(v.version);

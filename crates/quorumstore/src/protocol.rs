@@ -87,6 +87,9 @@ struct ReadSt {
     client_op: OpId,
     kind: ReadKind,
     key: Key,
+    /// The version the coordinator held when the read began: read
+    /// repair has nothing to do unless `best` is newer.
+    local: Version,
     best: Versioned,
     responses: u8,
     needed: u8,
@@ -406,6 +409,7 @@ impl ReplicaCore {
             client_op,
             kind,
             key,
+            local: local.version,
             best: local,
             responses: 1,
             needed,
@@ -488,9 +492,7 @@ impl ReplicaCore {
         // Adopt the winning version locally: later preliminary
         // flushes serve it, and convergence after quiescence holds
         // even if this coordinator missed the original write.
-        if st.best.version > self.store.version_of(st.key) {
-            self.store.apply(st.key, st.best.clone());
-        }
+        self.store.adopt(st.key, &st.best, st.local);
         self.reply_read_final(
             net,
             st.client_conn,
@@ -749,6 +751,55 @@ mod tests {
             [final_reply(1, Versioned::absent())]
         );
         assert_eq!(core.next_deadline(), None);
+    }
+
+    /// Read repair: a peer newer than the coordinator's copy is adopted,
+    /// so the next preliminary flush serves it.
+    #[test]
+    fn a_read_whose_peer_was_newer_adopts_that_version() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        core.store_mut().apply(key(), record(3));
+        let sent = read(&mut core, &mut net, 1, ICG);
+        assert_eq!(sent[1], peer_read(0, minted(0)), "a fresh core asks peer 0");
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [final_reply(1, record(5))]
+        );
+        assert_eq!(core.store_mut().get(key()), record(5));
+    }
+
+    /// A read the coordinator's copy won — when it began, or because a
+    /// newer write landed while it waited — leaves the table as it is.
+    #[test]
+    fn a_read_the_local_copy_won_leaves_the_table_untouched() {
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        core.store_mut().apply(key(), record(9));
+        read(&mut core, &mut net, 1, ICG);
+        let before = core.store_mut().clone();
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [final_reply(1, record(9))]
+        );
+        assert_eq!(*core.store_mut(), before);
+
+        // The peer is newer than the copy the read began with, but a
+        // write newer still arrives before the answer does.
+        let (mut core, mut net) = replica(Duration::from_secs(5));
+        core.store_mut().apply(key(), record(3));
+        read(&mut core, &mut net, 1, ICG);
+        let write = Msg::PeerWrite {
+            key: key(),
+            data: record(9),
+            ack_op: None,
+        };
+        core.on_msg(&mut net, 99, Some(1), write);
+        let before = core.store_mut().clone();
+        assert_eq!(
+            peer_resp(&mut core, &mut net, 0, minted(0), record(5)),
+            [final_reply(1, record(5))]
+        );
+        assert_eq!(*core.store_mut(), before);
+        assert_eq!(core.store_mut().get(key()), record(9));
     }
 
     #[test]

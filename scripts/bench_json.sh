@@ -18,7 +18,8 @@
 # micro_simnet/apps/ads-fetch-icg against BENCH_PR27.json,
 # micro_crdt/crdt/anti-entropy-retry-5k-log and micro_crdt/crdt/escrow-merge
 # against BENCH_PR30.json, micro_crdt/causal/state-transfer-32-keys
-# against BENCH_PR31.json).
+# against BENCH_PR31.json, micro_simnet/apps/ads-setup-15k against
+# BENCH_PR32.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -88,17 +88,21 @@ impl ShardedSimStore {
         self.binding.clone()
     }
 
-    /// Seeds each record on the replicas of the shard that owns its key.
+    /// Seeds each record on the replicas of the shard that owns its key:
+    /// the records are grouped by shard, and each shard is preloaded
+    /// once.
     pub fn preload<I>(&self, records: I)
     where
         I: IntoIterator<Item = (Key, Value)>,
     {
+        let ring = self.binding.ring();
+        let mut per_shard: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.stores.len()];
         for (key, value) in records {
-            let idx = self
-                .binding
-                .ring()
-                .owner_index(StoreOp::Read(key).object_id());
-            self.stores[idx].preload([(key, value)]);
+            let idx = ring.owner_index(StoreOp::Read(key).object_id());
+            per_shard[idx].push((key, value));
+        }
+        for (store, records) in self.stores.iter().zip(per_shard) {
+            store.preload(records);
         }
     }
 
