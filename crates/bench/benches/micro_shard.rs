@@ -3,35 +3,23 @@
 //! 1. ring lookup cost;
 //! 2. router overhead — an op through the inline sharded router vs. the
 //!    same op submitted directly to a single binding;
-//! 3. the acceptance headline — batched pipelined throughput vs.
-//!    unbatched per-op routing on an 8-shard YCSB-zipfian workload.
+//! 3. a 16-key scatter across 8 shards, merged by `gather`.
 //!
-//! Per-iteration numbers are ns; the workload benches process
-//! [`OPS_PER_ITER`] ops per iteration, so per-op cost is `mean /
-//! OPS_PER_ITER` and throughput is `OPS_PER_ITER / mean_seconds` — the
-//! derived figures recorded in `BENCH_BASELINE.md`.
+//! The shards are synchronous in-process CRDT stores (`LocalCrdt`), so
+//! the numbers are routing and merging cost, not storage latency.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use correctables::{Client, LevelSelection, ObjectId};
-use icg_shard::{HashRing, KvOp, MemBinding, PipelineConfig, ShardedBinding};
-use ycsb::{Distribution, Op, Workload};
+use correctables::{Client, ObjectId};
+use icg_crdt::{CrdtOp, LocalCrdt};
+use icg_shard::{HashRing, ShardedBinding};
 
 const SHARDS: usize = 8;
 const VNODES: usize = 128;
 const RECORDS: u64 = 1_000;
-const OPS_PER_ITER: usize = 8_192;
 
-/// A fixed zipfian op mix (50/50 read/update, the paper's workload A).
-fn zipfian_ops() -> Vec<KvOp> {
-    let workload = Workload::a(Distribution::Zipfian, RECORDS);
-    let mut gen = workload.generator(7);
-    (0..OPS_PER_ITER)
-        .map(|_| match gen.next_op() {
-            Op::Read(k) => KvOp::Get(k),
-            Op::Update { key, len } => KvOp::Put(key, len as u64),
-        })
-        .collect()
+fn shards() -> Vec<LocalCrdt> {
+    (0..SHARDS).map(|_| LocalCrdt::new(0)).collect()
 }
 
 fn bench_ring(c: &mut Criterion) {
@@ -46,102 +34,38 @@ fn bench_ring(c: &mut Criterion) {
 }
 
 fn bench_router_overhead(c: &mut Criterion) {
-    // Baseline: one op straight into a single MemBinding.
-    let direct = Client::new(MemBinding::default());
+    // Baseline: one op straight into a single shard holding as many
+    // counters as each routed shard does, so the stores cost the same.
+    let direct = Client::new(LocalCrdt::new(0));
     let mut key = 0u64;
     c.bench_function("shard/direct-submit", |b| {
         b.iter(|| {
             key = key.wrapping_add(1);
-            black_box(direct.invoke(KvOp::Add(key % RECORDS, 1)))
+            black_box(direct.invoke(CrdtOp::CtrAdd(key % (RECORDS / SHARDS as u64), 1)))
         })
     });
 
     // Same op through the inline router: the delta is pure routing cost
     // (ring lookup + dispatch), no threads involved.
-    let routed = Client::new(ShardedBinding::inline(
-        (0..SHARDS).map(|_| MemBinding::default()).collect(),
-        VNODES,
-        42,
-    ));
+    let routed = Client::new(ShardedBinding::inline(shards(), VNODES, 42));
     let mut key = 0u64;
     c.bench_function("shard/inline-routed-submit", |b| {
         b.iter(|| {
             key = key.wrapping_add(1);
-            black_box(routed.invoke(KvOp::Add(key % RECORDS, 1)))
-        })
-    });
-}
-
-fn bench_pipeline_throughput(c: &mut Criterion) {
-    let ops = zipfian_ops();
-
-    // Unbatched: every op takes the plain per-op submission path and its
-    // shard worker drains one job per queue-lock acquisition.
-    let unbatched = ShardedBinding::pipelined(
-        (0..SHARDS).map(|_| MemBinding::default()).collect(),
-        VNODES,
-        42,
-        PipelineConfig {
-            queue_cap: 4_096,
-            batch_max: 1,
-        },
-    );
-    let client = Client::new(unbatched.clone());
-    c.bench_function("shard/zipfian8-unbatched-8192ops", |b| {
-        b.iter(|| {
-            let mut last = None;
-            for &op in &ops {
-                last = Some(client.invoke(op));
-            }
-            unbatched.quiesce();
-            black_box(last.map(|c| c.state()))
-        })
-    });
-
-    // Batched: producer-side coalescing through `invoke_batch` plus
-    // worker-side draining of up to 64 jobs per lock acquisition.
-    let batched = ShardedBinding::pipelined(
-        (0..SHARDS).map(|_| MemBinding::default()).collect(),
-        VNODES,
-        42,
-        PipelineConfig {
-            queue_cap: 4_096,
-            batch_max: 64,
-        },
-    );
-    c.bench_function("shard/zipfian8-batched-8192ops", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for chunk in ops.chunks(64) {
-                n += batched
-                    .invoke_batch(chunk.to_vec(), &LevelSelection::All)
-                    .len();
-            }
-            batched.quiesce();
-            black_box(n)
+            black_box(routed.invoke(CrdtOp::CtrAdd(key % RECORDS, 1)))
         })
     });
 }
 
 fn bench_scatter(c: &mut Criterion) {
-    let router = ShardedBinding::inline(
-        (0..SHARDS).map(|_| MemBinding::default()).collect(),
-        VNODES,
-        42,
-    );
+    let router = ShardedBinding::inline(shards(), VNODES, 42);
     c.bench_function("shard/scatter-16keys", |b| {
         b.iter(|| {
-            let c = router.scatter((0..16).map(KvOp::Get).collect());
+            let c = router.scatter((0..16).map(CrdtOp::CtrGet).collect());
             black_box(c.final_view())
         })
     });
 }
 
-criterion_group!(
-    benches,
-    bench_ring,
-    bench_router_overhead,
-    bench_pipeline_throughput,
-    bench_scatter
-);
+criterion_group!(benches, bench_ring, bench_router_overhead, bench_scatter);
 criterion_main!(benches);

@@ -9,8 +9,8 @@
 //! the observed operations in which the same replay reproduces every
 //! observed return value.
 //! Specs model exactly what the bindings promise — a last-value
-//! register map (quorum store), a counter map (the in-memory shard
-//! backend), a sequenced FIFO queue (the ZooKeeper-model queue), and a
+//! register map (quorum store), a counter map (the spec store's counter
+//! object), a sequenced FIFO queue (the ZooKeeper-model queue), and a
 //! revisioned key-value store (the causal store's primary).
 
 use std::collections::{BTreeMap, VecDeque};
@@ -98,7 +98,7 @@ impl SeqSpec for RegisterSpec {
     }
 }
 
-/// Operations of the counter-map spec (mirrors `icg_shard::KvOp`).
+/// Operations of the counter-map spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtrOp {
     /// Read a counter (absent counters read 0).
@@ -109,8 +109,9 @@ pub enum CtrOp {
     Add(u64, u64),
 }
 
-/// A map of counters: the sequential model of the in-memory shard
-/// backend.
+/// A map of counters: the spec store's counter object, and the
+/// sequential model the oracle's buggy counter fixture is checked
+/// against.
 #[derive(Clone, Debug, Default)]
 pub struct CounterSpec;
 

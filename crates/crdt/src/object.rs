@@ -24,7 +24,7 @@ use crate::types::{
 };
 
 /// Client operations over the keyed CRDT store. Keys are `u64`s (as in
-/// the shard crate's `KvOp`); each key independently names one counter,
+/// the counter spec's `CtrOp`); each key independently names one counter,
 /// one set, or one map — the namespaces are disjoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrdtOp {

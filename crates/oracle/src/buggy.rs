@@ -1,14 +1,14 @@
 //! A deliberately buggy in-memory binding: the oracle's negative-test
 //! fixture.
 //!
-//! [`LaggyMem`] looks like `icg_shard::MemBinding` but serves views
-//! from a one-write-stale shadow copy: weak views are *always* stale
-//! (so quiescent weak views never converge to the strong result), and
-//! every [`LaggyMem::STALE_EVERY`]-th strong read is answered from the
-//! shadow too (a non-linearizable stale strong view). The runtime-level
-//! guarantees (level monotonicity, close-once) are upheld — those are
-//! enforced by the `Upcall` machinery and *cannot* be broken by a
-//! binding — which is exactly the point: the value-level bugs are the
+//! [`LaggyMem`] serves [`CounterSpec`](correctables::spec::CounterSpec)'s
+//! operations from a one-write-stale shadow copy: weak views are *always*
+//! stale (so quiescent weak views never converge to the strong result),
+//! and every [`LaggyMem::STALE_EVERY`]-th strong read is answered from
+//! the shadow too (a non-linearizable stale strong view). The
+//! runtime-level guarantees (level monotonicity, close-once) are upheld —
+//! those are enforced by the `Upcall` machinery and *cannot* be broken by
+//! a binding — which is exactly the point: the value-level bugs are the
 //! ones only a history checker can catch.
 
 use std::collections::HashMap;
@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use correctables::spec::CtrOp;
 use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
-use icg_shard::KvOp;
 
 struct LaggyState {
     fresh: HashMap<u64, u64>,
@@ -50,18 +50,18 @@ impl LaggyMem {
 }
 
 impl Binding for LaggyMem {
-    type Op = KvOp;
+    type Op = CtrOp;
     type Val = u64;
 
     fn consistency_levels(&self) -> LevelSet {
         LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::STRONG])
     }
 
-    fn submit(&self, op: KvOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
+    fn submit(&self, op: CtrOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
         let (weak_val, strong_val) = {
             let mut g = self.state.lock();
             match op {
-                KvOp::Get(k) => {
+                CtrOp::Get(k) => {
                     g.strong_reads += 1;
                     let fresh = g.fresh.get(&k).copied().unwrap_or(0);
                     let stale = g.stale.get(&k).copied().unwrap_or(0);
@@ -72,12 +72,12 @@ impl Binding for LaggyMem {
                     };
                     (stale, strong)
                 }
-                KvOp::Put(k, v) => {
+                CtrOp::Put(k, v) => {
                     let old = g.fresh.insert(k, v).unwrap_or(0);
                     g.stale.insert(k, old);
                     (v, v)
                 }
-                KvOp::Add(k, d) => {
+                CtrOp::Add(k, d) => {
                     let old = g.fresh.get(&k).copied().unwrap_or(0);
                     let new = old.wrapping_add(d);
                     g.fresh.insert(k, new);
@@ -106,11 +106,11 @@ mod tests {
     fn strong_reads_eventually_serve_stale_values() {
         let b = LaggyMem::default();
         let client = Client::new(b.clone());
-        client.invoke_strong(KvOp::Put(1, 10));
-        client.invoke_strong(KvOp::Put(1, 20));
+        client.invoke_strong(CtrOp::Put(1, 10));
+        client.invoke_strong(CtrOp::Put(1, 20));
         let mut saw_stale = false;
         for _ in 0..LaggyMem::STALE_EVERY + 1 {
-            let c = client.invoke_strong(KvOp::Get(1));
+            let c = client.invoke_strong(CtrOp::Get(1));
             if c.final_view().unwrap().value == 10 {
                 saw_stale = true;
             }

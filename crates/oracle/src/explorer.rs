@@ -26,7 +26,7 @@ use simnet::{DetRng, Faults, GatewayProto, NodeId, SchedulePlan, SimDuration, Si
 use causalstore::{CacheOp, Item, SimCausal};
 use consensusq::{seq_of, QueueOp, QueueView, ServerConfig, SimQueue};
 use icg_crdt::{CrdtOp, CrdtVal, EscrowOp, Sale, SimCrdtStore, SimEscrow};
-use icg_shard::{KvOp, ShardedBinding};
+use icg_shard::ShardedBinding;
 use quorumstore::{Key, QuorumBinding, ReplicaConfig, SimStore, StoreOp, Value, Versioned};
 use specstore::{SimSpecStore, SpecBinding};
 
@@ -677,21 +677,13 @@ fn run_causal(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary
 // Sharded quorum-store fleet
 // ---------------------------------------------------------------------
 
-/// Drives a fleet to quiescence (mirrors `icg::sharded::settle_fleet`,
-/// which this crate cannot depend on without a cycle).
-fn settle_fleet(binding: &ShardedBinding<QuorumBinding>, stores: &[SimStore]) {
-    let mut before: u64 = binding.routed_per_shard().iter().sum();
-    loop {
-        binding.quiesce();
+/// Drives a fleet to quiescence.
+fn settle_fleet(router: &ShardedBinding<QuorumBinding>, stores: &[SimStore]) {
+    router.settle(|| {
         for s in stores {
             s.settle();
         }
-        let after: u64 = binding.routed_per_shard().iter().sum();
-        if after == before {
-            return;
-        }
-        before = after;
-    }
+    });
 }
 
 /// The one stack that is several deployments at once, so it drives its
@@ -1129,44 +1121,35 @@ fn run_buggy_spec(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) 
 }
 
 fn run_buggy(seed: u64, cfg: &ExplorerConfig) -> (RunSummary, Vec<String>) {
-    let history: History<KvOp, u64> = History::new();
+    let history: History<CtrOp, u64> = History::new();
     let client = Client::new(RecordingBinding::new(LaggyMem::default(), history.clone()));
     let mut wl = workload_rng(seed);
     // One write per key up front so the stale shadow differs from the
     // fresh state by the time the tail reads run.
     for k in 0..cfg.keys {
-        client.invoke_strong(KvOp::Put(k, 1_000 + k));
+        client.invoke_strong(CtrOp::Put(k, 1_000 + k));
     }
     for _ in 0..cfg.ops {
         let k = wl.below(cfg.keys);
         match wl.below(3) {
             0 => {
-                client.invoke_strong(KvOp::Add(k, 1 + wl.below(9)));
+                client.invoke_strong(CtrOp::Add(k, 1 + wl.below(9)));
             }
             1 => {
-                client.invoke_strong(KvOp::Get(k));
+                client.invoke_strong(CtrOp::Get(k));
             }
             _ => {
-                client.invoke(KvOp::Get(k));
+                client.invoke(CtrOp::Get(k));
             }
         }
     }
     let tail_mark = history.mark();
     for k in 0..cfg.keys {
-        client.invoke(KvOp::Get(k));
+        client.invoke(CtrOp::Get(k));
     }
 
     report(&history, tail_mark, |invs| {
-        let entries = lin_entries(
-            invs,
-            |op| match *op {
-                KvOp::Get(k) => CtrOp::Get(k),
-                KvOp::Put(k, v) => CtrOp::Put(k, v),
-                KvOp::Add(k, d) => CtrOp::Add(k, d),
-            },
-            |v| *v,
-            |_| false,
-        );
+        let entries = lin_entries(invs, CtrOp::clone, |v| *v, |_| false);
         lin_check(&CounterSpec, entries)
     })
 }

@@ -1,35 +1,27 @@
 //! # icg-shard — a sharded multi-object routing layer for Correctables
 //!
 //! Every binding in this workspace serves exactly one replicated object
-//! (one register, one queue, one timeline). This crate turns any such
-//! single-object [`Binding`](correctables::Binding) into a horizontally
-//! scaled multi-object store while preserving the incremental-consistency
+//! (one register, one queue, one timeline). This crate turns several such
+//! single-object [`Binding`](correctables::Binding)s into one
+//! multi-object store while preserving the incremental-consistency
 //! pipeline of each shard:
 //!
 //! - [`HashRing`] — a consistent-hash ring with virtual nodes mapping
 //!   [`ObjectId`](correctables::ObjectId) keys to shards. Vnode placement
-//!   is a deterministic function of `(seed, shard id)` drawn from the
+//!   is a deterministic function of `(seed, shard index)` drawn from the
 //!   vendored xoshiro RNG, so two rings built with the same parameters
-//!   are identical and adding a shard leaves every existing shard's
-//!   points untouched (the precondition for bounded key movement).
-//! - [`RebalancePlan`] — the diff of two rings: which hash ranges change
-//!   owner, and what fraction of the keyspace they cover.
+//!   are identical.
 //! - [`ShardedBinding`] — implements `Binding` itself: each keyed op is
-//!   routed to the owning shard's inner binding and that shard's
-//!   per-level `Upcall` deliveries are re-emitted unchanged, so a client
-//!   sees exactly the ICG semantics of the shard that served it. A
-//!   [`scatter`](ShardedBinding::scatter) invocation fans one multi-get
-//!   out across shards and merges views with weakest-common-level
-//!   semantics: intermediate views surface at the weakest level every
-//!   touched shard has reached, and the Correctable closes only when
-//!   every shard has delivered its strongest view.
-//! - [`Worker`] / [`PipelineConfig`] — the batching pipeline: one worker
-//!   thread per shard drains a bounded submission queue up to
-//!   `batch_max` ops per lock acquisition, so the hot path costs one
-//!   lock round per batch instead of per op.
-//! - [`MemBinding`] — a minimal in-memory single-shard counter store
-//!   used as the reference backend for router tests, the
-//!   `sharded_counters` example, and the `micro_shard` benchmarks.
+//!   routed, on the caller thread, to the owning shard's inner binding
+//!   and that shard's per-level `Upcall` deliveries are re-emitted
+//!   unchanged, so a client sees exactly the ICG semantics of the shard
+//!   that served it. A [`scatter`](ShardedBinding::scatter) invocation
+//!   fans one multi-get out across shards and merges views with
+//!   weakest-common-level semantics ([`gather`](router::gather)): intermediate views
+//!   surface at the weakest level every touched shard has reached, and
+//!   the Correctable closes only when every shard has delivered its
+//!   strongest view. [`ShardedBinding::settle`] drives simulated shards
+//!   until the whole fleet is quiescent.
 //!
 //! The per-level delivery discipline each shard keeps is the same one
 //! update-consistency work relies on for convergence across partitions;
@@ -40,12 +32,8 @@
 // clippy with `-D warnings`, which promotes this to an error.
 #![warn(missing_docs)]
 
-pub mod mem;
-pub mod pipeline;
 pub mod ring;
 pub mod router;
 
-pub use mem::{KvOp, MemBinding};
-pub use pipeline::{PipelineConfig, Worker};
-pub use ring::{HashRing, MovedRange, RebalancePlan, ShardId};
+pub use ring::HashRing;
 pub use router::ShardedBinding;

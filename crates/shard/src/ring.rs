@@ -2,23 +2,13 @@
 //!
 //! Each shard owns `vnodes` points on the circle; a key is owned by the
 //! shard whose point is the first at or clockwise-after the key's hash.
-//! Points are drawn from the vendored xoshiro RNG seeded per shard, so:
-//!
-//! 1. lookups are a pure function of `(seed, vnodes, shard set, key)` —
-//!    every router replica computes the same placement; and
-//! 2. adding a shard adds only that shard's points, moving in expectation
-//!    `1/(n+1)` of the keyspace (to the new shard, and nowhere else).
-//!
-//! [`RebalancePlan`] makes the second property operational: it diffs two
-//! rings into the exact hash ranges that change owner.
+//! Points are drawn from the vendored xoshiro RNG seeded per shard, so a
+//! lookup is a pure function of `(seed, vnodes, shard count, key)`: every
+//! router built with the same parameters computes the same placement.
 
 use correctables::ObjectId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Identifies one shard of a sharded store.
-#[derive(Clone, Copy, Debug, Eq, Hash, Ord, PartialEq, PartialOrd)]
-pub struct ShardId(pub u32);
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation used to
 /// place keys on the circle.
@@ -33,12 +23,8 @@ fn mix64(mut z: u64) -> u64 {
 /// A consistent-hash ring with virtual nodes.
 #[derive(Clone, Debug)]
 pub struct HashRing {
-    /// `(point, index into shards)` pairs sorted by point (ties broken by
-    /// shard id so the order is membership-independent).
+    /// `(point, shard index)` pairs sorted by point, ties by shard.
     points: Vec<(u64, u32)>,
-    /// The member shards, in construction order.
-    shards: Vec<ShardId>,
-    vnodes: usize,
     seed: u64,
 }
 
@@ -49,215 +35,28 @@ impl HashRing {
     ///
     /// Panics if `shard_count` or `vnodes` is zero.
     pub fn new(shard_count: u32, vnodes: usize, seed: u64) -> HashRing {
-        let ids: Vec<ShardId> = (0..shard_count).map(ShardId).collect();
-        HashRing::with_shards(&ids, vnodes, seed)
-    }
-
-    /// A ring over an explicit shard set (e.g. after adding or removing
-    /// members). A shard's points depend only on `(seed, its id)`, never
-    /// on the other members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty, contains duplicates, or `vnodes` is
-    /// zero.
-    pub fn with_shards(shards: &[ShardId], vnodes: usize, seed: u64) -> HashRing {
-        assert!(!shards.is_empty(), "ring needs at least one shard");
+        assert!(shard_count > 0, "ring needs at least one shard");
         assert!(vnodes > 0, "ring needs at least one vnode per shard");
-        let mut seen = shards.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), shards.len(), "duplicate shard in ring");
-        let mut points = Vec::with_capacity(shards.len() * vnodes);
-        for (idx, &shard) in shards.iter().enumerate() {
-            // Independent deterministic stream per shard: membership
-            // changes never disturb the points of surviving shards.
-            let mut rng = SmallRng::seed_from_u64(mix64(seed) ^ u64::from(shard.0));
+        let mut points = Vec::with_capacity(shard_count as usize * vnodes);
+        for shard in 0..shard_count {
+            // One deterministic stream per shard: a shard's points depend
+            // only on `(seed, its index)`.
+            let mut rng = SmallRng::seed_from_u64(mix64(seed) ^ u64::from(shard));
             for _ in 0..vnodes {
-                points.push((rng.gen::<u64>(), idx as u32));
+                points.push((rng.gen::<u64>(), shard));
             }
         }
-        points.sort_unstable_by_key(|&(p, idx)| (p, shards[idx as usize]));
-        HashRing {
-            points,
-            shards: shards.to_vec(),
-            vnodes,
-            seed,
-        }
+        points.sort_unstable();
+        HashRing { points, seed }
     }
 
-    /// A ring equal to `self` plus one more shard.
-    pub fn with_added(&self, shard: ShardId) -> HashRing {
-        let mut shards = self.shards.clone();
-        shards.push(shard);
-        HashRing::with_shards(&shards, self.vnodes, self.seed)
-    }
-
-    /// Where `key` lands on the hash circle.
-    #[inline]
-    pub fn position(&self, key: ObjectId) -> u64 {
-        mix64(key.0 ^ self.seed)
-    }
-
-    /// The shard owning `key`.
-    #[inline]
-    pub fn owner(&self, key: ObjectId) -> ShardId {
-        self.shards[self.owner_index(key)]
-    }
-
-    /// The index (into [`HashRing::shards`]) of the shard owning `key`.
+    /// The index of the shard owning `key`: the first point at or
+    /// clockwise-after the key's position, wrapping past zero.
     #[inline]
     pub fn owner_index(&self, key: ObjectId) -> usize {
-        self.index_of_position(self.position(key))
-    }
-
-    /// The shard owning hash-circle position `pos`: the first point at or
-    /// clockwise-after `pos`, wrapping past zero.
-    #[inline]
-    pub fn owner_of_position(&self, pos: u64) -> ShardId {
-        self.shards[self.index_of_position(pos)]
-    }
-
-    #[inline]
-    fn index_of_position(&self, pos: u64) -> usize {
+        let pos = mix64(key.0 ^ self.seed);
         let idx = self.points.partition_point(|(p, _)| *p < pos);
-        let (_, shard_idx) = self.points[idx % self.points.len()];
-        shard_idx as usize
-    }
-
-    /// The member shards, in construction order.
-    pub fn shards(&self) -> &[ShardId] {
-        &self.shards
-    }
-
-    /// Virtual nodes per shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// All `(point, shard)` pairs, sorted by point.
-    pub fn points(&self) -> Vec<(u64, ShardId)> {
-        self.points
-            .iter()
-            .map(|&(p, idx)| (p, self.shards[idx as usize]))
-            .collect()
-    }
-}
-
-/// A contiguous hash range changing owner between two rings.
-///
-/// The range is the half-open circle arc `(after, upto]`: it wraps past
-/// zero when `after >= upto`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MovedRange {
-    /// Exclusive start of the arc.
-    pub after: u64,
-    /// Inclusive end of the arc.
-    pub upto: u64,
-    /// Owner in the old ring.
-    pub from: ShardId,
-    /// Owner in the new ring.
-    pub to: ShardId,
-}
-
-impl MovedRange {
-    /// How many hash positions the arc covers.
-    pub fn span(&self) -> u64 {
-        self.upto.wrapping_sub(self.after)
-    }
-
-    /// Whether circle position `pos` falls inside the arc.
-    pub fn contains(&self, pos: u64) -> bool {
-        pos.wrapping_sub(self.after).wrapping_sub(1) < self.span()
-    }
-}
-
-/// The diff of two rings: every key range whose owner changes, and the
-/// fraction of the keyspace that has to move.
-#[derive(Clone, Debug)]
-pub struct RebalancePlan {
-    /// Maximal arcs changing owner, in circle order.
-    pub moved: Vec<MovedRange>,
-}
-
-impl RebalancePlan {
-    /// Diffs `old` against `new`.
-    ///
-    /// Both rings must share `seed` (otherwise every key moves and the
-    /// plan, while correct, is useless), but may differ in membership
-    /// and vnode count.
-    pub fn diff(old: &HashRing, new: &HashRing) -> RebalancePlan {
-        // Owners are constant on the arcs between consecutive boundary
-        // points of either ring, so probing one position per arc is exact.
-        let mut bounds: Vec<u64> = old
-            .points
-            .iter()
-            .chain(new.points.iter())
-            .map(|(p, _)| *p)
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut moved: Vec<MovedRange> = Vec::new();
-        let n = bounds.len();
-        for i in 0..n {
-            // The arc ending (inclusive) at bounds[i], starting just
-            // after the previous boundary (wrapping around the circle).
-            let after = bounds[(i + n - 1) % n];
-            let upto = bounds[i];
-            let from = old.owner_of_position(upto);
-            let to = new.owner_of_position(upto);
-            if from == to {
-                continue;
-            }
-            // Coalesce with the previous arc when contiguous and moving
-            // between the same pair of shards — unless the merge would
-            // close the full circle, which `(after, upto]` cannot
-            // represent (span would read as zero); keep two arcs then.
-            match moved.last_mut() {
-                Some(last)
-                    if last.upto == after
-                        && last.from == from
-                        && last.to == to
-                        && upto != last.after =>
-                {
-                    last.upto = upto;
-                }
-                _ => moved.push(MovedRange {
-                    after,
-                    upto,
-                    from,
-                    to,
-                }),
-            }
-        }
-        // The i = 0 arc is the wrap arc and was pushed before the arc
-        // that may abut it from below; coalesce across the zero point so
-        // `moved` really is maximal arcs.
-        if moved.len() >= 2 {
-            let first = moved[0];
-            let last = *moved.last().expect("len >= 2");
-            if last.upto == first.after
-                && last.from == first.from
-                && last.to == first.to
-                && first.upto != last.after
-            {
-                moved[0].after = last.after;
-                moved.pop();
-            }
-        }
-        RebalancePlan { moved }
-    }
-
-    /// Fraction of the hash circle changing owner, in `[0, 1]`.
-    pub fn moved_fraction(&self) -> f64 {
-        let total: u128 = self.moved.iter().map(|r| u128::from(r.span())).sum();
-        total as f64 / 2.0_f64.powi(64)
-    }
-
-    /// Whether `key` (placed by `ring`) changes owner under this plan.
-    pub fn moves_key(&self, ring: &HashRing, key: ObjectId) -> bool {
-        let pos = ring.position(key);
-        self.moved.iter().any(|r| r.contains(pos))
+        self.points[idx % self.points.len()].1 as usize
     }
 }
 
@@ -269,9 +68,9 @@ mod tests {
     fn lookup_is_deterministic() {
         let a = HashRing::new(8, 64, 7);
         let b = HashRing::new(8, 64, 7);
-        assert_eq!(a.points(), b.points());
+        assert_eq!(a.points, b.points);
         for k in 0..1000 {
-            assert_eq!(a.owner(ObjectId(k)), b.owner(ObjectId(k)));
+            assert_eq!(a.owner_index(ObjectId(k)), b.owner_index(ObjectId(k)));
         }
     }
 
@@ -279,7 +78,7 @@ mod tests {
     fn different_seeds_place_differently() {
         let a = HashRing::new(8, 64, 1);
         let b = HashRing::new(8, 64, 2);
-        let diverges = (0..1000).any(|k| a.owner(ObjectId(k)) != b.owner(ObjectId(k)));
+        let diverges = (0..1000).any(|k| a.owner_index(ObjectId(k)) != b.owner_index(ObjectId(k)));
         assert!(diverges);
     }
 
@@ -295,97 +94,5 @@ mod tests {
             // shard within a loose factor of it.
             assert!((400..2200).contains(c), "shard {i} got {c} of 8000 keys");
         }
-    }
-
-    #[test]
-    fn adding_a_shard_only_moves_keys_to_it() {
-        let old = HashRing::new(4, 128, 9);
-        let new = old.with_added(ShardId(4));
-        for k in 0..4000u64 {
-            let (o, n) = (old.owner(ObjectId(k)), new.owner(ObjectId(k)));
-            if o != n {
-                assert_eq!(n, ShardId(4), "key {k} moved to an old shard");
-            }
-        }
-    }
-
-    #[test]
-    fn plan_agrees_with_lookups() {
-        let old = HashRing::new(4, 64, 3);
-        let new = old.with_added(ShardId(4));
-        let plan = RebalancePlan::diff(&old, &new);
-        assert!(!plan.moved.is_empty());
-        assert!(plan.moved.iter().all(|r| r.to == ShardId(4)));
-        for k in 0..2000u64 {
-            let key = ObjectId(k);
-            let moved = old.owner(key) != new.owner(key);
-            assert_eq!(plan.moves_key(&old, key), moved, "key {k}");
-        }
-    }
-
-    #[test]
-    fn plan_fraction_tracks_expected_movement() {
-        let old = HashRing::new(8, 128, 11);
-        let plan = RebalancePlan::diff(&old, &old.with_added(ShardId(8)));
-        let f = plan.moved_fraction();
-        // Expectation is 1/9 ≈ 0.111; generous envelope either side.
-        assert!(f > 0.02 && f < 2.0 / 9.0, "moved fraction {f}");
-    }
-
-    #[test]
-    fn full_circle_ownership_change_is_representable() {
-        // Replacing the only shard moves the entire keyspace; since one
-        // (after, upto] arc cannot express a full circle, the plan must
-        // report it as multiple arcs summing to ~the whole hash space.
-        let old = HashRing::with_shards(&[ShardId(0)], 32, 5);
-        let new = HashRing::with_shards(&[ShardId(1)], 32, 5);
-        let plan = RebalancePlan::diff(&old, &new);
-        assert!(plan.moved.len() >= 2);
-        assert!(plan.moved.iter().all(|r| r.span() > 0));
-        assert!(
-            plan.moved_fraction() > 0.999,
-            "moved {}",
-            plan.moved_fraction()
-        );
-        for k in 0..512 {
-            assert!(plan.moves_key(&old, ObjectId(k)), "key {k}");
-        }
-    }
-
-    #[test]
-    fn moved_arcs_are_maximal() {
-        // No two circularly-adjacent arcs abut while moving between the
-        // same pair of shards — including across the zero point.
-        for seed in 0..32 {
-            let old = HashRing::new(4, 48, seed);
-            let plan = RebalancePlan::diff(&old, &old.with_added(ShardId(4)));
-            let m = &plan.moved;
-            for i in 0..m.len() {
-                let a = m[i];
-                let b = m[(i + 1) % m.len()];
-                if m.len() > 1 {
-                    assert!(
-                        !(a.upto == b.after && a.from == b.from && a.to == b.to),
-                        "seed {seed}: arcs {i} and next abut between the same shards"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn moved_range_wraps_past_zero() {
-        let r = MovedRange {
-            after: u64::MAX - 10,
-            upto: 10,
-            from: ShardId(0),
-            to: ShardId(1),
-        };
-        assert_eq!(r.span(), 21);
-        assert!(r.contains(u64::MAX));
-        assert!(r.contains(0));
-        assert!(r.contains(10));
-        assert!(!r.contains(11));
-        assert!(!r.contains(u64::MAX - 10));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! The router implements [`Binding`] itself, so a `Client` (and every
 //! combinator, speculation helper, and load driver in the workspace)
-//! works over a sharded store unchanged. Each keyed op is routed to the
-//! owning shard's inner binding — inline on the caller thread, or through
-//! the per-shard batching [`Worker`]s — and that shard's per-level upcall
-//! deliveries flow through untouched. [`ShardedBinding::scatter`] adds
-//! the one genuinely multi-shard operation: a multi-get whose merged
-//! Correctable carries weakest-common-level semantics.
+//! works over a sharded store unchanged. Each keyed op is routed, on the
+//! caller thread, to the owning shard's inner binding, and that shard's
+//! per-level upcall deliveries flow through untouched.
+//! [`ShardedBinding::scatter`] adds the one genuinely multi-shard
+//! operation: a multi-get whose merged Correctable carries
+//! weakest-common-level semantics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,25 +15,16 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use correctables::{
-    Binding, ConsistencyLevel, Correctable, Error, KeyedOp, LevelSelection, LevelSet, Upcall, View,
+    Binding, ConsistencyLevel, Correctable, Error, KeyedOp, LevelSet, Upcall, View,
 };
 
-use crate::pipeline::{PipelineConfig, Worker};
 use crate::ring::HashRing;
-
-type Job<B> = (
-    <B as Binding>::Op,
-    Arc<[ConsistencyLevel]>,
-    Upcall<<B as Binding>::Val>,
-);
 
 struct Inner<B: Binding> {
     shards: Vec<B>,
     ring: HashRing,
     /// The common level set of all shards, sorted weakest-first.
     levels: LevelSet,
-    /// Per-shard batching workers; empty in inline mode.
-    workers: Vec<Worker<Job<B>>>,
     /// Ops routed to each shard so far.
     routed: Vec<AtomicU64>,
 }
@@ -55,53 +46,39 @@ impl<B: Binding> ShardedBinding<B>
 where
     B::Op: KeyedOp,
 {
-    /// A router that submits on the caller thread — no worker threads, no
-    /// batching. The cheapest mode, and the right one for single-threaded
-    /// (simulated) shard backends driven by an external `settle` loop.
+    /// A router over `shards` that submits on the caller thread, placing
+    /// keys with a `vnodes`-per-shard ring drawn from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty or the shards advertise different
+    /// consistency levels.
     pub fn inline(shards: Vec<B>, vnodes: usize, seed: u64) -> Self {
-        let (ring, levels, routed) = Self::layout(&shards, vnodes, seed);
-        ShardedBinding {
-            inner: Arc::new(Inner {
-                shards,
-                ring,
-                levels,
-                workers: Vec::new(),
-                routed,
-            }),
-        }
-    }
-
-    fn layout(shards: &[B], vnodes: usize, seed: u64) -> (HashRing, LevelSet, Vec<AtomicU64>) {
         assert!(
             !shards.is_empty(),
             "sharded binding needs at least one shard"
         );
         let levels = shards[0].consistency_levels();
         for (i, s) in shards.iter().enumerate().skip(1) {
-            let ls = s.consistency_levels();
             assert_eq!(
-                ls, levels,
+                s.consistency_levels(),
+                levels,
                 "shard {i} advertises different consistency levels"
             );
         }
-        let ring = HashRing::new(shards.len() as u32, vnodes, seed);
-        let routed = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
-        (ring, levels, routed)
+        ShardedBinding {
+            inner: Arc::new(Inner {
+                ring: HashRing::new(shards.len() as u32, vnodes, seed),
+                routed: shards.iter().map(|_| AtomicU64::new(0)).collect(),
+                shards,
+                levels,
+            }),
+        }
     }
 
     /// The ring this router places keys with.
     pub fn ring(&self) -> &HashRing {
         &self.inner.ring
-    }
-
-    /// The inner binding of shard `idx`.
-    pub fn shard(&self, idx: usize) -> &B {
-        &self.inner.shards[idx]
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Ops routed to each shard so far.
@@ -113,145 +90,37 @@ where
             .collect()
     }
 
-    /// Blocks until every pipeline queue is drained and every worker is
-    /// idle. A no-op in inline mode.
-    ///
-    /// Callbacks may chain ops to shards whose workers were already
-    /// checked this pass, so passes repeat until one completes with no
-    /// new ops routed — only then is "all drained" a true barrier.
-    pub fn quiesce(&self) {
-        if self.inner.workers.is_empty() {
-            return;
-        }
+    /// Drives a fleet of simulated shards to quiescence: runs `pass` (one
+    /// settle of every shard) again until a whole pass routes no new op.
+    /// Callbacks running mid-pass may submit more work, possibly to a
+    /// shard that already settled this pass.
+    pub fn settle(&self, mut pass: impl FnMut()) {
+        let routed = || self.routed_per_shard().iter().sum::<u64>();
+        let mut before = routed();
         loop {
-            let before: u64 = self
-                .inner
-                .routed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .sum();
-            for w in &self.inner.workers {
-                w.quiesce();
-            }
-            let after: u64 = self
-                .inner
-                .routed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .sum();
+            pass();
+            let after = routed();
             if after == before {
                 return;
             }
+            before = after;
         }
-    }
-
-    /// Invokes a batch of independent keyed ops, coalescing the per-shard
-    /// submissions: jobs are grouped by owning shard and handed to each
-    /// shard's worker under one queue-lock acquisition.
-    ///
-    /// Returns one Correctable per op, in input order.
-    pub fn invoke_batch(
-        &self,
-        ops: Vec<B::Op>,
-        selection: &LevelSelection,
-    ) -> Vec<Correctable<B::Val>> {
-        let levels = match selection.resolve(&self.inner.levels) {
-            Ok(ls) if !ls.is_empty() => ls,
-            Ok(_) => {
-                let err = Error::Unavailable("no consistency level selected".into());
-                return ops
-                    .iter()
-                    .map(|_| Correctable::failed(err.clone()))
-                    .collect();
-            }
-            Err(bad) => {
-                return ops
-                    .iter()
-                    .map(|_| Correctable::failed(Error::UnsupportedLevel(bad)))
-                    .collect()
-            }
-        };
-        // One shared level list for the whole batch; each job bumps a
-        // refcount instead of cloning a Vec.
-        let shared: Arc<[ConsistencyLevel]> = levels.as_slice().into();
-        let mut per_shard: Vec<Vec<Job<B>>> =
-            (0..self.inner.shards.len()).map(|_| Vec::new()).collect();
-        let mut outs = Vec::with_capacity(ops.len());
-        for op in ops {
-            let idx = self.inner.ring.owner_index(op.object_id());
-            self.inner.routed[idx].fetch_add(1, Ordering::Relaxed);
-            let (c, handle) = Correctable::pending();
-            outs.push(c);
-            per_shard[idx].push((
-                op,
-                Arc::clone(&shared),
-                Upcall::for_levels(handle, levels.as_slice()),
-            ));
-        }
-        for (idx, jobs) in per_shard.into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            if self.inner.workers.is_empty() {
-                for (op, ls, up) in jobs {
-                    self.inner.shards[idx].submit(op, &ls, up);
-                }
-            } else {
-                self.inner.workers[idx].submit_many(jobs);
-            }
-        }
-        outs
     }
 
     /// Multi-get/scatter across all levels: one logical invocation fanned
     /// out to every owning shard, merged with weakest-common-level
     /// semantics (see [`gather`]).
     pub fn scatter(&self, ops: Vec<B::Op>) -> Correctable<Vec<B::Val>> {
-        self.scatter_with(ops, &LevelSelection::All)
-    }
-
-    /// [`ShardedBinding::scatter`] restricted to selected levels.
-    pub fn scatter_with(
-        &self,
-        ops: Vec<B::Op>,
-        selection: &LevelSelection,
-    ) -> Correctable<Vec<B::Val>> {
-        gather(self.invoke_batch(ops, selection))
-    }
-}
-
-impl<B> ShardedBinding<B>
-where
-    B: Binding + Clone + Send + 'static,
-    B::Op: KeyedOp + Send + 'static,
-{
-    /// A router with one batching worker thread per shard (see
-    /// [`PipelineConfig`]): the hot submission path costs one lock
-    /// acquisition per batch instead of per op, and bounded queues give
-    /// backpressure per shard.
-    pub fn pipelined(shards: Vec<B>, vnodes: usize, seed: u64, cfg: PipelineConfig) -> Self {
-        let (ring, levels, routed) = Self::layout(&shards, vnodes, seed);
-        let workers = shards
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let shard = b.clone();
-                Worker::spawn(&format!("icg-shard-{i}"), cfg, move |batch: Vec<Job<B>>| {
-                    for (op, ls, up) in batch {
-                        shard.submit(op, &ls, up);
-                    }
-                })
+        let levels = self.inner.levels.as_slice();
+        let parts = ops
+            .into_iter()
+            .map(|op| {
+                let (c, handle) = Correctable::pending();
+                self.submit(op, levels, Upcall::for_levels(handle, levels));
+                c
             })
             .collect();
-        ShardedBinding {
-            inner: Arc::new(Inner {
-                shards,
-                ring,
-                levels,
-                workers,
-                routed,
-            }),
-        }
+        gather(parts)
     }
 }
 
@@ -269,11 +138,7 @@ where
     fn submit(&self, op: B::Op, levels: &[ConsistencyLevel], upcall: Upcall<B::Val>) {
         let idx = self.inner.ring.owner_index(op.object_id());
         self.inner.routed[idx].fetch_add(1, Ordering::Relaxed);
-        if self.inner.workers.is_empty() {
-            self.inner.shards[idx].submit(op, levels, upcall);
-        } else {
-            self.inner.workers[idx].submit((op, levels.into(), upcall));
-        }
+        self.inner.shards[idx].submit(op, levels, upcall);
     }
 }
 
@@ -403,16 +268,14 @@ pub fn gather<T: Clone + Send + 'static>(parts: Vec<Correctable<T>>) -> Correcta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use correctables::ConsistencyLevel;
+    use correctables::{Client, State};
+    use icg_crdt::{CrdtOp, CrdtVal, LocalCrdt};
     const CAUSAL: ConsistencyLevel = ConsistencyLevel::CAUSAL;
     const STRONG: ConsistencyLevel = ConsistencyLevel::STRONG;
     const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
-    use correctables::{Client, State};
 
-    use crate::mem::{KvOp, MemBinding};
-
-    fn sharded(n: usize) -> ShardedBinding<MemBinding> {
-        ShardedBinding::inline((0..n).map(|_| MemBinding::default()).collect(), 64, 42)
+    fn sharded(n: usize) -> ShardedBinding<LocalCrdt> {
+        ShardedBinding::inline((0..n).map(|_| LocalCrdt::new(0)).collect(), 64, 42)
     }
 
     #[test]
@@ -420,16 +283,16 @@ mod tests {
         let s = sharded(4);
         let client = Client::new(s.clone());
         for k in 0..64 {
-            client.invoke_strong(KvOp::Put(k, k * 10));
+            client.invoke_strong(CrdtOp::CtrAdd(k, 10 * k as i64));
         }
         for k in 0..64 {
-            let c = client.invoke(KvOp::Get(k));
+            let c = client.invoke(CrdtOp::CtrGet(k));
             assert_eq!(c.state(), State::Final);
             assert_eq!(c.preliminary_views().len(), 1);
             assert_eq!(c.preliminary_views()[0].level, WEAK);
             let fin = c.final_view().unwrap();
             assert_eq!(fin.level, STRONG);
-            assert_eq!(fin.value, k * 10);
+            assert_eq!(fin.value, CrdtVal::Int(10 * k as i64));
         }
         // Keys actually spread over the shards.
         let routed = s.routed_per_shard();
@@ -441,100 +304,42 @@ mod tests {
     fn same_key_always_lands_on_same_shard() {
         let s = sharded(8);
         let client = Client::new(s.clone());
-        client.invoke_strong(KvOp::Add(7, 1));
-        client.invoke_strong(KvOp::Add(7, 2));
-        client.invoke_strong(KvOp::Add(7, 3));
-        let c = client.invoke_strong(KvOp::Get(7));
-        assert_eq!(c.final_view().unwrap().value, 6);
-        // Exactly one shard holds the object.
-        let holders = (0..8).filter(|&i| s.shard(i).peek(7).is_some()).count();
-        assert_eq!(holders, 1);
+        client.invoke_strong(CrdtOp::CtrAdd(7, 1));
+        client.invoke_strong(CrdtOp::CtrAdd(7, 2));
+        client.invoke_strong(CrdtOp::CtrAdd(7, 3));
+        let c = client.invoke_strong(CrdtOp::CtrGet(7));
+        assert_eq!(c.final_view().unwrap().value, CrdtVal::Int(6));
+        // Exactly one shard served the key.
+        let routed = s.routed_per_shard();
+        assert_eq!(routed.iter().filter(|&&r| r > 0).count(), 1, "{routed:?}");
     }
 
     #[test]
-    fn pipelined_router_delivers_everything() {
-        let s = ShardedBinding::pipelined(
-            (0..4).map(|_| MemBinding::default()).collect(),
-            64,
-            1,
-            PipelineConfig {
-                queue_cap: 128,
-                batch_max: 16,
-            },
-        );
+    fn settle_repeats_passes_until_one_routes_nothing() {
+        let s = sharded(2);
         let client = Client::new(s.clone());
-        let writes: Vec<_> = (0..256)
-            .map(|k| client.invoke_strong(KvOp::Add(k, 1)))
-            .collect();
-        s.quiesce();
-        assert!(writes.iter().all(|c| c.state() == State::Final));
-        let reads = s.invoke_batch((0..256).map(KvOp::Get).collect(), &LevelSelection::All);
-        s.quiesce();
-        for (k, c) in reads.iter().enumerate() {
-            assert_eq!(c.final_view().unwrap().value, 1, "key {k}");
-        }
-    }
-
-    #[test]
-    fn chained_ops_from_worker_callbacks_do_not_deadlock() {
-        use std::time::{Duration, Instant};
-        // Tiny queues + per-op drains: maximal pressure on the bound.
-        // Each completion chains a follow-up op from inside its callback,
-        // which runs on a pipeline worker thread; those submissions must
-        // bypass the capacity wait or the fleet deadlocks.
-        let s = ShardedBinding::pipelined(
-            (0..4).map(|_| MemBinding::default()).collect(),
-            64,
-            9,
-            PipelineConfig {
-                queue_cap: 2,
-                batch_max: 1,
-            },
-        );
-        let client = std::sync::Arc::new(Client::new(s.clone()));
-        let chained = std::sync::Arc::new(Mutex::new(Vec::new()));
-        const OPS: u64 = 200;
-        for k in 0..OPS {
-            let cl = std::sync::Arc::clone(&client);
-            let ch = std::sync::Arc::clone(&chained);
-            client.invoke_strong(KvOp::Add(k, 1)).on_final(move |_| {
-                // Invoke before taking the list lock: a submission may
-                // block on backpressure (when this callback runs on the
-                // submitting thread), and holding a lock that the other
-                // completions' callbacks also take would deadlock the
-                // workers that must drain the queues.
-                let chained_op = cl.invoke_strong(KvOp::Add(k + 1_000, 1));
-                ch.lock().push(chained_op);
-            });
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let issued = chained.lock().len() as u64;
-            if issued == OPS {
-                break;
+        let mut passes = 0;
+        // The first two passes each route an op, as a callback chaining
+        // work mid-settle would; the third routes none and ends it.
+        s.settle(|| {
+            passes += 1;
+            if passes <= 2 {
+                client.invoke(CrdtOp::CtrAdd(passes, 1));
             }
-            assert!(
-                Instant::now() < deadline,
-                "chains stalled at {issued}/{OPS}"
-            );
-            std::thread::yield_now();
-        }
-        for c in chained.lock().iter() {
-            c.wait_final(Duration::from_secs(30)).expect("chained op");
-        }
-        assert_eq!(s.routed_per_shard().iter().sum::<u64>(), 2 * OPS);
+        });
+        assert_eq!(passes, 3);
     }
 
     #[test]
     fn scatter_closes_at_weakest_common_level() {
         let s = sharded(4);
         for k in 0..16 {
-            Client::new(s.clone()).invoke_strong(KvOp::Put(k, 100 + k));
+            Client::new(s.clone()).invoke_strong(CrdtOp::CtrAdd(k, 100 + k as i64));
         }
-        let c = s.scatter((0..16).map(KvOp::Get).collect());
+        let c = s.scatter((0..16).map(CrdtOp::CtrGet).collect());
         assert_eq!(c.state(), State::Final);
-        // MemBinding delivers WEAK then STRONG per shard, so the merge
-        // surfaces one WEAK common view before closing at STRONG.
+        // Each shard delivers WEAK then STRONG, so the merge surfaces one
+        // WEAK common view before closing at STRONG.
         let prelims = c.preliminary_views();
         assert!(!prelims.is_empty());
         assert_eq!(prelims[0].level, WEAK);
@@ -543,14 +348,17 @@ mod tests {
             .all(|w| w[0].level.rank() < w[1].level.rank()));
         let fin = c.final_view().unwrap();
         assert_eq!(fin.level, STRONG);
-        assert_eq!(fin.value, (0..16).map(|k| 100 + k).collect::<Vec<_>>());
+        assert_eq!(
+            fin.value,
+            (0..16).map(|k| CrdtVal::Int(100 + k)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn scatter_of_nothing_closes_immediately() {
         let s = sharded(2);
         let c = s.scatter(Vec::new());
-        assert_eq!(c.final_view().unwrap().value, Vec::<u64>::new());
+        assert_eq!(c.final_view().unwrap().value, Vec::<CrdtVal>::new());
     }
 
     #[test]
@@ -577,45 +385,6 @@ mod tests {
         let fin = g.final_view().unwrap();
         assert_eq!(fin.level, STRONG);
         assert_eq!(fin.value, vec![4, 5]);
-    }
-
-    #[test]
-    fn quiesce_is_a_barrier_for_cross_shard_chained_ops() {
-        // Callbacks running on one shard's worker chain ops to other
-        // shards, possibly ones quiesce already checked that pass;
-        // quiesce must still not return until those chains resolved.
-        for round in 0..20 {
-            let s = ShardedBinding::pipelined(
-                (0..4).map(|_| MemBinding::default()).collect(),
-                64,
-                round,
-                PipelineConfig {
-                    queue_cap: 8,
-                    batch_max: 2,
-                },
-            );
-            let client = std::sync::Arc::new(Client::new(s.clone()));
-            let chained = std::sync::Arc::new(Mutex::new(Vec::new()));
-            const OPS: u64 = 64;
-            for k in 0..OPS {
-                let cl = std::sync::Arc::clone(&client);
-                let ch = std::sync::Arc::clone(&chained);
-                client.invoke_strong(KvOp::Add(k, 1)).on_final(move |_| {
-                    let follow = cl.invoke_strong(KvOp::Add(OPS + (k * 31) % 256, 1));
-                    ch.lock().push(follow);
-                });
-            }
-            s.quiesce();
-            let chained = chained.lock();
-            assert_eq!(chained.len() as u64, OPS, "round {round}");
-            for (i, c) in chained.iter().enumerate() {
-                assert_eq!(
-                    c.state(),
-                    State::Final,
-                    "round {round}: chained op {i} still pending after quiesce"
-                );
-            }
-        }
     }
 
     #[test]
@@ -671,8 +440,8 @@ mod tests {
 
     #[test]
     fn mismatched_shard_levels_are_rejected() {
-        let ok = MemBinding::default();
-        let weak_only = MemBinding::weak_only();
+        let ok = LocalCrdt::new(0);
+        let weak_only = LocalCrdt::with_levels(LevelSet::of(&[WEAK]), 0);
         let r = std::panic::catch_unwind(|| ShardedBinding::inline(vec![ok, weak_only], 8, 0));
         assert!(r.is_err());
     }

@@ -1,94 +1,65 @@
 //! Sharded counters: the `icg-shard` routing layer end to end.
 //!
-//! Builds an 8-shard in-memory counter store behind one sharded binding,
-//! pushes a batched increment workload through the per-shard pipeline
-//! workers, reads counters back with a scatter (multi-get) whose merged
-//! Correctable carries weakest-common-level semantics, and prints the
-//! rebalance plan for growing the fleet to 9 shards.
+//! Builds an 8-shard CRDT counter store behind one sharded binding,
+//! pushes an increment workload through it (each op routed by the
+//! consistent-hash ring to the shard that owns its key), and reads the
+//! counters back with a scatter (multi-get) whose merged Correctable
+//! carries weakest-common-level semantics. Each shard's weak view trails
+//! its fresh state by a different number of updates, so the scatter's
+//! preliminary is stale where its final is not.
 //!
 //! Run with `cargo run --release --example sharded_counters`.
 
-use std::time::Instant;
-
-use icg::correctables::{Client, KeyedOp, LevelSelection};
-use icg::shard::{KvOp, MemBinding, PipelineConfig, RebalancePlan, ShardId, ShardedBinding};
+use icg::correctables::Client;
+use icg::crdt::{CrdtOp, CrdtVal, LocalCrdt};
+use icg::shard::ShardedBinding;
 
 const SHARDS: usize = 8;
 const COUNTERS: u64 = 256;
 const INCREMENTS: u64 = 100_000;
-const BATCH: usize = 64;
 
 fn main() {
-    let router = ShardedBinding::pipelined(
-        (0..SHARDS).map(|_| MemBinding::default()).collect(),
-        64,
-        42,
-        PipelineConfig::default(),
-    );
-    println!(
-        "sharded counter store: {SHARDS} shards x {} vnodes, levels {:?}\n",
-        router.ring().vnodes(),
-        Client::new(router.clone()).consistency_levels()
-    );
+    let router =
+        ShardedBinding::inline((0..SHARDS).map(|i| LocalCrdt::new(i % 3)).collect(), 64, 42);
+    let client = Client::new(router.clone());
+    let levels: Vec<String> = client
+        .consistency_levels()
+        .iter()
+        .map(|l| l.to_string())
+        .collect();
+    println!("sharded counter store: {SHARDS} shards x 64 vnodes, levels {levels:?}\n");
 
-    // --- batched increments through the pipeline ------------------------
-    let t0 = Instant::now();
-    let mut submitted = 0u64;
-    let mut last = Vec::new();
-    while submitted < INCREMENTS {
-        let n = (INCREMENTS - submitted).min(BATCH as u64);
-        let ops: Vec<KvOp> = (0..n)
-            .map(|i| KvOp::Add((submitted + i) % COUNTERS, 1))
-            .collect();
-        last = router.invoke_batch(ops, &LevelSelection::All);
-        submitted += n;
+    // --- increments, routed op by op -------------------------------------
+    for i in 0..INCREMENTS {
+        client.invoke_strong(CrdtOp::CtrAdd(i % COUNTERS, 1));
     }
-    router.quiesce();
-    let elapsed = t0.elapsed();
-    assert!(last.iter().all(|c| c.final_view().is_some()));
-    println!(
-        "{INCREMENTS} increments over {COUNTERS} counters in {elapsed:?} \
-         ({:.0} ops/s through the batching pipeline)",
-        INCREMENTS as f64 / elapsed.as_secs_f64()
-    );
-    let routed = router.routed_per_shard();
-    println!("ops per shard: {routed:?}\n");
+    println!("{INCREMENTS} increments over {COUNTERS} counters");
+    println!("ops per shard: {:?}\n", router.routed_per_shard());
 
     // --- scatter: one logical multi-get across every shard --------------
+    // One more bump of each key read back: a shard whose weak view lags
+    // has not applied its last one or two of these yet.
     let keys: Vec<u64> = (0..10).collect();
-    let c = router.scatter(keys.iter().map(|&k| KvOp::Get(k)).collect());
-    c.on_update(|v| {
+    for &k in &keys {
+        client.invoke_strong(CrdtOp::CtrAdd(k, 1));
+    }
+    let c = router.scatter(keys.iter().map(|&k| CrdtOp::CtrGet(k)).collect());
+    for v in c.preliminary_views() {
         println!(
-            "scatter preliminary at `{}`: every shard has answered at least weakly",
-            v.level
-        )
-    });
-    router.quiesce();
+            "scatter preliminary at `{}` (every shard answered at least weakly): {:?}",
+            v.level, v.value
+        );
+    }
     let fin = c.final_view().expect("scatter closed");
     println!(
         "scatter final at `{}` (all shards delivered their strongest view):",
         fin.level
     );
     for (k, v) in keys.iter().zip(&fin.value) {
-        println!("  counter {k:2} = {v}");
+        println!("  counter {k:2} = {v:?}");
     }
-    for (&k, &v) in keys.iter().zip(&fin.value) {
-        let expect = INCREMENTS / COUNTERS + u64::from(k < INCREMENTS % COUNTERS);
-        assert_eq!(v, expect, "counter {k}");
+    for (&k, v) in keys.iter().zip(&fin.value) {
+        let expect = INCREMENTS / COUNTERS + u64::from(k < INCREMENTS % COUNTERS) + 1;
+        assert_eq!(*v, CrdtVal::Int(expect as i64), "counter {k}");
     }
-
-    // --- rebalance plan for growing the fleet ---------------------------
-    let grown = router.ring().with_added(ShardId(SHARDS as u32));
-    let plan = RebalancePlan::diff(router.ring(), &grown);
-    let moved_keys = (0..COUNTERS)
-        .filter(|&k| plan.moves_key(router.ring(), KvOp::Get(k).object_id()))
-        .count();
-    println!(
-        "\nadding shard {SHARDS}: {} ranges move, {:.1}% of the keyspace \
-         ({moved_keys}/{COUNTERS} live counters), all to the new shard",
-        plan.moved.len(),
-        100.0 * plan.moved_fraction()
-    );
-    assert!(plan.moved.iter().all(|r| r.to == ShardId(SHARDS as u32)));
-    assert!(plan.moved_fraction() <= 2.0 / (SHARDS as f64 + 1.0));
 }

@@ -9,35 +9,14 @@
 //! callbacks submit mid-settle (speculative chains route like first-class
 //! traffic).
 
-use correctables::{Binding, KeyedOp};
+use correctables::KeyedOp;
 
 use causalstore::{CacheOp, CausalBinding, SimCausal};
-use icg_shard::{PipelineConfig, ShardedBinding};
+use icg_shard::ShardedBinding;
 use quorumstore::{Key, QuorumBinding, ReplicaConfig, SimStore, StoreOp, Value};
 
 /// Virtual nodes per shard used by the facade stacks.
 pub const VNODES: usize = 64;
-
-/// Drives a fleet to quiescence: drain the pipeline queues, run one
-/// settle pass over every shard, and repeat until a full pass routes no
-/// new ops (callbacks running mid-settle may submit more work — possibly
-/// to shards that already settled this pass).
-fn settle_fleet<B>(binding: &ShardedBinding<B>, settle_pass: impl Fn())
-where
-    B: Binding,
-    B::Op: KeyedOp,
-{
-    let mut before: u64 = binding.routed_per_shard().iter().sum();
-    loop {
-        binding.quiesce();
-        settle_pass();
-        let after: u64 = binding.routed_per_shard().iter().sum();
-        if after == before {
-            return;
-        }
-        before = after;
-    }
-}
 
 /// A fleet of quorum-store deployments behind one sharded binding.
 pub struct ShardedSimStore {
@@ -50,18 +29,6 @@ impl ShardedSimStore {
     /// gateway in IRL, coordinator in FRK — the paper's §6.1 setup) with
     /// inline routing.
     pub fn ec2(shards: usize, r_strong: u8, confirm: bool, seed: u64) -> ShardedSimStore {
-        ShardedSimStore::ec2_with(shards, r_strong, confirm, seed, None)
-    }
-
-    /// As [`ShardedSimStore::ec2`], routing through per-shard batching
-    /// workers when `pipeline` is set.
-    pub fn ec2_with(
-        shards: usize,
-        r_strong: u8,
-        confirm: bool,
-        seed: u64,
-        pipeline: Option<PipelineConfig>,
-    ) -> ShardedSimStore {
         let stores: Vec<SimStore> = (0..shards)
             .map(|i| {
                 SimStore::ec2(
@@ -76,10 +43,7 @@ impl ShardedSimStore {
             })
             .collect();
         let bindings: Vec<QuorumBinding> = stores.iter().map(|s| s.binding()).collect();
-        let binding = match pipeline {
-            Some(cfg) => ShardedBinding::pipelined(bindings, VNODES, seed, cfg),
-            None => ShardedBinding::inline(bindings, VNODES, seed),
-        };
+        let binding = ShardedBinding::inline(bindings, VNODES, seed);
         ShardedSimStore { binding, stores }
     }
 
@@ -106,21 +70,11 @@ impl ShardedSimStore {
         }
     }
 
-    /// The `SimStore` backing shard `idx` (metrics, clocks, bandwidth).
-    pub fn store(&self, idx: usize) -> &SimStore {
-        &self.stores[idx]
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.stores.len()
-    }
-
     /// Drives every shard's simulation until all submitted operations —
     /// including ops submitted by callbacks while other shards settle —
     /// have resolved.
     pub fn settle(&self) {
-        settle_fleet(&self.binding, || {
+        self.binding.settle(|| {
             for s in &self.stores {
                 s.settle();
             }
@@ -160,35 +114,20 @@ impl ShardedSimCausal {
 
     /// Seeds a key (replicas + cache) on the shard that owns it.
     pub fn seed(&self, key: &str, rev: u64, items: Vec<u64>) {
-        self.owning_store(key).seed(key, rev, items);
-    }
-
-    /// Publishes fresher data at the owning shard's primary (models other
-    /// users writing; backups receive it causally).
-    pub fn publish(&self, key: &str, items: Vec<u64>) {
-        self.owning_store(key).publish(key, items);
-    }
-
-    /// The `SimCausal` backing shard `idx`.
-    pub fn store(&self, idx: usize) -> &SimCausal {
-        &self.stores[idx]
+        let idx = self
+            .binding
+            .ring()
+            .owner_index(CacheOp::Get(key.to_string()).object_id());
+        self.stores[idx].seed(key, rev, items);
     }
 
     /// Drives every shard's simulation until all submitted operations
     /// have resolved.
     pub fn settle(&self) {
-        settle_fleet(&self.binding, || {
+        self.binding.settle(|| {
             for s in &self.stores {
                 s.settle();
             }
         });
-    }
-
-    fn owning_store(&self, key: &str) -> &SimCausal {
-        let idx = self
-            .binding
-            .ring()
-            .owner_index(CacheOp::Get(key.to_string()).object_id());
-        &self.stores[idx]
     }
 }

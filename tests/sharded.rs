@@ -1,12 +1,10 @@
 //! End-to-end coverage of the sharding layer over the simulated
 //! substrates: routing through real multi-shard SimStore/SimCausal
-//! fleets, per-level re-emission, scatter/gather close semantics, the
-//! batching pipeline across threads, and bounded rebalancing.
+//! fleets, per-level re-emission, and scatter/gather close semantics.
 
 use icg::causalstore::CacheOp;
-use icg::correctables::{Client, ConsistencyLevel, KeyedOp, ObjectId, State};
+use icg::correctables::{Client, ConsistencyLevel, ObjectId, State};
 use icg::quorumstore::{Key, StoreOp, Value};
-use icg::shard::{HashRing, PipelineConfig, RebalancePlan, ShardId};
 use icg::sharded::{ShardedSimCausal, ShardedSimStore};
 
 #[test]
@@ -80,29 +78,6 @@ fn scatter_closes_when_every_shard_delivered_strongest() {
 }
 
 #[test]
-fn pipelined_sharded_store_settles_across_threads() {
-    let fleet = ShardedSimStore::ec2_with(
-        4,
-        2,
-        false,
-        5,
-        Some(PipelineConfig {
-            queue_cap: 64,
-            batch_max: 8,
-        }),
-    );
-    fleet.preload((0..32).map(|i| (Key::plain(i), Value::Opaque(7))));
-    let client = Client::new(fleet.binding());
-    let reads: Vec<_> = (0..32)
-        .map(|i| client.invoke(StoreOp::Read(Key::plain(i))))
-        .collect();
-    fleet.settle();
-    for c in &reads {
-        assert_eq!(c.final_view().unwrap().value.value, Value::Opaque(7));
-    }
-}
-
-#[test]
 fn sharded_causal_store_keeps_three_level_pipeline() {
     let fleet = ShardedSimCausal::ec2(3, 13);
     for k in 0..9 {
@@ -125,32 +100,9 @@ fn sharded_causal_store_keeps_three_level_pipeline() {
 }
 
 #[test]
-fn adding_a_shard_to_the_facade_ring_moves_bounded_keys() {
-    // The facade stacks route with VNODES vnodes; verify the operational
-    // claim end to end: growing 8 → 9 shards relocates at most 2/9 of a
-    // key sample, all of it onto the new shard.
-    let old = HashRing::new(8, icg::sharded::VNODES, 42);
-    let new = old.with_added(ShardId(8));
-    let plan = RebalancePlan::diff(&old, &new);
-    assert!(plan.moved.iter().all(|r| r.to == ShardId(8)));
-    let mut moved = 0usize;
-    const SAMPLES: u64 = 4096;
-    for i in 0..SAMPLES {
-        let key = StoreOp::Read(Key::plain(i)).object_id();
-        if old.owner(key) != new.owner(key) {
-            moved += 1;
-            assert_eq!(new.owner(key), ShardId(8));
-        }
-        assert_eq!(plan.moves_key(&old, key), old.owner(key) != new.owner(key));
-    }
-    let frac = moved as f64 / SAMPLES as f64;
-    assert!(frac <= 2.0 / 9.0, "moved {frac}");
-    assert!(plan.moved_fraction() <= 2.0 / 9.0);
-}
-
-#[test]
 fn facade_reexports_the_shard_crate() {
-    let _ring = icg::shard::HashRing::new(2, 8, 0);
-    let _id: ObjectId = icg::shard::KvOp::Get(5).object_id();
-    let _cfg = icg::shard::PipelineConfig::default();
+    let ring = icg::shard::HashRing::new(2, icg::sharded::VNODES, 0);
+    assert!(ring.owner_index(ObjectId(5)) < 2);
+    let merged = icg::shard::router::gather(Vec::<icg::correctables::Correctable<u8>>::new());
+    assert_eq!(merged.state(), State::Final);
 }
