@@ -93,10 +93,23 @@ impl Flags {
         }
     }
 
-    /// Whether bare `--name` was passed (or `--name=true`).
+    /// Whether switch `--name` is on: bare `--name`, or the value
+    /// `true`. Any value but `true` or `false` (`--confirm 1`) is an
+    /// error, not a quiet "off".
+    pub fn switch(&self, name: &str) -> Result<bool, String> {
+        if self.bools.iter().any(|b| b == name) {
+            return Ok(true);
+        }
+        match self.get(name) {
+            None | Some("false") => Ok(false),
+            Some("true") => Ok(true),
+            Some(v) => Err(format!("--{name} is a switch (true or false), got '{v}'")),
+        }
+    }
+
+    /// [`Flags::switch`], exiting with its message on a stray value.
     pub fn has(&self, name: &str) -> bool {
-        debug_assert!(self.known.contains(&name), "undeclared flag '{name}'");
-        self.bools.iter().any(|b| b == name) || self.get(name) == Some("true")
+        self.switch(name).unwrap_or_else(|e| die(&e))
     }
 }
 
@@ -134,6 +147,23 @@ mod tests {
         let f = parse(&["--confirm", "--ops", "10"]).unwrap();
         assert!(f.has("confirm"));
         assert_eq!(f.get_u64("ops", 0), 10);
+    }
+
+    #[test]
+    fn a_switch_takes_only_true_or_false() {
+        assert_eq!(
+            parse(&["--confirm", "true"]).unwrap().switch("confirm"),
+            Ok(true)
+        );
+        assert_eq!(
+            parse(&["--confirm=false"]).unwrap().switch("confirm"),
+            Ok(false)
+        );
+        let err = parse(&["--confirm", "1"])
+            .unwrap()
+            .switch("confirm")
+            .unwrap_err();
+        assert!(err.contains("'1'"), "{err}");
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl LocalCrdt {
             levels,
         }
     }
-
-    /// The fresh state (test inspection).
-    pub fn fresh_state(&self) -> CrdtState {
-        self.inner.lock().fresh.clone()
-    }
 }
 
 impl Binding for LocalCrdt {

@@ -123,7 +123,6 @@ impl Directory {
 pub struct TcpSpecBinding {
     levels: LevelSet,
     server_levels: Vec<ConsistencyLevel>,
-    server_version: u8,
     rb: ReactorBinding,
 }
 
@@ -150,7 +149,7 @@ impl TcpSpecBinding {
         write_frame(&mut &stream, &hello, &mut scratch)?;
         let ack = read_frame::<NetMsg>(&mut &stream, &mut scratch)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let Some(NetMsg::HelloAck { version, levels }) = ack else {
+        let Some(NetMsg::HelloAck { levels, .. }) = ack else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "expected HelloAck as the first frame",
@@ -175,7 +174,6 @@ impl TcpSpecBinding {
                 ConsistencyLevel::STRONG,
             ]),
             server_levels,
-            server_version: version,
             rb,
         })
     }
@@ -185,11 +183,6 @@ impl TcpSpecBinding {
     /// process first learned of from the handshake.
     pub fn server_levels(&self) -> &[ConsistencyLevel] {
         &self.server_levels
-    }
-
-    /// The wire version the server announced in its `HelloAck`.
-    pub fn server_version(&self) -> u8 {
-        self.server_version
     }
 
     /// Disconnects and stops serving this binding. Pending operations

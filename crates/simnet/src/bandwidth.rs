@@ -108,13 +108,6 @@ impl BandwidthMeter {
             .unwrap_or_default()
     }
 
-    /// All category labels observed, sorted for stable output.
-    pub fn categories(&self) -> Vec<&'static str> {
-        let mut cs: Vec<&'static str> = self.by_category.iter().map(|(c, _)| *c).collect();
-        cs.sort_unstable();
-        cs
-    }
-
     /// Bytes received by a node.
     pub fn received_by(&self, node: NodeId) -> Traffic {
         self.rx_by_node.get(node.0).copied().unwrap_or_default()
@@ -169,14 +162,6 @@ mod tests {
         m.record(NodeId(0), NodeId(1), "x", 10);
         m.reset();
         assert_eq!(m.total(), Traffic::default());
-        assert!(m.categories().is_empty());
-    }
-
-    #[test]
-    fn categories_sorted() {
-        let mut m = BandwidthMeter::new();
-        m.record(NodeId(0), NodeId(1), "zz", 1);
-        m.record(NodeId(0), NodeId(1), "aa", 1);
-        assert_eq!(m.categories(), vec!["aa", "zz"]);
+        assert_eq!(m.category("x"), Traffic::default());
     }
 }

@@ -54,12 +54,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Saturating difference; returns [`SimDuration::ZERO`] if `earlier` is
-    /// in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Returns the later of the two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -212,14 +206,6 @@ mod tests {
             SimDuration::from_millis(10).mul_f64(2.5).as_millis_f64(),
             25.0
         );
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let a = SimTime::from_nanos(5);
-        let b = SimTime::from_nanos(9);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a).as_nanos(), 4);
     }
 
     #[test]

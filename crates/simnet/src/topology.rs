@@ -98,11 +98,6 @@ impl Topology {
         d
     }
 
-    /// Base round-trip time between two sites.
-    pub fn base_rtt(&self, a: SiteId, b: SiteId) -> SimDuration {
-        self.base_one_way(a, b) * 2
-    }
-
     /// Samples a jittered one-way delivery latency.
     pub fn sample_one_way(&self, from: SiteId, to: SiteId, rng: &mut DetRng) -> SimDuration {
         rng.latency_jitter(self.base_one_way(from, to), self.wobble, self.tail_frac)
@@ -171,9 +166,18 @@ mod tests {
     fn paper_rtts_are_encoded() {
         let t = Topology::ec2_frk_irl_vrg();
         let s = sites(&t);
-        assert_eq!(t.base_rtt(s.irl, s.frk), SimDuration::from_millis(20));
-        assert_eq!(t.base_rtt(s.irl, s.vrg), SimDuration::from_millis(83));
-        assert_eq!(t.base_rtt(s.frk, s.frk), SimDuration::from_millis(2));
+        assert_eq!(
+            t.base_one_way(s.irl, s.frk) * 2,
+            SimDuration::from_millis(20)
+        );
+        assert_eq!(
+            t.base_one_way(s.irl, s.vrg) * 2,
+            SimDuration::from_millis(83)
+        );
+        assert_eq!(
+            t.base_one_way(s.frk, s.frk) * 2,
+            SimDuration::from_millis(2)
+        );
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub struct Zipfian {
     theta: f64,
     alpha: f64,
     zetan: f64,
-    zeta2theta: f64,
     eta: f64,
 }
 
@@ -97,7 +96,6 @@ impl Zipfian {
             theta,
             alpha,
             zetan,
-            zeta2theta,
             eta,
         }
     }
@@ -117,34 +115,16 @@ impl Zipfian {
 
     /// Draws the next key id in `0..items` (low ids are the popular ones).
     pub fn next(&self, rng: &mut SmallRng) -> u64 {
-        self.next_scaled(rng, self.items, self.zetan, self.eta)
-    }
-
-    /// Draws over a prefix `0..n` of the key space, recomputing the tail
-    /// constants incrementally — used by the Latest chooser whose horizon
-    /// grows with every insert.
-    pub fn next_over(&self, rng: &mut SmallRng, n: u64) -> u64 {
-        if n == self.items {
-            return self.next(rng);
-        }
-        // Recompute the constants for the new horizon. This is O(n); the
-        // Latest chooser caches a `Zipfian` per horizon to avoid paying it
-        // on every draw.
-        let zetan = Self::zeta(n, self.theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - self.theta)) / (1.0 - self.zeta2theta / zetan);
-        self.next_scaled(rng, n, zetan, eta)
-    }
-
-    fn next_scaled(&self, rng: &mut SmallRng, n: u64, zetan: f64, eta: f64) -> u64 {
+        let n = self.items;
         let u: f64 = rng.gen();
-        let uz = u * zetan;
+        let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
         }
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return 1;
         }
-        let raw = (n as f64 * (eta * u - eta + 1.0).powf(self.alpha)) as u64;
+        let raw = (n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         raw.min(n - 1)
     }
 }
@@ -286,16 +266,6 @@ mod tests {
         // Known-answer: hashing must be deterministic across runs.
         assert_eq!(fnv_hash64(0), fnv_hash64(0));
         assert_ne!(fnv_hash64(1), fnv_hash64(2));
-    }
-
-    #[test]
-    fn zipfian_over_prefix_stays_in_range() {
-        let z = Zipfian::new(1000);
-        let mut rng = seeded_rng(5);
-        for _ in 0..10_000 {
-            let v = z.next_over(&mut rng, 10);
-            assert!(v < 10);
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Boots a 3-replica quorum store on loopback TCP and drives it with
-# icg-loadgen; exits green iff every operation completed. This is the
+# Boots a 3-replica cluster on loopback TCP and drives it with
+# icg-loadgen, first the quorum store and then the spec store at all four
+# levels (--levels); exits green iff every operation completed. This is the
 # one-command proof that the deployment layer serves real traffic —
 # CI's net-smoke step runs it with --quick.
 #
@@ -126,6 +127,11 @@ fi
 echo "=== closed-loop ICG load ($CLIENTS clients x $OPS ops, zipfian over $KEYS keys) ==="
 "$LOADGEN" --replicas "$P0,$P1,$P2" \
     --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1
+
+echo "=== spec store, weak -> update -> causal -> strong on every operation ==="
+"$LOADGEN" --replicas "$P0,$P1,$P2" \
+    --clients "$CLIENTS" --ops "$OPS" --keys "$KEYS" --write-ratio 0.1 \
+    --levels weak,update,causal,strong
 
 if [ "$QUICK" = 0 ]; then
     echo "=== same load, confirmation optimization (*CC) on ==="
