@@ -27,10 +27,9 @@
 //! instead of the quorum store, requesting exactly the named consistency
 //! levels on every operation, so the report shows the full refinement
 //! staircase — e.g. how much sooner an `update` view lands than the
-//! `causal` and `strong` views behind it. Level names resolve through
-//! the registry, so a custom level a deployment registered (and the
-//! replicas advertise in their handshake directory) works here with no
-//! loadgen changes.
+//! `causal` and `strong` views behind it. Any of the four levels the
+//! spec binding serves may be named; any other name is refused before
+//! the first operation, by name.
 //!
 //! Both loops measure the same way: every operation registers one hook
 //! that files each view it delivers, preliminary or final, under its
@@ -103,8 +102,8 @@ read (preliminary flush + quorum view); weak/strong request a single
 level. --open-loop issues at a fixed aggregate --rate across
 --connections bindings for --duration-secs, independent of completions.
 --levels switches to the spec-store workload: every operation requests
-exactly the named levels (registry names, so custom levels work) and
-each view is timed at its own level.";
+exactly the named levels (any of weak, update, causal, strong: the
+levels the spec binding serves) and each view is timed at its own level.";
 
 /// Open-loop issuers stall (instead of queueing unboundedly) past this
 /// many uncompleted operations.
@@ -280,8 +279,7 @@ fn main() {
     let open_loop = flags.has("open-loop");
     let bench_json = flags.get_or("bench-json", "");
     // --levels NAMES selects the spec-store workload; each name must
-    // resolve in the level registry (builtins are pre-registered, custom
-    // levels come from the deployment's own registration).
+    // resolve in the level registry, and the spec binding must serve it.
     let spec_levels: Option<Vec<ConsistencyLevel>> = {
         let raw = flags.get_or("levels", "");
         if raw.is_empty() {
@@ -325,7 +323,15 @@ fn main() {
             let addr = replicas[c as usize % replicas.len()];
             let mut cfg = SpecTcpConfig::new(addr, CLOSED_ID_BASE + c);
             cfg.op_timeout = run.timeout;
-            dial(|| TcpSpecBinding::connect(cfg))
+            let binding = dial(|| TcpSpecBinding::connect(cfg));
+            let served = binding.consistency_levels();
+            if let Some(l) = levels.iter().find(|l| !served.contains(**l)) {
+                die(&format!(
+                    "--levels: the spec store does not serve '{}'",
+                    l.name()
+                ));
+            }
+            binding
         };
         let names: Vec<&str> = levels.iter().map(|l| l.name()).collect();
         let label = format!("spec store, levels {}", names.join(","));

@@ -2,7 +2,8 @@
 //! quorum store under the default `--mode icg` and under `--mode
 //! strong`, and the spec store under `--levels`. Each run must complete
 //! every operation and print one `level` line per level it was asked
-//! for, weakest first.
+//! for, weakest first. A level the spec binding does not serve is
+//! refused by name before any operation runs.
 
 mod common;
 
@@ -44,5 +45,29 @@ fn closed_loop_reports_each_requested_level_and_fails_nothing() {
     assert_eq!(
         levels_reported(&replicas, &["--levels", "weak,update,causal,strong"]),
         ["weak", "update", "causal", "strong"]
+    );
+}
+
+#[test]
+fn a_level_the_spec_binding_does_not_serve_is_refused_by_name() {
+    let (_cluster, replicas) = Cluster::boot(3);
+    let out = Command::new(env!("CARGO_BIN_EXE_icg-loadgen"))
+        .args(["--replicas", &replicas])
+        .args(["--clients", "2", "--ops", "150", "--levels", "cache,strong"])
+        .output()
+        .expect("run icg-loadgen");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "loadgen accepted --levels cache,strong"
+    );
+    assert!(
+        stderr.contains("cache"),
+        "stderr does not name the level:\n{stderr}"
+    );
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("level ")),
+        "loadgen reported levels:\n{stdout}"
     );
 }

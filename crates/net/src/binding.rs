@@ -15,18 +15,20 @@
 //!
 //! A binding is a handle onto the epoll reactor: thousands of them
 //! share the event loops of a process-wide [`ClientReactor`], where
-//! each binding's connection and pending-op table live
-//! ([`crate::reactor::client`]). This module holds the handle.
+//! each binding's link — connection, pending-op table, failover cursor
+//! — lives ([`crate::reactor::client`], the same link type and submit
+//! path [`crate::TcpSpecBinding`] rides). This module holds the handle
+//! and builds the quorum store's requests.
 //!
 //! ## Direct submit
 //!
 //! The preliminary view is only as fast as the path from `invoke` to
 //! the socket. When nothing else is in flight on the binding's link,
-//! [`TcpBinding`]'s `submit` encodes the request and writes it to the
-//! coordinator socket on the calling thread, and tells the loop about
-//! the operation without waking it: the reply wakes it, which is the
-//! first moment it has anything to do. When something *is* in flight
-//! the submission is queued for the loop as ever — replies are about to
+//! `submit` builds the request and writes it to the coordinator socket
+//! on the calling thread, and tells the loop about the operation
+//! without waking it: the reply wakes it, which is the first moment it
+//! has anything to do. When something *is* in flight the request, built
+//! here all the same, is queued for the loop — replies are about to
 //! wake it anyway, and it batches what it finds into one `write`, where
 //! direct writes would make one TCP send per operation. Which path an
 //! operation takes is decided by what the binding observes of its own
@@ -48,17 +50,15 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
 use quorumstore::types::Versioned;
 use quorumstore::{encode_submit, read_kind, StoreOp};
 use simnet::NodeId;
 
-use crate::frame::append_frame;
-use crate::reactor::client::{ClientEv, ClientReactor, Lane, ReactorBinding};
+use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
+use crate::wire::NetMsg;
 
 /// Configuration of a [`TcpBinding`].
 #[derive(Clone, Debug)]
@@ -106,9 +106,6 @@ pub struct TcpBinding {
     r_strong: u8,
     confirm: bool,
     client: NodeId,
-    op_timeout: Duration,
-    /// What this handle shares with the binding's loop.
-    lane: Arc<Lane>,
     rb: ReactorBinding,
 }
 
@@ -128,13 +125,11 @@ impl TcpBinding {
         // lint: allow(panic_path) — constructor API-misuse check, pre-serving
         assert!(!cfg.replicas.is_empty(), "need at least one replica");
         let (r_strong, confirm) = (cfg.r_strong, cfg.confirm);
-        let (client, op_timeout) = (NodeId(cfg.client_id as usize), cfg.op_timeout);
-        reactor.register(cfg).map(|(lane, rb)| TcpBinding {
+        let client = NodeId(cfg.client_id as usize);
+        reactor.register(cfg).map(|rb| TcpBinding {
             r_strong,
             confirm,
             client,
-            op_timeout,
-            lane,
             rb,
         })
     }
@@ -142,7 +137,7 @@ impl TcpBinding {
     /// The replica this binding is currently coordinated by (the most
     /// recently dialed address after failover).
     pub fn coordinator(&self) -> SocketAddr {
-        *self.lane.coordinator.lock()
+        *self.rb.lane.coordinator.lock()
     }
 
     /// Disconnects and stops serving this binding. Pending operations
@@ -163,38 +158,10 @@ impl Binding for TcpBinding {
 
     fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
         let kind = read_kind(levels, self.r_strong, self.confirm);
-        let lane = &self.lane;
-        // Raised here, lowered by the loop when the operation leaves its
-        // pending table. Zero with the last spell's head left alone: the
-        // loop has nothing to do for this link until a reply arrives.
-        let idle = lane.in_flight.fetch_add(1, Ordering::SeqCst) == 0
-            && !lane.bursty.load(Ordering::Relaxed);
-        if let Some(mut link) = idle.then(|| lane.half.lock_idle()).flatten() {
-            let seq = lane.next_seq.fetch_add(1, Ordering::Relaxed);
-            let (msg, entry) = encode_submit(self.client, seq, op, kind, upcall);
-            append_frame(&msg, link.frame());
-            // Entry before frame: the reply cannot reach the loop ahead
-            // of the entry it answers.
-            let written = ClientEv::Written {
-                binding: self.rb.id(),
-                seq,
-                deadline: Instant::now() + self.op_timeout,
-                op: Box::new(entry),
-            };
-            if self.rb.submit_quiet(written) {
-                #[cfg(test)]
-                lane.paths.direct.fetch_add(1, Ordering::Relaxed);
-                link.write();
-            }
-            return;
-        }
-        #[cfg(test)]
-        lane.paths.queued.fetch_add(1, Ordering::Relaxed);
-        self.rb.submit(ClientEv::Submit {
-            binding: self.rb.id(),
-            op,
-            kind,
-            upcall,
+        let client = self.client;
+        self.rb.submit(|seq| {
+            let (msg, op) = encode_submit(client, seq, op, kind, upcall);
+            (NetMsg::Store(msg), Entry::Store(op))
         });
     }
 }
@@ -208,9 +175,11 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::{self, Receiver, Sender};
+    use std::sync::Arc;
     use std::thread;
+    use std::time::Instant;
 
     use correctables::{Client, Correctable, Error};
     use quorumstore::{Key, Msg, Value};
@@ -221,9 +190,7 @@ mod tests {
     type Kv = Client<TcpBinding>;
 
     fn paths(b: &TcpBinding) -> (u64, u64, u64) {
-        let p = &b.lane.paths;
-        let read = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
-        (read(&p.direct), read(&p.queued), read(&p.orphaned))
+        b.rb.paths()
     }
 
     /// Keeps `left` ICG reads going on `client`, each issued from inside

@@ -35,7 +35,8 @@
 //!   same protocol code the simulator runs, not second
 //!   implementations) and the client
 //!   bindings ([`TcpBinding`] for the quorum store, [`TcpSpecBinding`]
-//!   for spec objects at any registered consistency level). Both
+//!   for spec objects at weak, update, causal and strong), one link
+//!   type and one submit path on the client reactor. Both
 //!   implement `Binding`, so incremental consistency — preliminary
 //!   weak views, update/causal refinement, strong closes, the *CC
 //!   confirmation optimization, speculation, recording, the oracle —

@@ -3,24 +3,30 @@
 //! A [`ClientReactor`] hosts thousands of bindings on a fixed set of
 //! event loops (bindings are assigned round-robin at creation) plus one
 //! dialer thread for the reconnects that must block — a binding costs a
-//! socket, never a thread. Each binding's state — its pending-op table,
-//! its connection, its failover cursor — lives on its loop thread; the
-//! [`crate::TcpSpecBinding`] handle only injects commands, and so does
-//! [`crate::TcpBinding`]'s except on an idle link (below). The two kinds
-//! share a loop's binding table, connection tags and deadline heap; the
-//! spec binding's state machine itself is in [`crate::spec_binding`].
+//! socket, never a thread. Each binding's link — its connection, its
+//! pending-op table, its failover cursor — lives on its loop thread as
+//! one `Link`, the same for [`crate::TcpBinding`] and
+//! [`crate::TcpSpecBinding`]. They differ in what an entry of the table
+//! is (`Entry`: the quorum client core's `ClientOp`, or a spec
+//! operation's upcall), in the request a submission builds, and in the
+//! redial list: a spec link's is empty, so once its connection is lost
+//! the binding stays down. Every reply frame decodes as one [`NetMsg`]
+//! and is routed by its type.
 //!
-//! ## What a quorum binding shares with its loop
+//! ## What a binding shares with its loop
 //!
 //! One `Lane`: the op-sequence counter, the count of operations in
-//! flight, the live link's write half, the coordinator's address (and
-//! one hint bit, below). With the count at zero the loop has nothing to
-//! do for this binding until a reply arrives, so the submitting thread
-//! writes the request itself ([`crate::TcpBinding`]'s `submit`) and
-//! tells the loop with a *quiet* `ClientEv::Written` — no eventfd, no
-//! wake-up. Two orders hold it together:
+//! flight, the live link's write half, the connected replica's address
+//! (and one hint bit, below). Both handles submit through one function,
+//! `ReactorBinding::submit`: the calling thread numbers the operation
+//! and builds its request and its entry. With the count at zero the
+//! loop has nothing to do for this binding until a reply arrives, so
+//! the submitting thread writes the request itself and hands the loop
+//! the entry *quietly* — no eventfd, no wake-up. Otherwise it queues
+//! the request with the entry, and wakes the loop. Two orders hold it
+//! together:
 //!
-//! - **entry before frame**: the event is queued before the first byte
+//! - **entry before frame**: the entry is queued before the first byte
 //!   is written, and the loop drains its queue after it reads a socket
 //!   and before it dispatches what it read, so no reply reaches the
 //!   handler ahead of the entry it answers — and an entry whose link
@@ -32,11 +38,11 @@
 //!   from inside it — already sees an idle link.
 //!
 //! The loop is not woken for such an operation, so it learns of the
-//! deadline late — but never too late: a loop with quorum bindings
-//! parks for at most the shortest `op_timeout` among them (a standing
-//! tick, `ClientHandler::park`), so an operation submitted after the
-//! loop parked is drained before its own deadline, which the caller
-//! stamped at submit.
+//! deadline late — but never too late: a loop with bindings parks for
+//! at most the shortest `op_timeout` among them (a standing tick,
+//! `ClientHandler::park`), so an operation submitted after the loop
+//! parked is drained before its own deadline, which the caller stamped
+//! at submit.
 //!
 //! Idle is not quite enough: a caller that submits in lock-step bursts
 //! finds the link idle at the head of every burst, and a direct write
@@ -64,23 +70,22 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use correctables::{Error, Upcall};
+use correctables::{ConsistencyLevel, Error, Upcall};
 use quorumstore::client::{closes_op, on_reply};
-use quorumstore::messages::Msg;
-use quorumstore::types::{ReadKind, Versioned};
-use quorumstore::{encode_submit, ClientOp, Deadlines, IdMap, StoreOp};
+use quorumstore::{ClientOp, Deadlines, IdMap};
 use simnet::NodeId;
 
 use crate::binding::TcpConfig;
-use crate::spec_binding::SpecState;
-use crate::wire::{Reader, SpecOp};
+use crate::frame::append_frame;
+use crate::wire::{NetMsg, Reader};
 
 use super::conn::{CloseReason, WriteHalf};
 use super::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_CAP};
 
 /// Events injected into a client loop.
 pub(crate) enum ClientEv {
-    /// A freshly created binding arrives with its already-dialed stream.
+    /// A freshly created binding arrives with its already-dialed stream
+    /// (a spec binding's with the handshake done on it).
     Register {
         binding: u64,
         cfg: TcpConfig,
@@ -88,25 +93,9 @@ pub(crate) enum ClientEv {
         addr_idx: usize,
         lane: Arc<Lane>,
     },
-    /// One operation submitted through the binding, for the loop to
-    /// number, encode and send.
-    Submit {
-        binding: u64,
-        op: StoreOp,
-        kind: ReadKind,
-        upcall: Upcall<Versioned>,
-    },
-    /// Operation `seq`, whose request the submitting thread is writing
-    /// to the binding's idle link itself; pushed quietly, *before* the
-    /// frame. Boxed: a [`ClientOp`] inline would set the size of every
-    /// queued command.
-    Written {
-        binding: u64,
-        seq: u64,
-        /// Submit time plus the binding's `op_timeout`.
-        deadline: Instant,
-        op: Box<ClientOp>,
-    },
+    /// One operation submitted through a binding. Boxed: a
+    /// [`Submission`] inline would set the size of every queued command.
+    Submit(Box<Submission>),
     /// The dialer re-established a connection for `binding`.
     DialOk {
         binding: u64,
@@ -117,50 +106,64 @@ pub(crate) enum ClientEv {
     DialFailed { binding: u64 },
     /// The binding's last handle is gone (or `shutdown` was called).
     Deregister { binding: u64 },
-    /// A freshly created spec binding arrives with its stream, the
-    /// handshake already done on it. The state is boxed so this rare
-    /// event does not set the size of every queued command (nor the
-    /// rarer kind of binding the size of every table slot).
-    RegisterSpec {
-        binding: u64,
-        state: Box<SpecState>,
-        stream: TcpStream,
-    },
-    /// One operation submitted through a spec binding; `wants` holds
-    /// the requested levels under this process's wire ids.
-    SubmitSpec {
-        binding: u64,
-        op: SpecOp,
-        wants: Vec<u8>,
-        upcall: Upcall<u64>,
-    },
 }
 
 impl ClientEv {
     /// Fails the caller waiting on this event, if it is a submission:
     /// its loop has exited and will never serve it.
     pub(crate) fn fail_unserved(self) {
-        let err = Error::Unavailable("client reactor shut down".into());
-        match self {
-            ClientEv::Submit { upcall, .. } => upcall.fail(err),
-            ClientEv::Written { op, .. } => op.fail(err),
-            ClientEv::SubmitSpec { upcall, .. } => upcall.fail(err),
-            _ => {}
+        if let ClientEv::Submit(sub) = self {
+            sub.entry
+                .fail(Error::Unavailable("client reactor shut down".into()));
         }
     }
 }
 
-/// What the handles of one [`crate::TcpBinding`] share with its loop.
-/// Everything else about the binding is the loop's alone.
+/// One operation, numbered and built by the submitting thread.
+pub(crate) struct Submission {
+    binding: u64,
+    seq: u64,
+    /// Submit time plus the binding's `op_timeout`.
+    deadline: Instant,
+    /// The request for the loop to send; `None` if the submitting thread
+    /// is writing it to the binding's idle link itself, this pushed
+    /// quietly *before* the frame.
+    msg: Option<NetMsg>,
+    entry: Entry,
+}
+
+/// An operation in flight, as its store's replies will find it.
+pub(crate) enum Entry {
+    /// A quorum-store operation: [`quorumstore::client`] reads its
+    /// replies.
+    Store(ClientOp),
+    /// A spec-store operation: each `SpecReply` is one view.
+    Spec(Upcall<u64>),
+}
+
+impl Entry {
+    fn fail(self, err: Error) {
+        match self {
+            Entry::Store(op) => op.fail(err),
+            Entry::Spec(upcall) => upcall.fail(err),
+        }
+    }
+
+    fn is_spec(&self) -> bool {
+        matches!(self, Entry::Spec(_))
+    }
+}
+
+/// What the handles of one binding share with its loop. Everything
+/// else about the binding is the loop's alone.
 pub(crate) struct Lane {
-    /// Both submit paths number their operations from here, so ids stay
-    /// unique across them.
-    pub(crate) next_seq: AtomicU64,
+    /// Operations are numbered from here.
+    next_seq: AtomicU64,
     /// Operations submitted and still in the loop's `pending` table (or
     /// on their way to it). Raised by the caller at submit, lowered by
     /// the loop. Zero means the link is idle: no reply is about to wake
     /// the loop, and nothing of this binding sits in its write buffer.
-    pub(crate) in_flight: AtomicUsize,
+    in_flight: AtomicUsize,
     /// In the link's last busy spell (pending table non-empty) the
     /// operation that opened it had company before its first reply:
     /// submissions arrive in bursts here, the loop is woken for the rest
@@ -170,27 +173,41 @@ pub(crate) struct Lane {
     /// from its table at the end of every spell, before it lowers
     /// `in_flight` to zero — so whoever finds the link idle reads the
     /// verdict on the spell that just ended.
-    pub(crate) bursty: AtomicBool,
-    /// The live coordinator link's write half.
-    pub(crate) half: Arc<WriteHalf>,
-    /// The coordinator currently (or most recently) connected.
+    bursty: AtomicBool,
+    /// The live link's write half.
+    half: Arc<WriteHalf>,
+    /// The replica currently (or most recently) connected.
     pub(crate) coordinator: Mutex<SocketAddr>,
     /// Which way submissions went, for the tests that prove it.
     #[cfg(test)]
-    pub(crate) paths: PathCounts,
+    paths: PathCounts,
+}
+
+impl Lane {
+    fn new(addr: SocketAddr) -> Lane {
+        Lane {
+            next_seq: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
+            bursty: AtomicBool::new(false),
+            half: Arc::default(),
+            coordinator: Mutex::new(addr),
+            #[cfg(test)]
+            paths: PathCounts::default(),
+        }
+    }
 }
 
 /// Submissions by path.
 #[cfg(test)]
 #[derive(Default)]
-pub(crate) struct PathCounts {
+struct PathCounts {
     /// Written by the submitting thread.
-    pub(crate) direct: AtomicU64,
+    direct: AtomicU64,
     /// Handed to the loop with a wake-up.
-    pub(crate) queued: AtomicU64,
+    queued: AtomicU64,
     /// Written directly onto a link that died before the loop saw the
     /// entry, and failed `Unavailable` by the loop for it.
-    pub(crate) orphaned: AtomicU64,
+    orphaned: AtomicU64,
 }
 
 /// One async reconnect job for the dialer thread.
@@ -224,7 +241,7 @@ impl ClientReactor {
             let handler = ClientHandler {
                 loop_idx: i,
                 dial_tx: dial_tx.clone(),
-                bindings: IdMap::default(),
+                links: IdMap::default(),
                 deadlines: Deadlines::default(),
                 park: None,
             };
@@ -266,76 +283,62 @@ impl ClientReactor {
             .map_err(|e| io::Error::new(e.kind(), e.to_string()))
     }
 
-    /// Mints a binding id, picks its loop round-robin and delivers the
-    /// registration event `ev_of(id)` there. Fails if that loop has
-    /// exited — the binding could never be served.
-    fn enroll(&self, ev_of: impl FnOnce(u64) -> ClientEv) -> io::Result<ReactorBinding> {
-        let binding = self.next_binding.fetch_add(1, Ordering::Relaxed);
-        let loop_idx = (binding as usize) % self.loops.len().max(1);
-        let Some(inj) = self.loops.get(loop_idx) else {
-            return Err(io::Error::other("client reactor has no loops"));
-        };
-        if inj.try_send(Cmd::Ev(ev_of(binding))).is_err() {
-            return Err(io::Error::other("client reactor loop has exited"));
-        }
-        Ok(ReactorBinding {
-            binding,
-            inj: inj.clone(),
-            _deregister_on_last_drop: Arc::new(DeregisterGuard {
-                binding,
-                inj: inj.clone(),
-            }),
-        })
-    }
-
-    /// Registers a spec binding whose `stream` already carried the
-    /// handshake.
-    pub(crate) fn register_spec(
-        &self,
-        state: SpecState,
-        stream: TcpStream,
-    ) -> io::Result<ReactorBinding> {
-        self.enroll(|binding| ClientEv::RegisterSpec {
-            binding,
-            state: Box::new(state),
-            stream,
-        })
-    }
-
     /// Dials the first reachable replica (the constructor's synchronous
     /// contract: a dead deployment surfaces here) and registers the
     /// binding with one of the loops.
-    pub(crate) fn register(&self, cfg: TcpConfig) -> io::Result<(Arc<Lane>, ReactorBinding)> {
-        let mut dialed = None;
-        for (idx, addr) in cfg.replicas.iter().enumerate() {
-            if let Ok(stream) = TcpStream::connect_timeout(addr, cfg.connect_timeout) {
-                dialed = Some((idx, *addr, stream));
-                break;
-            }
-        }
+    pub(crate) fn register(&self, cfg: TcpConfig) -> io::Result<ReactorBinding> {
+        let dialed = cfg.replicas.iter().enumerate().find_map(|(idx, addr)| {
+            let stream = TcpStream::connect_timeout(addr, cfg.connect_timeout).ok()?;
+            Some((idx, *addr, stream))
+        });
         let Some((addr_idx, addr, stream)) = dialed else {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 "no replica in the list accepted a connection",
             ));
         };
-        let lane = Arc::new(Lane {
-            next_seq: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
-            bursty: AtomicBool::new(false),
-            half: Arc::default(),
-            coordinator: Mutex::new(addr),
-            #[cfg(test)]
-            paths: PathCounts::default(),
-        });
-        let rb = self.enroll(|binding| ClientEv::Register {
+        self.enroll(cfg, stream, addr, addr_idx)
+    }
+
+    /// Registers a binding whose `stream` to `addr` — entry `addr_idx`
+    /// of `cfg.replicas`, the redial list, if it is not empty — is
+    /// connected already: mints its id, picks its loop round-robin and
+    /// hands the link to it. Fails if that loop has exited — the binding
+    /// could never be served.
+    pub(crate) fn enroll(
+        &self,
+        cfg: TcpConfig,
+        stream: TcpStream,
+        addr: SocketAddr,
+        addr_idx: usize,
+    ) -> io::Result<ReactorBinding> {
+        let binding = self.next_binding.fetch_add(1, Ordering::Relaxed);
+        let loop_idx = (binding as usize) % self.loops.len().max(1);
+        let Some(inj) = self.loops.get(loop_idx) else {
+            return Err(io::Error::other("client reactor has no loops"));
+        };
+        let lane = Arc::new(Lane::new(addr));
+        let op_timeout = cfg.op_timeout;
+        let register = ClientEv::Register {
             binding,
             cfg,
             stream,
             addr_idx,
             lane: Arc::clone(&lane),
-        })?;
-        Ok((lane, rb))
+        };
+        if inj.try_send(Cmd::Ev(register)).is_err() {
+            return Err(io::Error::other("client reactor loop has exited"));
+        }
+        Ok(ReactorBinding {
+            binding,
+            inj: inj.clone(),
+            lane,
+            op_timeout,
+            _deregister_on_last_drop: Arc::new(DeregisterGuard {
+                binding,
+                inj: inj.clone(),
+            }),
+        })
     }
 }
 
@@ -351,40 +354,72 @@ impl Drop for ClientReactor {
 }
 
 /// The binding half living inside [`crate::TcpBinding`] and
-/// [`crate::TcpSpecBinding`]: an injector plus the binding's id on its
-/// loop.
+/// [`crate::TcpSpecBinding`]: an injector, the binding's id on its loop
+/// and what it shares with that loop.
 #[derive(Clone)]
 pub(crate) struct ReactorBinding {
     binding: u64,
     inj: Injector<ClientEv>,
+    pub(crate) lane: Arc<Lane>,
+    op_timeout: Duration,
     _deregister_on_last_drop: Arc<DeregisterGuard>,
 }
 
 impl ReactorBinding {
-    pub(crate) fn id(&self) -> u64 {
-        self.binding
-    }
-
-    /// Hands a submission to the binding's loop, or fails it right here
-    /// if that loop has exited.
-    pub(crate) fn submit(&self, ev: ClientEv) {
-        if let Err(Cmd::Ev(ev)) = self.inj.try_send(Cmd::Ev(ev)) {
-            ev.fail_unserved();
-        }
-    }
-
-    /// [`ReactorBinding::submit`] without waking the loop, for a caller
-    /// about to write the frame whose reply will. `false` if the loop
-    /// has exited and the submission failed right here.
-    pub(crate) fn submit_quiet(&self, ev: ClientEv) -> bool {
-        match self.inj.try_send_quiet(Cmd::Ev(ev)) {
-            Ok(()) => true,
-            Err(Cmd::Ev(ev)) => {
+    /// The one submit path of both bindings: numbers the operation,
+    /// has `build` make its request and its entry here, on the calling
+    /// thread, and either writes the request to the idle link itself or
+    /// queues it for the loop (module docs).
+    pub(crate) fn submit(&self, build: impl FnOnce(u64) -> (NetMsg, Entry)) {
+        let lane = &*self.lane;
+        // Raised here, lowered by the loop when the operation leaves its
+        // pending table. Zero with the last spell's head left alone: the
+        // loop has nothing to do for this link until a reply arrives.
+        let idle = lane.in_flight.fetch_add(1, Ordering::SeqCst) == 0
+            && !lane.bursty.load(Ordering::Relaxed);
+        let direct = idle.then(|| lane.half.lock_idle()).flatten();
+        let seq = lane.next_seq.fetch_add(1, Ordering::Relaxed);
+        let (msg, entry) = build(seq);
+        let submission = |msg| {
+            let deadline = Instant::now() + self.op_timeout;
+            let sub = Submission {
+                binding: self.binding,
+                seq,
+                deadline,
+                msg,
+                entry,
+            };
+            Cmd::Ev(ClientEv::Submit(Box::new(sub)))
+        };
+        let Some(mut link) = direct else {
+            #[cfg(test)]
+            lane.paths.queued.fetch_add(1, Ordering::Relaxed);
+            if let Err(Cmd::Ev(ev)) = self.inj.try_send(submission(Some(msg))) {
                 ev.fail_unserved();
-                false
             }
-            Err(_) => false,
+            return;
+        };
+        append_frame(&msg, link.frame());
+        // Entry before frame: the reply cannot reach the loop ahead of
+        // the entry it answers.
+        match self.inj.try_send_quiet(submission(None)) {
+            Ok(()) => {
+                #[cfg(test)]
+                lane.paths.direct.fetch_add(1, Ordering::Relaxed);
+                link.write();
+            }
+            Err(Cmd::Ev(ev)) => ev.fail_unserved(),
+            Err(_) => {}
         }
+    }
+
+    /// Submissions so far: written directly, queued, and written
+    /// directly onto a link that had died.
+    #[cfg(test)]
+    pub(crate) fn paths(&self) -> (u64, u64, u64) {
+        let p = &self.lane.paths;
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (read(&p.direct), read(&p.queued), read(&p.orphaned))
     }
 
     /// Eventfd writes into this binding's loop so far.
@@ -448,12 +483,14 @@ fn dialer_loop(rx: Receiver<DialReq>, loops: Vec<Injector<ClientEv>>) {
     }
 }
 
-/// Per-binding state on its loop thread.
-struct BState {
+/// A binding's link on its loop thread, the same for both kinds.
+struct Link {
+    /// `replicas` is the redial list: empty for a spec binding, which
+    /// stays down once its connection is lost.
     cfg: TcpConfig,
     lane: Arc<Lane>,
-    pending: IdMap<ClientOp>,
-    /// The loop-local connection id of the live coordinator link.
+    pending: IdMap<Entry>,
+    /// The loop-local connection id of the live link.
     conn: Option<u64>,
     /// Failover cursor into `cfg.replicas`.
     addr_idx: usize,
@@ -461,8 +498,8 @@ struct BState {
     dialing: bool,
     /// After a failed dial round, fail submissions fast until here.
     retry_after: Option<Instant>,
-    /// Ops submitted while dialing, sent in order on `DialOk`.
-    unsent: Vec<(u64, Msg)>,
+    /// Requests submitted while dialing, sent in order on `DialOk`.
+    unsent: Vec<NetMsg>,
     /// The operation that opened the current busy spell (it found the
     /// table empty), until its first reply.
     head: Option<u64>,
@@ -470,28 +507,51 @@ struct BState {
     crowded: bool,
 }
 
-impl BState {
+impl Link {
+    fn new(cfg: TcpConfig, lane: Arc<Lane>, conn: Option<u64>, addr_idx: usize) -> Link {
+        Link {
+            cfg,
+            lane,
+            pending: IdMap::default(),
+            conn,
+            addr_idx,
+            dialing: false,
+            retry_after: None,
+            unsent: Vec::new(),
+            head: None,
+            crowded: false,
+        }
+    }
+
     /// Puts operation `seq` in the table.
-    fn admit(&mut self, seq: u64, op: ClientOp) {
+    fn admit(&mut self, seq: u64, entry: Entry) {
         if self.pending.is_empty() {
             self.head = Some(seq);
             self.crowded = false;
         } else if self.head.is_some() {
             self.crowded = true;
         }
-        self.pending.insert(seq, op);
+        self.pending.insert(seq, entry);
+    }
+
+    /// A reply to operation `seq` arrived: if it opened the spell, the
+    /// spell's head is answered.
+    fn heard(&mut self, seq: u64) {
+        if self.head == Some(seq) {
+            self.head = None;
+        }
     }
 
     /// Takes operation `seq` out of the table, lowering the in-flight
     /// count — after the verdict on a busy spell this ends — *before*
     /// the caller delivers whatever closes it.
-    fn take(&mut self, seq: u64) -> Option<ClientOp> {
-        let op = self.pending.remove(&seq)?;
+    fn take(&mut self, seq: u64) -> Option<Entry> {
+        let entry = self.pending.remove(&seq)?;
         if self.pending.is_empty() {
             self.lane.bursty.store(self.crowded, Ordering::Relaxed);
         }
         self.lane.in_flight.fetch_sub(1, Ordering::SeqCst);
-        Some(op)
+        Some(entry)
     }
 
     fn fail_all(&mut self, err: impl Fn() -> Error) {
@@ -500,66 +560,112 @@ impl BState {
         self.lane
             .in_flight
             .fetch_sub(self.pending.len(), Ordering::SeqCst);
-        for (_, p) in self.pending.drain() {
-            p.fail(err());
+        for (_, entry) in self.pending.drain() {
+            entry.fail(err());
         }
         self.unsent.clear();
     }
 
     /// The link is gone (or the binding is): direct writers lose the
     /// socket first — a callback of `fail_all` may submit — then every
-    /// operation in flight fails.
-    fn drop_link(&mut self, err: impl Fn() -> Error) {
-        self.conn = None;
+    /// operation in flight fails. Returns the connection it was.
+    fn drop_link(&mut self, err: impl Fn() -> Error) -> Option<u64> {
+        let conn = self.conn.take();
         self.lane.half.withdraw();
         self.fail_all(err);
+        conn
     }
-}
 
-/// One entry of a loop's binding table.
-enum Slot {
-    /// A [`crate::TcpBinding`]: the quorum store, with failover.
-    Quorum(BState),
-    /// A [`crate::TcpSpecBinding`]: the spec store, one connection.
-    Spec(Box<SpecState>),
-}
-
-impl Slot {
-    /// Fails everything in flight on a binding that is going away.
-    fn shut(&mut self, err: impl Fn() -> Error) -> Option<u64> {
-        match self {
-            Slot::Quorum(st) => {
-                let conn = st.conn;
-                st.drop_link(err);
-                conn
-            }
-            Slot::Spec(sp) => {
-                sp.fail_all(err);
-                sp.conn
-            }
+    /// Asks the dialer for a new link on behalf of a submission that
+    /// found none, or says why it must fail instead.
+    fn redial(
+        &mut self,
+        binding: u64,
+        loop_idx: usize,
+        dial_tx: &Sender<DialReq>,
+    ) -> Result<(), &'static str> {
+        if self.cfg.replicas.is_empty() {
+            return Err("connection lost");
         }
-    }
-
-    fn is_pending(&self, seq: u64) -> bool {
-        match self {
-            Slot::Quorum(st) => st.pending.contains_key(&seq),
-            Slot::Spec(sp) => sp.pending.contains_key(&seq),
+        if self.retry_after.is_some_and(|at| Instant::now() < at) {
+            // A dial round just found nothing reachable; fail fast
+            // instead of re-dialing per queued submission.
+            return Err("no replica reachable");
         }
+        let req = DialReq {
+            binding,
+            loop_idx,
+            replicas: self.cfg.replicas.clone(),
+            start_idx: self.addr_idx,
+            connect_timeout: self.cfg.connect_timeout,
+        };
+        dial_tx.send(req).map_err(|_| "no replica reachable")?;
+        self.dialing = true;
+        Ok(())
     }
 
-    /// Fails op `seq` with `Timeout` if it is still pending.
-    fn expire(&mut self, seq: u64) {
-        match self {
-            Slot::Quorum(st) => {
-                if let Some(p) = st.take(seq) {
-                    p.fail(Error::Timeout);
+    /// Routes one reply to the operation it answers. A reply that closes
+    /// its operation finds the entry out of the table already, the count
+    /// lowered: the view's callbacks run against an idle link. One that
+    /// answers nothing open here — another client's, a finished
+    /// operation's, another store's, or not a reply at all — is dropped.
+    fn route(&mut self, msg: NetMsg) {
+        let me = self.cfg.client_id;
+        match msg {
+            NetMsg::Store(msg) => {
+                let closes = closes_op(&msg);
+                let mut closed = None;
+                let step = on_reply(NodeId(me as usize), msg, |seq| {
+                    self.heard(seq);
+                    if self.pending.get(&seq).is_none_or(Entry::is_spec) {
+                        return None;
+                    }
+                    let entry = if closes {
+                        closed = self.take(seq);
+                        closed.as_mut()
+                    } else {
+                        self.pending.get_mut(&seq)
+                    };
+                    match entry {
+                        Some(Entry::Store(op)) => Some(op),
+                        _ => None,
+                    }
+                });
+                debug_assert!(
+                    step.is_none_or(|(_, step)| step.finished() == closes),
+                    "closes_op and on_reply disagree: {closes} before, {step:?} after"
+                );
+            }
+            NetMsg::SpecReply {
+                client,
+                seq,
+                level,
+                val,
+                closing,
+            } if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) => {
+                // A level this process does not know would deliver
+                // under the wrong name; drop the view and let the op's
+                // other views (or its deadline) resolve it.
+                let Some(level) = ConsistencyLevel::from_wire_id(level) else {
+                    return;
+                };
+                self.heard(seq);
+                let closed = if closing { self.take(seq) } else { None };
+                if let Some(Entry::Spec(upcall)) = closed.as_ref().or(self.pending.get(&seq)) {
+                    upcall.deliver(val, level);
                 }
             }
-            Slot::Spec(sp) => {
-                if let Some(upcall) = sp.pending.remove(&seq) {
-                    upcall.fail(Error::Timeout);
+            NetMsg::SpecFailed { client, seq }
+                if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) =>
+            {
+                self.heard(seq);
+                if let Some(entry) = self.take(seq) {
+                    entry.fail(Error::Unavailable(
+                        "server refused the submission (unknown or unserved level)".into(),
+                    ));
                 }
             }
+            _ => {}
         }
     }
 }
@@ -570,104 +676,70 @@ struct ClientHandler {
     dial_tx: Sender<DialReq>,
     /// Keyed by binding id — which is also the tag of every connection
     /// this loop owns, so frames route to their binding via the tag.
-    bindings: IdMap<Slot>,
+    links: IdMap<Link>,
     /// All bindings' op deadlines, keyed `(binding, seq)`.
     deadlines: Deadlines<Instant, (u64, u64)>,
     /// The longest this loop may sleep, and the standing tick that
-    /// enforces it: the shortest `op_timeout` among the quorum bindings
-    /// it hosts (`None`: it hosts none, and sleeps as long as it
-    /// likes). An operation written directly does not wake the loop, so
-    /// the loop must come round by itself before that operation's
-    /// deadline — one idle wake-up per `op_timeout`, nothing on the
-    /// data path.
+    /// enforces it: the shortest `op_timeout` among the bindings it
+    /// hosts (`None`: it hosts none, and sleeps as long as it likes). An
+    /// operation written directly does not wake the loop, so the loop
+    /// must come round by itself before that operation's deadline — one
+    /// idle wake-up per `op_timeout`, nothing on the data path.
     park: Option<(Duration, Instant)>,
 }
 
 impl ClientHandler {
-    fn submit(
-        &mut self,
-        ctl: &mut Ctl,
-        binding: u64,
-        op: StoreOp,
-        kind: ReadKind,
-        upcall: Upcall<Versioned>,
-    ) {
-        let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
-            upcall.fail(Error::Unavailable("client connection closed".into()));
-            return;
+    /// The one admission path: puts a submission's entry in its
+    /// binding's table and arms its deadline, and sends its request if
+    /// the submitting thread did not. A request written directly went
+    /// to the link that was live when its entry was pushed: the queue
+    /// is FIFO and the loop withdraws a dead link's socket before it
+    /// runs anything queued later, so `conn == None` here means the
+    /// link died under the frame, and the reply with it.
+    fn admit(&mut self, ctl: &mut Ctl, sub: Submission) {
+        let Submission {
+            binding,
+            seq,
+            deadline,
+            msg,
+            entry,
+        } = sub;
+        let Some(link) = self.links.get_mut(&binding) else {
+            return entry.fail(Error::Unavailable("client connection closed".into()));
         };
-        // Fails a submission that never reached `pending`.
-        let refuse = |st: &BState, upcall: Upcall<Versioned>| {
-            st.lane.in_flight.fetch_sub(1, Ordering::SeqCst);
-            upcall.fail(Error::Unavailable("no replica reachable".into()));
-        };
-        if st.conn.is_none() && !st.dialing {
-            if st.retry_after.is_some_and(|at| Instant::now() < at) {
-                // A dial round just found nothing reachable; fail fast
-                // instead of re-dialing per queued submission.
-                return refuse(st, upcall);
-            }
-            st.dialing = true;
-            let sent = self
-                .dial_tx
-                .send(DialReq {
-                    binding,
-                    loop_idx: self.loop_idx,
-                    replicas: st.cfg.replicas.clone(),
-                    start_idx: st.addr_idx,
-                    connect_timeout: st.cfg.connect_timeout,
-                })
-                .is_ok();
-            if !sent {
-                st.dialing = false;
-                return refuse(st, upcall);
+        if link.conn.is_none() {
+            let refused = match msg {
+                None => Err("connection lost"),
+                Some(_) if link.dialing => Ok(()),
+                Some(_) => link.redial(binding, self.loop_idx, &self.dial_tx),
+            };
+            if let Err(why) = refused {
+                #[cfg(test)]
+                if msg.is_none() {
+                    link.lane.paths.orphaned.fetch_add(1, Ordering::Relaxed);
+                }
+                link.lane.in_flight.fetch_sub(1, Ordering::SeqCst);
+                return entry.fail(Error::Unavailable(why.into()));
             }
         }
-        let seq = st.lane.next_seq.fetch_add(1, Ordering::Relaxed);
-        let client = NodeId(st.cfg.client_id as usize);
-        let (msg, entry) = encode_submit(client, seq, op, kind, upcall);
-        st.admit(seq, entry);
-        self.deadlines
-            .arm(Instant::now() + st.cfg.op_timeout, (binding, seq));
-        match st.conn {
-            Some(conn) => ctl.send(conn, &msg),
-            // Dial in flight: deliver on DialOk, fail on DialFailed.
-            None => st.unsent.push((seq, msg)),
-        }
-    }
-
-    /// Operation `seq` of `binding` is on the wire already (or about to
-    /// be): the submitting thread wrote it to the link that was live
-    /// when it pushed this entry. The queue is FIFO and the loop
-    /// withdraws a dead link's socket before it runs anything queued
-    /// later, so `conn` here is still that link — or `None`: the link
-    /// died under the frame, and the reply with it.
-    fn written(&mut self, binding: u64, seq: u64, deadline: Instant, op: ClientOp) {
-        let st = match self.bindings.get_mut(&binding) {
-            Some(Slot::Quorum(st)) => st,
-            _ => return op.fail(Error::Unavailable("client connection closed".into())),
-        };
-        if st.conn.is_none() {
-            #[cfg(test)]
-            st.lane.paths.orphaned.fetch_add(1, Ordering::Relaxed);
-            st.lane.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return op.fail(Error::Unavailable("coordinator connection lost".into()));
-        }
-        st.admit(seq, op);
+        link.admit(seq, entry);
         self.deadlines.arm(deadline, (binding, seq));
+        match (msg, link.conn) {
+            (Some(msg), Some(conn)) => ctl.send(conn, &msg),
+            // Dial in flight: sent on DialOk, failed on DialFailed.
+            (Some(msg), None) => link.unsent.push(msg),
+            (None, _) => {}
+        }
     }
 
-    /// Re-derives the park cap from the quorum bindings hosted now. Run
-    /// when one comes or goes — bindings are few, the data path never
-    /// scans them. A standing tick is only ever pulled in, never pushed
-    /// out, so what the bindings that stay were promised still holds.
+    /// Re-derives the park cap from the bindings hosted now. Run when
+    /// one comes or goes — bindings are few, the data path never scans
+    /// them. A standing tick is only ever pulled in, never pushed out,
+    /// so what the bindings that stay were promised still holds.
     fn repark(&mut self) {
-        let timeouts = self.bindings.values().filter_map(|slot| match slot {
-            Slot::Quorum(st) => Some(st.cfg.op_timeout),
-            Slot::Spec(_) => None,
-        });
+        let cap = self.links.values().map(|link| link.cfg.op_timeout).min();
         let tick = self.park.map(|(_, at)| at);
-        self.park = timeouts.min().map(|cap| {
+        self.park = cap.map(|cap| {
             let fresh = Instant::now() + cap;
             (cap, tick.map_or(fresh, |at| at.min(fresh)))
         });
@@ -682,38 +754,11 @@ impl Handler for ClientHandler {
     }
 
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
-        let Some(binding) = ctl.tag_of(conn) else {
+        let Some(link) = ctl.tag_of(conn).and_then(|b| self.links.get_mut(&b)) else {
             return;
         };
-        let st = match self.bindings.get_mut(&binding) {
-            Some(Slot::Quorum(st)) => st,
-            Some(Slot::Spec(sp)) => return sp.on_frame(ctl, conn, body),
-            None => return,
-        };
-        match Reader::new(body).finish::<Msg>() {
-            Ok(msg) => {
-                let me = NodeId(st.cfg.client_id as usize);
-                // A message that closes its operation is lent the entry
-                // already out of the table, the count already lowered:
-                // the view's callbacks run against an idle link.
-                let closes = closes_op(&msg);
-                let mut closed = None;
-                let step = on_reply(me, msg, |seq| {
-                    if st.head == Some(seq) {
-                        st.head = None;
-                    }
-                    if closes {
-                        closed = st.take(seq);
-                        closed.as_mut()
-                    } else {
-                        st.pending.get_mut(&seq)
-                    }
-                });
-                debug_assert!(
-                    step.is_none_or(|(_, step)| step.finished() == closes),
-                    "closes_op and on_reply disagree: {closes} before, {step:?} after"
-                );
-            }
+        match Reader::new(body).finish::<NetMsg>() {
+            Ok(msg) => link.route(msg),
             // An unparseable reply means the stream is corrupt: kill the
             // connection (on_close fails the binding's pending ops) —
             // never guess at what the reply might have been.
@@ -722,18 +767,15 @@ impl Handler for ClientHandler {
     }
 
     fn on_close(&mut self, _ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
-        let st = match self.bindings.get_mut(&tag) {
-            Some(Slot::Quorum(st)) => st,
-            Some(Slot::Spec(sp)) => return sp.on_close(conn),
-            None => return,
+        let Some(link) = self.links.get_mut(&tag) else {
+            return;
         };
-        if st.conn != Some(conn) {
+        if link.conn != Some(conn) {
             return; // stale close of an already-replaced connection
         }
-        st.drop_link(|| Error::Unavailable("coordinator connection lost".into()));
+        link.drop_link(|| Error::Unavailable("connection lost".into()));
         // Prefer a different replica on the next dial.
-        let n = st.cfg.replicas.len().max(1);
-        st.addr_idx = (st.addr_idx + 1) % n;
+        link.addr_idx = (link.addr_idx + 1) % link.cfg.replicas.len().max(1);
     }
 
     fn on_event(&mut self, ctl: &mut Ctl, ev: ClientEv) {
@@ -746,111 +788,63 @@ impl Handler for ClientHandler {
                 lane,
             } => {
                 let conn = ctl.adopt_shared(stream, binding, &lane.half);
-                self.bindings.insert(
-                    binding,
-                    Slot::Quorum(BState {
-                        cfg,
-                        lane,
-                        pending: IdMap::default(),
-                        conn,
-                        addr_idx,
-                        dialing: false,
-                        retry_after: None,
-                        unsent: Vec::new(),
-                        head: None,
-                        crowded: false,
-                    }),
-                );
+                self.links
+                    .insert(binding, Link::new(cfg, lane, conn, addr_idx));
                 self.repark();
             }
-            ClientEv::Submit {
-                binding,
-                op,
-                kind,
-                upcall,
-            } => self.submit(ctl, binding, op, kind, upcall),
-            ClientEv::Written {
-                binding,
-                seq,
-                deadline,
-                op,
-            } => self.written(binding, seq, deadline, *op),
+            ClientEv::Submit(sub) => self.admit(ctl, *sub),
             ClientEv::DialOk {
                 binding,
                 stream,
                 addr_idx,
             } => {
-                let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
+                let Some(link) = self.links.get_mut(&binding) else {
                     return; // deregistered while the dial was in flight
                 };
-                st.dialing = false;
-                match ctl.adopt_shared(stream, binding, &st.lane.half) {
+                link.dialing = false;
+                match ctl.adopt_shared(stream, binding, &link.lane.half) {
                     Some(conn) => {
-                        st.conn = Some(conn);
-                        st.addr_idx = addr_idx;
-                        st.retry_after = None;
-                        if let Some(addr) = st.cfg.replicas.get(addr_idx) {
-                            *st.lane.coordinator.lock() = *addr;
+                        link.conn = Some(conn);
+                        link.addr_idx = addr_idx;
+                        link.retry_after = None;
+                        if let Some(addr) = link.cfg.replicas.get(addr_idx) {
+                            *link.lane.coordinator.lock() = *addr;
                         }
-                        for (_, msg) in st.unsent.drain(..) {
+                        for msg in link.unsent.drain(..) {
                             ctl.send(conn, &msg);
                         }
                     }
-                    None => {
-                        st.fail_all(|| Error::Unavailable("coordinator connection lost".into()));
-                    }
+                    None => link.fail_all(|| Error::Unavailable("connection lost".into())),
                 }
             }
             ClientEv::DialFailed { binding } => {
-                let Some(Slot::Quorum(st)) = self.bindings.get_mut(&binding) else {
+                let Some(link) = self.links.get_mut(&binding) else {
                     return;
                 };
-                st.dialing = false;
-                st.retry_after = Some(Instant::now() + st.cfg.connect_timeout);
-                let n = st.cfg.replicas.len().max(1);
-                st.addr_idx = (st.addr_idx + 1) % n;
-                st.fail_all(|| Error::Unavailable("no replica reachable".into()));
+                link.dialing = false;
+                link.retry_after = Some(Instant::now() + link.cfg.connect_timeout);
+                link.addr_idx = (link.addr_idx + 1) % link.cfg.replicas.len().max(1);
+                link.fail_all(|| Error::Unavailable("no replica reachable".into()));
             }
             ClientEv::Deregister { binding } => {
-                let Some(mut slot) = self.bindings.remove(&binding) else {
+                let Some(mut link) = self.links.remove(&binding) else {
                     return;
                 };
-                if let Some(conn) = slot.shut(|| Error::Unavailable("client shut down".into())) {
+                if let Some(conn) = link.drop_link(|| Error::Unavailable("client shut down".into()))
+                {
                     ctl.close(conn);
                 }
                 self.repark();
-            }
-            ClientEv::RegisterSpec {
-                binding,
-                mut state,
-                stream,
-            } => {
-                state.conn = ctl.adopt(stream, binding);
-                self.bindings.insert(binding, Slot::Spec(state));
-            }
-            ClientEv::SubmitSpec {
-                binding,
-                op,
-                wants,
-                upcall,
-            } => {
-                let Some(Slot::Spec(sp)) = self.bindings.get_mut(&binding) else {
-                    upcall.fail(Error::Unavailable("spec client shut down".into()));
-                    return;
-                };
-                if let Some((at, seq)) = sp.submit(ctl, op, wants, upcall) {
-                    self.deadlines.arm(at, (binding, seq));
-                }
             }
         }
     }
 
     fn on_tick(&mut self, _ctl: &mut Ctl) {
         let now = Instant::now();
-        let bindings = &mut self.bindings;
+        let links = &mut self.links;
         self.deadlines.fire_expired(now, |(binding, seq)| {
-            if let Some(slot) = bindings.get_mut(&binding) {
-                slot.expire(seq);
+            if let Some(entry) = links.get_mut(&binding).and_then(|link| link.take(seq)) {
+                entry.fail(Error::Timeout);
             }
         });
         if let Some((cap, tick)) = &mut self.park {
@@ -861,19 +855,19 @@ impl Handler for ClientHandler {
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {
-        let bindings = &self.bindings;
+        let links = &self.links;
         let op = self.deadlines.next_live(|&(binding, seq)| {
-            bindings
+            links
                 .get(&binding)
-                .is_some_and(|slot| slot.is_pending(seq))
+                .is_some_and(|link| link.pending.contains_key(&seq))
         });
         let tick = self.park.map(|(_, at)| at);
         op.into_iter().chain(tick).min()
     }
 
     fn on_shutdown(&mut self) {
-        for (_, mut slot) in self.bindings.drain() {
-            slot.shut(|| Error::Unavailable("client reactor shut down".into()));
+        for (_, mut link) in self.links.drain() {
+            link.drop_link(|| Error::Unavailable("client reactor shut down".into()));
         }
     }
 }
@@ -882,33 +876,12 @@ impl Handler for ClientHandler {
 mod tests {
     use super::*;
 
-    /// Every queued command is as big as the biggest event: PR 15
-    /// measured 264 bytes against 160 at 0.8 % of the pipelined
-    /// workload. A [`ClientOp`] is 184 bytes, hence the box in
-    /// [`ClientEv::Written`].
-    fn quorum_slot(op_timeout: Duration) -> Slot {
+    /// A link with no connection whose binding has `op_timeout`.
+    fn link(op_timeout: Duration) -> Link {
         let addr = SocketAddr::from(([127, 0, 0, 1], 1));
         let mut cfg = TcpConfig::new(vec![addr], 1);
         cfg.op_timeout = op_timeout;
-        Slot::Quorum(BState {
-            cfg,
-            lane: Arc::new(Lane {
-                next_seq: AtomicU64::new(0),
-                in_flight: AtomicUsize::new(0),
-                bursty: AtomicBool::new(false),
-                half: Arc::default(),
-                coordinator: Mutex::new(addr),
-                paths: PathCounts::default(),
-            }),
-            pending: IdMap::default(),
-            conn: None,
-            addr_idx: 0,
-            dialing: false,
-            retry_after: None,
-            unsent: Vec::new(),
-            head: None,
-            crowded: false,
-        })
+        Link::new(cfg, Arc::new(Lane::new(addr)), None, 0)
     }
 
     /// The cap is the shortest `op_timeout` among the bindings hosted
@@ -919,34 +892,37 @@ mod tests {
         let mut h = ClientHandler {
             loop_idx: 0,
             dial_tx,
-            bindings: IdMap::default(),
+            links: IdMap::default(),
             deadlines: Deadlines::default(),
             park: None,
         };
         let cap = |h: &ClientHandler| h.park.map(|(cap, _)| cap);
         let (slow, hasty) = (Duration::from_secs(2), Duration::from_millis(10));
-        h.bindings.insert(0, quorum_slot(slow));
+        h.links.insert(0, link(slow));
         h.repark();
         assert_eq!(cap(&h), Some(slow));
         let first_tick = h.next_deadline().expect("a standing tick");
 
-        h.bindings.insert(1, quorum_slot(hasty));
+        h.links.insert(1, link(hasty));
         h.repark();
         assert_eq!(cap(&h), Some(hasty));
         let tick = h.next_deadline().expect("a standing tick");
         assert!(tick < first_tick, "the tick was not pulled in");
 
-        h.bindings.remove(&1);
+        h.links.remove(&1);
         h.repark();
         assert_eq!(cap(&h), Some(slow));
         assert_eq!(h.next_deadline(), Some(tick), "a tick is never pushed out");
 
-        h.bindings.remove(&0);
+        h.links.remove(&0);
         h.repark();
         assert_eq!(h.park, None);
         assert_eq!(h.next_deadline(), None, "no binding, no idle wake-up");
     }
 
+    /// Every queued command is as big as the biggest event: 264 bytes
+    /// against 160 measured at 0.8 % of the pipelined workload. A
+    /// [`ClientOp`] is 184 bytes, hence the box in [`ClientEv::Submit`].
     #[test]
     fn client_events_stay_small() {
         assert!(

@@ -21,8 +21,8 @@
 //!   jitter for the dialer threads that feed loops reconnections.
 //! - `server` / [`client`] — what runs on the loops: the whole replica
 //!   (`ReplicaServer`, its one protocol loop and its peer dialers), and
-//!   the client handler with its binding table behind `TcpBinding` and
-//!   `TcpSpecBinding`.
+//!   the client handler with its table of links, one per `TcpBinding`
+//!   or `TcpSpecBinding`, the same kind for both.
 
 pub mod backoff;
 pub mod client;

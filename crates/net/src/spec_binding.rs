@@ -10,48 +10,52 @@
 //!
 //! Custom consistency levels get their wire ids assigned per process, in
 //! registration order — a client and a server that registered levels in
-//! different orders disagree on the numbering. The handshake resolves
-//! this: on connect the binding sends [`NetMsg::Hello`] and the server
-//! answers [`NetMsg::HelloAck`] with its complete level directory
+//! different orders disagree on the numbering. The builtins do not: their
+//! ids are fixed. On connect the binding sends [`NetMsg::Hello`] and the
+//! server answers [`NetMsg::HelloAck`] with its complete level directory
 //! (`id`, `rank`, `name` per level). The binding registers every
-//! directory entry locally (idempotent for levels it already knows) and
-//! keeps a two-way id translation table, so:
-//!
-//! - levels requested on [`Binding::submit`] are sent under the
-//!   *server's* ids;
-//! - levels on [`NetMsg::SpecReply`] are translated back to local
-//!   [`ConsistencyLevel`] values before the upcall sees them.
-//!
-//! A level the server advertises but this process never registered
-//! becomes a fresh local registration — a fifth custom level on the
-//! server needs zero client code changes to round-trip.
+//! directory entry locally (idempotent for levels it already knows), so
+//! [`TcpSpecBinding::server_levels`] names a fifth custom level on the
+//! server with zero client code changes; and it checks, once, that the
+//! server lists each of the four levels it serves under this process's
+//! id, refusing the connection otherwise. Requested levels and the levels
+//! on [`NetMsg::SpecReply`] then travel as they are — nothing is
+//! translated per operation, and a reply at an id this process does not
+//! know is dropped.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
 //! with no failover list: the spec store serves every view from the
 //! replica the client connected to, and a lost connection fails the
-//! in-flight operations with [`Error::Unavailable`] and the binding
+//! in-flight operations with [`correctables::Error::Unavailable`] and the binding
 //! stays down (reconnect by constructing a new binding).
 //!
-//! Like [`crate::TcpBinding`] it lives on the process-wide
-//! [`ClientReactor`]: the handshake runs on the freshly dialed blocking
-//! stream, then the stream is handed to one of the reactor's event
-//! loops, where `SpecState` — this binding's pending table and
-//! directory — sits next to the quorum bindings' state. A spec binding
-//! costs one socket and no thread.
+//! Otherwise it is a [`crate::TcpBinding`] with another request: the
+//! handshake runs on the freshly dialed blocking stream, then the stream
+//! is handed to one of the process-wide [`ClientReactor`]'s event loops
+//! as the same link a quorum binding gets — its redial list empty — and
+//! submissions take the same path, written by the calling thread on an
+//! idle link ([`crate::reactor::client`]). A spec binding costs one
+//! socket and no thread.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use quorumstore::IdMap;
+use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
 
+use crate::binding::TcpConfig;
 use crate::frame::{read_frame, write_frame};
-use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
-use crate::reactor::conn::CloseReason;
-use crate::reactor::event_loop::Ctl;
-use crate::wire::{LevelInfo, NetMsg, Reader, SpecOp};
+use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
+use crate::wire::{NetMsg, SpecOp};
+
+/// The levels the spec binding offers (and the server's spec store
+/// serves).
+const SERVED: [ConsistencyLevel; 4] = [
+    ConsistencyLevel::WEAK,
+    ConsistencyLevel::UPDATE,
+    ConsistencyLevel::CAUSAL,
+    ConsistencyLevel::STRONG,
+];
 
 /// Configuration of a [`TcpSpecBinding`].
 #[derive(Clone, Copy, Debug)]
@@ -62,7 +66,7 @@ pub struct SpecTcpConfig {
     /// concurrently connected spec clients.
     pub client_id: u64,
     /// Client-side deadline per operation; an operation whose strongest
-    /// requested view never arrives fails with [`Error::Timeout`]
+    /// requested view never arrives fails with [`correctables::Error::Timeout`]
     /// instead of wedging open.
     pub op_timeout: Duration,
     /// Dial and handshake timeout.
@@ -82,45 +86,12 @@ impl SpecTcpConfig {
     }
 }
 
-/// The two-way wire-id translation table built from the handshake.
-struct Directory {
-    /// Local wire id → server wire id, for submissions.
-    to_server: HashMap<u8, u8>,
-    /// Server wire id → local level, for replies.
-    from_server: HashMap<u8, ConsistencyLevel>,
-    /// Every advertised level, as local values, directory order.
-    levels: Vec<ConsistencyLevel>,
-}
-
-impl Directory {
-    /// Folds the server's level directory into the local registry. An
-    /// advertised level unknown here is registered on the spot; one
-    /// whose name exists locally under a *different rank* cannot be
-    /// represented and is skipped (submitting at it is impossible from
-    /// this process anyway — no local value denotes it).
-    fn build(infos: &[LevelInfo]) -> Directory {
-        let mut dir = Directory {
-            to_server: HashMap::new(),
-            from_server: HashMap::new(),
-            levels: Vec::new(),
-        };
-        for info in infos {
-            let Ok(local) = ConsistencyLevel::register(&info.name, info.rank) else {
-                continue;
-            };
-            dir.to_server.insert(local.wire_id(), info.id);
-            dir.from_server.insert(info.id, local);
-            dir.levels.push(local);
-        }
-        dir
-    }
-}
-
 /// A [`Binding`] for the replicated spec store: `Op` = [`SpecOp`],
 /// `Val` = `u64`, four incremental levels per invocation. Cloning
 /// shares the connection and the op-id space.
 #[derive(Clone)]
 pub struct TcpSpecBinding {
+    client_id: u64,
     levels: LevelSet,
     server_levels: Vec<ConsistencyLevel>,
     rb: ReactorBinding,
@@ -131,9 +102,18 @@ impl TcpSpecBinding {
     /// registers the connection with the process-wide
     /// [`ClientReactor`].
     ///
-    /// Fails if the replica is unreachable, closes mid-handshake, or
-    /// answers the `Hello` with anything but a `HelloAck`.
+    /// Fails if the replica is unreachable, closes mid-handshake,
+    /// answers the `Hello` with anything but a `HelloAck`, or lists one
+    /// of the four levels this binding serves under another id.
     pub fn connect(cfg: SpecTcpConfig) -> io::Result<TcpSpecBinding> {
+        Self::connect_on(cfg, ClientReactor::global()?)
+    }
+
+    /// [`TcpSpecBinding::connect`] onto a specific [`ClientReactor`].
+    pub(crate) fn connect_on(
+        cfg: SpecTcpConfig,
+        reactor: &ClientReactor,
+    ) -> io::Result<TcpSpecBinding> {
         let stream = TcpStream::connect_timeout(&cfg.addr, cfg.connect_timeout)?;
         // Handshake synchronously, before any event loop sees the
         // stream: one Hello out, one HelloAck back. The read timeout
@@ -147,46 +127,54 @@ impl TcpSpecBinding {
             client: cfg.client_id,
         };
         write_frame(&mut &stream, &hello, &mut scratch)?;
-        let ack = read_frame::<NetMsg>(&mut &stream, &mut scratch)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        let ack =
+            read_frame::<NetMsg>(&mut &stream, &mut scratch).map_err(|e| invalid(e.to_string()))?;
         let Some(NetMsg::HelloAck { levels, .. }) = ack else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected HelloAck as the first frame",
-            ));
+            return Err(invalid("expected HelloAck as the first frame".into()));
         };
         stream.set_read_timeout(None)?;
-        let dir = Directory::build(&levels);
-        let server_levels = dir.levels.clone();
-        let state = SpecState {
-            cfg,
-            dir,
-            next_seq: 0,
-            pending: IdMap::default(),
-            conn: None,
+        if let Some(level) = SERVED.iter().find(|l| {
+            !levels
+                .iter()
+                .any(|info| info.id == l.wire_id() && info.name == l.name())
+        }) {
+            return Err(invalid(format!(
+                "server does not list level {} under id {}",
+                level.name(),
+                level.wire_id()
+            )));
+        }
+        // An advertised level unknown here is registered on the spot;
+        // one whose name exists locally under a *different rank* cannot
+        // be represented and is skipped.
+        let server_levels = levels
+            .iter()
+            .filter_map(|info| ConsistencyLevel::register(&info.name, info.rank).ok())
+            .collect();
+        // No redial list: the binding stays down once the link is lost.
+        let link = TcpConfig {
+            op_timeout: cfg.op_timeout,
+            connect_timeout: cfg.connect_timeout,
+            ..TcpConfig::new(Vec::new(), cfg.client_id)
         };
-        let rb = ClientReactor::global()?.register_spec(state, stream)?;
         Ok(TcpSpecBinding {
-            levels: LevelSet::of(&[
-                ConsistencyLevel::WEAK,
-                ConsistencyLevel::UPDATE,
-                ConsistencyLevel::CAUSAL,
-                ConsistencyLevel::STRONG,
-            ]),
+            client_id: cfg.client_id,
+            levels: LevelSet::of(&SERVED),
             server_levels,
-            rb,
+            rb: reactor.enroll(link, stream, cfg.addr, 0)?,
         })
     }
 
-    /// Every level the server's handshake directory advertised,
-    /// translated to local values — including custom levels this
-    /// process first learned of from the handshake.
+    /// Every level the server's handshake directory advertised, as
+    /// local values — including custom levels this process first
+    /// learned of from the handshake.
     pub fn server_levels(&self) -> &[ConsistencyLevel] {
         &self.server_levels
     }
 
     /// Disconnects and stops serving this binding. Pending operations
-    /// fail with [`Error::Unavailable`]. Idempotent; dropping the last
+    /// fail with [`correctables::Error::Unavailable`]. Idempotent; dropping the last
     /// clone has the same effect.
     pub fn shutdown(&self) {
         self.rb.shutdown();
@@ -202,130 +190,124 @@ impl Binding for TcpSpecBinding {
     }
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
-        // Requested levels travel under the *local* ids here; the loop
-        // translates to server ids (it owns the directory).
-        self.rb.submit(ClientEv::SubmitSpec {
-            binding: self.rb.id(),
-            op,
-            wants: levels.iter().map(|l| l.wire_id()).collect(),
-            upcall,
+        // This process's ids are the server's for every level offered
+        // here: `connect` checked.
+        let client = self.client_id;
+        self.rb.submit(|seq| {
+            let wants = levels.iter().map(|l| l.wire_id()).collect();
+            let msg = NetMsg::SpecSubmit {
+                client,
+                seq,
+                op,
+                wants,
+            };
+            (msg, Entry::Spec(upcall))
         });
     }
 }
 
-/// A spec binding's state on its loop thread: the entry
-/// `reactor::client` keeps for it in the loop's binding table.
-pub(crate) struct SpecState {
-    cfg: SpecTcpConfig,
-    dir: Directory,
-    next_seq: u64,
-    /// In-flight operations by seq.
-    pub(crate) pending: IdMap<Upcall<u64>>,
-    /// The loop-local id of the connection; `None` once it is lost —
-    /// the binding stays down.
-    pub(crate) conn: Option<u64>,
-}
+#[cfg(test)]
+mod tests {
+    //! Which path a submission took is visible only in the crate: the
+    //! spec twin of `binding::tests`' depth test.
 
-impl SpecState {
-    pub(crate) fn fail_all(&mut self, err: impl Fn() -> Error) {
-        for (_, upcall) in self.pending.drain() {
-            upcall.fail(err());
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{self, Sender};
+    use std::sync::Arc;
+
+    use correctables::spec::RegOp;
+    use correctables::{Client, Error};
+
+    use crate::{spawn_local_cluster, ServerConfig};
+
+    type Spec = Client<TcpSpecBinding>;
+
+    /// Keeps `left` four-level reads going on `client`, each issued from
+    /// inside the previous one's `on_final` — on the client loop's
+    /// thread.
+    fn chain(client: Arc<Spec>, left: Arc<AtomicUsize>, done: Sender<Result<(), Error>>) {
+        let took_one = left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if took_one.is_err() {
+            let _ = done.send(Ok(()));
+            return;
         }
+        let read = client.invoke(SpecOp::Reg(RegOp::Read(7)));
+        let failed = done.clone();
+        read.on_error(move |e| {
+            let _ = failed.send(Err(e.clone()));
+        });
+        read.on_final(move |_| chain(client, left, done));
     }
 
-    /// The connection is gone, and the replies of everything in flight
-    /// with it.
-    pub(crate) fn on_close(&mut self, conn: u64) {
-        if self.conn == Some(conn) {
-            self.conn = None;
-            self.fail_all(|| Error::Unavailable("spec connection lost".into()));
-        }
-    }
+    #[test]
+    fn a_depth_one_spec_loop_writes_its_own_frames_and_a_deep_one_never_does() {
+        const OPS: usize = 5_000;
+        let replicas = spawn_local_cluster(3, |id| ServerConfig {
+            id,
+            ..ServerConfig::default()
+        });
+        let reactor = ClientReactor::new(1).expect("reactor");
+        let cfg = SpecTcpConfig::new(replicas[0].addr(), 4400);
+        let binding = TcpSpecBinding::connect_on(cfg, &reactor).expect("connect");
+        let client = Arc::new(Client::new(binding.clone()));
+        let wait = Duration::from_secs(10);
 
-    /// Sends one submission, `wants` holding the requested levels under
-    /// this process's wire ids; returns the deadline to arm for its seq,
-    /// or `None` if it failed on the spot.
-    pub(crate) fn submit(
-        &mut self,
-        ctl: &mut Ctl,
-        op: SpecOp,
-        mut wants: Vec<u8>,
-        upcall: Upcall<u64>,
-    ) -> Option<(Instant, u64)> {
-        // Translate requested levels to the server's numbering, in the
-        // vector the wire message will own. A level with no directory
-        // entry cannot be requested honestly — fail rather than silently
-        // downgrade the guarantee.
-        for want in &mut wants {
-            let Some(&server) = self.dir.to_server.get(want) else {
-                upcall.fail(Error::Unavailable(
-                    "server does not advertise a requested level".into(),
-                ));
-                return None;
-            };
-            *want = server;
+        // Depth 1, the caller woken by the final view submits the next.
+        let (direct0, queued0, _) = binding.rb.paths();
+        let wakes0 = binding.rb.loop_wakes();
+        for _ in 0..OPS {
+            let read = client.invoke(SpecOp::Reg(RegOp::Read(7)));
+            read.wait_final(wait).expect("four-level read");
         }
-        let Some(conn) = self.conn else {
-            upcall.fail(Error::Unavailable("spec connection lost".into()));
-            return None;
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq, upcall);
-        ctl.send(
-            conn,
-            &NetMsg::SpecSubmit {
-                client: self.cfg.client_id,
-                seq,
-                op,
-                wants,
-            },
+        // Depth 1, the next read issued from inside `on_final`.
+        let (done_tx, done) = mpsc::channel();
+        chain(
+            Arc::clone(&client),
+            Arc::new(AtomicUsize::new(OPS)),
+            done_tx,
         );
-        Some((Instant::now() + self.cfg.op_timeout, seq))
-    }
+        done.recv_timeout(Duration::from_secs(60))
+            .expect("chain finished")
+            .expect("chained read");
+        let (direct1, queued1, _) = binding.rb.paths();
+        let (direct, queued) = (direct1 - direct0, queued1 - queued0);
+        assert_eq!(direct + queued, 2 * OPS as u64);
+        assert!(
+            queued * 100 <= 2 * OPS as u64,
+            "{queued} of {} depth-1 reads took the queued path",
+            2 * OPS
+        );
+        // Only a queued submission writes the eventfd: the loop heard of
+        // the other {direct} from their replies.
+        let wakes = binding.rb.loop_wakes() - wakes0;
+        assert!(
+            wakes <= queued,
+            "{wakes} eventfd writes for {queued} queued submissions"
+        );
 
-    /// One frame body off the binding's connection.
-    pub(crate) fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
-        match Reader::new(body).finish::<NetMsg>() {
-            Ok(msg) => self.handle_reply(msg),
-            // An unparseable reply means the stream is corrupt: kill the
-            // connection (`on_close` fails the pending ops) — never
-            // guess at what the reply might have been.
-            Err(_) => ctl.close_with(conn, CloseReason::Garbage, true),
+        // Depth 16: sixteen chains at once. Replies are about to wake
+        // the loop anyway; it batches what it finds.
+        let (done_tx, done) = mpsc::channel();
+        let left = Arc::new(AtomicUsize::new(OPS));
+        for _ in 0..16 {
+            chain(Arc::clone(&client), Arc::clone(&left), done_tx.clone());
         }
-    }
-
-    fn handle_reply(&mut self, msg: NetMsg) {
-        match msg {
-            NetMsg::SpecReply {
-                client,
-                seq,
-                level,
-                val,
-                closing,
-            } if client == self.cfg.client_id => {
-                // A reply at a level the directory cannot translate
-                // would deliver under the wrong name; drop it and let
-                // the op's other views (or its deadline) resolve it.
-                let Some(&local) = self.dir.from_server.get(&level) else {
-                    return;
-                };
-                if let Some(upcall) = self.pending.get(&seq) {
-                    upcall.deliver(val, local);
-                }
-                if closing {
-                    self.pending.remove(&seq);
-                }
-            }
-            NetMsg::SpecFailed { client, seq } if client == self.cfg.client_id => {
-                if let Some(upcall) = self.pending.remove(&seq) {
-                    upcall.fail(Error::Unavailable(
-                        "server refused the submission (unknown or unserved level)".into(),
-                    ));
-                }
-            }
-            // Anything else: not ours, or not client-bound. Drop.
-            _ => {}
+        for _ in 0..16 {
+            done.recv_timeout(Duration::from_secs(60))
+                .expect("chains finished")
+                .expect("chained read");
+        }
+        let (direct2, queued2, _) = binding.rb.paths();
+        let direct = direct2 - direct1;
+        assert!(queued2 - queued1 + direct >= OPS as u64);
+        assert!(
+            direct * 100 < OPS as u64,
+            "{direct} of {OPS} depth-16 reads were written directly"
+        );
+        binding.shutdown();
+        for r in &replicas {
+            r.shutdown();
         }
     }
 }
