@@ -7,16 +7,13 @@
 //!
 //! ```text
 //! icg-replicad --id 0 --listen 127.0.0.1:4701 \
-//!     --peers 127.0.0.1:4702,127.0.0.1:4703 [--op-timeout-ms 5000] \
-//!     [--levels audit:30,archive:50]
+//!     --peers 127.0.0.1:4702,127.0.0.1:4703 [--op-timeout-ms 5000]
 //! ```
 //!
-//! `--levels name:rank,...` registers deployment-specific consistency
-//! levels into the lattice before the listener starts; the version-2
-//! handshake then advertises them to every connecting client alongside
-//! the builtin `weak < update < causal < strong`. The builtins are
-//! always served; a custom level is advertised by name and rank so
-//! clients can target it once a binding serves it.
+//! The version-2 handshake lists the builtin levels
+//! `cache < weak < update < causal < strong` to every connecting client;
+//! the quorum store serves weak and strong, the spec store the four from
+//! weak up.
 //!
 //! The process serves until killed; peer links retry forever, so start
 //! order does not matter. See `OPERATIONS.md` for the full runbook.
@@ -24,7 +21,6 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use correctables::ConsistencyLevel;
 use icg_apps::cli::{die, Flags};
 use icg_net::{ReplicaServer, ServerConfig};
 
@@ -35,19 +31,15 @@ const KNOWN: &[&str] = &[
     "op-timeout-ms",
     "peer-retry-ms",
     "peer-retry-cap-ms",
-    "levels",
     "help",
 ];
 
 const USAGE: &str = "icg-replicad --id N --listen ADDR [--peers ADDR,ADDR,...]
     [--op-timeout-ms 5000] [--peer-retry-ms 200] [--peer-retry-cap-ms 5000]
-    [--levels name:rank,...]
 
 Hosts one quorum-store replica over TCP. --id must be unique across the
 replica set (it is the write-version tiebreak). --peers lists the OTHER
-replicas; omit it for a single-replica deployment. --levels registers
-extra consistency levels (beyond the builtin weak<update<causal<strong)
-into the lattice; the handshake advertises them to every client.";
+replicas; omit it for a single-replica deployment.";
 
 fn main() {
     let flags = match Flags::parse(std::env::args().skip(1), KNOWN) {
@@ -70,23 +62,6 @@ fn main() {
         })
         .collect();
 
-    // Deployment-specific levels join the lattice before the listener
-    // starts, so the very first handshake already advertises them.
-    for spec in flags
-        .get_or("levels", "")
-        .split(',')
-        .filter(|s| !s.is_empty())
-    {
-        let Some((name, rank)) = spec.split_once(':') else {
-            die(&format!("--levels: '{spec}' is not name:rank"));
-        };
-        let rank: u8 = rank
-            .parse()
-            .unwrap_or_else(|_| die(&format!("--levels: rank in '{spec}' is not 0-255")));
-        ConsistencyLevel::register(name, rank)
-            .unwrap_or_else(|e| die(&format!("--levels: cannot register '{spec}': {e}")));
-    }
-
     let cfg = ServerConfig {
         id,
         op_timeout: Duration::from_millis(flags.get_u64("op-timeout-ms", 5000)),
@@ -98,16 +73,9 @@ fn main() {
     let addr = server.local_addr();
     let _handle = server.start(peers.clone());
     // One parseable readiness line; cluster_demo.sh waits for it.
-    let mut registered = ConsistencyLevel::all_registered();
-    registered.sort();
-    let directory: Vec<String> = registered
-        .iter()
-        .map(|l| format!("{}:{}", l.name(), l.rank()))
-        .collect();
     println!(
-        "icg-replicad[{id}] listening on {addr} ({} peers, levels {})",
-        peers.len(),
-        directory.join("<"),
+        "icg-replicad[{id}] listening on {addr} ({} peers)",
+        peers.len()
     );
 
     // Serve until killed.

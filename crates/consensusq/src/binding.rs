@@ -25,9 +25,7 @@ use std::fmt;
 use std::ops::Deref;
 
 use correctables::{ConsistencyLevel, Error, Upcall};
-use simnet::{
-    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, SimTime, Submission,
-};
+use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, Submission};
 
 use crate::messages::Msg;
 use crate::server::{Server, ServerConfig};
@@ -118,37 +116,16 @@ impl QueueView {
 /// What the gateway keeps per outstanding operation.
 pub struct GwPending {
     upcall: Upcall<QueueView>,
-    start: SimTime,
-    prelim_at: Option<SimTime>,
     /// The element a [`QueueOp::Remove`] is deleting.
     removing: Option<String>,
-}
-
-/// Timing of one completed gateway operation, in virtual milliseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct QueueTiming {
-    /// When the preliminary view arrived.
-    pub prelim_ms: Option<f64>,
-    /// When the final view arrived.
-    pub final_ms: f64,
 }
 
 /// The queue's client protocol: every operation goes to the one server
 /// the client is connected to — a local read for a peek or a list, a
 /// Zab-coordinated transaction (with an optional local prediction)
-/// otherwise. Every closed operation leaves a [`QueueTiming`].
+/// otherwise.
 pub struct QueueClient {
     server: NodeId,
-    timings: Vec<QueueTiming>,
-}
-
-impl QueueClient {
-    fn connected_to(server: NodeId) -> QueueClient {
-        QueueClient {
-            server,
-            timings: Vec::new(),
-        }
-    }
 }
 
 impl GatewayProto for QueueClient {
@@ -208,27 +185,20 @@ impl GatewayProto for QueueClient {
         ctx.send(self.server, msg);
         Some(GwPending {
             upcall: q.upcall,
-            start: ctx.now(),
-            prelim_at: None,
             removing,
         })
     }
 
-    fn on_reply(&mut self, ctx: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
+    fn on_reply(&mut self, _: &mut Ctx<'_, Msg>, pending: &mut PendingOps<GwPending>, msg: Msg) {
         match msg {
             Msg::PrelimResp { op, result } => {
                 if let Some(p) = pending.get_mut(op.seq) {
-                    p.prelim_at = Some(ctx.now());
                     let view = QueueView::from_txn(result, &p.removing);
                     p.upcall.clone().deliver(view, ConsistencyLevel::WEAK);
                 }
             }
             Msg::FinalResp { op, result } => {
                 if let Some(p) = pending.remove(op.seq) {
-                    self.timings.push(QueueTiming {
-                        prelim_ms: p.prelim_at.map(|t| t.since(p.start).as_millis_f64()),
-                        final_ms: ctx.now().since(p.start).as_millis_f64(),
-                    });
                     let view = QueueView::from_txn(result, &p.removing);
                     p.upcall.deliver(view, ConsistencyLevel::STRONG);
                 }
@@ -245,10 +215,6 @@ impl GatewayProto for QueueClient {
                             children,
                         },
                     };
-                    self.timings.push(QueueTiming {
-                        prelim_ms: None,
-                        final_ms: ctx.now().since(p.start).as_millis_f64(),
-                    });
                     p.upcall.deliver(view, ConsistencyLevel::WEAK);
                 }
             }
@@ -301,7 +267,9 @@ impl SimQueue {
                 .node_as::<Server>(*id)
                 .set_membership(servers[leader.0], peers);
         }
-        let proto = QueueClient::connected_to(servers[connect.0]);
+        let proto = QueueClient {
+            server: servers[connect.0],
+        };
         SimQueue {
             host: SimHost::new(engine, servers, client, proto),
         }
@@ -309,14 +277,16 @@ impl SimQueue {
 
     /// One more client of this deployment: a gateway of its own at
     /// `client_site`, connected to the server at `connect_site`, behind
-    /// a handle of its own (queue, op ids, clock, `settle`, `timings`).
+    /// a handle of its own (queue, op ids, clock, `settle`).
     ///
     /// # Panics
     ///
     /// Panics if a site name is unknown.
     pub fn client_at(&self, client_site: &str, connect_site: &str) -> SimQueue {
         let site = |name| self.with_engine(|e| e.topology().site_named(name).expect("known site"));
-        let proto = QueueClient::connected_to(self.replica_ids()[site(connect_site).0]);
+        let proto = QueueClient {
+            server: self.replica_ids()[site(connect_site).0],
+        };
         SimQueue {
             host: self.host.add_gateway(site(client_site), proto),
         }
@@ -348,12 +318,6 @@ impl SimQueue {
     pub fn lengths(&self) -> Vec<u64> {
         self.each_replica(|server: &mut Server| server.tree.child_count(QUEUE))
     }
-
-    /// Timings of completed operations. Must not be called from inside
-    /// a callback: the engine is locked while it runs.
-    pub fn timings(&self) -> Vec<QueueTiming> {
-        self.with_proto(|p| p.timings.clone())
-    }
 }
 
 /// The weak/strong `Binding` over a [`SimQueue`].
@@ -362,9 +326,11 @@ pub type QueueBinding = SimBinding<QueueClient>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use correctables::{Client, State};
+    use correctables::{Client, History, HistoryEvent, RecordingBinding, State};
     use simnet::SimDuration;
     use std::sync::Arc;
+
+    type Recorded = Client<RecordingBinding<QueueBinding>>;
 
     /// Leader in IRL; the client, at `client_site`, talks to the FRK
     /// follower.
@@ -372,9 +338,40 @@ mod tests {
         SimQueue::ec2(ServerConfig::default(), "IRL", client_site, "FRK", seed)
     }
 
+    /// A client of `q` that records what it sees on `q`'s clock.
+    fn recorded(q: &SimQueue) -> (Arc<Recorded>, History<QueueOp, QueueView>) {
+        let history = History::with_clock(q.clock());
+        let binding = RecordingBinding::new(q.binding(), history.clone());
+        (Arc::new(Client::new(binding)), history)
+    }
+
+    /// Virtual milliseconds from each successfully closed invocation's
+    /// submission to its preliminary view (if any) and to its final view.
+    fn latencies(history: &History<QueueOp, QueueView>) -> Vec<(Option<f64>, f64)> {
+        let ms = |from: u64, to: u64| (to - from) as f64 / 1e6;
+        let mut out = Vec::new();
+        for inv in history.snapshot() {
+            let mut prelim = None;
+            for e in &inv.events {
+                if let HistoryEvent::View {
+                    at_nanos, closing, ..
+                } = e
+                {
+                    let at = ms(inv.at_nanos, *at_nanos);
+                    if *closing {
+                        out.push((prelim, at));
+                    } else {
+                        prelim = Some(at);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// `left` enqueues one at a time: the next leaves when the last
     /// closed.
-    fn enqueue_in_turn(client: Arc<Client<QueueBinding>>, icg: bool, left: u64) {
+    fn enqueue_in_turn(client: Arc<Recorded>, icg: bool, left: u64) {
         if left == 0 {
             return;
         }
@@ -395,29 +392,32 @@ mod tests {
     #[test]
     fn enqueues_replicate_to_all_servers() {
         let q = paper_queue("IRL", 3);
-        enqueue_in_turn(Arc::new(Client::new(q.binding())), false, 5);
+        let (client, history) = recorded(&q);
+        enqueue_in_turn(client, false, 5);
         q.settle();
         // The client has its answers; let the last commit reach VRG.
         q.advance(SimDuration::from_millis(500));
         assert_eq!(q.lengths(), [5, 5, 5], "replica diverged");
         let applied = q.each_replica(|s: &mut Server| s.applied_count);
         assert_eq!(applied, [5, 5, 5]);
-        let timings = q.timings();
+        let timings = latencies(&history);
         assert_eq!(timings.len(), 5);
         // Client in IRL via FRK follower with leader in IRL: the paper's
         // first configuration. Final latency ≈ 55–75 ms.
-        let mean = mean(timings.iter().map(|t| t.final_ms));
+        let mean = mean(timings.iter().map(|t| t.1));
         assert!((45.0..85.0).contains(&mean), "ZK enqueue mean {mean}ms");
     }
 
     #[test]
     fn czk_preliminary_beats_final_by_coordination_time() {
         let q = paper_queue("IRL", 4);
-        enqueue_in_turn(Arc::new(Client::new(q.binding())), true, 10);
+        let (client, history) = recorded(&q);
+        enqueue_in_turn(client, true, 10);
         q.settle();
-        let timings = q.timings();
-        let prelim = mean(timings.iter().map(|t| t.prelim_ms.expect("CZK enqueue")));
-        let fin = mean(timings.iter().map(|t| t.final_ms));
+        let timings = latencies(&history);
+        assert_eq!(timings.len(), 10);
+        let prelim = mean(timings.iter().map(|t| t.0.expect("CZK enqueue")));
+        let fin = mean(timings.iter().map(|t| t.1));
         // Preliminary ≈ client–server RTT (20 ms); final much later.
         assert!((18.0..26.0).contains(&prelim), "prelim {prelim}ms");
         assert!(fin > prelim + 20.0, "no gap: prelim {prelim} final {fin}");
@@ -431,13 +431,16 @@ mod tests {
             frk.client_at("IRL", "FRK"),
             frk.client_at("VRG", "FRK"),
         ];
+        let mut histories = Vec::new();
         for c in &clients {
-            enqueue_in_turn(Arc::new(Client::new(c.binding())), false, 20);
+            let (client, history) = recorded(c);
+            enqueue_in_turn(client, false, 20);
             c.step(SimDuration::ZERO);
+            histories.push(history);
         }
-        for c in &clients {
+        for (c, history) in clients.iter().zip(&histories) {
             c.settle();
-            assert_eq!(c.timings().len(), 20);
+            assert_eq!(latencies(history).len(), 20);
         }
         assert_eq!(frk.lengths()[0], 60);
     }
@@ -513,7 +516,7 @@ mod tests {
     #[test]
     fn icg_dequeue_gives_prediction_then_atomic_pop() {
         let q = queue_with(10);
-        let client = Client::new(q.binding());
+        let (client, history) = recorded(&q);
         let c = client.invoke(QueueOp::Dequeue);
         q.settle();
         assert_eq!(c.state(), State::Final);
@@ -523,8 +526,8 @@ mod tests {
         assert_eq!(prelims[0].value.remaining, 9);
         let fin = c.final_view().unwrap();
         assert_eq!(fin.value.name.as_deref(), Some("qn-0000000000"));
-        let t = q.timings()[0];
-        assert!(t.prelim_ms.unwrap() < t.final_ms - 10.0, "no latency gap");
+        let (prelim, fin) = latencies(&history)[0];
+        assert!(prelim.unwrap() < fin - 10.0, "no latency gap");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod server;
 pub mod tree;
 pub mod types;
 
-pub use binding::{QueueBinding, QueueOp, QueueTiming, QueueView, SimQueue};
+pub use binding::{QueueBinding, QueueOp, QueueView, SimQueue};
 pub use messages::{Msg, FRAME_BYTES};
 pub use server::{Server, ServerConfig};
 pub use tree::{join_path, Znode, ZnodeTree};

@@ -21,6 +21,9 @@
 //! Bindings implement exactly the paper's two-method storage interface
 //! ([`Binding::consistency_levels`] / [`Binding::submit`]) and encapsulate
 //! every storage-specific protocol, keeping application code portable.
+//! This crate carries no store: the workspace's stores live in crates of
+//! their own, each behind its binding (the quickstart example runs a
+//! three-replica quorum store on loopback TCP).
 //!
 //! ## Exploiting ICG
 //!
@@ -34,22 +37,40 @@
 //!
 //! ## Example
 //!
+//! A binding is the two methods; this one answers every requested level
+//! at once, a stale cache first and the primary last.
+//!
 //! ```
 //! use std::time::Duration;
-//! use correctables::local::{Delays, LocalCluster, LocalOp};
-//! use correctables::{Client, ConsistencyLevel};
+//! use correctables::{Binding, Client, ConsistencyLevel, LevelSet, Upcall};
 //!
-//! // A two-replica threaded toy cluster (weak reads may be stale).
-//! let cluster = LocalCluster::new(Delays::default());
-//! cluster.seed("user:42:name", "Ada");
-//! let client = Client::new(cluster.binding());
+//! struct Cached;
 //!
-//! // One invocation, two views: weak now, strong later.
-//! let result = client.invoke(LocalOp::Get("user:42:name".into()));
-//! let prelim = result.wait_any(Duration::from_secs(5)).unwrap();
-//! assert_eq!(prelim.value.as_deref(), Some("Ada"));
+//! impl Binding for Cached {
+//!     type Op = &'static str;
+//!     type Val = String;
+//!
+//!     fn consistency_levels(&self) -> LevelSet {
+//!         LevelSet::of(&[ConsistencyLevel::WEAK, ConsistencyLevel::STRONG])
+//!     }
+//!
+//!     fn submit(&self, key: &'static str, levels: &[ConsistencyLevel], upcall: Upcall<String>) {
+//!         for &level in levels {
+//!             let from = if level == ConsistencyLevel::WEAK { "cache" } else { "primary" };
+//!             upcall.deliver(format!("{key} from the {from}"), level);
+//!         }
+//!     }
+//! }
+//!
+//! // One invocation, two views: weak first, then strong.
+//! let client = Client::new(Cached);
+//! let result = client.invoke("user:42:name");
+//! let prelim = result.preliminary_views();
+//! assert_eq!(prelim.len(), 1);
+//! assert_eq!(prelim[0].value, "user:42:name from the cache");
 //! let fin = result.wait_final(Duration::from_secs(5)).unwrap();
 //! assert_eq!(fin.level, ConsistencyLevel::STRONG);
+//! assert_eq!(fin.value, "user:42:name from the primary");
 //! ```
 
 // Public API documentation is complete and enforced: CI's lint job runs
@@ -63,7 +84,6 @@ pub mod correctable;
 pub mod error;
 pub mod inline;
 pub mod level;
-pub mod local;
 pub mod record;
 pub mod spec;
 pub mod speculate;

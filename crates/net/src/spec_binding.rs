@@ -13,15 +13,14 @@
 //! different orders disagree on the numbering. The builtins do not: their
 //! ids are fixed. On connect the binding sends [`NetMsg::Hello`] and the
 //! server answers [`NetMsg::HelloAck`] with its complete level directory
-//! (`id`, `rank`, `name` per level). The binding registers every
-//! directory entry locally (idempotent for levels it already knows), so
-//! [`TcpSpecBinding::server_levels`] names a fifth custom level on the
-//! server with zero client code changes; and it checks, once, that the
+//! (`id`, `rank`, `name` per level). The binding checks, once, that the
 //! server lists each of the four levels it serves under this process's
-//! id, refusing the connection otherwise. Requested levels and the levels
-//! on [`NetMsg::SpecReply`] then travel as they are — nothing is
-//! translated per operation, and a reply at an id this process does not
-//! know is dropped.
+//! id, refusing the connection otherwise. It registers nothing: no
+//! binding serves a custom level, and a server's directory must not
+//! spend this process's wire ids. Requested levels and the levels on
+//! [`NetMsg::SpecReply`] then travel as they are — nothing is translated
+//! per operation, and a reply at an id this process does not know is
+//! dropped.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
 //! with no failover list: the spec store serves every view from the
@@ -93,7 +92,6 @@ impl SpecTcpConfig {
 pub struct TcpSpecBinding {
     client_id: u64,
     levels: LevelSet,
-    server_levels: Vec<ConsistencyLevel>,
     rb: ReactorBinding,
 }
 
@@ -145,13 +143,6 @@ impl TcpSpecBinding {
                 level.wire_id()
             )));
         }
-        // An advertised level unknown here is registered on the spot;
-        // one whose name exists locally under a *different rank* cannot
-        // be represented and is skipped.
-        let server_levels = levels
-            .iter()
-            .filter_map(|info| ConsistencyLevel::register(&info.name, info.rank).ok())
-            .collect();
         // No redial list: the binding stays down once the link is lost.
         let link = TcpConfig {
             op_timeout: cfg.op_timeout,
@@ -161,16 +152,8 @@ impl TcpSpecBinding {
         Ok(TcpSpecBinding {
             client_id: cfg.client_id,
             levels: LevelSet::of(&SERVED),
-            server_levels,
             rb: reactor.enroll(link, stream, cfg.addr, 0)?,
         })
-    }
-
-    /// Every level the server's handshake directory advertised, as
-    /// local values — including custom levels this process first
-    /// learned of from the handshake.
-    pub fn server_levels(&self) -> &[ConsistencyLevel] {
-        &self.server_levels
     }
 
     /// Disconnects and stops serving this binding. Pending operations

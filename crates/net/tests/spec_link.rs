@@ -1,6 +1,8 @@
 //! The spec binding's link against fake servers on raw sockets: what
-//! the connect-time level check refuses, and what a lost connection
-//! leaves behind — a binding that fails fast and never redials.
+//! the connect-time level check refuses, what a server's directory
+//! leaves in this process's level registry (nothing), and what a lost
+//! connection leaves behind — a binding that fails fast and never
+//! redials.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,6 +13,7 @@ use std::time::Duration;
 use correctables::spec::RegOp;
 use correctables::{Client, ConsistencyLevel, Error};
 use icg_net::frame::{read_frame, write_frame};
+use icg_net::wire::MAX_LEVELS;
 use icg_net::{LevelInfo, NetMsg, SpecOp, SpecTcpConfig, TcpSpecBinding, WIRE_VERSION};
 
 /// This process's level directory, with `strong` moved to `strong_id`.
@@ -66,6 +69,36 @@ fn a_server_listing_strong_under_another_id_is_refused_at_connect() {
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
         Ok(_) => panic!("a directory that renumbers strong must be refused"),
     }
+}
+
+/// A directory full of names this process does not know registers none
+/// of them: a server cannot spend the process's wire ids.
+#[test]
+fn a_servers_unknown_levels_leave_the_registry_as_it_was() {
+    let mut levels = directory(ConsistencyLevel::STRONG.wire_id());
+    let names: Vec<String> = (levels.len()..MAX_LEVELS as usize)
+        .map(|i| format!("server-only-level-{i}"))
+        .collect();
+    for (i, name) in names.iter().enumerate() {
+        levels.push(LevelInfo {
+            id: 100 + i as u8,
+            rank: 30,
+            name: name.clone(),
+        });
+    }
+    let before = ConsistencyLevel::all_registered().len();
+    let (addr, _accepts, _closed) = hello_then_close(levels);
+    let binding = TcpSpecBinding::connect(SpecTcpConfig::new(addr, 9702)).expect("connect");
+    assert_eq!(ConsistencyLevel::all_registered().len(), before);
+    let learned: Vec<&String> = names
+        .iter()
+        .filter(|name| ConsistencyLevel::lookup(name).is_some())
+        .collect();
+    assert!(
+        learned.is_empty(),
+        "registered from the handshake: {learned:?}"
+    );
+    binding.shutdown();
 }
 
 /// Once the connection is gone, every submission fails `Unavailable` —

@@ -1,100 +1,123 @@
-//! Quickstart: the Correctables API on a real threaded store.
+//! Quickstart: the Correctables API on a real replicated store.
 //!
-//! Demonstrates the three invocation methods of the paper (§3.2) against
-//! the in-process primary-backup cluster, with actual OS threads and
-//! wall-clock delays:
+//! Starts a three-replica quorum store on loopback TCP (the same
+//! replicas `icg-replicad` serves) and demonstrates the three
+//! invocation methods of the paper (§3.2) through its binding, with
+//! wall-clock timings:
 //!
-//! - `invoke_weak`  — fast, possibly stale;
-//! - `invoke_strong` — slow, correct;
+//! - `invoke_weak`  — fast: the coordinator's local copy;
+//! - `invoke_strong` — a read quorum;
 //! - `invoke`       — both, incrementally (ICG).
 //!
 //! Run with `cargo run --example quickstart`.
 
 use std::time::{Duration, Instant};
 
-use icg::correctables::local::{Delays, LocalCluster, LocalOp};
 use icg::correctables::{Client, ConsistencyLevel};
+use icg::net::{spawn_local_cluster, ServerConfig, TcpBinding, TcpConfig};
+use icg::quorumstore::{Key, StoreOp, Value, Versioned};
+
+/// Replicas use their ids (0..3) on the wire; the client sits well past them.
+const CLIENT_ID: u64 = 1000;
 
 fn main() {
-    let cluster = LocalCluster::new(Delays::default());
-    cluster.seed("greeting", "hello from the backup");
-    let client = Client::new(cluster.binding());
+    let replicas = spawn_local_cluster(3, |id| ServerConfig {
+        id,
+        ..ServerConfig::default()
+    });
+    let addrs = replicas.iter().map(|r| r.addr()).collect();
+    let binding = TcpBinding::connect(TcpConfig::new(addrs, CLIENT_ID)).expect("connect");
+    let client = Client::new(binding.clone());
+    let wait = Duration::from_secs(5);
+    let write = |key, value| {
+        client
+            .invoke_strong(StoreOp::Write(key, value))
+            .wait_final(wait)
+            .expect("write");
+    };
 
     println!("levels offered: {:?}\n", client.consistency_levels());
+    let greeting = Key::plain(0);
+    write(greeting, Value::Opaque(5));
 
     // --- invoke_weak: one fast view -------------------------------------
     let t0 = Instant::now();
     let weak = client
-        .invoke_weak(LocalOp::Get("greeting".into()))
-        .wait_final(Duration::from_secs(5))
+        .invoke_weak(StoreOp::Read(greeting))
+        .wait_final(wait)
         .expect("weak read");
     println!(
         "invoke_weak   -> {:?} ({}) after {:?}",
-        weak.value,
+        weak.value.value,
         weak.level,
         t0.elapsed()
     );
 
-    // --- invoke_strong: one slow, correct view --------------------------
+    // --- invoke_strong: one view from a read quorum ---------------------
     let t0 = Instant::now();
     let strong = client
-        .invoke_strong(LocalOp::Get("greeting".into()))
-        .wait_final(Duration::from_secs(5))
+        .invoke_strong(StoreOp::Read(greeting))
+        .wait_final(wait)
         .expect("strong read");
     println!(
         "invoke_strong -> {:?} ({}) after {:?}",
-        strong.value,
+        strong.value.value,
         strong.level,
         t0.elapsed()
     );
 
     // --- invoke: incremental consistency guarantees ---------------------
-    // Write, then immediately read with ICG: the preliminary view comes
-    // from the (not yet converged) backup, the final view from the primary.
-    client
-        .invoke_strong(LocalOp::Put("greeting".into(), "fresh value".into()))
-        .wait_final(Duration::from_secs(5))
-        .expect("write");
-
+    // Write, then read with ICG: the preliminary view is the
+    // coordinator's local copy, the final view a read quorum's.
+    let fresh = Value::Opaque(11);
+    write(greeting, fresh.clone());
     let t0 = Instant::now();
-    let c = client.invoke(LocalOp::Get("greeting".into()));
+    let c = client.invoke(StoreOp::Read(greeting));
     c.on_update(move |view| {
         println!(
             "invoke        -> preliminary {:?} ({}) after {:?}",
-            view.value,
+            view.value.value,
             view.level,
             t0.elapsed()
         );
     });
-    let fin = c.wait_final(Duration::from_secs(5)).expect("icg read");
+    let fin = c.wait_final(wait).expect("icg read");
     println!(
         "invoke        -> final       {:?} ({}) after {:?}",
-        fin.value,
+        fin.value.value,
         fin.level,
         t0.elapsed()
     );
     assert_eq!(fin.level, ConsistencyLevel::STRONG);
-    assert_eq!(fin.value.as_deref(), Some("fresh value"));
+    assert_eq!(fin.value.value, fresh);
 
     // --- speculate: Listing 3 of the paper -------------------------------
     // Chase a pointer speculatively: read a reference weakly, prefetch the
-    // target, confirm when the strong view arrives.
-    cluster.seed("ref", "target");
-    cluster.seed("target", "the payload behind the reference");
-    let chased = client.invoke(LocalOp::Get("ref".into()));
-    let cluster2 = cluster.clone();
+    // target, confirm when the strong view of the reference arrives.
+    let (reference, target, payload) = (Key::plain(1), Key::plain(2), Value::Opaque(4096));
+    write(target, payload.clone());
+    write(reference, Value::Ids(vec![2]));
+    let chaser = Client::new(binding.clone());
     let t0 = Instant::now();
-    let out = chased.speculate_async(
-        move |r: &Option<String>| {
-            let key = r.clone().unwrap_or_default();
-            Client::new(cluster2.binding()).invoke_strong(LocalOp::Get(key))
+    let out = client.invoke(StoreOp::Read(reference)).speculate_async(
+        move |r: &Versioned| {
+            let Value::Ids(ids) = &r.value else {
+                panic!("the reference holds ids, got {:?}", r.value);
+            };
+            chaser.invoke_strong(StoreOp::Read(Key::plain(ids[0])))
         },
         |_| {},
     );
-    let v = out.wait_final(Duration::from_secs(5)).expect("speculation");
+    let v = out.wait_final(wait).expect("speculation");
     println!(
         "\nspeculate     -> {:?} after {:?} (prefetch overlapped the strong read)",
-        v.value,
+        v.value.value,
         t0.elapsed()
     );
+    assert_eq!(v.value.value, payload);
+
+    binding.shutdown();
+    for r in &replicas {
+        r.shutdown();
+    }
 }

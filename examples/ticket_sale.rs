@@ -7,8 +7,11 @@
 //!
 //! Run with `cargo run --example ticket_sale`.
 
+use std::sync::Arc;
+
 use icg::apps::{Purchase, TicketOffice};
 use icg::consensusq::{ServerConfig, SimQueue};
+use icg::correctables::{Client, History, HistoryEvent, RecordingBinding};
 
 fn main() {
     // Servers in FRK/IRL/VRG, leader in IRL; the retail client sits in
@@ -16,7 +19,10 @@ fn main() {
     let queue = SimQueue::ec2(ServerConfig::default(), "IRL", "FRK", "FRK", 99);
     let stock = 40;
     queue.prefill(stock, 20);
-    let office = TicketOffice::new(queue);
+    // The office's client records every view on the queue's virtual clock.
+    let history = History::with_clock(queue.clock());
+    let client = Client::new(RecordingBinding::new(queue.binding(), history.clone()));
+    let office = TicketOffice::with_client(queue, Arc::new(client));
 
     println!(
         "selling {stock} tickets (threshold {}):\n",
@@ -25,16 +31,27 @@ fn main() {
     let mut fast = 0;
     let mut slow = 0;
     for n in 1.. {
-        let t0 = office.queue().timings().len();
+        // The purchase's dequeue leaves at this instant: `settle` kicks
+        // the client before virtual time moves.
+        let t0 = office.queue().now();
         let p = office.purchase_ticket();
         office.queue().settle();
-        let timing = office.queue().timings().get(t0).copied();
+        let dequeue = history.snapshot().pop().expect("the purchase's dequeue");
         match p.final_view().expect("purchase resolves").value {
             Purchase::Confirmed { via_prelim, ticket } => {
-                let (path, ms) = match (via_prelim, timing) {
-                    (true, Some(t)) => ("fast path (preliminary)", t.prelim_ms.unwrap_or(0.0)),
-                    (_, Some(t)) => ("atomic path (final)", t.final_ms),
-                    _ => ("?", 0.0),
+                // When the view that decided arrived: the preliminary on
+                // the fast path, the final one otherwise.
+                let decided_at = dequeue.events.iter().find_map(|e| match e {
+                    HistoryEvent::View {
+                        at_nanos, closing, ..
+                    } if *closing != via_prelim => Some(*at_nanos),
+                    _ => None,
+                });
+                let ms = decided_at.map_or(0.0, |at| (at - t0.as_nanos()) as f64 / 1e6);
+                let path = if via_prelim {
+                    "fast path (preliminary)"
+                } else {
+                    "atomic path (final)"
                 };
                 if via_prelim {
                     fast += 1;
