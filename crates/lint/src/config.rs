@@ -31,9 +31,7 @@ pub struct Config {
     pub level_lattice_crates: Vec<String>,
     /// Enum names the wire pass cross-checks.
     pub wire_enums: Vec<String>,
-    /// Files the wire enums are defined in.
-    pub wire_enum_files: Vec<String>,
-    /// The codec file holding the `impl Wire for …` blocks.
+    /// The codec file holding the `wire!` schema.
     pub wire_codec: String,
     /// The proptest file every variant must appear in.
     pub wire_proptests: String,
@@ -76,7 +74,6 @@ impl Config {
                     ("unsafe_audit", "crates") => cfg.unsafe_audit_crates = value.as_list()?,
                     ("level_lattice", "crates") => cfg.level_lattice_crates = value.as_list()?,
                     ("wire", "enums") => cfg.wire_enums = value.as_list()?,
-                    ("wire", "enum_files") => cfg.wire_enum_files = value.as_list()?,
                     ("wire", "codec") => cfg.wire_codec = value.as_string()?,
                     ("wire", "proptests") => cfg.wire_proptests = value.as_string()?,
                     _ => {

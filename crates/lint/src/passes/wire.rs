@@ -1,18 +1,18 @@
-//! Wire-exhaustiveness pass: every variant of every wire enum must be
-//! handled by the codec's `encode` *and* `decode`, and exercised by the
-//! wire property tests.
+//! Wire-exhaustiveness pass: every wire enum must be declared in the codec's
+//! schema, and every variant of it must be built by the wire property
+//! tests.
 //!
-//! The codec is hand-rolled (no derives, by design — DESIGN.md §10), so
-//! nothing in the type system forces a newly added `Msg` variant into
-//! `impl Wire for Msg`: `encode`'s match would still be exhaustive if
-//! someone added a `_ =>` arm, and `decode` is just a tag match that
-//! silently rejects what it doesn't know. This pass closes that gap
-//! mechanically: add a variant and the linter fails until the codec and
-//! `prop_wire.rs` know about it.
+//! The codec declares each layout once, inside its `wire! { … }`
+//! invocation (DESIGN.md §10), and generates `encode` and `decode` from
+//! it. The compiler already holds a declaration to its type: the
+//! generated `encode` match is exhaustive, so a variant missing from
+//! the schema does not build. What nothing forces is a *test* of each
+//! layout — a variant the property tests never build is a layout whose
+//! round trip nobody checks. This pass closes that gap mechanically:
+//! add a variant and the linter fails until `prop_wire.rs` builds it.
 //!
-//! A variant `V` of enum `E` counts as covered by a file when the
-//! qualified path `E::V` (or `Self::V` inside `impl Wire for E`)
-//! appears in it.
+//! A variant `V` of enum `E` counts as built when the qualified path
+//! `E::V` appears in the proptest file.
 
 use std::path::Path;
 
@@ -30,11 +30,6 @@ pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
     if cfg.wire_enums.is_empty() {
         return out;
     }
-    let enum_files: Vec<SourceFile> = cfg
-        .wire_enum_files
-        .iter()
-        .filter_map(|p| parse_one(root, p))
-        .collect();
     let codec = parse_one(root, &cfg.wire_codec);
     let props = parse_one(root, &cfg.wire_proptests);
     let (Some(codec), Some(props)) = (codec, props) else {
@@ -51,269 +46,128 @@ pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
         });
         return out;
     };
-
     for name in &cfg.wire_enums {
-        let Some((def_file, def)) = find_enum(&enum_files, name) else {
-            out.push(Finding {
-                pass: PASS,
-                file: cfg.wire_enum_files.first().cloned().unwrap_or_default(),
-                line: 0,
-                kind: "enum-not-found",
-                detail: name.clone(),
-                message: format!(
-                    "enum `{name}` listed in [wire].enums not found in any \
-                     [wire].enum_files entry"
-                ),
-            });
-            continue;
-        };
-        check_enum(def_file, def, &codec, &props, &mut out);
+        check_enum(&codec, name, &props, &mut out);
     }
     out
 }
 
-fn find_enum<'a>(files: &'a [SourceFile], name: &str) -> Option<(&'a SourceFile, &'a EnumDef)> {
-    files
-        .iter()
-        .find_map(|sf| sf.enums.iter().find(|e| e.name == name).map(|e| (sf, e)))
-}
-
-fn check_enum(
-    def_file: &SourceFile,
-    def: &EnumDef,
-    codec: &SourceFile,
-    props: &SourceFile,
-    out: &mut Vec<Finding>,
-) {
-    let name = &def.name;
-    let encode = format!("{name}::encode");
-    let decode = format!("{name}::decode");
-    let encode_fn = codec.fns.iter().find(|f| f.qual_name == encode);
-    let decode_fn = codec.fns.iter().find(|f| f.qual_name == decode);
-    if encode_fn.is_none() || decode_fn.is_none() {
+fn check_enum(codec: &SourceFile, name: &str, props: &SourceFile, out: &mut Vec<Finding>) {
+    let Some(def) = schema_enum(codec, name) else {
         out.push(Finding {
             pass: PASS,
-            file: def_file.path.clone(),
-            line: def.line,
-            kind: "no-wire-impl",
-            detail: name.clone(),
+            file: codec.path.clone(),
+            line: 0,
+            kind: "no-wire-schema",
+            detail: name.to_string(),
             message: format!(
-                "enum `{name}` has no `impl Wire for {name}` (encode + decode) in the codec"
+                "enum `{name}` listed in [wire].enums is not declared in the codec's \
+                 `wire!` schema"
             ),
         });
         return;
-    }
-    let encode_fn = encode_fn.expect("checked above");
-    let decode_fn = decode_fn.expect("checked above");
-
-    let encode_ranges = with_helper_bodies(codec, encode_fn.body.clone());
-    let decode_ranges = with_helper_bodies(codec, decode_fn.body.clone());
-    for (variant, line) in &def.variants {
-        let in_encode = encode_ranges
-            .iter()
-            .any(|r| mentions_variant(codec, r.clone(), name, variant));
-        let in_decode = decode_ranges
-            .iter()
-            .any(|r| mentions_variant(codec, r.clone(), name, variant));
-        let in_props = mentions_variant(props, 0..props.tokens.len(), name, variant);
-        let mut missing: Vec<(&str, &str)> = Vec::new();
-        if !in_encode {
-            missing.push(("unencoded", "the codec's `encode`"));
-        }
-        if !in_decode {
-            missing.push(("undecoded", "the codec's `decode`"));
-        }
-        if !in_props {
-            missing.push(("unproptested", "the wire property tests"));
-        }
-        for (kind, what) in missing {
-            push_finding(out, def_file, *line, kind, name, variant, what);
-        }
-    }
-}
-
-fn push_finding(
-    out: &mut Vec<Finding>,
-    def_file: &SourceFile,
-    line: u32,
-    kind: &'static str,
-    name: &str,
-    variant: &str,
-    what: &str,
-) {
-    let f = Finding {
-        pass: PASS,
-        file: def_file.path.clone(),
-        line,
-        kind,
-        detail: format!("{name}::{variant}"),
-        message: format!(
-            "wire enum variant `{name}::{variant}` is not covered by {what}; a frame \
-             carrying it would be unrepresentable or silently rejected"
-        ),
     };
-    super::push_unless_waived(out, def_file, f);
+    for (variant, line) in &def.variants {
+        if mentions_variant(props, name, variant) {
+            continue;
+        }
+        let f = Finding {
+            pass: PASS,
+            file: codec.path.clone(),
+            line: *line,
+            kind: "unproptested",
+            detail: format!("{name}::{variant}"),
+            message: format!(
+                "wire enum variant `{name}::{variant}` is not built by the wire property \
+                 tests; nothing checks that its layout round-trips"
+            ),
+        };
+        super::push_unless_waived(out, codec, f);
+    }
 }
 
-/// The body range plus the bodies of module-level helper functions in
-/// the codec file that the range calls (`shared tag decoders like
-/// `decode_msg_body` keep variant construction out of the `impl Wire`
-/// body itself). One level of following — helpers of helpers would
-/// need a fixpoint nobody's codec warrants yet.
-fn with_helper_bodies(
-    codec: &SourceFile,
-    body: std::ops::Range<usize>,
-) -> Vec<std::ops::Range<usize>> {
-    let mut ranges = vec![body.clone()];
-    for i in body {
-        let t = &codec.tokens[i];
-        if t.kind != TokKind::Ident {
-            continue;
+/// The declaration of enum `name` inside the codec's `wire! { … }`
+/// invocation — not its Rust definition, which may sit in the same file.
+fn schema_enum<'a>(codec: &'a SourceFile, name: &str) -> Option<&'a EnumDef> {
+    let toks = &codec.tokens;
+    let open = (0..toks.len()).find(|&i| {
+        toks[i].kind == TokKind::Ident
+            && toks[i].text == "wire"
+            && toks.get(i + 1).is_some_and(|t| t.text == "!")
+            && toks.get(i + 2).is_some_and(|t| t.text == "{")
+    })? + 2;
+    let mut depth = 0;
+    let close = (open..toks.len()).find(|&i| {
+        match toks[i].text.as_str() {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            _ => {}
         }
-        // A call `helper(` where `helper` is a module-level fn in the
-        // codec file (qualified names are method/assoc calls, skip).
-        if codec.tokens.get(i + 1).is_none_or(|n| n.text != "(") {
-            continue;
-        }
-        if i > 0 && codec.tokens[i - 1].text == ":" {
-            continue;
-        }
-        if let Some(f) = codec.fns.iter().find(|f| f.qual_name == t.text) {
-            if !ranges.contains(&f.body) {
-                ranges.push(f.body.clone());
-            }
-        }
-    }
-    ranges
+        depth == 0
+    })?;
+    codec
+        .enums
+        .iter()
+        .find(|e| e.name == name && (open..close).contains(&e.tok))
 }
 
-/// Whether `E::V` (or `Self::V`) appears in `range` of `sf`'s tokens.
-fn mentions_variant(
-    sf: &SourceFile,
-    range: std::ops::Range<usize>,
-    enum_name: &str,
-    variant: &str,
-) -> bool {
-    let toks = &sf.tokens;
-    for i in range {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || (t.text != enum_name && t.text != "Self") {
-            continue;
-        }
-        if toks.get(i + 1).is_some_and(|t| t.text == ":")
-            && toks.get(i + 2).is_some_and(|t| t.text == ":")
-            && toks
-                .get(i + 3)
-                .is_some_and(|t| t.kind == TokKind::Ident && t.text == variant)
-        {
-            return true;
-        }
-    }
-    false
+/// Whether `E::V` appears anywhere in `sf`.
+fn mentions_variant(sf: &SourceFile, enum_name: &str, variant: &str) -> bool {
+    (0..sf.tokens.len()).any(|i| super::is_path2(&sf.tokens, i, enum_name, variant))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(types_src: &str, codec_src: &str, props_src: &str) -> Vec<Finding> {
-        let types = SourceFile::parse("types.rs", types_src);
+    fn check(codec_src: &str, props_src: &str) -> Vec<Finding> {
         let codec = SourceFile::parse("codec.rs", codec_src);
         let props = SourceFile::parse("prop.rs", props_src);
         let mut out = Vec::new();
-        let def = &types.enums[0];
-        check_enum(&types, def, &codec, &props, &mut out);
+        check_enum(&codec, "Msg", &props, &mut out);
         out
     }
 
-    const TYPES: &str = "pub enum Msg { Ping, Pong, Data(u32) }";
+    const SCHEMA: &str = "
+        wire! {
+            enum Msg, version 1 {
+                Ping = 0,
+                Pong { seq: u64 } = 1,
+                Data(len: u32) = 2,
+            }
+        }
+    ";
 
     #[test]
-    fn fully_covered_enum_is_clean() {
-        let codec = "
-            impl Wire for Msg {
-                fn encode(&self, b: &mut Vec<u8>) {
-                    match self { Msg::Ping => {}, Msg::Pong => {}, Msg::Data(x) => {} }
-                }
-                fn decode(r: &mut R) -> Result<Self, E> {
-                    match r.u8()? {
-                        0 => Ok(Msg::Ping), 1 => Ok(Msg::Pong), 2 => Ok(Msg::Data(r.u32()?)),
-                        t => Err(E::BadTag(t)),
-                    }
-                }
-            }
-        ";
-        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong, Msg::Data(1)); }";
-        assert!(check(TYPES, codec, props).is_empty());
+    fn a_fully_built_enum_is_clean() {
+        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong { seq: 1 }, Msg::Data(1)); }";
+        assert!(check(SCHEMA, props).is_empty());
     }
 
     #[test]
-    fn missing_decode_arm_and_proptest_are_flagged() {
-        let codec = "
-            impl Wire for Msg {
-                fn encode(&self, b: &mut Vec<u8>) {
-                    match self { Msg::Ping => {}, Msg::Pong => {}, Msg::Data(x) => {} }
-                }
-                fn decode(r: &mut R) -> Result<Self, E> {
-                    match r.u8()? { 0 => Ok(Msg::Ping), 1 => Ok(Msg::Pong), t => Err(E::BadTag(t)) }
-                }
-            }
-        ";
-        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong); }";
-        let out = check(TYPES, codec, props);
-        let kinds: Vec<(&str, &str)> = out.iter().map(|f| (f.kind, f.detail.as_str())).collect();
-        assert_eq!(
-            kinds,
-            vec![("undecoded", "Msg::Data"), ("unproptested", "Msg::Data")]
-        );
+    fn a_variant_the_proptests_never_build_is_flagged_at_its_declaration() {
+        let props = "fn arb() { let _ = (Msg::Ping, Msg::Data(1)); }";
+        let out = check(SCHEMA, props);
+        let got: Vec<(&str, &str, u32)> = out
+            .iter()
+            .map(|f| (f.kind, f.detail.as_str(), f.line))
+            .collect();
+        assert_eq!(got, vec![("unproptested", "Msg::Pong", 5)]);
     }
 
     #[test]
-    fn missing_impl_is_one_finding() {
-        let out = check(TYPES, "fn unrelated() {}", "");
+    fn an_enum_defined_but_not_declared_is_one_finding() {
+        let codec = "pub enum Msg { Ping, Pong, Data(u32) } wire! { enum Other { A = 0 } }";
+        let out = check(codec, "fn arb() { let _ = Msg::Ping; }");
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kind, "no-wire-impl");
+        assert_eq!(out[0].kind, "no-wire-schema");
     }
 
     #[test]
-    fn variants_built_in_a_called_helper_count() {
-        let codec = "
-            impl Wire for Msg {
-                fn encode(&self, b: &mut Vec<u8>) {
-                    match self { Msg::Ping => {}, Msg::Pong => {}, Msg::Data(x) => {} }
-                }
-                fn decode(r: &mut R) -> Result<Self, E> {
-                    let tag = r.u8()?;
-                    decode_body(tag, r)
-                }
-            }
-            fn decode_body(tag: u8, r: &mut R) -> Result<Msg, E> {
-                match tag {
-                    0 => Ok(Msg::Ping), 1 => Ok(Msg::Pong), 2 => Ok(Msg::Data(r.u32()?)),
-                    t => Err(E::BadTag(t)),
-                }
-            }
-        ";
-        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong, Msg::Data(1)); }";
-        assert!(check(TYPES, codec, props).is_empty());
-    }
-
-    #[test]
-    fn self_qualified_arms_count() {
-        let codec = "
-            impl Wire for Msg {
-                fn encode(&self, b: &mut Vec<u8>) {
-                    match self { Self::Ping => {}, Self::Pong => {}, Self::Data(x) => {} }
-                }
-                fn decode(r: &mut R) -> Result<Self, E> {
-                    match r.u8()? {
-                        0 => Ok(Self::Ping), 1 => Ok(Self::Pong), 2 => Ok(Self::Data(r.u32()?)),
-                        t => Err(E::BadTag(t)),
-                    }
-                }
-            }
-        ";
-        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong, Msg::Data(1)); }";
-        assert!(check(TYPES, codec, props).is_empty());
+    fn the_schema_declaration_is_read_not_the_definition_beside_it() {
+        let codec =
+            format!("pub enum Msg {{ Ping, Pong {{ seq: u64 }}, Data(u32), Gone }}{SCHEMA}");
+        let props = "fn arb() { let _ = (Msg::Ping, Msg::Pong { seq: 1 }, Msg::Data(1)); }";
+        assert!(check(&codec, props).is_empty());
     }
 }

@@ -30,6 +30,8 @@ pub struct EnumDef {
     pub name: String,
     /// 1-based line of the `enum` keyword.
     pub line: u32,
+    /// Token index of the `enum` keyword.
+    pub tok: usize,
     /// Variant names with the line each is declared on.
     pub variants: Vec<(String, u32)>,
 }
@@ -398,6 +400,7 @@ fn scan_enum(tokens: &[Token], enum_idx: usize) -> Option<(EnumDef, usize)> {
         EnumDef {
             name: name_tok.text.clone(),
             line: tokens[enum_idx].line,
+            tok: enum_idx,
             variants,
         },
         close,

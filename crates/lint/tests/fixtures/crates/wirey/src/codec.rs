@@ -1,22 +1,10 @@
-//! Wire fixture codec: encode covers every variant, decode misses
-//! `FMsg::Drop` (the seeded violation).
+//! Wire fixture codec: the schema declares every variant of `FMsg`;
+//! the proptests never build `FMsg::Drop` (the seeded violation).
 
-use super::types::FMsg;
-
-impl Wire for FMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FMsg::Ping => buf.push(0),
-            FMsg::Pong => buf.push(1),
-            FMsg::Drop => buf.push(2),
-        }
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(FMsg::Ping),
-            1 => Ok(FMsg::Pong),
-            t => Err(WireError::BadTag(t)),
-        }
+wire! {
+    enum FMsg {
+        Ping = 0,
+        Pong = 1,
+        Drop = 2,
     }
 }

@@ -56,13 +56,8 @@ fn each_pass_flags_exactly_its_seeded_fixture() {
         ),
         (
             "wire".to_string(),
-            "undecoded",
-            "crates/wirey/src/types.rs".to_string(),
-        ),
-        (
-            "wire".to_string(),
             "unproptested",
-            "crates/wirey/src/types.rs".to_string(),
+            "crates/wirey/src/codec.rs".to_string(),
         ),
     ];
     assert_eq!(got, want, "full findings: {findings:#?}");
@@ -73,7 +68,7 @@ fn each_pass_flags_exactly_its_seeded_fixture() {
         "waiver in fixture was not honored: {findings:#?}"
     );
 
-    // The wire findings both point at the seeded uncovered variant.
+    // The wire finding points at the seeded unbuilt variant.
     assert!(findings
         .iter()
         .filter(|f| f.pass == "wire")

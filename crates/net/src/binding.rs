@@ -52,13 +52,13 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
-use quorumstore::types::Versioned;
+use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
+use quorumstore::types::{Value, Versioned};
 use quorumstore::{encode_submit, read_kind, StoreOp};
 use simnet::NodeId;
 
 use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
-use crate::wire::NetMsg;
+use crate::wire::{NetMsg, MAX_IDS};
 
 /// Configuration of a [`TcpBinding`].
 #[derive(Clone, Debug)]
@@ -157,6 +157,15 @@ impl Binding for TcpBinding {
     }
 
     fn submit(&self, op: StoreOp, levels: &[ConsistencyLevel], upcall: Upcall<Versioned>) {
+        // A list the wire cannot carry fails here, alone: encoded on the
+        // link it would trip the codec's bound on this thread or on the
+        // loop every binding of the reactor shares.
+        if let StoreOp::Write(_, Value::Ids(ids)) = &op {
+            if ids.len() > MAX_IDS as usize {
+                let why = format!("{} ids exceed the wire bound of {MAX_IDS}", ids.len());
+                return upcall.fail(Error::Storage(why));
+            }
+        }
         let kind = read_kind(levels, self.r_strong, self.confirm);
         let client = self.client;
         self.rb.submit(|seq| {

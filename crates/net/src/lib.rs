@@ -11,12 +11,12 @@
 //! The crate has four layers, bottom up:
 //!
 //! - [`wire`] — derive-free [`Wire`] encode/decode for every message and
-//!   its component types. No serde; the byte layout is explicit,
-//!   documented (`DESIGN.md` §10), and property-tested for round-trip
-//!   identity and rejection of truncated or corrupt input. Two
-//!   generations share one tag space: the v1 quorum-store `Msg`, and
-//!   the v2 [`NetMsg`] envelope that adds the spec-store protocol —
-//!   `Hello`/`HelloAck` (the consistency-level directory handshake,
+//!   its component types, generated from one declared layout per type.
+//!   No serde; the byte layout is explicit (`DESIGN.md` §10) and
+//!   property-tested for round-trip identity and rejection of truncated
+//!   or corrupt input. Two generations share one tag space: the v1
+//!   quorum-store `Msg`, and the v2 [`NetMsg`] envelope that adds the
+//!   spec-store protocol — `Hello`/`HelloAck` (the version handshake,
 //!   `DESIGN.md` §13) and `SpecSubmit`/`SpecReply`/`SpecGossip`/
 //!   `SpecAck`/`SpecFailed`. A `NetMsg::Store` frame is byte-identical
 //!   to the bare v1 `Msg`, so old and new peers interoperate.
@@ -81,6 +81,4 @@ pub use frame::{FrameError, MAX_FRAME};
 pub use reactor::server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use reactor::ClientReactor;
 pub use spec_binding::{SpecTcpConfig, TcpSpecBinding};
-pub use wire::{
-    LevelInfo, NetMsg, Reader, SpecOp, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
-};
+pub use wire::{NetMsg, Reader, SpecOp, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION};

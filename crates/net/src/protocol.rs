@@ -1,4 +1,4 @@
-//! What a replica serves beside the quorum store: the version-2
+//! What a replica serves beside the quorum store: the version
 //! handshake and the spec store's wire.
 //!
 //! Neither protocol lives in this crate. The quorum store's is
@@ -10,14 +10,14 @@
 //! comes here, to [`on_net`], which answers the handshake itself and
 //! translates the `Spec*` frames to and from the spec core's messages.
 //! What is this module's own is what is the wire's: the object served
-//! ([`RegCtrSpec`]), the level directory, the level ids of a
-//! submission, and the frame ↔ message mapping. It keeps no state.
+//! ([`RegCtrSpec`]), the level ids of a submission, and the frame ↔
+//! message mapping. It keeps no state.
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
 use correctables::ConsistencyLevel;
 use specstore::{ClientMsg, Egress, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
 
-use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
+use crate::wire::{NetMsg, SpecOp, WIRE_VERSION};
 
 /// Where this module's frames go, and the time the spec core's
 /// retransmission deadline is measured on. The envelope-level sibling
@@ -153,7 +153,6 @@ pub(crate) fn on_net(
         NetMsg::Hello { .. } => {
             let ack = NetMsg::HelloAck {
                 version: WIRE_VERSION,
-                levels: level_directory(),
             };
             return net.to_client(conn, &ack);
         }
@@ -209,20 +208,6 @@ pub(crate) fn on_net(
         | NetMsg::SpecFailed { .. } => return,
     };
     spec.on_msg(&mut Wired(net), conn, from_peer, msg);
-}
-
-/// The level directory advertised in the handshake: every level
-/// registered in this process, truncated at the wire bound.
-fn level_directory() -> Vec<LevelInfo> {
-    ConsistencyLevel::all_registered()
-        .into_iter()
-        .take(MAX_LEVELS as usize)
-        .map(|l| LevelInfo {
-            id: l.wire_id(),
-            rank: l.rank(),
-            name: l.name().to_string(),
-        })
-        .collect()
 }
 
 /// Resolves requested level ids against the four levels the spec store
@@ -290,7 +275,6 @@ mod tests {
         let stray = [
             NetMsg::HelloAck {
                 version: WIRE_VERSION,
-                levels: Vec::new(),
             },
             NetMsg::SpecReply {
                 client: 1,

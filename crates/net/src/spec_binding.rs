@@ -6,20 +6,15 @@
 //! operations with the full incremental refinement *weak → update →
 //! causal → strong* on a single Correctable.
 //!
-//! ## The level-directory handshake
+//! ## The version handshake
 //!
-//! Custom consistency levels get their wire ids assigned per process, in
-//! registration order — a client and a server that registered levels in
-//! different orders disagree on the numbering. The builtins do not: their
-//! ids are fixed. On connect the binding sends [`NetMsg::Hello`] and the
-//! server answers [`NetMsg::HelloAck`] with its complete level directory
-//! (`id`, `rank`, `name` per level). The binding checks, once, that the
-//! server lists each of the four levels it serves under this process's
-//! id, refusing the connection otherwise. It registers nothing: no
-//! binding serves a custom level, and a server's directory must not
-//! spend this process's wire ids. Requested levels and the levels on
-//! [`NetMsg::SpecReply`] then travel as they are — nothing is translated
-//! per operation, and a reply at an id this process does not know is
+//! On connect the binding sends [`NetMsg::Hello`] and waits for the
+//! server's [`NetMsg::HelloAck`], which names the wire version it
+//! speaks: a peer that answers anything else is refused before an
+//! operation is sent. Requested levels and the levels on
+//! [`NetMsg::SpecReply`] travel as the builtins' fixed wire ids — the
+//! four levels served here are builtins — so nothing is translated per
+//! operation, and a reply at an id this process does not know is
 //! dropped.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
@@ -96,13 +91,11 @@ pub struct TcpSpecBinding {
 }
 
 impl TcpSpecBinding {
-    /// Dials `cfg.addr`, performs the level-directory handshake, and
-    /// registers the connection with the process-wide
-    /// [`ClientReactor`].
+    /// Dials `cfg.addr`, performs the version handshake, and registers
+    /// the connection with the process-wide [`ClientReactor`].
     ///
-    /// Fails if the replica is unreachable, closes mid-handshake,
-    /// answers the `Hello` with anything but a `HelloAck`, or lists one
-    /// of the four levels this binding serves under another id.
+    /// Fails if the replica is unreachable, closes mid-handshake, or
+    /// answers the `Hello` with anything but a `HelloAck`.
     pub fn connect(cfg: SpecTcpConfig) -> io::Result<TcpSpecBinding> {
         Self::connect_on(cfg, ClientReactor::global()?)
     }
@@ -128,21 +121,10 @@ impl TcpSpecBinding {
         let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
         let ack =
             read_frame::<NetMsg>(&mut &stream, &mut scratch).map_err(|e| invalid(e.to_string()))?;
-        let Some(NetMsg::HelloAck { levels, .. }) = ack else {
+        let Some(NetMsg::HelloAck { .. }) = ack else {
             return Err(invalid("expected HelloAck as the first frame".into()));
         };
         stream.set_read_timeout(None)?;
-        if let Some(level) = SERVED.iter().find(|l| {
-            !levels
-                .iter()
-                .any(|info| info.id == l.wire_id() && info.name == l.name())
-        }) {
-            return Err(invalid(format!(
-                "server does not list level {} under id {}",
-                level.name(),
-                level.wire_id()
-            )));
-        }
         // No redial list: the binding stays down once the link is lost.
         let link = TcpConfig {
             op_timeout: cfg.op_timeout,
@@ -173,8 +155,7 @@ impl Binding for TcpSpecBinding {
     }
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
-        // This process's ids are the server's for every level offered
-        // here: `connect` checked.
+        // Every level offered here is a builtin, whose wire id is fixed.
         let client = self.client_id;
         self.rb.submit(|seq| {
             let wants = levels.iter().map(|l| l.wire_id()).collect();

@@ -1,20 +1,24 @@
 //! The hand-rolled wire codec: derive-free, allocation-conscious binary
 //! encode/decode for every message that crosses a socket.
 //!
-//! Every encodable type implements [`Wire`] by hand — there is no serde,
-//! no derive macro, and no reflection, so the byte layout of each message
-//! is exactly what the impl writes and nothing else. All integers are
-//! little-endian. Variable-length collections carry a `u32` element
-//! count, bounded at decode time by [`MAX_IDS`] so a corrupt or hostile
-//! frame cannot ask the decoder to allocate gigabytes.
+//! The layout of every encodable type is declared once, in the schema
+//! at the bottom of this file: its tag, its fields in wire order, and
+//! for each list the width and bound of its count. The `wire!` macro
+//! turns each declaration into the type's [`Wire`] impl — `encode`, the
+//! bounded `decode` and `min_wire_version` — so an encoder and a decoder
+//! can never disagree, and a variant missing from a declaration fails
+//! to compile (the generated `encode` match is exhaustive). There is no
+//! serde and no reflection; only the leaves (integers, `bool`,
+//! [`NodeId`]) are written by hand. All integers are little-endian.
+//! Every list's count is bounded at decode time, so a corrupt or
+//! hostile frame cannot ask the decoder to allocate gigabytes.
 //!
-//! The layout of each type is documented in `DESIGN.md` §10; the framing
-//! that wraps an encoded message on a stream lives in [`crate::frame`].
+//! The framing that wraps an encoded message on a stream lives in
+//! [`crate::frame`]; `DESIGN.md` §10 explains both.
 
 use correctables::spec::{CtrOp, RegOp};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
-use quorumstore::StoreOp;
 use simnet::NodeId;
 
 /// Protocol bound on [`Value::Ids`] list lengths, enforced on **both**
@@ -24,10 +28,9 @@ use simnet::NodeId;
 /// emit a poison frame every receiver will reject.
 pub const MAX_IDS: u32 = 1 << 20;
 
-/// Protocol bound on the level directory a handshake advertises and on
-/// the per-submit wanted-level list. The level registry's wire-id space
-/// is a `u8`, so 255 is the true ceiling; 64 is already far beyond any
-/// sane deployment.
+/// Protocol bound on the per-submit wanted-level list. The level
+/// registry's wire-id space is a `u8`, so 255 is the true ceiling; 64
+/// is already far beyond any sane deployment.
 pub const MAX_LEVELS: u8 = 64;
 
 /// Protocol bound on the vector-clock width of a spec-store gossip
@@ -96,14 +99,15 @@ impl std::error::Error for WireError {}
 ///
 /// - **1** — the original quorum-store message set ([`Msg`],
 ///   tags `0x01..=0x0A`).
-/// - **2** — the [`NetMsg`] envelope: a level-directory handshake
+/// - **2** — the [`NetMsg`] envelope: a version handshake
 ///   ([`NetMsg::Hello`]/[`NetMsg::HelloAck`]) and the spec-store
 ///   messages (tags `0x0B..=0x11`), whose replies carry a consistency
 ///   level id byte. Version-1 frames remain fully decodable — every
 ///   `Msg` encodes byte-identically inside [`NetMsg::Store`] — and
 ///   version-1-compatible messages are still *sent* in version-1 frames
 ///   (see [`Wire::min_wire_version`]), so old and new peers interoperate
-///   on the shared subset.
+///   on the shared subset. (Early version-2 builds appended a level
+///   directory to `HelloAck`; no reader was left and it was dropped.)
 pub const WIRE_VERSION: u8 = 2;
 
 /// The oldest wire-format version this build still accepts.
@@ -141,35 +145,11 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Consumes one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consumes a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Consumes a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Consumes `n` consecutive little-endian `u64`s. The byte range is
-    /// bounds-checked once, before anything is allocated, so a large
-    /// count on a short buffer is [`WireError::Truncated`], not an
-    /// attempted allocation; callers bound `n` itself first.
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
-        let bytes = self.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-            .collect())
+    /// Consumes `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
     /// Decodes one `T` and then requires the buffer to be fully consumed.
@@ -184,12 +164,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Binary encode/decode, implemented by hand for every wire type.
+/// Binary encode/decode of one wire type.
 ///
 /// The contract is round-trip identity: for every value,
 /// `decode(encode(v)) == v`, and decode must reject (never panic on)
 /// truncated input and unknown tag bytes. The property tests in
-/// `tests/prop_wire.rs` enforce both halves for every impl.
+/// `tests/prop_wire.rs` enforce both halves for every declared type.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
@@ -208,450 +188,129 @@ pub trait Wire: Sized {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// An enum's decoder once its tag byte is consumed: what lets an enum
+/// hand a range of its tags to another enum that shares its tag space
+/// ([`NetMsg::Store`] to [`Msg`], [`SpecOp`] to [`RegOp`] and [`CtrOp`]).
+trait Tagged: Wire {
+    fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
 }
 
-/// Appends `vals` as consecutive little-endian words. One resize and a
-/// fixed-stride fill: no per-element capacity check, and on a
-/// little-endian target the loop compiles to a block copy.
-fn put_u64s(buf: &mut Vec<u8>, vals: &[u64]) {
-    let start = buf.len();
-    buf.resize(start + vals.len() * 8, 0);
-    for (dst, v) in buf[start..].chunks_exact_mut(8).zip(vals) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
-}
+wire_int!(u8, u32, u64);
 
-impl Wire for Key {
+impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.ns);
-        put_u64(buf, self.id);
+        buf.push(u8::from(*self));
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Key {
-            ns: r.u8()?,
-            id: r.u64()?,
-        })
+        Ok(u8::decode(r)? != 0)
     }
 }
 
-impl Wire for Version {
+/// A node id travels as a `u64`.
+impl Wire for NodeId {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.ts);
-        put_u32(buf, self.writer);
+        (self.0 as u64).encode(buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Version {
-            ts: r.u64()?,
-            writer: r.u32()?,
-        })
+        Ok(NodeId(u64::decode(r)? as usize))
     }
 }
 
-impl Wire for OpId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.client.0 as u64);
-        put_u64(buf, self.seq);
+/// An element of a declared list: how a run of them is written and
+/// read in one piece.
+trait Elem: Sized {
+    fn put_all(buf: &mut Vec<u8>, items: &[Self]);
+    fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError>;
+}
+
+impl Elem for u8 {
+    fn put_all(buf: &mut Vec<u8>, items: &[u8]) {
+        buf.extend_from_slice(items);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OpId {
-            client: NodeId(r.u64()? as usize),
-            seq: r.u64()?,
-        })
+    fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(n)?.to_vec())
     }
 }
 
-impl Wire for Value {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Value::Opaque(n) => {
-                buf.push(0);
-                put_u32(buf, *n);
-            }
-            Value::Ids(ids) => {
-                assert!(
-                    ids.len() <= MAX_IDS as usize,
-                    "Value::Ids with {} elements exceeds the wire protocol bound ({MAX_IDS})",
-                    ids.len()
-                );
-                buf.push(1);
-                put_u32(buf, ids.len() as u32);
-                put_u64s(buf, ids);
-            }
-            Value::Delta {
-                field_len,
-                record_len,
-            } => {
-                buf.push(2);
-                put_u32(buf, *field_len);
-                put_u32(buf, *record_len);
-            }
+impl Elem for u64 {
+    /// One resize and a fixed-stride fill: no per-element capacity
+    /// check, and on a little-endian target the loop compiles to a
+    /// block copy.
+    fn put_all(buf: &mut Vec<u8>, items: &[u64]) {
+        let start = buf.len();
+        buf.resize(start + items.len() * 8, 0);
+        for (dst, v) in buf[start..].chunks_exact_mut(8).zip(items) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Value::Opaque(r.u32()?)),
-            1 => {
-                let n = r.u32()?;
-                if n > MAX_IDS {
-                    return Err(WireError::TooLarge {
-                        what: "Value::Ids",
-                        len: u64::from(n),
-                    });
-                }
-                Ok(Value::Ids(r.u64s(n as usize)?))
-            }
-            2 => Ok(Value::Delta {
-                field_len: r.u32()?,
-                record_len: r.u32()?,
-            }),
-            tag => Err(WireError::BadTag { what: "Value", tag }),
-        }
+    /// The byte range is bounds-checked once, before anything is
+    /// allocated, so a large count on a short buffer is
+    /// [`WireError::Truncated`], not an attempted allocation.
+    fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<u64>, WireError> {
+        let bytes = r.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
     }
 }
 
-impl Wire for Versioned {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.value.encode(buf);
-        self.version.encode(buf);
+/// Writes a list as its `C`-wide count and its elements. A list longer
+/// than `bound` panics: a frame every receiver rejects must not leave.
+/// Inlined into each declared list, as a hand-written encoder would
+/// be: left shared, the 1 KiB `Value::Ids` encode paid a call.
+#[inline(always)]
+fn put_list<C, E: Elem>(buf: &mut Vec<u8>, items: &[E], bound: C, what: &str)
+where
+    C: Wire + Copy + TryFrom<usize>,
+    u64: From<C>,
+{
+    match C::try_from(items.len()) {
+        Ok(n) if u64::from(n) <= u64::from(bound) => n.encode(buf),
+        _ => panic!(
+            "{what} with {} elements exceeds the wire protocol bound ({})",
+            items.len(),
+            u64::from(bound)
+        ),
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Versioned {
-            value: Value::decode(r)?,
-            version: Version::decode(r)?,
-        })
-    }
+    E::put_all(buf, items);
 }
 
-impl Wire for ReadKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ReadKind::Single { r } => {
-                buf.push(0);
-                buf.push(*r);
-            }
-            ReadKind::Icg { r, confirm } => {
-                buf.push(1);
-                buf.push(*r);
-                buf.push(u8::from(*confirm));
-            }
-        }
+/// Reads a list written by [`put_list`], judging the count against
+/// `bound` before reading a byte of the body. Inlined like `put_list`.
+#[inline(always)]
+fn get_list<C, E: Elem>(
+    r: &mut Reader<'_>,
+    bound: C,
+    what: &'static str,
+) -> Result<Vec<E>, WireError>
+where
+    C: Wire,
+    u64: From<C>,
+{
+    let n = u64::from(C::decode(r)?);
+    if n > u64::from(bound) {
+        return Err(WireError::TooLarge { what, len: n });
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ReadKind::Single { r: r.u8()? }),
-            1 => Ok(ReadKind::Icg {
-                r: r.u8()?,
-                confirm: r.u8()? != 0,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "ReadKind",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for Phase {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            Phase::Single => 0,
-            Phase::Preliminary => 1,
-            Phase::Final => 2,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Phase::Single),
-            1 => Ok(Phase::Preliminary),
-            2 => Ok(Phase::Final),
-            tag => Err(WireError::BadTag { what: "Phase", tag }),
-        }
-    }
-}
-
-impl Wire for FailReason {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            FailReason::Timeout => 0,
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(FailReason::Timeout),
-            tag => Err(WireError::BadTag {
-                what: "FailReason",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "Option",
-                tag,
-            }),
-        }
-    }
-}
-
-/// Message tags on the wire (one byte, after the version byte of the
-/// frame header). Documented in `DESIGN.md` §10; new messages append
-/// new tags, existing tags are never reused. Tags `0x01..=0x0A` are the
-/// version-1 [`Msg`] set; `0x0B` and up are the version-2 [`NetMsg`]
-/// additions. The two share one tag space, which is what makes
-/// [`NetMsg::Store`] byte-identical to a bare [`Msg`].
-mod tag {
-    pub const CLIENT_READ: u8 = 0x01;
-    pub const CLIENT_WRITE: u8 = 0x02;
-    pub const PEER_READ: u8 = 0x03;
-    pub const PEER_READ_RESP: u8 = 0x04;
-    pub const PEER_WRITE: u8 = 0x05;
-    pub const PEER_WRITE_ACK: u8 = 0x06;
-    pub const READ_REPLY: u8 = 0x07;
-    pub const READ_CONFIRM: u8 = 0x08;
-    pub const WRITE_REPLY: u8 = 0x09;
-    pub const OP_FAILED: u8 = 0x0A;
-    /// Highest version-1 tag: everything at or below decodes as a
-    /// [`super::Msg`] inside [`super::NetMsg::Store`].
-    pub const STORE_MAX: u8 = OP_FAILED;
-    pub const HELLO: u8 = 0x0B;
-    pub const HELLO_ACK: u8 = 0x0C;
-    pub const SPEC_SUBMIT: u8 = 0x0D;
-    pub const SPEC_REPLY: u8 = 0x0E;
-    pub const SPEC_GOSSIP: u8 = 0x0F;
-    pub const SPEC_ACK: u8 = 0x10;
-    pub const SPEC_FAILED: u8 = 0x11;
-}
-
-impl Wire for Msg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Msg::ClientRead { op, key, kind } => {
-                buf.push(tag::CLIENT_READ);
-                op.encode(buf);
-                key.encode(buf);
-                kind.encode(buf);
-            }
-            Msg::ClientWrite { op, key, value, w } => {
-                buf.push(tag::CLIENT_WRITE);
-                op.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-                buf.push(*w);
-            }
-            Msg::PeerRead { op, key } => {
-                buf.push(tag::PEER_READ);
-                op.encode(buf);
-                key.encode(buf);
-            }
-            Msg::PeerReadResp { op, data } => {
-                buf.push(tag::PEER_READ_RESP);
-                op.encode(buf);
-                data.encode(buf);
-            }
-            Msg::PeerWrite { key, data, ack_op } => {
-                buf.push(tag::PEER_WRITE);
-                key.encode(buf);
-                data.encode(buf);
-                ack_op.encode(buf);
-            }
-            Msg::PeerWriteAck { op } => {
-                buf.push(tag::PEER_WRITE_ACK);
-                op.encode(buf);
-            }
-            Msg::ReadReply { op, phase, data } => {
-                buf.push(tag::READ_REPLY);
-                op.encode(buf);
-                phase.encode(buf);
-                data.encode(buf);
-            }
-            Msg::ReadConfirm { op, version } => {
-                buf.push(tag::READ_CONFIRM);
-                op.encode(buf);
-                version.encode(buf);
-            }
-            Msg::WriteReply { op } => {
-                buf.push(tag::WRITE_REPLY);
-                op.encode(buf);
-            }
-            Msg::OpFailed { op, reason } => {
-                buf.push(tag::OP_FAILED);
-                op.encode(buf);
-                reason.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.u8()?;
-        decode_msg_body(tag, r)
-    }
-
-    /// Every [`Msg`] predates version 2 and must keep reaching
-    /// version-1 peers.
-    fn min_wire_version(&self) -> u8 {
-        1
-    }
-}
-
-/// Decodes a [`Msg`] body whose tag byte has already been consumed —
-/// shared by [`Msg::decode`] and the [`NetMsg`] envelope decoder.
-fn decode_msg_body(tag: u8, r: &mut Reader<'_>) -> Result<Msg, WireError> {
-    match tag {
-        tag::CLIENT_READ => Ok(Msg::ClientRead {
-            op: OpId::decode(r)?,
-            key: Key::decode(r)?,
-            kind: ReadKind::decode(r)?,
-        }),
-        tag::CLIENT_WRITE => Ok(Msg::ClientWrite {
-            op: OpId::decode(r)?,
-            key: Key::decode(r)?,
-            value: Value::decode(r)?,
-            w: r.u8()?,
-        }),
-        tag::PEER_READ => Ok(Msg::PeerRead {
-            op: OpId::decode(r)?,
-            key: Key::decode(r)?,
-        }),
-        tag::PEER_READ_RESP => Ok(Msg::PeerReadResp {
-            op: OpId::decode(r)?,
-            data: Versioned::decode(r)?,
-        }),
-        tag::PEER_WRITE => Ok(Msg::PeerWrite {
-            key: Key::decode(r)?,
-            data: Versioned::decode(r)?,
-            ack_op: Option::<OpId>::decode(r)?,
-        }),
-        tag::PEER_WRITE_ACK => Ok(Msg::PeerWriteAck {
-            op: OpId::decode(r)?,
-        }),
-        tag::READ_REPLY => Ok(Msg::ReadReply {
-            op: OpId::decode(r)?,
-            phase: Phase::decode(r)?,
-            data: Versioned::decode(r)?,
-        }),
-        tag::READ_CONFIRM => Ok(Msg::ReadConfirm {
-            op: OpId::decode(r)?,
-            version: Version::decode(r)?,
-        }),
-        tag::WRITE_REPLY => Ok(Msg::WriteReply {
-            op: OpId::decode(r)?,
-        }),
-        tag::OP_FAILED => Ok(Msg::OpFailed {
-            op: OpId::decode(r)?,
-            reason: FailReason::decode(r)?,
-        }),
-        tag => Err(WireError::BadTag { what: "Msg", tag }),
-    }
-}
-
-impl Wire for StoreOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            StoreOp::Read(key) => {
-                buf.push(0);
-                key.encode(buf);
-            }
-            StoreOp::Write(key, value) => {
-                buf.push(1);
-                key.encode(buf);
-                value.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(StoreOp::Read(Key::decode(r)?)),
-            1 => Ok(StoreOp::Write(Key::decode(r)?, Value::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "StoreOp",
-                tag,
-            }),
-        }
-    }
-}
-
-/// One entry of the level directory a replica advertises in
-/// [`NetMsg::HelloAck`]: the server-side wire id, lattice rank, and name
-/// of a registered consistency level. A client resolves the ids of every
-/// later reply through this directory, registering levels it has never
-/// heard of — which is how a deployment-defined level reaches clients
-/// with zero code changes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LevelInfo {
-    /// The advertising process's wire id for this level (stable per
-    /// process, *not* across processes for custom levels — hence the
-    /// directory).
-    pub id: u8,
-    /// Position in the weak-to-strong total order.
-    pub rank: u8,
-    /// Registered name (non-empty, at most 64 bytes — the registry's
-    /// own bound).
-    pub name: String,
-}
-
-impl Wire for LevelInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        assert!(
-            !self.name.is_empty() && self.name.len() <= 64,
-            "level name length {} outside the wire protocol bound (1..=64)",
-            self.name.len()
-        );
-        buf.push(self.id);
-        buf.push(self.rank);
-        buf.push(self.name.len() as u8);
-        buf.extend_from_slice(self.name.as_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = r.u8()?;
-        let rank = r.u8()?;
-        let len = r.u8()?;
-        if len == 0 || len > 64 {
-            return Err(WireError::TooLarge {
-                what: "LevelInfo::name",
-                len: u64::from(len),
-            });
-        }
-        let bytes = r.take(len as usize)?;
-        let name = std::str::from_utf8(bytes)
-            .map_err(|_| WireError::BadTag {
-                what: "LevelInfo::name (utf-8)",
-                tag: bytes[0],
-            })?
-            .to_string();
-        Ok(LevelInfo { id, rank, name })
-    }
+    E::take_all(r, n as usize)
 }
 
 /// An operation of the TCP spec store: which sequential specification
@@ -676,50 +335,6 @@ impl SpecOp {
     }
 }
 
-impl Wire for SpecOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SpecOp::Reg(RegOp::Read(k)) => {
-                buf.push(0);
-                put_u64(buf, *k);
-            }
-            SpecOp::Reg(RegOp::Write(k, v)) => {
-                buf.push(1);
-                put_u64(buf, *k);
-                put_u64(buf, *v);
-            }
-            SpecOp::Ctr(CtrOp::Get(k)) => {
-                buf.push(2);
-                put_u64(buf, *k);
-            }
-            SpecOp::Ctr(CtrOp::Put(k, v)) => {
-                buf.push(3);
-                put_u64(buf, *k);
-                put_u64(buf, *v);
-            }
-            SpecOp::Ctr(CtrOp::Add(k, d)) => {
-                buf.push(4);
-                put_u64(buf, *k);
-                put_u64(buf, *d);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SpecOp::Reg(RegOp::Read(r.u64()?))),
-            1 => Ok(SpecOp::Reg(RegOp::Write(r.u64()?, r.u64()?))),
-            2 => Ok(SpecOp::Ctr(CtrOp::Get(r.u64()?))),
-            3 => Ok(SpecOp::Ctr(CtrOp::Put(r.u64()?, r.u64()?))),
-            4 => Ok(SpecOp::Ctr(CtrOp::Add(r.u64()?, r.u64()?))),
-            tag => Err(WireError::BadTag {
-                what: "SpecOp",
-                tag,
-            }),
-        }
-    }
-}
-
 /// The version-2 message envelope: everything a replica connection can
 /// carry.
 ///
@@ -728,31 +343,26 @@ impl Wire for SpecOp {
 /// space), so a version-1 peer's frames decode as `Store` variants and a
 /// `Store` frame — stamped version 1 by [`Wire::min_wire_version`] —
 /// decodes on a version-1 peer. The other variants are version-2-only:
-/// the level-directory handshake and the spec store, whose replies carry
-/// the consistency level id negotiated through that directory.
+/// the version handshake and the spec store, whose replies carry a
+/// consistency level's wire id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetMsg {
     /// A version-1 quorum-store message, byte-compatible both ways.
     Store(Msg),
-    /// Client → server: request the level directory. `client` is the
-    /// sender's client id, echoed nowhere — it exists so a server log
-    /// can attribute handshakes.
+    /// Client → server: the version handshake. `client` is the sender's
+    /// client id, echoed nowhere — it exists so a server log can
+    /// attribute handshakes.
     Hello {
         /// The connecting client's id.
         client: u64,
     },
-    /// Server → client: the wire version the server speaks and its full
-    /// consistency-level directory.
+    /// Server → client: the wire version the server speaks.
     HelloAck {
         /// The server's [`WIRE_VERSION`].
         version: u8,
-        /// Every level registered in the server process, registration
-        /// order, at most [`MAX_LEVELS`] entries.
-        levels: Vec<LevelInfo>,
     },
     /// Client → server: submit one spec-store operation, asking for
-    /// views at the listed levels (server-side wire ids, weakest
-    /// first).
+    /// views at the listed levels (wire ids, weakest first).
     SpecSubmit {
         /// Submitting client's id.
         client: u64,
@@ -770,8 +380,7 @@ pub enum NetMsg {
         client: u64,
         /// Echo of the client-assigned sequence number.
         seq: u64,
-        /// The level id of this view (resolve via the handshake
-        /// directory).
+        /// The level id of this view.
         level: u8,
         /// The view's value.
         val: u64,
@@ -818,191 +427,192 @@ pub enum NetMsg {
     },
 }
 
-impl Wire for NetMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            NetMsg::Store(m) => m.encode(buf),
-            NetMsg::Hello { client } => {
-                buf.push(tag::HELLO);
-                put_u64(buf, *client);
+/// Generates the [`Wire`] impl of each type declared in the schema
+/// below. Two forms, each written as the type's definition would be:
+///
+/// - `struct S { a: A, b: B }` — the fields, in wire order.
+/// - `enum E, version V { X(a: A) = 1, Y { b: B } = 2, Z = 3 }` — each
+///   variant with its tag byte and its fields (a tuple variant's fields
+///   get names here), in wire order. A variant tagged with a range,
+///   `W(inner: I) = 0x01..=0x0A`, hands those tags to `I`, which writes
+///   and reads its own tag: `I` shares `E`'s tag space. `E`'s values are
+///   stamped version `V` (default [`WIRE_VERSION`]); a ranged variant's
+///   values take `I`'s.
+///
+/// A field's type is a wire type, or a list `[E; C <= BOUND, "what"]`:
+/// a `C`-wide count no larger than `BOUND`, then the elements. A longer
+/// list panics on encode and is `TooLarge { what, .. }` on decode. An
+/// unknown tag is `BadTag` naming the enum.
+macro_rules! wire {
+    () => {};
+    (struct $name:ident { $($f:ident : $t:tt $(<$g:tt>)?),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let $name { $($f),* } = self;
+                $( wire!(@put buf, $f, $t); )*
             }
-            NetMsg::HelloAck { version, levels } => {
-                assert!(
-                    levels.len() <= MAX_LEVELS as usize,
-                    "level directory with {} entries exceeds the wire protocol bound ({MAX_LEVELS})",
-                    levels.len()
-                );
-                buf.push(tag::HELLO_ACK);
-                buf.push(*version);
-                buf.push(levels.len() as u8);
-                for l in levels {
-                    l.encode(buf);
-                }
-            }
-            NetMsg::SpecSubmit {
-                client,
-                seq,
-                op,
-                wants,
-            } => {
-                assert!(
-                    wants.len() <= MAX_LEVELS as usize,
-                    "wanted-level list with {} entries exceeds the wire protocol bound ({MAX_LEVELS})",
-                    wants.len()
-                );
-                buf.push(tag::SPEC_SUBMIT);
-                put_u64(buf, *client);
-                put_u64(buf, *seq);
-                op.encode(buf);
-                buf.push(wants.len() as u8);
-                buf.extend_from_slice(wants);
-            }
-            NetMsg::SpecReply {
-                client,
-                seq,
-                level,
-                val,
-                closing,
-            } => {
-                buf.push(tag::SPEC_REPLY);
-                put_u64(buf, *client);
-                put_u64(buf, *seq);
-                buf.push(*level);
-                put_u64(buf, *val);
-                buf.push(u8::from(*closing));
-            }
-            NetMsg::SpecGossip {
-                origin,
-                seq,
-                ts,
-                vc,
-                op,
-            } => {
-                assert!(
-                    vc.len() <= MAX_REPLICAS as usize,
-                    "vector clock of width {} exceeds the wire protocol bound ({MAX_REPLICAS})",
-                    vc.len()
-                );
-                buf.push(tag::SPEC_GOSSIP);
-                put_u32(buf, *origin);
-                put_u64(buf, *seq);
-                put_u64(buf, *ts);
-                put_u32(buf, vc.len() as u32);
-                put_u64s(buf, vc);
-                op.encode(buf);
-            }
-            NetMsg::SpecAck {
-                origin,
-                seq,
-                acker,
-                acker_seq,
-            } => {
-                buf.push(tag::SPEC_ACK);
-                put_u32(buf, *origin);
-                put_u64(buf, *seq);
-                put_u32(buf, *acker);
-                put_u64(buf, *acker_seq);
-            }
-            NetMsg::SpecFailed { client, seq } => {
-                buf.push(tag::SPEC_FAILED);
-                put_u64(buf, *client);
-                put_u64(buf, *seq);
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $( $f: wire!(@get r, $t $(<$g>)?) ),* })
             }
         }
+        wire!($($rest)*);
+    };
+    (enum $name:ident $(<$p:ident>)? $(, version $ver:literal)? {
+        $( $v:ident
+           $( ( $($tf:ident : $tt:tt $(<$tg:tt>)?),* ) )?
+           $( { $($sf:ident : $st:tt $(<$sg:tt>)?),* $(,)? } )?
+           = $tag:literal $(..= $hi:literal)? ),* $(,)?
+    } $($rest:tt)*) => {
+        impl $(<$p: Wire>)? Wire for $name $(<$p>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( $name::$v $( ( $($tf),* ) )? $( { $($sf),* } )? => {
+                        wire!(@tag buf, $tag $(..= $hi)?);
+                        $( $( wire!(@put buf, $tf, $tt); )* )?
+                        $( $( wire!(@put buf, $sf, $st); )* )?
+                    } )*
+                }
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let tag = u8::decode(r)?;
+                Self::decode_tagged(tag, r)
+            }
+
+            fn min_wire_version(&self) -> u8 {
+                $( wire!(@inner_version self, $name $v, $tag $(..= $hi)?); )*
+                wire!(@version $($ver)?)
+            }
+        }
+
+        impl $(<$p: Wire>)? Tagged for $name $(<$p>)? {
+            // An enum of unit variants reads nothing past its tag.
+            #[allow(unused_variables)]
+            fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                match tag {
+                    $( $tag $(..= $hi)? => Ok(wire!(@build r, tag, $name $v [$tag $(..= $hi)?]
+                        $( ( $($tf : $tt $(<$tg>)?),* ) )?
+                        $( { $($sf : $st $(<$sg>)?),* } )?)), )*
+                    tag => Err(WireError::BadTag { what: stringify!($name), tag }),
+                }
+            }
+        }
+        wire!($($rest)*);
+    };
+
+    (@tag $buf:ident, $tag:literal) => { $buf.push($tag) };
+    (@tag $buf:ident, $lo:literal ..= $hi:literal) => {};
+
+    (@put $buf:ident, $f:ident, [$e:ident; $c:ident <= $bound:ident, $what:literal]) => {
+        put_list::<$c, $e>($buf, $f, $bound, $what)
+    };
+    (@put $buf:ident, $f:ident, $t:tt) => { Wire::encode($f, $buf) };
+
+    (@get $r:ident, [$e:ident; $c:ident <= $bound:ident, $what:literal]) => {
+        get_list::<$c, $e>($r, $bound, $what)?
+    };
+    (@get $r:ident, $($t:tt)+) => { <$($t)+ as Wire>::decode($r)? };
+
+    (@build $r:ident, $tag:ident, $name:ident $v:ident [$lo:literal ..= $hi:literal] ($f:ident : $t:tt)) => {
+        $name::$v(<$t as Tagged>::decode_tagged($tag, $r)?)
+    };
+    (@build $r:ident, $tag:ident, $name:ident $v:ident [$t0:literal]) => { $name::$v };
+    (@build $r:ident, $tag:ident, $name:ident $v:ident [$t0:literal]
+        ( $($f:ident : $t:tt $(<$g:tt>)?),* )) => {
+        $name::$v( $( wire!(@get $r, $t $(<$g>)?) ),* )
+    };
+    (@build $r:ident, $tag:ident, $name:ident $v:ident [$t0:literal]
+        { $($f:ident : $t:tt $(<$g:tt>)?),* }) => {
+        $name::$v { $( $f: wire!(@get $r, $t $(<$g>)?) ),* }
+    };
+
+    (@inner_version $s:tt, $name:ident $v:ident, $lo:literal ..= $hi:literal) => {
+        if let $name::$v(inner) = $s {
+            return inner.min_wire_version();
+        }
+    };
+    (@inner_version $s:tt, $name:ident $v:ident, $tag:literal) => {};
+
+    (@version $ver:literal) => { $ver };
+    (@version) => { WIRE_VERSION };
+}
+
+// The schema: every layout on the wire. Tags are one byte; new variants
+// append new tags, and a tag is never reused.
+wire! {
+    struct Key { ns: u8, id: u64 }
+
+    struct Version { ts: u64, writer: u32 }
+
+    struct OpId { client: NodeId, seq: u64 }
+
+    struct Versioned { value: Value, version: Version }
+
+    enum Value {
+        // A payload this store never inspects travels as its length only.
+        Opaque(len: u32) = 0,
+        Ids(ids: [u64; u32 <= MAX_IDS, "Value::Ids"]) = 1,
+        Delta { field_len: u32, record_len: u32 } = 2,
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let t = r.u8()?;
-        match t {
-            0x01..=tag::STORE_MAX => Ok(NetMsg::Store(decode_msg_body(t, r)?)),
-            tag::HELLO => Ok(NetMsg::Hello { client: r.u64()? }),
-            tag::HELLO_ACK => {
-                let version = r.u8()?;
-                let n = r.u8()?;
-                if n > MAX_LEVELS {
-                    return Err(WireError::TooLarge {
-                        what: "NetMsg::HelloAck levels",
-                        len: u64::from(n),
-                    });
-                }
-                let mut levels = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    levels.push(LevelInfo::decode(r)?);
-                }
-                Ok(NetMsg::HelloAck { version, levels })
-            }
-            tag::SPEC_SUBMIT => {
-                let client = r.u64()?;
-                let seq = r.u64()?;
-                let op = SpecOp::decode(r)?;
-                let n = r.u8()?;
-                if n > MAX_LEVELS {
-                    return Err(WireError::TooLarge {
-                        what: "NetMsg::SpecSubmit wants",
-                        len: u64::from(n),
-                    });
-                }
-                let wants = r.take(n as usize)?.to_vec();
-                Ok(NetMsg::SpecSubmit {
-                    client,
-                    seq,
-                    op,
-                    wants,
-                })
-            }
-            tag::SPEC_REPLY => Ok(NetMsg::SpecReply {
-                client: r.u64()?,
-                seq: r.u64()?,
-                level: r.u8()?,
-                val: r.u64()?,
-                closing: r.u8()? != 0,
-            }),
-            tag::SPEC_GOSSIP => {
-                let origin = r.u32()?;
-                let seq = r.u64()?;
-                let ts = r.u64()?;
-                let n = r.u32()?;
-                if n > MAX_REPLICAS {
-                    return Err(WireError::TooLarge {
-                        what: "NetMsg::SpecGossip vc",
-                        len: u64::from(n),
-                    });
-                }
-                let vc = r.u64s(n as usize)?;
-                let op = SpecOp::decode(r)?;
-                Ok(NetMsg::SpecGossip {
-                    origin,
-                    seq,
-                    ts,
-                    vc,
-                    op,
-                })
-            }
-            tag::SPEC_ACK => Ok(NetMsg::SpecAck {
-                origin: r.u32()?,
-                seq: r.u64()?,
-                acker: r.u32()?,
-                acker_seq: r.u64()?,
-            }),
-            tag::SPEC_FAILED => Ok(NetMsg::SpecFailed {
-                client: r.u64()?,
-                seq: r.u64()?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "NetMsg",
-                tag,
-            }),
-        }
+    enum ReadKind {
+        Single { r: u8 } = 0,
+        Icg { r: u8, confirm: bool } = 1,
     }
 
-    /// Store messages still travel in version-1 frames (old peers must
-    /// keep decoding them); everything else is version-2-only.
-    fn min_wire_version(&self) -> u8 {
-        match self {
-            NetMsg::Store(m) => m.min_wire_version(),
-            _ => 2,
-        }
+    enum Phase { Single = 0, Preliminary = 1, Final = 2 }
+
+    enum FailReason { Timeout = 0 }
+
+    enum Option<T> { None = 0, Some(v: T) = 1 }
+
+    // Version 1: every `Msg` must keep reaching version-1 peers.
+    enum Msg, version 1 {
+        ClientRead { op: OpId, key: Key, kind: ReadKind } = 0x01,
+        ClientWrite { op: OpId, key: Key, value: Value, w: u8 } = 0x02,
+        PeerRead { op: OpId, key: Key } = 0x03,
+        PeerReadResp { op: OpId, data: Versioned } = 0x04,
+        PeerWrite { key: Key, data: Versioned, ack_op: Option<OpId> } = 0x05,
+        PeerWriteAck { op: OpId } = 0x06,
+        ReadReply { op: OpId, phase: Phase, data: Versioned } = 0x07,
+        ReadConfirm { op: OpId, version: Version } = 0x08,
+        WriteReply { op: OpId } = 0x09,
+        OpFailed { op: OpId, reason: FailReason } = 0x0A,
     }
+
+    // Tags 0x01..=0x0A are `Msg`'s: a `Store` frame is a bare `Msg`.
+    enum NetMsg {
+        Store(msg: Msg) = 0x01..=0x0A,
+        Hello { client: u64 } = 0x0B,
+        HelloAck { version: u8 } = 0x0C,
+        SpecSubmit {
+            client: u64,
+            seq: u64,
+            op: SpecOp,
+            wants: [u8; u8 <= MAX_LEVELS, "NetMsg::SpecSubmit wants"],
+        } = 0x0D,
+        SpecReply { client: u64, seq: u64, level: u8, val: u64, closing: bool } = 0x0E,
+        SpecGossip {
+            origin: u32,
+            seq: u64,
+            ts: u64,
+            vc: [u64; u32 <= MAX_REPLICAS, "NetMsg::SpecGossip vc"],
+            op: SpecOp,
+        } = 0x0F,
+        SpecAck { origin: u32, seq: u64, acker: u32, acker_seq: u64 } = 0x10,
+        SpecFailed { client: u64, seq: u64 } = 0x11,
+    }
+
+    // A register op and a counter op share one tag space.
+    enum SpecOp {
+        Reg(op: RegOp) = 0..=1,
+        Ctr(op: CtrOp) = 2..=4,
+    }
+
+    enum RegOp { Read(key: u64) = 0, Write(key: u64, val: u64) = 1 }
+
+    enum CtrOp { Get(key: u64) = 2, Put(key: u64, val: u64) = 3, Add(key: u64, by: u64) = 4 }
 }
 
 /// Encodes a value into a fresh buffer (convenience for tests and

@@ -1,0 +1,317 @@
+//! Golden frames: one encoded frame per variant of every wire enum,
+//! written out as hex — the length prefix, the frame's version byte,
+//! then the body. Each frame must encode to exactly these bytes and
+//! decode back to its value, so a codec rewrite that moves one byte of
+//! any layout (or the version a message is stamped with) fails here by
+//! name, with the bytes it produced.
+
+use std::fmt::Debug;
+
+use correctables::spec::{CtrOp, RegOp};
+use icg_net::frame::{encode_frame, read_frame};
+use icg_net::{NetMsg, SpecOp, Wire};
+use quorumstore::messages::{FailReason, Msg, Phase};
+use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
+use simnet::NodeId;
+
+/// `len ver body`, each part in lower-case hex.
+fn hex(frame: &[u8]) -> String {
+    let digits = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    format!(
+        "{} {} {}",
+        digits(&frame[..4]),
+        digits(&frame[4..5]),
+        digits(&frame[5..])
+    )
+}
+
+/// The frames of a table that encode to other bytes than the golden
+/// ones or do not decode back, each with the bytes it produced.
+#[derive(Default)]
+struct Golden {
+    wrong: Vec<String>,
+}
+
+impl Golden {
+    fn check<T: Wire + PartialEq + Debug>(&mut self, name: &str, value: T, golden: &str) {
+        let mut frame = Vec::new();
+        encode_frame(&value, &mut frame);
+        let got = hex(&frame);
+        if got != golden {
+            self.wrong.push(format!("{name}: encodes as \"{got}\""));
+            return;
+        }
+        match read_frame::<T>(&mut &frame[..], &mut Vec::new()) {
+            Ok(Some(back)) if back == value => {}
+            other => self.wrong.push(format!("{name}: decodes as {other:?}")),
+        }
+    }
+
+    fn assert_all_golden(self) {
+        assert!(self.wrong.is_empty(), "\n{}", self.wrong.join("\n"));
+    }
+}
+
+fn op() -> OpId {
+    OpId {
+        client: NodeId(3),
+        seq: 77,
+    }
+}
+
+fn key() -> Key {
+    Key { ns: 2, id: 9 }
+}
+
+fn version() -> Version {
+    Version { ts: 8, writer: 1 }
+}
+
+fn data() -> Versioned {
+    Versioned {
+        value: Value::Ids(vec![5, 6]),
+        version: version(),
+    }
+}
+
+#[test]
+fn every_store_message_frame_is_golden() {
+    let mut g = Golden::default();
+    let store = |m: Msg| NetMsg::Store(m);
+    g.check(
+        "ClientRead",
+        store(Msg::ClientRead {
+            op: op(),
+            key: key(),
+            kind: ReadKind::Icg {
+                r: 2,
+                confirm: true,
+            },
+        }),
+        "1e000000 01 0103000000000000004d00000000000000020900000000000000010201",
+    );
+    g.check(
+        "ClientWrite",
+        store(Msg::ClientWrite {
+            op: op(),
+            key: key(),
+            value: Value::Opaque(1024),
+            w: 2,
+        }),
+        "21000000 01 0203000000000000004d00000000000000020900000000000000000004000002",
+    );
+    g.check(
+        "PeerRead",
+        store(Msg::PeerRead {
+            op: op(),
+            key: key(),
+        }),
+        "1b000000 01 0303000000000000004d00000000000000020900000000000000",
+    );
+    g.check(
+        "PeerReadResp",
+        store(Msg::PeerReadResp {
+            op: op(),
+            data: data(),
+        }),
+        "33000000 01 0403000000000000004d00000000000000010200000005000000000000000600000000000000080000000000000001000000",
+    );
+    g.check(
+        "PeerWrite",
+        store(Msg::PeerWrite {
+            key: key(),
+            data: Versioned {
+                value: Value::Delta {
+                    field_len: 16,
+                    record_len: 1024,
+                },
+                version: version(),
+            },
+            ack_op: Some(op()),
+        }),
+        "31000000 01 050209000000000000000210000000000400000800000000000000010000000103000000000000004d00000000000000",
+    );
+    g.check(
+        "PeerWrite (no ack)",
+        store(Msg::PeerWrite {
+            key: key(),
+            data: data(),
+            ack_op: None,
+        }),
+        "2d000000 01 0502090000000000000001020000000500000000000000060000000000000008000000000000000100000000",
+    );
+    g.check(
+        "PeerWriteAck",
+        store(Msg::PeerWriteAck { op: op() }),
+        "12000000 01 0603000000000000004d00000000000000",
+    );
+    g.check(
+        "ReadReply",
+        store(Msg::ReadReply {
+            op: op(),
+            phase: Phase::Preliminary,
+            data: data(),
+        }),
+        "34000000 01 0703000000000000004d0000000000000001010200000005000000000000000600000000000000080000000000000001000000",
+    );
+    g.check(
+        "ReadConfirm",
+        store(Msg::ReadConfirm {
+            op: op(),
+            version: version(),
+        }),
+        "1e000000 01 0803000000000000004d00000000000000080000000000000001000000",
+    );
+    g.check(
+        "WriteReply",
+        store(Msg::WriteReply { op: op() }),
+        "12000000 01 0903000000000000004d00000000000000",
+    );
+    g.check(
+        "OpFailed",
+        store(Msg::OpFailed {
+            op: op(),
+            reason: FailReason::Timeout,
+        }),
+        "13000000 01 0a03000000000000004d0000000000000000",
+    );
+    g.assert_all_golden();
+}
+
+#[test]
+fn every_envelope_frame_is_golden() {
+    let mut g = Golden::default();
+    g.check(
+        "Hello",
+        NetMsg::Hello { client: 4400 },
+        "0a000000 02 0b3011000000000000",
+    );
+    g.check(
+        "HelloAck",
+        NetMsg::HelloAck { version: 2 },
+        "03000000 02 0c02",
+    );
+    g.check(
+        "SpecSubmit",
+        NetMsg::SpecSubmit {
+            client: 4400,
+            seq: 5,
+            op: SpecOp::Ctr(CtrOp::Add(3, 2)),
+            wants: vec![0, 1, 2, 3],
+        },
+        "28000000 02 0d3011000000000000050000000000000004030000000000000002000000000000000400010203",
+    );
+    g.check(
+        "SpecReply",
+        NetMsg::SpecReply {
+            client: 4400,
+            seq: 5,
+            level: 3,
+            val: 42,
+            closing: true,
+        },
+        "1c000000 02 0e30110000000000000500000000000000032a0000000000000001",
+    );
+    g.check(
+        "SpecGossip",
+        NetMsg::SpecGossip {
+            origin: 1,
+            seq: 4,
+            ts: 9,
+            vc: vec![1, 4, 0],
+            op: SpecOp::Reg(RegOp::Write(5, 6)),
+        },
+        "43000000 02 0f0100000004000000000000000900000000000000030000000100000000000000040000000000000000000000000000000105000000000000000600000000000000",
+    );
+    g.check(
+        "SpecAck",
+        NetMsg::SpecAck {
+            origin: 1,
+            seq: 4,
+            acker: 2,
+            acker_seq: 3,
+        },
+        "1a000000 02 10010000000400000000000000020000000300000000000000",
+    );
+    g.check(
+        "SpecFailed",
+        NetMsg::SpecFailed {
+            client: 4400,
+            seq: 6,
+        },
+        "12000000 02 1130110000000000000600000000000000",
+    );
+    g.assert_all_golden();
+}
+
+#[test]
+fn every_component_frame_is_golden() {
+    let mut g = Golden::default();
+    g.check(
+        "Value::Opaque",
+        Value::Opaque(1024),
+        "06000000 02 0000040000",
+    );
+    g.check(
+        "Value::Ids",
+        Value::Ids(vec![1, 0x0102_0304_0506_0708]),
+        "16000000 02 010200000001000000000000000807060504030201",
+    );
+    g.check(
+        "Value::Delta",
+        Value::Delta {
+            field_len: 16,
+            record_len: 1024,
+        },
+        "0a000000 02 021000000000040000",
+    );
+    g.check(
+        "ReadKind::Single",
+        ReadKind::Single { r: 1 },
+        "03000000 02 0001",
+    );
+    g.check(
+        "ReadKind::Icg",
+        ReadKind::Icg {
+            r: 2,
+            confirm: false,
+        },
+        "04000000 02 010200",
+    );
+    g.check("Phase::Single", Phase::Single, "02000000 02 00");
+    g.check("Phase::Preliminary", Phase::Preliminary, "02000000 02 01");
+    g.check("Phase::Final", Phase::Final, "02000000 02 02");
+    g.check("FailReason::Timeout", FailReason::Timeout, "02000000 02 00");
+    g.check(
+        "SpecOp::Reg(Read)",
+        SpecOp::Reg(RegOp::Read(7)),
+        "0a000000 02 000700000000000000",
+    );
+    g.check(
+        "SpecOp::Reg(Write)",
+        SpecOp::Reg(RegOp::Write(7, 8)),
+        "12000000 02 0107000000000000000800000000000000",
+    );
+    g.check(
+        "SpecOp::Ctr(Get)",
+        SpecOp::Ctr(CtrOp::Get(7)),
+        "0a000000 02 020700000000000000",
+    );
+    g.check(
+        "SpecOp::Ctr(Put)",
+        SpecOp::Ctr(CtrOp::Put(7, 8)),
+        "12000000 02 0307000000000000000800000000000000",
+    );
+    g.check(
+        "SpecOp::Ctr(Add)",
+        SpecOp::Ctr(CtrOp::Add(7, 8)),
+        "12000000 02 0407000000000000000800000000000000",
+    );
+    g.check("Option::None", None::<OpId>, "02000000 02 00");
+    g.check(
+        "Option::Some",
+        Some(op()),
+        "12000000 02 0103000000000000004d00000000000000",
+    );
+    g.assert_all_golden();
+}

@@ -1,6 +1,6 @@
-//! Property tests of every [`Wire`] impl: encode→decode identity over
-//! generated values, and rejection (never a panic) of truncated frames
-//! and corrupt tag bytes.
+//! Property tests of every declared wire layout: encode→decode
+//! identity over generated values, and rejection (never a panic) of
+//! truncated frames and corrupt tag bytes.
 //!
 //! These properties are the codec's entire contract — a transport that
 //! silently misparses one frame corrupts protocol state in ways the
@@ -12,11 +12,10 @@ use proptest::prelude::*;
 use correctables::spec::{CtrOp, RegOp};
 use icg_net::wire::{from_bytes, to_bytes, MAX_IDS};
 use icg_net::wire::{MAX_LEVELS, MAX_REPLICAS};
-use icg_net::{LevelInfo, NetMsg, Reader, SpecOp, Wire, WireError};
+use icg_net::{NetMsg, Reader, SpecOp, Wire, WireError};
 use icg_net::{MIN_WIRE_VERSION, WIRE_VERSION};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
-use quorumstore::StoreOp;
 use simnet::NodeId;
 
 fn arb_key() -> impl Strategy<Value = Key> {
@@ -105,13 +104,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
-fn arb_store_op() -> impl Strategy<Value = StoreOp> {
-    prop_oneof![
-        arb_key().prop_map(StoreOp::Read),
-        (arb_key(), arb_value()).prop_map(|(k, v)| StoreOp::Write(k, v)),
-    ]
-}
-
 fn arb_spec_op() -> impl Strategy<Value = SpecOp> {
     prop_oneof![
         (0u64..u64::MAX).prop_map(|k| SpecOp::Reg(RegOp::Read(k))),
@@ -122,26 +114,13 @@ fn arb_spec_op() -> impl Strategy<Value = SpecOp> {
     ]
 }
 
-fn arb_level_info() -> impl Strategy<Value = LevelInfo> {
-    let name = proptest::collection::vec(0u64..26, 1..32)
-        .prop_map(|cs| cs.into_iter().map(|c| (b'a' + c as u8) as char).collect());
-    (name, 0u64..256, 0u64..256).prop_map(|(name, id, rank): (String, u64, u64)| LevelInfo {
-        id: id as u8,
-        rank: rank as u8,
-        name,
-    })
-}
-
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     prop_oneof![
         arb_msg().prop_map(NetMsg::Store),
         (0u64..u64::MAX).prop_map(|client| NetMsg::Hello { client }),
-        (1u64..3, proptest::collection::vec(arb_level_info(), 0..8)).prop_map(
-            |(version, levels)| NetMsg::HelloAck {
-                version: version as u8,
-                levels,
-            }
-        ),
+        (1u64..3).prop_map(|version| NetMsg::HelloAck {
+            version: version as u8
+        }),
         (
             0u64..u64::MAX,
             0u64..u64::MAX,
@@ -301,11 +280,6 @@ proptest! {
     }
 
     #[test]
-    fn store_op_codec_contract(op in arb_store_op()) {
-        codec_contract(&op)?;
-    }
-
-    #[test]
     fn versioned_codec_contract(v in arb_versioned()) {
         codec_contract(&v)?;
     }
@@ -343,7 +317,6 @@ proptest! {
     fn random_bytes_never_panic(bytes in proptest::collection::vec(0u64..256, 0..64)) {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let _ = from_bytes::<Msg>(&bytes);
-        let _ = from_bytes::<StoreOp>(&bytes);
         let _ = from_bytes::<Versioned>(&bytes);
     }
 
@@ -376,9 +349,8 @@ proptest! {
     }
 
     #[test]
-    fn spec_op_and_level_info_codec_contract(op in arb_spec_op(), info in arb_level_info()) {
+    fn spec_op_codec_contract(op in arb_spec_op()) {
         codec_contract(&op)?;
-        codec_contract(&info)?;
     }
 
     /// The `Store` envelope is byte-identical to the bare message: a
@@ -400,20 +372,22 @@ proptest! {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let _ = from_bytes::<NetMsg>(&bytes);
         let _ = from_bytes::<SpecOp>(&bytes);
-        let _ = from_bytes::<LevelInfo>(&bytes);
     }
 
-    /// Level-directory and wants lists beyond MAX_LEVELS, and vector
-    /// clocks beyond MAX_REPLICAS, are rejected before allocating.
+    /// Wanted-level lists beyond MAX_LEVELS, and vector clocks beyond
+    /// MAX_REPLICAS, are rejected before allocating.
     #[test]
     fn oversized_level_and_vc_lists_rejected(extra in 1u64..200) {
-        // HelloAck with too many advertised levels.
-        let mut buf = vec![0x0C, 2];
+        // SpecSubmit (client, seq, a register read) asking for too many
+        // levels.
+        let mut buf = vec![0x0D];
+        buf.extend_from_slice(&[0; 16]); // client + seq
+        buf.extend_from_slice(&[0; 9]); // RegOp::Read(0)
         buf.push((MAX_LEVELS as u64 + extra).min(255) as u8);
         let r = from_bytes::<NetMsg>(&buf);
         prop_assert!(
             matches!(r, Err(WireError::TooLarge { .. }) | Err(WireError::Truncated)),
-            "oversized directory accepted: {:?}", r
+            "oversized wants list accepted: {:?}", r
         );
         // SpecGossip with an oversized vector clock.
         let mut buf = vec![0x0F];

@@ -1,7 +1,7 @@
 //! End-to-end tests of the version-2 spec store: the full incremental
 //! refinement *weak → update → causal → strong* on a single
 //! Correctable, against a real 3-replica TCP cluster — plus the
-//! level-directory handshake, custom-level round-tripping,
+//! refusal of a custom level no binding serves,
 //! version-1/version-2 coexistence on one port, and the binding's
 //! failure contract (lost replica, garbled reply, silent server, last
 //! clone dropped) against fake servers on raw sockets.
@@ -15,8 +15,8 @@ use correctables::spec::{CtrOp, RegOp};
 use correctables::{Client, ConsistencyLevel, Error};
 use icg_net::frame::{read_frame, write_frame};
 use icg_net::{
-    spawn_local_cluster, LevelInfo, NetMsg, ReplicaHandle, ReplicaServer, ServerConfig, SpecOp,
-    SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding, WIRE_VERSION,
+    spawn_local_cluster, NetMsg, ReplicaHandle, ReplicaServer, ServerConfig, SpecOp, SpecTcpConfig,
+    TcpBinding, TcpConfig, TcpSpecBinding, WIRE_VERSION,
 };
 use quorumstore::{Key, StoreOp, Value};
 
@@ -235,9 +235,9 @@ enum AfterHello {
 }
 
 /// A fake spec server on a raw listener: answers each connection's
-/// `Hello` with a `HelloAck` carrying this process's level directory,
-/// then treats submissions per `mode`. Reports on the returned channel
-/// when a connection's read side ends (EOF or reset).
+/// `Hello` with a `HelloAck`, then treats submissions per `mode`.
+/// Reports on the returned channel when a connection's read side ends
+/// (EOF or reset).
 fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake spec server");
     let addr = listener.local_addr().expect("local addr");
@@ -250,17 +250,8 @@ fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
                 let mut scratch = Vec::new();
                 let hello = read_frame::<NetMsg>(&mut stream, &mut scratch);
                 assert!(matches!(hello, Ok(Some(NetMsg::Hello { .. }))));
-                let levels = ConsistencyLevel::all_registered()
-                    .into_iter()
-                    .map(|l| LevelInfo {
-                        id: l.wire_id(),
-                        rank: l.rank(),
-                        name: l.name().to_string(),
-                    })
-                    .collect();
                 let ack = NetMsg::HelloAck {
                     version: WIRE_VERSION,
-                    levels,
                 };
                 write_frame(&mut stream, &ack, &mut scratch).expect("hello ack");
                 while let Ok(Some(_)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {

@@ -19,7 +19,8 @@
 # micro_crdt/crdt/anti-entropy-retry-5k-log and micro_crdt/crdt/escrow-merge
 # against BENCH_PR30.json, micro_crdt/causal/state-transfer-32-keys
 # against BENCH_PR31.json, micro_simnet/apps/ads-setup-15k against
-# BENCH_PR32.json).
+# BENCH_PR32.json, micro_wire/wire/ids128-encode, wire/ids128-decode and
+# frame/ids128-encode+read against BENCH_PR41.json).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
