@@ -278,8 +278,8 @@ fn main() {
     };
     let open_loop = flags.has("open-loop");
     let bench_json = flags.get_or("bench-json", "");
-    // --levels NAMES selects the spec-store workload; each name must
-    // resolve in the level registry, and the spec binding must serve it.
+    // --levels NAMES selects the spec-store workload; each name must be
+    // a builtin level, and the spec binding must serve it.
     let spec_levels: Option<Vec<ConsistencyLevel>> = {
         let raw = flags.get_or("levels", "");
         if raw.is_empty() {
@@ -290,7 +290,7 @@ fn main() {
                 .filter(|s| !s.is_empty())
                 .map(|name| {
                     ConsistencyLevel::lookup(name).unwrap_or_else(|| {
-                        die(&format!("--levels: '{name}' is not a registered level"))
+                        die(&format!("--levels: '{name}' is not a builtin level"))
                     })
                 })
                 .collect();

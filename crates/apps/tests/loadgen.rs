@@ -51,23 +51,22 @@ fn closed_loop_reports_each_requested_level_and_fails_nothing() {
 #[test]
 fn a_level_the_spec_binding_does_not_serve_is_refused_by_name() {
     let (_cluster, replicas) = Cluster::boot(3);
-    let out = Command::new(env!("CARGO_BIN_EXE_icg-loadgen"))
-        .args(["--replicas", &replicas])
-        .args(["--clients", "2", "--ops", "150", "--levels", "cache,strong"])
-        .output()
-        .expect("run icg-loadgen");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "loadgen accepted --levels cache,strong"
-    );
-    assert!(
-        stderr.contains("cache"),
-        "stderr does not name the level:\n{stderr}"
-    );
-    assert!(
-        !stdout.lines().any(|l| l.starts_with("level ")),
-        "loadgen reported levels:\n{stdout}"
-    );
+    for (levels, refused) in [("cache,strong", "cache"), ("bogus,strong", "bogus")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_icg-loadgen"))
+            .args(["--replicas", &replicas])
+            .args(["--clients", "2", "--ops", "150", "--levels", levels])
+            .output()
+            .expect("run icg-loadgen");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "loadgen accepted --levels {levels}");
+        assert!(
+            stderr.contains(refused),
+            "stderr does not name the level:\n{stderr}"
+        );
+        assert!(
+            !stdout.lines().any(|l| l.starts_with("level ")),
+            "loadgen reported levels:\n{stdout}"
+        );
+    }
 }

@@ -8,10 +8,12 @@
 //! application wanting *many* preliminary views for user feedback, since
 //! finality takes tens of (virtual) minutes.
 
+use std::ops::Deref;
+
 use correctables::{ConsistencyLevel, Error, Upcall};
 use simnet::{
-    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimDuration, SimHost, SimTime,
-    Submission, Timer,
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimDuration, SimHost, Submission,
+    Timer,
 };
 
 use crate::chain::TxId;
@@ -21,16 +23,22 @@ use crate::network::{Miner, Msg};
 /// high probability" — Bitcoin's conventional six).
 pub const FINAL_DEPTH: u64 = 6;
 
-/// The consistency level of a given confirmation depth. Depths register
-/// lazily in the process-wide level lattice (idempotent — the same
-/// name/rank pair always yields the same level), ranked between CACHE
-/// and WEAK: even six confirmations are probabilistic, not a quorum.
-/// Depth `d` is ranked `d`.
+/// The confirmation-depth levels `conf-1` … `conf-6`, ranked between
+/// CACHE and WEAK: even six confirmations are probabilistic, not a
+/// quorum. Depth `d` is ranked `d`.
+const CONF_LEVELS: [ConsistencyLevel; FINAL_DEPTH as usize] = [
+    ConsistencyLevel::new("conf-1", 1),
+    ConsistencyLevel::new("conf-2", 2),
+    ConsistencyLevel::new("conf-3", 3),
+    ConsistencyLevel::new("conf-4", 4),
+    ConsistencyLevel::new("conf-5", 5),
+    ConsistencyLevel::new("conf-6", 6),
+];
+
+/// The consistency level of a given confirmation depth (clamped to
+/// `1..=FINAL_DEPTH`).
 pub fn conf_level(depth: u64) -> ConsistencyLevel {
-    const NAMES: [&str; 6] = ["conf-1", "conf-2", "conf-3", "conf-4", "conf-5", "conf-6"];
-    let d = depth.clamp(1, FINAL_DEPTH);
-    ConsistencyLevel::register(NAMES[(d - 1) as usize], d as u8)
-        .expect("confirmation-depth levels are well-formed")
+    CONF_LEVELS[(depth.clamp(1, FINAL_DEPTH) - 1) as usize]
 }
 
 /// A submitted payment, as seen by the application.
@@ -48,26 +56,13 @@ pub struct WatchPending {
     upcall: Upcall<TxStatus>,
     /// The strongest requested depth: the notice that closes the watch.
     close_at: u64,
-    submitted: SimTime,
-    confirmed_at: Vec<(u64, f64)>,
-}
-
-/// Per-transaction confirmation timeline (virtual milliseconds).
-#[derive(Clone, Debug)]
-pub struct TxTimeline {
-    /// The transaction.
-    pub tx: TxId,
-    /// (depth, ms after submission) per delivered view.
-    pub confirmations_ms: Vec<(u64, f64)>,
 }
 
 /// The wallet's client protocol: submit the transaction to one miner,
 /// then turn that miner's confirmation notices into views until the
-/// strongest requested depth closes the watch, which leaves a
-/// [`TxTimeline`].
+/// strongest requested depth closes the watch.
 pub struct Wallet {
     node: NodeId,
-    timelines: Vec<TxTimeline>,
 }
 
 impl GatewayProto for Wallet {
@@ -92,14 +87,12 @@ impl GatewayProto for Wallet {
             tx,
             upcall: sub.upcall,
             close_at: u64::from(strongest),
-            submitted: ctx.now(),
-            confirmed_at: Vec::new(),
         })
     }
 
     fn on_reply(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
+        _ctx: &mut Ctx<'_, Msg>,
         pending: &mut PendingOps<WatchPending>,
         msg: Msg,
     ) {
@@ -110,8 +103,6 @@ impl GatewayProto for Wallet {
         let Some((op, p)) = pending.iter_mut().find(|(_, p)| p.tx == tx) else {
             return;
         };
-        let ms = ctx.now().since(p.submitted).as_millis_f64();
-        p.confirmed_at.push((depth, ms));
         p.upcall.deliver(
             TxStatus {
                 tx,
@@ -120,11 +111,7 @@ impl GatewayProto for Wallet {
             conf_level(depth),
         );
         if depth >= p.close_at {
-            let p = pending.remove(op).expect("present");
-            self.timelines.push(TxTimeline {
-                tx,
-                confirmations_ms: p.confirmed_at,
-            });
+            pending.remove(op);
         }
     }
 
@@ -133,10 +120,19 @@ impl GatewayProto for Wallet {
     }
 }
 
-/// A simulated blockchain network with a wallet binding.
+/// A simulated blockchain network with a wallet binding. The clock
+/// mirror and `settle` come from the [`SimHost`] it dereferences to.
 #[derive(Clone)]
 pub struct SimChain {
     host: SimHost<Wallet>,
+}
+
+impl Deref for SimChain {
+    type Target = SimHost<Wallet>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.host
+    }
 }
 
 impl SimChain {
@@ -160,10 +156,7 @@ impl SimChain {
             // Kick off mining.
             engine.schedule_timer(*id, SimDuration::ZERO, Timer(u64::MAX));
         }
-        let wallet = Wallet {
-            node: miners[0],
-            timelines: Vec::new(),
-        };
+        let wallet = Wallet { node: miners[0] };
         SimChain {
             host: SimHost::new(engine, miners, client_site_id, wallet),
         }
@@ -171,20 +164,13 @@ impl SimChain {
 
     /// The Correctables binding (six confirmation levels).
     pub fn binding(&self) -> ChainBinding {
-        let levels: Vec<_> = (1..=FINAL_DEPTH).map(conf_level).collect();
-        SimBinding::new(self.host.clone(), &levels)
+        SimBinding::new(self.host.clone(), &CONF_LEVELS)
     }
 
     /// Runs the network for `d` of virtual time (mining never goes idle,
     /// so the blockchain is driven by explicit time budgets).
     pub fn run_for(&self, d: SimDuration) {
         self.host.step(d);
-    }
-
-    /// Confirmation timelines of closed watches. Must not be called from
-    /// inside a callback: the engine is locked while it runs.
-    pub fn timelines(&self) -> Vec<TxTimeline> {
-        self.host.with_proto(|w| w.timelines.clone())
     }
 
     /// Total reorganizations observed across all miners.
@@ -205,12 +191,38 @@ pub type ChainBinding = SimBinding<Wallet>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use correctables::{Client, State};
+    use correctables::{Client, History, HistoryEvent, Invocation, RecordingBinding, State};
 
     fn network(seed: u64) -> SimChain {
         // 30-second virtual blocks keep tests fast while preserving
         // plenty of propagation-induced forks.
         SimChain::ec2(SimDuration::from_secs(30), "IRL", seed)
+    }
+
+    /// A client on `chain` recording every view on its virtual clock.
+    fn recorded(
+        chain: &SimChain,
+    ) -> (
+        Client<RecordingBinding<ChainBinding>>,
+        History<TxId, TxStatus>,
+    ) {
+        let history = History::with_clock(chain.clock());
+        let binding = RecordingBinding::new(chain.binding(), history.clone());
+        (Client::new(binding), history)
+    }
+
+    /// A recorded watch's views as (depth, virtual ms after submission).
+    fn confirmations_ms(watch: &Invocation<TxId, TxStatus>) -> Vec<(u64, f64)> {
+        let views = watch.events.iter().filter_map(|e| match e {
+            HistoryEvent::View {
+                at_nanos, value, ..
+            } => Some((
+                value.confirmations,
+                (at_nanos - watch.at_nanos) as f64 / 1e6,
+            )),
+            HistoryEvent::Failed { .. } => None,
+        });
+        views.collect()
     }
 
     #[test]
@@ -253,30 +265,40 @@ mod tests {
     #[test]
     fn timelines_record_increasing_depths() {
         let chain = network(11);
-        let client = Client::new(chain.binding());
+        let (client, history) = recorded(&chain);
         let _c = client.invoke(7);
         chain.run_for(SimDuration::from_secs(3600));
-        let t = chain.timelines();
+        let t = history.snapshot();
         assert_eq!(t.len(), 1);
-        let depths: Vec<u64> = t[0].confirmations_ms.iter().map(|(d, _)| *d).collect();
+        let timeline = confirmations_ms(&t[0]);
+        let depths: Vec<u64> = timeline.iter().map(|(d, _)| *d).collect();
         assert!(depths.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*depths.last().unwrap(), FINAL_DEPTH);
         // Later confirmations take longer.
-        let times: Vec<f64> = t[0].confirmations_ms.iter().map(|(_, ms)| *ms).collect();
+        let times: Vec<f64> = timeline.iter().map(|(_, ms)| *ms).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn a_watch_closes_at_the_strongest_requested_depth() {
         let chain = network(11);
-        let client = Client::new(chain.binding());
+        let (client, history) = recorded(&chain);
         let c = client.invoke_at(7, conf_level(2));
-        chain.run_for(SimDuration::from_secs(3600));
+        for _ in 0..60 {
+            if c.state() == State::Final {
+                break;
+            }
+            chain.run_for(SimDuration::from_secs(60));
+        }
         assert_eq!(c.final_view().map(|v| v.value.confirmations), Some(2));
         // The watch, and with it the gateway entry, closed with the
-        // Correctable: its timeline ends at depth 2, not 6.
-        let t = chain.timelines();
+        // Correctable: with no entry open, `settle` returns within its
+        // 5 ms slice instead of waiting for depth 6.
+        let closed = chain.now();
+        chain.settle();
+        assert!(chain.now().since(closed) < SimDuration::from_secs(1));
+        let t = history.snapshot();
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].confirmations_ms.last().map(|(d, _)| *d), Some(2));
+        assert_eq!(confirmations_ms(&t[0]).last().map(|(d, _)| *d), Some(2));
     }
 }

@@ -14,6 +14,6 @@ pub mod binding;
 pub mod chain;
 pub mod network;
 
-pub use binding::{conf_level, ChainBinding, SimChain, TxStatus, TxTimeline, FINAL_DEPTH};
+pub use binding::{conf_level, ChainBinding, SimChain, TxStatus, FINAL_DEPTH};
 pub use chain::{Block, BlockId, Chain, TxId};
 pub use network::{Miner, Msg};

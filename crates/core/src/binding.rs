@@ -337,7 +337,7 @@ mod tests {
             n.fetch_add(1, Ordering::SeqCst);
         });
         let up = Upcall::for_levels(h, &[WEAK, STRONG]);
-        let above = ConsistencyLevel::register("stronger-than-asked", 99).unwrap();
+        let above = ConsistencyLevel::new("stronger-than-asked", 99);
         // A level above the strongest requested closes; later deliveries
         // at or above strongest are late and ignored.
         up.deliver(1, above);

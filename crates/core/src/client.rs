@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn invoke_with_unknown_level_fails() {
         let client = Client::new(RankBinding::new());
-        let bogus = ConsistencyLevel::register("client-bogus", 99).unwrap();
+        let bogus = ConsistencyLevel::new("client-bogus", 99);
         let c = client.invoke_with((), &LevelSelection::only(&[bogus]));
         assert_eq!(c.error(), Some(Error::UnsupportedLevel(bogus)));
     }

@@ -9,52 +9,42 @@
 //!
 //! ## The open lattice
 //!
-//! Levels are **not** a closed enum. [`ConsistencyLevel`] is an interned
-//! handle into a process-wide registry: five builtin levels
+//! Levels are **not** a closed enum. [`ConsistencyLevel`] is a plain
+//! `Copy` value: a rank, a wire id and a name. Five builtin levels
 //! ([`CACHE`](ConsistencyLevel::CACHE) < [`WEAK`](ConsistencyLevel::WEAK)
 //! < [`UPDATE`](ConsistencyLevel::UPDATE) <
 //! [`CAUSAL`](ConsistencyLevel::CAUSAL) <
-//! [`STRONG`](ConsistencyLevel::STRONG)) ship with the workspace, and a
-//! binding registers anything else with
-//! [`ConsistencyLevel::register`] — a blockchain binding can expose
-//! per-confirmation levels, a quorum store per-`R` levels, and no core
-//! code changes. Each level carries a stable small-int **wire id** (the
-//! byte the TCP handshake negotiates level directories with), a rank, and
-//! an owned (leaked-`'static`) name.
+//! [`STRONG`](ConsistencyLevel::STRONG)) ship with the workspace, with
+//! wire ids 0–4, and a binding defines anything else as a constant built
+//! by [`ConsistencyLevel::new`] — a blockchain binding exposes
+//! per-confirmation levels, and no core code changes. Only the builtins
+//! cross a wire: [`from_wire_id`](ConsistencyLevel::from_wire_id) decodes
+//! them and nothing else.
 //!
 //! A binding advertises its levels as a [`LevelSet`]: a validated,
 //! totally-ordered (by rank), duplicate-free set with
-//! [`weakest`](LevelSet::weakest) / [`strongest`](LevelSet::strongest) /
-//! [`floor`](LevelSet::floor) lattice queries. Client code selects levels
-//! with [`LevelSelection`]; the `Only` variant is backed by the inline
-//! small-vector, so per-invoke selections stay allocation-free.
+//! [`weakest`](LevelSet::weakest) / [`strongest`](LevelSet::strongest)
+//! queries. Client code selects levels with [`LevelSelection`]; the
+//! `Only` variant is backed by the inline small-vector, so per-invoke
+//! selections stay allocation-free.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 use crate::inline::InlineVec;
 
-/// Wire ids of the builtin levels (stable across versions; the codec's
-/// decode-compat tests pin them).
-const WIRE_CACHE: u8 = 0;
-const WIRE_WEAK: u8 = 1;
-const WIRE_UPDATE: u8 = 2;
-const WIRE_CAUSAL: u8 = 3;
-const WIRE_STRONG: u8 = 4;
-/// First wire id handed to custom registrations; ids below are reserved
-/// for future builtins.
-const WIRE_CUSTOM_BASE: u8 = 16;
+/// The wire id of every level beyond the builtins. No receiver decodes
+/// it: [`ConsistencyLevel::from_wire_id`] knows the builtins alone.
+const WIRE_UNDECODED: u8 = u8::MAX;
 
 /// A consistency guarantee an operation result can satisfy.
 ///
-/// A `ConsistencyLevel` is a cheap `Copy` handle: rank (position in the
-/// weak→strong total order), wire id (stable byte for codecs and
-/// handshakes), and name. Builtin levels are associated constants;
-/// anything else is minted through [`ConsistencyLevel::register`], so the
-/// lattice is open — core, transport, and sharding code query ranks and
-/// roles instead of matching on a closed set of names.
+/// A `ConsistencyLevel` is a cheap `Copy` value: rank (position in the
+/// weak→strong total order), wire id (stable byte for codecs), and name.
+/// Builtin levels are associated constants; anything else is a constant
+/// built by [`ConsistencyLevel::new`], so the lattice is open — core,
+/// transport, and sharding code query ranks and roles instead of
+/// matching on a closed set of names.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
 pub struct ConsistencyLevel {
     rank: u8,
@@ -62,20 +52,9 @@ pub struct ConsistencyLevel {
     name: &'static str,
 }
 
-/// Why a level registration or set construction was rejected.
+/// Why a level set construction was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LevelError {
-    /// A level with this name exists at a different rank.
-    NameTaken {
-        /// The conflicting name.
-        name: String,
-        /// The rank it is already registered at.
-        existing_rank: u8,
-    },
-    /// The registry ran out of wire ids (more than ~240 custom levels).
-    Exhausted,
-    /// The name is empty or longer than 64 bytes.
-    BadName,
     /// Two distinct levels in one set share a rank: the set would not be
     /// totally ordered.
     AmbiguousRank(u8),
@@ -84,15 +63,6 @@ pub enum LevelError {
 impl fmt::Display for LevelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LevelError::NameTaken {
-                name,
-                existing_rank,
-            } => write!(
-                f,
-                "level name {name:?} already registered at rank {existing_rank}"
-            ),
-            LevelError::Exhausted => f.write_str("level registry out of wire ids"),
-            LevelError::BadName => f.write_str("level name must be 1..=64 bytes"),
             LevelError::AmbiguousRank(r) => {
                 write!(f, "two distinct levels share rank {r}: not totally ordered")
             }
@@ -102,43 +72,27 @@ impl fmt::Display for LevelError {
 
 impl std::error::Error for LevelError {}
 
-struct Registry {
-    /// Every registered level, builtin and custom, in registration order.
-    levels: Vec<ConsistencyLevel>,
-    by_name: HashMap<&'static str, ConsistencyLevel>,
-    next_wire_id: u8,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let builtins = [
-            ConsistencyLevel::CACHE,
-            ConsistencyLevel::WEAK,
-            ConsistencyLevel::UPDATE,
-            ConsistencyLevel::CAUSAL,
-            ConsistencyLevel::STRONG,
-        ];
-        let by_name = builtins.iter().map(|l| (l.name, *l)).collect();
-        Mutex::new(Registry {
-            levels: builtins.to_vec(),
-            by_name,
-            next_wire_id: WIRE_CUSTOM_BASE,
-        })
-    })
-}
+/// The builtin levels, indexed by wire id (stable across versions; the
+/// golden wire frames pin them).
+const BUILTINS: [ConsistencyLevel; 5] = [
+    ConsistencyLevel::CACHE,
+    ConsistencyLevel::WEAK,
+    ConsistencyLevel::UPDATE,
+    ConsistencyLevel::CAUSAL,
+    ConsistencyLevel::STRONG,
+];
 
 impl ConsistencyLevel {
     /// Client-local cache: fastest, no freshness guarantee at all.
     pub const CACHE: ConsistencyLevel = ConsistencyLevel {
         rank: 0,
-        wire_id: WIRE_CACHE,
+        wire_id: 0,
         name: "cache",
     };
     /// Weak / eventual consistency (e.g. a single-replica read).
     pub const WEAK: ConsistencyLevel = ConsistencyLevel {
         rank: 10,
-        wire_id: WIRE_WEAK,
+        wire_id: 1,
         name: "weak",
     };
     /// Update consistency (Perrin, Mostéfaoui & Jard): updates are
@@ -148,81 +102,44 @@ impl ConsistencyLevel {
     /// linearizability.
     pub const UPDATE: ConsistencyLevel = ConsistencyLevel {
         rank: 15,
-        wire_id: WIRE_UPDATE,
+        wire_id: 2,
         name: "update",
     };
     /// Causal consistency.
     pub const CAUSAL: ConsistencyLevel = ConsistencyLevel {
         rank: 20,
-        wire_id: WIRE_CAUSAL,
+        wire_id: 3,
         name: "causal",
     };
     /// Strong consistency (linearizability or the strongest the store has).
     pub const STRONG: ConsistencyLevel = ConsistencyLevel {
         rank: 40,
-        wire_id: WIRE_STRONG,
+        wire_id: 4,
         name: "strong",
     };
 
-    /// Registers (or finds) a custom level named `name` at `rank`.
-    ///
-    /// Registration is idempotent: asking for an existing name at its
-    /// registered rank returns the existing handle, so bindings and tests
-    /// can call this freely at startup.
-    ///
-    /// # Errors
-    ///
-    /// [`LevelError::NameTaken`] if `name` exists at a different rank,
-    /// [`LevelError::BadName`] for an empty or oversized name, and
-    /// [`LevelError::Exhausted`] if the wire-id space is full.
-    pub fn register(name: &str, rank: u8) -> Result<ConsistencyLevel, LevelError> {
-        if name.is_empty() || name.len() > 64 {
-            return Err(LevelError::BadName);
-        }
-        let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = reg.by_name.get(name) {
-            return if existing.rank == rank {
-                Ok(*existing)
-            } else {
-                Err(LevelError::NameTaken {
-                    name: name.to_string(),
-                    existing_rank: existing.rank,
-                })
-            };
-        }
-        if reg.next_wire_id == u8::MAX {
-            return Err(LevelError::Exhausted);
-        }
-        // Leaked once per distinct level name, at registration time —
-        // never on a per-invoke path. This is what keeps the handle Copy.
-        let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-        let level = ConsistencyLevel {
+    /// A level beyond the builtins, named `name` at `rank`; bindings
+    /// define theirs as constants
+    /// (`const CONF_2: ConsistencyLevel = ConsistencyLevel::new("conf-2", 2);`).
+    /// Two levels built here are the same level when name and rank
+    /// agree. Such a level crosses no wire: its wire id is one no
+    /// receiver decodes.
+    pub const fn new(name: &'static str, rank: u8) -> ConsistencyLevel {
+        ConsistencyLevel {
             rank,
-            wire_id: reg.next_wire_id,
+            wire_id: WIRE_UNDECODED,
             name,
-        };
-        reg.next_wire_id += 1;
-        reg.levels.push(level);
-        reg.by_name.insert(name, level);
-        Ok(level)
+        }
     }
 
-    /// Looks up a registered level by name (builtins included).
+    /// The builtin level named `name`.
     pub fn lookup(name: &str) -> Option<ConsistencyLevel> {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.by_name.get(name).copied()
+        BUILTINS.iter().find(|l| l.name == name).copied()
     }
 
-    /// Looks up a registered level by its wire id (builtins included).
+    /// The builtin level with wire id `id`.
     pub fn from_wire_id(id: u8) -> Option<ConsistencyLevel> {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.levels.iter().find(|l| l.wire_id == id).copied()
-    }
-
-    /// Every level registered in this process, in registration order.
-    pub fn all_registered() -> Vec<ConsistencyLevel> {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.levels.clone()
+        BUILTINS.get(usize::from(id)).copied()
     }
 
     /// Position of this level in the weak-to-strong total order.
@@ -230,7 +147,7 @@ impl ConsistencyLevel {
         self.rank
     }
 
-    /// The stable small-int id codecs and handshakes use for this level.
+    /// The stable small-int id codecs use for this level.
     pub fn wire_id(&self) -> u8 {
         self.wire_id
     }
@@ -238,11 +155,6 @@ impl ConsistencyLevel {
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Whether this is one of the five builtin levels.
-    pub fn is_builtin(&self) -> bool {
-        self.wire_id < WIRE_CUSTOM_BASE
     }
 
     /// Whether this level is at least as strong as `other`.
@@ -259,8 +171,9 @@ impl PartialOrd for ConsistencyLevel {
 
 impl Ord for ConsistencyLevel {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Rank is the lattice order; wire id breaks ties between distinct
-        // levels that happen to share a rank so sorting stays total.
+        // Rank is the lattice order; wire id and name break ties between
+        // distinct levels that happen to share a rank so sorting stays
+        // total.
         (self.rank, self.wire_id, self.name).cmp(&(other.rank, other.wire_id, other.name))
     }
 }
@@ -279,8 +192,8 @@ const INLINE_LEVELS: usize = 6;
 ///
 /// Invariants (enforced by every constructor): sorted weakest-first,
 /// duplicate-free, and no two distinct members share a rank — so
-/// [`weakest`](LevelSet::weakest), [`strongest`](LevelSet::strongest),
-/// and [`floor`](LevelSet::floor) are well-defined lattice queries.
+/// [`weakest`](LevelSet::weakest) and [`strongest`](LevelSet::strongest)
+/// are well-defined lattice queries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LevelSet {
     levels: InlineVec<ConsistencyLevel, INLINE_LEVELS>,
@@ -365,32 +278,6 @@ impl LevelSet {
             .as_slice()
             .binary_search_by(|m| m.rank().cmp(&level.rank()))
             .is_ok_and(|i| self.levels[i] == level)
-    }
-
-    /// The strongest member whose rank is `<= rank`: the lattice floor.
-    ///
-    /// This is what a merge (e.g. the shard router's scatter/gather)
-    /// uses to land a combined view on an *advertised* level instead of
-    /// assuming the minimum input level is one.
-    pub fn floor(&self, rank: u8) -> Option<ConsistencyLevel> {
-        self.levels
-            .as_slice()
-            .iter()
-            .rev()
-            .find(|l| l.rank() <= rank)
-            .copied()
-    }
-
-    /// The intersection of two sets (set meet).
-    pub fn meet(&self, other: &LevelSet) -> LevelSet {
-        let mut out = LevelSet::new();
-        for l in self.iter() {
-            if other.contains(l) {
-                // Members of a valid set can always be re-inserted.
-                let _ = out.insert(l);
-            }
-        }
-        out
     }
 
     /// Members as a sorted slice, weakest first.
@@ -507,7 +394,7 @@ mod tests {
         assert!(WEAK < UPDATE);
         assert!(UPDATE < CAUSAL);
         assert!(CAUSAL < STRONG);
-        let quorum2 = ConsistencyLevel::register("quorum-2", 25).unwrap();
+        let quorum2 = ConsistencyLevel::new("quorum-2", 25);
         assert!(CAUSAL < quorum2 && quorum2 < STRONG);
         assert!(STRONG.at_least(WEAK));
         assert!(!WEAK.at_least(STRONG));
@@ -517,36 +404,24 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(STRONG.to_string(), "strong");
-        let c = ConsistencyLevel::register("one-conf", 3).unwrap();
+        let c = ConsistencyLevel::new("one-conf", 3);
         assert_eq!(c.to_string(), "one-conf");
     }
 
     #[test]
-    fn registration_is_idempotent_and_rank_checked() {
-        let a = ConsistencyLevel::register("bronze", 13).unwrap();
-        let b = ConsistencyLevel::register("bronze", 13).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            ConsistencyLevel::register("bronze", 14),
-            Err(LevelError::NameTaken {
-                name: "bronze".into(),
-                existing_rank: 13
-            })
-        );
-        assert_eq!(ConsistencyLevel::register("", 1), Err(LevelError::BadName));
-    }
-
-    #[test]
-    fn registry_lookup_by_name_and_wire_id() {
+    fn lookup_by_name_and_wire_id_finds_only_builtins() {
         assert_eq!(ConsistencyLevel::lookup("weak"), Some(WEAK));
         assert_eq!(ConsistencyLevel::lookup("update"), Some(UPDATE));
         assert_eq!(ConsistencyLevel::lookup("no-such-level"), None);
         assert_eq!(ConsistencyLevel::from_wire_id(WEAK.wire_id()), Some(WEAK));
-        let c = ConsistencyLevel::register("silver", 17).unwrap();
-        assert!(!c.is_builtin());
-        assert!(c.wire_id() >= WIRE_CUSTOM_BASE);
-        assert_eq!(ConsistencyLevel::from_wire_id(c.wire_id()), Some(c));
-        assert_eq!(ConsistencyLevel::from_wire_id(250), None);
+        let c = ConsistencyLevel::new("silver", 17);
+        assert_eq!(c, ConsistencyLevel::new("silver", 17));
+        assert_ne!(c, ConsistencyLevel::new("gold", 17));
+        assert_eq!(ConsistencyLevel::lookup("silver"), None);
+        assert_eq!(ConsistencyLevel::from_wire_id(c.wire_id()), None);
+        for id in 5..=u8::MAX {
+            assert_eq!(ConsistencyLevel::from_wire_id(id), None);
+        }
     }
 
     #[test]
@@ -556,7 +431,11 @@ mod tests {
         assert_eq!(UPDATE.wire_id(), 2);
         assert_eq!(CAUSAL.wire_id(), 3);
         assert_eq!(STRONG.wire_id(), 4);
-        assert!(CACHE.is_builtin() && STRONG.is_builtin());
+        for id in 0..5 {
+            let level = ConsistencyLevel::from_wire_id(id).unwrap();
+            assert_eq!(level.wire_id(), id);
+            assert_eq!(ConsistencyLevel::lookup(level.name()), Some(level));
+        }
     }
 
     #[test]
@@ -568,27 +447,15 @@ mod tests {
         assert!(set.contains(CAUSAL));
         assert!(!set.contains(UPDATE));
         assert_eq!(set.len(), 3);
-        assert_eq!(set.floor(UPDATE.rank()), Some(WEAK));
-        assert_eq!(set.floor(CAUSAL.rank()), Some(CAUSAL));
-        assert_eq!(set.floor(u8::MAX), Some(STRONG));
-        assert_eq!(set.floor(0), None);
     }
 
     #[test]
     fn level_set_rejects_ambiguous_ranks() {
-        let twin = ConsistencyLevel::register("strong-twin", STRONG.rank()).unwrap();
+        let twin = ConsistencyLevel::new("strong-twin", STRONG.rank());
         assert_eq!(
             LevelSet::try_of(&[STRONG, twin]),
             Err(LevelError::AmbiguousRank(STRONG.rank()))
         );
-    }
-
-    #[test]
-    fn level_set_meet_is_intersection() {
-        let a = LevelSet::of(&[WEAK, UPDATE, STRONG]);
-        let b = LevelSet::of(&[WEAK, CAUSAL, STRONG]);
-        assert_eq!(a.meet(&b).as_slice(), &[WEAK, STRONG]);
-        assert_eq!(a.meet(&LevelSet::new()), LevelSet::new());
     }
 
     #[test]
@@ -618,15 +485,14 @@ mod tests {
 
     #[test]
     fn fifth_custom_level_needs_no_core_changes() {
-        // The acceptance test of the open lattice: mint a level between
+        // The acceptance test of the open lattice: define a level between
         // causal and strong and drive the whole selection machinery with
         // it, without touching any core code.
-        let audit = ConsistencyLevel::register("audited", 30).unwrap();
+        let audit = ConsistencyLevel::new("audited", 30);
         let avail = LevelSet::of(&[WEAK, UPDATE, CAUSAL, audit, STRONG]);
         assert_eq!(avail.as_slice()[3], audit);
         let sel = LevelSelection::only(&[audit, WEAK]);
         let resolved = sel.resolve(&avail).unwrap();
         assert_eq!(resolved.as_slice(), &[WEAK, audit]);
-        assert_eq!(avail.floor(35), Some(audit));
     }
 }

@@ -2,9 +2,10 @@
 //! enumerate only the builtin levels.
 //!
 //! The lattice is open by design (DESIGN.md §13): `ConsistencyLevel`
-//! is a registry handle, not a closed enum, and deployments register
-//! custom levels at runtime (`icg-replicad --levels`). Nothing in the
-//! type system stops code from writing
+//! is a plain value, not a closed enum, and bindings define levels
+//! beyond the builtins as constants (`ConsistencyLevel::new`; the
+//! blockchain's confirmation depths). Nothing in the type system stops
+//! code from writing
 //!
 //! ```text
 //! match level {
@@ -14,7 +15,7 @@
 //! ```
 //!
 //! — or to satisfy the compiler with `_ => unreachable!()`, a
-//! "can't happen" fallback that a registered fifth level promptly
+//! "can't happen" fallback that a binding's own level promptly
 //! reaches. This pass flags any match whose arms name builtin level
 //! constants (`CACHE`/`WEAK`/`UPDATE`/`CAUSAL`/`STRONG`, bare or
 //! `ConsistencyLevel::`-qualified) without a single arm that can
@@ -83,7 +84,7 @@ fn check_file(sf: &SourceFile, out: &mut Vec<Finding>) {
             kind: "closed-level-match",
             detail: format!("line {}", t.line),
             message: "match over ConsistencyLevel enumerates only builtin levels; \
-                      the lattice is open — handle registered custom levels with a \
+                      the lattice is open — handle a binding's own levels with a \
                       binding/`_` arm or use rank queries (`rank()`, `at_least`)"
                 .into(),
         };

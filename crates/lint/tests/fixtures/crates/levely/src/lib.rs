@@ -9,7 +9,7 @@ impl ConsistencyLevel {
 }
 
 /// Seeded violation: the fallback exists only to satisfy the compiler;
-/// a registered custom level lands in `unreachable!`.
+/// a custom level lands in `unreachable!`.
 pub fn closed(level: u8) -> &'static str {
     match level {
         ConsistencyLevel::WEAK => "weak",
@@ -18,7 +18,7 @@ pub fn closed(level: u8) -> &'static str {
     }
 }
 
-/// Clean: the guard and wildcard arms genuinely handle any registered
+/// Clean: the guard and wildcard arms genuinely handle any
 /// level, builtin or not.
 pub fn open(level: u8) -> &'static str {
     match level {

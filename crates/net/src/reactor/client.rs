@@ -643,9 +643,10 @@ impl Link {
                 val,
                 closing,
             } if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) => {
-                // A level this process does not know would deliver
-                // under the wrong name; drop the view and let the op's
-                // other views (or its deadline) resolve it.
+                // Only the five builtin levels have wire ids; any other
+                // id would deliver under a name that is not its own, so
+                // drop the view and let the op's other views (or its
+                // deadline) resolve it.
                 let Some(level) = ConsistencyLevel::from_wire_id(level) else {
                     return;
                 };

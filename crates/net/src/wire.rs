@@ -28,9 +28,9 @@ use simnet::NodeId;
 /// emit a poison frame every receiver will reject.
 pub const MAX_IDS: u32 = 1 << 20;
 
-/// Protocol bound on the per-submit wanted-level list. The level
-/// registry's wire-id space is a `u8`, so 255 is the true ceiling; 64
-/// is already far beyond any sane deployment.
+/// Protocol bound on the per-submit wanted-level list. Only the five
+/// builtin levels have wire ids a receiver decodes, so an honest list
+/// is at most five long; 64 bounds what a hostile one costs.
 pub const MAX_LEVELS: u8 = 64;
 
 /// Protocol bound on the vector-clock width of a spec-store gossip

@@ -3,8 +3,9 @@
 //! Correctable, against a real 3-replica TCP cluster — plus the
 //! refusal of a custom level no binding serves,
 //! version-1/version-2 coexistence on one port, and the binding's
-//! failure contract (lost replica, garbled reply, silent server, last
-//! clone dropped) against fake servers on raw sockets.
+//! failure contract (lost replica, garbled reply, a reply at a level id
+//! no process decodes, silent server, last clone dropped) against fake
+//! servers on raw sockets.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -145,7 +146,7 @@ fn sequential_strong_counter_increments_are_exact() {
 /// the wire anyway — never silently downgraded, never a crash.
 #[test]
 fn an_unserved_custom_level_is_refused_by_client_and_server() {
-    let audit = ConsistencyLevel::register("audit-spec-net", 30).expect("register a fifth level");
+    let audit = ConsistencyLevel::new("audit-spec-net", 30);
     let replicas = cluster();
     let binding = connect(&replicas, 9300);
     // Through the stack: the Upcall arbitration refuses the level the
@@ -156,8 +157,8 @@ fn an_unserved_custom_level_is_refused_by_client_and_server() {
         Err(Error::UnsupportedLevel(l)) => assert_eq!(l, audit),
         other => panic!("unserved level must fail UnsupportedLevel, got {other:?}"),
     }
-    // On the wire: a raw submission at the custom level (and at a wire
-    // id nobody registered) draws a clean SpecFailed, not a hang or a
+    // On the wire: a raw submission at the custom level's id (and at
+    // another id no level has) draws a clean SpecFailed, not a hang or a
     // torn connection.
     let mut stream = TcpStream::connect(replicas[0].addr()).expect("raw connect");
     let mut scratch = Vec::new();
@@ -232,6 +233,10 @@ enum AfterHello {
     Silent,
     /// Answer every submission with a well-framed undecodable body.
     Garbage,
+    /// Answer every submission with views at level ids 5 and 255
+    /// (closing) that no process decodes; answer a write then with a
+    /// closing strong view of 7.
+    UnknownLevels,
 }
 
 /// A fake spec server on a raw listener: answers each connection's
@@ -254,15 +259,40 @@ fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
                     version: WIRE_VERSION,
                 };
                 write_frame(&mut stream, &ack, &mut scratch).expect("hello ack");
-                while let Ok(Some(_)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {
-                    if let AfterHello::Garbage = mode {
-                        let body = [0xFFu8; 8];
-                        let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
-                        frame.push(WIRE_VERSION);
-                        frame.extend_from_slice(&body);
-                        if std::io::Write::write_all(&mut stream, &frame).is_err() {
-                            break;
+                while let Ok(Some(msg)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {
+                    let sent = match (mode, msg) {
+                        (AfterHello::Garbage, _) => {
+                            let body = [0xFFu8; 8];
+                            let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
+                            frame.push(WIRE_VERSION);
+                            frame.extend_from_slice(&body);
+                            std::io::Write::write_all(&mut stream, &frame).is_ok()
                         }
+                        (
+                            AfterHello::UnknownLevels,
+                            NetMsg::SpecSubmit {
+                                client, seq, op, ..
+                            },
+                        ) => {
+                            let view = |level, closing| NetMsg::SpecReply {
+                                client,
+                                seq,
+                                level,
+                                val: 7,
+                                closing,
+                            };
+                            let mut views = vec![view(5, false), view(255, true)];
+                            if let SpecOp::Reg(RegOp::Write(..)) = op {
+                                views.push(view(ConsistencyLevel::STRONG.wire_id(), true));
+                            }
+                            views
+                                .iter()
+                                .all(|v| write_frame(&mut stream, v, &mut scratch).is_ok())
+                        }
+                        _ => true,
+                    };
+                    if !sent {
+                        break;
                     }
                 }
                 let _ = closed_tx.send(());
@@ -320,6 +350,34 @@ fn garbage_spec_reply_fails_unavailable_and_delivers_no_view() {
     match read.wait_final(Duration::from_secs(10)) {
         Err(Error::Unavailable(_)) => {}
         other => panic!("want Unavailable, got {other:?}"),
+    }
+    assert!(read.preliminary_views().is_empty());
+    binding.shutdown();
+}
+
+/// A `SpecReply` at a level id no process decodes — 5, or 255, the id
+/// of every level beyond the builtins — delivers no view under any
+/// name, closing or not: the op closes by its other views (a write's
+/// strong view here) or by its deadline (a read, which gets none).
+#[test]
+fn spec_replies_at_undecodable_level_ids_deliver_no_view() {
+    let (addr, _closed) = fake_spec_server(AfterHello::UnknownLevels);
+    let mut cfg = SpecTcpConfig::new(addr, 9604);
+    cfg.op_timeout = Duration::from_millis(400);
+    let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
+    let client = Client::new(binding.clone());
+
+    let write = client.invoke(SpecOp::Reg(RegOp::Write(1, 7)));
+    let fin = write
+        .wait_final(Duration::from_secs(10))
+        .expect("the strong view closes the write");
+    assert_eq!((fin.level, fin.value), (ConsistencyLevel::STRONG, 7));
+    assert!(write.preliminary_views().is_empty());
+
+    let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
+    match read.wait_final(Duration::from_secs(10)) {
+        Err(Error::Timeout) => {}
+        other => panic!("want Timeout, got {other:?}"),
     }
     assert!(read.preliminary_views().is_empty());
     binding.shutdown();

@@ -8,13 +8,15 @@
 //! Run with `cargo run --example bitcoin_watch`.
 
 use icg::blockchain::{SimChain, TxStatus, FINAL_DEPTH};
-use icg::correctables::Client;
+use icg::correctables::{Client, History, HistoryEvent, RecordingBinding};
 use icg::simnet::SimDuration;
 
 fn main() {
     // Three mining regions, ~1 block per virtual minute overall.
     let chain = SimChain::ec2(SimDuration::from_secs(60), "IRL", 42);
-    let client = Client::new(chain.binding());
+    // The wallet's client records every view on the chain's virtual clock.
+    let history = History::with_clock(chain.clock());
+    let client = Client::new(RecordingBinding::new(chain.binding(), history.clone()));
     println!(
         "wallet levels: {:?}\n",
         client
@@ -50,11 +52,16 @@ fn main() {
     // Let the network mine for two virtual hours.
     chain.run_for(SimDuration::from_secs(2 * 3600));
 
-    let timelines = chain.timelines();
-    if let Some(t) = timelines.first() {
+    if let Some(payment) = history.snapshot().first() {
         println!("\nconfirmation timeline (virtual minutes after submission):");
-        for (depth, ms) in &t.confirmations_ms {
-            println!("  depth {depth}: {:>6.1} min", ms / 60_000.0);
+        for e in &payment.events {
+            if let HistoryEvent::View {
+                at_nanos, value, ..
+            } = e
+            {
+                let min = (at_nanos - payment.at_nanos) as f64 / 60e9;
+                println!("  depth {}: {min:>6.1} min", value.confirmations);
+            }
         }
     }
     println!(

@@ -13,7 +13,10 @@ use icg::blockchain::{conf_level, SimChain, FINAL_DEPTH};
 use icg::causalstore::{CacheOp, SimCausal};
 use icg::consensusq::{QueueOp, ServerConfig, SimQueue};
 use icg::correctables::spec::{RegOp, RegisterSpec};
-use icg::correctables::{Binding, Client, ConsistencyLevel, LevelSelection, State};
+use icg::correctables::{
+    Binding, Client, ConsistencyLevel, History, HistoryEvent, LevelSelection, RecordingBinding,
+    State,
+};
 use icg::crdt::{CrdtOp, EscrowOp, SimCrdtStore, SimEscrow};
 use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp};
 use icg::simnet::SimDuration;
@@ -146,12 +149,21 @@ fn blockchain_weak_views_are_genuinely_revocable() {
     // precedes depth-6 by several blocks' worth of virtual time.
     for seed in [3u64, 4] {
         let chain = SimChain::ec2(SimDuration::from_secs(20), "IRL", seed);
-        let client = Client::new(chain.binding());
+        let history = History::with_clock(chain.clock());
+        let client = Client::new(RecordingBinding::new(chain.binding(), history.clone()));
         let _c = client.invoke(1_000 + seed);
         chain.run_for(SimDuration::from_secs(3600));
-        let t = &chain.timelines()[0];
-        let first = t.confirmations_ms.first().unwrap().1;
-        let last = t.confirmations_ms.last().unwrap().1;
+        let t = &history.snapshot()[0];
+        let ms: Vec<f64> = t
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                HistoryEvent::View { at_nanos, .. } => Some((at_nanos - t.at_nanos) as f64 / 1e6),
+                HistoryEvent::Failed { .. } => None,
+            })
+            .collect();
+        let first = *ms.first().unwrap();
+        let last = *ms.last().unwrap();
         assert!(
             last - first > 30_000.0,
             "finality must lag the first view by minutes: {first} .. {last}"
