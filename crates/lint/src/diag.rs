@@ -1,9 +1,9 @@
-//! Findings and their stable fingerprints.
+//! Lint findings.
 
 use std::fmt;
 
 /// One lint finding.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Finding {
     /// The pass that produced it (`determinism`, `panic_path`, …).
     pub pass: &'static str,
@@ -14,26 +14,11 @@ pub struct Finding {
     /// Short machine-ish kind within the pass (`unwrap`, `wall-clock`,
     /// `lock-cycle`, …).
     pub kind: &'static str,
-    /// Line-independent detail that, with pass/file/kind, identifies the
-    /// finding across unrelated edits (usually the enclosing function or
-    /// the symbol involved).
+    /// Line-independent detail: usually the enclosing function or the
+    /// symbol involved.
     pub detail: String,
     /// Human-readable description.
     pub message: String,
-}
-
-impl Finding {
-    /// The baseline key: everything except the line number and prose, so
-    /// a finding keeps matching its baseline entry when code above it
-    /// moves. Multiple identical keys are compared by *count* — adding a
-    /// second `unwrap` to a function that already had one is a new
-    /// violation even though the key already exists.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}",
-            self.pass, self.file, self.kind, self.detail
-        )
-    }
 }
 
 impl fmt::Display for Finding {

@@ -14,13 +14,12 @@
 //!
 //! The engine is a hand-rolled lexer + item scanner ([`lexer`],
 //! [`scan`]) — no `syn`, no `rustc` internals — because the workspace
-//! builds fully offline. Passes read [`config::Config`] (`lint.toml`),
-//! emit [`diag::Finding`]s, and the CI gate compares them against
-//! [`baseline::Baseline`] (`lint.baseline`): merging requires zero *new*
-//! findings, and `// lint: allow(<pass>) — reason` comments waive
-//! individual sites at the source.
+//! builds fully offline. `lock_discipline`, `unsafe_audit` and
+//! `level_lattice` scan every crate; the other passes scan the scopes
+//! [`config::Config`] names. Passes emit [`diag::Finding`]s, and the CI
+//! gate requires zero of them: a site the rule does not fit carries a
+//! `// lint: allow(<pass>) — reason` waiver in the source.
 
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod lexer;
@@ -33,27 +32,16 @@ use std::path::Path;
 use config::Config;
 use diag::Finding;
 
-/// The pass names, in run order — also the names `lint: allow(…)`
-/// waivers and baseline fingerprints use.
-pub const PASSES: &[&str] = &[
-    "determinism",
-    "panic_path",
-    "lock_discipline",
-    "unsafe_audit",
-    "wire",
-    "level_lattice",
-];
-
 /// Runs every pass over the workspace at `root`, returning all findings
 /// sorted by file and line.
 pub fn run_all(root: &Path, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(passes::determinism::run(root, cfg));
     out.extend(passes::panic_path::run(root, cfg));
-    out.extend(passes::lock_discipline::run(root, cfg));
-    out.extend(passes::unsafe_audit::run(root, cfg));
+    out.extend(passes::lock_discipline::run(root));
+    out.extend(passes::unsafe_audit::run(root));
     out.extend(passes::wire::run(root, cfg));
-    out.extend(passes::level_lattice::run(root, cfg));
+    out.extend(passes::level_lattice::run(root));
     out.sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     out
 }

@@ -1,193 +1,64 @@
-//! The `icg-lint` CLI.
+//! The `icg-lint` CLI. It lints the workspace it was built in, over the
+//! scopes of [`Config::workspace`].
 //!
 //! ```text
-//! icg-lint check              # gate: fail on findings not in the baseline
-//! icg-lint report             # print every finding (baseline ignored)
-//! icg-lint baseline           # rewrite lint.baseline to accept the current tree
-//! icg-lint unsafety           # rewrite UNSAFETY.md from the current tree
+//! icg-lint check      # gate: fail on any finding or a stale UNSAFETY.md
+//! icg-lint unsafety   # rewrite UNSAFETY.md from the current tree
 //! ```
 //!
-//! Flags: `--root <dir>` (default: walk up from the current directory to
-//! the first `lint.toml`), `--config <file>`, `--baseline <file>`.
-//! Exit codes: 0 clean, 1 new findings (or stale UNSAFETY.md under
-//! `check`), 2 usage/config error.
+//! A finding is fixed, or waived at its site with
+//! `// lint: allow(<pass>) — reason`. Exit codes: 0 clean, 1 findings (or
+//! a stale UNSAFETY.md under `check`), 2 any other argument or a failed
+//! write.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-use icg_lint::baseline::Baseline;
 use icg_lint::config::Config;
 use icg_lint::{run_all, unsafety};
 
-struct Args {
-    mode: String,
-    root: Option<PathBuf>,
-    config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("icg-lint: {e}");
-            eprintln!("usage: icg-lint <check|report|baseline|unsafety> [--root DIR] [--config FILE] [--baseline FILE]");
-            return ExitCode::from(2);
-        }
-    };
-    let root = match args.root.clone().map(Ok).unwrap_or_else(find_root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("icg-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let config_path = args
-        .config
-        .clone()
-        .unwrap_or_else(|| root.join("lint.toml"));
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint.baseline"));
-    let cfg = match Config::load(&config_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("icg-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match args.mode.as_str() {
-        "check" => check(&root, &cfg, &baseline_path),
-        "report" => report(&root, &cfg),
-        "baseline" => write_baseline(&root, &cfg, &baseline_path),
-        "unsafety" => write_unsafety(&root, &cfg),
-        other => {
-            eprintln!("icg-lint: unknown mode `{other}` (want check|report|baseline|unsafety)");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["check"] => check(&root),
+        ["unsafety"] => write_unsafety(&root),
+        _ => {
+            eprintln!("usage: icg-lint <check|unsafety>");
             ExitCode::from(2)
         }
     }
 }
 
-fn check(root: &Path, cfg: &Config, baseline_path: &Path) -> ExitCode {
-    let baseline = match Baseline::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("icg-lint: {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let (fresh, accepted) = baseline.partition(run_all(root, cfg));
-    let mut failed = false;
-    if !fresh.is_empty() {
-        failed = true;
-        for f in &fresh {
-            println!("{f}");
-        }
-        println!(
-            "icg-lint: {} new finding(s) not covered by {} ({} accepted)",
-            fresh.len(),
-            baseline_path.display(),
-            accepted.len()
-        );
-        println!(
-            "icg-lint: fix them, waive with `// lint: allow(<pass>) — reason`, or \
-             accept deliberately via `scripts/lint.sh baseline`"
-        );
+fn check(root: &Path) -> ExitCode {
+    let findings = run_all(root, &Config::workspace());
+    for f in &findings {
+        println!("{f}");
     }
-    if let Err(_want) = unsafety::check(root, cfg, &root.join("UNSAFETY.md")) {
-        failed = true;
+    let current = unsafety::is_current(root);
+    if !current {
         println!(
             "icg-lint: UNSAFETY.md is stale; regenerate with `cargo run -p icg-lint -- unsafety`"
         );
     }
-    if failed {
+    if !findings.is_empty() {
+        println!(
+            "icg-lint: {} finding(s); fix each or waive it with `// lint: allow(<pass>) — reason`",
+            findings.len()
+        );
+    }
+    if !current || !findings.is_empty() {
         return ExitCode::from(1);
     }
-    println!(
-        "icg-lint: clean ({} accepted baseline finding(s), UNSAFETY.md current)",
-        accepted.len()
-    );
+    println!("icg-lint: clean (0 findings, UNSAFETY.md current)");
     ExitCode::SUCCESS
 }
 
-fn report(root: &Path, cfg: &Config) -> ExitCode {
-    let findings = run_all(root, cfg);
-    for f in &findings {
-        println!("{f}");
-    }
-    println!("icg-lint: {} finding(s) before baseline", findings.len());
-    ExitCode::SUCCESS
-}
-
-fn write_baseline(root: &Path, cfg: &Config, baseline_path: &Path) -> ExitCode {
-    let findings = run_all(root, cfg);
-    let text = Baseline::render(&findings);
-    if let Err(e) = std::fs::write(baseline_path, text) {
-        eprintln!("icg-lint: write {}: {e}", baseline_path.display());
+fn write_unsafety(root: &Path) -> ExitCode {
+    if let Err(e) = std::fs::write(root.join("UNSAFETY.md"), unsafety::render(root)) {
+        eprintln!("icg-lint: write UNSAFETY.md: {e}");
         return ExitCode::from(2);
     }
-    println!(
-        "icg-lint: wrote {} accepting {} finding(s)",
-        baseline_path.display(),
-        findings.len()
-    );
+    println!("icg-lint: wrote UNSAFETY.md");
     ExitCode::SUCCESS
-}
-
-fn write_unsafety(root: &Path, cfg: &Config) -> ExitCode {
-    let path = root.join("UNSAFETY.md");
-    let text = unsafety::render(root, cfg);
-    if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("icg-lint: write {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
-    println!("icg-lint: wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut mode = None;
-    let mut root = None;
-    let mut config = None;
-    let mut baseline = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => root = Some(path_arg(&mut it, "--root")?),
-            "--config" => config = Some(path_arg(&mut it, "--config")?),
-            "--baseline" => baseline = Some(path_arg(&mut it, "--baseline")?),
-            m if !m.starts_with('-') && mode.is_none() => mode = Some(m.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    Ok(Args {
-        mode: mode.ok_or("missing mode")?,
-        root,
-        config,
-        baseline,
-    })
-}
-
-fn path_arg(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
-    it.next()
-        .map(PathBuf::from)
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Walks up from the current directory to the first `lint.toml`, so the
-/// binary works from any workspace subdirectory.
-fn find_root() -> Result<PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return Ok(dir);
-        }
-        if !dir.pop() {
-            return Err("no lint.toml found walking up from the current directory \
-                        (pass --root or --config)"
-                .into());
-        }
-    }
 }

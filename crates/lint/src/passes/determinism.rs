@@ -39,20 +39,20 @@ const ORDER_SENSITIVE: &[&str] = &[
 /// Runs the pass over every configured crate.
 pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    for krate in &cfg.determinism_crates {
+    for krate in cfg.determinism_crates {
         for sf in crate_sources(root, krate) {
             check_file(&sf, &mut out);
         }
     }
-    for rel in &cfg.determinism_files {
+    for rel in cfg.determinism_files {
         let Some(sf) = parse_one(root, rel) else {
             out.push(Finding {
                 pass: PASS,
-                file: rel.clone(),
+                file: rel.to_string(),
                 line: 0,
                 kind: "missing-file",
-                detail: rel.clone(),
-                message: "file listed in [determinism].files does not exist".into(),
+                detail: rel.to_string(),
+                message: "file named in `Config::determinism_files` does not exist".into(),
             });
             continue;
         };

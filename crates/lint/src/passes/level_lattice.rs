@@ -28,8 +28,7 @@
 
 use std::path::Path;
 
-use super::{crate_sources, push_unless_waived};
-use crate::config::Config;
+use super::{all_crates, crate_sources, push_unless_waived};
 use crate::diag::Finding;
 use crate::lexer::{TokKind, Token};
 use crate::scan::SourceFile;
@@ -40,11 +39,11 @@ const PASS: &str = "level_lattice";
 /// match as a match over consistency levels.
 const BUILTINS: &[&str] = &["CACHE", "WEAK", "UPDATE", "CAUSAL", "STRONG"];
 
-/// Runs the pass.
-pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
+/// Runs the pass over every crate under `root`.
+pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    for krate in &cfg.level_lattice_crates {
-        for sf in crate_sources(root, krate) {
+    for krate in all_crates(root) {
+        for sf in crate_sources(root, &krate) {
             check_file(&sf, &mut out);
         }
     }

@@ -1,7 +1,7 @@
 //! Lock-discipline pass: lock-order inversions and guards held across
 //! blocking calls.
 //!
-//! For every function in the configured crates the pass extracts its
+//! For every function in the workspace's crates the pass extracts its
 //! lock-acquisition sequence — `.lock()`, and the zero-argument
 //! `.read()`/`.write()` of `RwLock` — with a small scope model:
 //!
@@ -27,8 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use super::{crate_sources, push_unless_waived, receiver_chain};
-use crate::config::Config;
+use super::{all_crates, crate_sources, push_unless_waived, receiver_chain};
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::scan::SourceFile;
@@ -60,16 +59,16 @@ struct Edge {
     func: String,
 }
 
-/// Runs the pass over every configured crate.
-pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
+/// Runs the pass over every crate under `root`.
+pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    for krate in &cfg.lock_discipline_crates {
-        let files = crate_sources(root, krate);
+    for krate in all_crates(root) {
+        let files = crate_sources(root, &krate);
         let mut edges: Vec<Edge> = Vec::new();
         for sf in &files {
             scan_file(sf, &mut edges, &mut out);
         }
-        report_cycles(krate, &edges, &mut out);
+        report_cycles(&krate, &edges, &mut out);
     }
     out
 }

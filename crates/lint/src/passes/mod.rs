@@ -1,10 +1,12 @@
 //! The six project-specific passes.
 //!
-//! Each pass loads the files its `lint.toml` section names, walks their
-//! token streams, and emits [`Finding`]s. Findings on a line carrying a
+//! Each pass loads the files it watches — every crate for
+//! `lock_discipline`, `unsafe_audit` and `level_lattice`, the scope
+//! [`crate::config::Config`] names for the others — walks their token
+//! streams, and emits [`Finding`]s. Findings on a line carrying a
 //! `// lint: allow(<pass>)` waiver comment (same line or directly
-//! above) are suppressed at emission; everything else is subject to the
-//! baseline when the caller gates.
+//! above) are suppressed at emission; every other finding fails the
+//! gate.
 
 pub mod determinism;
 pub mod level_lattice;
@@ -37,6 +39,17 @@ pub(crate) fn is_path2(tokens: &[Token], i: usize, head: &str, tail: &str) -> bo
         && tokens
             .get(i + 3)
             .is_some_and(|t| t.kind == TokKind::Ident && t.text == tail)
+}
+
+/// Every crate under `root/crates/` with a `src/` tree, sorted by name.
+pub(crate) fn all_crates(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = (std::fs::read_dir(root.join("crates")).into_iter().flatten())
+        .flatten()
+        .filter(|e| e.path().join("src").is_dir())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    names
 }
 
 /// The source files of one crate's `src/` tree.

@@ -47,15 +47,15 @@ const NON_INDEX_PRECEDERS: &[&str] = &[
 /// Runs the pass over every configured file.
 pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    for rel in &cfg.panic_path_files {
+    for rel in cfg.panic_path_files {
         let Some(sf) = parse_one(root, rel) else {
             out.push(Finding {
                 pass: PASS,
-                file: rel.clone(),
+                file: rel.to_string(),
                 line: 0,
                 kind: "missing-file",
-                detail: rel.clone(),
-                message: "file listed in [panic_path].files does not exist".into(),
+                detail: rel.to_string(),
+                message: "file named in `Config::panic_path_files` does not exist".into(),
             });
             continue;
         };

@@ -9,8 +9,7 @@
 
 use std::path::Path;
 
-use super::{crate_sources, push_unless_waived};
-use crate::config::Config;
+use super::{all_crates, crate_sources, push_unless_waived};
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::scan::SourceFile;
@@ -29,11 +28,11 @@ pub struct UnsafeSite {
     pub safety: Option<String>,
 }
 
-/// Runs the pass over every configured crate.
-pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
+/// Runs the pass over every crate under `root`.
+pub fn run(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    for krate in &cfg.unsafe_audit_crates {
-        for sf in crate_sources(root, krate) {
+    for krate in all_crates(root) {
+        for sf in crate_sources(root, &krate) {
             let mut sites = Vec::new();
             collect_file(&sf, &mut sites);
             for site in sites {
@@ -61,13 +60,13 @@ pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
     out
 }
 
-/// Collects every `unsafe` site in the configured crates (test modules
+/// Collects every `unsafe` site in the crates under `root` (test code
 /// excluded), with its SAFETY comment when present — the input to both
 /// the findings above and the `UNSAFETY.md` inventory.
-pub fn collect_sites(root: &Path, cfg: &Config) -> Vec<UnsafeSite> {
+pub fn collect_sites(root: &Path) -> Vec<UnsafeSite> {
     let mut sites = Vec::new();
-    for krate in &cfg.unsafe_audit_crates {
-        for sf in crate_sources(root, krate) {
+    for krate in all_crates(root) {
+        for sf in crate_sources(root, &krate) {
             collect_file(&sf, &mut sites);
         }
     }

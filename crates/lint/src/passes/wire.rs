@@ -27,26 +27,23 @@ const PASS: &str = "wire";
 /// Runs the pass.
 pub fn run(root: &Path, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    if cfg.wire_enums.is_empty() {
-        return out;
-    }
-    let codec = parse_one(root, &cfg.wire_codec);
-    let props = parse_one(root, &cfg.wire_proptests);
+    let codec = parse_one(root, cfg.wire_codec);
+    let props = parse_one(root, cfg.wire_proptests);
     let (Some(codec), Some(props)) = (codec, props) else {
         out.push(Finding {
             pass: PASS,
-            file: cfg.wire_codec.clone(),
+            file: cfg.wire_codec.to_string(),
             line: 0,
             kind: "missing-file",
             detail: "codec or proptest file".into(),
             message: format!(
-                "cannot read `{}` or `{}` named in [wire]",
+                "cannot read the wire codec `{}` or proptests `{}`",
                 cfg.wire_codec, cfg.wire_proptests
             ),
         });
         return out;
     };
-    for name in &cfg.wire_enums {
+    for name in cfg.wire_enums {
         check_enum(&codec, name, &props, &mut out);
     }
     out

@@ -10,7 +10,7 @@
 //! no proc macros anywhere).
 
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, Comment, TokKind, Token};
 
@@ -50,6 +50,8 @@ pub struct SourceFile {
     pub enums: Vec<EnumDef>,
     /// Token-index ranges covered by `#[cfg(test)] mod … { }` bodies.
     test_spans: Vec<Range<usize>>,
+    /// Names of the `#[cfg(test)] mod name;` modules declared here.
+    test_mods: Vec<String>,
 }
 
 impl SourceFile {
@@ -58,7 +60,7 @@ impl SourceFile {
     pub fn parse(rel_path: &str, src: &str) -> SourceFile {
         let lexed = lex(src);
         let tokens = lexed.tokens;
-        let test_spans = find_test_spans(&tokens);
+        let (test_spans, test_mods) = find_test_modules(&tokens);
         let in_test = |idx: usize| test_spans.iter().any(|r| r.contains(&idx));
 
         let mut fns = Vec::new();
@@ -116,6 +118,7 @@ impl SourceFile {
             fns,
             enums,
             test_spans,
+            test_mods,
         }
     }
 
@@ -166,14 +169,15 @@ impl SourceFile {
 }
 
 /// Loads and parses every `.rs` file under `dir`, recursively, sorted by
-/// path for deterministic output. `root` is the workspace root the
-/// stored relative paths are computed against.
-pub fn parse_tree(root: &std::path::Path, dir: &std::path::Path) -> Vec<SourceFile> {
+/// path for deterministic output, leaving out the files of modules
+/// declared `#[cfg(test)] mod name;` (and their submodules) — they are
+/// test code like an inline `#[cfg(test)]` module. `root` is the
+/// workspace root the stored relative paths are computed against.
+pub fn parse_tree(root: &Path, dir: &Path) -> Vec<SourceFile> {
     let mut paths: Vec<PathBuf> = Vec::new();
     collect_rs(dir, &mut paths);
     paths.sort();
-    paths
-        .iter()
+    let files: Vec<(&PathBuf, SourceFile)> = (paths.iter())
         .filter_map(|p| {
             let src = std::fs::read_to_string(p).ok()?;
             let rel = p
@@ -181,12 +185,31 @@ pub fn parse_tree(root: &std::path::Path, dir: &std::path::Path) -> Vec<SourceFi
                 .unwrap_or(p)
                 .to_string_lossy()
                 .replace('\\', "/");
-            Some(SourceFile::parse(&rel, &src))
+            Some((p, SourceFile::parse(&rel, &src)))
         })
+        .collect();
+    // `mod name;` in `lib.rs`/`main.rs`/`mod.rs` lives beside it, in
+    // `foo.rs` under `foo/`: as `name.rs` or `name/…`.
+    let test_mods: Vec<PathBuf> = (files.iter())
+        .flat_map(|(p, sf)| {
+            let stem = p.file_stem().unwrap_or_default();
+            let parent = p.parent().unwrap_or(dir);
+            let base = match stem.to_str() {
+                Some("lib" | "main" | "mod") => parent.to_path_buf(),
+                _ => parent.join(stem),
+            };
+            sf.test_mods.iter().map(move |m| base.join(m))
+        })
+        .collect();
+    (files.into_iter())
+        .filter(|(p, _)| {
+            !(test_mods.iter()).any(|m| p.starts_with(m) || **p == m.with_extension("rs"))
+        })
+        .map(|(_, sf)| sf)
         .collect()
 }
 
-fn collect_rs(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -221,9 +244,11 @@ fn match_brace(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// `#[cfg(test)]` followed by `mod name {` — returns the body spans.
-fn find_test_spans(tokens: &[Token]) -> Vec<Range<usize>> {
+/// `#[cfg(test)]` followed by `mod name { … }` or `mod name;` — returns
+/// the inline bodies' spans and the out-of-line modules' names.
+fn find_test_modules(tokens: &[Token]) -> (Vec<Range<usize>>, Vec<String>) {
     let mut spans = Vec::new();
+    let mut names = Vec::new();
     let mut i = 0usize;
     while i + 6 < tokens.len() {
         let is_cfg_test = tokens[i].text == "#"
@@ -234,30 +259,31 @@ fn find_test_spans(tokens: &[Token]) -> Vec<Range<usize>> {
             && tokens[i + 5].text == ")"
             && tokens[i + 6].text == "]";
         if is_cfg_test {
-            // Allow `pub`/`pub(crate)` etc. between the attribute and
-            // `mod` by scanning a short window for the `mod` keyword.
+            // Skip a visibility (`pub`, `pub(crate)`, …) to the `mod`.
+            const VIS: &[&str] = &["pub", "(", ")", "crate", "super", "in"];
             let mut j = i + 7;
-            let window_end = (j + 6).min(tokens.len());
-            while j < window_end && tokens[j].text != "mod" {
+            while tokens
+                .get(j)
+                .is_some_and(|t| VIS.contains(&t.text.as_str()))
+            {
                 j += 1;
             }
-            if j < window_end {
-                // Find the module's opening brace.
-                let mut k = j + 1;
-                while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
-                    k += 1;
-                }
-                if k < tokens.len() && tokens[k].text == "{" {
-                    let close = match_brace(tokens, k);
-                    spans.push(k..close + 1);
+            let is_mod = tokens.get(j).is_some_and(|t| t.text == "mod");
+            let after_name = tokens.get(j + 2).filter(|_| is_mod);
+            match after_name.map(|t| t.text.as_str()) {
+                Some("{") => {
+                    let close = match_brace(tokens, j + 2);
+                    spans.push(j + 2..close + 1);
                     i = close + 1;
                     continue;
                 }
+                Some(";") => names.push(tokens[j + 1].text.clone()),
+                _ => {}
             }
         }
         i += 1;
     }
-    spans
+    (spans, names)
 }
 
 /// From an `impl` token, extracts the implemented type's name and the

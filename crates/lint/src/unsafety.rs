@@ -9,18 +9,17 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::config::Config;
 use crate::passes::unsafe_audit::collect_sites;
 
 /// Renders the full inventory document.
-pub fn render(root: &Path, cfg: &Config) -> String {
-    let sites = collect_sites(root, cfg);
+pub fn render(root: &Path) -> String {
+    let sites = collect_sites(root);
     let mut out = String::from(
         "# UNSAFETY — unsafe-code inventory\n\
          \n\
-         Generated by `cargo run -p icg-lint -- unsafety` (or\n\
-         `scripts/lint.sh unsafety`); do not edit by hand. CI regenerates\n\
-         this file and fails if the committed copy is stale.\n\
+         Generated by `cargo run -p icg-lint -- unsafety`; do not edit by\n\
+         hand. CI regenerates this file and fails if the committed copy is\n\
+         stale.\n\
          \n\
          Every `unsafe` site in the audited crates appears here with the\n\
          first line of its adjacent `// SAFETY:` comment. A site without\n\
@@ -54,14 +53,10 @@ pub fn render(root: &Path, cfg: &Config) -> String {
     out
 }
 
-/// Checks the committed copy against a fresh render. Returns `Ok(())`
-/// when they match, `Err(rendered)` when stale or missing.
-pub fn check(root: &Path, cfg: &Config, path: &Path) -> Result<(), String> {
-    let want = render(root, cfg);
-    match std::fs::read_to_string(path) {
-        Ok(have) if have == want => Ok(()),
-        _ => Err(want),
-    }
+/// Whether the committed `UNSAFETY.md` under `root` matches a fresh
+/// render.
+pub fn is_current(root: &Path) -> bool {
+    std::fs::read_to_string(root.join("UNSAFETY.md")).is_ok_and(|have| have == render(root))
 }
 
 fn escape_cell(s: &str) -> String {

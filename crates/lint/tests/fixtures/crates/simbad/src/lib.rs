@@ -1,8 +1,12 @@
 //! Determinism fixture: exactly one wall-clock read; everything else
-//! is clean (ordered iteration, engine-provided time).
+//! is clean (ordered iteration, engine-provided time, and the test
+//! module `t`, whose file reads the wall clock too).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+#[cfg(test)]
+mod t;
 
 pub struct Sim {
     pub events: BTreeMap<u64, u32>,

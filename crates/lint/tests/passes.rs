@@ -1,10 +1,9 @@
 //! Integration tests: each pass flags exactly its seeded fixture
-//! violation, waivers and the baseline behave end-to-end, and the real
-//! workspace is clean against its checked-in config and baseline.
+//! violation, waivers and test code are left out end-to-end, and the
+//! real workspace has zero findings over its scopes.
 
 use std::path::{Path, PathBuf};
 
-use icg_lint::baseline::Baseline;
 use icg_lint::config::Config;
 use icg_lint::{run_all, unsafety};
 
@@ -21,9 +20,17 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn each_pass_flags_exactly_its_seeded_fixture() {
-    let root = fixture_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("fixture config parses");
-    let findings = run_all(&root, &cfg);
+    // `lock_discipline`, `unsafe_audit` and `level_lattice` take no
+    // scope: they scan every fixture crate.
+    let cfg = Config {
+        determinism_crates: &["simbad"],
+        determinism_files: &[],
+        panic_path_files: &["crates/netbad/src/pump.rs"],
+        wire_codec: "crates/wirey/src/codec.rs",
+        wire_proptests: "crates/wirey/tests/prop.rs",
+        wire_enums: &["FMsg"],
+    };
+    let findings = run_all(&fixture_root(), &cfg);
     let got: Vec<(String, &str, String)> = findings
         .iter()
         .map(|f| (f.pass.to_string(), f.kind, f.file.clone()))
@@ -76,39 +83,12 @@ fn each_pass_flags_exactly_its_seeded_fixture() {
 }
 
 #[test]
-fn baseline_accepts_exactly_the_current_findings() {
-    let root = fixture_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("fixture config parses");
-    let findings = run_all(&root, &cfg);
-    assert!(!findings.is_empty());
-
-    // Empty baseline: everything is new.
-    let empty = Baseline::default();
-    let (fresh, accepted) = empty.partition(findings.clone());
-    assert_eq!(fresh.len(), findings.len());
-    assert!(accepted.is_empty());
-
-    // A baseline rendered from the findings accepts all of them.
-    let dir = std::env::temp_dir().join("icg-lint-fixture-baseline");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("lint.baseline");
-    std::fs::write(&path, Baseline::render(&findings)).expect("write baseline");
-    let full = Baseline::load(&path).expect("load baseline");
-    let (fresh, accepted) = full.partition(findings.clone());
-    assert!(fresh.is_empty(), "still new: {fresh:#?}");
-    assert_eq!(accepted.len(), findings.len());
-}
-
-#[test]
-fn real_workspace_is_clean_against_checked_in_baseline() {
-    let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("workspace lint.toml parses");
-    let baseline = Baseline::load(&root.join("lint.baseline")).expect("baseline loads");
-    let (fresh, _) = baseline.partition(run_all(&root, &cfg));
+fn real_workspace_has_zero_findings() {
+    let findings = run_all(&workspace_root(), &Config::workspace());
     assert!(
-        fresh.is_empty(),
-        "new lint findings in the workspace:\n{}",
-        fresh
+        findings.is_empty(),
+        "lint findings in the workspace:\n{}",
+        findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
@@ -118,10 +98,8 @@ fn real_workspace_is_clean_against_checked_in_baseline() {
 
 #[test]
 fn committed_unsafety_inventory_is_current() {
-    let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("workspace lint.toml parses");
     assert!(
-        unsafety::check(&root, &cfg, &root.join("UNSAFETY.md")).is_ok(),
+        unsafety::is_current(&workspace_root()),
         "UNSAFETY.md is stale; regenerate with `cargo run -p icg-lint -- unsafety`"
     );
 }

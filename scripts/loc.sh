@@ -8,9 +8,10 @@
 #   prints `<crate> <lines>` per crate and a `total` line.
 #
 # A `#[cfg(test)]` module is skipped from its attribute to the closing
-# brace at the attribute's own indentation — what rustfmt writes. Block
-# comments and doc-comment lines count as comments; a line with code and
-# a trailing comment counts as code.
+# brace at the attribute's own indentation — what rustfmt writes — and a
+# `#[cfg(test)] mod name;` skips the module's file (`name.rs` or
+# everything under `name/`). Block comments and doc-comment lines count
+# as comments; a line with code and a trailing comment counts as code.
 set -euo pipefail
 
 root="${1:-$(dirname "$0")/..}"
@@ -21,7 +22,30 @@ for crate in crates/*/; do
     name="$(basename "$crate")"
     [ -d "$crate/src" ] || continue
     lines="$(find "$crate/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { in_test = 0; armed = 0; in_block = 0 }
+        # First read every file for its `#[cfg(test)] mod name;` lines.
+        # The module lives beside lib.rs/main.rs/mod.rs, and under
+        # foo/ for foo.rs.
+        BEGIN {
+            for (a = 1; a < ARGC; a++) {
+                f = ARGV[a]; base = f; armed = 0
+                sub(/(\/(lib|main|mod))?\.rs$/, "", base)
+                while ((getline l < f) > 0) {
+                    if (armed && match(l, /^[ \t]*(pub )?mod [a-z_0-9]+;/)) {
+                        name = substr(l, 1, RLENGTH - 1)
+                        sub(/.* /, "", name)
+                        test_mod[base "/" name] = 1
+                    }
+                    armed = l ~ /^[ \t]*#\[cfg\(test\)\]/
+                }
+                close(f)
+            }
+        }
+        FNR == 1 {
+            in_test = 0; armed = 0; in_block = 0; skip = 0
+            for (m in test_mod)
+                if (FILENAME == m ".rs" || index(FILENAME, m "/") == 1) skip = 1
+        }
+        skip { next }
         {
             line = $0
             indent = match(line, /[^ ]/) - 1
