@@ -17,9 +17,10 @@
 //! The state machine is built to make the callback-driven fast path
 //! allocation-lean and syscall-free:
 //!
-//! - views and callbacks live in [`InlineVec`]s sized for the ≤4
-//!   consistency levels the workspace ships, so an invocation allocates
-//!   one `Arc` (its shared state) plus one `Box` per registration;
+//! - views and callbacks live in lists that keep their first two
+//!   elements inline (most invocations request two levels), so an
+//!   invocation allocates one `Arc` (its shared state) plus one `Box` per
+//!   registration;
 //! - `on_final` and `on_error` push onto one close list, so a combinator
 //!   that needs both outcomes of an input (`map`, `then`, `join_all`,
 //!   `first_final`, `speculate`) registers once per input: one `Box`, one
@@ -40,8 +41,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{ClosedError, Error};
-use crate::inline::InlineVec;
 use crate::level::ConsistencyLevel;
+use crate::list::List;
 use crate::view::View;
 
 /// Observable state of a [`Correctable`].
@@ -76,23 +77,26 @@ type UpdateFn<T> = Box<dyn FnMut(&View<T>) + Send>;
 type CloseFn<T> = Box<dyn FnOnce(Result<&View<T>, &Error>) + Send>;
 
 struct UpdateEntry<T> {
-    /// Taken out while the callback runs so re-entrant dispatch skips it.
-    f: Option<UpdateFn<T>>,
+    /// A no-op stands in while the callback runs (see `running`).
+    f: UpdateFn<T>,
     /// Number of preliminary views already delivered to this callback.
-    seen: usize,
+    seen: u32,
+    /// Set while `f` runs outside the lock, so re-entrant dispatch skips
+    /// it.
+    running: bool,
 }
 
 struct Shared<T> {
     state: State,
     /// Preliminary views, in delivery order.
-    updates: InlineVec<View<T>, 2>,
+    updates: List<View<T>>,
     /// The closing view, if `state == Final`.
     final_view: Option<View<T>>,
     /// The closing error, if `state == Error`.
     error: Option<Error>,
-    update_cbs: InlineVec<UpdateEntry<T>, 2>,
+    update_cbs: List<UpdateEntry<T>>,
     /// `on_final`, `on_error` and `on_close` registrations, in order.
-    close_cbs: InlineVec<CloseFn<T>, 2>,
+    close_cbs: List<CloseFn<T>>,
 }
 
 struct Inner<T> {
@@ -152,11 +156,11 @@ impl<T: Clone + Send + 'static> Correctable<T> {
             word: AtomicU32::new(ST_UPDATING),
             shared: Mutex::new(Shared {
                 state: State::Updating,
-                updates: InlineVec::new(),
+                updates: List::default(),
                 final_view: None,
                 error: None,
-                update_cbs: InlineVec::new(),
-                close_cbs: InlineVec::new(),
+                update_cbs: List::default(),
+                close_cbs: List::default(),
             }),
             cond: Condvar::new(),
         });
@@ -235,7 +239,7 @@ impl<T: Clone + Send + 'static> Correctable<T> {
 
     /// All preliminary views delivered so far (excludes the final view).
     pub fn preliminary_views(&self) -> Vec<View<T>> {
-        self.inner.shared.lock().updates.to_vec()
+        self.inner.shared.lock().updates.iter().cloned().collect()
     }
 
     /// Registers a callback for every preliminary view.
@@ -247,8 +251,9 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         let replay = {
             let mut g = self.inner.shared.lock();
             g.update_cbs.push(UpdateEntry {
-                f: Some(Box::new(f)),
+                f: Box::new(f),
                 seen: 0,
+                running: false,
             });
             !g.updates.is_empty()
         };
@@ -375,7 +380,7 @@ impl<T: Clone + Send + 'static> Correctable<T> {
     /// Invariant: no user callback runs while the lock is held, and each
     /// callback sees each view exactly once, in order. Re-entrant calls
     /// (a callback delivering more views) are safe: the running entry is
-    /// temporarily vacated, so the nested pump skips it. Restoring the
+    /// marked `running`, so the nested pump skips it. Restoring the
     /// previous callback and claiming the next piece of work share one
     /// lock acquisition.
     fn pump_updates(inner: &Arc<Inner<T>>) {
@@ -383,21 +388,27 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         loop {
             let work = {
                 let mut g = inner.shared.lock();
+                let g = &mut *g;
                 if let Some((i, f)) = restore.take() {
-                    g.update_cbs[i].f = Some(f);
-                }
-                let n = g.updates.len();
-                let mut found = None;
-                for i in 0..g.update_cbs.len() {
-                    let entry = &mut g.update_cbs[i];
-                    if entry.f.is_some() && entry.seen < n {
-                        let seen = entry.seen;
-                        entry.seen += 1;
-                        let f = entry.f.take().expect("checked is_some");
-                        let view = g.updates[seen].clone();
-                        found = Some((i, f, view));
-                        break;
+                    if let Some(entry) = g.update_cbs.get_mut(i) {
+                        entry.f = f;
+                        entry.running = false;
                     }
+                }
+                let mut found = None;
+                let mut i = 0;
+                while let Some(entry) = g.update_cbs.get_mut(i) {
+                    if !entry.running {
+                        if let Some(view) = g.updates.get(entry.seen as usize) {
+                            entry.seen += 1;
+                            entry.running = true;
+                            // A zero-sized closure: the stand-in does not allocate.
+                            let f = std::mem::replace(&mut entry.f, Box::new(|_| {}));
+                            found = Some((i, f, view.clone()));
+                            break;
+                        }
+                    }
+                    i += 1;
                 }
                 found
             };

@@ -24,14 +24,12 @@
 //! A binding advertises its levels as a [`LevelSet`]: a validated,
 //! totally-ordered (by rank), duplicate-free set with
 //! [`weakest`](LevelSet::weakest) / [`strongest`](LevelSet::strongest)
-//! queries. Client code selects levels with [`LevelSelection`]; the
-//! `Only` variant is backed by the inline small-vector, so per-invoke
-//! selections stay allocation-free.
+//! queries. Client code selects levels with [`LevelSelection`]; a set of
+//! up to six levels lives inline, so per-invoke selections stay
+//! allocation-free.
 
 use std::cmp::Ordering;
 use std::fmt;
-
-use crate::inline::InlineVec;
 
 /// The wire id of every level beyond the builtins. No receiver decodes
 /// it: [`ConsistencyLevel::from_wire_id`] knows the builtins alone.
@@ -193,10 +191,51 @@ const INLINE_LEVELS: usize = 6;
 /// Invariants (enforced by every constructor): sorted weakest-first,
 /// duplicate-free, and no two distinct members share a rank — so
 /// [`weakest`](LevelSet::weakest) and [`strongest`](LevelSet::strongest)
-/// are well-defined lattice queries.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// are well-defined lattice queries. Equality and `Debug` see only the
+/// members.
+#[derive(Clone, Default)]
 pub struct LevelSet {
-    levels: InlineVec<ConsistencyLevel, INLINE_LEVELS>,
+    levels: Levels,
+}
+
+#[derive(Clone)]
+enum Levels {
+    /// `buf[..len]`; the rest is filler.
+    Inline {
+        len: u8,
+        buf: [ConsistencyLevel; INLINE_LEVELS],
+    },
+    /// More than [`INLINE_LEVELS`] members.
+    Spilled(Vec<ConsistencyLevel>),
+}
+
+/// The empty set as a constant: one copy, where building the filler
+/// array on each call cost two `memcpy`s of it.
+const EMPTY: Levels = Levels::Inline {
+    len: 0,
+    buf: [ConsistencyLevel::CACHE; INLINE_LEVELS],
+};
+
+impl Default for Levels {
+    fn default() -> Self {
+        EMPTY
+    }
+}
+
+impl PartialEq for LevelSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for LevelSet {}
+
+impl fmt::Debug for LevelSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LevelSet")
+            .field("levels", &self.as_slice())
+            .finish()
+    }
 }
 
 impl LevelSet {
@@ -241,69 +280,76 @@ impl LevelSet {
     /// [`LevelError::AmbiguousRank`] if a *different* level with the same
     /// rank is already present.
     pub fn insert(&mut self, level: ConsistencyLevel) -> Result<(), LevelError> {
-        match self
-            .levels
+        let i = match self
             .as_slice()
             .binary_search_by(|m| m.rank().cmp(&level.rank()))
         {
-            Ok(i) => {
-                if self.levels[i] == level {
-                    Ok(())
-                } else {
-                    Err(LevelError::AmbiguousRank(level.rank()))
-                }
+            Ok(i) if self.as_slice()[i] == level => return Ok(()),
+            Ok(_) => return Err(LevelError::AmbiguousRank(level.rank())),
+            Err(i) => i,
+        };
+        match &mut self.levels {
+            Levels::Inline { len, buf } if usize::from(*len) < INLINE_LEVELS => {
+                // The filler at `len` rotates into `i` and is overwritten.
+                buf[i..=usize::from(*len)].rotate_right(1);
+                buf[i] = level;
+                *len += 1;
             }
-            Err(i) => {
-                // InlineVec has no `insert`; push + rotate the tail.
-                self.levels.push(level);
-                self.levels.as_mut_slice()[i..].rotate_right(1);
-                Ok(())
+            Levels::Inline { buf, .. } => {
+                let mut spilled = buf.to_vec();
+                spilled.insert(i, level);
+                self.levels = Levels::Spilled(spilled);
             }
+            Levels::Spilled(v) => v.insert(i, level),
         }
+        Ok(())
     }
 
     /// The weakest member, if any.
     pub fn weakest(&self) -> Option<ConsistencyLevel> {
-        self.levels.first().copied()
+        self.as_slice().first().copied()
     }
 
     /// The strongest member, if any.
     pub fn strongest(&self) -> Option<ConsistencyLevel> {
-        self.levels.last().copied()
+        self.as_slice().last().copied()
     }
 
     /// Whether `level` is a member.
     pub fn contains(&self, level: ConsistencyLevel) -> bool {
-        self.levels
-            .as_slice()
+        let members = self.as_slice();
+        members
             .binary_search_by(|m| m.rank().cmp(&level.rank()))
-            .is_ok_and(|i| self.levels[i] == level)
+            .is_ok_and(|i| members[i] == level)
     }
 
     /// Members as a sorted slice, weakest first.
     pub fn as_slice(&self) -> &[ConsistencyLevel] {
-        self.levels.as_slice()
+        match &self.levels {
+            Levels::Inline { len, buf } => &buf[..usize::from(*len)],
+            Levels::Spilled(v) => v,
+        }
     }
 
     /// Iterates the members weakest-first.
     pub fn iter(&self) -> impl Iterator<Item = ConsistencyLevel> + '_ {
-        self.levels.as_slice().iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.levels.len()
+        self.as_slice().len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Members as an owned `Vec` (allocates; prefer
     /// [`as_slice`](LevelSet::as_slice) on hot paths).
     pub fn to_vec(&self) -> Vec<ConsistencyLevel> {
-        self.levels.as_slice().to_vec()
+        self.as_slice().to_vec()
     }
 }
 
@@ -312,7 +358,7 @@ impl<'a> IntoIterator for &'a LevelSet {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, ConsistencyLevel>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.levels.as_slice().iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
@@ -494,5 +540,41 @@ mod tests {
         let sel = LevelSelection::only(&[audit, WEAK]);
         let resolved = sel.resolve(&avail).unwrap();
         assert_eq!(resolved.as_slice(), &[WEAK, audit]);
+    }
+
+    proptest::proptest! {
+        /// Up to ten custom levels inserted in random order, inline and
+        /// past the sixth (spilled), against a model keyed by rank: a
+        /// repeat is a no-op, a second name at a taken rank is refused,
+        /// and the set reads, compares and prints as the sorted members.
+        #[test]
+        fn level_set_matches_a_rank_sorted_model(
+            picks in proptest::collection::vec((0u8..12, 0usize..2), 0..=10),
+        ) {
+            const NAMES: [&str; 2] = ["gold", "silver"];
+            let mut set = LevelSet::new();
+            let mut model = std::collections::BTreeMap::new();
+            for (rank, name) in picks {
+                let level = ConsistencyLevel::new(NAMES[name], rank);
+                let want = match model.get(&rank) {
+                    Some(l) if *l != level => Err(LevelError::AmbiguousRank(rank)),
+                    _ => Ok(()),
+                };
+                model.entry(rank).or_insert(level);
+                proptest::prop_assert_eq!(set.insert(level), want);
+                let members: Vec<ConsistencyLevel> = model.values().copied().collect();
+                proptest::prop_assert_eq!(set.as_slice(), &members[..]);
+                proptest::prop_assert_eq!(set.len(), members.len());
+                proptest::prop_assert_eq!(set.strongest(), members.last().copied());
+                proptest::prop_assert!(members.iter().all(|l| set.contains(*l)));
+            }
+            let members: Vec<ConsistencyLevel> = model.values().copied().collect();
+            let reversed: LevelSet = members.iter().rev().copied().collect();
+            proptest::prop_assert_eq!(&reversed, &set);
+            proptest::prop_assert_eq!(
+                format!("{reversed:?}"),
+                format!("LevelSet {{ levels: {members:?} }}")
+            );
+        }
     }
 }

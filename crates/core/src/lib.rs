@@ -82,8 +82,8 @@ pub mod client;
 pub mod combinators;
 pub mod correctable;
 pub mod error;
-pub mod inline;
 pub mod level;
+mod list;
 pub mod record;
 pub mod spec;
 pub mod speculate;

@@ -11,27 +11,9 @@
 //! Determinism: the jitter comes from a tiny xorshift generator seeded
 //! by the caller — no ambient RNG, no wall clock — so tests assert the
 //! exact delay sequence for a given seed, and the `icg-lint`
-//! determinism pass watches this file to keep it that way. Sleeping is
-//! likewise injected through [`Sleeper`] so tests run in zero time.
+//! determinism pass watches this file to keep it that way.
 
 use std::time::Duration;
-
-/// How a retry loop actually waits. Production code uses
-/// [`ThreadSleeper`]; tests inject a recorder.
-pub trait Sleeper: Send {
-    /// Blocks the calling thread for roughly `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// [`Sleeper`] backed by `std::thread::sleep`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadSleeper;
-
-impl Sleeper for ThreadSleeper {
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
 
 /// Bounded exponential backoff with deterministic ±50% jitter.
 #[derive(Clone, Debug)]
@@ -109,20 +91,14 @@ mod tests {
         let base = Duration::from_millis(100);
         let cap = Duration::from_secs(5);
         let mut b = Backoff::new(base, cap, 7);
-        let mut prev_nominal = Duration::ZERO;
-        for i in 0..20 {
+        for k in 0..20 {
             let d = b.next_delay();
-            // Jitter bounds: [0.5, 1.5) of a nominal that never
-            // exceeds the cap.
-            assert!(d >= base / 2, "attempt {i}: {d:?} under half the base");
+            // Delay k is a [0.5, 1.5) jitter of min(base·2^k, cap).
+            let nominal = base.saturating_mul(1 << k).min(cap);
             assert!(
-                d < cap.mul_f64(1.5),
-                "attempt {i}: {d:?} exceeds jittered cap"
+                d >= nominal / 2 && d < nominal.mul_f64(1.5),
+                "attempt {k}: {d:?} outside [0.5, 1.5) × {nominal:?}"
             );
-            // The nominal schedule is monotone until it hits the cap.
-            let nominal = d.mul_f64(1.0); // placeholder to keep d used
-            let _ = (prev_nominal, nominal);
-            prev_nominal = nominal;
         }
         assert_eq!(b.failures(), 20);
         b.reset();
@@ -151,30 +127,5 @@ mod tests {
         let mut b = Backoff::new(Duration::ZERO, Duration::ZERO, 1);
         let d = b.next_delay();
         assert!(d > Duration::ZERO, "a zero backoff would spin");
-    }
-
-    /// A sleeper that records instead of sleeping, proving retry loops
-    /// are testable in zero time.
-    struct Recorder(std::sync::Mutex<Vec<Duration>>);
-
-    impl Sleeper for &Recorder {
-        fn sleep(&self, d: Duration) {
-            self.0.lock().unwrap().push(d);
-        }
-    }
-
-    #[test]
-    fn injected_sleeper_records_the_schedule() {
-        let rec = Recorder(std::sync::Mutex::new(Vec::new()));
-        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(80), 9);
-        let expect: Vec<Duration> = {
-            let mut b2 = Backoff::new(Duration::from_millis(10), Duration::from_millis(80), 9);
-            (0..5).map(|_| b2.next_delay()).collect()
-        };
-        for _ in 0..5 {
-            let d = b.next_delay();
-            (&rec).sleep(d);
-        }
-        assert_eq!(*rec.0.lock().unwrap(), expect);
     }
 }

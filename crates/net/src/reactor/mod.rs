@@ -18,7 +18,8 @@
 //!   cross-thread command `Injector` whose wake-ups coalesce, and the
 //!   `Handler` trait protocols implement to live on a loop.
 //! - [`backoff`] — bounded exponential backoff with deterministic
-//!   jitter for the dialer threads that feed loops reconnections.
+//!   jitter for the replica's peer dialer threads, which feed its loop
+//!   reconnections.
 //! - `server` / [`client`] — what runs on the loops: the whole replica
 //!   (`ReplicaServer`, its one protocol loop and its peer dialers), and
 //!   the client handler with its table of links, one per `TcpBinding`
@@ -29,7 +30,9 @@ pub mod client;
 pub(crate) mod conn;
 pub(crate) mod event_loop;
 pub(crate) mod server;
+// The crate's only `unsafe`: the hand-declared FFI (UNSAFETY.md).
+#[allow(unsafe_code)]
 pub(crate) mod sys;
 
-pub use backoff::{Backoff, Sleeper, ThreadSleeper};
+pub use backoff::Backoff;
 pub use client::ClientReactor;

@@ -53,7 +53,7 @@ use crate::frame::encode_frame;
 use crate::protocol::{self, NetEgress, RegCtrSpec, SpecStore, Wired};
 use crate::wire::{NetMsg, Reader};
 
-use super::backoff::{Backoff, Sleeper, ThreadSleeper};
+use super::backoff::Backoff;
 use super::conn::CloseReason;
 use super::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_CAP};
 
@@ -145,9 +145,7 @@ impl ReplicaServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("icg-reactor-{id}-dial-{peer}"))
-                .spawn(move || {
-                    dial_peer_loop(cfg, peer, peer_addr, inj, down_rx, stop, &ThreadSleeper)
-                })
+                .spawn(move || dial_peer_loop(cfg, peer, peer_addr, inj, down_rx, stop))
                 // lint: allow(panic_path) — startup, nothing is serving yet
                 .expect("spawn dialer thread");
         }
@@ -230,7 +228,6 @@ fn dial_peer_loop(
     inj: Injector<PeerUp>,
     down_rx: Receiver<()>,
     stop: Arc<AtomicBool>,
-    sleeper: &impl Sleeper,
 ) {
     let seed = ((cfg.id as u64) << 32) ^ (peer as u64) ^ 0x5EED;
     let mut backoff = Backoff::new(cfg.peer_retry, cfg.peer_retry_cap, seed);
@@ -248,7 +245,7 @@ fn dial_peer_loop(
                     return;
                 }
             }
-            Err(_) => sleeper.sleep(backoff.next_delay()),
+            Err(_) => std::thread::sleep(backoff.next_delay()),
         }
     }
 }
