@@ -301,4 +301,22 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(confirmations_ms(&t[0]).last().map(|(d, _)| *d), Some(2));
     }
+
+    /// Every miner sends its confirmation notices in one fixed order, so
+    /// each send draws its latency from the seeded RNG at the same point
+    /// and a seed replays view for view. (A `HashMap` of watchers sent
+    /// them in its per-instance hash order.)
+    #[test]
+    fn sixteen_watches_replay_identically_from_one_seed() {
+        let run = |seed| {
+            let chain = SimChain::ec2(SimDuration::from_secs(20), "IRL", seed);
+            let (client, history) = recorded(&chain);
+            let _watches: Vec<_> = (0..16).map(|i| client.invoke(1000 + i)).collect();
+            chain.run_for(SimDuration::from_secs(3600));
+            format!("{:?}", history.snapshot())
+        };
+        for seed in 0..8 {
+            assert_eq!(run(seed), run(seed), "seed {seed} diverged");
+        }
+    }
 }

@@ -10,6 +10,11 @@
 //! binding ([`binding::SimChain`]) whose consistency levels are the
 //! confirmation depths `conf-1` … `conf-6`.
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod binding;
 pub mod chain;
 pub mod network;

@@ -7,7 +7,7 @@
 //! *new maximum* confirmation depth — the incremental views of §4.5.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use simnet::{Ctx, Node, NodeId, SimDuration, Timer, Wire};
 
@@ -74,7 +74,9 @@ pub struct Miner {
     /// Blocks whose parents have not arrived yet.
     orphans: Vec<Block>,
     /// Watched transactions: tx → (client, highest depth reported).
-    watchers: HashMap<TxId, (NodeId, u64)>,
+    /// Ordered, so confirmations go out in the same order on every
+    /// replay of a seed.
+    watchers: BTreeMap<TxId, (NodeId, u64)>,
     /// Mean time between this miner's blocks.
     pub mean_interval: SimDuration,
     next_block_seq: u64,
@@ -91,7 +93,7 @@ impl Miner {
             chain: Chain::new(),
             mempool: Vec::new(),
             orphans: Vec::new(),
-            watchers: HashMap::new(),
+            watchers: BTreeMap::new(),
             mean_interval,
             next_block_seq: 0,
             mined: 0,

@@ -19,6 +19,11 @@
 //! - [`binding::SimCausal`] — the deployment plus write-through cache
 //!   coherence (replacing the hand-rolled cache juggling of Listing 1).
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod binding;
 pub mod store;
 pub mod vc;

@@ -30,6 +30,11 @@
 //! evaluation never fails the leader, and leader re-election is out of
 //! reproduced scope (see DESIGN.md §6).
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod binding;
 pub mod messages;
 pub mod server;

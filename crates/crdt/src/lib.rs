@@ -36,6 +36,10 @@
 //! violation to a minimal `(seed, schedule)` repro.
 
 #![warn(missing_docs)]
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod escrow;
 pub mod local;

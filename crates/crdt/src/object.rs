@@ -11,8 +11,14 @@
 //! deliberately non-commutative [`BrokenCrdt`] instead — the negative
 //! fixture the oracle must reject.
 //!
-//! This file is on the lint's `panic_path` list — same fail-soft rules
-//! as `types.rs`.
+//! The same fail-soft rules as `types.rs` hold here, denied by the
+//! attributes below.
+
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 
 use std::collections::BTreeMap;
 

@@ -21,9 +21,15 @@
 //! mechanically over explorer runs; [`BrokenCrdt`] is the fixture that
 //! violates them (a "counter" replicated by shipping its new total).
 //!
-//! This file is on the lint's `panic_path` list: merge/apply runs inside
-//! replica event handlers, so everything here fails soft — no indexing,
-//! no unwrap, saturating arithmetic.
+//! Merge/apply runs inside replica event handlers, so everything here
+//! fails soft — no indexing, no unwrap, saturating arithmetic — and the
+//! attributes below have clippy deny the rest.
+
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

@@ -1,13 +1,13 @@
 //! A minimal Rust lexer: just enough token structure for the lint passes.
 //!
-//! The passes match on token *sequences* (`Instant :: now`, `. unwrap ( )`,
-//! `unsafe {`), so the lexer's only real obligations are the ones a regex
-//! can't meet: string/char literals and comments must never leak their
-//! contents into the token stream (an `unwrap` inside a doc comment is not
-//! a finding), lifetimes must not be confused with char literals, and every
-//! token must carry its source line for diagnostics.
+//! The passes match on token *sequences* (`. lock ( )`, `Msg :: Ping`),
+//! so the lexer's only real obligations are the ones a regex can't meet:
+//! string/char literals and comments must never leak their contents into
+//! the token stream (a `.lock()` inside a doc comment is not a finding),
+//! lifetimes must not be confused with char literals, and every token
+//! must carry its source line for diagnostics.
 //!
-//! There is no keyword table and no precedence — `unsafe` is just an
+//! There is no keyword table and no precedence — `match` is just an
 //! identifier token here. The item structure (functions, enums, impl
 //! blocks) is recovered by [`crate::scan`] on top of this stream.
 
@@ -36,7 +36,7 @@ pub struct Token {
 }
 
 /// A comment (line or block), kept out of the token stream but retained
-/// for the SAFETY-comment and waiver checks.
+/// for the waiver check.
 #[derive(Clone, Debug)]
 pub struct Comment {
     /// Full comment text including the `//` / `/*` markers.
@@ -45,8 +45,8 @@ pub struct Comment {
     pub line: u32,
     /// 1-based line the comment ends on. A run of `//` comments on
     /// consecutive lines with no code between them is merged into one
-    /// `Comment` spanning the whole block, so adjacency checks treat a
-    /// multi-line `// SAFETY: …` argument as a single comment.
+    /// `Comment` spanning the whole block, so the waiver check treats a
+    /// multi-line waiver and its reason as a single comment.
     pub end_line: u32,
 }
 

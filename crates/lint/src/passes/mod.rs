@@ -1,18 +1,15 @@
-//! The six project-specific passes.
+//! The three project-specific passes.
 //!
 //! Each pass loads the files it watches — every crate for
-//! `lock_discipline`, `unsafe_audit` and `level_lattice`, the scope
-//! [`crate::config::Config`] names for the others — walks their token
+//! `lock_discipline` and `level_lattice`, the files
+//! [`crate::config::Config`] names for `wire` — walks their token
 //! streams, and emits [`Finding`]s. Findings on a line carrying a
 //! `// lint: allow(<pass>)` waiver comment (same line or directly
 //! above) are suppressed at emission; every other finding fails the
 //! gate.
 
-pub mod determinism;
 pub mod level_lattice;
 pub mod lock_discipline;
-pub mod panic_path;
-pub mod unsafe_audit;
 pub mod wire;
 
 use std::path::Path;

@@ -58,7 +58,7 @@ fn check_enum(codec: &SourceFile, name: &str, props: &SourceFile, out: &mut Vec<
             kind: "no-wire-schema",
             detail: name.to_string(),
             message: format!(
-                "enum `{name}` listed in [wire].enums is not declared in the codec's \
+                "enum `{name}` listed in `Config::wire_enums` is not declared in the codec's \
                  `wire!` schema"
             ),
         });

@@ -1,7 +1,7 @@
 //! Item-level structure on top of the token stream: functions with
 //! brace-matched bodies, enum definitions with their variants, enclosing
 //! `impl` blocks for qualified names, `#[cfg(test)]` module spans, and
-//! the comment-adjacency queries (waivers, `// SAFETY:`).
+//! the waiver query.
 //!
 //! This is a *scanner*, not a parser: it recovers exactly the structure
 //! the passes need and nothing more, by brace matching and short token
@@ -18,8 +18,6 @@ use crate::lexer::{lex, Comment, TokKind, Token};
 pub struct FnItem {
     /// `Type::name` inside an `impl Type`, plain `name` at module level.
     pub qual_name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token-index range of the body, *excluding* the outer braces.
     pub body: Range<usize>,
 }
@@ -28,8 +26,6 @@ pub struct FnItem {
 pub struct EnumDef {
     /// The enum's name.
     pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
     /// Token index of the `enum` keyword.
     pub tok: usize,
     /// Variant names with the line each is declared on.
@@ -127,44 +123,17 @@ impl SourceFile {
         self.test_spans.iter().any(|r| r.contains(&idx))
     }
 
-    /// The qualified name of the innermost function whose body contains
-    /// token index `idx`, if any.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&idx))
-            .min_by_key(|f| f.body.len())
-    }
-
-    /// Whether a comment containing `needle` ends on line `line` or the
-    /// line above — the adjacency rule for `// SAFETY:` comments and
-    /// waivers.
-    pub fn comment_adjacent(&self, line: u32, needle: &str) -> bool {
-        self.comments.iter().any(|c| {
-            (c.end_line == line || c.end_line + 1 == line || c.line == line)
-                && c.text.contains(needle)
-        })
-    }
-
-    /// The text of the comment satisfying [`SourceFile::comment_adjacent`]
-    /// (for the UNSAFETY.md inventory).
-    pub fn adjacent_comment(&self, line: u32, needle: &str) -> Option<&str> {
-        self.comments
-            .iter()
-            .find(|c| {
-                (c.end_line == line || c.end_line + 1 == line || c.line == line)
-                    && c.text.contains(needle)
-            })
-            .map(|c| c.text.as_str())
-    }
-
-    /// Whether line `line` carries a `lint: allow(<pass>)` waiver — on
-    /// the same line or the line(s) directly above (a waiver comment
-    /// covers the statement it annotates).
+    /// Whether line `line` carries a `lint: allow(<pass>)` waiver — in
+    /// a comment that starts on that line or ends on it or the line
+    /// directly above (a waiver comment covers the statement it
+    /// annotates).
     pub fn waived(&self, line: u32, pass: &str) -> bool {
         let long = format!("lint: allow({pass})");
         let short = format!("lint:allow({pass})");
-        self.comment_adjacent(line, &long) || self.comment_adjacent(line, &short)
+        self.comments.iter().any(|c| {
+            (c.end_line == line || c.end_line + 1 == line || c.line == line)
+                && (c.text.contains(&long) || c.text.contains(&short))
+        })
     }
 }
 
@@ -359,7 +328,6 @@ fn scan_fn(
                 return Some((
                     FnItem {
                         qual_name,
-                        line: tokens[fn_idx].line,
                         body: j + 1..close,
                     },
                     j,
@@ -425,7 +393,6 @@ fn scan_enum(tokens: &[Token], enum_idx: usize) -> Option<(EnumDef, usize)> {
     Some((
         EnumDef {
             name: name_tok.text.clone(),
-            line: tokens[enum_idx].line,
             tok: enum_idx,
             variants,
         },
@@ -498,20 +465,12 @@ mod tests {
     #[test]
     fn waiver_adjacency() {
         let src = "
-            // lint: allow(panic_path) — startup only, nothing is serving yet
-            fn boot() { opt.unwrap(); }
+            // lint: allow(lock_discipline) — the socket is O_NONBLOCK
+            fn flush() { let g = m.lock(); s.write_all(b); }
         ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.waived(3, "panic_path"));
-        assert!(!f.waived(3, "determinism"));
-        assert!(!f.waived(5, "panic_path"));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_the_innermost() {
-        let src = "fn outer() { fn inner() { deep(); } }";
-        let f = SourceFile::parse("x.rs", src);
-        let deep = f.tokens.iter().position(|t| t.text == "deep").unwrap();
-        assert_eq!(f.enclosing_fn(deep).unwrap().qual_name, "inner");
+        assert!(f.waived(3, "lock_discipline"));
+        assert!(!f.waived(3, "wire"));
+        assert!(!f.waived(5, "lock_discipline"));
     }
 }

@@ -48,6 +48,12 @@
 //! the set can coordinate, so the client keeps operating as long as one
 //! replica is reachable.
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -121,8 +127,11 @@ impl TcpBinding {
 
     /// Creates the binding on a specific [`ClientReactor`] (loadgen
     /// uses a dedicated reactor sized for its run).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "constructor API-misuse check, before the binding serves"
+    )]
     pub fn connect_on(cfg: TcpConfig, reactor: &ClientReactor) -> io::Result<TcpBinding> {
-        // lint: allow(panic_path) — constructor API-misuse check, pre-serving
         assert!(!cfg.replicas.is_empty(), "need at least one replica");
         let (r_strong, confirm) = (cfg.r_strong, cfg.confirm);
         let client = NodeId(cfg.client_id as usize);

@@ -18,6 +18,12 @@
 //! [`Wire`]-encoded message, decoded with exact-length consumption
 //! (trailing bytes are an error).
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::io::{self, Read, Write};
 
 use crate::wire::{Reader, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
@@ -85,7 +91,9 @@ pub(crate) fn append_frame<T: Wire>(msg: &T, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
     msg.encode(buf);
     let len = (buf.len() - start - 4) as u32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    if let Some(slot) = buf.get_mut(start..start + 4) {
+        slot.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// Encodes `msg` as one frame into `scratch` (cleared first) and writes
@@ -121,17 +129,16 @@ pub fn read_frame<T: Wire>(
     if len > MAX_FRAME {
         return Err(FrameError::Oversized { len });
     }
-    if len == 0 {
-        return Err(WireError::Truncated.into());
-    }
     scratch.clear();
     scratch.resize(len as usize, 0);
     r.read_exact(scratch)?;
-    let ver = scratch[0];
+    let Some((&ver, body)) = scratch.split_first() else {
+        return Err(WireError::Truncated.into());
+    };
     if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&ver) {
         return Err(WireError::BadVersion { got: ver }.into());
     }
-    Ok(Some(Reader::new(&scratch[1..]).finish()?))
+    Ok(Some(Reader::new(body).finish()?))
 }
 
 #[cfg(test)]

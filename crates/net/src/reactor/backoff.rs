@@ -9,9 +9,13 @@
 //! of peers dialing one recovered replica does not thunder in lockstep.
 //!
 //! Determinism: the jitter comes from a tiny xorshift generator seeded
-//! by the caller — no ambient RNG, no wall clock — so tests assert the
-//! exact delay sequence for a given seed, and the `icg-lint`
-//! determinism pass watches this file to keep it that way.
+//! by the caller — no ambient RNG, no wall clock — so one seed yields
+//! one delay sequence, and tests assert it exactly. The attributes
+//! below keep it that way: this file is the one determinism scope in a
+//! crate that otherwise runs on the wall clock (DESIGN.md §11).
+
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use std::time::Duration;
 

@@ -609,6 +609,10 @@ impl Link {
     /// lowered: the view's callbacks run against an idle link. One that
     /// answers nothing open here — another client's, a finished
     /// operation's, another store's, or not a reply at all — is dropped.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the one assert is a debug_assert!, compiled out of release builds"
+    )]
     fn route(&mut self, msg: NetMsg) {
         let me = self.cfg.client_id;
         match msg {

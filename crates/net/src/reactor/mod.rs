@@ -25,12 +25,21 @@
 //!   the client handler with its table of links, one per `TcpBinding`
 //!   or `TcpSpecBinding`, the same kind for both.
 
+// Fail soft (DESIGN.md §11): outside tests, nothing on a loop or dialer
+// thread may panic. The attributes cover every module below.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 pub mod backoff;
 pub mod client;
 pub(crate) mod conn;
 pub(crate) mod event_loop;
 pub(crate) mod server;
-// The crate's only `unsafe`: the hand-declared FFI (UNSAFETY.md).
+// The crate's only `unsafe`: the hand-declared FFI. Every block states
+// why it is sound in a `// SAFETY:` comment (icg-net's Cargo.toml denies
+// `clippy::undocumented_unsafe_blocks` and `unsafe_op_in_unsafe_fn`).
 #[allow(unsafe_code)]
 pub(crate) mod sys;
 

@@ -105,10 +105,13 @@ impl ReplicaServer {
     }
 
     /// The address the replica is listening on.
+    #[expect(
+        clippy::expect_used,
+        reason = "setup API, called before serving starts"
+    )]
     pub fn local_addr(&self) -> SocketAddr {
         self.listener
             .local_addr()
-            // lint: allow(panic_path) — setup API, called before serving starts
             .expect("bound socket has an addr")
     }
 
@@ -129,13 +132,13 @@ impl ReplicaServer {
             peer_down: down_txs,
             scratch: Vec::new(),
         };
+        #[expect(clippy::expect_used, reason = "startup, nothing is serving yet")]
         let (inj, _join) = spawn_loop(
             &format!("icg-reactor-{id}-main"),
             handler,
             Some(self.listener),
             DEFAULT_WRITE_CAP,
         )
-        // lint: allow(panic_path) — startup, nothing is serving yet
         .expect("spawn protocol loop");
 
         // Peer dialers: one thread per peer, parked while its link is up.
@@ -143,10 +146,10 @@ impl ReplicaServer {
         for ((peer, peer_addr), down_rx) in peers.into_iter().enumerate().zip(down_rxs) {
             let inj = inj.clone();
             let stop = Arc::clone(&stop);
+            #[expect(clippy::expect_used, reason = "startup, nothing is serving yet")]
             std::thread::Builder::new()
                 .name(format!("icg-reactor-{id}-dial-{peer}"))
                 .spawn(move || dial_peer_loop(cfg, peer, peer_addr, inj, down_rx, stop))
-                // lint: allow(panic_path) — startup, nothing is serving yet
                 .expect("spawn dialer thread");
         }
 
@@ -185,9 +188,12 @@ impl ReplicaHandle {
 /// binds all listeners first (so every replica learns every address),
 /// then starts each one with the other replicas as peers. Returns the
 /// handles in id order.
+#[expect(
+    clippy::expect_used,
+    reason = "cluster bootstrap helper, before anything serves"
+)]
 pub fn spawn_local_cluster(n: usize, cfg_of: impl Fn(u32) -> ServerConfig) -> Vec<ReplicaHandle> {
     let servers: Vec<ReplicaServer> = (0..n)
-        // lint: allow(panic_path) — cluster bootstrap helper, pre-serving
         .map(|i| ReplicaServer::bind("127.0.0.1:0", cfg_of(i as u32)).expect("bind loopback"))
         .collect();
     let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();

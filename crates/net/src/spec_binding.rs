@@ -31,6 +31,12 @@
 //! idle link ([`crate::reactor::client`]). A spec binding costs one
 //! socket and no thread.
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

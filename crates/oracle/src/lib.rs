@@ -32,6 +32,11 @@
 //! forever after a lost replication message
 //! (`causalstore::store` anti-entropy).
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod buggy;
 pub mod checkers;
 pub mod explorer;

@@ -29,6 +29,11 @@
 //! the one client protocol in [`client`], as both replicas are hosts of
 //! [`protocol::ReplicaCore`].
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod binding;
 pub mod client;
 pub mod deadlines;

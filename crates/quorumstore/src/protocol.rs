@@ -31,6 +31,12 @@
 //! [`ReplicaCore::on_peer_down`], [`ReplicaCore::on_peer_up`] and
 //! [`ReplicaCore::fire_expired`]).
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::time::Duration;
 
 use simnet::NodeId;
@@ -220,6 +226,10 @@ impl ReplicaCore {
     /// The link to `peer` (re)connected. Every pending read that could
     /// not find enough live peers to ask — one that arrived before the
     /// mesh was up, or lost the peers it asked — asks the newcomer.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "top_up sorts the ids it is given"
+    )]
     pub fn on_peer_up(&mut self, net: &mut impl Egress, peer: usize) {
         self.links.up |= bit(peer);
         self.links.suspect &= !bit(peer);
@@ -231,6 +241,11 @@ impl ReplicaCore {
     /// every pending read still waiting for that peer's answer asks one
     /// live peer it has not asked yet (if there is none, the next
     /// [`ReplicaCore::on_peer_up`] finds the read short).
+    #[expect(
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        reason = "top_up sorts the ids it is given"
+    )]
     pub fn on_peer_down(&mut self, net: &mut impl Egress, peer: usize) {
         let lost = bit(peer);
         self.links.up &= !lost;

@@ -28,6 +28,10 @@
 //! the router never reorders or synthesizes views, it only routes and
 //! merges them.
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 // Public API documentation is complete and enforced: CI's lint job runs
 // clippy with `-D warnings`, which promotes this to an error.
 #![warn(missing_docs)]

@@ -23,6 +23,12 @@
 //! only as silence), and the core's own `next_deadline()` is kept armed
 //! by the same rule.
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::ops::Range;
 
 use crate::bandwidth::Wire;

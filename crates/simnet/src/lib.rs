@@ -47,6 +47,11 @@
 //! assert_eq!(eng.node_as::<Greeter>(g).greeted, 1);
 //! ```
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod bandwidth;
 pub mod engine;
 pub mod faults;

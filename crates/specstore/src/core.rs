@@ -40,6 +40,12 @@
 //! ([`SpecCore::fire_expired`]), and a peer that had delivered it
 //! already repeats its ack.
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 

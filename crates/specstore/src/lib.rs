@@ -46,6 +46,11 @@
 //!   [`binding::UpdateBinding`] and [`binding::CausalSpec`] are slices
 //!   with fewer levels.
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod binding;
 pub mod core;
 pub mod host;

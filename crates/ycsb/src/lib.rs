@@ -16,6 +16,11 @@
 //! assert!(ops.iter().all(|op| op.key() < 1_000));
 //! ```
 
+// Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
+// walk of a hash map or set in its hash order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod dist;
 pub mod workload;
 
