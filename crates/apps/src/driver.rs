@@ -303,11 +303,11 @@ pub fn closings<'a, Op, T>(
         let prelim = inv.events.iter().find_map(|e| match e {
             HistoryEvent::View {
                 at_nanos,
-                level: ConsistencyLevel::WEAK,
+                level,
                 value,
                 closing: false,
                 ..
-            } => Some((value, since_submit(*at_nanos))),
+            } if *level == ConsistencyLevel::WEAK => Some((value, since_submit(*at_nanos))),
             _ => None,
         });
         out.views.push(ClosedView {

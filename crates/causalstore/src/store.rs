@@ -323,8 +323,11 @@ impl Node<Msg> for CausalReplica {
                     key,
                     item: data,
                 };
-                if self.inbox.offer(sender, stamp, update) == Offer::AlreadyDelivered {
-                    return; // an old duplicate already covered by the clock
+                // An old duplicate already covered by the clock, or a
+                // stamp that is not this group's.
+                let offer = self.inbox.offer(sender, stamp, update);
+                if matches!(offer, Offer::AlreadyDelivered | Offer::Malformed) {
+                    return;
                 }
                 self.apply_buffered();
                 if self.inbox.len() > parked {

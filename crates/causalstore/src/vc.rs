@@ -2,6 +2,12 @@
 //! broadcast every replica type shares: the inbox (CBCAST buffer and
 //! delivery loop) and the cumulative ack frontier (stability tracker).
 
+// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -34,7 +40,9 @@ impl From<Vec<u64>> for VectorClock {
             return VectorClock(Entries::Spilled(entries));
         }
         let mut buf = [0; INLINE];
-        buf[..entries.len()].copy_from_slice(&entries);
+        for (slot, e) in buf.iter_mut().zip(&entries) {
+            *slot = *e;
+        }
         VectorClock(Entries::Inline {
             len: entries.len() as u8,
             buf,
@@ -47,7 +55,8 @@ impl Deref for VectorClock {
 
     fn deref(&self) -> &[u64] {
         match &self.0 {
-            Entries::Inline { len, buf } => &buf[..usize::from(*len)],
+            // `len` is at most `INLINE`: the fallback is never taken.
+            Entries::Inline { len, buf } => buf.get(..usize::from(*len)).unwrap_or_default(),
             Entries::Spilled(v) => v,
         }
     }
@@ -94,31 +103,36 @@ impl VectorClock {
 
     fn entries_mut(&mut self) -> &mut [u64] {
         match &mut self.0 {
-            Entries::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Entries::Inline { len, buf } => buf.get_mut(..usize::from(*len)).unwrap_or_default(),
             Entries::Spilled(v) => v,
         }
     }
 
-    /// Increments the entry of replica `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// Increments the entry of replica `i`. An `i` the clock does not
+    /// hold changes nothing.
     pub fn bump(&mut self, i: usize) {
-        self.entries_mut()[i] += 1;
+        if let Some(e) = self.entries_mut().get_mut(i) {
+            *e += 1;
+        }
     }
 
-    /// Pointwise maximum.
+    /// Pointwise maximum. Clocks of unequal width belong to groups of
+    /// different sizes: merging one changes nothing.
     pub fn merge(&mut self, other: &VectorClock) {
-        debug_assert_eq!(self.len(), other.len());
+        if self.len() != other.len() {
+            return;
+        }
         for (a, b) in self.entries_mut().iter_mut().zip(other.iter()) {
             *a = (*a).max(*b);
         }
     }
 
-    /// Compares two clocks causally.
+    /// Compares two clocks causally. Clocks of unequal width are
+    /// [`Causality::Concurrent`]: neither dominates the other.
     pub fn compare(&self, other: &VectorClock) -> Causality {
-        debug_assert_eq!(self.len(), other.len());
+        if self.len() != other.len() {
+            return Causality::Concurrent;
+        }
         let mut less = false;
         let mut greater = false;
         for (a, b) in self.iter().zip(other.iter()) {
@@ -138,10 +152,14 @@ impl VectorClock {
 
     /// Whether an update stamped `update` from `sender` is the *next*
     /// causally deliverable message at a replica whose clock is `self`
-    /// (the CBCAST delivery condition).
+    /// (the CBCAST delivery condition). It never is when the clocks'
+    /// widths differ or when `sender` is not a replica the clock holds.
     pub fn deliverable(&self, update: &VectorClock, sender: usize) -> bool {
-        debug_assert_eq!(self.len(), update.len());
-        update[sender] == self[sender] + 1
+        let (Some(theirs), Some(mine)) = (update.get(sender), self.get(sender)) else {
+            return false;
+        };
+        self.len() == update.len()
+            && mine.checked_add(1) == Some(*theirs)
             && self
                 .iter()
                 .zip(update.iter())
@@ -161,6 +179,9 @@ pub enum Offer {
     /// Buffered; [`CausalInbox::pop_ready`] yields it once its causal
     /// past has been delivered.
     Buffered,
+    /// Its stamp is not one of this group's (another width), or has no
+    /// entry for its origin: it could never be delivered. Not buffered.
+    Malformed,
 }
 
 /// The receiving half of a causal broadcast: the delivery vector plus
@@ -191,25 +212,27 @@ impl<T> CausalInbox<T> {
     }
 
     /// Counts one local event of replica `i` (an item it originates is
-    /// delivered to itself at once); the new vector is its stamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// delivered to itself at once); the new vector is its stamp. An `i`
+    /// outside the group changes nothing.
     pub fn bump(&mut self, i: usize) {
         self.delivered.bump(i);
     }
 
-    /// Takes in one received item. `stamp` must have one entry per
-    /// replica and `origin` must index it (validate wire input first).
+    /// Takes in one received item. A `stamp` without one entry per
+    /// replica, or without an entry for `origin`, is
+    /// [`Offer::Malformed`].
     pub fn offer(&mut self, origin: usize, stamp: VectorClock, item: T) -> Offer {
-        let seq = stamp[origin];
-        if seq <= self.delivered[origin] {
+        let (Some(&seq), Some(&delivered)) = (stamp.get(origin), self.delivered.get(origin)) else {
+            return Offer::Malformed;
+        };
+        if stamp.len() != self.delivered.len() {
+            Offer::Malformed
+        } else if seq <= delivered {
             Offer::AlreadyDelivered
         } else if self
             .buffer
             .iter()
-            .any(|(o, s, _)| *o == origin && s[origin] == seq)
+            .any(|(o, s, _)| *o == origin && s.get(origin) == Some(&seq))
         {
             Offer::Duplicate
         } else {
@@ -240,7 +263,7 @@ impl<T> CausalInbox<T> {
         self.delivered.merge(clock);
         let delivered = &self.delivered;
         self.buffer
-            .retain(|(origin, stamp, _)| stamp[*origin] > delivered[*origin]);
+            .retain(|(origin, stamp, _)| stamp.get(*origin) > delivered.get(*origin));
     }
 
     /// Number of buffered items.
@@ -381,6 +404,58 @@ mod tests {
         // Depends on an unseen update from replica 1.
         let dep = VectorClock::from(vec![3, 1]);
         assert!(!local.deliverable(&dep, 0));
+    }
+
+    #[test]
+    fn an_origin_outside_the_clock_is_never_an_event() {
+        // Bumping it changes nothing.
+        let mut a = VectorClock::from(vec![1, 2]);
+        a.bump(2);
+        assert_eq!(a, VectorClock::from(vec![1, 2]));
+        // An update from it is not deliverable, even when the stamp
+        // holds an entry for it.
+        let local = VectorClock::from(vec![0, 0]);
+        assert!(!local.deliverable(&VectorClock::from(vec![0, 0]), 2));
+        assert!(!local.deliverable(&VectorClock::from(vec![0, 0, 1]), 2));
+        // The inbox refuses it and buffers nothing.
+        let mut inbox = CausalInbox::new(2);
+        inbox.bump(2);
+        assert_eq!(inbox.delivered(), &VectorClock::zero(2));
+        assert_eq!(
+            inbox.offer(2, VectorClock::from(vec![0, 0]), "x"),
+            Offer::Malformed
+        );
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn clocks_of_unequal_width_never_interact() {
+        let narrow = VectorClock::from(vec![1, 0]);
+        let wide = VectorClock::from(vec![2, 0, 0]);
+        // Merging leaves the clock as it was, either way round.
+        let mut m = narrow.clone();
+        m.merge(&wide);
+        assert_eq!(m, narrow);
+        let mut m = wide.clone();
+        m.merge(&narrow);
+        assert_eq!(m, wide);
+        // Neither dominates.
+        assert_eq!(narrow.compare(&wide), Causality::Concurrent);
+        assert_eq!(wide.compare(&narrow), Causality::Concurrent);
+        assert_eq!(
+            VectorClock::zero(1).compare(&VectorClock::zero(2)),
+            Causality::Concurrent
+        );
+        // An update stamped in another group is never deliverable, and
+        // the inbox does not buffer it.
+        assert!(!narrow.deliverable(&wide, 0));
+        assert!(!wide.deliverable(&VectorClock::from(vec![3, 0]), 0));
+        let mut inbox = CausalInbox::new(2);
+        assert_eq!(
+            inbox.offer(0, VectorClock::from(vec![1, 0, 0]), "x"),
+            Offer::Malformed
+        );
+        assert!(inbox.is_empty());
     }
 
     #[test]

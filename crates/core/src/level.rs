@@ -21,6 +21,12 @@
 //! cross a wire: [`from_wire_id`](ConsistencyLevel::from_wire_id) decodes
 //! them and nothing else.
 //!
+//! Code that branches on a level compares it (`l == WEAK`, `l.rank()`,
+//! `l.at_least(..)`) and never matches it against constants. The
+//! compiler holds that rule: a level's equality is written by hand, so
+//! its constants cannot be patterns, and a `match` listing builtins
+//! does not build (the `compile_fail` example on [`ConsistencyLevel`]).
+//!
 //! A binding advertises its levels as a [`LevelSet`]: a validated,
 //! totally-ordered (by rank), duplicate-free set with
 //! [`weakest`](LevelSet::weakest) / [`strongest`](LevelSet::strongest)
@@ -30,6 +36,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The wire id of every level beyond the builtins. No receiver decodes
 /// it: [`ConsistencyLevel::from_wire_id`] knows the builtins alone.
@@ -43,11 +50,48 @@ const WIRE_UNDECODED: u8 = u8::MAX;
 /// built by [`ConsistencyLevel::new`], so the lattice is open — core,
 /// transport, and sharding code query ranks and roles instead of
 /// matching on a closed set of names.
-#[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
+///
+/// Equality and hashing are written by hand (over rank, wire id and
+/// name, as a derive would), so a level has no *structural* equality and
+/// its constants cannot be patterns. Code that branches on a level
+/// compares it instead, and so leaves room for levels it has never seen:
+///
+/// ```compile_fail
+/// use correctables::ConsistencyLevel;
+/// fn quorum(l: ConsistencyLevel) -> usize {
+///     match l {
+///         ConsistencyLevel::WEAK => 1,
+///         _ => 2,
+///     }
+/// }
+/// ```
+///
+/// ```
+/// use correctables::ConsistencyLevel;
+/// fn quorum(l: ConsistencyLevel) -> usize {
+///     match l {
+///         l if l == ConsistencyLevel::WEAK => 1,
+///         _ => 2,
+///     }
+/// }
+/// ```
+#[derive(Clone, Copy, Debug, Eq)]
 pub struct ConsistencyLevel {
     rank: u8,
     wire_id: u8,
     name: &'static str,
+}
+
+impl PartialEq for ConsistencyLevel {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rank, self.wire_id, self.name) == (other.rank, other.wire_id, other.name)
+    }
+}
+
+impl Hash for ConsistencyLevel {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.rank, self.wire_id, self.name).hash(state);
+    }
 }
 
 /// Why a level set construction was rejected.
@@ -445,6 +489,43 @@ mod tests {
         assert!(STRONG.at_least(WEAK));
         assert!(!WEAK.at_least(STRONG));
         assert!(WEAK.at_least(WEAK));
+    }
+
+    #[test]
+    fn equality_and_hash_are_what_the_derives_gave() {
+        use std::collections::hash_map::DefaultHasher;
+
+        /// The level as it was: the same fields, derived.
+        #[derive(Hash, PartialEq)]
+        struct Derived {
+            rank: u8,
+            wire_id: u8,
+            name: &'static str,
+        }
+        let derived = |l: ConsistencyLevel| Derived {
+            rank: l.rank,
+            wire_id: l.wire_id,
+            name: l.name,
+        };
+        let digest = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        let custom = ConsistencyLevel::new("conf-2", 2);
+        let all = [CACHE, WEAK, UPDATE, CAUSAL, STRONG, custom];
+        for l in all {
+            assert_eq!(
+                digest(&|s| l.hash(s)),
+                digest(&|s| derived(l).hash(s)),
+                "{l}"
+            );
+            for m in all {
+                assert_eq!(l == m, derived(l) == derived(m), "{l} vs {m}");
+            }
+        }
+        assert_eq!(custom, ConsistencyLevel::new("conf-2", 2));
+        assert_ne!(custom, ConsistencyLevel::new("conf-2", 3));
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl Node<CrdtMsg> for CrdtReplica {
                 match self.inbox.offer(origin, entry.vc.clone(), entry) {
                     // The origin must have lost our ack — re-ack.
                     Offer::AlreadyDelivered => return self.ack(ctx, Some(origin)),
-                    Offer::Duplicate => return,
+                    Offer::Duplicate | Offer::Malformed => return,
                     Offer::Buffered => {}
                 }
                 self.lamport = self.lamport.max(ts) + 1;

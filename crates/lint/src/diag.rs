@@ -5,14 +5,14 @@ use std::fmt;
 /// One lint finding.
 #[derive(Debug)]
 pub struct Finding {
-    /// The pass that produced it (`lock_discipline`, `wire`, …).
+    /// The pass that produced it (`lock_discipline`).
     pub pass: &'static str,
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line of the offending site.
     pub line: u32,
     /// Short machine-ish kind within the pass (`lock-cycle`,
-    /// `unproptested`, …).
+    /// `blocking-under-lock`).
     pub kind: &'static str,
     /// Line-independent detail: usually the enclosing function or the
     /// symbol involved.

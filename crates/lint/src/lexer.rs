@@ -1,6 +1,6 @@
-//! A minimal Rust lexer: just enough token structure for the lint passes.
+//! A minimal Rust lexer: just enough token structure for the lint pass.
 //!
-//! The passes match on token *sequences* (`. lock ( )`, `Msg :: Ping`),
+//! The pass matches on token *sequences* (`. lock ( )`, `drop ( g )`),
 //! so the lexer's only real obligations are the ones a regex can't meet:
 //! string/char literals and comments must never leak their contents into
 //! the token stream (a `.lock()` inside a doc comment is not a finding),
@@ -8,8 +8,8 @@
 //! must carry its source line for diagnostics.
 //!
 //! There is no keyword table and no precedence — `match` is just an
-//! identifier token here. The item structure (functions, enums, impl
-//! blocks) is recovered by [`crate::scan`] on top of this stream.
+//! identifier token here. The item structure (functions, impl blocks)
+//! is recovered by [`crate::scan`] on top of this stream.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,29 +1,28 @@
 //! icg-lint — project-specific static analysis for the ICG workspace.
 //!
-//! Three passes enforce invariants that neither rustc nor clippy can
-//! see but the paper's guarantees depend on (DESIGN.md §11):
+//! One pass enforces an invariant that neither rustc nor clippy can see
+//! but the paper's guarantees depend on (DESIGN.md §11):
 //!
 //! | pass | invariant |
 //! |---|---|
 //! | `lock_discipline` | no lock-order inversions; no guard held across a blocking call |
-//! | `wire` | every wire-enum variant is encoded, decoded, and property-tested |
-//! | `level_lattice` | no `match` over consistency levels enumerates only the builtins — the lattice is open |
 //!
-//! Rules the compiler can check are clippy lints instead, scoped by
-//! attributes at the code they cover: determinism (`disallowed_methods`,
-//! `iter_over_hash_type`), fail-soft event loops (`unwrap_used`,
-//! `indexing_slicing`, `disallowed_macros`, …) and `// SAFETY:`
-//! comments (`undocumented_unsafe_blocks`).
+//! Rules the toolchain can check are held there instead. Clippy lints,
+//! scoped by attributes at the code they cover, hold determinism
+//! (`disallowed_methods`, `iter_over_hash_type`), fail-soft event loops
+//! (`unwrap_used`, `indexing_slicing`, `disallowed_macros`, …) and
+//! `// SAFETY:` comments (`undocumented_unsafe_blocks`). The compiler
+//! keeps consistency levels out of patterns (a level has no structural
+//! equality), and `icg-net`'s `prop_wire` test holds that the wire
+//! generators build every tag the decoder accepts.
 //!
-//! The engine is a hand-rolled lexer + item scanner ([`lexer`],
+//! The engine is a hand-rolled lexer + function scanner ([`lexer`],
 //! [`scan`]) — no `syn`, no `rustc` internals — because the workspace
-//! builds fully offline. `lock_discipline` and `level_lattice` scan
-//! every crate; `wire` reads the files [`config::Config`] names. Passes
-//! emit [`diag::Finding`]s, and the CI gate requires zero of them: a
-//! site the rule does not fit carries a `// lint: allow(<pass>) —
-//! reason` waiver in the source.
+//! builds fully offline. The pass scans every crate and emits
+//! [`diag::Finding`]s, and the CI gate requires zero of them: a site the
+//! rule does not fit carries a `// lint: allow(<pass>) — reason` waiver
+//! in the source.
 
-pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod passes;
@@ -31,16 +30,12 @@ pub mod scan;
 
 use std::path::Path;
 
-use config::Config;
 use diag::Finding;
 
-/// Runs every pass over the workspace at `root`, returning all findings
+/// Runs the pass over the workspace at `root`, returning all findings
 /// sorted by file and line.
-pub fn run_all(root: &Path, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    out.extend(passes::lock_discipline::run(root));
-    out.extend(passes::wire::run(root, cfg));
-    out.extend(passes::level_lattice::run(root));
+pub fn run_all(root: &Path) -> Vec<Finding> {
+    let mut out = passes::lock_discipline::run(root);
     out.sort_by(|a, b| (&a.file, a.line, a.pass).cmp(&(&b.file, b.line, b.pass)));
     out
 }

@@ -1,5 +1,4 @@
-//! The `icg-lint` CLI. It lints the workspace it was built in, with the
-//! files of [`Config::workspace`].
+//! The `icg-lint` CLI. It lints the workspace it was built in.
 //!
 //! ```text
 //! icg-lint check      # gate: fail on any finding
@@ -12,7 +11,6 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use icg_lint::config::Config;
 use icg_lint::run_all;
 
 fn main() -> ExitCode {
@@ -22,7 +20,7 @@ fn main() -> ExitCode {
         eprintln!("usage: icg-lint check");
         return ExitCode::from(2);
     }
-    let findings = run_all(&root, &Config::workspace());
+    let findings = run_all(&root);
     for f in &findings {
         println!("{f}");
     }

@@ -1,16 +1,12 @@
-//! The three project-specific passes.
+//! The project-specific pass.
 //!
-//! Each pass loads the files it watches — every crate for
-//! `lock_discipline` and `level_lattice`, the files
-//! [`crate::config::Config`] names for `wire` — walks their token
-//! streams, and emits [`Finding`]s. Findings on a line carrying a
+//! `lock_discipline` loads every crate's source files, walks their
+//! token streams, and emits [`Finding`]s. Findings on a line carrying a
 //! `// lint: allow(<pass>)` waiver comment (same line or directly
 //! above) are suppressed at emission; every other finding fails the
 //! gate.
 
-pub mod level_lattice;
 pub mod lock_discipline;
-pub mod wire;
 
 use std::path::Path;
 
@@ -23,19 +19,6 @@ pub(crate) fn push_unless_waived(out: &mut Vec<Finding>, sf: &SourceFile, f: Fin
     if !sf.waived(f.line, f.pass) {
         out.push(f);
     }
-}
-
-/// Whether tokens at `i` spell the path `head::tail` (`::` lexes as two
-/// `:` puncts).
-pub(crate) fn is_path2(tokens: &[Token], i: usize, head: &str, tail: &str) -> bool {
-    tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokKind::Ident && t.text == head)
-        && tokens.get(i + 1).is_some_and(|t| t.text == ":")
-        && tokens.get(i + 2).is_some_and(|t| t.text == ":")
-        && tokens
-            .get(i + 3)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == tail)
 }
 
 /// Every crate under `root/crates/` with a `src/` tree, sorted by name.
@@ -52,12 +35,6 @@ pub(crate) fn all_crates(root: &Path) -> Vec<String> {
 /// The source files of one crate's `src/` tree.
 pub(crate) fn crate_sources(root: &Path, krate: &str) -> Vec<SourceFile> {
     crate::scan::parse_tree(root, &root.join("crates").join(krate).join("src"))
-}
-
-/// Parses one workspace-relative file, if it exists.
-pub(crate) fn parse_one(root: &Path, rel: &str) -> Option<SourceFile> {
-    let src = std::fs::read_to_string(root.join(rel)).ok()?;
-    Some(SourceFile::parse(rel, &src))
 }
 
 /// The receiver chain ending at the `.` token at `dot` — e.g. for

@@ -169,7 +169,9 @@ impl<'a> Reader<'a> {
 /// The contract is round-trip identity: for every value,
 /// `decode(encode(v)) == v`, and decode must reject (never panic on)
 /// truncated input and unknown tag bytes. The property tests in
-/// `tests/prop_wire.rs` enforce both halves for every declared type.
+/// `tests/prop_wire.rs` enforce both halves for every declared type,
+/// and one of them holds their generators to every tag each enum's
+/// decoder accepts, so no variant goes untested.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);

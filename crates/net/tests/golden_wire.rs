@@ -3,12 +3,18 @@
 //! then the body. Each frame must encode to exactly these bytes and
 //! decode back to its value, so a codec rewrite that moves one byte of
 //! any layout (or the version a message is stamped with) fails here by
-//! name, with the bytes it produced.
+//! name, with the bytes it produced. The tables hold a frame for every
+//! tag each wire enum's decoder accepts, and a closing test checks it.
 
+mod tags;
+
+use std::any::type_name;
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 
 use correctables::spec::{CtrOp, RegOp};
 use icg_net::frame::{encode_frame, read_frame};
+use icg_net::wire::from_bytes;
 use icg_net::{NetMsg, SpecOp, Wire};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
@@ -26,16 +32,19 @@ fn hex(frame: &[u8]) -> String {
 }
 
 /// The frames of a table that encode to other bytes than the golden
-/// ones or do not decode back, each with the bytes it produced.
+/// ones or do not decode back, each with the bytes it produced; and
+/// every frame's type with its body.
 #[derive(Default)]
 struct Golden {
     wrong: Vec<String>,
+    bodies: Vec<(&'static str, Vec<u8>)>,
 }
 
 impl Golden {
     fn check<T: Wire + PartialEq + Debug>(&mut self, name: &str, value: T, golden: &str) {
         let mut frame = Vec::new();
         encode_frame(&value, &mut frame);
+        self.bodies.push((type_name::<T>(), frame[5..].to_vec()));
         let got = hex(&frame);
         if got != golden {
             self.wrong.push(format!("{name}: encodes as \"{got}\""));
@@ -49,6 +58,23 @@ impl Golden {
 
     fn assert_all_golden(self) {
         assert!(self.wrong.is_empty(), "\n{}", self.wrong.join("\n"));
+    }
+
+    /// Notes in `wrong` each tag `E`'s decoder accepts that no frame
+    /// starts with: a frame of type `E`, or of the enum in `outer` that
+    /// hands `E` part of its tag space, whose body decodes as `E`.
+    fn cover<E: Wire>(&mut self, outer: Option<&str>) {
+        let carriers = [Some(type_name::<E>()), outer];
+        let covered: BTreeSet<u8> = (self.bodies.iter())
+            .filter(|(ty, body)| carriers.contains(&Some(*ty)) && from_bytes::<E>(body).is_ok())
+            .filter_map(|(_, body)| body.first().copied())
+            .collect();
+        let decodable = tags::decodable_tags::<E>();
+        let missing = tags::list(decodable.difference(&covered));
+        if !missing.is_empty() {
+            let name = type_name::<E>();
+            (self.wrong).push(format!("{name}: no golden frame for tags [{missing}]"));
+        }
     }
 }
 
@@ -77,6 +103,47 @@ fn data() -> Versioned {
 #[test]
 fn every_store_message_frame_is_golden() {
     let mut g = Golden::default();
+    store_message_frames(&mut g);
+    g.assert_all_golden();
+}
+
+#[test]
+fn every_envelope_frame_is_golden() {
+    let mut g = Golden::default();
+    envelope_frames(&mut g);
+    g.assert_all_golden();
+}
+
+#[test]
+fn every_component_frame_is_golden() {
+    let mut g = Golden::default();
+    component_frames(&mut g);
+    g.assert_all_golden();
+}
+
+/// The tables hold a frame for every tag of every wire enum. `Msg`
+/// shares `NetMsg`'s tag space (a `Store` frame is a bare `Msg`), and
+/// `RegOp` and `CtrOp` share `SpecOp`'s.
+#[test]
+fn golden_frames_cover_every_decodable_tag() {
+    let mut g = Golden::default();
+    store_message_frames(&mut g);
+    envelope_frames(&mut g);
+    component_frames(&mut g);
+    g.cover::<NetMsg>(None);
+    g.cover::<Msg>(Some(type_name::<NetMsg>()));
+    g.cover::<Value>(None);
+    g.cover::<ReadKind>(None);
+    g.cover::<Phase>(None);
+    g.cover::<FailReason>(None);
+    g.cover::<SpecOp>(None);
+    g.cover::<RegOp>(Some(type_name::<SpecOp>()));
+    g.cover::<CtrOp>(Some(type_name::<SpecOp>()));
+    g.cover::<Option<OpId>>(None);
+    g.assert_all_golden();
+}
+
+fn store_message_frames(g: &mut Golden) {
     let store = |m: Msg| NetMsg::Store(m);
     g.check(
         "ClientRead",
@@ -175,12 +242,9 @@ fn every_store_message_frame_is_golden() {
         }),
         "13000000 01 0a03000000000000004d0000000000000000",
     );
-    g.assert_all_golden();
 }
 
-#[test]
-fn every_envelope_frame_is_golden() {
-    let mut g = Golden::default();
+fn envelope_frames(g: &mut Golden) {
     g.check(
         "Hello",
         NetMsg::Hello { client: 4400 },
@@ -241,12 +305,9 @@ fn every_envelope_frame_is_golden() {
         },
         "12000000 02 1130110000000000000600000000000000",
     );
-    g.assert_all_golden();
 }
 
-#[test]
-fn every_component_frame_is_golden() {
-    let mut g = Golden::default();
+fn component_frames(g: &mut Golden) {
     g.check(
         "Value::Opaque",
         Value::Opaque(1024),
@@ -313,5 +374,4 @@ fn every_component_frame_is_golden() {
         Some(op()),
         "12000000 02 0103000000000000004d00000000000000",
     );
-    g.assert_all_golden();
 }

@@ -1,13 +1,20 @@
 //! Property tests of every declared wire layout: encode→decode
 //! identity over generated values, and rejection (never a panic) of
-//! truncated frames and corrupt tag bytes.
+//! truncated frames and corrupt tag bytes. The generators build every
+//! tag each wire enum's decoder accepts, so no variant escapes them.
 //!
 //! These properties are the codec's entire contract — a transport that
 //! silently misparses one frame corrupts protocol state in ways the
 //! consistency oracle can only catch much later, so the codec itself is
 //! held to round-trip identity under generation.
 
+mod tags;
+
+use std::any::type_name;
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use correctables::spec::{CtrOp, RegOp};
 use icg_net::wire::{from_bytes, to_bytes, MAX_IDS};
@@ -61,6 +68,22 @@ fn arb_read_kind() -> impl Strategy<Value = ReadKind> {
     ]
 }
 
+fn arb_phase() -> impl Strategy<Value = Phase> {
+    (0u64..3).prop_map(|phase| match phase {
+        0 => Phase::Single,
+        1 => Phase::Preliminary,
+        _ => Phase::Final,
+    })
+}
+
+fn arb_fail_reason() -> impl Strategy<Value = FailReason> {
+    Just(FailReason::Timeout)
+}
+
+fn arb_ack_op() -> impl Strategy<Value = Option<OpId>> {
+    (arb_op_id(), any::<bool>()).prop_map(|(op, ack)| ack.then_some(op))
+}
+
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         (arb_op_id(), arb_key(), arb_read_kind()).prop_map(|(op, key, kind)| Msg::ClientRead {
@@ -78,39 +101,37 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         }),
         (arb_op_id(), arb_key()).prop_map(|(op, key)| Msg::PeerRead { op, key }),
         (arb_op_id(), arb_versioned()).prop_map(|(op, data)| Msg::PeerReadResp { op, data }),
-        (arb_key(), arb_versioned(), arb_op_id(), any::<bool>()).prop_map(
-            |(key, data, op, ack)| Msg::PeerWrite {
-                key,
-                data,
-                ack_op: ack.then_some(op),
-            }
-        ),
+        (arb_key(), arb_versioned(), arb_ack_op())
+            .prop_map(|(key, data, ack_op)| { Msg::PeerWrite { key, data, ack_op } }),
         arb_op_id().prop_map(|op| Msg::PeerWriteAck { op }),
-        (arb_op_id(), 0u64..3, arb_versioned()).prop_map(|(op, phase, data)| Msg::ReadReply {
-            op,
-            phase: match phase {
-                0 => Phase::Single,
-                1 => Phase::Preliminary,
-                _ => Phase::Final,
-            },
-            data,
-        }),
+        (arb_op_id(), arb_phase(), arb_versioned())
+            .prop_map(|(op, phase, data)| { Msg::ReadReply { op, phase, data } }),
         (arb_op_id(), arb_version()).prop_map(|(op, version)| Msg::ReadConfirm { op, version }),
         arb_op_id().prop_map(|op| Msg::WriteReply { op }),
-        arb_op_id().prop_map(|op| Msg::OpFailed {
-            op,
-            reason: FailReason::Timeout,
-        }),
+        (arb_op_id(), arb_fail_reason()).prop_map(|(op, reason)| Msg::OpFailed { op, reason }),
     ]
 }
 
+fn arb_reg_op() -> impl Strategy<Value = RegOp> {
+    prop_oneof![
+        (0u64..u64::MAX).prop_map(RegOp::Read),
+        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, v)| RegOp::Write(k, v)),
+    ]
+}
+
+fn arb_ctr_op() -> impl Strategy<Value = CtrOp> {
+    prop_oneof![
+        (0u64..u64::MAX).prop_map(CtrOp::Get),
+        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, v)| CtrOp::Put(k, v)),
+        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, d)| CtrOp::Add(k, d)),
+    ]
+}
+
+/// Each of the five operations is drawn one time in five.
 fn arb_spec_op() -> impl Strategy<Value = SpecOp> {
     prop_oneof![
-        (0u64..u64::MAX).prop_map(|k| SpecOp::Reg(RegOp::Read(k))),
-        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, v)| SpecOp::Reg(RegOp::Write(k, v))),
-        (0u64..u64::MAX).prop_map(|k| SpecOp::Ctr(CtrOp::Get(k))),
-        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, v)| SpecOp::Ctr(CtrOp::Put(k, v))),
-        (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(k, d)| SpecOp::Ctr(CtrOp::Add(k, d))),
+        2 => arb_reg_op().prop_map(SpecOp::Reg),
+        3 => arb_ctr_op().prop_map(SpecOp::Ctr),
     ]
 }
 
@@ -250,6 +271,46 @@ fn ids_decode_rejects_truncated_bodies_and_oversized_counts() {
 fn wire_versions_are_unchanged() {
     assert_eq!(WIRE_VERSION, 2);
     assert_eq!(MIN_WIRE_VERSION, 1);
+}
+
+/// The first bytes of 2 000 values `strategy` builds on a fixed seed:
+/// the tags its generator reaches.
+fn generated_tags<E: Wire>(strategy: impl Strategy<Value = E>) -> BTreeSet<u8> {
+    let mut rng = TestRng::seed_from_u64(0x1C6);
+    (0..2_000)
+        .filter_map(|_| to_bytes(&strategy.generate(&mut rng)).first().copied())
+        .collect()
+}
+
+/// Every tag a wire enum's decoder accepts is one its generator builds
+/// (and no other), so the properties below see every variant: one added
+/// to the `wire!` schema but not to its generator fails here by tag.
+#[test]
+fn the_generators_build_every_tag_the_decoders_accept() {
+    fn compare<E: Wire>(strategy: impl Strategy<Value = E>, wrong: &mut Vec<String>) {
+        let (decoded, built) = (tags::decodable_tags::<E>(), generated_tags(strategy));
+        if decoded != built {
+            wrong.push(format!(
+                "{}: the decoder accepts tags [{}] no value is generated with, \
+                 and values are generated with tags [{}] it rejects",
+                type_name::<E>(),
+                tags::list(decoded.difference(&built)),
+                tags::list(built.difference(&decoded)),
+            ));
+        }
+    }
+    let mut wrong = Vec::new();
+    compare(arb_net_msg(), &mut wrong);
+    compare(arb_msg(), &mut wrong);
+    compare(arb_value(), &mut wrong);
+    compare(arb_read_kind(), &mut wrong);
+    compare(arb_phase(), &mut wrong);
+    compare(arb_fail_reason(), &mut wrong);
+    compare(arb_spec_op(), &mut wrong);
+    compare(arb_reg_op(), &mut wrong);
+    compare(arb_ctr_op(), &mut wrong);
+    compare(arb_ack_op(), &mut wrong);
+    assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
 }
 
 /// Round-trip + truncation + garbage-tag, for one encodable value.

@@ -325,7 +325,8 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
                 let delivered = self.inbox.delivered().get(origin);
                 self.ack(net, origin, delivered.copied().unwrap_or(0));
             }
-            Offer::Duplicate => {}
+            // `Malformed` cannot pass the check above.
+            Offer::Duplicate | Offer::Malformed => {}
             Offer::Buffered => {
                 // The accept path increments before it stamps, so this
                 // is a valid Lamport clock.
