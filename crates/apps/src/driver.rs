@@ -383,8 +383,7 @@ mod tests {
         assert!(stats.completed > 30, "completed {}", stats.completed);
         assert!(stats.completed < 80, "completed {}", stats.completed);
         assert!(stats.total >= stats.completed);
-        let mut lat = stats.latency.clone();
-        let mean = lat.summary().mean.as_millis_f64();
+        let mean = stats.latency.mean().as_millis_f64();
         assert!((35.0..55.0).contains(&mean), "mean {mean}");
     }
 
@@ -397,14 +396,14 @@ mod tests {
         let history = start_ycsb_users(&store, &workload, &weak, 4, 99);
         store.advance(SimDuration::from_secs(5));
         let (from, until) = (SimDuration::from_secs(1), SimDuration::from_secs(5));
-        let mut m = view_stats(&history.snapshot(), from, until);
+        let m = view_stats(&history.snapshot(), from, until);
         assert!(m.reads > 100, "only {} reads", m.reads);
         assert!(
             m.total > m.reads,
             "warm-up reads count towards progress only"
         );
         // C1 read from IRL to FRK costs ~ the 20ms RTT.
-        let mean = m.final_latency.summary().mean.as_millis_f64();
+        let mean = m.final_latency.mean().as_millis_f64();
         assert!((18.0..26.0).contains(&mean), "C1 mean {mean}ms");
         assert!(m.prelim_latency.is_empty() && m.icg_reads == 0);
     }

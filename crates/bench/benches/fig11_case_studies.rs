@@ -76,7 +76,7 @@ fn run_ads(icg: bool, threads: u32, seconds: u64, seed: u64) -> Point {
     let mut lat = stats.latency.clone();
     Point {
         throughput: stats.throughput(window),
-        avg_ms: lat.summary().mean.as_millis_f64(),
+        avg_ms: lat.mean().as_millis_f64(),
         p99_ms: lat.p99().as_millis_f64(),
         divergence: sys.counters().divergence(),
     }
@@ -133,7 +133,7 @@ fn run_twissandra(icg: bool, threads: u32, seconds: u64, seed: u64) -> Point {
     let mut lat = stats.latency.clone();
     Point {
         throughput: stats.throughput(window),
-        avg_ms: lat.summary().mean.as_millis_f64(),
+        avg_ms: lat.mean().as_millis_f64(),
         p99_ms: lat.p99().as_millis_f64(),
         divergence: 0.0,
     }

@@ -180,8 +180,9 @@ impl GatewayProto for CacheClient {
                 self.refresh_cache(&p.key, &data);
                 p.upcall.deliver(data, level);
                 if !p.want_strong && !p.want_causal {
-                    let p = pending.remove(op.seq).expect("present");
-                    self.timings.push(p.timing);
+                    if let Some(p) = pending.remove(op.seq) {
+                        self.timings.push(p.timing);
+                    }
                 }
             }
             Msg::WriteAck { op, rev } => {
@@ -233,6 +234,11 @@ impl SimCausal {
     /// # Panics
     ///
     /// Panics if a site name is unknown.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "setup API: panics as documented"
+    )]
     pub fn ec2(primary_site: &str, client_site: &str, seed: u64) -> SimCausal {
         // Replica `i` lives at `SiteId(i)`.
         let primary_idx = Topology::ec2_frk_irl_vrg()

@@ -23,6 +23,13 @@
 // walk of a hash map or set in its hash order.
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Fail soft (DESIGN.md §11): outside tests, nothing in this crate may
+// panic. It serves sockets: a panic kills a replica's or a client's
+// thread, and every operation it held is lost without a view or an error.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
 
 pub mod binding;
 pub mod store;

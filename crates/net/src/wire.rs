@@ -11,7 +11,9 @@
 //! serde and no reflection; only the leaves (integers, `bool`,
 //! [`NodeId`]) are written by hand. All integers are little-endian.
 //! Every list's count is bounded at decode time, so a corrupt or
-//! hostile frame cannot ask the decoder to allocate gigabytes.
+//! hostile frame cannot ask the decoder to allocate gigabytes. That is
+//! the only check of a bound: the encoder writes a list over its bound
+//! as a count the decoder rejects, and never panics.
 //!
 //! The framing that wraps an encoded message on a stream lives in
 //! [`crate::frame`]; `DESIGN.md` §10 explains both.
@@ -21,11 +23,12 @@ use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
 
-/// Protocol bound on [`Value::Ids`] list lengths, enforced on **both**
-/// sides of the codec: decode rejects longer lists (a corrupt length
-/// prefix must not turn into an attempted multi-gigabyte allocation),
-/// and encode panics on them — a sender must fail loudly rather than
-/// emit a poison frame every receiver will reject.
+/// Protocol bound on [`Value::Ids`] list lengths. Decode rejects a
+/// longer list as [`WireError::TooLarge`] before reading its body (a
+/// corrupt length prefix must not turn into an attempted
+/// multi-gigabyte allocation); encode writes one as a count of
+/// `MAX_IDS + 1` and no body, which every receiver rejects. A sender
+/// that must not lose the link checks first, as `TcpBinding` does.
 pub const MAX_IDS: u32 = 1 << 20;
 
 /// Protocol bound on the per-submit wanted-level list. Only the five
@@ -137,11 +140,9 @@ impl<'a> Reader<'a> {
 
     /// Consumes `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 
@@ -258,8 +259,9 @@ impl Elem for u64 {
     fn put_all(buf: &mut Vec<u8>, items: &[u64]) {
         let start = buf.len();
         buf.resize(start + items.len() * 8, 0);
-        for (dst, v) in buf[start..].chunks_exact_mut(8).zip(items) {
-            dst.copy_from_slice(&v.to_le_bytes());
+        let (chunks, _) = buf.split_at_mut(start).1.as_chunks_mut::<8>();
+        for (dst, v) in chunks.iter_mut().zip(items) {
+            *dst = v.to_le_bytes();
         }
     }
 
@@ -268,32 +270,30 @@ impl Elem for u64 {
     /// [`WireError::Truncated`], not an attempted allocation.
     fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<u64>, WireError> {
         let bytes = r.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-            .collect())
+        let (chunks, _) = bytes.as_chunks::<8>();
+        Ok(chunks.iter().map(|b| u64::from_le_bytes(*b)).collect())
     }
 }
 
-/// Writes a list as its `C`-wide count and its elements. A list longer
-/// than `bound` panics: a frame every receiver rejects must not leave.
+/// Writes a list as its `C`-wide count and its elements. A list of
+/// `over` (its bound + 1) or more elements is written as the count
+/// `over` and no body: [`get_list`] rejects it before reading further,
+/// so the receiver drops the frame and the sender does not panic.
 /// Inlined into each declared list, as a hand-written encoder would
 /// be: left shared, the 1 KiB `Value::Ids` encode paid a call.
 #[inline(always)]
-fn put_list<C, E: Elem>(buf: &mut Vec<u8>, items: &[E], bound: C, what: &str)
+fn put_list<C, E: Elem>(buf: &mut Vec<u8>, items: &[E], over: C)
 where
     C: Wire + Copy + TryFrom<usize>,
     u64: From<C>,
 {
     match C::try_from(items.len()) {
-        Ok(n) if u64::from(n) <= u64::from(bound) => n.encode(buf),
-        _ => panic!(
-            "{what} with {} elements exceeds the wire protocol bound ({})",
-            items.len(),
-            u64::from(bound)
-        ),
+        Ok(n) if u64::from(n) < u64::from(over) => {
+            n.encode(buf);
+            E::put_all(buf, items);
+        }
+        _ => over.encode(buf),
     }
-    E::put_all(buf, items);
 }
 
 /// Reads a list written by [`put_list`], judging the count against
@@ -443,8 +443,10 @@ pub enum NetMsg {
 ///
 /// A field's type is a wire type, or a list `[E; C <= BOUND, "what"]`:
 /// a `C`-wide count no larger than `BOUND`, then the elements. A longer
-/// list panics on encode and is `TooLarge { what, .. }` on decode. An
-/// unknown tag is `BadTag` naming the enum.
+/// list is encoded as the count `BOUND + 1` alone, a constant of type
+/// `C` (so a `BOUND` of `C::MAX` fails to compile), and is
+/// `TooLarge { what, .. }` on decode. An unknown tag is `BadTag` naming
+/// the enum.
 macro_rules! wire {
     () => {};
     (struct $name:ident { $($f:ident : $t:tt $(<$g:tt>)?),* $(,)? } $($rest:tt)*) => {
@@ -489,9 +491,9 @@ macro_rules! wire {
         }
 
         impl $(<$p: Wire>)? Tagged for $name $(<$p>)? {
-            // An enum of unit variants reads nothing past its tag.
-            #[allow(unused_variables)]
             fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                // An enum of unit variants reads nothing past its tag.
+                let _ = &r;
                 match tag {
                     $( $tag $(..= $hi)? => Ok(wire!(@build r, tag, $name $v [$tag $(..= $hi)?]
                         $( ( $($tf : $tt $(<$tg>)?),* ) )?
@@ -506,9 +508,10 @@ macro_rules! wire {
     (@tag $buf:ident, $tag:literal) => { $buf.push($tag) };
     (@tag $buf:ident, $lo:literal ..= $hi:literal) => {};
 
-    (@put $buf:ident, $f:ident, [$e:ident; $c:ident <= $bound:ident, $what:literal]) => {
-        put_list::<$c, $e>($buf, $f, $bound, $what)
-    };
+    (@put $buf:ident, $f:ident, [$e:ident; $c:ident <= $bound:ident, $what:literal]) => {{
+        const OVER: $c = $bound + 1;
+        put_list::<$c, $e>($buf, $f, OVER)
+    }};
     (@put $buf:ident, $f:ident, $t:tt) => { Wire::encode($f, $buf) };
 
     (@get $r:ident, [$e:ident; $c:ident <= $bound:ident, $what:literal]) => {

@@ -123,7 +123,9 @@ fn every_component_frame_is_golden() {
 
 /// The tables hold a frame for every tag of every wire enum. `Msg`
 /// shares `NetMsg`'s tag space (a `Store` frame is a bare `Msg`), and
-/// `RegOp` and `CtrOp` share `SpecOp`'s.
+/// `RegOp` and `CtrOp` share `SpecOp`'s. The schema's one optional
+/// field, `PeerWrite`'s `ack_op`, has a `Msg` frame in each shape: an
+/// `Option` frame alone does not show the message carrying it.
 #[test]
 fn golden_frames_cover_every_decodable_tag() {
     let mut g = Golden::default();
@@ -140,6 +142,17 @@ fn golden_frames_cover_every_decodable_tag() {
     g.cover::<RegOp>(Some(type_name::<SpecOp>()));
     g.cover::<CtrOp>(Some(type_name::<SpecOp>()));
     g.cover::<Option<OpId>>(None);
+    let acks: BTreeSet<bool> = (g.bodies.iter())
+        .filter(|(ty, _)| *ty == type_name::<NetMsg>())
+        .filter_map(|(_, body)| match from_bytes::<Msg>(body) {
+            Ok(Msg::PeerWrite { ack_op, .. }) => Some(ack_op.is_some()),
+            _ => None,
+        })
+        .collect();
+    if acks != BTreeSet::from([false, true]) {
+        let shapes = format!("ack_op.is_some() in {acks:?}");
+        (g.wrong).push(format!("Msg::PeerWrite: golden frames only with {shapes}"));
+    }
     g.assert_all_golden();
 }
 

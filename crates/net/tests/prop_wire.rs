@@ -265,6 +265,54 @@ fn ids_decode_rejects_truncated_bodies_and_oversized_counts() {
     assert_eq!(from_bytes::<Value>(&max), Err(WireError::Truncated));
 }
 
+/// A list over its bound encodes, without a panic, as the count
+/// `bound + 1` and no body, and the decoder rejects that count as
+/// `TooLarge` before it reads what follows: an over-long list costs the
+/// receiver one frame, never an allocation, and the sender nothing.
+#[test]
+fn an_over_bound_list_encodes_as_a_count_the_decoder_rejects() {
+    let ids = to_bytes(&Value::Ids(vec![7; MAX_IDS as usize + 1]));
+    let mut count_alone = vec![1u8];
+    count_alone.extend_from_slice(&(MAX_IDS + 1).to_le_bytes());
+    assert_eq!(ids, count_alone);
+    assert_eq!(
+        from_bytes::<Value>(&ids),
+        Err(WireError::TooLarge {
+            what: "Value::Ids",
+            len: u64::from(MAX_IDS) + 1
+        })
+    );
+
+    let op = SpecOp::Reg(RegOp::Read(9));
+    let submit = NetMsg::SpecSubmit {
+        client: 1,
+        seq: 2,
+        op: op.clone(),
+        wants: vec![1; usize::from(MAX_LEVELS) + 1],
+    };
+    assert_eq!(
+        from_bytes::<NetMsg>(&to_bytes(&submit)),
+        Err(WireError::TooLarge {
+            what: "NetMsg::SpecSubmit wants",
+            len: u64::from(MAX_LEVELS) + 1
+        })
+    );
+    let gossip = NetMsg::SpecGossip {
+        origin: 0,
+        seq: 1,
+        ts: 1,
+        vc: vec![1; MAX_REPLICAS as usize + 1],
+        op,
+    };
+    assert_eq!(
+        from_bytes::<NetMsg>(&to_bytes(&gossip)),
+        Err(WireError::TooLarge {
+            what: "NetMsg::SpecGossip vc",
+            len: u64::from(MAX_REPLICAS) + 1
+        })
+    );
+}
+
 /// The bulk codec is an implementation change only; the versions a
 /// frame may carry are part of the format and did not move.
 #[test]

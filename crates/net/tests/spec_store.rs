@@ -1,7 +1,8 @@
 //! End-to-end tests of the version-2 spec store: the full incremental
 //! refinement *weak → update → causal → strong* on a single
 //! Correctable, against a real 3-replica TCP cluster — plus the
-//! refusal of a custom level no binding serves,
+//! refusal of a custom level no binding serves, a direct submission's
+//! level list (each level sent once, an unserved one failed at once),
 //! version-1/version-2 coexistence on one port, and the binding's
 //! failure contract (lost replica, garbled reply, a reply at a level id
 //! no process decodes, silent server, last clone dropped) against fake
@@ -13,8 +14,9 @@ use std::thread;
 use std::time::Duration;
 
 use correctables::spec::{CtrOp, RegOp};
-use correctables::{Client, ConsistencyLevel, Error};
+use correctables::{Binding, Client, ConsistencyLevel, Correctable, Error, Upcall};
 use icg_net::frame::{read_frame, write_frame};
+use icg_net::wire::MAX_LEVELS;
 use icg_net::{
     spawn_local_cluster, NetMsg, ReplicaHandle, ReplicaServer, ServerConfig, SpecOp, SpecTcpConfig,
     TcpBinding, TcpConfig, TcpSpecBinding, WIRE_VERSION,
@@ -189,6 +191,56 @@ fn an_unserved_custom_level_is_refused_by_client_and_server() {
     for r in &replicas {
         r.shutdown();
     }
+}
+
+/// Submits `op` straight to the binding, past the client's level
+/// arbitration, asking for `levels` as given.
+fn submit_raw(
+    binding: &TcpSpecBinding,
+    op: SpecOp,
+    levels: &[ConsistencyLevel],
+) -> Correctable<u64> {
+    let (c, handle) = Correctable::pending();
+    binding.submit(op, levels, Upcall::for_levels(handle, levels));
+    c
+}
+
+/// A direct submission naming one level more times than a wanted list
+/// may hold sends that level once: it delivers its view, and the
+/// binding (and the client loop it shares) serves the next operation.
+#[test]
+fn a_repeated_level_goes_on_the_wire_once_and_the_binding_keeps_serving() {
+    let replicas = cluster();
+    let binding = connect(&replicas, 9700);
+    let weak = vec![ConsistencyLevel::WEAK; usize::from(MAX_LEVELS) + 1];
+    let read = submit_raw(&binding, SpecOp::Reg(RegOp::Read(1)), &weak);
+    let view = read
+        .wait_final(Duration::from_secs(10))
+        .expect("the weak view");
+    assert_eq!(view.level, ConsistencyLevel::WEAK);
+    let client = Client::new(binding.clone());
+    let write = client.invoke(SpecOp::Reg(RegOp::Write(1, 3)));
+    assert_eq!(level_trace(&write), ["weak", "update", "causal", "strong"]);
+    binding.shutdown();
+    for r in &replicas {
+        r.shutdown();
+    }
+}
+
+/// A direct submission naming a level the binding does not serve fails
+/// `UnsupportedLevel` before `submit` returns: no frame is sent, so the
+/// server (silent here) is never waited on.
+#[test]
+fn an_unserved_level_fails_at_once_without_a_round_trip() {
+    let audit = ConsistencyLevel::new("audit-spec-direct", 31);
+    let (addr, _closed) = fake_spec_server(AfterHello::Silent);
+    let binding =
+        TcpSpecBinding::connect(SpecTcpConfig::new(addr, 9701)).expect("connect spec binding");
+    let levels = [ConsistencyLevel::WEAK, audit, ConsistencyLevel::STRONG];
+    let read = submit_raw(&binding, SpecOp::Reg(RegOp::Read(1)), &levels);
+    assert_eq!(read.error(), Some(Error::UnsupportedLevel(audit)));
+    assert!(read.preliminary_views().is_empty());
+    binding.shutdown();
 }
 
 /// Version-1 and version-2 clients coexist on the same listener: the

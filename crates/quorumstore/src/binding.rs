@@ -170,6 +170,12 @@ impl SimStore {
     /// Panics if a site name is unknown or `coordinator_idx` is out of
     /// range.
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros,
+        reason = "setup API: panics as documented"
+    )]
     pub fn custom(
         topology: Topology,
         replica_sites: &[&str],
@@ -219,6 +225,11 @@ impl SimStore {
     ///
     /// Panics if the site name is unknown or `coordinator_idx` is out of
     /// range.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "setup API: panics as documented"
+    )]
     pub fn client_at(&self, client_site: &str, coordinator_idx: usize) -> SimStore {
         let site = self.with_engine(|e| e.topology().site_named(client_site));
         let coordinator = self.replica_ids()[coordinator_idx];

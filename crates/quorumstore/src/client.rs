@@ -26,12 +26,6 @@
 //! [`on_reply`] a lookup and removes the entry when told the operation
 //! finished.
 
-// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
-#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
-
 use correctables::{ConsistencyLevel, Error, KeyedOp, ObjectId, Upcall};
 use simnet::NodeId;
 

@@ -71,6 +71,6 @@ pub use gateway::{
 };
 pub use host::{CoreHost, Retry, SimNet};
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, Summary};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use topology::{SiteId, Topology};

@@ -1,11 +1,9 @@
-//! Measurement primitives: histograms, counters, and summaries.
+//! Measurement primitives: the latency histogram.
 //!
 //! Latency histograms store raw nanosecond samples and compute exact
 //! percentiles on demand; at the scale of these experiments (≤ a few
 //! million samples) this is both simpler and more accurate than bucketed
 //! approximations.
-
-use std::fmt;
 
 use crate::time::SimDuration;
 
@@ -87,70 +85,6 @@ impl Histogram {
         self.samples_ns.extend_from_slice(&other.samples_ns);
         self.sorted = false;
     }
-
-    /// Produces a compact summary of the current contents.
-    pub fn summary(&mut self) -> Summary {
-        Summary {
-            count: self.count(),
-            mean: self.mean(),
-            p50: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
-            max: self.max(),
-        }
-    }
-}
-
-/// A point-in-time digest of a [`Histogram`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: SimDuration,
-    /// Median.
-    pub p50: SimDuration,
-    /// 95th percentile.
-    pub p95: SimDuration,
-    /// 99th percentile.
-    pub p99: SimDuration,
-    /// Maximum.
-    pub max: SimDuration,
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.2}ms p50={:.2}ms p99={:.2}ms max={:.2}ms",
-            self.count,
-            self.mean.as_millis_f64(),
-            self.p50.as_millis_f64(),
-            self.p99.as_millis_f64(),
-            self.max.as_millis_f64()
-        )
-    }
-}
-
-/// A saturating event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn bump(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -211,22 +145,5 @@ mod tests {
         h.record(ms(2));
         // Re-sorting must happen after the new sample.
         assert_eq!(h.percentile(1.0), ms(2));
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter(u64::MAX - 1);
-        c.bump();
-        c.bump();
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn summary_display_is_humane() {
-        let mut h = Histogram::new();
-        h.record(ms(20));
-        let s = format!("{}", h.summary());
-        assert!(s.contains("n=1"));
-        assert!(s.contains("mean=20.00ms"));
     }
 }

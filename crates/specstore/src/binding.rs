@@ -64,6 +64,11 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
         Self::build(spec, client_site, seed, true)
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::expect_used,
+        reason = "setup API: panics as documented"
+    )]
     fn build(spec: S, client_site: &str, seed: u64, buggy: bool) -> Self {
         // The replicas are the engine's first three nodes, so each can
         // be built knowing its peers.

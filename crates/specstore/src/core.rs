@@ -40,12 +40,6 @@
 //! ([`SpecCore::fire_expired`]), and a peer that had delivered it
 //! already repeats its ack.
 
-// Fail soft (DESIGN.md §11): outside tests, nothing here may panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
-#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
-
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -96,7 +90,6 @@ struct Own<T> {
 /// are `0..n`; gossip from an origin outside that range is dropped.
 pub struct SpecCore<S: SeqSpec, T = u64> {
     id: usize,
-    n: usize,
     lamport: u64,
     /// Own submissions so far; the next own update gets `next_seq + 1`.
     next_seq: u64,
@@ -126,7 +119,6 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         let n = n.max(id.saturating_add(1));
         SpecCore {
             id,
-            n,
             lamport: 0,
             next_seq: 0,
             inbox: CausalInbox::new(n),
@@ -305,27 +297,27 @@ impl<S: SeqSpec, T: Copy> SpecCore<S, T> {
         update: Update<S::Op>,
     ) {
         let UpdateId { origin, seq } = update.id;
-        // The wire boundary: the inbox indexes stamps by origin, so only
-        // a well-formed stamp (one entry per replica, the origin's being
-        // the update's own seq) of another replica gets that far.
-        if origin >= self.n
-            || origin == self.id
-            || update.vc.len() != self.n
-            || update.vc.get(origin) != Some(&seq)
-        {
+        // The wire boundary: another replica's update whose stamp names
+        // its own seq. The inbox judges the stamp's width and the
+        // origin's range (`Malformed`).
+        if origin == self.id || update.vc.get(origin) != Some(&seq) {
             return;
         }
+        let ts = update.ts;
+        let offer = self.inbox.offer(origin, update.vc.clone(), update);
+        if offer == Offer::Malformed {
+            return;
+        }
+        // Only a well-formed update may say where its origin's acks go.
         if let Some(path) = self.reply_path.get_mut(origin) {
             *path = conn;
         }
-        let ts = update.ts;
-        match self.inbox.offer(origin, update.vc.clone(), update) {
+        match offer {
             // Delivered before: the origin is missing our ack.
             Offer::AlreadyDelivered => {
                 let delivered = self.inbox.delivered().get(origin);
                 self.ack(net, origin, delivered.copied().unwrap_or(0));
             }
-            // `Malformed` cannot pass the check above.
             Offer::Duplicate | Offer::Malformed => {}
             Offer::Buffered => {
                 // The accept path increments before it stamps, so this
@@ -677,6 +669,29 @@ mod tests {
         net.take();
         core.on_peer_up(&mut net);
         assert_eq!(net.lines(), ["peers: gossip 0:3@3"]);
+    }
+
+    /// A gossip the inbox calls `Malformed` moves nothing: sent on a
+    /// client connection, it does not redirect the acks owed to its
+    /// origin, which keep going down the origin's own link.
+    #[test]
+    fn a_malformed_gossip_leaves_the_origins_acks_on_its_own_link() {
+        let (mut core, mut net) = replica(3);
+        // Replica 1's first update, ahead of replica 2's: buffered.
+        core.on_msg(&mut net, 21, None, gossip(1, 1, 2, &[0, 1, 1]));
+        assert_eq!(net.lines(), NOTHING);
+
+        // A client's copy of it, its stamp one entry short.
+        core.on_msg(&mut net, CLIENT, None, gossip(1, 1, 2, &[0, 1]));
+        assert_eq!(net.lines(), NOTHING);
+
+        // Replica 2's update releases replica 1's, whose ack goes where
+        // replica 1's gossip came from.
+        core.on_msg(&mut net, 22, None, gossip(2, 1, 1, &[0, 0, 1]));
+        assert_eq!(
+            net.lines(),
+            ["to 22: ack 2:1 by 0 (0)", "to 21: ack 1:1 by 0 (0)"]
+        );
     }
 
     #[test]
