@@ -39,6 +39,8 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::frame::MAX_FRAME;
 use crate::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
 
+use super::event_loop::Counters;
+
 /// Bytes asked of the socket per `read` call. Small frames dominate
 /// this protocol; 16 KiB keeps per-connection memory modest at high
 /// connection counts while still draining a burst in few syscalls.
@@ -138,6 +140,8 @@ pub(crate) struct WriteHalf {
 struct HalfState {
     /// The live link's socket; `None` between links.
     stream: Option<Arc<TcpStream>>,
+    /// The counters of the loop that owns the live link.
+    counters: Option<Arc<Counters>>,
     /// The frame a direct writer is sending (kept for its capacity).
     frame: Vec<u8>,
     /// What the socket refused of it: goes out before any other byte.
@@ -145,11 +149,12 @@ struct HalfState {
 }
 
 impl WriteHalf {
-    /// Under the lock — no direct writer is mid-frame — makes `stream`
-    /// the socket direct writers write, or takes it away from them.
-    fn set(&self, stream: Option<Arc<TcpStream>>) {
+    /// Under the lock — no direct writer is mid-frame — makes `conn`'s
+    /// socket the one direct writers write, or takes it away from them.
+    fn set(&self, conn: Option<&Conn>) {
         let mut st = self.state.lock();
-        st.stream = stream;
+        st.stream = conn.map(|c| Arc::clone(&c.stream));
+        st.counters = conn.map(|c| Arc::clone(&c.counters));
         st.spill.clear();
         self.owed.store(false, Ordering::SeqCst);
     }
@@ -193,14 +198,17 @@ impl DirectWrite<'_> {
         let owed = &self.half.owed;
         let HalfState {
             stream,
+            counters,
             frame,
             spill,
         } = &mut *self.st;
-        let Some(stream) = stream.as_deref() else {
+        let (Some(stream), Some(counters)) = (stream.as_deref(), counters.as_deref()) else {
             return;
         };
+        counters.frames_out.fetch_add(1, Ordering::Relaxed);
         let mut rest = frame.as_slice();
         while !rest.is_empty() {
+            counters.writes.fetch_add(1, Ordering::Relaxed);
             // lint: allow(lock_discipline) — the socket is O_NONBLOCK; the lock is what keeps frames whole
             match (&*stream).write(rest) {
                 Ok(n) if n > 0 => rest = rest.get(n..).unwrap_or_default(),
@@ -247,6 +255,9 @@ pub(crate) struct Conn {
     /// Set on a link whose binding's handles may write it too: flushes
     /// go under this half's lock.
     shared: Option<Arc<WriteHalf>>,
+    /// The owning loop's counters: every `read` and `write` on this
+    /// socket is one.
+    counters: Arc<Counters>,
 }
 
 /// Read-side outcome of draining a readiness edge.
@@ -258,7 +269,12 @@ pub(crate) enum ReadStep {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, tag: u64, write_cap: usize) -> Conn {
+    pub(crate) fn new(
+        stream: TcpStream,
+        tag: u64,
+        write_cap: usize,
+        counters: Arc<Counters>,
+    ) -> Conn {
         Conn {
             stream: Arc::new(stream),
             tag,
@@ -270,13 +286,14 @@ impl Conn {
             dirty: false,
             closing: false,
             shared: None,
+            counters,
         }
     }
 
     /// Publishes this connection's socket on `half` and puts its flushes
     /// under `half`'s lock.
     pub(crate) fn share_writes(&mut self, half: &Arc<WriteHalf>) {
-        half.set(Some(Arc::clone(&self.stream)));
+        half.set(Some(self));
         self.shared = Some(Arc::clone(half));
     }
 
@@ -291,6 +308,7 @@ impl Conn {
                 return ReadStep::Closed(CloseReason::Io);
             };
             let room = spare.len();
+            self.counters.reads.fetch_add(1, Ordering::Relaxed);
             match (&*self.stream).read(spare) {
                 Ok(0) => return ReadStep::Closed(CloseReason::Eof),
                 Ok(n) => {
@@ -386,6 +404,7 @@ impl Conn {
             .get(self.write_head..)
             .filter(|rest| !rest.is_empty())
         {
+            self.counters.writes.fetch_add(1, Ordering::Relaxed);
             match (&*self.stream).write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.write_head += n,
@@ -439,7 +458,7 @@ mod tests {
         near.set_nonblocking(true).unwrap();
         near.set_nodelay(true).unwrap();
         far.set_nodelay(true).unwrap();
-        (Conn::new(near, 0, write_cap), far)
+        (Conn::new(near, 0, write_cap, Arc::default()), far)
     }
 
     /// The `i`-th 64 KiB test payload: every id names its frame and its

@@ -26,16 +26,27 @@
 //! 1. runs the commands pushed quietly since it last looked;
 //! 2. asks the handler for its next deadline and waits for readiness
 //!    (or that deadline, whichever is sooner);
-//! 3. drains readable connections edge-to-exhaustion — running quiet
-//!    commands first, so that one pushed while the loop slept comes
-//!    before the frame that answers it — slicing complete frames out of
-//!    the connection buffers and handing each body to the handler
-//!    ([`Handler::on_frame`]) for zero-copy decode, and, if the eventfd
-//!    fired, drains injected commands (handler events, shutdown);
-//! 4. flushes every connection the iteration touched — frames
-//!    produced while handling a burst sit back to back in the
-//!    connection's write buffer and leave in one `write`;
+//! 3. dispatches the batch `epoll_wait` returned, *answers first*: the
+//!    connections the handler names as carrying answers to what this
+//!    loop asked ([`Handler::answers`]) before the rest, in epoll order
+//!    within each group. A readable connection is drained
+//!    edge-to-exhaustion — running quiet commands first, so that one
+//!    pushed while the loop slept comes before the frame that answers
+//!    it — and complete frames are sliced out of its buffer and each
+//!    body handed to the handler ([`Handler::on_frame`]) for zero-copy
+//!    decode; a writable one is flushed there and then, so a request
+//!    connection's replies are on its socket before the next connection
+//!    is read, and what the answers added to it leaves in the same
+//!    `write`. If the eventfd fired, injected commands (handler events,
+//!    shutdown) are drained;
+//! 4. flushes every connection the iteration touched and its own event
+//!    did not — frames produced while handling a burst sit back to back
+//!    in the connection's write buffer and leave in one `write`; what a
+//!    request fanned out to the answering links leaves here, once;
 //! 5. fires the handler's deadline hook if it expired.
+//!
+//! Every loop counts what it does ([`Counters`]): `epoll_wait` returns,
+//! socket reads and writes, frames in and out.
 //!
 //! Closes are deferred to the end of the iteration so the handler never
 //! observes a half-removed connection.
@@ -45,7 +56,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,6 +114,14 @@ pub(crate) trait Handler: Send + 'static {
     /// The soonest instant at which [`Handler::on_tick`] must run.
     fn next_deadline(&mut self) -> Option<Instant>;
 
+    /// Whether the connection tagged `tag` carries answers to what this
+    /// loop asked: such connections are dispatched before the rest of
+    /// each `epoll_wait` batch, so what they add to a request
+    /// connection leaves with that connection's own replies.
+    fn answers(&self, _tag: u64) -> bool {
+        false
+    }
+
     /// The loop is exiting and no hook runs after this one: whatever
     /// still waits on this loop must be failed now.
     fn on_shutdown(&mut self) {}
@@ -116,10 +135,52 @@ struct Queue<Ev> {
     closed: bool,
 }
 
+/// What a loop and its connections have done since it started,
+/// counted exactly. Each is bumped in safe code around the call it
+/// counts, `Relaxed`: nothing is ordered by a count.
+#[derive(Default)]
+pub(crate) struct Counters {
+    /// `epoll_wait` returns.
+    pub(crate) waits: AtomicU64,
+    /// `read` calls on the loop's sockets.
+    pub(crate) reads: AtomicU64,
+    /// `write` calls on the loop's sockets: its flushes, and the direct
+    /// writes submitting threads make on its links.
+    pub(crate) writes: AtomicU64,
+    /// Frames handed to [`Handler::on_frame`].
+    pub(crate) frames_in: AtomicU64,
+    /// Frames put on the loop's connections, direct ones included.
+    pub(crate) frames_out: AtomicU64,
+}
+
+/// One reading of a loop's [`Counters`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Counts {
+    pub(crate) waits: u64,
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+    pub(crate) frames_in: u64,
+    pub(crate) frames_out: u64,
+}
+
+impl Counters {
+    fn snapshot(&self) -> Counts {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Counts {
+            waits: read(&self.waits),
+            reads: read(&self.reads),
+            writes: read(&self.writes),
+            frames_in: read(&self.frames_in),
+            frames_out: read(&self.frames_out),
+        }
+    }
+}
+
 /// What a loop shares with its injectors.
 struct Shared<Ev> {
     queue: Mutex<Queue<Ev>>,
     wake: WakeFd,
+    counters: Arc<Counters>,
     /// The eventfd has been written and the loop has not consumed it
     /// yet. Set by whichever sender finds it clear (that sender writes
     /// the fd); cleared by the loop after it reads the fd and *before*
@@ -208,6 +269,18 @@ impl<Ev> Injector<Ev> {
     pub(crate) fn wakes(&self) -> u64 {
         self.shared.wakes.load(Ordering::Relaxed)
     }
+
+    /// What the loop has done so far.
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "read by the tests until a stats request scrapes it"
+        )
+    )]
+    pub(crate) fn counts(&self) -> Counts {
+        self.shared.counters.snapshot()
+    }
 }
 
 /// The loop's connection table and write machinery, handed to handler
@@ -223,6 +296,7 @@ pub(crate) struct Ctl {
     closing: Vec<(u64, CloseReason, bool)>,
     write_cap: usize,
     shutdown: bool,
+    counters: Arc<Counters>,
 }
 
 impl Ctl {
@@ -239,8 +313,9 @@ impl Ctl {
             return None;
         }
         self.next_conn += 1;
+        let counters = Arc::clone(&self.counters);
         self.conns
-            .insert(id, Conn::new(stream, tag, self.write_cap));
+            .insert(id, Conn::new(stream, tag, self.write_cap, counters));
         Some(id)
     }
 
@@ -280,6 +355,7 @@ impl Ctl {
         if c.closing {
             return;
         }
+        self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
         if !c.enqueue(put) {
             self.close_with(conn, CloseReason::Backpressure, true);
             return;
@@ -330,12 +406,14 @@ pub(crate) fn spawn_loop<H: Handler>(
         l.set_nonblocking(true)?;
         poller.add(l.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLET)?;
     }
+    let counters = Arc::new(Counters::default());
     let shared = Arc::new(Shared {
         queue: Mutex::new(Queue {
             cmds: VecDeque::new(),
             closed: false,
         }),
         wake,
+        counters: Arc::clone(&counters),
         wake_pending: AtomicBool::new(false),
         quiet_pending: AtomicBool::new(false),
         #[cfg(test)]
@@ -352,6 +430,7 @@ pub(crate) fn spawn_loop<H: Handler>(
         closing: Vec::new(),
         write_cap,
         shutdown: false,
+        counters,
     };
     let mut lp = Loop {
         ctl,
@@ -359,6 +438,7 @@ pub(crate) fn spawn_loop<H: Handler>(
         listener,
         shared,
         events: Vec::new(),
+        rest: Vec::new(),
     };
     let join = std::thread::Builder::new()
         .name(name.to_string())
@@ -372,6 +452,8 @@ struct Loop<H: Handler> {
     listener: Option<TcpListener>,
     shared: Arc<Shared<H::Ev>>,
     events: Vec<EpollEvent>,
+    /// The batch's events that are not answers, dispatched after them.
+    rest: Vec<EpollEvent>,
 }
 
 impl<H: Handler> Loop<H> {
@@ -403,25 +485,21 @@ impl<H: Handler> Loop<H> {
                 // there is nothing useful left to serve.
                 break;
             }
-            for i in 0..events.len() {
-                if self.ctl.shutdown {
-                    break;
-                }
-                let Some(ev) = events.get(i) else {
-                    break;
-                };
-                let (token, bits) = (ev.data, ev.events);
-                match token {
-                    TOKEN_WAKE => {
-                        // Order matters: see `Shared::wake_pending`.
-                        self.shared.wake.drain();
-                        self.shared.wake_pending.store(false, Ordering::SeqCst);
-                        self.drain_cmds();
-                    }
-                    TOKEN_LISTENER => self.accept_burst(),
-                    conn => self.conn_ready(conn, bits),
+            self.ctl.counters.waits.fetch_add(1, Ordering::Relaxed);
+            // Answers first (module docs): each event is sorted once, as
+            // it comes up, and the rest keep their epoll order.
+            let mut rest = std::mem::take(&mut self.rest);
+            for &ev in &events {
+                if self.answers(ev.data) {
+                    self.ready(ev);
+                } else {
+                    rest.push(ev);
                 }
             }
+            for ev in rest.drain(..) {
+                self.ready(ev);
+            }
+            self.rest = rest;
             self.events = events;
             self.settle();
             if let Some(at) = self.handler.next_deadline() {
@@ -451,6 +529,29 @@ impl<H: Handler> Loop<H> {
         // machinery is tested against).
         for (_, c) in self.ctl.conns.drain() {
             self.ctl.poller.del(c.stream.as_raw_fd());
+        }
+    }
+
+    /// Whether `token` is a connection the handler reads answers on.
+    fn answers(&self, token: u64) -> bool {
+        let conn = self.ctl.conns.get(&token);
+        conn.is_some_and(|c| self.handler.answers(c.tag))
+    }
+
+    /// Handles one readiness record of the batch.
+    fn ready(&mut self, ev: EpollEvent) {
+        if self.ctl.shutdown {
+            return;
+        }
+        match ev.data {
+            TOKEN_WAKE => {
+                // Order matters: see `Shared::wake_pending`.
+                self.shared.wake.drain();
+                self.shared.wake_pending.store(false, Ordering::SeqCst);
+                self.drain_cmds();
+            }
+            TOKEN_LISTENER => self.accept_burst(),
+            conn => self.conn_ready(conn, ev.events),
         }
     }
 
@@ -545,6 +646,7 @@ impl<H: Handler> Loop<H> {
                     body_end,
                 } => {
                     if let Some(body) = received.get(body_start..body_end) {
+                        self.ctl.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                         self.handler.on_frame(&mut self.ctl, conn, body);
                     }
                     pos = body_end;
@@ -619,6 +721,9 @@ impl<H: Handler> Loop<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_frame, read_frame};
+    use crate::wire::NetMsg;
+    use std::io::Write;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{self, Sender};
     use std::sync::Barrier;
@@ -767,7 +872,7 @@ mod tests {
         fn on_event(&mut self, ctl: &mut Ctl, stream: TcpStream) {
             let conn = ctl.adopt(stream, 0).expect("adopt");
             let mut frame = Vec::new();
-            crate::frame::encode_frame(&crate::wire::NetMsg::Hello { client: 1 }, &mut frame);
+            encode_frame(&NetMsg::Hello { client: 1 }, &mut frame);
             let frame = frame.repeat(1024);
             for _ in 0..(16 << 20) / frame.len() {
                 ctl.send_frame(conn, &frame);
@@ -796,5 +901,216 @@ mod tests {
         assert_eq!(reason, CloseReason::Backpressure);
         inj.send(Cmd::Shutdown);
         join.join().unwrap();
+    }
+
+    /// Tags at or above this one name answer connections.
+    const ANSWERS: u64 = 10;
+
+    enum BatchEv {
+        /// Adopt each stream with its tag, in order.
+        Adopt(Vec<(TcpStream, u64)>),
+        /// Say so on the first channel, then hold the loop until the
+        /// second one speaks or hangs up.
+        Stall(Sender<()>, mpsc::Receiver<()>),
+    }
+
+    /// Stands in for a coordinator. A frame on a request connection
+    /// (tag below [`ANSWERS`]) is answered there with `Hello { client:
+    /// tag }`, like a preliminary view; a frame on an answer connection
+    /// puts `Hello { client: tag }` on the request connection tagged 0,
+    /// like the final view a peer's answer completes. Logs each frame's
+    /// tag with the bytes `watch` — request connection 0's far end, if
+    /// given — has received by the time a later connection's frame is
+    /// dispatched.
+    struct Batch {
+        first: Option<u64>,
+        log: Sender<(u64, usize)>,
+        watch: Option<TcpStream>,
+    }
+
+    impl Handler for Batch {
+        type Ev = BatchEv;
+
+        fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
+        fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, _body: &[u8]) {
+            let tag = ctl.tag_of(conn).expect("open connection");
+            let watched = match &self.watch {
+                Some(far) if tag != 0 => arrived(far, reply_len()),
+                _ => 0,
+            };
+            let _ = self.log.send((tag, watched));
+            let to = if tag >= ANSWERS {
+                self.first
+            } else {
+                Some(conn)
+            };
+            ctl.send(
+                to.expect("request 0 adopted"),
+                &NetMsg::Hello { client: tag },
+            );
+        }
+        fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {}
+        fn on_event(&mut self, ctl: &mut Ctl, ev: BatchEv) {
+            match ev {
+                BatchEv::Adopt(streams) => {
+                    for (stream, tag) in streams {
+                        let conn = ctl.adopt(stream, tag).expect("adopt");
+                        if tag == 0 {
+                            self.first = Some(conn);
+                        }
+                    }
+                }
+                BatchEv::Stall(stalled, release) => {
+                    let _ = stalled.send(());
+                    let _ = release.recv();
+                }
+            }
+        }
+        fn on_tick(&mut self, _ctl: &mut Ctl) {}
+        fn next_deadline(&mut self) -> Option<Instant> {
+            None
+        }
+        fn answers(&self, tag: u64) -> bool {
+            tag >= ANSWERS
+        }
+    }
+
+    fn reply_len() -> usize {
+        let mut frame = Vec::new();
+        encode_frame(&NetMsg::Hello { client: 0 }, &mut frame);
+        frame.len()
+    }
+
+    /// Bytes waiting on the non-blocking `s`, once there are `want` of
+    /// them or two seconds have passed.
+    fn arrived(s: &TcpStream, want: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut buf = vec![0; want];
+        loop {
+            let got = s.peek(&mut buf).unwrap_or(0);
+            if got >= want || Instant::now() >= deadline {
+                return got;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// One batch of a [`Batch`] loop, run by [`one_batch`].
+    struct Run {
+        inj: Injector<BatchEv>,
+        join: std::thread::JoinHandle<()>,
+        /// The far end of each connection, in the order of the tags.
+        fars: Vec<TcpStream>,
+        /// The loop's counts before the batch.
+        before: Counts,
+        /// Each frame's tag, in dispatch order, and what the watched far
+        /// end held by then.
+        order: Vec<(u64, usize)>,
+    }
+
+    impl Run {
+        fn stop(self) {
+            self.inj.send(Cmd::Shutdown);
+            self.join.join().unwrap();
+        }
+    }
+
+    /// A `Batch` loop adopts a connection per tag, in order, and stalls;
+    /// a frame is written to each in that order and has reached the
+    /// loop's socket before the loop is let go, so its next `epoll_wait`
+    /// returns them all in one batch.
+    fn one_batch(tags: &[u64], watch_first: bool) -> Run {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut streams, mut fars, mut nears) = (Vec::new(), Vec::new(), Vec::new());
+        for &tag in tags {
+            let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (near, _) = listener.accept().unwrap();
+            nears.push(near.try_clone().unwrap());
+            streams.push((near, tag));
+            fars.push(far);
+        }
+        let watch = watch_first.then(|| {
+            let at = tags.iter().position(|&t| t == 0).unwrap();
+            let far = fars[at].try_clone().unwrap();
+            far.set_nonblocking(true).unwrap();
+            far
+        });
+        let (log, logged) = mpsc::channel();
+        let batch = Batch {
+            first: None,
+            log,
+            watch,
+        };
+        let (inj, join) = spawn_loop("icg-test-loop", batch, None, DEFAULT_WRITE_CAP).unwrap();
+        let (stalled, in_stall) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        inj.send(Cmd::Ev(BatchEv::Adopt(streams)));
+        inj.send(Cmd::Ev(BatchEv::Stall(stalled, released)));
+        in_stall.recv_timeout(Duration::from_secs(20)).unwrap();
+
+        let mut frame = Vec::new();
+        encode_frame(&NetMsg::Hello { client: 99 }, &mut frame);
+        for (far, near) in fars.iter_mut().zip(&nears) {
+            far.write_all(&frame).unwrap();
+            // Adopted, so non-blocking: a peek never waits.
+            assert_eq!(arrived(near, frame.len()), frame.len());
+        }
+        let before = inj.counts();
+        release.send(()).unwrap();
+        let order = (0..tags.len())
+            .map(|_| logged.recv_timeout(Duration::from_secs(20)).unwrap())
+            .collect();
+        Run {
+            inj,
+            join,
+            fars,
+            before,
+            order,
+        }
+    }
+
+    fn tags(order: &[(u64, usize)]) -> Vec<u64> {
+        order.iter().map(|&(tag, _)| tag).collect()
+    }
+
+    #[test]
+    fn answers_are_dispatched_before_requests_whatever_their_arrival_order() {
+        for arrival in [[0, ANSWERS], [ANSWERS, 0]] {
+            let run = one_batch(&arrival, false);
+            assert_eq!(tags(&run.order), [ANSWERS, 0], "arrival {arrival:?}");
+            run.stop();
+        }
+    }
+
+    #[test]
+    fn a_request_connection_an_answer_adds_to_is_written_once_in_the_batch() {
+        let mut run = one_batch(&[0, ANSWERS], false);
+        let mut scratch = Vec::new();
+        let got: Vec<NetMsg> = (0..2)
+            .map(|_| read_frame(&mut run.fars[0], &mut scratch).unwrap().unwrap())
+            .collect();
+        let (before, after) = (run.before, run.inj.counts());
+        assert_eq!(
+            after.writes - before.writes,
+            1,
+            "socket writes in the batch: before {before:?}, after {after:?}"
+        );
+        assert_eq!(after.frames_in - before.frames_in, 2);
+        assert_eq!(after.frames_out - before.frames_out, 2);
+        // What the answer added, then the request's own reply.
+        let hello = |client| NetMsg::Hello { client };
+        assert_eq!(got, [hello(ANSWERS), hello(0)]);
+        run.stop();
+    }
+
+    #[test]
+    fn a_request_connection_is_flushed_before_the_next_one_is_dispatched() {
+        let run = one_batch(&[0, 1], true);
+        assert_eq!(
+            run.order,
+            [(0, 0), (1, reply_len())],
+            "request 0's reply must be on its socket when request 1 is dispatched"
+        );
+        run.stop();
     }
 }

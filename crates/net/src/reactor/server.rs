@@ -26,7 +26,11 @@
 //! the peer links, every client connection and both protocol cores
 //! ([`ReplicaCore`] for the quorum store, [`SpecCore`] beside it — both
 //! hosted here, written elsewhere). A connection's loop id is the key
-//! the cores address it by.
+//! the cores address it by. The links this replica dialed carry only its
+//! peers' answers, and the loop dispatches them ahead of the rest of
+//! each batch ([`Handler::answers`]): a final view they complete is
+//! queued before its client's connection is read, and leaves in one
+//! `write` with the replies to that client's new requests.
 //!
 //! Peer links are dialed by one auxiliary thread per peer (connecting
 //! is the one operation that blocks), with jittered exponential
@@ -425,6 +429,14 @@ impl Handler for ReplicaHandler {
         let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
         core.fire_expired(&mut net);
         spec.fire_expired(&mut Wired(&mut net));
+    }
+
+    /// The links this replica dialed carry its peers' answers to its
+    /// own `PeerRead`s and `PeerWrite`s: dispatched first, a final view
+    /// they complete leaves in its client's next `write`, beside the
+    /// replies to that client's new requests.
+    fn answers(&self, tag: u64) -> bool {
+        tag >= TAG_PEER_BASE
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {
