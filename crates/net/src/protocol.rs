@@ -5,35 +5,22 @@
 //! [`quorumstore::ReplicaCore`] and the spec store's is
 //! [`specstore::SpecCore`] — the same sans-IO state machines the
 //! simulator hosts, so what the explorer explores is what these sockets
-//! serve. The reactor hands every [`NetMsg::Store`] frame to the former
-//! and implements its [`quorumstore::Egress`]; every other [`NetMsg`]
-//! comes here, to [`on_net`], which answers the handshake itself and
-//! translates the `Spec*` frames to and from the spec core's messages.
-//! What is this module's own is what is the wire's: the object served
-//! ([`RegCtrSpec`]), the level ids of a submission, and the frame ↔
-//! message mapping. It keeps no state.
+//! serve. The reactor implements their one host contract,
+//! [`simnet::Egress`], once, for [`NetMsg`]; both cores reach it
+//! through [`Wired`], which sends each core message as the frames that
+//! carry it. The reactor hands every [`NetMsg::Store`] frame to the
+//! quorum core; every other [`NetMsg`] comes here, to [`on_net`], which
+//! answers the handshake itself and translates the `Spec*` frames to
+//! the spec core's messages. What is this module's own is what is the
+//! wire's: the object served ([`RegCtrSpec`]), the level ids of a
+//! submission, and the frame ↔ message mapping. It keeps no state.
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
 use correctables::ConsistencyLevel;
-use specstore::{ClientMsg, Egress, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
+use simnet::Egress;
+use specstore::{ClientMsg, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
 
 use crate::wire::{NetMsg, SpecOp, WIRE_VERSION};
-
-/// Where this module's frames go, and the time the spec core's
-/// retransmission deadline is measured on. The envelope-level sibling
-/// of [`quorumstore::Egress`], whose messages the same host wraps into
-/// [`NetMsg::Store`].
-pub(crate) trait NetEgress {
-    /// Sends `msg` on connection `conn`; a connection that no longer
-    /// exists drops it silently.
-    fn to_client(&mut self, conn: u64, msg: &NetMsg);
-
-    /// Sends `msg` down every currently-live peer link.
-    fn to_peers(&mut self, msg: &NetMsg);
-
-    /// Monotonic nanoseconds since an epoch of the host's choosing.
-    fn now(&self) -> u64;
-}
 
 /// The object the TCP spec store serves: a register map and a counter
 /// map side by side, each [`SpecOp`] stepping the one it names.
@@ -79,61 +66,88 @@ type CoreMsg = SpecMsg<RegCtrSpec, ClientOp>;
 /// [`crate::spawn_local_cluster`] assigns.
 pub(crate) type SpecStore = SpecCore<RegCtrSpec, ClientOp>;
 
-/// The spec core's egress over a [`NetEgress`]: each core message
-/// leaves as the frames that carry it.
-pub(crate) struct Wired<'a, N>(pub(crate) &'a mut N);
+/// A core's egress over the host's [`NetMsg`] egress: each core
+/// message leaves as the frames that carry it ([`Framed`]), and the
+/// clocks are the host's.
+pub(crate) struct Wired<N>(pub(crate) N);
 
-impl<N: NetEgress> Egress<CoreMsg> for Wired<'_, N> {
-    fn to_client(&mut self, conn: u64, msg: CoreMsg) {
-        frames_of(msg, |frame| self.0.to_client(conn, frame));
+/// A core message as the frames that carry it.
+pub(crate) trait Framed {
+    /// Hands `send` the frames that carry `self`, in order.
+    fn frames(self, send: impl FnMut(NetMsg));
+}
+
+/// A quorum-store message is one [`NetMsg::Store`] frame, wrapped by
+/// move.
+impl Framed for quorumstore::Msg {
+    fn frames(self, mut send: impl FnMut(NetMsg)) {
+        send(NetMsg::Store(self));
+    }
+}
+
+/// A spec-store message is one frame per view (the last one closing, if
+/// the batch is), one for everything else.
+impl Framed for CoreMsg {
+    fn frames(self, mut send: impl FnMut(NetMsg)) {
+        let reply =
+            |(client, seq): ClientOp, level: ConsistencyLevel, val, closing| NetMsg::SpecReply {
+                client,
+                seq,
+                level: level.wire_id(),
+                val,
+                closing,
+            };
+        match self {
+            SpecMsg::Client(ClientMsg::Views { op, views, closing }) => {
+                let last = views.len().saturating_sub(1);
+                for (i, (level, val)) in views.into_iter().enumerate() {
+                    send(reply(op, level, val, closing && i == last));
+                }
+            }
+            SpecMsg::Gossip { update } => send(NetMsg::SpecGossip {
+                origin: update.id.origin as u32,
+                seq: update.id.seq,
+                ts: update.ts,
+                vc: update.vc.to_vec(),
+                op: update.op,
+            }),
+            SpecMsg::Ack {
+                of,
+                acker,
+                acker_seq,
+            } => send(NetMsg::SpecAck {
+                origin: of.origin as u32,
+                seq: of.seq,
+                acker: acker as u32,
+                acker_seq,
+            }),
+            // Client-bound only; the core never sends one.
+            SpecMsg::Client(ClientMsg::Submit { .. }) => {}
+        }
+    }
+}
+
+impl<M: Framed, N: Egress<NetMsg>> Egress<M> for Wired<N> {
+    fn to_client(&mut self, conn: u64, msg: M) {
+        msg.frames(|frame| self.0.to_client(conn, frame));
     }
 
-    fn to_peers(&mut self, msg: CoreMsg) {
-        frames_of(msg, |frame| self.0.to_peers(frame));
+    fn to_peers(&mut self, msg: M) {
+        msg.frames(|frame| self.0.to_peers(frame));
+    }
+
+    fn to_peer(&mut self, peer: usize, msg: M) -> bool {
+        let mut sent = true;
+        msg.frames(|frame| sent &= self.0.to_peer(peer, frame));
+        sent
     }
 
     fn now(&self) -> u64 {
         self.0.now()
     }
-}
 
-/// Hands `send` the frames that carry `msg`: one per view (the last one
-/// closing, if the batch is), one for everything else.
-fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
-    let reply =
-        |(client, seq): ClientOp, level: ConsistencyLevel, val, closing| NetMsg::SpecReply {
-            client,
-            seq,
-            level: level.wire_id(),
-            val,
-            closing,
-        };
-    match msg {
-        SpecMsg::Client(ClientMsg::Views { op, views, closing }) => {
-            let last = views.len().saturating_sub(1);
-            for (i, (level, val)) in views.into_iter().enumerate() {
-                send(&reply(op, level, val, closing && i == last));
-            }
-        }
-        SpecMsg::Gossip { update } => send(&NetMsg::SpecGossip {
-            origin: update.id.origin as u32,
-            seq: update.id.seq,
-            ts: update.ts,
-            vc: update.vc.to_vec(),
-            op: update.op,
-        }),
-        SpecMsg::Ack {
-            of,
-            acker,
-            acker_seq,
-        } => send(&NetMsg::SpecAck {
-            origin: of.origin as u32,
-            seq: of.seq,
-            acker: acker as u32,
-            acker_seq,
-        }),
-        // Client-bound only; the core never sends one.
-        SpecMsg::Client(ClientMsg::Submit { .. }) => {}
+    fn stamp(&self) -> u64 {
+        self.0.stamp()
     }
 }
 
@@ -144,7 +158,7 @@ fn frames_of(msg: CoreMsg, mut send: impl FnMut(&NetMsg)) {
 /// this replica's own link to a peer.
 pub(crate) fn on_net(
     spec: &mut SpecStore,
-    net: &mut impl NetEgress,
+    net: &mut Wired<impl Egress<NetMsg>>,
     conn: u64,
     from_peer: Option<usize>,
     msg: NetMsg,
@@ -154,7 +168,7 @@ pub(crate) fn on_net(
             let ack = NetMsg::HelloAck {
                 version: WIRE_VERSION,
             };
-            return net.to_client(conn, &ack);
+            return net.0.to_client(conn, ack);
         }
         NetMsg::SpecSubmit {
             client,
@@ -167,7 +181,7 @@ pub(crate) fn on_net(
                 client_op: op,
                 wants,
             }),
-            None => return net.to_client(conn, &NetMsg::SpecFailed { client, seq }),
+            None => return net.0.to_client(conn, NetMsg::SpecFailed { client, seq }),
         },
         NetMsg::SpecGossip {
             origin,
@@ -207,7 +221,7 @@ pub(crate) fn on_net(
         | NetMsg::SpecReply { .. }
         | NetMsg::SpecFailed { .. } => return,
     };
-    spec.on_msg(&mut Wired(net), conn, from_peer, msg);
+    spec.on_msg(net, conn, from_peer, msg);
 }
 
 /// Resolves requested level ids against the four levels the spec store
@@ -215,15 +229,9 @@ pub(crate) fn on_net(
 /// cannot honestly serve — the caller replies `SpecFailed` rather than
 /// delivering a weaker guarantee under a stronger name.
 fn resolve_wants(wants: &[u8]) -> Option<Wants> {
-    let served = [
-        ConsistencyLevel::WEAK,
-        ConsistencyLevel::UPDATE,
-        ConsistencyLevel::CAUSAL,
-        ConsistencyLevel::STRONG,
-    ];
     let levels = wants
         .iter()
-        .map(|&id| ConsistencyLevel::from_wire_id(id).filter(|l| served.contains(l)))
+        .map(|&id| ConsistencyLevel::from_wire_id(id).filter(|l| Wants::LEVELS.contains(l)))
         .collect::<Option<Vec<_>>>()?;
     (!levels.is_empty()).then(|| Wants::of(&levels))
 }
@@ -239,34 +247,87 @@ mod tests {
     enum Sent {
         Client(u64, NetMsg),
         Peers(NetMsg),
+        Peer(usize, NetMsg),
     }
 
-    /// A [`NetEgress`] that records instead of sending.
+    /// A host's [`NetMsg`] egress that records instead of sending, with
+    /// a stamp clock that is not its deadline clock.
     #[derive(Default)]
     struct Recorder {
         sent: Vec<Sent>,
+        /// A peer whose link this host cannot send on.
+        down: Option<usize>,
     }
 
-    impl NetEgress for Recorder {
-        fn to_client(&mut self, conn: u64, msg: &NetMsg) {
-            self.sent.push(Sent::Client(conn, msg.clone()));
+    impl Egress<NetMsg> for Recorder {
+        fn to_client(&mut self, conn: u64, msg: NetMsg) {
+            self.sent.push(Sent::Client(conn, msg));
         }
 
-        fn to_peers(&mut self, msg: &NetMsg) {
-            self.sent.push(Sent::Peers(msg.clone()));
+        fn to_peers(&mut self, msg: NetMsg) {
+            self.sent.push(Sent::Peers(msg));
+        }
+
+        fn to_peer(&mut self, peer: usize, msg: NetMsg) -> bool {
+            if self.down == Some(peer) {
+                return false;
+            }
+            self.sent.push(Sent::Peer(peer, msg));
+            true
         }
 
         fn now(&self) -> u64 {
-            0
+            1
+        }
+
+        fn stamp(&self) -> u64 {
+            2
         }
     }
 
     /// Replica 0 of 3.
-    fn replica() -> (SpecStore, Recorder) {
+    fn replica() -> (SpecStore, Wired<Recorder>) {
         (
             SpecCore::new(RegCtrSpec::default(), 0, 3),
-            Recorder::default(),
+            Wired(Recorder::default()),
         )
+    }
+
+    /// The adapter both cores send through: a quorum message leaves as
+    /// exactly one store frame whichever way it goes, a down link's
+    /// `false` comes back, and both clocks are the host's own.
+    #[test]
+    fn a_quorum_message_is_one_store_frame_and_the_clocks_are_the_hosts() {
+        use quorumstore::{Key, Msg, OpId};
+
+        let msg = Msg::PeerRead {
+            op: OpId {
+                client: simnet::NodeId(4),
+                seq: 9,
+            },
+            key: Key::plain(1),
+        };
+        let mut net = Wired(Recorder {
+            down: Some(1),
+            ..Recorder::default()
+        });
+        net.to_client(CONN, msg.clone());
+        net.to_peers(msg.clone());
+        assert!(net.to_peer(0, msg.clone()));
+        assert!(!net.to_peer(1, msg.clone()));
+        let frame = NetMsg::Store(msg);
+        assert_eq!(
+            net.0.sent,
+            [
+                Sent::Client(CONN, frame.clone()),
+                Sent::Peers(frame.clone()),
+                Sent::Peer(0, frame),
+            ]
+        );
+        assert_eq!(
+            (Egress::<Msg>::now(&net), Egress::<Msg>::stamp(&net)),
+            (1, 2)
+        );
     }
 
     #[test]
@@ -288,7 +349,7 @@ mod tests {
         for msg in stray {
             on_net(&mut spec, &mut net, CONN, None, msg);
         }
-        assert_eq!(net.sent, []);
+        assert_eq!(net.0.sent, []);
     }
 
     /// The adapter end to end: a four-level submission leaves as one
@@ -300,17 +361,11 @@ mod tests {
         use correctables::spec::CtrOp;
 
         let (mut spec, mut net) = replica();
-        let levels = [
-            ConsistencyLevel::WEAK,
-            ConsistencyLevel::UPDATE,
-            ConsistencyLevel::CAUSAL,
-            ConsistencyLevel::STRONG,
-        ];
         let submit = NetMsg::SpecSubmit {
             client: 42,
             seq: 5,
             op: SpecOp::Ctr(CtrOp::Add(3, 2)),
-            wants: levels.iter().map(|l| l.wire_id()).collect(),
+            wants: Wants::LEVELS.iter().map(|l| l.wire_id()).collect(),
         };
         on_net(&mut spec, &mut net, CONN, None, submit);
         let reply = |level: ConsistencyLevel, closing| {
@@ -333,7 +388,7 @@ mod tests {
             op: SpecOp::Ctr(CtrOp::Add(3, 2)),
         });
         assert_eq!(
-            std::mem::take(&mut net.sent),
+            std::mem::take(&mut net.0.sent),
             [
                 gossip,
                 reply(ConsistencyLevel::WEAK, false),
@@ -349,7 +404,7 @@ mod tests {
         };
         on_net(&mut spec, &mut net, 99, Some(0), ack);
         assert_eq!(
-            std::mem::take(&mut net.sent),
+            std::mem::take(&mut net.0.sent),
             [reply(ConsistencyLevel::CAUSAL, false)]
         );
 
@@ -361,6 +416,6 @@ mod tests {
         };
         on_net(&mut spec, &mut net, CONN, None, unserved);
         let refused = NetMsg::SpecFailed { client: 42, seq: 6 };
-        assert_eq!(net.sent, [Sent::Client(CONN, refused)]);
+        assert_eq!(net.0.sent, [Sent::Client(CONN, refused)]);
     }
 }

@@ -8,16 +8,18 @@
 //! delays double from a base up to a cap, with ±50% jitter so a fleet
 //! of peers dialing one recovered replica does not thunder in lockstep.
 //!
-//! Determinism: the jitter comes from a tiny xorshift generator seeded
-//! by the caller — no ambient RNG, no wall clock — so one seed yields
-//! one delay sequence, and tests assert it exactly. The attributes
-//! below keep it that way: this file is the one determinism scope in a
-//! crate that otherwise runs on the wall clock (DESIGN.md §11).
+//! Determinism: the jitter comes from simnet's [`DetRng`] seeded by the
+//! caller — no ambient RNG, no wall clock — so one seed yields one delay
+//! sequence, and tests assert it exactly. The attributes below keep it
+//! that way: this file is the one determinism scope in a crate that
+//! otherwise runs on the wall clock (DESIGN.md §11).
 
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use std::time::Duration;
+
+use simnet::DetRng;
 
 /// Bounded exponential backoff with deterministic ±50% jitter.
 #[derive(Clone, Debug)]
@@ -26,8 +28,8 @@ pub struct Backoff {
     cap: Duration,
     /// Consecutive failures so far (saturating).
     attempt: u32,
-    /// xorshift64* state for the jitter stream.
-    rng: u64,
+    /// The jitter stream.
+    rng: DetRng,
 }
 
 impl Backoff {
@@ -36,17 +38,11 @@ impl Backoff {
     /// would never grow); `cap` below `base` is clamped up to `base`.
     pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
         let base = base.max(Duration::from_millis(1));
-        // splitmix64 scramble so adjacent seeds give unrelated jitter
-        // streams; the xorshift state must also end up nonzero.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         Backoff {
             base,
             cap: cap.max(base),
             attempt: 0,
-            rng: z.max(1),
+            rng: DetRng::seed_from_u64(seed),
         }
     }
 
@@ -62,16 +58,7 @@ impl Backoff {
             .checked_mul(1u32 << shift)
             .unwrap_or(self.cap)
             .min(self.cap);
-        // xorshift64*: deterministic, full-period, no global state.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        let draw = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        // Map the top 16 bits onto [0.5, 1.5).
-        let frac = (draw >> 48) as f64 / 65536.0;
-        nominal.mul_f64(0.5 + frac)
+        nominal.mul_f64(0.5 + self.rng.f64())
     }
 
     /// Resets after a successful attempt: the next failure starts the

@@ -50,11 +50,12 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use quorumstore::{Egress, Msg, ReplicaCore};
+use quorumstore::ReplicaCore;
+use simnet::Egress;
 use specstore::SpecCore;
 
 use crate::frame::encode_frame;
-use crate::protocol::{self, NetEgress, RegCtrSpec, SpecStore, Wired};
+use crate::protocol::{self, RegCtrSpec, SpecStore, Wired};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::Backoff;
@@ -277,7 +278,8 @@ struct ReplicaHandler {
 }
 
 /// The protocol cores' window onto the reactor: every send is encoded
-/// onto its connection by `ctl`.
+/// onto its connection by `ctl`. Both cores reach it through
+/// [`Wired`], which hands it the frames that carry their messages.
 struct ReactorNet<'a> {
     ctl: &'a mut Ctl,
     peer_conns: &'a [Option<u64>],
@@ -285,22 +287,24 @@ struct ReactorNet<'a> {
     epoch: Instant,
 }
 
-/// The quorum core speaks bare store messages; on the wire each is a
-/// [`NetMsg::Store`] frame, wrapped by move.
-impl Egress for ReactorNet<'_> {
-    fn to_client(&mut self, key: u64, msg: Msg) {
-        NetEgress::to_client(self, key, &NetMsg::Store(msg));
+impl Egress<NetMsg> for ReactorNet<'_> {
+    fn to_client(&mut self, conn: u64, msg: NetMsg) {
+        self.ctl.send(conn, &msg);
     }
 
-    fn to_peers(&mut self, msg: Msg) {
-        NetEgress::to_peers(self, &NetMsg::Store(msg));
+    fn to_peers(&mut self, msg: NetMsg) {
+        // Encode once, copy the same bytes onto every live link.
+        encode_frame(&msg, self.scratch);
+        for conn in self.peer_conns.iter().flatten() {
+            self.ctl.send_frame(*conn, self.scratch);
+        }
     }
 
-    fn to_peer(&mut self, peer: usize, msg: Msg) -> bool {
+    fn to_peer(&mut self, peer: usize, msg: NetMsg) -> bool {
         let Some(conn) = self.peer_conns.get(peer).copied().flatten() else {
             return false;
         };
-        self.ctl.send(conn, &NetMsg::Store(msg));
+        self.ctl.send(conn, &msg);
         true
     }
 
@@ -317,36 +321,22 @@ impl Egress for ReactorNet<'_> {
     }
 }
 
-impl NetEgress for ReactorNet<'_> {
-    fn to_client(&mut self, conn: u64, msg: &NetMsg) {
-        self.ctl.send(conn, msg);
-    }
-
-    fn to_peers(&mut self, msg: &NetMsg) {
-        // Encode once, copy the same bytes onto every live link.
-        encode_frame(msg, self.scratch);
-        for conn in self.peer_conns.iter().flatten() {
-            self.ctl.send_frame(*conn, self.scratch);
-        }
-    }
-
-    fn now(&self) -> u64 {
-        Egress::now(self)
-    }
-}
-
 impl ReplicaHandler {
     fn net<'a>(
         ctl: &'a mut Ctl,
         this: &'a mut Self,
-    ) -> (ReactorNet<'a>, &'a mut ReplicaCore, &'a mut SpecStore) {
+    ) -> (
+        Wired<ReactorNet<'a>>,
+        &'a mut ReplicaCore,
+        &'a mut SpecStore,
+    ) {
         (
-            ReactorNet {
+            Wired(ReactorNet {
                 ctl,
                 peer_conns: &this.peer_conns,
                 scratch: &mut this.scratch,
                 epoch: this.epoch,
-            },
+            }),
             &mut this.core,
             &mut this.spec,
         )
@@ -422,13 +412,13 @@ impl Handler for ReplicaHandler {
             core.on_peer_down(&mut net, peer);
         }
         core.on_peer_up(&mut net, peer);
-        spec.on_peer_up(&mut Wired(&mut net));
+        spec.on_peer_up(&mut net);
     }
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
         let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
         core.fire_expired(&mut net);
-        spec.fire_expired(&mut Wired(&mut net));
+        spec.fire_expired(&mut net);
     }
 
     /// The links this replica dialed carry its peers' answers to its

@@ -38,20 +38,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
+use simnet::Wants;
 
 use crate::binding::TcpConfig;
 use crate::frame::{read_frame, write_frame};
 use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
 use crate::wire::{NetMsg, SpecOp};
-
-/// The levels the spec binding offers (and the server's spec store
-/// serves).
-const SERVED: [ConsistencyLevel; 4] = [
-    ConsistencyLevel::WEAK,
-    ConsistencyLevel::UPDATE,
-    ConsistencyLevel::CAUSAL,
-    ConsistencyLevel::STRONG,
-];
 
 /// Configuration of a [`TcpSpecBinding`].
 #[derive(Clone, Copy, Debug)]
@@ -88,6 +80,7 @@ impl SpecTcpConfig {
 #[derive(Clone)]
 pub struct TcpSpecBinding {
     client_id: u64,
+    /// The levels offered: the four the server's spec store serves.
     levels: LevelSet,
     rb: ReactorBinding,
 }
@@ -135,7 +128,7 @@ impl TcpSpecBinding {
         };
         Ok(TcpSpecBinding {
             client_id: cfg.client_id,
-            levels: LevelSet::of(&SERVED),
+            levels: LevelSet::of(&Wants::LEVELS),
             rb: reactor.enroll(link, stream, cfg.addr, 0)?,
         })
     }

@@ -1,11 +1,13 @@
 //! The simulated replica: a `simnet` node that hosts [`ReplicaCore`].
 //!
 //! No protocol lives here. The node hands every message to the core
-//! and supplies what a host owes it ([`Egress`]) through the bridge it
-//! shares with the spec store's node ([`CoreHost`]): sends become
-//! `Ctx::send`, the one clock is the simulator's virtual time, a
-//! connection is the sender's node id, and the core's soonest deadline
-//! is kept armed as an engine timer. What is the simulator's own is the
+//! and supplies what a host owes it through the bridge it shares with
+//! the spec store's node ([`CoreHost`]), whose
+//! [`SimNet`](simnet::SimNet) is simnet's one impl of the cores'
+//! [`Egress`](simnet::Egress): sends become `Ctx::send`, the one clock
+//! is the simulator's virtual time, a connection is the sender's node
+//! id, and the core's soonest deadline is kept armed as an engine
+//! timer. What is the simulator's own is the
 //! CPU model — the per-message service times of [`ReplicaConfig`],
 //! which give a host finite capacity (Figure 6) and charge the
 //! preliminary flush its extra coordinator time (the paper observes a
@@ -20,10 +22,10 @@
 use std::any::Any;
 use std::time::Duration;
 
-use simnet::{CoreHost, Ctx, Node, NodeId, SimDuration, SimNet, Timer};
+use simnet::{CoreHost, Ctx, Node, NodeId, SimDuration, Timer};
 
 use crate::messages::Msg;
-use crate::protocol::{Egress, ReplicaCore};
+use crate::protocol::ReplicaCore;
 use crate::storage::LocalStore;
 
 /// Tuning knobs of a simulated replica.
@@ -63,27 +65,6 @@ pub struct SimReplica {
     /// Links and the deadline timer; its peers are all other replicas
     /// of the (single, fully replicated) keyspace.
     host: CoreHost,
-}
-
-impl Egress for SimNet<'_, '_, Msg> {
-    fn to_client(&mut self, conn: u64, msg: Msg) {
-        self.ctx.send(NodeId(conn as usize), msg);
-    }
-
-    fn to_peers(&mut self, msg: Msg) {
-        for peer in self.peers {
-            self.ctx.send(*peer, msg.clone());
-        }
-    }
-
-    fn to_peer(&mut self, peer: usize, msg: Msg) -> bool {
-        let node = self.peers.get(peer);
-        node.map(|node| self.ctx.send(*node, msg)).is_some()
-    }
-
-    fn now(&self) -> u64 {
-        self.ctx.now().as_nanos()
-    }
 }
 
 impl SimReplica {

@@ -57,6 +57,6 @@ pub use client::{encode_submit, read_kind, ClientOp, StoreOp};
 pub use deadlines::{Deadlines, IdMap};
 pub use host::{ReplicaConfig, SimReplica};
 pub use messages::{FailReason, Msg, Phase, FRAME_BYTES};
-pub use protocol::{Egress, ReplicaCore};
+pub use protocol::ReplicaCore;
 pub use storage::LocalStore;
 pub use types::{Key, OpId, ReadKind, Value, Version, Versioned};

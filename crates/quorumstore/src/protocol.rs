@@ -3,12 +3,13 @@
 //! [`ReplicaCore`] is the replica's entire protocol brain: the storage
 //! map, the pending read/write tables, internal op-id minting, and the
 //! operation-deadline heap. It never touches a socket, a simulator or a
-//! clock — messages leave and time arrives through the [`Egress`] trait
-//! its host hands it on every call. There is one core and three hosts:
-//! the epoll reactor of `icg-net` serves it over TCP, [`crate::host`]
-//! runs it as a `simnet` node (so the explorer, the figures and every
-//! `SimStore` exercise exactly the served code), and this module's
-//! tests drive it over a `Vec`, message by message.
+//! clock — messages leave and time arrives through the [`Egress`] its
+//! host hands it on every call (simnet's one host contract, which the
+//! spec core is written against too). There is one core and three
+//! hosts: the epoll reactor of `icg-net` serves it over TCP,
+//! [`crate::host`] runs it as a `simnet` node (so the explorer, the
+//! figures and every `SimStore` exercise exactly the served code), and
+//! this module's tests drive it over a `Vec`, message by message.
 //!
 //! Every replica can coordinate (as in Cassandra, where the contacted
 //! node coordinates the request). Reads gather a quorum of `R` replies —
@@ -33,44 +34,12 @@
 
 use std::time::Duration;
 
-use simnet::NodeId;
+use simnet::{Egress, NodeId};
 
 use crate::deadlines::{Deadlines, IdMap};
 use crate::messages::{FailReason, Msg, Phase};
 use crate::storage::LocalStore;
 use crate::types::{Key, OpId, ReadKind, Value, Version, Versioned};
-
-/// What a host supplies to the core: where outbound messages go, and
-/// what time it is. The core never sees sockets, simulator contexts or
-/// clocks; its host maps these calls onto its own plumbing. Times are
-/// nanoseconds since an epoch of the host's choosing and are read only
-/// where the protocol needs one.
-pub trait Egress {
-    /// Sends `msg` on client connection `conn`. A connection that no
-    /// longer exists drops the message silently (the client is gone;
-    /// its ops die by timeout on the client side).
-    fn to_client(&mut self, conn: u64, msg: Msg);
-
-    /// Sends `msg` down every currently-live peer link, in peer order.
-    fn to_peers(&mut self, msg: Msg);
-
-    /// Sends `msg` down the link to peer `peer` (its index in the
-    /// configured peer list). `false` means that link is down and
-    /// nothing was sent.
-    fn to_peer(&mut self, peer: usize, msg: Msg) -> bool;
-
-    /// The time operation deadlines are measured on; it never goes
-    /// back.
-    fn now(&self) -> u64;
-
-    /// The time writes are stamped with. Last-writer-wins compares
-    /// stamps of different coordinators, so every replica of one
-    /// deployment must read (roughly) the same clock here — a host
-    /// whose replicas do not share [`Egress::now`]'s clock overrides it.
-    fn stamp(&self) -> u64 {
-        self.now()
-    }
-}
 
 /// One bit per peer index. Peer sets are `u64` masks: the wire bounds a
 /// replica set at 64 (`icg-net`'s `MAX_REPLICAS`), and a peer past that
@@ -133,7 +102,7 @@ impl PeerLinks {
     /// Sends the `PeerRead` of `op` to up to `want` live peers `st` has
     /// not asked yet and records who was asked. Trusted peers go before
     /// suspects, nearer before farther, and equals in rotation order.
-    fn ask(&mut self, net: &mut impl Egress, op: OpId, st: &mut ReadSt, want: u32) {
+    fn ask(&mut self, net: &mut impl Egress<Msg>, op: OpId, st: &mut ReadSt, want: u32) {
         let n = self.distance.len();
         let start = self.next;
         // Links the host turned out unable to send on.
@@ -224,7 +193,7 @@ impl ReplicaCore {
         clippy::disallowed_methods,
         reason = "top_up sorts the ids it is given"
     )]
-    pub fn on_peer_up(&mut self, net: &mut impl Egress, peer: usize) {
+    pub fn on_peer_up(&mut self, net: &mut impl Egress<Msg>, peer: usize) {
         self.links.up |= bit(peer);
         self.links.suspect &= !bit(peer);
         let short = self.reads.iter().filter(|(_, st)| st.short_by() > 0);
@@ -240,7 +209,7 @@ impl ReplicaCore {
         clippy::disallowed_methods,
         reason = "top_up sorts the ids it is given"
     )]
-    pub fn on_peer_down(&mut self, net: &mut impl Egress, peer: usize) {
+    pub fn on_peer_down(&mut self, net: &mut impl Egress<Msg>, peer: usize) {
         let lost = bit(peer);
         self.links.up &= !lost;
         let mut orphaned = Vec::new();
@@ -255,7 +224,7 @@ impl ReplicaCore {
 
     /// Has each of the pending reads `internals` ask as many more live
     /// peers as it is short by, oldest read first.
-    fn top_up(&mut self, net: &mut impl Egress, mut internals: Vec<u64>) {
+    fn top_up(&mut self, net: &mut impl Egress<Msg>, mut internals: Vec<u64>) {
         internals.sort_unstable();
         for internal in internals {
             let op = self.peer_op(internal);
@@ -281,7 +250,7 @@ impl ReplicaCore {
     /// silent ones go to the back of the asking order, and the same
     /// deadline is re-armed for the remainder — then at the full
     /// timeout, where it fails like a write does at its only firing.
-    pub fn fire_expired(&mut self, net: &mut impl Egress) {
+    pub fn fire_expired(&mut self, net: &mut impl Egress<Msg>) {
         let now = net.now();
         let mut due = Vec::new();
         self.deadlines
@@ -342,7 +311,13 @@ impl ReplicaCore {
     /// came from that peer (over TCP: on this replica's own link to it,
     /// where its answers arrive), `None` for everything else — client
     /// connections above all.
-    pub fn on_msg(&mut self, net: &mut impl Egress, conn: u64, from_peer: Option<usize>, msg: Msg) {
+    pub fn on_msg(
+        &mut self,
+        net: &mut impl Egress<Msg>,
+        conn: u64,
+        from_peer: Option<usize>,
+        msg: Msg,
+    ) {
         if let Some(peer) = from_peer {
             // Whatever it said, it is answering again.
             self.links.suspect &= !bit(peer);
@@ -383,7 +358,7 @@ impl ReplicaCore {
 
     fn client_read(
         &mut self,
-        net: &mut impl Egress,
+        net: &mut impl Egress<Msg>,
         conn: u64,
         client_op: OpId,
         key: Key,
@@ -439,7 +414,7 @@ impl ReplicaCore {
 
     fn reply_read_final(
         &mut self,
-        net: &mut impl Egress,
+        net: &mut impl Egress<Msg>,
         conn: u64,
         op: OpId,
         kind: ReadKind,
@@ -469,7 +444,7 @@ impl ReplicaCore {
 
     fn peer_read_resp(
         &mut self,
-        net: &mut impl Egress,
+        net: &mut impl Egress<Msg>,
         peer: usize,
         peer_op: OpId,
         data: Versioned,
@@ -514,7 +489,7 @@ impl ReplicaCore {
 
     fn client_write(
         &mut self,
-        net: &mut impl Egress,
+        net: &mut impl Egress<Msg>,
         conn: u64,
         client_op: OpId,
         key: Key,
@@ -553,7 +528,7 @@ impl ReplicaCore {
             .arm(net.now().saturating_add(self.op_timeout), internal);
     }
 
-    fn peer_write_ack(&mut self, net: &mut impl Egress, peer: usize, peer_op: OpId) {
+    fn peer_write_ack(&mut self, net: &mut impl Egress<Msg>, peer: usize, peer_op: OpId) {
         if peer_op.client != NodeId(self.id as usize) {
             return;
         }
@@ -612,7 +587,7 @@ mod tests {
         now: u64,
     }
 
-    impl Egress for Recorder {
+    impl Egress<Msg> for Recorder {
         fn to_client(&mut self, conn: u64, msg: Msg) {
             self.sent.push(Sent::Client(conn, msg));
         }

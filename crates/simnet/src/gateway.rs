@@ -603,14 +603,23 @@ pub struct Wants {
 }
 
 impl Wants {
+    /// The four levels a round-robin store can serve, weakest first:
+    /// one per flag, in field order.
+    pub const LEVELS: [ConsistencyLevel; 4] = [
+        ConsistencyLevel::WEAK,
+        ConsistencyLevel::UPDATE,
+        ConsistencyLevel::CAUSAL,
+        ConsistencyLevel::STRONG,
+    ];
+
     /// The flags of the requested `levels`.
     pub fn of(levels: &[ConsistencyLevel]) -> Wants {
-        let has = |level| levels.contains(&level);
+        let [weak, update, causal, strong] = Wants::LEVELS.map(|level| levels.contains(&level));
         Wants {
-            weak: has(ConsistencyLevel::WEAK),
-            update: has(ConsistencyLevel::UPDATE),
-            causal: has(ConsistencyLevel::CAUSAL),
-            strong: has(ConsistencyLevel::STRONG),
+            weak,
+            update,
+            causal,
+            strong,
         }
     }
 }

@@ -13,9 +13,10 @@
 //! rule with the deadline kept beside it: the anti-entropy of the CRDT,
 //! escrow and causal replicas.
 //!
-//! A core never sees the simulator. It sends through an egress trait of
-//! its own crate and asks for time through the same trait; its node
-//! implements that trait over [`SimNet`] and keeps a [`CoreHost`], which
+//! A core never sees the simulator. It sends through [`Egress`] and
+//! asks for time through the same trait — the one host contract both
+//! cores are written against, which the reactor of `icg-net` implements
+//! too. Its node hands it a [`SimNet`] and keeps a [`CoreHost`], which
 //! supplies the rest of what a host owes a core: a connection is the
 //! sender's node id, a peer is its index in the peer list, a core that
 //! tracks its links hears of each one coming up once, before the first
@@ -116,15 +117,68 @@ impl Retry {
     }
 }
 
-/// A hosted core's window onto the simulator during one handler call:
-/// what its crate's egress trait is implemented over. A message "to
-/// connection `c`" goes to `NodeId(c)`, one "to the peers" to each of
-/// `peers` in order, and the time is [`Ctx::now`] in nanoseconds.
+/// What a host supplies to a sans-IO core: where its messages of type
+/// `M` go, and what time it is. The core never sees sockets, simulator
+/// contexts or clocks; its host maps these calls onto its own plumbing.
+/// Times are nanoseconds since an epoch of the host's choosing and are
+/// read only where the protocol needs one.
+pub trait Egress<M> {
+    /// Sends `msg` on connection `conn` — a client's, or the one a
+    /// peer's message arrived on. A connection that no longer exists
+    /// drops the message silently (the client is gone; its ops die by
+    /// timeout on the client side).
+    fn to_client(&mut self, conn: u64, msg: M);
+
+    /// Sends `msg` down every currently-live peer link, in peer order.
+    fn to_peers(&mut self, msg: M);
+
+    /// Sends `msg` down the link to peer `peer` (its index in the
+    /// configured peer list). `false` means that link is down and
+    /// nothing was sent.
+    fn to_peer(&mut self, peer: usize, msg: M) -> bool;
+
+    /// The time deadlines are measured on; it never goes back.
+    fn now(&self) -> u64;
+
+    /// The time writes are stamped with. Last-writer-wins compares
+    /// stamps of different coordinators, so every replica of one
+    /// deployment must read (roughly) the same clock here — a host
+    /// whose replicas do not share [`Egress::now`]'s clock overrides it.
+    fn stamp(&self) -> u64 {
+        self.now()
+    }
+}
+
+/// A hosted core's window onto the simulator during one handler call.
+/// A message "to connection `c`" goes to `NodeId(c)`, one "to the
+/// peers" to each of `peers` in order, and the time is [`Ctx::now`] in
+/// nanoseconds.
 pub struct SimNet<'a, 'e, M> {
     /// The handler's engine context.
     pub ctx: &'a mut Ctx<'e, M>,
     /// The other replicas, in the order the core indexes them.
     pub peers: &'a [NodeId],
+}
+
+impl<M: Wire + Clone> Egress<M> for SimNet<'_, '_, M> {
+    fn to_client(&mut self, conn: u64, msg: M) {
+        self.ctx.send(NodeId(conn as usize), msg);
+    }
+
+    fn to_peers(&mut self, msg: M) {
+        for peer in self.peers {
+            self.ctx.send(*peer, msg.clone());
+        }
+    }
+
+    fn to_peer(&mut self, peer: usize, msg: M) -> bool {
+        let node = self.peers.get(peer);
+        node.map(|node| self.ctx.send(*node, msg)).is_some()
+    }
+
+    fn now(&self) -> u64 {
+        self.ctx.now().as_nanos()
+    }
 }
 
 /// What a node hosting a sans-IO core keeps besides the core.

@@ -69,7 +69,7 @@ pub use gateway::{
     ClientMsg, GatewayProto, PendingOps, RoundRobin, SimBinding, SimGateway, SimHost, Submission,
     SubmitWire, Wants,
 };
-pub use host::{CoreHost, Retry, SimNet};
+pub use host::{CoreHost, Egress, Retry, SimNet};
 pub use rng::DetRng;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

@@ -23,7 +23,7 @@ use std::ops::Deref;
 
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
-use simnet::{CoreHost, Engine, NodeId, RoundRobin, SimBinding, SimHost};
+use simnet::{CoreHost, Engine, NodeId, RoundRobin, SimBinding, SimHost, Wants};
 
 use crate::core::SpecCore;
 use crate::host::SpecHost;
@@ -92,12 +92,7 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
 
     /// The full four-level binding.
     pub fn binding(&self) -> SpecBinding<S> {
-        self.slice(&[
-            ConsistencyLevel::WEAK,
-            ConsistencyLevel::UPDATE,
-            ConsistencyLevel::CAUSAL,
-            ConsistencyLevel::STRONG,
-        ])
+        self.slice(&Wants::LEVELS)
     }
 
     /// The wait-free slice: weak and update views only.

@@ -4,11 +4,12 @@
 //! clock, the causal inbox, the ordered log, the ack frontier and the
 //! own updates still owed views or acks. It never touches a socket, a
 //! simulator or a clock — messages leave and time arrives through the
-//! [`Egress`] its host hands it on every call. There is one core and
-//! three hosts: [`crate::host`] runs it as a `simnet` node (so the
-//! explorer and every `SimSpecStore` exercise exactly the served code),
-//! `icg-net`'s reactor serves it over TCP, and this module's tests
-//! drive it over a `Vec`, message by message.
+//! [`Egress`] its host hands it on every call (simnet's one host
+//! contract, which the quorum core is written against too). There is
+//! one core and three hosts: [`crate::host`] runs it as a `simnet` node
+//! (so the explorer and every `SimSpecStore` exercise exactly the
+//! served code), `icg-net`'s reactor serves it over TCP, and this
+//! module's tests drive it over a `Vec`, message by message.
 //!
 //! Every client operation is an *update* (Perrin, Mostéfaoui & Jard):
 //! stamped `(lamport ts, origin, seq)` at the replica that accepts it,
@@ -47,7 +48,7 @@ use causalstore::{AckFrontier, CausalInbox, Offer};
 use correctables::spec::SeqSpec;
 use correctables::ConsistencyLevel;
 
-use simnet::{ClientMsg, Wants};
+use simnet::{ClientMsg, Egress, Wants};
 
 use crate::replay::{OrderKey, ReplayLog, Update, UpdateId};
 use crate::replica::SpecMsg;
@@ -55,22 +56,6 @@ use crate::replica::SpecMsg;
 /// How long an own update waits for every peer's ack before it is
 /// gossiped again, in nanoseconds.
 const RETRANSMIT_NS: u64 = 200_000_000;
-
-/// What a host supplies to the core: where outbound messages go, and
-/// what time it is. `M` is the core's [`SpecMsg`].
-pub trait Egress<M> {
-    /// Sends `msg` on connection `conn` — a client's, or the one a
-    /// peer's gossip arrived on. A connection that no longer exists
-    /// drops the message silently.
-    fn to_client(&mut self, conn: u64, msg: M);
-
-    /// Sends `msg` down every currently-live peer link.
-    fn to_peers(&mut self, msg: M);
-
-    /// Nanoseconds since an epoch of the host's choosing; never goes
-    /// back.
-    fn now(&self) -> u64;
-}
 
 /// An own update still owed views or acks.
 struct Own<T> {
@@ -400,6 +385,7 @@ mod tests {
     enum Sent {
         Client(u64, Msg),
         Peers(Msg),
+        Peer(usize, Msg),
     }
 
     /// An [`Egress`] that records instead of sending, with a clock the
@@ -419,6 +405,11 @@ mod tests {
             self.sent.push(Sent::Peers(msg));
         }
 
+        fn to_peer(&mut self, peer: usize, msg: Msg) -> bool {
+            self.sent.push(Sent::Peer(peer, msg));
+            true
+        }
+
         fn now(&self) -> u64 {
             self.now
         }
@@ -430,9 +421,10 @@ mod tests {
             std::mem::take(&mut self.sent)
         }
 
-        /// The same, one line per message: `to <conn>: …` / `peers: …`,
-        /// views as `level=value` with `!` on a closing one, gossip as
-        /// `origin:seq@ts`, acks as `origin:seq by acker (acker_seq)`.
+        /// The same, one line per message: `to <conn>: …` / `peers: …` /
+        /// `peer <index>: …`, views as `level=value` with `!` on a
+        /// closing one, gossip as `origin:seq@ts`, acks as
+        /// `origin:seq by acker (acker_seq)`.
         fn lines(&mut self) -> Vec<String> {
             let bang = |closing: &bool| if *closing { "!" } else { "" };
             let brief = |msg: &Msg| match msg {
@@ -459,6 +451,7 @@ mod tests {
                 .map(|s| match s {
                     Sent::Client(conn, msg) => format!("to {conn}: {}", brief(msg)),
                     Sent::Peers(msg) => format!("peers: {}", brief(msg)),
+                    Sent::Peer(peer, msg) => format!("peer {peer}: {}", brief(msg)),
                 })
                 .collect()
         }

@@ -1,38 +1,24 @@
 //! The simulated replica: a `simnet` node that hosts [`SpecCore`].
 //!
 //! No protocol lives here. The node hands every message to the core and
-//! supplies what a host owes it ([`Egress`]) through the bridge it
-//! shares with the quorum store's node ([`CoreHost`]): sends become
-//! `Ctx::send`, the clock is the simulator's virtual time, a connection
-//! is the sender's node id — so an ack "down the connection the gossip
-//! arrived on" goes to the origin's node and reaches it from a peer —
-//! and the core's retransmission deadline is kept armed as one engine
-//! timer. simnet reports no link events, and the core needs none: its
-//! deadline is what repairs a cut.
+//! supplies what a host owes it through the bridge it shares with the
+//! quorum store's node ([`CoreHost`]), whose [`SimNet`](simnet::SimNet)
+//! is simnet's one impl of the cores' [`Egress`](simnet::Egress), the
+//! quorum core's too: sends become `Ctx::send`, the clock is the
+//! simulator's virtual time, a connection is the sender's node id — so
+//! an ack "down the connection the gossip arrived on" goes to the
+//! origin's node and reaches it from a peer — and the core's
+//! retransmission deadline is kept armed as one engine timer. simnet
+//! reports no link events, and the core needs none: its deadline is
+//! what repairs a cut.
 
 use std::any::Any;
 
 use correctables::spec::SeqSpec;
-use simnet::{CoreHost, Ctx, Node, NodeId, SimNet, Timer, Wire};
+use simnet::{CoreHost, Ctx, Node, NodeId, Timer};
 
-use crate::core::{Egress, SpecCore};
+use crate::core::SpecCore;
 use crate::replica::SpecMsg;
-
-impl<M: Wire + Clone> Egress<M> for SimNet<'_, '_, M> {
-    fn to_client(&mut self, conn: u64, msg: M) {
-        self.ctx.send(NodeId(conn as usize), msg);
-    }
-
-    fn to_peers(&mut self, msg: M) {
-        for peer in self.peers {
-            self.ctx.send(*peer, msg.clone());
-        }
-    }
-
-    fn now(&self) -> u64 {
-        self.ctx.now().as_nanos()
-    }
-}
 
 /// A spec-store replica under simulation.
 pub struct SpecHost<S: SeqSpec> {

@@ -64,7 +64,7 @@ pub mod host;
 pub mod replay;
 pub mod replica;
 
-pub use crate::core::{Egress, SpecCore};
+pub use crate::core::SpecCore;
 pub use binding::{CausalSpec, SimSpecStore, SpecBinding, UpdateBinding};
 pub use causalstore::{CausalInbox, Offer, VectorClock};
 pub use replay::{OrderKey, ReplayLog, Update, UpdateId};
