@@ -23,7 +23,7 @@
 //! ```
 //!
 //! **Spec store** (`--levels weak,update,causal,strong`): the same
-//! closed loop drives the version-2 spec store through `TcpSpecBinding`
+//! closed loop drives the spec store through `TcpSpecBinding`
 //! instead of the quorum store, requesting exactly the named consistency
 //! levels on every operation, so the report shows the full refinement
 //! staircase — e.g. how much sooner an `update` view lands than the

@@ -10,10 +10,9 @@
 //!     --peers 127.0.0.1:4702,127.0.0.1:4703 [--op-timeout-ms 5000]
 //! ```
 //!
-//! The version-2 handshake lists the builtin levels
-//! `cache < weak < update < causal < strong` to every connecting client;
-//! the quorum store serves weak and strong, the spec store the four from
-//! weak up.
+//! Levels travel as the builtins' fixed wire ids,
+//! `cache < weak < update < causal < strong`; the quorum store serves
+//! weak and strong, the spec store the four from weak up.
 //!
 //! The process serves until killed; peer links retry forever, so start
 //! order does not matter. See `OPERATIONS.md` for the full runbook.

@@ -9,18 +9,17 @@
 //! ```
 //!
 //! `len` counts everything after itself (version byte + body), so a
-//! reader can skip a frame it cannot parse. `ver` is the *message's*
-//! minimum wire version ([`Wire::min_wire_version`]) — a message every
-//! peer understands travels in the oldest frame that can carry it, so
-//! mixed-version deployments interoperate on the shared message subset.
-//! A receiver accepts [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] and
-//! rejects anything outside instead of misparsing it. The body is one
+//! reader can skip a frame it cannot parse. `ver` is always
+//! [`WIRE_VERSION`]: a receiver rejects any other byte instead of
+//! misparsing the body, so a peer of another version is refused on its
+//! first frame. Both readers — [`read_frame`] and the reactor's — judge
+//! the header by one rule, `judge_header`. The body is one
 //! [`Wire`]-encoded message, decoded with exact-length consumption
 //! (trailing bytes are an error).
 
 use std::io::{self, Read, Write};
 
-use crate::wire::{Reader, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::wire::{Reader, Wire, WireError, WIRE_VERSION};
 
 /// Hard cap on a frame's announced length. Nothing this protocol sends
 /// comes near it; a peer announcing more is corrupt or hostile and the
@@ -79,14 +78,38 @@ pub fn encode_frame<T: Wire>(msg: &T, scratch: &mut Vec<u8>) {
 /// straight into a connection's outbound buffer.
 pub(crate) fn append_frame<T: Wire>(msg: &T, buf: &mut Vec<u8>) {
     let start = buf.len();
-    // Reserve the length slot, then encode in place. The version byte is
-    // the oldest version that understands *this* message, not the newest
-    // this build speaks — see the module docs.
-    buf.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
+    // Reserve the length slot, then encode in place.
+    buf.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
     msg.encode(buf);
     let len = (buf.len() - start - 4) as u32;
     if let Some(slot) = buf.get_mut(start..start + 4) {
         slot.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// The frame-header rule both readers apply. `head` holds the first
+/// bytes of a frame, as many as have arrived. The length is judged once
+/// its four bytes are present and the version once its byte is, so a
+/// bad header is refused before its body is waited for: `Ok(None)` asks
+/// for more bytes, `Ok(Some(len))` is a valid header announcing `len`
+/// bytes after the prefix.
+#[inline]
+pub(crate) fn judge_header(head: &[u8]) -> Result<Option<u32>, FrameError> {
+    let Some((prefix, rest)) = head.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized { len });
+    }
+    if len == 0 {
+        // No room for the version byte.
+        return Err(WireError::Truncated.into());
+    }
+    match rest.first() {
+        None => Ok(None),
+        Some(&WIRE_VERSION) => Ok(Some(len)),
+        Some(&got) => Err(WireError::BadVersion { got }.into()),
     }
 }
 
@@ -107,10 +130,10 @@ pub fn read_frame<T: Wire>(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<T>, FrameError> {
-    let mut len_bytes = [0u8; 4];
+    let mut head = [0u8; 5];
     // Distinguish "no more frames" from "died mid-frame" on the first
     // byte of the length prefix.
-    match r.read(&mut len_bytes[..1]) {
+    match r.read(&mut head[..1]) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         Err(e) if e.kind() == io::ErrorKind::Interrupted => {
@@ -118,21 +141,18 @@ pub fn read_frame<T: Wire>(
         }
         Err(e) => return Err(e.into()),
     }
-    r.read_exact(&mut len_bytes[1..])?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len });
-    }
-    scratch.clear();
-    scratch.resize(len as usize, 0);
-    r.read_exact(scratch)?;
-    let Some((&ver, body)) = scratch.split_first() else {
-        return Err(WireError::Truncated.into());
+    r.read_exact(&mut head[1..4])?;
+    // A zero or oversized length is refused before the version byte is
+    // waited for.
+    judge_header(&head[..4])?;
+    r.read_exact(&mut head[4..])?;
+    let Some(len) = judge_header(&head)? else {
+        return Err(WireError::Truncated.into()); // a whole header is never partial
     };
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&ver) {
-        return Err(WireError::BadVersion { got: ver }.into());
-    }
-    Ok(Some(Reader::new(body).finish()?))
+    scratch.clear();
+    scratch.resize(len as usize - 1, 0);
+    r.read_exact(scratch)?;
+    Ok(Some(Reader::new(scratch).finish()?))
 }
 
 #[cfg(test)]
@@ -182,48 +202,46 @@ mod tests {
         ));
     }
 
+    /// Any version byte but [`WIRE_VERSION`] is refused — the retired
+    /// version 1 among them — and as soon as it is read: a header whose
+    /// body never comes is refused for its version, not its length.
     #[test]
     fn wrong_version_rejected() {
         let mut bytes = Vec::new();
         let mut scratch = Vec::new();
         write_frame(&mut bytes, &msg(), &mut scratch).unwrap();
-        bytes[4] = 9; // clobber the version byte
-        let mut cur = Cursor::new(bytes);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_frame::<Msg>(&mut cur, &mut buf),
-            Err(FrameError::Wire(WireError::BadVersion { got: 9 }))
-        ));
+        for ver in [0, 1, 3, 9] {
+            bytes[4] = ver; // clobber the version byte
+            for input in [&bytes[..], &bytes[..5]] {
+                let mut buf = Vec::new();
+                assert!(
+                    matches!(
+                        read_frame::<Msg>(&mut Cursor::new(input), &mut buf),
+                        Err(FrameError::Wire(WireError::BadVersion { got })) if got == ver
+                    ),
+                    "version {ver}, {} bytes",
+                    input.len()
+                );
+            }
+        }
     }
 
+    /// A quorum-store frame and a spec frame carry the same version
+    /// byte, and a `Store` envelope frame is byte for byte the bare
+    /// `Msg` frame.
     #[test]
-    fn frames_carry_each_messages_minimum_version() {
-        // Version-1-compatible messages travel in version-1 frames —
-        // bare Msg and its NetMsg::Store envelope identically — while a
-        // version-2-only message is stamped 2 so an old peer rejects it
-        // cleanly instead of misparsing it.
+    fn every_frame_carries_the_wire_version() {
         let mut bytes = Vec::new();
         let mut scratch = Vec::new();
         write_frame(&mut bytes, &msg(), &mut scratch).unwrap();
-        assert_eq!(bytes[4], 1);
+        assert_eq!(bytes[4], WIRE_VERSION);
         let mut wrapped = Vec::new();
         write_frame(&mut wrapped, &NetMsg::Store(msg()), &mut scratch).unwrap();
         assert_eq!(wrapped, bytes, "Store envelope must be byte-identical");
-        let mut hello = Vec::new();
-        write_frame(&mut hello, &NetMsg::Hello { client: 7 }, &mut scratch).unwrap();
-        assert_eq!(hello[4], 2);
-    }
-
-    #[test]
-    fn version_1_frames_decode_as_store_envelopes() {
-        // A frame from a version-1 peer decodes on a version-2 reader.
-        let mut bytes = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame(&mut bytes, &msg(), &mut scratch).unwrap();
-        let mut cur = Cursor::new(bytes);
-        let mut buf = Vec::new();
-        let got = read_frame::<NetMsg>(&mut cur, &mut buf).unwrap().unwrap();
-        assert_eq!(got, NetMsg::Store(msg()));
+        let mut failed = Vec::new();
+        let spec = NetMsg::SpecFailed { client: 7, seq: 1 };
+        write_frame(&mut failed, &spec, &mut scratch).unwrap();
+        assert_eq!(failed[4], WIRE_VERSION);
     }
 
     #[test]

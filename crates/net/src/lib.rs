@@ -14,16 +14,14 @@
 //!   its component types, generated from one declared layout per type.
 //!   No serde; the byte layout is explicit (`DESIGN.md` §10) and
 //!   property-tested for round-trip identity and rejection of truncated
-//!   or corrupt input. Two generations share one tag space: the v1
-//!   quorum-store `Msg`, and the v2 [`NetMsg`] envelope that adds the
-//!   spec-store protocol — `Hello`/`HelloAck` (the version handshake,
-//!   `DESIGN.md` §13) and `SpecSubmit`/`SpecReply`/`SpecGossip`/
-//!   `SpecAck`/`SpecFailed`. A `NetMsg::Store` frame is byte-identical
-//!   to the bare v1 `Msg`, so old and new peers interoperate.
-//! - [`frame`] — length-prefixed framing with a version byte
-//!   (per-message minimum via [`Wire::min_wire_version`]; readers
-//!   accept [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]) and a hard size
-//!   cap against corrupt length prefixes.
+//!   or corrupt input. The [`NetMsg`] envelope carries the quorum-store
+//!   `Msg` (a `NetMsg::Store` frame is byte-identical to the bare
+//!   `Msg`, the two share one tag space) and the spec-store protocol —
+//!   `SpecSubmit`/`SpecReply`/`SpecGossip`/`SpecAck`/`SpecFailed`
+//!   (`DESIGN.md` §13).
+//! - [`frame`] — length-prefixed framing with a version byte (every
+//!   frame carries [`WIRE_VERSION`], and a reader refuses any other)
+//!   and a hard size cap against corrupt length prefixes.
 //! - [`reactor`] — the one I/O engine: a hand-rolled epoll reactor
 //!   (edge-triggered loops, per-connection state machines,
 //!   append-in-place write buffers with backpressure) that every
@@ -88,4 +86,4 @@ pub use frame::{FrameError, MAX_FRAME};
 pub use reactor::server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use reactor::ClientReactor;
 pub use spec_binding::{SpecTcpConfig, TcpSpecBinding};
-pub use wire::{NetMsg, Reader, SpecOp, Wire, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{NetMsg, Reader, SpecOp, Wire, WireError, WIRE_VERSION};

@@ -1,5 +1,5 @@
-//! What a replica serves beside the quorum store: the version
-//! handshake and the spec store's wire.
+//! What a replica serves beside the quorum store: the spec store's
+//! wire.
 //!
 //! Neither protocol lives in this crate. The quorum store's is
 //! [`quorumstore::ReplicaCore`] and the spec store's is
@@ -10,17 +10,17 @@
 //! through [`Wired`], which sends each core message as the frames that
 //! carry it. The reactor hands every [`NetMsg::Store`] frame to the
 //! quorum core; every other [`NetMsg`] comes here, to [`on_net`], which
-//! answers the handshake itself and translates the `Spec*` frames to
-//! the spec core's messages. What is this module's own is what is the
-//! wire's: the object served ([`RegCtrSpec`]), the level ids of a
-//! submission, and the frame ↔ message mapping. It keeps no state.
+//! translates the `Spec*` frames to the spec core's messages. What is
+//! this module's own is what is the wire's: the object served
+//! ([`RegCtrSpec`]), the level ids of a submission, and the frame ↔
+//! message mapping. It keeps no state.
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
 use correctables::ConsistencyLevel;
 use simnet::Egress;
 use specstore::{ClientMsg, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
 
-use crate::wire::{NetMsg, SpecOp, WIRE_VERSION};
+use crate::wire::{NetMsg, SpecOp};
 
 /// The object the TCP spec store serves: a register map and a counter
 /// map side by side, each [`SpecOp`] stepping the one it names.
@@ -152,10 +152,9 @@ impl<M: Framed, N: Egress<NetMsg>> Egress<M> for Wired<N> {
 }
 
 /// Dispatches one inbound envelope from connection `conn` that is not a
-/// [`NetMsg::Store`] frame (those are the quorum core's): the version-2
-/// handshake is answered here, a spec-store frame goes to `spec` as the
-/// message it carries. `from_peer` is the peer's index when `conn` is
-/// this replica's own link to a peer.
+/// [`NetMsg::Store`] frame (those are the quorum core's): a spec-store
+/// frame goes to `spec` as the message it carries. `from_peer` is the
+/// peer's index when `conn` is this replica's own link to a peer.
 pub(crate) fn on_net(
     spec: &mut SpecStore,
     net: &mut Wired<impl Egress<NetMsg>>,
@@ -164,12 +163,6 @@ pub(crate) fn on_net(
     msg: NetMsg,
 ) {
     let msg = match msg {
-        NetMsg::Hello { .. } => {
-            let ack = NetMsg::HelloAck {
-                version: WIRE_VERSION,
-            };
-            return net.0.to_client(conn, ack);
-        }
         NetMsg::SpecSubmit {
             client,
             seq,
@@ -216,10 +209,7 @@ pub(crate) fn on_net(
         // Store frames are routed to the quorum core, and client-bound
         // replies have no business arriving at a server; drop them (a
         // confused or hostile peer must not crash us).
-        NetMsg::Store(_)
-        | NetMsg::HelloAck { .. }
-        | NetMsg::SpecReply { .. }
-        | NetMsg::SpecFailed { .. } => return,
+        NetMsg::Store(_) | NetMsg::SpecReply { .. } | NetMsg::SpecFailed { .. } => return,
     };
     spec.on_msg(net, conn, from_peer, msg);
 }
@@ -334,9 +324,6 @@ mod tests {
     fn client_bound_messages_arriving_at_a_server_emit_nothing() {
         let (mut spec, mut net) = replica();
         let stray = [
-            NetMsg::HelloAck {
-                version: WIRE_VERSION,
-            },
             NetMsg::SpecReply {
                 client: 1,
                 seq: 1,

@@ -36,8 +36,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::frame::MAX_FRAME;
-use crate::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::frame::judge_header;
 
 use super::event_loop::Counters;
 
@@ -85,37 +84,23 @@ pub(crate) enum Extract {
     Bad,
 }
 
-/// Examines the bytes at `buf[pos..]` for one complete frame.
+/// Examines the bytes at `buf[pos..]` for one complete frame. Its
+/// header is judged by [`judge_header`] as soon as its bytes are in, so
+/// a bad one is refused before its body arrives.
 pub(crate) fn extract_frame(buf: &[u8], pos: usize) -> Extract {
-    let Some(header) = pos.checked_add(4).and_then(|end| buf.get(pos..end)) else {
-        return Extract::NeedMore;
-    };
-    let Ok(len_bytes) = <[u8; 4]>::try_from(header) else {
-        return Extract::NeedMore;
-    };
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 || len > MAX_FRAME {
-        return Extract::Bad;
-    }
-    let body_start = pos + 5;
-    let body_end = pos + 4 + len as usize;
-    let Some(ver) = buf.get(pos + 4) else {
-        return Extract::NeedMore;
-    };
-    if buf.len() < body_end {
-        // The version byte travels first in the frame, so an
-        // incompatible peer is rejected before its full frame arrives.
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(ver) {
-            return Extract::Bad;
+    match judge_header(buf.get(pos..).unwrap_or_default()) {
+        Err(_) => Extract::Bad,
+        Ok(None) => Extract::NeedMore,
+        Ok(Some(len)) => {
+            let body_end = pos + 4 + len as usize;
+            if buf.len() < body_end {
+                return Extract::NeedMore;
+            }
+            Extract::Frame {
+                body_start: pos + 5,
+                body_end,
+            }
         }
-        return Extract::NeedMore;
-    }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(ver) {
-        return Extract::Bad;
-    }
-    Extract::Frame {
-        body_start,
-        body_end,
     }
 }
 
@@ -436,8 +421,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{append_frame, encode_frame, read_frame};
-    use crate::wire::Reader;
+    use crate::frame::{append_frame, encode_frame, read_frame, MAX_FRAME};
+    use crate::wire::{Reader, WIRE_VERSION};
     use quorumstore::types::Value;
     use std::net::TcpListener;
 
@@ -698,10 +683,13 @@ mod tests {
             extract_frame(&[huge[0], huge[1], huge[2], huge[3], 1], 0),
             Extract::Bad
         ));
-        // Wrong version — rejected even before the body arrives.
+        // Wrong version, the retired version 1 among them — rejected
+        // even before the body arrives.
         let mut f = frame_bytes(b"xx");
-        f[4] = WIRE_VERSION.wrapping_add(9);
-        assert!(matches!(extract_frame(&f[..5], 0), Extract::Bad));
-        assert!(matches!(extract_frame(&f, 0), Extract::Bad));
+        for ver in [0, 1, 3, WIRE_VERSION.wrapping_add(9)] {
+            f[4] = ver;
+            assert!(matches!(extract_frame(&f[..5], 0), Extract::Bad));
+            assert!(matches!(extract_frame(&f, 0), Extract::Bad));
+        }
     }
 }

@@ -872,7 +872,7 @@ mod tests {
         fn on_event(&mut self, ctl: &mut Ctl, stream: TcpStream) {
             let conn = ctl.adopt(stream, 0).expect("adopt");
             let mut frame = Vec::new();
-            encode_frame(&NetMsg::Hello { client: 1 }, &mut frame);
+            encode_frame(&NetMsg::SpecFailed { client: 1, seq: 0 }, &mut frame);
             let frame = frame.repeat(1024);
             for _ in 0..(16 << 20) / frame.len() {
                 ctl.send_frame(conn, &frame);
@@ -915,10 +915,10 @@ mod tests {
     }
 
     /// Stands in for a coordinator. A frame on a request connection
-    /// (tag below [`ANSWERS`]) is answered there with `Hello { client:
-    /// tag }`, like a preliminary view; a frame on an answer connection
-    /// puts `Hello { client: tag }` on the request connection tagged 0,
-    /// like the final view a peer's answer completes. Logs each frame's
+    /// (tag below [`ANSWERS`]) is answered there with [`answer`]`(tag)`,
+    /// like a preliminary view; a frame on an answer connection puts
+    /// [`answer`]`(tag)` on the request connection tagged 0, like the
+    /// final view a peer's answer completes. Logs each frame's
     /// tag with the bytes `watch` — request connection 0's far end, if
     /// given — has received by the time a later connection's frame is
     /// dispatched.
@@ -944,10 +944,7 @@ mod tests {
             } else {
                 Some(conn)
             };
-            ctl.send(
-                to.expect("request 0 adopted"),
-                &NetMsg::Hello { client: tag },
-            );
+            ctl.send(to.expect("request 0 adopted"), &answer(tag));
         }
         fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {}
         fn on_event(&mut self, ctl: &mut Ctl, ev: BatchEv) {
@@ -975,9 +972,18 @@ mod tests {
         }
     }
 
+    /// What a [`Batch`] loop sends for a frame on the connection tagged
+    /// `tag`.
+    fn answer(tag: u64) -> NetMsg {
+        NetMsg::SpecFailed {
+            client: tag,
+            seq: 0,
+        }
+    }
+
     fn reply_len() -> usize {
         let mut frame = Vec::new();
-        encode_frame(&NetMsg::Hello { client: 0 }, &mut frame);
+        encode_frame(&answer(0), &mut frame);
         frame.len()
     }
 
@@ -1049,7 +1055,7 @@ mod tests {
         in_stall.recv_timeout(Duration::from_secs(20)).unwrap();
 
         let mut frame = Vec::new();
-        encode_frame(&NetMsg::Hello { client: 99 }, &mut frame);
+        encode_frame(&answer(99), &mut frame);
         for (far, near) in fars.iter_mut().zip(&nears) {
             far.write_all(&frame).unwrap();
             // Adopted, so non-blocking: a peek never waits.
@@ -1098,8 +1104,7 @@ mod tests {
         assert_eq!(after.frames_in - before.frames_in, 2);
         assert_eq!(after.frames_out - before.frames_out, 2);
         // What the answer added, then the request's own reply.
-        let hello = |client| NetMsg::Hello { client };
-        assert_eq!(got, [hello(ANSWERS), hello(0)]);
+        assert_eq!(got, [answer(ANSWERS), answer(0)]);
         run.stop();
     }
 

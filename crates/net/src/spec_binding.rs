@@ -1,4 +1,4 @@
-//! The spec-store client: a [`Binding`] over the version-2 wire.
+//! The spec-store client: a [`Binding`] over the spec-store frames.
 //!
 //! [`TcpSpecBinding`] drives the replicated sequential-spec store that
 //! rides the replica servers' connections (`specstore::SpecCore`, which
@@ -6,18 +6,14 @@
 //! operations with the full incremental refinement *weak → update →
 //! causal → strong* on a single Correctable.
 //!
-//! ## The version handshake
+//! ## Levels on the wire
 //!
-//! On connect the binding sends [`NetMsg::Hello`] and waits for the
-//! server's [`NetMsg::HelloAck`], which names the wire version it
-//! speaks: a peer that answers anything else is refused before an
-//! operation is sent. Requested levels and the levels on
-//! [`NetMsg::SpecReply`] travel as the builtins' fixed wire ids — the
-//! four levels served here are builtins — so nothing is translated per
-//! operation, and a reply at an id this process does not know is
-//! dropped. A submission sends each requested level once; one naming a
-//! level not served here fails [`correctables::Error::UnsupportedLevel`]
-//! before a frame is written.
+//! Requested levels and the levels on [`NetMsg::SpecReply`] travel as
+//! the builtins' fixed wire ids — the four levels served here are
+//! builtins — so nothing is translated per operation, and a reply at an
+//! id this process does not know is dropped. A submission sends each
+//! requested level once; one naming a level not served here fails
+//! [`correctables::Error::UnsupportedLevel`] before a frame is written.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
 //! with no failover list: the spec store serves every view from the
@@ -25,13 +21,15 @@
 //! in-flight operations with [`correctables::Error::Unavailable`] and the binding
 //! stays down (reconnect by constructing a new binding).
 //!
-//! Otherwise it is a [`crate::TcpBinding`] with another request: the
-//! handshake runs on the freshly dialed blocking stream, then the stream
-//! is handed to one of the process-wide [`ClientReactor`]'s event loops
-//! as the same link a quorum binding gets — its redial list empty — and
-//! submissions take the same path, written by the calling thread on an
-//! idle link ([`crate::reactor::client`]). A spec binding costs one
-//! socket and no thread.
+//! Otherwise it is a [`crate::TcpBinding`] with another request, and
+//! it connects the same way: it dials, then enrolls the stream with one
+//! of the process-wide [`ClientReactor`]'s event loops as the same link
+//! a quorum binding gets — its redial list empty — and submissions take
+//! the same path, written by the calling thread on an idle link
+//! ([`crate::reactor::client`]). There is no handshake: every frame
+//! carries [`crate::WIRE_VERSION`], so a server of another version is
+//! refused on its first frame. A spec binding costs one socket and no
+//! thread.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -41,7 +39,6 @@ use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 use simnet::Wants;
 
 use crate::binding::TcpConfig;
-use crate::frame::{read_frame, write_frame};
 use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
 use crate::wire::{NetMsg, SpecOp};
 
@@ -57,7 +54,7 @@ pub struct SpecTcpConfig {
     /// requested view never arrives fails with [`correctables::Error::Timeout`]
     /// instead of wedging open.
     pub op_timeout: Duration,
-    /// Dial and handshake timeout.
+    /// Dial timeout.
     pub connect_timeout: Duration,
 }
 
@@ -86,11 +83,11 @@ pub struct TcpSpecBinding {
 }
 
 impl TcpSpecBinding {
-    /// Dials `cfg.addr`, performs the version handshake, and registers
-    /// the connection with the process-wide [`ClientReactor`].
+    /// Dials `cfg.addr` and registers the connection with the
+    /// process-wide [`ClientReactor`].
     ///
-    /// Fails if the replica is unreachable, closes mid-handshake, or
-    /// answers the `Hello` with anything but a `HelloAck`.
+    /// Fails if the replica is unreachable within `cfg.connect_timeout`
+    /// or the reactor's loop has exited.
     pub fn connect(cfg: SpecTcpConfig) -> io::Result<TcpSpecBinding> {
         Self::connect_on(cfg, ClientReactor::global()?)
     }
@@ -101,25 +98,6 @@ impl TcpSpecBinding {
         reactor: &ClientReactor,
     ) -> io::Result<TcpSpecBinding> {
         let stream = TcpStream::connect_timeout(&cfg.addr, cfg.connect_timeout)?;
-        // Handshake synchronously, before any event loop sees the
-        // stream: one Hello out, one HelloAck back. The read timeout
-        // covers a peer that accepts but never answers (e.g. a
-        // version-1 server that dropped the Hello frame as garbage and
-        // closed). `read_frame` takes exactly one frame off the socket,
-        // so whatever follows is still there for the loop.
-        stream.set_read_timeout(Some(cfg.connect_timeout))?;
-        let mut scratch = Vec::new();
-        let hello = NetMsg::Hello {
-            client: cfg.client_id,
-        };
-        write_frame(&mut &stream, &hello, &mut scratch)?;
-        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-        let ack =
-            read_frame::<NetMsg>(&mut &stream, &mut scratch).map_err(|e| invalid(e.to_string()))?;
-        let Some(NetMsg::HelloAck { .. }) = ack else {
-            return Err(invalid("expected HelloAck as the first frame".into()));
-        };
-        stream.set_read_timeout(None)?;
         // No redial list: the binding stays down once the link is lost.
         let link = TcpConfig {
             op_timeout: cfg.op_timeout,

@@ -4,10 +4,10 @@
 //! The layout of every encodable type is declared once, in the schema
 //! at the bottom of this file: its tag, its fields in wire order, and
 //! for each list the width and bound of its count. The `wire!` macro
-//! turns each declaration into the type's [`Wire`] impl — `encode`, the
-//! bounded `decode` and `min_wire_version` — so an encoder and a decoder
-//! can never disagree, and a variant missing from a declaration fails
-//! to compile (the generated `encode` match is exhaustive). There is no
+//! turns each declaration into the type's [`Wire`] impl — `encode` and
+//! the bounded `decode` — so an encoder and a decoder can never
+//! disagree, and a variant missing from a declaration fails to compile
+//! (the generated `encode` match is exhaustive). There is no
 //! serde and no reflection; only the leaves (integers, `bool`,
 //! [`NodeId`]) are written by hand. All integers are little-endian.
 //! Every list's count is bounded at decode time, so a corrupt or
@@ -83,10 +83,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "{extra} trailing bytes after a complete message")
             }
             WireError::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported wire version {got} (speak versions {MIN_WIRE_VERSION}..={WIRE_VERSION})"
-                )
+                write!(f, "unsupported wire version {got} (speak {WIRE_VERSION})")
             }
         }
     }
@@ -94,27 +91,17 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The newest wire-format version this build speaks. The frame header
-/// carries a version byte so an incompatible revision is rejected
-/// cleanly instead of misparsed (see [`crate::frame`]).
+/// The wire-format version every frame carries and the only one a
+/// reader accepts: the frame header's version byte makes an
+/// incompatible peer's first frame a clean rejection instead of a
+/// misparse (see [`crate::frame`]).
 ///
-/// Version history:
-///
-/// - **1** — the original quorum-store message set ([`Msg`],
-///   tags `0x01..=0x0A`).
-/// - **2** — the [`NetMsg`] envelope: a version handshake
-///   ([`NetMsg::Hello`]/[`NetMsg::HelloAck`]) and the spec-store
-///   messages (tags `0x0B..=0x11`), whose replies carry a consistency
-///   level id byte. Version-1 frames remain fully decodable — every
-///   `Msg` encodes byte-identically inside [`NetMsg::Store`] — and
-///   version-1-compatible messages are still *sent* in version-1 frames
-///   (see [`Wire::min_wire_version`]), so old and new peers interoperate
-///   on the shared subset. (Early version-2 builds appended a level
-///   directory to `HelloAck`; no reader was left and it was dropped.)
+/// Version 1 was the quorum-store message set alone ([`Msg`], tags
+/// `0x01..=0x0A`); version 2 is the [`NetMsg`] envelope, which adds the
+/// spec-store messages (tags `0x0D..=0x11`). A `Msg` encodes
+/// byte-identically inside [`NetMsg::Store`], so only the version byte
+/// of a quorum-store frame differs between the two.
 pub const WIRE_VERSION: u8 = 2;
-
-/// The oldest wire-format version this build still accepts.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// A cursor over a received byte buffer.
 ///
@@ -179,16 +166,6 @@ pub trait Wire: Sized {
 
     /// Decodes one value from the reader, advancing it.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
-
-    /// The oldest wire version whose decoder understands this *value*
-    /// (not just this type). Framing stamps each frame with this, so a
-    /// message that predates the current version still reaches
-    /// old-version peers, while a genuinely new message is cleanly
-    /// rejected by them ([`WireError::BadVersion`]) instead of
-    /// misparsed. Defaults to [`WIRE_VERSION`].
-    fn min_wire_version(&self) -> u8 {
-        WIRE_VERSION
-    }
 }
 
 /// An enum's decoder once its tag byte is consumed: what lets an enum
@@ -337,32 +314,16 @@ impl SpecOp {
     }
 }
 
-/// The version-2 message envelope: everything a replica connection can
-/// carry.
+/// The message envelope: everything a replica connection can carry.
 ///
-/// [`NetMsg::Store`] wraps the version-1 quorum-store [`Msg`] set and
-/// encodes **byte-identically** to a bare `Msg` (the two share one tag
-/// space), so a version-1 peer's frames decode as `Store` variants and a
-/// `Store` frame — stamped version 1 by [`Wire::min_wire_version`] —
-/// decodes on a version-1 peer. The other variants are version-2-only:
-/// the version handshake and the spec store, whose replies carry a
+/// [`NetMsg::Store`] wraps the quorum-store [`Msg`] set and encodes
+/// **byte-identically** to a bare `Msg` (the two share one tag space).
+/// The other variants are the spec store's, whose replies carry a
 /// consistency level's wire id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetMsg {
-    /// A version-1 quorum-store message, byte-compatible both ways.
+    /// A quorum-store message, byte for byte a bare [`Msg`].
     Store(Msg),
-    /// Client → server: the version handshake. `client` is the sender's
-    /// client id, echoed nowhere — it exists so a server log can
-    /// attribute handshakes.
-    Hello {
-        /// The connecting client's id.
-        client: u64,
-    },
-    /// Server → client: the wire version the server speaks.
-    HelloAck {
-        /// The server's [`WIRE_VERSION`].
-        version: u8,
-    },
     /// Client → server: submit one spec-store operation, asking for
     /// views at the listed levels (wire ids, weakest first).
     SpecSubmit {
@@ -433,13 +394,11 @@ pub enum NetMsg {
 /// below. Two forms, each written as the type's definition would be:
 ///
 /// - `struct S { a: A, b: B }` — the fields, in wire order.
-/// - `enum E, version V { X(a: A) = 1, Y { b: B } = 2, Z = 3 }` — each
-///   variant with its tag byte and its fields (a tuple variant's fields
-///   get names here), in wire order. A variant tagged with a range,
+/// - `enum E { X(a: A) = 1, Y { b: B } = 2, Z = 3 }` — each variant
+///   with its tag byte and its fields (a tuple variant's fields get
+///   names here), in wire order. A variant tagged with a range,
 ///   `W(inner: I) = 0x01..=0x0A`, hands those tags to `I`, which writes
-///   and reads its own tag: `I` shares `E`'s tag space. `E`'s values are
-///   stamped version `V` (default [`WIRE_VERSION`]); a ranged variant's
-///   values take `I`'s.
+///   and reads its own tag: `I` shares `E`'s tag space.
 ///
 /// A field's type is a wire type, or a list `[E; C <= BOUND, "what"]`:
 /// a `C`-wide count no larger than `BOUND`, then the elements. A longer
@@ -462,7 +421,7 @@ macro_rules! wire {
         }
         wire!($($rest)*);
     };
-    (enum $name:ident $(<$p:ident>)? $(, version $ver:literal)? {
+    (enum $name:ident $(<$p:ident>)? {
         $( $v:ident
            $( ( $($tf:ident : $tt:tt $(<$tg:tt>)?),* ) )?
            $( { $($sf:ident : $st:tt $(<$sg:tt>)?),* $(,)? } )?
@@ -482,11 +441,6 @@ macro_rules! wire {
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let tag = u8::decode(r)?;
                 Self::decode_tagged(tag, r)
-            }
-
-            fn min_wire_version(&self) -> u8 {
-                $( wire!(@inner_version self, $name $v, $tag $(..= $hi)?); )*
-                wire!(@version $($ver)?)
             }
         }
 
@@ -531,16 +485,6 @@ macro_rules! wire {
         { $($f:ident : $t:tt $(<$g:tt>)?),* }) => {
         $name::$v { $( $f: wire!(@get $r, $t $(<$g>)?) ),* }
     };
-
-    (@inner_version $s:tt, $name:ident $v:ident, $lo:literal ..= $hi:literal) => {
-        if let $name::$v(inner) = $s {
-            return inner.min_wire_version();
-        }
-    };
-    (@inner_version $s:tt, $name:ident $v:ident, $tag:literal) => {};
-
-    (@version $ver:literal) => { $ver };
-    (@version) => { WIRE_VERSION };
 }
 
 // The schema: every layout on the wire. Tags are one byte; new variants
@@ -572,8 +516,7 @@ wire! {
 
     enum Option<T> { None = 0, Some(v: T) = 1 }
 
-    // Version 1: every `Msg` must keep reaching version-1 peers.
-    enum Msg, version 1 {
+    enum Msg {
         ClientRead { op: OpId, key: Key, kind: ReadKind } = 0x01,
         ClientWrite { op: OpId, key: Key, value: Value, w: u8 } = 0x02,
         PeerRead { op: OpId, key: Key } = 0x03,
@@ -587,10 +530,11 @@ wire! {
     }
 
     // Tags 0x01..=0x0A are `Msg`'s: a `Store` frame is a bare `Msg`.
+    // 0x0B and 0x0C are retired, never to be reused: they were the
+    // version handshake's request and answer, gone since every frame
+    // carries the one version.
     enum NetMsg {
         Store(msg: Msg) = 0x01..=0x0A,
-        Hello { client: u64 } = 0x0B,
-        HelloAck { version: u8 } = 0x0C,
         SpecSubmit {
             client: u64,
             seq: u64,

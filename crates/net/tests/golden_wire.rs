@@ -2,8 +2,8 @@
 //! written out as hex — the length prefix, the frame's version byte,
 //! then the body. Each frame must encode to exactly these bytes and
 //! decode back to its value, so a codec rewrite that moves one byte of
-//! any layout (or the version a message is stamped with) fails here by
-//! name, with the bytes it produced. The tables hold a frame for every
+//! any layout (or the version byte a frame carries) fails here by name,
+//! with the bytes it produced. The tables hold a frame for every
 //! tag each wire enum's decoder accepts, and a closing test checks it.
 
 mod tags;
@@ -168,7 +168,7 @@ fn store_message_frames(g: &mut Golden) {
                 confirm: true,
             },
         }),
-        "1e000000 01 0103000000000000004d00000000000000020900000000000000010201",
+        "1e000000 02 0103000000000000004d00000000000000020900000000000000010201",
     );
     g.check(
         "ClientWrite",
@@ -178,7 +178,7 @@ fn store_message_frames(g: &mut Golden) {
             value: Value::Opaque(1024),
             w: 2,
         }),
-        "21000000 01 0203000000000000004d00000000000000020900000000000000000004000002",
+        "21000000 02 0203000000000000004d00000000000000020900000000000000000004000002",
     );
     g.check(
         "PeerRead",
@@ -186,7 +186,7 @@ fn store_message_frames(g: &mut Golden) {
             op: op(),
             key: key(),
         }),
-        "1b000000 01 0303000000000000004d00000000000000020900000000000000",
+        "1b000000 02 0303000000000000004d00000000000000020900000000000000",
     );
     g.check(
         "PeerReadResp",
@@ -194,7 +194,7 @@ fn store_message_frames(g: &mut Golden) {
             op: op(),
             data: data(),
         }),
-        "33000000 01 0403000000000000004d00000000000000010200000005000000000000000600000000000000080000000000000001000000",
+        "33000000 02 0403000000000000004d00000000000000010200000005000000000000000600000000000000080000000000000001000000",
     );
     g.check(
         "PeerWrite",
@@ -209,7 +209,7 @@ fn store_message_frames(g: &mut Golden) {
             },
             ack_op: Some(op()),
         }),
-        "31000000 01 050209000000000000000210000000000400000800000000000000010000000103000000000000004d00000000000000",
+        "31000000 02 050209000000000000000210000000000400000800000000000000010000000103000000000000004d00000000000000",
     );
     g.check(
         "PeerWrite (no ack)",
@@ -218,12 +218,12 @@ fn store_message_frames(g: &mut Golden) {
             data: data(),
             ack_op: None,
         }),
-        "2d000000 01 0502090000000000000001020000000500000000000000060000000000000008000000000000000100000000",
+        "2d000000 02 0502090000000000000001020000000500000000000000060000000000000008000000000000000100000000",
     );
     g.check(
         "PeerWriteAck",
         store(Msg::PeerWriteAck { op: op() }),
-        "12000000 01 0603000000000000004d00000000000000",
+        "12000000 02 0603000000000000004d00000000000000",
     );
     g.check(
         "ReadReply",
@@ -232,7 +232,7 @@ fn store_message_frames(g: &mut Golden) {
             phase: Phase::Preliminary,
             data: data(),
         }),
-        "34000000 01 0703000000000000004d0000000000000001010200000005000000000000000600000000000000080000000000000001000000",
+        "34000000 02 0703000000000000004d0000000000000001010200000005000000000000000600000000000000080000000000000001000000",
     );
     g.check(
         "ReadConfirm",
@@ -240,12 +240,12 @@ fn store_message_frames(g: &mut Golden) {
             op: op(),
             version: version(),
         }),
-        "1e000000 01 0803000000000000004d00000000000000080000000000000001000000",
+        "1e000000 02 0803000000000000004d00000000000000080000000000000001000000",
     );
     g.check(
         "WriteReply",
         store(Msg::WriteReply { op: op() }),
-        "12000000 01 0903000000000000004d00000000000000",
+        "12000000 02 0903000000000000004d00000000000000",
     );
     g.check(
         "OpFailed",
@@ -253,21 +253,11 @@ fn store_message_frames(g: &mut Golden) {
             op: op(),
             reason: FailReason::Timeout,
         }),
-        "13000000 01 0a03000000000000004d0000000000000000",
+        "13000000 02 0a03000000000000004d0000000000000000",
     );
 }
 
 fn envelope_frames(g: &mut Golden) {
-    g.check(
-        "Hello",
-        NetMsg::Hello { client: 4400 },
-        "0a000000 02 0b3011000000000000",
-    );
-    g.check(
-        "HelloAck",
-        NetMsg::HelloAck { version: 2 },
-        "03000000 02 0c02",
-    );
     g.check(
         "SpecSubmit",
         NetMsg::SpecSubmit {

@@ -19,8 +19,7 @@ use proptest::test_runner::TestRng;
 use correctables::spec::{CtrOp, RegOp};
 use icg_net::wire::{from_bytes, to_bytes, MAX_IDS};
 use icg_net::wire::{MAX_LEVELS, MAX_REPLICAS};
-use icg_net::{NetMsg, Reader, SpecOp, Wire, WireError};
-use icg_net::{MIN_WIRE_VERSION, WIRE_VERSION};
+use icg_net::{NetMsg, Reader, SpecOp, Wire, WireError, WIRE_VERSION};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
@@ -138,10 +137,6 @@ fn arb_spec_op() -> impl Strategy<Value = SpecOp> {
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     prop_oneof![
         arb_msg().prop_map(NetMsg::Store),
-        (0u64..u64::MAX).prop_map(|client| NetMsg::Hello { client }),
-        (1u64..3).prop_map(|version| NetMsg::HelloAck {
-            version: version as u8
-        }),
         (
             0u64..u64::MAX,
             0u64..u64::MAX,
@@ -313,12 +308,11 @@ fn an_over_bound_list_encodes_as_a_count_the_decoder_rejects() {
     );
 }
 
-/// The bulk codec is an implementation change only; the versions a
-/// frame may carry are part of the format and did not move.
+/// The bulk codec is an implementation change only; the version a
+/// frame carries is part of the format and did not move.
 #[test]
 fn wire_versions_are_unchanged() {
     assert_eq!(WIRE_VERSION, 2);
-    assert_eq!(MIN_WIRE_VERSION, 1);
 }
 
 /// The first bytes of 2 000 values `strategy` builds on a fixed seed:
@@ -449,9 +443,9 @@ proptest! {
         prop_assert!(rejected, "oversized list accepted: {:?}", r);
     }
 
-    /// The version-2 envelope and its component types hold the same
-    /// contract as the version-1 set: round-trip identity, every strict
-    /// prefix rejected, trailing bytes rejected — never a panic.
+    /// The envelope and its component types hold the same contract as
+    /// the quorum-store set: round-trip identity, every strict prefix
+    /// rejected, trailing bytes rejected — never a panic.
     #[test]
     fn net_msg_codec_contract(m in arb_net_msg()) {
         codec_contract(&m)?;
@@ -462,17 +456,16 @@ proptest! {
         codec_contract(&op)?;
     }
 
-    /// The `Store` envelope is byte-identical to the bare message: a
-    /// version-1 peer's frames decode as envelopes, and envelope frames
-    /// decode on a version-1 reader.
+    /// A `Store` frame is a bare `Msg`: the envelope encodes to the
+    /// message's own bytes, and each decodes as the other.
     #[test]
     fn store_envelope_is_byte_identical_to_bare_msg(m in arb_msg()) {
         let bare = to_bytes(&m);
         let wrapped = to_bytes(&NetMsg::Store(m.clone()));
         prop_assert_eq!(&bare, &wrapped);
-        prop_assert_eq!(from_bytes::<NetMsg>(&bare).expect("v1 bytes decode as envelope"),
+        prop_assert_eq!(from_bytes::<NetMsg>(&bare).expect("Msg bytes decode as envelope"),
             NetMsg::Store(m.clone()));
-        prop_assert_eq!(from_bytes::<Msg>(&wrapped).expect("envelope bytes decode as v1"), m);
+        prop_assert_eq!(from_bytes::<Msg>(&wrapped).expect("envelope bytes decode as Msg"), m);
     }
 
     /// Random bytes fed to the envelope decoder: any outcome but a panic.

@@ -342,8 +342,9 @@ fn write_queue_backpressure_sheds_slow_reader() {
 }
 
 /// A peer that dies mid-frame (length prefix promises more than it ever
-/// sends) and a peer that sends a wrong version byte: both connections
-/// are dropped without disturbing the replica.
+/// sends), a peer that sends a wrong version byte, and one that sends a
+/// well-formed request stamped with the retired version 1: each
+/// connection is dropped unanswered without disturbing the replica.
 #[test]
 fn death_mid_frame_and_bad_version_are_contained() {
     let replicas = cluster(1);
@@ -370,6 +371,22 @@ fn death_mid_frame_and_bad_version_are_contained() {
     match wrong_ver.read(&mut buf) {
         Ok(0) | Err(_) => {}
         Ok(n) => panic!("server answered a bad-version frame with {n} bytes"),
+    }
+
+    // A read the replica would answer, but in a version-1 frame.
+    let mut v1 = TcpStream::connect(replicas[0].addr()).expect("connect");
+    let mut old = frame_bytes(&Msg::ClientRead {
+        op: op(RAW_CLIENT, 1),
+        key: Key::plain(13),
+        kind: ReadKind::Single { r: 1 },
+    });
+    old[4] = 1;
+    v1.write_all(&old).expect("version-1 frame");
+    v1.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    match v1.read(&mut buf) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("server answered a version-1 frame with {n} bytes"),
     }
 
     // The replica still serves well-behaved traffic.

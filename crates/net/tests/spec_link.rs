@@ -10,13 +10,14 @@ use std::time::Duration;
 
 use correctables::spec::RegOp;
 use correctables::{Client, Error};
-use icg_net::frame::{read_frame, write_frame};
-use icg_net::{NetMsg, SpecOp, SpecTcpConfig, TcpSpecBinding, WIRE_VERSION};
+use icg_net::frame::write_frame;
+use icg_net::{NetMsg, SpecOp, SpecTcpConfig, TcpSpecBinding};
 
-/// A fake server that answers each connection's `Hello` with a
-/// `HelloAck` and then closes it. Returns its address, its count of
-/// accepted connections, and a channel that hears of each close.
-fn hello_then_close() -> (SocketAddr, Arc<AtomicUsize>, mpsc::Receiver<()>) {
+/// A fake server that sends each connection a `SpecFailed` for another
+/// client's operation — a frame the binding drops — and then closes it.
+/// Returns its address, its count of accepted connections, and a
+/// channel that hears of each close.
+fn greet_then_close() -> (SocketAddr, Arc<AtomicUsize>, mpsc::Receiver<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("local addr");
     let accepts = Arc::new(AtomicUsize::new(0));
@@ -26,13 +27,11 @@ fn hello_then_close() -> (SocketAddr, Arc<AtomicUsize>, mpsc::Receiver<()>) {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { continue };
             counted.fetch_add(1, Ordering::SeqCst);
-            let mut scratch = Vec::new();
-            let hello = read_frame::<NetMsg>(&mut stream, &mut scratch);
-            assert!(matches!(hello, Ok(Some(NetMsg::Hello { .. }))));
-            let ack = NetMsg::HelloAck {
-                version: WIRE_VERSION,
+            let stray = NetMsg::SpecFailed {
+                client: u64::MAX,
+                seq: u64::MAX,
             };
-            write_frame(&mut stream, &ack, &mut scratch).expect("hello ack");
+            write_frame(&mut stream, &stray, &mut Vec::new()).expect("greeting");
             drop(stream);
             let _ = closed_tx.send(());
         }
@@ -46,7 +45,7 @@ fn hello_then_close() -> (SocketAddr, Arc<AtomicUsize>, mpsc::Receiver<()>) {
 /// again.
 #[test]
 fn a_lost_spec_link_fails_new_submissions_at_once_and_is_never_redialed() {
-    let (addr, accepts, closed) = hello_then_close();
+    let (addr, accepts, closed) = greet_then_close();
     let mut cfg = SpecTcpConfig::new(addr, 9701);
     cfg.op_timeout = Duration::from_secs(20);
     let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");

@@ -1,11 +1,11 @@
-//! End-to-end tests of the version-2 spec store: the full incremental
-//! refinement *weak → update → causal → strong* on a single
-//! Correctable, against a real 3-replica TCP cluster — plus the
-//! refusal of a custom level no binding serves, a direct submission's
-//! level list (each level sent once, an unserved one failed at once),
-//! version-1/version-2 coexistence on one port, and the binding's
-//! failure contract (lost replica, garbled reply, a reply at a level id
-//! no process decodes, silent server, last clone dropped) against fake
+//! End-to-end tests of the spec store: the full incremental refinement
+//! *weak → update → causal → strong* on a single Correctable, against a
+//! real 3-replica TCP cluster — plus the refusal of a custom level no
+//! binding serves, a direct submission's level list (each level sent
+//! once, an unserved one failed at once), quorum-store and spec-store
+//! clients side by side on one port, and the binding's failure
+//! contract (lost replica, garbled reply, a reply at a level id no
+//! process decodes, silent server, last clone dropped) against fake
 //! servers on raw sockets.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -233,7 +233,7 @@ fn a_repeated_level_goes_on_the_wire_once_and_the_binding_keeps_serving() {
 #[test]
 fn an_unserved_level_fails_at_once_without_a_round_trip() {
     let audit = ConsistencyLevel::new("audit-spec-direct", 31);
-    let (addr, _closed) = fake_spec_server(AfterHello::Silent);
+    let (addr, _closed) = fake_spec_server(AfterGreeting::Silent);
     let binding =
         TcpSpecBinding::connect(SpecTcpConfig::new(addr, 9701)).expect("connect spec binding");
     let levels = [ConsistencyLevel::WEAK, audit, ConsistencyLevel::STRONG];
@@ -243,27 +243,27 @@ fn an_unserved_level_fails_at_once_without_a_round_trip() {
     binding.shutdown();
 }
 
-/// Version-1 and version-2 clients coexist on the same listener: the
-/// legacy store binding (bare `Msg` frames, version byte 1) and the
-/// spec binding (version-2 envelope) run side by side against one
-/// cluster, neither disturbing the other.
+/// Quorum-store and spec-store clients coexist on the same listener:
+/// the store binding (`Store` frames, each a bare `Msg`) and the spec
+/// binding (`Spec*` frames) run side by side against one cluster,
+/// neither disturbing the other.
 #[test]
-fn v1_store_client_and_v2_spec_client_share_a_cluster() {
+fn a_store_client_and_a_spec_client_share_a_cluster() {
     let replicas = cluster();
     let addrs = replicas.iter().map(|r| r.addr()).collect();
 
-    let store = TcpBinding::connect(TcpConfig::new(addrs, 9400)).expect("connect v1 store binding");
+    let store = TcpBinding::connect(TcpConfig::new(addrs, 9400)).expect("connect store binding");
     let spec = connect(&replicas, 9500);
 
     let store_client = Client::new(store.clone());
     let spec_client = Client::new(spec.clone());
 
     let w = store_client.invoke_strong(StoreOp::Write(Key::plain(9), Value::Opaque(1)));
-    w.wait_final(Duration::from_secs(5)).expect("v1 write");
+    w.wait_final(Duration::from_secs(5)).expect("store write");
     let s = spec_client.invoke(SpecOp::Reg(RegOp::Write(9, 2)));
-    s.wait_final(Duration::from_secs(10)).expect("v2 write");
+    s.wait_final(Duration::from_secs(10)).expect("spec write");
     let r = store_client.invoke_strong(StoreOp::Read(Key::plain(9)));
-    let view = r.wait_final(Duration::from_secs(5)).expect("v1 read");
+    let view = r.wait_final(Duration::from_secs(5)).expect("store read");
     assert_eq!(
         view.value.value,
         Value::Opaque(1),
@@ -278,9 +278,9 @@ fn v1_store_client_and_v2_spec_client_share_a_cluster() {
 }
 
 /// What a fake spec server does with each submission after it has
-/// answered the handshake.
+/// greeted the connection.
 #[derive(Clone, Copy)]
-enum AfterHello {
+enum AfterGreeting {
     /// Read submissions and never answer.
     Silent,
     /// Answer every submission with a well-framed undecodable body.
@@ -291,11 +291,17 @@ enum AfterHello {
     UnknownLevels,
 }
 
-/// A fake spec server on a raw listener: answers each connection's
-/// `Hello` with a `HelloAck`, then treats submissions per `mode`.
-/// Reports on the returned channel when a connection's read side ends
-/// (EOF or reset).
-fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
+/// A `SpecFailed` for another client's operation: a frame a spec
+/// binding must drop.
+const STRAY: NetMsg = NetMsg::SpecFailed {
+    client: u64::MAX,
+    seq: u64::MAX,
+};
+
+/// A fake spec server on a raw listener: greets each connection with
+/// [`STRAY`], then treats submissions per `mode`. Reports on the
+/// returned channel when a connection's read side ends (EOF or reset).
+fn fake_spec_server(mode: AfterGreeting) -> (SocketAddr, mpsc::Receiver<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake spec server");
     let addr = listener.local_addr().expect("local addr");
     let (closed_tx, closed_rx) = mpsc::channel();
@@ -305,15 +311,10 @@ fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
             let closed_tx = closed_tx.clone();
             thread::spawn(move || {
                 let mut scratch = Vec::new();
-                let hello = read_frame::<NetMsg>(&mut stream, &mut scratch);
-                assert!(matches!(hello, Ok(Some(NetMsg::Hello { .. }))));
-                let ack = NetMsg::HelloAck {
-                    version: WIRE_VERSION,
-                };
-                write_frame(&mut stream, &ack, &mut scratch).expect("hello ack");
+                write_frame(&mut stream, &STRAY, &mut scratch).expect("greeting");
                 while let Ok(Some(msg)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {
                     let sent = match (mode, msg) {
-                        (AfterHello::Garbage, _) => {
+                        (AfterGreeting::Garbage, _) => {
                             let body = [0xFFu8; 8];
                             let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
                             frame.push(WIRE_VERSION);
@@ -321,7 +322,7 @@ fn fake_spec_server(mode: AfterHello) -> (SocketAddr, mpsc::Receiver<()>) {
                             std::io::Write::write_all(&mut stream, &frame).is_ok()
                         }
                         (
-                            AfterHello::UnknownLevels,
+                            AfterGreeting::UnknownLevels,
                             NetMsg::SpecSubmit {
                                 client, seq, op, ..
                             },
@@ -392,7 +393,7 @@ fn replica_shutdown_fails_the_in_flight_strong_op_unavailable() {
 /// guesses at what the reply might have been.
 #[test]
 fn garbage_spec_reply_fails_unavailable_and_delivers_no_view() {
-    let (addr, _closed) = fake_spec_server(AfterHello::Garbage);
+    let (addr, _closed) = fake_spec_server(AfterGreeting::Garbage);
     let mut cfg = SpecTcpConfig::new(addr, 9601);
     cfg.op_timeout = Duration::from_secs(30);
     let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
@@ -413,7 +414,7 @@ fn garbage_spec_reply_fails_unavailable_and_delivers_no_view() {
 /// strong view here) or by its deadline (a read, which gets none).
 #[test]
 fn spec_replies_at_undecodable_level_ids_deliver_no_view() {
-    let (addr, _closed) = fake_spec_server(AfterHello::UnknownLevels);
+    let (addr, _closed) = fake_spec_server(AfterGreeting::UnknownLevels);
     let mut cfg = SpecTcpConfig::new(addr, 9604);
     cfg.op_timeout = Duration::from_millis(400);
     let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
@@ -435,12 +436,12 @@ fn spec_replies_at_undecodable_level_ids_deliver_no_view() {
     binding.shutdown();
 }
 
-/// A server that completes the handshake and then goes silent: the op
+/// A server that greets the connection and then goes silent: the op
 /// fails `Timeout` at the client-side `op_timeout`, not before and not
 /// never.
 #[test]
 fn silent_server_after_hello_times_out_at_op_timeout() {
-    let (addr, _closed) = fake_spec_server(AfterHello::Silent);
+    let (addr, _closed) = fake_spec_server(AfterGreeting::Silent);
     let mut cfg = SpecTcpConfig::new(addr, 9602);
     cfg.op_timeout = Duration::from_millis(400);
     let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
@@ -463,7 +464,7 @@ fn silent_server_after_hello_times_out_at_op_timeout() {
 /// closes the socket: the server sees its read side end.
 #[test]
 fn dropping_the_last_clone_closes_the_socket() {
-    let (addr, closed) = fake_spec_server(AfterHello::Silent);
+    let (addr, closed) = fake_spec_server(AfterGreeting::Silent);
     let binding =
         TcpSpecBinding::connect(SpecTcpConfig::new(addr, 9603)).expect("connect spec binding");
     let clone = binding.clone();
