@@ -68,7 +68,7 @@ pub enum RegOp {
 /// A map of last-value registers over `u64` keys: the sequential model
 /// of the quorum store (reads return the most recently written value;
 /// unknown keys read 0 — the "absent" record).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegisterSpec {
     /// Preloaded key → value pairs.
     pub initial: BTreeMap<u64, u64>,
@@ -112,7 +112,7 @@ pub enum CtrOp {
 /// A map of counters: the spec store's counter object, and the
 /// sequential model the oracle's buggy counter fixture is checked
 /// against.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSpec;
 
 impl SeqSpec for CounterSpec {

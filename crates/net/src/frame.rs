@@ -238,10 +238,14 @@ mod tests {
         let mut wrapped = Vec::new();
         write_frame(&mut wrapped, &NetMsg::Store(msg()), &mut scratch).unwrap();
         assert_eq!(wrapped, bytes, "Store envelope must be byte-identical");
-        let mut failed = Vec::new();
-        let spec = NetMsg::SpecFailed { client: 7, seq: 1 };
-        write_frame(&mut failed, &spec, &mut scratch).unwrap();
-        assert_eq!(failed[4], WIRE_VERSION);
+        let mut ack = Vec::new();
+        let spec = NetMsg::Spec(specstore::SpecMsg::Ack {
+            of: specstore::UpdateId { origin: 0, seq: 1 },
+            acker: 7,
+            acker_seq: 1,
+        });
+        write_frame(&mut ack, &spec, &mut scratch).unwrap();
+        assert_eq!(ack[4], WIRE_VERSION);
     }
 
     #[test]

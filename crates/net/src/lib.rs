@@ -14,11 +14,11 @@
 //!   its component types, generated from one declared layout per type.
 //!   No serde; the byte layout is explicit (`DESIGN.md` §10) and
 //!   property-tested for round-trip identity and rejection of truncated
-//!   or corrupt input. The [`NetMsg`] envelope carries the quorum-store
-//!   `Msg` (a `NetMsg::Store` frame is byte-identical to the bare
-//!   `Msg`, the two share one tag space) and the spec-store protocol —
-//!   `SpecSubmit`/`SpecReply`/`SpecGossip`/`SpecAck`/`SpecFailed`
-//!   (`DESIGN.md` §13).
+//!   or corrupt input. The [`NetMsg`] envelope carries each core's own
+//!   messages, one per frame: the quorum store's `Msg` in
+//!   `NetMsg::Store` and the spec store's `SpecMsg` in `NetMsg::Spec`,
+//!   each byte-identical to the bare message (they share the envelope's
+//!   tag space; `DESIGN.md` §10, §13).
 //! - [`frame`] — length-prefixed framing with a version byte (every
 //!   frame carries [`WIRE_VERSION`], and a reader refuses any other)
 //!   and a hard size cap against corrupt length prefixes.
@@ -83,6 +83,7 @@ pub mod wire;
 
 pub use binding::{TcpBinding, TcpConfig};
 pub use frame::{FrameError, MAX_FRAME};
+pub use protocol::RegCtrSpec;
 pub use reactor::server::{spawn_local_cluster, ReplicaHandle, ReplicaServer, ServerConfig};
 pub use reactor::ClientReactor;
 pub use spec_binding::{SpecTcpConfig, TcpSpecBinding};

@@ -1,31 +1,29 @@
 //! What a replica serves beside the quorum store: the spec store's
-//! wire.
+//! object, and the one adapter both cores send through.
 //!
 //! Neither protocol lives in this crate. The quorum store's is
 //! [`quorumstore::ReplicaCore`] and the spec store's is
 //! [`specstore::SpecCore`] — the same sans-IO state machines the
 //! simulator hosts, so what the explorer explores is what these sockets
-//! serve. The reactor implements their one host contract,
-//! [`simnet::Egress`], once, for [`NetMsg`]; both cores reach it
-//! through [`Wired`], which sends each core message as the frames that
-//! carry it. The reactor hands every [`NetMsg::Store`] frame to the
-//! quorum core; every other [`NetMsg`] comes here, to [`on_net`], which
-//! translates the `Spec*` frames to the spec core's messages. What is
-//! this module's own is what is the wire's: the object served
-//! ([`RegCtrSpec`]), the level ids of a submission, and the frame ↔
-//! message mapping. It keeps no state.
+//! serve. Each speaks its own message set on both hosts: a core message
+//! is one frame, [`NetMsg::Store`] or [`NetMsg::Spec`], as it is one
+//! message under the simulator. The reactor implements their one host
+//! contract, [`simnet::Egress`], once, for [`NetMsg`]; both cores reach
+//! it through [`Wired`], which wraps each message in its envelope, and
+//! the reactor hands each decoded frame's message straight to its core.
+//! What is this module's own is the object served ([`RegCtrSpec`]). It
+//! keeps no state.
 
 use correctables::spec::{apply_cloned, CounterSpec, RegisterSpec, SeqSpec};
-use correctables::ConsistencyLevel;
 use simnet::Egress;
-use specstore::{ClientMsg, SpecCore, SpecMsg, Update, UpdateId, VectorClock, Wants};
+use specstore::SpecCore;
 
-use crate::wire::{NetMsg, SpecOp};
+use crate::wire::{NetMsg, SpecOp, SpecOpId};
 
 /// The object the TCP spec store serves: a register map and a counter
 /// map side by side, each [`SpecOp`] stepping the one it names.
-#[derive(Default)]
-pub(crate) struct RegCtrSpec {
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RegCtrSpec {
     reg: RegisterSpec,
     ctr: CounterSpec,
 }
@@ -54,92 +52,27 @@ impl SeqSpec for RegCtrSpec {
     }
 }
 
-/// A TCP client's name for its operation, echoed in every reply: its
-/// `(client, seq)`.
-type ClientOp = (u64, u64);
-
-/// The spec core's messages as this replica speaks them.
-type CoreMsg = SpecMsg<RegCtrSpec, ClientOp>;
-
 /// The spec store a replica serves. Replica ids double as vector-clock
 /// indexes, so a spec deployment requires ids `0..n` — exactly what
 /// [`crate::spawn_local_cluster`] assigns.
-pub(crate) type SpecStore = SpecCore<RegCtrSpec, ClientOp>;
+pub(crate) type SpecStore = SpecCore<RegCtrSpec, SpecOpId>;
 
 /// A core's egress over the host's [`NetMsg`] egress: each core
-/// message leaves as the frames that carry it ([`Framed`]), and the
-/// clocks are the host's.
+/// message leaves as the one frame that wraps it, and the clocks are
+/// the host's.
 pub(crate) struct Wired<N>(pub(crate) N);
 
-/// A core message as the frames that carry it.
-pub(crate) trait Framed {
-    /// Hands `send` the frames that carry `self`, in order.
-    fn frames(self, send: impl FnMut(NetMsg));
-}
-
-/// A quorum-store message is one [`NetMsg::Store`] frame, wrapped by
-/// move.
-impl Framed for quorumstore::Msg {
-    fn frames(self, mut send: impl FnMut(NetMsg)) {
-        send(NetMsg::Store(self));
-    }
-}
-
-/// A spec-store message is one frame per view (the last one closing, if
-/// the batch is), one for everything else.
-impl Framed for CoreMsg {
-    fn frames(self, mut send: impl FnMut(NetMsg)) {
-        let reply =
-            |(client, seq): ClientOp, level: ConsistencyLevel, val, closing| NetMsg::SpecReply {
-                client,
-                seq,
-                level: level.wire_id(),
-                val,
-                closing,
-            };
-        match self {
-            SpecMsg::Client(ClientMsg::Views { op, views, closing }) => {
-                let last = views.len().saturating_sub(1);
-                for (i, (level, val)) in views.into_iter().enumerate() {
-                    send(reply(op, level, val, closing && i == last));
-                }
-            }
-            SpecMsg::Gossip { update } => send(NetMsg::SpecGossip {
-                origin: update.id.origin as u32,
-                seq: update.id.seq,
-                ts: update.ts,
-                vc: update.vc.to_vec(),
-                op: update.op,
-            }),
-            SpecMsg::Ack {
-                of,
-                acker,
-                acker_seq,
-            } => send(NetMsg::SpecAck {
-                origin: of.origin as u32,
-                seq: of.seq,
-                acker: acker as u32,
-                acker_seq,
-            }),
-            // Client-bound only; the core never sends one.
-            SpecMsg::Client(ClientMsg::Submit { .. }) => {}
-        }
-    }
-}
-
-impl<M: Framed, N: Egress<NetMsg>> Egress<M> for Wired<N> {
+impl<M: Into<NetMsg>, N: Egress<NetMsg>> Egress<M> for Wired<N> {
     fn to_client(&mut self, conn: u64, msg: M) {
-        msg.frames(|frame| self.0.to_client(conn, frame));
+        self.0.to_client(conn, msg.into());
     }
 
     fn to_peers(&mut self, msg: M) {
-        msg.frames(|frame| self.0.to_peers(frame));
+        self.0.to_peers(msg.into());
     }
 
     fn to_peer(&mut self, peer: usize, msg: M) -> bool {
-        let mut sent = true;
-        msg.frames(|frame| sent &= self.0.to_peer(peer, frame));
-        sent
+        self.0.to_peer(peer, msg.into())
     }
 
     fn now(&self) -> u64 {
@@ -149,81 +82,6 @@ impl<M: Framed, N: Egress<NetMsg>> Egress<M> for Wired<N> {
     fn stamp(&self) -> u64 {
         self.0.stamp()
     }
-}
-
-/// Dispatches one inbound envelope from connection `conn` that is not a
-/// [`NetMsg::Store`] frame (those are the quorum core's): a spec-store
-/// frame goes to `spec` as the message it carries. `from_peer` is the
-/// peer's index when `conn` is this replica's own link to a peer.
-pub(crate) fn on_net(
-    spec: &mut SpecStore,
-    net: &mut Wired<impl Egress<NetMsg>>,
-    conn: u64,
-    from_peer: Option<usize>,
-    msg: NetMsg,
-) {
-    let msg = match msg {
-        NetMsg::SpecSubmit {
-            client,
-            seq,
-            op,
-            wants,
-        } => match resolve_wants(&wants) {
-            Some(wants) => SpecMsg::Client(ClientMsg::Submit {
-                op: (client, seq),
-                client_op: op,
-                wants,
-            }),
-            None => return net.0.to_client(conn, NetMsg::SpecFailed { client, seq }),
-        },
-        NetMsg::SpecGossip {
-            origin,
-            seq,
-            ts,
-            vc,
-            op,
-        } => SpecMsg::Gossip {
-            update: Update {
-                id: UpdateId {
-                    origin: origin as usize,
-                    seq,
-                },
-                ts,
-                vc: VectorClock::from(vc),
-                op,
-            },
-        },
-        NetMsg::SpecAck {
-            origin,
-            seq,
-            acker,
-            acker_seq,
-        } => SpecMsg::Ack {
-            of: UpdateId {
-                origin: origin as usize,
-                seq,
-            },
-            acker: acker as usize,
-            acker_seq,
-        },
-        // Store frames are routed to the quorum core, and client-bound
-        // replies have no business arriving at a server; drop them (a
-        // confused or hostile peer must not crash us).
-        NetMsg::Store(_) | NetMsg::SpecReply { .. } | NetMsg::SpecFailed { .. } => return,
-    };
-    spec.on_msg(net, conn, from_peer, msg);
-}
-
-/// Resolves requested level ids against the four levels the spec store
-/// implements. `None` means the submission asked for a level the store
-/// cannot honestly serve — the caller replies `SpecFailed` rather than
-/// delivering a weaker guarantee under a stronger name.
-fn resolve_wants(wants: &[u8]) -> Option<Wants> {
-    let levels = wants
-        .iter()
-        .map(|&id| ConsistencyLevel::from_wire_id(id).filter(|l| Wants::LEVELS.contains(l)))
-        .collect::<Option<Vec<_>>>()?;
-    (!levels.is_empty()).then(|| Wants::of(&levels))
 }
 
 #[cfg(test)]
@@ -275,14 +133,6 @@ mod tests {
         }
     }
 
-    /// Replica 0 of 3.
-    fn replica() -> (SpecStore, Wired<Recorder>) {
-        (
-            SpecCore::new(RegCtrSpec::default(), 0, 3),
-            Wired(Recorder::default()),
-        )
-    }
-
     /// The adapter both cores send through: a quorum message leaves as
     /// exactly one store frame whichever way it goes, a down link's
     /// `false` comes back, and both clocks are the host's own.
@@ -320,89 +170,39 @@ mod tests {
         );
     }
 
+    /// A spec-core message is one `Spec` frame too: a four-level
+    /// submission leaves as one gossip frame and one client frame that
+    /// carries both wait-free views, weak then update — as the core
+    /// sends them under the simulator.
     #[test]
-    fn client_bound_messages_arriving_at_a_server_emit_nothing() {
-        let (mut spec, mut net) = replica();
-        let stray = [
-            NetMsg::SpecReply {
-                client: 1,
-                seq: 1,
-                level: ConsistencyLevel::STRONG.wire_id(),
-                val: 1,
-                closing: true,
-            },
-            NetMsg::SpecFailed { client: 1, seq: 1 },
-        ];
-        for msg in stray {
-            on_net(&mut spec, &mut net, CONN, None, msg);
-        }
-        assert_eq!(net.0.sent, []);
-    }
-
-    /// The adapter end to end: a four-level submission leaves as one
-    /// gossip frame and one reply frame per wait-free view in level
-    /// order, a peer's ack frame as the causal reply, and a submission
-    /// at a level the store does not serve is refused, not downgraded.
-    #[test]
-    fn frames_translate_to_core_messages_and_back() {
+    fn a_spec_message_is_one_spec_frame() {
         use correctables::spec::CtrOp;
+        use correctables::ConsistencyLevel;
+        use specstore::{ClientMsg, SpecMsg, Wants};
 
-        let (mut spec, mut net) = replica();
-        let submit = NetMsg::SpecSubmit {
-            client: 42,
-            seq: 5,
-            op: SpecOp::Ctr(CtrOp::Add(3, 2)),
-            wants: Wants::LEVELS.iter().map(|l| l.wire_id()).collect(),
+        let mut spec: SpecStore = SpecCore::new(RegCtrSpec::default(), 0, 3);
+        let mut net = Wired(Recorder::default());
+        let op = SpecOp::Ctr(CtrOp::Add(3, 2));
+        let submit = ClientMsg::Submit {
+            op: (42, 5),
+            client_op: op.clone(),
+            wants: Wants::of(&Wants::LEVELS),
         };
-        on_net(&mut spec, &mut net, CONN, None, submit);
-        let reply = |level: ConsistencyLevel, closing| {
-            Sent::Client(
-                CONN,
-                NetMsg::SpecReply {
-                    client: 42,
-                    seq: 5,
-                    level: level.wire_id(),
-                    val: 2,
-                    closing,
-                },
-            )
+        spec.on_msg(&mut net, CONN, None, SpecMsg::Client(submit));
+        let [Sent::Peers(NetMsg::Spec(SpecMsg::Gossip { update })), Sent::Client(CONN, views)] =
+            &net.0.sent[..]
+        else {
+            panic!(
+                "want one gossip frame and one client frame, sent {:?}",
+                net.0.sent
+            );
         };
-        let gossip = Sent::Peers(NetMsg::SpecGossip {
-            origin: 0,
-            seq: 1,
-            ts: 1,
-            vc: vec![1, 0, 0],
-            op: SpecOp::Ctr(CtrOp::Add(3, 2)),
-        });
-        assert_eq!(
-            std::mem::take(&mut net.0.sent),
-            [
-                gossip,
-                reply(ConsistencyLevel::WEAK, false),
-                reply(ConsistencyLevel::UPDATE, false)
-            ]
-        );
-
-        let ack = NetMsg::SpecAck {
-            origin: 0,
-            seq: 1,
-            acker: 1,
-            acker_seq: 0,
+        assert_eq!(update.op, op);
+        let views_at_once = ClientMsg::Views {
+            op: (42, 5),
+            views: vec![(ConsistencyLevel::WEAK, 2), (ConsistencyLevel::UPDATE, 2)],
+            closing: false,
         };
-        on_net(&mut spec, &mut net, 99, Some(0), ack);
-        assert_eq!(
-            std::mem::take(&mut net.0.sent),
-            [reply(ConsistencyLevel::CAUSAL, false)]
-        );
-
-        let unserved = NetMsg::SpecSubmit {
-            client: 42,
-            seq: 6,
-            op: SpecOp::Ctr(CtrOp::Get(3)),
-            wants: vec![u8::MAX],
-        };
-        on_net(&mut spec, &mut net, CONN, None, unserved);
-        let refused = NetMsg::SpecFailed { client: 42, seq: 6 };
-        assert_eq!(net.0.sent, [Sent::Client(CONN, refused)]);
+        assert_eq!(*views, NetMsg::Spec(SpecMsg::Client(views_at_once)));
     }
 }

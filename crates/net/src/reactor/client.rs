@@ -70,10 +70,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use correctables::{ConsistencyLevel, Error, Upcall};
+use correctables::{Error, Upcall};
 use quorumstore::client::{closes_op, on_reply};
 use quorumstore::{ClientOp, Deadlines, IdMap};
-use simnet::NodeId;
+use simnet::{ClientMsg, NodeId};
+use specstore::SpecMsg;
 
 use crate::binding::TcpConfig;
 use crate::frame::append_frame;
@@ -84,8 +85,7 @@ use super::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_C
 
 /// Events injected into a client loop.
 pub(crate) enum ClientEv {
-    /// A freshly created binding arrives with its already-dialed stream
-    /// (a spec binding's with the handshake done on it).
+    /// A freshly created binding arrives with its already-dialed stream.
     Register {
         binding: u64,
         cfg: TcpConfig,
@@ -137,7 +137,7 @@ pub(crate) enum Entry {
     /// A quorum-store operation: [`quorumstore::client`] reads its
     /// replies.
     Store(ClientOp),
-    /// A spec-store operation: each `SpecReply` is one view.
+    /// A spec-store operation: each `Views` message carries views of it.
     Spec(Upcall<u64>),
 }
 
@@ -640,34 +640,19 @@ impl Link {
                     "closes_op and on_reply disagree: {closes} before, {step:?} after"
                 );
             }
-            NetMsg::SpecReply {
-                client,
-                seq,
-                level,
-                val,
+            // Each view of the batch in level order, as the simulator's
+            // round-robin gateway delivers them.
+            NetMsg::Spec(SpecMsg::Client(ClientMsg::Views {
+                op: (client, seq),
+                views,
                 closing,
-            } if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) => {
-                // Only the five builtin levels have wire ids; any other
-                // id would deliver under a name that is not its own, so
-                // drop the view and let the op's other views (or its
-                // deadline) resolve it.
-                let Some(level) = ConsistencyLevel::from_wire_id(level) else {
-                    return;
-                };
+            })) if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) => {
                 self.heard(seq);
                 let closed = if closing { self.take(seq) } else { None };
                 if let Some(Entry::Spec(upcall)) = closed.as_ref().or(self.pending.get(&seq)) {
-                    upcall.deliver(val, level);
-                }
-            }
-            NetMsg::SpecFailed { client, seq }
-                if client == me && self.pending.get(&seq).is_some_and(Entry::is_spec) =>
-            {
-                self.heard(seq);
-                if let Some(entry) = self.take(seq) {
-                    entry.fail(Error::Unavailable(
-                        "server refused the submission (unknown or unserved level)".into(),
-                    ));
+                    for (level, val) in views {
+                        upcall.deliver(val, level);
+                    }
                 }
             }
             _ => {}

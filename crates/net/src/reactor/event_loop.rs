@@ -723,6 +723,8 @@ mod tests {
     use super::*;
     use crate::frame::{encode_frame, read_frame};
     use crate::wire::NetMsg;
+    use quorumstore::{Msg, OpId};
+    use simnet::NodeId;
     use std::io::Write;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{self, Sender};
@@ -872,7 +874,7 @@ mod tests {
         fn on_event(&mut self, ctl: &mut Ctl, stream: TcpStream) {
             let conn = ctl.adopt(stream, 0).expect("adopt");
             let mut frame = Vec::new();
-            encode_frame(&NetMsg::SpecFailed { client: 1, seq: 0 }, &mut frame);
+            encode_frame(&answer(1), &mut frame);
             let frame = frame.repeat(1024);
             for _ in 0..(16 << 20) / frame.len() {
                 ctl.send_frame(conn, &frame);
@@ -975,10 +977,11 @@ mod tests {
     /// What a [`Batch`] loop sends for a frame on the connection tagged
     /// `tag`.
     fn answer(tag: u64) -> NetMsg {
-        NetMsg::SpecFailed {
-            client: tag,
+        let op = OpId {
+            client: NodeId(tag as usize),
             seq: 0,
-        }
+        };
+        NetMsg::Store(Msg::WriteReply { op })
     }
 
     fn reply_len() -> usize {

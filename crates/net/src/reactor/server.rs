@@ -55,7 +55,7 @@ use simnet::Egress;
 use specstore::SpecCore;
 
 use crate::frame::encode_frame;
-use crate::protocol::{self, RegCtrSpec, SpecStore, Wired};
+use crate::protocol::{RegCtrSpec, SpecStore, Wired};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::Backoff;
@@ -279,7 +279,7 @@ struct ReplicaHandler {
 
 /// The protocol cores' window onto the reactor: every send is encoded
 /// onto its connection by `ctl`. Both cores reach it through
-/// [`Wired`], which hands it the frames that carry their messages.
+/// [`Wired`], which wraps each of their messages in its envelope.
 struct ReactorNet<'a> {
     ctl: &'a mut Ctl,
     peer_conns: &'a [Option<u64>],
@@ -350,10 +350,11 @@ impl Handler for ReplicaHandler {
         ctl.adopt(stream, TAG_CLIENT);
     }
 
-    /// Routes one decoded envelope: store frames to the quorum core,
-    /// everything else to the spec store. On this replica's own link to
-    /// a peer (where that peer's answers and acks arrive) the cores are
-    /// told the peer's index; every accepted connection is a client.
+    /// Routes one decoded envelope's message to its core: a store frame
+    /// to the quorum core, a spec frame to the spec store. On this
+    /// replica's own link to a peer (where that peer's answers and acks
+    /// arrive) the cores are told the peer's index; every accepted
+    /// connection is a client.
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
         let Ok(msg) = Reader::new(body).finish::<NetMsg>() else {
             return ctl.close_with(conn, CloseReason::Garbage, true);
@@ -366,7 +367,7 @@ impl Handler for ReplicaHandler {
         let (mut net, core, spec) = ReplicaHandler::net(ctl, self);
         match msg {
             NetMsg::Store(m) => core.on_msg(&mut net, conn, from_peer, m),
-            other => protocol::on_net(spec, &mut net, conn, from_peer, other),
+            NetMsg::Spec(m) => spec.on_msg(&mut net, conn, from_peer, m),
         }
     }
 

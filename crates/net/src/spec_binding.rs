@@ -1,19 +1,24 @@
-//! The spec-store client: a [`Binding`] over the spec-store frames.
+//! The spec-store client: a [`Binding`] that speaks the spec core's
+//! own client messages.
 //!
 //! [`TcpSpecBinding`] drives the replicated sequential-spec store that
-//! rides the replica servers' connections (`specstore::SpecCore`, which
-//! the protocol module puts on the wire): `Register` and `Counter`
-//! operations with the full incremental refinement *weak → update →
-//! causal → strong* on a single Correctable.
+//! rides the replica servers' connections (`specstore::SpecCore`):
+//! `Register` and `Counter` operations with the full incremental
+//! refinement *weak → update → causal → strong* on a single
+//! Correctable. It sends what the simulator's round-robin gateway
+//! sends, a [`ClientMsg::Submit`], and reads what it reads, one
+//! [`ClientMsg::Views`] batch per reply frame, its views in level order.
 //!
 //! ## Levels on the wire
 //!
-//! Requested levels and the levels on [`NetMsg::SpecReply`] travel as
-//! the builtins' fixed wire ids — the four levels served here are
-//! builtins — so nothing is translated per operation, and a reply at an
-//! id this process does not know is dropped. A submission sends each
-//! requested level once; one naming a level not served here fails
-//! [`correctables::Error::UnsupportedLevel`] before a frame is written.
+//! A submission's levels travel as one [`Wants`] byte, a view's level
+//! as its builtin's fixed wire id — the four levels served here are
+//! builtins — so nothing is translated per operation. A submission
+//! naming a level not served here fails
+//! [`correctables::Error::UnsupportedLevel`] before a frame is written:
+//! [`Wants::of`] would drop that level without a word. A reply at a
+//! level id this process does not decode is garbage, and closes the
+//! connection like any undecodable frame.
 //!
 //! Unlike [`crate::TcpBinding`] this binding holds a single connection
 //! with no failover list: the spec store serves every view from the
@@ -36,7 +41,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
-use simnet::Wants;
+use simnet::{ClientMsg, Wants};
+use specstore::SpecMsg;
 
 use crate::binding::TcpConfig;
 use crate::reactor::client::{ClientReactor, Entry, ReactorBinding};
@@ -77,8 +83,6 @@ impl SpecTcpConfig {
 #[derive(Clone)]
 pub struct TcpSpecBinding {
     client_id: u64,
-    /// The levels offered: the four the server's spec store serves.
-    levels: LevelSet,
     rb: ReactorBinding,
 }
 
@@ -106,7 +110,6 @@ impl TcpSpecBinding {
         };
         Ok(TcpSpecBinding {
             client_id: cfg.client_id,
-            levels: LevelSet::of(&Wants::LEVELS),
             rb: reactor.enroll(link, stream, cfg.addr, 0)?,
         })
     }
@@ -123,33 +126,25 @@ impl Binding for TcpSpecBinding {
     type Op = SpecOp;
     type Val = u64;
 
+    /// The four levels the server's spec store serves.
     fn consistency_levels(&self) -> LevelSet {
-        self.levels.clone()
+        LevelSet::of(&Wants::LEVELS)
     }
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
-        // A level not served here fails at once, alone: on the wire the
-        // server would refuse it a round trip later.
-        if let Some(&level) = levels.iter().find(|l| !self.levels.contains(**l)) {
+        // A level not served here fails at once, alone: `Wants::of`
+        // would drop it, and the op would close at a level not asked.
+        if let Some(&level) = levels.iter().find(|l| !Wants::LEVELS.contains(l)) {
             return upcall.fail(Error::UnsupportedLevel(level));
         }
-        // The set of the requested levels, weakest first: each goes once,
-        // so a wanted list never outgrows the wire's bound. Every level
-        // offered here is a builtin, whose wire id is fixed.
-        let (client, served) = (self.client_id, &self.levels);
+        let (client, wants) = (self.client_id, Wants::of(levels));
         self.rb.submit(|seq| {
-            let wants = served
-                .iter()
-                .filter(|l| levels.contains(l))
-                .map(|l| l.wire_id())
-                .collect();
-            let msg = NetMsg::SpecSubmit {
-                client,
-                seq,
-                op,
+            let submit = ClientMsg::Submit {
+                op: (client, seq),
+                client_op: op,
                 wants,
             };
-            (msg, Entry::Spec(upcall))
+            (NetMsg::Spec(SpecMsg::Client(submit)), Entry::Spec(upcall))
         });
     }
 }

@@ -7,9 +7,13 @@
 //! turns each declaration into the type's [`Wire`] impl — `encode` and
 //! the bounded `decode` — so an encoder and a decoder can never
 //! disagree, and a variant missing from a declaration fails to compile
-//! (the generated `encode` match is exhaustive). There is no
-//! serde and no reflection; only the leaves (integers, `bool`,
-//! [`NodeId`]) are written by hand. All integers are little-endian.
+//! (the generated `encode` match is exhaustive). A generic type is
+//! declared through an alias of the one instantiation that travels
+//! ([`SpecNetMsg`], [`SpecClientMsg`], [`SpecUpdate`]). There is no
+//! serde and no reflection; only the leaves are written by hand: the
+//! integers, `bool`, [`NodeId`], a replica index (`usize`), a pair, a
+//! [`ConsistencyLevel`] (its wire id), a submission's [`Wants`] (one
+//! byte) and a [`VectorClock`]. All integers are little-endian.
 //! Every list's count is bounded at decode time, so a corrupt or
 //! hostile frame cannot ask the decoder to allocate gigabytes. That is
 //! the only check of a bound: the encoder writes a list over its bound
@@ -19,9 +23,13 @@
 //! [`crate::frame`]; `DESIGN.md` §10 explains both.
 
 use correctables::spec::{CtrOp, RegOp};
+use correctables::ConsistencyLevel;
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
-use simnet::NodeId;
+use simnet::{ClientMsg, NodeId, Wants};
+use specstore::{SpecMsg, Update, UpdateId, VectorClock};
+
+use crate::protocol::RegCtrSpec;
 
 /// Protocol bound on [`Value::Ids`] list lengths. Decode rejects a
 /// longer list as [`WireError::TooLarge`] before reading its body (a
@@ -31,13 +39,12 @@ use simnet::NodeId;
 /// that must not lose the link checks first, as `TcpBinding` does.
 pub const MAX_IDS: u32 = 1 << 20;
 
-/// Protocol bound on the per-submit wanted-level list. Only the five
-/// builtin levels have wire ids a receiver decodes, so an honest list
-/// is at most five long; 64 bounds what a hostile one costs.
-pub const MAX_LEVELS: u8 = 64;
+/// Protocol bound on the views of one spec-store reply: one per level
+/// a spec store serves.
+pub const MAX_VIEWS: u8 = Wants::LEVELS.len() as u8;
 
-/// Protocol bound on the vector-clock width of a spec-store gossip
-/// message — i.e. on the replica-set size of a TCP spec deployment.
+/// Protocol bound on the width of a spec-store [`VectorClock`] — i.e.
+/// on the replica-set size of a TCP spec deployment.
 pub const MAX_REPLICAS: u32 = 64;
 
 /// Why a byte sequence failed to decode.
@@ -98,9 +105,11 @@ impl std::error::Error for WireError {}
 ///
 /// Version 1 was the quorum-store message set alone ([`Msg`], tags
 /// `0x01..=0x0A`); version 2 is the [`NetMsg`] envelope, which adds the
-/// spec-store messages (tags `0x0D..=0x11`). A `Msg` encodes
-/// byte-identically inside [`NetMsg::Store`], so only the version byte
-/// of a quorum-store frame differs between the two.
+/// spec-store messages ([`SpecNetMsg`], tags `0x12..=0x15`). A `Msg`
+/// encodes byte-identically inside [`NetMsg::Store`], so only the
+/// version byte of a quorum-store frame differs between the two. Tags
+/// only ever append, so the spec tags of an earlier build of version 2
+/// (`0x0D..=0x11`) are refused as `BadTag`.
 pub const WIRE_VERSION: u8 = 2;
 
 /// A cursor over a received byte buffer.
@@ -170,7 +179,8 @@ pub trait Wire: Sized {
 
 /// An enum's decoder once its tag byte is consumed: what lets an enum
 /// hand a range of its tags to another enum that shares its tag space
-/// ([`NetMsg::Store`] to [`Msg`], [`SpecOp`] to [`RegOp`] and [`CtrOp`]).
+/// ([`NetMsg`] to [`Msg`] and [`SpecNetMsg`], [`SpecNetMsg`] to
+/// [`SpecClientMsg`], [`SpecOp`] to [`RegOp`] and [`CtrOp`]).
 trait Tagged: Wire {
     fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
@@ -212,12 +222,106 @@ impl Wire for NodeId {
     }
 }
 
-/// An element of a declared list: how a run of them is written and
-/// read in one piece.
-trait Elem: Sized {
-    fn put_all(buf: &mut Vec<u8>, items: &[Self]);
-    fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError>;
+/// A replica index travels as a `u32`: a deployment has at most
+/// [`MAX_REPLICAS`] of them.
+impl Wire for usize {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        // An index past `u32::MAX` names no replica; it goes saturated.
+        u32::try_from(*self).unwrap_or(u32::MAX).encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u32::decode(r)? as usize)
+    }
 }
+
+/// A pair travels as its halves in order: a spec client's `(client,
+/// seq)`, a view's `(level, value)`.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// A level travels as its one-byte wire id. Only the builtins have ids
+/// a process decodes; any other id is `BadTag`, so a view never reaches
+/// a client under a name that is not its own.
+impl Wire for ConsistencyLevel {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.wire_id());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let id = u8::decode(r)?;
+        ConsistencyLevel::from_wire_id(id).ok_or(WireError::BadTag {
+            what: "ConsistencyLevel",
+            tag: id,
+        })
+    }
+}
+
+/// A submission's wanted levels travel as one byte, bit `i` set for
+/// [`Wants::LEVELS`]`[i]`. A byte that wants nothing, or sets a bit no
+/// level has, is `BadTag`: a replica serves what was asked for or
+/// nothing, never a weaker level under a stronger name.
+impl Wire for Wants {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let bit = |on, i: u8| u8::from(on) << i;
+        buf.push(
+            bit(self.weak, 0) | bit(self.update, 1) | bit(self.causal, 2) | bit(self.strong, 3),
+        );
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let bits = u8::decode(r)?;
+        if bits == 0 || bits > 0b1111 {
+            return Err(WireError::BadTag {
+                what: "Wants",
+                tag: bits,
+            });
+        }
+        let bit = |i: u8| bits & (1 << i) != 0;
+        Ok(Wants {
+            weak: bit(0),
+            update: bit(1),
+            causal: bit(2),
+            strong: bit(3),
+        })
+    }
+}
+
+/// A vector clock travels as a `u32`-counted list of its entries, at
+/// most [`MAX_REPLICAS`] of them.
+impl Wire for VectorClock {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_list::<u32, u64>(buf, self, MAX_REPLICAS + 1);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        get_list::<u32, u64>(r, MAX_REPLICAS, "VectorClock").map(VectorClock::from)
+    }
+}
+
+/// An element of a declared list: how a run of them is written and
+/// read in one piece — by default one element after another.
+trait Elem: Wire {
+    fn put_all(buf: &mut Vec<u8>, items: &[Self]) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    fn take_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        (0..n).map(|_| Self::decode(r)).collect()
+    }
+}
+
+impl Elem for View {}
 
 impl Elem for u8 {
     fn put_all(buf: &mut Vec<u8>, items: &[u8]) {
@@ -314,80 +418,48 @@ impl SpecOp {
     }
 }
 
-/// The message envelope: everything a replica connection can carry.
+/// A spec client's name for its operation, echoed in every view: its
+/// `(client id, seq)`.
+pub type SpecOpId = (u64, u64);
+
+/// The spec core's messages as a TCP replica and its clients speak
+/// them: [`specstore::SpecCore`]'s own message set over the object
+/// served here, each one frame.
+pub type SpecNetMsg = SpecMsg<RegCtrSpec, SpecOpId>;
+
+/// The client half of [`SpecNetMsg`]: a submission, or views of one.
+pub type SpecClientMsg = ClientMsg<SpecOpId, SpecOp, u64>;
+
+/// One spec-store update as it is gossiped.
+pub type SpecUpdate = Update<SpecOp>;
+
+/// One view of a spec operation: its level and its value.
+type View = (ConsistencyLevel, u64);
+
+/// The message envelope: everything a replica connection can carry,
+/// one core message per frame.
 ///
-/// [`NetMsg::Store`] wraps the quorum-store [`Msg`] set and encodes
-/// **byte-identically** to a bare `Msg` (the two share one tag space).
-/// The other variants are the spec store's, whose replies carry a
-/// consistency level's wire id.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Each variant shares the envelope's tag space with the message it
+/// wraps, so [`NetMsg::Store`] encodes **byte-identically** to a bare
+/// [`Msg`], and [`NetMsg::Spec`] to a bare [`SpecNetMsg`].
+#[derive(Clone, Debug, PartialEq)]
 pub enum NetMsg {
     /// A quorum-store message, byte for byte a bare [`Msg`].
     Store(Msg),
-    /// Client → server: submit one spec-store operation, asking for
-    /// views at the listed levels (wire ids, weakest first).
-    SpecSubmit {
-        /// Submitting client's id.
-        client: u64,
-        /// Client-assigned sequence number, echoed in every reply.
-        seq: u64,
-        /// The operation.
-        op: SpecOp,
-        /// Requested level ids, at most [`MAX_LEVELS`].
-        wants: Vec<u8>,
-    },
-    /// Server → client: one view of a submitted operation at one
-    /// consistency level.
-    SpecReply {
-        /// Echo of the submitting client's id.
-        client: u64,
-        /// Echo of the client-assigned sequence number.
-        seq: u64,
-        /// The level id of this view.
-        level: u8,
-        /// The view's value.
-        val: u64,
-        /// Whether this is the strongest view the op will receive.
-        closing: bool,
-    },
-    /// Server → server: replicate one spec-store update.
-    SpecGossip {
-        /// Originating replica id.
-        origin: u32,
-        /// Origin-local sequence number of the update (1-based,
-        /// gapless per origin).
-        seq: u64,
-        /// Lamport timestamp — the agreed total order is `(ts, origin,
-        /// seq)`.
-        ts: u64,
-        /// The origin's vector clock *after* creating the update
-        /// (causal-delivery guard), at most [`MAX_REPLICAS`] wide.
-        vc: Vec<u64>,
-        /// The operation.
-        op: SpecOp,
-    },
-    /// Server → server: acknowledge causal delivery of one update back
-    /// toward its origin.
-    SpecAck {
-        /// The acknowledged update's origin.
-        origin: u32,
-        /// The acknowledged update's origin-local sequence number.
-        seq: u64,
-        /// The acknowledging replica.
-        acker: u32,
-        /// How many updates the acker itself had submitted when it
-        /// acked — the origin's strong views wait until these are
-        /// delivered locally (stability, not just receipt).
-        acker_seq: u64,
-    },
-    /// Server → client: the op cannot be served (e.g. it asked for a
-    /// level this store does not implement).
-    SpecFailed {
-        /// Echo of the submitting client's id.
-        client: u64,
-        /// Echo of the client-assigned sequence number.
-        seq: u64,
-    },
+    /// A spec-store message, byte for byte a bare [`SpecNetMsg`].
+    Spec(SpecNetMsg),
+}
+
+impl From<Msg> for NetMsg {
+    fn from(msg: Msg) -> NetMsg {
+        NetMsg::Store(msg)
+    }
+}
+
+impl From<SpecNetMsg> for NetMsg {
+    fn from(msg: SpecNetMsg) -> NetMsg {
+        NetMsg::Spec(msg)
+    }
 }
 
 /// Generates the [`Wire`] impl of each type declared in the schema
@@ -530,28 +602,34 @@ wire! {
     }
 
     // Tags 0x01..=0x0A are `Msg`'s: a `Store` frame is a bare `Msg`.
-    // 0x0B and 0x0C are retired, never to be reused: they were the
+    // Tags 0x12..=0x15 are the spec core's: a `Spec` frame is a bare
+    // `SpecNetMsg`. Retired, never to be reused: 0x0B and 0x0C, the
     // version handshake's request and answer, gone since every frame
-    // carries the one version.
+    // carries the one version; 0x0D..=0x11, the spec store's frames
+    // before it sent its own messages.
     enum NetMsg {
         Store(msg: Msg) = 0x01..=0x0A,
-        SpecSubmit {
-            client: u64,
-            seq: u64,
-            op: SpecOp,
-            wants: [u8; u8 <= MAX_LEVELS, "NetMsg::SpecSubmit wants"],
-        } = 0x0D,
-        SpecReply { client: u64, seq: u64, level: u8, val: u64, closing: bool } = 0x0E,
-        SpecGossip {
-            origin: u32,
-            seq: u64,
-            ts: u64,
-            vc: [u64; u32 <= MAX_REPLICAS, "NetMsg::SpecGossip vc"],
-            op: SpecOp,
-        } = 0x0F,
-        SpecAck { origin: u32, seq: u64, acker: u32, acker_seq: u64 } = 0x10,
-        SpecFailed { client: u64, seq: u64 } = 0x11,
+        Spec(msg: SpecNetMsg) = 0x12..=0x15,
     }
+
+    enum SpecNetMsg {
+        Client(msg: SpecClientMsg) = 0x12..=0x13,
+        Gossip { update: SpecUpdate } = 0x14,
+        Ack { of: UpdateId, acker: usize, acker_seq: u64 } = 0x15,
+    }
+
+    enum SpecClientMsg {
+        Submit { op: SpecOpId, client_op: SpecOp, wants: Wants } = 0x12,
+        Views {
+            op: SpecOpId,
+            views: [View; u8 <= MAX_VIEWS, "SpecClientMsg::Views views"],
+            closing: bool,
+        } = 0x13,
+    }
+
+    struct SpecUpdate { id: UpdateId, ts: u64, vc: VectorClock, op: SpecOp }
+
+    struct UpdateId { origin: usize, seq: u64 }
 
     // A register op and a counter op share one tag space.
     enum SpecOp {

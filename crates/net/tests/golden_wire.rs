@@ -13,12 +13,14 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 
 use correctables::spec::{CtrOp, RegOp};
+use correctables::ConsistencyLevel;
 use icg_net::frame::{encode_frame, read_frame};
-use icg_net::wire::from_bytes;
+use icg_net::wire::{from_bytes, SpecClientMsg, SpecNetMsg};
 use icg_net::{NetMsg, SpecOp, Wire};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
+use specstore::{ClientMsg, SpecMsg, Update, UpdateId, VectorClock, Wants};
 
 /// `len ver body`, each part in lower-case hex.
 fn hex(frame: &[u8]) -> String {
@@ -121,9 +123,10 @@ fn every_component_frame_is_golden() {
     g.assert_all_golden();
 }
 
-/// The tables hold a frame for every tag of every wire enum. `Msg`
-/// shares `NetMsg`'s tag space (a `Store` frame is a bare `Msg`), and
-/// `RegOp` and `CtrOp` share `SpecOp`'s. The schema's one optional
+/// The tables hold a frame for every tag of every wire enum. `Msg` and
+/// `SpecNetMsg` share `NetMsg`'s tag space (a `Store` frame is a bare
+/// `Msg`, a `Spec` frame a bare `SpecNetMsg`), `SpecClientMsg` shares
+/// `SpecNetMsg`'s, and `RegOp` and `CtrOp` share `SpecOp`'s. The schema's one optional
 /// field, `PeerWrite`'s `ack_op`, has a `Msg` frame in each shape: an
 /// `Option` frame alone does not show the message carrying it.
 #[test]
@@ -134,6 +137,8 @@ fn golden_frames_cover_every_decodable_tag() {
     component_frames(&mut g);
     g.cover::<NetMsg>(None);
     g.cover::<Msg>(Some(type_name::<NetMsg>()));
+    g.cover::<SpecNetMsg>(Some(type_name::<NetMsg>()));
+    g.cover::<SpecClientMsg>(Some(type_name::<NetMsg>()));
     g.cover::<Value>(None);
     g.cover::<ReadKind>(None);
     g.cover::<Phase>(None);
@@ -258,55 +263,48 @@ fn store_message_frames(g: &mut Golden) {
 }
 
 fn envelope_frames(g: &mut Golden) {
+    let spec = |m: SpecNetMsg| NetMsg::Spec(m);
     g.check(
-        "SpecSubmit",
-        NetMsg::SpecSubmit {
-            client: 4400,
-            seq: 5,
-            op: SpecOp::Ctr(CtrOp::Add(3, 2)),
-            wants: vec![0, 1, 2, 3],
-        },
-        "28000000 02 0d3011000000000000050000000000000004030000000000000002000000000000000400010203",
+        "Submit",
+        spec(SpecMsg::Client(ClientMsg::Submit {
+            op: (4400, 5),
+            client_op: SpecOp::Ctr(CtrOp::Add(3, 2)),
+            wants: Wants::of(&Wants::LEVELS),
+        })),
+        "24000000 02 123011000000000000050000000000000004030000000000000002000000000000000f",
     );
     g.check(
-        "SpecReply",
-        NetMsg::SpecReply {
-            client: 4400,
-            seq: 5,
-            level: 3,
-            val: 42,
+        "Views",
+        spec(SpecMsg::Client(ClientMsg::Views {
+            op: (4400, 5),
+            views: vec![
+                (ConsistencyLevel::CAUSAL, 41),
+                (ConsistencyLevel::STRONG, 42),
+            ],
             closing: true,
-        },
-        "1c000000 02 0e30110000000000000500000000000000032a0000000000000001",
+        })),
+        "26000000 02 133011000000000000050000000000000002032900000000000000042a0000000000000001",
     );
     g.check(
-        "SpecGossip",
-        NetMsg::SpecGossip {
-            origin: 1,
-            seq: 4,
-            ts: 9,
-            vc: vec![1, 4, 0],
-            op: SpecOp::Reg(RegOp::Write(5, 6)),
-        },
-        "43000000 02 0f0100000004000000000000000900000000000000030000000100000000000000040000000000000000000000000000000105000000000000000600000000000000",
+        "Gossip",
+        spec(SpecMsg::Gossip {
+            update: Update {
+                id: UpdateId { origin: 1, seq: 4 },
+                ts: 9,
+                vc: VectorClock::from(vec![1, 4, 0]),
+                op: SpecOp::Reg(RegOp::Write(5, 6)),
+            },
+        }),
+        "43000000 02 140100000004000000000000000900000000000000030000000100000000000000040000000000000000000000000000000105000000000000000600000000000000",
     );
     g.check(
-        "SpecAck",
-        NetMsg::SpecAck {
-            origin: 1,
-            seq: 4,
+        "Ack",
+        spec(SpecMsg::Ack {
+            of: UpdateId { origin: 1, seq: 4 },
             acker: 2,
             acker_seq: 3,
-        },
-        "1a000000 02 10010000000400000000000000020000000300000000000000",
-    );
-    g.check(
-        "SpecFailed",
-        NetMsg::SpecFailed {
-            client: 4400,
-            seq: 6,
-        },
-        "12000000 02 1130110000000000000600000000000000",
+        }),
+        "1a000000 02 15010000000400000000000000020000000300000000000000",
     );
 }
 

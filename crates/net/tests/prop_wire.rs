@@ -17,12 +17,14 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use correctables::spec::{CtrOp, RegOp};
+use correctables::ConsistencyLevel;
 use icg_net::wire::{from_bytes, to_bytes, MAX_IDS};
-use icg_net::wire::{MAX_LEVELS, MAX_REPLICAS};
+use icg_net::wire::{SpecClientMsg, SpecNetMsg, SpecUpdate, MAX_REPLICAS, MAX_VIEWS};
 use icg_net::{NetMsg, Reader, SpecOp, Wire, WireError, WIRE_VERSION};
 use quorumstore::messages::{FailReason, Msg, Phase};
 use quorumstore::types::{Key, OpId, ReadKind, Value, Version, Versioned};
 use simnet::NodeId;
+use specstore::{ClientMsg, SpecMsg, UpdateId, VectorClock, Wants};
 
 fn arb_key() -> impl Strategy<Value = Key> {
     (0u64..u64::MAX, 0u64..256).prop_map(|(id, ns)| Key { ns: ns as u8, id })
@@ -134,59 +136,81 @@ fn arb_spec_op() -> impl Strategy<Value = SpecOp> {
     ]
 }
 
-fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
+/// Every level a process decodes: the builtins, wire ids 0..=4.
+fn arb_level() -> impl Strategy<Value = ConsistencyLevel> {
+    (0u64..5).prop_map(|id| ConsistencyLevel::from_wire_id(id as u8).expect("a builtin"))
+}
+
+/// Any non-empty set of the four levels a spec store serves.
+fn arb_wants() -> impl Strategy<Value = Wants> {
+    (1u64..16).prop_map(|bits| {
+        let levels: Vec<_> = (Wants::LEVELS.iter().enumerate())
+            .filter(|(i, _)| bits & 1 << i != 0)
+            .map(|(_, level)| *level)
+            .collect();
+        Wants::of(&levels)
+    })
+}
+
+fn arb_spec_client_msg() -> impl Strategy<Value = SpecClientMsg> {
+    let op = (0u64..u64::MAX, 0u64..u64::MAX);
     prop_oneof![
-        arb_msg().prop_map(NetMsg::Store),
-        (
-            0u64..u64::MAX,
-            0u64..u64::MAX,
-            arb_spec_op(),
-            proptest::collection::vec(0u64..256, 0..6)
-        )
-            .prop_map(|(client, seq, op, wants)| NetMsg::SpecSubmit {
-                client,
-                seq,
+        (op.clone(), arb_spec_op(), arb_wants()).prop_map(|(op, client_op, wants)| {
+            ClientMsg::Submit {
                 op,
-                wants: wants.into_iter().map(|w| w as u8).collect(),
-            }),
+                client_op,
+                wants,
+            }
+        }),
         (
-            0u64..u64::MAX,
-            0u64..u64::MAX,
-            0u64..256,
-            0u64..u64::MAX,
+            op,
+            proptest::collection::vec((arb_level(), 0u64..u64::MAX), 0..=usize::from(MAX_VIEWS)),
             any::<bool>()
         )
-            .prop_map(|(client, seq, level, val, closing)| NetMsg::SpecReply {
-                client,
+            .prop_map(|(op, views, closing)| ClientMsg::Views { op, views, closing }),
+    ]
+}
+
+fn arb_spec_update() -> impl Strategy<Value = SpecUpdate> {
+    (
+        0u64..1 << 32,
+        0u64..u64::MAX,
+        0u64..u64::MAX,
+        proptest::collection::vec(0u64..u64::MAX, 0..8),
+        arb_spec_op(),
+    )
+        .prop_map(|(origin, seq, ts, vc, op)| SpecUpdate {
+            id: UpdateId {
+                origin: origin as usize,
                 seq,
-                level: level as u8,
-                val,
-                closing,
-            }),
-        (
-            0u64..1 << 32,
-            0u64..u64::MAX,
-            0u64..u64::MAX,
-            proptest::collection::vec(0u64..u64::MAX, 0..8),
-            arb_spec_op()
-        )
-            .prop_map(|(origin, seq, ts, vc, op)| NetMsg::SpecGossip {
-                origin: origin as u32,
-                seq,
-                ts,
-                vc,
-                op,
-            }),
+            },
+            ts,
+            vc: VectorClock::from(vc),
+            op,
+        })
+}
+
+fn arb_spec_net_msg() -> impl Strategy<Value = SpecNetMsg> {
+    prop_oneof![
+        arb_spec_client_msg().prop_map(SpecMsg::Client),
+        arb_spec_update().prop_map(|update| SpecMsg::Gossip { update }),
         (0u64..1 << 32, 0u64..u64::MAX, 0u64..1 << 32, 0u64..u64::MAX).prop_map(
-            |(origin, seq, acker, acker_seq)| NetMsg::SpecAck {
-                origin: origin as u32,
-                seq,
-                acker: acker as u32,
+            |(origin, seq, acker, acker_seq)| SpecMsg::Ack {
+                of: UpdateId {
+                    origin: origin as usize,
+                    seq,
+                },
+                acker: acker as usize,
                 acker_seq,
             }
         ),
-        (0u64..u64::MAX, 0u64..u64::MAX)
-            .prop_map(|(client, seq)| NetMsg::SpecFailed { client, seq }),
+    ]
+}
+
+fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
+    prop_oneof![
+        arb_msg().prop_map(NetMsg::Store),
+        arb_spec_net_msg().prop_map(NetMsg::Spec),
     ]
 }
 
@@ -278,34 +302,112 @@ fn an_over_bound_list_encodes_as_a_count_the_decoder_rejects() {
         })
     );
 
-    let op = SpecOp::Reg(RegOp::Read(9));
-    let submit = NetMsg::SpecSubmit {
-        client: 1,
-        seq: 2,
-        op: op.clone(),
-        wants: vec![1; usize::from(MAX_LEVELS) + 1],
+    let views = ClientMsg::Views {
+        op: (1, 2),
+        views: vec![(ConsistencyLevel::WEAK, 3); usize::from(MAX_VIEWS) + 1],
+        closing: true,
     };
+    let views = NetMsg::Spec(SpecMsg::Client(views));
+    let views_bytes = to_bytes(&views);
+    // Tag and op id, the count alone, then `closing`.
+    assert_eq!(views_bytes[17..], [MAX_VIEWS + 1, 1]);
     assert_eq!(
-        from_bytes::<NetMsg>(&to_bytes(&submit)),
+        from_bytes::<NetMsg>(&views_bytes),
         Err(WireError::TooLarge {
-            what: "NetMsg::SpecSubmit wants",
-            len: u64::from(MAX_LEVELS) + 1
+            what: "SpecClientMsg::Views views",
+            len: u64::from(MAX_VIEWS) + 1
         })
     );
-    let gossip = NetMsg::SpecGossip {
-        origin: 0,
-        seq: 1,
+
+    let update = SpecUpdate {
+        id: UpdateId { origin: 0, seq: 1 },
         ts: 1,
-        vc: vec![1; MAX_REPLICAS as usize + 1],
-        op,
+        vc: VectorClock::from(vec![1; MAX_REPLICAS as usize + 1]),
+        op: SpecOp::Reg(RegOp::Read(9)),
     };
+    let vc_bytes = to_bytes(&update.vc);
+    assert_eq!(vc_bytes, (MAX_REPLICAS + 1).to_le_bytes());
+    let gossip = NetMsg::Spec(SpecMsg::Gossip { update });
     assert_eq!(
         from_bytes::<NetMsg>(&to_bytes(&gossip)),
         Err(WireError::TooLarge {
-            what: "NetMsg::SpecGossip vc",
+            what: "VectorClock",
             len: u64::from(MAX_REPLICAS) + 1
         })
     );
+}
+
+/// The leaves that name levels refuse every byte that names none a
+/// process serves: a `Wants` byte that wants nothing or sets a bit past
+/// the four levels, and a view's level id past the builtins, are
+/// `BadTag`. Every other byte decodes as exactly what it says, so no
+/// view or request ever carries a weaker level under a stronger name.
+#[test]
+fn wants_bytes_and_view_levels_that_name_no_served_level_are_bad_tags() {
+    let submit = ClientMsg::Submit {
+        op: (1, 2),
+        client_op: SpecOp::Reg(RegOp::Read(9)),
+        wants: Wants::of(&[ConsistencyLevel::WEAK]),
+    };
+    let submit = to_bytes(&NetMsg::Spec(SpecMsg::Client(submit)));
+    let wants_at = submit.len() - 1;
+    for byte in 0..=u8::MAX {
+        let mut bytes = submit.clone();
+        bytes[wants_at] = byte;
+        match from_bytes::<NetMsg>(&bytes) {
+            Err(WireError::BadTag { what: "Wants", tag }) => {
+                assert!(byte == 0 || byte >= 16, "wants byte {byte:#04x} refused");
+                assert_eq!(tag, byte);
+            }
+            Ok(NetMsg::Spec(SpecMsg::Client(ClientMsg::Submit { wants, .. }))) => {
+                let served: Vec<_> = (Wants::LEVELS.iter().enumerate())
+                    .filter(|(i, _)| byte & 1 << i != 0)
+                    .map(|(_, level)| *level)
+                    .collect();
+                assert!(byte != 0 && byte < 16, "wants byte {byte:#04x} decoded");
+                assert_eq!(wants, Wants::of(&served), "wants byte {byte:#04x}");
+            }
+            other => panic!("wants byte {byte:#04x} decoded as {other:?}"),
+        }
+    }
+
+    let views = ClientMsg::Views {
+        op: (1, 2),
+        views: vec![(ConsistencyLevel::WEAK, 3)],
+        closing: true,
+    };
+    let views = to_bytes(&NetMsg::Spec(SpecMsg::Client(views)));
+    let level_at = 1 + 16 + 1;
+    for byte in 0..=u8::MAX {
+        let mut bytes = views.clone();
+        bytes[level_at] = byte;
+        match from_bytes::<NetMsg>(&bytes) {
+            Err(WireError::BadTag {
+                what: "ConsistencyLevel",
+                tag,
+            }) => {
+                assert!(byte >= 5, "level id {byte} refused");
+                assert_eq!(tag, byte);
+            }
+            Ok(NetMsg::Spec(SpecMsg::Client(ClientMsg::Views { views, .. }))) => {
+                assert!(byte < 5, "level id {byte} decoded");
+                assert_eq!(views.len(), 1);
+                assert_eq!(views[0].0.wire_id(), byte);
+            }
+            other => panic!("level id {byte} decoded as {other:?}"),
+        }
+    }
+    for undecodable in [5, 255] {
+        let mut bytes = views.clone();
+        bytes[level_at] = undecodable;
+        assert_eq!(
+            from_bytes::<NetMsg>(&bytes),
+            Err(WireError::BadTag {
+                what: "ConsistencyLevel",
+                tag: undecodable
+            })
+        );
+    }
 }
 
 /// The bulk codec is an implementation change only; the version a
@@ -344,6 +446,8 @@ fn the_generators_build_every_tag_the_decoders_accept() {
     let mut wrong = Vec::new();
     compare(arb_net_msg(), &mut wrong);
     compare(arb_msg(), &mut wrong);
+    compare(arb_spec_net_msg(), &mut wrong);
+    compare(arb_spec_client_msg(), &mut wrong);
     compare(arb_value(), &mut wrong);
     compare(arb_read_kind(), &mut wrong);
     compare(arb_phase(), &mut wrong);
@@ -474,25 +578,27 @@ proptest! {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
         let _ = from_bytes::<NetMsg>(&bytes);
         let _ = from_bytes::<SpecOp>(&bytes);
+        // Behind each spec tag, so the spec decoders see them too.
+        for tag in 0x12..=0x15 {
+            let _ = from_bytes::<NetMsg>(&[&[tag][..], &bytes].concat());
+        }
     }
 
-    /// Wanted-level lists beyond MAX_LEVELS, and vector clocks beyond
+    /// View lists beyond MAX_VIEWS, and vector clocks beyond
     /// MAX_REPLICAS, are rejected before allocating.
     #[test]
     fn oversized_level_and_vc_lists_rejected(extra in 1u64..200) {
-        // SpecSubmit (client, seq, a register read) asking for too many
-        // levels.
-        let mut buf = vec![0x0D];
+        // Views of (client, seq) with too many (level, value) pairs.
+        let mut buf = vec![0x13];
         buf.extend_from_slice(&[0; 16]); // client + seq
-        buf.extend_from_slice(&[0; 9]); // RegOp::Read(0)
-        buf.push((MAX_LEVELS as u64 + extra).min(255) as u8);
+        buf.push((MAX_VIEWS as u64 + extra).min(255) as u8);
         let r = from_bytes::<NetMsg>(&buf);
         prop_assert!(
             matches!(r, Err(WireError::TooLarge { .. }) | Err(WireError::Truncated)),
-            "oversized wants list accepted: {:?}", r
+            "oversized views list accepted: {:?}", r
         );
-        // SpecGossip with an oversized vector clock.
-        let mut buf = vec![0x0F];
+        // Gossip with an oversized vector clock.
+        let mut buf = vec![0x14];
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&[0; 16]); // seq + ts
         buf.extend_from_slice(&((MAX_REPLICAS as u64 + extra) as u32).to_le_bytes());

@@ -9,11 +9,12 @@ use std::thread;
 use std::time::Duration;
 
 use correctables::spec::RegOp;
-use correctables::{Client, Error};
+use correctables::{Client, ConsistencyLevel, Error};
 use icg_net::frame::write_frame;
 use icg_net::{NetMsg, SpecOp, SpecTcpConfig, TcpSpecBinding};
+use specstore::{ClientMsg, SpecMsg};
 
-/// A fake server that sends each connection a `SpecFailed` for another
+/// A fake server that sends each connection a closing view of another
 /// client's operation — a frame the binding drops — and then closes it.
 /// Returns its address, its count of accepted connections, and a
 /// channel that hears of each close.
@@ -27,10 +28,11 @@ fn greet_then_close() -> (SocketAddr, Arc<AtomicUsize>, mpsc::Receiver<()>) {
         for conn in listener.incoming() {
             let Ok(mut stream) = conn else { continue };
             counted.fetch_add(1, Ordering::SeqCst);
-            let stray = NetMsg::SpecFailed {
-                client: u64::MAX,
-                seq: u64::MAX,
-            };
+            let stray = NetMsg::Spec(SpecMsg::Client(ClientMsg::Views {
+                op: (u64::MAX, u64::MAX),
+                views: vec![(ConsistencyLevel::STRONG, 0)],
+                closing: true,
+            }));
             write_frame(&mut stream, &stray, &mut Vec::new()).expect("greeting");
             drop(stream);
             let _ = closed_tx.send(());

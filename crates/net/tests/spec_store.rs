@@ -1,13 +1,14 @@
 //! End-to-end tests of the spec store: the full incremental refinement
 //! *weak → update → causal → strong* on a single Correctable, against a
-//! real 3-replica TCP cluster — plus the refusal of a custom level no
-//! binding serves, a direct submission's level list (each level sent
-//! once, an unserved one failed at once), quorum-store and spec-store
-//! clients side by side on one port, and the binding's failure
-//! contract (lost replica, garbled reply, a reply at a level id no
-//! process decodes, silent server, last clone dropped) against fake
-//! servers on raw sockets.
+//! real 3-replica TCP cluster, each core message one frame — plus the
+//! refusal of a custom level no binding serves, a direct submission's
+//! level list (each level sent once, an unserved one failed at once),
+//! quorum-store and spec-store clients side by side on one port, and
+//! the binding's failure contract (lost replica, garbled reply, a reply
+//! at a level id no process decodes, silent server, last clone dropped)
+//! against fake servers on raw sockets.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
@@ -15,13 +16,13 @@ use std::time::Duration;
 
 use correctables::spec::{CtrOp, RegOp};
 use correctables::{Binding, Client, ConsistencyLevel, Correctable, Error, Upcall};
-use icg_net::frame::{read_frame, write_frame};
-use icg_net::wire::MAX_LEVELS;
+use icg_net::frame::{encode_frame, read_frame, write_frame};
 use icg_net::{
     spawn_local_cluster, NetMsg, ReplicaHandle, ReplicaServer, ServerConfig, SpecOp, SpecTcpConfig,
     TcpBinding, TcpConfig, TcpSpecBinding, WIRE_VERSION,
 };
 use quorumstore::{Key, StoreOp, Value};
+use specstore::{ClientMsg, SpecMsg, Wants};
 
 fn cluster() -> Vec<ReplicaHandle> {
     spawn_local_cluster(3, |id| ServerConfig {
@@ -142,10 +143,75 @@ fn sequential_strong_counter_increments_are_exact() {
     }
 }
 
+/// A spec submission from client `client` as its frame's bytes.
+fn submit_frame(client: u64, seq: u64, op: SpecOp, levels: &[ConsistencyLevel]) -> Vec<u8> {
+    let submit = ClientMsg::Submit {
+        op: (client, seq),
+        client_op: op,
+        wants: Wants::of(levels),
+    };
+    let mut frame = Vec::new();
+    encode_frame(&NetMsg::Spec(SpecMsg::Client(submit)), &mut frame);
+    frame
+}
+
+/// Whether the server closes `stream` without a byte of answer.
+fn closed_unanswered(stream: &mut TcpStream) -> bool {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    matches!(stream.read(&mut [0u8; 16]), Ok(0) | Err(_))
+}
+
+/// A four-level op's two wait-free views leave the replica in one
+/// frame, weak then update, as they leave a simulated replica in one
+/// message; each view that needs the peers follows in a frame of its
+/// own, the strong one closing.
+#[test]
+fn a_four_level_op_s_wait_free_views_arrive_in_one_frame() {
+    let replicas = cluster();
+    let mut stream = TcpStream::connect(replicas[0].addr()).expect("raw connect");
+    let op = SpecOp::Ctr(CtrOp::Add(4, 1));
+    let frame = submit_frame(9800, 1, op, &Wants::LEVELS);
+    stream.write_all(&frame).expect("raw submit");
+    let mut scratch = Vec::new();
+    let mut frames = Vec::new();
+    loop {
+        let reply = read_frame::<NetMsg>(&mut stream, &mut scratch)
+            .expect("reply frame")
+            .expect("reply");
+        let NetMsg::Spec(SpecMsg::Client(ClientMsg::Views {
+            op: (9800, 1),
+            views,
+            closing,
+        })) = reply
+        else {
+            panic!("want views of the op, got {reply:?}");
+        };
+        frames.push(
+            views
+                .iter()
+                .map(|(level, _)| level.name())
+                .collect::<Vec<_>>(),
+        );
+        if closing {
+            break;
+        }
+    }
+    assert_eq!(
+        frames,
+        [vec!["weak", "update"], vec!["causal"], vec!["strong"]]
+    );
+    for r in &replicas {
+        r.shutdown();
+    }
+}
+
 /// A custom fifth level that no binding serves is refused cleanly — by
 /// the client-side level arbitration (the binding does not offer it),
-/// and by the server with `SpecFailed` when the request is forced onto
-/// the wire anyway — never silently downgraded, never a crash.
+/// and by the server when a request at a level it does not decode is
+/// forced onto the wire anyway: the connection closes unanswered and
+/// the next one is served — never silently downgraded, never a crash.
 #[test]
 fn an_unserved_custom_level_is_refused_by_client_and_server() {
     let audit = ConsistencyLevel::new("audit-spec-net", 30);
@@ -159,34 +225,33 @@ fn an_unserved_custom_level_is_refused_by_client_and_server() {
         Err(Error::UnsupportedLevel(l)) => assert_eq!(l, audit),
         other => panic!("unserved level must fail UnsupportedLevel, got {other:?}"),
     }
-    // On the wire: a raw submission at the custom level's id (and at
-    // another id no level has) draws a clean SpecFailed, not a hang or a
-    // torn connection.
-    let mut stream = TcpStream::connect(replicas[0].addr()).expect("raw connect");
-    let mut scratch = Vec::new();
-    for bogus in [audit.wire_id(), 200] {
-        write_frame(
-            &mut stream,
-            &NetMsg::SpecSubmit {
-                client: 9301,
-                seq: bogus as u64,
-                op: SpecOp::Reg(RegOp::Read(1)),
-                wants: vec![bogus],
-            },
-            &mut scratch,
-        )
-        .expect("raw submit");
-        let reply = read_frame::<NetMsg>(&mut stream, &mut scratch)
-            .expect("reply frame")
-            .expect("reply");
-        assert_eq!(
-            reply,
-            NetMsg::SpecFailed {
-                client: 9301,
-                seq: bogus as u64
-            }
+    // On the wire: a raw submission whose wanted-levels byte sets a bit
+    // past the four levels (or none at all) is not decoded, so the
+    // connection closes unanswered.
+    let op = SpecOp::Reg(RegOp::Read(1));
+    for bogus in [0x10, 0x00] {
+        let mut frame = submit_frame(9301, 1, op.clone(), &[ConsistencyLevel::WEAK]);
+        *frame.last_mut().expect("the wants byte") = bogus;
+        let mut stream = TcpStream::connect(replicas[0].addr()).expect("raw connect");
+        stream.write_all(&frame).expect("raw submit");
+        assert!(
+            closed_unanswered(&mut stream),
+            "wants byte {bogus:#04x} was answered"
         );
     }
+    // The next connection is served.
+    let mut stream = TcpStream::connect(replicas[0].addr()).expect("raw connect");
+    let frame = submit_frame(9301, 2, op, &[ConsistencyLevel::WEAK]);
+    stream.write_all(&frame).expect("raw submit");
+    let reply = read_frame::<NetMsg>(&mut stream, &mut Vec::new())
+        .expect("reply frame")
+        .expect("reply");
+    let weak_view = ClientMsg::Views {
+        op: (9301, 2),
+        views: vec![(ConsistencyLevel::WEAK, 0)],
+        closing: true,
+    };
+    assert_eq!(reply, NetMsg::Spec(SpecMsg::Client(weak_view)));
     binding.shutdown();
     for r in &replicas {
         r.shutdown();
@@ -205,14 +270,14 @@ fn submit_raw(
     c
 }
 
-/// A direct submission naming one level more times than a wanted list
-/// may hold sends that level once: it delivers its view, and the
-/// binding (and the client loop it shares) serves the next operation.
+/// A direct submission naming one level hundreds of times sends that
+/// level once: it delivers its view, and the binding (and the client
+/// loop it shares) serves the next operation.
 #[test]
 fn a_repeated_level_goes_on_the_wire_once_and_the_binding_keeps_serving() {
     let replicas = cluster();
     let binding = connect(&replicas, 9700);
-    let weak = vec![ConsistencyLevel::WEAK; usize::from(MAX_LEVELS) + 1];
+    let weak = vec![ConsistencyLevel::WEAK; 300];
     let read = submit_raw(&binding, SpecOp::Reg(RegOp::Read(1)), &weak);
     let view = read
         .wait_final(Duration::from_secs(10))
@@ -245,7 +310,8 @@ fn an_unserved_level_fails_at_once_without_a_round_trip() {
 
 /// Quorum-store and spec-store clients coexist on the same listener:
 /// the store binding (`Store` frames, each a bare `Msg`) and the spec
-/// binding (`Spec*` frames) run side by side against one cluster,
+/// binding (`Spec` frames, each a bare `SpecMsg`) run side by side
+/// against one cluster,
 /// neither disturbing the other.
 #[test]
 fn a_store_client_and_a_spec_client_share_a_cluster() {
@@ -285,21 +351,41 @@ enum AfterGreeting {
     Silent,
     /// Answer every submission with a well-framed undecodable body.
     Garbage,
-    /// Answer every submission with views at level ids 5 and 255
-    /// (closing) that no process decodes; answer a write then with a
-    /// closing strong view of 7.
+    /// Answer every submission with one closing views frame at level
+    /// ids 5 and 255, which no process decodes.
     UnknownLevels,
 }
 
-/// A `SpecFailed` for another client's operation: a frame a spec
+/// A closing view of another client's operation: a frame a spec
 /// binding must drop.
-const STRAY: NetMsg = NetMsg::SpecFailed {
-    client: u64::MAX,
-    seq: u64::MAX,
-};
+fn stray() -> NetMsg {
+    NetMsg::Spec(SpecMsg::Client(ClientMsg::Views {
+        op: (u64::MAX, u64::MAX),
+        views: vec![(ConsistencyLevel::STRONG, 0)],
+        closing: true,
+    }))
+}
+
+/// A views frame for `(client, seq)` whose two views are at level ids 5
+/// and 255, as the codec would lay it out if it could encode them.
+fn views_at_unknown_levels((client, seq): (u64, u64)) -> Vec<u8> {
+    let mut body = vec![0x13];
+    body.extend_from_slice(&client.to_le_bytes());
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.push(2);
+    for level in [5u8, 255] {
+        body.push(level);
+        body.extend_from_slice(&7u64.to_le_bytes());
+    }
+    body.push(1);
+    let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
+    frame.push(WIRE_VERSION);
+    frame.extend_from_slice(&body);
+    frame
+}
 
 /// A fake spec server on a raw listener: greets each connection with
-/// [`STRAY`], then treats submissions per `mode`. Reports on the
+/// [`stray`], then treats submissions per `mode`. Reports on the
 /// returned channel when a connection's read side ends (EOF or reset).
 fn fake_spec_server(mode: AfterGreeting) -> (SocketAddr, mpsc::Receiver<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake spec server");
@@ -311,7 +397,7 @@ fn fake_spec_server(mode: AfterGreeting) -> (SocketAddr, mpsc::Receiver<()>) {
             let closed_tx = closed_tx.clone();
             thread::spawn(move || {
                 let mut scratch = Vec::new();
-                write_frame(&mut stream, &STRAY, &mut scratch).expect("greeting");
+                write_frame(&mut stream, &stray(), &mut scratch).expect("greeting");
                 while let Ok(Some(msg)) = read_frame::<NetMsg>(&mut stream, &mut scratch) {
                     let sent = match (mode, msg) {
                         (AfterGreeting::Garbage, _) => {
@@ -319,29 +405,12 @@ fn fake_spec_server(mode: AfterGreeting) -> (SocketAddr, mpsc::Receiver<()>) {
                             let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
                             frame.push(WIRE_VERSION);
                             frame.extend_from_slice(&body);
-                            std::io::Write::write_all(&mut stream, &frame).is_ok()
+                            stream.write_all(&frame).is_ok()
                         }
                         (
                             AfterGreeting::UnknownLevels,
-                            NetMsg::SpecSubmit {
-                                client, seq, op, ..
-                            },
-                        ) => {
-                            let view = |level, closing| NetMsg::SpecReply {
-                                client,
-                                seq,
-                                level,
-                                val: 7,
-                                closing,
-                            };
-                            let mut views = vec![view(5, false), view(255, true)];
-                            if let SpecOp::Reg(RegOp::Write(..)) = op {
-                                views.push(view(ConsistencyLevel::STRONG.wire_id(), true));
-                            }
-                            views
-                                .iter()
-                                .all(|v| write_frame(&mut stream, v, &mut scratch).is_ok())
-                        }
+                            NetMsg::Spec(SpecMsg::Client(ClientMsg::Submit { op, .. })),
+                        ) => stream.write_all(&views_at_unknown_levels(op)).is_ok(),
                         _ => true,
                     };
                     if !sent {
@@ -388,7 +457,7 @@ fn replica_shutdown_fails_the_in_flight_strong_op_unavailable() {
     binding.shutdown();
 }
 
-/// A `SpecReply` frame whose body is garbage: the op fails
+/// A reply frame whose body is garbage: the op fails
 /// `Unavailable` and no view of any level surfaces — the binding never
 /// guesses at what the reply might have been.
 #[test]
@@ -408,31 +477,27 @@ fn garbage_spec_reply_fails_unavailable_and_delivers_no_view() {
     binding.shutdown();
 }
 
-/// A `SpecReply` at a level id no process decodes — 5, or 255, the id
-/// of every level beyond the builtins — delivers no view under any
-/// name, closing or not: the op closes by its other views (a write's
-/// strong view here) or by its deadline (a read, which gets none).
+/// Views at a level id no process decodes — 5, or 255, the id of every
+/// level beyond the builtins — are a frame the binding cannot decode:
+/// no view surfaces under any name, the connection closes, and the op
+/// fails `Unavailable`, as does the next one on the binding it left
+/// down.
 #[test]
 fn spec_replies_at_undecodable_level_ids_deliver_no_view() {
     let (addr, _closed) = fake_spec_server(AfterGreeting::UnknownLevels);
     let mut cfg = SpecTcpConfig::new(addr, 9604);
-    cfg.op_timeout = Duration::from_millis(400);
+    cfg.op_timeout = Duration::from_secs(30);
     let binding = TcpSpecBinding::connect(cfg).expect("connect spec binding");
     let client = Client::new(binding.clone());
 
-    let write = client.invoke(SpecOp::Reg(RegOp::Write(1, 7)));
-    let fin = write
-        .wait_final(Duration::from_secs(10))
-        .expect("the strong view closes the write");
-    assert_eq!((fin.level, fin.value), (ConsistencyLevel::STRONG, 7));
-    assert!(write.preliminary_views().is_empty());
-
-    let read = client.invoke(SpecOp::Reg(RegOp::Read(1)));
-    match read.wait_final(Duration::from_secs(10)) {
-        Err(Error::Timeout) => {}
-        other => panic!("want Timeout, got {other:?}"),
+    for op in [RegOp::Write(1, 7), RegOp::Read(1)] {
+        let c = client.invoke(SpecOp::Reg(op));
+        match c.wait_final(Duration::from_secs(10)) {
+            Err(Error::Unavailable(_)) => {}
+            other => panic!("want Unavailable, got {other:?}"),
+        }
+        assert!(c.preliminary_views().is_empty());
     }
-    assert!(read.preliminary_views().is_empty());
     binding.shutdown();
 }
 
@@ -440,7 +505,7 @@ fn spec_replies_at_undecodable_level_ids_deliver_no_view() {
 /// fails `Timeout` at the client-side `op_timeout`, not before and not
 /// never.
 #[test]
-fn silent_server_after_hello_times_out_at_op_timeout() {
+fn silent_server_after_greeting_times_out_at_op_timeout() {
     let (addr, _closed) = fake_spec_server(AfterGreeting::Silent);
     let mut cfg = SpecTcpConfig::new(addr, 9602);
     cfg.op_timeout = Duration::from_millis(400);

@@ -627,7 +627,7 @@ impl Wants {
 /// What a client and a replica of a round-robin store say to each
 /// other; each store's message enum embeds it. `T` is the client's name
 /// for its operation — the gateway's op id under simnet.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ClientMsg<T, O, V> {
     /// Client → replica: accept `client_op` as operation `op`.
     Submit {

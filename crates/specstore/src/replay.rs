@@ -48,7 +48,7 @@ pub struct UpdateId {
 }
 
 /// One update as it travels between replicas.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Update<Op> {
     /// Origin replica and per-origin sequence number.
     pub id: UpdateId,

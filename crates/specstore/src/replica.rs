@@ -8,7 +8,7 @@
 //! [`ClientMsg::Views`] each. The client half is the envelope every
 //! round-robin store shares ([`SpecMsg::Client`]). The protocol that
 //! speaks them is [`crate::core::SpecCore`]; the simulator carries them
-//! as they are, `icg-net` as `NetMsg::Spec*` frames.
+//! as they are, and `icg-net` as they are too, one frame each.
 
 use correctables::spec::SeqSpec;
 use simnet::{ClientMsg, SubmitWire, Wire};
@@ -18,7 +18,7 @@ pub use crate::replay::{Update, UpdateId};
 /// Protocol messages of the spec store. `T` is the submitting client's
 /// name for its operation, echoed in every view: the gateway's op id
 /// under simnet, `(client, seq)` over TCP.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SpecMsg<S: SeqSpec, T = u64> {
     /// Client ↔ replica: a submission, or views of one.
     Client(ClientMsg<T, S::Op, S::Ret>),
