@@ -3,7 +3,7 @@
 //! 1. ring lookup cost;
 //! 2. router overhead — an op through the inline sharded router vs. the
 //!    same op submitted directly to a single binding;
-//! 3. a 16-key scatter across 8 shards, merged by `gather`.
+//! 3. a 16-key scatter across 8 shards, merged by `Correctable::gather`.
 //!
 //! The shards are synchronous in-process CRDT stores (`LocalCrdt`), so
 //! the numbers are routing and merging cost, not storage latency.

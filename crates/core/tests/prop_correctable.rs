@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use correctables::{ConsistencyLevel, Correctable, Error, State};
+use correctables::{ConsistencyLevel, Correctable, Error, Handle, State, View};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -17,6 +17,14 @@ enum Action {
     Update(i64),
     Close(i64),
     Fail,
+}
+
+/// How a closed Correctable ended: its final value and level, or its
+/// error.
+fn outcome_of<T: Clone + Send + 'static>(
+    c: &Correctable<T>,
+) -> Option<Result<(T, ConsistencyLevel), Error>> {
+    c.outcome().map(|r| r.map(|v: View<T>| (v.value, v.level)))
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
@@ -159,5 +167,99 @@ proptest! {
             h.close(values[i], ConsistencyLevel::STRONG).unwrap();
         }
         prop_assert_eq!(joined.final_view().unwrap().value, values);
+    }
+
+    /// `join_all` and `gather` are one rule: over the same inputs they
+    /// close alike, with the final values in input order at the weakest
+    /// final level, or with the first error, and `join_all` delivers no
+    /// preliminary view. Each input delivers an ascending subset of
+    /// {CACHE, WEAK, CAUSAL} below its final level, then closes at
+    /// CAUSAL or STRONG or fails; the deliveries are interleaved at
+    /// random, and the joins are built after `build_at` of them, so some
+    /// inputs have closed (or failed) before.
+    #[test]
+    fn join_all_and_gather_close_alike(
+        inputs in proptest::collection::vec((0u8..8, 0u8..4), 1..6),
+        picks in proptest::collection::vec(any::<u64>(), 24),
+        build_at in 0usize..24,
+    ) {
+        const PRELIMS: [ConsistencyLevel; 3] =
+            [ConsistencyLevel::CACHE, ConsistencyLevel::WEAK, ConsistencyLevel::CAUSAL];
+        // Per input: its preliminary levels, then its end (`None` fails).
+        let mut plans: Vec<Vec<(ConsistencyLevel, Option<bool>)>> = inputs
+            .iter()
+            .map(|&(mask, end)| {
+                let fin = match end {
+                    0 => None,
+                    1 => Some(ConsistencyLevel::CAUSAL),
+                    _ => Some(ConsistencyLevel::STRONG),
+                };
+                let mut plan: Vec<_> = PRELIMS
+                    .iter()
+                    .enumerate()
+                    .filter(|&(b, l)| mask & (1 << b) != 0 && fin.is_none_or(|f| *l < f))
+                    .map(|(_, l)| (*l, Some(false)))
+                    .collect();
+                plan.push(match fin {
+                    Some(f) => (f, Some(true)),
+                    None => (ConsistencyLevel::STRONG, None),
+                });
+                plan
+            })
+            .collect();
+        let parts: Vec<(Correctable<u64>, Handle<u64>)> =
+            inputs.iter().map(|_| Correctable::pending()).collect();
+        let inputs_of = || parts.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>();
+        let total: usize = plans.iter().map(Vec::len).sum();
+        let build_at = build_at % (total + 1);
+        let mut joins = None;
+        // The model: each input's final (value, level), the first error
+        // of an input failed before the build in input order, and the
+        // first one failed after it in delivery order.
+        let mut finals: Vec<Option<(u64, ConsistencyLevel)>> = vec![None; parts.len()];
+        let mut failed_before: Vec<Option<Error>> = vec![None; parts.len()];
+        let mut failed_after: Option<Error> = None;
+        for step in 0..=total {
+            if step == build_at {
+                joins = Some((Correctable::join_all(inputs_of()), Correctable::gather(inputs_of())));
+            }
+            let live: Vec<usize> = (0..parts.len()).filter(|&i| !plans[i].is_empty()).collect();
+            if live.is_empty() {
+                break;
+            }
+            let i = live[(picks[step] % live.len() as u64) as usize];
+            let (level, end) = plans[i].remove(0);
+            let value = i as u64 * 100 + step as u64;
+            let h = &parts[i].1;
+            match end {
+                Some(false) => h.update(value, level).unwrap(),
+                Some(true) => {
+                    h.close(value, level).unwrap();
+                    finals[i] = Some((value, level));
+                }
+                None => {
+                    let e = Error::Unavailable(format!("input {i}"));
+                    h.fail(e.clone()).unwrap();
+                    if joins.is_none() {
+                        failed_before[i] = Some(e);
+                    } else if failed_after.is_none() {
+                        failed_after = Some(e);
+                    }
+                }
+            }
+        }
+        let (joined, gathered) = joins.unwrap();
+        let first_error = failed_before.into_iter().flatten().next().or(failed_after);
+        let want = match first_error {
+            Some(e) => Err(e),
+            None => {
+                let finals: Vec<_> = finals.into_iter().map(Option::unwrap).collect();
+                let level = finals.iter().map(|f| f.1).min().unwrap();
+                Ok((finals.into_iter().map(|f| f.0).collect::<Vec<_>>(), level))
+            }
+        };
+        prop_assert_eq!(outcome_of(&joined), Some(want.clone()));
+        prop_assert_eq!(outcome_of(&gathered), Some(want));
+        prop_assert!(joined.preliminary_views().is_empty());
     }
 }

@@ -19,7 +19,6 @@ const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
 use correctables::Correctable;
 use icg_crdt::{CrdtOp, CrdtVal, LocalCrdt};
 use icg_oracle::check_monotonicity;
-use icg_shard::router::gather;
 use icg_shard::ShardedBinding;
 use simnet::DetRng;
 
@@ -39,7 +38,7 @@ proptest! {
         let n = masks.len();
         let parts: Vec<(Correctable<u64>, correctables::Handle<u64>)> =
             (0..n).map(|_| Correctable::pending()).collect();
-        let merged = gather(parts.iter().map(|(c, _)| c.clone()).collect());
+        let merged = Correctable::gather(parts.iter().map(|(c, _)| c.clone()).collect());
 
         let history: History<&'static str, Vec<u64>> = History::new();
         let id = history.observe(

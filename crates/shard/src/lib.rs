@@ -16,17 +16,18 @@
 //!   and that shard's per-level `Upcall` deliveries are re-emitted
 //!   unchanged, so a client sees exactly the ICG semantics of the shard
 //!   that served it. A [`scatter`](ShardedBinding::scatter) invocation
-//!   fans one multi-get out across shards and merges views with
-//!   weakest-common-level semantics ([`gather`](router::gather)): intermediate views
-//!   surface at the weakest level every touched shard has reached, and
-//!   the Correctable closes only when every shard has delivered its
-//!   strongest view. [`ShardedBinding::settle`] drives simulated shards
-//!   until the whole fleet is quiescent.
+//!   fans one multi-get out across shards and merges the views with
+//!   core's weakest-common-level join,
+//!   [`Correctable::gather`](correctables::Correctable::gather):
+//!   intermediate views surface at the weakest level every touched shard
+//!   has reached, and the Correctable closes only when every shard has
+//!   delivered its strongest view. [`ShardedBinding::settle`] drives
+//!   simulated shards until the whole fleet is quiescent.
 //!
 //! The per-level delivery discipline each shard keeps is the same one
 //! update-consistency work relies on for convergence across partitions;
-//! the router never reorders or synthesizes views, it only routes and
-//! merges them.
+//! the router never reorders or synthesizes views, it only routes them,
+//! and the aggregation rule lives in `correctables`, once.
 
 // Replayable from (seed, schedule) (DESIGN.md §11): no wall clock, no
 // walk of a hash map or set in its hash order.

@@ -12,11 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use correctables::{
-    Binding, ConsistencyLevel, Correctable, Error, KeyedOp, LevelSet, Upcall, View,
-};
+use correctables::{Binding, ConsistencyLevel, Correctable, KeyedOp, LevelSet, Upcall};
 
 use crate::ring::HashRing;
 
@@ -109,7 +105,7 @@ where
 
     /// Multi-get/scatter across all levels: one logical invocation fanned
     /// out to every owning shard, merged with weakest-common-level
-    /// semantics (see [`gather`]).
+    /// semantics (see [`Correctable::gather`]).
     pub fn scatter(&self, ops: Vec<B::Op>) -> Correctable<Vec<B::Val>> {
         let levels = self.inner.levels.as_slice();
         let parts = ops
@@ -120,7 +116,7 @@ where
                 c
             })
             .collect();
-        gather(parts)
+        Correctable::gather(parts)
     }
 }
 
@@ -142,135 +138,11 @@ where
     }
 }
 
-/// Merges many Correctables with **weakest-common-level** semantics:
-///
-/// - an intermediate view surfaces as soon as *every* part has delivered
-///   at least one view, at the weakest level any part currently sits at,
-///   and again each time that common floor rises;
-/// - the result closes only when every part has delivered its strongest
-///   (final) view, at the weakest of the final levels;
-/// - the first part error fails the merge.
-///
-/// This is the multi-shard generalization of a single binding's
-/// incremental delivery: the merged view is never claimed stronger than
-/// its weakest constituent.
-pub fn gather<T: Clone + Send + 'static>(parts: Vec<Correctable<T>>) -> Correctable<Vec<T>> {
-    let (out, handle) = Correctable::pending();
-    let n = parts.len();
-    if n == 0 {
-        let _ = handle.close(Vec::new(), ConsistencyLevel::STRONG);
-        return out;
-    }
-    struct GatherState<T> {
-        latest: Vec<Option<View<T>>>,
-        finals: usize,
-        emitted: Option<ConsistencyLevel>,
-        /// Emissions decided (in level order) but not yet delivered.
-        pending: std::collections::VecDeque<(Vec<T>, ConsistencyLevel, bool)>,
-        /// Some thread is draining `pending`; others just enqueue.
-        emitting: bool,
-    }
-    impl<T: Clone> GatherState<T> {
-        /// Queues the next emission if the common floor advanced.
-        /// Decisions are made (and ordered) under the state lock; actual
-        /// delivery happens in [`drain`] with the lock released, so user
-        /// callbacks on the merged Correctable never run under it.
-        fn advance(&mut self, n: usize) {
-            if self.latest.iter().any(|v| v.is_none()) {
-                return;
-            }
-            let floor = self
-                .latest
-                .iter()
-                .map(|v| v.as_ref().expect("checked").level)
-                .min()
-                .expect("non-empty");
-            let closes = self.finals == n;
-            if !closes && self.emitted.is_some_and(|e| floor.rank() <= e.rank()) {
-                return;
-            }
-            self.emitted = Some(floor);
-            let values = self
-                .latest
-                .iter()
-                .map(|v| v.as_ref().expect("checked").value.clone())
-                .collect();
-            self.pending.push_back((values, floor, closes));
-        }
-    }
-    /// Delivers queued emissions with the state lock released. A single
-    /// active emitter drains FIFO (preserving level order); deliveries
-    /// decided re-entrantly from inside an emitted callback are picked up
-    /// by the already-running drain instead of recursing into the lock.
-    fn drain<T: Clone + Send + 'static>(
-        state: &Mutex<GatherState<T>>,
-        handle: &correctables::Handle<Vec<T>>,
-    ) {
-        loop {
-            let (values, level, closes) = {
-                let mut g = state.lock();
-                if g.emitting {
-                    return;
-                }
-                match g.pending.pop_front() {
-                    Some(e) => {
-                        g.emitting = true;
-                        e
-                    }
-                    None => return,
-                }
-            };
-            if closes {
-                let _ = handle.close(values, level);
-            } else {
-                let _ = handle.update(values, level);
-            }
-            state.lock().emitting = false;
-        }
-    }
-    let state = Arc::new(Mutex::new(GatherState {
-        latest: (0..n).map(|_| None).collect(),
-        finals: 0,
-        emitted: None,
-        pending: std::collections::VecDeque::new(),
-        emitting: false,
-    }));
-    for (i, part) in parts.iter().enumerate() {
-        let st = Arc::clone(&state);
-        let h = handle.clone();
-        part.on_update(move |v: &View<T>| {
-            {
-                let mut g = st.lock();
-                g.latest[i] = Some(v.clone());
-                g.advance(n);
-            }
-            drain(&st, &h);
-        });
-        let st = Arc::clone(&state);
-        let h = handle.clone();
-        part.on_final(move |v: &View<T>| {
-            {
-                let mut g = st.lock();
-                g.latest[i] = Some(v.clone());
-                g.finals += 1;
-                g.advance(n);
-            }
-            drain(&st, &h);
-        });
-        let h = handle.clone();
-        part.on_error(move |e: &Error| {
-            let _ = h.fail(e.clone());
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use correctables::{Client, State};
     use icg_crdt::{CrdtOp, CrdtVal, LocalCrdt};
-    const CAUSAL: ConsistencyLevel = ConsistencyLevel::CAUSAL;
     const STRONG: ConsistencyLevel = ConsistencyLevel::STRONG;
     const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
 
@@ -359,83 +231,6 @@ mod tests {
         let s = sharded(2);
         let c = s.scatter(Vec::new());
         assert_eq!(c.final_view().unwrap().value, Vec::<CrdtVal>::new());
-    }
-
-    #[test]
-    fn gather_floor_rises_with_slowest_part() {
-        let (a, ha) = Correctable::<u32>::pending();
-        let (b, hb) = Correctable::<u32>::pending();
-        let g = gather(vec![a, b]);
-        ha.update(1, WEAK).unwrap();
-        // Only one part has delivered: nothing surfaces yet.
-        assert!(g.preliminary_views().is_empty());
-        hb.update(2, CAUSAL).unwrap();
-        // Both delivered; the common floor is WEAK.
-        assert_eq!(g.preliminary_views().len(), 1);
-        assert_eq!(g.preliminary_views()[0].level, WEAK);
-        assert_eq!(g.preliminary_views()[0].value, vec![1, 2]);
-        ha.update(3, CAUSAL).unwrap();
-        // Floor rises to CAUSAL.
-        assert_eq!(g.preliminary_views().len(), 2);
-        assert_eq!(g.preliminary_views()[1].level, CAUSAL);
-        ha.close(4, STRONG).unwrap();
-        // One part final, the other not: still open.
-        assert_eq!(g.state(), State::Updating);
-        hb.close(5, STRONG).unwrap();
-        let fin = g.final_view().unwrap();
-        assert_eq!(fin.level, STRONG);
-        assert_eq!(fin.value, vec![4, 5]);
-    }
-
-    #[test]
-    fn gather_reentrant_delivery_from_merged_callback_is_safe() {
-        // A callback on the merged Correctable that synchronously drives
-        // more deliveries into the gather's own parts must not deadlock
-        // (the merge lock is never held while user callbacks run) and the
-        // merged views must stay in level order.
-        let (a, ha) = Correctable::<u32>::pending();
-        let (b, hb) = Correctable::<u32>::pending();
-        let g = gather(vec![a, b]);
-        let ha2 = ha.clone();
-        let hb2 = hb.clone();
-        g.on_update(move |v| {
-            if v.level == WEAK {
-                // Raise both parts to CAUSAL from inside the emission.
-                let _ = ha2.update(30, CAUSAL);
-                let _ = hb2.update(40, CAUSAL);
-            }
-        });
-        ha.update(1, WEAK).unwrap();
-        hb.update(2, WEAK).unwrap();
-        // The WEAK emission triggered the CAUSAL round re-entrantly.
-        let prelims = g.preliminary_views();
-        assert_eq!(prelims.len(), 2);
-        assert_eq!(prelims[0].level, WEAK);
-        assert_eq!(prelims[0].value, vec![1, 2]);
-        assert_eq!(prelims[1].level, CAUSAL);
-        assert_eq!(prelims[1].value, vec![30, 40]);
-        ha.close(5, STRONG).unwrap();
-        hb.close(6, STRONG).unwrap();
-        assert_eq!(g.final_view().unwrap().value, vec![5, 6]);
-    }
-
-    #[test]
-    fn gather_close_level_is_weakest_final() {
-        let (a, ha) = Correctable::<u32>::pending();
-        let (b, hb) = Correctable::<u32>::pending();
-        let g = gather(vec![a, b]);
-        ha.close(1, STRONG).unwrap();
-        hb.close(2, CAUSAL).unwrap();
-        assert_eq!(g.final_view().unwrap().level, CAUSAL);
-    }
-
-    #[test]
-    fn gather_fails_on_first_part_error() {
-        let (a, ha) = Correctable::<u32>::pending();
-        let (b, _hb) = Correctable::<u32>::pending();
-        let g = gather(vec![a, b]);
-        ha.fail(Error::Timeout).unwrap();
-        assert_eq!(g.state(), State::Error);
     }
 
     #[test]

@@ -103,6 +103,6 @@ fn sharded_causal_store_keeps_three_level_pipeline() {
 fn facade_reexports_the_shard_crate() {
     let ring = icg::shard::HashRing::new(2, icg::sharded::VNODES, 0);
     assert!(ring.owner_index(ObjectId(5)) < 2);
-    let merged = icg::shard::router::gather(Vec::<icg::correctables::Correctable<u8>>::new());
+    let merged = icg::correctables::Correctable::<u8>::gather(Vec::new());
     assert_eq!(merged.state(), State::Final);
 }
