@@ -57,7 +57,7 @@ impl NewsReader {
                 items: view
                     .value
                     .as_ref()
-                    .map(|i| i.items.clone())
+                    .map(|i| i.items.to_vec())
                     .unwrap_or_default(),
             });
         });
@@ -68,7 +68,7 @@ impl NewsReader {
                 items: view
                     .value
                     .as_ref()
-                    .map(|i| i.items.clone())
+                    .map(|i| i.items.to_vec())
                     .unwrap_or_default(),
             });
         });

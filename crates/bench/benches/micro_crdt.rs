@@ -19,6 +19,7 @@
 //! per-effect cost is `mean / EFFECTS_PER_ITER`.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use causalstore::{CausalReplica, Item, Msg, VectorClock};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -271,18 +272,24 @@ fn bench_state_transfer(c: &mut Criterion) {
     // The causal store on the EC2 sites, primary in FRK, every replica
     // seeded with the same 32 keys. One iteration: the IRL backup asks
     // the primary for a state transfer and adopts the answer (nothing
-    // in it is fresher).
+    // in it is fresher). Each key and list is built once and shared by
+    // the three replicas, as `SimCausal::seed` does.
     let (mut engine, ids) = Engine::ec2(1, |i| Box::new(CausalReplica::new(i, 3, i == 0)));
+    let seeded: Vec<(Arc<str>, Item)> = (0..STATE_KEYS)
+        .map(|k| {
+            let item = Item {
+                rev: 1,
+                items: vec![k, k + 1].into(),
+            };
+            (format!("k{k}").into(), item)
+        })
+        .collect();
     for (i, id) in ids.iter().enumerate() {
         let replica = engine.node_as::<CausalReplica>(*id);
         replica.set_peers(NodeId::peers_of(&ids, i));
         replica.set_primary_node(ids[0]);
-        for k in 0..STATE_KEYS {
-            let item = Item {
-                rev: 1,
-                items: vec![k, k + 1],
-            };
-            replica.seed(&format!("k{k}"), item);
+        for (key, item) in &seeded {
+            replica.seed(Arc::clone(key), item.clone());
         }
     }
     let (primary, backup) = (ids[0], ids[1]);

@@ -7,9 +7,16 @@
 //! primary. The binding also keeps the cache write-through coherent, so
 //! `invoke_weak`/`invoke_strong` subsume the manual cache handling the
 //! paper criticizes in Reddit's code (Listings 1–2).
+//!
+//! An operation's key and list are converted to shared form once, where
+//! they enter the gateway ([`CacheOp`], [`SimCausal::seed`],
+//! [`SimCausal::publish`]); the cache, the messages and the views then
+//! share them.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::Deref;
+use std::sync::Arc;
 
 use correctables::{ConsistencyLevel, Error, KeyedOp, ObjectId, Upcall};
 use simnet::{
@@ -37,21 +44,54 @@ impl KeyedOp for CacheOp {
 }
 
 /// Timing of one completed operation, per level, in virtual milliseconds.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LevelTiming {
     /// (level name, milliseconds after submission) per delivered view.
-    pub views: Vec<(&'static str, f64)>,
+    pub views: Views,
+}
+
+/// The views of one operation: at most one per level of three, kept
+/// inline. Reads as a slice, and prints as the `Vec` it replaced.
+#[derive(Clone, Copy, Default)]
+pub struct Views {
+    len: u8,
+    slots: [(&'static str, f64); 3],
+}
+
+impl Views {
+    /// Appends a view. The binding delivers at most one per level, so
+    /// there is no fourth; one would be dropped.
+    fn push(&mut self, view: (&'static str, f64)) {
+        if let Some(slot) = self.slots.get_mut(usize::from(self.len)) {
+            *slot = view;
+            self.len += 1;
+        }
+    }
+}
+
+impl Deref for Views {
+    type Target = [(&'static str, f64)];
+
+    fn deref(&self) -> &Self::Target {
+        self.slots.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl fmt::Debug for Views {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// What the gateway keeps per outstanding operation.
 pub struct GwPending {
     upcall: Upcall<Option<Item>>,
-    key: String,
+    key: Arc<str>,
     want_causal: bool,
     want_strong: bool,
     start: SimTime,
     timing: LevelTiming,
-    items_written: Option<Vec<u64>>,
+    items_written: Option<Arc<[u64]>>,
 }
 
 /// The cached store's client protocol: the cache answers at once,
@@ -61,16 +101,16 @@ pub struct GwPending {
 pub struct CacheClient {
     backup: NodeId,
     primary: NodeId,
-    cache: HashMap<String, Item>,
+    cache: HashMap<Arc<str>, Item>,
     timings: Vec<LevelTiming>,
 }
 
 impl CacheClient {
-    fn refresh_cache(&mut self, key: &str, data: &Option<Item>) {
+    fn refresh_cache(&mut self, key: &Arc<str>, data: &Option<Item>) {
         if let Some(item) = data {
             let fresher = self.cache.get(key).map(|cur| item.rev > cur.rev);
             if fresher.unwrap_or(true) {
-                self.cache.insert(key.to_string(), item.clone());
+                self.cache.insert(Arc::clone(key), item.clone());
             }
         }
     }
@@ -95,6 +135,7 @@ impl GatewayProto for CacheClient {
         let has = |l| q.levels.contains(l);
         match q.op {
             CacheOp::Get(key) => {
+                let key = Arc::<str>::from(key);
                 let mut timing = LevelTiming::default();
                 if has(ConsistencyLevel::CACHE) {
                     let hit = self.cache.get(&key).cloned();
@@ -113,7 +154,7 @@ impl GatewayProto for CacheClient {
                             replica,
                             Msg::Read {
                                 op,
-                                key: key.clone(),
+                                key: Arc::clone(&key),
                             },
                         );
                     }
@@ -129,20 +170,21 @@ impl GatewayProto for CacheClient {
                 })
             }
             CacheOp::Put(key, items) => {
+                let (key, items) = (Arc::<str>::from(key), Arc::<[u64]>::from(items));
                 // Write-through: the cache adopts the value at once
                 // (revision settles when the ack arrives).
                 let rev = self.cache.get(&key).map(|i| i.rev + 1).unwrap_or(1);
                 let item = Item {
                     rev,
-                    items: items.clone(),
+                    items: Arc::clone(&items),
                 };
-                self.cache.insert(key.clone(), item);
+                self.cache.insert(Arc::clone(&key), item);
                 ctx.send(
                     self.primary,
                     Msg::Write {
                         op,
-                        key: key.clone(),
-                        items: items.clone(),
+                        key: Arc::clone(&key),
+                        items: Arc::clone(&items),
                     },
                 );
                 Some(GwPending {
@@ -295,15 +337,25 @@ impl SimCausal {
 
     /// Seeds a key on every replica and in the cache.
     pub fn seed(&self, key: &str, rev: u64, items: Vec<u64>) {
-        self.seed_remote_only(key, rev, items.clone());
-        let item = Item { rev, items };
-        self.with_proto(|p| p.cache.insert(key.to_string(), item));
+        let (key, item) = self.seed_replicas(key, rev, items);
+        self.with_proto(|p| p.cache.insert(key, item));
     }
 
     /// Seeds a key only on the replicas (cold cache).
     pub fn seed_remote_only(&self, key: &str, rev: u64, items: Vec<u64>) {
-        let item = Item { rev, items };
-        self.each_replica(|r: &mut CausalReplica| r.seed(key, item.clone()));
+        self.seed_replicas(key, rev, items);
+    }
+
+    /// Converts a seeded key and list to shared form, once, and seeds
+    /// every replica with them.
+    fn seed_replicas(&self, key: &str, rev: u64, items: Vec<u64>) -> (Arc<str>, Item) {
+        let key = Arc::<str>::from(key);
+        let item = Item {
+            rev,
+            items: items.into(),
+        };
+        self.each_replica(|r: &mut CausalReplica| r.seed(Arc::clone(&key), item.clone()));
+        (key, item)
     }
 
     /// Writes directly at the primary, bypassing the client (models other
@@ -315,8 +367,8 @@ impl SimCausal {
                 client: gw,
                 seq: u64::MAX,
             },
-            key: key.to_string(),
-            items,
+            key: key.into(),
+            items: items.into(),
         };
         self.with_engine(|e| e.schedule_message(gw, self.primary, SimDuration::ZERO, write));
     }
@@ -381,12 +433,12 @@ mod tests {
         let w = client.invoke_strong(CacheOp::Put("news".into(), vec![9]));
         s.settle();
         assert_eq!(w.final_view().unwrap().value.map(|i| i.rev), Some(1));
-        assert_eq!(s.cached("news").map(|i| i.items), Some(vec![9]));
+        assert_eq!(s.cached("news").map(|i| i.items.to_vec()), Some(vec![9]));
         // Strong read sees it immediately.
         let r = client.invoke_strong(CacheOp::Get("news".into()));
         s.settle();
         assert_eq!(
-            r.final_view().unwrap().value.map(|i| i.items),
+            r.final_view().unwrap().value.map(|i| i.items.to_vec()),
             Some(vec![9])
         );
     }
@@ -404,11 +456,11 @@ mod tests {
         let views = c.preliminary_views();
         // Cache still shows the old revision; the final shows the new one.
         assert_eq!(
-            views[0].value.as_ref().map(|i| i.items.clone()),
+            views[0].value.as_ref().map(|i| i.items.to_vec()),
             Some(vec![1])
         );
         assert_eq!(
-            c.final_view().unwrap().value.map(|i| i.items),
+            c.final_view().unwrap().value.map(|i| i.items.to_vec()),
             Some(vec![1, 2])
         );
     }
@@ -422,6 +474,53 @@ mod tests {
         s.settle();
         let v = c.final_view().unwrap();
         assert_eq!(v.level, ConsistencyLevel::CACHE);
-        assert_eq!(v.value.map(|i| i.items), Some(vec![5]));
+        assert_eq!(v.value.map(|i| i.items.to_vec()), Some(vec![5]));
+    }
+
+    /// A put converts its list once: the cache, the acknowledged view,
+    /// the primary's entry and the backups' share it.
+    #[test]
+    fn a_put_shares_its_list_with_the_cache_and_the_write() {
+        let s = SimCausal::ec2("VRG", "IRL", 8);
+        let client = Client::new(s.binding());
+        let w = client.invoke_strong(CacheOp::Put("news".into(), vec![9, 10]));
+        s.settle();
+        s.advance(SimDuration::from_millis(500));
+        let acked = w.final_view().unwrap().value.unwrap();
+        assert_eq!(*acked.items, [9, 10]);
+        let cached = s.cached("news").unwrap();
+        assert!(
+            Arc::ptr_eq(&cached.items, &acked.items),
+            "the cache copied the list"
+        );
+        let shared = s
+            .each_replica(|r: &mut CausalReplica| Arc::ptr_eq(&r.data["news"].items, &acked.items));
+        assert_eq!(shared, [true; 3], "a replica copied the list");
+    }
+
+    /// The timing list the inline views replaced.
+    mod old {
+        #[derive(Debug)]
+        pub struct LevelTiming {
+            pub views: Vec<(&'static str, f64)>,
+        }
+    }
+
+    #[test]
+    fn inline_timings_print_and_read_as_the_vec_they_replace() {
+        let all = [("cache", 0.0), ("causal", 12.5), ("strong", 83.25)];
+        for n in 0..=all.len() {
+            let mut timing = LevelTiming::default();
+            for &view in &all[..n] {
+                timing.views.push(view);
+            }
+            let old = old::LevelTiming {
+                views: all[..n].to_vec(),
+            };
+            assert_eq!(&*timing.views, &old.views[..]);
+            assert_eq!(format!("{:?}", timing.views), format!("{:?}", old.views));
+            assert_eq!(format!("{timing:?}"), format!("{old:?}"));
+            assert_eq!(format!("{timing:#?}"), format!("{old:#?}"));
+        }
     }
 }

@@ -13,8 +13,14 @@
 //! flight copies the map once before it changes it (copy on write). A
 //! backup that adopts a snapshot clones only the entries fresher than
 //! its own.
+//!
+//! Keys ([`Arc<str>`]) and item lists ([`Arc<[u64]>`](Item::items)) are
+//! shared the same way: a write stores its key and list once, and every
+//! `Repl`, read answer and adopted entry clones reference counts, not
+//! the data.
 
 use std::any::Any;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -38,7 +44,7 @@ const READ_SYNC_EVERY: SimDuration = SimDuration::from_millis(500);
 /// (or a state transfer covers it).
 struct BufferedUpdate {
     from: NodeId,
-    key: String,
+    key: Arc<str>,
     item: Item,
 }
 
@@ -48,8 +54,9 @@ struct BufferedUpdate {
 pub struct Item {
     /// Monotonic per-key revision assigned by the primary.
     pub rev: u64,
-    /// Application payload (e.g. news-item ids).
-    pub items: Vec<u64>,
+    /// Application payload (e.g. news-item ids), shared by every copy
+    /// of this revision.
+    pub items: Arc<[u64]>,
 }
 
 /// One operation id.
@@ -69,7 +76,7 @@ pub enum Msg {
         /// Operation id.
         op: OpId,
         /// Key.
-        key: String,
+        key: Arc<str>,
     },
     /// Replica → client: read result.
     ReadResp {
@@ -85,9 +92,9 @@ pub enum Msg {
         /// Operation id.
         op: OpId,
         /// Key.
-        key: String,
+        key: Arc<str>,
         /// New payload.
-        items: Vec<u64>,
+        items: Arc<[u64]>,
     },
     /// Primary → client: write acknowledged.
     WriteAck {
@@ -101,7 +108,7 @@ pub enum Msg {
         /// Index of the sending replica.
         sender: usize,
         /// Key.
-        key: String,
+        key: Arc<str>,
         /// Value.
         data: Item,
         /// The update's vector clock stamp.
@@ -117,7 +124,7 @@ pub enum Msg {
     SyncResp {
         /// Every key's item at the responder when it answered: its map,
         /// shared, which its later writes copy before changing.
-        state: Arc<BTreeMap<String, Item>>,
+        state: Arc<BTreeMap<Arc<str>, Item>>,
         /// The responder's clock at snapshot time.
         clock: VectorClock,
     },
@@ -171,7 +178,7 @@ pub struct CausalReplica {
     /// snapshot is read by iterating it, and message payloads must not
     /// depend on a per-process hasher seed or (seed, schedule) replay
     /// diverges.
-    pub data: Arc<BTreeMap<String, Item>>,
+    pub data: Arc<BTreeMap<Arc<str>, Item>>,
     /// This replica's causal clock, and the updates waiting for their
     /// causal dependencies.
     inbox: CausalInbox<BufferedUpdate>,
@@ -218,8 +225,8 @@ impl CausalReplica {
     }
 
     /// Seeds a key directly (converged test/bootstrap state).
-    pub fn seed(&mut self, key: &str, item: Item) {
-        Arc::make_mut(&mut self.data).insert(key.to_string(), item);
+    pub fn seed(&mut self, key: Arc<str>, item: Item) {
+        Arc::make_mut(&mut self.data).insert(key, item);
     }
 
     /// This replica's causal clock.
@@ -239,20 +246,20 @@ impl CausalReplica {
     }
 
     /// Keeps `item` if it is fresher than what is stored under `key`.
-    fn adopt(&mut self, key: String, item: Item) {
+    fn adopt(&mut self, key: Arc<str>, item: Item) {
         if self.is_fresher(&key, &item) {
             Arc::make_mut(&mut self.data).insert(key, item);
         }
     }
 
-    /// Adopts a causally closed snapshot: copies of its fresher items,
+    /// Adopts a causally closed snapshot: its fresher entries, shared,
     /// plus the responder's clock (which also purges the buffered
     /// updates the snapshot covers), then drains whatever the buffer
     /// still holds beyond the snapshot.
-    fn adopt_snapshot(&mut self, state: &BTreeMap<String, Item>, clock: &VectorClock) {
+    fn adopt_snapshot(&mut self, state: &BTreeMap<Arc<str>, Item>, clock: &VectorClock) {
         for (key, item) in state {
             if self.is_fresher(key, item) {
-                Arc::make_mut(&mut self.data).insert(key.clone(), item.clone());
+                Arc::make_mut(&mut self.data).insert(Arc::clone(key), item.clone());
             }
         }
         self.inbox.merge_delivered(clock);
@@ -268,7 +275,7 @@ impl Node<Msg> for CausalReplica {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::Read { op, key } => {
-                let data = self.data.get(&key).cloned();
+                let data = self.data.get(&*key).cloned();
                 ctx.send(
                     from,
                     Msg::ReadResp {
@@ -297,17 +304,27 @@ impl Node<Msg> for CausalReplica {
             }
             Msg::Write { op, key, items } => {
                 debug_assert!(self.is_primary, "writes must go to the primary");
-                let rev = self.data.get(&key).map(|d| d.rev + 1).unwrap_or(1);
-                let item = Item { rev, items };
+                // One probe; the `Repl`s carry the key the map holds.
+                let (key, item) = match Arc::make_mut(&mut self.data).entry(key) {
+                    Entry::Occupied(mut stored) => {
+                        let rev = stored.get().rev + 1;
+                        stored.insert(Item { rev, items });
+                        (Arc::clone(stored.key()), stored.get().clone())
+                    }
+                    Entry::Vacant(slot) => {
+                        let key = Arc::clone(slot.key());
+                        (key, slot.insert(Item { rev: 1, items }).clone())
+                    }
+                };
+                let rev = item.rev;
                 self.inbox.bump(self.index);
                 let stamp = self.clock().clone();
-                Arc::make_mut(&mut self.data).insert(key.clone(), item.clone());
                 for &p in &self.peers {
                     ctx.send(
                         p,
                         Msg::Repl {
                             sender: self.index,
-                            key: key.clone(),
+                            key: Arc::clone(&key),
                             data: item.clone(),
                             stamp: stamp.clone(),
                         },
@@ -438,7 +455,7 @@ mod tests {
                 Msg::Write {
                     op: OpId { client: sink, seq },
                     key: "k".into(),
-                    items: vec![seq],
+                    items: vec![seq].into(),
                 },
             );
         }
@@ -446,7 +463,7 @@ mod tests {
         for id in &ids {
             let r = eng.node_as::<CausalReplica>(*id);
             assert_eq!(r.data.get("k").map(|d| d.rev), Some(3));
-            assert_eq!(r.data.get("k").map(|d| d.items.clone()), Some(vec![2]));
+            assert_eq!(r.data.get("k").map(|d| d.items.to_vec()), Some(vec![2]));
         }
     }
 
@@ -462,8 +479,8 @@ mod tests {
                 D::from_micros(seq * 50),
                 Msg::Write {
                     op: OpId { client: sink, seq },
-                    key: format!("k{}", seq % 3),
-                    items: vec![seq],
+                    key: format!("k{}", seq % 3).into(),
+                    items: vec![seq].into(),
                 },
             );
         }
@@ -472,9 +489,9 @@ mod tests {
             let r = eng.node_as::<CausalReplica>(*id);
             // Every replica ends with the final value of each key
             // (the last seq hitting k1 is 19, k0 is 18, k2 is 17).
-            assert_eq!(r.data.get("k1").unwrap().items, vec![19]);
-            assert_eq!(r.data.get("k0").unwrap().items, vec![18]);
-            assert_eq!(r.data.get("k2").unwrap().items, vec![17]);
+            assert_eq!(*r.data.get("k1").unwrap().items, [19]);
+            assert_eq!(*r.data.get("k0").unwrap().items, [18]);
+            assert_eq!(*r.data.get("k2").unwrap().items, [17]);
             assert_eq!(r.clock()[0], 20);
             assert!(r.inbox.is_empty(), "nothing left buffered");
         }
@@ -499,7 +516,7 @@ mod tests {
                 Msg::Write {
                     op: OpId { client: sink, seq },
                     key: "k".into(),
-                    items: vec![seq],
+                    items: vec![seq].into(),
                 },
             );
         }
@@ -537,7 +554,7 @@ mod tests {
                     seq: 0,
                 },
                 key: "k".into(),
-                items: vec![7],
+                items: vec![7].into(),
             },
         );
         eng.run_until_idle(10_000);
@@ -614,7 +631,7 @@ mod tests {
                 Msg::Write {
                     op: OpId { client: sink, seq },
                     key: "k".into(),
-                    items: vec![seq],
+                    items: vec![seq].into(),
                 },
             );
         }
@@ -643,7 +660,7 @@ mod tests {
                     seq: 0,
                 },
                 key: "k".into(),
-                items: vec![7],
+                items: vec![7].into(),
             },
         );
         // Run only 1 ms: the write applied at the primary but cannot have
@@ -659,8 +676,9 @@ mod tests {
     /// comes back.
     #[derive(Default)]
     struct Probe {
-        snapshots: Vec<Arc<BTreeMap<String, Item>>>,
+        snapshots: Vec<Arc<BTreeMap<Arc<str>, Item>>>,
         reads: Vec<Option<Item>>,
+        repls: Vec<(Arc<str>, Item)>,
     }
 
     impl Node<Msg> for Probe {
@@ -668,6 +686,7 @@ mod tests {
             match msg {
                 Msg::SyncResp { state, .. } => self.snapshots.push(state),
                 Msg::ReadResp { data, .. } => self.reads.push(data),
+                Msg::Repl { key, data, .. } => self.repls.push((key, data)),
                 _ => {}
             }
         }
@@ -687,9 +706,10 @@ mod tests {
         let probe = eng.add_node(vrg, Box::<Probe>::default());
         let rev = |rev| Item {
             rev,
-            items: vec![rev],
+            items: vec![rev].into(),
         };
-        eng.node_as::<CausalReplica>(ids[0]).seed("k", rev(1));
+        eng.node_as::<CausalReplica>(ids[0])
+            .seed("k".into(), rev(1));
         eng.schedule_message(probe, ids[0], D::ZERO, Msg::SyncReq);
         let write = Msg::Write {
             op: OpId {
@@ -697,7 +717,7 @@ mod tests {
                 seq: 0,
             },
             key: "k".into(),
-            items: vec![2],
+            items: vec![2].into(),
         };
         eng.schedule_message(sink, ids[0], D::from_millis(1), write);
         let read = Msg::Read {
@@ -724,15 +744,68 @@ mod tests {
         assert_eq!(primary["k"], rev(2));
     }
 
+    /// A write stores its key and list once: the primary's entry, every
+    /// `Repl` it fans out (the probe is a third peer) and the entry each
+    /// backup adopts share them. A second write to the key keeps the
+    /// stored key, and its `Repl`s carry that key, not the write's.
+    #[test]
+    fn a_write_and_its_repl_fan_out_share_one_key_and_one_list() {
+        let (mut eng, ids, sink) = build();
+        let probe = eng.add_node(eng.site_of(ids[1]), Box::<Probe>::default());
+        eng.node_as::<CausalReplica>(ids[0])
+            .set_peers(vec![ids[1], ids[2], probe]);
+        for seq in 0..2u64 {
+            let write = Msg::Write {
+                op: OpId { client: sink, seq },
+                key: "k".into(),
+                items: vec![seq, 7].into(),
+            };
+            eng.schedule_message(sink, ids[0], D::from_millis(seq * 100), write);
+            eng.run_until_idle(1_000);
+            let (key, item) = {
+                let primary = &eng.node_as::<CausalReplica>(ids[0]).data;
+                let (key, item) = primary.get_key_value("k").unwrap();
+                (Arc::clone(key), item.clone())
+            };
+            assert_eq!(item.rev, seq + 1);
+            let repls = &eng.node_as::<Probe>(probe).repls;
+            assert_eq!(repls.len() as u64, seq + 1);
+            let (sent_key, sent) = repls.last().unwrap();
+            assert!(Arc::ptr_eq(sent_key, &key), "the Repl copied the key");
+            assert!(
+                Arc::ptr_eq(&sent.items, &item.items),
+                "the Repl copied the list"
+            );
+            for backup in [ids[1], ids[2]] {
+                let data = &eng.node_as::<CausalReplica>(backup).data;
+                let (adopted_key, adopted) = data.get_key_value("k").unwrap();
+                assert_eq!(adopted, &item);
+                assert!(Arc::ptr_eq(adopted_key, &key), "the backup copied the key");
+                assert!(
+                    Arc::ptr_eq(&adopted.items, &item.items),
+                    "the backup copied the list"
+                );
+            }
+        }
+    }
+
     /// The snapshot a `SyncResp` carried before it shared the map: a
-    /// copy of every entry.
-    fn copied(data: &BTreeMap<String, Item>) -> Vec<(String, Item)> {
-        data.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    /// copy of every entry, key and list included.
+    fn copied(data: &BTreeMap<Arc<str>, Item>) -> Vec<(Arc<str>, Item)> {
+        data.iter()
+            .map(|(k, v)| {
+                let item = Item {
+                    rev: v.rev,
+                    items: Arc::from(&*v.items),
+                };
+                (Arc::from(&**k), item)
+            })
+            .collect()
     }
 
     /// How a backup adopted that copy, and then its buffered updates.
-    fn adopt_copied(r: &mut CausalReplica, state: Vec<(String, Item)>, clock: &VectorClock) {
-        let adopt = |data: &mut BTreeMap<String, Item>, key: String, item: Item| {
+    fn adopt_copied(r: &mut CausalReplica, state: Vec<(Arc<str>, Item)>, clock: &VectorClock) {
+        let adopt = |data: &mut BTreeMap<Arc<str>, Item>, key: Arc<str>, item: Item| {
             if data.get(&key).is_none_or(|cur| item.rev > cur.rev) {
                 data.insert(key, item);
             }
@@ -755,15 +828,15 @@ mod tests {
 
     /// The map of `entries`, each item's payload marked with `whose`
     /// (so a backup's item and a snapshot's of the same rev differ).
-    fn map_of(entries: &[(u8, u64)], whose: u64) -> BTreeMap<String, Item> {
+    fn map_of(entries: &[(u8, u64)], whose: u64) -> BTreeMap<Arc<str>, Item> {
         entries
             .iter()
             .map(|&(k, rev)| {
                 let item = Item {
                     rev,
-                    items: vec![whose, rev],
+                    items: vec![whose, rev].into(),
                 };
-                (format!("k{k}"), item)
+                (format!("k{k}").into(), item)
             })
             .collect()
     }
@@ -790,8 +863,8 @@ mod tests {
                 for &(seq, k, rev) in &parked {
                     let update = BufferedUpdate {
                         from: NodeId(0),
-                        key: format!("k{k}"),
-                        item: Item { rev, items: vec![seq] },
+                        key: format!("k{k}").into(),
+                        item: Item { rev, items: vec![seq].into() },
                     };
                     r.inbox.offer(0, VectorClock::from(vec![seq, 0, 0]), update);
                 }

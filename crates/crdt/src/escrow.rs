@@ -430,21 +430,17 @@ impl EscrowReplica {
     }
 
     fn settle_pending(&mut self, ctx: &mut Ctx<'_, EscrowMsg>) {
-        let me = self.id;
-        let mut still = Vec::new();
-        for p in std::mem::take(&mut self.pending_strong) {
-            let stable = self.n == 1
-                || (0..self.n).all(|j| j == me || self.peer_state[j].sold_of(me) >= p.mark);
+        let (me, n, peer_state) = (self.id, self.n, &self.peer_state);
+        self.pending_strong.retain(|p| {
+            let stable = n == 1 || (0..n).all(|j| j == me || peer_state[j].sold_of(me) >= p.mark);
             if stable {
                 // The fast sale is now incorporated everywhere; the
                 // strong view confirms the same outcome.
                 let view = ClientMsg::view(p.op, ConsistencyLevel::STRONG, p.val, true);
                 ctx.send(p.gw, EscrowMsg::Client(view));
-            } else {
-                still.push(p);
             }
-        }
-        self.pending_strong = still;
+            !stable
+        });
     }
 
     fn accept(

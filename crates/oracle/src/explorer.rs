@@ -666,7 +666,7 @@ fn run_causal(seed: u64, schedule: &Faults, cfg: &ExplorerConfig) -> (RunSummary
                 CacheOp::Get(k) => KvsOp::Get(k.clone()),
                 CacheOp::Put(k, items) => KvsOp::Put(k.clone(), items.clone()),
             },
-            |v| v.as_ref().map(|i| (i.rev, i.items.clone())),
+            |v| v.as_ref().map(|i| (i.rev, i.items.to_vec())),
             |op| matches!(op, CacheOp::Put(..)),
         );
         lin_check(&spec, entries)

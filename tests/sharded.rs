@@ -95,7 +95,7 @@ fn sharded_causal_store_keeps_three_level_pipeline() {
         assert_eq!(prelims[1].level, ConsistencyLevel::CAUSAL);
         let fin = c.final_view().unwrap();
         assert_eq!(fin.level, ConsistencyLevel::STRONG);
-        assert_eq!(fin.value.map(|i| i.items), Some(vec![k as u64]));
+        assert_eq!(fin.value.map(|i| i.items.to_vec()), Some(vec![k as u64]));
     }
 }
 
