@@ -13,7 +13,8 @@
 //!    peer costs it: the suffix, not the log);
 //! 6. the causal store's state transfer — one `SyncReq` → `SyncResp`
 //!    round trip between converged replicas (the snapshot shares the
-//!    primary's map; a copy of it costs two allocations per key).
+//!    primary's map; a copy of it costs two allocations per key), and
+//!    the same round trip to a stale backup, which adopts every key.
 //!
 //! Batch benches process [`EFFECTS_PER_ITER`] effects per iteration, so
 //! per-effect cost is `mean / EFFECTS_PER_ITER`.
@@ -302,6 +303,39 @@ fn bench_state_transfer(c: &mut Criterion) {
     assert!(engine.node_as::<CausalReplica>(primary).syncs_served > 0);
 }
 
+fn bench_state_transfer_to_a_stale_backup(c: &mut Criterion) {
+    // As `causal/state-transfer-32-keys`, but the primary holds revision
+    // 2 of every key and the backup is handed back its revision-1 map
+    // before each transfer, so every key of the snapshot is adopted. The
+    // backup shares that map with this bench, so each adoption also
+    // copies it once (copy on write) before its 32 inserts.
+    let (mut engine, ids) = Engine::ec2(1, |i| Box::new(CausalReplica::new(i, 3, i == 0)));
+    for (i, id) in ids.iter().enumerate() {
+        let replica = engine.node_as::<CausalReplica>(*id);
+        replica.set_peers(NodeId::peers_of(&ids, i));
+        replica.set_primary_node(ids[0]);
+        let rev = if i == 0 { 2 } else { 1 };
+        for k in 0..STATE_KEYS {
+            let items = vec![k, k + rev].into();
+            replica.seed(format!("k{k}").into(), Item { rev, items });
+        }
+    }
+    let (primary, backup) = (ids[0], ids[1]);
+    let stale = Arc::clone(&engine.node_as::<CausalReplica>(backup).data);
+    c.bench_function("causal/state-transfer-32-keys-stale", |bch| {
+        bch.iter(|| {
+            engine.node_as::<CausalReplica>(backup).data = Arc::clone(&stale);
+            engine.schedule_message(backup, primary, SimDuration::ZERO, Msg::SyncReq);
+            black_box(engine.run_until_idle(16))
+        })
+    });
+    let adopted = &engine.node_as::<CausalReplica>(backup).data;
+    assert!(
+        adopted.values().all(|item| item.rev == 2),
+        "every key adopted"
+    );
+}
+
 criterion_group!(
     benches,
     bench_state_merge,
@@ -309,6 +343,7 @@ criterion_group!(
     bench_orset_roundtrip,
     bench_escrow_sell,
     bench_anti_entropy_retry,
-    bench_state_transfer
+    bench_state_transfer,
+    bench_state_transfer_to_a_stale_backup
 );
 criterion_main!(benches);

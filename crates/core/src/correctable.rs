@@ -25,6 +25,11 @@
 //!   that needs both outcomes of an input (`map`, `then`, `join_all`,
 //!   `first_final`, `speculate`) registers once per input: one `Box`, one
 //!   lock;
+//! - the closing state is one field, the outcome (`None` while
+//!   updating, then the final view or the error), so closing writes one
+//!   field and every probe reads one; a Correctable made closed
+//!   ([`Correctable::ready`], [`Correctable::failed`]) is built with its
+//!   outcome in place;
 //! - a packed atomic **state word** mirrors the closing state and whether
 //!   any thread ever blocked in [`Correctable::wait_final`] /
 //!   [`Correctable::wait_any`]; producers consult it after releasing the
@@ -87,16 +92,29 @@ struct UpdateEntry<T> {
 }
 
 struct Shared<T> {
-    state: State,
     /// Preliminary views, in delivery order.
     updates: List<View<T>>,
-    /// The closing view, if `state == Final`.
-    final_view: Option<View<T>>,
-    /// The closing error, if `state == Error`.
-    error: Option<Error>,
+    /// How the Correctable closed: the final view or the error. `None`
+    /// while updating.
+    outcome: Option<Result<View<T>, Error>>,
     update_cbs: List<UpdateEntry<T>>,
     /// `on_final`, `on_error` and `on_close` registrations, in order.
     close_cbs: List<CloseFn<T>>,
+}
+
+impl<T: Clone> Shared<T> {
+    fn final_view(&self) -> Option<&View<T>> {
+        self.outcome.as_ref()?.as_ref().ok()
+    }
+
+    fn error(&self) -> Option<&Error> {
+        self.outcome.as_ref()?.as_ref().err()
+    }
+
+    /// The final view, else the last preliminary one.
+    fn latest(&self) -> Option<View<T>> {
+        self.final_view().or_else(|| self.updates.last()).cloned()
+    }
 }
 
 struct Inner<T> {
@@ -155,10 +173,8 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         let inner = Arc::new(Inner {
             word: AtomicU32::new(ST_UPDATING),
             shared: Mutex::new(Shared {
-                state: State::Updating,
                 updates: List::default(),
-                final_view: None,
-                error: None,
+                outcome: None,
                 update_cbs: List::default(),
                 close_cbs: List::default(),
             }),
@@ -179,17 +195,29 @@ impl<T: Clone + Send + 'static> Correctable<T> {
 
     /// A Correctable that is already final with `value` at `level`.
     pub fn ready_at(value: T, level: ConsistencyLevel) -> Correctable<T> {
-        let (c, h) = Correctable::pending();
-        h.close(value, level)
-            .expect("fresh correctable accepts close");
-        c
+        Correctable::closed(Ok(View::new(value, level)))
     }
 
     /// A Correctable that has already failed with `err`.
     pub fn failed(err: Error) -> Correctable<T> {
-        let (c, h) = Correctable::pending();
-        h.fail(err).expect("fresh correctable accepts fail");
-        c
+        Correctable::closed(Err(err))
+    }
+
+    /// A Correctable born closed with `outcome`: no handle, no views.
+    fn closed(outcome: Result<View<T>, Error>) -> Correctable<T> {
+        let word = if outcome.is_ok() { ST_FINAL } else { ST_ERROR };
+        Correctable {
+            inner: Arc::new(Inner {
+                word: AtomicU32::new(word),
+                shared: Mutex::new(Shared {
+                    updates: List::default(),
+                    outcome: Some(outcome),
+                    update_cbs: List::default(),
+                    close_cbs: List::default(),
+                }),
+                cond: Condvar::new(),
+            }),
+        }
     }
 
     /// Current state. Lock-free.
@@ -208,33 +236,25 @@ impl<T: Clone + Send + 'static> Correctable<T> {
     /// The open probe is lock-free, which makes this the cheapest way for
     /// combinators to skip callback registration on still-open inputs.
     pub fn outcome(&self) -> Option<Result<View<T>, Error>> {
-        match self.state() {
-            State::Updating => None,
-            State::Final => {
-                let g = self.inner.shared.lock();
-                Some(Ok(g.final_view.clone().expect("final state has a view")))
-            }
-            State::Error => {
-                let g = self.inner.shared.lock();
-                Some(Err(g.error.clone().expect("error state has an error")))
-            }
+        if !self.is_closed() {
+            return None;
         }
+        self.inner.shared.lock().outcome.clone()
     }
 
     /// The most recent view of any kind (final wins over preliminaries).
     pub fn latest(&self) -> Option<View<T>> {
-        let g = self.inner.shared.lock();
-        g.final_view.clone().or_else(|| g.updates.last().cloned())
+        self.inner.shared.lock().latest()
     }
 
     /// The final view, if closed successfully.
     pub fn final_view(&self) -> Option<View<T>> {
-        self.inner.shared.lock().final_view.clone()
+        self.inner.shared.lock().final_view().cloned()
     }
 
     /// The error, if closed exceptionally.
     pub fn error(&self) -> Option<Error> {
-        self.inner.shared.lock().error.clone()
+        self.inner.shared.lock().error().cloned()
     }
 
     /// All preliminary views delivered so far (excludes the final view).
@@ -293,13 +313,12 @@ impl<T: Clone + Send + 'static> Correctable<T> {
     ) -> &Self {
         let outcome = {
             let mut g = self.inner.shared.lock();
-            match g.state {
-                State::Updating => {
+            match &g.outcome {
+                Some(outcome) => outcome.clone(),
+                None => {
                     g.close_cbs.push(Box::new(f));
                     return self;
                 }
-                State::Final => Ok(g.final_view.clone().expect("final state has a view")),
-                State::Error => Err(g.error.clone().expect("error state has an error")),
             }
         };
         f(outcome.as_ref());
@@ -333,10 +352,8 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut g = self.inner.shared.lock();
         loop {
-            match g.state {
-                State::Final => return Ok(g.final_view.clone().expect("final state has a view")),
-                State::Error => return Err(g.error.clone().expect("error state has an error")),
-                State::Updating => {}
+            if let Some(outcome) = &g.outcome {
+                return outcome.clone();
             }
             // Announce the parked waiter while still holding the lock, so
             // the producer's post-unlock check cannot miss it.
@@ -361,11 +378,11 @@ impl<T: Clone + Send + 'static> Correctable<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut g = self.inner.shared.lock();
         loop {
-            if let Some(v) = g.final_view.clone().or_else(|| g.updates.last().cloned()) {
+            if let Some(v) = g.latest() {
                 return Ok(v);
             }
-            if g.state == State::Error {
-                return Err(g.error.clone().expect("error state has an error"));
+            if let Some(e) = g.error() {
+                return Err(e.clone());
             }
             self.inner.word.fetch_or(HAS_WAITERS, Ordering::Relaxed);
             let now = std::time::Instant::now();
@@ -432,7 +449,7 @@ impl<T: Clone + Send + 'static> Handle<T> {
     pub fn update(&self, value: T, level: ConsistencyLevel) -> Result<(), ClosedError> {
         let (notify, pump) = {
             let mut g = self.inner.shared.lock();
-            if g.state != State::Updating {
+            if g.outcome.is_some() {
                 return Err(ClosedError);
             }
             g.updates.push(View::new(value, level));
@@ -468,31 +485,17 @@ impl<T: Clone + Send + 'static> Handle<T> {
 
     /// The one closing transition: records `outcome`, then runs every
     /// close callback with it, in registration order, outside the lock.
-    fn finish(&self, outcome: Result<View<T>, Error>) -> Result<(), ClosedError> {
+    pub(crate) fn finish(&self, outcome: Result<View<T>, Error>) -> Result<(), ClosedError> {
         let (cbs, outcome, notify) = {
             let mut g = self.inner.shared.lock();
-            if g.state != State::Updating {
+            if g.outcome.is_some() {
                 return Err(ClosedError);
             }
             let cbs = std::mem::take(&mut g.close_cbs);
             // Copy the outcome only when a callback will read it.
-            let (kept, for_cbs) = if cbs.is_empty() {
-                (outcome, None)
-            } else {
-                (outcome.clone(), Some(outcome))
-            };
-            let word = match kept {
-                Ok(view) => {
-                    g.state = State::Final;
-                    g.final_view = Some(view);
-                    ST_FINAL
-                }
-                Err(err) => {
-                    g.state = State::Error;
-                    g.error = Some(err);
-                    ST_ERROR
-                }
-            };
+            let for_cbs = (!cbs.is_empty()).then(|| outcome.clone());
+            let word = if outcome.is_ok() { ST_FINAL } else { ST_ERROR };
+            g.outcome = Some(outcome);
             (cbs, for_cbs, self.inner.publish(word))
         };
         if notify {
@@ -523,10 +526,10 @@ impl<T: Clone + Send + 'static + std::fmt::Debug> std::fmt::Debug for Correctabl
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.inner.shared.lock();
         f.debug_struct("Correctable")
-            .field("state", &g.state)
+            .field("state", &self.state())
             .field("updates", &g.updates.len())
-            .field("final", &g.final_view)
-            .field("error", &g.error)
+            .field("final", &g.final_view())
+            .field("error", &g.error())
             .finish()
     }
 }
@@ -640,6 +643,71 @@ mod tests {
         assert_eq!(c.final_view().unwrap().level, STRONG);
         let f = Correctable::<i32>::failed(Error::Aborted);
         assert_eq!(f.state(), State::Error);
+    }
+
+    #[test]
+    fn debug_and_closed_constructors_read_as_a_pending_one_closed() {
+        let (open, _h) = Correctable::<i32>::pending();
+        assert_eq!(
+            format!("{open:?}"),
+            "Correctable { state: Updating, updates: 0, final: None, error: None }"
+        );
+        let (fin, h) = Correctable::<i32>::pending();
+        h.update(1, WEAK).unwrap();
+        h.close(2, STRONG).unwrap();
+        assert_eq!(
+            format!("{fin:?}"),
+            "Correctable { state: Final, updates: 1, final: Some(View { value: 2, level: \
+             ConsistencyLevel { rank: 40, wire_id: 4, name: \"strong\" } }), error: None }"
+        );
+        let (err, h) = Correctable::<i32>::pending();
+        h.fail(Error::Aborted).unwrap();
+        assert_eq!(
+            format!("{err:?}"),
+            "Correctable { state: Error, updates: 0, final: None, error: Some(Aborted) }"
+        );
+
+        // Everything a consumer can ask, answered without blocking.
+        type Answers = (
+            State,
+            Option<Result<View<i32>, Error>>,
+            Option<View<i32>>,
+            Option<Error>,
+            Option<View<i32>>,
+            Result<View<i32>, Error>,
+            Result<View<i32>, Error>,
+        );
+        let answers = |c: &Correctable<i32>| -> Answers {
+            let t = Duration::ZERO;
+            let (state, outcome) = (c.state(), c.outcome());
+            let (fv, e, latest) = (c.final_view(), c.error(), c.latest());
+            (
+                state,
+                outcome,
+                fv,
+                e,
+                latest,
+                c.wait_any(t),
+                c.wait_final(t),
+            )
+        };
+        let closed = |outcome: Result<i32, Error>| {
+            let (c, h) = Correctable::<i32>::pending();
+            match outcome {
+                Ok(v) => h.close(v, WEAK).unwrap(),
+                Err(e) => h.fail(e).unwrap(),
+            }
+            c
+        };
+        assert_eq!(
+            answers(&Correctable::ready_at(3, WEAK)),
+            answers(&closed(Ok(3)))
+        );
+        let e = Error::Unavailable("down".into());
+        assert_eq!(
+            answers(&Correctable::failed(e.clone())),
+            answers(&closed(Err(e)))
+        );
     }
 
     #[test]
@@ -854,11 +922,13 @@ mod tests {
     }
 
     /// A Correctable's shared state for `u64`: 376 B while final and error
-    /// callbacks had a list each, 328 B with one close list.
+    /// callbacks had a list each, 328 B with one close list, 304 B with
+    /// safe inline lists, 272 B with one outcome field in place of a
+    /// state, a final view and an error.
     #[test]
     fn shared_state_does_not_grow() {
         let size = std::mem::size_of::<Inner<u64>>();
-        assert!(size <= 328, "Inner<u64> grew to {size} B");
+        assert!(size <= 272, "Inner<u64> grew to {size} B");
     }
 
     /// The per-kind lists `Shared` kept before one close list replaced

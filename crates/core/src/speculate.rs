@@ -13,12 +13,12 @@
 //!
 //! The speculation function may itself be asynchronous (e.g. prefetching
 //! dependent objects from storage): it returns a [`Correctable`] of the
-//! derived result. The synchronous convenience wrapper lifts a plain
-//! function over [`Correctable::ready`].
+//! derived result. The synchronous form runs a plain function inline.
+//! Both forms finish through one completion rule (`complete`).
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::correctable::{Correctable, Handle};
 use crate::error::Error;
@@ -166,150 +166,97 @@ where
     T: Clone + PartialEq + Send + 'static,
     U: Clone + Send + 'static,
 {
-    enum Action<T, U> {
-        Nothing,
-        /// Close the output now with the completed speculation result.
-        Close(Handle<U>, View<U>, ConsistencyLevel),
-        /// Launch (or relaunch) the speculation for this input.
-        Launch {
-            aborted: Option<T>,
-            input: T,
-            epoch: u64,
-        },
-    }
-
-    let action: Action<T, U> = {
+    let (aborted, epoch) = {
         let mut g = state.lock();
         if g.closed {
-            Action::Nothing
-        } else if is_final {
+            return;
+        }
+        if is_final {
             g.final_view = Some(v.clone());
-            if g.cur_input.as_ref() == Some(&v.value) {
-                // Speculation input confirmed by the final view.
-                match g.cur_done.clone() {
-                    Some(done) => {
-                        g.closed = true;
-                        Action::Close(g.out.clone(), done, v.level)
-                    }
-                    // Work still in flight; its completion closes us.
-                    None => Action::Nothing,
-                }
-            } else {
-                // Misspeculation (or no preliminary at all): redo on the
-                // final input.
-                let aborted = g.cur_input.take();
-                g.epoch += 1;
-                g.cur_input = Some(v.value.clone());
-                g.cur_done = None;
-                Action::Launch {
-                    aborted,
-                    input: v.value.clone(),
-                    epoch: g.epoch,
-                }
-            }
-        } else if g.cur_input.as_ref() == Some(&v.value) {
-            // Same value as the current speculation; nothing to redo.
-            Action::Nothing
-        } else {
-            let aborted = g.cur_input.take();
-            g.epoch += 1;
-            g.cur_input = Some(v.value.clone());
-            g.cur_done = None;
-            Action::Launch {
-                aborted,
-                input: v.value.clone(),
-                epoch: g.epoch,
-            }
         }
+        if g.cur_input.as_ref() == Some(&v.value) {
+            // The current speculation stands. A final view confirms it:
+            // if its work is done, close now; if not, its completion will.
+            if let Some(done) = g.cur_done.take_if(|_| is_final) {
+                let epoch = g.epoch;
+                complete(g, epoch, Ok(done));
+            }
+            return;
+        }
+        // A new preliminary, or a final that diverges from (or arrives
+        // without) one: abort the work in flight and redo on this input.
+        g.epoch += 1;
+        g.cur_done = None;
+        (g.cur_input.replace(v.value.clone()), g.epoch)
     };
-
-    match action {
-        Action::Nothing => {}
-        Action::Close(out, done, level) => {
-            let _ = out.close(done.value, level);
+    if let Some(old) = aborted {
+        run_abort(state, &old);
+    }
+    // Take the spec function out so user code runs unlocked.
+    let spec = std::mem::replace(
+        &mut state.lock().spec,
+        Spec::Sync(Box::new(|_| unreachable!("spec in flight"))),
+    );
+    match spec {
+        Spec::Sync(mut f) => {
+            // Fast path: the result is available as soon as the function
+            // returns, so it completes inline, with no Correctable of its own.
+            let done = View::new(f(&v.value), ConsistencyLevel::STRONG);
+            let mut g = state.lock();
+            g.spec = Spec::Sync(f);
+            complete(g, epoch, Ok(done));
         }
-        Action::Launch {
-            aborted,
-            input,
-            epoch,
-        } => {
-            if let Some(old) = aborted {
-                run_abort(state, &old);
-            }
-            // Take the spec function out so user code runs unlocked.
-            let spec = {
-                let mut g = state.lock();
-                std::mem::replace(
-                    &mut g.spec,
-                    Spec::Sync(Box::new(|_| unreachable!("spec in flight"))),
-                )
-            };
-            match spec {
-                Spec::Sync(mut f) => {
-                    // Fast path: the result is available as soon as the
-                    // function returns; complete the bookkeeping directly
-                    // instead of routing it through a ready Correctable.
-                    let value = f(&input);
-                    let act = {
-                        let mut g = state.lock();
-                        g.spec = Spec::Sync(f);
-                        if g.closed || g.epoch != epoch {
-                            None
-                        } else {
-                            let done = View::new(value, ConsistencyLevel::STRONG);
-                            g.cur_done = Some(done.clone());
-                            match g.final_view.clone() {
-                                Some(fv) if g.cur_input.as_ref() == Some(&fv.value) => {
-                                    g.closed = true;
-                                    Some((g.out.clone(), done, fv.level))
-                                }
-                                _ => None,
-                            }
-                        }
-                    };
-                    if let Some((out, done, level)) = act {
-                        let _ = out.close(done.value, level);
-                    }
-                }
-                Spec::Async(mut f) => {
-                    let result = f(&input);
-                    {
-                        let mut g = state.lock();
-                        g.spec = Spec::Async(f);
-                    }
-                    let st_done = Arc::clone(state);
-                    result.on_close(move |outcome| {
-                        let act = {
-                            let mut g = st_done.lock();
-                            if g.closed || g.epoch != epoch {
-                                return;
-                            }
-                            match outcome {
-                                Ok(u) => {
-                                    g.cur_done = Some(u.clone());
-                                    match g.final_view.clone() {
-                                        Some(fv) if g.cur_input.as_ref() == Some(&fv.value) => {
-                                            g.closed = true;
-                                            Ok((g.out.clone(), u.clone(), fv.level))
-                                        }
-                                        _ => return,
-                                    }
-                                }
-                                Err(e) => {
-                                    g.closed = true;
-                                    Err((g.out.clone(), e.clone()))
-                                }
-                            }
-                        };
-                        let _ = match act {
-                            Ok((out, done, level)) => out.close(done.value, level),
-                            Err((out, e)) => out.fail(e),
-                        };
-                    });
-                }
-            }
+        Spec::Async(mut f) => {
+            let work = f(&v.value);
+            state.lock().spec = Spec::Async(f);
+            let state = Arc::clone(state);
+            work.on_close(move |outcome| {
+                let result = outcome.cloned().map_err(Error::clone);
+                complete(state.lock(), epoch, result);
+            });
         }
     }
+}
+
+/// The one completion rule of both forms, for the speculation launched at
+/// `epoch`: unless a newer input superseded it (or the output closed),
+/// record `result`, close the output at the final view's level if that
+/// view confirmed the speculation's input, and fail it on an error. Takes
+/// the state locked and closes the output after releasing it.
+///
+/// Inlined into its three callers: called out of line, it made the sync
+/// form's launch and close about 1 % slower in an in-process A/B.
+#[inline(always)]
+fn complete<T, U>(
+    mut g: MutexGuard<'_, SpecState<T, U>>,
+    epoch: u64,
+    result: Result<View<U>, Error>,
+) where
+    T: PartialEq,
+    U: Clone + Send + 'static,
+{
+    if g.closed || g.epoch != epoch {
+        return;
+    }
+    let outcome = match result {
+        Ok(done) => {
+            let confirmed = (g.final_view.as_ref())
+                .filter(|fv| g.cur_input.as_ref() == Some(&fv.value))
+                .map(|fv| fv.level);
+            match confirmed {
+                Some(level) => Ok(View::new(done.value, level)),
+                None => {
+                    g.cur_done = Some(done);
+                    return;
+                }
+            }
+        }
+        Err(e) => Err(e),
+    };
+    g.closed = true;
+    let out = g.out.clone();
+    drop(g);
+    let _ = out.finish(outcome);
 }
 
 #[cfg(test)]

@@ -122,20 +122,41 @@ proptest! {
         prop_assert_eq!(log.lock().clone(), values);
     }
 
-    /// `speculate` always produces `spec(final_value)` no matter which
-    /// preliminary views preceded it.
+    /// Both forms of `speculate` close at `spec(final_value)`, at the
+    /// final view's level, no matter which preliminary views preceded
+    /// it, or fail with the underlying operation's error: the sync form
+    /// runs `spec` inline, the async form through a ready Correctable
+    /// per launch.
     #[test]
     fn speculation_result_equals_function_of_final(
         prelims in proptest::collection::vec(-100i64..100, 0..10),
         fin in -100i64..100,
+        end in 0u8..3,
     ) {
+        fn spec(x: &i64) -> i64 {
+            x.wrapping_mul(3) ^ 0x55
+        }
         let (c, h) = Correctable::<i64>::pending();
-        let out = c.speculate(|x| x.wrapping_mul(3) ^ 0x55);
+        let outs = [
+            c.speculate(spec),
+            c.speculate_async(|x| Correctable::ready(spec(x)), |_| {}),
+        ];
         for p in &prelims {
             h.update(*p, ConsistencyLevel::WEAK).unwrap();
         }
-        h.close(fin, ConsistencyLevel::STRONG).unwrap();
-        prop_assert_eq!(out.final_view().unwrap().value, fin.wrapping_mul(3) ^ 0x55);
+        let want = match end {
+            0 => Err(Error::Timeout),
+            1 => Ok((fin, ConsistencyLevel::CAUSAL)),
+            _ => Ok((fin, ConsistencyLevel::STRONG)),
+        };
+        match &want {
+            Ok((v, level)) => h.close(*v, *level).unwrap(),
+            Err(e) => h.fail(e.clone()).unwrap(),
+        }
+        let want = want.map(|(v, level)| (spec(&v), level));
+        for out in &outs {
+            prop_assert_eq!(outcome_of(out), Some(want.clone()));
+        }
     }
 
     /// `map` commutes with view delivery.
