@@ -217,13 +217,10 @@ fn bench_anti_entropy_retry(c: &mut Criterion) {
     // own that neither peer acknowledges. One iteration runs the engine
     // for one retry period: the retry fires once and re-sends the four
     // to both peers (the previous iteration's re-sends arrive in it).
-    let (mut engine, ids) = Engine::ec2(1, |i| -> Box<dyn Node<CrdtMsg>> {
-        match i {
-            0 => Box::new(CrdtReplica::new(0, 3, Repl::Op, false)),
-            _ => Box::new(Silent),
-        }
+    let (mut engine, ids) = Engine::ec2(1, |i, ids| match i {
+        0 => Box::new(CrdtReplica::new(0, ids, Repl::Op, false)),
+        _ => Box::new(Silent),
     });
-    engine.node_as::<CrdtReplica>(ids[0]).set_peers(ids.clone());
     let mut origin = CrdtState::new();
     let mut w = 31u64;
     for seq in 1..=FOREIGN_EFFECTS {
@@ -275,7 +272,7 @@ fn bench_state_transfer(c: &mut Criterion) {
     // the primary for a state transfer and adopts the answer (nothing
     // in it is fresher). Each key and list is built once and shared by
     // the three replicas, as `SimCausal::seed` does.
-    let (mut engine, ids) = Engine::ec2(1, |i| Box::new(CausalReplica::new(i, 3, i == 0)));
+    let (mut engine, ids) = Engine::ec2(1, |i, ids| Box::new(CausalReplica::new(i, ids, 0)));
     let seeded: Vec<(Arc<str>, Item)> = (0..STATE_KEYS)
         .map(|k| {
             let item = Item {
@@ -285,10 +282,8 @@ fn bench_state_transfer(c: &mut Criterion) {
             (format!("k{k}").into(), item)
         })
         .collect();
-    for (i, id) in ids.iter().enumerate() {
+    for id in &ids {
         let replica = engine.node_as::<CausalReplica>(*id);
-        replica.set_peers(NodeId::peers_of(&ids, i));
-        replica.set_primary_node(ids[0]);
         for (key, item) in &seeded {
             replica.seed(Arc::clone(key), item.clone());
         }
@@ -309,11 +304,9 @@ fn bench_state_transfer_to_a_stale_backup(c: &mut Criterion) {
     // before each transfer, so every key of the snapshot is adopted. The
     // backup shares that map with this bench, so each adoption also
     // copies it once (copy on write) before its 32 inserts.
-    let (mut engine, ids) = Engine::ec2(1, |i| Box::new(CausalReplica::new(i, 3, i == 0)));
+    let (mut engine, ids) = Engine::ec2(1, |i, ids| Box::new(CausalReplica::new(i, ids, 0)));
     for (i, id) in ids.iter().enumerate() {
         let replica = engine.node_as::<CausalReplica>(*id);
-        replica.set_peers(NodeId::peers_of(&ids, i));
-        replica.set_primary_node(ids[0]);
         let rev = if i == 0 { 2 } else { 1 };
         for k in 0..STATE_KEYS {
             let items = vec![k, k + rev].into();

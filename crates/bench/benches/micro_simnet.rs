@@ -107,12 +107,11 @@ impl Node<Parcel> for Relay {
 fn bench_fanout(c: &mut Criterion) {
     c.bench_function("simnet/fanout-100-in-flight", |b| {
         b.iter(|| {
-            let (mut eng, replicas) = Engine::ec2(1, |_| {
-                Box::new(Relay { peers: Vec::new() }) as Box<dyn Node<Parcel>>
+            let (mut eng, replicas) = Engine::ec2(1, |i, ids| {
+                Box::new(Relay {
+                    peers: NodeId::peers_of(ids, i),
+                })
             });
-            for (i, &r) in replicas.iter().enumerate() {
-                eng.node_as::<Relay>(r).peers = NodeId::peers_of(&replicas, i);
-            }
             for p in 0..100u64 {
                 let (from, to) = (replicas[p as usize % 3], replicas[(p as usize + 1) % 3]);
                 let parcel = Parcel {

@@ -145,16 +145,15 @@ impl SimChain {
     pub fn ec2(block_interval: SimDuration, client_site: &str, seed: u64) -> SimChain {
         // Three miners, one per paper site, share the *global* interval.
         let per_miner = block_interval * 3;
-        let (mut engine, miners) = Engine::ec2(seed, |i| Box::new(Miner::new(i as u32, per_miner)));
+        let (mut engine, miners) =
+            Engine::ec2(seed, |i, ids| Box::new(Miner::new(i, ids, per_miner)));
         let client_site_id = engine
             .topology()
             .site_named(client_site)
             .expect("known site");
-        for (i, id) in miners.iter().enumerate() {
-            let peers = NodeId::peers_of(&miners, i);
-            engine.node_as::<Miner>(*id).set_peers(peers);
-            // Kick off mining.
-            engine.schedule_timer(*id, SimDuration::ZERO, Timer(u64::MAX));
+        // Kick off mining.
+        for &id in &miners {
+            engine.schedule_timer(id, SimDuration::ZERO, Timer(u64::MAX));
         }
         let wallet = Wallet { node: miners[0] };
         SimChain {

@@ -85,11 +85,12 @@ pub struct Miner {
 }
 
 impl Miner {
-    /// Creates miner `index` with the given per-miner mean block interval.
-    pub fn new(index: u32, mean_interval: SimDuration) -> Self {
+    /// Miner `index` of the miners `ids` (index-aligned node ids), with
+    /// the given per-miner mean block interval.
+    pub fn new(index: usize, ids: &[NodeId], mean_interval: SimDuration) -> Self {
         Miner {
-            index,
-            peers: Vec::new(),
+            index: index as u32,
+            peers: NodeId::peers_of(ids, index),
             chain: Chain::new(),
             mempool: Vec::new(),
             orphans: Vec::new(),
@@ -98,11 +99,6 @@ impl Miner {
             next_block_seq: 0,
             mined: 0,
         }
-    }
-
-    /// Wires the other nodes.
-    pub fn set_peers(&mut self, peers: Vec<NodeId>) {
-        self.peers = peers;
     }
 
     fn schedule_mining(&mut self, ctx: &mut Ctx<'_, Msg>) {

@@ -287,19 +287,13 @@ impl SimCausal {
             .site_named(primary_site)
             .expect("known primary site")
             .0;
-        let (mut engine, replicas) = Engine::ec2(seed, |i| {
-            Box::new(CausalReplica::new(i, 3, i == primary_idx))
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
+            Box::new(CausalReplica::new(i, ids, primary_idx))
         });
         let client_site_id = engine
             .topology()
             .site_named(client_site)
             .expect("known client site");
-        for (i, id) in replicas.iter().enumerate() {
-            let peers = NodeId::peers_of(&replicas, i);
-            let node = engine.node_as::<CausalReplica>(*id);
-            node.set_peers(peers);
-            node.set_primary_node(replicas[primary_idx]);
-        }
         // The causal backup is the non-primary replica closest to the client.
         let backup = replicas
             .iter()

@@ -185,8 +185,8 @@ pub struct CausalReplica {
     /// The state-transfer retry, armed while updates are buffered
     /// behind a causal gap.
     sync_retry: Retry,
-    /// The primary's node id, once wired; enables read-triggered sync.
-    primary_node: Option<NodeId>,
+    /// The primary's node id: backups probe it from the read path.
+    primary_node: NodeId,
     /// When this backup last probed the primary from its read path.
     last_read_sync: Option<simnet::SimTime>,
     /// State transfers served (observability for tests).
@@ -196,32 +196,27 @@ pub struct CausalReplica {
 }
 
 impl CausalReplica {
-    /// Creates replica `index` of `n`.
-    pub fn new(index: usize, n: usize, is_primary: bool) -> Self {
+    /// Replica `index` of the replicas `ids` (index-aligned node ids),
+    /// replica `primary` the primary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` or `primary` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "setup API: panics as documented")]
+    pub fn new(index: usize, ids: &[NodeId], primary: usize) -> Self {
         CausalReplica {
             index,
-            is_primary,
-            peers: Vec::new(),
+            is_primary: index == primary,
+            peers: NodeId::peers_of(ids, index),
             data: Arc::default(),
-            inbox: CausalInbox::new(n),
+            inbox: CausalInbox::new(ids.len()),
             sync_retry: Retry::new(SYNC_RETRY_EVERY),
-            primary_node: None,
+            primary_node: ids[primary],
             last_read_sync: None,
             syncs_served: 0,
             read_service: SimDuration::from_micros(100),
             write_service: SimDuration::from_micros(200),
         }
-    }
-
-    /// Wires the other replicas.
-    pub fn set_peers(&mut self, peers: Vec<NodeId>) {
-        self.peers = peers;
-    }
-
-    /// Wires the primary's node id (enables read-triggered anti-entropy
-    /// on backups).
-    pub fn set_primary_node(&mut self, primary: NodeId) {
-        self.primary_node = Some(primary);
     }
 
     /// Seeds a key directly (converged test/bootstrap state).
@@ -290,15 +285,13 @@ impl Node<Msg> for CausalReplica {
                 // freshen state, so this read's reply is untouched and the
                 // *next* read converges.
                 if !self.is_primary {
-                    if let Some(primary) = self.primary_node {
-                        let due = self
-                            .last_read_sync
-                            .map(|t| ctx.now().since(t) >= READ_SYNC_EVERY)
-                            .unwrap_or(true);
-                        if due {
-                            self.last_read_sync = Some(ctx.now());
-                            ctx.send(primary, Msg::SyncReq);
-                        }
+                    let due = self
+                        .last_read_sync
+                        .map(|t| ctx.now().since(t) >= READ_SYNC_EVERY)
+                        .unwrap_or(true);
+                    if due {
+                        self.last_read_sync = Some(ctx.now());
+                        ctx.send(self.primary_node, Msg::SyncReq);
                     }
                 }
             }
@@ -407,7 +400,7 @@ impl Node<Msg> for CausalReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{Engine, SimDuration as D, Topology};
+    use simnet::{Engine, SimDuration as D, SiteId, Topology};
 
     /// A client that absorbs acknowledgments.
     struct Sink;
@@ -418,28 +411,10 @@ mod tests {
         }
     }
 
+    /// The EC2 deployment, primary in FRK, and a sink beside it.
     fn build() -> (Engine<Msg>, Vec<NodeId>, NodeId) {
-        let topo = Topology::ec2_frk_irl_vrg();
-        let sites: Vec<_> = ["FRK", "IRL", "VRG"]
-            .iter()
-            .map(|n| topo.site_named(n).unwrap())
-            .collect();
-        let mut eng = Engine::new(topo, 9);
-        let ids: Vec<NodeId> = (0..3)
-            .map(|i| eng.add_node(sites[i], Box::new(CausalReplica::new(i, 3, i == 0))))
-            .collect();
-        for (i, id) in ids.iter().enumerate() {
-            let peers: Vec<NodeId> = ids
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| *p)
-                .collect();
-            let node = eng.node_as::<CausalReplica>(*id);
-            node.set_peers(peers);
-            node.set_primary_node(ids[0]);
-        }
-        let sink = eng.add_node(sites[0], Box::new(Sink));
+        let (mut eng, ids) = Engine::ec2(9, |i, ids| Box::new(CausalReplica::new(i, ids, 0)));
+        let sink = eng.add_node(eng.site_of(ids[0]), Box::new(Sink));
         (eng, ids, sink)
     }
 
@@ -604,15 +579,9 @@ mod tests {
         topo.set_rtt(sites[0], sites[1], D::from_millis(20));
         topo.set_rtt(sites[1], sites[2], D::from_millis(83));
         topo.set_rtt(sites[0], sites[2], D::from_millis(90));
-        let mut eng = Engine::new(topo, 9);
-        let ids: Vec<NodeId> = (0..3)
-            .map(|i| eng.add_node(sites[i], Box::new(CausalReplica::new(i, 3, i == 2))))
-            .collect();
-        for (i, id) in ids.iter().enumerate() {
-            let node = eng.node_as::<CausalReplica>(*id);
-            node.set_peers(NodeId::peers_of(&ids, i));
-            node.set_primary_node(ids[2]);
-        }
+        let (mut eng, ids) = Engine::with_replicas(topo, 9, &sites, |i, ids| {
+            Box::new(CausalReplica::new(i, ids, 2))
+        });
         let sink = eng.add_node(sites[2], Box::new(Sink));
         let (frk, vrg) = (sites[0], sites[2]);
         eng.set_faults(
@@ -750,10 +719,15 @@ mod tests {
     /// stored key, and its `Repl`s carry that key, not the write's.
     #[test]
     fn a_write_and_its_repl_fan_out_share_one_key_and_one_list() {
-        let (mut eng, ids, sink) = build();
-        let probe = eng.add_node(eng.site_of(ids[1]), Box::<Probe>::default());
-        eng.node_as::<CausalReplica>(ids[0])
-            .set_peers(vec![ids[1], ids[2], probe]);
+        // The probe is built as a fourth replica, at IRL, so the primary
+        // counts it among its peers.
+        let sites = [SiteId(0), SiteId(1), SiteId(2), SiteId(1)];
+        let topo = Topology::ec2_frk_irl_vrg();
+        let (mut eng, ids) = Engine::with_replicas(topo, 9, &sites, |i, ids| match i {
+            3 => Box::<Probe>::default(),
+            _ => Box::new(CausalReplica::new(i, ids, 0)),
+        });
+        let (probe, sink) = (ids[3], eng.add_node(sites[0], Box::new(Sink)));
         for seq in 0..2u64 {
             let write = Msg::Write {
                 op: OpId { client: sink, seq },
@@ -857,7 +831,7 @@ mod tests {
             let snapshot = Arc::new(map_of(&primary, 0));
             let clock = VectorClock::from(snapshot_clock);
             let backup_at = || {
-                let mut r = CausalReplica::new(1, 3, false);
+                let mut r = CausalReplica::new(1, &[NodeId(0), NodeId(1), NodeId(2)], 0);
                 r.data = Arc::new(map_of(&backup, 1));
                 r.inbox.merge_delivered(&VectorClock::from(backup_clock.clone()));
                 for &(seq, k, rev) in &parked {

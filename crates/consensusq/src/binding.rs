@@ -25,7 +25,9 @@ use std::fmt;
 use std::ops::Deref;
 
 use correctables::{ConsistencyLevel, Error, Upcall};
-use simnet::{Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, Submission};
+use simnet::{
+    Ctx, Engine, GatewayProto, NodeId, PendingOps, SimBinding, SimHost, Submission, Topology,
+};
 
 use crate::messages::Msg;
 use crate::server::{Server, ServerConfig};
@@ -258,15 +260,11 @@ impl SimQueue {
         connect_site: &str,
         seed: u64,
     ) -> SimQueue {
-        let (mut engine, servers) = Engine::ec2(seed, |_| Box::new(Server::new(cfg)));
-        let site = |name: &str| engine.topology().site_named(name).expect("known site");
+        let topology = Topology::ec2_frk_irl_vrg();
+        let site = |name: &str| topology.site_named(name).expect("known site");
         let (leader, client, connect) = (site(leader_site), site(client_site), site(connect_site));
-        for (i, id) in servers.iter().enumerate() {
-            let peers = NodeId::peers_of(&servers, i);
-            engine
-                .node_as::<Server>(*id)
-                .set_membership(servers[leader.0], peers);
-        }
+        let (engine, servers) =
+            Engine::ec2(seed, |i, ids| Box::new(Server::new(cfg, i, ids, leader.0)));
         let proto = QueueClient {
             server: servers[connect.0],
         };

@@ -50,7 +50,7 @@ impl Default for ServerConfig {
 
 /// A coordination server (leader or follower).
 pub struct Server {
-    /// The leader's node id (set by the cluster builder).
+    /// The leader's node id.
     leader: NodeId,
     /// All *other* servers (used by the leader for broadcast).
     peers: Vec<NodeId>,
@@ -70,11 +70,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server; the builder wires `leader` and `peers` afterwards.
-    pub fn new(cfg: ServerConfig) -> Self {
+    /// Server `index` of the ensemble `ids` (index-aligned node ids),
+    /// server `leader` the leader.
+    pub fn new(cfg: ServerConfig, index: usize, ids: &[NodeId], leader: usize) -> Self {
         Server {
-            leader: NodeId(usize::MAX),
-            peers: Vec::new(),
+            leader: ids[leader],
+            peers: NodeId::peers_of(ids, index),
             tree: ZnodeTree::new(),
             cfg,
             next_zxid: 1,
@@ -85,12 +86,6 @@ impl Server {
             last_applied: 0,
             applied_count: 0,
         }
-    }
-
-    /// Wires cluster membership.
-    pub fn set_membership(&mut self, leader: NodeId, peers: Vec<NodeId>) {
-        self.leader = leader;
-        self.peers = peers;
     }
 
     fn is_leader(&self, ctx: &Ctx<'_, Msg>) -> bool {

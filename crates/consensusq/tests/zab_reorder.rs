@@ -27,14 +27,13 @@ fn enqueue_txn() -> Txn {
 
 fn setup() -> (Engine<Msg>, NodeId, NodeId) {
     let topo = Topology::single_site();
-    let mut eng = Engine::new(topo, 5);
-    let follower = eng.add_node(SiteId(0), Box::new(Server::new(ServerConfig::default())));
-    let sink = eng.add_node(SiteId(0), Box::new(Sink));
-    // The sink impersonates the leader; the follower only needs to know
-    // where to send acks.
-    eng.node_as::<Server>(follower)
-        .set_membership(sink, vec![sink]);
-    (eng, follower, sink)
+    // The sink impersonates the leader, server 1 of the ensemble; the
+    // follower only needs to know where to send acks.
+    let (eng, ids) = Engine::with_replicas(topo, 5, &[SiteId(0); 2], |i, ids| match i {
+        0 => Box::new(Server::new(ServerConfig::default(), 0, ids, 1)),
+        _ => Box::new(Sink),
+    });
+    (eng, ids[0], ids[1])
 }
 
 fn ms(x: u64) -> SimDuration {

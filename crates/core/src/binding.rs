@@ -200,41 +200,25 @@ impl<T: Clone + Send + 'static> Upcall<T> {
         if !closing && !self.requested.contains(level) {
             return;
         }
-        match &self.observer {
-            None => {
-                if closing {
-                    let _ = self.handle.close(value, level);
-                } else {
-                    let _ = self.handle.update(value, level);
-                }
-            }
-            Some(obs) => {
-                // One clone, skipped for level-filtered deliveries; the
-                // observer records it iff the state machine accepts.
-                let copy = value.clone();
-                let accepted = if closing {
-                    self.handle.close(value, level).is_ok()
-                } else {
-                    self.handle.update(value, level).is_ok()
-                };
-                if accepted {
-                    obs.on_view(copy, level, closing);
-                }
-            }
+        // One clone for an observer, skipped for level-filtered
+        // deliveries; the observer records it iff the state machine
+        // accepts.
+        let copy = self.observer.as_ref().map(|obs| (obs, value.clone()));
+        let accepted = if closing {
+            self.handle.close(value, level)
+        } else {
+            self.handle.update(value, level)
+        };
+        if let (Ok(()), Some((obs, copy))) = (accepted, copy) {
+            obs.on_view(copy, level, closing);
         }
     }
 
     /// Fails the operation; ignored if already closed.
     pub fn fail(&self, err: Error) {
-        match &self.observer {
-            None => {
-                let _ = self.handle.fail(err);
-            }
-            Some(obs) => {
-                if self.handle.fail(err.clone()).is_ok() {
-                    obs.on_fail(&err);
-                }
-            }
+        let copy = self.observer.as_ref().map(|obs| (obs, err.clone()));
+        if let (Ok(()), Some((obs, err))) = (self.handle.fail(err), copy) {
+            obs.on_fail(&err);
         }
     }
 

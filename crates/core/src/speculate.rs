@@ -47,7 +47,10 @@ struct SpecState<T, U> {
     /// Bumped whenever the speculation input changes; stale completions
     /// compare epochs and drop themselves.
     epoch: u64,
-    spec: Spec<T, U>,
+    /// `None` while the function runs; a launch that finds it taken
+    /// leaves its input and epoch to the holder, which relaunches on the
+    /// newest input before it puts the function back.
+    spec: Option<Spec<T, U>>,
     abort: AbortFn<T>,
     out: Handle<U>,
     closed: bool,
@@ -79,7 +82,7 @@ impl<T: Clone + PartialEq + Send + 'static> Correctable<T> {
             cur_done: None,
             final_view: None,
             epoch: 0,
-            spec,
+            spec: Some(spec),
             abort,
             out: out_handle,
             closed: false,
@@ -192,23 +195,35 @@ where
     if let Some(old) = aborted {
         run_abort(state, &old);
     }
-    // Take the spec function out so user code runs unlocked.
-    let spec = std::mem::replace(
-        &mut state.lock().spec,
-        Spec::Sync(Box::new(|_| unreachable!("spec in flight"))),
-    );
-    match spec {
-        Spec::Sync(mut f) => {
-            // Fast path: the result is available as soon as the function
-            // returns, so it completes inline, with no Correctable of its own.
-            let done = View::new(f(&v.value), ConsistencyLevel::STRONG);
-            let mut g = state.lock();
-            g.spec = Spec::Sync(f);
-            complete(g, epoch, Ok(done));
+    // Take the spec function out so user code runs unlocked. If it is
+    // out already (this launch re-entered from it, or raced another
+    // thread's), its holder runs it on this input.
+    let Some(mut spec) = state.lock().spec.take() else {
+        return;
+    };
+    // `Ok`: the sync form's result, ready when the function returns, so
+    // it completes inline with no Correctable of its own. `Err`: the
+    // async form's work, completing later.
+    let (mut epoch, mut newer) = (epoch, None::<T>);
+    let (mut g, ran) = loop {
+        let input = newer.as_ref().unwrap_or(&v.value);
+        let ran = match &mut spec {
+            Spec::Sync(f) => Ok(View::new(f(input), ConsistencyLevel::STRONG)),
+            Spec::Async(f) => Err(f(input)),
+        };
+        let g = state.lock();
+        if g.closed || g.epoch == epoch {
+            break (g, ran);
         }
-        Spec::Async(mut f) => {
-            let work = f(&v.value);
-            state.lock().spec = Spec::Async(f);
+        // A launch while the function ran superseded this one: rerun it
+        // on that launch's input.
+        (epoch, newer) = (g.epoch, g.cur_input.clone());
+    };
+    g.spec = Some(spec);
+    match ran {
+        Ok(done) => complete(g, epoch, Ok(done)),
+        Err(work) => {
+            drop(g);
             let state = Arc::clone(state);
             work.on_close(move |outcome| {
                 let result = outcome.cloned().map_err(Error::clone);
@@ -414,6 +429,36 @@ mod tests {
         h.update(5, WEAK).unwrap();
         assert_eq!(out.state(), State::Error);
         assert_eq!(out.error(), Some(Error::Storage("boom".into())));
+    }
+
+    /// A spec function that closes its own base with a diverging final
+    /// re-enters the combinator while it runs: the abort runs once, on
+    /// the input the final superseded, and the function reruns on the
+    /// final's value before the output closes, in both forms.
+    #[test]
+    fn a_spec_that_closes_its_base_with_a_diverging_final_reruns_on_the_final() {
+        for is_async in [false, true] {
+            let (c, h) = Correctable::<i32>::pending();
+            let aborted = StdArc::new(Mutex::new(Vec::new()));
+            let ab = StdArc::clone(&aborted);
+            let abort = move |bad: &i32| ab.lock().push(*bad);
+            let base = h.clone();
+            let spec = move |x: &i32| {
+                if *x == 1 {
+                    base.close(2, STRONG).unwrap();
+                }
+                x * 10
+            };
+            let out = if is_async {
+                c.speculate_async(move |x| Correctable::ready(spec(x)), abort)
+            } else {
+                c.speculate_with_abort(spec, abort)
+            };
+            h.update(1, WEAK).unwrap();
+            let last = out.final_view().map(|v| (v.value, v.level));
+            assert_eq!(last, Some((20, STRONG)), "async: {is_async}");
+            assert_eq!(*aborted.lock(), vec![1], "async: {is_async}");
+        }
     }
 
     #[test]

@@ -311,13 +311,14 @@ pub struct EscrowReplica {
 }
 
 impl EscrowReplica {
-    /// A replica with index `id` out of `allocs.len()`.
-    pub fn new(id: usize, allocs: Vec<u64>, strong_only: bool) -> Self {
+    /// Replica `id` of the replicas `ids` (index-aligned node ids);
+    /// replica `j` starts with segment `allocs[j]`.
+    pub fn new(id: usize, ids: &[NodeId], allocs: Vec<u64>, strong_only: bool) -> Self {
         let n = allocs.len();
         EscrowReplica {
             id,
             n,
-            peers: Vec::new(),
+            peers: ids.to_vec(),
             strong_only,
             state: EscrowState::new(allocs.clone()),
             peer_state: vec![EscrowState::new(allocs); n],
@@ -326,12 +327,6 @@ impl EscrowReplica {
             pending_strong: Vec::new(),
             retransmit: Retry::new(SimDuration::from_millis(200)),
         }
-    }
-
-    /// Registers the node ids of all replicas (index-aligned).
-    pub fn set_peers(&mut self, peers: Vec<NodeId>) {
-        assert_eq!(peers.len(), self.n, "peer list must cover all replicas");
-        self.peers = peers;
     }
 
     /// The current ledger.
@@ -611,15 +606,10 @@ impl SimEscrow {
     /// Panics if `client_site` is unknown or `allocs` is not one
     /// segment per site.
     pub fn ec2(allocs: Vec<u64>, client_site: &str, seed: u64, strong_only: bool) -> Self {
-        let (mut engine, replicas) = Engine::ec2(seed, |i| {
-            Box::new(EscrowReplica::new(i, allocs.clone(), strong_only))
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
+            Box::new(EscrowReplica::new(i, ids, allocs.clone(), strong_only))
         });
         assert_eq!(allocs.len(), replicas.len(), "one segment per site");
-        for id in &replicas {
-            engine
-                .node_as::<EscrowReplica>(*id)
-                .set_peers(replicas.clone());
-        }
         // Replica `i` lives at `SiteId(i)`.
         let client = engine
             .topology()
@@ -668,10 +658,8 @@ mod tests {
     }
 
     fn run(seed: u64, reference: bool) -> Run {
-        let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let (engine, replicas) = Engine::ec2(seed, |i| {
-            let mut replica = EscrowReplica::new(i, vec![60, 30, 30], false);
-            replica.set_peers(ids.clone());
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
+            let replica = EscrowReplica::new(i, ids, vec![60, 30, 30], false);
             Box::new(Timed::new(replica, reference))
         });
         let irl = engine.topology().site_named("IRL").expect("IRL");

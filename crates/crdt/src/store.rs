@@ -169,7 +169,7 @@ pub struct CrdtReplica {
     id: usize,
     /// Replica count.
     n: usize,
-    /// Node ids of all replicas, index-aligned (set via `set_peers`).
+    /// Node ids of all replicas, index-aligned.
     peers: Vec<NodeId>,
     /// Replication mode.
     mode: Repl,
@@ -202,12 +202,13 @@ pub struct CrdtReplica {
 }
 
 impl CrdtReplica {
-    /// A replica with index `id` out of `n`.
-    pub fn new(id: usize, n: usize, mode: Repl, broken: bool) -> Self {
+    /// Replica `id` of the replicas `ids` (index-aligned node ids).
+    pub fn new(id: usize, ids: &[NodeId], mode: Repl, broken: bool) -> Self {
+        let n = ids.len();
         CrdtReplica {
             id,
             n,
-            peers: Vec::new(),
+            peers: ids.to_vec(),
             mode,
             state: if broken {
                 CrdtState::new_broken()
@@ -223,12 +224,6 @@ impl CrdtReplica {
             frontier: AckFrontier::new(id, n),
             retransmit: Retry::new(SimDuration::from_millis(200)),
         }
-    }
-
-    /// Registers the node ids of all replicas (index-aligned).
-    pub fn set_peers(&mut self, peers: Vec<NodeId>) {
-        assert_eq!(peers.len(), self.n, "peer list must cover all replicas");
-        self.peers = peers;
     }
 
     /// The applied-update log in local application order (SEC input).
@@ -570,13 +565,9 @@ impl SimCrdtStore {
     }
 
     fn build(client_site: &str, seed: u64, mode: Repl, broken: bool) -> Self {
-        let (mut engine, replicas) =
-            Engine::ec2(seed, |i| Box::new(CrdtReplica::new(i, 3, mode, broken)));
-        for id in &replicas {
-            engine
-                .node_as::<CrdtReplica>(*id)
-                .set_peers(replicas.clone());
-        }
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
+            Box::new(CrdtReplica::new(i, ids, mode, broken))
+        });
         let client = engine
             .topology()
             .site_named(client_site)
@@ -640,10 +631,8 @@ mod tests {
         reference: bool,
         wrap: impl Fn(CrdtReplica) -> R,
     ) -> SimHost<RoundRobin<CrdtMsg>> {
-        let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let (engine, replicas) = Engine::ec2(seed, |i| {
-            let mut replica = CrdtReplica::new(i, 3, mode, false);
-            replica.set_peers(ids.clone());
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
+            let replica = CrdtReplica::new(i, ids, mode, false);
             Box::new(Timed::new(wrap(replica), reference))
         });
         let irl = engine.topology().site_named("IRL").expect("IRL");
@@ -769,11 +758,11 @@ mod tests {
         use correctables::{Client, State};
         use simnet::{SiteId, Topology};
         for mode in [Repl::Op, Repl::State] {
-            let mut engine = Engine::new(Topology::ec2_frk_irl_vrg(), 1);
-            let mut replica = CrdtReplica::new(0, 1, mode, false);
-            replica.set_peers(vec![NodeId(0)]);
-            let id = engine.add_node(SiteId(0), Box::new(replica));
-            let host = SimHost::new(engine, vec![id], SiteId(0), RoundRobin::new(vec![id]));
+            let (engine, ids) =
+                Engine::with_replicas(Topology::ec2_frk_irl_vrg(), 1, &[SiteId(0)], |i, ids| {
+                    Box::new(CrdtReplica::new(i, ids, mode, false))
+                });
+            let host = SimHost::new(engine, ids.clone(), SiteId(0), RoundRobin::new(ids));
             let levels = [ConsistencyLevel::WEAK, ConsistencyLevel::STRONG];
             let client = Client::new(SimBinding::new(host.clone(), &levels));
             for op in [CrdtOp::CtrAdd(0, 5), CrdtOp::CtrGet(0)] {

@@ -185,10 +185,11 @@ fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
-/// The canonical fault targets of the simulated stacks: the three
-/// replicas/servers are always the first three nodes of their engine,
-/// and the FRK/IRL/VRG topology has three sites (the client gateway
-/// shares one of them, so partitions can cut the client off too).
+/// The canonical fault targets of the simulated stacks: replica `i` is
+/// `NodeId(i)` at `SiteId(i)` (DESIGN §2's one layout, placed by
+/// `Engine::ec2`), and the FRK/IRL/VRG topology has three sites (the
+/// client gateway shares one of them, so partitions can cut the client
+/// off too).
 ///
 /// Schedules are generated *before* the stack exists (the seed must
 /// fully determine them), so every driver checks this layout against

@@ -173,7 +173,6 @@ impl SimStore {
     #[expect(
         clippy::panic,
         clippy::indexing_slicing,
-        clippy::disallowed_macros,
         reason = "setup API: panics as documented"
     )]
     pub fn custom(
@@ -192,20 +191,18 @@ impl SimStore {
         };
         let client_site = site_named(client_site);
         let sites: Vec<_> = replica_sites.iter().map(|n| site_named(n)).collect();
-        let mut engine = Engine::new(topology, seed);
-        // A fresh engine hands out node ids from zero, so each replica
-        // can be built knowing its peers.
-        let replicas: Vec<NodeId> = (0..sites.len()).map(NodeId).collect();
-        for (i, site) in sites.iter().enumerate() {
-            let peers = NodeId::peers_of(&replicas, i);
-            let distance = peers
-                .iter()
-                .map(|p| engine.topology().base_one_way(*site, sites[p.0]))
-                .collect();
-            let replica = SimReplica::new(cfg, replicas[i], peers, distance);
-            let id = engine.add_node(*site, Box::new(replica));
-            assert_eq!(id, replicas[i], "replicas are the engine's first nodes");
-        }
+        // How far each replica's peers are, in `NodeId::peers_of` order.
+        let mut distances: Vec<Vec<_>> = (0..sites.len())
+            .map(|i| {
+                let peer = |j: usize| topology.base_one_way(sites[i], sites[j]);
+                (0..sites.len()).filter(|&j| j != i).map(peer).collect()
+            })
+            .collect();
+        let (engine, replicas) = Engine::with_replicas(topology, seed, &sites, |i, ids| {
+            let distance = std::mem::take(&mut distances[i]);
+            let replica = SimReplica::new(cfg, ids[i], NodeId::peers_of(ids, i), distance);
+            Box::new(replica)
+        });
         let proto = QuorumClient {
             coordinator: replicas[coordinator_idx],
             r_strong,

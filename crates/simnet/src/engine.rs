@@ -292,20 +292,35 @@ impl<M: Wire + 'static> Engine<M> {
         }
     }
 
-    /// The paper's deployment: an engine over
+    /// The paper's deployment: [`Engine::with_replicas`] over
     /// [`Topology::ec2_frk_irl_vrg`] with one replica per site, in site
-    /// (FRK/IRL/VRG) order — `replica(i)` builds the one at `SiteId(i)`.
-    /// Returns the engine and the replicas' node ids, which are the
-    /// first ones it hands out.
+    /// (FRK/IRL/VRG) order, so replica `i` sits at `SiteId(i)`.
     pub fn ec2(
         seed: u64,
-        mut replica: impl FnMut(usize) -> Box<dyn Node<M>>,
+        replica: impl FnMut(usize, &[NodeId]) -> Box<dyn Node<M>>,
     ) -> (Self, Vec<NodeId>) {
-        let mut engine = Engine::new(Topology::ec2_frk_irl_vrg(), seed);
-        let replicas = (0..engine.topology().len())
-            .map(|i| engine.add_node(SiteId(i), replica(i)))
-            .collect();
-        (engine, replicas)
+        let topology = Topology::ec2_frk_irl_vrg();
+        let sites: Vec<SiteId> = (0..topology.len()).map(SiteId).collect();
+        Engine::with_replicas(topology, seed, &sites, replica)
+    }
+
+    /// A fresh engine whose first nodes are the replicas: replica `i` is
+    /// `NodeId(i)` at `sites[i]`, built by `replica(i, ids)` with the
+    /// index-aligned ids of them all, so it is wired when it is built.
+    /// Nodes added afterwards (gateways) follow them. Returns the engine
+    /// and `ids`.
+    pub fn with_replicas(
+        topology: Topology,
+        seed: u64,
+        sites: &[SiteId],
+        mut replica: impl FnMut(usize, &[NodeId]) -> Box<dyn Node<M>>,
+    ) -> (Self, Vec<NodeId>) {
+        let mut engine = Engine::new(topology, seed);
+        let ids: Vec<NodeId> = (0..sites.len()).map(NodeId).collect();
+        for (i, &site) in sites.iter().enumerate() {
+            engine.add_node(site, replica(i, &ids));
+        }
+        (engine, ids)
     }
 
     /// Installs a fault plan.

@@ -64,22 +64,14 @@ impl<S: SeqSpec + Clone + Send + 'static> SimSpecStore<S> {
         Self::build(spec, client_site, seed, true)
     }
 
-    #[expect(
-        clippy::disallowed_macros,
-        clippy::expect_used,
-        reason = "setup API: panics as documented"
-    )]
+    #[expect(clippy::expect_used, reason = "setup API: panics as documented")]
     fn build(spec: S, client_site: &str, seed: u64, buggy: bool) -> Self {
-        // The replicas are the engine's first three nodes, so each can
-        // be built knowing its peers.
-        let ids: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let (engine, replicas) = Engine::ec2(seed, |i| {
+        let (engine, replicas) = Engine::ec2(seed, |i, ids| {
             let mut core = SpecCore::new(spec.clone(), i, ids.len());
             core.set_arrival_order(buggy);
-            let host = CoreHost::new(NodeId::peers_of(&ids, i));
+            let host = CoreHost::new(NodeId::peers_of(ids, i));
             Box::new(SpecHost { core, host })
         });
-        assert_eq!(replicas, ids, "replicas are the engine's first nodes");
         let client = engine
             .topology()
             .site_named(client_site)

@@ -19,7 +19,7 @@ use icg::correctables::{
 };
 use icg::crdt::{CrdtOp, EscrowOp, SimCrdtStore, SimEscrow};
 use icg::quorumstore::{Key, ReplicaConfig, SimStore, StoreOp};
-use icg::simnet::SimDuration;
+use icg::simnet::{GatewayProto, NodeId, SimDuration, SimHost, SiteId};
 use icg::specstore::SimSpecStore;
 
 const WEAK: ConsistencyLevel = ConsistencyLevel::WEAK;
@@ -49,24 +49,37 @@ fn assert_level_contract<B: Binding>(
     }
 }
 
+/// The one layout of every simulated deployment: replica `i` is
+/// `NodeId(i)` at `SiteId(i)`.
+fn assert_layout<P: GatewayProto>(store: &str, host: &SimHost<P>) {
+    let ids = host.replica_ids();
+    let sites: Vec<SiteId> = host.with_engine(|e| ids.iter().map(|&id| e.site_of(id)).collect());
+    assert_eq!(ids, (0..3).map(NodeId).collect::<Vec<_>>(), "{store}");
+    assert_eq!(sites, (0..3).map(SiteId).collect::<Vec<_>>(), "{store}");
+}
+
 /// What each simulated store's binding advertises, and that a
 /// single-level invoke is served at that level alone: the levels a
-/// submission asks for reach its gateway intact.
+/// submission asks for reach its gateway intact. Every store is laid
+/// out alike.
 #[test]
 fn every_simulated_store_serves_one_view_at_a_single_requested_level() {
     let quorum = SimStore::ec2(ReplicaConfig::default(), 2, false, "IRL", 0, 1);
+    assert_layout("quorum", &quorum);
     let read = || StoreOp::Read(Key::plain(1));
     assert_level_contract("quorum", quorum.binding(), &[WEAK, STRONG], read, || {
         quorum.settle()
     });
 
     let causal = SimCausal::ec2("VRG", "IRL", 2);
+    assert_layout("causal", &causal);
     causal.seed("k", 1, vec![1]);
     let levels = [ConsistencyLevel::CACHE, ConsistencyLevel::CAUSAL, STRONG];
     let get = || CacheOp::Get("k".into());
     assert_level_contract("causal", causal.binding(), &levels, get, || causal.settle());
 
     let queue = SimQueue::ec2(ServerConfig::default(), "IRL", "IRL", "FRK", 3);
+    assert_layout("queue", &queue);
     queue.prefill(2, 20);
     let dequeue = || QueueOp::Dequeue;
     assert_level_contract("queue", queue.binding(), &[WEAK, STRONG], dequeue, || {
@@ -74,6 +87,7 @@ fn every_simulated_store_serves_one_view_at_a_single_requested_level() {
     });
 
     let chain = SimChain::ec2(SimDuration::from_secs(20), "IRL", 4);
+    assert_layout("chain", &chain);
     let depths: Vec<_> = (1..=FINAL_DEPTH).map(conf_level).collect();
     assert_level_contract(
         "chain",
@@ -84,6 +98,7 @@ fn every_simulated_store_serves_one_view_at_a_single_requested_level() {
     );
 
     let spec = SimSpecStore::ec2(RegisterSpec::default(), "IRL", 5);
+    assert_layout("spec", &spec);
     let levels = [
         WEAK,
         ConsistencyLevel::UPDATE,
@@ -94,12 +109,14 @@ fn every_simulated_store_serves_one_view_at_a_single_requested_level() {
     assert_level_contract("spec", spec.binding(), &levels, reg_read, || spec.settle());
 
     let crdt = SimCrdtStore::ec2("IRL", 6);
+    assert_layout("crdt", &crdt);
     let ctr_get = || CrdtOp::CtrGet(0);
     assert_level_contract("crdt", crdt.binding(), &[WEAK, STRONG], ctr_get, || {
         crdt.settle()
     });
 
     let escrow = SimEscrow::ec2(vec![10, 10, 10], "IRL", 7, false);
+    assert_layout("escrow", &escrow);
     let avail = || EscrowOp::Avail;
     assert_level_contract("escrow", escrow.binding(), &[WEAK, STRONG], avail, || {
         escrow.settle()
