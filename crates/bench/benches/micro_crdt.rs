@@ -232,13 +232,13 @@ fn bench_anti_entropy_retry(c: &mut Criterion) {
         };
         let effect = origin.prepare(&decode(w), ctx);
         origin.effect(&effect);
-        let entry = SecEntry {
+        let entry = Arc::new(SecEntry {
             origin: 1,
             seq,
             ts: seq,
             vc: VectorClock::from(vec![0, seq, 0]),
             effect,
-        };
+        });
         engine.schedule_message(ids[1], ids[0], SimDuration::ZERO, CrdtMsg::Effect { entry });
     }
     let wants = Wants::of(&[

@@ -20,6 +20,7 @@
 //! the data.
 
 use std::any::Any;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -251,10 +252,34 @@ impl CausalReplica {
     /// plus the responder's clock (which also purges the buffered
     /// updates the snapshot covers), then drains whatever the buffer
     /// still holds beyond the snapshot.
+    ///
+    /// Both maps are walked once, together, in key order; a key the two
+    /// share by `Arc` is matched by pointer before its text is compared.
     fn adopt_snapshot(&mut self, state: &BTreeMap<Arc<str>, Item>, clock: &VectorClock) {
+        let mut own = self.data.iter().peekable();
+        let mut fresher = Vec::new();
         for (key, item) in state {
-            if self.is_fresher(key, item) {
-                Arc::make_mut(&mut self.data).insert(Arc::clone(key), item.clone());
+            let cur = loop {
+                let Some(&(k, cur)) = own.peek() else {
+                    break None;
+                };
+                if Arc::ptr_eq(k, key) {
+                    break Some(cur);
+                }
+                match (**k).cmp(&**key) {
+                    Ordering::Less => _ = own.next(),
+                    Ordering::Equal => break Some(cur),
+                    Ordering::Greater => break None,
+                }
+            };
+            if cur.is_none_or(|cur| item.rev > cur.rev) {
+                fresher.push((key, item));
+            }
+        }
+        if !fresher.is_empty() {
+            let data = Arc::make_mut(&mut self.data);
+            for (key, item) in fresher {
+                data.insert(Arc::clone(key), item.clone());
             }
         }
         self.inbox.merge_delivered(clock);
@@ -800,17 +825,36 @@ mod tests {
         proptest::collection::vec((0u8..8, 1u64..10), 0..8)
     }
 
+    /// The eight keys, one allocation each.
+    fn keys() -> Vec<Arc<str>> {
+        (0..8).map(|k| format!("k{k}").into()).collect()
+    }
+
     /// The map of `entries`, each item's payload marked with `whose`
-    /// (so a backup's item and a snapshot's of the same rev differ).
-    fn map_of(entries: &[(u8, u64)], whose: u64) -> BTreeMap<Arc<str>, Item> {
+    /// (so a backup's item and a snapshot's of the same rev differ). An
+    /// entry whose `shares` flag is set holds its key from `keys` itself,
+    /// the others an equal copy of it.
+    fn map_of(
+        entries: &[(u8, u64)],
+        whose: u64,
+        keys: &[Arc<str>],
+        shares: impl Fn(usize) -> bool,
+    ) -> BTreeMap<Arc<str>, Item> {
         entries
             .iter()
-            .map(|&(k, rev)| {
+            .enumerate()
+            .map(|(i, &(k, rev))| {
                 let item = Item {
                     rev,
                     items: vec![whose, rev].into(),
                 };
-                (format!("k{k}").into(), item)
+                let key = &keys[usize::from(k)];
+                let key = if shares(i) {
+                    Arc::clone(key)
+                } else {
+                    Arc::from(&**key)
+                };
+                (key, item)
             })
             .collect()
     }
@@ -819,20 +863,24 @@ mod tests {
         /// Adopting a random state transfer from the shared map leaves a
         /// backup — holding random items, a random clock and updates
         /// parked behind a gap — with the data and clock that adopting
-        /// the per-key copy left, and leaves the snapshot untouched.
+        /// the per-key copy left, and leaves the snapshot untouched. The
+        /// backup holds some keys by the snapshot's own `Arc` and the
+        /// rest as equal copies, so both ways a key can match are drawn.
         #[test]
         fn adopting_the_shared_snapshot_is_adopting_the_copy(
             primary in entries(),
             backup in entries(),
+            shared_keys in proptest::collection::vec(proptest::prelude::any::<bool>(), 8),
             snapshot_clock in proptest::collection::vec(0u64..6, 3),
             backup_clock in proptest::collection::vec(0u64..6, 3),
             parked in proptest::collection::vec((1u64..10, 0u8..8, 1u64..10), 0..6),
         ) {
-            let snapshot = Arc::new(map_of(&primary, 0));
+            let keys = keys();
+            let snapshot = Arc::new(map_of(&primary, 0, &keys, |_| true));
             let clock = VectorClock::from(snapshot_clock);
             let backup_at = || {
                 let mut r = CausalReplica::new(1, &[NodeId(0), NodeId(1), NodeId(2)], 0);
-                r.data = Arc::new(map_of(&backup, 1));
+                r.data = Arc::new(map_of(&backup, 1, &keys, |i| shared_keys[i]));
                 r.inbox.merge_delivered(&VectorClock::from(backup_clock.clone()));
                 for &(seq, k, rev) in &parked {
                     let update = BufferedUpdate {
@@ -851,7 +899,7 @@ mod tests {
             proptest::prop_assert_eq!(&shared.data, &reference.data);
             proptest::prop_assert_eq!(shared.clock(), reference.clock());
             proptest::prop_assert_eq!(shared.inbox.len(), reference.inbox.len());
-            proptest::prop_assert_eq!(&*snapshot, &map_of(&primary, 0));
+            proptest::prop_assert_eq!(&*snapshot, &map_of(&primary, 0, &keys, |_| true));
         }
     }
 }

@@ -20,6 +20,13 @@
 //!   Anti-entropy re-broadcasts state while some peer has not covered
 //!   this replica's updates.
 //!
+//! What a replica ships it shares rather than copies: an effect's
+//! [`SecEntry`] is one allocation, held by the origin's SEC log, every
+//! `Effect` of the fan-out, every retry and the receivers' inboxes, and
+//! a state broadcast copies the state once for all the peers it goes
+//! to. A [`CrdtMsg`] is then a few words, small enough that the engine
+//! moves its events without a `memcpy` call.
+//!
 //! Either way the lattice slice is two levels: **weak** is served
 //! locally at the origin, wait-free, before any peer communication —
 //! this is the coordination-free path CRDT theory licenses — and
@@ -42,6 +49,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::Deref;
+use std::sync::Arc;
 
 use causalstore::{AckFrontier, CausalInbox, Offer, VectorClock};
 use correctables::ConsistencyLevel;
@@ -94,15 +102,17 @@ pub enum CrdtMsg {
     Client(ClientMsg<u64, CrdtOp, CrdtVal>),
     /// Replica → replica (op mode): one effect (also retransmission).
     Effect {
-        /// The logged entry.
-        entry: SecEntry,
+        /// The logged entry, shared with the origin's SEC log, every
+        /// copy of the fan-out and every retry.
+        entry: Arc<SecEntry>,
     },
     /// Replica → replica (state mode): full state anti-entropy.
     SyncState {
         /// Index of the sender.
         from: usize,
-        /// The sender's full state.
-        state: CrdtState,
+        /// The sender's full state, copied once per broadcast and
+        /// shared by every peer it goes to.
+        state: Arc<CrdtState>,
         /// The sender's incorporated-updates vector.
         seen: VectorClock,
     },
@@ -179,13 +189,14 @@ pub struct CrdtReplica {
     /// of replica `i`'s updates are reflected in `state`) and, in op
     /// mode, the effects received but not yet deliverable. In state
     /// mode nothing is ever buffered and the vector rides the merges.
-    inbox: CausalInbox<SecEntry>,
+    inbox: CausalInbox<Arc<SecEntry>>,
     /// Lamport clock.
     lamport: u64,
     /// Own submission count.
     next_seq: u64,
-    /// Applied updates, in local application order — the SEC log.
-    log: Vec<SecEntry>,
+    /// Applied updates, in local application order — the SEC log. Each
+    /// entry is the one the effect travelled in.
+    log: Vec<Arc<SecEntry>>,
     /// Own updates by seq, from the first one some peer has not
     /// acknowledged (past `frontier.min()`) to the newest.
     own: BTreeMap<u64, OwnOp>,
@@ -228,7 +239,7 @@ impl CrdtReplica {
 
     /// The applied-update log in local application order (SEC input).
     pub fn sec_log(&self) -> Vec<SecEntry> {
-        self.log.clone()
+        self.log.iter().map(|e| SecEntry::clone(e)).collect()
     }
 
     /// The current composite state.
@@ -278,16 +289,20 @@ impl CrdtReplica {
         }
     }
 
-    fn broadcast_state(&self, ctx: &mut Ctx<'_, CrdtMsg>, only: Option<usize>) {
+    /// Sends the full state to every peer `to` picks, in index order:
+    /// one copy of it, shared by all of them.
+    fn broadcast_state(&self, ctx: &mut Ctx<'_, CrdtMsg>, to: impl Fn(usize) -> bool) {
+        let mut state = None;
         for (i, &peer) in self.peers.iter().enumerate() {
-            if i == self.id || only.is_some_and(|o| o != i) {
+            if i == self.id || !to(i) {
                 continue;
             }
+            let state = state.get_or_insert_with(|| Arc::new(self.state.clone()));
             ctx.send(
                 peer,
                 CrdtMsg::SyncState {
                     from: self.id,
-                    state: self.state.clone(),
+                    state: Arc::clone(state),
                     seen: self.seen().clone(),
                 },
             );
@@ -347,29 +362,25 @@ impl CrdtReplica {
         let effect = self.state.prepare(&client_op, ctx_eff);
         self.state.effect(&effect);
         self.inbox.bump(self.id);
-        let entry = SecEntry {
+        let entry = Arc::new(SecEntry {
             origin: self.id,
             seq: self.next_seq,
             ts: self.lamport,
             vc: self.seen().clone(),
             effect,
-        };
+        });
         let at = self.log.len();
-        self.log.push(entry.clone());
+        self.log.push(Arc::clone(&entry));
         match self.mode {
             Repl::Op => {
                 for (i, &peer) in self.peers.iter().enumerate() {
                     if i != self.id {
-                        ctx.send(
-                            peer,
-                            CrdtMsg::Effect {
-                                entry: entry.clone(),
-                            },
-                        );
+                        let entry = Arc::clone(&entry);
+                        ctx.send(peer, CrdtMsg::Effect { entry });
                     }
                 }
             }
-            Repl::State => self.broadcast_state(ctx, None),
+            Repl::State => self.broadcast_state(ctx, |_| true),
         }
         // Weak view: the post-apply local read — read-your-write, no
         // peer communication.
@@ -432,7 +443,7 @@ impl CrdtReplica {
     /// the own updates it has not acknowledged, by seq. They are the
     /// suffix of `own` past its ack, since `own` keeps every own update
     /// past the least ack of all.
-    fn unacked(&self) -> impl Iterator<Item = (usize, &SecEntry)> + '_ {
+    fn unacked(&self) -> impl Iterator<Item = (usize, &Arc<SecEntry>)> + '_ {
         (0..self.n).filter(|&j| j != self.id).flat_map(move |j| {
             let floor = self.frontier.acked_by(j);
             self.own
@@ -499,16 +510,11 @@ impl Node<CrdtMsg> for CrdtReplica {
                 // Anti-entropy: re-send own effects any peer has not
                 // acknowledged (covers lost effects and lost acks alike).
                 for (j, e) in self.unacked() {
-                    ctx.send(self.peers[j], CrdtMsg::Effect { entry: e.clone() });
+                    let entry = Arc::clone(e);
+                    ctx.send(self.peers[j], CrdtMsg::Effect { entry });
                 }
             }
-            Repl::State => {
-                for j in 0..self.n {
-                    if j != self.id && !self.covered(j, self.next_seq) {
-                        self.broadcast_state(ctx, Some(j));
-                    }
-                }
-            }
+            Repl::State => self.broadcast_state(ctx, |j| !self.covered(j, self.next_seq)),
         }
         self.arm_timer(ctx);
     }
@@ -747,6 +753,91 @@ mod tests {
                 }
             }
             assert!(resent > 0, "seed {seed}: no retry re-sent anything");
+        }
+    }
+
+    /// A CRDT message: 152 B while an `Effect` carried its entry and a
+    /// `SyncState` its state inline, 56 B with both shared. The engine
+    /// moves an event of that size without calling `memcpy`.
+    #[test]
+    fn a_crdt_message_stays_a_few_words() {
+        let size = std::mem::size_of::<CrdtMsg>();
+        assert!(size <= 64, "CrdtMsg grew to {size} B");
+    }
+
+    /// A peer that keeps every effect it is sent and never answers, so
+    /// the replica under test hears none of its updates acknowledged.
+    #[derive(Default)]
+    struct Silent {
+        effects: Vec<Arc<SecEntry>>,
+    }
+
+    impl Node<CrdtMsg> for Silent {
+        fn on_message(&mut self, _: &mut Ctx<'_, CrdtMsg>, _: NodeId, msg: CrdtMsg) {
+            if let CrdtMsg::Effect { entry } = msg {
+                self.effects.push(entry);
+            }
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The FRK replica in op mode with two silent peers, after one write
+    /// submitted by the IRL peer; the engine has run for `ms`.
+    fn one_write_then(ms: u64) -> (Engine<CrdtMsg>, Vec<NodeId>) {
+        let (mut engine, ids) = Engine::ec2(1, |i, ids| match i {
+            0 => Box::new(CrdtReplica::new(0, ids, Repl::Op, false)),
+            _ => Box::<Silent>::default(),
+        });
+        let submit = ClientMsg::Submit {
+            op: 0,
+            client_op: CrdtOp::CtrAdd(0, 1),
+            wants: Wants::of(&[ConsistencyLevel::WEAK]),
+        };
+        engine.schedule_message(ids[1], ids[0], SimDuration::ZERO, CrdtMsg::Client(submit));
+        engine.run_for(SimDuration::from_millis(ms));
+        (engine, ids)
+    }
+
+    fn logged(engine: &mut Engine<CrdtMsg>, replica: NodeId) -> Arc<SecEntry> {
+        let log = &engine.node_as::<CrdtReplica>(replica).log;
+        assert_eq!(log.len(), 1, "one write logged");
+        Arc::clone(&log[0])
+    }
+
+    /// An op-mode write prepares its entry once: the SEC log and both
+    /// `Effect`s of the fan-out hold that one allocation, in flight and
+    /// once received.
+    #[test]
+    fn a_write_and_its_effect_fan_out_share_one_entry() {
+        let (mut engine, ids) = one_write_then(1);
+        let entry = logged(&mut engine, ids[0]);
+        // The log, this handle and the two effects still in flight.
+        assert_eq!(Arc::strong_count(&entry), 4, "the fan-out copied the entry");
+        engine.run_for(SimDuration::from_millis(100));
+        for peer in [ids[1], ids[2]] {
+            let effects = &engine.node_as::<Silent>(peer).effects;
+            assert_eq!(effects.len(), 1, "one effect per peer before any retry");
+            assert!(
+                Arc::ptr_eq(&effects[0], &entry),
+                "the fan-out copied the entry"
+            );
+        }
+    }
+
+    /// A retry re-sends the entry the log holds, not a copy of it.
+    #[test]
+    fn a_retry_resends_the_logged_entry() {
+        let (mut engine, ids) = one_write_then(500);
+        let entry = logged(&mut engine, ids[0]);
+        for peer in [ids[1], ids[2]] {
+            let effects = &engine.node_as::<Silent>(peer).effects;
+            assert!(effects.len() > 1, "precondition: a retry re-sent the write");
+            for (k, e) in effects.iter().enumerate() {
+                assert!(Arc::ptr_eq(e, &entry), "send {k} copied the entry");
+            }
         }
     }
 
